@@ -132,7 +132,7 @@ def test_failover_sweep(benchmark, publish, publish_snapshot):
     # serve its first packets cold: promotion rebuilds both directions
     # of every recovered flow into the cache.
     warm_points = failover_sweep(
-        lags=(0,), flow_count=min(64, failover_flow_count()), fastpath=True
+        lags=(0,), flow_count=min(64, failover_flow_count()), fastpath="compiled"
     )
     for point in warm_points:
         assert point.flows_recovered > 0, point.nf

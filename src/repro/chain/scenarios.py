@@ -152,7 +152,7 @@ def chain_breaches(reports: List[ScenarioReport]) -> List[str]:
 # -- the reference chain -------------------------------------------------------
 def default_chain_spec(
     execution: str = INLINE,
-    fastpath: object = False,
+    fastpath: str = "off",
     max_flows: int = 1024,
     **overrides,
 ) -> ChainSpec:

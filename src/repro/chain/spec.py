@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, normalize_fastpath
+from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.app import INLINE, PROCESS, RuntimeSpec, launch
 from repro.net.nic import Port
 from repro.obs import flight
@@ -110,14 +110,14 @@ class ChainSpec:
     Frozen and validated like :class:`~repro.net.app.RuntimeSpec`: a
     chain spec can be hashed, logged in a benchmark record, and varied
     with :meth:`with_` — two runs launched from equal specs are
-    comparable runs. The ``fastpath`` tri-state applies per stage, to
+    comparable runs. ``fastpath`` applies per stage, to
     exactly the stages whose NF publishes fast-path hooks (the others
     run their slow path unchanged, preserving byte identity).
     """
 
     stages: Tuple[ChainStage, ...]
     execution: str = INLINE
-    fastpath: object = False
+    fastpath: str = "off"
     burst_size: int = 32
     rx_capacity: int = 512
     pool_size: int = 4096
@@ -130,7 +130,7 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "fastpath", normalize_fastpath(self.fastpath))
+        check_fastpath(self.fastpath)
         if not self.stages:
             raise ValueError("a chain needs at least one stage")
         names = [stage.name for stage in self.stages]
@@ -173,7 +173,7 @@ class ChainRuntime:
         self.spec = spec
         self.stages = spec.stages
         n = len(spec.stages)
-        # Per-stage effective fastpath: the spec's mode where the NF
+        # Per-stage effective fastpath: the spec's value where the NF
         # publishes hooks, "off" elsewhere (FastPathNat refuses NFs
         # without hooks; equivalence makes the mix byte-transparent).
         self._stage_fastpath: List[str] = []
@@ -534,9 +534,8 @@ class ChainRuntime:
         for index, engine in enumerate(self.engines):
             if self.spec.execution == INLINE:
                 nf: NetworkFunction = fresh[index]
-                mode = self._stage_fastpath[index]
-                if mode != "off":
-                    nf = FastPathNat(nf, mode=mode)
+                if self._stage_fastpath[index] != "off":
+                    nf = FastPathNat(nf)
                 engine.nf = nf
             else:
                 frame = checkpoint_set.checkpoints[index]

@@ -362,7 +362,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         from repro.eval.reporting import render_metrics
         from repro.obs.expo import render_prometheus
 
-        snapshot = collect_sharded_metrics(workers=2, fastpath=True)
+        snapshot = collect_sharded_metrics(workers=2)
         print(render_metrics(snapshot))
         print()
         print(render_prometheus(snapshot))
@@ -382,7 +382,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     snapshot = collect_sharded_metrics(
         workers=args.workers,
-        fastpath=not args.no_fastpath,
+        fastpath="off" if args.no_fastpath else "compiled",
         execution=args.execution,
     )
     if args.format == "prom":

@@ -397,19 +397,18 @@ class FastpathPoint:
     #: True when the NF exposes the raw byte-level burst path (the
     #: compiled axis only exists there).
     supports_raw: bool = False
-    #: Wall-clock seconds for the raw-frame replay of the same events:
-    #: no fast path at all (parse / slow path / serialize), the replay
-    #: action cache, and the batch-applied compiled closures. All 0.0
-    #: for NFs without raw-path support.
+    #: Wall-clock seconds for the raw-frame replay of the same events
+    #: with the fast path off (parse / slow path / serialize) and on
+    #: (batch-applied compiled closures). Both 0.0 for NFs without
+    #: raw-path support.
     raw_wall_seconds_off: float = 0.0
-    raw_wall_seconds_cache: float = 0.0
     raw_wall_seconds_compiled: float = 0.0
-    #: True when all three raw modes emitted byte-identical frames to
-    #: the object-path replay (vacuously True without raw support).
+    #: True when both raw replays emitted byte-identical frames to the
+    #: object-path replay (vacuously True without raw support).
     raw_identical: bool = True
-    #: Counters from the compiled-mode replay (compiles, batches, ...).
+    #: Counters from the fast-path-on raw replay (compiles, batches, ...).
     compiled_counters: Dict[str, int] = field(default_factory=dict)
-    #: When the raw modes diverged: the first disagreement.
+    #: When the raw replays diverged: the first disagreement.
     raw_divergence: Optional[TraceDiff] = None
 
     @property
@@ -427,13 +426,6 @@ class FastpathPoint:
         if self.wall_seconds_on <= 0:
             return 0.0
         return self.wall_seconds_off / self.wall_seconds_on
-
-    @property
-    def compiled_speedup_over_cache(self) -> float:
-        """Raw-path wall speedup of compiled closures over the replay cache."""
-        if self.raw_wall_seconds_compiled <= 0:
-            return 0.0
-        return self.raw_wall_seconds_cache / self.raw_wall_seconds_compiled
 
     @property
     def compiled_speedup_over_off(self) -> float:
@@ -513,7 +505,7 @@ class _RawSlowPath:
 
 
 def _raw_frames(events: Sequence) -> List[Tuple[bytes, int]]:
-    """Serialize events once; replays copy per pass (hits mutate buffers)."""
+    """Serialize events once; every replay pass reads the same frames."""
     return [(e.packet.wire_bytes(), e.packet.device) for e in events]
 
 
@@ -539,9 +531,8 @@ def _timed_raw_burst_replay(
     Mirrors :func:`_timed_burst_replay`: an untimed warm pass (flow
     table, caches, compiled closures), then the fastest of ``repeats``
     timed passes. Frames are serialized once up front; the per-burst
-    ``bytearray`` copies stay inside the timed region for every mode
-    equally (in-place hits mutate the buffers, so each pass needs its
-    own).
+    ``bytearray`` copies (standing in for the RX buffers a NIC would
+    hand over) stay inside the timed region, fast path off and on alike.
     """
     frames = _raw_frames(events)
     best = None
@@ -577,12 +568,11 @@ def fastpath_sweep(
     the cache off and on — the real Python-level cost of the slow path
     versus the cached replay, free of the testbed's simulation overhead.
     NFs that support the raw byte path get a fourth axis: the same
-    events replayed as raw frames through no fast path, the replay
-    cache, and the batch-applied compiled closures
-    (``fastpath="compiled"``), each byte-compared against the
-    object-path replay. The paper's no-op < unverified < verified cost
-    ordering must survive at every hit rate (the cache accelerates
-    every NF, it does not reorder them).
+    events replayed as raw frames with the fast path off and on (the
+    one entry point that runs compiled closures), each byte-compared
+    against the object-path replay. The paper's no-op < unverified <
+    verified cost ordering must survive at every hit rate (the cache
+    accelerates every NF, it does not reorder them).
 
     The default lineup excludes the NetFilter NAT: it models a kernel
     path and exposes no fast-path hooks.
@@ -624,13 +614,13 @@ def fastpath_sweep(
             fast = FastPathNat(factory(cfg))
             wall_on = _timed_burst_replay(fast, events, burst_size)
 
-            # The raw axis: the same events over raw frame bytes, with
-            # no fast path, the replay cache, and compiled closures.
-            # Every mode's output must byte-match the object-path
-            # replay — the compiled axis of the differential check.
+            # The raw axis: the same events over raw frame bytes, fast
+            # path off and on. Both outputs must byte-match the
+            # object-path replay — the compiled axis of the
+            # differential check.
             hooks = factory(cfg).fastpath_hooks()
             supports_raw = bool(hooks is not None and hooks.supports_raw)
-            raw_off_s = raw_cache_s = raw_compiled_s = 0.0
+            raw_off_s = raw_compiled_s = 0.0
             raw_identical = True
             raw_divergence = None
             compiled_counters: Dict[str, int] = {}
@@ -638,31 +628,20 @@ def fastpath_sweep(
                 raw_off_outputs = _raw_replay_outputs(
                     _RawSlowPath(factory(cfg)), events, burst_size
                 )
-                raw_cache_outputs = _raw_replay_outputs(
-                    FastPathNat(factory(cfg), mode="cache"), events, burst_size
-                )
                 raw_compiled_outputs = _raw_replay_outputs(
-                    FastPathNat(factory(cfg), mode="compiled"),
-                    events,
-                    burst_size,
+                    FastPathNat(factory(cfg)), events, burst_size
                 )
                 raw_identical = (
-                    off_outputs
-                    == raw_off_outputs
-                    == raw_cache_outputs
-                    == raw_compiled_outputs
+                    off_outputs == raw_off_outputs == raw_compiled_outputs
                 )
                 if not raw_identical:
                     raw_divergence = first_divergence(
-                        raw_cache_outputs, raw_compiled_outputs
-                    ) or first_divergence(off_outputs, raw_compiled_outputs)
+                        raw_off_outputs, raw_compiled_outputs
+                    ) or first_divergence(off_outputs, raw_off_outputs)
                 raw_off_s = _timed_raw_burst_replay(
                     _RawSlowPath(factory(cfg)), events, burst_size
                 )
-                raw_cache_s = _timed_raw_burst_replay(
-                    FastPathNat(factory(cfg), mode="cache"), events, burst_size
-                )
-                compiled_nf = FastPathNat(factory(cfg), mode="compiled")
+                compiled_nf = FastPathNat(factory(cfg))
                 raw_compiled_s = _timed_raw_burst_replay(
                     compiled_nf, events, burst_size
                 )
@@ -687,7 +666,6 @@ def fastpath_sweep(
                     divergence=divergence,
                     supports_raw=supports_raw,
                     raw_wall_seconds_off=raw_off_s,
-                    raw_wall_seconds_cache=raw_cache_s,
                     raw_wall_seconds_compiled=raw_compiled_s,
                     raw_identical=raw_identical,
                     compiled_counters=compiled_counters,
@@ -700,7 +678,7 @@ def fastpath_sweep(
 def collect_sharded_metrics(
     workers: int = 2,
     *,
-    fastpath: bool = True,
+    fastpath: str = "compiled",
     flow_count: int = 256,
     packet_count: int = 2_048,
     burst_size: int = 32,
@@ -856,7 +834,7 @@ def failover_sweep(
     flow_count: int = 192,
     steady_rounds: int = 6,
     kill_worker: int = 1,
-    fastpath: bool = False,
+    fastpath: str = "off",
     settings: Optional[EvalSettings] = None,
 ) -> List[FailoverPoint]:
     """The availability benchmark: kill-and-promote at each replication lag.
@@ -1322,7 +1300,7 @@ def procs_sweep(
     flow_count: int = 256,
     packet_count: int = 4_000,
     burst_size: int = 32,
-    fastpath: bool = False,
+    fastpath: str = "off",
     repeats: int = 3,
     settings: Optional[EvalSettings] = None,
     transports: Optional[Sequence[str]] = None,

@@ -198,12 +198,9 @@ def render_fastpath_sweep(points: Sequence[FastpathPoint]) -> str:
     raw_points = [p for p in points if p.supports_raw]
     if raw_points:
         lines.append("")
+        lines.append("Raw-frame replay — fast path off vs compiled closures")
         lines.append(
-            "Raw-frame replay — off vs replay cache vs compiled closures"
-        )
-        lines.append(
-            "flows    raw wall off/cache/compiled (s)   "
-            "comp/cache ×   comp/off ×   identical"
+            "flows    raw wall off (s)   compiled (s)   comp/off ×   identical"
         )
         for nf, nf_points in by_nf.items():
             nf_raw = [p for p in nf_points if p.supports_raw]
@@ -213,11 +210,9 @@ def render_fastpath_sweep(points: Sequence[FastpathPoint]) -> str:
             for p in sorted(nf_raw, key=lambda p: p.flow_count):
                 lines.append(
                     f"  {p.flow_count:>6d}"
-                    f"   {p.raw_wall_seconds_off:7.3f}/"
-                    f"{p.raw_wall_seconds_cache:.3f}/"
-                    f"{p.raw_wall_seconds_compiled:<7.3f}"
-                    f"   {p.compiled_speedup_over_cache:10.2f}"
-                    f"   {p.compiled_speedup_over_off:8.2f}"
+                    f"   {p.raw_wall_seconds_off:16.3f}"
+                    f"   {p.raw_wall_seconds_compiled:12.3f}"
+                    f"   {p.compiled_speedup_over_off:10.2f}"
                     f"   {'yes' if p.raw_identical else 'NO — DIVERGED'}"
                 )
     lines.append("")

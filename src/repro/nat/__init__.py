@@ -11,7 +11,7 @@
 - :mod:`repro.nat.fastpath` — the microflow action cache over any of
   the above (`FastPathNat`),
 - :mod:`repro.nat.compiled` — learned rewrites compiled into
-  batch-applied closures (`CompiledAction`, the ``"compiled"`` mode),
+  batch-applied closures for the raw entry point (`compile_action`),
 - :mod:`repro.nat.noop` — DPDK no-op forwarding,
 - :mod:`repro.nat.firewall` — a second verified NF (stateful firewall),
 - :mod:`repro.nat.discard` — the §3 discard-protocol worked example.
@@ -24,13 +24,13 @@ from repro.nat.base import NetworkFunction
 from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.cgnat import CgnatConfig, DetNat
 from repro.nat.config import NatConfig
-from repro.nat.compiled import CompiledAction, compile_action, raw_flow_key
+from repro.nat.compiled import compile_action, raw_flow_key
 from repro.nat.discard import DiscardNF
 from repro.nat.fastpath import (
     FASTPATH_MODES,
     CachedAction,
     FastPathNat,
-    normalize_fastpath,
+    check_fastpath,
 )
 from repro.nat.firewall import VigFirewall
 from repro.nat.flow import Flow, FlowId, flow_id_of_packet
@@ -46,12 +46,11 @@ __all__ = [
     "BridgeConfig",
     "CachedAction",
     "CgnatConfig",
-    "CompiledAction",
     "DetNat",
     "DiscardNF",
     "FastPathNat",
     "compile_action",
-    "normalize_fastpath",
+    "check_fastpath",
     "raw_flow_key",
     "Flow",
     "FlowId",

@@ -1,14 +1,14 @@
 """Compiled per-flow actions: the fast path as a specialized closure.
 
-The replay cache (:mod:`repro.nat.fastpath`) already skips the slow
-path, but a hit still pays generic per-packet Python: a
-:class:`~repro.packets.lazy.LazyPacket` view, an op-list interpreter,
-one method call per field write and per checksum patch. This module
-goes one step further, the way OVS compiles a megaflow into an action
-list the datapath executes without consulting the classifier: at learn
-time each flow's rewrite is *compiled* into a :class:`CompiledAction`
-whose work per packet is three struct reads, one or two folded RFC 1624
-delta applications, and a single ``bytes`` splice.
+The action cache (:mod:`repro.nat.fastpath`) already skips the slow
+path, but an object-path hit still pays generic per-packet Python: a
+parsed :class:`~repro.packets.headers.Packet`, a clone, one helper call
+per rewritten endpoint. On raw frames this module goes one step
+further, the way OVS compiles a megaflow into an action list the
+datapath executes without consulting the classifier: when a flow is
+learned from a raw frame its rewrite is *compiled* into a closure whose
+work per packet is two struct reads, one or two folded RFC 1624 delta
+applications, and a single ``bytes`` splice.
 
 What makes the compilation sound:
 
@@ -30,36 +30,36 @@ What makes the compilation sound:
   stages); for TCP, which has no such sentinel, every stage folds into
   a single constant.
 - **Learn-time verification backstops the compiler.** The caller
-  (``FastPathNat``) byte-compares the compiled output against the slow
-  path's actual output before installing a closure, exactly as it
-  already does for replayed actions. A miscompiled closure is never
+  (``FastPathNat.process_raw_burst``) applies the closure to the very
+  frame that triggered the learn and byte-compares the result against
+  what the slow path actually emitted for it before attaching the
+  closure to the flow's action. A miscompiled closure is never
   installed.
 
 Batch application is struct-of-arrays over the raw burst: the caller
 extracts every frame's key in one pass, partitions the burst into
-maximal same-flow runs, and hands each run's buffers to
-:meth:`CompiledAction.apply_batch` — one dict lookup, one generation
-check and one rejuvenation per run instead of per packet.
+maximal same-flow runs, and applies each run's closure across it — one
+dict lookup, one generation check and one rejuvenation per run instead
+of per packet.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.packets.checksum import checksum_delta_u16, checksum_delta_u32
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Ipv4Header
-from repro.packets.lazy import (
-    OFF_ETHERTYPE,
-    OFF_FLAGS_FRAG,
-    OFF_IP_CSUM,
-    OFF_PROTO,
-    OFF_SRC_IP,
-    OFF_TCP_CSUM,
-    OFF_UDP_CSUM,
-    OFF_VERSION_IHL,
-)
+
+# Fixed field offsets for Ethernet II + option-less IPv4 (IHL=5).
+OFF_ETHERTYPE = 12
+OFF_VERSION_IHL = 14
+OFF_FLAGS_FRAG = 20
+OFF_PROTO = 23
+OFF_IP_CSUM = 24
+OFF_SRC_IP = 26
+OFF_UDP_CSUM = 40
+OFF_TCP_CSUM = 50
 
 _U16 = struct.Struct(">H")
 #: src_ip, dst_ip, src_port, dst_port — wire order at offset 26.
@@ -78,10 +78,10 @@ FlowKey = Tuple[int, int, int, int, int, int]
 def raw_flow_key(buf, device: int) -> Optional[FlowKey]:
     """The microflow key straight off the frame bytes, or None.
 
-    Byte-for-byte the same eligibility rules and key as
-    :meth:`~repro.packets.lazy.LazyPacket.flow_key`, but without
-    constructing a view object: index checks plus one
-    ``struct.unpack_from`` for the whole 5-tuple region.
+    The same eligibility rules and key as
+    :func:`~repro.nat.fastpath.packet_flow_key` on the parsed frame,
+    without parsing it: index checks plus one ``struct.unpack_from``
+    for the whole 5-tuple region.
     """
     if len(buf) < _MIN_LEN_UDP:
         return None
@@ -109,7 +109,7 @@ def _build_closure(
     l4_offset: int,
     udp: bool,
     identity: bool,
-):
+) -> Callable[..., bytes]:
     """Generate the per-frame rewrite closure for one flow's constants.
 
     Three shapes, selected at compile time so the per-packet code has
@@ -181,55 +181,12 @@ def _build_closure(
     return apply_one
 
 
-@dataclass(slots=True)
-class CompiledAction:
-    """One flow's rewrite, specialized down to constants.
-
-    ``mid12`` is the post-rewrite value of frame bytes
-    [26, 38) — both IPs and both ports — which the flow key proves
-    constant across the flow's packets. ``ip_delta`` is the folded
-    RFC 1624 delta for the IPv4 header checksum. ``l4_stages`` holds
-    one folded delta per slow-path L4 patch call (a single element for
-    TCP, where every call folds together; up to four for UDP, whose
-    zero-checksum sentinel is re-checked between calls). ``apply_one``
-    is the generated closure over those constants — the thing the data
-    path actually runs.
-    """
-
-    mid12: bytes
-    ip_delta: int
-    l4_stages: Tuple[int, ...]
-    l4_offset: int
-    udp: bool
-    identity: bool
-    out_device: int
-    token: Any
-    generation: int
-    apply_one: Any = None
-
-    def __post_init__(self) -> None:
-        if self.apply_one is None:
-            self.apply_one = _build_closure(
-                self.mid12,
-                self.ip_delta,
-                self.l4_stages,
-                self.l4_offset,
-                self.udp,
-                self.identity,
-            )
-
-    def apply(self, buf) -> bytes:
-        """The compiled rewrite of one frame: reads, folds, one splice."""
-        return self.apply_one(buf)
-
-    def apply_batch(self, bufs: Sequence) -> List[bytes]:
-        """Apply the closure across one same-flow run of frame buffers."""
-        apply_one = self.apply_one
-        return [apply_one(buf) for buf in bufs]
-
-
-def compile_action(key: FlowKey, action) -> CompiledAction:
+def compile_action(key: FlowKey, action) -> Callable[..., bytes]:
     """Compile a verified :class:`CachedAction` for flow ``key``.
+
+    Returns the closure ``frame -> rewritten bytes``; the output device,
+    liveness token and generation stay on the action it was compiled
+    from, which is also what holds the closure.
 
     The pre-rewrite endpoint values are read off the key (the key *is*
     the packet's endpoints); the post-rewrite values come from the
@@ -260,21 +217,17 @@ def compile_action(key: FlowKey, action) -> CompiledAction:
     if not udp and stages:
         # TCP never zero-checks: every stage folds into one constant.
         stages = [sum(stages)]
-    return CompiledAction(
+    return _build_closure(
         mid12=_MID.pack(new_src[0], new_dst[0], new_src[1], new_dst[1]),
         ip_delta=ip_delta,
         l4_stages=tuple(stages),
         l4_offset=OFF_UDP_CSUM if udp else OFF_TCP_CSUM,
         udp=udp,
         identity=not stages,
-        out_device=action.out_device,
-        token=action.token,
-        generation=action.generation,
     )
 
 
 __all__ = [
-    "CompiledAction",
     "FlowKey",
     "compile_action",
     "raw_flow_key",

@@ -5,9 +5,7 @@ implementation shares — external IP, device pair, flow capacity, expiry,
 and the external port range. All NF constructors
 (:class:`~repro.nat.vignat.VigNat`,
 :class:`~repro.nat.unverified.UnverifiedNat`,
-:class:`~repro.nat.netfilter.NetfilterNat`, ...) accept one of these;
-:meth:`NatConfig.resolve` is the shared shim that also keeps the legacy
-per-field keyword signatures working (with a :class:`DeprecationWarning`).
+:class:`~repro.nat.netfilter.NetfilterNat`, ...) accept one of these.
 
 For the sharded data path, :meth:`NatConfig.partition` splits one
 configuration into N per-worker configurations whose external port
@@ -18,7 +16,6 @@ flow's state (see :mod:`repro.net.rss` and ``docs/SCALING.md``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -35,25 +32,13 @@ DEFAULT_EXPIRATION_TIME_US = 2_000_000
 #: space (flow index 65,534 maps to port 65,535).
 DEFAULT_START_PORT = 1
 
-#: The legacy constructor-argument order, shared by the positional shim
-#: below and by the NF constructors' legacy keyword shims.
-_LEGACY_FIELD_ORDER = (
-    "external_ip",
-    "internal_device",
-    "external_device",
-    "max_flows",
-    "expiration_time",
-    "start_port",
-)
-
 
 @dataclass(frozen=True, kw_only=True)
 class NatConfig:
     """Immutable NAT configuration shared by all NAT implementations.
 
-    Fields are keyword-only: the scattered positional signatures the NFs
-    used to accept are consolidated here (positional construction still
-    works through a deprecation shim, see module bottom).
+    Fields are keyword-only: ``NatConfig(max_flows=64)``, never
+    positional.
     """
 
     external_ip: int = ip_to_int("192.0.2.1")
@@ -131,67 +116,3 @@ class NatConfig:
             shards.append(replace(self, start_port=port, max_flows=size))
             port += size
         return tuple(shards)
-
-    # -- the legacy-signature shim shared by all NF constructors ---------------
-    @classmethod
-    def resolve(
-        cls,
-        config: "NatConfig | None" = None,
-        *,
-        owner: str = "NetworkFunction",
-        **legacy: int,
-    ) -> "NatConfig":
-        """Normalize an NF constructor's arguments to one ``NatConfig``.
-
-        ``resolve(cfg)`` returns ``cfg``; ``resolve(None)`` returns the
-        defaults; ``resolve(external_ip=..., max_flows=...)`` — the old
-        scattered per-field signature — still works but emits a
-        :class:`DeprecationWarning` naming the NF class.
-        """
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    f"{owner}: pass either a NatConfig or per-field keyword "
-                    "arguments, not both"
-                )
-            unknown = set(legacy) - set(_LEGACY_FIELD_ORDER)
-            if unknown:
-                raise TypeError(
-                    f"{owner}: unknown configuration field(s) {sorted(unknown)}"
-                )
-            warnings.warn(
-                f"{owner}(**fields) is deprecated; pass "
-                f"{owner}(NatConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return cls(**legacy)
-        return config if config is not None else cls()
-
-
-# Positional construction predates the keyword-only consolidation; keep it
-# working through a shim that warns and maps arguments in the legacy order.
-_dataclass_init = NatConfig.__init__
-
-
-def _init_with_positional_shim(self: NatConfig, *args: int, **kwargs: int) -> None:
-    if args:
-        if len(args) > len(_LEGACY_FIELD_ORDER):
-            raise TypeError(
-                f"NatConfig takes at most {len(_LEGACY_FIELD_ORDER)} "
-                f"positional arguments ({len(args)} given)"
-            )
-        warnings.warn(
-            "positional NatConfig arguments are deprecated; "
-            "use keyword arguments",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for name, value in zip(_LEGACY_FIELD_ORDER, args):
-            if name in kwargs:
-                raise TypeError(f"NatConfig got multiple values for {name!r}")
-            kwargs[name] = value
-    _dataclass_init(self, **kwargs)
-
-
-NatConfig.__init__ = _init_with_positional_shim  # type: ignore[method-assign]

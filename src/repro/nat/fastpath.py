@@ -25,6 +25,14 @@ mechanisms enforce it:
 Verification still targets the slow path: the fast path adds no state
 the symbolic engine must model, and the proof report is unchanged.
 
+Two entry points consult the one cache. The object path
+(``process``/``process_burst``, what every runtime behind ``launch()``
+calls) replays a hit through the NF's own ``apply`` hook. The raw path
+(``process_raw_burst``) hits only on actions that carry a compiled
+closure (:mod:`repro.nat.compiled`); closures are built and
+byte-verified only by learns that path triggers, and live *on* the
+action, so whatever drops an action drops its closure with it.
+
 Each NF that opts in exposes ``fastpath_hooks()`` returning an object
 with: ``supports_raw`` (bool), ``begin_burst(now) -> now`` (clamp the
 clock and run the per-burst expiry scan), ``generation() -> int``,
@@ -37,19 +45,14 @@ quirks — including deliberate ones — are reproduced exactly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.nat.base import NetworkFunction
-from repro.nat.compiled import CompiledAction, compile_action, raw_flow_key
+from repro.nat.compiled import FlowKey, compile_action, raw_flow_key
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
-from repro.packets.checksum import (
-    checksum_apply_delta,
-    checksum_delta_u16,
-    checksum_delta_u32,
-)
 from repro.packets.headers import (
     ETHERTYPE_IPV4,
     PROTO_TCP,
@@ -57,36 +60,17 @@ from repro.packets.headers import (
     Packet,
     ParseError,
 )
-from repro.packets.lazy import (
-    OFF_DST_IP,
-    OFF_DST_PORT,
-    OFF_SRC_IP,
-    OFF_SRC_PORT,
-    OFF_UDP_CSUM,
-    LazyPacket,
-)
 
-#: A microflow key: (device, proto, src_ip, src_port, dst_ip, dst_port).
-FlowKey = Tuple[int, int, int, int, int, int]
-
-#: The fast-path modes a runtime spec can name.
-FASTPATH_MODES = ("off", "cache", "compiled")
+#: The values a spec's ``fastpath`` field can take.
+FASTPATH_MODES = ("off", "compiled")
 
 
-def normalize_fastpath(value) -> str:
-    """Coerce a spec's ``fastpath`` value to one of :data:`FASTPATH_MODES`.
-
-    Booleans are the historical spelling: ``True`` is the replay cache,
-    ``False`` is off. Strings must name a mode exactly.
-    """
-    if value is True:
-        return "cache"
-    if value is False:
-        return "off"
+def check_fastpath(value) -> str:
+    """``value`` if it names one of :data:`FASTPATH_MODES`, else ValueError."""
     if value in FASTPATH_MODES:
         return value
     raise ValueError(
-        f"fastpath must be a bool or one of {FASTPATH_MODES}, got {value!r}"
+        f"fastpath must be one of {FASTPATH_MODES}, got {value!r}"
     )
 
 
@@ -96,9 +80,9 @@ class CachedAction:
 
     ``src``/``dst`` are the (ip, port) endpoint targets the slow path
     rewrote to (None = that endpoint untouched), exactly the arguments
-    its own rewrite helpers receive. ``raw_ops`` is the byte-level
-    replay of the same rewrites for the zero-copy path: field writes
-    plus precomputed RFC 1624 checksum deltas.
+    its own rewrite helpers receive. ``closure`` is the same rewrite
+    compiled for raw frames (:func:`~repro.nat.compiled.compile_action`),
+    present only once a raw-path learn has byte-verified it.
     """
 
     src: Optional[Tuple[int, int]]
@@ -106,7 +90,7 @@ class CachedAction:
     out_device: int
     token: Any
     generation: int
-    raw_ops: Optional[Tuple[tuple, ...]] = None
+    closure: Optional[Callable[..., bytes]] = None
 
 
 def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
@@ -125,75 +109,6 @@ def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
         rewrite_destination(out, *action.dst)
     out.device = action.out_device
     return out
-
-
-def _raw_ops_from(
-    old_src: Tuple[int, int],
-    old_dst: Tuple[int, int],
-    action: CachedAction,
-) -> Tuple[tuple, ...]:
-    """Compile a cached action into byte-level replay ops.
-
-    The op sequence mirrors the slow path's rewrite call structure
-    *exactly* — one ``("l4", deltas)`` op per ``_patch_l4_for_*`` call,
-    each with its own UDP-zero check, deltas applied in the same word
-    order — so the patched checksum is bit-identical to the slow path's
-    for any starting checksum, not merely equivalent.
-
-    The pre-rewrite endpoint values come from the caller: the
-    triggering packet on a learn, the flow key on a cache warm — both
-    name the same (ip, port) pairs, since the key *is* the packet's
-    endpoints.
-    """
-    ops: List[tuple] = []
-    if action.src is not None:
-        new_ip, new_port = action.src
-        old_ip, old_port = old_src
-        ops.append(("w32", OFF_SRC_IP, new_ip))
-        ops.append(("w16", OFF_SRC_PORT, new_port))
-        ops.append(("ip", checksum_delta_u32(old_ip, new_ip)))
-        ops.append(("l4", checksum_delta_u32(old_ip, new_ip)))
-        ops.append(("l4", (checksum_delta_u16(old_port, new_port),)))
-    if action.dst is not None:
-        new_ip, new_port = action.dst
-        old_ip, old_port = old_dst
-        ops.append(("w32", OFF_DST_IP, new_ip))
-        ops.append(("w16", OFF_DST_PORT, new_port))
-        ops.append(("ip", checksum_delta_u32(old_ip, new_ip)))
-        ops.append(("l4", checksum_delta_u32(old_ip, new_ip)))
-        ops.append(("l4", (checksum_delta_u16(old_port, new_port),)))
-    return tuple(ops)
-
-
-def _raw_ops_for(packet: Packet, action: CachedAction) -> Tuple[tuple, ...]:
-    """Compile replay ops with the old values read off the packet."""
-    assert packet.ipv4 is not None and packet.l4 is not None
-    return _raw_ops_from(
-        (packet.ipv4.src_ip, packet.l4.src_port),
-        (packet.ipv4.dst_ip, packet.l4.dst_port),
-        action,
-    )
-
-
-def _apply_raw(view: LazyPacket, ops: Tuple[tuple, ...]) -> None:
-    """Replay compiled ops onto the frame bytes in place."""
-    for op in ops:
-        kind = op[0]
-        if kind == "w32":
-            view.write_u32(op[1], op[2])
-        elif kind == "w16":
-            view.write_u16(op[1], op[2])
-        elif kind == "ip":
-            for delta in op[1]:
-                view.patch_ip_checksum(delta)
-        else:  # "l4": one slow-path patch call — zero-checked once
-            offset = view.l4_checksum_offset()
-            checksum = view.read_u16(offset)
-            if checksum == 0 and offset == OFF_UDP_CSUM:
-                continue
-            for delta in op[1]:
-                checksum = checksum_apply_delta(checksum, delta)
-            view.write_u16(offset, checksum)
 
 
 def packet_flow_key(packet: Packet) -> Optional[FlowKey]:
@@ -222,6 +137,40 @@ def packet_flow_key(packet: Packet) -> Optional[FlowKey]:
     )
 
 
+#: The cache's counters, declared once: (stem, help). Each becomes the
+#: instrument ``self._<stem>``, the metric ``fastpath_<stem>_total`` and
+#: the ``op_counters()`` key ``fastpath_<stem>``.
+_COUNTERS = (
+    ("hits", "packets replayed from the action cache"),
+    ("misses", "packets that took the slow path"),
+    ("invalidations", "cached actions discarded on generation mismatch"),
+    ("evictions", "cached actions evicted by the FIFO capacity cap"),
+    ("learns", "actions admitted after replay verification"),
+    (
+        "learn_rejected",
+        "candidate actions whose replay diverged from the slow path",
+    ),
+    ("warmed", "actions pre-installed from restored flow state"),
+    ("compiles", "flow rewrites compiled into specialized closures"),
+    (
+        "compile_rejected",
+        "compiled closures whose output diverged from the slow path",
+    ),
+    ("compiled_hits", "packets rewritten by a compiled closure"),
+    ("compiled_batches", "same-flow runs batch-applied through a compiled closure"),
+)
+
+#: The cache's gauges: (metric name, ``FastPathNat`` property, help).
+_GAUGES = (
+    ("fastpath_cache_entries", "cache_size", "actions currently cached"),
+    (
+        "fastpath_compiled_entries",
+        "compiled_size",
+        "compiled closures currently installed",
+    ),
+)
+
+
 class FastPathNat(NetworkFunction):
     """Wrap a slow-path NF with the microflow action cache.
 
@@ -230,18 +179,9 @@ class FastPathNat(NetworkFunction):
     inner NF stays reachable as ``.inner`` for introspection.
     """
 
-    def __init__(
-        self,
-        inner: NetworkFunction,
-        max_entries: int = 65_536,
-        mode: str = "cache",
-    ) -> None:
+    def __init__(self, inner: NetworkFunction, max_entries: int = 65_536) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if mode not in ("cache", "compiled"):
-            raise ValueError(
-                f'mode must be "cache" or "compiled", got {mode!r}'
-            )
         hooks = inner.fastpath_hooks()
         if hooks is None:
             raise TypeError(
@@ -250,84 +190,29 @@ class FastPathNat(NetworkFunction):
         self.inner = inner
         self.name = inner.name
         self.max_entries = max_entries
-        self.mode = mode
         self._hooks = hooks
+        #: The one store. A flow's compiled closure, when it has one,
+        #: hangs off its action — there is no second table to keep in
+        #: step on invalidation, eviction, expiry or restore.
         self._cache: Dict[FlowKey, CachedAction] = {}
-        # Compiled closures are a second, narrower store over the same
-        # keys (compiled ⊆ cached): an entry exists only when the NF
-        # supports the raw path, the mode asks for compilation, and the
-        # closure's output byte-matched the slow path at learn time.
-        # Every invalidation/eviction of a cached action must drop the
-        # compiled twin as well — a stale closure must never fire.
-        self._compiled: Dict[FlowKey, CompiledAction] = {}
         # The cache counters are registry-backed typed instruments
         # (``repro.obs``): the same objects serve the NF's op_counters()
         # surface, the merged metrics snapshots and the Prometheus
         # exposition, instead of ad-hoc ints re-aggregated per consumer.
-        metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry()
         cache_labels = {"nf": self.name}
-        self._hits = metrics.counter(
-            "fastpath_hits_total", "packets replayed from the action cache", cache_labels
-        )
-        self._misses = metrics.counter(
-            "fastpath_misses_total", "packets that took the slow path", cache_labels
-        )
-        self._invalidations = metrics.counter(
-            "fastpath_invalidations_total",
-            "cached actions discarded on generation mismatch",
-            cache_labels,
-        )
-        self._evictions = metrics.counter(
-            "fastpath_evictions_total",
-            "cached actions evicted by the FIFO capacity cap",
-            cache_labels,
-        )
-        self._learns = metrics.counter(
-            "fastpath_learns_total", "actions admitted after replay verification", cache_labels
-        )
-        self._learn_rejected = metrics.counter(
-            "fastpath_learn_rejected_total",
-            "candidate actions whose replay diverged from the slow path",
-            cache_labels,
-        )
-        self._warmed = metrics.counter(
-            "fastpath_warmed_total",
-            "actions pre-installed from restored flow state",
-            cache_labels,
-        )
-        self._compiles = metrics.counter(
-            "fastpath_compiles_total",
-            "flow rewrites compiled into specialized closures",
-            cache_labels,
-        )
-        self._compile_rejected = metrics.counter(
-            "fastpath_compile_rejected_total",
-            "compiled closures whose output diverged from the slow path",
-            cache_labels,
-        )
-        self._compiled_hits = metrics.counter(
-            "fastpath_compiled_hits_total",
-            "packets rewritten by a compiled closure",
-            cache_labels,
-        )
-        self._compiled_batches = metrics.counter(
-            "fastpath_compiled_batches_total",
-            "same-flow runs batch-applied through a compiled closure",
-            cache_labels,
-        )
-        metrics.gauge_fn(
-            "fastpath_cache_entries",
-            lambda: len(self._cache),
-            "actions currently cached",
-            cache_labels,
-        )
-        metrics.gauge_fn(
-            "fastpath_compiled_entries",
-            lambda: len(self._compiled),
-            "compiled closures currently installed",
-            cache_labels,
-        )
-        self.metrics = metrics
+        for stem, help_text in _COUNTERS:
+            counter = self.metrics.counter(
+                f"fastpath_{stem}_total", help_text, cache_labels
+            )
+            setattr(self, f"_{stem}", counter)
+        self._register_gauges(self.metrics, cache_labels)
+
+    def _register_gauges(self, registry, labels) -> None:
+        for name, prop, help_text in _GAUGES:
+            registry.gauge_fn(
+                name, lambda p=prop: getattr(self, p), help_text, labels
+            )
 
     # -- introspection ------------------------------------------------------
     @property
@@ -336,24 +221,15 @@ class FastPathNat(NetworkFunction):
 
     @property
     def compiled_size(self) -> int:
-        return len(self._compiled)
+        return sum(
+            1 for action in self._cache.values() if action.closure is not None
+        )
 
     def op_counters(self) -> Dict[str, int]:
         counters = dict(self.inner.op_counters())
         counters.update(self.burst_counters())
-        counters.update(
-            fastpath_hits=self._hits.value,
-            fastpath_misses=self._misses.value,
-            fastpath_invalidations=self._invalidations.value,
-            fastpath_evictions=self._evictions.value,
-            fastpath_learns=self._learns.value,
-            fastpath_learn_rejected=self._learn_rejected.value,
-            fastpath_warmed=self._warmed.value,
-            fastpath_compiles=self._compiles.value,
-            fastpath_compile_rejected=self._compile_rejected.value,
-            fastpath_compiled_hits=self._compiled_hits.value,
-            fastpath_compiled_batches=self._compiled_batches.value,
-        )
+        for stem, _help in _COUNTERS:
+            counters[f"fastpath_{stem}"] = getattr(self, f"_{stem}").value
         return counters
 
     def hit_rate(self) -> float:
@@ -368,70 +244,15 @@ class FastPathNat(NetworkFunction):
         """Surface the cache instruments plus the wrapped NF's metrics."""
         cache_labels = dict(labels or {})
         cache_labels["nf"] = self.name
-        for counter, name, help_text in (
-            (self._hits, "fastpath_hits_total", "packets replayed from the action cache"),
-            (self._misses, "fastpath_misses_total", "packets that took the slow path"),
-            (
-                self._invalidations,
-                "fastpath_invalidations_total",
-                "cached actions discarded on generation mismatch",
-            ),
-            (
-                self._evictions,
-                "fastpath_evictions_total",
-                "cached actions evicted by the FIFO capacity cap",
-            ),
-            (
-                self._learns,
-                "fastpath_learns_total",
-                "actions admitted after replay verification",
-            ),
-            (
-                self._learn_rejected,
-                "fastpath_learn_rejected_total",
-                "candidate actions whose replay diverged from the slow path",
-            ),
-            (
-                self._warmed,
-                "fastpath_warmed_total",
-                "actions pre-installed from restored flow state",
-            ),
-            (
-                self._compiles,
-                "fastpath_compiles_total",
-                "flow rewrites compiled into specialized closures",
-            ),
-            (
-                self._compile_rejected,
-                "fastpath_compile_rejected_total",
-                "compiled closures whose output diverged from the slow path",
-            ),
-            (
-                self._compiled_hits,
-                "fastpath_compiled_hits_total",
-                "packets rewritten by a compiled closure",
-            ),
-            (
-                self._compiled_batches,
-                "fastpath_compiled_batches_total",
-                "same-flow runs batch-applied through a compiled closure",
-            ),
-        ):
+        for stem, help_text in _COUNTERS:
+            counter = getattr(self, f"_{stem}")
             registry.counter_fn(
-                name, lambda c=counter: c.value, help_text, cache_labels
+                f"fastpath_{stem}_total",
+                lambda c=counter: c.value,
+                help_text,
+                cache_labels,
             )
-        registry.gauge_fn(
-            "fastpath_cache_entries",
-            lambda: len(self._cache),
-            "actions currently cached",
-            cache_labels,
-        )
-        registry.gauge_fn(
-            "fastpath_compiled_entries",
-            lambda: len(self._compiled),
-            "compiled closures currently installed",
-            cache_labels,
-        )
+        self._register_gauges(registry, cache_labels)
         self.inner.register_metrics(registry, labels)
 
     def flow_count(self) -> int:
@@ -460,7 +281,6 @@ class FastPathNat(NetworkFunction):
         if self._cache:
             self._invalidations.inc(len(self._cache))
             self._cache.clear()
-        self._compiled.clear()
 
     def warm(self) -> int:
         """Pre-install cached actions for the inner NF's live flows.
@@ -478,31 +298,22 @@ class FastPathNat(NetworkFunction):
         The learn-time replay verification is deliberately skipped:
         warmed actions are computed from flow state that
         ``restore_state`` has already validated against the NF's
-        invariants, not inferred from a single packet. Returns the
-        number of entries installed (0 when the hooks cannot warm).
+        invariants, not inferred from a single packet. No closure is
+        attached — there is no slow-path output here to verify one
+        against — so a warmed flow's first raw frame takes one miss to
+        earn it. Returns the number of entries installed (0 when the
+        hooks cannot warm).
         """
         warm_entries = getattr(self._hooks, "warm_entries", None)
         if warm_entries is None:
             return 0
         generation = self._hooks.generation()
-        compiling = self.mode == "compiled" and self._hooks.supports_raw
         installed = 0
         for key, action in warm_entries():
             if len(self._cache) >= self.max_entries:
                 break
             action.generation = generation
-            if self._hooks.supports_raw:
-                action.raw_ops = _raw_ops_from(
-                    (key[2], key[3]), (key[4], key[5]), action
-                )
             self._cache[key] = action
-            if compiling:
-                # Warmed closures skip the byte-compare for the same
-                # reason warmed actions skip replay verification: they
-                # are derived from restore-validated flow state, not
-                # inferred from one packet.
-                self._compiled[key] = compile_action(key, action)
-                self._compiles.inc()
             installed += 1
         if installed:
             self._warmed.inc(installed)
@@ -521,19 +332,25 @@ class FastPathNat(NetworkFunction):
             return None
         if action.generation != self._hooks.generation():
             del self._cache[key]
-            self._compiled.pop(key, None)
             self._invalidations.inc()
             return None
         return action
 
     def _learn(
-        self, packet: Packet, key: FlowKey, outputs: List[Packet]
+        self,
+        packet: Packet,
+        key: FlowKey,
+        outputs: List[Packet],
+        frame=None,
     ) -> None:
         """Memoize what the slow path just did, if it is cacheable.
 
         Only single-packet forwards are cached (drops and multi-output
         behaviors always re-consult the slow path). The candidate action
-        is verified by replay before it is admitted.
+        is verified by replay before it is admitted. ``frame`` is the
+        raw bytes ``packet`` was parsed from when the raw entry point
+        triggered the learn — the only caller that can run a closure,
+        hence the only one that compiles one.
         """
         if len(outputs) != 1:
             return
@@ -557,43 +374,27 @@ class FastPathNat(NetworkFunction):
             generation=self._hooks.generation(),
         )
         replayed = self._hooks.apply(packet, action)
-        if replayed.device != out.device or replayed.wire_bytes() != out.wire_bytes():
+        out_wire = out.wire_bytes()
+        if replayed.device != out.device or replayed.wire_bytes() != out_wire:
             self._learn_rejected.inc()
             return
-        if self._hooks.supports_raw:
-            action.raw_ops = _raw_ops_for(packet, action)
-        if len(self._cache) >= self.max_entries:
-            evicted = next(iter(self._cache))
-            del self._cache[evicted]
-            # The compiled twin must go with it: were it to linger, a
-            # re-learned flow at the same key could race a stale closure.
-            self._compiled.pop(evicted, None)
+        if frame is not None:
+            # Same discipline as the replay check above: the closure's
+            # output on the triggering frame must be byte-identical to
+            # what the slow path emitted for it, or it is never attached
+            # (the flow keeps its plain action and stays on the slow
+            # path for raw frames).
+            closure = compile_action(key, action)
+            if closure(frame) == out_wire:
+                action.closure = closure
+                self._compiles.inc()
+            else:
+                self._compile_rejected.inc()
+        if key not in self._cache and len(self._cache) >= self.max_entries:
+            del self._cache[next(iter(self._cache))]
             self._evictions.inc()
         self._cache[key] = action
         self._learns.inc()
-        if self.mode == "compiled" and self._hooks.supports_raw:
-            self._compile(packet, key, action, out)
-
-    def _compile(
-        self, packet: Packet, key: FlowKey, action: CachedAction, out: Packet
-    ) -> None:
-        """Compile the just-learned action and self-verify the closure.
-
-        Same discipline as the learn itself: the compiled output is
-        byte-compared against what the slow path actually emitted for
-        the triggering packet, and a diverging closure is never
-        installed (the flow still has its verified replay action, so
-        it degrades to the replay path, not to a wrong rewrite).
-        """
-        compiled = compile_action(key, action)
-        if (
-            compiled.out_device != out.device
-            or compiled.apply(packet.wire_bytes()) != out.wire_bytes()
-        ):
-            self._compile_rejected.inc()
-            return
-        self._compiled[key] = compiled
-        self._compiles.inc()
 
     def _handle(self, packet: Packet, now: int) -> List[Packet]:
         key = packet_flow_key(packet)
@@ -655,7 +456,6 @@ class FastPathNat(NetworkFunction):
                     results.append([apply_action(packet, action)])
                     continue
                 del cache[key]
-                self._compiled.pop(key, None)
                 self._invalidations.inc()
             self._misses.inc()
             if tracing:
@@ -671,112 +471,64 @@ class FastPathNat(NetworkFunction):
     def process_raw_burst(
         self, frames: Sequence[Tuple[bytearray, int]], now: int
     ) -> List[List[Tuple[bytes, int]]]:
-        """The zero-copy burst path over raw frame bytes.
+        """The burst path over raw frame bytes.
 
-        ``frames`` holds (mutable frame buffer, receive device) pairs.
-        A hit patches the buffer in place through a :class:`LazyPacket`
-        view — no header objects; a miss parses, runs the slow path and
-        serializes its outputs with stored checksums (``wire_bytes``),
-        so both paths produce identical bytes.
-        """
-        if not self._hooks.supports_raw:
-            raise TypeError(f"{self.name} does not support the raw fast path")
-        self._note_burst(len(frames))
-        if not frames:
-            return []
-        now = self._hooks.begin_burst(now)
-        recorder = obs.recorder()
-        tracing = recorder.active
-        if self.mode == "compiled":
-            return self._compiled_raw_burst(frames, now, recorder, tracing)
-        results: List[List[Tuple[bytes, int]]] = []
-        for buf, device in frames:
-            view = LazyPacket(buf, device)
-            key = view.flow_key()
-            action = self._lookup(key)
-            if action is not None and action.raw_ops is not None:
-                self._hits.inc()
-                if tracing:
-                    recorder.trace(flight.FASTPATH_HIT, t_us=now)
-                self._hooks.rejuvenate(action.token, now)
-                _apply_raw(view, action.raw_ops)
-                results.append([(bytes(buf), action.out_device)])
-                continue
-            self._misses.inc()
-            if tracing:
-                recorder.trace(flight.SLOW_PATH, t_us=now)
-            try:
-                packet = Packet.from_bytes(bytes(buf), device)
-            except ParseError:
-                results.append([])
-                continue
-            outputs = self.inner.process(packet, now)
-            if key is not None:
-                self._learn(packet, key, outputs)
-            results.append([(out.wire_bytes(), out.device) for out in outputs])
-        return results
-
-    def _compiled_raw_burst(
-        self,
-        frames: Sequence[Tuple[bytearray, int]],
-        now: int,
-        recorder,
-        tracing: bool,
-    ) -> List[List[Tuple[bytes, int]]]:
-        """The batch-applied compiled path over one raw burst.
+        ``frames`` holds (frame buffer, receive device) pairs. A frame
+        hits iff its flow's action carries a compiled closure; anything
+        else — ineligible shape, cold flow, stale generation, an action
+        learned on the object path or by :meth:`warm`, a rejected
+        compile — parses, runs the slow path and serializes its outputs
+        with stored checksums (``wire_bytes``), and that learn is where
+        the flow earns its closure.
 
         Struct-of-arrays over the burst: every frame's flow key is
-        extracted in one pass (no view objects), the burst is
-        partitioned into maximal same-key runs, and each run that has a
-        live compiled closure pays its dict lookup, generation check
-        and rejuvenation *once* before the closure is applied across
-        the whole run. Frames without a closure — ineligible shapes,
-        cold flows, rejected compiles, stale generations — fall back to
-        the replay/slow path one at a time, exactly as in cache mode.
+        extracted in one pass (``raw_flow_key``), the burst is
+        partitioned into maximal same-key runs, and each run with a
+        live closure pays its dict lookup, generation check and
+        rejuvenation *once* before the closure is applied across the
+        whole run.
         """
         hooks = self._hooks
-        compiled = self._compiled
+        if not hooks.supports_raw:
+            raise TypeError(f"{self.name} does not support the raw fast path")
+        n = len(frames)
+        self._note_burst(n)
+        if not frames:
+            return []
+        now = hooks.begin_burst(now)
+        recorder = obs.recorder()
+        tracing = recorder.active
+        cache = self._cache
         rejuvenate = hooks.rejuvenate
         generation = hooks.generation()
         keys = [raw_flow_key(buf, device) for buf, device in frames]
-        n = len(frames)
         results: List[List[Tuple[bytes, int]]] = [[] for _ in range(n)]
         hits = 0
         batches = 0
         i = 0
         while i < n:
             key = keys[i]
-            action = compiled.get(key) if key is not None else None
+            action = cache.get(key) if key is not None else None
             if action is not None and action.generation != generation:
-                # A flow was created/expired since this closure was
-                # compiled: drop it and its replay twin — the replay
-                # lookup below would discard the twin anyway, but the
-                # closure must never survive on its own.
-                del compiled[key]
-                if self._cache.pop(key, None) is not None:
-                    self._invalidations.inc()
+                del cache[key]
+                self._invalidations.inc()
                 action = None
-            if action is None:
-                buf, device = frames[i]
-                results[i] = self._raw_replay_one(
-                    buf, device, key, now, recorder, tracing
-                )
+            if action is None or action.closure is None:
+                self._misses.inc()
+                if tracing:
+                    recorder.trace(flight.SLOW_PATH, t_us=now)
+                results[i] = self._raw_slow_path(*frames[i], key, now)
                 generation = hooks.generation()
                 i += 1
                 continue
             rejuvenate(action.token, now)
+            closure = action.closure
+            out_device = action.out_device
+            results[i] = [(closure(frames[i][0]), out_device)]
             run_end = i + 1
-            if run_end < n and keys[run_end] == key:
-                while run_end < n and keys[run_end] == key:
-                    run_end += 1
-                outs = action.apply_batch(
-                    [frames[k][0] for k in range(i, run_end)]
-                )
-                out_device = action.out_device
-                for k in range(i, run_end):
-                    results[k] = [(outs[k - i], out_device)]
-            else:
-                results[i] = [(action.apply_one(frames[i][0]), action.out_device)]
+            while run_end < n and keys[run_end] == key:
+                results[run_end] = [(closure(frames[run_end][0]), out_device)]
+                run_end += 1
             run_len = run_end - i
             hits += run_len
             batches += 1
@@ -790,34 +542,18 @@ class FastPathNat(NetworkFunction):
             self._compiled_batches.inc(batches)
         return results
 
-    def _raw_replay_one(
-        self,
-        buf: bytearray,
-        device: int,
-        key: Optional[FlowKey],
-        now: int,
-        recorder,
-        tracing: bool,
+    def _raw_slow_path(
+        self, buf, device: int, key: Optional[FlowKey], now: int
     ) -> List[Tuple[bytes, int]]:
-        """One compiled-path miss through the replay cache or slow path."""
-        action = self._lookup(key)
-        if action is not None and action.raw_ops is not None:
-            self._hits.inc()
-            if tracing:
-                recorder.trace(flight.FASTPATH_HIT, t_us=now)
-            self._hooks.rejuvenate(action.token, now)
-            _apply_raw(LazyPacket(buf, device), action.raw_ops)
-            return [(bytes(buf), action.out_device)]
-        self._misses.inc()
-        if tracing:
-            recorder.trace(flight.SLOW_PATH, t_us=now)
+        """One raw frame the long way: parse, slow path, learn, serialize."""
+        frame = bytes(buf)
         try:
-            packet = Packet.from_bytes(bytes(buf), device)
+            packet = Packet.from_bytes(frame, device)
         except ParseError:
             return []
         outputs = self.inner.process(packet, now)
         if key is not None:
-            self._learn(packet, key, outputs)
+            self._learn(packet, key, outputs, frame)
         return [(out.wire_bytes(), out.device) for out in outputs]
 
 
@@ -825,7 +561,8 @@ __all__ = [
     "CachedAction",
     "FASTPATH_MODES",
     "FastPathNat",
+    "FlowKey",
     "apply_endpoint_action",
-    "normalize_fastpath",
+    "check_fastpath",
     "packet_flow_key",
 ]

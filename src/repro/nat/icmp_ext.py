@@ -30,8 +30,8 @@ class IcmpAwareNat(NetworkFunction):
 
     name = "icmp-aware-nat"
 
-    def __init__(self, config: NatConfig | None = None, **legacy: int) -> None:
-        self.config = NatConfig.resolve(config, owner=type(self).__name__, **legacy)
+    def __init__(self, config: NatConfig | None = None) -> None:
+        self.config = config if config is not None else NatConfig()
         self.inner = VigNat(self.config)
         # Echo sessions: identifier-keyed, like port mappings (RFC 3022
         # calls this the "ICMP query identifier" mapping).

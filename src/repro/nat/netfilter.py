@@ -69,8 +69,8 @@ class NetfilterNat(NetworkFunction):
     #: short-expiry configurations behave exactly as before.
     NEW_TIMEOUT_US = 30_000_000
 
-    def __init__(self, config: NatConfig | None = None, **legacy: int) -> None:
-        self.config = NatConfig.resolve(config, owner=type(self).__name__, **legacy)
+    def __init__(self, config: NatConfig | None = None) -> None:
+        self.config = config if config is not None else NatConfig()
         self._table = ChainingHashTable(bucket_count=self.config.max_flows)
         self._lru: "OrderedDict[int, _Conntrack]" = OrderedDict()
         self._next_port = self.config.start_port

@@ -175,8 +175,8 @@ class UnverifiedNat(NetworkFunction):
 
     name = "unverified-nat"
 
-    def __init__(self, config: NatConfig | None = None, **legacy: int) -> None:
-        self.config = NatConfig.resolve(config, owner=type(self).__name__, **legacy)
+    def __init__(self, config: NatConfig | None = None) -> None:
+        self.config = config if config is not None else NatConfig()
         # Two lookup directions share the entry objects; the LRU order for
         # expiry lives in an insertion-ordered dict keyed by external port.
         self._by_internal = ChainingHashTable(self.config.max_flows)

@@ -297,8 +297,8 @@ class VigNat(NetworkFunction):
 
     name = "verified-nat"
 
-    def __init__(self, config: NatConfig | None = None, **legacy: int) -> None:
-        self.config = NatConfig.resolve(config, owner=type(self).__name__, **legacy)
+    def __init__(self, config: NatConfig | None = None) -> None:
+        self.config = config if config is not None else NatConfig()
         ext_ip = self.config.external_ip
         self._flow_table = DoubleMap(
             capacity=self.config.max_flows,

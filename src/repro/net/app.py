@@ -10,9 +10,7 @@ Two things live here:
   fastpath, faults, replication) and :func:`launch`, which turns the
   spec into a running :class:`Runtime`. This replaces the scattered
   constructor zoo (`DpdkRuntime(...)`, ``ShardedRuntime(workers=,
-  fastpath=)``, ``ReplicatedRuntime(...)``, ad-hoc testbed kwargs);
-  the legacy constructors keep working behind deprecation shims, like
-  the PR 2 ``NatConfig`` migration.
+  fastpath=)``, ``ReplicatedRuntime(...)``, ad-hoc testbed kwargs).
 
 Execution modes and what they are for:
 
@@ -44,7 +42,7 @@ from typing import (
 from repro.libvig.batcher import Batcher
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, normalize_fastpath
+from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.dpdk import DpdkRuntime, ShardedRuntime
 from repro.obs.registry import MetricsRegistry
 from repro.packets.headers import Packet
@@ -72,12 +70,9 @@ class RuntimeSpec:
     config: Optional[NatConfig] = None
     workers: int = 1
     execution: str = THREADED_DETERMINISTIC
-    #: The microflow fast path: ``"off"``, ``"cache"`` (the replay
-    #: action cache) or ``"compiled"`` (batch-applied compiled
-    #: closures; NFs without raw-path support degrade to replay).
-    #: Booleans are accepted and normalized — ``True`` → ``"cache"``,
-    #: ``False`` → ``"off"`` — so existing call sites keep working.
-    fastpath: object = False
+    #: The microflow fast path: ``"off"`` or ``"compiled"`` (the action
+    #: cache; raw-path learns attach compiled closures to its actions).
+    fastpath: str = "off"
     burst_size: int = 32
     port_count: int = 2
     rx_capacity: int = 512
@@ -105,11 +100,7 @@ class RuntimeSpec:
     ring_slot_bytes: int = 256
 
     def __post_init__(self) -> None:
-        # Normalize the fastpath tri-state in place (frozen dataclass,
-        # hence object.__setattr__) so equal deployments stay equal
-        # specs: with_(fastpath=True) and with_(fastpath="cache")
-        # describe — and hash as — the same thing.
-        object.__setattr__(self, "fastpath", normalize_fastpath(self.fastpath))
+        check_fastpath(self.fastpath)
         if self.execution not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; "
@@ -203,9 +194,7 @@ class InlineRuntime:
         self.config = spec.resolved_config()
         nf = spec.nf_factory(self.config)
         self.nf: NetworkFunction = (
-            FastPathNat(nf, mode=spec.fastpath)
-            if spec.fastpath != "off"
-            else nf
+            FastPathNat(nf) if spec.fastpath != "off" else nf
         )
         self.runtime = DpdkRuntime(
             spec.port_count, spec.rx_capacity, spec.pool_size
@@ -326,7 +315,6 @@ def launch(spec: RuntimeSpec) -> Runtime:
             pool_size=spec.pool_size,
             fastpath=spec.fastpath,
             fault_plan=spec.fault_plan,
-            _from_spec=True,
         )
     runtime.spec = spec  # type: ignore[attr-defined]
     return runtime

@@ -16,13 +16,12 @@ of :mod:`repro.net.rss`. See ``docs/SCALING.md``.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, normalize_fastpath
+from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.mbuf import Mbuf, MbufPool
 from repro.net.nic import Port, RssNic
 from repro.net.rss import NatSteering
@@ -236,16 +235,7 @@ class ShardedRuntime:
         pool_size: int = 4096,
         fastpath="off",
         fault_plan=None,
-        _from_spec: bool = False,
     ) -> None:
-        if not _from_spec:
-            warnings.warn(
-                "constructing ShardedRuntime directly is deprecated; "
-                "describe the deployment as a repro.net.RuntimeSpec("
-                "execution='threaded-deterministic') and launch() it",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if workers <= 0:
             raise ValueError("need at least one worker")
         config = config if config is not None else NatConfig()
@@ -253,12 +243,11 @@ class ShardedRuntime:
         self.shards: Tuple[NatConfig, ...] = config.partition(workers)
         self.steering = steering if steering is not None else NatSteering(self.shards)
         self.nfs: List[NetworkFunction] = [nf_factory(cfg) for cfg in self.shards]
-        fastpath = normalize_fastpath(fastpath)
-        if fastpath != "off":
+        if check_fastpath(fastpath) != "off":
             # Per-worker microflow caches: each worker caches only the
             # flows steered to it, so caches stay private like all other
             # worker state.
-            self.nfs = [FastPathNat(nf, mode=fastpath) for nf in self.nfs]
+            self.nfs = [FastPathNat(nf) for nf in self.nfs]
         self.runtimes: List[DpdkRuntime] = [
             DpdkRuntime(port_count, rx_capacity, pool_size) for _ in range(workers)
         ]

@@ -79,7 +79,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, normalize_fastpath
+from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.dpdk import DpdkRuntime
 from repro.net.mbuf import SLOT_HEADER, pack_slot_record, unpack_slot_records
 from repro.net.nic import RssNic
@@ -338,7 +338,7 @@ def _worker_main(
 
     nf = nf_factory(shard)
     if fastpath != "off":
-        nf = FastPathNat(nf, mode=fastpath)
+        nf = FastPathNat(nf)
     runtime = DpdkRuntime(port_count, rx_capacity, pool_size)
     runtime.worker_id = worker_id
     seized: List = []
@@ -447,7 +447,7 @@ def _worker_main(
                 # the generation bump would invalidate it anyway).
                 fresh = nf_factory(shard)
                 if fastpath != "off":
-                    fresh = FastPathNat(fresh, mode=fastpath)
+                    fresh = FastPathNat(fresh)
                 restore_checkpoint(fresh, Checkpoint.from_bytes(message[1:]))
                 nf = fresh
                 conn.send_bytes(RE_RESTORED)
@@ -546,7 +546,7 @@ class ProcessShardedRuntime:
         self._ring_slots = ring_slots
         self._ring_slot_bytes = ring_slot_bytes
         self._nf_factory = nf_factory
-        self._fastpath = normalize_fastpath(fastpath)
+        self._fastpath = check_fastpath(fastpath)
         self._port_count = port_count
         self._rx_capacity = rx_capacity
         self._pool_size = pool_size

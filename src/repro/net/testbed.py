@@ -18,7 +18,6 @@ paper's use of NIC timestamping [49].
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -432,25 +431,6 @@ class Rfc2544Testbed:
         return result
 
     # -- sharded replay: N parallel worker cores ---------------------------------
-    def run_sharded(
-        self,
-        nfs: Sequence[NetworkFunction],
-        steer: Callable[..., int],
-        events: Iterable[PacketEvent],
-    ) -> ShardedRunResult:
-        """Deprecated: build a :class:`~repro.net.app.RuntimeSpec` and
-        call :meth:`run_spec` instead — it owns shard construction and
-        steering, so callers can no longer pair mismatched NFs/steering.
-        """
-        warnings.warn(
-            "Rfc2544Testbed.run_sharded(nfs, steer, events) is deprecated; "
-            "describe the deployment as a repro.net.RuntimeSpec and call "
-            "run_spec(spec, events)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_sharded(nfs, steer, events)
-
     def run_spec(
         self, spec, events: Iterable[PacketEvent]
     ) -> ShardedRunResult:
@@ -482,13 +462,13 @@ class Rfc2544Testbed:
         shards = config.partition(spec.workers)
         nfs: List[NetworkFunction] = [spec.nf_factory(cfg) for cfg in shards]
         if spec.fastpath != "off":
-            nfs = [FastPathNat(nf, mode=spec.fastpath) for nf in nfs]
+            nfs = [FastPathNat(nf) for nf in nfs]
         steering = NatSteering(shards)
-        outcome = self._run_sharded(nfs, steering.worker_for, events)
+        outcome = self._replay_shards(nfs, steering.worker_for, events)
         outcome.nfs = nfs
         return outcome
 
-    def _run_sharded(
+    def _replay_shards(
         self,
         nfs: Sequence[NetworkFunction],
         steer: Callable[..., int],

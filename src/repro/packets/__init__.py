@@ -23,7 +23,6 @@ from repro.packets.checksum import (
     ipv4_header_checksum,
     l4_checksum,
 )
-from repro.packets.lazy import LazyPacket
 from repro.packets.headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
@@ -47,7 +46,6 @@ __all__ = [
     "PROTO_UDP",
     "EthernetHeader",
     "Ipv4Header",
-    "LazyPacket",
     "Packet",
     "ParseError",
     "TcpHeader",

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, normalize_fastpath
+from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.dpdk import DpdkRuntime, ShardedRuntime
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
@@ -152,8 +152,7 @@ class ReplicatedRuntime:
             raise ValueError("failover costs cannot be negative")
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._nf_factory = nf_factory
-        self._fastpath = normalize_fastpath(fastpath)
-        fastpath = self._fastpath
+        self._fastpath = check_fastpath(fastpath)
         self._port_count = port_count
         self._rx_capacity = rx_capacity
         self._pool_size = pool_size
@@ -169,7 +168,6 @@ class ReplicatedRuntime:
             pool_size=pool_size,
             fastpath=fastpath,
             fault_plan=self.fault_plan,
-            _from_spec=True,
         )
         self.channels: List[ReplicationChannel] = [
             ReplicationChannel(lag) for _ in range(workers)
@@ -323,7 +321,7 @@ class ReplicatedRuntime:
         checkpoint = replica.to_checkpoint(now_us)
         fresh: NetworkFunction = self._nf_factory(self.runtime.shards[worker_id])
         if self._fastpath != "off":
-            fresh = FastPathNat(fresh, mode=self._fastpath)
+            fresh = FastPathNat(fresh)
         restore(fresh, checkpoint)
         fresh.delta_sink(self._sink_for(worker_id))
         # The restored NF knows every recovered flow; rebuild the

@@ -1,6 +1,6 @@
 """The chain differential grid: a launched chain must be byte-identical
-to manually piping the same NFs stage by stage, across every fastpath
-mode and both execution modes — composition adds no semantics."""
+to manually piping the same NFs stage by stage, with the fast path off
+and on and in both execution modes — composition adds no semantics."""
 
 import pytest
 
@@ -17,7 +17,7 @@ CONFIG = NatConfig(max_flows=64, expiration_time=60_000_000, start_port=1000)
 
 GRID = [
     (fastpath, execution)
-    for fastpath in ("off", "cache", "compiled")
+    for fastpath in ("off", "compiled")
     for execution in (INLINE, PROCESS)
 ]
 

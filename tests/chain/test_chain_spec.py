@@ -69,11 +69,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="execution"):
             ChainSpec(stages=(noop_stage(),), execution="threaded-deterministic")
 
-    def test_fastpath_tri_state_normalized(self):
+    def test_fastpath_is_off_or_compiled(self):
         assert ChainSpec(stages=(noop_stage(),)).fastpath == "off"
-        assert ChainSpec(stages=(noop_stage(),), fastpath=True).fastpath == "cache"
         spec = ChainSpec(stages=(noop_stage(),), fastpath="compiled")
         assert spec.fastpath == "compiled"
+        for retired in ("cache", True, False):
+            with pytest.raises(ValueError, match="fastpath"):
+                ChainSpec(stages=(noop_stage(),), fastpath=retired)
 
     def test_bad_sizes(self):
         for field, value in [
@@ -92,9 +94,9 @@ class TestSpecValidation:
 
     def test_with_varies_a_copy(self):
         spec = ChainSpec(stages=(noop_stage(),))
-        varied = spec.with_(execution=PROCESS, fastpath="cache")
+        varied = spec.with_(execution=PROCESS, fastpath="compiled")
         assert spec.execution == INLINE and spec.fastpath == "off"
-        assert varied.execution == PROCESS and varied.fastpath == "cache"
+        assert varied.execution == PROCESS and varied.fastpath == "compiled"
         assert varied.stages == spec.stages
 
     def test_stages_coerced_to_tuple(self):
@@ -276,10 +278,10 @@ class TestChainRuntime:
         # The firewall/limiter publish no fast-path hooks; a chain-wide
         # fastpath setting must quietly not wrap them (FastPathNat
         # would refuse) while still accelerating the NAT stage.
-        spec = default_chain_spec(fastpath="cache", max_flows=64)
+        spec = default_chain_spec(fastpath="compiled", max_flows=64)
         chain = launch_chain(spec)
         try:
-            assert chain._stage_fastpath == ["off", "off", "cache"]
+            assert chain._stage_fastpath == ["off", "off", "compiled"]
         finally:
             chain.stop()
 

@@ -50,7 +50,7 @@ GRID = [
     pytest.param(name, factory, cfg_kind, fastpath, workers, transport,
                  id=f"{name}-fp-{fastpath}-w{workers}-{transport}")
     for name, factory, cfg_kind, supports_fp in NFS
-    for fastpath in (("off", "cache", "compiled") if supports_fp else ("off",))
+    for fastpath in (("off", "compiled") if supports_fp else ("off",))
     for workers in WORKER_COUNTS
     for transport in TRANSPORTS
 ]

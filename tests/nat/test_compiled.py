@@ -4,21 +4,34 @@ The compiled fast path (:mod:`repro.nat.compiled`) must be *invisible*:
 a closure's output is byte-for-byte what the slow path would have
 emitted, for every packet shape the flow can carry — payload lengths,
 TTLs, and UDP's "checksum disabled" sentinel included. This file
-proves that property three ways: a hypothesis sweep over randomized
-traffic, an injected miscompilation that the learn-time
-self-verification must reject, and the invalidation paths (expiry,
-eviction, restore) that must drop a closure before it can fire stale.
+proves that property four ways: a hypothesis sweep over randomized
+traffic, the raw key against the parser's key, an injected
+miscompilation that the learn-time self-verification must reject, and
+the hit rule itself — only a raw-path learn attaches a closure, and
+expiry, eviction, a generation bump or a restore each leave none
+reachable.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.nat.compiled import compile_action, raw_flow_key
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat
+from repro.nat.fastpath import (
+    CachedAction,
+    FastPathNat,
+    apply_endpoint_action,
+    packet_flow_key,
+)
+from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
 from repro.packets.builder import make_tcp_packet, make_udp_packet
-from repro.packets.headers import Packet
-from repro.packets.lazy import LazyPacket
+from repro.packets.headers import (
+    ETHERTYPE_ARP,
+    PROTO_ICMP,
+    Packet,
+    ParseError,
+    UdpHeader,
+)
 
 
 def _raw(nf, packet, now):
@@ -26,6 +39,12 @@ def _raw(nf, packet, now):
     return nf.process_raw_burst(
         [(bytearray(packet.wire_bytes()), packet.device)], now
     )[0]
+
+
+def _object(nf, packet, now):
+    """One packet through the object burst path, rendered alike."""
+    (outs,) = nf.process_burst([packet.clone()], now)
+    return [(out.wire_bytes(), out.device) for out in outs]
 
 
 def _slow(nf, packet, now):
@@ -73,7 +92,7 @@ class TestCompiledByteIdentity:
     def test_compiled_matches_slow_path(
         self, proto, sport, payloads_ttls, zero_checksum
     ):
-        fast = FastPathNat(VigNat(NatConfig(max_flows=64)), mode="compiled")
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         slow = VigNat(NatConfig(max_flows=64))
         for t, packet in enumerate(
             _flow_packets(proto, sport, payloads_ttls, zero_checksum),
@@ -87,7 +106,7 @@ class TestCompiledByteIdentity:
         assert counters["fastpath_compiled_hits"] == len(payloads_ttls) - 1
 
     def test_zero_udp_checksum_stays_zero_through_closure(self):
-        fast = FastPathNat(VigNat(NatConfig(max_flows=64)), mode="compiled")
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         packet.l4.checksum = 0
         _raw(fast, packet, 1_000)  # learn + compile
@@ -96,7 +115,7 @@ class TestCompiledByteIdentity:
         assert Packet.from_bytes(wire, 1).l4.checksum == 0
 
     def test_reply_direction_compiles_too(self):
-        fast = FastPathNat(VigNat(NatConfig(max_flows=64)), mode="compiled")
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         slow = VigNat(NatConfig(max_flows=64))
         out = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         assert _raw(fast, out, 1_000) == _slow(slow, out, 1_000)
@@ -111,85 +130,211 @@ class TestCompiledByteIdentity:
         assert fast.op_counters()["fastpath_compiles"] == 2
 
 
+def _ips():
+    return st.integers(1, 0xFFFFFFFE)
+
+
+def _ports():
+    return st.integers(1, 0xFFFF)
+
+
+@st.composite
+def _frames(draw, zero_udp_checksum=st.just(False)):
+    """A builder-made TCP or UDP packet with random endpoints."""
+    make = draw(st.sampled_from([make_udp_packet, make_tcp_packet]))
+    packet = make(
+        draw(_ips()),
+        draw(_ips()),
+        draw(_ports()),
+        draw(_ports()),
+        payload=draw(st.binary(min_size=0, max_size=48)),
+        device=draw(st.integers(0, 3)),
+    )
+    if make is make_udp_packet and draw(zero_udp_checksum):
+        packet.l4.checksum = 0
+    return packet
+
+
+def _parsed_key(frame, device):
+    """The parser's verdict on ``frame``: its flow key, or None."""
+    try:
+        return packet_flow_key(Packet.from_bytes(bytes(frame), device))
+    except ParseError:
+        return None
+
+
 class TestRawFlowKeyEquivalence:
-    """raw_flow_key is LazyPacket.flow_key without the view object."""
+    """raw_flow_key agrees with the one parser, without parsing."""
+
+    @given(packet=_frames())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_parsed_key(self, packet):
+        frame = packet.wire_bytes()
+        key = raw_flow_key(frame, packet.device)
+        assert key is not None
+        assert key == packet_flow_key(Packet.from_bytes(frame, packet.device))
 
     @given(
-        proto=st.sampled_from(["udp", "tcp"]),
-        sport=st.integers(1, 0xFFFF),
-        payload=st.binary(min_size=0, max_size=48),
-        device=st.integers(0, 3),
+        packet=_frames(),
+        mangle=st.sampled_from(
+            ["more-fragments", "fragment-offset", "icmp", "non-ipv4", "short"]
+        ),
+        cut=st.integers(0, 41),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_lazy_packet(self, proto, sport, payload, device):
-        make = make_udp_packet if proto == "udp" else make_tcp_packet
-        packet = make(
-            "10.0.0.5", "8.8.8.8", sport, 53, payload=payload, device=device
-        )
-        buf = bytearray(packet.wire_bytes())
-        assert raw_flow_key(buf, device) == LazyPacket(buf, device).flow_key()
+    @settings(max_examples=120, deadline=None)
+    def test_ineligible_frames_return_none(self, packet, mangle, cut):
+        if mangle == "more-fragments":
+            packet.ipv4.flags |= 0x1
+        elif mangle == "fragment-offset":
+            packet.ipv4.fragment_offset = 8
+        elif mangle == "icmp":
+            packet.ipv4.protocol = PROTO_ICMP
+        elif mangle == "non-ipv4":
+            packet.eth.ethertype = ETHERTYPE_ARP
+        frame = packet.wire_bytes()
+        if mangle == "short":
+            frame = frame[:cut]
+        assert raw_flow_key(frame, packet.device) is None
+        assert _parsed_key(frame, packet.device) is None
 
-    def test_ineligible_frames_return_none(self):
-        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
-        assert raw_flow_key(bytearray(b"\x00" * 10), 0) is None  # truncated
-        arp = bytearray(packet.wire_bytes())
-        arp[12:14] = b"\x08\x06"
-        assert raw_flow_key(arp, 0) is None  # not IPv4
-        frag = bytearray(packet.wire_bytes())
-        frag[21] = 8
-        assert raw_flow_key(frag, 0) is None  # fragment offset
-        icmp = bytearray(packet.wire_bytes())
-        icmp[23] = 1
-        assert raw_flow_key(icmp, 0) is None  # not TCP/UDP
+
+class TestClosureMatchesRewriteHelpers:
+    """A closure is the shared rewrite helpers, specialized to bytes.
+
+    Any endpoint rewrite — source, destination or both, to any target —
+    compiled for a frame's key must emit exactly what
+    ``rewrite_source``/``rewrite_destination`` emit on the parsed
+    packet, stored checksums included.
+    """
+
+    @given(
+        packet=_frames(zero_udp_checksum=st.booleans()),
+        src=st.none() | st.tuples(_ips(), _ports()),
+        dst=st.none() | st.tuples(_ips(), _ports()),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closure_matches_endpoint_rewrite(self, packet, src, dst):
+        action = CachedAction(
+            src=src, dst=dst, out_device=1, token=None, generation=0
+        )
+        frame = packet.wire_bytes()
+        udp_checksum_off = packet.l4.checksum == 0 and isinstance(
+            packet.l4, UdpHeader
+        )
+        closure = compile_action(raw_flow_key(frame, packet.device), action)
+        wire = closure(bytearray(frame))
+        assert wire == apply_endpoint_action(packet, action).wire_bytes()
+        out = Packet.from_bytes(wire, 1)
+        assert out.ipv4.header_checksum_valid()
+        if udp_checksum_off:
+            # RFC 768: a disabled UDP checksum survives any rewrite as 0.
+            assert out.l4.checksum == 0
+        else:
+            assert out.l4_checksum_valid()
 
 
 class TestLearnTimeVerificationRejectsMiscompiles:
     """An injected compiler bug must never reach the data path."""
 
-    def _learn_with_bad_compiler(self, monkeypatch, corrupt):
-        fast = FastPathNat(VigNat(NatConfig(max_flows=64)), mode="compiled")
+    def test_wrong_bytes_rejected(self, monkeypatch):
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         slow = VigNat(NatConfig(max_flows=64))
 
         def miscompile(key, action):
-            compiled = compile_action(key, action)
-            corrupt(compiled)
-            return compiled
+            real = compile_action(key, action)
+            return lambda buf: b"\x00" * len(real(buf))
 
         monkeypatch.setattr("repro.nat.fastpath.compile_action", miscompile)
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001, 1_002):
             assert _raw(fast, packet, t) == _slow(slow, packet, t)
-        return fast
-
-    def test_wrong_bytes_rejected(self, monkeypatch):
-        def corrupt(compiled):
-            real = compiled.apply_one
-            compiled.apply_one = lambda buf: b"\x00" * len(real(buf))
-
-        fast = self._learn_with_bad_compiler(monkeypatch, corrupt)
         counters = fast.op_counters()
-        assert counters["fastpath_compile_rejected"] >= 1
+        assert counters["fastpath_compile_rejected"] == 3
         assert counters["fastpath_compiles"] == 0
-        assert counters["fastpath_compiled_hits"] == 0
         assert fast.compiled_size == 0
-        # The replay cache still serves the flow correctly.
-        assert counters["fastpath_hits"] >= 1
+        # With no closure the flow never hits on the raw path: every
+        # frame took the slow path, whose bytes the loop above compared.
+        assert counters["fastpath_hits"] == 0
+        assert counters["fastpath_misses"] == 3
+        # The plain action it did learn still serves the object path.
+        assert _object(fast, packet, 1_003) == _slow(slow, packet, 1_003)
+        assert fast.op_counters()["fastpath_hits"] == 1
 
-    def test_wrong_device_rejected(self, monkeypatch):
-        def corrupt(compiled):
-            compiled.out_device ^= 1
 
-        fast = self._learn_with_bad_compiler(monkeypatch, corrupt)
-        assert fast.op_counters()["fastpath_compile_rejected"] >= 1
+class TestClosuresAreEarnedOnTheRawPath:
+    """The hit rule: a raw frame hits iff its action carries a closure,
+    and only a learn triggered from ``process_raw_burst`` attaches one."""
+
+    def _assert_earns_closure_in_one_miss(self, fast, slow, packet, t):
+        before = fast.op_counters()
+        for step in range(3):
+            assert _raw(fast, packet, t + step) == _slow(slow, packet, t + step)
+        after = fast.op_counters()
+        assert after["fastpath_misses"] - before["fastpath_misses"] == 1
+        assert after["fastpath_compiles"] - before["fastpath_compiles"] == 1
+        assert (
+            after["fastpath_compiled_hits"] - before["fastpath_compiled_hits"]
+            == 2
+        )
+
+    def test_object_path_learn_then_raw(self):
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
+        slow = VigNat(NatConfig(max_flows=64))
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        for t in (1_000, 1_001):
+            assert _object(fast, packet, t) == _slow(slow, packet, t)
+        counters = fast.op_counters()
+        assert counters["fastpath_learns"] == 1
+        assert counters["fastpath_hits"] == 1
+        assert counters["fastpath_compiles"] == 0
         assert fast.compiled_size == 0
+        self._assert_earns_closure_in_one_miss(fast, slow, packet, 1_002)
+
+    def test_raw_learn_then_object_path(self):
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
+        slow = VigNat(NatConfig(max_flows=64))
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        assert _raw(fast, packet, 1_000) == _slow(slow, packet, 1_000)
+        assert fast.compiled_size == 1
+        # The object path replays the same action, no extra miss...
+        assert _object(fast, packet, 1_001) == _slow(slow, packet, 1_001)
+        # ...and leaves the closure where the raw path finds it.
+        assert _raw(fast, packet, 1_002) == _slow(slow, packet, 1_002)
+        counters = fast.op_counters()
+        assert counters["fastpath_misses"] == 1
+        assert counters["fastpath_hits"] == 2
+        assert counters["fastpath_compiled_hits"] == 1
+
+    def test_warm_installs_plain_actions(self):
+        # The promoted-standby path: warm() has no slow-path output to
+        # verify a closure against, so it installs none.
+        cfg = NatConfig(max_flows=64)
+        primary = VigNat(cfg)
+        slow = VigNat(cfg)
+        for i in range(4):
+            packet = make_udp_packet(
+                "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
+            )
+            primary.process(packet.clone(), 1_000)
+            slow.process(packet.clone(), 1_000)
+        standby = VigNat(cfg)
+        standby.restore_state(primary.checkpoint_state())
+        fast = FastPathNat(standby)
+        assert fast.warm() == 8  # both directions of all four flows
+        assert fast.compiled_size == 0
+        assert fast.op_counters()["fastpath_compiles"] == 0
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_001, 53, device=0)
+        self._assert_earns_closure_in_one_miss(fast, slow, packet, 2_000)
 
 
 class TestStaleClosureInvalidation:
-    """Expiry, eviction and restore must drop compiled closures."""
+    """Expiry, eviction, a generation bump and restore each leave no
+    closure reachable: the closure lives on its action, so whatever
+    drops the action drops it too."""
 
     def test_expiry_drops_closure_before_it_can_fire(self):
         cfg = NatConfig(max_flows=64, expiration_time=10)
-        fast = FastPathNat(VigNat(cfg), mode="compiled")
+        fast = FastPathNat(VigNat(cfg))
         slow = VigNat(NatConfig(max_flows=64, expiration_time=10))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (0, 1):
@@ -209,9 +354,7 @@ class TestStaleClosureInvalidation:
         assert counters["fastpath_compiled_hits"] == hits_before
 
     def test_eviction_drops_closure_with_cache_entry(self):
-        fast = FastPathNat(
-            VigNat(NatConfig(max_flows=64)), max_entries=2, mode="compiled"
-        )
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)), max_entries=2)
         for i in range(6):
             packet = make_udp_packet(
                 "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
@@ -220,31 +363,38 @@ class TestStaleClosureInvalidation:
         counters = fast.op_counters()
         assert counters["fastpath_evictions"] >= 1
         assert fast.cache_size <= 2
-        # compiled ⊆ cached: an evicted flow keeps no closure behind.
+        # An evicted flow keeps no closure behind.
         assert fast.compiled_size <= fast.cache_size
+        assert counters["fastpath_compiles"] == 6
 
-    def test_warm_after_restore_installs_closures(self):
-        # The promoted-standby path: a fresh NF restores a checkpoint
-        # and warm() pre-compiles every restored flow, so the first
-        # post-failover packets run the compiled path immediately.
-        cfg = NatConfig(max_flows=64)
-        primary = VigNat(cfg)
-        slow = VigNat(cfg)
+    def test_generation_bump_strands_no_closure(self):
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
+        slow = VigNat(NatConfig(max_flows=64))
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        for t in (1_000, 1_001):
+            assert _raw(fast, packet, t) == _slow(slow, packet, t)
+        assert fast.op_counters()["fastpath_compiled_hits"] == 1
+        # A new flow bumps the generation: the first flow's action and
+        # the closure on it are stale from here on.
+        rival = make_udp_packet("10.0.0.6", "8.8.8.8", 5_000, 53, device=0)
+        assert _raw(fast, rival, 1_002) == _slow(slow, rival, 1_002)
+        assert _raw(fast, packet, 1_003) == _slow(slow, packet, 1_003)
+        counters = fast.op_counters()
+        assert counters["fastpath_invalidations"] == 1
+        assert counters["fastpath_compiled_hits"] == 1  # it re-learned instead
+        assert counters["fastpath_compiles"] == 3
+
+    def test_restore_clears_every_closure(self):
+        # The no-op forwarder restores into a live instance, so the
+        # wrapper's own clearing is what stands between a pre-restore
+        # closure and the post-restore data path.
+        fast = FastPathNat(NoopForwarder())
         for i in range(4):
             packet = make_udp_packet(
                 "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
             )
-            primary.process(packet.clone(), 1_000)
-            slow.process(packet.clone(), 1_000)
-        standby = VigNat(cfg)
-        standby.restore_state(primary.checkpoint_state())
-        fast = FastPathNat(standby, mode="compiled")
-        warmed = fast.warm()
-        assert warmed == 8  # both directions of all four flows
-        assert fast.compiled_size == warmed
-        assert fast.op_counters()["fastpath_compiles"] == warmed
-        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_001, 53, device=0)
-        assert _raw(fast, packet, 2_000) == _slow(slow, packet, 2_000)
-        counters = fast.op_counters()
-        assert counters["fastpath_compiled_hits"] == 1
-        assert counters["fastpath_misses"] == 0
+            _raw(fast, packet, 1_000)
+        assert fast.compiled_size >= 1
+        fast.restore_state(fast.checkpoint_state())
+        assert fast.cache_size == 0
+        assert fast.compiled_size == 0

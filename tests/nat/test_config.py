@@ -1,11 +1,10 @@
-"""NAT configuration validation, partitioning, and the legacy shim."""
-
-import warnings
+"""NAT configuration validation, partitioning, and the one call form."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nat.config import NatConfig
+from repro.nat.icmp_ext import IcmpAwareNat
 from repro.nat.netfilter import NetfilterNat
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
@@ -126,39 +125,20 @@ class TestPartition:
             cfg.partition(2)
 
 
-class TestLegacyShim:
-    """The pre-redesign call forms keep working, with a warning."""
+class TestKeywordOnly:
+    """One call form: ``NatConfig(field=...)`` and ``Nf(config)``."""
 
-    def test_positional_construction_warns(self):
-        with pytest.deprecated_call():
-            cfg = NatConfig(
-                NatConfig().external_ip, 0, 1, 100, 5_000_000, 2000
-            )
-        assert cfg.max_flows == 100
-        assert cfg.start_port == 2000
-
-    def test_keyword_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            NatConfig(max_flows=100, start_port=2000)
-
-    @pytest.mark.parametrize("nf_class", [VigNat, UnverifiedNat, NetfilterNat])
-    def test_legacy_nf_kwargs_warn_and_apply(self, nf_class):
-        with pytest.deprecated_call(match=nf_class.__name__):
-            nf = nf_class(max_flows=50, start_port=3000)
-        assert nf.config.max_flows == 50
-        assert nf.config.start_port == 3000
-
-    def test_nf_config_object_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            nf = VigNat(NatConfig(max_flows=50))
-        assert nf.config.max_flows == 50
-
-    def test_config_and_legacy_kwargs_conflict(self):
+    def test_positional_construction_rejected(self):
         with pytest.raises(TypeError):
-            VigNat(NatConfig(), max_flows=50)
+            NatConfig(NatConfig().external_ip, 0, 1, 100, 5_000_000, 2000)
 
-    def test_unknown_legacy_field_rejected(self):
+    @pytest.mark.parametrize(
+        "nf_class", [VigNat, UnverifiedNat, NetfilterNat, IcmpAwareNat]
+    )
+    def test_nf_constructors_take_only_a_config(self, nf_class):
+        assert nf_class(NatConfig(max_flows=50)).config.max_flows == 50
+        assert nf_class().config == NatConfig()
         with pytest.raises(TypeError):
-            VigNat(bogus_field=1)
+            nf_class(max_flows=50, start_port=3000)
+        with pytest.raises(TypeError):
+            nf_class(NatConfig(), max_flows=50)

@@ -8,9 +8,9 @@ both directions, repeated flows (cache hits), disabled UDP checksums,
 TCP and UDP, fragments, and time gaps that cross the expiry threshold.
 
 Coverage spans all three data paths the cache plugs into: the per-packet
-and burst NF entry points (object and raw-byte, in ``cache`` and
-``compiled`` mode), the DPDK-style runtime main loop, and the
-RSS-sharded multi-worker runtime (``fastpath="cache"|"compiled"``).
+and burst NF entry points (object and raw-byte, apart and interleaved
+on one cache), the DPDK-style runtime main loop, and the RSS-sharded
+multi-worker runtime (``fastpath="compiled"``).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,8 @@ from repro.nat.fastpath import FastPathNat
 from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
-from repro.net.dpdk import DpdkRuntime, ShardedRuntime
+from repro.net.app import RuntimeSpec, launch
+from repro.net.dpdk import DpdkRuntime
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 
 CFG_KW = dict(max_flows=8, expiration_time=2_000_000, start_port=1000)
@@ -112,12 +113,12 @@ class TestNfEntryPoints:
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(steps=_steps(), mode=st.sampled_from(("cache", "compiled")))
-    def test_vignat_raw_burst_identical(self, steps, mode):
-        """The zero-copy byte path — replay cache and compiled
-        closures — against the object slow path."""
+    @given(steps=_steps())
+    def test_vignat_raw_burst_identical(self, steps):
+        """The raw byte path — compiled closures on hits, parse and
+        slow path on everything else — against the object slow path."""
         slow = VigNat(NatConfig(**CFG_KW))
-        fast = FastPathNat(VigNat(NatConfig(**CFG_KW)), mode=mode)
+        fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
         now = 0
         for direction, selector, kind, dt in steps:
             now += dt
@@ -135,7 +136,7 @@ class TestNfEntryPoints:
         are partitioned and batch-applied, yet the wire output must
         match the per-packet object slow path exactly."""
         slow = VigNat(NatConfig(**CFG_KW))
-        fast = FastPathNat(VigNat(NatConfig(**CFG_KW)), mode="compiled")
+        fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
         now = 0
         packets, times = [], []
         for direction, selector, kind, dt in steps:
@@ -152,6 +153,37 @@ class TestNfEntryPoints:
             assert [list(outs) for outs in raw_out] == [
                 [(p.wire_bytes(), p.device) for p in outs] for outs in slow_out
             ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=_steps(),
+        entries=st.lists(
+            st.sampled_from(("object", "raw")), min_size=40, max_size=40
+        ),
+    )
+    def test_vignat_mixed_entry_points_identical(self, steps, entries):
+        """Both entry points interleaved over one cache: actions learned
+        on either side (with or without a closure) serve the other, and
+        the wire never shows which path a packet took."""
+        slow = VigNat(NatConfig(**CFG_KW))
+        fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
+        now = 0
+        for (direction, selector, kind, dt), entry in zip(steps, entries):
+            now += dt
+            packet = _packet(direction, selector, kind, slow.config)
+            want = [
+                (p.wire_bytes(), p.device)
+                for p in slow.process(packet.clone(), now)
+            ]
+            if entry == "raw":
+                got = fast.process_raw_burst(
+                    [(bytearray(packet.wire_bytes()), packet.device)], now
+                )[0]
+            else:
+                (outs,) = fast.process_burst([packet.clone()], now)
+                got = [(p.wire_bytes(), p.device) for p in outs]
+            assert got == want
+        assert fast.compiled_size <= fast.cache_size
 
 
 class TestRuntimeMainLoop:
@@ -187,15 +219,17 @@ class TestRuntimeMainLoop:
 
 class TestShardedRuntime:
     @settings(max_examples=25, deadline=None)
-    @given(
-        steps=_steps(),
-        workers=st.sampled_from((1, 2, 4)),
-        fastpath=st.sampled_from(("cache", "compiled")),
-    )
-    def test_sharded_identical(self, steps, workers, fastpath):
+    @given(steps=_steps(), workers=st.sampled_from((1, 2, 4)))
+    def test_sharded_identical(self, steps, workers):
         def drive(fastpath):
-            runtime = ShardedRuntime(
-                VigNat, NatConfig(**CFG_KW), workers=workers, fastpath=fastpath
+            runtime = launch(
+                RuntimeSpec(
+                    nf_factory=VigNat,
+                    config=NatConfig(**CFG_KW),
+                    workers=workers,
+                    execution="threaded-deterministic",
+                    fastpath=fastpath,
+                )
             )
             now = 0
             collected = []
@@ -212,7 +246,7 @@ class TestShardedRuntime:
             return collected, runtime
 
         slow_frames, _ = drive(fastpath="off")
-        fast_frames, fast_runtime = drive(fastpath=fastpath)
+        fast_frames, fast_runtime = drive(fastpath="compiled")
         assert fast_frames == slow_frames
         # The wrapper is in place and the counters surface per worker.
         aggregated = fast_runtime.op_counters()

@@ -1,12 +1,10 @@
-"""The RuntimeSpec/launch facade and the legacy-constructor shims.
+"""The RuntimeSpec/launch facade.
 
 One description, one construction path: a frozen
 :class:`~repro.net.app.RuntimeSpec` names the deployment and
 :func:`~repro.net.app.launch` builds it; every runtime it can produce
-satisfies the same :class:`~repro.net.app.Runtime` protocol. The old
-entry points (constructing :class:`ShardedRuntime` directly, the
-testbed's ``run_sharded``) keep working but warn — and launching
-through a spec must never leak those warnings.
+satisfies the same :class:`~repro.net.app.Runtime` protocol, and the
+testbed's analytic model takes the same spec (``run_spec``).
 """
 
 import warnings
@@ -80,21 +78,17 @@ class TestSpecValidation:
         with pytest.raises(Exception):
             a.workers = 3
 
-    def test_fastpath_tri_state_normalizes_booleans(self):
-        # The historical bool spelling and the mode name are the same
-        # spec: normalization happens at construction, so they compare
-        # (and hash) equal.
+    def test_fastpath_is_off_or_compiled(self):
         assert spec().fastpath == "off"
-        assert spec(fastpath=False) == spec(fastpath="off")
-        assert spec(fastpath=True) == spec(fastpath="cache")
-        assert hash(spec(fastpath=True)) == hash(spec(fastpath="cache"))
+        assert spec(fastpath="off") == spec()
         assert spec(fastpath="compiled").fastpath == "compiled"
 
     def test_fastpath_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="fastpath"):
-            spec(fastpath="turbo")
-        with pytest.raises(ValueError, match="fastpath"):
-            spec(fastpath=1)
+        """Exactly two spellings; the retired ones (``"cache"`` and the
+        booleans) fail like any other unknown value."""
+        for value in ("turbo", "cache", True, False, 1, None):
+            with pytest.raises(ValueError, match="fastpath"):
+                spec(fastpath=value)
 
 
 class TestLaunch:
@@ -139,7 +133,7 @@ class TestLaunch:
         self._exercise(runtime)
 
     def test_launch_never_warns(self):
-        """The blessed path must not trip its own deprecation shims."""
+        """Launching a spec raises no warning of any kind."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for s in (
@@ -156,21 +150,21 @@ class TestLaunch:
         assert runtime.spec is s
         runtime.stop()
 
-    @pytest.mark.parametrize("mode", ["cache", "compiled"])
-    def test_fastpath_modes_launch_everywhere(self, mode):
-        """Every execution mode accepts the tri-state fastpath value and
+    def test_fastpath_launches_everywhere(self):
+        """Every execution mode accepts ``fastpath="compiled"`` and
         wires the wrapper through (visible via its counters)."""
         for s in (
-            spec(execution=INLINE, fastpath=mode),
-            spec(workers=2, fastpath=mode),
-            spec(workers=2, execution=PROCESS, fastpath=mode),
+            spec(execution=INLINE, fastpath="compiled"),
+            spec(workers=2, fastpath="compiled"),
+            spec(workers=2, execution=PROCESS, fastpath="compiled"),
         ):
             runtime = launch(s)
             self._exercise(runtime)
 
-    def test_compiled_inline_runtime_compiles(self):
-        """Inline + compiled: repeated flows install closures, and the
-        compile counters surface through the runtime facade."""
+    def test_inline_runtime_hits_on_the_object_path(self):
+        """Every runtime behind ``launch()`` drives ``process_burst``:
+        repeated flows hit the action cache, and no closure is compiled
+        for an entry point that could never run it."""
         runtime = launch(spec(execution=INLINE, fastpath="compiled"))
         now = 1_000
         for t in range(3):
@@ -180,38 +174,18 @@ class TestLaunch:
             runtime.inject(0, packet, now + t)
             runtime.main_loop_burst(now + t, 8)
         counters = runtime.op_counters()
-        assert counters["fastpath_compiles"] >= 1
-        assert counters["fastpath_compile_rejected"] == 0
+        assert counters["fastpath_learns"] == 1
+        assert counters["fastpath_hits"] == 2
+        assert counters["fastpath_compiles"] == 0
+        assert counters["fastpath_compiled_hits"] == 0
         runtime.stop()
 
 
-class TestDeprecationShims:
-    def test_direct_sharded_runtime_warns(self):
-        with pytest.deprecated_call(match="RuntimeSpec"):
-            ShardedRuntime(VigNat, config(), workers=2)
-
-    def test_run_sharded_warns_and_still_works(self):
-        from repro.net.rss import NatSteering
-
+class TestRunSpec:
+    def test_run_spec_builds_and_steers_the_shards(self):
         testbed = Rfc2544Testbed(workers=2)
         workload = ConstantRateFlows(16, 1_000_000.0, 64, burst=8)
-        shards = config().partition(2)
-        nfs = [VigNat(shard) for shard in shards]
-        steering = NatSteering(shards)
-        with pytest.deprecated_call(match="run_spec"):
-            result = testbed.run_sharded(
-                nfs, steering.worker_for, workload.events()
-            )
-        assert sum(result.steered) > 0
-
-    def test_run_spec_replaces_run_sharded(self):
-        testbed = Rfc2544Testbed(workers=2)
-        workload = ConstantRateFlows(16, 1_000_000.0, 64, burst=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = testbed.run_spec(
-                spec(workers=2), workload.events()
-            )
+        result = testbed.run_spec(spec(workers=2), workload.events())
         assert sum(result.steered) > 0
         assert result.nfs is not None
         assert result.op_counters()
@@ -233,7 +207,7 @@ class TestDeprecationShims:
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.nat.fastpath import normalize_fastpath  # noqa: E402
+from repro.nat.fastpath import FASTPATH_MODES  # noqa: E402
 from repro.net.procrun import TRANSPORTS  # noqa: E402
 
 
@@ -246,9 +220,7 @@ def spec_overrides(draw):
     overrides = {
         "execution": execution,
         "workers": 1 if execution == INLINE else draw(st.integers(1, 8)),
-        "fastpath": draw(
-            st.sampled_from([False, True, "off", "cache", "compiled"])
-        ),
+        "fastpath": draw(st.sampled_from(FASTPATH_MODES)),
         "burst_size": draw(st.integers(1, 512)),
         "port_count": draw(st.integers(2, 8)),
         "rx_capacity": draw(st.integers(1, 4_096)),
@@ -273,8 +245,7 @@ class TestWithRoundTrip:
         base = spec()
         varied = base.with_(**overrides)
         for name, value in overrides.items():
-            expected = normalize_fastpath(value) if name == "fastpath" else value
-            assert getattr(varied, name) == expected
+            assert getattr(varied, name) == value
         # Fields not named ride along untouched...
         assert varied.nf_factory is base.nf_factory
         assert varied.config is base.config

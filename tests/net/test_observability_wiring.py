@@ -4,9 +4,21 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
-from repro.net.dpdk import DpdkRuntime, ShardedRuntime
+from repro.net.app import RuntimeSpec, launch
+from repro.net.dpdk import DpdkRuntime
 from repro.net.mbuf import MbufPool
 from repro.packets.builder import make_udp_packet
+
+
+def _sharded(pool_size: int):
+    return launch(
+        RuntimeSpec(
+            nf_factory=VigNat,
+            config=NatConfig(max_flows=64),
+            workers=2,
+            pool_size=pool_size,
+        )
+    )
 
 
 def _packet(sport: int = 5000, device: int = 0):
@@ -54,9 +66,7 @@ def test_ownerless_mbuf_into_full_pool_raises():
 
 
 def test_sharded_workers_use_private_pools():
-    runtime = ShardedRuntime(
-        VigNat, NatConfig(max_flows=64), workers=2, pool_size=8
-    )
+    runtime = _sharded(pool_size=8)
     pools = {id(r.pool) for r in runtime.runtimes}
     assert len(pools) == 2
 
@@ -67,9 +77,7 @@ def test_sharded_workers_use_private_pools():
 def test_sharded_high_water_aggregates_by_max():
     """Watermarks are per-pool; the merged figure is the worst single
     pool's mark, never a sum no pool ever reached."""
-    runtime = ShardedRuntime(
-        VigNat, NatConfig(max_flows=64), workers=2, pool_size=8
-    )
+    runtime = _sharded(pool_size=8)
     runtime.runtimes[0].pool.high_water = 5
     runtime.runtimes[1].pool.high_water = 3
     causes = runtime.drop_causes()
@@ -77,9 +85,7 @@ def test_sharded_high_water_aggregates_by_max():
 
 
 def test_sharded_drop_counts_sum():
-    runtime = ShardedRuntime(
-        VigNat, NatConfig(max_flows=64), workers=2, pool_size=8
-    )
+    runtime = _sharded(pool_size=8)
     runtime.runtimes[0].nf_dropped = 2
     runtime.runtimes[1].nf_dropped = 3
     assert runtime.drop_causes()["nf_drop"] == 5
@@ -116,9 +122,7 @@ def test_runtime_snapshot_covers_pool_nic_and_nf():
 
 
 def test_sharded_snapshot_labels_every_worker():
-    runtime = ShardedRuntime(
-        VigNat, NatConfig(max_flows=64), workers=2, pool_size=32
-    )
+    runtime = _sharded(pool_size=32)
     for i in range(8):
         runtime.inject(0, _packet(5000 + i), timestamp=i)
     runtime.main_loop_burst(now_us=10, burst_size=8)

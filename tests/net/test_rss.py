@@ -12,7 +12,7 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.icmp_ext import IcmpAwareNat
-from repro.net.dpdk import ShardedRuntime
+from repro.net.app import RuntimeSpec, launch
 from repro.net.rss import (
     MORE_FRAGMENTS,
     NatSteering,
@@ -225,7 +225,9 @@ class TestIcmpErrorSteering:
         return opened
 
     def test_error_steered_to_owning_worker(self):
-        runtime = ShardedRuntime(IcmpAwareNat, CFG, workers=4)
+        runtime = launch(
+            RuntimeSpec(nf_factory=IcmpAwareNat, config=CFG, workers=4)
+        )
         for worker, translated in self._open_flow_on_each_worker(runtime):
             error = icmp_packet(
                 REMOTE, CFG.external_ip, error_about(translated), device=1
@@ -234,7 +236,9 @@ class TestIcmpErrorSteering:
             assert runtime.worker_for(error) == worker
 
     def test_error_delivered_end_to_end(self):
-        runtime = ShardedRuntime(IcmpAwareNat, CFG, workers=4)
+        runtime = launch(
+            RuntimeSpec(nf_factory=IcmpAwareNat, config=CFG, workers=4)
+        )
         for worker, translated in self._open_flow_on_each_worker(runtime):
             error = icmp_packet(
                 REMOTE, CFG.external_ip, error_about(translated), device=1

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.nat.config import NatConfig
 from repro.nat.flow import flow_id_of_packet
 from repro.nat.vignat import VigNat
-from repro.net.dpdk import ShardedRuntime
+from repro.net.app import RuntimeSpec, launch
 from repro.packets.builder import make_udp_packet
 
 EXT_DEVICE = 1
@@ -43,12 +43,18 @@ flows = st.lists(
 worker_counts = st.sampled_from((1, 2, 3, 4, 8))
 
 
+def sharded(workers):
+    return launch(
+        RuntimeSpec(nf_factory=VigNat, config=config(), workers=workers)
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(flows=flows, workers=worker_counts)
 def test_forward_worker_owns_the_allocated_port(flows, workers):
     """The steered worker allocates from its own slice, and only it
     holds the flow — so ownership steering finds the reply's worker."""
-    runtime = ShardedRuntime(VigNat, config(), workers=workers)
+    runtime = sharded(workers)
     for src_ip, src_port in flows:
         packet = make_udp_packet(src_ip, "8.8.8.8", src_port, 53, device=0)
         fid = flow_id_of_packet(packet)
@@ -78,7 +84,7 @@ def test_forward_worker_owns_the_allocated_port(flows, workers):
 def test_no_cross_worker_state_access(flows, workers):
     """Each worker's own forwarded/dropped counters account for exactly
     the packets steered to it — nothing leaks across workers."""
-    runtime = ShardedRuntime(VigNat, config(), workers=workers)
+    runtime = sharded(workers)
     for src_ip, src_port in flows:
         runtime.inject(
             0, make_udp_packet(src_ip, "8.8.8.8", src_port, 53, device=0),
@@ -105,7 +111,7 @@ def test_no_cross_worker_state_access(flows, workers):
 @given(flows=flows, workers=worker_counts)
 def test_flow_affinity_is_stable_across_packets(flows, workers):
     """Every later packet of a flow steers to the worker that opened it."""
-    runtime = ShardedRuntime(VigNat, config(), workers=workers)
+    runtime = sharded(workers)
     for src_ip, src_port in flows:
         packet = make_udp_packet(src_ip, "8.8.8.8", src_port, 53, device=0)
         first = runtime.worker_for(packet)

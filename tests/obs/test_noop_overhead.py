@@ -81,15 +81,11 @@ def test_sweep_render_identical_with_observability_on():
         # Wall-clock columns jitter run to run with or without
         # observability; everything else (hit rates, modeled costs,
         # identity verdicts, counters) must match exactly. Wall-derived
-        # cells are plain numbers (wall seconds, speedups) or the raw
-        # table's off/cache/compiled triple; the two-part slash cells
-        # (busy off/on, mpps off/on) are modeled and deterministic, so
-        # they stay in the comparison.
+        # cells are plain numbers (wall seconds, speedups); the slash
+        # cells (busy off/on, mpps off/on) are modeled and deterministic,
+        # so they stay in the comparison.
         def wall_derived(cell: str) -> bool:
-            parts = cell.split("/")
-            if not all(p.replace(".", "").isdigit() for p in parts):
-                return False
-            return len(parts) != 2
+            return cell.replace(".", "").isdigit()
 
         lines = []
         for line in table.splitlines():

@@ -2,9 +2,12 @@
 
 import struct
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.packets.checksum import (
+    checksum_apply_delta,
+    checksum_delta_u16,
+    checksum_delta_u32,
     checksum_update_u16,
     checksum_update_u32,
     checksums_equivalent,
@@ -69,6 +72,32 @@ class TestIncrementalUpdate:
         expected = internet_checksum(patched_data)
         patched = checksum_update_u32(original, old_value, new_value)
         assert checksums_equivalent(patched, expected)
+
+    @given(
+        st.integers(0, 0xFFFF),
+        st.integers(0, 0xFFFF),
+        st.integers(0, 0xFFFF),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_precomputed_delta_is_bit_exact(self, checksum, old, new):
+        """Precomputed deltas equal the slow path's in-place updates.
+
+        This is the property that lets a compiled closure fold
+        ``checksum_delta_u16(old, new)`` into a constant once and apply
+        it to any packet's stored checksum: the result is bit-identical
+        (not just one's-complement-equivalent) to updating with
+        (old, new) directly.
+        """
+        delta = checksum_delta_u16(old, new)
+        assert checksum_apply_delta(checksum, delta) == checksum_update_u16(
+            checksum, old, new
+        )
+
+        old32 = (old << 16) | new
+        new32 = (new << 16) | old
+        high, low = checksum_delta_u32(old32, new32)
+        stepped = checksum_apply_delta(checksum_apply_delta(checksum, high), low)
+        assert stepped == checksum_update_u32(checksum, old32, new32)
 
     def test_identity_patch(self):
         assert checksum_update_u16(0x1234, 0xBEEF, 0xBEEF) == 0x1234

@@ -334,7 +334,7 @@ class TestReplicatedRuntimeSurface:
     def test_fastpath_survives_promotion(self):
         # The promoted NF is wrapped like its predecessor, and the
         # restored generation invalidates any pre-kill cache entry.
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath=True)
+        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="compiled")
         ext_of, now = _establish(runtime, 16)
         runtime.kill_worker(1, at_us=now + 1)
         now += 2
@@ -351,7 +351,7 @@ class TestReplicatedRuntimeSurface:
         # A promoted standby must not serve its first packets cold:
         # both directions of every recovered flow are pre-installed in
         # the action cache at promotion.
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath=True)
+        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="compiled")
         _, now = _establish(runtime, 16)
         runtime.kill_worker(1, at_us=now + 1)
         runtime.main_loop_burst(now + 2)
@@ -361,7 +361,7 @@ class TestReplicatedRuntimeSurface:
         assert report.to_dict()["fastpath_warmed"] == report.fastpath_warmed
 
     def test_no_cache_means_nothing_to_warm(self):
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath=False)
+        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="off")
         _, now = _establish(runtime, 16)
         runtime.kill_worker(1, at_us=now + 1)
         runtime.main_loop_burst(now + 2)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
-from repro.net.dpdk import ShardedRuntime
+from repro.net.app import RuntimeSpec, launch
 from repro.packets.builder import make_udp_packet
 from repro.resil.faults import Fault, FaultPlan
 
@@ -120,7 +120,11 @@ class TestFaultPlan:
 
 
 def _runtime(plan, workers=2, **kw):
-    return ShardedRuntime(VigNat, CFG, workers, fault_plan=plan, **kw)
+    return launch(
+        RuntimeSpec(
+            nf_factory=VigNat, config=CFG, workers=workers, fault_plan=plan, **kw
+        )
+    )
 
 
 def _flood(runtime, count, now=1_000, device=0):
@@ -214,7 +218,7 @@ class TestShardedRuntimeUnderFaults:
 
     def test_empty_plan_is_byte_identical_to_no_plan(self):
         with_plan = _runtime(FaultPlan())
-        without = ShardedRuntime(VigNat, CFG, 2)
+        without = _runtime(None)
         _flood(with_plan, 30)
         _flood(without, 30)
         with_plan.main_loop_burst(2_000)
