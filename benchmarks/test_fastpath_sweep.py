@@ -12,8 +12,8 @@ buying real throughput:
     NF, it never reorders them;
 (c) **payoff**: at a 90%+ hit-rate regime the verified NAT's bare
     data-path replay speeds up ≥ 1.5× in wall-clock terms;
-(d) **compiled payoff**: on the raw byte path — the one entry point
-    that runs compiled closures — the fast path beats the no-fast-path
+(d) **compiled payoff**: on the raw byte path — where this sweep's
+    compiled closures run — the fast path beats the no-fast-path
     replay ≥ 1.3× on the verified NAT at a 90%+ hit rate, and never
     loses to it on the no-op forwarder (the regime where a too-heavy
     cache historically did) — while both raw replays stay

@@ -569,7 +569,8 @@ def fastpath_sweep(
     versus the cached replay, free of the testbed's simulation overhead.
     NFs that support the raw byte path get a fourth axis: the same
     events replayed as raw frames with the fast path off and on (the
-    one entry point that runs compiled closures), each byte-compared
+    sweep's events are materialised packets, so this is the axis where
+    compiled closures run), each byte-compared
     against the object-path replay. The paper's no-op < unverified <
     verified cost ordering must survive at every hit rate (the cache
     accelerates every NF, it does not reorder them).

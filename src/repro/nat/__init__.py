@@ -10,8 +10,8 @@
 - :mod:`repro.nat.netfilter` — the Linux NetFilter/conntrack-style NAT,
 - :mod:`repro.nat.fastpath` — the microflow action cache over any of
   the above (`FastPathNat`),
-- :mod:`repro.nat.compiled` — learned rewrites compiled into
-  batch-applied closures for the raw entry point (`compile_action`),
+- :mod:`repro.nat.compiled` — learned rewrites compiled into closures
+  that rewrite a wire-backed packet image to image (`compile_action`),
 - :mod:`repro.nat.noop` — DPDK no-op forwarding,
 - :mod:`repro.nat.firewall` — a second verified NF (stateful firewall),
 - :mod:`repro.nat.discard` — the §3 discard-protocol worked example.
@@ -24,7 +24,7 @@ from repro.nat.base import NetworkFunction
 from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.cgnat import CgnatConfig, DetNat
 from repro.nat.config import NatConfig
-from repro.nat.compiled import compile_action, raw_flow_key
+from repro.nat.compiled import compile_action
 from repro.nat.discard import DiscardNF
 from repro.nat.fastpath import (
     FASTPATH_MODES,
@@ -51,7 +51,6 @@ __all__ = [
     "FastPathNat",
     "compile_action",
     "check_fastpath",
-    "raw_flow_key",
     "Flow",
     "FlowId",
     "IcmpAwareNat",

@@ -1,12 +1,12 @@
 """Compiled per-flow actions: the fast path as a specialized closure.
 
 The action cache (:mod:`repro.nat.fastpath`) already skips the slow
-path, but an object-path hit still pays generic per-packet Python: a
-parsed :class:`~repro.packets.headers.Packet`, a clone, one helper call
-per rewritten endpoint. On raw frames this module goes one step
-further, the way OVS compiles a megaflow into an action list the
-datapath executes without consulting the classifier: when a flow is
-learned from a raw frame its rewrite is *compiled* into a closure whose
+path, but an object replay of a hit still pays generic per-packet
+Python: a parsed :class:`~repro.packets.headers.Packet`, a clone, one
+helper call per rewritten endpoint. On a frame that is still its wire
+image this module goes one step further, the way OVS compiles a
+megaflow into an action list the datapath executes without consulting
+the classifier: the flow's rewrite is *compiled* into a closure whose
 work per packet is two struct reads, one or two folded RFC 1624 delta
 applications, and a single ``bytes`` splice.
 
@@ -29,77 +29,45 @@ What makes the compilation sound:
   slow-path patch call (one stage per call, zero-checked between
   stages); for TCP, which has no such sentinel, every stage folds into
   a single constant.
-- **Learn-time verification backstops the compiler.** The caller
-  (``FastPathNat.process_raw_burst``) applies the closure to the very
-  frame that triggered the learn and byte-compares the result against
-  what the slow path actually emitted for it before attaching the
-  closure to the flow's action. A miscompiled closure is never
-  installed.
+- **Canonical form pins the layout.** A closure only ever sees the
+  image of a wire-backed packet, i.e. a frame
+  :meth:`Packet.from_bytes <repro.packets.headers.Packet.from_bytes>`
+  admitted as canonical: option-less IPv4 and TCP, lengths agreeing
+  with the frame. The fixed offsets
+  below are therefore the fields they name, and a splice of fixed-width
+  fields leaves the output canonical too.
+- **First-hit verification backstops the compiler.** The caller
+  (``FastPathNat``) compiles a flow's closure on the flow's first
+  wire-backed hit, applies it to that very frame and byte-compares the
+  result against the object replay of the same frame before attaching
+  it to the flow's action. A miscompiled closure is never installed.
 
-Batch application is struct-of-arrays over the raw burst: the caller
-extracts every frame's key in one pass, partitions the burst into
-maximal same-flow runs, and applies each run's closure across it — one
-dict lookup, one generation check and one rejuvenation per run instead
-of per packet.
+The raw entry point (``FastPathNat.process_raw_burst``) additionally
+batches: it extracts every frame's key in one pass, partitions the
+burst into maximal same-flow runs, and applies each run's closure
+across it — one dict lookup, one generation check and one rejuvenation
+per run instead of per packet.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.packets.checksum import checksum_delta_u16, checksum_delta_u32
-from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Ipv4Header
-
-# Fixed field offsets for Ethernet II + option-less IPv4 (IHL=5).
-OFF_ETHERTYPE = 12
-OFF_VERSION_IHL = 14
-OFF_FLAGS_FRAG = 20
-OFF_PROTO = 23
-OFF_IP_CSUM = 24
-OFF_SRC_IP = 26
-OFF_UDP_CSUM = 40
-OFF_TCP_CSUM = 50
+from repro.packets.headers import (
+    OFF_IP_CSUM,
+    OFF_SRC_IP,
+    OFF_TCP_CSUM,
+    OFF_UDP_CSUM,
+    PROTO_UDP,
+    FlowKey,
+)
 
 _U16 = struct.Struct(">H")
 #: src_ip, dst_ip, src_port, dst_port — wire order at offset 26.
 _MID = struct.Struct(">IIHH")
 _MID_END = OFF_SRC_IP + _MID.size  # 38: first byte after dst_port
-
-_ETH_HI = ETHERTYPE_IPV4 >> 8
-_ETH_LO = ETHERTYPE_IPV4 & 0xFF
-_MIN_LEN_UDP = OFF_UDP_CSUM + 2
-_MIN_LEN_TCP = OFF_TCP_CSUM + 4
-
-#: A microflow key: (device, proto, src_ip, src_port, dst_ip, dst_port).
-FlowKey = Tuple[int, int, int, int, int, int]
-
-
-def raw_flow_key(buf, device: int) -> Optional[FlowKey]:
-    """The microflow key straight off the frame bytes, or None.
-
-    The same eligibility rules and key as
-    :func:`~repro.nat.fastpath.packet_flow_key` on the parsed frame,
-    without parsing it: index checks plus one ``struct.unpack_from``
-    for the whole 5-tuple region.
-    """
-    if len(buf) < _MIN_LEN_UDP:
-        return None
-    if buf[OFF_ETHERTYPE] != _ETH_HI or buf[OFF_ETHERTYPE + 1] != _ETH_LO:
-        return None
-    if buf[OFF_VERSION_IHL] != Ipv4Header.VERSION_IHL:
-        return None
-    # flags/frag-offset word: MF or a nonzero offset → not cacheable.
-    if buf[OFF_FLAGS_FRAG] & 0x3F or buf[OFF_FLAGS_FRAG + 1]:
-        return None
-    proto = buf[OFF_PROTO]
-    if proto == PROTO_TCP:
-        if len(buf) < _MIN_LEN_TCP:
-            return None
-    elif proto != PROTO_UDP:
-        return None
-    src_ip, dst_ip, src_port, dst_port = _MID.unpack_from(buf, OFF_SRC_IP)
-    return (device, proto, src_ip, src_port, dst_ip, dst_port)
 
 
 def _build_closure(
@@ -227,8 +195,4 @@ def compile_action(key: FlowKey, action) -> Callable[..., bytes]:
     )
 
 
-__all__ = [
-    "FlowKey",
-    "compile_action",
-    "raw_flow_key",
-]
+__all__ = ["compile_action"]

@@ -25,13 +25,23 @@ mechanisms enforce it:
 Verification still targets the slow path: the fast path adds no state
 the symbolic engine must model, and the proof report is unchanged.
 
-Two entry points consult the one cache. The object path
-(``process``/``process_burst``, what every runtime behind ``launch()``
-calls) replays a hit through the NF's own ``apply`` hook. The raw path
-(``process_raw_burst``) hits only on actions that carry a compiled
-closure (:mod:`repro.nat.compiled`); closures are built and
-byte-verified only by learns that path triggers, and live *on* the
-action, so whatever drops an action drops its closure with it.
+Every entry point consults the one cache through the one per-packet
+routine (``_run``), keyed by :meth:`~repro.packets.headers.Packet.flow_key`.
+What a hit costs depends on what the packet still is. A *wire-backed*
+packet — ``Packet.from_bytes`` kept its frame as bytes, and nothing has
+touched a header since — is rewritten by the flow's compiled closure
+(:mod:`repro.nat.compiled`) straight from image to image; no header
+object is ever built for it. A materialised packet, or any packet of an
+NF whose hooks say ``supports_raw = False``, is replayed through the
+NF's own ``apply`` hook. A closure is *earned* on a flow's first
+wire-backed hit — compiled, byte-compared against the object replay of
+that very frame, then attached or rejected for good — and lives *on*
+the action, so whatever drops an action drops its closure with it.
+Learns never compile: a flow that is never hit pays nothing for
+closures. ``process_raw_burst`` is the same cache over bare frame
+buffers with the hits batched per same-flow run; a frame it cannot
+serve from a live closure is wrapped with ``Packet.from_bytes`` and
+handed to ``_run``.
 
 Each NF that opts in exposes ``fastpath_hooks()`` returning an object
 with: ``supports_raw`` (bool), ``begin_burst(now) -> now`` (clamp the
@@ -45,21 +55,15 @@ quirks — including deliberate ones — are reproduced exactly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.nat.base import NetworkFunction
-from repro.nat.compiled import FlowKey, compile_action, raw_flow_key
+from repro.nat.compiled import compile_action
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
-from repro.packets.headers import (
-    ETHERTYPE_IPV4,
-    PROTO_TCP,
-    PROTO_UDP,
-    Packet,
-    ParseError,
-)
+from repro.packets.headers import FlowKey, Packet, ParseError, raw_flow_key
 
 #: The values a spec's ``fastpath`` field can take.
 FASTPATH_MODES = ("off", "compiled")
@@ -81,8 +85,10 @@ class CachedAction:
     ``src``/``dst`` are the (ip, port) endpoint targets the slow path
     rewrote to (None = that endpoint untouched), exactly the arguments
     its own rewrite helpers receive. ``closure`` is the same rewrite
-    compiled for raw frames (:func:`~repro.nat.compiled.compile_action`),
-    present only once a raw-path learn has byte-verified it.
+    compiled for wire images (:func:`~repro.nat.compiled.compile_action`):
+    None until the flow's first wire-backed hit tries to earn one, then
+    the byte-verified closure — or False, for good, when its output
+    diverged from the object replay.
     """
 
     src: Optional[Tuple[int, int]]
@@ -90,7 +96,7 @@ class CachedAction:
     out_device: int
     token: Any
     generation: int
-    closure: Optional[Callable[..., bytes]] = None
+    closure: Union[Callable[..., bytes], None, bool] = None
 
 
 def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
@@ -109,32 +115,6 @@ def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
         rewrite_destination(out, *action.dst)
     out.device = action.out_device
     return out
-
-
-def packet_flow_key(packet: Packet) -> Optional[FlowKey]:
-    """The microflow key of a parsed packet, or None when ineligible.
-
-    Ineligible (→ slow path): non-IPv4, no TCP/UDP header, fragments
-    (MF set or nonzero offset — their L4 header may be absent or belong
-    to another fragment).
-    """
-    ipv4 = packet.ipv4
-    l4 = packet.l4
-    if packet.eth.ethertype != ETHERTYPE_IPV4 or ipv4 is None or l4 is None:
-        return None
-    if (ipv4.flags & 0x1) or ipv4.fragment_offset:
-        return None
-    proto = ipv4.protocol
-    if proto != PROTO_TCP and proto != PROTO_UDP:
-        return None
-    return (
-        packet.device,
-        proto,
-        ipv4.src_ip,
-        l4.src_port,
-        ipv4.dst_ip,
-        l4.dst_port,
-    )
 
 
 #: The cache's counters, declared once: (stem, help). Each becomes the
@@ -221,9 +201,7 @@ class FastPathNat(NetworkFunction):
 
     @property
     def compiled_size(self) -> int:
-        return sum(
-            1 for action in self._cache.values() if action.closure is not None
-        )
+        return sum(1 for action in self._cache.values() if action.closure)
 
     def op_counters(self) -> Dict[str, int]:
         counters = dict(self.inner.op_counters())
@@ -299,10 +277,9 @@ class FastPathNat(NetworkFunction):
         warmed actions are computed from flow state that
         ``restore_state`` has already validated against the NF's
         invariants, not inferred from a single packet. No closure is
-        attached — there is no slow-path output here to verify one
-        against — so a warmed flow's first raw frame takes one miss to
-        earn it. Returns the number of entries installed (0 when the
-        hooks cannot warm).
+        attached: like any other action, a warmed one earns it on its
+        first wire-backed hit. Returns the number of entries installed
+        (0 when the hooks cannot warm).
         """
         warm_entries = getattr(self._hooks, "warm_entries", None)
         if warm_entries is None:
@@ -323,34 +300,12 @@ class FastPathNat(NetworkFunction):
         self.inner.delta_sink(sink)
 
     # -- the cache ----------------------------------------------------------
-    def _lookup(self, key: Optional[FlowKey]) -> Optional[CachedAction]:
-        """A valid cached action for ``key``, discarding stale entries."""
-        if key is None:
-            return None
-        action = self._cache.get(key)
-        if action is None:
-            return None
-        if action.generation != self._hooks.generation():
-            del self._cache[key]
-            self._invalidations.inc()
-            return None
-        return action
-
-    def _learn(
-        self,
-        packet: Packet,
-        key: FlowKey,
-        outputs: List[Packet],
-        frame=None,
-    ) -> None:
+    def _learn(self, packet: Packet, key: FlowKey, outputs: List[Packet]) -> None:
         """Memoize what the slow path just did, if it is cacheable.
 
         Only single-packet forwards are cached (drops and multi-output
         behaviors always re-consult the slow path). The candidate action
-        is verified by replay before it is admitted. ``frame`` is the
-        raw bytes ``packet`` was parsed from when the raw entry point
-        triggered the learn — the only caller that can run a closure,
-        hence the only one that compiles one.
+        is verified by replay before it is admitted.
         """
         if len(outputs) != 1:
             return
@@ -358,13 +313,17 @@ class FastPathNat(NetworkFunction):
         if token is None:
             return
         out = outputs[0]
-        assert packet.ipv4 is not None and packet.l4 is not None
-        assert out.ipv4 is not None and out.l4 is not None
-        src: Optional[Tuple[int, int]] = (out.ipv4.src_ip, out.l4.src_port)
-        if src == (packet.ipv4.src_ip, packet.l4.src_port):
+        ipv4 = out.ipv4
+        l4 = out.l4
+        if ipv4 is None or l4 is None:
+            return
+        # The key *is* the input's endpoints; the input itself need not
+        # be read again.
+        src: Optional[Tuple[int, int]] = (ipv4.src_ip, l4.src_port)
+        if src == key[2:4]:
             src = None
-        dst: Optional[Tuple[int, int]] = (out.ipv4.dst_ip, out.l4.dst_port)
-        if dst == (packet.ipv4.dst_ip, packet.l4.dst_port):
+        dst: Optional[Tuple[int, int]] = (ipv4.dst_ip, l4.dst_port)
+        if dst == key[4:6]:
             dst = None
         action = CachedAction(
             src=src,
@@ -374,78 +333,60 @@ class FastPathNat(NetworkFunction):
             generation=self._hooks.generation(),
         )
         replayed = self._hooks.apply(packet, action)
-        out_wire = out.wire_bytes()
-        if replayed.device != out.device or replayed.wire_bytes() != out_wire:
+        if (
+            replayed.device != out.device
+            or replayed.wire_bytes() != out.wire_bytes()
+        ):
             self._learn_rejected.inc()
             return
-        if frame is not None:
-            # Same discipline as the replay check above: the closure's
-            # output on the triggering frame must be byte-identical to
-            # what the slow path emitted for it, or it is never attached
-            # (the flow keeps its plain action and stays on the slow
-            # path for raw frames).
-            closure = compile_action(key, action)
-            if closure(frame) == out_wire:
-                action.closure = closure
-                self._compiles.inc()
-            else:
-                self._compile_rejected.inc()
         if key not in self._cache and len(self._cache) >= self.max_entries:
             del self._cache[next(iter(self._cache))]
             self._evictions.inc()
         self._cache[key] = action
         self._learns.inc()
 
-    def _handle(self, packet: Packet, now: int) -> List[Packet]:
-        key = packet_flow_key(packet)
-        action = self._lookup(key)
-        recorder = obs.recorder()
-        if action is not None:
-            self._hits.inc()
-            if recorder.active:
-                recorder.trace(flight.FASTPATH_HIT, t_us=now)
-            self._hooks.rejuvenate(action.token, now)
-            return [self._hooks.apply(packet, action)]
-        self._misses.inc()
-        if recorder.active:
-            recorder.trace(flight.SLOW_PATH, t_us=now)
-        outputs = self.inner.process(packet, now)
-        if key is not None:
-            self._learn(packet, key, outputs)
-        return outputs
+    def _earn_closure(self, key: FlowKey, action: CachedAction, packet: Packet):
+        """Compile ``action`` on its first wire-backed hit, verified.
 
-    # -- packet paths -------------------------------------------------------
-    def process(self, packet: Packet, now: int) -> List[Packet]:
-        now = self._hooks.begin_burst(now)
-        return self._handle(packet, now)
-
-    def process_burst(
-        self, packets: Sequence[Packet], now: int
-    ) -> List[List[Packet]]:
-        """One RX burst: expiry scanned once up front, then per-packet
-        cache consult with slow-path fall-through on miss.
-
-        The loop body is ``_handle`` inlined with the generation read
-        hoisted out: the generation can only move inside a slow-path
-        call, so it is read once per burst and refreshed after each
-        miss instead of per packet.
+        Same discipline as the learn-time replay check: the closure's
+        output on the triggering frame must be byte-identical to the
+        object replay of that frame, or it is never attached — the
+        action is marked rejected and every later hit keeps taking the
+        object replay. Returns what was stored on the action.
         """
-        self._note_burst(len(packets))
-        if not packets:
-            return []
+        closure = compile_action(key, action)
+        if closure(packet.image) == self._hooks.apply(packet, action).wire_bytes():
+            self._compiles.inc()
+        else:
+            closure = False
+            self._compile_rejected.inc()
+        action.closure = closure
+        return closure
+
+    def _run(self, packets: Sequence[Packet], now: int) -> List[List[Packet]]:
+        """The per-packet code: cache consult, replay on a hit, slow
+        path and learn on a miss. ``now`` is already clamped by
+        ``begin_burst``.
+
+        The generation can only move inside a slow-path call, so it is
+        read once up front and refreshed after each miss instead of per
+        packet.
+        """
         hooks = self._hooks
-        now = hooks.begin_burst(now)
         cache = self._cache
         generation = hooks.generation()
         rejuvenate = hooks.rejuvenate
         apply_action = hooks.apply
         inner_process = self.inner.process
+        compiles = hooks.supports_raw
+        from_image = Packet.from_image
         recorder = obs.recorder()
         tracing = recorder.active
         results: List[List[Packet]] = []
         hits = 0
+        compiled_hits = 0
         for packet in packets:
-            key = packet_flow_key(packet)
+            key = packet.flow_key()
             action = cache.get(key) if key is not None else None
             if action is not None:
                 if action.generation == generation:
@@ -453,6 +394,17 @@ class FastPathNat(NetworkFunction):
                     if tracing:
                         recorder.trace(flight.FASTPATH_HIT, t_us=now)
                     rejuvenate(action.token, now)
+                    image = packet.image
+                    if image is not None and compiles:
+                        closure = action.closure
+                        if closure is None:
+                            closure = self._earn_closure(key, action, packet)
+                        if closure:
+                            compiled_hits += 1
+                            results.append(
+                                [from_image(closure(image), action.out_device)]
+                            )
+                            continue
                     results.append([apply_action(packet, action)])
                     continue
                 del cache[key]
@@ -465,21 +417,38 @@ class FastPathNat(NetworkFunction):
                 self._learn(packet, key, outputs)
             generation = hooks.generation()
             results.append(outputs)
-        self._hits.inc(hits)
+        if hits:
+            self._hits.inc(hits)
+            self._compiled_hits.inc(compiled_hits)
         return results
+
+    # -- packet paths -------------------------------------------------------
+    def process(self, packet: Packet, now: int) -> List[Packet]:
+        return self._run([packet], self._hooks.begin_burst(now))[0]
+
+    def process_burst(
+        self, packets: Sequence[Packet], now: int
+    ) -> List[List[Packet]]:
+        """One RX burst: expiry scanned once up front, then per-packet
+        cache consult with slow-path fall-through on miss."""
+        self._note_burst(len(packets))
+        if not packets:
+            return []
+        return self._run(packets, self._hooks.begin_burst(now))
 
     def process_raw_burst(
         self, frames: Sequence[Tuple[bytearray, int]], now: int
     ) -> List[List[Tuple[bytes, int]]]:
         """The burst path over raw frame bytes.
 
-        ``frames`` holds (frame buffer, receive device) pairs. A frame
-        hits iff its flow's action carries a compiled closure; anything
-        else — ineligible shape, cold flow, stale generation, an action
-        learned on the object path or by :meth:`warm`, a rejected
-        compile — parses, runs the slow path and serializes its outputs
-        with stored checksums (``wire_bytes``), and that learn is where
-        the flow earns its closure.
+        ``frames`` holds (frame buffer, receive device) pairs of
+        canonical frames — RX buffers as a NIC hands them over. A frame
+        is served here iff its flow's action carries a live closure;
+        anything else — ineligible shape, cold flow, stale generation,
+        an action that has not earned its closure yet or never will —
+        is wrapped with ``Packet.from_bytes`` and takes the per-packet
+        code every other entry point runs (``_run``), its outputs
+        serialized with stored checksums (``wire_bytes``).
 
         Struct-of-arrays over the burst: every frame's flow key is
         extracted in one pass (``raw_flow_key``), the burst is
@@ -509,16 +478,22 @@ class FastPathNat(NetworkFunction):
         while i < n:
             key = keys[i]
             action = cache.get(key) if key is not None else None
-            if action is not None and action.generation != generation:
-                del cache[key]
-                self._invalidations.inc()
-                action = None
-            if action is None or action.closure is None:
-                self._misses.inc()
-                if tracing:
-                    recorder.trace(flight.SLOW_PATH, t_us=now)
-                results[i] = self._raw_slow_path(*frames[i], key, now)
-                generation = hooks.generation()
+            if (
+                action is None
+                or action.generation != generation
+                or not action.closure
+            ):
+                buf, device = frames[i]
+                try:
+                    packet = Packet.from_bytes(buf, device)
+                except ParseError:
+                    self._misses.inc()
+                else:
+                    results[i] = [
+                        (out.wire_bytes(), out.device)
+                        for out in self._run([packet], now)[0]
+                    ]
+                    generation = hooks.generation()
                 i += 1
                 continue
             rejuvenate(action.token, now)
@@ -542,20 +517,6 @@ class FastPathNat(NetworkFunction):
             self._compiled_batches.inc(batches)
         return results
 
-    def _raw_slow_path(
-        self, buf, device: int, key: Optional[FlowKey], now: int
-    ) -> List[Tuple[bytes, int]]:
-        """One raw frame the long way: parse, slow path, learn, serialize."""
-        frame = bytes(buf)
-        try:
-            packet = Packet.from_bytes(frame, device)
-        except ParseError:
-            return []
-        outputs = self.inner.process(packet, now)
-        if key is not None:
-            self._learn(packet, key, outputs, frame)
-        return [(out.wire_bytes(), out.device) for out in outputs]
-
 
 __all__ = [
     "CachedAction",
@@ -564,5 +525,4 @@ __all__ = [
     "FlowKey",
     "apply_endpoint_action",
     "check_fastpath",
-    "packet_flow_key",
 ]

@@ -34,15 +34,40 @@ def pack_slot_record(
     return SLOT_HEADER.pack(port, device, timestamp, len(wire)) + wire
 
 
+class SlotRecordError(ValueError):
+    """A blob of slot records ends inside a record.
+
+    A record header that does not fit, or one announcing more wire
+    bytes than the blob has left: what a span cut short (or a length
+    field overwritten) looks like from the reading side. Slicing would
+    hand back a silently short frame; this refuses the whole blob.
+    """
+
+
 def unpack_slot_records(
     blob: bytes, offset: int = 0
 ) -> List[Tuple[int, int, int, bytes]]:
-    """Parse concatenated slot records: (port, device, timestamp, wire)."""
+    """Parse concatenated slot records: (port, device, timestamp, wire).
+
+    Raises :class:`SlotRecordError` unless the records tile the blob
+    exactly.
+    """
     records: List[Tuple[int, int, int, bytes]] = []
     end = len(blob)
+    header_size = SLOT_HEADER.size
     while offset < end:
+        if end - offset < header_size:
+            raise SlotRecordError(
+                f"truncated record header: {end - offset} of {header_size} "
+                f"bytes at offset {offset}"
+            )
         port, device, timestamp, length = SLOT_HEADER.unpack_from(blob, offset)
-        offset += SLOT_HEADER.size
+        offset += header_size
+        if length > end - offset:
+            raise SlotRecordError(
+                f"record announces {length} wire bytes, {end - offset} "
+                f"left at offset {offset}"
+            )
         records.append((port, device, timestamp, bytes(blob[offset : offset + length])))
         offset += length
     return records

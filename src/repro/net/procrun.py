@@ -81,7 +81,12 @@ from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.dpdk import DpdkRuntime
-from repro.net.mbuf import SLOT_HEADER, pack_slot_record, unpack_slot_records
+from repro.net.mbuf import (
+    SLOT_HEADER,
+    SlotRecordError,
+    pack_slot_record,
+    unpack_slot_records,
+)
 from repro.net.nic import RssNic
 from repro.net.rss import NatSteering
 from repro.net.shmring import (
@@ -846,6 +851,8 @@ class ProcessShardedRuntime:
             if shm:
                 # The ACK is the fence: every TX span is visible now.
                 self._drain_tx_ring(worker_id)
+                if not self._alive[worker_id] and crashed is None:
+                    crashed = worker_id
             elif len(reply) > 1 + _ACK.size:
                 t0 = time.perf_counter_ns()
                 records = unpack_records(reply, 1 + _ACK.size)
@@ -1015,7 +1022,13 @@ class ProcessShardedRuntime:
             self._stats.copy_ns += t1 - t0
             if discard:
                 continue
-            records = unpack_records(blob)
+            try:
+                records = unpack_records(blob)
+            except SlotRecordError as exc:
+                # Whatever wrote this span is not a worker we can trust
+                # the rest of the ring from.
+                self._mark_dead(worker_id, f"corrupt TX span: {exc}")
+                return
             self._stats.encode_ns += time.perf_counter_ns() - t1
             self._tx[worker_id].extend(records)
 

@@ -33,7 +33,7 @@ import struct
 from typing import List, Optional, Sequence, Tuple
 
 from repro.nat.config import NatConfig
-from repro.packets.headers import ETHERTYPE_IPV4, PROTO_ICMP, Packet
+from repro.packets.headers import ETHERTYPE_IPV4, PROTO_ICMP, FlowKey, Packet
 from repro.packets.icmp import IcmpMessage
 
 #: The IPv4 More-Fragments bit within the 3-bit flags field.
@@ -41,6 +41,9 @@ MORE_FRAGMENTS = 0x1
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
+
+#: What the RSS hash covers: src ip, dst ip, src port, dst port, proto.
+_FIVE_TUPLE = struct.Struct(">IIHHB")
 
 
 def _fnv1a(data: bytes) -> int:
@@ -62,6 +65,12 @@ def _fnv1a(data: bytes) -> int:
     return value
 
 
+def _flow_key_hash(key: FlowKey) -> int:
+    """The 5-tuple hash of a packet that has a flow key."""
+    _device, proto, src_ip, src_port, dst_ip, dst_port = key
+    return _fnv1a(_FIVE_TUPLE.pack(src_ip, dst_ip, src_port, dst_port, proto))
+
+
 def is_fragment(packet: Packet) -> bool:
     """True for any fragment of a fragmented datagram (first included)."""
     if packet.ipv4 is None:
@@ -80,13 +89,19 @@ def rss_hash_packet(packet: Packet) -> int:
     so that all packets of one datagram, and a flow's error packets,
     hash identically. Non-IP frames hash to 0 (queue 0), like a NIC's
     default queue for unclassifiable traffic.
+
+    A packet with a flow key (``Packet.flow_key``: unfragmented TCP/UDP
+    over IPv4) hashes that key's 5-tuple — read off the wire image when
+    the packet still is one, so steering parses nothing.
     """
+    key = packet.flow_key()
+    if key is not None:
+        return _flow_key_hash(key)
     if packet.eth.ethertype != ETHERTYPE_IPV4 or packet.ipv4 is None:
         return 0
     if packet.l4 is not None and not is_fragment(packet):
         return _fnv1a(
-            struct.pack(
-                ">IIHHB",
+            _FIVE_TUPLE.pack(
                 packet.ipv4.src_ip,
                 packet.ipv4.dst_ip,
                 packet.l4.src_port,
@@ -200,7 +215,21 @@ class NatSteering:
         return None
 
     def worker_for(self, packet: Packet) -> int:
-        """The worker this packet must be delivered to."""
+        """The worker this packet must be delivered to.
+
+        Unfragmented TCP/UDP — everything with a flow key — is steered
+        off the key alone (external side: the destination port's owner;
+        otherwise the 5-tuple hash), which a wire-backed packet answers
+        from its image. Only fragments, ICMP and non-IP traffic read
+        headers.
+        """
+        key = packet.flow_key()
+        if key is not None:
+            if key[0] == self.shards[0].external_device:
+                owner = self.owner_of_port(key[5])
+                if owner is not None:
+                    return owner
+            return _flow_key_hash(key) % len(self.shards)
         port = self._external_port_of(packet)
         if port is not None:
             owner = self.owner_of_port(port)

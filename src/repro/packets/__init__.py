@@ -30,11 +30,13 @@ from repro.packets.headers import (
     PROTO_TCP,
     PROTO_UDP,
     EthernetHeader,
+    FlowKey,
     Ipv4Header,
     Packet,
     ParseError,
     TcpHeader,
     UdpHeader,
+    raw_flow_key,
 )
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 
@@ -45,6 +47,7 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_UDP",
     "EthernetHeader",
+    "FlowKey",
     "Ipv4Header",
     "Packet",
     "ParseError",
@@ -64,4 +67,5 @@ __all__ = [
     "mac_to_str",
     "make_tcp_packet",
     "make_udp_packet",
+    "raw_flow_key",
 ]

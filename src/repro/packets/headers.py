@@ -3,12 +3,27 @@
 Headers are mutable dataclasses with ``pack``/``unpack`` that round-trip
 byte-for-byte. ``Packet`` composes them together with the receive-device
 metadata the NAT dispatches on, mirroring a DPDK mbuf's (port, data) pair.
+
+**Frames stay bytes until somebody asks.** A DPDK NF rewrites an mbuf in
+place; it never builds header objects for a frame it only forwards.
+:meth:`Packet.from_bytes` does the same for every frame in *canonical
+form* (exactly the frames on which parse∘serialize is the identity;
+the rule is spelled out there): it keeps the immutable ``bytes`` image
+and builds no header. Such a *wire-backed* packet answers
+:meth:`Packet.wire_bytes`, :meth:`Packet.clone` and
+:meth:`Packet.flow_key` from the image in O(1); the first read or write
+of ``eth``/``ipv4``/``l4``/``payload`` parses the image once — with the
+one parser every other frame takes eagerly — and drops it, so no header
+reference can exist beside a live image and ``wire_bytes`` can never
+return pre-write bytes. ``device`` is runtime routing state, not a wire
+field, and stays a plain attribute in both states.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from typing import Optional, Tuple
 
 from repro.packets.checksum import (
     checksums_equivalent,
@@ -33,6 +48,34 @@ _TCP_STRUCT = struct.Struct(">HHIIBBHHH")
 _UDP_STRUCT = struct.Struct(">HHHH")
 _U16_STRUCT = struct.Struct(">H")
 
+# Fixed field offsets for Ethernet II + option-less IPv4 (IHL=5).
+OFF_ETHERTYPE = 12
+OFF_VERSION_IHL = 14
+OFF_FLAGS_FRAG = 20
+OFF_PROTO = 23
+OFF_IP_CSUM = 24
+OFF_SRC_IP = 26
+OFF_UDP_CSUM = 40
+OFF_TCP_CSUM = 50
+# Length fields the canonical-form rule reads (Packet.from_bytes).
+_OFF_TOTAL_LENGTH = 16
+_OFF_UDP_LENGTH = 38
+_OFF_TCP_DATA_OFFSET = 46
+_TCP_DATA_OFFSET_5 = 0x50  # offset 5, reserved bits clear
+
+#: src_ip, dst_ip, src_port, dst_port — wire order at ``OFF_SRC_IP``.
+_ENDPOINTS = struct.Struct(">IIHH")
+_ETH_HI = ETHERTYPE_IPV4 >> 8
+_ETH_LO = ETHERTYPE_IPV4 & 0xFF
+_VERSION_IHL5 = 0x45
+#: Frame bytes 12..15 of option-less IPv4 over Ethernet II.
+_IPV4_IHL5 = bytes((_ETH_HI, _ETH_LO, _VERSION_IHL5))
+_MIN_LEN_UDP = OFF_UDP_CSUM + 2
+_MIN_LEN_TCP = OFF_TCP_CSUM + 4
+
+#: A microflow key: (device, proto, src_ip, src_port, dst_ip, dst_port).
+FlowKey = Tuple[int, int, int, int, int, int]
+
 
 class ParseError(ValueError):
     """Raised when a byte buffer cannot be parsed as the expected header."""
@@ -52,11 +95,10 @@ class EthernetHeader:
         return _ETH_STRUCT.pack(self.dst, self.src, self.ethertype)
 
     @classmethod
-    def unpack(cls, data: bytes) -> "EthernetHeader":
-        if len(data) < cls.SIZE:
+    def unpack(cls, data: bytes, offset: int = 0) -> "EthernetHeader":
+        if len(data) - offset < cls.SIZE:
             raise ParseError("truncated Ethernet header")
-        dst, src, ethertype = _ETH_STRUCT.unpack_from(data)
-        return cls(dst=dst, src=src, ethertype=ethertype)
+        return cls(*_ETH_STRUCT.unpack_from(data, offset))
 
     def copy(self) -> "EthernetHeader":
         return EthernetHeader(self.dst, self.src, self.ethertype)
@@ -101,8 +143,8 @@ class Ipv4Header:
         return raw
 
     @classmethod
-    def unpack(cls, data: bytes) -> "Ipv4Header":
-        if len(data) < cls.SIZE:
+    def unpack(cls, data: bytes, offset: int = 0) -> "Ipv4Header":
+        if len(data) - offset < cls.SIZE:
             raise ParseError("truncated IPv4 header")
         (
             version_ihl,
@@ -115,22 +157,22 @@ class Ipv4Header:
             checksum,
             src_ip,
             dst_ip,
-        ) = _IPV4_STRUCT.unpack_from(data)
+        ) = _IPV4_STRUCT.unpack_from(data, offset)
         if version_ihl >> 4 != 4:
             raise ParseError(f"not IPv4 (version {version_ihl >> 4})")
         if version_ihl & 0xF != 5:
             raise ParseError("IPv4 options are not supported")
         return cls(
-            tos=tos,
-            total_length=total_length,
-            identification=identification,
-            flags=(flags_frag >> 13) & 0x7,
-            fragment_offset=flags_frag & 0x1FFF,
-            ttl=ttl,
-            protocol=protocol,
-            checksum=checksum,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
+            tos,
+            total_length,
+            identification,
+            (flags_frag >> 13) & 0x7,
+            flags_frag & 0x1FFF,
+            ttl,
+            protocol,
+            checksum,
+            src_ip,
+            dst_ip,
         )
 
     def copy(self) -> "Ipv4Header":
@@ -183,8 +225,8 @@ class TcpHeader:
         )
 
     @classmethod
-    def unpack(cls, data: bytes) -> "TcpHeader":
-        if len(data) < cls.SIZE:
+    def unpack(cls, data: bytes, offset: int = 0) -> "TcpHeader":
+        if len(data) - offset < cls.SIZE:
             raise ParseError("truncated TCP header")
         (
             src_port,
@@ -196,19 +238,10 @@ class TcpHeader:
             window,
             checksum,
             urgent,
-        ) = _TCP_STRUCT.unpack_from(data)
+        ) = _TCP_STRUCT.unpack_from(data, offset)
         if offset_reserved >> 4 != 5:
             raise ParseError("TCP options are not supported")
-        return cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=window,
-            checksum=checksum,
-            urgent=urgent,
-        )
+        return cls(src_port, dst_port, seq, ack, flags, window, checksum, urgent)
 
     def copy(self) -> "TcpHeader":
         return TcpHeader(
@@ -240,25 +273,77 @@ class UdpHeader:
         )
 
     @classmethod
-    def unpack(cls, data: bytes) -> "UdpHeader":
-        if len(data) < cls.SIZE:
+    def unpack(cls, data: bytes, offset: int = 0) -> "UdpHeader":
+        if len(data) - offset < cls.SIZE:
             raise ParseError("truncated UDP header")
-        src_port, dst_port, length, checksum = _UDP_STRUCT.unpack_from(data)
-        return cls(
-            src_port=src_port, dst_port=dst_port, length=length, checksum=checksum
-        )
+        return cls(*_UDP_STRUCT.unpack_from(data, offset))
 
     def copy(self) -> "UdpHeader":
         return UdpHeader(self.src_port, self.dst_port, self.length, self.checksum)
 
 
+def raw_flow_key(frame, device: int) -> Optional[FlowKey]:
+    """The microflow key straight off the frame bytes, or None.
+
+    The key :meth:`Packet.flow_key` reads off the parsed headers, under
+    the same eligibility rules, without parsing: index checks plus one
+    ``struct.unpack_from`` for the whole 5-tuple region.
+    """
+    if len(frame) < _MIN_LEN_UDP:
+        return None
+    # Indexed, not sliced: callers pass RX buffers (bytearray), where a
+    # slice allocates.
+    if frame[OFF_ETHERTYPE] != _ETH_HI or frame[OFF_ETHERTYPE + 1] != _ETH_LO:
+        return None
+    if frame[OFF_VERSION_IHL] != _VERSION_IHL5:
+        return None
+    # flags/frag-offset word: MF or a nonzero offset → not cacheable.
+    if frame[OFF_FLAGS_FRAG] & 0x3F or frame[OFF_FLAGS_FRAG + 1]:
+        return None
+    proto = frame[OFF_PROTO]
+    if proto == PROTO_TCP:
+        if len(frame) < _MIN_LEN_TCP:
+            return None
+    elif proto != PROTO_UDP:
+        return None
+    src_ip, dst_ip, src_port, dst_port = _ENDPOINTS.unpack_from(frame, OFF_SRC_IP)
+    return (device, proto, src_ip, src_port, dst_ip, dst_port)
+
+
+def _parse(data: bytes):
+    """(eth, ipv4, l4, payload) of a frame: the one parser.
+
+    Non-IPv4 or non-TCP/UDP payloads stay opaque.
+    """
+    eth = EthernetHeader.unpack(data)
+    offset = EthernetHeader.SIZE
+    if eth.ethertype != ETHERTYPE_IPV4:
+        return eth, None, None, data[offset:]
+    ipv4 = Ipv4Header.unpack(data, offset)
+    offset += Ipv4Header.SIZE
+    l4: TcpHeader | UdpHeader | None
+    if ipv4.protocol == PROTO_TCP:
+        l4 = TcpHeader.unpack(data, offset)
+        offset += TcpHeader.SIZE
+    elif ipv4.protocol == PROTO_UDP:
+        l4 = UdpHeader.unpack(data, offset)
+        offset += UdpHeader.SIZE
+    else:
+        l4 = None
+    return eth, ipv4, l4, data[offset:]
+
+
 @dataclass(slots=True)
 class Packet:
-    """A parsed packet plus the device index it was received on.
+    """A packet plus the device index it was received on.
 
     ``l4`` is a :class:`TcpHeader` or :class:`UdpHeader`; the NAT only
     translates TCP and UDP (RFC 3022 traditional NAT), everything else is
     handled by the stateless dispatch code.
+
+    ``image`` is the frame's bytes while the packet is wire-backed (see
+    the module docstring) and None once any header has been touched, or
+    for a packet built from headers. Read it; never assign it.
     """
 
     eth: EthernetHeader = field(default_factory=EthernetHeader)
@@ -266,6 +351,7 @@ class Packet:
     l4: TcpHeader | UdpHeader | None = None
     payload: bytes = b""
     device: int = 0
+    image: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def src_port(self) -> int:
@@ -285,6 +371,42 @@ class Packet:
             self.eth.ethertype == ETHERTYPE_IPV4
             and self.ipv4 is not None
             and self.l4 is not None
+        )
+
+    def flow_key(self) -> Optional[FlowKey]:
+        """The microflow key, or None when the packet is ineligible.
+
+        Ineligible (→ slow path): non-IPv4, no TCP/UDP header, fragments
+        (MF set or nonzero offset — their L4 header may be absent or
+        belong to another fragment). Answered from the image when there
+        is one — :func:`raw_flow_key` minus the checks canonical form
+        already implies — and from the headers otherwise; the two agree
+        on every frame.
+        """
+        image = self.image
+        if image is not None:
+            if image[OFF_FLAGS_FRAG] & 0x3F or image[OFF_FLAGS_FRAG + 1]:
+                return None
+            src_ip, dst_ip, src_port, dst_port = _ENDPOINTS.unpack_from(
+                image, OFF_SRC_IP
+            )
+            return (self.device, image[OFF_PROTO], src_ip, src_port, dst_ip, dst_port)
+        ipv4 = self.ipv4
+        l4 = self.l4
+        if self.eth.ethertype != ETHERTYPE_IPV4 or ipv4 is None or l4 is None:
+            return None
+        if (ipv4.flags & 0x1) or ipv4.fragment_offset:
+            return None
+        proto = ipv4.protocol
+        if proto != PROTO_TCP and proto != PROTO_UDP:
+            return None
+        return (
+            self.device,
+            proto,
+            ipv4.src_ip,
+            l4.src_port,
+            ipv4.dst_ip,
+            l4.dst_port,
         )
 
     def to_bytes(self) -> bytes:
@@ -321,8 +443,12 @@ class Packet:
         serializes to the very bytes a byte-level patching data path
         produces — the equality the fast-path differential harness
         asserts. Lengths are taken from the structure (headers plus
-        payload), not from the stored fields.
+        payload), not from the stored fields. A wire-backed packet *is*
+        those bytes and hands back its image.
         """
+        image = self.image
+        if image is not None:
+            return image
         parts = [self.eth.pack()]
         if self.ipv4 is not None:
             if self.l4 is not None:
@@ -340,23 +466,65 @@ class Packet:
 
     @classmethod
     def from_bytes(cls, data: bytes, device: int = 0) -> "Packet":
-        """Parse a frame. Non-IPv4 or non-TCP/UDP payloads stay opaque."""
-        eth = EthernetHeader.unpack(data)
-        offset = EthernetHeader.SIZE
-        if eth.ethertype != ETHERTYPE_IPV4:
-            return cls(eth=eth, payload=data[offset:], device=device)
-        ipv4 = Ipv4Header.unpack(data[offset:])
-        offset += Ipv4Header.SIZE
-        l4: TcpHeader | UdpHeader | None
-        if ipv4.protocol == PROTO_TCP:
-            l4 = TcpHeader.unpack(data[offset:])
-            offset += TcpHeader.SIZE
-        elif ipv4.protocol == PROTO_UDP:
-            l4 = UdpHeader.unpack(data[offset:])
-            offset += UdpHeader.SIZE
-        else:
-            l4 = None
-        return cls(eth=eth, ipv4=ipv4, l4=l4, payload=data[offset:], device=device)
+        """A frame as a packet: validated, parsed only when it must be.
+
+        A frame in *canonical form* is kept as its image and parsed on
+        first header access: option-less IPv4 over Ethernet II carrying
+        UDP or option-less TCP, every length field agreeing with the
+        frame's own length — ``total_length == len - 14``, and UDP
+        ``length == len - 34`` or the TCP data-offset byte ``== 0x50``
+        (offset 5, reserved bits clear). Of all TCP and UDP frames,
+        exactly these survive parse then :meth:`wire_bytes` unchanged
+        (it takes lengths from the structure and writes a fixed offset
+        byte), so exactly these may stand in for their own parse. Any
+        other frame — trailing Ethernet padding, a wrong length, IP or
+        TCP options, another protocol or ethertype (always slow-path
+        traffic: nothing on their way is faster for staying bytes),
+        anything malformed — is parsed here and now, raising
+        :class:`ParseError` as it always did.
+
+        A mutable buffer is copied once at entry, so neither an image
+        nor a payload ever aliases a caller's ring slot.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        size = len(data)
+        if (
+            size >= _MIN_LEN_UDP
+            and data[OFF_ETHERTYPE : OFF_VERSION_IHL + 1] == _IPV4_IHL5
+            and _U16_STRUCT.unpack_from(data, _OFF_TOTAL_LENGTH)[0]
+            == size - EthernetHeader.SIZE
+        ):
+            proto = data[OFF_PROTO]
+            if (
+                _U16_STRUCT.unpack_from(data, _OFF_UDP_LENGTH)[0]
+                == size - EthernetHeader.SIZE - Ipv4Header.SIZE
+                if proto == PROTO_UDP
+                else proto == PROTO_TCP
+                and size >= _MIN_LEN_TCP
+                and data[_OFF_TCP_DATA_OFFSET] == _TCP_DATA_OFFSET_5
+            ):
+                # from_image, inlined: this runs once per frame.
+                packet = _new_packet(_WirePacket)
+                packet.image = data
+                packet.device = device
+                return packet
+        return Packet(*_parse(data), device)
+
+    @classmethod
+    def from_image(cls, image: bytes, device: int = 0) -> "Packet":
+        """A wire-backed packet over ``image``, unchecked.
+
+        For callers that *know* ``image`` is canonical: it came out of a
+        wire-backed packet, or a compiled closure made it from one (a
+        closure splices fixed-width fields only, so lengths and offsets
+        carry over). Anything off the wire goes through
+        :meth:`from_bytes`.
+        """
+        packet = _new_packet(_WirePacket)
+        packet.image = image
+        packet.device = device
+        return packet
 
     def l4_checksum_valid(self) -> bool:
         """True when the stored L4 checksum matches the packet contents."""
@@ -369,7 +537,13 @@ class Packet:
         return checksums_equivalent(expected, self.l4.checksum)
 
     def clone(self) -> "Packet":
-        """Deep-copy the packet (headers are small; payload bytes shared)."""
+        """Deep-copy the packet (headers are small; payload bytes shared).
+
+        A wire-backed packet's clone shares its immutable image.
+        """
+        image = self.image
+        if image is not None:
+            return Packet.from_image(image, self.device)
         ipv4 = self.ipv4
         l4 = self.l4
         return Packet(
@@ -381,18 +555,87 @@ class Packet:
         )
 
 
+_new_packet = object.__new__
+
+
+def _materialise(packet: "_WirePacket") -> None:
+    """Parse the image into headers, once, and become a plain Packet."""
+    image = packet.image
+    packet.__class__ = Packet
+    packet.image = None
+    packet.eth, packet.ipv4, packet.l4, packet.payload = _parse(image)
+
+
+def _parsed_on_touch(name: str) -> property:
+    """``Packet.<name>``, materialising the packet before the access."""
+    slot = Packet.__dict__[name]
+
+    def read(self):
+        _materialise(self)
+        return slot.__get__(self)
+
+    def write(self, value):
+        _materialise(self)
+        slot.__set__(self, value)
+
+    return property(read, write)
+
+
+class _WirePacket(Packet):
+    """The wire-backed state of a :class:`Packet` — never a second type.
+
+    An instance carries only ``image`` and ``device``. Touching any
+    parsed field swaps ``__class__`` back to :class:`Packet` before the
+    access completes, so a header reference, a field write, ``==`` and
+    ``repr`` only ever see a materialised packet, and a materialised
+    packet pays nothing for this class existing: its field reads stay
+    plain slot loads.
+    """
+
+    __slots__ = ()
+
+    eth = _parsed_on_touch("eth")
+    ipv4 = _parsed_on_touch("ipv4")
+    l4 = _parsed_on_touch("l4")
+    payload = _parsed_on_touch("payload")
+
+    def __eq__(self, other):
+        _materialise(self)
+        return self == other
+
+    __hash__ = None  # mutable, like every Packet
+
+    def __repr__(self) -> str:
+        _materialise(self)
+        return repr(self)
+
+    def __reduce__(self):
+        # copy/pickle rebuild from the image; the parsed slots are unset.
+        return Packet.from_image, (self.image, self.device)
+
+
 # internet_checksum is re-exported for callers that only import headers.
 __all__ = [
     "ETHERTYPE_ARP",
     "ETHERTYPE_IPV4",
+    "OFF_ETHERTYPE",
+    "OFF_FLAGS_FRAG",
+    "OFF_IP_CSUM",
+    "OFF_PROTO",
+    "OFF_SRC_IP",
+    "OFF_TCP_CSUM",
+    "OFF_UDP_CSUM",
+    "OFF_VERSION_IHL",
     "PROTO_ICMP",
     "PROTO_TCP",
     "PROTO_UDP",
     "EthernetHeader",
+    "FlowKey",
     "Ipv4Header",
     "Packet",
     "ParseError",
     "TcpHeader",
     "UdpHeader",
     "internet_checksum",
+    "raw_flow_key",
 ]

@@ -11,7 +11,7 @@ both paths.
 import pytest
 
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, packet_flow_key
+from repro.nat.fastpath import FastPathNat
 from repro.nat.netfilter import NetfilterNat
 from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
@@ -145,7 +145,7 @@ class TestFallThrough:
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         frag = outbound(4000)
         frag.ipv4.fragment_offset = 8
-        assert packet_flow_key(frag) is None
+        assert frag.flow_key() is None
         fast.process(frag, 1_000)
         fast.process(frag.clone(), 1_001)
         counters = fast.op_counters()
@@ -157,7 +157,7 @@ class TestFallThrough:
         icmp = outbound(4000)
         icmp.ipv4.protocol = PROTO_ICMP
         icmp.l4 = None
-        assert packet_flow_key(icmp) is None
+        assert icmp.flow_key() is None
         fast.process(icmp, 1_000)
         assert fast.cache_size == 0
 
@@ -165,7 +165,7 @@ class TestFallThrough:
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         arp = outbound(4000)
         arp.eth.ethertype = 0x0806
-        assert packet_flow_key(arp) is None
+        assert arp.flow_key() is None
 
 
 class TestZeroUdpChecksumRegression:
@@ -299,10 +299,13 @@ class TestWarmFromRestoredState:
         want = [[(p.wire_bytes(), p.device) for p in outs] for outs in object_out]
         assert [list(outs) for outs in raw_out] == want
         # Warmed actions carry no closure: each flow's first raw frame
-        # takes the slow path and earns one.
+        # is its first wire-backed hit, which earns one — no miss, no
+        # slow path.
         counters = fast.op_counters()
-        assert counters["fastpath_misses"] == 2
+        assert counters["fastpath_misses"] == 0
+        assert counters["fastpath_hits"] == 2
         assert counters["fastpath_compiles"] == 2
+        assert counters["fastpath_compiled_hits"] == 2
 
     def test_unverified_nat_warms_too(self):
         fast, primary, ext_of = self._restored(nf_class=UnverifiedNat, flows=4)

@@ -8,9 +8,10 @@ both directions, repeated flows (cache hits), disabled UDP checksums,
 TCP and UDP, fragments, and time gaps that cross the expiry threshold.
 
 Coverage spans all three data paths the cache plugs into: the per-packet
-and burst NF entry points (object and raw-byte, apart and interleaved
-on one cache), the DPDK-style runtime main loop, and the RSS-sharded
-multi-worker runtime (``fastpath="compiled"``).
+and burst NF entry points (materialised packets, wire-backed packets
+and raw buffers, apart and interleaved on one cache), the DPDK-style
+runtime main loop, and the RSS-sharded multi-worker runtime
+(``fastpath="compiled"``).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from repro.nat.vignat import VigNat
 from repro.net.app import RuntimeSpec, launch
 from repro.net.dpdk import DpdkRuntime
 from repro.packets.builder import make_tcp_packet, make_udp_packet
+from repro.packets.headers import Packet
 
 CFG_KW = dict(max_flows=8, expiration_time=2_000_000, start_port=1000)
 
@@ -158,13 +160,15 @@ class TestNfEntryPoints:
     @given(
         steps=_steps(),
         entries=st.lists(
-            st.sampled_from(("object", "raw")), min_size=40, max_size=40
+            st.sampled_from(("object", "wire", "raw")), min_size=40, max_size=40
         ),
     )
     def test_vignat_mixed_entry_points_identical(self, steps, entries):
-        """Both entry points interleaved over one cache: actions learned
-        on either side (with or without a closure) serve the other, and
-        the wire never shows which path a packet took."""
+        """Materialised packets, wire-backed packets and raw buffers
+        interleaved over one cache: an action learned by any of them
+        serves the others (object replay or closure, whichever the
+        packet's state calls for), and the wire never shows which path
+        a packet took."""
         slow = VigNat(NatConfig(**CFG_KW))
         fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
         now = 0
@@ -180,7 +184,11 @@ class TestNfEntryPoints:
                     [(bytearray(packet.wire_bytes()), packet.device)], now
                 )[0]
             else:
-                (outs,) = fast.process_burst([packet.clone()], now)
+                offered = packet.clone()
+                if entry == "wire":
+                    offered = Packet.from_bytes(packet.wire_bytes(), packet.device)
+                    assert offered.image is not None
+                (outs,) = fast.process_burst([offered], now)
                 got = [(p.wire_bytes(), p.device) for p in outs]
             assert got == want
         assert fast.compiled_size <= fast.cache_size

@@ -15,6 +15,8 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
+from repro.net import procrun
+from repro.net.mbuf import SLOT_HEADER, SlotRecordError
 from repro.net.procrun import (
     ProcessShardedRuntime,
     WorkerCrashed,
@@ -68,6 +70,26 @@ class TestFraming:
 
     def test_empty_blob(self):
         assert unpack_records(b"") == []
+
+    def test_truncated_record_is_refused_not_shortened(self):
+        """A span cut anywhere inside its last record — header or wire
+        bytes — is an error, never a silently short frame."""
+        wire = outbound(3).wire_bytes()
+        blob = pack_record(0, 0, 1, wire) + pack_record(1, 0, 2, wire)
+        one = len(blob) // 2
+        for cut in range(one + 1, len(blob)):
+            with pytest.raises(SlotRecordError):
+                unpack_records(blob[:cut])
+        assert len(unpack_records(blob[:one])) == 1
+
+    def test_over_long_record_is_refused(self):
+        wire = outbound(3).wire_bytes()
+        blob = SLOT_HEADER.pack(0, 0, 1, len(wire) + 1) + wire
+        with pytest.raises(SlotRecordError, match="announces"):
+            unpack_records(blob)
+        # The same check guards a pipe message's records (offset form).
+        with pytest.raises(SlotRecordError):
+            unpack_records(b"I" + blob, 1)
 
 
 class TestDataPath:
@@ -174,6 +196,25 @@ class TestCrashSurface:
         finally:
             runtime.stop()
 
+    def test_corrupt_tx_span_surfaces_as_worker_crashed(self):
+        """A TX span that ends inside a record means the ring's writer
+        cannot be trusted: the turn reports the shard as crashed."""
+        runtime = ProcessShardedRuntime(VigNat, config(), workers=1)
+        try:
+            drive(runtime, 8)
+            runtime.collect()
+            record = pack_record(1, 1, 2_000, outbound(0).wire_bytes())
+            # The worker is idle between turns, so the parent can stand
+            # in for it as the ring's one producer.
+            assert runtime._out_rings[0].try_push_burst(record[:-3])
+            with pytest.raises(WorkerCrashed) as exc_info:
+                runtime.main_loop_burst(3_000, 8)
+            assert exc_info.value.shard == 0
+            assert "corrupt TX span" in exc_info.value.reason
+            assert runtime.collect() == []
+        finally:
+            runtime.stop()
+
     def test_kill_counts_lost_batch(self):
         """Packets buffered for a worker killed before its turn are
         accounted as fault_kill_lost, like the oracle's ledger."""
@@ -210,8 +251,6 @@ class TestWorkerErrors:
             frame = checkpoint_set.checkpoints[0]
             corrupted = bytearray(frame.to_bytes())
             corrupted[-1] ^= 0xFF
-            from repro.net import procrun
-
             with pytest.raises(CheckpointError):
                 runtime._request(
                     0,
@@ -219,6 +258,20 @@ class TestWorkerErrors:
                     procrun.RE_RESTORED,
                 )
             # The worker survives its own exception and keeps serving.
+            drive(runtime, 4)
+            assert runtime.flow_count() == 4
+
+    def test_truncated_inject_record_reraises_in_parent(self):
+        """A worker handed records that end mid-frame refuses the whole
+        message with the typed error instead of parsing a short frame."""
+        record = pack_record(0, 0, 1_000, outbound(0).wire_bytes())
+        with ProcessShardedRuntime(
+            VigNat, config(), workers=1, transport="pipe"
+        ) as runtime:
+            runtime._conns[0].send_bytes(procrun.OP_INJECT + record[:-3])
+            with pytest.raises(RuntimeError, match="SlotRecordError"):
+                runtime._recv(0)
+            # Nothing of the message was injected; the worker serves on.
             drive(runtime, 4)
             assert runtime.flow_count() == 4
 

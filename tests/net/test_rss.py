@@ -200,6 +200,38 @@ class TestNatSteering:
         assert steering.worker_for(stray) == rss_queue(stray, 4)
 
 
+class TestSteeringReadsTheImage:
+    """A wire-backed packet is steered off its image: same worker as
+    its materialised twin, and still wire-backed afterwards."""
+
+    def _cases(self):
+        shards = CFG.partition(4)
+        yield udp(HOST, REMOTE, 4000, 53, device=0)
+        yield udp(HOST, REMOTE, 4000, CFG.start_port, device=0)
+        yield udp(REMOTE, CFG.external_ip, 53, CFG.end_port + 100, device=1)
+        for shard in shards:
+            yield udp(REMOTE, CFG.external_ip, 53, shard.start_port, device=1)
+        for sport in range(5000, 5032):
+            yield udp(HOST, REMOTE, sport, 53, device=0)
+
+    def test_wire_backed_steers_like_its_materialised_twin(self):
+        steering = NatSteering(CFG.partition(4))
+        for twin in self._cases():
+            packet = Packet.from_bytes(twin.wire_bytes(), twin.device)
+            assert packet.image is not None
+            assert steering.worker_for(packet) == steering.worker_for(twin)
+            assert rss_hash_packet(packet) == rss_hash_packet(twin)
+            assert packet.image is not None
+
+    def test_wire_backed_fragment_takes_the_header_path(self):
+        steering = NatSteering(CFG.partition(4))
+        frag = udp(REMOTE, CFG.external_ip, 53, CFG.start_port, device=1)
+        frag.ipv4.flags = MORE_FRAGMENTS
+        packet = Packet.from_bytes(frag.wire_bytes(), 1)
+        assert packet.image is not None and packet.flow_key() is None
+        assert steering.worker_for(packet) == rss_queue(frag, 4)
+
+
 class TestIcmpErrorSteering:
     """Regression: ICMP errors about a translated flow must reach the
     flow's worker. The error's only link to the flow is the external
