@@ -45,9 +45,9 @@ Checkpoint/restore. :meth:`ChainRuntime.checkpoint` binds one frame per
 stage into a single ``repro-ckpt-set/v1``
 :class:`~repro.resil.checkpoint.CheckpointSet` (stage order is frame
 order); :meth:`ChainRuntime.restore` is all-or-nothing — every frame is
-first restored into freshly built NFs (running the full per-NF
-validation) and only then adopted, so a bad set leaves the chain
-untouched.
+first restored into a throwaway NF (running the full per-NF
+validation) and only then does each stage engine restore its own, so a
+bad set leaves the chain untouched.
 """
 
 from __future__ import annotations
@@ -55,17 +55,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, check_fastpath
+from repro.nat.fastpath import check_fastpath
 from repro.net.app import INLINE, PROCESS, RuntimeSpec, launch
+from repro.net.dpdk import build_nf, ingress_fault
 from repro.net.nic import Port
 from repro.obs import flight
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, with_labels
 from repro.packets.headers import Packet
-from repro.resil.checkpoint import CheckpointError, CheckpointSet, restore_all
+from repro.resil.checkpoint import CheckpointError, CheckpointSet
 
 #: Execution modes a chain supports: every stage inline in this
 #: process, or one OS process per stage.
@@ -176,14 +176,11 @@ class ChainRuntime:
         # Per-stage effective fastpath: the spec's value where the NF
         # publishes hooks, "off" elsewhere (FastPathNat refuses NFs
         # without hooks; equivalence makes the mix byte-transparent).
-        self._stage_fastpath: List[str] = []
-        self._stage_nf_names: List[str] = []
-        for stage in spec.stages:
-            probe = stage.build_nf()
-            supports = probe.fastpath_hooks() is not None
-            self._stage_fastpath.append(spec.fastpath if supports else "off")
-            self._stage_nf_names.append(probe.name)
-        self.engines = [self._launch_stage(i) for i in range(n)]
+        self._stage_fastpath: List[str] = [
+            spec.fastpath if stage.build_nf().fastpath_hooks() is not None else "off"
+            for stage in spec.stages
+        ]
+        self.engines = [launch(self._stage_spec(i)) for i in range(n)]
         self._down: List[bool] = [False] * n
         # Two wire-facing ports with bounded RX rings, like any NIC.
         self._ports = [Port(0, spec.rx_capacity), Port(1, spec.rx_capacity)]
@@ -212,14 +209,9 @@ class ChainRuntime:
         # RuntimeSpec-level config only feeds process-mode partitioning
         # plumbing (degenerate at one worker), so it is passed through
         # only when it actually is a NatConfig.
-        build = stage.nf_factory
         config = stage.config
-
-        def factory(_shard_config, build=build, config=config):
-            return build(config)
-
         return RuntimeSpec(
-            nf_factory=factory,
+            nf_factory=lambda _shard_config: stage.build_nf(),
             config=config if isinstance(config, NatConfig) else None,
             workers=1,
             execution=spec.execution,
@@ -231,9 +223,6 @@ class ChainRuntime:
             transport=spec.transport,
             turn_timeout_s=spec.turn_timeout_s,
         )
-
-    def _launch_stage(self, index: int):
-        return launch(self._stage_spec(index))
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -292,29 +281,12 @@ class ChainRuntime:
             raise ValueError(f"chain ports are 0 and 1, got {port_id}")
         scope = 0 if port_id == 0 else len(self.stages) - 1
         plan = self.spec.fault_plan
+        reorder = False
         if plan is not None and not plan.empty:
-            verdict, delay_us = plan.link_verdict(timestamp, scope)
-            if verdict == "drop":
-                self.fault_wire_dropped += 1
-                recorder = obs.recorder()
-                if recorder.active:
-                    recorder.trace(
-                        flight.DROP,
-                        t_us=timestamp,
-                        worker=scope,
-                        reason=flight.REASON_LINK_FAULT,
-                    )
+            hit = ingress_fault(plan, self, packet, timestamp, scope)
+            if hit is None:
                 return False
-            if verdict == "corrupt":
-                packet = plan.corrupt_packet(packet)
-                self.fault_wire_corrupted += 1
-            if delay_us:
-                timestamp += delay_us
-        reorder = (
-            plan is not None
-            and not plan.empty
-            and plan.reorder_fires(timestamp, scope)
-        )
+            packet, timestamp, reorder = hit
         accepted = self._ports[port_id].deliver(packet, timestamp)
         if reorder and accepted:
             self._ports[port_id].swap_tail()
@@ -492,9 +464,6 @@ class ChainRuntime:
 
         return merge_snapshots(snapshots)
 
-    def metrics_snapshot(self) -> Dict:
-        return self.snapshot_metrics()
-
     # -- control plane -------------------------------------------------------
     def checkpoint(self, now_us: int = 0) -> CheckpointSet:
         """One coordinated set: frame ``i`` is stage ``i``'s state.
@@ -519,32 +488,24 @@ class ChainRuntime:
     def restore(self, checkpoint_set: CheckpointSet) -> None:
         """Adopt a chain-wide set, all-or-nothing.
 
-        Every frame is first restored into a freshly built NF per stage
-        — running the full name/config/state validation — and only when
-        all of them succeed is anything swapped in, so a corrupt or
-        mismatched set leaves the running chain untouched.
+        Every frame is first restored into a throwaway NF per stage —
+        running the full name/config/state validation — and only when
+        all of them pass does any engine restore its own frame, so a
+        corrupt or mismatched set leaves the running chain untouched.
         """
         if checkpoint_set.workers != len(self.stages):
             raise CheckpointError(
                 f"checkpoint set holds {checkpoint_set.workers} stage(s), "
                 f"chain has {len(self.stages)}"
             )
-        fresh = [stage.build_nf() for stage in self.stages]
-        restore_all(fresh, checkpoint_set)
-        for index, engine in enumerate(self.engines):
-            if self.spec.execution == INLINE:
-                nf: NetworkFunction = fresh[index]
-                if self._stage_fastpath[index] != "off":
-                    nf = FastPathNat(nf)
-                engine.nf = nf
-            else:
-                frame = checkpoint_set.checkpoints[index]
-                engine.restore(
-                    CheckpointSet(
-                        taken_at_us=checkpoint_set.taken_at_us,
-                        checkpoints=(frame,),
-                    )
-                )
+        for stage, fastpath, frame in zip(
+            self.stages, self._stage_fastpath, checkpoint_set.checkpoints
+        ):
+            build_nf(stage.nf_factory, stage.config, fastpath, frame)
+        for index, frame in enumerate(checkpoint_set.checkpoints):
+            self.engines[index].restore(
+                CheckpointSet(checkpoint_set.taken_at_us, (frame,))
+            )
             self._down[index] = False
 
     def fail_stage(self, index: int) -> None:
@@ -570,7 +531,7 @@ class ChainRuntime:
                 f"stage swap takes a single-stage set, got "
                 f"{checkpoint_set.workers} frames"
             )
-        engine = self._launch_stage(index)
+        engine = launch(self._stage_spec(index))
         if checkpoint_set is not None:
             try:
                 engine.restore(checkpoint_set)

@@ -12,10 +12,13 @@ Two things live here:
   constructor zoo (`DpdkRuntime(...)`, ``ShardedRuntime(workers=,
   fastpath=)``, ``ReplicatedRuntime(...)``, ad-hoc testbed kwargs).
 
-Execution modes and what they are for:
+Execution modes and what they are for — each is the same unit, a
+:class:`~repro.net.dpdk.Shard` (NF + ``DpdkRuntime`` + turn +
+checkpoint/restore), placed differently, so ``checkpoint()`` and
+``restore()`` mean the same thing in all three:
 
-- ``inline`` — one NF, one :class:`~repro.net.dpdk.DpdkRuntime`, no
-  steering stage. The minimal single-core deployment.
+- ``inline`` — :class:`InlineRuntime`: one shard, no steering stage.
+  The minimal single-core deployment.
 - ``threaded-deterministic`` — :class:`~repro.net.dpdk.ShardedRuntime`:
   N shards round-robined in one thread. Fully deterministic; this is
   the *verification oracle* the process mode is differentially tested
@@ -42,8 +45,8 @@ from typing import (
 from repro.libvig.batcher import Batcher
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, check_fastpath
-from repro.net.dpdk import DpdkRuntime, ShardedRuntime
+from repro.nat.fastpath import check_fastpath
+from repro.net.dpdk import DpdkRuntime, Shard, ShardedRuntime
 from repro.obs.registry import MetricsRegistry
 from repro.packets.headers import Packet
 from repro.packets.pcap import PcapRecord, read_pcap_file, write_pcap_file
@@ -182,7 +185,7 @@ class Runtime(Protocol):
 
 
 class InlineRuntime:
-    """The single-worker deployment: one NF over one ``DpdkRuntime``.
+    """The single-worker deployment: one :class:`~repro.net.dpdk.Shard`.
 
     No steering stage, no partitioning — the spec's config is the NF's
     whole config. Satisfies the :class:`Runtime` protocol so sweeps can
@@ -192,13 +195,17 @@ class InlineRuntime:
     def __init__(self, spec: RuntimeSpec) -> None:
         self.spec = spec
         self.config = spec.resolved_config()
-        nf = spec.nf_factory(self.config)
-        self.nf: NetworkFunction = (
-            FastPathNat(nf) if spec.fastpath != "off" else nf
+        self.shard = Shard(
+            spec.nf_factory,
+            self.config,
+            fastpath=spec.fastpath,
+            port_count=spec.port_count,
+            rx_capacity=spec.rx_capacity,
+            pool_size=spec.pool_size,
         )
-        self.runtime = DpdkRuntime(
-            spec.port_count, spec.rx_capacity, spec.pool_size
-        )
+        #: The shard's runtime, held directly: the per-packet calls
+        #: below go straight to ``DpdkRuntime`` with no hop in between.
+        self.runtime = self.shard.runtime
 
     @property
     def workers(self) -> int:
@@ -215,11 +222,11 @@ class InlineRuntime:
         return [self.runtime.collect()]
 
     def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
-        return self.runtime.main_loop_burst(self.nf, now_us, burst_size)
+        return self.runtime.main_loop_burst(self.shard.nf, now_us, burst_size)
 
     # -- introspection -------------------------------------------------------
     def op_counters(self) -> Dict[str, int]:
-        return dict(self.nf.op_counters())
+        return dict(self.shard.nf.op_counters())
 
     def per_worker_counters(self) -> List[Dict[str, int]]:
         return [self.op_counters()]
@@ -228,32 +235,28 @@ class InlineRuntime:
         return self.runtime.drop_causes()
 
     def flow_count(self) -> int:
-        return self.nf.flow_count() if hasattr(self.nf, "flow_count") else 0
+        return self.shard.flow_count()
 
     # -- observability -------------------------------------------------------
     def register_metrics(self, registry) -> None:
-        labels = {"worker": "0"}
-        self.runtime.register_metrics(registry, labels)
-        self.nf.register_metrics(registry, labels)
+        self.shard.register_metrics(registry, {"worker": "0"})
 
     def snapshot_metrics(self) -> Dict:
         registry = MetricsRegistry()
         self.register_metrics(registry)
         return registry.snapshot()
 
-    def metrics_snapshot(self) -> Dict:
-        return self.snapshot_metrics()
-
     # -- control plane -------------------------------------------------------
     def checkpoint(self, now_us: int = 0):
-        from repro.resil.checkpoint import snapshot_all
+        from repro.resil.checkpoint import CheckpointSet
 
-        return snapshot_all([self.nf], now_us)
+        return CheckpointSet(
+            taken_at_us=now_us, checkpoints=(self.shard.checkpoint(now_us),)
+        )
 
     def restore(self, checkpoint_set) -> None:
-        from repro.resil.checkpoint import restore_all
-
-        restore_all([self.nf], checkpoint_set)
+        (frame,) = checkpoint_set.for_workers(1)
+        self.shard.restore(frame)
 
     def stop(self) -> None:
         """Nothing to tear down — inline state dies with the object."""
@@ -271,19 +274,19 @@ def launch(spec: RuntimeSpec) -> Runtime:
     other modes is a harmless no-op, so generic drivers can always use
     ``try/finally: runtime.stop()``.
     """
+    sharded = (spec.nf_factory, spec.config, spec.workers)
+    front = dict(
+        port_count=spec.port_count,
+        rx_capacity=spec.rx_capacity,
+        pool_size=spec.pool_size,
+        fastpath=spec.fastpath,
+        fault_plan=spec.fault_plan,
+    )
     if spec.replication_lag is not None:
         from repro.resil.failover import ReplicatedRuntime
 
         runtime: Runtime = ReplicatedRuntime(
-            spec.nf_factory,
-            spec.config,
-            spec.workers,
-            lag=spec.replication_lag,
-            fastpath=spec.fastpath,
-            fault_plan=spec.fault_plan,
-            port_count=spec.port_count,
-            rx_capacity=spec.rx_capacity,
-            pool_size=spec.pool_size,
+            *sharded, lag=spec.replication_lag, **front
         )
     elif spec.execution == INLINE:
         runtime = InlineRuntime(spec)
@@ -291,31 +294,16 @@ def launch(spec: RuntimeSpec) -> Runtime:
         from repro.net.procrun import ProcessShardedRuntime
 
         runtime = ProcessShardedRuntime(
-            spec.nf_factory,
-            spec.config,
-            spec.workers,
-            port_count=spec.port_count,
-            rx_capacity=spec.rx_capacity,
-            pool_size=spec.pool_size,
-            fastpath=spec.fastpath,
-            fault_plan=spec.fault_plan,
+            *sharded,
             turn_timeout_s=spec.turn_timeout_s,
             transport=spec.transport,
             supervise=spec.supervise,
             ring_slots=spec.ring_slots,
             ring_slot_bytes=spec.ring_slot_bytes,
+            **front,
         )
     else:
-        runtime = ShardedRuntime(
-            spec.nf_factory,
-            spec.config,
-            spec.workers,
-            port_count=spec.port_count,
-            rx_capacity=spec.rx_capacity,
-            pool_size=spec.pool_size,
-            fastpath=spec.fastpath,
-            fault_plan=spec.fault_plan,
-        )
+        runtime = ShardedRuntime(*sharded, **front)
     runtime.spec = spec  # type: ignore[attr-defined]
     return runtime
 

@@ -8,14 +8,18 @@ main-loop turn that drives any :class:`~repro.nat.base.NetworkFunction`
 through its burst entry point with the no-leak discipline Vigor's
 ownership tracking enforces (§5.2.4).
 
-:class:`ShardedRuntime` scales that out: N workers, each a private
-``DpdkRuntime`` plus an NF built from one shard of a partitioned
-:class:`~repro.nat.config.NatConfig`, behind the NAT-aware RSS steering
-of :mod:`repro.net.rss`. See ``docs/SCALING.md``.
+:class:`Shard` is the unit every launched runtime is made of: one NF
+built from the factory, its private ``DpdkRuntime``, one turn, and the
+one ``checkpoint``/``restore``. :class:`ShardedRuntime` scales it out —
+N shards of a partitioned :class:`~repro.nat.config.NatConfig` behind
+the NAT-aware RSS steering of :mod:`repro.net.rss`
+(:class:`SteeringFront`, shared with the process runtime). See
+``docs/SCALING.md`` and DESIGN.md "Runtime: who owns what".
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -196,31 +200,187 @@ class DpdkRuntime:
         return out
 
 
-class ShardedRuntime:
-    """N independent workers behind one RSS-steered NIC.
+def build_nf(
+    nf_factory: Callable[[NatConfig], NetworkFunction],
+    config,
+    fastpath: str = "off",
+    checkpoint=None,
+) -> NetworkFunction:
+    """The one NF builder: the factory's NF, wrapped iff the fast path is on.
 
-    Each worker is a complete single-core data path — its own
-    :class:`DpdkRuntime` (ports, mbuf pool) plus its own NF instance
-    built from one shard of the partitioned configuration
-    (:meth:`repro.nat.config.NatConfig.partition`), so no state, buffer
-    or counter is ever shared between workers. Arriving packets pass the
-    NAT-aware steering of :class:`repro.net.rss.NatSteering` (forward
-    traffic by 5-tuple hash, return traffic by external-port ownership),
-    which guarantees every packet of a flow — replies and ICMP errors
-    included — reaches the worker holding that flow's state.
+    Given a ``checkpoint`` the new NF comes back holding its state —
+    through :func:`repro.resil.checkpoint.restore`, so every
+    name/config/state check applies and a refused frame raises.
+    """
+    nf = nf_factory(config)
+    if check_fastpath(fastpath) != "off":
+        nf = FastPathNat(nf)
+    if checkpoint is not None:
+        from repro.resil.checkpoint import restore
 
-    :meth:`main_loop_burst` runs one burst-mode main-loop turn on every
-    worker in a deterministic round-robin (worker 0 first), which keeps
-    simulated runs reproducible; on hardware the workers would spin on
-    their own cores concurrently. The verified per-packet core is
-    untouched: sharding lives entirely in this (modelled) I/O layer.
+        restore(nf, checkpoint)
+    return nf
 
-    An optional ``fault_plan`` (:class:`repro.resil.faults.FaultPlan`)
-    injects faults at the runtime's choke points: link drop/corrupt/
-    delay and partitions at :meth:`inject` (the wire → NIC boundary),
-    worker kill/hang, clock skew and mbuf-pool seizure at
-    :meth:`main_loop_burst`. With no plan (the default) every code path
-    is exactly as before — fault injection costs nothing when off.
+
+class Shard:
+    """One worker's whole world: an NF, its ``DpdkRuntime``, its hostages.
+
+    The unit every runtime builds, turns, checkpoints and restores
+    through: :class:`~repro.net.app.InlineRuntime` is one,
+    :class:`ShardedRuntime` holds N, a
+    :class:`~repro.net.procrun.ProcessShardedRuntime` worker process
+    hosts one, and the failover controller promotes a standby into a
+    fresh one (built with the standby's ``checkpoint``, it starts out
+    holding that state). Nothing in it is shared with any other shard.
+    """
+
+    def __init__(
+        self,
+        nf_factory: Callable[[NatConfig], NetworkFunction],
+        config,
+        *,
+        fastpath: str = "off",
+        worker_id: int = 0,
+        port_count: int = 2,
+        rx_capacity: int = 512,
+        pool_size: int = 4096,
+        checkpoint=None,
+    ) -> None:
+        self.fastpath = fastpath
+        self._build_nf = partial(build_nf, nf_factory, config, fastpath)
+        self.nf = self._build_nf(checkpoint)
+        self.runtime = DpdkRuntime(port_count, rx_capacity, pool_size)
+        self.runtime.worker_id = worker_id
+        # Buffers held hostage by a pool-exhaust fault.
+        self._seized: List[Mbuf] = []
+
+    def turn(self, now_us: int, burst_size: int = 32, seizure: int = 0) -> int:
+        """One main-loop turn with exactly ``seizure`` buffers held hostage.
+
+        Seizure goes through the pool's public alloc/free so ownership
+        accounting (in_flight, high_water, alloc_failures) tells the
+        truth about the induced pressure.
+        """
+        held = self._seized
+        pool = self.runtime.pool
+        while len(held) < seizure:
+            mbuf = pool.alloc(None, port=0, timestamp=0)
+            if mbuf is None:
+                break  # pool already drier than the fault demands
+            held.append(mbuf)
+        while len(held) > seizure:
+            pool.free(held.pop())
+        return self.runtime.main_loop_burst(self.nf, now_us, burst_size)
+
+    def flush_rx(self, now_us: int) -> int:
+        """Discard a dead worker's queued packets, returning the count."""
+        lost = 0
+        recorder = obs.recorder()
+        tracing = recorder.active
+        for port in self.runtime.ports.values():
+            while port.rx_pop() is not None:
+                lost += 1
+                if tracing:
+                    recorder.trace(
+                        flight.DROP,
+                        t_us=now_us,
+                        worker=self.runtime.worker_id,
+                        reason=flight.REASON_WORKER_KILL,
+                    )
+        return lost
+
+    def flow_count(self) -> int:
+        nf = self.nf
+        return nf.flow_count() if hasattr(nf, "flow_count") else 0
+
+    def counters(self) -> Dict:
+        """What a front end merges: NF ops, drop causes, live flows."""
+        return {
+            "op_counters": dict(self.nf.op_counters()),
+            "drop_causes": self.runtime.drop_causes(),
+            "flow_count": self.flow_count(),
+        }
+
+    def register_metrics(self, registry, labels=None) -> None:
+        self.runtime.register_metrics(registry, labels)
+        self.nf.register_metrics(registry, labels)
+
+    # -- control plane -----------------------------------------------------------
+    def checkpoint(self, now_us: int = 0):
+        """This shard's ``repro-ckpt/v1`` frame (take it between turns)."""
+        from repro.resil.checkpoint import snapshot
+
+        return snapshot(self.nf, now_us)
+
+    def restore(self, checkpoint) -> None:
+        """Adopt a checkpoint — the one restore every recovery path takes.
+
+        ``restore_state`` demands a freshly constructed NF, so the state
+        lands in a new one from the factory (its fastpath cache cold, as
+        after any restore) and replaces the serving NF only once every
+        name/config/state check has passed: a bad frame raises and the
+        old NF keeps serving, warm or not.
+        """
+        self.nf = self._build_nf(checkpoint)
+
+
+def ingress_fault(plan, tally, packet: Packet, timestamp: int, scope: int):
+    """What an active fault plan does to one packet arriving off the wire.
+
+    ``None`` when a drop/partition verdict destroyed it (counted on
+    ``tally`` and traced); otherwise ``(packet, timestamp, reorder)`` —
+    the possibly corrupted packet, its possibly delayed arrival stamp,
+    and whether it should trade places with its ring predecessor. The
+    reorder draw happens for every delivered-verdict packet (not only
+    when a swap is possible) so the seeded RNG sequence is identical
+    across runtimes consulting the same plan.
+    """
+    verdict, delay_us = plan.link_verdict(timestamp, scope)
+    if verdict == "drop":
+        tally.fault_wire_dropped += 1
+        recorder = obs.recorder()
+        if recorder.active:
+            recorder.trace(
+                flight.DROP,
+                t_us=timestamp,
+                worker=scope,
+                reason=flight.REASON_LINK_FAULT,
+            )
+        return None
+    if verdict == "corrupt":
+        packet = plan.corrupt_packet(packet)
+        tally.fault_wire_corrupted += 1
+    timestamp += delay_us
+    return packet, timestamp, plan.reorder_fires(timestamp, scope)
+
+
+def merge_counters(per_worker) -> Dict[str, int]:
+    """Per-worker counter dicts merged into one.
+
+    Counts sum; ``pool_high_water`` aggregates by max — every worker
+    owns a private pool, so the merged watermark is the worst any single
+    pool saw, not the sum of marks no pool ever reached together.
+    """
+    aggregate: Dict[str, int] = {}
+    for counters in per_worker:
+        for key, value in counters.items():
+            if key == "pool_high_water":
+                aggregate[key] = max(aggregate.get(key, 0), value)
+            else:
+                aggregate[key] = aggregate.get(key, 0) + value
+    return aggregate
+
+
+class SteeringFront:
+    """What the two sharded front ends share; where the shards live is theirs.
+
+    One partitioned config, NAT-aware steering behind an :class:`RssNic`,
+    the fault plan's wire tallies, and the merged views — counters,
+    checkpoint, restore — over per-worker answers. :class:`ShardedRuntime`
+    answers from in-thread :class:`Shard` objects,
+    :class:`~repro.net.procrun.ProcessShardedRuntime` asks a worker
+    process hosting one. The wire side and the main loop stay on each
+    class.
     """
 
     def __init__(
@@ -242,18 +402,17 @@ class ShardedRuntime:
         self.config = config
         self.shards: Tuple[NatConfig, ...] = config.partition(workers)
         self.steering = steering if steering is not None else NatSteering(self.shards)
-        self.nfs: List[NetworkFunction] = [nf_factory(cfg) for cfg in self.shards]
-        if check_fastpath(fastpath) != "off":
-            # Per-worker microflow caches: each worker caches only the
-            # flows steered to it, so caches stay private like all other
-            # worker state.
-            self.nfs = [FastPathNat(nf) for nf in self.nfs]
-        self.runtimes: List[DpdkRuntime] = [
-            DpdkRuntime(port_count, rx_capacity, pool_size) for _ in range(workers)
-        ]
-        for worker_id, runtime in enumerate(self.runtimes):
-            runtime.worker_id = worker_id
         self.nic = RssNic(workers, steer=self.steering.worker_for)
+        fastpath = check_fastpath(fastpath)
+        self._build_nf = partial(build_nf, nf_factory, fastpath=fastpath)
+        self._make_shard = partial(
+            Shard,
+            nf_factory,
+            fastpath=fastpath,
+            port_count=port_count,
+            rx_capacity=rx_capacity,
+            pool_size=pool_size,
+        )
         #: Duck-typed FaultPlan (kept untyped to avoid a net → resil
         #: import cycle); None means no fault machinery runs at all.
         self.fault_plan = fault_plan
@@ -262,51 +421,163 @@ class ShardedRuntime:
         self.fault_wire_corrupted = 0
         #: Queued packets lost when a killed worker's rings were flushed.
         self.fault_kill_lost = 0
-        # Buffers currently held hostage per worker by pool-exhaust faults.
-        self._seized: List[List[Mbuf]] = [[] for _ in range(workers)]
+        self._start()
+
+    def _start(self) -> None:
+        """Bring the workers up — the subclass knows where they live."""
+        raise NotImplementedError
+
+    def fresh_shard(self, worker_id: int, checkpoint=None) -> Shard:
+        """A newly built shard for one worker slot: empty state and a
+        cold cache, or ``checkpoint``'s state (a standby promotion)."""
+        return self._make_shard(
+            self.shards[worker_id], worker_id=worker_id, checkpoint=checkpoint
+        )
 
     @property
     def workers(self) -> int:
-        return len(self.nfs)
+        return len(self.shards)
 
     @property
     def steered(self) -> List[int]:
         """Packets steered to each worker so far."""
         return list(self.nic.queue_packets)
 
-    # -- wire side -----------------------------------------------------------
     def worker_for(self, packet: Packet) -> int:
         """The worker the steering stage would select (without counting)."""
         return self.steering.worker_for(packet)
 
+    # -- merged views over the subclass's per-worker ``_worker_*`` answers --------
+    def per_worker_counters(self) -> List[Dict[str, int]]:
+        """Each worker's NF operation counters, in worker order."""
+        return [
+            self._worker_counters(w)["op_counters"] for w in range(self.workers)
+        ]
+
+    def op_counters(self) -> Dict[str, int]:
+        """NF operation counters aggregated (summed) across workers."""
+        return merge_counters(self.per_worker_counters())
+
+    def drop_causes(self) -> Dict[str, int]:
+        """Drop/near-drop causes across all workers (:func:`merge_counters`).
+
+        Fault-attributed losses appear only when a plan is attached, so
+        fault-free reports stay byte-identical to the pre-fault layer.
+        """
+        causes = merge_counters(
+            self._worker_counters(w)["drop_causes"] for w in range(self.workers)
+        )
+        if self.fault_plan is not None:
+            causes["fault_wire_dropped"] = self.fault_wire_dropped
+            causes["fault_wire_corrupted"] = self.fault_wire_corrupted
+            causes["fault_kill_lost"] = self.fault_kill_lost
+        return causes
+
+    def flow_count(self) -> int:
+        """Live translation entries across all workers."""
+        return sum(
+            self._worker_counters(w)["flow_count"] for w in range(self.workers)
+        )
+
+    def metrics_snapshot(self) -> Dict:
+        """Alias of ``snapshot_metrics`` (the :class:`repro.net.app.Runtime` name)."""
+        return self.snapshot_metrics()
+
+    def checkpoint(self, now_us: int = 0):
+        """A coordinated checkpoint of every shard, as one manifest.
+
+        Take it between main-loop turns: nothing is in flight and every
+        RX ring has been drained, so the frames form a consistent cut.
+        """
+        from repro.resil.checkpoint import CheckpointSet
+
+        return CheckpointSet(
+            now_us,
+            tuple(self._worker_checkpoint(w, now_us) for w in range(self.workers)),
+        )
+
+    def restore(self, checkpoint_set) -> None:
+        """Adopt a coordinated checkpoint, one frame per worker — all or nothing.
+
+        Every frame first restores into a throwaway NF built here from
+        that worker's config (the full name/config/state validation);
+        only when all of them pass is any worker told to adopt its own.
+        A frame refused in any slot therefore leaves the whole fleet
+        serving its pre-restore flows, never a mixed cut.
+        """
+        frames = checkpoint_set.for_workers(self.workers)
+        for config, frame in zip(self.shards, frames):
+            self._build_nf(config, checkpoint=frame)
+        for worker_id, frame in enumerate(frames):
+            self._worker_restore(worker_id, frame)
+
+
+class ShardedRuntime(SteeringFront):
+    """N independent workers behind one RSS-steered NIC.
+
+    Each worker is a complete single-core data path — a :class:`Shard`
+    built from one slice of the partitioned configuration
+    (:meth:`repro.nat.config.NatConfig.partition`), so no state, buffer
+    or counter is ever shared between workers. Arriving packets pass the
+    NAT-aware steering of :class:`repro.net.rss.NatSteering` (forward
+    traffic by 5-tuple hash, return traffic by external-port ownership),
+    which guarantees every packet of a flow — replies and ICMP errors
+    included — reaches the worker holding that flow's state.
+
+    :meth:`main_loop_burst` runs one burst-mode main-loop turn on every
+    worker in a deterministic round-robin (worker 0 first), which keeps
+    simulated runs reproducible; on hardware the workers would spin on
+    their own cores concurrently. The verified per-packet core is
+    untouched: sharding lives entirely in this (modelled) I/O layer.
+
+    An optional ``fault_plan`` (:class:`repro.resil.faults.FaultPlan`)
+    injects faults at the runtime's choke points: link drop/corrupt/
+    delay and partitions at :meth:`inject` (the wire → NIC boundary,
+    :func:`ingress_fault`), worker kill/hang, clock skew and mbuf-pool
+    seizure at :meth:`main_loop_burst`. With no plan (the default) every
+    code path is exactly as before — fault injection costs nothing when
+    off.
+    """
+
+    def _start(self) -> None:
+        #: The workers, in worker order (``shards`` are their configs).
+        self.units: List[Shard] = [self.fresh_shard(w) for w in range(self.workers)]
+
+    @property
+    def nfs(self) -> Tuple[NetworkFunction, ...]:
+        """Each worker's serving NF — a view; replace ``units[w]`` to swap one."""
+        return tuple(unit.nf for unit in self.units)
+
+    @property
+    def runtimes(self) -> Tuple[DpdkRuntime, ...]:
+        return tuple(unit.runtime for unit in self.units)
+
+    def _worker_counters(self, worker_id: int) -> Dict:
+        return self.units[worker_id].counters()
+
+    def _worker_checkpoint(self, worker_id: int, now_us: int):
+        return self.units[worker_id].checkpoint(now_us)
+
+    def _worker_restore(self, worker_id: int, checkpoint) -> None:
+        self.units[worker_id].restore(checkpoint)
+
+    # -- wire side -----------------------------------------------------------
     def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
         """Deliver a packet from the wire: RSS-steer, then enqueue.
 
-        An active fault plan is consulted first, with the packet's
-        steering target as the fault scope: a drop/partition verdict
-        destroys the packet before the NIC ever sees it, corruption
-        damages it in flight, and link delay slips its arrival stamp.
+        An active fault plan is consulted first
+        (:func:`ingress_fault`), with the packet's steering target as
+        the fault scope.
         """
         plan = self.fault_plan
+        reorder = False
         if plan is not None and not plan.empty:
-            target = self.steering.worker_for(packet)
-            verdict, delay_us = plan.link_verdict(timestamp, target)
-            if verdict == "drop":
-                self.fault_wire_dropped += 1
-                recorder = obs.recorder()
-                if recorder.active:
-                    recorder.trace(
-                        flight.DROP,
-                        t_us=timestamp,
-                        worker=target,
-                        reason=flight.REASON_LINK_FAULT,
-                    )
+            hit = ingress_fault(
+                plan, self, packet, timestamp, self.steering.worker_for(packet)
+            )
+            if hit is None:
                 return False
-            if verdict == "corrupt":
-                packet = plan.corrupt_packet(packet)
-                self.fault_wire_corrupted += 1
-            if delay_us:
-                timestamp += delay_us
+            packet, timestamp, reorder = hit
         worker = self.nic.select(packet)
         recorder = obs.recorder()
         if recorder.active:
@@ -316,30 +587,21 @@ class ShardedRuntime:
                 worker=worker,
                 detail=f"port {port_id}",
             )
-        # The reorder draw happens for every delivered-verdict packet
-        # (not only when a swap is possible) so the seeded RNG sequence
-        # is identical across runtimes consulting the same plan.
-        reorder = (
-            plan is not None
-            and not plan.empty
-            and plan.reorder_fires(timestamp, worker)
-        )
-        accepted = self.runtimes[worker].inject(port_id, packet, timestamp)
+        runtime = self.units[worker].runtime
+        accepted = runtime.inject(port_id, packet, timestamp)
         if reorder and accepted:
-            self.runtimes[worker].ports[port_id].swap_tail()
+            runtime.ports[port_id].swap_tail()
         return accepted
 
     def collect(self) -> List[Tuple[int, int, Packet]]:
         """All workers' transmissions, merged: (port, timestamp, packet)."""
-        merged: List[Tuple[int, int, Packet]] = []
-        for runtime in self.runtimes:
-            merged.extend(runtime.collect())
+        merged = [item for sent in self.collect_by_worker() for item in sent]
         merged.sort(key=lambda item: item[1])  # stable: worker order on ties
         return merged
 
     def collect_by_worker(self) -> List[List[Tuple[int, int, Packet]]]:
         """Per-worker transmissions since the last collect."""
-        return [runtime.collect() for runtime in self.runtimes]
+        return [unit.runtime.collect() for unit in self.units]
 
     # -- the sharded main loop ------------------------------------------------
     def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
@@ -356,21 +618,20 @@ class ShardedRuntime:
         processed = 0
         plan = self.fault_plan
         faults_on = plan is not None and not plan.empty
-        for worker_id, (runtime, nf) in enumerate(zip(self.runtimes, self.nfs)):
+        for worker_id, unit in enumerate(self.units):
             worker_now = now_us
+            seizure = 0
             if faults_on:
                 if plan.worker_killed(now_us, worker_id):
-                    self.fault_kill_lost += self._flush_rx(runtime, now_us)
+                    self.flush_worker(worker_id, now_us)
                     continue
                 if plan.worker_hung(now_us, worker_id):
                     continue
-                self._apply_pool_seizure(
-                    worker_id, runtime, plan.pool_seizure(now_us, worker_id)
-                )
+                seizure = plan.pool_seizure(now_us, worker_id)
                 skew = plan.clock_skew_us(now_us, worker_id)
                 if skew:
                     worker_now = max(0, now_us + skew)
-            processed += runtime.main_loop_burst(nf, worker_now, burst_size)
+            processed += unit.turn(worker_now, burst_size, seizure)
         return processed
 
     def flush_worker(self, worker_id: int, now_us: int) -> int:
@@ -380,89 +641,9 @@ class ShardedRuntime:
         worker's RX rings are gone, so whatever they held is attributed
         to the kill. Returns the number of packets lost.
         """
-        lost = self._flush_rx(self.runtimes[worker_id], now_us)
+        lost = self.units[worker_id].flush_rx(now_us)
         self.fault_kill_lost += lost
         return lost
-
-    def _flush_rx(self, runtime: DpdkRuntime, now_us: int) -> int:
-        """Discard a dead worker's queued packets, returning the count."""
-        lost = 0
-        recorder = obs.recorder()
-        tracing = recorder.active
-        for port in runtime.ports.values():
-            while True:
-                item = port.rx_pop()
-                if item is None:
-                    break
-                lost += 1
-                if tracing:
-                    recorder.trace(
-                        flight.DROP,
-                        t_us=now_us,
-                        worker=runtime.worker_id,
-                        reason=flight.REASON_WORKER_KILL,
-                    )
-        return lost
-
-    def _apply_pool_seizure(
-        self, worker_id: int, runtime: DpdkRuntime, target: int
-    ) -> None:
-        """Hold exactly ``target`` of this worker's buffers hostage.
-
-        Seizure goes through the pool's public alloc/free so ownership
-        accounting (in_flight, high_water, alloc_failures) tells the
-        truth about the induced pressure.
-        """
-        held = self._seized[worker_id]
-        while len(held) < target:
-            mbuf = runtime.pool.alloc(None, port=0, timestamp=0)
-            if mbuf is None:
-                break  # pool already drier than the fault demands
-            held.append(mbuf)
-        while len(held) > target:
-            runtime.pool.free(held.pop())
-
-    # -- introspection ----------------------------------------------------------
-    def flow_count(self) -> int:
-        """Live translation entries across all workers."""
-        return sum(
-            nf.flow_count() for nf in self.nfs if hasattr(nf, "flow_count")
-        )
-
-    def per_worker_counters(self) -> List[Dict[str, int]]:
-        """Each worker's NF operation counters, in worker order."""
-        return [dict(nf.op_counters()) for nf in self.nfs]
-
-    def op_counters(self) -> Dict[str, int]:
-        """NF operation counters aggregated (summed) across workers."""
-        aggregate: Dict[str, int] = {}
-        for counters in self.per_worker_counters():
-            for key, value in counters.items():
-                aggregate[key] = aggregate.get(key, 0) + value
-        return aggregate
-
-    def drop_causes(self) -> Dict[str, int]:
-        """Drop/near-drop causes aggregated across all workers.
-
-        Drop counts sum; ``pool_high_water`` aggregates by max — every
-        worker owns a private pool (sized ``pool_size`` each), so the
-        merged watermark is the worst any single pool saw, not the sum
-        of marks no pool ever reached together.
-        """
-        aggregate: Dict[str, int] = {}
-        for runtime in self.runtimes:
-            for key, value in runtime.drop_causes().items():
-                if key == "pool_high_water":
-                    aggregate[key] = max(aggregate.get(key, 0), value)
-                else:
-                    aggregate[key] = aggregate.get(key, 0) + value
-        # Fault-attributed losses appear only when a plan is attached, so
-        # fault-free reports stay byte-identical to the pre-fault layer.
-        if self.fault_plan is not None:
-            aggregate["fault_wire_dropped"] = self.fault_wire_dropped
-            aggregate["fault_wire_corrupted"] = self.fault_wire_corrupted
-            aggregate["fault_kill_lost"] = self.fault_kill_lost
-        return aggregate
 
     # -- observability -----------------------------------------------------------
     def register_metrics(self, registry) -> None:
@@ -474,38 +655,14 @@ class ShardedRuntime:
         matching the no-shared-state discipline of the data path.
         """
         self.nic.register_metrics(registry)
-        for worker_id, (runtime, nf) in enumerate(zip(self.runtimes, self.nfs)):
-            labels = {"worker": str(worker_id)}
-            runtime.register_metrics(registry, labels)
-            nf.register_metrics(registry, labels)
+        for worker_id, unit in enumerate(self.units):
+            unit.register_metrics(registry, {"worker": str(worker_id)})
 
-    def metrics_snapshot(self) -> Dict:
+    def snapshot_metrics(self) -> Dict:
         """One merged snapshot: NIC steering, all workers' runtimes + NFs."""
         registry = MetricsRegistry()
         self.register_metrics(registry)
         return registry.snapshot()
-
-    def snapshot_metrics(self) -> Dict:
-        """Protocol alias (see :class:`repro.net.app.Runtime`)."""
-        return self.metrics_snapshot()
-
-    # -- control plane -----------------------------------------------------------
-    def checkpoint(self, now_us: int = 0):
-        """A coordinated checkpoint of every shard, as one manifest.
-
-        Single-threaded execution makes the fence trivial: between
-        main-loop turns nothing is in flight and every RX ring has been
-        drained, so the shard frames always form a consistent cut.
-        """
-        from repro.resil.checkpoint import snapshot_all
-
-        return snapshot_all(self.nfs, now_us)
-
-    def restore(self, checkpoint_set) -> None:
-        """Adopt a coordinated checkpoint, one frame per worker, in order."""
-        from repro.resil.checkpoint import restore_all
-
-        restore_all(self.nfs, checkpoint_set)
 
     def stop(self) -> None:
         """Nothing to tear down — workers are plain objects in-thread."""

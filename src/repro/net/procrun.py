@@ -2,14 +2,13 @@
 
 :class:`~repro.net.dpdk.ShardedRuntime` round-robins its workers inside
 one Python thread — deterministic, but "4 workers" never buys wall-clock
-time. :class:`ProcessShardedRuntime` keeps the exact same shape (one
-shard of a partitioned :class:`~repro.nat.config.NatConfig`, one NF, one
-:class:`~repro.net.dpdk.DpdkRuntime`, one private fastpath cache and
-:class:`~repro.obs.registry.MetricsRegistry` per worker) but runs every
-worker in its own OS process, so shards execute concurrently on real
-cores. Nothing is shared: the parent owns the RSS steering stage
-(:class:`~repro.net.rss.NatSteering` behind an
-:class:`~repro.net.nic.RssNic`).
+time. :class:`ProcessShardedRuntime` is the same
+:class:`~repro.net.dpdk.SteeringFront` over the same unit — one
+:class:`~repro.net.dpdk.Shard` per worker — but each shard lives in its
+own OS process, so shards execute concurrently on real cores. Every
+control-plane opcode below is one call on that shard (``T`` is
+``turn``, ``N`` ``counters``, ``S`` ``register_metrics``, ``K``
+``checkpoint``, ``R`` ``restore``); the parent owns only steering.
 
 Two interchangeable payload transports move packets across the
 parent/worker boundary (``RuntimeSpec(transport=...)``):
@@ -74,20 +73,19 @@ import signal
 import struct
 import time
 import weakref
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, check_fastpath
-from repro.net.dpdk import DpdkRuntime
+from repro.net.dpdk import Shard, SteeringFront, ingress_fault
 from repro.net.mbuf import (
     SLOT_HEADER,
     SlotRecordError,
     pack_slot_record,
     unpack_slot_records,
 )
-from repro.net.nic import RssNic
 from repro.net.rss import NatSteering
 from repro.net.shmring import (
     DEFAULT_SLOT_BYTES,
@@ -313,18 +311,12 @@ class WorkerCrashed(RuntimeError):
 
 def _worker_main(
     conn,
-    worker_id: int,
-    nf_factory: Callable[[NatConfig], NetworkFunction],
-    shard: NatConfig,
-    fastpath: str,
-    port_count: int,
-    rx_capacity: int,
-    pool_size: int,
+    make_shard: Callable[[], Shard],
     inject_ring: Optional[ShmRing] = None,
     out_ring: Optional[ShmRing] = None,
     turn_timeout_s: float = 30.0,
 ) -> None:
-    """One shard's whole world: NF + runtime + cache + registry, private.
+    """Host one :class:`~repro.net.dpdk.Shard`, private to this process.
 
     Runs until an ``X`` command or pipe EOF. Every command handler is
     wrapped: an exception becomes an ``e`` reply (type + message) so the
@@ -338,46 +330,32 @@ def _worker_main(
     ACK, so the parent's ACK read doubles as the TX-visibility fence.
     """
     from repro.resil.checkpoint import Checkpoint
-    from repro.resil.checkpoint import restore as restore_checkpoint
-    from repro.resil.checkpoint import snapshot as snapshot_checkpoint
 
-    nf = nf_factory(shard)
-    if fastpath != "off":
-        nf = FastPathNat(nf)
-    runtime = DpdkRuntime(port_count, rx_capacity, pool_size)
-    runtime.worker_id = worker_id
-    seized: List = []
+    shard = make_shard()
+    runtime = shard.runtime
     stats = TransportStats()
     transport = TRANSPORT_SHM if inject_ring is not None else TRANSPORT_PIPE
     max_span = None
     if out_ring is not None:
         max_span = max(out_ring.slot_bytes, out_ring.capacity_bytes // 4)
 
-    def apply_pool_seizure(target: int) -> None:
-        while len(seized) < target:
-            mbuf = runtime.pool.alloc(None, port=0, timestamp=0)
-            if mbuf is None:
-                break
-            seized.append(mbuf)
-        while len(seized) > target:
-            runtime.pool.free(seized.pop())
+    def deliver(blob: bytes, offset: int = 0) -> None:
+        """Unframe one burst of records onto the runtime's RX queues."""
+        t0 = time.perf_counter_ns()
+        records = unpack_slot_records(blob, offset)
+        stats.encode_ns += time.perf_counter_ns() - t0
+        for port_id, device, timestamp, wire in records:
+            runtime.inject(port_id, Packet.from_bytes(wire, device=device), timestamp)
 
-    def drain_inject() -> int:
+    def drain_inject() -> None:
         """Pop every visible burst into the runtime's RX queues."""
-        drained = 0
         while True:
             t0 = time.perf_counter_ns()
             blob = inject_ring.pop_burst_bytes()
-            t1 = time.perf_counter_ns()
             if blob is None:
-                return drained
-            stats.copy_ns += t1 - t0
-            records = unpack_slot_records(blob)
-            stats.encode_ns += time.perf_counter_ns() - t1
-            for port_id, device, timestamp, wire in records:
-                packet = Packet.from_bytes(wire, device=device)
-                runtime.inject(port_id, packet, timestamp)
-            drained += len(records)
+                return
+            stats.copy_ns += time.perf_counter_ns() - t0
+            deliver(blob)
 
     while True:
         try:
@@ -392,18 +370,12 @@ def _worker_main(
         op = message[:1]
         try:
             if op == OP_INJECT:
-                t0 = time.perf_counter_ns()
-                records = unpack_slot_records(message, 1)
-                stats.encode_ns += time.perf_counter_ns() - t0
-                for port_id, device, timestamp, wire in records:
-                    packet = Packet.from_bytes(wire, device=device)
-                    runtime.inject(port_id, packet, timestamp)
+                deliver(message, 1)
             elif op == OP_TURN:
                 seq, now_us, burst_size, seizure = _TURN.unpack_from(message, 1)
                 if inject_ring is not None:
                     drain_inject()  # the T write fenced these spans
-                apply_pool_seizure(seizure)
-                processed = runtime.main_loop_burst(nf, now_us, burst_size)
+                processed = shard.turn(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
                 frames = [
                     pack_record(port_id, packet.device, timestamp, packet.wire_bytes())
@@ -424,37 +396,27 @@ def _worker_main(
                     stats.copy_ns += time.perf_counter_ns() - t0
             elif op == OP_SNAPSHOT:
                 registry = MetricsRegistry()
-                labels = {"worker": str(worker_id), "transport": transport}
-                runtime.register_metrics(registry, labels)
-                nf.register_metrics(registry, labels)
+                labels = {"worker": str(runtime.worker_id), "transport": transport}
+                shard.register_metrics(registry, labels)
                 stats.register_metrics(registry, labels)
                 conn.send_bytes(
                     RE_SNAPSHOT + json.dumps(registry.snapshot()).encode("utf-8")
                 )
             elif op == OP_COUNTERS:
-                payload = {
-                    "op_counters": dict(nf.op_counters()),
-                    "drop_causes": runtime.drop_causes(),
-                    "flow_count": nf.flow_count() if hasattr(nf, "flow_count") else 0,
-                    "transport_ns": stats.as_dict(),
-                }
+                payload = dict(shard.counters(), transport_ns=stats.as_dict())
                 conn.send_bytes(RE_COUNTERS + json.dumps(payload).encode("utf-8"))
             elif op == OP_CHECKPOINT:
                 (taken_at_us,) = _CKPT.unpack_from(message, 1)
-                frame = snapshot_checkpoint(nf, taken_at_us).to_bytes()
+                frame = shard.checkpoint(taken_at_us).to_bytes()
                 conn.send_bytes(RE_CHECKPOINT + frame)
             elif op == OP_RESTORE:
-                # restore_state demands a freshly constructed NF, so the
-                # worker rebuilds its shard from the factory first —
+                # restore_state demands a freshly constructed NF, so
+                # Shard.restore rebuilds it from the factory first —
                 # this is what lets the supervisor restore *surviving*
                 # workers in place after respawning only the dead ones
                 # (the fastpath cache starts cold, as after any restore:
                 # the generation bump would invalidate it anyway).
-                fresh = nf_factory(shard)
-                if fastpath != "off":
-                    fresh = FastPathNat(fresh)
-                restore_checkpoint(fresh, Checkpoint.from_bytes(message[1:]))
-                nf = fresh
+                shard.restore(Checkpoint.from_bytes(message[1:]))
                 conn.send_bytes(RE_RESTORED)
             elif op == OP_STOP:
                 conn.send_bytes(RE_BYE)
@@ -478,7 +440,7 @@ def _worker_main(
 # -- the parent-side runtime --------------------------------------------------
 
 
-class ProcessShardedRuntime:
+class ProcessShardedRuntime(SteeringFront):
     """N shard processes behind one RSS-steered NIC, driven by the parent.
 
     The public surface mirrors :class:`~repro.net.dpdk.ShardedRuntime`
@@ -527,36 +489,34 @@ class ProcessShardedRuntime:
         ring_slots: int = DEFAULT_SLOTS,
         ring_slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> None:
-        if workers <= 0:
-            raise ValueError("need at least one worker")
         if turn_timeout_s <= 0:
             raise ValueError("turn timeout must be positive")
         if transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {transport!r}; choose one of {TRANSPORTS}"
             )
-        config = config if config is not None else NatConfig()
-        self.config = config
-        self.shards: Tuple[NatConfig, ...] = config.partition(workers)
-        self.steering = steering if steering is not None else NatSteering(self.shards)
-        self.nic = RssNic(workers, steer=self.steering.worker_for)
-        self.fault_plan = fault_plan
-        self.fault_wire_dropped = 0
-        self.fault_wire_corrupted = 0
-        self.fault_kill_lost = 0
         self.turn_timeout_s = turn_timeout_s
         self.transport = transport
         self.supervise = supervise
         self.supervisor_restarts = 0
         self._ring_slots = ring_slots
         self._ring_slot_bytes = ring_slot_bytes
-        self._nf_factory = nf_factory
-        self._fastpath = check_fastpath(fastpath)
-        self._port_count = port_count
-        self._rx_capacity = rx_capacity
-        self._pool_size = pool_size
         self._stats = TransportStats()
+        super().__init__(
+            nf_factory,
+            config,
+            workers,
+            steering=steering,
+            port_count=port_count,
+            rx_capacity=rx_capacity,
+            pool_size=pool_size,
+            fastpath=fastpath,
+            fault_plan=fault_plan,
+        )
 
+    def _start(self) -> None:
+        """Spawn one process per shard (the front end is fully set up)."""
+        workers = self.workers
         self._context = multiprocessing.get_context("fork")
         self._conns: List = [None] * workers
         self._procs: List = [None] * workers
@@ -595,7 +555,7 @@ class ProcessShardedRuntime:
         ]
         self._stopped = False
         self._last_checkpoint_set = None
-        if supervise:
+        if self.supervise:
             # The recovery baseline must exist before the first crash:
             # a fresh fleet's coordinated empty-state checkpoint.
             self._last_checkpoint_set = self.checkpoint(0)
@@ -617,13 +577,7 @@ class ProcessShardedRuntime:
             target=_worker_main,
             args=(
                 child_conn,
-                worker_id,
-                self._nf_factory,
-                self.shards[worker_id],
-                self._fastpath,
-                self._port_count,
-                self._rx_capacity,
-                self._pool_size,
+                partial(self.fresh_shard, worker_id),
                 inject_ring,
                 out_ring,
                 self.turn_timeout_s,
@@ -648,50 +602,25 @@ class ProcessShardedRuntime:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- introspection -------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        return len(self.shards)
-
-    @property
-    def steered(self) -> List[int]:
-        """Packets steered to each worker so far."""
-        return list(self.nic.queue_packets)
-
-    def worker_for(self, packet: Packet) -> int:
-        """The worker the steering stage would select (without counting)."""
-        return self.steering.worker_for(packet)
-
     # -- wire side -----------------------------------------------------------
     def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
         """Steer a packet and buffer it for the next turn's batch.
 
-        Mirrors the oracle's fault consultation exactly (same verdict
-        order, same RNG draws) so fault-plan runs stay comparable. The
-        return value reports wire-level acceptance; ring-full drops
-        happen (and are counted) inside the owning worker, exactly where
-        the oracle's per-worker ports count them.
+        The fault consultation is the oracle's own
+        (:func:`~repro.net.dpdk.ingress_fault`), so fault-plan runs stay
+        comparable. The return value reports wire-level acceptance;
+        ring-full drops happen (and are counted) inside the owning
+        worker, exactly where the oracle's per-worker ports count them.
         """
         plan = self.fault_plan
+        reorder = False
         if plan is not None and not plan.empty:
-            target = self.steering.worker_for(packet)
-            verdict, delay_us = plan.link_verdict(timestamp, target)
-            if verdict == "drop":
-                self.fault_wire_dropped += 1
-                recorder = obs.recorder()
-                if recorder.active:
-                    recorder.trace(
-                        flight.DROP,
-                        t_us=timestamp,
-                        worker=target,
-                        reason=flight.REASON_LINK_FAULT,
-                    )
+            hit = ingress_fault(
+                plan, self, packet, timestamp, self.steering.worker_for(packet)
+            )
+            if hit is None:
                 return False
-            if verdict == "corrupt":
-                packet = plan.corrupt_packet(packet)
-                self.fault_wire_corrupted += 1
-            if delay_us:
-                timestamp += delay_us
+            packet, timestamp, reorder = hit
         worker = self.nic.select(packet)
         recorder = obs.recorder()
         if recorder.active:
@@ -704,11 +633,7 @@ class ProcessShardedRuntime:
         self._pending[worker].append(
             (port_id, packet.device, timestamp, packet.wire_bytes())
         )
-        if (
-            plan is not None
-            and not plan.empty
-            and plan.reorder_fires(timestamp, worker)
-        ):
+        if reorder:
             # Mirror Port.swap_tail on the not-yet-flushed batch: the
             # two newest same-port records trade payloads while their
             # timestamps stay with the slots, so arrival stamps remain
@@ -1111,8 +1036,8 @@ class ProcessShardedRuntime:
         head/tail protocol, but reusing the segment would complicate
         the proof for nothing); the replaced segments are unlinked
         immediately. The surviving workers restore too: the fleet
-        converges on one consistent cut, the same contract
-        ``restore_all`` gives the deterministic mode.
+        converges on one consistent cut, the same ``restore`` the
+        deterministic mode runs (``SteeringFront.restore``).
         """
         for worker_id in range(self.workers):
             if self._alive[worker_id]:
@@ -1159,43 +1084,21 @@ class ProcessShardedRuntime:
         assert reply[:1] == expect, f"unexpected reply {reply[:1]!r}"
         return reply
 
-    # -- counters ------------------------------------------------------------
-    def _counters(self, worker_id: int) -> Dict:
+    # -- the per-worker answers SteeringFront merges --------------------------
+    def _worker_counters(self, worker_id: int) -> Dict:
         reply = self._request(worker_id, OP_COUNTERS, RE_COUNTERS)
         return json.loads(reply[1:].decode("utf-8"))
 
-    def per_worker_counters(self) -> List[Dict[str, int]]:
-        """Each worker's NF operation counters, in worker order."""
-        return [self._counters(w)["op_counters"] for w in range(self.workers)]
+    def _worker_checkpoint(self, worker_id: int, now_us: int):
+        from repro.resil.checkpoint import Checkpoint
 
-    def op_counters(self) -> Dict[str, int]:
-        """NF operation counters aggregated (summed) across workers."""
-        aggregate: Dict[str, int] = {}
-        for counters in self.per_worker_counters():
-            for key, value in counters.items():
-                aggregate[key] = aggregate.get(key, 0) + value
-        return aggregate
-
-    def drop_causes(self) -> Dict[str, int]:
-        """Drop/near-drop causes aggregated across workers, oracle-style."""
-        aggregate: Dict[str, int] = {}
-        for worker_id in range(self.workers):
-            for key, value in self._counters(worker_id)["drop_causes"].items():
-                if key == "pool_high_water":
-                    aggregate[key] = max(aggregate.get(key, 0), value)
-                else:
-                    aggregate[key] = aggregate.get(key, 0) + value
-        if self.fault_plan is not None:
-            aggregate["fault_wire_dropped"] = self.fault_wire_dropped
-            aggregate["fault_wire_corrupted"] = self.fault_wire_corrupted
-            aggregate["fault_kill_lost"] = self.fault_kill_lost
-        return aggregate
-
-    def flow_count(self) -> int:
-        """Live translation entries across all workers."""
-        return sum(
-            self._counters(w)["flow_count"] for w in range(self.workers)
+        reply = self._request(
+            worker_id, OP_CHECKPOINT + _CKPT.pack(now_us), RE_CHECKPOINT
         )
+        return Checkpoint.from_bytes(reply[1:])
+
+    def _worker_restore(self, worker_id: int, checkpoint) -> None:
+        self._request(worker_id, OP_RESTORE + checkpoint.to_bytes(), RE_RESTORED)
 
     def transport_counters(self) -> Dict[str, Dict[str, int]]:
         """The ablation instruments, both halves: parent, per-worker, sum.
@@ -1206,7 +1109,7 @@ class ProcessShardedRuntime:
         across the parent and every worker.
         """
         per_worker = [
-            dict(self._counters(w).get("transport_ns", {}))
+            dict(self._worker_counters(w).get("transport_ns", {}))
             for w in range(self.workers)
         ]
         total = dict(self._stats.as_dict())
@@ -1246,10 +1149,6 @@ class ProcessShardedRuntime:
             snapshots.append(json.loads(reply[1:].decode("utf-8")))
         return merge_snapshots(snapshots)
 
-    def metrics_snapshot(self) -> Dict:
-        """Alias matching :class:`~repro.net.dpdk.ShardedRuntime`."""
-        return self.snapshot_metrics()
-
     # -- coordinated checkpoint ----------------------------------------------
     def checkpoint(self, now_us: int = 0):
         """Fence every worker and bind their frames into one manifest.
@@ -1262,32 +1161,16 @@ class ProcessShardedRuntime:
         completed turn RX rings are drained, making any inter-turn
         point a consistent cut.
         """
-        from repro.resil.checkpoint import Checkpoint, CheckpointSet
-
-        frames = []
-        for worker_id in range(self.workers):
-            reply = self._request(
-                worker_id, OP_CHECKPOINT + _CKPT.pack(now_us), RE_CHECKPOINT
-            )
-            frames.append(Checkpoint.from_bytes(reply[1:]))
-        checkpoint_set = CheckpointSet(
-            taken_at_us=now_us, checkpoints=tuple(frames)
-        )
+        checkpoint_set = super().checkpoint(now_us)
         if self.supervise:
             self._last_checkpoint_set = checkpoint_set
         return checkpoint_set
 
     def restore(self, checkpoint_set) -> None:
-        """Adopt a coordinated checkpoint, one frame per worker, in order."""
-        from repro.resil.checkpoint import CheckpointError
-
-        if checkpoint_set.workers != self.workers:
-            raise CheckpointError(
-                f"checkpoint set holds {checkpoint_set.workers} shard(s), "
-                f"runtime has {self.workers}"
-            )
-        for worker_id, ckpt in enumerate(checkpoint_set.checkpoints):
-            self._request(worker_id, OP_RESTORE + ckpt.to_bytes(), RE_RESTORED)
+        """Adopt a coordinated checkpoint (all-or-nothing: every frame is
+        validated here in the parent before any worker sees an ``R``); a
+        supervised fleet then recovers to it."""
+        super().restore(checkpoint_set)
         if self.supervise:
             self._last_checkpoint_set = checkpoint_set
 

@@ -455,14 +455,11 @@ class Rfc2544Testbed:
                 f"testbed configured for {self.workers} worker(s), "
                 f"spec wants {spec.workers}"
             )
-        from repro.nat.fastpath import FastPathNat
+        from repro.net.dpdk import build_nf
         from repro.net.rss import NatSteering
 
-        config = spec.resolved_config()
-        shards = config.partition(spec.workers)
-        nfs: List[NetworkFunction] = [spec.nf_factory(cfg) for cfg in shards]
-        if spec.fastpath != "off":
-            nfs = [FastPathNat(nf) for nf in nfs]
+        shards = spec.resolved_config().partition(spec.workers)
+        nfs = [build_nf(spec.nf_factory, cfg, spec.fastpath) for cfg in shards]
         steering = NatSteering(shards)
         outcome = self._replay_shards(nfs, steering.worker_for, events)
         outcome.nfs = nfs

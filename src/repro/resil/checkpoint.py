@@ -188,6 +188,15 @@ class CheckpointSet:
     def workers(self) -> int:
         return len(self.checkpoints)
 
+    def for_workers(self, count: int) -> Tuple[Checkpoint, ...]:
+        """The frames in worker order, refused unless there is one each."""
+        if count != self.workers:
+            raise CheckpointError(
+                f"checkpoint set holds {self.workers} shard(s), "
+                f"runtime has {count}"
+            )
+        return self.checkpoints
+
     def to_bytes(self) -> bytes:
         frames = [ckpt.to_bytes() for ckpt in self.checkpoints]
         manifest = json.dumps(
@@ -278,12 +287,7 @@ def restore_all(
     nfs: Sequence[NetworkFunction], checkpoint_set: CheckpointSet
 ) -> None:
     """Adopt a coordinated set into freshly built shard NFs, in order."""
-    if len(nfs) != checkpoint_set.workers:
-        raise CheckpointError(
-            f"checkpoint set holds {checkpoint_set.workers} shard(s), "
-            f"runtime has {len(nfs)}"
-        )
-    for nf, ckpt in zip(nfs, checkpoint_set.checkpoints):
+    for nf, ckpt in zip(nfs, checkpoint_set.for_workers(len(nfs))):
         restore(nf, ckpt)
 
 

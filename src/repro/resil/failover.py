@@ -15,8 +15,8 @@ When the fault plan kills a worker, the embedded controller fails over:
 3. **flush** — packets queued on the dead worker's RX rings are lost
    with it;
 4. **promote** — the standby synthesizes a ``repro-ckpt/v1`` checkpoint
-   which a freshly built NF (plus a fresh runtime) restores, reusing the
-   exact validation path cold restores use;
+   which a fresh :class:`~repro.net.dpdk.Shard` restores — the same
+   ``fresh shard + restore`` every recovery path takes;
 5. **repartition** — :meth:`repro.net.rss.NatSteering.reassign` points
    the dead shard's ownership at the promoted slot and the kill window
    is retired so the slot serves again.
@@ -38,12 +38,10 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import FastPathNat, check_fastpath
-from repro.net.dpdk import DpdkRuntime, ShardedRuntime
+from repro.net.dpdk import ShardedRuntime
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
 from repro.packets.headers import Packet
-from repro.resil.checkpoint import restore
 from repro.resil.faults import FaultPlan
 from repro.resil.replication import FlowDelta, ReplicationChannel, StandbyReplica
 
@@ -151,11 +149,6 @@ class ReplicatedRuntime:
         if failover_fixed_us < 0 or restore_us_per_flow < 0:
             raise ValueError("failover costs cannot be negative")
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self._nf_factory = nf_factory
-        self._fastpath = check_fastpath(fastpath)
-        self._port_count = port_count
-        self._rx_capacity = rx_capacity
-        self._pool_size = pool_size
         self.failover_fixed_us = failover_fixed_us
         self.restore_us_per_flow = restore_us_per_flow
         self.lag = lag
@@ -315,30 +308,22 @@ class ReplicatedRuntime:
         # 3. flush: queued packets are lost with the worker.
         packets_lost_queue = self.runtime.flush_worker(worker_id, now_us)
 
-        # 4. promote: standby checkpoint → fresh NF + fresh runtime,
-        # through the same restore path a cold restart would take.
+        # 4. promote: a fresh shard built holding the standby's
+        # checkpoint — the same restore path a cold restart would take.
         replica = self.replicas[worker_id]
-        checkpoint = replica.to_checkpoint(now_us)
-        fresh: NetworkFunction = self._nf_factory(self.runtime.shards[worker_id])
-        if self._fastpath != "off":
-            fresh = FastPathNat(fresh)
-        restore(fresh, checkpoint)
-        fresh.delta_sink(self._sink_for(worker_id))
+        shard = self.runtime.fresh_shard(worker_id, replica.to_checkpoint(now_us))
+        shard.nf.delta_sink(self._sink_for(worker_id))
         # The restored NF knows every recovered flow; rebuild the
         # microflow cache from that state so the promoted standby does
         # not serve its first packets at a 0% hit rate.
-        fastpath_warmed = fresh.warm() if isinstance(fresh, FastPathNat) else 0
-        runtime = DpdkRuntime(self._port_count, self._rx_capacity, self._pool_size)
-        runtime.worker_id = worker_id
+        fastpath_warmed = shard.nf.warm() if shard.fastpath != "off" else 0
         # Packets the dead worker had already transmitted are on the
         # wire — they survive the kill. Carry them onto the fresh
-        # runtime's TX side so collect() still delivers them.
-        old_runtime = self.runtime.runtimes[worker_id]
-        for port_id, port in old_runtime.ports.items():
+        # shard's TX side so collect() still delivers them.
+        for port_id, port in self.runtime.units[worker_id].runtime.ports.items():
             for sent_at, packet in port.drain_tx():
-                runtime.ports[port_id].transmit(packet, sent_at)
-        self.runtime.nfs[worker_id] = fresh
-        self.runtime.runtimes[worker_id] = runtime
+                shard.runtime.ports[port_id].transmit(packet, sent_at)
+        self.runtime.units[worker_id] = shard
 
         # 5. repartition ownership and retire the kill so the slot serves.
         # Shard index equals the slot the standby is promoted into (the
