@@ -9,7 +9,10 @@ Scale is controlled by ``REPRO_EVAL_SCALE``:
 - ``quick`` (default): minutes-scale runs preserving every claimed shape;
 - ``paper``: the paper's full parameter grid (tens of minutes);
 - ``smoke``: the CI smoke grid — fewer sweep points at unchanged
-  per-point fidelity, so the ordering/scaling assertions still bite.
+  per-point fidelity, so the ordering/scaling claims still bite.
+
+The seven sweeps' grids at each scale live in their descriptions
+(:mod:`repro.eval.sweeps`); only the paper's own figures are sized here.
 """
 
 import os
@@ -68,122 +71,6 @@ def throughput_flow_counts() -> tuple:
     if scale() == "paper":
         return (1_000, 10_000, 20_000, 30_000, 40_000, 50_000, 60_000, 64_000)
     return (1_000, 32_000, 64_000)
-
-
-def burst_sweep_sizes() -> tuple:
-    if scale() == "paper":
-        return (1, 2, 4, 8, 16, 32, 64, 128)
-    if scale() == "smoke":
-        return (1, 4, 32)
-    return (1, 2, 4, 8, 16, 32)
-
-
-def burst_sweep_packet_count() -> int:
-    return 20_000 if scale() == "paper" else 6_000
-
-
-def shard_worker_counts() -> tuple:
-    if scale() == "paper":
-        return (1, 2, 4, 8, 16)
-    if scale() == "smoke":
-        return (1, 2, 4)
-    return (1, 2, 4, 8)
-
-
-def shard_packet_count() -> int:
-    """Per-worker packet budget for the shard sweep (scales with width)."""
-    return 10_000 if scale() == "paper" else 4_000
-
-
-def fastpath_flow_counts() -> tuple:
-    """Flow-locality regimes for the microflow-cache sweep.
-
-    Few flows → near-100% hit rate; flow counts approaching the packet
-    budget → the cache never converges and most packets take the slow
-    path. Both ends must keep the NF ordering and byte-identity.
-    """
-    if scale() == "paper":
-        return (64, 1_024, 4_096, 16_384)
-    if scale() == "smoke":
-        return (64, 1_024)
-    return (64, 1_024, 4_096)
-
-
-def fastpath_packet_count() -> int:
-    if scale() == "paper":
-        return 20_000
-    if scale() == "smoke":
-        return 4_000
-    return 6_000
-
-
-def failover_lags() -> tuple:
-    """Replication lags for the availability sweep (0 = synchronous)."""
-    if scale() == "paper":
-        return (0, 2, 8, 32, 128)
-    if scale() == "smoke":
-        return (0, 8)
-    return (0, 8, 64)
-
-
-def failover_flow_count() -> int:
-    if scale() == "paper":
-        return 1_024
-    if scale() == "smoke":
-        return 96
-    return 192
-
-
-def procs_worker_counts() -> tuple:
-    """Worker-process counts for the process-runtime scaling sweep.
-
-    The smoke grid keeps the 4-worker point: the CI gate's scaling
-    claim ("4 workers ≥ 2x of 1 on a ≥4-core box") lives there.
-    """
-    if scale() == "paper":
-        return (1, 2, 4, 8)
-    return (1, 2, 4)
-
-
-def procs_packet_count() -> int:
-    if scale() == "paper":
-        return 12_000
-    if scale() == "smoke":
-        return 2_000
-    return 4_000
-
-
-def chain_scenario_rounds() -> int:
-    """Traffic rounds per chain scenario.
-
-    The warm-upgrade SLA maths needs enough rounds that the one
-    deliberately abandoned in-flight round stays under the 10%% loss
-    floor; 16 is the minimum comfortable margin, so smoke keeps it.
-    """
-    if scale() == "paper":
-        return 48
-    return 16
-
-
-def chain_flow_count() -> int:
-    if scale() == "paper":
-        return 256
-    if scale() == "smoke":
-        return 24
-    return 64
-
-
-def cgnat_flow_counts() -> tuple:
-    """1x/10x/100x flow regimes for the stateless-CGNAT scaling sweep.
-
-    Deliberately the same grid at every scale: the sweep's entire claim
-    is the 100x point (the stateless NAT's footprint not moving while
-    the stateful NATs' grows), the committed baseline covers all three
-    points, and the budget gate requires every baseline point matched —
-    so smoke may not shrink the grid. The sweep replays one packet per
-    flow, which keeps even the 100x point seconds-scale.
-    """
-    return (512, 5_120, 51_200)
 
 
 @pytest.fixture

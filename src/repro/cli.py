@@ -9,22 +9,14 @@ Commands:
   discard NF, ``--model`` selects one of the three Fig. 4 ring models.
   ``--emit-tasks FILE`` writes the Fig. 10-style verification tasks.
 - ``demo`` — translate a conversation through the verified NAT.
-- ``experiments {fig12,fig13,fig14,burst,shard,fastpath,failover,cgnat,procs,chain,metrics,verification}``
-  — regenerate one of the paper's evaluation artifacts at quick scale
-  (``burst`` is the burst-size sweep of the burst-mode data path,
-  ``shard`` the worker-count scaling sweep of the sharded data path,
-  ``fastpath`` the microflow-cache locality sweep with its on/off
-  differential check — exit code 1 on any output divergence, with the
-  first diverging packet dumped; ``failover`` the kill-and-promote
-  availability sweep across replication lags — exit code 1 when
-  recovery exceeds the loss budget, notably any established-flow loss
-  at lag 0; ``cgnat`` the stateless-CGNAT scaling sweep — exit code 1
-  when the deterministic NAT's memory footprint is not flat across
-  10x/100x flow counts; ``chain`` the operational scenario suite over
-  the firewall → limiter → NAT service chain — exit code 1 when any
-  measured loss, disruption window or mapping survival breaches its
-  declared SLA; ``metrics`` a merged observability snapshot
-  from a sharded run).
+- ``experiments {fig12,fig13,fig14,metrics,verification}`` — regenerate
+  one of the paper's evaluation artifacts at quick scale (``metrics`` is
+  a merged observability snapshot from a sharded run).
+- ``experiments {burst,shard,fastpath,failover,cgnat,procs,chain}`` —
+  run one sweep of :mod:`repro.eval.sweeps` on exactly the grid CI's
+  smoke job runs, print its table, and judge it by the sweep's claims
+  (the same function the CI gate applies to ``BENCH_*.json``): exit
+  code 1, with every violated claim listed, when one does not hold.
 - ``metrics`` — the same merged snapshot with knobs: worker count,
   fastpath on/off, table/Prometheus/JSON rendering, file output.
 """
@@ -228,6 +220,21 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.eval.sweeps import SWEEPS
+
+    sweep = SWEEPS.get(args.artifact)
+    if sweep is not None:
+        points = sweep.run(**sweep.grids["smoke"])
+        print(sweep.render(points))
+        breaches = sweep.claims([sweep.record(point) for point in points])
+        if breaches:
+            print(f"\n{sweep.name} claims VIOLATED:")
+            for breach in breaches:
+                print(f"  - {breach}")
+            return 1
+        print(f"\nall {sweep.name} claims hold")
+        return 0
+
     from repro.eval.experiments import (
         EvalSettings,
         latency_ccdf,
@@ -257,105 +264,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         settings = EvalSettings(measure_seconds=0.4)
         series = latency_ccdf(background_flows=10_000, settings=settings)
         print(render_fig13(series, background_flows=10_000))
-        return 0
-    if args.artifact == "burst":
-        from repro.eval.experiments import burst_size_sweep
-        from repro.eval.reporting import render_burst_sweep
-
-        print(render_burst_sweep(burst_size_sweep()))
-        return 0
-    if args.artifact == "shard":
-        from repro.eval.experiments import shard_sweep
-        from repro.eval.reporting import render_shard_sweep
-
-        print(
-            render_shard_sweep(
-                shard_sweep(worker_counts=(1, 2, 4), packet_count=4_000)
-            )
-        )
-        return 0
-    if args.artifact == "fastpath":
-        from repro.eval.experiments import fastpath_sweep
-        from repro.eval.reporting import render_fastpath_sweep
-
-        points = fastpath_sweep(flow_counts=(64, 1_024), packet_count=4_000)
-        print(render_fastpath_sweep(points))
-        return (
-            1
-            if any(not (p.identical and p.raw_identical) for p in points)
-            else 0
-        )
-    if args.artifact == "failover":
-        from repro.eval.experiments import (
-            FailoverBudget,
-            failover_breaches,
-            failover_sweep,
-        )
-        from repro.eval.reporting import render_failover
-
-        points = failover_sweep(lags=(0, 8, 64), flow_count=128)
-        print(render_failover(points))
-        breaches = failover_breaches(points, FailoverBudget())
-        if breaches:
-            print("\nloss budget EXCEEDED:")
-            for breach in breaches:
-                print(f"  - {breach}")
-            return 1
-        print("\nloss budget respected (zero established-flow loss at lag 0)")
-        return 0
-    if args.artifact == "cgnat":
-        from repro.eval.experiments import cgnat_flatness_breaches, cgnat_sweep
-        from repro.eval.reporting import render_cgnat_sweep
-
-        # 1x / 10x / 100x of the base regime: the point is watching the
-        # stateless NAT's footprint stay put while the stateful ones grow.
-        points = cgnat_sweep(flow_counts=(512, 5_120, 51_200))
-        print(render_cgnat_sweep(points))
-        breaches = cgnat_flatness_breaches(points)
-        if breaches:
-            print("\nmemory-flatness invariant VIOLATED:")
-            for breach in breaches:
-                print(f"  - {breach}")
-            return 1
-        print("\nmemory flat: det-nat state independent of flow count")
-        return 0
-    if args.artifact == "procs":
-        from repro.eval.experiments import procs_scaling_breaches, procs_sweep
-        from repro.eval.reporting import render_procs_sweep
-
-        # Both transports by default: pipe and shm must each be
-        # byte-identical to the oracle and inside the scaling budget.
-        points = procs_sweep(worker_counts=(1, 2, 4), packet_count=2_000)
-        print(render_procs_sweep(points))
-        breaches = procs_scaling_breaches(points)
-        if breaches:
-            print("\nprocess-runtime invariants VIOLATED:")
-            for breach in breaches:
-                print(f"  - {breach}")
-            return 1
-        print(
-            "\nprocess runtime byte-identical to the oracle on every "
-            "transport; scaling within budget"
-        )
-        return 0
-    if args.artifact == "chain":
-        from repro.chain import chain_breaches, chain_scenarios
-        from repro.eval.reporting import render_chain_scenarios
-
-        # The full operational suite over the reference chain (firewall
-        # -> limiter -> NAT): warm upgrade, stage promotion, chaos soak.
-        reports = chain_scenarios(flows=32, rounds=16)
-        print(render_chain_scenarios(reports))
-        breaches = chain_breaches(reports)
-        if breaches:
-            print("\nscenario SLA BREACHED:")
-            for breach in breaches:
-                print(f"  - {breach}")
-            return 1
-        print(
-            "\nall scenario SLAs respected (measured loss, disruption "
-            "and mapping survival within budget)"
-        )
         return 0
     if args.artifact == "metrics":
         from repro.eval.experiments import collect_sharded_metrics
@@ -399,6 +307,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.eval.sweeps import SWEEPS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="A Formally Verified NAT (SIGCOMM 2017) — Python reproduction",
@@ -437,24 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(run=_cmd_demo)
 
     experiments = sub.add_parser(
-        "experiments", help="regenerate an evaluation artifact (quick scale)"
+        "experiments",
+        help="regenerate an evaluation artifact, or run a sweep and judge its claims",
     )
     experiments.add_argument(
         "artifact",
-        choices=[
-            "fig12",
-            "fig13",
-            "fig14",
-            "burst",
-            "shard",
-            "fastpath",
-            "failover",
-            "cgnat",
-            "procs",
-            "chain",
-            "metrics",
-            "verification",
-        ],
+        choices=["fig12", "fig13", "fig14", *SWEEPS, "metrics", "verification"],
     )
     experiments.set_defaults(run=_cmd_experiments)
 

@@ -5,7 +5,10 @@
 - :func:`repro.eval.experiments.throughput_sweep` — Fig. 14,
 - :func:`repro.eval.verification_stats.collect` — the §5 verification
   statistics (path/trace counts, proof outcomes),
-- :mod:`repro.eval.reporting` — table rendering for all of the above.
+- :mod:`repro.eval.reporting` — table rendering for all of the above,
+- :mod:`repro.eval.sweeps` — the seven sweeps beyond the paper's
+  figures, each described once (grid, record, key, claims); the CLI,
+  the benchmark test and the CI gate are derived from ``SWEEPS``.
 """
 
 from repro.eval.experiments import (
@@ -16,11 +19,14 @@ from repro.eval.experiments import (
     latency_vs_occupancy,
     throughput_sweep,
 )
+from repro.eval.sweeps import SWEEPS, Sweep
 from repro.eval.verification_stats import VerificationStats, collect
 
 __all__ = [
     "EvalSettings",
     "LatencyPoint",
+    "SWEEPS",
+    "Sweep",
     "VerificationStats",
     "collect",
     "default_nf_factories",

@@ -379,6 +379,8 @@ class FastpathPoint:
     nf: str
     flow_count: int
     burst_size: int
+    #: Packets in one replay pass (the raw pps numerator).
+    packets: int
     #: Fraction of packets served from the microflow cache.
     hit_rate: float
     #: Modeled core occupancy per packet, cache off / on.
@@ -657,6 +659,7 @@ def fastpath_sweep(
                     nf=name,
                     flow_count=flow_count,
                     burst_size=burst_size,
+                    packets=len(events),
                     hit_rate=fast.hit_rate(),
                     per_packet_busy_ns_off=result_off.per_packet_busy_ns,
                     per_packet_busy_ns_on=result_on.per_packet_busy_ns,
@@ -781,45 +784,6 @@ class FailoverPoint:
         return self.probe_offered - self.probe_delivered
 
 
-@dataclass
-class FailoverBudget:
-    """The loss budget ``experiments failover`` gates on."""
-
-    #: Established flows allowed to die at lag 0 (synchronous channel).
-    max_flows_lost_at_lag0: int = 0
-    #: Hard ceiling on the modeled promotion blackout.
-    max_recovery_us: int = 10_000
-    #: Post-recovery probes may lose only the flows replication lost.
-    allow_probe_loss_beyond_flows_lost: int = 0
-
-
-def failover_breaches(
-    points: Sequence[FailoverPoint], budget: Optional[FailoverBudget] = None
-) -> List[str]:
-    """Budget violations across a failover sweep (empty = within budget)."""
-    budget = budget if budget is not None else FailoverBudget()
-    breaches: List[str] = []
-    for p in points:
-        where = f"{p.nf} @ lag {p.lag}"
-        if p.lag == 0 and p.flows_lost > budget.max_flows_lost_at_lag0:
-            breaches.append(
-                f"{where}: {p.flows_lost} established flows lost on a "
-                f"synchronous channel (budget {budget.max_flows_lost_at_lag0})"
-            )
-        if p.recovery_us > budget.max_recovery_us:
-            breaches.append(
-                f"{where}: recovery took {p.recovery_us}us "
-                f"(budget {budget.max_recovery_us}us)"
-            )
-        allowed = p.flows_lost + budget.allow_probe_loss_beyond_flows_lost
-        if p.probe_lost > allowed:
-            breaches.append(
-                f"{where}: {p.probe_lost} probe replies lost after recovery "
-                f"but only {p.flows_lost} flows were lost to replication"
-            )
-    return breaches
-
-
 def replicable_nf_factories() -> Dict[str, NfFactory]:
     """The NFs that emit flow deltas and so support a warm standby."""
     return {
@@ -846,7 +810,7 @@ def failover_sweep(
     through, and after the promoted standby's blackout every flow is
     probed once. At lag 0 the replication channel is synchronous, so
     the controller must recover every established flow — the zero-loss
-    anchor the budget gate pins; growing lag trades replication traffic
+    anchor the sweep's claims pin; growing lag trades replication traffic
     for flows lost with the channel's in-flight window.
     """
     from repro.packets.builder import make_udp_packet
@@ -1153,52 +1117,6 @@ def cgnat_sweep(
     return points
 
 
-#: Allowed relative spread of the stateless NAT's checkpoint size
-#: across flow counts before the sweep calls it non-flat.
-CGNAT_FLATNESS_SLACK = 0.10
-
-
-def cgnat_flatness_breaches(points: Sequence[CgnatPoint]) -> List[str]:
-    """Violations of the sweep's claims (empty = all hold).
-
-    Gated: the stateless NAT holds zero state and a flat checkpoint at
-    every flow count; the stateful NATs' state grows with flow count
-    (otherwise the contrast is vacuous); and every NF routes the
-    sampled return path correctly.
-    """
-    breaches: List[str] = []
-    by_nf: Dict[str, List[CgnatPoint]] = {}
-    for point in points:
-        by_nf.setdefault(point.nf, []).append(point)
-        if not point.return_path_ok:
-            breaches.append(
-                f"{point.nf} @ {point.flow_count} flows: return-path "
-                f"differential failed (reply did not reach its originator)"
-            )
-    for nf, nf_points in sorted(by_nf.items()):
-        nf_points.sort(key=lambda p: p.flow_count)
-        entries = [p.state_entries for p in nf_points]
-        if nf == "det-nat":
-            if any(entries):
-                breaches.append(
-                    f"det-nat holds flow state ({entries} entries); the "
-                    f"stateless mapping must hold none"
-                )
-            sizes = [p.checkpoint_bytes for p in nf_points]
-            if max(sizes) > max(min(sizes), 1) * (1 + CGNAT_FLATNESS_SLACK):
-                breaches.append(
-                    f"det-nat checkpoint not flat across flow counts: "
-                    f"{sizes} bytes"
-                )
-        elif len(nf_points) > 1:
-            if not all(a < b for a, b in zip(entries, entries[1:])):
-                breaches.append(
-                    f"{nf} state entries {entries} do not grow with flow "
-                    f"count; the stateful contrast is not being measured"
-                )
-    return breaches
-
-
 def throughput_sweep(
     factories: Optional[Dict[str, NfFactory]] = None,
     flow_counts: Sequence[int] = (1_000, 16_000, 32_000, 48_000, 64_000),
@@ -1242,12 +1160,12 @@ class ProcsPoint:
     to the deterministic oracle's on the same schedule — ``identical``,
     on either transport. Performance: the warmed replay rate scales
     with workers *up to the cores actually available*, which is why
-    ``cores`` is recorded in the artifact: the budget gate scales its
-    expectation by ``min(workers, cores)`` instead of assuming the CI
-    machine's shape. ``transport_ns`` carries the ablation instruments
-    (fleet-total encode/copy/ring-wait nanoseconds across the
-    differential + pump phases), so the pipe-vs-shm tax is measured in
-    the artifact rather than asserted in prose.
+    ``cores`` is recorded in the artifact: the sweep's scaling claim
+    (:mod:`repro.eval.sweeps`) reads the machine shape off the record
+    instead of assuming the CI runner's. ``transport_ns`` carries the
+    ablation instruments (fleet-total encode/copy/ring-wait nanoseconds
+    across the differential + pump phases), so the pipe-vs-shm tax is
+    measured in the artifact rather than asserted in prose.
     """
 
     nf: str
@@ -1416,58 +1334,3 @@ def procs_sweep(
                     )
                 )
     return points
-
-
-@dataclass
-class ProcsBudget:
-    """The scaling/identity budget ``experiments procs`` gates on."""
-
-    #: Fraction of the core-aware ideal (``min(workers, cores)`` x the
-    #: 1-worker rate) a multi-worker point must reach. 0.5 means a
-    #: 4-worker run on a >=4-core box must hit 2x the 1-worker rate.
-    min_efficiency: float = 0.5
-    #: When only one core is available, ideal scaling is 1x and the
-    #: transport traffic is pure overhead; multi-worker points need
-    #: only stay above this fraction of the 1-worker rate. Set with
-    #: headroom: at 4 workers time-sharing one core, scheduler jitter
-    #: alone moves the rate by tens of percent between runs.
-    single_core_floor: float = 0.25
-
-
-def procs_scaling_breaches(
-    points: Sequence[ProcsPoint], budget: Optional[ProcsBudget] = None
-) -> List[str]:
-    """Budget violations across a procs sweep (empty = within budget)."""
-    budget = budget if budget is not None else ProcsBudget()
-    breaches: List[str] = []
-    base: Dict[Tuple[str, str], ProcsPoint] = {
-        (p.nf, p.transport): p for p in points if p.workers == 1
-    }
-    for p in points:
-        where = f"{p.nf} @ {p.workers} workers / {p.transport}"
-        if not p.identical:
-            breaches.append(
-                f"{where}: process TX stream or counters diverged from "
-                f"the deterministic oracle"
-            )
-        if p.workers == 1:
-            continue
-        anchor = base.get((p.nf, p.transport))
-        if anchor is None or anchor.replay_pps <= 0:
-            continue
-        ideal = min(p.workers, p.cores)
-        if ideal > 1:
-            required = budget.min_efficiency * ideal * anchor.replay_pps
-            shape = (
-                f"{budget.min_efficiency:.2f} x {ideal}x ideal "
-                f"on {p.cores} core(s)"
-            )
-        else:
-            required = budget.single_core_floor * anchor.replay_pps
-            shape = f"single-core floor {budget.single_core_floor:.2f}"
-        if p.replay_pps < required:
-            breaches.append(
-                f"{where}: {p.replay_pps:,.0f} pps < required "
-                f"{required:,.0f} ({shape})"
-            )
-    return breaches

@@ -342,7 +342,7 @@ def render_procs_sweep(points: Sequence[ProcsPoint]) -> str:
     speedup over the matching 1-worker point and the oracle
     byte-identity verdict. ``cores`` matters for reading the speedups:
     a 4-worker run on a 1-core box is expected near 1x, not 4x — the
-    budget gate scales accordingly. The pipe/shm rows share a scenario,
+    sweep's scaling claim reads it. The pipe/shm rows share a scenario,
     so the per-transport deltas read straight down a column.
     """
     by_row: Dict[Tuple[str, str], List[ProcsPoint]] = {}

@@ -491,3 +491,52 @@ class TestChainInvariants:
             "BENCH_chain.json" in f and "baseline missing" in f
             for f in failures
         )
+
+
+class TestWholeKeyLabels:
+    """Log lines and messages name a point by its description's whole
+    key, so rows differing only in a later key field stay apart."""
+
+    # Two cores: below the regime where shm must out-run pipe.
+    PAIR = [
+        dict(record, transport=transport, cores=2)
+        for transport in ("pipe", "shm")
+        for record in PROCS_RECORDS
+    ]
+
+    def test_procs_rows_print_their_transport(self, dirs, capsys):
+        baseline, fresh = dirs
+        _write(baseline, BASE_RECORDS, procs=self.PAIR)
+        _write(fresh, BASE_RECORDS, procs=self.PAIR)
+        assert compare_dirs(baseline, fresh, tolerance=0.25) == []
+        out = capsys.readouterr().out
+        assert "verified-nat@4@pipe replay_pps" in out
+        assert "verified-nat@4@shm replay_pps" in out
+        assert "verified-nat@4 replay_pps" not in out
+
+    def test_no_common_points_names_the_files_own_key(self, dirs):
+        baseline, fresh = dirs
+        _write(baseline, BASE_RECORDS, procs=self.PAIR[:2])
+        _write(fresh, BASE_RECORDS, procs=self.PAIR[2:])
+        failures = compare_dirs(baseline, fresh, tolerance=0.25)
+        assert any(
+            "no common (nf, workers, transport) points" in f for f in failures
+        )
+
+
+def test_failover_fresh_file_is_judged_on_its_own(dirs):
+    """Nothing moved against the baseline, yet the fresh file breaks a
+    failover claim: the channel cut lost more than its window."""
+    baseline, fresh = dirs
+    records = [dict(r, deltas_lost=r["lag"]) for r in FAILOVER_RECORDS]
+    _write(baseline, BASE_RECORDS, failover=records)
+    _write(fresh, BASE_RECORDS, failover=records)
+    assert compare_dirs(baseline, fresh, tolerance=0.25) == []
+    records[1]["deltas_lost"] = 11
+    _write(baseline, BASE_RECORDS, failover=records)
+    _write(fresh, BASE_RECORDS, failover=records)
+    failures = compare_dirs(baseline, fresh, tolerance=0.25)
+    assert any(
+        "BENCH_failover.json" in f and "loses exactly 8 deltas" in f
+        for f in failures
+    )
