@@ -461,9 +461,9 @@ def _timed_burst_replay(
     """Wall-clock seconds for one warmed burst replay of ``events``.
 
     A first (untimed) pass populates the flow table — and, for a
-    :class:`FastPathNat`, the microflow cache past its creation-driven
-    invalidation churn — so the timed passes measure the steady state
-    both paths would reach under sustained traffic. The fastest of
+    :class:`FastPathNat`, learns each flow's action once — so the
+    timed passes measure the steady state both paths would reach
+    under sustained traffic. The fastest of
     ``repeats`` passes is reported (the usual noise-floor estimator:
     scheduling hiccups only ever add time). NFs never mutate their
     input packets, so the events are replayed as-is.

@@ -45,8 +45,10 @@ What makes the compilation sound:
 The raw entry point (``FastPathNat.process_raw_burst``) additionally
 batches: it extracts every frame's key in one pass, partitions the
 burst into maximal same-flow runs, and applies each run's closure
-across it — one dict lookup, one generation check and one rejuvenation
-per run instead of per packet.
+across it — one dict lookup and one rejuvenation per run instead of
+per packet. A closure lives on its flow's action and the action lives
+exactly as long as the flow, so neither entry point checks anything
+before firing one.
 """
 
 from __future__ import annotations
@@ -152,9 +154,9 @@ def _build_closure(
 def compile_action(key: FlowKey, action) -> Callable[..., bytes]:
     """Compile a verified :class:`CachedAction` for flow ``key``.
 
-    Returns the closure ``frame -> rewritten bytes``; the output device,
-    liveness token and generation stay on the action it was compiled
-    from, which is also what holds the closure.
+    Returns the closure ``frame -> rewritten bytes``; the output device
+    and liveness token stay on the action it was compiled from, which
+    is also what holds the closure.
 
     The pre-rewrite endpoint values are read off the key (the key *is*
     the packet's endpoints); the post-rewrite values come from the

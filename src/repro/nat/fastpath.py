@@ -14,10 +14,13 @@ mechanisms enforce it:
   the triggering packet and cached only if the result is byte-identical
   (``wire_bytes``) to what the slow path actually emitted. A wrong
   action is never cached in the first place.
-- **Generation invalidation.** The wrapped NF bumps a generation
-  counter whenever its flow state changes shape (flow created, expired
-  or evicted). Cached actions remember the generation they were learned
-  at and are discarded on mismatch, so a stale entry can never fire.
+- **An action lives exactly as long as its flow.** The wrapped NF's one
+  flow-free routine reports a dying flow's two keys *before* it
+  releases the flow's slot, and the cache drops those (at most two)
+  actions there and then. Nothing else invalidates, so the invariant
+  between any two packets is ``cache ⊆ live flows``: another flow's
+  birth or death costs a cached flow nothing, a freed-and-reused index
+  or port can never meet an old action, and a hit checks nothing.
 - **Narrow eligibility.** Only non-fragment IPv4 TCP/UDP packets are
   cacheable; fragments, ICMP (errors included) and anything else falls
   through to the slow path unconditionally.
@@ -45,11 +48,12 @@ handed to ``_run``.
 
 Each NF that opts in exposes ``fastpath_hooks()`` returning an object
 with: ``supports_raw`` (bool), ``begin_burst(now) -> now`` (clamp the
-clock and run the per-burst expiry scan), ``generation() -> int``,
-``learn_token(packet) -> token | None`` (NF state handle used to keep
-the flow alive), ``rejuvenate(token, now)``, and
-``apply(packet, action) -> Packet`` (the NF's own rewrite code, so NF
-quirks — including deliberate ones — are reproduced exactly).
+clock and run the per-burst expiry scan), ``on_flow_freed(observer)``
+(the NF calls ``observer(keys)`` with a flow's forward and reply keys
+when it frees that flow), ``learn_token(packet) -> token | None`` (NF
+state handle used to keep the flow alive), ``rejuvenate(token, now)``,
+and ``apply(packet, action) -> Packet`` (the NF's own rewrite code, so
+NF quirks — including deliberate ones — are reproduced exactly).
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.compiled import compile_action
+from repro.nat.flow import microflow_keys
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
@@ -95,7 +100,6 @@ class CachedAction:
     dst: Optional[Tuple[int, int]]
     out_device: int
     token: Any
-    generation: int
     closure: Union[Callable[..., bytes], None, bool] = None
 
 
@@ -117,13 +121,40 @@ def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
     return out
 
 
+def warm_actions(config, flow, token):
+    """Both directions of a NAT flow as ``(flow key, CachedAction)`` pairs.
+
+    Exactly what a learn on the flow's next packet would cache, derived
+    from the flow record instead: outbound rewrites the source to the
+    NAT's external endpoint, the reply rewrites the destination back to
+    the internal endpoint, each under its
+    :func:`~repro.nat.flow.microflow_keys` key. ``token`` is the NF's
+    live handle for the flow, so warmed hits rejuvenate just like
+    learned ones. The two NATs' ``warm_entries()`` hooks yield these.
+    """
+    forward_key, reply_key = microflow_keys(config, flow)
+    fid = flow.internal_id
+    yield forward_key, CachedAction(
+        src=(config.external_ip, flow.external_port),
+        dst=None,
+        out_device=config.external_device,
+        token=token,
+    )
+    yield reply_key, CachedAction(
+        src=None,
+        dst=(fid.src_ip, fid.src_port),
+        out_device=config.internal_device,
+        token=token,
+    )
+
+
 #: The cache's counters, declared once: (stem, help). Each becomes the
 #: instrument ``self._<stem>``, the metric ``fastpath_<stem>_total`` and
 #: the ``op_counters()`` key ``fastpath_<stem>``.
 _COUNTERS = (
     ("hits", "packets replayed from the action cache"),
     ("misses", "packets that took the slow path"),
-    ("invalidations", "cached actions discarded on generation mismatch"),
+    ("invalidations", "cached actions dropped because their flow ended"),
     ("evictions", "cached actions evicted by the FIFO capacity cap"),
     ("learns", "actions admitted after replay verification"),
     (
@@ -173,7 +204,7 @@ class FastPathNat(NetworkFunction):
         self._hooks = hooks
         #: The one store. A flow's compiled closure, when it has one,
         #: hangs off its action — there is no second table to keep in
-        #: step on invalidation, eviction, expiry or restore.
+        #: step when a flow ends, on FIFO eviction or on restore.
         self._cache: Dict[FlowKey, CachedAction] = {}
         # The cache counters are registry-backed typed instruments
         # (``repro.obs``): the same objects serve the NF's op_counters()
@@ -187,6 +218,7 @@ class FastPathNat(NetworkFunction):
             )
             setattr(self, f"_{stem}", counter)
         self._register_gauges(self.metrics, cache_labels)
+        hooks.on_flow_freed(self._drop_flow)
 
     def _register_gauges(self, registry, labels) -> None:
         for name, prop, help_text in _GAUGES:
@@ -251,9 +283,10 @@ class FastPathNat(NetworkFunction):
     def restore_state(self, state: Dict) -> None:
         """Restore the inner NF and drop every cached action.
 
-        The inner NF's restore also bumps its generation past the
-        checkpoint's, so even an action that somehow survived could
-        never replay; clearing is the belt to that suspender.
+        Stateful NFs restore only into a freshly constructed instance,
+        whose cache is empty because it has had no flow to learn from;
+        clearing covers the NFs that restore in place (the no-op
+        forwarder), so no action learned before a restore fires after it.
         """
         self.inner.restore_state(state)
         if self._cache:
@@ -269,9 +302,9 @@ class FastPathNat(NetworkFunction):
         falls off a cliff exactly when the data path is busiest. NFs
         that can derive the per-direction actions from their flow table
         expose ``warm_entries()`` on their hooks (yielding
-        ``(flow key, CachedAction)`` pairs); this installs them at the
-        current generation, so the normal invalidation discipline
-        covers warmed entries unchanged.
+        ``(flow key, CachedAction)`` pairs) under the very keys the NF
+        reports when the flow is freed, so a warmed action dies with
+        its flow like a learned one.
 
         The learn-time replay verification is deliberately skipped:
         warmed actions are computed from flow state that
@@ -284,12 +317,10 @@ class FastPathNat(NetworkFunction):
         warm_entries = getattr(self._hooks, "warm_entries", None)
         if warm_entries is None:
             return 0
-        generation = self._hooks.generation()
         installed = 0
         for key, action in warm_entries():
             if len(self._cache) >= self.max_entries:
                 break
-            action.generation = generation
             self._cache[key] = action
             installed += 1
         if installed:
@@ -300,6 +331,20 @@ class FastPathNat(NetworkFunction):
         self.inner.delta_sink(sink)
 
     # -- the cache ----------------------------------------------------------
+    def _drop_flow(self, keys) -> None:
+        """The flow-freed observer: drop a dying flow's actions.
+
+        ``keys`` are the flow's forward and reply keys, reported by the
+        NF's one flow-free routine before it releases the flow's slot.
+        This is the only invalidation there is, so between any two
+        packets every cached action's flow is live — which is why a hit
+        checks nothing.
+        """
+        pop = self._cache.pop
+        for key in keys:
+            if pop(key, None) is not None:
+                self._invalidations.inc()
+
     def _learn(self, packet: Packet, key: FlowKey, outputs: List[Packet]) -> None:
         """Memoize what the slow path just did, if it is cacheable.
 
@@ -330,7 +375,6 @@ class FastPathNat(NetworkFunction):
             dst=dst,
             out_device=out.device,
             token=token,
-            generation=self._hooks.generation(),
         )
         replayed = self._hooks.apply(packet, action)
         if (
@@ -368,13 +412,11 @@ class FastPathNat(NetworkFunction):
         path and learn on a miss. ``now`` is already clamped by
         ``begin_burst``.
 
-        The generation can only move inside a slow-path call, so it is
-        read once up front and refreshed after each miss instead of per
-        packet.
+        A cached action is a live flow's (``_drop_flow``), so a hit
+        fires it unconditionally.
         """
         hooks = self._hooks
         cache = self._cache
-        generation = hooks.generation()
         rejuvenate = hooks.rejuvenate
         apply_action = hooks.apply
         inner_process = self.inner.process
@@ -389,33 +431,29 @@ class FastPathNat(NetworkFunction):
             key = packet.flow_key()
             action = cache.get(key) if key is not None else None
             if action is not None:
-                if action.generation == generation:
-                    hits += 1
-                    if tracing:
-                        recorder.trace(flight.FASTPATH_HIT, t_us=now)
-                    rejuvenate(action.token, now)
-                    image = packet.image
-                    if image is not None and compiles:
-                        closure = action.closure
-                        if closure is None:
-                            closure = self._earn_closure(key, action, packet)
-                        if closure:
-                            compiled_hits += 1
-                            results.append(
-                                [from_image(closure(image), action.out_device)]
-                            )
-                            continue
-                    results.append([apply_action(packet, action)])
-                    continue
-                del cache[key]
-                self._invalidations.inc()
+                hits += 1
+                if tracing:
+                    recorder.trace(flight.FASTPATH_HIT, t_us=now)
+                rejuvenate(action.token, now)
+                image = packet.image
+                if image is not None and compiles:
+                    closure = action.closure
+                    if closure is None:
+                        closure = self._earn_closure(key, action, packet)
+                    if closure:
+                        compiled_hits += 1
+                        results.append(
+                            [from_image(closure(image), action.out_device)]
+                        )
+                        continue
+                results.append([apply_action(packet, action)])
+                continue
             self._misses.inc()
             if tracing:
                 recorder.trace(flight.SLOW_PATH, t_us=now)
             outputs = inner_process(packet, now)
             if key is not None:
                 self._learn(packet, key, outputs)
-            generation = hooks.generation()
             results.append(outputs)
         if hits:
             self._hits.inc(hits)
@@ -443,9 +481,9 @@ class FastPathNat(NetworkFunction):
 
         ``frames`` holds (frame buffer, receive device) pairs of
         canonical frames — RX buffers as a NIC hands them over. A frame
-        is served here iff its flow's action carries a live closure;
-        anything else — ineligible shape, cold flow, stale generation,
-        an action that has not earned its closure yet or never will —
+        is served here iff its flow's action carries a closure;
+        anything else — ineligible shape, cold or dead flow, an action
+        that has not earned its closure yet or never will —
         is wrapped with ``Packet.from_bytes`` and takes the per-packet
         code every other entry point runs (``_run``), its outputs
         serialized with stored checksums (``wire_bytes``).
@@ -453,9 +491,8 @@ class FastPathNat(NetworkFunction):
         Struct-of-arrays over the burst: every frame's flow key is
         extracted in one pass (``raw_flow_key``), the burst is
         partitioned into maximal same-key runs, and each run with a
-        live closure pays its dict lookup, generation check and
-        rejuvenation *once* before the closure is applied across the
-        whole run.
+        closure pays its dict lookup and rejuvenation *once* before
+        the closure is applied across the whole run.
         """
         hooks = self._hooks
         if not hooks.supports_raw:
@@ -469,7 +506,6 @@ class FastPathNat(NetworkFunction):
         tracing = recorder.active
         cache = self._cache
         rejuvenate = hooks.rejuvenate
-        generation = hooks.generation()
         keys = [raw_flow_key(buf, device) for buf, device in frames]
         results: List[List[Tuple[bytes, int]]] = [[] for _ in range(n)]
         hits = 0
@@ -478,11 +514,7 @@ class FastPathNat(NetworkFunction):
         while i < n:
             key = keys[i]
             action = cache.get(key) if key is not None else None
-            if (
-                action is None
-                or action.generation != generation
-                or not action.closure
-            ):
+            if action is None or not action.closure:
                 buf, device = frames[i]
                 try:
                     packet = Packet.from_bytes(buf, device)
@@ -493,7 +525,6 @@ class FastPathNat(NetworkFunction):
                         (out.wire_bytes(), out.device)
                         for out in self._run([packet], now)[0]
                     ]
-                    generation = hooks.generation()
                 i += 1
                 continue
             rejuvenate(action.token, now)
@@ -525,4 +556,5 @@ __all__ = [
     "FlowKey",
     "apply_endpoint_action",
     "check_fastpath",
+    "warm_actions",
 ]

@@ -10,8 +10,9 @@ keys of the :class:`~repro.libvig.double_map.DoubleMap` flow table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
-from repro.packets.headers import Packet
+from repro.packets.headers import FlowKey, Packet
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,3 +74,35 @@ class Flow:
             dst_port=self.external_port,
             protocol=self.internal_id.protocol,
         )
+
+
+def microflow_keys(config, flow) -> Tuple[FlowKey, FlowKey]:
+    """The two microflow-cache keys a translation entry's packets bear.
+
+    Forward: the internal 5-tuple on ``config``'s internal device.
+    Reply: remote endpoint to the NAT's external (ip, port) on the
+    external device. ``flow`` is anything with ``internal_id`` and
+    ``external_port`` (:class:`Flow`, the unverified NAT's entry). A
+    stateful NAT names a flow to the fast path by these two keys — when
+    it pre-installs the flow's actions and when it frees the flow — so
+    the keys an action dies under are the keys it was cached under.
+    """
+    fid = flow.internal_id
+    return (
+        (
+            config.internal_device,
+            fid.protocol,
+            fid.src_ip,
+            fid.src_port,
+            fid.dst_ip,
+            fid.dst_port,
+        ),
+        (
+            config.external_device,
+            fid.protocol,
+            fid.dst_ip,
+            fid.dst_port,
+            config.external_ip,
+            flow.external_port,
+        ),
+    )

@@ -16,8 +16,9 @@ from repro.packets.headers import Packet
 class _NoopFastPathHooks:
     """Fast-path hooks for the stateless forwarder.
 
-    No flow state exists, so the generation never changes, expiry is a
-    no-op and the learn token is a constant sentinel.
+    No flow state exists, so no flow is ever freed (a learned action
+    is good forever), expiry is a no-op and the learn token is a
+    constant sentinel.
     """
 
     __slots__ = ("_nf",)
@@ -27,8 +28,8 @@ class _NoopFastPathHooks:
         self._nf = nf
 
     @staticmethod
-    def generation() -> int:
-        return 0
+    def on_flow_freed(observer) -> None:
+        pass
 
     @staticmethod
     def begin_burst(now: int) -> int:

@@ -42,7 +42,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.libvig.hash_table import ChainingHashTable
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.flow import FlowId, flow_id_of_packet
+from repro.nat.fastpath import warm_actions
+from repro.nat.flow import FlowId, flow_id_of_packet, microflow_keys
 from repro.nat.rewrite import rewrite_source
 from repro.packets.checksum import checksum_update_u16, checksum_update_u32
 from repro.packets.headers import Packet
@@ -79,8 +80,8 @@ class _UnverifiedFastPathHooks:
     def __init__(self, nat: "UnverifiedNat") -> None:
         self._nat = nat
 
-    def generation(self) -> int:
-        return self._nat._generation
+    def on_flow_freed(self, observer) -> None:
+        self._nat._flow_freed = observer
 
     def begin_burst(self, now: int) -> int:
         self._nat._expire(now)
@@ -127,47 +128,9 @@ class _UnverifiedFastPathHooks:
         if the cache's capacity cap truncates warming, the sacrificed
         entries belong to the flows closest to expiry.
         """
-        from repro.nat.fastpath import CachedAction
-
         nat = self._nat
-        config = nat.config
         for entry in reversed(list(nat._lru.values())):
-            fid = entry.internal_id
-            yield (
-                (
-                    config.internal_device,
-                    fid.protocol,
-                    fid.src_ip,
-                    fid.src_port,
-                    fid.dst_ip,
-                    fid.dst_port,
-                ),
-                CachedAction(
-                    src=(config.external_ip, entry.external_port),
-                    dst=None,
-                    out_device=config.external_device,
-                    token=entry,
-                    generation=0,
-                ),
-            )
-            eid = nat._external_key(entry)
-            yield (
-                (
-                    config.external_device,
-                    eid.protocol,
-                    eid.src_ip,
-                    eid.src_port,
-                    eid.dst_ip,
-                    eid.dst_port,
-                ),
-                CachedAction(
-                    src=None,
-                    dst=(fid.src_ip, fid.src_port),
-                    out_device=config.internal_device,
-                    token=entry,
-                    generation=0,
-                ),
-            )
+            yield from warm_actions(nat.config, entry, entry)
 
 
 class UnverifiedNat(NetworkFunction):
@@ -189,11 +152,11 @@ class UnverifiedNat(NetworkFunction):
         self._evicted_total = 0
         self._expired_total = 0
         self._expiry_scans_amortized = 0
-        #: Bumped whenever an entry is created or removed; checked by
-        #: the microflow cache before replaying an action.
-        self._generation = 0
         #: Optional per-flow delta observer (see base.delta_sink).
         self._delta_sink = None
+        #: The microflow cache's flow-freed observer (set through
+        #: ``fastpath_hooks().on_flow_freed``); None when unwrapped.
+        self._flow_freed = None
 
     # -- introspection ----------------------------------------------------
     def flow_count(self) -> int:
@@ -228,10 +191,14 @@ class UnverifiedNat(NetworkFunction):
             self._expired_total += 1
 
     def _remove(self, port: int, entry: _Entry, free_port: bool = True) -> None:
+        # Every way a flow ends — expiry and the evict-when-full path —
+        # comes through here, so this is where the microflow cache
+        # hears of it, before the port can be handed out again.
+        if self._flow_freed is not None:
+            self._flow_freed(microflow_keys(self.config, entry))
         del self._lru[port]
         self._by_internal.erase(entry.internal_id)
         self._by_external.erase(self._external_key(entry))
-        self._generation += 1
         if free_port:
             self._free_ports.append(port)
         if self._delta_sink is not None:
@@ -287,7 +254,6 @@ class UnverifiedNat(NetworkFunction):
             "flows": flows,
             "next_port": self._next_port,
             "free_ports": list(self._free_ports),
-            "generation": self._generation,
             "counters": {
                 "dropped": self._dropped_total,
                 "forwarded": self._forwarded_total,
@@ -352,8 +318,6 @@ class UnverifiedNat(NetworkFunction):
         self._expiry_scans_amortized = int(counters.get("expiry_scans_amortized", 0))
         self._bursts_total = int(counters.get("bursts", 0))
         self._burst_packets_total = int(counters.get("burst_packets", 0))
-        # Past the checkpoint's generation so no stale cached action fires.
-        self._generation = int(state.get("generation", 0)) + 1
 
     def register_metrics(self, registry, labels=None) -> None:
         """Operation counters plus flow-table occupancy/expiry/eviction."""
@@ -428,7 +392,6 @@ class UnverifiedNat(NetworkFunction):
             self._by_internal.put(flow_id, entry)
             self._by_external.put(self._external_key(entry), entry)
             self._lru[port] = entry
-            self._generation += 1
             if self._delta_sink is not None:
                 self._delta_sink(("create", port, flow_id, now))
         self._touch(entry.external_port, entry, now)

@@ -21,8 +21,8 @@ from repro.libvig.port_allocator import PortAllocator
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.core_logic import nat_loop_iteration
-from repro.nat.fastpath import CachedAction, FlowKey, apply_endpoint_action
-from repro.nat.flow import Flow, FlowId, flow_id_of_packet
+from repro.nat.fastpath import apply_endpoint_action, warm_actions
+from repro.nat.flow import Flow, FlowId, flow_id_of_packet, microflow_keys
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.packets.headers import Packet
 
@@ -106,13 +106,9 @@ class _ConcreteEnv:
             self._nat._chain,
             self._nat._flow_table,
             min_time,
-            on_expire=self._nat._on_expire_delta(min_time),
+            on_expire=self._nat._on_expire(min_time),
         )
         self._nat._expired_total += expired
-        if expired:
-            # Flow indices were freed: any microflow-cache entry learned
-            # against them is now stale.
-            self._nat._generation += 1
 
     def receive(self) -> Optional[_ConcretePacketView]:
         return _ConcretePacketView(self._packet)
@@ -134,7 +130,6 @@ class _ConcreteEnv:
             external_port=self._nat.config.start_port + index,
         )
         self._nat._flow_table.put(index, flow)
-        self._nat._generation += 1
         sink = self._nat._delta_sink
         if sink is not None:
             sink(("create", index, flow, now))
@@ -182,7 +177,9 @@ class _VigNatFastPathHooks:
     identical to an all-slow-path run: the per-burst expiry scan still
     happens (here, once per burst — exactly what ``_ConcreteEnv``
     amortizes), and every hit rejuvenates its flow in the double chain,
-    or sustained fast-path traffic would let live flows expire.
+    or sustained fast-path traffic would let live flows expire. Both
+    expiry scans report each dying flow to the cache through the one
+    routine (``VigNat._on_expire``) before its slot is released.
     """
 
     __slots__ = ("_nat",)
@@ -191,8 +188,15 @@ class _VigNatFastPathHooks:
     def __init__(self, nat: "VigNat") -> None:
         self._nat = nat
 
-    def generation(self) -> int:
-        return self._nat._generation
+    def on_flow_freed(self, observer) -> None:
+        nat = self._nat
+
+        # Built once, not per burst: expiry hands out indices, the
+        # cache wants the dying flow's keys.
+        def flow_freed(index: int) -> None:
+            observer(microflow_keys(nat.config, nat._flow_table.get_value(index)))
+
+        nat._flow_freed = flow_freed
 
     def begin_burst(self, now: int) -> int:
         nat = self._nat
@@ -207,11 +211,9 @@ class _VigNatFastPathHooks:
             nat._chain,
             nat._flow_table,
             min_time,
-            on_expire=nat._on_expire_delta(min_time),
+            on_expire=nat._on_expire(min_time),
         )
         nat._expired_total += expired
-        if expired:
-            nat._generation += 1
         return now
 
     def learn_token(self, packet: Packet) -> Optional[int]:
@@ -238,57 +240,15 @@ class _VigNatFastPathHooks:
         """(flow key, action) pairs for every live flow, both directions.
 
         Feeds :meth:`~repro.nat.fastpath.FastPathNat.warm` at standby
-        promotion. The actions are exactly what a learn on the flow's
-        next packet would cache: outbound rewrites the source to the
-        NAT's external endpoint; the reply rewrites the destination back
-        to the internal endpoint. The token is the live flow index, so
-        warmed hits rejuvenate just like learned ones. Flows are walked
+        promotion (:func:`~repro.nat.fastpath.warm_actions` per flow;
+        the token is the live flow index). Flows are walked
         newest-first, so if the cache's capacity cap truncates warming,
         the entries sacrificed belong to the flows closest to expiry.
         """
         nat = self._nat
-        config = nat.config
-        ext_ip = config.external_ip
-        cells = list(nat._chain.cells())
-        for index, _touched in reversed(cells):
-            flow = nat._flow_table.get_value(index)
-            fid = flow.internal_id
-            forward_key: FlowKey = (
-                config.internal_device,
-                fid.protocol,
-                fid.src_ip,
-                fid.src_port,
-                fid.dst_ip,
-                fid.dst_port,
-            )
-            yield (
-                forward_key,
-                CachedAction(
-                    src=(ext_ip, flow.external_port),
-                    dst=None,
-                    out_device=config.external_device,
-                    token=index,
-                    generation=0,
-                ),
-            )
-            eid = flow.external_id(ext_ip)
-            reply_key: FlowKey = (
-                config.external_device,
-                eid.protocol,
-                eid.src_ip,
-                eid.src_port,
-                eid.dst_ip,
-                eid.dst_port,
-            )
-            yield (
-                reply_key,
-                CachedAction(
-                    src=None,
-                    dst=(fid.src_ip, fid.src_port),
-                    out_device=config.internal_device,
-                    token=index,
-                    generation=0,
-                ),
+        for index, _touched in reversed(list(nat._chain.cells())):
+            yield from warm_actions(
+                nat.config, nat._flow_table.get_value(index), index
             )
 
 
@@ -312,12 +272,12 @@ class VigNat(NetworkFunction):
         self._expiry_scans_amortized = 0
         self._clock_clamped = 0
         self._last_now = 0
-        #: Bumped whenever the flow table changes shape (create/expire);
-        #: the microflow cache checks it before replaying an action.
-        self._generation = 0
         #: Optional per-flow delta observer (see base.delta_sink); None
         #: keeps the data path free of replication work.
         self._delta_sink = None
+        #: The microflow cache's per-index flow-freed observer (set
+        #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
+        self._flow_freed = None
 
     # -- introspection ----------------------------------------------------
     def flow_count(self) -> int:
@@ -371,12 +331,27 @@ class VigNat(NetworkFunction):
     def delta_sink(self, sink) -> None:
         self._delta_sink = sink
 
-    def _on_expire_delta(self, min_time: int):
-        """Per-index expiry observer for the delta log, or None when off."""
+    def _on_expire(self, min_time: int):
+        """Per-index observer of a dying flow, or None when nobody listens.
+
+        The one place VigNat reports a freed flow: both expiry scans
+        (the slow path's and the fast path's ``begin_burst``) pass it to
+        ``expire_items``, which calls it *before* the map entry is
+        erased — the flow record is still readable and nothing can have
+        reallocated its index or port yet. The microflow cache drops
+        the flow's two actions here; the delta log records the free.
+        """
         sink = self._delta_sink
+        flow_freed = self._flow_freed
         if sink is None:
-            return None
-        return lambda index: sink(("free", index, None, min_time))
+            return flow_freed  # the cache alone, or nobody: no per-burst work
+
+        def on_expire(index: int) -> None:
+            if flow_freed is not None:
+                flow_freed(index)
+            sink(("free", index, None, min_time))
+
+        return on_expire
 
     def checkpoint_state(self) -> Dict:
         """Flow state in chain age order, plus the clock and counters.
@@ -404,7 +379,6 @@ class VigNat(NetworkFunction):
             # byte-identically. Standby-synthesized checkpoints omit it.
             "free_list": list(self._chain.free_list()),
             "last_now_us": self._last_now,
-            "generation": self._generation,
             "counters": {
                 "expired": self._expired_total,
                 "dropped": self._dropped_total,
@@ -437,8 +411,6 @@ class VigNat(NetworkFunction):
         the newest flow timestamp — so a restore at an earlier wall time
         T' < T *clamps* forward instead of mass-expiring (thresholds are
         computed from the clamped clock) or tripping TimeRegression.
-        The generation is bumped past the checkpoint's so any microflow
-        cache entry learned before the restore can never replay.
         """
         if self._flow_table.size() or self._chain.size():
             raise ValueError("restore_state requires a freshly constructed NF")
@@ -480,7 +452,6 @@ class VigNat(NetworkFunction):
         self._clock_clamped = int(counters.get("clock_clamped", 0))
         self._bursts_total = int(counters.get("bursts", 0))
         self._burst_packets_total = int(counters.get("burst_packets", 0))
-        self._generation = int(state.get("generation", 0)) + 1
 
     def register_metrics(self, registry, labels=None) -> None:
         """Operation counters plus the flow table's occupancy/expiry state."""

@@ -415,7 +415,7 @@ def _worker_main(
                 # this is what lets the supervisor restore *surviving*
                 # workers in place after respawning only the dead ones
                 # (the fastpath cache starts cold, as after any restore:
-                # the generation bump would invalidate it anyway).
+                # the fresh NF sits behind a fresh, empty cache).
                 shard.restore(Checkpoint.from_bytes(message[1:]))
                 conn.send_bytes(RE_RESTORED)
             elif op == OP_STOP:

@@ -1,9 +1,10 @@
 """The ``repro-ckpt/v1`` checkpoint format.
 
 A checkpoint is the full flow state of one NF — flow table, port
-bookkeeping, expiry clock, fastpath generation, counters — as produced
-by ``NetworkFunction.checkpoint_state()``, wrapped in a small framed
-container::
+bookkeeping, expiry clock, counters — as produced by
+``NetworkFunction.checkpoint_state()``, wrapped in a small framed
+container (the microflow cache is never part of it: a restore builds a
+fresh NF behind an empty cache)::
 
     repro-ckpt/v1\\n            14-byte magic + version line
     >I crc32                   CRC-32 of the body

@@ -167,7 +167,6 @@ class StandbyReplica:
             return {
                 "flows": flows,
                 "last_now_us": self._last_t_us,
-                "generation": 0,
             }
         # unverified-nat: rows are [last_seen, fid_fields, port] in LRU
         # order. The replica cannot see the ad-hoc allocator's internals,
@@ -184,7 +183,6 @@ class StandbyReplica:
             "flows": flows,
             "next_port": next_port,
             "free_ports": [],
-            "generation": 0,
         }
 
     def to_checkpoint(self, now_us: Optional[int] = None) -> Checkpoint:

@@ -5,7 +5,11 @@ through ``Packet.from_bytes`` (so they arrive wire-backed), leave
 through ``wire_bytes()``, and in every execution mode the compiled
 closures actually fire behind ``launch()`` — ``fastpath_compiled_hits``
 is non-zero — while every transmitted frame stays byte-identical to the
-``fastpath="off"`` run of the same mode.
+``fastpath="off"`` run of the same mode. Once with long-lived flows,
+once with waves of flows that expire inside the run and hand their
+slots to newcomers: there the cache must drop exactly the dead flows'
+actions (``fastpath_invalidations`` = flows expired × the two keys
+learned per flow) and learn no flow twice.
 """
 
 import pytest
@@ -105,3 +109,107 @@ def test_closures_fire_behind_launch_and_the_wire_cannot_tell(execution, extra):
     # Every hit ran a closure, the one that earned it included.
     assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"]
     assert counters["fastpath_compiles"] == 2 * FLOWS
+
+
+# -- churn: flows die inside the run and their slots are reused ---------------
+WAVES = 6
+WAVE_FLOWS = 4
+CHURN_CONFIG = NatConfig(max_flows=32, expiration_time=250)
+
+
+def _drive_churn(execution, fastpath, extra, finale=False):
+    """Waves of short-lived flows, each learned and hit in both directions
+    (three turns 100 µs apart), then left to expire 250 µs after its
+    last frame — while the next wave is mid-way, so the freed indices and
+    external ports go straight to newcomers. ``finale`` adds one far-future
+    frame that outlives everything else."""
+    runtime = launch(
+        RuntimeSpec(
+            nf_factory=VigNat,
+            config=CHURN_CONFIG,
+            execution=execution,
+            fastpath=fastpath,
+            burst_size=32,
+            **extra,
+        )
+    )
+    try:
+        transmitted = []
+        ports_by_wave = []
+        now = 1_000
+        for wave in range(WAVES):
+            flows = range(wave * WAVE_FLOWS, (wave + 1) * WAVE_FLOWS)
+            forward = [(0, _forward_frame(flow + 1, wave)) for flow in flows]
+            sent = _turn(runtime, forward, now)
+            transmitted.append(sent)
+            # The payload length survives translation and names the flow.
+            external = {}
+            for _port, frame in sent:
+                out = Packet.from_bytes(frame)
+                external[len(out.payload) - 1] = (out.ipv4.src_ip, out.l4.src_port)
+            assert sorted(external) == list(flows)
+            ports_by_wave.append({port for _ip, port in external.values()})
+            replies = [(1, _reply_frame(f + 1, wave, external[f])) for f in flows]
+            for _ in range(2):
+                now += 100
+                transmitted.append(_turn(runtime, forward + replies, now))
+            now += 100
+        if finale:
+            transmitted.append(_turn(runtime, [(0, _forward_frame(99, 0))], 10**6))
+        return transmitted, runtime.op_counters(), ports_by_wave, runtime
+    finally:
+        runtime.stop()
+
+
+def _assert_churn_counters(counters, learns):
+    assert counters["fastpath_compiled_hits"] > 0
+    assert counters["fastpath_compile_rejected"] == 0
+    assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"]
+    # One learn per flow and direction: no flow was ever learned twice...
+    assert counters["fastpath_learns"] == learns
+    # ...and the only actions ever dropped are the dead flows' own two.
+    assert counters["expired"] > 0
+    assert counters["fastpath_invalidations"] == 2 * counters["expired"]
+    assert counters["fastpath_evictions"] == 0
+
+
+@pytest.mark.parametrize("execution,extra", MODES)
+def test_churn_behind_launch_drops_exactly_the_dead_flows_actions(execution, extra):
+    oracle, oracle_counters, _, _ = _drive_churn(execution, "off", extra)
+    compiled, counters, ports_by_wave, _ = _drive_churn(execution, "compiled", extra)
+    assert compiled == oracle
+    assert sum(len(turn) for turn in compiled) == WAVES * WAVE_FLOWS * 5
+    assert counters["expired"] == oracle_counters["expired"]
+    # Slots were reused inside the run: later waves got earlier waves' ports.
+    assert any(
+        ports_by_wave[late] & ports_by_wave[early]
+        for late in range(WAVES)
+        for early in range(late)
+    )
+    _assert_churn_counters(counters, learns=2 * WAVES * WAVE_FLOWS)
+
+
+def test_churn_with_a_standby_attached_frees_reach_cache_and_replica():
+    """With replication on, the NF's flow-free routine has two listeners:
+    the cache (drop the flow's actions) and the delta log (``("free", …)``
+    to the standby). Every expired index must reach both."""
+    replicated = {"workers": 1, "replication_lag": 0}
+    oracle, _, _, _ = _drive_churn(THREADED_DETERMINISTIC, "off", replicated, True)
+    compiled, counters, _, runtime = _drive_churn(
+        THREADED_DETERMINISTIC, "compiled", replicated, finale=True
+    )
+    assert compiled == oracle
+    created = WAVES * WAVE_FLOWS + 1  # the finale's flow is forward-only
+    _assert_churn_counters(counters, learns=2 * created - 1)
+    # Everything but the finale's flow expired...
+    assert counters["expired"] == created - 1
+    assert runtime.flow_count() == 1
+    # ...the standby was told of each: it mirrors the one survivor...
+    (replica,) = runtime.replicas
+    (channel,) = runtime.channels
+    assert replica.flow_count() == 1
+    assert replica.out_of_order_total == 0
+    # ...and the delta log adds up: every frame forwarded is a create
+    # (a flow's first) or a touch (hits rejuvenate too), every expiry a free.
+    forwarded = sum(len(turn) for turn in compiled)
+    assert channel.published_total == forwarded + counters["expired"]

@@ -7,9 +7,9 @@ TTLs, and UDP's "checksum disabled" sentinel included. This file
 proves that property four ways: a hypothesis sweep over randomized
 traffic, the raw key against the parser's key, an injected
 miscompilation that the learn-time self-verification must reject, and
-the hit rule itself — only a raw-path learn attaches a closure, and
-expiry, eviction, a generation bump or a restore each leave none
-reachable.
+the hit rule itself — only a flow's first wire-backed hit attaches a
+closure, the flow's own expiry, a FIFO eviction or a restore each leave
+none reachable, and a rival flow's birth leaves it exactly where it was.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -256,9 +256,7 @@ class TestClosureMatchesRewriteHelpers:
     )
     @settings(max_examples=200, deadline=None)
     def test_closure_matches_endpoint_rewrite(self, packet, src, dst):
-        action = CachedAction(
-            src=src, dst=dst, out_device=1, token=None, generation=0
-        )
+        action = CachedAction(src=src, dst=dst, out_device=1, token=None)
         frame = packet.wire_bytes()
         udp_checksum_off = packet.l4.checksum == 0 and isinstance(
             packet.l4, UdpHeader
@@ -423,21 +421,31 @@ class TestClosuresAreEarnedOnTheRawPath:
         self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_003, _wire)
         assert fast.op_counters()["fastpath_compiles"] == 2
 
-    def test_generation_bump_means_earning_again(self):
-        fast, slow = self._pair()
+    def test_only_its_own_expiry_costs_a_closure(self):
+        # A rival flow's birth costs the earned closure nothing: the
+        # next packet is a compiled hit, not a re-learn...
+        fast, slow = self._pair(expiration_time=100)
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001):
             assert _wire(fast, packet, t) == _slow(slow, packet, t)
         rival = make_udp_packet("10.0.0.6", "8.8.8.8", 5_000, 53, device=0)
         assert _wire(fast, rival, 1_002) == _slow(slow, rival, 1_002)
-        # Stale: discarded, re-learned plain on this miss...
         assert _wire(fast, packet, 1_003) == _slow(slow, packet, 1_003)
         counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] == 1
+        assert counters["fastpath_invalidations"] == 0
+        assert counters["fastpath_misses"] == 2  # one learn per flow
+        assert counters["fastpath_compiles"] == 1
+        assert counters["fastpath_compiled_hits"] == 2
+        assert fast.compiled_size == 1
+        # ...while the flow's own expiry drops action and closure, so
+        # its next incarnation is learned plain on the miss and earns a
+        # fresh closure on the hit after it.
+        assert _wire(fast, packet, 2_000) == _slow(slow, packet, 2_000)
+        counters = fast.op_counters()
+        assert counters["fastpath_invalidations"] == 2  # both flows expired
         assert counters["fastpath_compiles"] == 1
         assert fast.compiled_size == 0
-        # ...and compiled again on the hit after it.
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_004, _wire)
+        self._assert_earns_closure_on_first_hit(fast, slow, packet, 2_001, _wire)
 
     def test_rejected_compile_is_not_retried(self, monkeypatch):
         fast, slow = self._pair()
@@ -492,9 +500,9 @@ class TestClosuresAreEarnedOnTheRawPath:
 
 
 class TestStaleClosureInvalidation:
-    """Expiry, eviction, a generation bump and restore each leave no
-    closure reachable: the closure lives on its action, so whatever
-    drops the action drops it too."""
+    """Expiry, eviction and restore each leave no closure reachable:
+    the closure lives on its action, so whatever drops the action drops
+    it too — and nothing but the end of its own flow drops the action."""
 
     def test_expiry_drops_closure_before_it_can_fire(self):
         cfg = NatConfig(max_flows=64, expiration_time=10)
@@ -532,23 +540,34 @@ class TestStaleClosureInvalidation:
         assert fast.compiled_size <= fast.cache_size
         assert counters["fastpath_compiles"] == 6
 
-    def test_generation_bump_strands_no_closure(self):
-        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
-        slow = VigNat(NatConfig(max_flows=64))
+    def test_a_rival_flow_strands_no_closure(self):
+        cfg = dict(max_flows=64, expiration_time=100)
+        fast = FastPathNat(VigNat(NatConfig(**cfg)))
+        slow = VigNat(NatConfig(**cfg))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001):
             assert _raw(fast, packet, t) == _slow(slow, packet, t)
         assert fast.op_counters()["fastpath_compiled_hits"] == 1
-        # A new flow bumps the generation: the first flow's action and
-        # the closure on it are stale from here on.
+        # A new flow is born: the first flow's action and the closure
+        # on it stay exactly where they were.
         rival = make_udp_packet("10.0.0.6", "8.8.8.8", 5_000, 53, device=0)
         assert _raw(fast, rival, 1_002) == _slow(slow, rival, 1_002)
         assert _raw(fast, packet, 1_003) == _slow(slow, packet, 1_003)
         counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] == 1
-        assert counters["fastpath_compiled_hits"] == 1  # it re-learned instead
+        assert counters["fastpath_invalidations"] == 0
+        assert counters["fastpath_compiled_hits"] == 2  # the same closure
         assert counters["fastpath_compiles"] == 1
-        assert fast.compiled_size == 0
+        assert fast.compiled_size == 1
+        # The rival, kept alive alone, outlives the first flow: the
+        # expiry scan that frees the first flow takes its action and
+        # closure along, and nothing of the rival's.
+        for t in (1_080, 1_160):
+            assert _raw(fast, rival, t) == _slow(slow, rival, t)
+        counters = fast.op_counters()
+        assert counters["fastpath_invalidations"] == 1
+        assert fast.cache_size == 1
+        assert fast.compiled_size == 1  # the rival earned its own at t=1080
+        assert counters["fastpath_compiles"] == 2
 
     def test_restore_clears_every_closure(self):
         # The no-op forwarder restores into a live instance, so the

@@ -2,10 +2,12 @@
 
 The byte-identity property itself lives in
 ``test_fastpath_differential.py``; this file covers the cache machinery
-— learn/hit/miss accounting, generation invalidation on flow churn,
-rejuvenation keeping flows alive, the eviction cap, fall-through for
-ineligible traffic, and the RFC 768 zero-UDP-checksum regression on
-both paths.
+— learn/hit/miss accounting, actions that live exactly as long as
+their flow (a stranger's birth costs nothing, the flow's own expiry
+drops them; ``test_flow_lifetime.py`` holds the churn and slot-reuse
+cases), rejuvenation keeping flows alive, the eviction cap,
+fall-through for ineligible traffic, and the RFC 768 zero-UDP-checksum
+regression on both paths.
 """
 
 import pytest
@@ -59,7 +61,7 @@ class TestCacheAccounting:
         assert counters["fastpath_learns"] == 1
         assert fast.cache_size == 1
 
-        # Same flow, same generation: a pure cache hit.
+        # Same flow, still live: a pure cache hit.
         fast.process(outbound(4000), 1_001)
         counters = fast.op_counters()
         assert counters["fastpath_hits"] == 1
@@ -92,16 +94,22 @@ class TestCacheAccounting:
 
 
 class TestGenerationInvalidation:
-    def test_new_flow_invalidates_cached_actions(self):
+    """An action lives exactly as long as its own flow. (The class
+    name predates that rule; it stays so the test ids do.)"""
+
+    def test_new_flow_leaves_cached_actions_alone(self):
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         fast.process(outbound(4000), 1_000)
         assert fast.cache_size == 1
-        # A different flow's creation bumps the generation…
+        # A different flow's creation…
         fast.process(outbound(4001), 1_001)
-        # …so the first flow's entry is discarded on next consult.
+        # …costs the first flow nothing: its next packet is a hit.
         fast.process(outbound(4000), 1_002)
         counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] >= 1
+        assert counters["fastpath_invalidations"] == 0
+        assert counters["fastpath_learns"] == 2
+        assert counters["fastpath_hits"] == 1
+        assert fast.cache_size == 2
 
     def test_expiry_invalidates_cached_actions(self):
         cfg = NatConfig(max_flows=64, expiration_time=10)
@@ -113,7 +121,8 @@ class TestGenerationInvalidation:
         # Jump past expiry: the flow is gone, the cached action must not fire.
         outputs = fast.process(outbound(4000), 1_000)
         counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] >= 1
+        assert counters["fastpath_invalidations"] == 1
+        assert counters["fastpath_hits"] == hits_before
         assert len(outputs) == 1  # slow path re-translates (new flow)
 
     def test_rejuvenation_keeps_flow_alive_under_fastpath_traffic(self):
@@ -316,15 +325,36 @@ class TestWarmFromRestoredState:
             )
         assert fast.op_counters()["fastpath_hits"] == 2
 
-    def test_churn_invalidates_warmed_entries(self):
-        fast, _, _ = self._restored(flows=4)
-        fast.warm()
-        # A brand-new flow bumps the inner generation; the warmed
-        # actions must be discarded, not replayed stale.
-        fast.process(outbound(4_500), 2_000)
-        fast.process(outbound(4_001), 2_001)
+    def test_warmed_entries_die_with_their_flow_only(self):
+        self._check_warmed_lifetime(VigNat)
+
+    def test_unverified_warmed_entries_die_with_their_flow_only(self):
+        self._check_warmed_lifetime(UnverifiedNat)
+
+    def _check_warmed_lifetime(self, nf_class):
+        fast, primary, _ = self._restored(nf_class=nf_class, flows=4)
+        assert fast.warm() == 8
+        # A stranger's birth leaves every warmed action in place: the
+        # warmed flow's next packet is a hit.
+        for nf in (fast, primary):
+            nf.process(outbound(4_500), 2_000)
+        assert render(fast.process(outbound(4_001), 2_001)) == render(
+            primary.process(outbound(4_001), 2_001)
+        )
         counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] >= 1
+        assert counters["fastpath_invalidations"] == 0
+        assert counters["fastpath_hits"] == 1
+        assert fast.cache_size == 9
+        # Far past expiry (on both clocks) every flow dies, and every
+        # warmed action — both directions — dies with its flow.
+        late = 2_001 + 2 * fast.inner.config.expiration_time
+        assert render(fast.process(outbound(4_001), late)) == render(
+            primary.process(outbound(4_001), late)
+        )
+        counters = fast.op_counters()
+        assert counters["fastpath_invalidations"] == 9
+        assert counters["fastpath_hits"] == 1
+        assert fast.cache_size == 1 == fast.flow_count()
 
     def test_capacity_cap_truncates_warming(self):
         fast, _, _ = self._restored(flows=8, max_entries=6)

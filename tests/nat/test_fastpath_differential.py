@@ -11,7 +11,9 @@ Coverage spans all three data paths the cache plugs into: the per-packet
 and burst NF entry points (materialised packets, wire-backed packets
 and raw buffers, apart and interleaved on one cache), the DPDK-style
 runtime main loop, and the RSS-sharded multi-worker runtime
-(``fastpath="compiled"``).
+(``fastpath="compiled"``). One property looks inside instead: after
+every step the cache holds actions of live flows only — the state
+invariant that lets a hit fire without any validity check.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro.net.app import RuntimeSpec, launch
 from repro.net.dpdk import DpdkRuntime
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 from repro.packets.headers import Packet
+from tests.nat.cache_invariant import assert_cache_within_live_flows
 
 CFG_KW = dict(max_flows=8, expiration_time=2_000_000, start_port=1000)
 
@@ -192,6 +195,40 @@ class TestNfEntryPoints:
                 got = [(p.wire_bytes(), p.device) for p in outs]
             assert got == want
         assert fast.compiled_size <= fast.cache_size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=_steps(),
+        nf_class=st.sampled_from((VigNat, UnverifiedNat)),
+        wire_backed=st.lists(st.booleans(), min_size=40, max_size=40),
+    )
+    def test_cache_holds_live_flows_only_after_every_step(
+        self, steps, nf_class, wire_backed
+    ):
+        """``cache ⊆ live flows`` between any two packets: whatever
+        mix of births, expiries (the time steps cross the threshold),
+        slot reuse (8 slots, 6 flows a side) and replies to dead ports
+        the strategy produces, every cached key's flow is live and the
+        action's token is that flow's — on both NATs, for materialised
+        and wire-backed packets alike."""
+        slow = nf_class(NatConfig(**CFG_KW))
+        fast = FastPathNat(nf_class(NatConfig(**CFG_KW)))
+        probes = {}
+        now = 0
+        for (direction, selector, kind, dt), wire in zip(steps, wire_backed):
+            now += dt
+            packet = _packet(direction, selector, kind, slow.config)
+            offered = packet.clone()
+            if wire:
+                offered = Packet.from_bytes(packet.wire_bytes(), packet.device)
+            assert _render(fast.process(offered, now)) == _render(
+                slow.process(packet.clone(), now)
+            )
+            assert_cache_within_live_flows(fast, probes)
+        assert fast.flow_count() == slow.flow_count()
+        counters = fast.op_counters()
+        ended = counters["expired"] + counters.get("evicted", 0)
+        assert counters["fastpath_invalidations"] <= 2 * ended
 
 
 class TestRuntimeMainLoop:

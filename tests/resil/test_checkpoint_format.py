@@ -12,6 +12,7 @@ checkpoints that parse fine but belong elsewhere.
 import json
 import struct
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,9 @@ from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
+from repro.net.app import RuntimeSpec, launch
 from repro.packets.builder import make_udp_packet
+from repro.packets.headers import Packet
 from repro.resil.checkpoint import MAGIC, Checkpoint, CheckpointError, restore, snapshot
 
 CFG = NatConfig(max_flows=8, expiration_time=2_000_000, start_port=1000)
@@ -138,11 +141,71 @@ class TestRestoreGuards:
         restore(fresh, ckpt)
         assert fresh.flow_count() == 1
 
-    def test_restored_generation_outruns_checkpoint(self):
-        # Any microflow-cache entry learned before the snapshot must be
-        # stale after restore — the generation strictly advances.
-        nat = _nat_with_flows()
-        ckpt = snapshot(nat, now_us=5_000)
-        fresh = VigNat(CFG)
-        restore(fresh, ckpt)
-        assert fresh.checkpoint_state()["generation"] > ckpt.state["generation"]
+    def test_checkpoint_with_generation_still_restores(self):
+        # Until the cache's validity became per-flow, the NF state
+        # carried the global "generation" counter. Such a checkpoint
+        # restores as before; the field is ignored and not written back.
+        for nf_class in (VigNat, UnverifiedNat):
+            nat = nf_class(CFG)
+            for i in range(3):
+                nat.process(
+                    make_udp_packet("10.0.0.1", "8.8.8.8", 4_000 + i, 53, device=0),
+                    1_000 + i,
+                )
+            ckpt = snapshot(nat, now_us=5_000)
+            assert "generation" not in ckpt.state
+            old_style = replace(ckpt, state={**ckpt.state, "generation": 7})
+            fresh = nf_class(CFG)
+            restore(fresh, Checkpoint.from_bytes(old_style.to_bytes()))
+            assert fresh.checkpoint_state() == nat.checkpoint_state()
+
+    def test_no_pre_restore_action_fires_after_it(self):
+        # A restore rolls flow B out of existence while B's actions —
+        # learned after the snapshot, hot in both directions — sit in
+        # the serving cache. None of them may fire afterwards: B's old
+        # external port is dead until the slow path hands it to C.
+        def drive(fastpath):
+            runtime = launch(
+                RuntimeSpec(nf_factory=VigNat, config=CFG, fastpath=fastpath)
+            )
+            sent = []
+
+            def turn(now, *packets):
+                for packet in packets:
+                    wire = Packet.from_bytes(packet.to_bytes(), packet.device)
+                    runtime.inject(packet.device, wire, now)
+                runtime.main_loop_burst(now)
+                sent.append(
+                    [(port, p.wire_bytes()) for port, _ts, p in runtime.collect()]
+                )
+                return sent[-1]
+
+            def host(n):
+                return make_udp_packet(f"10.0.0.{n}", "8.8.8.8", 4_000 + n, 53)
+
+            def reply(port):
+                return make_udp_packet(
+                    "8.8.8.8", CFG.external_ip, 53, port, device=1
+                )
+
+            port_a, port_b = CFG.start_port, CFG.start_port + 1
+            for now in (1_000, 1_001):
+                turn(now, host(1), reply(port_a))
+            rollback = runtime.checkpoint(2_000)
+            for now in (3_000, 3_001):
+                assert len(turn(now, host(2), reply(port_b))) == 2
+            runtime.restore(rollback)
+            assert turn(4_000, reply(port_b)) == []  # B is gone
+            assert len(turn(4_001, host(1), reply(port_a))) == 2  # A is not
+            assert len(turn(4_002, host(3), reply(port_b))) == 2  # C has the port
+            counters = runtime.op_counters()
+            runtime.stop()
+            return sent, counters
+
+        oracle, _ = drive("off")
+        compiled, counters = drive("compiled")
+        assert compiled == oracle
+        # The counters are the fresh cache's: nothing from before the
+        # restore hit, everything was learned again.
+        assert counters["fastpath_hits"] == 0
+        assert counters["fastpath_learns"] == 4

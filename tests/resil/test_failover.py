@@ -332,8 +332,8 @@ class TestReplicatedRuntimeSurface:
         } <= names
 
     def test_fastpath_survives_promotion(self):
-        # The promoted NF is wrapped like its predecessor, and the
-        # restored generation invalidates any pre-kill cache entry.
+        # The promoted NF is wrapped like its predecessor, behind a
+        # cache of its own: no pre-kill action exists in it.
         runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="compiled")
         ext_of, now = _establish(runtime, 16)
         runtime.kill_worker(1, at_us=now + 1)

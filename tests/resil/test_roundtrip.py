@@ -5,8 +5,7 @@ mid-run (through the full wire format — serialize, reparse, restore),
 then replays an identical random suffix through the original and the
 restored copy. Equivalence is observational and byte-exact: every
 suffix packet must produce the same frames (same bytes, same device)
-on both, and the final checkpoint states must match field for field
-(modulo the restore's deliberate generation bump).
+on both, and the final checkpoint states must match field for field.
 
 Runs with the microflow fast path both off and on — a restored NF must
 be indistinguishable even when the original's cache is warm and the
@@ -65,7 +64,6 @@ def _render(outputs):
 
 def _final_state(nf, fastpath):
     state = nf.checkpoint_state()
-    state.pop("generation")  # restore bumps it past the checkpoint's
     if fastpath:
         # Operation counters depend on cache warmth (a hit replays the
         # cached action without touching the inner NF's slow-path
