@@ -54,8 +54,8 @@ THROUGHPUT_FIELDS = (
     "replay_pps_off",
     "replay_pps_on",
     "replay_pps",
-    "raw_pps_off",
-    "raw_pps_compiled",
+    "wire_pps_off",
+    "wire_pps_compiled",
 )
 
 #: Lower is better: a fresh value *above* baseline is the regression,

@@ -31,7 +31,7 @@ def _write_fastpath_divergence(points) -> None:
     for point in points:
         for axis, diff in (
             ("object-path cache", point.divergence),
-            ("raw/compiled", point.raw_divergence),
+            ("wire-backed", point.wire_divergence),
         ):
             if diff is not None:
                 sections.append(

@@ -32,7 +32,7 @@ from repro.net.moongen import (
 from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.net.rss import NatSteering
 from repro.net.testbed import Rfc2544Testbed, ThroughputResult
-from repro.packets.headers import Packet, ParseError
+from repro.packets.headers import Packet
 
 S = 1_000_000_000
 
@@ -379,7 +379,7 @@ class FastpathPoint:
     nf: str
     flow_count: int
     burst_size: int
-    #: Packets in one replay pass (the raw pps numerator).
+    #: Packets in one replay pass (the wire pps numerator).
     packets: int
     #: Fraction of packets served from the microflow cache.
     hit_rate: float
@@ -396,22 +396,21 @@ class FastpathPoint:
     counters: Dict[str, int] = field(default_factory=dict)
     #: When not identical: where the two replays first disagreed.
     divergence: Optional[TraceDiff] = None
-    #: True when the NF exposes the raw byte-level burst path (the
-    #: compiled axis only exists there).
+    #: True when the NF's hooks let its actions compile into closures
+    #: (the ``compiled_counters`` checks only apply there).
     supports_raw: bool = False
-    #: Wall-clock seconds for the raw-frame replay of the same events
-    #: with the fast path off (parse / slow path / serialize) and on
-    #: (batch-applied compiled closures). Both 0.0 for NFs without
-    #: raw-path support.
-    raw_wall_seconds_off: float = 0.0
-    raw_wall_seconds_compiled: float = 0.0
-    #: True when both raw replays emitted byte-identical frames to the
-    #: object-path replay (vacuously True without raw support).
-    raw_identical: bool = True
-    #: Counters from the fast-path-on raw replay (compiles, batches, ...).
+    #: Wall-clock seconds for the same events replayed as wire-backed
+    #: packets — ``Packet.from_bytes`` per frame in, ``wire_bytes`` per
+    #: output out, the path every runtime takes — fast path off and on.
+    wire_wall_seconds_off: float = 0.0
+    wire_wall_seconds_compiled: float = 0.0
+    #: True when both wire-backed replays emitted byte-identical frames
+    #: to the object-path replay.
+    wire_identical: bool = True
+    #: Fast-path counters from the fast-path-on wire-backed replay.
     compiled_counters: Dict[str, int] = field(default_factory=dict)
-    #: When the raw replays diverged: the first disagreement.
-    raw_divergence: Optional[TraceDiff] = None
+    #: When the wire-backed replays diverged: the first disagreement.
+    wire_divergence: Optional[TraceDiff] = None
 
     @property
     def implied_mpps_off(self) -> float:
@@ -431,10 +430,10 @@ class FastpathPoint:
 
     @property
     def compiled_speedup_over_off(self) -> float:
-        """Raw-path wall speedup of compiled closures over no fast path."""
-        if self.raw_wall_seconds_compiled <= 0:
+        """Wire-backed wall speedup of ``fastpath="compiled"`` over off."""
+        if self.wire_wall_seconds_compiled <= 0:
             return 0.0
-        return self.raw_wall_seconds_off / self.raw_wall_seconds_compiled
+        return self.wire_wall_seconds_off / self.wire_wall_seconds_compiled
 
 
 def _burst_replay_outputs(
@@ -480,76 +479,39 @@ def _timed_burst_replay(
     return best
 
 
-class _RawSlowPath:
-    """The raw burst path with no fast path at all.
+def _wire_replay(
+    nf: NetworkFunction, events: Sequence, burst_size: int, repeats: int = 3
+) -> Tuple[List[List[tuple]], float]:
+    """Replay ``events`` as wire-backed packets: (outputs, seconds).
 
-    The fastpath-off baseline for the raw axis: parse every frame, run
-    the slow path, serialize with stored checksums — what a byte-level
-    data path costs when every packet is treated as cold.
+    The path every runtime takes: each frame enters as a fresh
+    ``Packet.from_bytes`` and each output leaves as ``wire_bytes``. A
+    packet that took the slow path once has materialised, so every pass
+    builds its packets anew, inside the timed region, fast path off and
+    on alike. The first pass runs on the fresh NF and yields the
+    (wire bytes, device) outputs of the differential check — it also
+    warms the flow table, cache and closures; the fastest of the
+    ``repeats`` passes after it is the time, as in
+    :func:`_timed_burst_replay`.
     """
-
-    def __init__(self, nf: NetworkFunction) -> None:
-        self.nf = nf
-
-    def process_raw_burst(self, frames, now: int):
-        results = []
-        process = self.nf.process
-        for buf, device in frames:
-            try:
-                packet = Packet.from_bytes(bytes(buf), device)
-            except ParseError:
-                results.append([])
-                continue
-            results.append(
-                [(out.wire_bytes(), out.device) for out in process(packet, now)]
-            )
-        return results
-
-
-def _raw_frames(events: Sequence) -> List[Tuple[bytes, int]]:
-    """Serialize events once; every replay pass reads the same frames."""
-    return [(e.packet.wire_bytes(), e.packet.device) for e in events]
-
-
-def _raw_replay_outputs(nf, events: Sequence, burst_size: int) -> List[List[tuple]]:
-    """One raw replay pass, collecting (wire bytes, device) per packet."""
-    frames = _raw_frames(events)
-    outputs: List[List[tuple]] = []
-    for i in range(0, len(frames), burst_size):
-        chunk = frames[i : i + burst_size]
-        now_us = events[i].time_ns // 1_000
-        results = nf.process_raw_burst(
-            [(bytearray(buf), device) for buf, device in chunk], now_us
-        )
-        outputs.extend(list(outs) for outs in results)
-    return outputs
-
-
-def _timed_raw_burst_replay(
-    nf, events: Sequence, burst_size: int, repeats: int = 3
-) -> float:
-    """Wall-clock seconds for one warmed raw-frame replay of ``events``.
-
-    Mirrors :func:`_timed_burst_replay`: an untimed warm pass (flow
-    table, caches, compiled closures), then the fastest of ``repeats``
-    timed passes. Frames are serialized once up front; the per-burst
-    ``bytearray`` copies (standing in for the RX buffers a NIC would
-    hand over) stay inside the timed region, fast path off and on alike.
-    """
-    frames = _raw_frames(events)
-    best = None
-    for timed_pass in range(1 + repeats):
+    frames = [(e.packet.wire_bytes(), e.packet.device) for e in events]
+    first = best = None
+    for _ in range(1 + repeats):
         started = time.perf_counter()
+        outputs: List[List[tuple]] = []
         for i in range(0, len(frames), burst_size):
-            chunk = frames[i : i + burst_size]
-            nf.process_raw_burst(
-                [(bytearray(buf), device) for buf, device in chunk],
-                events[i].time_ns // 1_000,
-            )
+            packets = [
+                Packet.from_bytes(frame, device)
+                for frame, device in frames[i : i + burst_size]
+            ]
+            for outs in nf.process_burst(packets, events[i].time_ns // 1_000):
+                outputs.append([(o.wire_bytes(), o.device) for o in outs])
         elapsed = time.perf_counter() - started
-        if timed_pass > 0 and (best is None or elapsed < best):
+        if first is None:
+            first = outputs
+        elif best is None or elapsed < best:
             best = elapsed
-    return best
+    return first, best
 
 
 def fastpath_sweep(
@@ -569,13 +531,13 @@ def fastpath_sweep(
     off and on; (3) warmed wall-clock replays of the bare data path with
     the cache off and on — the real Python-level cost of the slow path
     versus the cached replay, free of the testbed's simulation overhead.
-    NFs that support the raw byte path get a fourth axis: the same
-    events replayed as raw frames with the fast path off and on (the
+    A fourth axis replays the same events as wire-backed packets
+    through ``process_burst`` with the fast path off and on (the
     sweep's events are materialised packets, so this is the axis where
-    compiled closures run), each byte-compared
-    against the object-path replay. The paper's no-op < unverified <
-    verified cost ordering must survive at every hit rate (the cache
-    accelerates every NF, it does not reorder them).
+    compiled closures run — and the path ``launch()`` runs), each
+    byte-compared against the object-path replay. The paper's no-op <
+    unverified < verified cost ordering must survive at every hit rate
+    (the cache accelerates every NF, it does not reorder them).
 
     The default lineup excludes the NetFilter NAT: it models a kernel
     path and exposes no fast-path hooks.
@@ -617,42 +579,24 @@ def fastpath_sweep(
             fast = FastPathNat(factory(cfg))
             wall_on = _timed_burst_replay(fast, events, burst_size)
 
-            # The raw axis: the same events over raw frame bytes, fast
-            # path off and on. Both outputs must byte-match the
-            # object-path replay — the compiled axis of the
-            # differential check.
+            # The wire-backed axis: the same events as frames through
+            # ``Packet.from_bytes`` -> ``process_burst``, fast path off
+            # and on. Both outputs must byte-match the object-path
+            # replay — the compiled axis of the differential check.
             hooks = factory(cfg).fastpath_hooks()
-            supports_raw = bool(hooks is not None and hooks.supports_raw)
-            raw_off_s = raw_compiled_s = 0.0
-            raw_identical = True
-            raw_divergence = None
-            compiled_counters: Dict[str, int] = {}
-            if supports_raw:
-                raw_off_outputs = _raw_replay_outputs(
-                    _RawSlowPath(factory(cfg)), events, burst_size
-                )
-                raw_compiled_outputs = _raw_replay_outputs(
-                    FastPathNat(factory(cfg)), events, burst_size
-                )
-                raw_identical = (
-                    off_outputs == raw_off_outputs == raw_compiled_outputs
-                )
-                if not raw_identical:
-                    raw_divergence = first_divergence(
-                        raw_off_outputs, raw_compiled_outputs
-                    ) or first_divergence(off_outputs, raw_off_outputs)
-                raw_off_s = _timed_raw_burst_replay(
-                    _RawSlowPath(factory(cfg)), events, burst_size
-                )
-                compiled_nf = FastPathNat(factory(cfg))
-                raw_compiled_s = _timed_raw_burst_replay(
-                    compiled_nf, events, burst_size
-                )
-                compiled_counters = {
-                    key: value
-                    for key, value in compiled_nf.op_counters().items()
-                    if key.startswith("fastpath_")
-                }
+            wire_off_outputs, wire_off_s = _wire_replay(
+                factory(cfg), events, burst_size
+            )
+            compiled_nf = FastPathNat(factory(cfg))
+            wire_on_outputs, wire_compiled_s = _wire_replay(
+                compiled_nf, events, burst_size
+            )
+            wire_identical = off_outputs == wire_off_outputs == wire_on_outputs
+            wire_divergence = None
+            if not wire_identical:
+                wire_divergence = first_divergence(
+                    wire_off_outputs, wire_on_outputs
+                ) or first_divergence(off_outputs, wire_off_outputs)
 
             points.append(
                 FastpathPoint(
@@ -668,12 +612,16 @@ def fastpath_sweep(
                     identical=identical,
                     counters=fast.op_counters(),
                     divergence=divergence,
-                    supports_raw=supports_raw,
-                    raw_wall_seconds_off=raw_off_s,
-                    raw_wall_seconds_compiled=raw_compiled_s,
-                    raw_identical=raw_identical,
-                    compiled_counters=compiled_counters,
-                    raw_divergence=raw_divergence,
+                    supports_raw=bool(hooks is not None and hooks.supports_raw),
+                    wire_wall_seconds_off=wire_off_s,
+                    wire_wall_seconds_compiled=wire_compiled_s,
+                    wire_identical=wire_identical,
+                    compiled_counters={
+                        key: value
+                        for key, value in compiled_nf.op_counters().items()
+                        if key.startswith("fastpath_")
+                    },
+                    wire_divergence=wire_divergence,
                 )
             )
     return points

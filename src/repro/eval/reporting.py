@@ -195,26 +195,23 @@ def render_fastpath_sweep(points: Sequence[FastpathPoint]) -> str:
                 f"   {p.wall_speedup:5.2f}"
                 f"   {'yes' if p.identical else 'NO — DIVERGED'}"
             )
-    raw_points = [p for p in points if p.supports_raw]
-    if raw_points:
-        lines.append("")
-        lines.append("Raw-frame replay — fast path off vs compiled closures")
-        lines.append(
-            "flows    raw wall off (s)   compiled (s)   comp/off ×   identical"
-        )
-        for nf, nf_points in by_nf.items():
-            nf_raw = [p for p in nf_points if p.supports_raw]
-            if not nf_raw:
-                continue
-            lines.append(f"{nf}:")
-            for p in sorted(nf_raw, key=lambda p: p.flow_count):
-                lines.append(
-                    f"  {p.flow_count:>6d}"
-                    f"   {p.raw_wall_seconds_off:16.3f}"
-                    f"   {p.raw_wall_seconds_compiled:12.3f}"
-                    f"   {p.compiled_speedup_over_off:10.2f}"
-                    f"   {'yes' if p.raw_identical else 'NO — DIVERGED'}"
-                )
+    lines.append("")
+    lines.append(
+        "Wire-backed replay (from_bytes -> process_burst) — fast path off vs on"
+    )
+    lines.append(
+        "flows   wire wall off (s)   compiled (s)   comp/off ×   identical"
+    )
+    for nf, nf_points in by_nf.items():
+        lines.append(f"{nf}:")
+        for p in sorted(nf_points, key=lambda p: p.flow_count):
+            lines.append(
+                f"  {p.flow_count:>6d}"
+                f"   {p.wire_wall_seconds_off:16.3f}"
+                f"   {p.wire_wall_seconds_compiled:12.3f}"
+                f"   {p.compiled_speedup_over_off:10.2f}"
+                f"   {'yes' if p.wire_identical else 'NO — DIVERGED'}"
+            )
     lines.append("")
     smallest = min((p.flow_count for p in points), default=0)
     for nf, nf_points in by_nf.items():
@@ -230,25 +227,24 @@ def render_fastpath_sweep(points: Sequence[FastpathPoint]) -> str:
             f"learns={counters.get('fastpath_learns', 0)}"
         )
         compiled = hot.compiled_counters
-        if compiled:
+        if hot.supports_raw:
             lines.append(
                 f"{'':>20s}   compiled: "
                 f"compiles={compiled.get('fastpath_compiles', 0)}, "
                 f"rejected={compiled.get('fastpath_compile_rejected', 0)}, "
-                f"hits={compiled.get('fastpath_compiled_hits', 0)}, "
-                f"batches={compiled.get('fastpath_compiled_batches', 0)}"
+                f"hits={compiled.get('fastpath_compiled_hits', 0)}"
             )
     for point in points:
         if point.divergence is not None:
             lines.append("")
             lines.append(f"{point.nf} @ {point.flow_count} flows DIVERGED:")
             lines.append(point.divergence.render())
-        if point.raw_divergence is not None:
+        if point.wire_divergence is not None:
             lines.append("")
             lines.append(
-                f"{point.nf} @ {point.flow_count} flows RAW/COMPILED DIVERGED:"
+                f"{point.nf} @ {point.flow_count} flows WIRE-BACKED DIVERGED:"
             )
-            lines.append(point.raw_divergence.render())
+            lines.append(point.wire_divergence.render())
     return "\n".join(lines)
 
 

@@ -42,13 +42,8 @@ What makes the compilation sound:
   result against the object replay of the same frame before attaching
   it to the flow's action. A miscompiled closure is never installed.
 
-The raw entry point (``FastPathNat.process_raw_burst``) additionally
-batches: it extracts every frame's key in one pass, partitions the
-burst into maximal same-flow runs, and applies each run's closure
-across it — one dict lookup and one rejuvenation per run instead of
-per packet. A closure lives on its flow's action and the action lives
-exactly as long as the flow, so neither entry point checks anything
-before firing one.
+A closure lives on its flow's action and the action lives exactly as
+long as the flow, so a hit checks nothing before firing one.
 """
 
 from __future__ import annotations

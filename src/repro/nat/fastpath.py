@@ -28,8 +28,9 @@ mechanisms enforce it:
 Verification still targets the slow path: the fast path adds no state
 the symbolic engine must model, and the proof report is unchanged.
 
-Every entry point consults the one cache through the one per-packet
-routine (``_run``), keyed by :meth:`~repro.packets.headers.Packet.flow_key`.
+Both entry points (``process``, ``process_burst``) consult the one
+cache through the one per-packet routine (``_run``), keyed by
+:meth:`~repro.packets.headers.Packet.flow_key`.
 What a hit costs depends on what the packet still is. A *wire-backed*
 packet — ``Packet.from_bytes`` kept its frame as bytes, and nothing has
 touched a header since — is rewritten by the flow's compiled closure
@@ -41,10 +42,10 @@ wire-backed hit — compiled, byte-compared against the object replay of
 that very frame, then attached or rejected for good — and lives *on*
 the action, so whatever drops an action drops its closure with it.
 Learns never compile: a flow that is never hit pays nothing for
-closures. ``process_raw_burst`` is the same cache over bare frame
-buffers with the hits batched per same-flow run; a frame it cannot
-serve from a live closure is wrapped with ``Packet.from_bytes`` and
-handed to ``_run``.
+closures. There is no entry point over bare frame buffers: a frame
+reaches the cache only as a ``Packet``, so ``Packet.from_bytes`` —
+canonical-form check included — has accepted every image a closure
+ever sees.
 
 Each NF that opts in exposes ``fastpath_hooks()`` returning an object
 with: ``supports_raw`` (bool), ``begin_burst(now) -> now`` (clamp the
@@ -68,7 +69,7 @@ from repro.nat.flow import microflow_keys
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry
-from repro.packets.headers import FlowKey, Packet, ParseError, raw_flow_key
+from repro.packets.headers import FlowKey, Packet
 
 #: The values a spec's ``fastpath`` field can take.
 FASTPATH_MODES = ("off", "compiled")
@@ -168,7 +169,6 @@ _COUNTERS = (
         "compiled closures whose output diverged from the slow path",
     ),
     ("compiled_hits", "packets rewritten by a compiled closure"),
-    ("compiled_batches", "same-flow runs batch-applied through a compiled closure"),
 )
 
 #: The cache's gauges: (metric name, ``FastPathNat`` property, help).
@@ -473,80 +473,6 @@ class FastPathNat(NetworkFunction):
         if not packets:
             return []
         return self._run(packets, self._hooks.begin_burst(now))
-
-    def process_raw_burst(
-        self, frames: Sequence[Tuple[bytearray, int]], now: int
-    ) -> List[List[Tuple[bytes, int]]]:
-        """The burst path over raw frame bytes.
-
-        ``frames`` holds (frame buffer, receive device) pairs of
-        canonical frames — RX buffers as a NIC hands them over. A frame
-        is served here iff its flow's action carries a closure;
-        anything else — ineligible shape, cold or dead flow, an action
-        that has not earned its closure yet or never will —
-        is wrapped with ``Packet.from_bytes`` and takes the per-packet
-        code every other entry point runs (``_run``), its outputs
-        serialized with stored checksums (``wire_bytes``).
-
-        Struct-of-arrays over the burst: every frame's flow key is
-        extracted in one pass (``raw_flow_key``), the burst is
-        partitioned into maximal same-key runs, and each run with a
-        closure pays its dict lookup and rejuvenation *once* before
-        the closure is applied across the whole run.
-        """
-        hooks = self._hooks
-        if not hooks.supports_raw:
-            raise TypeError(f"{self.name} does not support the raw fast path")
-        n = len(frames)
-        self._note_burst(n)
-        if not frames:
-            return []
-        now = hooks.begin_burst(now)
-        recorder = obs.recorder()
-        tracing = recorder.active
-        cache = self._cache
-        rejuvenate = hooks.rejuvenate
-        keys = [raw_flow_key(buf, device) for buf, device in frames]
-        results: List[List[Tuple[bytes, int]]] = [[] for _ in range(n)]
-        hits = 0
-        batches = 0
-        i = 0
-        while i < n:
-            key = keys[i]
-            action = cache.get(key) if key is not None else None
-            if action is None or not action.closure:
-                buf, device = frames[i]
-                try:
-                    packet = Packet.from_bytes(buf, device)
-                except ParseError:
-                    self._misses.inc()
-                else:
-                    results[i] = [
-                        (out.wire_bytes(), out.device)
-                        for out in self._run([packet], now)[0]
-                    ]
-                i += 1
-                continue
-            rejuvenate(action.token, now)
-            closure = action.closure
-            out_device = action.out_device
-            results[i] = [(closure(frames[i][0]), out_device)]
-            run_end = i + 1
-            while run_end < n and keys[run_end] == key:
-                results[run_end] = [(closure(frames[run_end][0]), out_device)]
-                run_end += 1
-            run_len = run_end - i
-            hits += run_len
-            batches += 1
-            if tracing:
-                for _ in range(run_len):
-                    recorder.trace(flight.FASTPATH_HIT, t_us=now)
-            i = run_end
-        if hits:
-            self._hits.inc(hits)
-            self._compiled_hits.inc(hits)
-            self._compiled_batches.inc(batches)
-        return results
 
 
 __all__ = [

@@ -69,9 +69,9 @@ class _UnverifiedFastPathHooks:
     fixing them here would make the cached path diverge from the slow
     path the differential harness compares against.
 
-    ``supports_raw`` is False: the raw byte path only replays the
-    shared RFC-compliant rewrite helpers, which this NF's inbound path
-    deliberately does not use.
+    ``supports_raw`` is False: a compiled closure is the shared
+    RFC-compliant rewrite helpers specialized to bytes, which this NF's
+    inbound path deliberately does not use.
     """
 
     __slots__ = ("_nat",)

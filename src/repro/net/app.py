@@ -2,9 +2,10 @@
 
 Two things live here:
 
-- :class:`NfApp` — the paper's ``main()``: receive a burst, run the NF
-  per packet, transmit or free each buffer — with the no-leak
-  discipline Vigor's ownership tracking enforces (§5.2.4).
+- :class:`NfApp` — the paper's ``main()`` over a trace: each poll is
+  the runtime's own turn — receive a burst, run the NF, transmit or
+  free each buffer — with the no-leak discipline Vigor's ownership
+  tracking enforces (§5.2.4).
 - The **deployment facade**: a frozen :class:`RuntimeSpec` describing a
   whole deployment (NF factory, config, workers, execution mode,
   fastpath, faults, replication) and :func:`launch`, which turns the
@@ -42,7 +43,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.libvig.batcher import Batcher
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import check_fastpath
@@ -309,12 +309,15 @@ def launch(spec: RuntimeSpec) -> Runtime:
 
 
 class NfApp:
-    """Burst-receive / process / burst-transmit loop for one NF.
+    """One NF on one :class:`~repro.net.dpdk.DpdkRuntime`, for trace replay.
 
-    Transmissions are grouped per output port in libVig
-    :class:`~repro.libvig.batcher.Batcher` instances and flushed with
-    one ``tx_burst`` per port per turn — the amortization DPDK main
-    loops rely on (and the reason libVig ships a batcher, §5.1.1).
+    :meth:`poll` is the runtime's own main-loop turn
+    (:meth:`~repro.net.dpdk.DpdkRuntime.main_loop_burst`: rx_burst →
+    ``process_burst`` → one ``tx_burst`` per output port per RX burst,
+    dropped buffers freed and counted), the turn every launched runtime
+    runs. libVig's :class:`~repro.libvig.batcher.Batcher` (§5.1.1) is
+    not on this data path: it stays in :mod:`repro.libvig` as the
+    verified structure it is, with its own tests.
     """
 
     def __init__(
@@ -329,53 +332,10 @@ class NfApp:
         self.runtime = runtime if runtime is not None else DpdkRuntime()
         self.burst_size = burst_size
         self.processed_total = 0
-        self.tx_bursts_total = 0
-        self._tx_batchers = {
-            port_id: Batcher(burst_size) for port_id in self.runtime.ports
-        }
-
-    def _flush_tx(self, now_us: int) -> None:
-        for port_id, batcher in self._tx_batchers.items():
-            if not batcher.empty():
-                self.runtime.tx_burst(port_id, batcher.take(), now_us)
-                self.tx_bursts_total += 1
-
-    def _stage_tx(self, mbuf, port_id: int, now_us: int) -> None:
-        batcher = self._tx_batchers[port_id]
-        if batcher.full():
-            self.runtime.tx_burst(port_id, batcher.take(), now_us)
-            self.tx_bursts_total += 1
-        batcher.push(mbuf)
 
     def poll(self, now_us: int) -> int:
-        """One main-loop turn: drain every port's RX ring, then flush
-        the TX batches. Returns the number of packets processed.
-
-        Each RX burst goes through the NF's burst entry point
-        (:meth:`~repro.nat.base.NetworkFunction.process_burst`), so
-        burst-aware NFs amortize their per-iteration work here too."""
-        processed = 0
-        for port_id in sorted(self.runtime.ports):
-            while True:
-                burst = self.runtime.rx_burst(port_id, self.burst_size)
-                if not burst:
-                    break
-                results = self.nf.process_burst(
-                    [mbuf.packet for mbuf in burst], now_us
-                )
-                for mbuf, outputs in zip(burst, results):
-                    if outputs:
-                        out = outputs[0]
-                        mbuf.packet = out
-                        self._stage_tx(mbuf, out.device, now_us)
-                        for extra in outputs[1:]:  # multicast/flood NFs
-                            clone = self.runtime.pool.alloc(extra, extra.device, now_us)
-                            if clone is not None:
-                                self._stage_tx(clone, extra.device, now_us)
-                    else:
-                        self.runtime.free(mbuf)  # drop without leaking
-                    processed += 1
-        self._flush_tx(now_us)
+        """One main-loop turn; returns the number of packets processed."""
+        processed = self.runtime.main_loop_burst(self.nf, now_us, self.burst_size)
         self.processed_total += processed
         return processed
 

@@ -187,12 +187,9 @@ class CostModel:
 
         Call exactly once per ``nf.process`` invocation: the dynamic
         component is the NF's counter delta since the previous call.
+        A burst of one: base cost plus work, nothing amortized.
         """
-        delta = self._delta(nf)
-        work = _work_ns(delta, nf.name)
-        latency = LATENCY_BASE_NS.get(nf.name, 500) + work
-        service = SERVICE_BASE_NS.get(nf.name, 500) + work
-        return latency, service
+        return self.burst_costs(nf, 1)
 
     def burst_costs(self, nf: NetworkFunction, batch_size: int) -> tuple[int, int]:
         """(per_packet_latency_ns, burst_service_ns) for a burst just processed.
@@ -201,7 +198,7 @@ class CostModel:
         counter delta covers the whole burst, so dynamic work is split
         evenly across its packets. The amortizable share of the base
         cost is charged once per burst; everything else is per packet.
-        ``batch_size == 1`` reproduces :meth:`packet_costs` exactly.
+        ``batch_size == 1`` is the per-packet cost (:meth:`packet_costs`).
         """
         if batch_size <= 0:
             raise ValueError("batch size must be positive")

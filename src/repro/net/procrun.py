@@ -81,7 +81,6 @@ from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.net.dpdk import Shard, SteeringFront, ingress_fault
 from repro.net.mbuf import (
-    SLOT_HEADER,
     SlotRecordError,
     pack_slot_record,
     unpack_slot_records,
@@ -111,7 +110,8 @@ TRANSPORTS = (TRANSPORT_PIPE, TRANSPORT_SHM)
 #: This is exactly the shm slot-record layout — both transports carry
 #: the same bytes, which is what makes the transport axis a pure
 #: mechanism swap in the differential proofs.
-_REC = SLOT_HEADER
+pack_record = pack_slot_record
+unpack_records = unpack_slot_records
 #: Turn command payload: seq, now_us, burst_size, pool seizure target.
 _TURN = struct.Struct(">QqiI")
 #: Turn acknowledgement payload: seq, packets processed.
@@ -140,9 +140,6 @@ RE_ERROR = b"e"
 #: burn a core while idle.
 _RING_RETRY_S = 0.0002
 _WORKER_POLL_S = 0.002
-
-pack_record = pack_slot_record
-unpack_records = unpack_slot_records
 
 
 class TransportStats:
@@ -267,25 +264,6 @@ def _chunk_frames(frames: List[bytes], max_bytes: int) -> List[bytes]:
     if batch:
         chunks.append(b"".join(batch))
     return chunks
-
-
-def _split_blob(blob: bytes, max_bytes: int) -> List[bytes]:
-    """Split a pre-joined record blob at record boundaries."""
-    if len(blob) <= max_bytes:
-        return [blob]
-    parts: List[bytes] = []
-    start = 0
-    offset = 0
-    end = len(blob)
-    while offset < end:
-        length = _REC.unpack_from(blob, offset)[3]
-        nxt = offset + _REC.size + length
-        if nxt - start > max_bytes and offset > start:
-            parts.append(blob[start:offset])
-            start = offset
-        offset = nxt
-    parts.append(blob[start:end])
-    return parts
 
 
 class WorkerCrashed(RuntimeError):
@@ -718,10 +696,9 @@ class ProcessShardedRuntime(SteeringFront):
         self._ensure_running()
         plan = self.fault_plan
         faults_on = plan is not None and not plan.empty
-        shm = self.transport == TRANSPORT_SHM
         crashed: Optional[int] = None
         turned: List[Tuple[int, int]] = []  # (worker_id, seq)
-        for worker_id, conn in enumerate(self._conns):
+        for worker_id in range(self.workers):
             if not self._alive[worker_id]:
                 if self._pending[worker_id]:
                     self.fault_kill_lost += len(self._pending[worker_id])
@@ -745,44 +722,89 @@ class ProcessShardedRuntime(SteeringFront):
                 if skew:
                     worker_now = max(0, now_us + skew)
             self._flush_pending(worker_id)
-            if not self._alive[worker_id]:
-                if crashed is None:
-                    crashed = worker_id
-                continue
-            self._seq += 1
-            seq = self._seq
-            try:
-                conn.send_bytes(
-                    OP_TURN + _TURN.pack(seq, worker_now, burst_size, seizure)
-                )
-            except (BrokenPipeError, OSError):
-                self._mark_dead(worker_id)
+            seq = self._send_turn(worker_id, worker_now, burst_size, seizure)
+            if seq is None:
                 if crashed is None:
                     crashed = worker_id
                 continue
             turned.append((worker_id, seq))
+        return self._gather(turned, crashed)
 
+    # -- the three moves of a turn ---------------------------------------------
+    def _ship(
+        self, worker_id: int, frames: List[bytes], discard_tx: bool = False
+    ) -> None:
+        """Ship one worker's framed batch: spans in its inject ring
+        (shm) or one ``I`` message (pipe). A worker that cannot take it
+        is marked dead."""
+        ring = self._inject_rings[worker_id]
+        if ring is not None:
+            on_wait = self._discard_tx_rings if discard_tx else self._drain_tx_rings
+            try:
+                for chunk in _chunk_frames(frames, self._max_span_bytes):
+                    _push_with_backpressure(
+                        ring, chunk, self._stats, self.turn_timeout_s, on_wait
+                    )
+            except TimeoutError:
+                self._mark_dead(worker_id, "inject ring full; worker not draining")
+        else:
+            t0 = time.perf_counter_ns()
+            try:
+                self._conns[worker_id].send_bytes(OP_INJECT + b"".join(frames))
+            except (BrokenPipeError, OSError):
+                self._mark_dead(worker_id)
+            self._stats.copy_ns += time.perf_counter_ns() - t0
+
+    def _send_turn(
+        self, worker_id: int, now_us: int, burst_size: int, seizure: int = 0
+    ) -> Optional[int]:
+        """Send one ``T`` and return its sequence number — ``None`` when
+        the worker is dead (shipping its batch found out, or this does)."""
+        if not self._alive[worker_id]:
+            return None
+        self._seq += 1
+        try:
+            self._conns[worker_id].send_bytes(
+                OP_TURN + _TURN.pack(self._seq, now_us, burst_size, seizure)
+            )
+        except (BrokenPipeError, OSError):
+            self._mark_dead(worker_id)
+            return None
+        return self._seq
+
+    def _gather(
+        self,
+        turned: List[Tuple[int, int]],
+        crashed: Optional[int],
+        discard_tx: bool = False,
+    ) -> int:
+        """Read every turned worker's ACK and take its TX — off the out
+        ring (shm) or off the reply (pipe), kept or discarded unparsed.
+
+        ``turned`` holds (worker, seq) per ``T`` sent. Returns the
+        packets processed; raises :class:`WorkerCrashed` for the first
+        worker found dead (``crashed`` if the scatter already found one),
+        after every other ACK has been read.
+        """
+        shm = self.transport == TRANSPORT_SHM
         processed = 0
         for worker_id, seq in turned:
-            reply = self._recv(worker_id, drain_tx=shm)
-            if reply is None:
-                if crashed is None:
-                    crashed = worker_id
-                continue
-            acked_seq, count = _ACK.unpack_from(reply, 1)
-            assert acked_seq == seq, f"out-of-order ack: {acked_seq} != {seq}"
-            self._last_acked[worker_id] = acked_seq
-            processed += count
-            if shm:
-                # The ACK is the fence: every TX span is visible now.
-                self._drain_tx_ring(worker_id)
-                if not self._alive[worker_id] and crashed is None:
-                    crashed = worker_id
-            elif len(reply) > 1 + _ACK.size:
-                t0 = time.perf_counter_ns()
-                records = unpack_records(reply, 1 + _ACK.size)
-                self._stats.encode_ns += time.perf_counter_ns() - t0
-                self._tx[worker_id].extend(records)
+            reply = self._recv(worker_id, drain_tx=shm, discard_tx=discard_tx)
+            if reply is not None:
+                acked_seq, count = _ACK.unpack_from(reply, 1)
+                assert acked_seq == seq, f"out-of-order ack: {acked_seq} != {seq}"
+                self._last_acked[worker_id] = acked_seq
+                processed += count
+                if shm:
+                    # The ACK is the fence: every TX span is visible now.
+                    self._drain_tx_ring(worker_id, discard=discard_tx)
+                elif not discard_tx and len(reply) > 1 + _ACK.size:
+                    t0 = time.perf_counter_ns()
+                    records = unpack_records(reply, 1 + _ACK.size)
+                    self._stats.encode_ns += time.perf_counter_ns() - t0
+                    self._tx[worker_id].extend(records)
+            if crashed is None and not self._alive[worker_id]:
+                crashed = worker_id
         if crashed is not None:
             raise WorkerCrashed(
                 crashed,
@@ -794,20 +816,20 @@ class ProcessShardedRuntime(SteeringFront):
     # -- timed replay (the procs benchmark's inner loop) ---------------------
     def prepare_schedule(
         self, events, burst_size: int = 32
-    ) -> List[Tuple[List[bytes], int]]:
-        """Pre-steer and serialize a burst schedule for :meth:`pump`.
+    ) -> List[Tuple[List[List[bytes]], int]]:
+        """Pre-steer and frame a burst schedule for :meth:`pump`.
 
         All parent-side per-packet work (RSS steering, framing) happens
         here, untimed, so a timed :meth:`pump` measures only the
         scatter/gather transport traffic and the workers' concurrent
         data path — the part that actually scales with cores. Each
-        entry is ``(per-worker inject blobs, now_us)`` for one turn;
+        entry is ``(per-worker framed records, now_us)`` for one turn;
         the packet's ``device`` doubles as the ingress port id,
         matching how the testbeds drive :meth:`inject`.
         """
         if burst_size <= 0:
             raise ValueError("burst size must be positive")
-        bursts: List[Tuple[List[bytes], int]] = []
+        bursts: List[Tuple[List[List[bytes]], int]] = []
         pending: List[List[bytes]] = [[] for _ in range(self.workers)]
         count = 0
         now_us = 0
@@ -822,88 +844,50 @@ class ProcessShardedRuntime(SteeringFront):
             )
             count += 1
             if count >= burst_size:
-                bursts.append(
-                    ([b"".join(blobs) for blobs in pending], now_us)
-                )
+                bursts.append((pending, now_us))
                 pending = [[] for _ in range(self.workers)]
                 count = 0
         if count:
-            bursts.append(([b"".join(blobs) for blobs in pending], now_us))
+            bursts.append((pending, now_us))
         # Two empty drain turns so residual ring occupancy is flushed.
-        bursts.append(([b""] * self.workers, now_us + 1))
-        bursts.append(([b""] * self.workers, now_us + 2))
+        idle: List[List[bytes]] = [[] for _ in range(self.workers)]
+        bursts.append((idle, now_us + 1))
+        bursts.append((idle, now_us + 2))
         return bursts
 
     def pump(
-        self, schedule: List[Tuple[List[bytes], int]], burst_size: int = 32
+        self, schedule: List[Tuple[List[List[bytes]], int]], burst_size: int = 32
     ) -> int:
         """Drive one prepared schedule through the workers; count packets.
 
-        The hot loop of the scaling benchmark: scatter each turn's
-        pre-built inject blob plus a turn command to every worker, then
-        gather the acknowledgements. TX output is discarded — read off
-        the ACK reply unparsed (pipe) or drained from the out rings
-        unparsed (shm); use :meth:`main_loop_burst` when outputs
-        matter. Replaying the same schedule repeatedly is idempotent
-        NAT-wise — flows already exist, so passes after the first
-        measure the warmed steady state, mirroring
-        ``_timed_burst_replay``.
+        The hot loop of the scaling benchmark, made of the turn's own
+        three moves (:meth:`_ship`, :meth:`_send_turn`, :meth:`_gather`)
+        minus what :meth:`prepare_schedule` did ahead of time: no
+        steering, no framing, no fault plan, and TX output discarded
+        unparsed — use :meth:`main_loop_burst` when outputs matter.
+        Replaying the same schedule repeatedly is idempotent NAT-wise —
+        flows already exist, so passes after the first measure the
+        warmed steady state, mirroring ``_timed_burst_replay``.
         """
         self._ensure_running()
-        shm = self.transport == TRANSPORT_SHM
-        max_span = self._max_span_bytes
         processed = 0
         for sends, now_us in schedule:
+            crashed: Optional[int] = None
             turned: List[Tuple[int, int]] = []
-            for worker_id, blob in enumerate(sends):
-                conn = self._conns[worker_id]
-                self._seq += 1
-                seq = self._seq
-                try:
-                    if blob:
-                        if shm:
-                            ring = self._inject_rings[worker_id]
-                            for part in _split_blob(blob, max_span):
-                                _push_with_backpressure(
-                                    ring,
-                                    part,
-                                    self._stats,
-                                    self.turn_timeout_s,
-                                    on_wait=lambda: self._drain_tx_rings(
-                                        discard=True
-                                    ),
-                                )
-                        else:
-                            t0 = time.perf_counter_ns()
-                            conn.send_bytes(OP_INJECT + blob)
-                            self._stats.copy_ns += time.perf_counter_ns() - t0
-                    conn.send_bytes(
-                        OP_TURN + _TURN.pack(seq, now_us, burst_size, 0)
-                    )
-                except (BrokenPipeError, OSError, TimeoutError):
-                    self._mark_dead(worker_id)
-                    raise WorkerCrashed(
-                        worker_id,
-                        self._last_acked[worker_id],
-                        reason=self._death_reason[worker_id],
-                    ) from None
+            for worker_id, frames in enumerate(sends):
+                if frames:
+                    self._ship(worker_id, frames, discard_tx=True)
+                seq = self._send_turn(worker_id, now_us, burst_size)
+                if seq is None:
+                    if crashed is None:
+                        crashed = worker_id
+                    continue
                 turned.append((worker_id, seq))
-            for worker_id, seq in turned:
-                reply = self._recv(worker_id, drain_tx=shm, discard_tx=True)
-                if reply is None:
-                    raise WorkerCrashed(
-                        worker_id,
-                        self._last_acked[worker_id],
-                        reason=self._death_reason[worker_id],
-                    )
-                acked_seq, count = _ACK.unpack_from(reply, 1)
-                self._last_acked[worker_id] = acked_seq
-                processed += count
-                if shm:
-                    self._drain_tx_ring(worker_id, discard=True)
+            processed += self._gather(turned, crashed, discard_tx=True)
         return processed
 
     def _flush_pending(self, worker_id: int) -> None:
+        """Frame, then ship, what :meth:`inject` buffered for a worker."""
         pending = self._pending[worker_id]
         if not pending:
             return
@@ -911,27 +895,7 @@ class ProcessShardedRuntime(SteeringFront):
         frames = [pack_record(*record) for record in pending]
         self._stats.encode_ns += time.perf_counter_ns() - t0
         pending.clear()
-        if self.transport == TRANSPORT_SHM:
-            ring = self._inject_rings[worker_id]
-            try:
-                for chunk in _chunk_frames(frames, self._max_span_bytes):
-                    _push_with_backpressure(
-                        ring,
-                        chunk,
-                        self._stats,
-                        self.turn_timeout_s,
-                        on_wait=self._drain_tx_rings,
-                    )
-            except TimeoutError:
-                self._mark_dead(worker_id, "inject ring full; worker not draining")
-        else:
-            t0 = time.perf_counter_ns()
-            blob = OP_INJECT + b"".join(frames)
-            try:
-                self._conns[worker_id].send_bytes(blob)
-            except (BrokenPipeError, OSError):
-                self._mark_dead(worker_id)
-            self._stats.copy_ns += time.perf_counter_ns() - t0
+        self._ship(worker_id, frames)
 
     def _drain_tx_ring(self, worker_id: int, discard: bool = False) -> None:
         """Pop every visible TX span from one worker's out ring."""
@@ -964,6 +928,9 @@ class ProcessShardedRuntime(SteeringFront):
         for worker_id in range(self.workers):
             if self._alive[worker_id]:
                 self._drain_tx_ring(worker_id, discard=discard)
+
+    def _discard_tx_rings(self) -> None:
+        self._drain_tx_rings(discard=True)
 
     def _recv(
         self, worker_id: int, *, drain_tx: bool = False, discard_tx: bool = False

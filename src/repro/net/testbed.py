@@ -322,113 +322,16 @@ class Rfc2544Testbed:
         #: Optional wire impairment (jitter + loss); None = clean links.
         self.link = link
         self.burst_size = burst_size
-        #: Parallel worker cores (:meth:`run_sharded`); :meth:`run` is the
-        #: single-core path regardless, so ``workers == 1`` stays
-        #: byte-identical to the pre-sharding testbed.
+        #: Parallel worker cores :meth:`run_spec` models; :meth:`run` is
+        #: one core regardless.
         self.workers = workers
 
     # -- workload replay ---------------------------------------------------------
     def run(self, nf: NetworkFunction, events: Iterable[PacketEvent]) -> RunResult:
-        result = RunResult()
-        queue: List[_Job] = []
-        head = 0  # queue is consumed front-to-back without reallocating
-        free_at = 0
-
-        def serve_one() -> None:
-            nonlocal free_at, head
-            job = queue[head]
-            head += 1
-            start = max(free_at, job.arrival_ns)
-            now_us = start // US
-            outputs = nf.process(job.event.packet, now_us)
-            latency_ns, service_ns = self.cost_model.packet_costs(nf)
-            free_at = start + service_ns
-            result.busy_ns += service_ns
-            result.bursts += 1
-            result.burst_packets += 1
-            measured = job.arrival_ns >= self.measure_from_ns
-            if not outputs:
-                result.nf_dropped += 1
-                return
-            if measured:
-                total = (
-                    (start - job.arrival_ns)
-                    + latency_ns
-                    + job.jitter_ns
-                    + self.cost_model.path_overhead_ns(nf)
-                    + self.cost_model.sample_outlier_ns()
-                )
-                result.all_latency.add(total)
-                if job.event.probe:
-                    result.probe_latency.add(total)
-
-        def serve_burst() -> None:
-            # rx_burst semantics: service starts on the head job, and
-            # every job already queued by then rides the same burst.
-            nonlocal free_at, head
-            first = queue[head]
-            start = max(free_at, first.arrival_ns)
-            batch = [first]
-            scan = head + 1
-            while (
-                scan < len(queue)
-                and len(batch) < self.burst_size
-                and queue[scan].arrival_ns <= start
-            ):
-                batch.append(queue[scan])
-                scan += 1
-            head = scan
-            now_us = start // US
-            outputs = nf.process_burst([j.event.packet for j in batch], now_us)
-            latency_ns, service_ns = self.cost_model.burst_costs(nf, len(batch))
-            free_at = start + service_ns
-            result.busy_ns += service_ns
-            result.bursts += 1
-            result.burst_packets += len(batch)
-            for job, out in zip(batch, outputs):
-                if not out:
-                    result.nf_dropped += 1
-                    continue
-                if job.arrival_ns >= self.measure_from_ns:
-                    total = (
-                        (start - job.arrival_ns)
-                        + latency_ns
-                        + job.jitter_ns
-                        + self.cost_model.path_overhead_ns(nf)
-                        + self.cost_model.sample_outlier_ns()
-                    )
-                    result.all_latency.add(total)
-                    if job.event.probe:
-                        result.probe_latency.add(total)
-
-        serve = serve_one if self.burst_size == 1 else serve_burst
-
-        for event in events:
-            if event.time_ns >= self.measure_from_ns:
-                result.offered += 1
-            jitter_ns = 0
-            if self.link is not None:
-                jitter_ns, wire_dropped = self.link.transit(event.time_ns // US)
-                if wire_dropped:
-                    if event.time_ns >= self.measure_from_ns:
-                        result.wire_dropped += 1
-                    continue
-            # Drain every job whose service can start before this arrival.
-            while head < len(queue):
-                start = max(free_at, queue[head].arrival_ns)
-                if start >= event.time_ns:
-                    break
-                serve()
-            if len(queue) - head >= self.rx_capacity:
-                if event.time_ns >= self.measure_from_ns:
-                    result.queue_dropped += 1
-                continue
-            queue.append(_Job(arrival_ns=event.time_ns, event=event, jitter_ns=jitter_ns))
-        while head < len(queue):
-            serve()
-
-        result.forwarded = result.all_latency.count
-        return result
+        """One middlebox core: the one-worker case of the sharded replay
+        (no steering cost, and a burst of one is the paper's per-packet
+        service)."""
+        return self._replay_shards([nf], lambda _packet: 0, events).per_worker[0]
 
     # -- sharded replay: N parallel worker cores ---------------------------------
     def run_spec(
@@ -485,12 +388,6 @@ class Rfc2544Testbed:
         per packet when more than one worker is configured.
         """
         n = len(nfs)
-        if n == 0:
-            raise ValueError("need at least one worker NF")
-        if n != self.workers:
-            raise ValueError(
-                f"testbed configured for {self.workers} worker(s), got {n} NFs"
-            )
         results = [RunResult() for _ in range(n)]
         steered = [0] * n
         queues: List[List[_Job]] = [[] for _ in range(n)]
@@ -599,15 +496,10 @@ class Rfc2544Testbed:
             step = self.burst_size
             for i in range(0, len(events), step):
                 chunk = events[i : i + step]
-                now_us = chunk[0].time_ns // US
-                if step == 1:
-                    nf.process(chunk[0].packet, now_us)
-                    _lat, svc = model.packet_costs(nf)
-                else:
-                    # Estimate steady state at full burst fill, the
-                    # regime the search's saturating rates operate in.
-                    nf.process_burst([e.packet for e in chunk], now_us)
-                    _lat, svc = model.burst_costs(nf, len(chunk))
+                # Estimate steady state at full burst fill, the regime
+                # the search's saturating rates operate in.
+                nf.process_burst([e.packet for e in chunk], chunk[0].time_ns // US)
+                _lat, svc = model.burst_costs(nf, len(chunk))
                 if i >= warm:
                     total_service_ns += svc
                     measured += len(chunk)

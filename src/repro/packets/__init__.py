@@ -36,7 +36,6 @@ from repro.packets.headers import (
     ParseError,
     TcpHeader,
     UdpHeader,
-    raw_flow_key,
 )
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 
@@ -67,5 +66,4 @@ __all__ = [
     "mac_to_str",
     "make_tcp_packet",
     "make_udp_packet",
-    "raw_flow_key",
 ]

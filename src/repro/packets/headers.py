@@ -282,34 +282,6 @@ class UdpHeader:
         return UdpHeader(self.src_port, self.dst_port, self.length, self.checksum)
 
 
-def raw_flow_key(frame, device: int) -> Optional[FlowKey]:
-    """The microflow key straight off the frame bytes, or None.
-
-    The key :meth:`Packet.flow_key` reads off the parsed headers, under
-    the same eligibility rules, without parsing: index checks plus one
-    ``struct.unpack_from`` for the whole 5-tuple region.
-    """
-    if len(frame) < _MIN_LEN_UDP:
-        return None
-    # Indexed, not sliced: callers pass RX buffers (bytearray), where a
-    # slice allocates.
-    if frame[OFF_ETHERTYPE] != _ETH_HI or frame[OFF_ETHERTYPE + 1] != _ETH_LO:
-        return None
-    if frame[OFF_VERSION_IHL] != _VERSION_IHL5:
-        return None
-    # flags/frag-offset word: MF or a nonzero offset → not cacheable.
-    if frame[OFF_FLAGS_FRAG] & 0x3F or frame[OFF_FLAGS_FRAG + 1]:
-        return None
-    proto = frame[OFF_PROTO]
-    if proto == PROTO_TCP:
-        if len(frame) < _MIN_LEN_TCP:
-            return None
-    elif proto != PROTO_UDP:
-        return None
-    src_ip, dst_ip, src_port, dst_port = _ENDPOINTS.unpack_from(frame, OFF_SRC_IP)
-    return (device, proto, src_ip, src_port, dst_ip, dst_port)
-
-
 def _parse(data: bytes):
     """(eth, ipv4, l4, payload) of a frame: the one parser.
 
@@ -379,9 +351,9 @@ class Packet:
         Ineligible (→ slow path): non-IPv4, no TCP/UDP header, fragments
         (MF set or nonzero offset — their L4 header may be absent or
         belong to another fragment). Answered from the image when there
-        is one — :func:`raw_flow_key` minus the checks canonical form
-        already implies — and from the headers otherwise; the two agree
-        on every frame.
+        is one — canonical form already implies IPv4, IHL 5 and a whole
+        TCP/UDP header, so only the fragment bits are checked — and from
+        the headers otherwise; the two agree on every frame.
         """
         image = self.image
         if image is not None:
@@ -637,5 +609,4 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "internet_checksum",
-    "raw_flow_key",
 ]

@@ -9,7 +9,9 @@ is non-zero — while every transmitted frame stays byte-identical to the
 once with waves of flows that expire inside the run and hand their
 slots to newcomers: there the cache must drop exactly the dead flows'
 actions (``fastpath_invalidations`` = flows expired × the two keys
-learned per flow) and learn no flow twice.
+learned per flow) and learn no flow twice. And once with frames that
+are *not* canonical — the three shapes a key-off-the-buffer fast path
+once got wrong — offered on a flow whose closure is already earned.
 """
 
 import pytest
@@ -24,7 +26,8 @@ from repro.net.app import (
     launch,
 )
 from repro.packets.builder import make_tcp_packet, make_udp_packet
-from repro.packets.headers import Packet
+from repro.packets.headers import Packet, ParseError
+from tests.packets.mutations import NAMED_SHAPES
 
 FLOWS = 8
 ROUNDS = 4
@@ -213,3 +216,73 @@ def test_churn_with_a_standby_attached_frees_reach_cache_and_replica():
     # (a flow's first) or a touch (hits rejuvenate too), every expiry a free.
     forwarded = sum(len(turn) for turn in compiled)
     assert channel.published_total == forwarded + counters["expired"]
+
+
+# -- non-canonical frames of a flow whose closure is earned -------------------
+def _drive_named_shapes(execution, fastpath, extra):
+    """Warm one TCP flow past its first wire-backed hit, then offer each
+    of :data:`NAMED_SHAPES` on its 5-tuple. Returns each shape's verdict
+    — the ``ParseError`` that refused it at the door or the frames it
+    came out as — then a canonical frame's, the counters, and every
+    worker's ``pool_in_flight``."""
+    runtime = launch(
+        RuntimeSpec(
+            nf_factory=VigNat,
+            config=NatConfig(max_flows=64, expiration_time=60_000_000),
+            execution=execution,
+            fastpath=fastpath,
+            burst_size=32,
+            **extra,
+        )
+    )
+    try:
+        canonical = make_tcp_packet(
+            "10.0.0.1", REMOTE, 4_000, 443, payload=b"payload!"
+        ).to_bytes()
+        verdicts = {}
+        for now in (1_000, 1_001, 1_002):  # learn, earn the closure, run it
+            verdicts[f"warm-{now}"] = _turn(runtime, [(0, canonical)], now)
+        for name, shape in NAMED_SHAPES.items():
+            now += 1
+            try:
+                packet = Packet.from_bytes(shape(canonical), 0)
+            except ParseError as error:
+                verdicts[name] = str(error)
+                continue
+            runtime.inject(0, packet, now)
+            runtime.main_loop_burst(now, 32)
+            verdicts[name] = sorted(
+                (port, out.wire_bytes()) for port, _ts, out in runtime.collect()
+            )
+        verdicts["after"] = _turn(runtime, [(0, canonical)], now + 1)
+        (in_flight,) = (
+            [sample["value"] for sample in metric["samples"]]
+            for metric in runtime.snapshot_metrics()["metrics"]
+            if metric["name"] == "pool_in_flight"
+        )
+        return verdicts, runtime.op_counters(), in_flight
+    finally:
+        runtime.stop()
+
+
+@pytest.mark.parametrize("execution,extra", MODES)
+def test_named_non_canonical_shapes_on_a_compiled_flow(execution, extra):
+    oracle, _, _ = _drive_named_shapes(execution, "off", extra)
+    verdicts, counters, in_flight = _drive_named_shapes(execution, "compiled", extra)
+    # Refused with the same error or emitted byte-identically, shape by shape.
+    assert verdicts == oracle
+    assert verdicts["tcp-data-offset-6"] == "TCP options are not supported"
+    for name in ("trailing-padding", "short-total-length", "after"):
+        assert len(verdicts[name]) == 1, name
+    # The closure was there to be misused: earned before the shapes
+    # arrived and run on the canonical frames either side of them. The
+    # two shapes that parse took the object replay instead — except in
+    # process mode, where the parent's parse-then-serialize hands the
+    # worker a canonical frame (lengths rewritten to cover the padding,
+    # exactly what the oracle's worker is handed), which it may splice.
+    assert counters["fastpath_compiles"] == 1
+    assert counters["fastpath_compile_rejected"] == 0
+    assert counters["fastpath_hits"] == 5
+    assert counters["fastpath_compiled_hits"] == (5 if execution == PROCESS else 3)
+    # No buffer leaked, and every worker answered: none is dead.
+    assert in_flight == [0] * extra.get("workers", 1)

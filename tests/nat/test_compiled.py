@@ -5,7 +5,7 @@ a closure's output is byte-for-byte what the slow path would have
 emitted, for every packet shape the flow can carry — payload lengths,
 TTLs, and UDP's "checksum disabled" sentinel included. This file
 proves that property four ways: a hypothesis sweep over randomized
-traffic, the raw key against the parser's key, an injected
+traffic, the image-side key against the header-side key, an injected
 miscompilation that the learn-time self-verification must reject, and
 the hit rule itself — only a flow's first wire-backed hit attaches a
 closure, the flow's own expiry, a FIFO eviction or a restore each leave
@@ -27,15 +27,7 @@ from repro.packets.headers import (
     Packet,
     ParseError,
     UdpHeader,
-    raw_flow_key,
 )
-
-
-def _raw(nf, packet, now):
-    """One frame through the raw burst path -> [(wire, device), ...]."""
-    return nf.process_raw_burst(
-        [(bytearray(packet.wire_bytes()), packet.device)], now
-    )[0]
 
 
 def _object(nf, packet, now):
@@ -104,7 +96,7 @@ class TestCompiledByteIdentity:
             _flow_packets(proto, sport, payloads_ttls, zero_checksum),
             start=1_000,
         ):
-            assert _raw(fast, packet, t) == _slow(slow, packet, t)
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
         counters = fast.op_counters()
         assert counters["fastpath_compiles"] == 1
         assert counters["fastpath_compile_rejected"] == 0
@@ -145,8 +137,8 @@ class TestCompiledByteIdentity:
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         packet.l4.checksum = 0
-        _raw(fast, packet, 1_000)  # learn
-        ((wire, _),) = _raw(fast, packet, 1_001)  # compile + compiled hit
+        _wire(fast, packet, 1_000)  # learn
+        ((wire, _),) = _wire(fast, packet, 1_001)  # compile + compiled hit
         assert fast.op_counters()["fastpath_compiled_hits"] == 1
         assert Packet.from_bytes(wire, 1).l4.checksum == 0
 
@@ -154,15 +146,15 @@ class TestCompiledByteIdentity:
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         slow = VigNat(NatConfig(max_flows=64))
         out = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
-        assert _raw(fast, out, 1_000) == _slow(slow, out, 1_000)
-        ((wire, _),) = _raw(fast, out, 1_001)
+        assert _wire(fast, out, 1_000) == _slow(slow, out, 1_000)
+        ((wire, _),) = _wire(fast, out, 1_001)
         ext_port = Packet.from_bytes(wire, 1).l4.src_port
         reply = make_udp_packet(
             "8.8.8.8", NatConfig(max_flows=64).external_ip, 53, ext_port,
             device=1,
         )
         for t in (1_002, 1_003):
-            assert _raw(fast, reply, t) == _slow(slow, reply, t)
+            assert _wire(fast, reply, t) == _slow(slow, reply, t)
         assert fast.op_counters()["fastpath_compiles"] == 2
 
 
@@ -213,7 +205,6 @@ class TestRawFlowKeyEquivalence:
         assert wire_backed.image is frame
         key = wire_backed.flow_key()
         assert key is not None
-        assert key == raw_flow_key(frame, packet.device)
         assert key == _parsed_key(frame, packet.device) == packet.flow_key()
 
     @given(
@@ -236,7 +227,11 @@ class TestRawFlowKeyEquivalence:
         frame = packet.wire_bytes()
         if mangle == "short":
             frame = frame[:cut]
-        assert raw_flow_key(frame, packet.device) is None
+        try:
+            image_side = Packet.from_bytes(frame, packet.device).flow_key()
+        except ParseError:
+            image_side = None
+        assert image_side is None
         assert _parsed_key(frame, packet.device) is None
 
 
@@ -261,7 +256,9 @@ class TestClosureMatchesRewriteHelpers:
         udp_checksum_off = packet.l4.checksum == 0 and isinstance(
             packet.l4, UdpHeader
         )
-        closure = compile_action(raw_flow_key(frame, packet.device), action)
+        closure = compile_action(
+            Packet.from_bytes(frame, packet.device).flow_key(), action
+        )
         wire = closure(bytearray(frame))
         assert wire == apply_endpoint_action(packet, action).wire_bytes()
         out = Packet.from_bytes(wire, 1)
@@ -289,7 +286,7 @@ class TestLearnTimeVerificationRejectsMiscompiles:
         monkeypatch.setattr("repro.nat.fastpath.compile_action", miscompile)
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001, 1_002):
-            assert _raw(fast, packet, t) == _slow(slow, packet, t)
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
         counters = fast.op_counters()
         # Rejected once, on the first hit, and never compiled again.
         assert counters["fastpath_compile_rejected"] == 1
@@ -310,9 +307,10 @@ class TestLearnTimeVerificationRejectsMiscompiles:
 
 class TestClosuresAreEarnedOnTheRawPath:
     """The earning rule: a learn never compiles; a flow's first
-    wire-backed hit does — through ``process_burst`` or
-    ``process_raw_burst`` alike — and verifies what it compiled against
-    the object replay of that very frame."""
+    wire-backed hit does, and verifies what it compiled against the
+    object replay of that very frame. ("Raw" is what the hooks call a
+    closure-capable NF, ``supports_raw``; there is one way in,
+    ``process_burst``.)"""
 
     def _assert_earns_closure_on_first_hit(self, fast, slow, packet, t, drive):
         before = fast.op_counters()
@@ -333,13 +331,13 @@ class TestClosuresAreEarnedOnTheRawPath:
 
     def test_learns_never_compile(self):
         fast, slow = self._pair()
-        for i, drive in enumerate((_raw, _wire, _object)):
+        for i, drive in enumerate((_wire, _object)):
             packet = make_udp_packet(
                 "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
             )
             assert drive(fast, packet, 1_000) == _slow(slow, packet, 1_000)
         counters = fast.op_counters()
-        assert counters["fastpath_learns"] == 3
+        assert counters["fastpath_learns"] == 2
         assert counters["fastpath_compiles"] == 0
         assert fast.compiled_size == 0
 
@@ -355,7 +353,7 @@ class TestClosuresAreEarnedOnTheRawPath:
         assert counters["fastpath_hits"] == 1
         assert counters["fastpath_compiles"] == 0
         assert fast.compiled_size == 0
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_002, _raw)
+        self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_002, _wire)
 
     def test_wire_backed_burst_earns_and_runs_closures(self):
         # The path behind launch(): process_burst over wire-backed packets.
@@ -370,13 +368,13 @@ class TestClosuresAreEarnedOnTheRawPath:
         fast, slow = self._pair()
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001):
-            assert _raw(fast, packet, t) == _slow(slow, packet, t)
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
         assert fast.compiled_size == 1
         # The object path replays the same action, no extra miss...
         assert _object(fast, packet, 1_002) == _slow(slow, packet, 1_002)
         # ...and leaves the closure where wire-backed packets find it.
-        assert _raw(fast, packet, 1_003) == _slow(slow, packet, 1_003)
-        assert _wire(fast, packet, 1_004) == _slow(slow, packet, 1_004)
+        for t in (1_003, 1_004):
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
         counters = fast.op_counters()
         assert counters["fastpath_misses"] == 1
         assert counters["fastpath_hits"] == 4
@@ -510,15 +508,15 @@ class TestStaleClosureInvalidation:
         slow = VigNat(NatConfig(max_flows=64, expiration_time=10))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (0, 1):
-            assert _raw(fast, packet, t) == _slow(slow, packet, t)
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
         hits_before = fast.op_counters()["fastpath_compiled_hits"]
         assert hits_before == 1
         # Far past expiry the flow is freed. A competing flow then takes
         # the freed external port, so a stale closure would emit the
         # *wrong* translation — the slow-path differential catches it.
         rival = make_udp_packet("10.0.0.6", "8.8.8.8", 5_000, 53, device=0)
-        assert _raw(fast, rival, 1_000) == _slow(slow, rival, 1_000)
-        assert _raw(fast, packet, 1_001) == _slow(slow, packet, 1_001)
+        assert _wire(fast, rival, 1_000) == _slow(slow, rival, 1_000)
+        assert _wire(fast, packet, 1_001) == _slow(slow, packet, 1_001)
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] >= 1
         # The stale closure never fired: no compiled hit between the
@@ -531,8 +529,8 @@ class TestStaleClosureInvalidation:
             packet = make_udp_packet(
                 "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
             )
-            _raw(fast, packet, 1_000 + i)  # learn
-            _raw(fast, packet, 1_000 + i)  # first hit: compile
+            _wire(fast, packet, 1_000 + i)  # learn
+            _wire(fast, packet, 1_000 + i)  # first hit: compile
         counters = fast.op_counters()
         assert counters["fastpath_evictions"] >= 1
         assert fast.cache_size <= 2
@@ -546,13 +544,13 @@ class TestStaleClosureInvalidation:
         slow = VigNat(NatConfig(**cfg))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001):
-            assert _raw(fast, packet, t) == _slow(slow, packet, t)
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
         assert fast.op_counters()["fastpath_compiled_hits"] == 1
         # A new flow is born: the first flow's action and the closure
         # on it stay exactly where they were.
         rival = make_udp_packet("10.0.0.6", "8.8.8.8", 5_000, 53, device=0)
-        assert _raw(fast, rival, 1_002) == _slow(slow, rival, 1_002)
-        assert _raw(fast, packet, 1_003) == _slow(slow, packet, 1_003)
+        assert _wire(fast, rival, 1_002) == _slow(slow, rival, 1_002)
+        assert _wire(fast, packet, 1_003) == _slow(slow, packet, 1_003)
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] == 0
         assert counters["fastpath_compiled_hits"] == 2  # the same closure
@@ -562,7 +560,7 @@ class TestStaleClosureInvalidation:
         # expiry scan that frees the first flow takes its action and
         # closure along, and nothing of the rival's.
         for t in (1_080, 1_160):
-            assert _raw(fast, rival, t) == _slow(slow, rival, t)
+            assert _wire(fast, rival, t) == _slow(slow, rival, t)
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] == 1
         assert fast.cache_size == 1
@@ -578,8 +576,8 @@ class TestStaleClosureInvalidation:
             packet = make_udp_packet(
                 "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
             )
-            _raw(fast, packet, 1_000)  # learn
-            _raw(fast, packet, 1_000)  # first hit: compile
+            _wire(fast, packet, 1_000)  # learn
+            _wire(fast, packet, 1_000)  # first hit: compile
         assert fast.compiled_size == 4
         fast.restore_state(fast.checkpoint_state())
         assert fast.cache_size == 0

@@ -36,6 +36,18 @@ def render(outputs):
     return [(p.device, p.wire_bytes()) for p in outputs]
 
 
+def wire_burst(nf, packets, now):
+    """The packets' frames as wire-backed packets through
+    ``process_burst`` — what every runtime hands the NF — with each
+    output rendered as (wire bytes, device)."""
+    fresh = [Packet.from_bytes(p.wire_bytes(), p.device) for p in packets]
+    assert all(p.image is not None for p in fresh)
+    return [
+        [(out.wire_bytes(), out.device) for out in outs]
+        for outs in nf.process_burst(fresh, now)
+    ]
+
+
 class TestConstruction:
     def test_wrapper_reports_inner_name(self):
         fast = FastPathNat(VigNat(CFG))
@@ -196,10 +208,10 @@ class TestZeroUdpChecksumRegression:
 
     def test_raw_path_preserves_zero_checksum(self):
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
-        frame = bytearray(self._zero_checksum_outbound().wire_bytes())
-        first = fast.process_raw_burst([(bytearray(frame), 0)], 1_000)[0][0]
-        hit = fast.process_raw_burst([(bytearray(frame), 0)], 1_001)[0][0]
-        assert fast.op_counters()["fastpath_hits"] == 1
+        packet = self._zero_checksum_outbound()
+        ((first,),) = wire_burst(fast, [packet], 1_000)
+        ((hit,),) = wire_burst(fast, [packet], 1_001)
+        assert fast.op_counters()["fastpath_compiled_hits"] == 1
         assert first == hit
         out = Packet.from_bytes(hit[0], hit[1])
         assert out.l4.checksum == 0
@@ -225,28 +237,18 @@ class TestZeroUdpChecksumRegression:
 
 
 class TestRawBurstPath:
+    """Frames in, frames out: wire-backed packets through ``process_burst``
+    (the closure-capable, ``supports_raw`` path) against materialised ones."""
+
     def test_raw_matches_object_path(self):
         object_nf = FastPathNat(VigNat(NatConfig(max_flows=64)))
         raw_nf = FastPathNat(VigNat(NatConfig(max_flows=64)))
         packets = [outbound(4000), outbound(4001), outbound(4000)]
         for t in (1_000, 1_001):
             object_out = object_nf.process_burst([p.clone() for p in packets], t)
-            raw_out = raw_nf.process_raw_burst(
-                [(bytearray(p.wire_bytes()), p.device) for p in packets], t
-            )
             want = [[(p.wire_bytes(), p.device) for p in outs] for outs in object_out]
-            got = [[(frame, dev) for frame, dev in outs] for outs in raw_out]
-            assert got == want
-        assert raw_nf.op_counters()["fastpath_hits"] >= 1
-
-    def test_unparseable_frame_is_dropped(self):
-        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
-        assert fast.process_raw_burst([(bytearray(b"\x00" * 6), 0)], 1_000) == [[]]
-
-    def test_raw_path_requires_support(self):
-        fast = FastPathNat(UnverifiedNat(NatConfig(max_flows=64)))
-        with pytest.raises(TypeError):
-            fast.process_raw_burst([], 1_000)
+            assert wire_burst(raw_nf, packets, t) == want
+        assert raw_nf.op_counters()["fastpath_compiled_hits"] >= 1
 
 
 class TestWarmFromRestoredState:
@@ -301,15 +303,11 @@ class TestWarmFromRestoredState:
         slow, _, _ = self._restored(flows=4)
         fast.warm()
         packets = [outbound(4_000), inbound(ext_of[4_003])]
-        raw_out = fast.process_raw_burst(
-            [(bytearray(p.wire_bytes()), p.device) for p in packets], 2_000
-        )
         object_out = slow.process_burst([p.clone() for p in packets], 2_000)
         want = [[(p.wire_bytes(), p.device) for p in outs] for outs in object_out]
-        assert [list(outs) for outs in raw_out] == want
-        # Warmed actions carry no closure: each flow's first raw frame
-        # is its first wire-backed hit, which earns one — no miss, no
-        # slow path.
+        assert wire_burst(fast, packets, 2_000) == want
+        # Warmed actions carry no closure: each flow's first wire-backed
+        # hit earns one — no miss, no slow path.
         counters = fast.op_counters()
         assert counters["fastpath_misses"] == 0
         assert counters["fastpath_hits"] == 2

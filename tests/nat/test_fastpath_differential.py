@@ -8,15 +8,15 @@ both directions, repeated flows (cache hits), disabled UDP checksums,
 TCP and UDP, fragments, and time gaps that cross the expiry threshold.
 
 Coverage spans all three data paths the cache plugs into: the per-packet
-and burst NF entry points (materialised packets, wire-backed packets
-and raw buffers, apart and interleaved on one cache), the DPDK-style
+and burst NF entry points (materialised and wire-backed packets, apart
+and interleaved on one cache), the DPDK-style
 runtime main loop, and the RSS-sharded multi-worker runtime
 (``fastpath="compiled"``). One property looks inside instead: after
 every step the cache holds actions of live flows only — the state
 invariant that lets a hit fire without any validity check.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
@@ -26,8 +26,9 @@ from repro.nat.vignat import VigNat
 from repro.net.app import RuntimeSpec, launch
 from repro.net.dpdk import DpdkRuntime
 from repro.packets.builder import make_tcp_packet, make_udp_packet
-from repro.packets.headers import Packet
+from repro.packets.headers import Packet, ParseError
 from tests.nat.cache_invariant import assert_cache_within_live_flows
+from tests.packets.mutations import NAMED_SHAPES, mutated_frames
 
 CFG_KW = dict(max_flows=8, expiration_time=2_000_000, start_port=1000)
 
@@ -67,6 +68,13 @@ def _packet(direction, selector, kind, config):
 
 def _render(outputs):
     return [(p.device, p.wire_bytes()) for p in outputs]
+
+
+def _wire_backed(packet):
+    """The packet's frame as every runtime hands it to the NF."""
+    offered = Packet.from_bytes(packet.wire_bytes(), packet.device)
+    assert offered.image is not None
+    return offered
 
 
 class TestNfEntryPoints:
@@ -120,8 +128,9 @@ class TestNfEntryPoints:
     @settings(max_examples=40, deadline=None)
     @given(steps=_steps())
     def test_vignat_raw_burst_identical(self, steps):
-        """The raw byte path — compiled closures on hits, parse and
-        slow path on everything else — against the object slow path."""
+        """Frames in, one at a time, as wire-backed packets — compiled
+        closures on hits, the slow path on everything else — against
+        the object slow path."""
         slow = VigNat(NatConfig(**CFG_KW))
         fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
         now = 0
@@ -129,17 +138,15 @@ class TestNfEntryPoints:
             now += dt
             packet = _packet(direction, selector, kind, slow.config)
             slow_out = slow.process(packet.clone(), now)
-            raw_out = fast.process_raw_burst(
-                [(bytearray(packet.wire_bytes()), packet.device)], now
-            )[0]
-            assert raw_out == [(p.wire_bytes(), p.device) for p in slow_out]
+            (fast_out,) = fast.process_burst([_wire_backed(packet)], now)
+            assert _render(fast_out) == _render(slow_out)
 
     @settings(max_examples=30, deadline=None)
     @given(steps=_steps(), burst=st.sampled_from((1, 4, 32)))
     def test_vignat_raw_burst_compiled_batches_identical(self, steps, burst):
-        """Whole bursts through the compiled batch path: same-flow runs
-        are partitioned and batch-applied, yet the wire output must
-        match the per-packet object slow path exactly."""
+        """Whole bursts of wire-backed packets, same-flow runs included
+        (six flows a side, bursts of up to 32): the wire output must
+        match the object slow path exactly."""
         slow = VigNat(NatConfig(**CFG_KW))
         fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
         now = 0
@@ -152,48 +159,31 @@ class TestNfEntryPoints:
             chunk = packets[i : i + burst]
             at = times[i]
             slow_out = slow.process_burst([p.clone() for p in chunk], at)
-            raw_out = fast.process_raw_burst(
-                [(bytearray(p.wire_bytes()), p.device) for p in chunk], at
-            )
-            assert [list(outs) for outs in raw_out] == [
-                [(p.wire_bytes(), p.device) for p in outs] for outs in slow_out
-            ]
+            fast_out = fast.process_burst([_wire_backed(p) for p in chunk], at)
+            assert [_render(o) for o in fast_out] == [_render(o) for o in slow_out]
 
     @settings(max_examples=40, deadline=None)
     @given(
         steps=_steps(),
         entries=st.lists(
-            st.sampled_from(("object", "wire", "raw")), min_size=40, max_size=40
+            st.sampled_from(("object", "wire")), min_size=40, max_size=40
         ),
     )
     def test_vignat_mixed_entry_points_identical(self, steps, entries):
-        """Materialised packets, wire-backed packets and raw buffers
-        interleaved over one cache: an action learned by any of them
-        serves the others (object replay or closure, whichever the
-        packet's state calls for), and the wire never shows which path
-        a packet took."""
+        """Materialised and wire-backed packets interleaved over one
+        cache: an action learned by either serves the other (object
+        replay or closure, whichever the packet's state calls for), and
+        the wire never shows which path a packet took."""
         slow = VigNat(NatConfig(**CFG_KW))
         fast = FastPathNat(VigNat(NatConfig(**CFG_KW)))
         now = 0
         for (direction, selector, kind, dt), entry in zip(steps, entries):
             now += dt
             packet = _packet(direction, selector, kind, slow.config)
-            want = [
-                (p.wire_bytes(), p.device)
-                for p in slow.process(packet.clone(), now)
-            ]
-            if entry == "raw":
-                got = fast.process_raw_burst(
-                    [(bytearray(packet.wire_bytes()), packet.device)], now
-                )[0]
-            else:
-                offered = packet.clone()
-                if entry == "wire":
-                    offered = Packet.from_bytes(packet.wire_bytes(), packet.device)
-                    assert offered.image is not None
-                (outs,) = fast.process_burst([offered], now)
-                got = [(p.wire_bytes(), p.device) for p in outs]
-            assert got == want
+            want = _render(slow.process(packet.clone(), now))
+            offered = _wire_backed(packet) if entry == "wire" else packet.clone()
+            (outs,) = fast.process_burst([offered], now)
+            assert _render(outs) == want
         assert fast.compiled_size <= fast.cache_size
 
     @settings(max_examples=60, deadline=None)
@@ -218,9 +208,7 @@ class TestNfEntryPoints:
         for (direction, selector, kind, dt), wire in zip(steps, wire_backed):
             now += dt
             packet = _packet(direction, selector, kind, slow.config)
-            offered = packet.clone()
-            if wire:
-                offered = Packet.from_bytes(packet.wire_bytes(), packet.device)
+            offered = _wire_backed(packet) if wire else packet.clone()
             assert _render(fast.process(offered, now)) == _render(
                 slow.process(packet.clone(), now)
             )
@@ -229,6 +217,113 @@ class TestNfEntryPoints:
         counters = fast.op_counters()
         ended = counters["expired"] + counters.get("evicted", 0)
         assert counters["fastpath_invalidations"] <= 2 * ended
+
+
+# -- mutated frames of a flow whose closure has been earned --------------------
+WARM_EXPIRY_US = 1_000
+WARM_MUTATIONS = (
+    "none",
+    "padding",
+    "total-length",
+    "udp-length",
+    "tcp-offset-byte",
+    "zero-udp-checksum",
+    "more-fragments",
+    "truncate",
+)
+WARM_NFS = {
+    "vignat": lambda: VigNat(NatConfig(max_flows=8, expiration_time=WARM_EXPIRY_US)),
+    "unverified": lambda: UnverifiedNat(
+        NatConfig(max_flows=8, expiration_time=WARM_EXPIRY_US)
+    ),
+    "noop": NoopForwarder,
+}
+
+
+def _warm_flow_packet(proto, payload=b"warm"):
+    """A packet of the one (per protocol) flow the test warms."""
+    if proto == "tcp":
+        return make_tcp_packet(
+            INTERNAL_IPS[0], REMOTE_IP, 1024, 80, payload=payload, device=0
+        )
+    return make_udp_packet(
+        INTERNAL_IPS[0], REMOTE_IP, 1024, 53, payload=payload, device=0
+    )
+
+
+def _warm_flow_cases():
+    """(proto, [(mutated frame of the warm flow's 5-tuple, µs since the
+    previous frame)]): the gaps straddle the expiry time, so the flow
+    dies mid-run unless the frames that should rejuvenate it do."""
+
+    def frames_of(proto):
+        packets = st.builds(
+            _warm_flow_packet, st.just(proto), st.binary(min_size=0, max_size=40)
+        )
+        step = st.tuples(
+            mutated_frames(packets, WARM_MUTATIONS),
+            st.integers(0, WARM_EXPIRY_US + 200),
+        )
+        return st.tuples(st.just(proto), st.lists(step, min_size=1, max_size=12))
+
+    return st.sampled_from(("udp", "tcp")).flatmap(frames_of)
+
+
+def _offer(nf, frame, now):
+    """One wire frame the way every runtime offers it: refused by
+    ``Packet.from_bytes`` or handed, wire-backed or not, to
+    ``process_burst``."""
+    try:
+        packet = Packet.from_bytes(frame, 0)
+    except ParseError as error:
+        return "refused", str(error)
+    (outs,) = nf.process_burst([packet], now)
+    return "emitted", _render(outs)
+
+
+def _flow_count(nf):
+    return nf.flow_count() if hasattr(nf, "flow_count") else 0
+
+
+class TestMutatedFramesOnAWarmFlow:
+    """The one way in has no unchecked door: once a flow has earned its
+    closure, a frame of that flow's 5-tuple that is *not* in canonical
+    form — the closure's precondition — is refused exactly as an
+    unwrapped twin refuses it, or takes the object replay and comes out
+    byte-identical; either way the twin's flow table stays in step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nf=st.sampled_from(sorted(WARM_NFS)), case=_warm_flow_cases())
+    @example(
+        nf="vignat",
+        case=(
+            "tcp",
+            [
+                (shape(_warm_flow_packet("tcp").wire_bytes()), 1)
+                for shape in NAMED_SHAPES.values()
+            ],
+        ),
+    )
+    def test_refused_alike_or_emitted_byte_identical(self, nf, case):
+        proto, steps = case
+        fast, twin = FastPathNat(WARM_NFS[nf]()), WARM_NFS[nf]()
+        canonical = _warm_flow_packet(proto).wire_bytes()
+        for now in (0, 1, 2):
+            assert _offer(fast, canonical, now) == _offer(twin, canonical, now)
+        counters = fast.op_counters()
+        assert counters["fastpath_hits"] == 2
+        # The unverified NAT's hooks never compile (``supports_raw``).
+        assert counters["fastpath_compiles"] == (0 if nf == "unverified" else 1)
+        for frame, gap in steps:
+            now += gap
+            assert _offer(fast, frame, now) == _offer(twin, frame, now)
+            assert fast.flow_count() == _flow_count(twin)
+        # Past the expiry time both sides have forgotten the flow (or
+        # neither has): the next frame allocates alike.
+        now += WARM_EXPIRY_US + 1
+        assert _offer(fast, canonical, now) == _offer(twin, canonical, now)
+        assert fast.flow_count() == _flow_count(twin)
+        assert fast.op_counters()["fastpath_compile_rejected"] == 0
 
 
 class TestRuntimeMainLoop:

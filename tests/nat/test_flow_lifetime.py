@@ -48,18 +48,18 @@ def _burst(nf, packet, now):
     return [(o.wire_bytes(), o.device) for o in outs]
 
 
-def _raw(nf, packet, now):
-    return nf.process_raw_burst(
-        [(bytearray(packet.wire_bytes()), packet.device)], now
-    )[0]
+def _process_wire(nf, packet, now):
+    """The per-packet entry point, handed a wire-backed packet."""
+    outs = nf.process(Packet.from_bytes(packet.wire_bytes(), packet.device), now)
+    return [(o.wire_bytes(), o.device) for o in outs]
 
 
-DRIVES = {"process": _process, "process_burst": _burst, "process_raw_burst": _raw}
+DRIVES = {"process": _process, "process_burst": _burst, "process_wire": _process_wire}
 
 GRID = [
     pytest.param(VigNat, "process", id="vignat-process"),
     pytest.param(VigNat, "process_burst", id="vignat-burst"),
-    pytest.param(VigNat, "process_raw_burst", id="vignat-raw"),
+    pytest.param(VigNat, "process_wire", id="vignat-wire"),
     pytest.param(UnverifiedNat, "process", id="unverified-process"),
     pytest.param(UnverifiedNat, "process_burst", id="unverified-burst"),
 ]

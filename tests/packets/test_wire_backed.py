@@ -7,10 +7,11 @@ assumed, against a reference kept here: ``_eager_parse`` is the eager
 ``from_bytes`` this repository had before frames stayed bytes, built
 from the public header ``unpack`` methods only.
 
-For arbitrary bytes and for structure-mutated builder frames — trailing
-Ethernet padding, wrong ``total_length``, UDP length mismatch, TCP
-reserved/data-offset bits, IHL > 5, fragments, non-IPv4 ethertypes, a
-VLAN tag, truncation at every header boundary, a zero UDP checksum:
+For arbitrary bytes and for structure-mutated builder frames
+(``tests/packets/mutations.py``) — trailing Ethernet padding, wrong
+``total_length``, UDP length mismatch, TCP reserved/data-offset bits,
+IHL > 5, fragments, non-IPv4 ethertypes, a VLAN tag, truncation at
+every header boundary, a zero UDP checksum:
 
 (a) ``from_bytes`` raises ``ParseError`` iff the reference does, with
     the same message;
@@ -26,15 +27,13 @@ Plus the state discipline: any write — to ``eth``/``ipv4``/``l4``/
 
 import copy
 import pickle
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.packets.builder import make_tcp_packet, make_udp_packet
+from repro.packets.builder import make_udp_packet
 from repro.packets.headers import (
     ETHERTYPE_IPV4,
-    PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
     EthernetHeader,
@@ -43,9 +42,9 @@ from repro.packets.headers import (
     ParseError,
     TcpHeader,
     UdpHeader,
-    raw_flow_key,
 )
 from repro.resil.faults import FaultPlan
+from tests.packets.mutations import mutated_frames
 
 
 def _eager_parse(data: bytes, device: int = 0) -> Packet:
@@ -75,78 +74,7 @@ def _verdict(parse, frame, device):
         return None, str(error)
 
 
-MUTATIONS = (
-    "none",
-    "padding",
-    "total-length",
-    "udp-length",
-    "tcp-offset-byte",
-    "ihl",
-    "version",
-    "more-fragments",
-    "fragment-offset",
-    "ethertype",
-    "vlan",
-    "protocol",
-    "truncate",
-    "zero-udp-checksum",
-)
-
-#: Every header boundary of both frame shapes, and one byte either side.
-_BOUNDARIES = sorted(
-    {
-        max(0, edge + nudge)
-        for edge in (0, 14, 34, 42, 54)
-        for nudge in (-1, 0, 1)
-    }
-)
-
-
-@st.composite
-def _mutated_frames(draw):
-    """A builder-made TCP or UDP frame with one structural mutation."""
-    make = draw(st.sampled_from([make_udp_packet, make_tcp_packet]))
-    frame = bytearray(
-        make(
-            draw(st.integers(1, 0xFFFFFFFE)),
-            draw(st.integers(1, 0xFFFFFFFE)),
-            draw(st.integers(1, 0xFFFF)),
-            draw(st.integers(1, 0xFFFF)),
-            payload=draw(st.binary(min_size=0, max_size=40)),
-        ).to_bytes()
-    )
-    mutation = draw(st.sampled_from(MUTATIONS))
-    if mutation == "padding":
-        frame += bytes(draw(st.integers(1, 18)))
-    elif mutation == "total-length":
-        struct.pack_into(">H", frame, 16, draw(st.integers(0, 0xFFFF)))
-    elif mutation == "udp-length":
-        struct.pack_into(">H", frame, 38, draw(st.integers(0, 0xFFFF)))
-    elif mutation == "tcp-offset-byte" and len(frame) > 46:
-        frame[46] = draw(st.integers(0, 0xFF))  # on UDP: a payload byte
-    elif mutation == "ihl":
-        frame[14] = 0x40 | draw(st.integers(0, 15))
-    elif mutation == "version":
-        frame[14] = draw(st.integers(0, 15)) << 4 | 5
-    elif mutation == "more-fragments":
-        frame[20] |= 0x20
-    elif mutation == "fragment-offset":
-        struct.pack_into(">H", frame, 20, draw(st.integers(1, 0x1FFF)))
-    elif mutation == "ethertype":
-        ethertype = draw(st.sampled_from([0x0806, 0x86DD, 0x8100, 0]))
-        struct.pack_into(">H", frame, 12, ethertype)
-    elif mutation == "vlan":
-        frame[12:12] = b"\x81\x00" + struct.pack(">H", draw(st.integers(0, 0xFFF)))
-    elif mutation == "protocol":
-        frame[23] = draw(st.sampled_from([PROTO_ICMP, PROTO_TCP, PROTO_UDP, 47]))
-    elif mutation == "truncate":
-        del frame[draw(st.sampled_from(_BOUNDARIES)) :]
-    elif mutation == "zero-udp-checksum":
-        frame[40:42] = b"\x00\x00"
-    return bytes(frame)
-
-
-_FRAMES = st.one_of(_mutated_frames(), st.binary(min_size=0, max_size=80))
+_FRAMES = st.one_of(mutated_frames(), st.binary(min_size=0, max_size=80))
 _DEVICES = st.integers(0, 3)
 
 
@@ -166,8 +94,6 @@ class TestLazyImageEqualsEagerParse:
         assert lazy.wire_bytes() == eager.wire_bytes()
         twin = lazy.clone()
         assert (lazy.image is not None) == was_wire_backed
-        if was_wire_backed:
-            assert eager_key == raw_flow_key(frame, device)
         # (b), header side: == materialises and compares every field.
         assert twin == eager
         assert twin.image is None
