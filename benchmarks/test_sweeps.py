@@ -5,9 +5,10 @@ publish its table, metrics snapshot and ``BENCH_*.json`` under
 ``benchmarks/results/``, then require every claim of the description to
 hold on the records just written — the same ``claims`` function
 ``repro experiments <sweep>`` prints and ``compare_bench.py`` applies
-to the files. What a record does not carry (a second sweep run to
-compare against, a point's raw counters, wall-clock of a control
-action) stays below as a per-sweep extra.
+to the files. The sweep's ``run`` returns the records, and everything
+here takes them as returned. What one run's records cannot show (a
+second sweep run to compare against) or no claim gates (raw counters,
+the wall clock of a control action) stays below as a per-sweep extra.
 """
 
 import json
@@ -21,22 +22,22 @@ from repro.eval.sweeps import SWEEPS
 from repro.obs import merge_snapshots
 
 
-def _write_fastpath_divergence(points) -> None:
+def _write_fastpath_divergence(records) -> None:
     """Persist first-divergence wire bytes for the CI failure artifact.
 
     An all-identical sweep leaves a one-line marker instead, so the CI
     step can upload unconditionally.
     """
     sections = []
-    for point in points:
-        for axis, diff in (
-            ("object-path cache", point.divergence),
-            ("wire-backed", point.wire_divergence),
+    for record in records:
+        for axis, field in (
+            ("object-path cache", "divergence"),
+            ("wire-backed", "wire_divergence"),
         ):
-            if diff is not None:
+            if record[field] is not None:
                 sections.append(
-                    f"== {point.nf} @ {point.flow_count} flows ({axis}) ==\n"
-                    + diff.render()
+                    f"== {record['nf']} @ {record['flow_count']} flows ({axis}) ==\n"
+                    + record[field]
                 )
     text = "\n\n".join(sections) if sections else (
         "no divergence: every replay byte-identical at every point"
@@ -44,46 +45,42 @@ def _write_fastpath_divergence(points) -> None:
     (RESULTS_DIR / "fastpath_divergence.txt").write_text(text + "\n")
 
 
-def _shard_extra(points, grid):
+def _shard_extra(records, grid):
     # workers=1 is byte-identical to the burst-mode data path: sharding
     # is a strict superset of it, not a reinterpretation.
-    burst_points = burst_size_sweep(
-        burst_sizes=(points[0].burst_size,), packet_count=grid["packet_count"]
+    burst_records = burst_size_sweep(
+        burst_sizes=(records[0]["burst_size"],), packet_count=grid["packet_count"]
     )
-    single = {p.nf: p for p in points if p.workers == 1}
-    for burst_point in burst_points:
+    single = {r["nf"]: r for r in records if r["workers"] == 1}
+    for burst_record in burst_records:
         assert (
-            single[burst_point.nf].per_packet_busy_ns
-            == burst_point.per_packet_busy_ns
-        ), burst_point.nf
+            single[burst_record["nf"]]["per_packet_busy_ns"]
+            == burst_record["per_packet_busy_ns"]
+        ), burst_record["nf"]
 
 
-def _failover_extra(points, grid):
+def _failover_extra(records, grid):
     # A promoted standby with the fast path on must not serve its first
     # packets cold: promotion rebuilds both directions of every
     # recovered flow into the cache.
-    warm_points = failover_sweep(
+    warm_records = failover_sweep(
         lags=(0,), flow_count=min(64, grid["flow_count"]), fastpath="compiled"
     )
-    for point in warm_points:
-        assert point.flows_recovered > 0, point.nf
-        assert point.fastpath_warmed == 2 * point.flows_recovered, (
-            point.nf,
-            point.fastpath_warmed,
-            point.flows_recovered,
-        )
+    for record in warm_records:
+        assert record["flows_recovered"] > 0, record["nf"]
+        assert record["fastpath_warmed"] == 2 * record["flows_recovered"], record
 
 
-def _procs_extra(points, grid):
+def _procs_extra(records, grid):
     # The NF actually processed the schedule in every worker.
-    for point in points:
-        assert sum(point.counters.values()) > 0, (point.nf, point.workers)
+    for record in records:
+        assert sum(record["counters"].values()) > 0, record
 
 
-def _chain_extra(reports, grid):
+def _chain_extra(records, grid):
     # Reported, never gated — but the upgrade must have been timed.
-    upgrade = next(r for r in reports if r.scenario == "warm-upgrade")
-    assert upgrade.action_wall_us > 0
+    upgrade = next(r for r in records if r["scenario"] == "warm-upgrade")
+    assert upgrade["action_wall_us"] > 0
 
 
 EXTRAS = {
@@ -98,20 +95,19 @@ EXTRAS = {
 def test_sweep(name, benchmark, publish, publish_snapshot):
     sweep = SWEEPS[name]
     grid = sweep.grids[scale()]
-    points = benchmark.pedantic(
+    records = benchmark.pedantic(
         lambda: sweep.run(**grid), rounds=1, iterations=1
     )
-    publish(f"{name}_sweep", sweep.render(points))
+    publish(f"{name}_sweep", sweep.render(records))
     publish_snapshot(
-        f"{name}_sweep", merge_snapshots([sweep.snapshot(p) for p in points])
+        f"{name}_sweep", merge_snapshots([sweep.snapshot(r) for r in records])
     )
-    records = [sweep.record(p) for p in points]
     if sweep.bench_file:
         (RESULTS_DIR / sweep.bench_file).write_text(
             json.dumps(records, indent=2) + "\n"
         )
     if name == "fastpath":
-        _write_fastpath_divergence(points)
+        _write_fastpath_divergence(records)
     # Evidence before judgment: everything is on disk before the first
     # assert can end the test.
 
@@ -124,4 +120,4 @@ def test_sweep(name, benchmark, publish, publish_snapshot):
     assert len(keys) == math.prod(len(set(axis)) for axis in zip(*keys)), keys
 
     if name in EXTRAS:
-        EXTRAS[name](points, grid)
+        EXTRAS[name](records, grid)

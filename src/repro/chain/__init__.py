@@ -12,7 +12,6 @@ from repro.chain.scenarios import (
     SCENARIOS,
     ScenarioReport,
     ScenarioSla,
-    chain_breaches,
     chain_scenarios,
     chaos_soak,
     default_chain_spec,
@@ -37,7 +36,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioReport",
     "ScenarioSla",
-    "chain_breaches",
     "chain_scenarios",
     "chaos_soak",
     "default_chain_spec",

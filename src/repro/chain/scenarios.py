@@ -99,6 +99,7 @@ class ScenarioReport:
             "lost": self.lost,
             "availability": round(self.availability, 6),
             "disruption_us": self.disruption_us,
+            "action_wall_us": self.action_wall_us,
             "flows_total": self.flows_total,
             "flows_lost": self.flows_lost,
             "probe_offered": self.probe_offered,
@@ -138,14 +139,6 @@ def scenario_breaches(report: ScenarioReport) -> List[str]:
             f"{report.scenario}: {report.probe_lost} post-disruption probe "
             f"packet(s) lost (budget {sla.max_probe_loss})"
         )
-    return breaches
-
-
-def chain_breaches(reports: List[ScenarioReport]) -> List[str]:
-    """Every SLA violation across a scenario suite (empty = all pass)."""
-    breaches: List[str] = []
-    for report in reports:
-        breaches.extend(scenario_breaches(report))
     return breaches
 
 
@@ -557,7 +550,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioReport",
     "ScenarioSla",
-    "chain_breaches",
     "chain_scenarios",
     "chaos_soak",
     "default_chain_spec",

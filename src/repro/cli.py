@@ -24,64 +24,45 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import hashlib
+import pathlib
 import sys
 from typing import List, Optional
 
 from repro.nat.config import NatConfig
 
 
+#: The packages a proof is about: the NFs and the libVig state they keep
+#: (``nat``, ``libvig``), and the toolchain that proves them (``verif``).
+_PROOF_PACKAGES = ("libvig", "nat", "verif")
+
+
+def _source_bytes(path: pathlib.Path) -> bytes:
+    return path.read_bytes()
+
+
 def _proof_cache_key(nf: str) -> str:
     """Fingerprint of everything the proof depends on.
 
-    Hashes the source of the stateless logic, the models, the contracts,
-    the semantics and the toolchain itself, so any edit invalidates the
-    cached proof — the soundness requirement for caching proofs at all.
+    Hashes every ``*.py`` under the packages above — the stateless
+    logic, the models, the contracts, the semantics and the toolchain
+    itself — so any edit invalidates the cached proof: the soundness
+    requirement for caching proofs at all. The packages are walked, not
+    listed module by module: a file the walk takes in needlessly costs a
+    sub-second re-proof, a file a hand-kept list forgets is a stale
+    "VERIFIED".
     """
-    import hashlib
-    import inspect
-
-    import repro.nat.bridge
-    import repro.nat.core_logic
-    import repro.nat.firewall
-    import repro.verif.contracts
-    import repro.verif.context
-    import repro.verif.engine
-    import repro.verif.models.bridge
-    import repro.verif.models.nat
-    import repro.verif.models.ring
-    import repro.verif.nf_env
-    import repro.verif.nf_env_bridge
-    import repro.verif.nf_env_fw
-    import repro.verif.semantics
-    import repro.verif.solver
-    import repro.verif.validator
-
-    hasher = hashlib.sha256()
-    hasher.update(nf.encode())
-    for module in (
-        repro.nat.core_logic,
-        repro.nat.firewall,
-        repro.nat.bridge,
-        repro.verif.contracts,
-        repro.verif.context,
-        repro.verif.engine,
-        repro.verif.models.nat,
-        repro.verif.models.bridge,
-        repro.verif.models.ring,
-        repro.verif.nf_env,
-        repro.verif.nf_env_bridge,
-        repro.verif.nf_env_fw,
-        repro.verif.semantics,
-        repro.verif.solver,
-        repro.verif.validator,
-    ):
-        hasher.update(inspect.getsource(module).encode())
+    root = pathlib.Path(__file__).parent
+    hasher = hashlib.sha256(nf.encode())
+    for package in _PROOF_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            hasher.update(path.relative_to(root).as_posix().encode())
+            hasher.update(_source_bytes(path))
     return hasher.hexdigest()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
-    import pathlib
 
     from repro.verif.engine import ExhaustiveSymbolicEngine
     from repro.verif.report import ProofReport
@@ -224,9 +205,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
     sweep = SWEEPS.get(args.artifact)
     if sweep is not None:
-        points = sweep.run(**sweep.grids["smoke"])
-        print(sweep.render(points))
-        breaches = sweep.claims([sweep.record(point) for point in points])
+        records = sweep.run(**sweep.grids["smoke"])
+        print(sweep.render(records))
+        breaches = sweep.claims(records)
         if breaches:
             print(f"\n{sweep.name} claims VIOLATED:")
             for breach in breaches:

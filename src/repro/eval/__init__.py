@@ -7,8 +7,9 @@
   statistics (path/trace counts, proof outcomes),
 - :mod:`repro.eval.reporting` — table rendering for all of the above,
 - :mod:`repro.eval.sweeps` — the seven sweeps beyond the paper's
-  figures, each described once (grid, record, key, claims); the CLI,
-  the benchmark test and the CI gate are derived from ``SWEEPS``.
+  figures, each described once (grid, run, render, snapshot, key,
+  claims — ``run`` returns the records); the CLI, the benchmark test
+  and the CI gate are derived from ``SWEEPS``.
 """
 
 from repro.eval.experiments import (

@@ -11,10 +11,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.nat.base import NetworkFunction
-from repro.obs.flight import TraceDiff, first_divergence
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
 from repro.nat.netfilter import NetfilterNat
@@ -30,13 +29,24 @@ from repro.net.moongen import (
     merge_sources,
 )
 from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
-from repro.net.rss import NatSteering
 from repro.net.testbed import Rfc2544Testbed, ThroughputResult
+from repro.obs import snapshot_of_counters
+from repro.obs.flight import first_divergence
 from repro.packets.headers import Packet
 
 S = 1_000_000_000
 
 NfFactory = Callable[[NatConfig], NetworkFunction]
+
+#: One sweep point, in the only form it has: the row ``BENCH_*.json``
+#: commits, the table is rendered from and the sweep's claims judge
+#: (:mod:`repro.eval.sweeps`).
+Record = Dict[str, Any]
+
+
+def _ratio(numerator: float, denominator: Optional[float]) -> float:
+    """``numerator / denominator``; 0.0 when there is nothing to divide by."""
+    return numerator / denominator if denominator and denominator > 0 else 0.0
 
 
 def default_nf_factories(include_linux: bool = False) -> Dict[str, NfFactory]:
@@ -195,22 +205,6 @@ def latency_ccdf(
     return series
 
 
-@dataclass
-class BurstPoint:
-    """One burst-size-sweep data point for one NF."""
-
-    nf: str
-    burst_size: int
-    #: Core occupancy per processed packet — the cost the sweep tracks.
-    per_packet_busy_ns: float
-    #: Service-limited forwarding rate implied by that occupancy.
-    implied_mpps: float
-    #: Average packets per service burst actually achieved.
-    avg_burst_fill: float
-    #: NF counter snapshot after the run (bursts, amortized scans, ...).
-    counters: Dict[str, int] = field(default_factory=dict)
-
-
 def burst_size_sweep(
     factories: Optional[Dict[str, NfFactory]] = None,
     burst_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32),
@@ -218,7 +212,7 @@ def burst_size_sweep(
     packet_count: int = 6_000,
     offered_pps: float = 4_000_000.0,
     settings: Optional[EvalSettings] = None,
-) -> List[BurstPoint]:
+) -> List[Record]:
     """Per-packet cost vs. burst size, each NF under saturating load.
 
     The workload offers more than any NF can serve, so service bursts
@@ -228,6 +222,11 @@ def burst_size_sweep(
     grows, while per-packet marginal work is unchanged. The relative
     cost structure no-op < unverified < verified ≪ NetFilter must hold
     at every burst size.
+
+    One record per (NF, burst size): the core occupancy per processed
+    packet — the cost the sweep tracks — with the service-limited rate
+    it implies, the average packets per service burst actually achieved,
+    and the NF's counters after the run (bursts, amortized scans, ...).
     """
     factories = factories if factories is not None else default_nf_factories(
         include_linux=True
@@ -236,7 +235,7 @@ def burst_size_sweep(
         expiration_seconds=60.0
     )
     cfg = settings.nat_config()
-    points: List[BurstPoint] = []
+    records: List[Record] = []
     for name, factory in factories.items():
         for burst_size in burst_sizes:
             testbed = Rfc2544Testbed(
@@ -248,36 +247,17 @@ def burst_size_sweep(
             )
             result = testbed.run(nf, workload.events())
             busy = result.per_packet_busy_ns
-            points.append(
-                BurstPoint(
-                    nf=name,
-                    burst_size=burst_size,
-                    per_packet_busy_ns=busy,
-                    implied_mpps=1_000.0 / busy if busy > 0 else 0.0,
-                    avg_burst_fill=result.avg_burst_fill,
-                    counters=nf.op_counters(),
-                )
+            records.append(
+                {
+                    "nf": name,
+                    "burst_size": burst_size,
+                    "per_packet_busy_ns": busy,
+                    "implied_mpps": _ratio(1_000.0, busy),
+                    "avg_burst_fill": result.avg_burst_fill,
+                    "counters": nf.op_counters(),
+                }
             )
-    return points
-
-
-@dataclass
-class ShardPoint:
-    """One shard-sweep data point: one NF at one worker count."""
-
-    nf: str
-    workers: int
-    burst_size: int
-    #: Mean core occupancy per packet across workers (per-core cost).
-    per_packet_busy_ns: float
-    #: Service-limited rate of the whole sharded box (sum of workers).
-    aggregate_mpps: float
-    #: Each worker's service-limited rate, in worker order.
-    per_worker_mpps: List[float] = field(default_factory=list)
-    #: Packets steered to each worker.
-    steered: List[int] = field(default_factory=list)
-    #: Aggregated NF counters after the run.
-    counters: Dict[str, int] = field(default_factory=dict)
+    return records
 
 
 def shard_sweep(
@@ -288,18 +268,23 @@ def shard_sweep(
     packet_count: int = 6_000,
     offered_pps: float = 4_000_000.0,
     settings: Optional[EvalSettings] = None,
-) -> List[ShardPoint]:
+) -> List[Record]:
     """Aggregate throughput vs. worker count, each NF under saturation.
 
     Every worker runs the burst-mode main loop over its own shard of the
     partitioned configuration; the offered load and packet budget scale
     with the worker count so each worker stays saturated and per-worker
-    service rates are measured in the same regime at every width. The
-    single-worker point takes the exact unsharded code path
-    (:meth:`Rfc2544Testbed.run` with the same workload the burst sweep
-    uses), so ``workers=1`` reproduces the burst-sweep numbers
-    byte-identically. The paper's ordering no-op < unverified <
-    verified ≪ NetFilter must hold at every worker count.
+    service rates are measured in the same regime at every width. Every
+    width goes through :meth:`Rfc2544Testbed.run_spec`; the unsharded
+    :meth:`Rfc2544Testbed.run` is its one-worker case, so ``workers=1``
+    reproduces the burst-sweep numbers byte-identically. The paper's
+    ordering no-op < unverified < verified ≪ NetFilter must hold at
+    every worker count.
+
+    One record per (NF, worker count): the mean core occupancy per
+    packet across workers (the per-core cost), the service-limited rate
+    of the whole box (the sum of its workers'), the packets steered to
+    each worker, and the workers' aggregated NF counters.
     """
     factories = factories if factories is not None else default_nf_factories(
         include_linux=True
@@ -308,33 +293,9 @@ def shard_sweep(
         expiration_seconds=60.0
     )
     cfg = settings.nat_config()
-    points: List[ShardPoint] = []
+    records: List[Record] = []
     for name, factory in factories.items():
         for workers in worker_counts:
-            if workers == 1:
-                testbed = Rfc2544Testbed(
-                    cost_model=CostModel(), burst_size=burst_size
-                )
-                nf = factory(cfg)
-                workload = ConstantRateFlows(
-                    flow_count, offered_pps, packet_count, burst=burst_size
-                )
-                result = testbed.run(nf, workload.events())
-                busy = result.per_packet_busy_ns
-                mpps = 1_000.0 / busy if busy > 0 else 0.0
-                points.append(
-                    ShardPoint(
-                        nf=name,
-                        workers=1,
-                        burst_size=burst_size,
-                        per_packet_busy_ns=busy,
-                        aggregate_mpps=mpps,
-                        per_worker_mpps=[mpps],
-                        steered=[result.burst_packets],
-                        counters=nf.op_counters(),
-                    )
-                )
-                continue
             testbed = Rfc2544Testbed(
                 cost_model=CostModel(), burst_size=burst_size, workers=workers
             )
@@ -351,89 +312,18 @@ def shard_sweep(
                 burst_size=burst_size,
             )
             sharded = testbed.run_spec(spec, workload.events())
-            counters: Dict[str, int] = sharded.op_counters()
-            points.append(
-                ShardPoint(
-                    nf=name,
-                    workers=workers,
-                    burst_size=burst_size,
-                    per_packet_busy_ns=sharded.per_packet_busy_ns,
-                    aggregate_mpps=sharded.aggregate_mpps(),
-                    per_worker_mpps=sharded.per_worker_mpps(),
-                    steered=sharded.steered,
-                    counters=counters,
-                )
+            records.append(
+                {
+                    "nf": name,
+                    "workers": workers,
+                    "burst_size": burst_size,
+                    "per_packet_busy_ns": sharded.per_packet_busy_ns,
+                    "aggregate_mpps": sharded.aggregate_mpps(),
+                    "steered": list(sharded.steered),
+                    "counters": sharded.op_counters(),
+                }
             )
-    return points
-
-
-@dataclass
-class FastpathPoint:
-    """One fastpath-sweep data point: one NF at one flow-locality regime.
-
-    ``flow_count`` sets the locality: few flows → the microflow cache
-    converges to ~100% hits; many flows (relative to the packet budget)
-    → the cache never warms and every packet takes the slow path.
-    """
-
-    nf: str
-    flow_count: int
-    burst_size: int
-    #: Packets in one replay pass (the wire pps numerator).
-    packets: int
-    #: Fraction of packets served from the microflow cache.
-    hit_rate: float
-    #: Modeled core occupancy per packet, cache off / on.
-    per_packet_busy_ns_off: float
-    per_packet_busy_ns_on: float
-    #: Wall-clock seconds the replay actually took, cache off / on —
-    #: the real Python-level speedup of skipping the slow path.
-    wall_seconds_off: float
-    wall_seconds_on: float
-    #: True when the cache-on replay emitted byte-identical packets
-    #: (wire bytes and output device) to the cache-off replay.
-    identical: bool
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: When not identical: where the two replays first disagreed.
-    divergence: Optional[TraceDiff] = None
-    #: True when the NF's hooks let its actions compile into closures
-    #: (the ``compiled_counters`` checks only apply there).
-    supports_raw: bool = False
-    #: Wall-clock seconds for the same events replayed as wire-backed
-    #: packets — ``Packet.from_bytes`` per frame in, ``wire_bytes`` per
-    #: output out, the path every runtime takes — fast path off and on.
-    wire_wall_seconds_off: float = 0.0
-    wire_wall_seconds_compiled: float = 0.0
-    #: True when both wire-backed replays emitted byte-identical frames
-    #: to the object-path replay.
-    wire_identical: bool = True
-    #: Fast-path counters from the fast-path-on wire-backed replay.
-    compiled_counters: Dict[str, int] = field(default_factory=dict)
-    #: When the wire-backed replays diverged: the first disagreement.
-    wire_divergence: Optional[TraceDiff] = None
-
-    @property
-    def implied_mpps_off(self) -> float:
-        busy = self.per_packet_busy_ns_off
-        return 1_000.0 / busy if busy > 0 else 0.0
-
-    @property
-    def implied_mpps_on(self) -> float:
-        busy = self.per_packet_busy_ns_on
-        return 1_000.0 / busy if busy > 0 else 0.0
-
-    @property
-    def wall_speedup(self) -> float:
-        if self.wall_seconds_on <= 0:
-            return 0.0
-        return self.wall_seconds_off / self.wall_seconds_on
-
-    @property
-    def compiled_speedup_over_off(self) -> float:
-        """Wire-backed wall speedup of ``fastpath="compiled"`` over off."""
-        if self.wire_wall_seconds_compiled <= 0:
-            return 0.0
-        return self.wire_wall_seconds_off / self.wire_wall_seconds_compiled
+    return records
 
 
 def _burst_replay_outputs(
@@ -514,6 +404,24 @@ def _wire_replay(
     return first, best
 
 
+def _first_difference(*pairs) -> Optional[str]:
+    """Where the first differing (expected, actual) pair of replays first
+    disagrees, as rendered text; None when every pair agrees."""
+    for expected, actual in pairs:
+        if expected != actual:
+            diff = first_divergence(expected, actual)
+            return diff.render() if diff is not None else None
+    return None
+
+
+def _cache_counters(nf: FastPathNat) -> Dict[str, int]:
+    return {
+        key: value
+        for key, value in nf.op_counters().items()
+        if key.startswith("fastpath_")
+    }
+
+
 def fastpath_sweep(
     factories: Optional[Dict[str, NfFactory]] = None,
     flow_counts: Sequence[int] = (64, 1_024, 4_096),
@@ -521,8 +429,12 @@ def fastpath_sweep(
     packet_count: int = 6_000,
     offered_pps: float = 4_000_000.0,
     settings: Optional[EvalSettings] = None,
-) -> List[FastpathPoint]:
+) -> List[Record]:
     """The microflow fast path across flow-locality regimes.
+
+    ``flow_count`` sets the locality: few flows → the microflow cache
+    converges to ~100% hits; many flows (relative to the packet budget)
+    → the cache never warms and every packet takes the slow path.
 
     For each NF and flow count, three measurements over the identical
     workload: (1) a deterministic burst replay through a cache-off and a
@@ -547,7 +459,7 @@ def fastpath_sweep(
         expiration_seconds=60.0
     )
     cfg = settings.nat_config()
-    points: List[FastpathPoint] = []
+    records: List[Record] = []
     for name, factory in factories.items():
         for flow_count in flow_counts:
             workload = ConstantRateFlows(
@@ -558,22 +470,15 @@ def fastpath_sweep(
             on_outputs = _burst_replay_outputs(
                 FastPathNat(factory(cfg)), events, burst_size
             )
-            identical = off_outputs == on_outputs
-            divergence = (
-                None if identical else first_divergence(off_outputs, on_outputs)
-            )
 
-            def modeled_run(nf: NetworkFunction):
+            def modeled_busy_ns(nf: NetworkFunction) -> float:
                 testbed = Rfc2544Testbed(
                     cost_model=CostModel(), burst_size=burst_size
                 )
-                workload = ConstantRateFlows(
-                    flow_count, offered_pps, packet_count, burst=burst_size
-                )
-                return testbed.run(nf, workload.events())
+                return testbed.run(nf, workload.events()).per_packet_busy_ns
 
-            result_off = modeled_run(factory(cfg))
-            result_on = modeled_run(FastPathNat(factory(cfg)))
+            busy_off = modeled_busy_ns(factory(cfg))
+            busy_on = modeled_busy_ns(FastPathNat(factory(cfg)))
 
             wall_off = _timed_burst_replay(factory(cfg), events, burst_size)
             fast = FastPathNat(factory(cfg))
@@ -591,40 +496,67 @@ def fastpath_sweep(
             wire_on_outputs, wire_compiled_s = _wire_replay(
                 compiled_nf, events, burst_size
             )
-            wire_identical = off_outputs == wire_off_outputs == wire_on_outputs
-            wire_divergence = None
-            if not wire_identical:
-                wire_divergence = first_divergence(
-                    wire_off_outputs, wire_on_outputs
-                ) or first_divergence(off_outputs, wire_off_outputs)
 
-            points.append(
-                FastpathPoint(
-                    nf=name,
-                    flow_count=flow_count,
-                    burst_size=burst_size,
-                    packets=len(events),
-                    hit_rate=fast.hit_rate(),
-                    per_packet_busy_ns_off=result_off.per_packet_busy_ns,
-                    per_packet_busy_ns_on=result_on.per_packet_busy_ns,
-                    wall_seconds_off=wall_off,
-                    wall_seconds_on=wall_on,
-                    identical=identical,
-                    counters=fast.op_counters(),
-                    divergence=divergence,
-                    supports_raw=bool(hooks is not None and hooks.supports_raw),
-                    wire_wall_seconds_off=wire_off_s,
-                    wire_wall_seconds_compiled=wire_compiled_s,
-                    wire_identical=wire_identical,
-                    compiled_counters={
-                        key: value
-                        for key, value in compiled_nf.op_counters().items()
-                        if key.startswith("fastpath_")
-                    },
-                    wire_divergence=wire_divergence,
-                )
+            def pps(seconds: float) -> float:
+                # Every timed pass replays the whole event trace once.
+                return round(_ratio(len(events), seconds), 1)
+
+            counters = _cache_counters(fast)
+            records.append(
+                {
+                    "nf": name,
+                    "flow_count": flow_count,
+                    "burst_size": burst_size,
+                    # Packets in one replay pass (every pps numerator).
+                    "packets": len(events),
+                    # Fraction of the timed object replay's packets
+                    # served from the microflow cache.
+                    "hit_rate": round(fast.hit_rate(), 4),
+                    # The cache-on replay emitted byte-identical packets
+                    # (wire bytes and output device) to the cache-off one.
+                    "identical": off_outputs == on_outputs,
+                    # Wall-clock seconds the warmed object replay took,
+                    # cache off / on — the real Python-level speedup of
+                    # skipping the slow path.
+                    "wall_seconds_off": round(wall_off, 6),
+                    "wall_seconds_on": round(wall_on, 6),
+                    "wall_speedup": round(_ratio(wall_off, wall_on), 3),
+                    "replay_pps_off": pps(wall_off),
+                    "replay_pps_on": pps(wall_on),
+                    # Modeled core occupancy per packet, cache off / on.
+                    "modeled_busy_ns_off": round(busy_off, 1),
+                    "modeled_busy_ns_on": round(busy_on, 1),
+                    "modeled_mpps_off": round(_ratio(1_000.0, busy_off), 3),
+                    "modeled_mpps_on": round(_ratio(1_000.0, busy_on), 3),
+                    # The NF's hooks let its actions compile into closures
+                    # (the ``compiled_counters`` checks only apply there).
+                    "supports_raw": bool(hooks is not None and hooks.supports_raw),
+                    # Both wire-backed replays emitted byte-identical
+                    # frames to the object-path replay.
+                    "wire_identical": (
+                        off_outputs == wire_off_outputs == wire_on_outputs
+                    ),
+                    "wire_pps_off": pps(wire_off_s),
+                    "wire_pps_compiled": pps(wire_compiled_s),
+                    "compiled_speedup_over_off": round(
+                        _ratio(wire_off_s, wire_compiled_s), 3
+                    ),
+                    "counters": counters,
+                    # From the fast-path-on wire-backed replay.
+                    "compiled_counters": _cache_counters(compiled_nf),
+                    "divergence": _first_difference((off_outputs, on_outputs)),
+                    "wire_divergence": _first_difference(
+                        (wire_off_outputs, wire_on_outputs),
+                        (off_outputs, wire_off_outputs),
+                    ),
+                    "metrics": snapshot_of_counters(
+                        counters,
+                        labels={"nf": name, "flows": str(flow_count)},
+                        help_text="fastpath-sweep cache counters",
+                    ),
+                }
             )
-    return points
+    return records
 
 
 def collect_sharded_metrics(
@@ -680,58 +612,6 @@ def collect_sharded_metrics(
         runtime.stop()
 
 
-@dataclass
-class FailoverPoint:
-    """One availability data point: one NF, one replication lag.
-
-    The scenario is fixed: establish ``flow_count`` flows across
-    ``workers`` workers, run steady reply traffic, kill one worker
-    mid-replay, let the controller promote its standby, keep the
-    traffic flowing, then probe every flow once after recovery. The
-    loss ledger separates the mechanisms: flows lost to in-flight
-    replication deltas, packets lost on the dead worker's queues, and
-    packets lost to the modeled promotion blackout.
-    """
-
-    nf: str
-    lag: int
-    workers: int
-    flow_count: int
-    kill_worker: int
-    #: From the controller's :class:`~repro.resil.failover.FailoverReport`.
-    flows_at_kill: int
-    flows_recovered: int
-    flows_lost: int
-    deltas_lost: int
-    recovery_us: int
-    packets_lost_queue: int
-    packets_lost_blackout: int
-    #: Steady-phase reply traffic spanning the kill window.
-    steady_offered: int
-    steady_delivered: int
-    #: Post-recovery probe: one reply per established flow.
-    probe_offered: int
-    probe_delivered: int
-    #: Microflow-cache actions rebuilt from restored flow state at
-    #: promotion (0 in cache-off runs).
-    fastpath_warmed: int = 0
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def steady_lost(self) -> int:
-        return self.steady_offered - self.steady_delivered
-
-    @property
-    def availability(self) -> float:
-        if self.steady_offered == 0:
-            return 1.0
-        return self.steady_delivered / self.steady_offered
-
-    @property
-    def probe_lost(self) -> int:
-        return self.probe_offered - self.probe_delivered
-
-
 def replicable_nf_factories() -> Dict[str, NfFactory]:
     """The NFs that emit flow deltas and so support a warm standby."""
     return {
@@ -749,7 +629,7 @@ def failover_sweep(
     kill_worker: int = 1,
     fastpath: str = "off",
     settings: Optional[EvalSettings] = None,
-) -> List[FailoverPoint]:
+) -> List[Record]:
     """The availability benchmark: kill-and-promote at each replication lag.
 
     Per (NF, lag): a :class:`~repro.resil.failover.ReplicatedRuntime`
@@ -760,6 +640,15 @@ def failover_sweep(
     the controller must recover every established flow — the zero-loss
     anchor the sweep's claims pin; growing lag trades replication traffic
     for flows lost with the channel's in-flight window.
+
+    The record's loss ledger separates the mechanisms, straight from the
+    controller's :class:`~repro.resil.failover.FailoverReport`: flows
+    lost to in-flight replication deltas, packets lost on the dead
+    worker's queues, and packets lost to the modeled promotion blackout.
+    ``steady_*`` is the reply traffic spanning the kill window,
+    ``probe_*`` the post-recovery probe (one reply per established
+    flow), ``fastpath_warmed`` the microflow-cache actions rebuilt from
+    restored flow state at promotion (0 in cache-off runs).
     """
     from repro.packets.builder import make_udp_packet
     from repro.resil.faults import FaultPlan
@@ -770,7 +659,7 @@ def failover_sweep(
     )
     cfg = settings.nat_config()
     burst = 32
-    points: List[FailoverPoint] = []
+    records: List[Record] = []
     for name, factory in factories.items():
         for lag in lags:
             plan = FaultPlan()
@@ -866,57 +755,47 @@ def failover_sweep(
             runtime.main_loop_burst(now, burst)
             probe_delivered = len(runtime.collect())
 
-            points.append(
-                FailoverPoint(
-                    nf=name,
-                    lag=lag,
-                    workers=workers,
-                    flow_count=flow_count,
-                    kill_worker=kill_worker,
-                    flows_at_kill=report.flows_at_kill if report else 0,
-                    flows_recovered=report.flows_recovered if report else 0,
-                    flows_lost=report.flows_lost if report else 0,
-                    deltas_lost=report.deltas_lost if report else 0,
-                    recovery_us=report.recovery_us if report else 0,
-                    packets_lost_queue=report.packets_lost_queue if report else 0,
-                    packets_lost_blackout=(
-                        report.packets_lost_blackout if report else 0
-                    ),
-                    steady_offered=steady_offered,
-                    steady_delivered=steady_delivered,
-                    probe_offered=probe_offered,
-                    probe_delivered=probe_delivered,
-                    fastpath_warmed=report.fastpath_warmed if report else 0,
-                    counters=runtime.op_counters(),
+            ledger = {
+                field: getattr(report, field) if report else 0
+                for field in (
+                    "flows_at_kill",
+                    "flows_recovered",
+                    "flows_lost",
+                    "deltas_lost",
+                    "recovery_us",
+                    "packets_lost_queue",
+                    "packets_lost_blackout",
                 )
+            }
+            records.append(
+                {
+                    "nf": name,
+                    "lag": lag,
+                    "flow_count": flow_count,
+                    "workers": workers,
+                    "kill_worker": kill_worker,
+                    **ledger,
+                    "steady_offered": steady_offered,
+                    "steady_delivered": steady_delivered,
+                    "availability": round(
+                        steady_delivered / steady_offered if steady_offered else 1.0,
+                        4,
+                    ),
+                    "probe_offered": probe_offered,
+                    "probe_delivered": probe_delivered,
+                    "fastpath_warmed": report.fastpath_warmed if report else 0,
+                    "metrics": snapshot_of_counters(
+                        {
+                            f"failover_{field}": value
+                            for field, value in ledger.items()
+                            if field != "recovery_us"
+                        },
+                        labels={"nf": name, "lag": str(lag)},
+                        help_text="failover-sweep loss ledger",
+                    ),
+                }
             )
-    return points
-
-
-@dataclass
-class CgnatPoint:
-    """One stateless-CGNAT scaling point: one NF at one flow count.
-
-    The sweep's claim is about *state*, not speed: as flow count grows
-    10x and 100x, the deterministic NAT's ``state_entries`` stays 0 and
-    its checkpoint (the serialized footprint a standby must absorb)
-    stays constant, while the stateful NATs grow both linearly.
-    ``return_path_ok`` is the correctness differential riding along:
-    replies to every sampled translated port must reach the internal
-    endpoint that originated the flow.
-    """
-
-    nf: str
-    flow_count: int
-    #: Warmed burst-replay throughput of the forward path.
-    replay_pps: float
-    #: Live flow-table entries after the whole workload (0 = stateless).
-    state_entries: int
-    #: Serialized checkpoint payload size — the memory/transfer proxy.
-    checkpoint_bytes: int
-    #: Every sampled reply routed back to its originating endpoint.
-    return_path_ok: bool
-    counters: Dict[str, int] = field(default_factory=dict)
+    return records
 
 
 def cgnat_config(
@@ -1026,7 +905,7 @@ def cgnat_sweep(
     flow_counts: Sequence[int] = (512, 5_120, 51_200),
     burst_size: int = 32,
     subscriber_count: int = 64,
-) -> List[CgnatPoint]:
+) -> List[Record]:
     """Memory flatness of the stateless CGNAT at 10x and 100x flows.
 
     Per (NF, flow count): replay one packet per flow through the
@@ -1035,34 +914,41 @@ def cgnat_sweep(
     differential. The default flow counts are 1x/10x/100x of the
     fastpath sweep's largest regime; ``flow_count`` must be divisible
     by ``subscriber_count`` (the bijection tiles the domain evenly).
+
+    The sweep's claim is about *state*, not speed: as flow count grows
+    10x and 100x, the deterministic NAT's ``state_entries`` stays 0 and
+    its ``checkpoint_bytes`` (the serialized footprint a standby must
+    absorb) stays constant, while the stateful NATs grow both linearly.
+    ``identical`` is the correctness differential riding along: replies
+    to every sampled translated port reached the internal endpoint that
+    originated the flow.
     """
     import json as _json
 
     factories = factories if factories is not None else cgnat_nf_factories()
-    points: List[CgnatPoint] = []
+    records: List[Record] = []
     for flow_count in flow_counts:
         config = cgnat_config(flow_count, subscriber_count=subscriber_count)
         events = _cgnat_events(config, flow_count)
         for name, factory in factories.items():
             nf = factory(config)
             wall = _timed_burst_replay(nf, events, burst_size)
-            pps = len(events) / wall if wall and wall > 0 else 0.0
             state = nf.checkpoint_state()
             flow_counter = getattr(nf, "flow_count", None)
-            points.append(
-                CgnatPoint(
-                    nf=name,
-                    flow_count=flow_count,
-                    replay_pps=pps,
-                    state_entries=flow_counter() if flow_counter else 0,
-                    checkpoint_bytes=len(_json.dumps(state).encode()),
-                    return_path_ok=_cgnat_return_path_ok(
+            records.append(
+                {
+                    "nf": name,
+                    "flow_count": flow_count,
+                    "replay_pps_off": _ratio(len(events), wall),
+                    "state_entries": flow_counter() if flow_counter else 0,
+                    "checkpoint_bytes": len(_json.dumps(state).encode()),
+                    "identical": _cgnat_return_path_ok(
                         factory(config), config, events
                     ),
-                    counters=nf.op_counters(),
-                )
+                    "counters": nf.op_counters(),
+                }
             )
-    return points
+    return records
 
 
 def throughput_sweep(
@@ -1099,45 +985,6 @@ def throughput_sweep(
     return outcome
 
 
-@dataclass
-class ProcsPoint:
-    """One process-runtime scaling point: one NF × workers × transport.
-
-    Two claims ride together. Correctness: the process runtime's
-    per-worker TX streams (and merged NF counters) are byte-identical
-    to the deterministic oracle's on the same schedule — ``identical``,
-    on either transport. Performance: the warmed replay rate scales
-    with workers *up to the cores actually available*, which is why
-    ``cores`` is recorded in the artifact: the sweep's scaling claim
-    (:mod:`repro.eval.sweeps`) reads the machine shape off the record
-    instead of assuming the CI runner's. ``transport_ns`` carries the
-    ablation instruments (fleet-total encode/copy/ring-wait nanoseconds
-    across the differential + pump phases), so the pipe-vs-shm tax is
-    measured in the artifact rather than asserted in prose.
-    """
-
-    nf: str
-    workers: int
-    burst_size: int
-    #: Packets in one replay pass (the pps numerator).
-    packets: int
-    #: CPU cores available to this run (``os.sched_getaffinity``).
-    cores: int
-    #: Warmed fastest-of-N replay rate through the worker processes.
-    replay_pps: float
-    #: ``replay_pps`` relative to the same NF's 1-worker point on the
-    #: same transport.
-    speedup_vs_1: float
-    #: Process TX streams and counters matched the oracle exactly.
-    identical: bool
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Which payload transport carried the packets ("pipe" | "shm").
-    transport: str = "shm"
-    #: Fleet-total transport ablation counters (parent + all workers):
-    #: encode_ns / copy_ns / ring_wait_ns.
-    transport_ns: Dict[str, int] = field(default_factory=dict)
-
-
 def procs_nf_factories() -> Dict[str, NfFactory]:
     """The NFs the process-runtime differential + scaling sweep covers."""
     return {
@@ -1171,7 +1018,7 @@ def procs_sweep(
     repeats: int = 3,
     settings: Optional[EvalSettings] = None,
     transports: Optional[Sequence[str]] = None,
-) -> List[ProcsPoint]:
+) -> List[Record]:
     """Process-per-shard scaling with the oracle differential riding along.
 
     Per (NF, worker count, transport): the identical schedule is driven
@@ -1187,6 +1034,20 @@ def procs_sweep(
     parent's per-packet steering. The fleet's transport ablation
     counters are harvested after the pumps, so each point carries the
     measured encode/copy/ring-wait split for its transport.
+
+    Two claims ride together in each record. Correctness: the process
+    runtime's per-worker TX streams (and merged NF counters) are
+    byte-identical to the deterministic oracle's on the same schedule —
+    ``identical``, on either transport. Performance: the warmed replay
+    rate scales with workers *up to the cores actually available*, which
+    is why ``cores`` (``os.sched_getaffinity``) is recorded: the sweep's
+    scaling claim reads the machine shape off the record instead of
+    assuming the CI runner's. ``speedup_vs_1`` is relative to the same
+    NF's 1-worker point on the same transport. ``transport_ns`` carries
+    the ablation instruments (fleet-total encode/copy/ring-wait
+    nanoseconds, parent + all workers, across the differential + pump
+    phases), so the pipe-vs-shm tax is measured in the artifact rather
+    than asserted in prose.
     """
     from repro.net.procrun import TRANSPORTS
 
@@ -1197,7 +1058,7 @@ def procs_sweep(
     )
     cfg = settings.nat_config()
     cores = len(os.sched_getaffinity(0))
-    points: List[ProcsPoint] = []
+    records: List[Record] = []
     for name, factory in factories.items():
         for transport in transports:
             base_pps: Optional[float] = None
@@ -1253,9 +1114,7 @@ def procs_sweep(
                         elapsed = time.perf_counter() - started
                         if best is None or elapsed < best:
                             best = elapsed
-                    replay_pps = (
-                        len(events) / best if best and best > 0 else 0.0
-                    )
+                    replay_pps = _ratio(len(events), best)
                     transport_ns = proc.transport_counters()["total"]
                 finally:
                     oracle.stop()
@@ -1263,22 +1122,38 @@ def procs_sweep(
 
                 if workers == 1 or base_pps is None:
                     base_pps = replay_pps if workers == 1 else base_pps
-                speedup = (
-                    replay_pps / base_pps if base_pps and base_pps > 0 else 0.0
+                records.append(
+                    {
+                        "nf": name,
+                        "workers": workers,
+                        "transport": transport,
+                        "burst_size": burst_size,
+                        # Packets in one replay pass (the pps numerator).
+                        "packets": len(events),
+                        "cores": cores,
+                        "replay_pps": round(replay_pps, 1),
+                        "speedup_vs_1": round(_ratio(replay_pps, base_pps), 3),
+                        "identical": identical,
+                        "transport_ns": dict(transport_ns),
+                        "counters": counters,
+                        "metrics": snapshot_of_counters(
+                            {
+                                "procs_replay_pps": int(replay_pps),
+                                "procs_packets": len(events),
+                                "procs_identical": int(identical),
+                                "proc_encode_ns": transport_ns.get("encode_ns", 0),
+                                "proc_copy_ns": transport_ns.get("copy_ns", 0),
+                                "proc_ring_wait_ns": transport_ns.get(
+                                    "ring_wait_ns", 0
+                                ),
+                            },
+                            labels={
+                                "nf": name,
+                                "workers": str(workers),
+                                "transport": transport,
+                            },
+                            help_text="process-runtime scaling sweep",
+                        ),
+                    }
                 )
-                points.append(
-                    ProcsPoint(
-                        nf=name,
-                        workers=workers,
-                        burst_size=burst_size,
-                        packets=len(events),
-                        cores=cores,
-                        replay_pps=replay_pps,
-                        speedup_vs_1=speedup,
-                        identical=identical,
-                        counters=counters,
-                        transport=transport,
-                        transport_ns=transport_ns,
-                    )
-                )
-    return points
+    return records

@@ -1,24 +1,18 @@
-"""Table rendering for the experiment runners — the rows §6 plots."""
+"""Table rendering for the experiment runners — the rows §6 plots.
+
+The paper's figures render from their own result types; the seven
+sweeps render from their records (:mod:`repro.eval.sweeps`), so a
+committed table is a function of the committed ``BENCH_*.json``.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.eval.experiments import (
-    BurstPoint,
-    CcdfSeries,
-    CgnatPoint,
-    FailoverPoint,
-    FastpathPoint,
-    LatencyPoint,
-    ProcsPoint,
-    ShardPoint,
-)
+from repro.eval.experiments import CcdfSeries, LatencyPoint, Record
 from repro.eval.verification_stats import VerificationStats
 from repro.net.testbed import ThroughputResult
-
-if TYPE_CHECKING:
-    from repro.chain.scenarios import ScenarioReport
 
 
 def render_fig12(points: Sequence[LatencyPoint]) -> str:
@@ -79,52 +73,80 @@ def render_fig14(results: Dict[str, List[ThroughputResult]]) -> str:
     return "\n".join(lines)
 
 
-def render_burst_sweep(points: Sequence[BurstPoint]) -> str:
+def _pivot(
+    records: Sequence[Record],
+    label: Callable[[Record], str],
+    axis: str,
+    cell: Callable[[Record], str],
+) -> List[str]:
+    """One line per distinct row label, one cell per value of ``axis``.
+
+    The shape of the burst, shard and procs tables: rows in first-seen
+    order, columns in ascending ``axis`` order, a right-aligned dash
+    where a row has no record in a column.
+    """
+    columns = sorted({r[axis] for r in records})
+    rows: Dict[str, Dict[Any, str]] = {}
+    for record in records:
+        rows.setdefault(label(record), {})[record[axis]] = cell(record)
+    width = max(len(text) for cells in rows.values() for text in cells.values())
+    return [
+        f"{name}: " + "  ".join(cells.get(c, "-".rjust(width)) for c in columns)
+        for name, cells in rows.items()
+    ]
+
+
+def _per_nf(
+    records: Sequence[Record], order: str, row: Callable[[Record], str]
+) -> List[str]:
+    """An ``nf:`` heading per NF, first seen first, then one row per
+    record of that NF in ascending ``order`` order."""
+    lines: List[str] = []
+    for nf in dict.fromkeys(r["nf"] for r in records):
+        lines.append(f"{nf}:")
+        group = [r for r in records if r["nf"] == nf]
+        lines.extend(row(r) for r in sorted(group, key=itemgetter(order)))
+    return lines
+
+
+#: The row label of a per-NF line: a record formatted by a template.
+_NF = "{nf:>20s}".format_map
+
+
+def _verdict(ok: bool, failed: str) -> str:
+    return "yes" if ok else f"NO — {failed}"
+
+
+def render_burst_sweep(records: Sequence[Record]) -> str:
     """Burst-size sweep: per-packet core occupancy, one row per NF.
 
     Shows the DPDK amortization lever: per-packet cost falls with burst
     size while the NF ordering is preserved. A second block reports the
     burst-path counters each NF surfaced through ``op_counters()``.
     """
-    by_nf: Dict[str, List[BurstPoint]] = {}
-    for point in points:
-        by_nf.setdefault(point.nf, []).append(point)
-    sizes = sorted({p.burst_size for p in points})
-    header = "burst size:          " + "  ".join(f"{b:>7d}" for b in sizes)
-    lines = ["Burst-size sweep — per-packet core occupancy (ns)", header]
-    for nf, nf_points in by_nf.items():
-        cells = {p.burst_size: p for p in nf_points}
-        row = "  ".join(
-            f"{cells[b].per_packet_busy_ns:7.0f}" if b in cells else "      -"
-            for b in sizes
-        )
-        lines.append(f"{nf:>20s}: {row}")
-    lines.append("")
-    lines.append("implied service-limited throughput (Mpps)")
-    for nf, nf_points in by_nf.items():
-        cells = {p.burst_size: p for p in nf_points}
-        row = "  ".join(
-            f"{cells[b].implied_mpps:7.2f}" if b in cells else "      -"
-            for b in sizes
-        )
-        lines.append(f"{nf:>20s}: {row}")
-    lines.append("")
-    largest = sizes[-1]
-    for nf, nf_points in by_nf.items():
-        point = next((p for p in nf_points if p.burst_size == largest), None)
-        if point is None:
-            continue
-        counters = point.counters
-        lines.append(
-            f"{nf:>20s} @ burst {largest}: "
-            f"bursts={counters.get('bursts', 0)}, "
-            f"avg fill={point.avg_burst_fill:.1f}, "
-            f"expiry scans amortized={counters.get('expiry_scans_amortized', 0)}"
-        )
+    sizes = sorted({r["burst_size"] for r in records})
+    lines = [
+        "Burst-size sweep — per-packet core occupancy (ns)",
+        "burst size:          " + "  ".join(f"{b:>7d}" for b in sizes),
+        *_pivot(records, _NF, "burst_size", "{per_packet_busy_ns:7.0f}".format_map),
+        "",
+        "implied service-limited throughput (Mpps)",
+        *_pivot(records, _NF, "burst_size", "{implied_mpps:7.2f}".format_map),
+        "",
+    ]
+    for r in records:
+        if r["burst_size"] == sizes[-1]:
+            counters = r["counters"]
+            lines.append(
+                f"{_NF(r)} @ burst {sizes[-1]}: "
+                f"bursts={counters.get('bursts', 0)}, "
+                f"avg fill={r['avg_burst_fill']:.1f}, "
+                f"expiry scans amortized={counters.get('expiry_scans_amortized', 0)}"
+            )
     return "\n".join(lines)
 
 
-def render_shard_sweep(points: Sequence[ShardPoint]) -> str:
+def render_shard_sweep(records: Sequence[Record]) -> str:
     """Shard sweep: aggregate service-limited throughput per worker count.
 
     One row per NF, one column per worker width; a second block shows
@@ -132,206 +154,179 @@ def render_shard_sweep(points: Sequence[ShardPoint]) -> str:
     parallelism, not from each core getting faster) and the steering
     spread at the widest configuration.
     """
-    by_nf: Dict[str, List[ShardPoint]] = {}
-    for point in points:
-        by_nf.setdefault(point.nf, []).append(point)
-    widths = sorted({p.workers for p in points})
-    burst = points[0].burst_size if points else 0
-    header = "workers:             " + "  ".join(f"{w:>7d}" for w in widths)
+    widths = sorted({r["workers"] for r in records})
+    burst = records[0]["burst_size"] if records else 0
     lines = [
         f"Shard sweep — aggregate throughput (Mpps), burst size {burst}",
-        header,
+        "workers:             " + "  ".join(f"{w:>7d}" for w in widths),
+        *_pivot(records, _NF, "workers", "{aggregate_mpps:7.2f}".format_map),
+        "",
+        "per-core occupancy per packet (ns)",
+        *_pivot(records, _NF, "workers", "{per_packet_busy_ns:7.0f}".format_map),
+        "",
     ]
-    for nf, nf_points in by_nf.items():
-        cells = {p.workers: p for p in nf_points}
-        row = "  ".join(
-            f"{cells[w].aggregate_mpps:7.2f}" if w in cells else "      -"
-            for w in widths
-        )
-        lines.append(f"{nf:>20s}: {row}")
-    lines.append("")
-    lines.append("per-core occupancy per packet (ns)")
-    for nf, nf_points in by_nf.items():
-        cells = {p.workers: p for p in nf_points}
-        row = "  ".join(
-            f"{cells[w].per_packet_busy_ns:7.0f}" if w in cells else "      -"
-            for w in widths
-        )
-        lines.append(f"{nf:>20s}: {row}")
-    lines.append("")
-    widest = widths[-1] if widths else 0
-    for nf, nf_points in by_nf.items():
-        point = next((p for p in nf_points if p.workers == widest), None)
-        if point is None:
-            continue
-        spread = "/".join(str(count) for count in point.steered)
-        lines.append(f"{nf:>20s} @ {widest} workers: steered {spread}")
+    for r in records:
+        if r["workers"] == widths[-1]:
+            spread = "/".join(str(count) for count in r["steered"])
+            lines.append(f"{_NF(r)} @ {widths[-1]} workers: steered {spread}")
     return "\n".join(lines)
 
 
-def render_fastpath_sweep(points: Sequence[FastpathPoint]) -> str:
+def render_fastpath_sweep(records: Sequence[Record]) -> str:
     """Fastpath sweep: per-packet cost with the microflow cache on/off.
 
     One block per NF across flow-locality regimes, with the measured
     hit rate, the modeled service-cost improvement, the wall-clock
     speedup of the replay, and the byte-identity verdict of the
-    differential check.
+    differential check; then the same regimes as wire-backed packets,
+    fast path off and on. Rates print without thousands separators, so
+    every wall-clock cell is a plain number and every modeled cell a
+    slash pair (``tests/obs/test_noop_overhead.py`` tells them apart).
     """
-    by_nf: Dict[str, List[FastpathPoint]] = {}
-    for point in points:
-        by_nf.setdefault(point.nf, []).append(point)
-    burst = points[0].burst_size if points else 0
+
+    def object_row(r: Record) -> str:
+        return (
+            f"  {r['flow_count']:>6d}   {r['hit_rate']:7.1%}"
+            f"   {r['modeled_busy_ns_off']:7.0f}/{r['modeled_busy_ns_on']:<7.0f}"
+            f"   {r['modeled_mpps_off']:5.2f}/{r['modeled_mpps_on']:<5.2f}"
+            f"   {r['wall_speedup']:5.2f}"
+            f"   {_verdict(r['identical'], 'DIVERGED')}"
+        )
+
+    def wire_row(r: Record) -> str:
+        return (
+            f"  {r['flow_count']:>6d}   {r['wire_pps_off']:13.0f}"
+            f"   {r['wire_pps_compiled']:14.0f}"
+            f"   {r['compiled_speedup_over_off']:10.2f}"
+            f"   {_verdict(r['wire_identical'], 'DIVERGED')}"
+        )
+
+    burst = records[0]["burst_size"] if records else 0
+    smallest = min((r["flow_count"] for r in records), default=0)
     lines = [
         f"Fastpath sweep — microflow cache on vs off, burst size {burst}",
         "flows    hit-rate   busy off/on (ns)   mpps off/on    wall ×   identical",
+        *_per_nf(records, "flow_count", object_row),
+        "",
+        "Wire-backed replay (from_bytes -> process_burst) — fast path off vs on",
+        "flows   wire off (pps)   compiled (pps)   comp/off ×   identical",
+        *_per_nf(records, "flow_count", wire_row),
+        "",
     ]
-    for nf, nf_points in by_nf.items():
-        lines.append(f"{nf}:")
-        for p in sorted(nf_points, key=lambda p: p.flow_count):
-            lines.append(
-                f"  {p.flow_count:>6d}   {p.hit_rate:7.1%}"
-                f"   {p.per_packet_busy_ns_off:7.0f}/{p.per_packet_busy_ns_on:<7.0f}"
-                f"   {p.implied_mpps_off:5.2f}/{p.implied_mpps_on:<5.2f}"
-                f"   {p.wall_speedup:5.2f}"
-                f"   {'yes' if p.identical else 'NO — DIVERGED'}"
-            )
-    lines.append("")
-    lines.append(
-        "Wire-backed replay (from_bytes -> process_burst) — fast path off vs on"
-    )
-    lines.append(
-        "flows   wire wall off (s)   compiled (s)   comp/off ×   identical"
-    )
-    for nf, nf_points in by_nf.items():
-        lines.append(f"{nf}:")
-        for p in sorted(nf_points, key=lambda p: p.flow_count):
-            lines.append(
-                f"  {p.flow_count:>6d}"
-                f"   {p.wire_wall_seconds_off:16.3f}"
-                f"   {p.wire_wall_seconds_compiled:12.3f}"
-                f"   {p.compiled_speedup_over_off:10.2f}"
-                f"   {'yes' if p.wire_identical else 'NO — DIVERGED'}"
-            )
-    lines.append("")
-    smallest = min((p.flow_count for p in points), default=0)
-    for nf, nf_points in by_nf.items():
-        hot = next((p for p in nf_points if p.flow_count == smallest), None)
-        if hot is None:
+    for r in records:
+        if r["flow_count"] != smallest:
             continue
-        counters = hot.counters
+        counters = r["counters"]
         lines.append(
-            f"{nf:>20s} @ {smallest} flows: "
+            f"{_NF(r)} @ {smallest} flows: "
             f"hits={counters.get('fastpath_hits', 0)}, "
             f"misses={counters.get('fastpath_misses', 0)}, "
             f"invalidations={counters.get('fastpath_invalidations', 0)}, "
             f"learns={counters.get('fastpath_learns', 0)}"
         )
-        compiled = hot.compiled_counters
-        if hot.supports_raw:
+        compiled = r["compiled_counters"]
+        if r["supports_raw"]:
             lines.append(
                 f"{'':>20s}   compiled: "
                 f"compiles={compiled.get('fastpath_compiles', 0)}, "
                 f"rejected={compiled.get('fastpath_compile_rejected', 0)}, "
                 f"hits={compiled.get('fastpath_compiled_hits', 0)}"
             )
-    for point in points:
-        if point.divergence is not None:
-            lines.append("")
-            lines.append(f"{point.nf} @ {point.flow_count} flows DIVERGED:")
-            lines.append(point.divergence.render())
-        if point.wire_divergence is not None:
-            lines.append("")
-            lines.append(
-                f"{point.nf} @ {point.flow_count} flows WIRE-BACKED DIVERGED:"
-            )
-            lines.append(point.wire_divergence.render())
+    for r in records:
+        for field, axis in (
+            ("divergence", "DIVERGED"),
+            ("wire_divergence", "WIRE-BACKED DIVERGED"),
+        ):
+            if r[field] is not None:
+                lines += ["", f"{r['nf']} @ {r['flow_count']} flows {axis}:", r[field]]
     return "\n".join(lines)
 
 
-def render_failover(points: Sequence[FailoverPoint]) -> str:
+def render_failover(records: Sequence[Record]) -> str:
     """Failover sweep: loss vs. replication lag, one block per NF.
 
     Lag 0 is the zero-loss anchor (synchronous channel: every
     established flow must survive promotion); the flows-lost column
     growing with lag is the asynchrony cost the sweep quantifies.
-    Availability covers the steady reply traffic spanning the kill.
+    Availability covers the steady reply traffic spanning the kill,
+    printed from the two counts rather than the record's rounded ratio.
     """
-    by_nf: Dict[str, List[FailoverPoint]] = {}
-    for point in points:
-        by_nf.setdefault(point.nf, []).append(point)
-    first = points[0] if points else None
+
+    def row(r: Record) -> str:
+        offered, delivered = r["steady_offered"], r["steady_delivered"]
+        return (
+            f"  {r['lag']:>4d}   {r['flows_at_kill']:>5d}"
+            f"/{r['flows_recovered']:<4d}/{r['flows_lost']:<4d}"
+            f"   {r['deltas_lost']:>6d}   {r['recovery_us']:>6d}us"
+            f"   {offered - delivered:>6d}/{offered:<6d}"
+            f"   {r['probe_offered'] - r['probe_delivered']:>4d}"
+            f"/{r['probe_offered']:<5d}"
+            f"   {delivered / offered if offered else 1.0:8.3%}"
+        )
+
     scenario = (
-        f"workers {first.workers}, {first.flow_count} flows, "
-        f"kill worker {first.kill_worker}"
-        if first
+        "workers {workers}, {flow_count} flows, kill worker {kill_worker}".format_map(
+            records[0]
+        )
+        if records
         else ""
     )
     lines = [
         f"Failover sweep — kill-and-promote at each replication lag ({scenario})",
         "   lag   flows kill/rec/lost   deltas   recovery   steady lost   "
         "probe lost   availability",
+        *_per_nf(records, "lag", row),
     ]
-    for nf, nf_points in by_nf.items():
-        lines.append(f"{nf}:")
-        for p in sorted(nf_points, key=lambda p: p.lag):
-            lines.append(
-                f"  {p.lag:>4d}   "
-                f"{p.flows_at_kill:>5d}/{p.flows_recovered:<4d}/{p.flows_lost:<4d}"
-                f"   {p.deltas_lost:>6d}   {p.recovery_us:>6d}us"
-                f"   {p.steady_lost:>6d}/{p.steady_offered:<6d}"
-                f"   {p.probe_lost:>4d}/{p.probe_offered:<5d}"
-                f"   {p.availability:8.3%}"
-            )
-    warmed = [p for p in points if p.fastpath_warmed]
+    warmed = [r for r in records if r["fastpath_warmed"]]
     if warmed:
         lines.append("")
-        for p in sorted(warmed, key=lambda p: (p.nf, p.lag)):
+        for r in sorted(warmed, key=itemgetter("nf", "lag")):
             lines.append(
-                f"  {p.nf} @ lag {p.lag}: {p.fastpath_warmed} microflow "
+                f"  {r['nf']} @ lag {r['lag']}: {r['fastpath_warmed']} microflow "
                 f"actions rebuilt from restored flows at promotion"
             )
     return "\n".join(lines)
 
 
-def render_cgnat_sweep(points: Sequence[CgnatPoint]) -> str:
+def render_cgnat_sweep(records: Sequence[Record]) -> str:
     """CGNAT scaling sweep: state footprint vs. flow count, per NF.
 
     The column that matters is state/checkpoint: the stateless det-nat
     stays at zero entries and a constant checkpoint while the stateful
     NATs grow linearly — the bijective mapping's whole value. Return-ok
-    is the sampled differential: replies to translated ports reached
-    the internal endpoints that originated them.
+    is the sampled differential (the record's ``identical``): replies to
+    translated ports reached the internal endpoints that originated them.
     """
-    by_nf: Dict[str, List[CgnatPoint]] = {}
-    for point in points:
-        by_nf.setdefault(point.nf, []).append(point)
+
+    def row(r: Record) -> str:
+        return (
+            f"  {r['flow_count']:>6d}   {r['replay_pps_off']:>10.0f}"
+            f"   {r['state_entries']:>13d}   {r['checkpoint_bytes']:>12d}"
+            f"   {_verdict(r['identical'], 'MISROUTED')}"
+        )
+
     lines = [
         "CGNAT scaling sweep — state footprint vs. flow count",
         "   flows    replay pps   state entries   checkpoint B   return-ok",
+        *_per_nf(records, "flow_count", row),
     ]
-    for nf, nf_points in by_nf.items():
-        lines.append(f"{nf}:")
-        for p in sorted(nf_points, key=lambda p: p.flow_count):
-            lines.append(
-                f"  {p.flow_count:>6d}   {p.replay_pps:>10.0f}"
-                f"   {p.state_entries:>13d}   {p.checkpoint_bytes:>12d}"
-                f"   {'yes' if p.return_path_ok else 'NO — MISROUTED'}"
-            )
-    det = sorted(by_nf.get("det-nat", []), key=lambda p: p.flow_count)
+    det = sorted(
+        (r for r in records if r["nf"] == "det-nat"), key=itemgetter("flow_count")
+    )
     if len(det) > 1:
-        lines.append("")
         low, high = det[0], det[-1]
-        growth = high.flow_count / max(low.flow_count, 1)
+        growth = high["flow_count"] / max(low["flow_count"], 1)
+        lines.append("")
         lines.append(
             f"det-nat at {growth:.0f}x flows: checkpoint "
-            f"{low.checkpoint_bytes} -> {high.checkpoint_bytes} bytes, "
-            f"state entries {low.state_entries} -> {high.state_entries} "
+            f"{low['checkpoint_bytes']} -> {high['checkpoint_bytes']} bytes, "
+            f"state entries {low['state_entries']} -> {high['state_entries']} "
             f"(flat by construction: the mapping is arithmetic)"
         )
     return "\n".join(lines)
 
 
-def render_procs_sweep(points: Sequence[ProcsPoint]) -> str:
+def render_procs_sweep(records: Sequence[Record]) -> str:
     """Procs sweep: wall-clock replay rate per worker-process count.
 
     One row per (NF, transport), one column per width, with the
@@ -341,79 +336,59 @@ def render_procs_sweep(points: Sequence[ProcsPoint]) -> str:
     sweep's scaling claim reads it. The pipe/shm rows share a scenario,
     so the per-transport deltas read straight down a column.
     """
-    by_row: Dict[Tuple[str, str], List[ProcsPoint]] = {}
-    for point in points:
-        by_row.setdefault((point.nf, point.transport), []).append(point)
-    widths = sorted({p.workers for p in points})
-    first = points[0] if points else None
+    widths = sorted({r["workers"] for r in records})
     scenario = (
-        f"{first.packets} packets, burst {first.burst_size}, "
-        f"{first.cores} core(s)"
-        if first
+        "{packets} packets, burst {burst_size}, {cores} core(s)".format_map(records[0])
+        if records
         else ""
     )
-    header = "workers:                   " + "  ".join(
-        f"{w:>9d}" for w in widths
-    )
+    label = "{nf:>20s}/{transport:<5s}".format_map
+
+    def scaling(r: Record) -> str:
+        return f"{r['speedup_vs_1']:5.2f}x " + ("ok " if r["identical"] else "DIV")
+
     lines = [
         f"Process-runtime sweep — warmed replay rate (pps) ({scenario})",
-        header,
+        "workers:                   " + "  ".join(f"{w:>9d}" for w in widths),
+        *_pivot(records, label, "workers", "{replay_pps:9,.0f}".format_map),
+        "",
+        "speedup vs 1 worker / oracle byte-identity",
+        *_pivot(records, label, "workers", scaling),
     ]
-    for (nf, transport), row_points in by_row.items():
-        cells = {p.workers: p for p in row_points}
-        row = "  ".join(
-            f"{cells[w].replay_pps:9,.0f}" if w in cells else "        -"
-            for w in widths
-        )
-        lines.append(f"{nf:>20s}/{transport:<5s}: {row}")
-    lines.append("")
-    lines.append("speedup vs 1 worker / oracle byte-identity")
-    for (nf, transport), row_points in by_row.items():
-        cells = {p.workers: p for p in row_points}
-        row = "  ".join(
-            (
-                f"{cells[w].speedup_vs_1:5.2f}x "
-                + ("ok " if cells[w].identical else "DIV")
-                if w in cells
-                else "         -"
-            )
-            for w in widths
-        )
-        lines.append(f"{nf:>20s}/{transport:<5s}: {row}")
     return "\n".join(lines)
 
 
-def render_chain_scenarios(reports: Sequence["ScenarioReport"]) -> str:
+def render_chain_scenarios(records: Sequence[Record]) -> str:
     """Chain scenario suite: measured loss/disruption vs. declared SLAs.
 
     One row per scenario. Every number is measured from traffic that
     actually exited the chain — the disruption column is the span of
     lossy rounds in traffic time, not a model — and the verdict column
-    is the SLA judgement the CLI and CI gate on.
+    is the record's ``sla_ok``, the SLA judgement the CLI and CI gate
+    on. Availability is printed from the two counts it is the ratio of.
     """
-    from repro.chain.scenarios import scenario_breaches
-
     lines = [
         "Chain scenario suite — measured disruption vs. declared SLAs",
         "        scenario   offered/delivered      avail (floor)"
         "   disruption (budget)   flows lost   probe lost   verdict",
     ]
-    for r in reports:
+    for r in records:
+        sla = r["sla"]
         lines.append(
-            f"  {r.scenario:>14s}   {r.offered:>7d}/{r.delivered:<9d}"
-            f"   {r.availability:7.3%} ({r.sla.min_availability:.0%})"
-            f"   {r.disruption_us:>7d}us ({r.sla.max_disruption_us}us)"
-            f"   {r.flows_lost:>4d}/{r.flows_total:<5d}"
-            f"   {r.probe_lost:>4d}/{r.probe_offered:<5d}"
-            f"   {'ok' if not scenario_breaches(r) else 'SLA BREACH'}"
+            f"  {r['scenario']:>14s}   {r['offered']:>7d}/{r['delivered']:<9d}"
+            f"   {r['delivered'] / r['offered']:7.3%} ({sla['min_availability']:.0%})"
+            f"   {r['disruption_us']:>7d}us ({sla['max_disruption_us']}us)"
+            f"   {r['flows_lost']:>4d}/{r['flows_total']:<5d}"
+            f"   {r['probe_lost']:>4d}/{r['probe_offered']:<5d}"
+            f"   {'ok' if r['sla_ok'] else 'SLA BREACH'}"
         )
-    actions = [r for r in reports if r.action_wall_us]
+    actions = [r for r in records if r["action_wall_us"]]
     if actions:
         lines.append("")
         for r in actions:
             lines.append(
-                f"  {r.scenario}: control-plane action took "
-                f"{r.action_wall_us}us wall clock (reported, not gated)"
+                f"  {r['scenario']}: control-plane action took "
+                f"{r['action_wall_us']}us wall clock (reported, not gated)"
             )
     return "\n".join(lines)
 

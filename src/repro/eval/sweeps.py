@@ -2,14 +2,19 @@
 
 A :class:`Sweep` is everything the repository knows about one
 experiment: the grid it runs at each ``REPRO_EVAL_SCALE`` value, how to
-run and render it, the ``BENCH_*.json`` row and the metrics snapshot of
-one point, the record fields that key a row, and **one**
-``claims(records)`` — every property the sweep exists to show, returned
-as violations. Claims judge records, not points, so the same function
-judges a fresh in-memory run (``repro experiments X``,
+run and render it, the metrics snapshot of one point, the record fields
+that key a row, and **one** ``claims(records)`` — every property the
+sweep exists to show, returned as violations. ``run`` returns the
+records — one dict per point, the row ``BENCH_*.json`` commits — and
+that is the only form a result has: ``render``, ``snapshot``, ``claims``
+and ``json.dumps`` all take what ``run`` returned, so the same functions
+serve a fresh in-memory run (``repro experiments X``,
 ``benchmarks/test_sweeps.py``) and a file on disk
-(``benchmarks/compare_bench.py``). Each threshold is defined beside the
-claim that reads it and nowhere else.
+(``benchmarks/compare_bench.py``, and ``tests/eval/test_sweeps.py``,
+which holds every committed ``*_sweep.txt`` to be the rendering of its
+``BENCH_*.json``). Each threshold is defined beside the claim that reads
+it and nowhere else. Adding a sweep is one runner that returns records
+and one description here.
 
 A claim reads only fields the record carries: a check whose fields are
 absent is skipped, so a file written before a field existed is judged
@@ -25,15 +30,13 @@ added on top, stated in the comment above its claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chain.scenarios import (
-    ScenarioReport,
-    chain_scenarios,
-    default_chain_spec,
-)
+from repro.chain.scenarios import chain_scenarios, default_chain_spec
 from repro.eval import reporting
 from repro.eval.experiments import (
+    Record,
     burst_size_sweep,
     cgnat_sweep,
     failover_sweep,
@@ -43,22 +46,20 @@ from repro.eval.experiments import (
 )
 from repro.obs import snapshot_of_counters
 
-Record = Dict[str, Any]
-
 
 @dataclass(frozen=True)
 class Sweep:
-    """One experiment: grid, runner, renderer, row, key and claims."""
+    """One experiment: grid, runner, renderer, snapshot, key and claims."""
 
     name: str
     #: ``REPRO_EVAL_SCALE`` value -> keyword arguments for ``run``.
     grids: Dict[str, Dict[str, Any]]
-    run: Callable[..., list]
-    render: Callable[[list], str]
-    #: One point's row: what ``BENCH_*.json`` commits and ``claims`` judges.
-    record: Callable[[Any], Record]
-    #: One point's ``repro-obs/v1`` metrics snapshot.
-    snapshot: Callable[[Any], Dict]
+    #: One record per point: what ``BENCH_*.json`` commits, ``render``
+    #: tabulates and ``claims`` judges.
+    run: Callable[..., List[Record]]
+    render: Callable[[List[Record]], str]
+    #: One record's ``repro-obs/v1`` metrics snapshot.
+    snapshot: Callable[[Record], Dict]
     #: The record fields that identify a point within the sweep.
     key: Tuple[str, ...]
     #: Every property the sweep claims, as violations (empty = all hold).
@@ -93,6 +94,25 @@ def _by(records: Sequence[Record], field: str) -> Dict[Any, List[Record]]:
     return groups
 
 
+def _counter_snapshot(
+    key: Tuple[str, ...], help_text: str, prefix: str = ""
+) -> Callable[[Record], Dict]:
+    """A record's NF counters as a snapshot labeled by its key fields."""
+
+    def snapshot(record: Record) -> Dict:
+        return snapshot_of_counters(
+            {k: v for k, v in record["counters"].items() if isinstance(v, int)},
+            labels={field: str(record[field]) for field in key},
+            prefix=prefix,
+            help_text=help_text,
+        )
+
+    return snapshot
+
+
+#: The snapshot of a sweep whose records embed it (``"metrics"``).
+_embedded_snapshot = itemgetter("metrics")
+
 #: The paper's §6 cost structure, cheapest first.
 PAPER_ORDER = ("noop", "unverified-nat", "verified-nat")
 #: "≪": NetFilter costs at least this multiple of the verified NAT.
@@ -115,25 +135,6 @@ def _misordered(value_by_nf: Dict[str, float], rising: bool = True) -> str:
 # grows, since the per-burst fixed work (expiry scan, env setup)
 # amortizes, and (b) keep no-op < unverified < verified ≪ NetFilter at
 # every burst size, so the §6 comparisons stay valid with batching on.
-
-
-def _burst_record(point) -> Record:
-    return {
-        "nf": point.nf,
-        "burst_size": point.burst_size,
-        "per_packet_busy_ns": point.per_packet_busy_ns,
-        "implied_mpps": point.implied_mpps,
-        "avg_burst_fill": point.avg_burst_fill,
-    }
-
-
-def _burst_snapshot(point) -> Dict:
-    return snapshot_of_counters(
-        point.counters,
-        labels={"nf": point.nf, "burst_size": str(point.burst_size)},
-        prefix="burst_sweep_",
-        help_text="burst-sweep NF counters",
-    )
 
 
 #: Fig. 14's single-packet headline rates (Mpps) and their tolerance.
@@ -198,26 +199,6 @@ def _burst_claims(records: List[Record]) -> List[str]:
 # every width, and (c) reproduce the burst sweep byte-identically at
 # workers=1 — checked in benchmarks/test_sweeps.py, which needs a second
 # sweep run to compare against.
-
-
-def _shard_record(point) -> Record:
-    return {
-        "nf": point.nf,
-        "workers": point.workers,
-        "burst_size": point.burst_size,
-        "per_packet_busy_ns": point.per_packet_busy_ns,
-        "aggregate_mpps": point.aggregate_mpps,
-        "steered": list(point.steered),
-    }
-
-
-def _shard_snapshot(point) -> Dict:
-    return snapshot_of_counters(
-        point.counters,
-        labels={"nf": point.nf, "workers": str(point.workers)},
-        prefix="shard_sweep_",
-        help_text="shard-sweep aggregated NF counters",
-    )
 
 
 def _shard_claims(records: List[Record]) -> List[str]:
@@ -295,53 +276,6 @@ NOOP_COMPILED_FLOOR = 0.55
 #: In churning regimes every miss pays one extra flow-table consult on
 #: the learn path; the modeled cost may rise by at most this factor.
 CHURN_COST_SLACK = 1.03
-
-
-def _fastpath_counters(point) -> Dict[str, int]:
-    return {k: v for k, v in point.counters.items() if k.startswith("fastpath_")}
-
-
-def _fastpath_snapshot(point) -> Dict:
-    return snapshot_of_counters(
-        _fastpath_counters(point),
-        labels={"nf": point.nf, "flows": str(point.flow_count)},
-        help_text="fastpath-sweep cache counters",
-    )
-
-
-def _fastpath_record(point) -> Record:
-    packets = point.counters.get("fastpath_hits", 0) + point.counters.get(
-        "fastpath_misses", 0
-    )
-
-    def pps(count: float, seconds: float) -> float:
-        return round(count / seconds, 1) if seconds > 0 else 0.0
-
-    return {
-        "nf": point.nf,
-        "flow_count": point.flow_count,
-        "burst_size": point.burst_size,
-        "hit_rate": round(point.hit_rate, 4),
-        "identical": point.identical,
-        "wall_seconds_off": round(point.wall_seconds_off, 6),
-        "wall_seconds_on": round(point.wall_seconds_on, 6),
-        "wall_speedup": round(point.wall_speedup, 3),
-        "replay_pps_off": pps(packets / 2, point.wall_seconds_off),
-        "replay_pps_on": pps(packets / 2, point.wall_seconds_on),
-        "modeled_busy_ns_off": round(point.per_packet_busy_ns_off, 1),
-        "modeled_busy_ns_on": round(point.per_packet_busy_ns_on, 1),
-        "modeled_mpps_off": round(point.implied_mpps_off, 3),
-        "modeled_mpps_on": round(point.implied_mpps_on, 3),
-        "supports_raw": point.supports_raw,
-        "wire_identical": point.wire_identical,
-        # One wire-backed timed pass replays the whole event trace once.
-        "wire_pps_off": pps(point.packets, point.wire_wall_seconds_off),
-        "wire_pps_compiled": pps(point.packets, point.wire_wall_seconds_compiled),
-        "compiled_speedup_over_off": round(point.compiled_speedup_over_off, 3),
-        "counters": _fastpath_counters(point),
-        "compiled_counters": dict(point.compiled_counters),
-        "metrics": _fastpath_snapshot(point),
-    }
 
 
 def _fastpath_claims(records: List[Record]) -> List[str]:
@@ -494,43 +428,6 @@ def _fastpath_claims(records: List[Record]) -> List[str]:
 RECOVERY_BUDGET_US = 10_000
 
 
-def _failover_snapshot(point) -> Dict:
-    return snapshot_of_counters(
-        {
-            "failover_flows_at_kill": point.flows_at_kill,
-            "failover_flows_recovered": point.flows_recovered,
-            "failover_flows_lost": point.flows_lost,
-            "failover_deltas_lost": point.deltas_lost,
-            "failover_packets_lost_queue": point.packets_lost_queue,
-            "failover_packets_lost_blackout": point.packets_lost_blackout,
-        },
-        labels={"nf": point.nf, "lag": str(point.lag)},
-        help_text="failover-sweep loss ledger",
-    )
-
-
-def _failover_record(point) -> Record:
-    return {
-        "nf": point.nf,
-        "lag": point.lag,
-        "flow_count": point.flow_count,
-        "workers": point.workers,
-        "flows_at_kill": point.flows_at_kill,
-        "flows_recovered": point.flows_recovered,
-        "flows_lost": point.flows_lost,
-        "deltas_lost": point.deltas_lost,
-        "recovery_us": point.recovery_us,
-        "packets_lost_queue": point.packets_lost_queue,
-        "packets_lost_blackout": point.packets_lost_blackout,
-        "steady_offered": point.steady_offered,
-        "steady_delivered": point.steady_delivered,
-        "availability": round(point.availability, 4),
-        "probe_offered": point.probe_offered,
-        "probe_delivered": point.probe_delivered,
-        "metrics": _failover_snapshot(point),
-    }
-
-
 def _failover_claims(records: List[Record]) -> List[str]:
     breaches: List[str] = []
     for r in records:
@@ -612,25 +509,6 @@ def _failover_claims(records: List[Record]) -> List[str]:
 CGNAT_FLATNESS_SLACK = 0.10
 
 
-def _cgnat_record(point) -> Record:
-    return {
-        "nf": point.nf,
-        "flow_count": point.flow_count,
-        "replay_pps_off": point.replay_pps,
-        "state_entries": point.state_entries,
-        "checkpoint_bytes": point.checkpoint_bytes,
-        "identical": point.return_path_ok,
-    }
-
-
-def _cgnat_snapshot(point) -> Dict:
-    return snapshot_of_counters(
-        {k: v for k, v in point.counters.items() if isinstance(v, int)},
-        labels={"nf": point.nf, "flow_count": str(point.flow_count)},
-        help_text="cgnat-sweep op counters",
-    )
-
-
 def _cgnat_claims(records: List[Record]) -> List[str]:
     breaches: List[str] = []
     for r in records:
@@ -705,41 +583,6 @@ PROCS_SINGLE_CORE_FLOOR = 0.25
 #: same-width pipe point by this factor — the shared-memory data plane's
 #: whole reason to exist.
 PROCS_SHM_SPEEDUP = 1.5
-
-
-def _procs_snapshot(point) -> Dict:
-    return snapshot_of_counters(
-        {
-            "procs_replay_pps": int(point.replay_pps),
-            "procs_packets": point.packets,
-            "procs_identical": int(point.identical),
-            "proc_encode_ns": point.transport_ns.get("encode_ns", 0),
-            "proc_copy_ns": point.transport_ns.get("copy_ns", 0),
-            "proc_ring_wait_ns": point.transport_ns.get("ring_wait_ns", 0),
-        },
-        labels={
-            "nf": point.nf,
-            "workers": str(point.workers),
-            "transport": point.transport,
-        },
-        help_text="process-runtime scaling sweep",
-    )
-
-
-def _procs_record(point) -> Record:
-    return {
-        "nf": point.nf,
-        "workers": point.workers,
-        "transport": point.transport,
-        "burst_size": point.burst_size,
-        "packets": point.packets,
-        "cores": point.cores,
-        "replay_pps": round(point.replay_pps, 1),
-        "speedup_vs_1": round(point.speedup_vs_1, 3),
-        "identical": point.identical,
-        "transport_ns": dict(point.transport_ns),
-        "metrics": _procs_snapshot(point),
-    }
 
 
 def _byte_cost_ns(record: Record) -> int:
@@ -836,22 +679,26 @@ def _procs_claims(records: List[Record]) -> List[str]:
 # fired, yet everything it cost happened inside its window.
 
 
-def _run_chain(flows: int, rounds: int) -> List[ScenarioReport]:
+def _run_chain(flows: int, rounds: int) -> List[Record]:
     spec = default_chain_spec(max_flows=max(64, 2 * flows))
-    return chain_scenarios(spec, flows=flows, rounds=rounds)
+    reports = chain_scenarios(spec, flows=flows, rounds=rounds)
+    return [report.to_record() for report in reports]
 
 
-def _chain_snapshot(report: ScenarioReport) -> Dict:
+def _chain_snapshot(record: Record) -> Dict:
     return snapshot_of_counters(
         {
-            "chain_scenario_offered": report.offered,
-            "chain_scenario_delivered": report.delivered,
-            "chain_scenario_lost": report.lost,
-            "chain_scenario_disruption_us": report.disruption_us,
-            "chain_scenario_flows_lost": report.flows_lost,
-            "chain_scenario_probe_lost": report.probe_lost,
+            f"chain_scenario_{field}": record[field]
+            for field in (
+                "offered",
+                "delivered",
+                "lost",
+                "disruption_us",
+                "flows_lost",
+                "probe_lost",
+            )
         },
-        labels={"nf": "chain", "scenario": report.scenario},
+        labels={"nf": "chain", "scenario": record["scenario"]},
         help_text="chain-scenario measured disruption ledger",
     )
 
@@ -947,8 +794,9 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=burst_size_sweep,
             render=reporting.render_burst_sweep,
-            record=_burst_record,
-            snapshot=_burst_snapshot,
+            snapshot=_counter_snapshot(
+                ("nf", "burst_size"), "burst-sweep NF counters", "burst_sweep_"
+            ),
             key=("nf", "burst_size"),
             claims=_burst_claims,
         ),
@@ -962,8 +810,11 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=shard_sweep,
             render=reporting.render_shard_sweep,
-            record=_shard_record,
-            snapshot=_shard_snapshot,
+            snapshot=_counter_snapshot(
+                ("nf", "workers"),
+                "shard-sweep aggregated NF counters",
+                "shard_sweep_",
+            ),
             key=("nf", "workers"),
             claims=_shard_claims,
         ),
@@ -980,8 +831,7 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=fastpath_sweep,
             render=reporting.render_fastpath_sweep,
-            record=_fastpath_record,
-            snapshot=_fastpath_snapshot,
+            snapshot=_embedded_snapshot,
             key=("nf", "flow_count"),
             claims=_fastpath_claims,
             bench_file="BENCH_fastpath.json",
@@ -995,8 +845,7 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=failover_sweep,
             render=reporting.render_failover,
-            record=_failover_record,
-            snapshot=_failover_snapshot,
+            snapshot=_embedded_snapshot,
             key=("nf", "lag"),
             claims=_failover_claims,
             bench_file="BENCH_failover.json",
@@ -1014,8 +863,9 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=cgnat_sweep,
             render=reporting.render_cgnat_sweep,
-            record=_cgnat_record,
-            snapshot=_cgnat_snapshot,
+            snapshot=_counter_snapshot(
+                ("nf", "flow_count"), "cgnat-sweep op counters"
+            ),
             key=("nf", "flow_count"),
             claims=_cgnat_claims,
             bench_file="BENCH_cgnat.json",
@@ -1032,8 +882,7 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=procs_sweep,
             render=reporting.render_procs_sweep,
-            record=_procs_record,
-            snapshot=_procs_snapshot,
+            snapshot=_embedded_snapshot,
             key=("nf", "workers", "transport"),
             claims=_procs_claims,
             bench_file="BENCH_procs.json",
@@ -1051,7 +900,6 @@ SWEEPS: Dict[str, Sweep] = {
             ),
             run=_run_chain,
             render=reporting.render_chain_scenarios,
-            record=ScenarioReport.to_record,
             snapshot=_chain_snapshot,
             key=("nf", "scenario"),
             claims=_chain_claims,

@@ -68,7 +68,6 @@ from repro.nat.compiled import compile_action
 from repro.nat.flow import microflow_keys
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.obs import flight
-from repro.obs.registry import MetricsRegistry
 from repro.packets.headers import FlowKey, Packet
 
 #: The values a spec's ``fastpath`` field can take.
@@ -149,9 +148,10 @@ def warm_actions(config, flow, token):
     )
 
 
-#: The cache's counters, declared once: (stem, help). Each becomes the
-#: instrument ``self._<stem>``, the metric ``fastpath_<stem>_total`` and
-#: the ``op_counters()`` key ``fastpath_<stem>``.
+#: The cache's counters, declared once: (stem, help). Each is the plain
+#: int ``self._<stem>``, which ``register_metrics`` publishes as the
+#: metric ``fastpath_<stem>_total`` (read at snapshot time) and
+#: ``op_counters()`` reports under the key ``fastpath_<stem>``.
 _COUNTERS = (
     ("hits", "packets replayed from the action cache"),
     ("misses", "packets that took the slow path"),
@@ -206,25 +206,9 @@ class FastPathNat(NetworkFunction):
         #: hangs off its action — there is no second table to keep in
         #: step when a flow ends, on FIFO eviction or on restore.
         self._cache: Dict[FlowKey, CachedAction] = {}
-        # The cache counters are registry-backed typed instruments
-        # (``repro.obs``): the same objects serve the NF's op_counters()
-        # surface, the merged metrics snapshots and the Prometheus
-        # exposition, instead of ad-hoc ints re-aggregated per consumer.
-        self.metrics = MetricsRegistry()
-        cache_labels = {"nf": self.name}
-        for stem, help_text in _COUNTERS:
-            counter = self.metrics.counter(
-                f"fastpath_{stem}_total", help_text, cache_labels
-            )
-            setattr(self, f"_{stem}", counter)
-        self._register_gauges(self.metrics, cache_labels)
+        for stem, _help in _COUNTERS:
+            setattr(self, f"_{stem}", 0)
         hooks.on_flow_freed(self._drop_flow)
-
-    def _register_gauges(self, registry, labels) -> None:
-        for name, prop, help_text in _GAUGES:
-            registry.gauge_fn(
-                name, lambda p=prop: getattr(self, p), help_text, labels
-            )
 
     # -- introspection ------------------------------------------------------
     @property
@@ -239,30 +223,29 @@ class FastPathNat(NetworkFunction):
         counters = dict(self.inner.op_counters())
         counters.update(self.burst_counters())
         for stem, _help in _COUNTERS:
-            counters[f"fastpath_{stem}"] = getattr(self, f"_{stem}").value
+            counters[f"fastpath_{stem}"] = getattr(self, f"_{stem}")
         return counters
 
     def hit_rate(self) -> float:
-        total = self._hits.value + self._misses.value
-        return self._hits.value / total if total else 0.0
-
-    def metrics_snapshot(self) -> Dict:
-        """This cache's registry snapshot (hits, misses, entries, ...)."""
-        return self.metrics.snapshot()
+        total = self._hits + self._misses
+        return self._hits / total if total else 0.0
 
     def register_metrics(self, registry, labels=None) -> None:
-        """Surface the cache instruments plus the wrapped NF's metrics."""
+        """Surface the cache's counters and gauges plus the wrapped NF's
+        metrics, each read off this object at snapshot time."""
         cache_labels = dict(labels or {})
         cache_labels["nf"] = self.name
         for stem, help_text in _COUNTERS:
-            counter = getattr(self, f"_{stem}")
             registry.counter_fn(
                 f"fastpath_{stem}_total",
-                lambda c=counter: c.value,
+                lambda attr=f"_{stem}": getattr(self, attr),
                 help_text,
                 cache_labels,
             )
-        self._register_gauges(registry, cache_labels)
+        for name, prop, help_text in _GAUGES:
+            registry.gauge_fn(
+                name, lambda p=prop: getattr(self, p), help_text, cache_labels
+            )
         self.inner.register_metrics(registry, labels)
 
     def flow_count(self) -> int:
@@ -290,7 +273,7 @@ class FastPathNat(NetworkFunction):
         """
         self.inner.restore_state(state)
         if self._cache:
-            self._invalidations.inc(len(self._cache))
+            self._invalidations += len(self._cache)
             self._cache.clear()
 
     def warm(self) -> int:
@@ -323,8 +306,7 @@ class FastPathNat(NetworkFunction):
                 break
             self._cache[key] = action
             installed += 1
-        if installed:
-            self._warmed.inc(installed)
+        self._warmed += installed
         return installed
 
     def delta_sink(self, sink) -> None:
@@ -343,7 +325,7 @@ class FastPathNat(NetworkFunction):
         pop = self._cache.pop
         for key in keys:
             if pop(key, None) is not None:
-                self._invalidations.inc()
+                self._invalidations += 1
 
     def _learn(self, packet: Packet, key: FlowKey, outputs: List[Packet]) -> None:
         """Memoize what the slow path just did, if it is cacheable.
@@ -381,13 +363,13 @@ class FastPathNat(NetworkFunction):
             replayed.device != out.device
             or replayed.wire_bytes() != out.wire_bytes()
         ):
-            self._learn_rejected.inc()
+            self._learn_rejected += 1
             return
         if key not in self._cache and len(self._cache) >= self.max_entries:
             del self._cache[next(iter(self._cache))]
-            self._evictions.inc()
+            self._evictions += 1
         self._cache[key] = action
-        self._learns.inc()
+        self._learns += 1
 
     def _earn_closure(self, key: FlowKey, action: CachedAction, packet: Packet):
         """Compile ``action`` on its first wire-backed hit, verified.
@@ -400,10 +382,10 @@ class FastPathNat(NetworkFunction):
         """
         closure = compile_action(key, action)
         if closure(packet.image) == self._hooks.apply(packet, action).wire_bytes():
-            self._compiles.inc()
+            self._compiles += 1
         else:
             closure = False
-            self._compile_rejected.inc()
+            self._compile_rejected += 1
         action.closure = closure
         return closure
 
@@ -425,8 +407,7 @@ class FastPathNat(NetworkFunction):
         recorder = obs.recorder()
         tracing = recorder.active
         results: List[List[Packet]] = []
-        hits = 0
-        compiled_hits = 0
+        hits = misses = compiled_hits = 0
         for packet in packets:
             key = packet.flow_key()
             action = cache.get(key) if key is not None else None
@@ -448,16 +429,16 @@ class FastPathNat(NetworkFunction):
                         continue
                 results.append([apply_action(packet, action)])
                 continue
-            self._misses.inc()
+            misses += 1
             if tracing:
                 recorder.trace(flight.SLOW_PATH, t_us=now)
             outputs = inner_process(packet, now)
             if key is not None:
                 self._learn(packet, key, outputs)
             results.append(outputs)
-        if hits:
-            self._hits.inc(hits)
-            self._compiled_hits.inc(compiled_hits)
+        self._hits += hits
+        self._misses += misses
+        self._compiled_hits += compiled_hits
         return results
 
     # -- packet paths -------------------------------------------------------

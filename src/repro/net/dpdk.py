@@ -479,10 +479,6 @@ class SteeringFront:
             self._worker_counters(w)["flow_count"] for w in range(self.workers)
         )
 
-    def metrics_snapshot(self) -> Dict:
-        """Alias of ``snapshot_metrics`` (the :class:`repro.net.app.Runtime` name)."""
-        return self.snapshot_metrics()
-
     def checkpoint(self, now_us: int = 0):
         """A coordinated checkpoint of every shard, as one manifest.
 

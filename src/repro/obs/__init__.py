@@ -2,10 +2,10 @@
 
 Three pieces (see ``docs/OBSERVABILITY.md``):
 
-- :mod:`repro.obs.registry` — a typed metrics registry (Counter /
-  Gauge / Histogram with label sets). Components expose their existing
-  counters through *callback* instruments collected on demand, so the
-  wiring costs nothing per packet.
+- :mod:`repro.obs.registry` — a metrics registry of named, labeled
+  counters, gauges and histograms. Components keep their counts as
+  ordinary ints and expose them through *callbacks* read at snapshot
+  time, so the wiring costs nothing per packet.
 - :mod:`repro.obs.histogram` — log2-bucketed latency histograms with
   exact, associative merging (per-worker → box-wide) and monotone
   percentile extraction (p50/p99/p99.9).
@@ -52,12 +52,7 @@ from repro.obs.registry import (
     MERGE_MAX,
     MERGE_SUM,
     SNAPSHOT_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
     merge_snapshots,
     with_labels,
 )
@@ -148,17 +143,12 @@ def snapshot_of_counters(
 
 __all__ = [
     "AnomalyMonitor",
-    "Counter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MERGE_MAX",
     "MERGE_SUM",
     "MetricsRegistry",
-    "NullRegistry",
     "NULL_RECORDER",
-    "NULL_REGISTRY",
     "Recorder",
     "SNAPSHOT_SCHEMA",
     "TraceDiff",

@@ -1,22 +1,21 @@
-"""The typed metrics registry: Counter, Gauge, Histogram, label sets.
+"""The metrics registry: named callback instruments, label sets, snapshots.
 
 Design rules, in the spirit of DPDK xstats and the Prometheus client
 data model, sized for a simulated data path:
 
-- **Instruments are cheap.** A counter increment is one integer add on
-  a slotted object; hot loops may also accumulate locally and ``inc``
-  once per burst.
-- **Collection pulls, it is never pushed.** Components that already
-  keep counters (the mbuf pool, NIC ports, the NFs) register *callback*
-  instruments whose value is read at snapshot time — wiring the
-  telemetry layer through the stack adds zero work per packet.
+- **A counter is an int someone reads.** Components (the mbuf pool, NIC
+  ports, the runtimes, the NFs, the microflow cache) keep their counts
+  as ordinary attributes and bump them however their hot loop likes —
+  locally per burst, once per packet; the registry never sees a write.
+- **Collection pulls, it is never pushed.** ``register_metrics`` hands
+  the registry a *callback* per metric (``counter_fn`` / ``gauge_fn`` /
+  ``histogram_fn``) and the value is read at snapshot time — wiring the
+  telemetry layer through the stack adds zero work per packet, enabled
+  or not. There is no second kind of instrument.
 - **Merging is explicit.** Counters and histograms merge by addition;
   each gauge declares its merge strategy (``sum`` for occupancy-like
   values, ``max`` for watermark-like values such as the pool
   high-water mark, which is not additive across workers).
-- **Disabled means no-op.** :class:`NullRegistry` hands out shared
-  do-nothing instruments, so call sites are written once and cost
-  nothing when observability is off (see :mod:`repro.obs`).
 
 Snapshots are plain dicts (the JSON schema shared with ``BENCH_*.json``
 files); :mod:`repro.obs.expo` renders them as Prometheus text.
@@ -41,144 +40,17 @@ MERGE_MAX = "max"
 LabelValues = Tuple[str, ...]
 
 
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down (occupancy, watermark, ...)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0
-
-    def set(self, value: float) -> None:
-        self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Histogram:
-    """A log2-bucketed distribution instrument."""
-
-    __slots__ = ("hist",)
-
-    def __init__(self) -> None:
-        self.hist = LatencyHistogram()
-
-    def observe(self, value: int) -> None:
-        self.hist.record(value)
-
-    def observe_many(self, values: Sequence[int]) -> None:
-        self.hist.record_many(values)
-
-    @property
-    def value(self) -> LatencyHistogram:
-        return self.hist
-
-
-class _Callback:
-    """A read-on-collect instrument over an existing component counter."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
-    @property
-    def value(self) -> float:
-        return self._fn()
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    @property
-    def value(self) -> int:
-        return 0
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: int) -> None:
-        pass
-
-    def observe_many(self, values: Sequence[int]) -> None:
-        pass
-
-    @property
-    def value(self) -> LatencyHistogram:
-        return LatencyHistogram()
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class _Family:
-    """One named metric: kind, help text, and one child per label set."""
+    """One named metric: kind, help text, and one callback per label set."""
 
-    __slots__ = ("name", "kind", "help", "merge", "_make", "children")
+    __slots__ = ("name", "kind", "help", "merge", "children")
 
-    def __init__(self, name: str, kind: str, help_text: str, merge: str, make):
+    def __init__(self, name: str, kind: str, help_text: str, merge: str):
         self.name = name
         self.kind = kind
         self.help = help_text
         self.merge = merge
-        self._make = make
-        self.children: Dict[LabelValues, object] = {}
-
-    def child(self, labels: Optional[Dict[str, str]] = None):
-        key = _label_key(labels)
-        existing = self.children.get(key)
-        if existing is None:
-            existing = self.children[key] = self._make()
-        return existing
+        self.children: Dict[LabelValues, Callable[[], object]] = {}
 
 
 def _label_key(labels: Optional[Dict[str, str]]) -> LabelValues:
@@ -192,7 +64,7 @@ def _key_labels(key: LabelValues) -> Dict[str, str]:
 
 
 class MetricsRegistry:
-    """A namespace of typed metrics, snapshottable and mergeable.
+    """A namespace of callback metrics, snapshottable and mergeable.
 
     Labels are passed per call site as plain dicts; children are keyed
     by their sorted label items, so ``{"worker": "0", "port": "1"}`` and
@@ -202,34 +74,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
 
-    # -- instrument constructors -------------------------------------------
-    def counter(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Optional[Dict[str, str]] = None,
-    ) -> Counter:
-        return self._instrument(name, COUNTER, help_text, MERGE_SUM, Counter, labels)
-
-    def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Optional[Dict[str, str]] = None,
-        merge: str = MERGE_SUM,
-    ) -> Gauge:
-        return self._instrument(name, GAUGE, help_text, merge, Gauge, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Optional[Dict[str, str]] = None,
-    ) -> Histogram:
-        return self._instrument(
-            name, HISTOGRAM, help_text, MERGE_SUM, Histogram, labels
-        )
-
+    # -- registration ------------------------------------------------------
     def counter_fn(
         self,
         name: str,
@@ -261,30 +106,20 @@ class MetricsRegistry:
         """A histogram pulled from ``fn`` (a LatencyHistogram) on collect."""
         self._callback(name, HISTOGRAM, MERGE_SUM, fn, help_text, labels)
 
-    def _instrument(self, name, kind, help_text, merge, make, labels):
-        family = self._family(name, kind, help_text, merge, make)
-        return family.child(labels)
-
     def _callback(self, name, kind, merge, fn, help_text, labels):
-        family = self._family(name, kind, help_text, merge, lambda: None)
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = _Family(name, kind, help_text, merge)
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} is a {family.kind}, not a {kind}"
+            )
         key = _label_key(labels)
         if key in family.children:
             raise ValueError(
                 f"metric {name!r} already has a child for labels {key}"
             )
-        family.children[key] = _Callback(fn)
-
-    def _family(self, name, kind, help_text, merge, make) -> _Family:
-        family = self._families.get(name)
-        if family is None:
-            family = self._families[name] = _Family(
-                name, kind, help_text, merge, make
-            )
-        elif family.kind != kind:
-            raise ValueError(
-                f"metric {name!r} is a {family.kind}, not a {kind}"
-            )
-        return family
+        family.children[key] = fn
 
     # -- collection ---------------------------------------------------------
     def snapshot(self) -> Dict:
@@ -294,8 +129,7 @@ class MetricsRegistry:
             family = self._families[name]
             samples: List[Dict] = []
             for key in sorted(family.children):
-                child = family.children[key]
-                value = child.value
+                value = family.children[key]()
                 sample: Dict = {"labels": _key_labels(key)}
                 if family.kind == HISTOGRAM:
                     sample["histogram"] = value.to_dict()
@@ -312,34 +146,6 @@ class MetricsRegistry:
                 }
             )
         return {"schema": SNAPSHOT_SCHEMA, "metrics": metrics}
-
-
-class NullRegistry:
-    """A registry whose instruments do nothing and record nothing."""
-
-    def counter(self, name, help_text="", labels=None) -> _NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name, help_text="", labels=None, merge=MERGE_SUM) -> _NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name, help_text="", labels=None) -> _NullHistogram:
-        return NULL_HISTOGRAM
-
-    def counter_fn(self, name, fn, help_text="", labels=None) -> None:
-        pass
-
-    def gauge_fn(self, name, fn, help_text="", labels=None, merge=MERGE_SUM) -> None:
-        pass
-
-    def histogram_fn(self, name, fn, help_text="", labels=None) -> None:
-        pass
-
-    def snapshot(self) -> Dict:
-        return {"schema": SNAPSHOT_SCHEMA, "metrics": []}
-
-
-NULL_REGISTRY = NullRegistry()
 
 
 def with_labels(snapshot: Dict, extra: Dict[str, str]) -> Dict:
@@ -441,12 +247,7 @@ __all__ = [
     "MERGE_MAX",
     "MERGE_SUM",
     "SNAPSHOT_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "merge_snapshots",
     "with_labels",
 ]

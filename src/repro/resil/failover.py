@@ -444,14 +444,10 @@ class ReplicatedRuntime:
             "packets lost to modeled promotion blackouts",
         )
 
-    def metrics_snapshot(self) -> Dict:
+    def snapshot_metrics(self) -> Dict:
         registry = MetricsRegistry()
         self.register_metrics(registry)
         return registry.snapshot()
-
-    def snapshot_metrics(self) -> Dict:
-        """Protocol alias (see :class:`repro.net.app.Runtime`)."""
-        return self.metrics_snapshot()
 
     # -- control plane -------------------------------------------------------
     def checkpoint(self, now_us: int = 0):

@@ -46,6 +46,17 @@ class TestCommittedBaselines:
         assert len(set(keys)) == len(keys)
         assert sweep.claims(records) == []
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [s for s in SWEEPS.values() if s.bench_file],
+        ids=lambda sweep: sweep.name,
+    )
+    def test_committed_table_is_the_rendering_of_the_committed_records(self, sweep):
+        """A table cannot say something its record file does not."""
+        records = json.loads((RESULTS / sweep.bench_file).read_text())
+        table = (RESULTS / f"{sweep.name}_sweep.txt").read_text()
+        assert sweep.render(records) + "\n" == table
+
     def test_every_description_names_a_distinct_file_and_three_grids(self):
         files = [s.bench_file for s in SWEEPS.values() if s.bench_file]
         assert len(set(files)) == len(files)
@@ -70,6 +81,14 @@ def test_toolchain_table_matches_the_descriptions():
 
 
 class TestFastpathClaims:
+    def test_committed_rates_are_the_packets_over_the_seconds_recorded(self):
+        # The rate a record states is the rate that was timed: one pass
+        # of ``packets`` in ``wall_seconds``.
+        for record in committed("fastpath"):
+            for cache in ("off", "on"):
+                replayed = record[f"replay_pps_{cache}"] * record[f"wall_seconds_{cache}"]
+                assert replayed == pytest.approx(record["packets"], rel=0.01), record
+
     def test_compiled_below_its_speedup_at_every_hot_point(self):
         records = committed("fastpath")
         for record in only(records, nf="verified-nat"):
@@ -270,7 +289,7 @@ class TestExperimentsCli:
         sweep = SWEEPS[name]
 
         def breaching_run(**grid):
-            return [dataclasses.replace(p, **damage) for p in sweep.run(**grid)]
+            return [{**record, **damage} for record in sweep.run(**grid)]
 
         monkeypatch.setitem(
             SWEEPS, name, dataclasses.replace(sweep, run=breaching_run)

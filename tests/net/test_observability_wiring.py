@@ -127,7 +127,7 @@ def test_sharded_snapshot_labels_every_worker():
         runtime.inject(0, _packet(5000 + i), timestamp=i)
     runtime.main_loop_burst(now_us=10, burst_size=8)
 
-    metrics = _by_name(runtime.metrics_snapshot())
+    metrics = _by_name(runtime.snapshot_metrics())
     rx = metrics["nic_rx_packets_total"]["samples"]
     assert {s["labels"]["worker"] for s in rx} == {"0", "1"}
     assert sum(s["value"] for s in rx) == 8

@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, label families, snapshot merging."""
+"""The metrics registry: callback metrics, label families, snapshot merging."""
 
 import pytest
 
@@ -7,42 +7,59 @@ from repro.obs.registry import (
     MERGE_MAX,
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
-    NullRegistry,
     merge_snapshots,
 )
 
 
+def constant(value):
+    return lambda: value
+
+
 def test_counter_basics():
+    """A counter is an int its owner bumps and the registry reads."""
+
+    class Component:
+        requests = 0
+
+    component = Component()
     registry = MetricsRegistry()
-    counter = registry.counter("requests_total", "help")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
+    registry.counter_fn("requests_total", lambda: component.requests, "help")
+    component.requests += 1
+    component.requests += 4
+    (metric,) = registry.snapshot()["metrics"]
+    assert (metric["kind"], metric["merge"], metric["help"]) == (
+        "counter",
+        "sum",
+        "help",
+    )
+    assert metric["samples"] == [{"labels": {}, "value": 5}]
+
+
+def test_same_name_other_labels_is_another_sample():
+    registry = MetricsRegistry()
+    registry.counter_fn("x_total", constant(1), labels={"nf": "nat"})
+    registry.counter_fn("x_total", constant(2), labels={"nf": "noop"})
     with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
-def test_same_name_same_labels_shares_instrument():
-    registry = MetricsRegistry()
-    a = registry.counter("x_total", labels={"nf": "nat"})
-    b = registry.counter("x_total", labels={"nf": "nat"})
-    assert a is b
-    c = registry.counter("x_total", labels={"nf": "noop"})
-    assert c is not a
+        registry.counter_fn("x_total", constant(3), labels={"nf": "nat"})
+    (metric,) = registry.snapshot()["metrics"]
+    assert [(s["labels"], s["value"]) for s in metric["samples"]] == [
+        ({"nf": "nat"}, 1),
+        ({"nf": "noop"}, 2),
+    ]
 
 
 def test_label_order_is_irrelevant():
     registry = MetricsRegistry()
-    a = registry.gauge("g", labels={"a": "1", "b": "2"})
-    b = registry.gauge("g", labels={"b": "2", "a": "1"})
-    assert a is b
+    registry.gauge_fn("g", constant(1), labels={"a": "1", "b": "2"})
+    with pytest.raises(ValueError, match="already has a child"):
+        registry.gauge_fn("g", constant(2), labels={"b": "2", "a": "1"})
 
 
 def test_kind_conflict_raises():
     registry = MetricsRegistry()
-    registry.counter("busy")
+    registry.counter_fn("busy", constant(0))
     with pytest.raises(ValueError):
-        registry.gauge("busy")
+        registry.gauge_fn("busy", constant(0))
 
 
 def test_callback_reregistration_raises():
@@ -63,10 +80,11 @@ def test_callbacks_read_live_values():
 
 def test_snapshot_shape_and_ordering():
     registry = MetricsRegistry()
-    registry.counter("z_total", "last").inc()
-    registry.gauge("a_gauge", "first", merge=MERGE_MAX).set(3)
-    hist = registry.histogram("lat_ns", "latency")
-    hist.observe_many([1, 2, 1000])
+    registry.counter_fn("z_total", constant(1), "last")
+    registry.gauge_fn("a_gauge", constant(3), "first", merge=MERGE_MAX)
+    registry.histogram_fn(
+        "lat_ns", lambda: LatencyHistogram.of([1, 2, 1000]), "latency"
+    )
     snapshot = registry.snapshot()
     assert snapshot["schema"] == SNAPSHOT_SCHEMA
     names = [m["name"] for m in snapshot["metrics"]]
@@ -81,8 +99,8 @@ def test_snapshot_shape_and_ordering():
 def test_merge_snapshots_sums_counters_and_maxes_watermarks():
     def worker_snapshot(drops, high_water):
         registry = MetricsRegistry()
-        registry.counter("drops_total").inc(drops)
-        registry.gauge("pool_high_water", merge=MERGE_MAX).set(high_water)
+        registry.counter_fn("drops_total", constant(drops))
+        registry.gauge_fn("pool_high_water", constant(high_water), merge=MERGE_MAX)
         return registry.snapshot()
 
     merged = merge_snapshots([worker_snapshot(3, 10), worker_snapshot(4, 7)])
@@ -94,7 +112,7 @@ def test_merge_snapshots_sums_counters_and_maxes_watermarks():
 def test_merge_snapshots_keeps_distinct_labels_apart():
     def labeled(worker, value):
         registry = MetricsRegistry()
-        registry.counter("x_total", labels={"worker": worker}).inc(value)
+        registry.counter_fn("x_total", constant(value), labels={"worker": worker})
         return registry.snapshot()
 
     merged = merge_snapshots([labeled("0", 1), labeled("1", 2)])
@@ -108,7 +126,7 @@ def test_merge_snapshots_keeps_distinct_labels_apart():
 def test_merge_snapshots_merges_histograms_exactly():
     def with_samples(samples):
         registry = MetricsRegistry()
-        registry.histogram("lat").observe_many(samples)
+        registry.histogram_fn("lat", lambda: LatencyHistogram.of(samples))
         return registry.snapshot()
 
     merged = merge_snapshots([with_samples([1, 2]), with_samples([1000])])
@@ -118,23 +136,14 @@ def test_merge_snapshots_merges_histograms_exactly():
     )
 
 
-def test_null_registry_is_inert():
-    registry = NullRegistry()
-    registry.counter("a").inc(100)
-    registry.gauge("b").set(5)
-    registry.histogram("c").observe(1)
-    registry.counter_fn("d", lambda: 1)
-    assert registry.snapshot()["metrics"] == []
-
-
 class TestWithLabels:
     """Stamping identity labels at the source (repro.net.procrun's
     per-worker snapshots) so merges cannot silently sum gauges."""
 
     def _unlabeled(self, occupancy):
         registry = MetricsRegistry()
-        registry.gauge("flow_table_occupancy", "live flows").set(occupancy)
-        registry.counter("packets_total", "served").inc(10)
+        registry.gauge_fn("flow_table_occupancy", constant(occupancy), "live flows")
+        registry.counter_fn("packets_total", constant(10), "served")
         return registry.snapshot()
 
     def test_stamps_every_sample(self):
@@ -187,9 +196,9 @@ class TestWithLabels:
         from repro.obs.registry import with_labels
 
         registry = MetricsRegistry()
-        registry.counter(
-            "packets_total", "served", labels={"worker": "3"}
-        ).inc(1)
+        registry.counter_fn(
+            "packets_total", constant(1), "served", labels={"worker": "3"}
+        )
         snapshot = registry.snapshot()
         with pytest.raises(ValueError, match="worker"):
             with_labels(snapshot, {"worker": "4"})

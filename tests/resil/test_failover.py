@@ -319,7 +319,7 @@ class TestReplicatedRuntimeSurface:
         _, now = _establish(runtime, 8)
         runtime.kill_worker(1, at_us=now + 1)
         runtime.main_loop_burst(now + 2)
-        snapshot = runtime.metrics_snapshot()
+        snapshot = runtime.snapshot_metrics()
         names = {metric["name"] for metric in snapshot["metrics"]}
         assert {
             "replication_published_total",

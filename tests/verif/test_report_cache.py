@@ -1,7 +1,12 @@
 """Proof-report serialization and the CLI proof cache."""
 
 import json
+import pathlib
 
+import pytest
+
+import repro
+from repro import cli
 from repro.cli import _proof_cache_key, main
 from repro.nat.config import NatConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
@@ -37,7 +42,67 @@ class TestSerialization:
         assert restored.p1.failures == report.p1.failures
 
 
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def edit_on_disk(monkeypatch, relative, old=b"", new=b"# edited\n"):
+    """Make the fingerprint's reader see ``relative`` with ``old`` replaced
+    by ``new`` (appended when ``old`` is empty), as after a real edit."""
+    target = SRC / relative
+    read = cli._source_bytes
+
+    def edited(path):
+        data = read(path)
+        if path != target:
+            return data
+        assert old in data
+        return data.replace(old, new) if old else data + new
+
+    monkeypatch.setattr(cli, "_source_bytes", edited)
+
+
 class TestProofCache:
+    @pytest.mark.parametrize(
+        "relative",
+        ["nat/limiter.py", "verif/nf_env_limiter.py", "verif/expr.py"],
+    )
+    def test_key_moves_with_every_source_the_proof_rests_on(
+        self, relative, monkeypatch
+    ):
+        # Three files the hand-kept module list used to leave out.
+        before = _proof_cache_key("limiter")
+        edit_on_disk(monkeypatch, relative)
+        assert _proof_cache_key("limiter") != before
+
+    def test_a_warm_cache_does_not_outlive_the_code_it_proved(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Cache a proof of the limiter, break its budget guard, verify
+        again: the cached VERIFIED must not be served."""
+        import repro.verif.nf_env_limiter as nf_env_limiter
+
+        cache = str(tmp_path / "proofs")
+        assert main(["verify", "limiter", "--cache", cache]) == 0
+        assert main(["verify", "limiter", "--cache", cache]) == 0
+        assert "loaded from cache" in capsys.readouterr().out
+
+        guard = b"if count < config.max_packets:"
+        broken = b"if count <= config.max_packets:"
+        edit_on_disk(monkeypatch, "nat/limiter.py", guard, broken)
+        namespace = {"__name__": "repro.nat.limiter"}
+        source = cli._source_bytes(SRC / "nat/limiter.py")
+        exec(compile(source, "limiter.py (edited)", "exec"), namespace)
+        monkeypatch.setattr(
+            nf_env_limiter,
+            "limiter_loop_iteration",
+            namespace["limiter_loop_iteration"],
+        )
+
+        assert main(["verify", "limiter", "--cache", cache]) == 1
+        out = capsys.readouterr().out
+        assert "loaded from cache" not in out
+        assert "bump-only-under-budget not provable" in out
+
     def test_key_stable_within_a_session(self):
         assert _proof_cache_key("nat") == _proof_cache_key("nat")
 
