@@ -180,7 +180,9 @@ class TestBridgeVerification:
 
         result = ExhaustiveSymbolicEngine().explore(body)
         report = Validator(BridgeSemantics(cfg)).validate(result, "hub")
+        assert result.crash_free  # caught by the spec, not by a broken harness
         assert not report.p1.proven
+        assert any("forward-justified" in f for f in report.p1.failures)
 
     def test_wrong_port_learning_mutant_fails(self):
         """Learning the destination port instead of the arrival port."""

@@ -162,4 +162,6 @@ class TestFirewallVerification:
 
         result = ExhaustiveSymbolicEngine().explore(body)
         report = Validator(FirewallSemantics(cfg)).validate(result, "leaky")
+        assert result.crash_free  # caught by the spec, not by a broken harness
         assert not report.p1.proven
+        assert any("forward-justified" in f for f in report.p1.failures)

@@ -139,8 +139,10 @@ class TestMutationsAreCaught:
             else:
                 env.drop(packet)
 
-        _, report = validate(body)
+        result, report = validate(body)
+        assert result.crash_free  # caught by the spec, not by a broken harness
         assert not report.p1.proven
+        assert any("forward-justified" in f for f in report.p1.failures)
 
     def test_creating_state_for_external_fails_p1(self):
         """The security property: external packets must not create flows."""
