@@ -6,29 +6,12 @@ matrix for the three ring models of Fig. 4 — which sub-proof fails for
 which kind of invalid model.
 """
 
-from repro.nat.bridge import BridgeConfig
-from repro.nat.config import NatConfig
-from repro.nat.limiter import LimiterConfig
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.models.ring import (
-    GoodRingModel,
-    OverApproximateRingModel,
-    UnderApproximateRingModel,
-)
-from repro.verif.nf_env import discard_symbolic_body, vignat_symbolic_body
-from repro.verif.nf_env_bridge import BridgeSemantics, bridge_symbolic_body
-from repro.verif.nf_env_fw import firewall_symbolic_body
-from repro.verif.nf_env_limiter import LimiterSemantics, limiter_symbolic_body
-from repro.verif.semantics import DiscardSemantics, FirewallSemantics, NatSemantics
-from repro.verif.validator import Validator
+from repro.verif.proofs import PROOFS, RING_MODELS, discard_proof
 
 
 def test_fig7_proof_structure(benchmark, publish):
-    cfg = NatConfig()
-
     def run():
-        result = ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(cfg))
-        return Validator(NatSemantics(cfg)).validate(result, "VigNat")
+        return PROOFS["nat"]().prove()[0]
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     publish("fig7_proof_structure", report.render())
@@ -39,24 +22,11 @@ def test_fig7_proof_structure(benchmark, publish):
 
 def test_sec9_generalization_matrix(benchmark, publish):
     """§9: four NFs verified by the shared pipeline, one table."""
-    nat_cfg = NatConfig()
-    bridge_cfg = BridgeConfig()
-    limiter_cfg = LimiterConfig()
-    lineup = [
-        ("VigNat", vignat_symbolic_body(nat_cfg), NatSemantics(nat_cfg)),
-        ("VigFirewall", firewall_symbolic_body(nat_cfg), FirewallSemantics(nat_cfg)),
-        ("VigBridge", bridge_symbolic_body(bridge_cfg), BridgeSemantics(bridge_cfg)),
-        ("VigLimiter", limiter_symbolic_body(limiter_cfg), LimiterSemantics(limiter_cfg)),
-    ]
 
     def run():
-        rows = []
-        engine = ExhaustiveSymbolicEngine()
-        for name, body, semantics in lineup:
-            result = engine.explore(body)
-            report = Validator(semantics).validate(result, name)
-            rows.append((name, report))
-        return rows
+        lineup = ("nat", "firewall", "bridge", "limiter")
+        reports = [PROOFS[nf]().prove()[0] for nf in lineup]
+        return [(report.nf_name, report) for report in reports]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = ["§9 generalization — four NFs, one toolchain"]
@@ -73,12 +43,10 @@ def test_sec9_generalization_matrix(benchmark, publish):
 
 def test_sec3_model_validity_matrix(benchmark, publish):
     def run():
-        rows = {}
-        for model in (GoodRingModel, OverApproximateRingModel, UnderApproximateRingModel):
-            result = ExhaustiveSymbolicEngine().explore(discard_symbolic_body(model))
-            report = Validator(DiscardSemantics()).validate(result, model.__name__)
-            rows[model.__name__] = report
-        return rows
+        return {
+            ring.__name__: discard_proof(model).prove()[0]
+            for model, ring in RING_MODELS.items()
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = ["§3 worked example — model validity matrix (Fig. 4)"]

@@ -16,15 +16,7 @@ Run:  python examples/discard_protocol.py
 
 from repro.nat.discard import DiscardNF
 from repro.packets import make_udp_packet
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.models.ring import (
-    GoodRingModel,
-    OverApproximateRingModel,
-    UnderApproximateRingModel,
-)
-from repro.verif.nf_env import discard_symbolic_body
-from repro.verif.semantics import DiscardSemantics
-from repro.verif.validator import Validator
+from repro.verif.proofs import RING_MODELS, discard_proof
 
 
 def run_concrete() -> None:
@@ -39,13 +31,13 @@ def run_concrete() -> None:
     print(f"  counters: {nf.op_counters()}")
 
 
-def verify_under(model) -> None:
-    result = ExhaustiveSymbolicEngine().explore(discard_symbolic_body(model))
-    report = Validator(DiscardSemantics()).validate(result, model.__name__)
+def verify_under(model: str) -> None:
+    report, _ = discard_proof(model).prove()
+    label = RING_MODELS[model].__name__
     verdicts = "  ".join(
         f"{v.name}={'ok' if v.proven else 'FAIL'}" for v in report.verdicts()
     )
-    print(f"  {model.__name__:>28s}: {verdicts}  -> "
+    print(f"  {label:>28s}: {verdicts}  -> "
           f"{'VERIFIED' if report.verified else 'not verified'}")
     for verdict in report.verdicts():
         for failure in verdict.failures[:1]:
@@ -55,7 +47,7 @@ def verify_under(model) -> None:
 def main() -> None:
     run_concrete()
     print("\nSymbolic verification under the three Fig. 4 ring models:")
-    for model in (GoodRingModel, OverApproximateRingModel, UnderApproximateRingModel):
+    for model in RING_MODELS:
         verify_under(model)
     print(
         "\nAs in the paper: an invalid model can make a proof fail,"

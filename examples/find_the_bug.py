@@ -23,10 +23,9 @@ from repro.nat import NatConfig, VigNat
 from repro.nat.vignat import _ConcreteEnv
 from repro.packets import ip_to_str, make_udp_packet
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Packet
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import SymbolicNatEnv
+from repro.verif.nf_env import SymbolicFlowTableEnv, symbolic_body
+from repro.verif.proofs import Proof
 from repro.verif.semantics import NatSemantics
-from repro.verif.validator import Validator
 
 CFG = NatConfig()
 
@@ -89,10 +88,12 @@ class BuggyNat(VigNat):
 
 def main() -> None:
     print("Step 1 — verifying the buggy NAT...")
-    result = ExhaustiveSymbolicEngine().explore(
-        lambda ctx: buggy_loop_iteration(SymbolicNatEnv(ctx, CFG), CFG)
-    )
-    report = Validator(NatSemantics(CFG)).validate(result, "buggy-nat")
+    # The NAT's proof with one thing swapped: the function under proof.
+    report, result = Proof(
+        "buggy-nat",
+        symbolic_body(SymbolicFlowTableEnv, buggy_loop_iteration, CFG),
+        NatSemantics(CFG),
+    ).prove()
     assert not report.verified
     failure = report.p1.failures[0]
     print(f"  NOT VERIFIED: {failure}")

@@ -11,34 +11,15 @@ semantic specification.
 Run:  python examples/three_verified_nfs.py
 """
 
-from repro.nat.bridge import BridgeConfig
-from repro.nat.config import NatConfig
-from repro.nat.limiter import LimiterConfig
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
-from repro.verif.nf_env_bridge import BridgeSemantics, bridge_symbolic_body
-from repro.verif.nf_env_fw import firewall_symbolic_body
-from repro.verif.nf_env_limiter import LimiterSemantics, limiter_symbolic_body
-from repro.verif.semantics import FirewallSemantics, NatSemantics
-from repro.verif.validator import Validator
+from repro.verif.proofs import PROOFS
 
 
 def main() -> None:
-    nat_cfg = NatConfig()
-    bridge_cfg = BridgeConfig()
-    limiter_cfg = LimiterConfig()
-    lineup = [
-        ("VigNat", vignat_symbolic_body(nat_cfg), NatSemantics(nat_cfg)),
-        ("VigFirewall", firewall_symbolic_body(nat_cfg), FirewallSemantics(nat_cfg)),
-        ("VigBridge", bridge_symbolic_body(bridge_cfg), BridgeSemantics(bridge_cfg)),
-        ("VigLimiter", limiter_symbolic_body(limiter_cfg), LimiterSemantics(limiter_cfg)),
-    ]
     print(f"{'NF':>12s}  {'paths':>5s}  {'traces':>6s}  {'obligations':>11s}  verdict")
-    engine = ExhaustiveSymbolicEngine()
     all_verified = True
-    for name, body, semantics in lineup:
-        result = engine.explore(body)
-        report = Validator(semantics).validate(result, name)
+    for nf in ("nat", "firewall", "bridge", "limiter"):
+        report, _ = PROOFS[nf]().prove()
+        name = report.nf_name
         obligations = sum(v.obligations for v in report.verdicts())
         verdict = "VERIFIED" if report.verified else "NOT VERIFIED"
         all_verified &= report.verified

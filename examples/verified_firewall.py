@@ -13,18 +13,14 @@ Run:  python examples/verified_firewall.py
 
 from repro.nat import NatConfig, VigFirewall
 from repro.packets import ip_to_str, make_tcp_packet
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env_fw import firewall_symbolic_body
-from repro.verif.semantics import FirewallSemantics
-from repro.verif.validator import Validator
+from repro.verif.proofs import firewall_proof
 
 
 def main() -> None:
     config = NatConfig()
 
     print("Verifying the firewall with the same Vigor pipeline...")
-    result = ExhaustiveSymbolicEngine().explore(firewall_symbolic_body(config))
-    report = Validator(FirewallSemantics(config)).validate(result, "VigFirewall")
+    report, _ = firewall_proof(config).prove()
     print(report.render())
     if not report.verified:
         raise SystemExit("verification FAILED")

@@ -10,19 +10,18 @@ proof report and one symbolic trace in the Fig. 9 style.
 Run:  python examples/verify_nat.py
 """
 
-from repro.nat.config import NatConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
-from repro.verif.semantics import NatSemantics
+from repro.verif.proofs import PROOFS
 from repro.verif.validator import Validator
 
 
 def main() -> None:
-    config = NatConfig()
+    # The proof's two stages, run apart; ``proof.prove()`` is both.
+    proof = PROOFS["nat"]()
 
     print("Step 2 — exhaustive symbolic execution of the stateless code...")
     engine = ExhaustiveSymbolicEngine()
-    result = engine.explore(vignat_symbolic_body(config))
+    result = engine.explore(proof.body)
     print(
         f"  {result.stats.paths} feasible paths, "
         f"{result.tree.trace_count()} traces (paths + prefixes), "
@@ -31,8 +30,7 @@ def main() -> None:
     )
 
     print("\nStep 3 — lazy proofs: validating models, contracts, semantics...")
-    validator = Validator(NatSemantics(config))
-    report = validator.validate(result, "VigNat")
+    report = Validator(proof.semantics).validate(result, proof.name)
     print()
     print(report.render())
 

@@ -2,12 +2,15 @@
 
 Commands:
 
-- ``verify {nat,cgnat,firewall,bridge,limiter,discard}`` — run the
-  Vigor pipeline and print the Fig. 7 proof report (exit code 1 when
-  not verified). ``cgnat`` proves the stateless NAT's port bijection
-  by concolic execution instead of the stateful refinement. For the
-  discard NF, ``--model`` selects one of the three Fig. 4 ring models.
-  ``--emit-tasks FILE`` writes the Fig. 10-style verification tasks.
+- ``verify {nat,firewall,bridge,limiter,discard,cgnat}`` — run the
+  proof of that name from :data:`repro.verif.proofs.PROOFS` and print
+  the Fig. 7 proof report (exit code 1 when not verified). ``cgnat``
+  proves the stateless NAT's port bijection by concolic execution
+  instead of the stateful refinement. For the discard NF, ``--model``
+  selects one of the three Fig. 4 ring models. ``--emit-tasks FILE``
+  writes the Fig. 10-style verification tasks. A flag the chosen NF
+  cannot honour is a usage error (exit code 2). A reader that closes
+  the pipe early (``| head``) ends the command quietly with status 141.
 - ``demo`` — translate a conversation through the verified NAT.
 - ``experiments {fig12,fig13,fig14,metrics,verification}`` — regenerate
   one of the paper's evaluation artifacts at quick scale (``metrics`` is
@@ -25,12 +28,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import pathlib
 import sys
 from typing import List, Optional
 
 from repro.nat.config import NatConfig
-
 
 #: The packages a proof is about: the NFs and the libVig state they keep
 #: (``nat``, ``libvig``), and the toolchain that proves them (``verif``).
@@ -64,14 +67,18 @@ def _proof_cache_key(nf: str) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    from repro.verif.engine import ExhaustiveSymbolicEngine
+    from repro.verif.proofs import PROOFS
     from repro.verif.report import ProofReport
-    from repro.verif.validator import Validator
 
+    if args.nf != "discard" and args.model is not None:
+        args.reject(f"--model selects the discard NF's ring model; {args.nf} has none")
     if args.nf == "cgnat":
         # The stateless CGNAT's proof is a bijectivity argument over
         # arithmetic, not a refinement against RFC semantics, so it has
-        # its own report shape and skips the Validator/cache machinery.
+        # its own report shape: no ProofReport to cache, no woven
+        # obligations to emit.
+        if args.cache or args.emit_tasks:
+            args.reject("cgnat's bijectivity proof has no --cache or --emit-tasks")
         from repro.verif.nf_env_cgnat import verify_cgnat
 
         report = verify_cgnat()
@@ -85,74 +92,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cache:
         cache_dir = pathlib.Path(args.cache)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        key = _proof_cache_key(f"{args.nf}:{getattr(args, 'model', '')}")
+        key = _proof_cache_key(f"{args.nf}:{args.model or ''}")
         cache_file = cache_dir / f"{args.nf}-{key[:16]}.json"
-        if cache_file.exists():
+        # A cached report holds no traces, so it cannot serve a request
+        # for the tasks or the coverage: those re-prove (and refresh it).
+        if cache_file.exists() and not (args.emit_tasks or args.coverage):
             report = ProofReport.from_dict(json.loads(cache_file.read_text()))
             print(report.render())
             print(f"\n(proof loaded from cache: {cache_file})")
             return 0 if report.verified else 1
 
-    config = NatConfig()
-    if args.nf == "nat":
-        from repro.verif.nf_env import vignat_symbolic_body
-        from repro.verif.semantics import NatSemantics
-
-        body, semantics, name = vignat_symbolic_body(config), NatSemantics(config), "VigNat"
-    elif args.nf == "bridge":
-        from repro.nat.bridge import BridgeConfig
-        from repro.verif.nf_env_bridge import BridgeSemantics, bridge_symbolic_body
-
-        bcfg = BridgeConfig()
-        body, semantics, name = (
-            bridge_symbolic_body(bcfg),
-            BridgeSemantics(bcfg),
-            "VigBridge",
-        )
-    elif args.nf == "limiter":
-        from repro.nat.limiter import LimiterConfig
-        from repro.verif.nf_env_limiter import (
-            LimiterSemantics,
-            limiter_symbolic_body,
-        )
-
-        lcfg = LimiterConfig()
-        body, semantics, name = (
-            limiter_symbolic_body(lcfg),
-            LimiterSemantics(lcfg),
-            "VigLimiter",
-        )
-    elif args.nf == "firewall":
-        from repro.verif.nf_env_fw import firewall_symbolic_body
-        from repro.verif.semantics import FirewallSemantics
-
-        body, semantics, name = (
-            firewall_symbolic_body(config),
-            FirewallSemantics(config),
-            "VigFirewall",
-        )
-    else:
-        from repro.verif.models.ring import (
-            GoodRingModel,
-            OverApproximateRingModel,
-            UnderApproximateRingModel,
-        )
-        from repro.verif.nf_env import discard_symbolic_body
-        from repro.verif.semantics import DiscardSemantics
-
-        model = {
-            "good": GoodRingModel,
-            "over": OverApproximateRingModel,
-            "under": UnderApproximateRingModel,
-        }[args.model]
-        body, semantics, name = (
-            discard_symbolic_body(model),
-            DiscardSemantics(),
-            f"discard({args.model})",
-        )
-
-    result = ExhaustiveSymbolicEngine().explore(body)
-    report = Validator(semantics).validate(result, name)
+    factory = PROOFS[args.nf]
+    proof = factory(args.model) if args.model is not None else factory()
+    report, result = proof.prove()
     print(report.render())
 
     if args.coverage:
@@ -169,7 +121,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.emit_tasks:
         from repro.verif.codegen import render_all_tasks
 
-        text = render_all_tasks(result.tree.paths, semantics, name)
+        text = render_all_tasks(result.tree.paths, proof.semantics, proof.name)
         with open(args.emit_tasks, "w") as handle:
             handle.write(text + "\n")
         print(f"\nverification tasks written to {args.emit_tasks}")
@@ -289,6 +241,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.eval.sweeps import SWEEPS
+    from repro.verif.proofs import PROOFS, RING_MODELS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -297,13 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the Vigor proof pipeline")
-    verify.add_argument(
-        "nf", choices=["nat", "cgnat", "firewall", "bridge", "limiter", "discard"]
-    )
+    verify.add_argument("nf", choices=[*PROOFS, "cgnat"])
     verify.add_argument(
         "--model",
-        choices=["good", "over", "under"],
-        default="good",
+        choices=list(RING_MODELS),
         help="ring model for the discard NF (Fig. 4)",
     )
     verify.add_argument(
@@ -322,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache the proof in DIR, keyed by a source fingerprint "
         "(any edit to the NF, models, contracts or toolchain re-proves)",
     )
-    verify.set_defaults(run=_cmd_verify)
+    verify.set_defaults(run=_cmd_verify, reject=verify.error)
 
     demo = sub.add_parser("demo", help="translate a conversation through VigNat")
     demo.set_defaults(run=_cmd_demo)
@@ -374,7 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        status = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro verify bridge | head -3``).
+        # Nothing more can be printed: point stdout at /dev/null so the
+        # interpreter's exit-time flush stays quiet, and exit the way a
+        # shell reports a writer killed by SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

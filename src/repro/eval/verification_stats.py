@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nat.config import NatConfig
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 from repro.verif.report import ProofReport
-from repro.verif.semantics import NatSemantics
-from repro.verif.validator import Validator
 
 
 @dataclass
@@ -42,15 +39,11 @@ def collect(config: NatConfig | None = None) -> VerificationStats:
     """Run the full Vigor pipeline on VigNat and gather the statistics."""
     import time
 
-    cfg = config if config is not None else NatConfig()
-    engine = ExhaustiveSymbolicEngine()
     started = time.monotonic()
-    result = engine.explore(vignat_symbolic_body(cfg))
-    explore_seconds = time.monotonic() - started
-
-    started = time.monotonic()
-    report = Validator(NatSemantics(cfg)).validate(result, "VigNat")
-    validate_seconds = time.monotonic() - started
+    report, result = nat_proof(config).prove()
+    # The engine times its own stage; the rest of the proof is validation.
+    explore_seconds = result.stats.wall_seconds
+    validate_seconds = time.monotonic() - started - explore_seconds
 
     obligations = sum(v.obligations for v in report.verdicts())
     return VerificationStats(

@@ -15,7 +15,7 @@ Unlike the NAT and firewall this NF is layer-2 only (no IPv4 parsing at
 all) and its table is single-keyed — exercising the toolchain on a
 different state shape. As with the other NFs, the stateless logic is one
 shared function run concretely here and symbolically by
-:func:`repro.verif.nf_env_bridge.bridge_symbolic_body`.
+the ``bridge`` entry of :data:`repro.verif.proofs.PROOFS`.
 """
 
 from __future__ import annotations

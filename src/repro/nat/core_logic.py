@@ -7,7 +7,7 @@ environment that provides packet I/O and the flow-table operations.
 
 - :class:`repro.nat.vignat.VigNat` runs it against the real libVig
   structures — that is the NAT that forwards traffic.
-- :mod:`repro.verif.nf_env` runs the *identical function* against
+- :data:`repro.verif.proofs.PROOFS` binds the *identical function* to
   symbolic models — that is the code exhaustive symbolic execution
   explores, so the verification result applies to the deployed logic,
   not to a transcription of it.

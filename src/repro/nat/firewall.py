@@ -20,7 +20,7 @@ Semantics (a connection-tracking allow-outbound firewall):
 
 Like VigNat, the stateless logic is one shared function
 (:func:`firewall_loop_iteration`) run concretely here and symbolically
-by :func:`repro.verif.nf_env_fw.firewall_symbolic_body`.
+by the ``firewall`` entry of :data:`repro.verif.proofs.PROOFS`.
 """
 
 from __future__ import annotations

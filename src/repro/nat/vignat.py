@@ -5,7 +5,7 @@ mutable state lives in libVig structures (a :class:`DoubleMap` flow table
 plus a :class:`DoubleChain` allocator/ager), while the packet-processing
 decisions live in the shared stateless function
 :func:`repro.nat.core_logic.nat_loop_iteration` — the very same function
-the Vigor toolchain explores symbolically (:mod:`repro.verif.nf_env`).
+the Vigor toolchain explores symbolically (:data:`repro.verif.proofs.PROOFS`).
 This class merely binds that function to the concrete library and to
 real packets.
 """

@@ -28,7 +28,8 @@ from repro.packets.headers import (
     EthernetHeader,
     Packet,
 )
-from repro.verif.expr import eq, IntExpr
+from repro.verif.expr import IntExpr, const, eq
+from repro.verif.semantics import TraceIndex
 from repro.verif.solver import Solver, SolverUnknown
 from repro.verif.trace import PathTrace
 
@@ -40,20 +41,6 @@ class ReplayOutcome:
     path_id: int
     status: str  # "match", "mismatch", "model_only", "skipped"
     detail: str = ""
-
-
-def _calls_by_fn(trace: PathTrace) -> Dict[str, object]:
-    seen: Dict[str, object] = {}
-    for call in trace.calls:
-        seen.setdefault(call.fn, call)
-    return seen
-
-
-def _entailed(solver: Solver, trace: PathTrace, goal) -> bool:
-    try:
-        return solver.entails(trace.pc, goal)
-    except SolverUnknown:
-        return False
 
 
 def _extend_witness(
@@ -101,10 +88,9 @@ def _build_packet(witness: Dict[str, int], config: NatConfig) -> Packet:
 
 def replay_path(trace: PathTrace, config: NatConfig, now: int = 10_000_000) -> ReplayOutcome:
     """Synthesize the path's scenario on a real VigNat and compare."""
-    solver = Solver(trace.widths)
-    calls = _calls_by_fn(trace)
-    recv = calls.get("receive")
-    if recv is None or _entailed(solver, trace, eq(recv.rets["received"], IntExpr.const(0))):
+    index = TraceIndex(trace)
+    calls = index.first
+    if index.idle:
         return ReplayOutcome(trace.path_id, "skipped", "no packet received")
 
     def flag(name: str) -> Optional[int]:
@@ -112,28 +98,28 @@ def replay_path(trace: PathTrace, config: NatConfig, now: int = 10_000_000) -> R
         if call is None:
             return None
         found = call.rets["found"]
-        if _entailed(solver, trace, eq(found, IntExpr.const(1))):
+        if index.entailed(eq(found, const(1))):
             return 1
-        if _entailed(solver, trace, eq(found, IntExpr.const(0))):
+        if index.entailed(eq(found, const(0))):
             return 0
         return None
 
     int_found = flag("dmap_get_by_first_key")
     ext_found = flag("dmap_get_by_second_key")
     alloc = calls.get("dchain_allocate_new_index")
-    table_full = alloc is not None and _entailed(
-        solver, trace, eq(alloc.rets["success"], IntExpr.const(0))
+    table_full = alloc is not None and index.entailed(
+        eq(alloc.rets["success"], const(0))
     )
 
     # Realism constraints: what the real flow table additionally forces.
     extra = []
     if ext_found == 1:
         # A real external hit requires the packet to address the NAT.
-        extra.append(eq(IntExpr.var("pkt_dst_ip", 32), IntExpr.const(config.external_ip)))
+        extra.append(eq(IntExpr.var("pkt_dst_ip", 32), const(config.external_ip)))
         extra.append(
             eq(
                 IntExpr.var("pkt_dst_port", 16),
-                IntExpr.const(config.start_port),  # first allocated index = 0
+                const(config.start_port),  # first allocated index = 0
             )
         )
     witness = _extend_witness(trace, extra)

@@ -21,15 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping
 
+from repro.nat.discard import DISCARD_PORT
 from repro.verif.expr import (
     BoolExpr,
     IntExpr,
     conj,
+    const,
     disj,
     eq,
     implies,
     le,
     lt,
+    ne,
 )
 
 Exprs = Mapping[str, IntExpr]
@@ -46,9 +49,8 @@ class ContractContext:
 
 @dataclass
 class SymbolicContract:
-    """A named contract with precondition and postcondition builders."""
+    """One traced function's precondition and postcondition builders."""
 
-    name: str
     description: str
     pre: ClauseBuilder = field(default=lambda args, rets, cc: [])
     post: ClauseBuilder = field(default=lambda args, rets, cc: [])
@@ -56,54 +58,72 @@ class SymbolicContract:
     trusted: bool = False
 
 
-def _c(value: int) -> IntExpr:
-    return IntExpr.const(value)
+# -- the clauses every table's contracts are built from ------------------------
 
 
-# -- the flow-table (DoubleMap) contracts --------------------------------------
+def _within(value: IntExpr, low: int, high: int) -> List[BoolExpr]:
+    return [le(const(low), value), le(value, const(high))]
 
 
-def _dmap_get_pre(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
-    # The key is an output-parameter struct owned by the caller; nothing
-    # to require beyond well-formed field widths, which typing ensures.
-    return []
+def _index_in_range(index: IntExpr, cc: ContractContext) -> List[BoolExpr]:
+    return [le(const(0), index), lt(index, const(cc.capacity))]
 
 
-def _dmap_get_post(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
-    # Fig. 8: found==1 means a valid occupied index and a non-empty map;
-    # found==0 means the key is absent (no other facts).
-    found = rets["found"]
-    clauses: List[BoolExpr] = []
-    if "index" in rets:
-        clauses.append(
+def _index_arg_in_range(
+    args: Exprs, rets: Exprs, cc: ContractContext
+) -> List[BoolExpr]:
+    return _index_in_range(args["index"], cc)
+
+
+def _lookup_post(
+    hit: str, in_range: Callable[[IntExpr, ContractContext], List[BoolExpr]]
+) -> ClauseBuilder:
+    """Fig. 8: found==1 means a well-formed hit and a non-empty table;
+    found==0 means the key is absent (no other facts). The key is an
+    output-parameter struct owned by the caller, so there is nothing to
+    require of it beyond field widths, which typing ensures."""
+
+    def post(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
+        if hit not in rets:
+            return []  # the not-found case constrains nothing
+        return [
             disj(
                 conj(
-                    eq(found, _c(1)),
-                    le(_c(0), rets["index"]),
-                    lt(rets["index"], _c(cc.capacity)),
-                    le(_c(1), rets["size"]),
+                    eq(rets["found"], const(1)),
+                    *in_range(rets[hit], cc),
+                    le(const(1), rets["size"]),
                 ),
-                eq(found, _c(0)),
+                eq(rets["found"], const(0)),
             )
+        ]
+
+    return post
+
+
+_index_lookup_post = _lookup_post("index", _index_in_range)
+
+
+def _allocate_post(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
+    # "The table is not full" is a *post*condition of allocation, not a
+    # precondition: the call is legal on a full table and reports failure.
+    success = rets["success"]
+    size = args["size"]
+    clauses: List[BoolExpr] = [
+        implies(lt(size, const(cc.capacity)), eq(success, const(1))),
+        implies(le(const(cc.capacity), size), eq(success, const(0))),
+    ]
+    if "index" in rets:
+        clauses.append(
+            implies(eq(success, const(1)), conj(*_index_in_range(rets["index"], cc)))
         )
     return clauses
 
 
-def _dmap_put_pre(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
-    return [
-        le(_c(0), args["index"]),
-        lt(args["index"], _c(cc.capacity)),
-        lt(args["size"], _c(cc.capacity)),
-    ]
+def _vacant_slot(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
+    return [lt(args["size"], const(cc.capacity))]
 
 
-def _dmap_get_value_pre(
-    args: Exprs, rets: Exprs, cc: ContractContext
-) -> List[BoolExpr]:
-    return [
-        le(_c(0), args["index"]),
-        lt(args["index"], _c(cc.capacity)),
-    ]
+# -- the flow-table (DoubleMap) contracts --------------------------------------
 
 
 def _dmap_get_value_post(
@@ -112,45 +132,9 @@ def _dmap_get_value_post(
     # The entry's external port is well-formed, and — woven in from the
     # NF's loop invariant (§3 "Loop invariants") — equal to
     # start_port + index, the allocation rule the NAT maintains.
-    clauses: List[BoolExpr] = [
-        le(_c(0), rets["ext_port"]),
-        le(rets["ext_port"], _c(0xFFFF)),
-        eq(rets["ext_port"], args["index"].add(_c(cc.start_port))),
-    ]
-    return clauses
-
-
-# -- the allocator (DoubleChain) contracts -------------------------------------
-
-
-def _dchain_alloc_post(
-    args: Exprs, rets: Exprs, cc: ContractContext
-) -> List[BoolExpr]:
-    success = rets["success"]
-    size = args["size"]
-    clauses: List[BoolExpr] = [
-        implies(lt(size, _c(cc.capacity)), eq(success, _c(1))),
-        implies(le(_c(cc.capacity), size), eq(success, _c(0))),
-    ]
-    if "index" in rets:
-        clauses.append(
-            implies(
-                eq(success, _c(1)),
-                conj(
-                    le(_c(0), rets["index"]),
-                    lt(rets["index"], _c(cc.capacity)),
-                ),
-            )
-        )
-    return clauses
-
-
-def _dchain_rejuvenate_pre(
-    args: Exprs, rets: Exprs, cc: ContractContext
-) -> List[BoolExpr]:
     return [
-        le(_c(0), args["index"]),
-        lt(args["index"], _c(cc.capacity)),
+        *_within(rets["ext_port"], 0, 0xFFFF),
+        eq(rets["ext_port"], args["index"].add(const(cc.start_port))),
     ]
 
 
@@ -160,126 +144,117 @@ def _dchain_rejuvenate_pre(
 def _expire_post(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
     # Expiration only shrinks the table, never below empty.
     return [
-        le(_c(0), rets["new_size"]),
+        le(const(0), rets["new_size"]),
         le(rets["new_size"], args["size"]),
-    ]
-
-
-# -- the ring contracts (the §3 worked example) ---------------------------------
-
-
-def _ring_pop_pre(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
-    # Fig. 3 l.3: lst != nil — the ring must be non-empty.
-    return [le(_c(1), args["length"])]
-
-
-def _ne_helper(expr: IntExpr, value: int) -> BoolExpr:
-    from repro.verif.expr import ne
-
-    return ne(expr, _c(value))
-
-
-def _ring_pop_post(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
-    # Fig. 3 ll.4-6: the popped packet satisfies the packet constraint
-    # (target port != 9 for the discard NF).
-    from repro.nat.discard import DISCARD_PORT
-
-    return [_ne_helper(rets["dst_port"], DISCARD_PORT)]
-
-
-def _ring_push_pre(args: Exprs, rets: Exprs, cc: ContractContext) -> List[BoolExpr]:
-    return [
-        lt(args["length"], _c(cc.capacity)),
-        _ne_helper(args["dst_port"], 9),
     ]
 
 
 # -- registry --------------------------------------------------------------------
 
 CONTRACTS: Dict[str, SymbolicContract] = {
+    # .. what every table-keeping NF calls (models.base.TableModel) ..
     "loop_invariant_produce": SymbolicContract(
-        name="loop_invariant_produce",
-        description="Havoc loop-carried state subject to the loop invariant",
-        post=lambda args, rets, cc: [
-            le(_c(0), rets["size"]),
-            le(rets["size"], _c(cc.capacity)),
-        ],
+        "Havoc loop-carried state subject to the loop invariant",
+        post=lambda args, rets, cc: _within(rets["size"], 0, cc.capacity),
     ),
     "current_time": SymbolicContract(
-        name="current_time",
-        description="System time is a non-negative microsecond count",
+        "System time is a non-negative microsecond count",
         trusted=True,  # part of the TCB like the paper's nf_time model
     ),
     "receive": SymbolicContract(
-        name="receive",
-        description="DPDK receive: fully adversarial packet (trusted model)",
+        "DPDK receive: fully adversarial packet (trusted model)",
         trusted=True,
     ),
     "expire_items": SymbolicContract(
-        name="expire_items",
-        description="Expire all flows stamped strictly before min_time",
+        "Expire all flows stamped strictly before min_time",
         post=_expire_post,
     ),
+    "drop": SymbolicContract(
+        "Return the packet buffer to DPDK (trusted model)",
+        trusted=True,
+    ),
+    # .. the NAT's and firewall's flow table ..
     "dmap_get_by_first_key": SymbolicContract(
-        name="dmap_get_by_first_key",
-        description="Flow lookup by internal 5-tuple (Fig. 8)",
-        pre=_dmap_get_pre,
-        post=_dmap_get_post,
+        "Flow lookup by internal 5-tuple (Fig. 8)",
+        post=_index_lookup_post,
     ),
     "dmap_get_by_second_key": SymbolicContract(
-        name="dmap_get_by_second_key",
-        description="Flow lookup by external 5-tuple",
-        pre=_dmap_get_pre,
-        post=_dmap_get_post,
+        "Flow lookup by external 5-tuple",
+        post=_index_lookup_post,
     ),
     "dmap_put": SymbolicContract(
-        name="dmap_put",
-        description="Bind a flow to a vacant index",
-        pre=_dmap_put_pre,
+        "Bind a flow to a vacant index",
+        pre=lambda args, rets, cc: [
+            *_index_in_range(args["index"], cc),
+            *_vacant_slot(args, rets, cc),
+        ],
     ),
     "dmap_get_value": SymbolicContract(
-        name="dmap_get_value",
-        description="Read the flow entry at an occupied index",
-        pre=_dmap_get_value_pre,
+        "Read the flow entry at an occupied index",
+        pre=_index_arg_in_range,
         post=_dmap_get_value_post,
     ),
     "dchain_allocate_new_index": SymbolicContract(
-        name="dchain_allocate_new_index",
-        description="Allocate the oldest free index, stamped now",
-        post=_dchain_alloc_post,
+        "Allocate the oldest free index, stamped now",
+        post=_allocate_post,
     ),
     "dchain_rejuvenate_index": SymbolicContract(
-        name="dchain_rejuvenate_index",
-        description="Refresh an allocated index's timestamp",
-        pre=_dchain_rejuvenate_pre,
+        "Refresh an allocated index's timestamp",
+        pre=_index_arg_in_range,
     ),
-    "ring_full": SymbolicContract(
-        name="ring_full",
-        description="result == (length == capacity)",
+    # .. the bridge's station table: a hit is a port, not a slot ..
+    "bridge_table_get": SymbolicContract(
+        "MAC lookup: found implies a bound port and occupancy",
+        post=_lookup_post("device", lambda port, cc: _within(port, 0, 0xFF)),
     ),
-    "ring_empty": SymbolicContract(
-        name="ring_empty",
-        description="result == (length == 0)",
+    "bridge_table_learn_new": SymbolicContract(
+        "Bind a new station; requires a vacant slot",
+        pre=_vacant_slot,
     ),
+    "bridge_table_refresh": SymbolicContract(
+        "Refresh a known station's port binding and age",
+    ),
+    # .. the limiter's budget table ..
+    "budget_get": SymbolicContract(
+        "Per-source budget lookup",
+        post=_index_lookup_post,
+    ),
+    "budget_create": SymbolicContract(
+        "Open a budget window with count=1; fails iff full",
+        post=_allocate_post,
+    ),
+    "counter_read": SymbolicContract(
+        "Read a budget counter; counters fit u32",
+        pre=_index_arg_in_range,
+        post=lambda args, rets, cc: _within(rets["count"], 1, 0xFFFFFFFF),
+    ),
+    "counter_bump": SymbolicContract(
+        "Store an updated budget counter",
+        pre=lambda args, rets, cc: [
+            *_index_in_range(args["index"], cc),
+            le(args["value"], const(0xFFFFFFFF)),
+        ],
+    ),
+    # .. the ring (the §3 worked example) ..
+    "ring_full": SymbolicContract("result == (length == capacity)"),
+    "ring_empty": SymbolicContract("result == (length == 0)"),
     "can_send": SymbolicContract(
-        name="can_send",
-        description="DPDK transmit readiness (trusted model)",
+        "DPDK transmit readiness (trusted model)",
         trusted=True,
     ),
     "ring_push_back": SymbolicContract(
-        name="ring_push_back",
-        description="Append an item satisfying the ring constraint",
-        pre=_ring_push_pre,
+        "Append an item satisfying the ring constraint",
+        pre=lambda args, rets, cc: [
+            lt(args["length"], const(cc.capacity)),
+            ne(args["dst_port"], const(DISCARD_PORT)),
+        ],
     ),
     "ring_pop_front": SymbolicContract(
-        name="ring_pop_front",
-        description="Pop the front item; it satisfies the ring constraint",
-        pre=_ring_pop_pre,
-        post=_ring_pop_post,
-    ),
-    "drop": SymbolicContract(
-        name="drop",
-        description="Return the packet buffer to DPDK (trusted model)",
-        trusted=True,
+        "Pop the front item; it satisfies the ring constraint",
+        # Fig. 3 l.3: lst != nil — the ring must be non-empty.
+        pre=lambda args, rets, cc: [le(const(1), args["length"])],
+        # Fig. 3 ll.4-6: the popped packet satisfies the packet
+        # constraint (target port != 9 for the discard NF).
+        post=lambda args, rets, cc: [ne(rets["dst_port"], const(DISCARD_PORT))],
     ),
 }

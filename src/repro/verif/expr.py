@@ -103,6 +103,10 @@ class IntExpr:
         return text[1:] if text.startswith("+") else text
 
 
+#: The spelling contracts and specifications use for a literal.
+const = IntExpr.const
+
+
 # -- boolean expressions -----------------------------------------------------
 
 EQ = "=="

@@ -6,10 +6,13 @@ into the trace. Models may be imperfect — the lazy-proofs Validator
 checks a posteriori that each model's behaviour on the explored paths is
 justified by the library's contract (P5).
 
-:mod:`repro.verif.models.nat` holds the models VigNat's stateless code
-uses; :mod:`repro.verif.models.ring` holds the three ring models of
-Fig. 4 (the valid one, the too-abstract one, the too-specific one) that
-drive the §3 worked example.
+:mod:`repro.verif.models.base` holds the table skeleton every
+table-keeping NF's model extends; :mod:`repro.verif.models.nat` the flow
+table the NAT and the firewall share (the bridge's and the limiter's
+tables sit beside their specifications in ``nf_env_bridge`` /
+``nf_env_limiter``); :mod:`repro.verif.models.ring` the three ring
+models of Fig. 4 (the valid one, the too-abstract one, the too-specific
+one) that drive the §3 worked example.
 """
 
 from repro.verif.models.base import ModelBase

@@ -1,101 +1,61 @@
 """Symbolic models of the libVig structures VigNat uses (§5.1.4).
 
-One :class:`NatModelState` is created per explored path. It havocs the
-loop-carried abstract state under the loop invariant (the flow-table
-occupancy is some value in ``[0, capacity]``, and every stored flow's
-external port equals ``start_port + index``) and then simulates each
-libVig call with fresh symbols plus the minimal constraints that make
-the call's effect visible to the stateless code — exactly the modelling
-discipline of Fig. 4(a).
+One :class:`NatModelState` is created per explored path. The havoced
+occupancy, the clock, expiry and the NIC come from the table skeleton
+(:class:`~repro.verif.models.base.TableModel`); this module adds the
+flow table's own operations and the NAT's half of the loop invariant:
+every stored flow's external port equals ``start_port + index``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.verif.context import ExplorationContext
-from repro.verif.contracts import ContractContext
-from repro.verif.expr import W8, W16, W32, W64
-from repro.verif.models.base import ModelBase
+from repro.verif.expr import W8, W16, W32
+from repro.verif.models.base import HavocedFrame, TableModel
 from repro.verif.symbols import SymInt
 
 
-class SymbolicPacket:
+class SymbolicPacket(HavocedFrame):
     """The havoced received packet: every header field is a symbol."""
 
-    def __init__(self, ctx: ExplorationContext) -> None:
-        self.ethertype = ctx.fresh("pkt_ethertype", W16)
-        self.protocol = ctx.fresh("pkt_proto", W8)
-        self.device = ctx.fresh("pkt_device", W8)
-        self.src_ip = ctx.fresh("pkt_src_ip", W32)
-        self.src_port = ctx.fresh("pkt_src_port", W16)
-        self.dst_ip = ctx.fresh("pkt_dst_ip", W32)
-        self.dst_port = ctx.fresh("pkt_dst_port", W16)
+    FIELDS = (
+        ("device", "pkt_device", W8),
+        ("ethertype", "pkt_ethertype", W16),
+        ("protocol", "pkt_proto", W8),
+        ("src_ip", "pkt_src_ip", W32),
+        ("src_port", "pkt_src_port", W16),
+        ("dst_ip", "pkt_dst_ip", W32),
+        ("dst_port", "pkt_dst_port", W16),
+    )
 
 
-class NatModelState(ModelBase):
-    """Per-path symbolic state shared by the flow-table models."""
+class NatModelState(TableModel):
+    """The flow table (DoubleMap + DoubleChain) on the table skeleton."""
 
-    def __init__(self, ctx: ExplorationContext, capacity: int, start_port: int) -> None:
-        super().__init__(ctx, ContractContext(capacity=capacity, start_port=start_port))
-        self.capacity = capacity
-        self.start_port = start_port
-        # loop_invariant_produce: havoc the occupancy within bounds.
-        with self.call("loop_invariant_produce", {}) as scope:
-            self.size = ctx.fresh("table_size", W32)
-            ctx.assume(self.size <= capacity)
-            scope.rets["size"] = self.size
-        #: Occupancy after this iteration's expiration pass.
-        self.size_after_expiry: SymInt = self.size
-
-    # -- nf_time ----------------------------------------------------------------
-    def current_time(self) -> SymInt:
-        with self.call("current_time", {}) as scope:
-            now = self.ctx.fresh("now", W64)
-            scope.rets["now"] = now
-        return now
-
-    # -- expirator ----------------------------------------------------------------
-    def expire_items(self, min_time) -> SymInt:
-        with self.call("expire_items", {"min_time": min_time, "size": self.size}) as scope:
-            new_size = self.ctx.fresh("table_size_after_expiry", W32)
-            self.ctx.assume(new_size <= self.size)
-            scope.rets["new_size"] = new_size
-        self.size_after_expiry = new_size
-        return new_size
+    SIZE = "table_size"
+    Frame = SymbolicPacket
 
     # -- DoubleMap ------------------------------------------------------------------
-    def _dmap_get(self, fn: str, flag_name: str, key: dict) -> Optional[SymInt]:
-        ctx = self.ctx
-        with self.call(fn, {**key, "size": self.size_after_expiry}) as scope:
-            found = ctx.bool_sym(flag_name)
-            scope.rets["found"] = found
-            scope.rets["size"] = self.size_after_expiry
-            if found == 1:
-                index = ctx.fresh(f"{flag_name}_index", W32)
-                ctx.assume(index <= self.capacity - 1)
-                ctx.assume(self.size_after_expiry >= 1)
-                scope.rets["index"] = index
-                return index
-            return None
-
     def dmap_get_by_first_key(self, key: dict) -> Optional[SymInt]:
         """Lookup by internal 5-tuple; None when absent (branches)."""
-        return self._dmap_get("dmap_get_by_first_key", "int_found", key)
+        return self.lookup(
+            "dmap_get_by_first_key", key, "int_found", "int_found_index"
+        )
 
     def dmap_get_by_second_key(self, key: dict) -> Optional[SymInt]:
         """Lookup by external 5-tuple; None when absent (branches)."""
-        return self._dmap_get("dmap_get_by_second_key", "ext_found", key)
+        return self.lookup(
+            "dmap_get_by_second_key", key, "ext_found", "ext_found_index"
+        )
 
-    def dmap_put(self, index: SymInt, key: dict, ext_port=None, now=None) -> None:
+    def dmap_put(self, index: SymInt, key: dict, ext_port, now) -> None:
         """Insert at ``index``. ``ext_port`` is NAT-specific; session
-        tables (e.g. the firewall's) omit it."""
+        tables (e.g. the firewall's) pass None and store no port."""
         args = {**key, "index": index, "size": self.size_after_expiry}
         if ext_port is not None:
             args["ext_port"] = ext_port
-        if now is not None:
-            args["time"] = now
-        with self.call("dmap_put", args):
+        with self.call("dmap_put", {**args, "time": now}):
             pass
 
     def dmap_get_value(self, index: SymInt) -> Tuple[SymInt, SymInt, SymInt]:
@@ -108,7 +68,7 @@ class NatModelState(ModelBase):
             # The loop invariant pins the allocation rule; without this
             # the semantic property P1 would be unprovable (and with a
             # wrong rule here, model validation P5 fails).
-            ctx.assume(ext_port == index + self.start_port)
+            ctx.assume(ext_port == index + self.contract_ctx.start_port)
             scope.rets["int_ip"] = int_ip
             scope.rets["int_port"] = int_port
             scope.rets["ext_port"] = ext_port
@@ -117,45 +77,12 @@ class NatModelState(ModelBase):
     # -- DoubleChain --------------------------------------------------------------
     def dchain_allocate_new_index(self, now) -> Optional[SymInt]:
         """Allocate an index, or None when the table is full (branches)."""
-        ctx = self.ctx
-        with self.call(
-            "dchain_allocate_new_index",
-            {"time": now, "size": self.size_after_expiry},
-        ) as scope:
-            if self.size_after_expiry < self.capacity:
-                index = ctx.fresh("fresh_index", W32)
-                ctx.assume(index <= self.capacity - 1)
-                scope.rets["success"] = 1
-                scope.rets["index"] = index
-                return index
-            scope.rets["success"] = 0
-            return None
+        return self.allocate(
+            "dchain_allocate_new_index", {"time": now}, "fresh_index"
+        )
 
     def dchain_rejuvenate_index(self, index: SymInt, now) -> None:
         with self.call(
             "dchain_rejuvenate_index", {"index": index, "time": now}
         ):
-            pass
-
-    # -- DPDK ------------------------------------------------------------------------
-    def receive(self) -> Optional[SymbolicPacket]:
-        """A fully adversarial packet, or None when the NIC is idle."""
-        ctx = self.ctx
-        with self.call("receive", {}) as scope:
-            got = ctx.bool_sym("packet_received")
-            scope.rets["received"] = got
-            if got == 1:
-                packet = SymbolicPacket(ctx)
-                scope.rets["device"] = packet.device
-                scope.rets["ethertype"] = packet.ethertype
-                scope.rets["protocol"] = packet.protocol
-                scope.rets["src_ip"] = packet.src_ip
-                scope.rets["src_port"] = packet.src_port
-                scope.rets["dst_ip"] = packet.dst_ip
-                scope.rets["dst_port"] = packet.dst_port
-                return packet
-            return None
-
-    def drop(self) -> None:
-        with self.call("drop", {}):
             pass

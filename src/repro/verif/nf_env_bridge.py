@@ -1,16 +1,25 @@
-"""Symbolic environment and semantic specification for the bridge."""
+"""The bridge's proof: its model of the station table and its specification.
+
+The station table is single-keyed and a hit is a *port*, not a slot, so
+the model adds three operations of its own to the table skeleton
+(:class:`~repro.verif.models.base.TableModel`); everything else — the
+havoced occupancy, the clock, aging, the adversarial frame — is the
+skeleton's. The model is also the ``BridgeEnv`` the stateless code runs
+against: no method needs translating between the two.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.nat.bridge import BridgeConfig, bridge_loop_iteration, BROADCAST_MAC
+from repro.nat.bridge import BROADCAST_MAC, BridgeConfig
 from repro.verif.context import ExplorationContext
 from repro.verif.expr import (
+    W8,
+    W48,
     BoolExpr,
-    IntExpr,
-    TRUE,
     conj,
+    const,
     disj,
     eq,
     le,
@@ -18,176 +27,140 @@ from repro.verif.expr import (
     ne,
     negate,
 )
-from repro.verif.models.base import as_expr
-from repro.verif.models.bridge import BridgeModelState, SymbolicFrame
-from repro.verif.semantics import Obligation
-from repro.verif.solver import Solver, SolverUnknown
+from repro.verif.models.base import HavocedFrame, TableModel, record_send
+from repro.verif.semantics import Obligation, TableSemantics, TraceIndex
 from repro.verif.symbols import SymInt
-from repro.verif.trace import PathTrace, SendRecord
+from repro.verif.trace import SendRecord
 
 
-class SymbolicBridgeEnv:
-    """The BridgeEnv over symbolic models instead of libVig."""
+class SymbolicFrame(HavocedFrame):
+    """The havoced received frame: port and both MAC addresses."""
+
+    FIELDS = (
+        ("device", "frm_device", W8),
+        ("src_mac", "frm_src_mac", W48),
+        ("dst_mac", "frm_dst_mac", W48),
+    )
+
+
+class SymbolicBridgeEnv(TableModel):
+    """The ``BridgeEnv`` over a symbolic station table instead of libVig."""
+
+    SIZE = "station_count"
+    RECEIVED = "frame_received"
+    Frame = SymbolicFrame
 
     def __init__(self, ctx: ExplorationContext, config: BridgeConfig) -> None:
-        self.ctx = ctx
-        self.config = config
-        self.models = BridgeModelState(ctx, capacity=config.capacity)
+        super().__init__(ctx, config.capacity)
+        self._lookups = 0
 
-    def current_time(self) -> SymInt:
-        return self.models.current_time()
-
-    def expire_entries(self, min_time) -> None:
-        self.models.expire_items(min_time)
-
-    def receive(self) -> Optional[SymbolicFrame]:
-        return self.models.receive()
+    expire_entries = TableModel.expire_items
 
     def table_get(self, mac) -> Optional[SymInt]:
-        return self.models.table_get(mac)
+        """Port the MAC is bound to, or None (branches on a flag)."""
+        # The bridge looks up twice per frame (source, destination).
+        self._lookups += 1
+        tag = f"lookup{self._lookups}"
+        return self.lookup(
+            "bridge_table_get",
+            {"mac": mac},
+            flag=f"{tag}_found",
+            hit=f"{tag}_device",
+            ret="device",
+            width=W8,
+        )
 
     def table_has_room(self):
-        return self.models.size_after_expiry < self.config.capacity
+        return self.size_after_expiry < self.capacity
 
     def table_learn_new(self, mac, device, now) -> None:
-        self.models.table_learn_new(mac, device, now)
+        with self.call(
+            "bridge_table_learn_new",
+            {"mac": mac, "device": device, "time": now, "size": self.size_after_expiry},
+        ):
+            pass
 
     def table_refresh(self, mac, device, now) -> None:
-        self.models.table_refresh(mac, device, now)
+        with self.call(
+            "bridge_table_refresh", {"mac": mac, "device": device, "time": now}
+        ):
+            pass
 
     def forward(self, frame: SymbolicFrame, device) -> None:
         # Bridges do not touch headers: record MACs in the send record's
         # address fields (ips/ports are L3 concepts a bridge never sees).
-        self.ctx.record_send(
-            SendRecord(
-                device=as_expr(device),
-                src_ip=as_expr(frame.src_mac),
-                src_port=as_expr(0),
-                dst_ip=as_expr(frame.dst_mac),
-                dst_port=as_expr(0),
-                protocol=as_expr(0),
-            )
-        )
-
-    def drop(self, frame: SymbolicFrame) -> None:
-        self.models.drop()
+        record_send(self.ctx, device, src_ip=frame.src_mac, dst_ip=frame.dst_mac)
 
 
-def bridge_symbolic_body(
-    config: BridgeConfig | None = None,
-) -> Callable[[ExplorationContext], None]:
-    """The bridge's stateless logic bound to symbolic models."""
-    cfg = config if config is not None else BridgeConfig()
-
-    def body(ctx: ExplorationContext) -> None:
-        env = SymbolicBridgeEnv(ctx, cfg)
-        bridge_loop_iteration(env, cfg)
-
-    return body
-
-
-def _c(value: int) -> IntExpr:
-    return IntExpr.const(value)
-
-
-class BridgeSemantics:
+class BridgeSemantics(TableSemantics):
     """802.1D learning/filtering/aging as per-trace obligations."""
 
     name = "802.1D learning bridge semantics"
+    threshold_name = "aging-threshold"
+    silence_name = "filter-justified"
+    config: BridgeConfig
 
-    def __init__(self, config: BridgeConfig | None = None) -> None:
-        self.config = config if config is not None else BridgeConfig()
+    def lifetime(self) -> int:
+        return self.config.aging_time
 
-    @staticmethod
-    def _entailed(solver: Solver, trace: PathTrace, goal: BoolExpr) -> bool:
-        try:
-            return solver.entails(trace.pc, goal)
-        except SolverUnknown:
-            return False
-
-    def obligations(self, trace: PathTrace) -> List[Obligation]:
-        cfg = self.config
-        solver = Solver(trace.widths)
-        by_fn: dict = {}
-        lookups = []
-        for call in trace.calls:
-            if call.fn == "bridge_table_get":
-                lookups.append(call)
-            else:
-                by_fn.setdefault(call.fn, call)
-        obligations: List[Obligation] = []
-
-        time_call = by_fn.get("current_time")
-        expire = by_fn.get("expire_items")
-        if expire is not None and time_call is not None:
-            now = time_call.rets["now"]
-            aging = cfg.aging_time
-            obligations.append(
-                Obligation(
-                    "aging-threshold",
-                    disj(
-                        conj(
-                            le(_c(aging), now),
-                            eq(expire.args["min_time"], now.sub(_c(aging)).add(_c(1))),
-                        ),
-                        conj(lt(now, _c(aging)), eq(expire.args["min_time"], _c(0))),
-                    ),
-                )
-            )
-
-        recv = by_fn.get("receive")
-        if recv is None or self._entailed(
-            solver, trace, eq(recv.rets["received"], _c(0))
-        ):
-            obligations.append(
-                Obligation(
-                    "silent-when-idle",
-                    TRUE,
-                    structural_ok=not trace.sends,
-                )
-            )
-            return obligations
-
-        device = recv.rets["device"]
-        src_mac = recv.rets["src_mac"]
-        dst_mac = recv.rets["dst_mac"]
-        on_a = eq(device, _c(cfg.device_a))
-        on_b = eq(device, _c(cfg.device_b))
-        known_port = disj(on_a, on_b)
-
-        # Identify which lookup served learning (src) vs filtering (dst):
+    def _lookups(self, t: TraceIndex):
+        """Which lookup served learning (source) and which filtering
+        (destination); either is None when the path never made it."""
+        frame = t.recv.rets
+        lookups = [c for c in t.trace.calls if c.fn == "bridge_table_get"]
         src_lookup = next(
-            (c for c in lookups if c.args["mac"] == src_mac), None
+            (c for c in lookups if c.args["mac"] == frame["src_mac"]), None
         )
         dst_lookup = next(
-            (c for c in lookups if c.args["mac"] == dst_mac and c is not src_lookup),
+            (
+                c
+                for c in lookups
+                if c.args["mac"] == frame["dst_mac"] and c is not src_lookup
+            ),
             None,
         )
-        learn_new = by_fn.get("bridge_table_learn_new")
-        refresh = by_fn.get("bridge_table_refresh")
-        now = time_call.rets["now"] if time_call is not None else None
+        return src_lookup, dst_lookup
 
-        # -- learning obligations (802.1D clause 7.8) ----------------------
+    def _known_port(self, t: TraceIndex):
+        """``(on_a, on_b)``: the frame arrived on a bridged port."""
+        device = t.recv.rets["device"]
+        return (
+            eq(device, const(self.config.device_a)),
+            eq(device, const(self.config.device_b)),
+        )
+
+    # -- learning obligations (802.1D clause 7.8) ----------------------------
+    def state_obligations(self, t: TraceIndex) -> List[Obligation]:
+        cfg = self.config
+        device = t.recv.rets["device"]
+        src_mac = t.recv.rets["src_mac"]
+        src_lookup, _ = self._lookups(t)
+        learn_new = t.first.get("bridge_table_learn_new")
+        refresh = t.first.get("bridge_table_refresh")
+        obligations: List[Obligation] = []
         if learn_new is not None:
-            obligations.append(
-                Obligation("learn-binds-source", eq(learn_new.args["mac"], src_mac))
-            )
-            obligations.append(
-                Obligation("learn-binds-arrival-port", eq(learn_new.args["device"], device))
-            )
-            obligations.append(
-                Obligation("learn-only-with-room", lt(learn_new.args["size"], _c(cfg.capacity)))
-            )
-            obligations.append(
-                Obligation("learn-not-broadcast", ne(src_mac, _c(BROADCAST_MAC)))
-            )
-            if now is not None:
+            obligations += [
+                Obligation("learn-binds-source", eq(learn_new.args["mac"], src_mac)),
+                Obligation(
+                    "learn-binds-arrival-port", eq(learn_new.args["device"], device)
+                ),
+                Obligation(
+                    "learn-only-with-room",
+                    lt(learn_new.args["size"], const(cfg.capacity)),
+                ),
+                Obligation("learn-not-broadcast", ne(src_mac, const(BROADCAST_MAC))),
+            ]
+            if t.now is not None:
                 obligations.append(
-                    Obligation("learn-uses-arrival-time", eq(learn_new.args["time"], now))
+                    Obligation(
+                        "learn-uses-arrival-time", eq(learn_new.args["time"], t.now)
+                    )
                 )
             if src_lookup is not None:
                 obligations.append(
-                    Obligation("learn-only-unknown", eq(src_lookup.rets["found"], _c(0)))
+                    Obligation(
+                        "learn-only-unknown", eq(src_lookup.rets["found"], const(0))
+                    )
                 )
         if refresh is not None:
             obligations.append(
@@ -195,73 +168,64 @@ class BridgeSemantics:
             )
             if src_lookup is not None:
                 obligations.append(
-                    Obligation("refresh-only-known", eq(src_lookup.rets["found"], _c(1)))
+                    Obligation(
+                        "refresh-only-known", eq(src_lookup.rets["found"], const(1))
+                    )
                 )
         if learn_new is None and refresh is None:
             # No learning happened: the source must be broadcast, the
             # port unknown, or the station unknown with the table full.
-            cases = [eq(src_mac, _c(BROADCAST_MAC)), negate(known_port)]
+            cases = [
+                eq(src_mac, const(BROADCAST_MAC)),
+                negate(disj(*self._known_port(t))),
+            ]
             if src_lookup is not None:
                 cases.append(
                     conj(
-                        eq(src_lookup.rets["found"], _c(0)),
-                        le(_c(cfg.capacity), src_lookup.rets["size"]),
+                        eq(src_lookup.rets["found"], const(0)),
+                        le(const(cfg.capacity), src_lookup.rets["size"]),
                     )
                 )
             obligations.append(Obligation("no-learn-justified", disj(*cases)))
-
-        # -- forwarding/filtering obligations (clause 7.7) ------------------
-        if len(trace.sends) > 1:
-            obligations.append(
-                Obligation(
-                    "at-most-one-send",
-                    TRUE,
-                    structural_ok=False,
-                    detail=f"{len(trace.sends)} frames emitted",
-                )
-            )
-            return obligations
-        if trace.sends:
-            send = trace.sends[0]
-            preserved = conj(
-                eq(send.src_ip, src_mac),  # src MAC field
-                eq(send.dst_ip, dst_mac),  # dst MAC field
-            )
-            out_mapping = disj(
-                conj(on_a, eq(send.device, _c(cfg.device_b))),
-                conj(on_b, eq(send.device, _c(cfg.device_a))),
-            )
-            if dst_lookup is None:
-                # No destination lookup happened: only broadcast frames
-                # may skip it (the stateless code's short-circuit).
-                not_filtered = eq(dst_mac, _c(BROADCAST_MAC))
-            else:
-                cases = [
-                    eq(dst_mac, _c(BROADCAST_MAC)),
-                    eq(dst_lookup.rets["found"], _c(0)),
-                ]
-                if "device" in dst_lookup.rets:
-                    cases.append(
-                        conj(
-                            eq(dst_lookup.rets["found"], _c(1)),
-                            ne(dst_lookup.rets["device"], device),
-                        )
-                    )
-                not_filtered = disj(*cases)
-            obligations.append(
-                Obligation(
-                    "forward-justified",
-                    conj(known_port, preserved, out_mapping, not_filtered),
-                )
-            )
-        else:
-            drop_cases = [negate(known_port)]
-            if dst_lookup is not None and "device" in dst_lookup.rets:
-                drop_cases.append(
-                    conj(
-                        eq(dst_lookup.rets["found"], _c(1)),
-                        eq(dst_lookup.rets["device"], device),
-                    )
-                )
-            obligations.append(Obligation("filter-justified", disj(*drop_cases)))
         return obligations
+
+    # -- forwarding/filtering obligations (clause 7.7) ----------------------------
+    def forward_justified(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        cfg = self.config
+        device = t.recv.rets["device"]
+        dst_mac = t.recv.rets["dst_mac"]
+        on_a, on_b = self._known_port(t)
+        _, dst_lookup = self._lookups(t)
+        preserved = conj(
+            eq(send.src_ip, t.recv.rets["src_mac"]),  # src MAC field
+            eq(send.dst_ip, dst_mac),  # dst MAC field
+        )
+        out_mapping = disj(
+            conj(on_a, eq(send.device, const(cfg.device_b))),
+            conj(on_b, eq(send.device, const(cfg.device_a))),
+        )
+        # With no destination lookup on the path, only a broadcast frame
+        # may have skipped it (the stateless code's short-circuit).
+        cases = [eq(dst_mac, const(BROADCAST_MAC))]
+        if dst_lookup is not None:
+            cases.append(eq(dst_lookup.rets["found"], const(0)))
+            if "device" in dst_lookup.rets:
+                cases.append(
+                    conj(
+                        eq(dst_lookup.rets["found"], const(1)),
+                        ne(dst_lookup.rets["device"], device),
+                    )
+                )
+        return conj(disj(on_a, on_b), preserved, out_mapping, disj(*cases))
+
+    def silence_justified(self, t: TraceIndex) -> BoolExpr:
+        _, dst_lookup = self._lookups(t)
+        drop_cases = [negate(disj(*self._known_port(t)))]
+        if dst_lookup is not None and "device" in dst_lookup.rets:
+            drop_cases.append(
+                conj(
+                    eq(dst_lookup.rets["found"], const(1)),
+                    eq(dst_lookup.rets["device"], t.recv.rets["device"]),
+                )
+            )
+        return disj(*drop_cases)

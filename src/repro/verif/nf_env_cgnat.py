@@ -45,22 +45,10 @@ from repro.nat.cgnat import CgnatConfig, det_nat_loop_iteration
 from repro.verif.context import ExplorationContext
 from repro.verif.engine import ExhaustiveSymbolicEngine, ExplorationResult
 from repro.verif.expr import W8, W16, W32
-from repro.verif.models.base import as_expr
+from repro.verif.models.base import record_send
+from repro.verif.models.nat import SymbolicPacket
+from repro.verif.nf_env import symbolic_body
 from repro.verif.symbols import SymInt
-from repro.verif.trace import SendRecord
-
-
-class SymbolicCgnatPacket:
-    """The havoced received packet: every header field is a symbol."""
-
-    def __init__(self, ctx: ExplorationContext) -> None:
-        self.ethertype = ctx.fresh("pkt_ethertype", W16)
-        self.protocol = ctx.fresh("pkt_proto", W8)
-        self.device = ctx.fresh("pkt_device", W8)
-        self.src_ip = ctx.fresh("pkt_src_ip", W32)
-        self.src_port = ctx.fresh("pkt_src_port", W16)
-        self.dst_ip = ctx.fresh("pkt_dst_ip", W32)
-        self.dst_port = ctx.fresh("pkt_dst_port", W16)
 
 
 class SymbolicCgnatEnv:
@@ -69,15 +57,15 @@ class SymbolicCgnatEnv:
     def __init__(self, ctx: ExplorationContext, config: CgnatConfig) -> None:
         self.ctx = ctx
         self.config = config
-        self.packet: Optional[SymbolicCgnatPacket] = None
+        self.packet: Optional[SymbolicPacket] = None
         #: Set by the hook that fired on this path: (subscriber index,
         #: block start), both concrete — the concolic anchor the emit
         #: checks are phrased against.
         self._forward: Optional[Tuple[int, int]] = None
         self._return: Optional[Tuple[int, int]] = None
 
-    def receive(self) -> Optional[SymbolicCgnatPacket]:
-        self.packet = SymbolicCgnatPacket(self.ctx)
+    def receive(self) -> Optional[SymbolicPacket]:
+        self.packet = SymbolicPacket(self.ctx)
         return self.packet
 
     def subscriber_block(self, src_ip) -> Optional[SymInt]:
@@ -118,16 +106,7 @@ class SymbolicCgnatEnv:
     def emit(self, packet, device, src_ip, src_port, dst_ip, dst_port) -> None:
         ctx = self.ctx
         cfg = self.config
-        ctx.record_send(
-            SendRecord(
-                device=as_expr(device),
-                src_ip=as_expr(src_ip),
-                src_port=as_expr(src_port),
-                dst_ip=as_expr(dst_ip),
-                dst_port=as_expr(dst_port),
-                protocol=as_expr(packet.protocol),
-            )
-        )
+        record_send(ctx, device, src_ip, src_port, dst_ip, dst_port, packet.protocol)
         ipb = cfg.internal_port_base
         ppn = cfg.ports_per_subscriber
         if self._forward is not None:
@@ -191,17 +170,6 @@ class SymbolicCgnatEnv:
 
     def drop(self, packet) -> None:
         """Nothing to model: the stateless NF has no state to corrupt."""
-
-
-def cgnat_symbolic_body(config: CgnatConfig | None = None):
-    """The NF body the engine explores: the real stateless CGNAT logic."""
-    cfg = config if config is not None else CgnatConfig()
-
-    def body(ctx: ExplorationContext) -> None:
-        env = SymbolicCgnatEnv(ctx, cfg)
-        det_nat_loop_iteration(env, cfg)
-
-    return body
 
 
 # -- the concrete tiling side conditions -----------------------------------
@@ -299,7 +267,7 @@ def verify_cgnat(
         else CgnatConfig(start_port=1_000, max_flows=16, subscriber_count=4)
     )
     result = ExhaustiveSymbolicEngine(max_paths=max_paths).explore(
-        cgnat_symbolic_body(cfg)
+        symbolic_body(SymbolicCgnatEnv, det_nat_loop_iteration, cfg)
     )
     checks = [check for path in result.tree.paths for check in path.checks]
     shards = cfg.partition(shard_count)
@@ -323,7 +291,5 @@ def verify_cgnat(
 __all__ = [
     "CgnatProofReport",
     "SymbolicCgnatEnv",
-    "SymbolicCgnatPacket",
-    "cgnat_symbolic_body",
     "verify_cgnat",
 ]

@@ -1,8 +1,16 @@
 """Semantic trace properties: the P1 obligations woven into each trace.
 
-The paper's Validator takes each symbolic trace and weaves in the NAT
+The paper's Validator takes each symbolic trace and weaves in the NF's
 specification as pre/post-conditions, producing a verification task per
-trace (§5.2.2, Fig. 10). This module builds those obligations:
+trace (§5.2.2, Fig. 10). This module builds those obligations.
+
+:class:`TraceIndex` is the one view of a trace every specification reads
+(first call per function, ``now``, the received frame, entailment under
+the path condition). :class:`TableSemantics` is the one template every
+table-keeping NF's specification fills with its own cases::
+
+    threshold → invariants → idle → state obligations → ≤1 send
+              → forward-justified | silence-justified
 
 - :class:`NatSemantics` — the RFC 3022 decision tree of Fig. 6 expressed
   over the trace's symbols: forwarded packets carry exactly the rewritten
@@ -11,16 +19,21 @@ trace (§5.2.2, Fig. 10). This module builds those obligations:
   the right timestamps and ports. The external-packet security property
   ("unsolicited external traffic never creates state") is one of the
   structural obligations.
+- :class:`FirewallSemantics` — the same flow-table discipline, no rewrite.
 - :class:`DiscardSemantics` — the §3 example's property: no emitted
   packet targets port 9.
+
+The bridge's and the limiter's specifications live beside their models
+(:mod:`repro.verif.nf_env_bridge`, :mod:`repro.verif.nf_env_limiter`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.nat.config import NatConfig
+from repro.nat.discard import DISCARD_PORT
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP
 from repro.verif.expr import (
     BoolExpr,
@@ -28,6 +41,7 @@ from repro.verif.expr import (
     IntExpr,
     TRUE,
     conj,
+    const,
     disj,
     eq,
     le,
@@ -35,8 +49,8 @@ from repro.verif.expr import (
     ne,
     negate,
 )
-from repro.verif.solver import Solver, SolverUnknown
-from repro.verif.trace import CallRecord, PathTrace
+from repro.verif.solver import Solver
+from repro.verif.trace import CallRecord, PathTrace, SendRecord
 
 
 @dataclass
@@ -51,8 +65,33 @@ class Obligation:
     detail: str = ""
 
 
-def _c(value: int) -> IntExpr:
-    return IntExpr.const(value)
+class TraceIndex:
+    """What a specification reads off one trace."""
+
+    def __init__(self, trace: PathTrace) -> None:
+        self.trace = trace
+        self._solver = Solver(trace.widths)
+        #: The first call to each traced function on this path.
+        self.first: Dict[str, CallRecord] = {}
+        for call in trace.calls:
+            self.first.setdefault(call.fn, call)
+        time_call = self.first.get("current_time")
+        self.now: Optional[IntExpr] = (
+            time_call.rets["now"] if time_call is not None else None
+        )
+        #: The ``receive`` call; its ``rets`` are the frame's fields.
+        self.recv = self.first.get("receive")
+
+    def entailed(self, goal: BoolExpr) -> bool:
+        """True when the path condition proves ``goal``."""
+        return self._solver.proves(self.trace.pc, goal)
+
+    @property
+    def idle(self) -> bool:
+        """No frame arrived on this path."""
+        return self.recv is None or self.entailed(
+            eq(self.recv.rets["received"], const(0))
+        )
 
 
 class DiscardSemantics:
@@ -61,79 +100,76 @@ class DiscardSemantics:
     name = "discard protocol (RFC 863)"
 
     def obligations(self, trace: PathTrace) -> List[Obligation]:
-        found = []
-        for i, send in enumerate(trace.sends):
-            found.append(
-                Obligation(
-                    name=f"send[{i}].dst_port != 9",
-                    formula=ne(send.dst_port, _c(9)),
-                )
+        return [
+            Obligation(
+                name=f"send[{i}].dst_port != {DISCARD_PORT}",
+                formula=ne(send.dst_port, const(DISCARD_PORT)),
             )
-        return found
+            for i, send in enumerate(trace.sends)
+        ]
 
 
-class NatSemantics:
-    """The RFC 3022 decision tree (Fig. 6) as per-trace obligations."""
+class TableSemantics:
+    """The specification template of an NF that keeps one expiring table.
 
-    name = "RFC 3022 NAT semantics"
+    A subclass names its specification, its expiry threshold and its
+    silence obligation, says how long an entry lives, and fills in the
+    three case hooks; the order of the obligations is the template's.
+    """
 
-    def __init__(self, config: NatConfig | None = None) -> None:
-        self.config = config if config is not None else NatConfig()
+    name: ClassVar[str]
+    threshold_name: ClassVar[str] = "expiry-threshold"
+    silence_name: ClassVar[str] = "drop-justified"
 
-    # -- helpers ---------------------------------------------------------------
-    @staticmethod
-    def _calls_by_fn(trace: PathTrace) -> Dict[str, CallRecord]:
-        seen: Dict[str, CallRecord] = {}
-        for call in trace.calls:
-            seen.setdefault(call.fn, call)
-        return seen
+    def __init__(self, config: Any) -> None:
+        #: The NF's configuration: the constants the cases compare with.
+        self.config = config
 
-    @staticmethod
-    def _entailed(solver: Solver, trace: PathTrace, goal: BoolExpr) -> bool:
-        try:
-            return solver.entails(trace.pc, goal)
-        except SolverUnknown:
-            return False
+    def lifetime(self) -> int:
+        """Microseconds an untouched entry stays in the table."""
+        raise NotImplementedError
 
-    # -- obligation construction -------------------------------------------------
+    def invariants(self, t: TraceIndex) -> List[Obligation]:
+        """Obligations that hold on every path, idle or not."""
+        return []
+
+    def state_obligations(self, t: TraceIndex) -> List[Obligation]:
+        """What the path's table updates must satisfy."""
+        raise NotImplementedError
+
+    def forward_justified(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        """The cases in which emitting exactly ``send`` is right."""
+        raise NotImplementedError
+
+    def silence_justified(self, t: TraceIndex) -> BoolExpr:
+        """The cases in which emitting nothing is right."""
+        raise NotImplementedError
+
     def obligations(self, trace: PathTrace) -> List[Obligation]:
-        cfg = self.config
-        solver = Solver(trace.widths)
-        calls = self._calls_by_fn(trace)
+        t = TraceIndex(trace)
         obligations: List[Obligation] = []
-
-        recv = calls.get("receive")
-        time_call = calls.get("current_time")
-        expire = calls.get("expire_items")
 
         # Fig. 6 l.2: the expiration threshold is exactly t - Texp
         # (inclusive), clamped at zero.
-        if expire is not None and time_call is not None:
-            now = time_call.rets["now"]
-            texp = cfg.expiration_time
+        expire = t.first.get("expire_items")
+        if expire is not None and t.now is not None:
+            lifetime = const(self.lifetime())
             min_time = expire.args["min_time"]
-            threshold_ok = disj(
-                conj(
-                    le(_c(texp), now),
-                    eq(min_time, now.sub(_c(texp)).add(_c(1))),
-                ),
-                conj(lt(now, _c(texp)), eq(min_time, _c(0))),
-            )
-            obligations.append(Obligation("expiry-threshold", threshold_ok))
-
-        if recv is None:
             obligations.append(
                 Obligation(
-                    "no-receive-no-send",
-                    TRUE,
-                    structural_ok=not trace.sends,
-                    detail="a trace without receive() must not emit",
+                    self.threshold_name,
+                    disj(
+                        conj(
+                            le(lifetime, t.now),
+                            eq(min_time, t.now.sub(lifetime).add(const(1))),
+                        ),
+                        conj(lt(t.now, lifetime), eq(min_time, const(0))),
+                    ),
                 )
             )
-            return obligations
+        obligations.extend(self.invariants(t))
 
-        received = recv.rets["received"]
-        if self._entailed(solver, trace, eq(received, _c(0))):
+        if t.idle:
             obligations.append(
                 Obligation(
                     "silent-when-idle",
@@ -144,30 +180,65 @@ class NatSemantics:
             )
             return obligations
 
-        device = recv.rets["device"]
-        ethertype = recv.rets["ethertype"]
-        protocol = recv.rets["protocol"]
-        pkt_src_ip = recv.rets["src_ip"]
-        pkt_src_port = recv.rets["src_port"]
-        pkt_dst_ip = recv.rets["dst_ip"]
-        pkt_dst_port = recv.rets["dst_port"]
+        obligations.extend(self.state_obligations(t))
 
+        if len(trace.sends) > 1:
+            obligations.append(
+                Obligation(
+                    "at-most-one-send",
+                    TRUE,
+                    structural_ok=False,
+                    detail=f"{len(trace.sends)} packets emitted for one arrival",
+                )
+            )
+        elif trace.sends:
+            justified = self.forward_justified(t, trace.sends[0])
+            obligations.append(Obligation("forward-justified", justified))
+        else:
+            obligations.append(Obligation(self.silence_name, self.silence_justified(t)))
+        return obligations
+
+
+class NatSemantics(TableSemantics):
+    """The RFC 3022 decision tree (Fig. 6) as per-trace obligations."""
+
+    name = "RFC 3022 NAT semantics"
+    config: NatConfig
+
+    def lifetime(self) -> int:
+        return self.config.expiration_time
+
+    def _view(self, t: TraceIndex):
+        """What every case reads: ``(internal, external, is_flow)`` of the
+        received packet, then the internal-key lookup, the external-key
+        lookup and the allocation (each None when the path made none)."""
+        cfg = self.config
+        frame = t.recv.rets
         is_flow = conj(
-            eq(ethertype, _c(ETHERTYPE_IPV4)),
-            disj(eq(protocol, _c(PROTO_TCP)), eq(protocol, _c(PROTO_UDP))),
+            eq(frame["ethertype"], const(ETHERTYPE_IPV4)),
+            disj(
+                eq(frame["protocol"], const(PROTO_TCP)),
+                eq(frame["protocol"], const(PROTO_UDP)),
+            ),
         )
-        internal = eq(device, _c(cfg.internal_device))
-        external = eq(device, _c(cfg.external_device))
+        return (
+            eq(frame["device"], const(cfg.internal_device)),
+            eq(frame["device"], const(cfg.external_device)),
+            is_flow,
+            t.first.get("dmap_get_by_first_key"),
+            t.first.get("dmap_get_by_second_key"),
+            t.first.get("dchain_allocate_new_index"),
+        )
 
-        get_int = calls.get("dmap_get_by_first_key")
-        get_ext = calls.get("dmap_get_by_second_key")
-        alloc = calls.get("dchain_allocate_new_index")
-        put = calls.get("dmap_put")
-        rejuvenate = calls.get("dchain_rejuvenate_index")
-        get_value = calls.get("dmap_get_value")
-        now = time_call.rets["now"] if time_call is not None else None
+    # -- state-update obligations (Fig. 6 ll.10-17) ----------------------------
+    def state_obligations(self, t: TraceIndex) -> List[Obligation]:
+        cfg = self.config
+        internal, external, _, get_int, get_ext, alloc = self._view(t)
+        put = t.first.get("dmap_put")
+        rejuvenate = t.first.get("dchain_rejuvenate_index")
+        now = t.now
+        obligations: List[Obligation] = []
 
-        # -- state-update obligations (Fig. 6 ll.10-17) ------------------------
         if rejuvenate is not None and now is not None:
             obligations.append(
                 Obligation(
@@ -197,7 +268,7 @@ class NatSemantics:
                     obligations.append(
                         Obligation(
                             "match-implies-refresh",
-                            eq(get.rets["found"], _c(0)),
+                            eq(get.rets["found"], const(0)),
                         )
                     )
 
@@ -216,7 +287,7 @@ class NatSemantics:
                         "create-respects-port-rule",
                         eq(
                             put.args["ext_port"],
-                            put.args["index"].add(_c(cfg.start_port)),
+                            put.args["index"].add(const(cfg.start_port)),
                         ),
                     )
                 )
@@ -230,10 +301,10 @@ class NatSemantics:
             obligations.append(
                 Obligation(
                     "create-only-when-room",
-                    lt(put.args["size"], _c(cfg.max_flows)),
+                    lt(put.args["size"], const(cfg.max_flows)),
                 )
             )
-        elif self._entailed(solver, trace, external):
+        elif t.entailed(external):
             obligations.append(
                 Obligation(
                     "no-state-for-external",
@@ -242,120 +313,85 @@ class NatSemantics:
                     detail="external packets must not allocate flow state",
                 )
             )
-
-        # -- forwarding obligations (Fig. 6 ll.20-39) -----------------------------
-        if len(trace.sends) > 1:
-            obligations.append(
-                Obligation(
-                    "at-most-one-send",
-                    TRUE,
-                    structural_ok=False,
-                    detail=f"{len(trace.sends)} packets emitted for one arrival",
-                )
-            )
-            return obligations
-
-        if not trace.sends:
-            drop_cases: List[BoolExpr] = [
-                negate(is_flow),
-                conj(negate(internal), negate(external)),
-            ]
-            if get_ext is not None:
-                drop_cases.append(conj(external, eq(get_ext.rets["found"], _c(0))))
-            if get_int is not None and alloc is not None:
-                drop_cases.append(
-                    conj(
-                        internal,
-                        eq(get_int.rets["found"], _c(0)),
-                        eq(alloc.rets["success"], _c(0)),
-                    )
-                )
-            obligations.append(Obligation("drop-justified", disj(*drop_cases)))
-            return obligations
-
-        send = trace.sends[0]
-        packet_fields = {
-            "src_ip": pkt_src_ip,
-            "src_port": pkt_src_port,
-            "dst_ip": pkt_dst_ip,
-            "dst_port": pkt_dst_port,
-            "protocol": protocol,
-        }
-        forward_cases = self._forward_cases(
-            send=send,
-            packet=packet_fields,
-            internal=internal,
-            external=external,
-            is_flow=is_flow,
-            get_int=get_int,
-            get_ext=get_ext,
-            alloc=alloc,
-            get_value=get_value,
-        )
-        obligations.append(
-            Obligation(
-                "forward-justified",
-                disj(*forward_cases) if forward_cases else FALSE,
-            )
-        )
         return obligations
 
-    # -- the per-NF part: which (case, output-fields) pairs justify a send --
-    def _forward_cases(
-        self,
-        send,
-        packet,
-        internal,
-        external,
-        is_flow,
-        get_int,
-        get_ext,
-        alloc,
-        get_value,
-    ) -> List[BoolExpr]:
-        """Fig. 6 ll.20-37: NAT header rewriting per direction."""
-        cfg = self.config
-        forward_cases: List[BoolExpr] = []
+    # -- forwarding obligations (Fig. 6 ll.20-39) ---------------------------------
+    def silence_justified(self, t: TraceIndex) -> BoolExpr:
+        internal, external, is_flow, get_int, get_ext, alloc = self._view(t)
+        drop_cases: List[BoolExpr] = [
+            negate(is_flow),
+            conj(negate(internal), negate(external)),
+        ]
+        if get_ext is not None:
+            drop_cases.append(conj(external, eq(get_ext.rets["found"], const(0))))
+        if get_int is not None and alloc is not None:
+            drop_cases.append(
+                conj(
+                    internal,
+                    eq(get_int.rets["found"], const(0)),
+                    eq(alloc.rets["success"], const(0)),
+                )
+            )
+        return disj(*drop_cases)
+
+    def forward_justified(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        internal, external, is_flow, get_int, get_ext, alloc = self._view(t)
+        cases: List[BoolExpr] = []
         if get_int is not None:
-            membership = eq(get_int.rets["found"], _c(1))
+            # Outbound: the flow was matched, or was just created.
+            admitted = eq(get_int.rets["found"], const(1))
             if alloc is not None:
-                membership = disj(
-                    membership,
+                admitted = disj(
+                    admitted,
                     conj(
-                        eq(get_int.rets["found"], _c(0)),
-                        eq(alloc.rets["success"], _c(1)),
+                        eq(get_int.rets["found"], const(0)),
+                        eq(alloc.rets["success"], const(1)),
                     ),
                 )
-            out_fields = conj(
-                eq(send.device, _c(cfg.external_device)),
-                eq(send.src_ip, _c(cfg.external_ip)),
-                eq(send.dst_ip, packet["dst_ip"]),
-                eq(send.dst_port, packet["dst_port"]),
-                eq(send.protocol, packet["protocol"]),
+            cases.append(
+                conj(internal, is_flow, admitted, self._outbound_fields(t, send))
             )
-            if get_value is not None:
-                out_fields = conj(
-                    out_fields, eq(send.src_port, get_value.rets["ext_port"])
+        if get_ext is not None:
+            # Inbound: only a matched flow lets a packet in.
+            fields = self._inbound_fields(t, send)
+            if fields is not None:
+                cases.append(
+                    conj(external, is_flow, eq(get_ext.rets["found"], const(1)), fields)
                 )
-            forward_cases.append(conj(internal, is_flow, membership, out_fields))
-        if get_ext is not None and get_value is not None:
-            in_fields = conj(
-                eq(send.device, _c(cfg.internal_device)),
-                eq(send.src_ip, packet["src_ip"]),
-                eq(send.src_port, packet["src_port"]),
-                eq(send.dst_ip, get_value.rets["int_ip"]),
-                eq(send.dst_port, get_value.rets["int_port"]),
-                eq(send.protocol, packet["protocol"]),
-            )
-            forward_cases.append(
-                conj(
-                    external,
-                    is_flow,
-                    eq(get_ext.rets["found"], _c(1)),
-                    in_fields,
-                )
-            )
-        return forward_cases
+        return disj(*cases) if cases else FALSE
+
+    # -- the per-NF part: the output fields each direction mandates --------
+    def _outbound_fields(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        """Fig. 6 ll.20-29: source rewritten to the external endpoint."""
+        cfg = self.config
+        packet = t.recv.rets
+        out_fields = conj(
+            eq(send.device, const(cfg.external_device)),
+            eq(send.src_ip, const(cfg.external_ip)),
+            eq(send.dst_ip, packet["dst_ip"]),
+            eq(send.dst_port, packet["dst_port"]),
+            eq(send.protocol, packet["protocol"]),
+        )
+        get_value = t.first.get("dmap_get_value")
+        if get_value is not None:
+            out_fields = conj(out_fields, eq(send.src_port, get_value.rets["ext_port"]))
+        return out_fields
+
+    def _inbound_fields(self, t: TraceIndex, send: SendRecord) -> Optional[BoolExpr]:
+        """Fig. 6 ll.30-37: destination rewritten to the internal host;
+        None (no inbound case) when the path never read the entry."""
+        get_value = t.first.get("dmap_get_value")
+        if get_value is None:
+            return None
+        packet = t.recv.rets
+        return conj(
+            eq(send.device, const(self.config.internal_device)),
+            eq(send.src_ip, packet["src_ip"]),
+            eq(send.src_port, packet["src_port"]),
+            eq(send.dst_ip, get_value.rets["int_ip"]),
+            eq(send.dst_port, get_value.rets["int_port"]),
+            eq(send.protocol, packet["protocol"]),
+        )
 
 
 class FirewallSemantics(NatSemantics):
@@ -369,54 +405,24 @@ class FirewallSemantics(NatSemantics):
 
     name = "stateful firewall semantics (allow outbound, track sessions)"
 
-    def _forward_cases(
-        self,
-        send,
-        packet,
-        internal,
-        external,
-        is_flow,
-        get_int,
-        get_ext,
-        alloc,
-        get_value,
-    ) -> List[BoolExpr]:
-        cfg = self.config
-        preserved = conj(
+    def _preserved(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        packet = t.recv.rets
+        return conj(
             eq(send.src_ip, packet["src_ip"]),
             eq(send.src_port, packet["src_port"]),
             eq(send.dst_ip, packet["dst_ip"]),
             eq(send.dst_port, packet["dst_port"]),
             eq(send.protocol, packet["protocol"]),
         )
-        forward_cases: List[BoolExpr] = []
-        if get_int is not None:
-            membership = eq(get_int.rets["found"], _c(1))
-            if alloc is not None:
-                membership = disj(
-                    membership,
-                    conj(
-                        eq(get_int.rets["found"], _c(0)),
-                        eq(alloc.rets["success"], _c(1)),
-                    ),
-                )
-            forward_cases.append(
-                conj(
-                    internal,
-                    is_flow,
-                    membership,
-                    preserved,
-                    eq(send.device, _c(cfg.external_device)),
-                )
-            )
-        if get_ext is not None:
-            forward_cases.append(
-                conj(
-                    external,
-                    is_flow,
-                    eq(get_ext.rets["found"], _c(1)),
-                    preserved,
-                    eq(send.device, _c(cfg.internal_device)),
-                )
-            )
-        return forward_cases
+
+    def _outbound_fields(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        return conj(
+            self._preserved(t, send),
+            eq(send.device, const(self.config.external_device)),
+        )
+
+    def _inbound_fields(self, t: TraceIndex, send: SendRecord) -> BoolExpr:
+        return conj(
+            self._preserved(t, send),
+            eq(send.device, const(self.config.internal_device)),
+        )

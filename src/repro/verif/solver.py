@@ -155,6 +155,13 @@ class Solver:
         """True when ``assumptions ⟹ goal`` is valid."""
         return self.satisfiable(list(assumptions) + [negate(goal)]) is None
 
+    def proves(self, assumptions: Sequence[BoolExpr], goal: BoolExpr) -> bool:
+        """:meth:`entails`, with "could not decide" counted as not proven."""
+        try:
+            return self.entails(assumptions, goal)
+        except SolverUnknown:
+            return False
+
     def equivalent_under(
         self,
         assumptions: Sequence[BoolExpr],

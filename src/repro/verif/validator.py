@@ -21,14 +21,14 @@ in ``tests/libvig``).
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.verif.engine import ExplorationResult
-from repro.verif.expr import BoolExpr
 from repro.verif.report import ProofReport, PropertyVerdict
 from repro.verif.semantics import Obligation
-from repro.verif.solver import Solver, SolverUnknown
+from repro.verif.solver import Solver
 from repro.verif.trace import PathTrace
 
 
@@ -40,40 +40,80 @@ class SemanticProperty(Protocol):
     def obligations(self, trace: PathTrace) -> List[Obligation]: ...
 
 
-def _validate_one_trace(payload):
-    """Worker for parallel validation: all per-trace checks for one trace.
+#: Per sub-proof checked trace by trace: (obligations, failures).
+TraceVerdicts = Dict[str, Tuple[int, List[str]]]
+
+
+def check_trace(
+    trace: PathTrace, semantics: Optional[SemanticProperty]
+) -> TraceVerdicts:
+    """Every per-trace check of one trace: P1, P2, P4 and P5.
 
     Module-level so it pickles; §5.2.2 notes trace verification is
     highly parallelizable (the paper: 38 min on one core, 11 min on
     four) — traces are independent proof tasks.
     """
-    trace, semantics = payload
-    validator = Validator(semantics)
-    p1_failures: List[str] = []
-    p2_failures: List[str] = []
-    p4_failures: List[str] = []
-    p5_failures: List[str] = []
+    solver = Solver(trace.widths)
+    where = f"path {trace.path_id}"
+    p1: List[str] = []
+    p2: List[str] = []
+    p4: List[str] = []
+    p5: List[str] = []
+    p4_count = p5_count = 0
+
+    # P2: aggregated from the engine's checks along the path.
     if trace.crashed is not None:
-        p2_failures.append(f"path {trace.path_id}: crashed: {trace.crashed}")
-    p2_count = 0
+        p2.append(f"{where}: crashed: {trace.crashed}")
     for check in trace.checks:
-        p2_count += 1
         if not check.proven:
-            p2_failures.append(
-                f"path {trace.path_id}: {check.kind} {check.detail} "
+            p2.append(
+                f"{where}: {check.kind} {check.detail} "
                 f"counterexample={check.counterexample}"
             )
-    p4_count = validator._check_p4(trace, p4_failures)
-    p5_count = validator._check_p5(trace, p5_failures)
-    p1_count = 0
-    if semantics is not None:
-        p1_count = validator._check_p1(trace, p1_failures)
-    return (
-        (p1_count, p1_failures),
-        (p2_count, p2_failures),
-        (p4_count, p4_failures),
-        (p5_count, p5_failures),
-    )
+
+    for call in trace.calls:
+        pc_before = trace.pc[: call.pc_start]
+        # P4: the precondition holds at the call site.
+        for pre in call.pre:
+            p4_count += 1
+            if not solver.proves(pc_before, pre):
+                p4.append(
+                    f"{where}: {call.fn} precondition {pre} "
+                    "not implied by the path condition"
+                )
+        # P5: what the model imposed on its outputs is justified by the
+        # contract's postcondition. A call with no contract clauses is a
+        # trusted model (DPDK, nf_time): part of the TCB (§5.4).
+        if not call.model_constraints or not (call.post or call.pre):
+            continue
+        antecedent = list(pc_before)
+        antecedent.extend(trace.pc[i] for i in call.selector_indices)
+        antecedent.extend(call.post)
+        for constraint in call.model_constraints:
+            p5_count += 1
+            if not solver.proves(antecedent, constraint):
+                p5.append(
+                    f"{where}: {call.fn} model constraint "
+                    f"{constraint} not justified by the contract"
+                )
+
+    # P1: the specification's obligations, woven into this trace.
+    obligations = semantics.obligations(trace) if semantics is not None else []
+    for obligation in obligations:
+        if not obligation.structural_ok:
+            p1.append(
+                f"{where}: {obligation.name} (structural): {obligation.detail}"
+            )
+        elif not solver.proves(trace.pc, obligation.formula):
+            p1.append(
+                f"{where}: {obligation.name} not provable: {obligation.formula}"
+            )
+    return {
+        "P1": (len(obligations), p1),
+        "P2": (len(trace.checks), p2),
+        "P4": (p4_count, p4),
+        "P5": (p5_count, p5),
+    }
 
 
 class Validator:
@@ -81,74 +121,6 @@ class Validator:
 
     def __init__(self, semantics: Optional[SemanticProperty] = None) -> None:
         self.semantics = semantics
-
-    # -- the per-trace proofs -----------------------------------------------------
-    def _prove(
-        self,
-        solver: Solver,
-        assumptions: List[BoolExpr],
-        goal: BoolExpr,
-    ) -> bool:
-        try:
-            return solver.entails(assumptions, goal)
-        except SolverUnknown:
-            return False
-
-    def _check_p4(self, trace: PathTrace, failures: List[str]) -> int:
-        """Preconditions hold at every call site; returns obligation count."""
-        solver = Solver(trace.widths)
-        count = 0
-        for call in trace.calls:
-            for pre in call.pre:
-                count += 1
-                pc_before = trace.pc[: call.pc_start]
-                if not self._prove(solver, pc_before, pre):
-                    failures.append(
-                        f"path {trace.path_id}: {call.fn} precondition {pre} "
-                        "not implied by the path condition"
-                    )
-        return count
-
-    def _check_p5(self, trace: PathTrace, failures: List[str]) -> int:
-        """Model outputs are justified by contract postconditions."""
-        solver = Solver(trace.widths)
-        count = 0
-        for call in trace.calls:
-            if not call.model_constraints:
-                continue
-            if not call.post and not call.pre:
-                # Trusted model (DPDK, nf_time): part of the TCB (§5.4).
-                continue
-            antecedent = list(trace.pc[: call.pc_start])
-            antecedent.extend(trace.pc[i] for i in call.selector_indices)
-            antecedent.extend(call.post)
-            for constraint in call.model_constraints:
-                count += 1
-                if not self._prove(solver, antecedent, constraint):
-                    failures.append(
-                        f"path {trace.path_id}: {call.fn} model constraint "
-                        f"{constraint} not justified by the contract"
-                    )
-        return count
-
-    def _check_p1(self, trace: PathTrace, failures: List[str]) -> int:
-        assert self.semantics is not None
-        solver = Solver(trace.widths)
-        count = 0
-        for obligation in self.semantics.obligations(trace):
-            count += 1
-            if not obligation.structural_ok:
-                failures.append(
-                    f"path {trace.path_id}: {obligation.name} "
-                    f"(structural): {obligation.detail}"
-                )
-                continue
-            if not self._prove(solver, trace.pc, obligation.formula):
-                failures.append(
-                    f"path {trace.path_id}: {obligation.name} not provable: "
-                    f"{obligation.formula}"
-                )
-        return count
 
     # -- P3: executable refinement smoke-test ----------------------------------------
     @staticmethod
@@ -213,55 +185,41 @@ class Validator:
         independent proof task, §5.2.2); results are identical to the
         sequential run.
         """
-        p1_failures: List[str] = []
-        p2_failures: List[str] = []
-        p4_failures: List[str] = []
-        p5_failures: List[str] = []
-        p1_count = p2_count = p4_count = p5_count = 0
-
+        traces = result.tree.paths
         if processes > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            payloads = [(trace, self.semantics) for trace in result.tree.paths]
             with ProcessPoolExecutor(max_workers=processes) as pool:
-                outcomes = list(pool.map(_validate_one_trace, payloads))
+                outcomes = list(
+                    pool.map(check_trace, traces, itertools.repeat(self.semantics))
+                )
         else:
-            outcomes = [
-                _validate_one_trace((trace, self.semantics))
-                for trace in result.tree.paths
-            ]
-        for (p1c, p1f), (p2c, p2f), (p4c, p4f), (p5c, p5f) in outcomes:
-            p1_count += p1c
-            p1_failures.extend(p1f)
-            p2_count += p2c
-            p2_failures.extend(p2f)
-            p4_count += p4c
-            p4_failures.extend(p4f)
-            p5_count += p5c
-            p5_failures.extend(p5f)
+            outcomes = [check_trace(trace, self.semantics) for trace in traces]
 
+        def verdict(
+            name: str, title: str, note: str = "", provable: bool = True
+        ) -> PropertyVerdict:
+            failures = [f for outcome in outcomes for f in outcome[name][1]]
+            return PropertyVerdict(
+                name=name,
+                title=title,
+                proven=provable and not failures,
+                obligations=sum(outcome[name][0] for outcome in outcomes),
+                failures=failures,
+                note=note,
+            )
+
+        if self.semantics is not None:
+            p1 = verdict("P1", self.semantics.name)
+        else:
+            title = "semantic properties (no spec supplied)"
+            p1 = verdict("P1", title, "skipped", provable=False)
         p3_failures = self.refinement_smoke()
-
-        report = ProofReport(
+        return ProofReport(
             nf_name=nf_name,
-            p1=PropertyVerdict(
-                name="P1",
-                title=(
-                    self.semantics.name
-                    if self.semantics is not None
-                    else "semantic properties (no spec supplied)"
-                ),
-                proven=self.semantics is not None and not p1_failures,
-                obligations=p1_count,
-                failures=p1_failures,
-                note="" if self.semantics is not None else "skipped",
-            ),
-            p2=PropertyVerdict(
-                name="P2",
-                title="low-level properties (crash-freedom, bounds, overflow)",
-                proven=not p2_failures,
-                obligations=p2_count,
-                failures=p2_failures,
+            p1=p1,
+            p2=verdict(
+                "P2", "low-level properties (crash-freedom, bounds, overflow)"
             ),
             p3=PropertyVerdict(
                 name="P3",
@@ -271,23 +229,10 @@ class Validator:
                 failures=p3_failures,
                 note="full evidence: tests/libvig refinement suite",
             ),
-            p4=PropertyVerdict(
-                name="P4",
-                title="stateless code respects libVig preconditions",
-                proven=not p4_failures,
-                obligations=p4_count,
-                failures=p4_failures,
-            ),
-            p5=PropertyVerdict(
-                name="P5",
-                title="libVig models faithful to the contracts",
-                proven=not p5_failures,
-                obligations=p5_count,
-                failures=p5_failures,
-            ),
+            p4=verdict("P4", "stateless code respects libVig preconditions"),
+            p5=verdict("P5", "libVig models faithful to the contracts"),
             paths=result.tree.path_count(),
             traces=result.tree.trace_count(),
             solver_queries=result.stats.solver_queries,
             wall_seconds=result.stats.wall_seconds,
         )
-        return report

@@ -11,14 +11,14 @@ import pytest
 from repro.nat.config import NatConfig
 from repro.verif.concretize import replay_all
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 
 CFG = NatConfig(max_flows=8, expiration_time=2_000_000, start_port=1000)
 
 
 @pytest.fixture(scope="module")
 def outcomes():
-    result = ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(CFG))
+    result = ExhaustiveSymbolicEngine().explore(nat_proof(CFG).body)
     return replay_all(result.tree.paths, CFG)
 
 

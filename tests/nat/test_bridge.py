@@ -146,11 +146,12 @@ class TestBridgeVerification:
     def test_pipeline_verifies_bridge(self):
         from repro.nat.bridge import BridgeConfig as Cfg
         from repro.verif.engine import ExhaustiveSymbolicEngine
-        from repro.verif.nf_env_bridge import BridgeSemantics, bridge_symbolic_body
+        from repro.verif.nf_env_bridge import BridgeSemantics
+        from repro.verif.proofs import bridge_proof
         from repro.verif.validator import Validator
 
         cfg = Cfg()
-        result = ExhaustiveSymbolicEngine().explore(bridge_symbolic_body(cfg))
+        result = ExhaustiveSymbolicEngine().explore(bridge_proof(cfg).body)
         report = Validator(BridgeSemantics(cfg)).validate(result, "VigBridge")
         assert report.verified, report.render()
         assert result.stats.paths >= 30  # richer branching than the NAT
@@ -159,11 +160,7 @@ class TestBridgeVerification:
         """A 'bridge' that never filters is rejected by P1."""
         from repro.nat.bridge import BridgeConfig as Cfg
         from repro.verif.engine import ExhaustiveSymbolicEngine
-        from repro.verif.nf_env_bridge import (
-            BridgeSemantics,
-            SymbolicBridgeEnv,
-            bridge_symbolic_body,
-        )
+        from repro.verif.nf_env_bridge import BridgeSemantics, SymbolicBridgeEnv
         from repro.verif.validator import Validator
 
         cfg = Cfg()
@@ -171,7 +168,7 @@ class TestBridgeVerification:
         def body(ctx):
             env = SymbolicBridgeEnv(ctx, cfg)
             frame_obj = env.receive()
-            now = env.models.current_time()
+            now = env.current_time()
             if frame_obj is None:
                 return
             # BUG: a hub — floods everything, learns nothing, filters

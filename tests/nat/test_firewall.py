@@ -123,12 +123,12 @@ class TestFirewallVerification:
     @pytest.fixture(scope="class")
     def report(self):
         from repro.verif.engine import ExhaustiveSymbolicEngine
-        from repro.verif.nf_env_fw import firewall_symbolic_body
+        from repro.verif.proofs import firewall_proof
         from repro.verif.semantics import FirewallSemantics
         from repro.verif.validator import Validator
 
         cfg = NatConfig()
-        result = ExhaustiveSymbolicEngine().explore(firewall_symbolic_body(cfg))
+        result = ExhaustiveSymbolicEngine().explore(firewall_proof(cfg).body)
         return Validator(FirewallSemantics(cfg)).validate(result, "VigFirewall")
 
     def test_all_properties_proven(self, report):
@@ -142,13 +142,13 @@ class TestFirewallVerification:
         """A 'firewall' that forwards unsolicited inbound is rejected."""
         from repro.nat.firewall import firewall_loop_iteration
         from repro.verif.engine import ExhaustiveSymbolicEngine
-        from repro.verif.nf_env_fw import SymbolicFirewallEnv
+        from repro.verif.nf_env import SymbolicFlowTableEnv
         from repro.verif.semantics import FirewallSemantics
         from repro.verif.validator import Validator
 
         cfg = NatConfig()
 
-        class LeakyEnv(SymbolicFirewallEnv):
+        class LeakyEnv(SymbolicFlowTableEnv):
             def session_get_external(self, packet):
                 index = super().session_get_external(packet)
                 if index is None:

@@ -94,14 +94,12 @@ class TestPassThroughAndEdges:
 class TestLimiterVerification:
     def test_pipeline_verifies_limiter(self):
         from repro.verif.engine import ExhaustiveSymbolicEngine
-        from repro.verif.nf_env_limiter import (
-            LimiterSemantics,
-            limiter_symbolic_body,
-        )
+        from repro.verif.nf_env_limiter import LimiterSemantics
+        from repro.verif.proofs import limiter_proof
         from repro.verif.validator import Validator
 
         cfg = LimiterConfig()
-        result = ExhaustiveSymbolicEngine().explore(limiter_symbolic_body(cfg))
+        result = ExhaustiveSymbolicEngine().explore(limiter_proof(cfg).body)
         report = Validator(LimiterSemantics(cfg)).validate(result, "VigLimiter")
         assert report.verified, report.render()
 
@@ -161,7 +159,7 @@ class TestLimiterVerification:
             def counter_bump(self, index, value):
                 super().counter_bump(index, value)
                 # BUG: sliding window — refresh the entry's timestamp.
-                with self.models.call(
+                with self.call(
                     "dchain_rejuvenate_index", {"index": index, "time": 0}
                 ):
                     pass

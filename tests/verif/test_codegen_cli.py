@@ -1,18 +1,22 @@
 """Verification-task codegen and the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
 from repro.nat.config import NatConfig
 from repro.verif.codegen import render_all_tasks, render_verification_task
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 from repro.verif.semantics import NatSemantics
 
 
 @pytest.fixture(scope="module")
 def nat_result():
-    return ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(NatConfig()))
+    return ExhaustiveSymbolicEngine().explore(nat_proof(NatConfig()).body)
 
 
 class TestCodegen:
@@ -64,6 +68,37 @@ class TestCli:
         target = tmp_path / "tasks.c"
         assert main(["verify", "nat", "--emit-tasks", str(target)]) == 0
         assert "verification_task" in target.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "cgnat", "--cache", "D"],
+            ["verify", "cgnat", "--emit-tasks", "F"],
+            ["verify", "nat", "--model", "over"],
+        ],
+        ids=["cgnat-cache", "cgnat-emit-tasks", "nat-model"],
+    )
+    def test_flags_the_nf_cannot_honour_are_rejected(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / a) if a in ("D", "F") else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_a_closed_pipe_is_not_a_traceback(self):
+        """``repro verify bridge | head -1``: the reader leaves early."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "verify", "bridge"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        proc.stdout.close()  # gone before the report is written
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE, as a shell reports it
+        assert stderr == b""
 
     def test_demo(self, capsys):
         assert main(["demo"]) == 0

@@ -7,7 +7,7 @@ from repro.verif.concretize import ReplayOutcome, replay_path
 from repro.verif.context import ExplorationContext, PathAbort
 from repro.verif.engine import ExhaustiveSymbolicEngine
 from repro.verif.expr import eq, IntExpr
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 
 
 class TestContext:
@@ -69,7 +69,7 @@ class TestConcretizeClassification:
     @pytest.fixture(scope="class")
     def traces(self):
         cfg = NatConfig(max_flows=8, start_port=1000)
-        result = ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(cfg))
+        result = ExhaustiveSymbolicEngine().explore(nat_proof(cfg).body)
         return cfg, result.tree.paths
 
     def test_idle_paths_skipped(self, traces):

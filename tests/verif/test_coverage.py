@@ -2,7 +2,7 @@
 
 from repro.nat.config import NatConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 
 
 class TestBranchCoverage:
@@ -10,7 +10,7 @@ class TestBranchCoverage:
         """Exhaustiveness, observably: every branch of core_logic.py is
         taken in both directions across the explored paths."""
         result = ExhaustiveSymbolicEngine().explore(
-            vignat_symbolic_body(NatConfig())
+            nat_proof(NatConfig()).body
         )
         core_sites = [
             site for site in result.coverage if "core_logic.py" in site
@@ -31,7 +31,7 @@ class TestBranchCoverage:
 
     def test_coverage_render(self):
         result = ExhaustiveSymbolicEngine().explore(
-            vignat_symbolic_body(NatConfig())
+            nat_proof(NatConfig()).body
         )
         text = result.render_coverage()
         assert "core_logic.py" in text
@@ -39,7 +39,7 @@ class TestBranchCoverage:
 
     def test_sites_point_at_nf_code_not_toolchain(self):
         result = ExhaustiveSymbolicEngine().explore(
-            vignat_symbolic_body(NatConfig())
+            nat_proof(NatConfig()).body
         )
         for site in result.coverage:
             assert "symbols.py" not in site

@@ -11,7 +11,7 @@ from collections import Counter
 
 from repro.nat.config import NatConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 
 #: Every feasible path, as its sequence of traced calls (sends inlined
 #: as "send"), with multiplicity.
@@ -67,7 +67,7 @@ def signature(trace):
 class TestGoldenPaths:
     def test_nat_execution_tree_matches_golden(self):
         result = ExhaustiveSymbolicEngine().explore(
-            vignat_symbolic_body(NatConfig())
+            nat_proof(NatConfig()).body
         )
         observed = Counter(signature(t) for t in result.tree.paths)
         assert observed == GOLDEN_NAT_PATHS, (

@@ -3,14 +3,15 @@
 from repro.cli import main
 from repro.nat.limiter import LimiterConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env_limiter import LimiterSemantics, limiter_symbolic_body
+from repro.verif.nf_env_limiter import LimiterSemantics
+from repro.verif.proofs import limiter_proof
 
 CFG = LimiterConfig()
 
 
 class TestLimiterObligations:
     def test_every_path_has_obligations(self):
-        result = ExhaustiveSymbolicEngine().explore(limiter_symbolic_body(CFG))
+        result = ExhaustiveSymbolicEngine().explore(limiter_proof(CFG).body)
         semantics = LimiterSemantics(CFG)
         names = set()
         for trace in result.tree.paths:
@@ -23,7 +24,7 @@ class TestLimiterObligations:
         assert "drop-justified" in names
 
     def test_bump_paths_carry_budget_guard(self):
-        result = ExhaustiveSymbolicEngine().explore(limiter_symbolic_body(CFG))
+        result = ExhaustiveSymbolicEngine().explore(limiter_proof(CFG).body)
         semantics = LimiterSemantics(CFG)
         seen = 0
         for trace in result.tree.paths:
@@ -34,7 +35,7 @@ class TestLimiterObligations:
         assert seen >= 1
 
     def test_limiter_paths_cover_both_directions(self):
-        result = ExhaustiveSymbolicEngine().explore(limiter_symbolic_body(CFG))
+        result = ExhaustiveSymbolicEngine().explore(limiter_proof(CFG).body)
         sites = [s for s in result.coverage if "limiter.py" in s]
         assert sites
         assert all(result.coverage[s] == {True, False} for s in sites)

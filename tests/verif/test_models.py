@@ -1,11 +1,10 @@
 """The symbolic models: call recording, contracts, constraint tagging."""
 
-from repro.nat.config import NatConfig
 from repro.verif.context import ExplorationContext
 from repro.verif.contracts import CONTRACTS, ContractContext
 from repro.verif.engine import ExhaustiveSymbolicEngine
 from repro.verif.models.nat import NatModelState
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import PROOFS
 
 
 def fresh_models(plan=None):
@@ -75,12 +74,17 @@ class TestCallRecording:
 
 
 class TestContractRegistry:
+    #: The registry as imported, before any model has been constructed:
+    #: nothing may add to it later.
+    STATIC = frozenset(CONTRACTS)
+
     def test_every_nat_model_call_has_a_registry_entry(self):
-        cfg = NatConfig()
-        result = ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(cfg))
-        called = {c.fn for t in result.tree.paths for c in t.calls}
-        for fn in called:
-            assert fn in CONTRACTS, f"{fn} missing a contract entry"
+        """...and every other NF's: each entry of PROOFS, not only the NAT."""
+        for nf, proof in PROOFS.items():
+            result = ExhaustiveSymbolicEngine().explore(proof().body)
+            called = {c.fn for t in result.tree.paths for c in t.calls}
+            assert called <= self.STATIC, f"{nf}: {called - self.STATIC} uncontracted"
+        assert frozenset(CONTRACTS) == self.STATIC
 
     def test_contract_context_carries_config(self):
         cc = ContractContext(capacity=42, start_port=7)

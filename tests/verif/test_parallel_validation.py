@@ -3,8 +3,8 @@
 from repro.nat.bridge import BridgeConfig
 from repro.nat.config import NatConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
-from repro.verif.nf_env_bridge import BridgeSemantics, bridge_symbolic_body
+from repro.verif.nf_env_bridge import BridgeSemantics
+from repro.verif.proofs import bridge_proof, nat_proof
 from repro.verif.semantics import NatSemantics
 from repro.verif.validator import Validator
 
@@ -12,7 +12,7 @@ from repro.verif.validator import Validator
 class TestParallelValidation:
     def test_identical_reports_nat(self):
         cfg = NatConfig()
-        result = ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(cfg))
+        result = ExhaustiveSymbolicEngine().explore(nat_proof(cfg).body)
         validator = Validator(NatSemantics(cfg))
         sequential = validator.validate(result, "nat", processes=1)
         parallel = validator.validate(result, "nat", processes=3)
@@ -21,7 +21,7 @@ class TestParallelValidation:
 
     def test_identical_reports_bridge(self):
         cfg = BridgeConfig()
-        result = ExhaustiveSymbolicEngine().explore(bridge_symbolic_body(cfg))
+        result = ExhaustiveSymbolicEngine().explore(bridge_proof(cfg).body)
         validator = Validator(BridgeSemantics(cfg))
         sequential = validator.validate(result, "bridge", processes=1)
         parallel = validator.validate(result, "bridge", processes=2)

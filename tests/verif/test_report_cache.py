@@ -8,18 +8,13 @@ import pytest
 import repro
 from repro import cli
 from repro.cli import _proof_cache_key, main
-from repro.nat.config import NatConfig
-from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif import proofs
 from repro.verif.report import ProofReport
-from repro.verif.semantics import NatSemantics
-from repro.verif.validator import Validator
 
 
 def make_report():
-    cfg = NatConfig()
-    result = ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(cfg))
-    return Validator(NatSemantics(cfg)).validate(result, "VigNat")
+    report, _ = proofs.nat_proof().prove()
+    return report
 
 
 class TestSerialization:
@@ -64,7 +59,12 @@ def edit_on_disk(monkeypatch, relative, old=b"", new=b"# edited\n"):
 class TestProofCache:
     @pytest.mark.parametrize(
         "relative",
-        ["nat/limiter.py", "verif/nf_env_limiter.py", "verif/expr.py"],
+        [
+            "nat/limiter.py",
+            "verif/nf_env_limiter.py",
+            "verif/proofs.py",
+            "verif/expr.py",
+        ],
     )
     def test_key_moves_with_every_source_the_proof_rests_on(
         self, relative, monkeypatch
@@ -79,8 +79,6 @@ class TestProofCache:
     ):
         """Cache a proof of the limiter, break its budget guard, verify
         again: the cached VERIFIED must not be served."""
-        import repro.verif.nf_env_limiter as nf_env_limiter
-
         cache = str(tmp_path / "proofs")
         assert main(["verify", "limiter", "--cache", cache]) == 0
         assert main(["verify", "limiter", "--cache", cache]) == 0
@@ -92,8 +90,9 @@ class TestProofCache:
         namespace = {"__name__": "repro.nat.limiter"}
         source = cli._source_bytes(SRC / "nat/limiter.py")
         exec(compile(source, "limiter.py (edited)", "exec"), namespace)
+        # The PROOFS entry reads the function where proofs.py bound it.
         monkeypatch.setattr(
-            nf_env_limiter,
+            proofs,
             "limiter_loop_iteration",
             namespace["limiter_loop_iteration"],
         )
@@ -124,6 +123,23 @@ class TestProofCache:
         assert main(["verify", "discard", "--model", "over", "--cache", cache]) == 1
         capsys.readouterr()
         assert main(["verify", "discard", "--model", "over", "--cache", cache]) == 1
+
+    def test_a_warm_cache_still_emits_tasks_and_coverage(self, tmp_path, capsys):
+        """A cached report holds no traces: asking for the tasks or the
+        coverage re-proves instead of silently dropping the flag."""
+        cache = str(tmp_path / "proofs")
+        cold, warm = tmp_path / "cold.c", tmp_path / "warm.c"
+        assert main(["verify", "nat", "--cache", cache, "--emit-tasks", str(cold)]) == 0
+        capsys.readouterr()
+        argv = ["verify", "nat", "--cache", cache, "--emit-tasks", str(warm)]
+        assert main(argv + ["--coverage"]) == 0
+        out = capsys.readouterr().out
+        assert "loaded from cache" not in out
+        assert "Branch coverage" in out
+        assert warm.read_bytes() == cold.read_bytes()
+        # With neither flag the same cache entry is served.
+        assert main(["verify", "nat", "--cache", cache]) == 0
+        assert "loaded from cache" in capsys.readouterr().out
 
 
 class TestCliExperiments:

@@ -3,7 +3,7 @@
 from repro.nat.config import NatConfig
 from repro.verif.engine import ExhaustiveSymbolicEngine
 from repro.verif.expr import eq, IntExpr
-from repro.verif.nf_env import vignat_symbolic_body
+from repro.verif.proofs import nat_proof
 from repro.verif.semantics import FirewallSemantics, NatSemantics
 from repro.verif.solver import Solver
 
@@ -11,7 +11,7 @@ CFG = NatConfig()
 
 
 def explore():
-    return ExhaustiveSymbolicEngine().explore(vignat_symbolic_body(CFG))
+    return ExhaustiveSymbolicEngine().explore(nat_proof(CFG).body)
 
 
 def classify(trace):
@@ -105,10 +105,10 @@ class TestFirewallSemanticsDiffers:
     def test_nat_spec_rejects_identity_forwarding(self):
         """Swapping the specs must break the proofs: the firewall's
         identity forwarding violates the NAT spec and vice versa."""
-        from repro.verif.nf_env_fw import firewall_symbolic_body
+        from repro.verif.proofs import firewall_proof
         from repro.verif.validator import Validator
 
-        fw_result = ExhaustiveSymbolicEngine().explore(firewall_symbolic_body(CFG))
+        fw_result = ExhaustiveSymbolicEngine().explore(firewall_proof(CFG).body)
         # The firewall verified under its own spec...
         own = Validator(FirewallSemantics(CFG)).validate(fw_result, "fw")
         assert own.p1.proven
@@ -126,9 +126,9 @@ class TestFirewallSemanticsDiffers:
     def test_port_rule_is_nat_specific(self):
         nat_result = explore()
         fw_sem_names = set()
-        from repro.verif.nf_env_fw import firewall_symbolic_body
+        from repro.verif.proofs import firewall_proof
 
-        fw_result = ExhaustiveSymbolicEngine().explore(firewall_symbolic_body(CFG))
+        fw_result = ExhaustiveSymbolicEngine().explore(firewall_proof(CFG).body)
         for trace in fw_result.tree.paths:
             fw_sem_names.update(
                 o.name for o in FirewallSemantics(CFG).obligations(trace)

@@ -14,7 +14,8 @@ import pytest
 from repro.nat.config import NatConfig
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP
 from repro.verif.engine import ExhaustiveSymbolicEngine
-from repro.verif.nf_env import SymbolicNatEnv, vignat_symbolic_body
+from repro.verif.nf_env import SymbolicFlowTableEnv
+from repro.verif.proofs import nat_proof
 from repro.verif.semantics import NatSemantics
 from repro.verif.validator import Validator
 
@@ -29,7 +30,7 @@ def validate(body, cfg=CFG):
 class TestVigNatVerifies:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return validate(vignat_symbolic_body(CFG))
+        return validate(nat_proof(CFG).body)
 
     def test_all_properties_proven(self, outcome):
         _, report = outcome
@@ -82,7 +83,7 @@ class TestMutationsAreCaught:
         """Skip the membership check on the external path."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             packet, now = _receive_flow_packet(env)
             if packet is None:
                 return
@@ -114,7 +115,7 @@ class TestMutationsAreCaught:
         """Forget to substitute the external IP on the outbound path."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             packet, now = _receive_flow_packet(env)
             if packet is None:
                 return
@@ -148,7 +149,7 @@ class TestMutationsAreCaught:
         """The security property: external packets must not create flows."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             packet, now = _receive_flow_packet(env)
             if packet is None:
                 return
@@ -177,7 +178,7 @@ class TestMutationsAreCaught:
         """Matched flows must have their timestamps refreshed."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             packet, now = _receive_flow_packet(env)
             if packet is None:
                 return
@@ -201,7 +202,7 @@ class TestMutationsAreCaught:
         """Pass a derived index the contract cannot bound."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             packet, now = _receive_flow_packet(env)
             if packet is None:
                 return
@@ -225,7 +226,7 @@ class TestMutationsAreCaught:
         """Dropping the underflow guard breaks the low-level proof."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             now = env.current_time()
             # BUG: unsigned underflow when now < Texp - 1.
             env.expire_flows(now - CFG.expiration_time + 1)
@@ -241,7 +242,7 @@ class TestMutationsAreCaught:
         """A data-dependent crash is found by exhaustive exploration."""
 
         def body(ctx):
-            env = SymbolicNatEnv(ctx, CFG)
+            env = SymbolicFlowTableEnv(ctx, CFG)
             packet, _now = _receive_flow_packet(env)
             if packet is None:
                 return
