@@ -151,12 +151,13 @@ def default_chain_spec(
 ) -> ChainSpec:
     """The scenario suite's reference chain: firewall → limiter → NAT.
 
-    A deliberately mixed pipeline: two hook-less NFs (connection
-    tracking, per-source budgeting) in front of the fast-path-capable
-    NAT, all on default 0/1 device numbering — the chain remaps devices
-    at each handoff. The limiter budget is set far above any scenario's
-    per-window offered load so it shapes nothing; it is in the chain to
-    carry state through checkpoints, not to police the test traffic.
+    A deliberately mixed pipeline — connection tracking, per-source
+    budgeting, address translation: three kinds of per-flow state, all
+    three publishing fast-path hooks — on default 0/1 device numbering;
+    the chain remaps devices at each handoff. The limiter budget is set
+    far above any scenario's per-window offered load so it shapes
+    nothing; it is in the chain to carry state through checkpoints, not
+    to police the test traffic.
     """
     nat_config = NatConfig(
         max_flows=max_flows, expiration_time=60_000_000, start_port=1000

@@ -37,7 +37,9 @@ Truth logs. Every stage owns a bounded
 (``rx``), emission (``tx``) and misroute (``drop``) regardless of the
 global observability switch — the last ``truth_log_capacity`` events
 per stage are always available for post-mortems via
-:meth:`ChainRuntime.stage_truth` — and ``chain_stage_*``
+:meth:`ChainRuntime.stage_truth`. A record is one tuple stored in the
+ring (the device as an int); the event objects and their ``"dev N"``
+strings are built when the log is read. ``chain_stage_*``
 counters/gauges are stamped with stage labels (via
 :func:`~repro.obs.with_labels`) in :meth:`ChainRuntime.snapshot_metrics`.
 
@@ -176,8 +178,12 @@ class ChainRuntime:
         # Per-stage effective fastpath: the spec's value where the NF
         # publishes hooks, "off" elsewhere (FastPathNat refuses NFs
         # without hooks; equivalence makes the mix byte-transparent).
+        # Asking costs a throwaway NF per stage, so nobody is asked
+        # when the answer is "off" either way.
         self._stage_fastpath: List[str] = [
-            spec.fastpath if stage.build_nf().fastpath_hooks() is not None else "off"
+            "off"
+            if spec.fastpath == "off" or stage.build_nf().fastpath_hooks() is None
+            else spec.fastpath
             for stage in spec.stages
         ]
         self.engines = [launch(self._stage_spec(i)) for i in range(n)]
@@ -189,7 +195,8 @@ class ChainRuntime:
         self._pending: List[List[Tuple[int, int, Packet]]] = [[] for _ in range(n)]
         # Truth logs + chain_stage_* counter state.
         self.stage_logs = [
-            FlightRecorder(spec.truth_log_capacity) for _ in range(n)
+            FlightRecorder(spec.truth_log_capacity, detail_unit="dev")
+            for _ in range(n)
         ]
         self._stage_rx = [0] * n
         self._stage_tx = [0] * n
@@ -333,9 +340,7 @@ class ChainRuntime:
     def _enqueue(self, index: int, device: int, ts: int, packet: Packet) -> None:
         self._pending[index].append((device, ts, packet))
         self._stage_rx[index] += 1
-        self.stage_logs[index].record(
-            flight.RX, t_us=ts, worker=index, detail=f"dev {device}"
-        )
+        self.stage_logs[index].record(flight.RX, ts, index, detail=device)
 
     def _sweep(self, order, now_us: int, burst: int) -> int:
         processed = 0
@@ -368,9 +373,7 @@ class ChainRuntime:
     def _route(self, index: int, port: int, ts: int, packet: Packet) -> None:
         stage = self.stages[index]
         self._stage_tx[index] += 1
-        self.stage_logs[index].record(
-            flight.TX, t_us=ts, worker=index, detail=f"dev {port}"
-        )
+        self.stage_logs[index].record(flight.TX, ts, index, detail=port)
         if port == stage.device_b:
             if index == len(self.stages) - 1:
                 self._exit(1, ts, packet)
@@ -394,7 +397,7 @@ class ChainRuntime:
                 t_us=ts,
                 worker=index,
                 reason=flight.REASON_CHAIN_MISROUTE,
-                detail=f"dev {port}",
+                detail=port,
             )
 
     def _exit(self, chain_port: int, ts: int, packet: Packet) -> None:

@@ -121,6 +121,16 @@ def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
     return out
 
 
+def expiry_threshold(now: int, lifetime: int) -> int:
+    """The oldest timestamp still alive at ``now``.
+
+    The clamped, underflow-free threshold every ``*_loop_iteration``
+    computes before its expiry scan (Fig. 6 ``expire_flows``; P2
+    requires the guard), for the hooks' once-per-burst scan.
+    """
+    return now - lifetime + 1 if now >= lifetime else 0
+
+
 def warm_actions(config, flow, token):
     """Both directions of a NAT flow as ``(flow key, CachedAction)`` pairs.
 
@@ -463,5 +473,6 @@ __all__ = [
     "FlowKey",
     "apply_endpoint_action",
     "check_fastpath",
+    "expiry_threshold",
     "warm_actions",
 ]

@@ -32,7 +32,8 @@ from repro.libvig.double_map import DoubleMap
 from repro.libvig.expirator import expire_items
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.flow import FlowId
+from repro.nat.fastpath import apply_endpoint_action, expiry_threshold
+from repro.nat.flow import FlowId, flow_id_of_packet, flow_key_of
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Packet
 
 
@@ -113,9 +114,7 @@ class _ConcreteFwEnv:
         return self._now
 
     def expire_sessions(self, min_time: int) -> None:
-        self._fw._expired_total += expire_items(
-            self._fw._chain, self._fw._sessions, min_time
-        )
+        self._fw._expire(min_time)
 
     def receive(self):
         from repro.nat.vignat import _ConcretePacketView
@@ -148,6 +147,58 @@ class _ConcreteFwEnv:
         self._fw._dropped_total += 1
 
 
+class _FirewallFastPathHooks:
+    """Microflow fast-path hooks over the firewall's session table.
+
+    A tracked session's verdict is "forward unchanged, refresh the
+    session" in both directions for as long as the session lives, so
+    that is what a hit replays: the identity action, and a rejuvenate
+    of the session's chain index. Drops — unsolicited external packets,
+    new flows refused by a full table — leave no session behind, hence
+    no token, and always re-consult the slow path. Both expiry scans
+    (the slow path's and ``begin_burst``'s) are the one routine
+    ``VigFirewall._expire``, which reports a dying session's two keys
+    before its slot is released (the ``VigNat._on_expire`` shape).
+    """
+
+    __slots__ = ("_fw",)
+    supports_raw = True
+
+    def __init__(self, fw: "VigFirewall") -> None:
+        self._fw = fw
+
+    def on_flow_freed(self, observer) -> None:
+        fw = self._fw
+        internal = fw.config.internal_device
+        external = fw.config.external_device
+
+        def session_freed(index: int) -> None:
+            fid = fw._sessions.get_value(index)
+            observer(
+                (flow_key_of(internal, fid), flow_key_of(external, fid.reversed()))
+            )
+
+        fw._session_freed = session_freed
+
+    def begin_burst(self, now: int) -> int:
+        fw = self._fw
+        fw._expire(expiry_threshold(now, fw.config.expiration_time))
+        return now
+
+    def learn_token(self, packet: Packet) -> Optional[int]:
+        fw = self._fw
+        if packet.device == fw.config.internal_device:
+            return fw._sessions.get_by_a(flow_id_of_packet(packet))
+        if packet.device == fw.config.external_device:
+            return fw._sessions.get_by_b(flow_id_of_packet(packet))
+        return None
+
+    def rejuvenate(self, token: int, now: int) -> None:
+        self._fw._chain.rejuvenate_index(token, now)
+
+    apply = staticmethod(apply_endpoint_action)
+
+
 class VigFirewall(NetworkFunction):
     """The verified connection-tracking firewall."""
 
@@ -165,6 +216,25 @@ class VigFirewall(NetworkFunction):
         self._expired_total = 0
         self._dropped_total = 0
         self._forwarded_total = 0
+        #: The microflow cache's per-index session-freed observer (set
+        #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
+        self._session_freed = None
+
+    def _expire(self, min_time: int) -> None:
+        """The one expiry scan: the slow path's and the fast path's.
+
+        ``expire_items`` calls the observer *before* the map entry is
+        erased, so the cache drops the session's two actions while its
+        5-tuple is still readable and its index cannot have been
+        reallocated yet.
+        """
+        self._expired_total += expire_items(
+            self._chain, self._sessions, min_time, on_expire=self._session_freed
+        )
+
+    def fastpath_hooks(self) -> _FirewallFastPathHooks:
+        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
+        return _FirewallFastPathHooks(self)
 
     def session_count(self) -> int:
         """Number of tracked sessions."""

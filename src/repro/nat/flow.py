@@ -49,6 +49,19 @@ def flow_id_of_packet(packet: Packet) -> FlowId:
     )
 
 
+def flow_key_of(device: int, flow_id: FlowId) -> FlowKey:
+    """The microflow-cache key a packet of ``flow_id`` bears on ``device``
+    (what :meth:`Packet.flow_key` answers for it)."""
+    return (
+        device,
+        flow_id.protocol,
+        flow_id.src_ip,
+        flow_id.src_port,
+        flow_id.dst_ip,
+        flow_id.dst_port,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Flow:
     """A NAT translation entry.
@@ -89,14 +102,7 @@ def microflow_keys(config, flow) -> Tuple[FlowKey, FlowKey]:
     """
     fid = flow.internal_id
     return (
-        (
-            config.internal_device,
-            fid.protocol,
-            fid.src_ip,
-            fid.src_port,
-            fid.dst_ip,
-            fid.dst_port,
-        ),
+        flow_key_of(config.internal_device, fid),
         (
             config.external_device,
             fid.protocol,

@@ -22,13 +22,14 @@ remove the guard and P2 fails (see the mutation test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol, Set
 
 from repro.libvig.double_chain import DoubleChain
 from repro.libvig.map import Map
 from repro.libvig.static_array import StaticArray
 from repro.nat.base import NetworkFunction
-from repro.packets.headers import ETHERTYPE_IPV4, Packet
+from repro.nat.fastpath import apply_endpoint_action, expiry_threshold
+from repro.packets.headers import ETHERTYPE_IPV4, FlowKey, Packet
 
 
 @dataclass(frozen=True)
@@ -145,15 +146,7 @@ class _ConcreteLimiterEnv:
         return self._now
 
     def expire_budgets(self, min_time: int) -> None:
-        limiter = self._limiter
-        while True:
-            index = limiter._chain.expire_one_index(min_time)
-            if index is None:
-                return
-            src_ip = limiter._source_of[index]
-            limiter._table.erase(src_ip)
-            del limiter._source_of[index]
-            limiter._expired_total += 1
+        self._limiter._expire(min_time)
 
     def receive(self) -> _FrameView:
         return _FrameView(self._packet)
@@ -175,7 +168,7 @@ class _ConcreteLimiterEnv:
         return self._limiter._counters.get(index)
 
     def counter_bump(self, index: int, new_value: int) -> None:
-        self._limiter._counters.set(index, new_value)
+        self._limiter._bump(index, new_value)
 
     def forward(self, packet: _FrameView, device: int) -> None:
         out = packet.packet.clone()
@@ -185,6 +178,74 @@ class _ConcreteLimiterEnv:
 
     def drop(self, packet: _FrameView) -> None:
         self._limiter._dropped_total += 1
+
+
+#: Learn token of the pass-through direction: no budget to spend.
+_EGRESS_TOKEN = -1
+
+
+class _LimiterFastPathHooks:
+    """Microflow fast-path hooks over the limiter's budget table.
+
+    A hit is "spend one packet", not "skip": the ingress token is the
+    source's budget index and ``rejuvenate`` bumps its counter through
+    ``VigLimiter._bump`` — the slow path's ``counter_bump`` — which
+    frees the source's actions the moment the count reaches
+    ``max_packets``; ``VigLimiter._expire`` (the slow path's scan and
+    ``begin_burst``'s) frees them when the fixed window closes. So a
+    cached ingress action is always inside an open budget with packets
+    left, and a hit checks nothing. A hit never refreshes the window:
+    no rejuvenation is the limiter's proven property.
+
+    One budget covers every 5-tuple its source sends, so the hooks
+    remember per open budget the flow keys they issued tokens for: the
+    actions to drop when it ends. The other direction is stateless
+    pass-through — a sentinel token, nothing to spend, nothing that ends.
+    """
+
+    __slots__ = ("_limiter", "_issued")
+    supports_raw = True
+
+    def __init__(self, limiter: "VigLimiter") -> None:
+        self._limiter = limiter
+        self._issued: Dict[int, Set[FlowKey]] = {}
+
+    def on_flow_freed(self, observer) -> None:
+        issued = self._issued
+
+        def budget_ended(index: int) -> None:
+            keys = issued.pop(index, None)
+            if keys:
+                observer(keys)
+
+        self._limiter._budget_ended = budget_ended
+
+    def begin_burst(self, now: int) -> int:
+        limiter = self._limiter
+        limiter._expire(expiry_threshold(now, limiter.config.window))
+        return now
+
+    def learn_token(self, packet: Packet) -> Optional[int]:
+        limiter = self._limiter
+        config = limiter.config
+        if packet.device == config.egress_device:
+            return _EGRESS_TOKEN
+        key = packet.flow_key()
+        if packet.device != config.ingress_device or key is None:
+            return None
+        index = limiter._table.get(key[2])  # the source address
+        if index is None or limiter._counters.get(index) >= config.max_packets:
+            return None  # no budget, or none left: the next packet drops
+        # A set: asking again about a cached key changes nothing.
+        self._issued.setdefault(index, set()).add(key)
+        return index
+
+    def rejuvenate(self, token: int, now: int) -> None:
+        if token != _EGRESS_TOKEN:
+            limiter = self._limiter
+            limiter._bump(token, limiter._counters.get(token) + 1)
+
+    apply = staticmethod(apply_endpoint_action)
 
 
 class VigLimiter(NetworkFunction):
@@ -201,6 +262,36 @@ class VigLimiter(NetworkFunction):
         self._expired_total = 0
         self._dropped_total = 0
         self._forwarded_total = 0
+        #: The microflow cache's per-index budget-ended observer (set
+        #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
+        self._budget_ended = None
+
+    def _expire(self, min_time: int) -> None:
+        """The one expiry scan: close every window opened before ``min_time``."""
+        ended = self._budget_ended
+        while True:
+            index = self._chain.expire_one_index(min_time)
+            if index is None:
+                return
+            if ended is not None:
+                ended(index)
+            self._table.erase(self._source_of.pop(index))
+            self._expired_total += 1
+
+    def _bump(self, index: int, new_value: int) -> None:
+        """The one place a budget is spent: slow path and fast path alike.
+
+        The packet that takes the last of the budget also ends the
+        source's cached actions, so the next one meets the slow path's
+        ``count < max_packets`` test and drops.
+        """
+        self._counters.set(index, new_value)
+        if new_value >= self.config.max_packets and self._budget_ended is not None:
+            self._budget_ended(index)
+
+    def fastpath_hooks(self) -> _LimiterFastPathHooks:
+        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
+        return _LimiterFastPathHooks(self)
 
     def tracked_sources(self) -> int:
         """Number of sources with an open budget window."""

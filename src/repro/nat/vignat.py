@@ -21,7 +21,11 @@ from repro.libvig.port_allocator import PortAllocator
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.core_logic import nat_loop_iteration
-from repro.nat.fastpath import apply_endpoint_action, warm_actions
+from repro.nat.fastpath import (
+    apply_endpoint_action,
+    expiry_threshold,
+    warm_actions,
+)
 from repro.nat.flow import Flow, FlowId, flow_id_of_packet, microflow_keys
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.packets.headers import Packet
@@ -201,12 +205,7 @@ class _VigNatFastPathHooks:
     def begin_burst(self, now: int) -> int:
         nat = self._nat
         now = nat._clamp_now(now)
-        # The same clamped threshold the stateless logic computes
-        # (Fig. 6 expire_flows; underflow-free, as P2 requires).
-        if now >= nat.config.expiration_time:
-            min_time = now - nat.config.expiration_time + 1
-        else:
-            min_time = 0
+        min_time = expiry_threshold(now, nat.config.expiration_time)
         expired = expire_items(
             nat._chain,
             nat._flow_table,

@@ -119,7 +119,7 @@ class DpdkRuntime:
                             flight.RX,
                             t_us=mbuf.timestamp,
                             worker=self.worker_id,
-                            detail=f"port {port_id}",
+                            detail=port_id,
                         )
                 results = nf.process_burst([m.packet for m in burst], now_us)
                 staged: Dict[int, List[Mbuf]] = {}
@@ -150,7 +150,7 @@ class DpdkRuntime:
                                 flight.TX,
                                 t_us=now_us,
                                 worker=self.worker_id,
-                                detail=f"port {out_port}",
+                                detail=out_port,
                             )
                     self.tx_burst(out_port, mbufs, now_us)
                 processed += len(burst)
@@ -581,7 +581,7 @@ class ShardedRuntime(SteeringFront):
                 flight.STEER,
                 t_us=timestamp,
                 worker=worker,
-                detail=f"port {port_id}",
+                detail=port_id,
             )
         runtime = self.units[worker].runtime
         accepted = runtime.inject(port_id, packet, timestamp)

@@ -606,7 +606,7 @@ class ProcessShardedRuntime(SteeringFront):
                 flight.STEER,
                 t_us=timestamp,
                 worker=worker,
-                detail=f"port {port_id}",
+                detail=port_id,
             )
         self._pending[worker].append(
             (port_id, packet.device, timestamp, packet.wire_bytes())

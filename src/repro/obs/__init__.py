@@ -31,7 +31,7 @@ enabled or not, the hot path is untouched.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Union
 
 from repro.obs.expo import (
     render_json,
@@ -72,7 +72,7 @@ class Recorder:
         t_us: int = 0,
         worker: int = 0,
         reason: str = "",
-        detail: str = "",
+        detail: Union[str, int] = "",
         wire: Optional[bytes] = None,
     ) -> None:
         self.flight.record(

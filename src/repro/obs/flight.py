@@ -10,15 +10,16 @@ frame bytes, the offending packets as a standard pcap openable in
 Wireshark.
 
 Recording is append-into-a-preallocated-ring: one index increment and
-one tuple store per event. When observability is disabled the data
-path never calls in here at all (see :mod:`repro.obs`).
+one tuple store per event; the event objects are built on read. When
+observability is disabled the data path never calls in here at all
+(see :mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 # -- stages ------------------------------------------------------------------
 RX = "rx"
@@ -79,13 +80,21 @@ class TraceEvent:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of :class:`TraceEvent` with anomaly dumping."""
+    """Bounded ring buffer of trace events with anomaly dumping.
 
-    def __init__(self, capacity: int = 1024) -> None:
+    The ring holds plain tuples; a :class:`TraceEvent` is built when
+    someone reads (:meth:`last`, :meth:`dump`), never per packet. A
+    call site that names a port or device passes the number as
+    ``detail`` and the read renders it ``"<detail_unit> N"``.
+    """
+
+    def __init__(self, capacity: int = 1024, detail_unit: str = "port") -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._ring: List[Optional[TraceEvent]] = [None] * capacity
+        self.detail_unit = detail_unit
+        #: (t_us, worker, stage, reason, detail, wire) at slot seq % capacity.
+        self._ring: List[Optional[tuple]] = [None] * capacity
         self._next_seq = 0
         self.dumps = 0
 
@@ -96,21 +105,12 @@ class FlightRecorder:
         t_us: int = 0,
         worker: int = 0,
         reason: str = REASON_NONE,
-        detail: str = "",
+        detail: Union[str, int] = "",
         wire: Optional[bytes] = None,
-    ) -> TraceEvent:
-        event = TraceEvent(
-            seq=self._next_seq,
-            t_us=t_us,
-            worker=worker,
-            stage=stage,
-            reason=reason,
-            detail=detail,
-            wire=wire,
-        )
-        self._ring[self._next_seq % self.capacity] = event
-        self._next_seq += 1
-        return event
+    ) -> None:
+        seq = self._next_seq
+        self._ring[seq % self.capacity] = (t_us, worker, stage, reason, detail, wire)
+        self._next_seq = seq + 1
 
     @property
     def recorded_total(self) -> int:
@@ -125,11 +125,14 @@ class FlightRecorder:
         retained = len(self)
         if n is None or n > retained:
             n = retained
-        start = self._next_seq - n
-        return [
-            self._ring[seq % self.capacity]  # type: ignore[misc]
-            for seq in range(start, self._next_seq)
-        ]
+        unit = self.detail_unit
+        events = []
+        for seq in range(self._next_seq - n, self._next_seq):
+            t_us, worker, stage, reason, detail, wire = self._ring[seq % self.capacity]
+            if type(detail) is int:
+                detail = f"{unit} {detail}"
+            events.append(TraceEvent(seq, t_us, worker, stage, reason, detail, wire))
+        return events
 
     # -- anomaly dumping ----------------------------------------------------
     def dump(self, directory, tag: str, reason: str) -> Dict[str, str]:

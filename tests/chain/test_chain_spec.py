@@ -9,6 +9,7 @@ from repro.chain import (
     default_chain_spec,
     launch_chain,
 )
+from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.config import NatConfig
 from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
@@ -16,6 +17,7 @@ from repro.net.app import INLINE, PROCESS
 from repro.obs import flight
 from repro.obs.expo import sample_value
 from repro.packets.builder import make_udp_packet
+from repro.packets.headers import Packet
 
 
 def noop_stage(name="noop", device_a=0, device_b=1):
@@ -240,6 +242,7 @@ class TestChainRuntime:
             ]
             assert len(drops) == 1
             assert drops[0].reason == flight.REASON_CHAIN_MISROUTE
+            assert drops[0].detail == "dev 1"
         finally:
             chain.stop()
 
@@ -275,13 +278,115 @@ class TestChainRuntime:
             chain.stop()
 
     def test_hookless_stages_run_fastpath_off(self):
-        # The firewall/limiter publish no fast-path hooks; a chain-wide
-        # fastpath setting must quietly not wrap them (FastPathNat
-        # would refuse) while still accelerating the NAT stage.
-        spec = default_chain_spec(fastpath="compiled", max_flows=64)
-        chain = launch_chain(spec)
+        # The bridge publishes no fast-path hooks; a chain-wide fastpath
+        # setting must quietly not wrap it (FastPathNat would refuse)
+        # while still accelerating the NAT stage behind it.
+        assert VigBridge().fastpath_hooks() is None
+        bridge = ChainStage("bridge", lambda cfg: VigBridge(cfg), BridgeConfig())
+        chain = launch_chain(
+            ChainSpec(stages=(bridge, nat_stage()), fastpath="compiled")
+        )
         try:
-            assert chain._stage_fastpath == ["off", "off", "compiled"]
+            assert chain._stage_fastpath == ["off", "compiled"]
+            for now in (10, 20):
+                frame = make_udp_packet("10.0.0.1", "203.0.113.9", 1024, 2000)
+                chain.inject(0, Packet.from_bytes(frame.wire_bytes(), 0), now)
+                chain.main_loop_burst(now)
+                assert [port for port, _, _ in chain.collect()] == [1]
+            bridge_ops, nat_ops = chain.per_stage_counters()
+            assert "fastpath_hits" not in bridge_ops
+            assert nat_ops["fastpath_hits"] == 1
+        finally:
+            chain.stop()
+
+    def test_every_reference_stage_publishes_hooks(self):
+        chain = launch_chain(default_chain_spec(fastpath="compiled", max_flows=64))
+        try:
+            assert chain._stage_fastpath == ["compiled"] * 3
+        finally:
+            chain.stop()
+
+    def test_fastpath_off_asks_no_nf_for_hooks(self):
+        # The hooks probe costs a throwaway NF (a full table) per stage;
+        # with the fast path off its answer is never used.
+        def built_per_stage(fastpath):
+            built = []
+
+            def factory(_cfg):
+                built.append(1)
+                return NoopForwarder()
+
+            launch_chain(
+                ChainSpec(stages=(ChainStage("s", factory),), fastpath=fastpath)
+            ).stop()
+            return len(built)
+
+        assert built_per_stage("off") == 1
+        assert built_per_stage("compiled") == 2
+
+    def test_frames_stay_wire_backed_to_both_exits(self):
+        # Every reference stage hits its cache after warm-up, and a hit
+        # on a wire-backed packet hands the next stage an image: nobody
+        # along the chain parses the frame, in either direction.
+        chain = launch_chain(default_chain_spec(fastpath="compiled", max_flows=64))
+        try:
+            out = make_udp_packet("10.0.0.1", "203.0.113.9", 1024, 2000)
+            for now in range(10, 50, 10):  # learn, earn the closures, hit
+                chain.inject(0, Packet.from_bytes(out.wire_bytes(), 0), now)
+                chain.main_loop_burst(now)
+                ((_, _, translated),) = chain.collect()
+                reply = make_udp_packet(
+                    "203.0.113.9", "192.0.2.1", 2000, translated.src_port, device=1
+                )
+                chain.inject(1, Packet.from_bytes(reply.wire_bytes(), 1), now + 5)
+                chain.main_loop_burst(now + 5)
+                ((port, _, back),) = chain.collect()
+                assert (port, back.dst_port) == (0, 1024)
+            before = chain.per_stage_counters()
+            chain.inject(0, Packet.from_bytes(out.wire_bytes(), 0), 60)
+            chain.inject(1, Packet.from_bytes(reply.wire_bytes(), 1), 60)
+            chain.main_loop_burst(60)
+            exits = dict((port, pkt) for port, _, pkt in chain.collect())
+            assert sorted(exits) == [0, 1]
+            assert exits[0].image is not None and exits[1].image is not None
+            assert exits[1].image == translated.wire_bytes()
+            assert exits[0].image == back.wire_bytes()
+            for was, after in zip(before, chain.per_stage_counters()):
+                fired = after["fastpath_compiled_hits"] - was["fastpath_compiled_hits"]
+                assert fired == 2
+                assert after["fastpath_misses"] == was["fastpath_misses"]
+        finally:
+            chain.stop()
+
+    def test_truth_log_reads_back_as_it_always_did(self):
+        # The ring stores tuples and the device as an int; what a reader
+        # sees is unchanged — same stages, workers and "dev N" strings.
+        chain = launch_chain(default_chain_spec(max_flows=64))
+        try:
+            chain.inject(0, make_udp_packet("10.0.0.1", "203.0.113.9", 1, 2000), 10)
+            chain.main_loop_burst(10)
+            ((_, _, translated),) = chain.collect()
+            reply = make_udp_packet(
+                "203.0.113.9", "192.0.2.1", 2000, translated.src_port, device=1
+            )
+            chain.inject(1, reply, 20)
+            chain.main_loop_burst(20)
+            for index in range(3):
+                log = chain.stage_truth(index)
+                assert log.recorded_total == 4
+                assert [event.to_dict() for event in log.last()] == [
+                    {"seq": seq, "t_us": t, "worker": index, "stage": stage,
+                     "detail": detail}
+                    for seq, (t, stage, detail) in enumerate(
+                        [
+                            (10, flight.RX, "dev 0"),
+                            (10, flight.TX, "dev 1"),
+                            (20, flight.RX, "dev 1"),
+                            (20, flight.TX, "dev 0"),
+                        ]
+                    )
+                ]
+                assert [e.seq for e in log.last(2)] == [2, 3]
         finally:
             chain.stop()
 

@@ -20,6 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
+from repro.nat.firewall import VigFirewall
+from repro.nat.limiter import LimiterConfig, VigLimiter
 from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
@@ -27,7 +29,7 @@ from repro.net.app import RuntimeSpec, launch
 from repro.net.dpdk import DpdkRuntime
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 from repro.packets.headers import Packet, ParseError
-from tests.nat.cache_invariant import assert_cache_within_live_flows
+from tests.nat.cache_invariant import assert_cache_within_live_flows, flow_state
 from tests.packets.mutations import NAMED_SHAPES, mutated_frames
 
 CFG_KW = dict(max_flows=8, expiration_time=2_000_000, start_port=1000)
@@ -237,6 +239,14 @@ WARM_NFS = {
         NatConfig(max_flows=8, expiration_time=WARM_EXPIRY_US)
     ),
     "noop": NoopForwarder,
+    "firewall": lambda: VigFirewall(
+        NatConfig(max_flows=8, expiration_time=WARM_EXPIRY_US)
+    ),
+    # A budget small enough that the run spends it: some of the frames
+    # below are the one that passes last, or the first that drops.
+    "limiter": lambda: VigLimiter(
+        LimiterConfig(capacity=8, window=WARM_EXPIRY_US, max_packets=6)
+    ),
 }
 
 
@@ -269,6 +279,16 @@ def _warm_flow_cases():
     return st.sampled_from(("udp", "tcp")).flatmap(frames_of)
 
 
+#: The three named shapes, one after the other, on the warm TCP flow.
+_NAMED_SHAPES_CASE = (
+    "tcp",
+    [
+        (shape(_warm_flow_packet("tcp").wire_bytes()), 1)
+        for shape in NAMED_SHAPES.values()
+    ],
+)
+
+
 def _offer(nf, frame, now):
     """One wire frame the way every runtime offers it: refused by
     ``Packet.from_bytes`` or handed, wire-backed or not, to
@@ -281,10 +301,6 @@ def _offer(nf, frame, now):
     return "emitted", _render(outs)
 
 
-def _flow_count(nf):
-    return nf.flow_count() if hasattr(nf, "flow_count") else 0
-
-
 class TestMutatedFramesOnAWarmFlow:
     """The one way in has no unchecked door: once a flow has earned its
     closure, a frame of that flow's 5-tuple that is *not* in canonical
@@ -294,16 +310,9 @@ class TestMutatedFramesOnAWarmFlow:
 
     @settings(max_examples=60, deadline=None)
     @given(nf=st.sampled_from(sorted(WARM_NFS)), case=_warm_flow_cases())
-    @example(
-        nf="vignat",
-        case=(
-            "tcp",
-            [
-                (shape(_warm_flow_packet("tcp").wire_bytes()), 1)
-                for shape in NAMED_SHAPES.values()
-            ],
-        ),
-    )
+    @example(nf="vignat", case=_NAMED_SHAPES_CASE)
+    @example(nf="firewall", case=_NAMED_SHAPES_CASE)
+    @example(nf="limiter", case=_NAMED_SHAPES_CASE)
     def test_refused_alike_or_emitted_byte_identical(self, nf, case):
         proto, steps = case
         fast, twin = FastPathNat(WARM_NFS[nf]()), WARM_NFS[nf]()
@@ -317,13 +326,168 @@ class TestMutatedFramesOnAWarmFlow:
         for frame, gap in steps:
             now += gap
             assert _offer(fast, frame, now) == _offer(twin, frame, now)
-            assert fast.flow_count() == _flow_count(twin)
+            assert flow_state(fast) == flow_state(twin)
         # Past the expiry time both sides have forgotten the flow (or
         # neither has): the next frame allocates alike.
         now += WARM_EXPIRY_US + 1
         assert _offer(fast, canonical, now) == _offer(twin, canonical, now)
-        assert fast.flow_count() == _flow_count(twin)
+        assert flow_state(fast) == flow_state(twin)
         assert fast.op_counters()["fastpath_compile_rejected"] == 0
+
+
+# -- the stateful filters: pass-unchanged verdicts, memoised ------------------
+FILTER_EXPIRY_US = 2_000_000
+FILTER_BUDGET = 3
+FILTERS = {
+    # Four slots, six flows: the table fills and refuses beside cached
+    # live sessions.
+    "firewall": lambda: VigFirewall(
+        NatConfig(max_flows=4, expiration_time=FILTER_EXPIRY_US)
+    ),
+    # Two slots, three sources, three packets a window each.
+    "limiter": lambda: VigLimiter(
+        LimiterConfig(capacity=2, window=FILTER_EXPIRY_US, max_packets=FILTER_BUDGET)
+    ),
+}
+
+
+def _filter_packet(direction, selector, kind):
+    """Flow ``selector`` leaving the inside, or the remote end's answer
+    to it — solicited only while the firewall tracks the flow."""
+    host = INTERNAL_IPS[selector % len(INTERNAL_IPS)]
+    make, rport = (make_tcp_packet, 80) if kind == "tcp" else (make_udp_packet, 53)
+    if direction == "out":
+        packet = make(host, REMOTE_IP, 1024 + selector, rport, device=0)
+    else:
+        packet = make(REMOTE_IP, host, rport, 1024 + selector, device=1)
+    if kind == "udp0":
+        packet.l4.checksum = 0
+    return packet
+
+
+def _filter_steps():
+    """Bursts of ``_steps()``-shaped traffic, with a checkpoint → restore
+    into fresh instances (no ``warm``) between some of them."""
+    step = st.tuples(
+        st.sampled_from(["out", "out", "in"]),
+        st.integers(0, 5),
+        st.sampled_from(["udp", "udp0", "tcp"]),
+    )
+    burst = st.tuples(
+        st.integers(0, 2_500_000),  # µs since the last burst: can cross expiry
+        st.booleans(),  # restore both sides from a checkpoint first
+        st.lists(step, min_size=1, max_size=8),
+    )
+    return st.lists(burst, min_size=1, max_size=12)
+
+
+def _burst_of(*steps, gap=1, restore=False):
+    steps = [step if len(step) == 3 else (*step, "udp") for step in steps]
+    return (gap, restore, steps)
+
+
+class TestStatefulFilters:
+    """``VigFirewall`` and ``VigLimiter`` behind the cache: wrapped ≡
+    unwrapped byte for byte and state for state after every burst, and
+    ``cache ⊆ live sessions / open budgets`` throughout — the limiter's
+    hit *spends a packet*, so its budget arithmetic is part of both."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        nf=st.sampled_from(sorted(FILTERS)),
+        bursts=_filter_steps(),
+        wire=st.booleans(),
+    )
+    # Budget spent mid-burst, on the hit path: frame FILTER_BUDGET
+    # passes, the next drops, and the source's sibling 5-tuple with it.
+    @example(
+        nf="limiter",
+        bursts=[_burst_of(*[("out", 0)] * (FILTER_BUDGET + 1), ("out", 3))],
+        wire=True,
+    )
+    # ...and on the miss path: every frame a new 5-tuple of one source.
+    @example(
+        nf="limiter",
+        bursts=[
+            _burst_of(("out", 0), ("out", 3), ("out", 0, "tcp"), ("out", 3, "tcp"))
+        ],
+        wire=False,
+    )
+    # Window expiry, then the same source re-admitted under the index
+    # it held before (libVig's free list is LIFO).
+    @example(
+        nf="limiter",
+        bursts=[
+            _burst_of(("out", 0), ("out", 0)),
+            _burst_of(("out", 0), ("out", 0), ("out", 0), gap=FILTER_EXPIRY_US),
+        ],
+        wire=True,
+    )
+    # Firewall session expiry with index reuse: flow 1 inherits flow 0's
+    # slot, and flow 0's old reply is unsolicited from then on.
+    @example(
+        nf="firewall",
+        bursts=[
+            _burst_of(("out", 0), ("in", 0), ("out", 0), ("in", 0)),
+            _burst_of(("out", 1), ("in", 0), ("in", 1), gap=FILTER_EXPIRY_US),
+        ],
+        wire=True,
+    )
+    # A full table refuses a new flow beside four cached live ones.
+    @example(
+        nf="firewall",
+        bursts=[
+            _burst_of(*[("out", n) for n in range(4)] * 2),
+            _burst_of(("out", 4), ("out", 0), ("out", 4), ("in", 4), ("in", 3)),
+        ],
+        wire=True,
+    )
+    # An unsolicited external probe stays a slow-path drop, every time.
+    @example(
+        nf="firewall",
+        bursts=[_burst_of(("in", 2), ("in", 2), ("out", 0), ("in", 2))],
+        wire=True,
+    )
+    # Checkpoint → restore → no warm: the first packet relearns.
+    @example(
+        nf="firewall",
+        bursts=[
+            _burst_of(("out", 0), ("out", 0), ("in", 0)),
+            _burst_of(("out", 0), ("in", 0), ("out", 0), restore=True),
+        ],
+        wire=True,
+    )
+    @example(
+        nf="limiter",
+        bursts=[
+            _burst_of(("out", 0), ("out", 0)),
+            _burst_of(("out", 0), ("out", 0), restore=True),
+        ],
+        wire=True,
+    )
+    def test_identical_and_cache_within_live_state(self, nf, bursts, wire):
+        fast, twin = FastPathNat(FILTERS[nf]()), FILTERS[nf]()
+        probes = {}
+        now = 0
+        for gap, restore, steps in bursts:
+            now += gap
+            if restore:
+                state = fast.checkpoint_state()
+                assert flow_state(fast) == flow_state(twin)
+                fast, twin = FastPathNat(FILTERS[nf]()), FILTERS[nf]()
+                fast.restore_state(state)
+                twin.restore_state(state)
+                assert fast.cache_size == 0
+            packets = [_filter_packet(*step) for step in steps]
+            offered = [_wire_backed(p) if wire else p.clone() for p in packets]
+            got = fast.process_burst(offered, now)
+            want = twin.process_burst([p.clone() for p in packets], now)
+            assert [_render(o) for o in got] == [_render(o) for o in want]
+            assert flow_state(fast) == flow_state(twin)
+            assert_cache_within_live_flows(fast, probes)
+        counters = fast.op_counters()
+        assert counters["fastpath_learn_rejected"] == 0
+        assert counters["fastpath_compile_rejected"] == 0
 
 
 class TestRuntimeMainLoop:

@@ -17,6 +17,13 @@ must be gone by then: a reply to the shared external port reaches B's
 host, a late packet of A's 5-tuple takes the slow path and gets
 whatever it allocates now, and neither flow's hits keep the other
 alive. Every step is compared byte-for-byte with an unwrapped twin.
+
+The firewall and the limiter publish the same hooks and are held to the
+same rule on their own state: a session's two actions die with the
+session (index reuse included), and a budget's actions die when the
+window closes *or the budget is spent* — a hit spends a packet, so the
+frame that takes the last of the budget passes and the next one drops,
+on the hit path exactly as on the slow path.
 """
 
 import random
@@ -26,11 +33,14 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
+from repro.nat.firewall import VigFirewall
+from repro.nat.flow import flow_id_of_packet
+from repro.nat.limiter import LimiterConfig, VigLimiter
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 from repro.packets.headers import Packet
-from tests.nat.cache_invariant import assert_cache_within_live_flows
+from tests.nat.cache_invariant import assert_cache_within_live_flows, flow_state
 
 REMOTE = "198.18.0.9"
 
@@ -68,8 +78,8 @@ GRID = [
 class _Pair:
     """A wrapped NF and its unwrapped twin, stepped in lockstep."""
 
-    def __init__(self, nf_class, drive, **config):
-        self.config = NatConfig(start_port=1000, **config)
+    def __init__(self, nf_class, drive, config=None, **nat_config):
+        self.config = config or NatConfig(start_port=1000, **nat_config)
         self.fast = FastPathNat(nf_class(self.config))
         self.slow = nf_class(self.config)
         self._drive = DRIVES[drive]
@@ -93,11 +103,7 @@ class _Pair:
     def assert_same_flow_state(self):
         """Same flows, same ages, same allocator: no hit touched a flow
         the slow path would not have, and none was left untouched."""
-        fast_state = self.fast.checkpoint_state()
-        slow_state = self.slow.checkpoint_state()
-        for state in (fast_state, slow_state):
-            state.pop("counters")  # a hit bypasses the slow path's counters
-        assert fast_state == slow_state
+        assert flow_state(self.fast) == flow_state(self.slow)
 
 
 def _host_packet(host, sport):
@@ -203,6 +209,155 @@ def test_unverified_eviction_when_full_takes_the_victims_actions(drive):
     assert pair.fast.cache_size <= 2 * pair.fast.flow_count()
     # (iii) hits moved the LRU exactly as the slow path would have.
     pair.assert_same_flow_state()
+
+
+# -- the firewall: a session's two actions die with the session --------------
+FILTER_DRIVES = ["process", "process_burst", "process_wire"]
+
+
+def _reply_of(packet):
+    """The frame the remote end sends back (the firewall rewrites nothing)."""
+    return make_udp_packet(
+        packet.ipv4.dst_ip,
+        packet.ipv4.src_ip,
+        packet.l4.dst_port,
+        packet.l4.src_port,
+        device=1,
+    )
+
+
+@pytest.mark.parametrize("drive", FILTER_DRIVES)
+def test_firewall_expired_sessions_index_reused_by_a_rival(drive):
+    pair = _Pair(VigFirewall, drive, max_flows=2, expiration_time=100)
+    flow_a, flow_b, flow_c = (_host_packet(h, 4_000 + h) for h in (5, 6, 7))
+
+    # A is established and hot in both directions.
+    for t in (0, 1):
+        assert len(pair.step(flow_a, t)) == 1
+    for t in (2, 3):
+        assert len(pair.step(_reply_of(flow_a), t)) == 1
+    assert pair.counters()["fastpath_hits"] == 2
+    assert pair.fast.cache_size == 2
+    sessions = pair.fast.inner._sessions
+    assert sessions.get_by_a(flow_id_of_packet(flow_a)) == 0
+
+    # An unsolicited external probe is a drop, never cached: every one
+    # of them meets the slow path.
+    misses = pair.counters()["fastpath_misses"]
+    for t in (4, 5):
+        assert pair.step(_reply_of(flow_b), t) == []
+    assert pair.counters()["fastpath_misses"] == misses + 2
+    assert pair.fast.cache_size == 2
+
+    # A expires; B is the very next create and inherits A's index.
+    assert len(pair.step(flow_b, 500)) == 1
+    assert sessions.get_by_a(flow_id_of_packet(flow_b)) == 0
+    assert pair.counters()["fastpath_invalidations"] == 2
+    assert pair.fast.cache_size == 1
+    # (i) A's old reply action is gone: its reply is unsolicited now.
+    assert pair.step(_reply_of(flow_a), 501) == []
+    # (ii) B's own reply passes, under the index A used to hold.
+    assert len(pair.step(_reply_of(flow_b), 502)) == 1
+    # (iii) the table fills; a new flow beside cached live ones is
+    # refused by the slow path every time, and costs them nothing.
+    assert len(pair.step(flow_c, 503)) == 1
+    hits = pair.counters()["fastpath_hits"]
+    for t in (504, 505):
+        assert pair.step(flow_a, t) == []  # table full: never evicts
+        assert len(pair.step(flow_b, t)) == 1
+        assert len(pair.step(flow_c, t)) == 1
+    assert pair.counters()["fastpath_hits"] == hits + 4
+    # (iv) hits alone keep B alive while C, left idle, dies on schedule.
+    for t in (560, 600, 650):
+        assert len(pair.step(flow_b, t)) == 1
+    assert pair.step(_reply_of(flow_c), 651) == []
+    assert len(pair.step(_reply_of(flow_b), 652)) == 1
+
+    pair.assert_same_flow_state()
+    counters = pair.counters()
+    if drive != "process":
+        assert counters["fastpath_compiled_hits"] > 0
+    assert counters["fastpath_compile_rejected"] == 0
+    assert counters["fastpath_learn_rejected"] == 0
+
+
+# -- the limiter: a hit spends a packet; spent or closed budgets own nothing --
+def _limiter_pair(drive, **config):
+    return _Pair(VigLimiter, drive, config=LimiterConfig(**config))
+
+
+@pytest.mark.parametrize("drive", FILTER_DRIVES)
+def test_limiter_budget_spent_on_the_hit_path_drops_the_next_frame(drive):
+    budget = 5
+    pair = _limiter_pair(drive, capacity=4, window=1_000, max_packets=budget)
+    flow = _host_packet(5, 4_000)
+    sibling = _host_packet(5, 4_001)  # same source, another 5-tuple
+    back = _reply_of(flow)
+
+    # Frame 1 opens the budget and is learned from; frame 3 is the
+    # sibling's first (a miss that spends, too); the rest are hits.
+    for n in range(1, budget + 1):
+        assert len(pair.step(flow if n != 3 else sibling, n)) == 1, n
+    assert pair.counters()["fastpath_hits"] == budget - 2
+    assert pair.fast.inner.budget_used(0x0A000005) == budget
+    # The frame that took the last of the budget took the source's
+    # actions with it — both 5-tuples' — so frame budget+1 is a miss
+    # and the slow path drops it.
+    assert pair.fast.cache_size == 0
+    misses = pair.counters()["fastpath_misses"]
+    assert pair.step(flow, budget + 1) == []
+    assert pair.step(sibling, budget + 2) == []
+    assert pair.counters()["fastpath_misses"] == misses + 2
+    # The other direction is pass-through, budget or no budget.
+    for t in (10, 11, 12):
+        assert len(pair.step(back, t)) == 1
+    assert pair.counters()["fastpath_hits"] == budget - 2 + 2
+
+    # The window closes on schedule — hits never refreshed it — and the
+    # same source is re-admitted under the index it held before.
+    assert len(pair.step(flow, 1_001)) == 1
+    assert pair.fast.inner.budget_used(0x0A000005) == 1
+    assert pair.fast.inner._table.get(0x0A000005) == 0
+    for t in (1_002, 1_003):
+        assert len(pair.step(flow, t)) == 1
+    assert pair.fast.inner.budget_used(0x0A000005) == 3
+    pair.assert_same_flow_state()
+    assert pair.counters()["fastpath_learn_rejected"] == 0
+    assert pair.counters()["fastpath_compile_rejected"] == 0
+
+
+@pytest.mark.parametrize("wire", [False, True], ids=["objects", "wire-backed"])
+@pytest.mark.parametrize("path", ["hit-path", "miss-path"])
+def test_limiter_budget_spent_mid_burst(path, wire):
+    """One burst carries a source across its budget: frame
+    ``max_packets`` passes and frame ``max_packets + 1`` drops, whether
+    the frames are hits (one 5-tuple, over and over) or misses (a new
+    5-tuple each time: every frame meets the slow path)."""
+    budget = 6
+    config = LimiterConfig(capacity=4, window=1_000, max_packets=budget)
+    fast, slow = FastPathNat(VigLimiter(config)), VigLimiter(config)
+    frames = [
+        _host_packet(5, 4_000 + (n if path == "miss-path" else 0))
+        for n in range(budget + 2)
+    ]
+    offered = [
+        Packet.from_bytes(p.wire_bytes(), p.device) if wire else p.clone()
+        for p in frames
+    ]
+    got = fast.process_burst(offered, 5)
+    want = slow.process_burst([p.clone() for p in frames], 5)
+    assert [[(o.wire_bytes(), o.device) for o in outs] for outs in got] == [
+        [(o.wire_bytes(), o.device) for o in outs] for outs in want
+    ]
+    assert [len(outs) for outs in got] == [1] * budget + [0, 0]
+    assert fast.inner.budget_used(0x0A000005) == budget
+    # Every frame but the first hit, or none did; either way the frame
+    # that spent the budget left the source no action to hit with.
+    hits = budget - 1 if path == "hit-path" else 0
+    assert fast.op_counters()["fastpath_hits"] == hits
+    assert fast.cache_size == 0
+    assert_cache_within_live_flows(fast)
+    assert flow_state(fast) == flow_state(slow)
 
 
 # -- churn: the gauges count live flows' actions, nothing else ---------------
