@@ -17,12 +17,9 @@ attempt, which is the point of verifying implementations (§1).
 Run:  python examples/find_the_bug.py
 """
 
-from typing import List
-
 from repro.nat import NatConfig, VigNat
-from repro.nat.vignat import _ConcreteEnv
 from repro.packets import ip_to_str, make_udp_packet
-from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Packet
+from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP
 from repro.verif.nf_env import SymbolicFlowTableEnv, symbolic_body
 from repro.verif.proofs import Proof
 from repro.verif.semantics import NatSemantics
@@ -79,11 +76,7 @@ class BuggyNat(VigNat):
     """The same hole, concretely: runs buggy_loop_iteration on libVig."""
 
     name = "buggy-nat"
-
-    def process(self, packet: Packet, now: int) -> List[Packet]:
-        env = _ConcreteEnv(self, packet, now)
-        buggy_loop_iteration(env, self.config)
-        return env.outputs
+    LOOP = staticmethod(buggy_loop_iteration)
 
 
 def main() -> None:

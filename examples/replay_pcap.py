@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Replay a pcap through the verified NAT, Wireshark-compatible I/O.
 
-Synthesizes a small capture of outbound traffic, replays it through
-VigNat with the DPDK-style application shell, and writes the translated
-frames to a second pcap — both files open in Wireshark/tcpdump.
+Synthesizes a small capture of outbound traffic, replays it through a
+launched VigNat runtime, and writes the translated frames to a second
+pcap — both files open in Wireshark/tcpdump.
 
 Run:  python examples/replay_pcap.py [input.pcap [output.pcap]]
 """
@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from repro.nat import NatConfig, VigNat
-from repro.net.app import NfApp
+from repro.net.app import INLINE, RuntimeSpec, launch, replay_pcap
 from repro.packets import ip_to_str, make_tcp_packet, make_udp_packet
 from repro.packets.pcap import read_pcap_file, write_pcap_file
 
@@ -42,8 +42,8 @@ def main() -> None:
         sys.argv[2] if len(sys.argv) >= 3 else str(Path(in_path).with_suffix(".nat.pcap"))
     )
 
-    app = NfApp(VigNat(NatConfig()))
-    records = app.replay_pcap(in_path, out_path)
+    app = launch(RuntimeSpec(nf_factory=VigNat, config=NatConfig(), execution=INLINE))
+    records = replay_pcap(app, in_path, out_path)
     print(f"replayed {len(read_pcap_file(in_path))} frames, "
           f"{len(records)} translated -> {out_path}")
     for record in records:

@@ -3,6 +3,8 @@
 - :mod:`repro.nat.config` — :class:`NatConfig`, the unified NF
   configuration every NAT accepts (and ``NatConfig.partition`` for the
   sharded data path),
+- :mod:`repro.nat.concrete` — the concrete half every loop-bound NF
+  shares (`PacketView`, `ConcreteEnv`, `LibvigNf`: the one turn),
 - :mod:`repro.nat.vignat` — the verified NAT (the paper's contribution),
 - :mod:`repro.nat.cgnat` — the stateless deterministic CGNAT
   (``DetNat``, a closed-form RFC 7422-style port bijection),

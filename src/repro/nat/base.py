@@ -12,7 +12,8 @@ Two entry points exist, as on real DPDK hardware:
 
 NFs additionally expose monotone operation counters that the testbed's
 cost model turns into per-packet processing latency — the simulation
-analogue of the CPU work a real DPDK NF performs.
+analogue of the CPU work a real DPDK NF performs. An NF declares them
+once, as its :attr:`NetworkFunction.COUNTERS` table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ class NetworkFunction(abc.ABC):
 
     #: Human-readable name used in experiment reports.
     name: str = "nf"
+
+    #: The counters this NF keeps as plain ints: ``op_counters()`` key →
+    #: attribute, in reporting order. Declared once; zeroing,
+    #: ``op_counters()``, a checkpoint's ``"counters"`` and
+    #: ``restore_state`` all read this table.
+    COUNTERS: Dict[str, str] = {}
+
+    #: The burst-path entries (bursts seen, packets they carried) a
+    #: burst-aware NF ends its table with.
+    BURST_COUNTERS = {
+        "bursts": "_bursts_total",
+        "burst_packets": "_burst_packets_total",
+    }
 
     # Class-level defaults so subclasses need not call ``__init__`` here;
     # the first increment shadows them with instance attributes.
@@ -58,21 +72,28 @@ class NetworkFunction(abc.ABC):
         self._bursts_total += 1
         self._burst_packets_total += size
 
-    def burst_counters(self) -> Dict[str, int]:
-        """Burst-path counters: bursts seen and packets they carried."""
-        return {
-            "bursts": self._bursts_total,
-            "burst_packets": self._burst_packets_total,
-        }
+    def _zero_counters(self) -> None:
+        for attr in self.COUNTERS.values():
+            setattr(self, attr, 0)
+
+    def _declared_counters(self) -> Dict[str, int]:
+        return {key: getattr(self, attr) for key, attr in self.COUNTERS.items()}
+
+    def _restore_counters(self, state: Dict) -> None:
+        """Adopt a checkpoint's ``"counters"``; a key it lacks reads 0."""
+        saved = state.get("counters", {})
+        for key, attr in self.COUNTERS.items():
+            setattr(self, attr, int(saved.get(key, 0)))
 
     def op_counters(self) -> Dict[str, int]:
         """Monotone counters of abstract work done so far.
 
         The cost model charges latency per counter increment. The base
-        implementation reports nothing, i.e. only the NF's fixed
-        per-packet cost applies.
+        implementation reports the declared :attr:`COUNTERS` — nothing
+        for an NF that declares none, i.e. only its fixed per-packet
+        cost applies; NFs with a derived entry (table probes) prepend it.
         """
-        return {}
+        return self._declared_counters()
 
     def fastpath_hooks(self):
         """Hooks for the microflow fast path (see :mod:`repro.nat.fastpath`).

@@ -21,12 +21,11 @@ the ``bridge`` entry of :data:`repro.verif.proofs.PROOFS`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, Optional, Protocol
 
 from repro.libvig.double_chain import DoubleChain
 from repro.libvig.map import Map
-from repro.nat.base import NetworkFunction
-from repro.packets.headers import Packet
+from repro.nat.concrete import ConcreteEnv, LibvigNf
 
 #: The all-ones broadcast address, as a 48-bit integer.
 BROADCAST_MAC = (1 << 48) - 1
@@ -120,103 +119,58 @@ def bridge_loop_iteration(env: BridgeEnv, config: Any) -> None:
     env.forward(frame, device=out_device)
 
 
-class _FrameView:
-    """Adapter exposing a concrete frame's fields to the stateless code."""
-
-    __slots__ = ("packet",)
-
-    def __init__(self, packet: Packet) -> None:
-        self.packet = packet
-
-    @property
-    def device(self) -> int:
-        return self.packet.device
-
-    @property
-    def src_mac(self) -> int:
-        return int.from_bytes(self.packet.eth.src, "big")
-
-    @property
-    def dst_mac(self) -> int:
-        return int.from_bytes(self.packet.eth.dst, "big")
-
-
 @dataclass
 class _Station:
     mac: int
     device: int
 
 
-class _ConcreteBridgeEnv:
-    """Binds the bridge logic to libVig and real frames."""
+class _ConcreteBridgeEnv(ConcreteEnv):
+    """``BridgeEnv`` over the bridge's libVig station table."""
 
-    def __init__(self, bridge: "VigBridge", packet: Packet, now: int) -> None:
-        self._bridge = bridge
-        self._packet = packet
-        self._now = now
-        self.outputs: List[Packet] = []
-
-    def current_time(self) -> int:
-        return self._now
-
-    def expire_entries(self, min_time: int) -> None:
-        bridge = self._bridge
-        while True:
-            index = bridge._chain.expire_one_index(min_time)
-            if index is None:
-                return
-            station = bridge._stations.pop(index)
-            bridge._table.erase(station.mac)
-            bridge._expired_total += 1
-
-    def receive(self) -> _FrameView:
-        return _FrameView(self._packet)
+    __slots__ = ()
+    expire_entries = ConcreteEnv.expire
 
     def table_get(self, mac: int) -> Optional[int]:
-        index = self._bridge._table.get(mac)
-        if index is None:
-            return None
-        return self._bridge._stations[index].device
+        return self._nf.port_of(mac)
 
     def table_has_room(self) -> bool:
-        return self._bridge._chain.size() < self._bridge.config.capacity
+        return self._nf._chain.size() < self._nf.config.capacity
 
     def table_learn_new(self, mac: int, device: int, now: int) -> None:
-        bridge = self._bridge
-        index = bridge._chain.allocate_new_index(now)
+        index = self._nf._chain.allocate_new_index(now)
         assert index is not None  # guarded by table_has_room
-        bridge._table.put(mac, index)
-        bridge._stations[index] = _Station(mac=mac, device=device)
+        self._nf._adopt(index, _Station(mac=mac, device=device))
 
     def table_refresh(self, mac: int, device: int, now: int) -> None:
-        bridge = self._bridge
+        bridge = self._nf
         index = bridge._table.get(mac)
         bridge._chain.rejuvenate_index(index, now)
         bridge._stations[index].device = device  # station may have moved
 
-    def forward(self, frame: _FrameView, device: int) -> None:
-        out = frame.packet.clone()
-        out.device = device
-        self.outputs.append(out)
-        self._bridge._forwarded_total += 1
 
-    def drop(self, frame: _FrameView) -> None:
-        self._bridge._dropped_total += 1
-
-
-class VigBridge(NetworkFunction):
+class VigBridge(LibvigNf):
     """The verified two-port learning bridge."""
 
     name = "verified-bridge"
+    LOOP = staticmethod(bridge_loop_iteration)
+    ENV = _ConcreteBridgeEnv
+    ROWS = "stations"
 
     def __init__(self, config: BridgeConfig | None = None) -> None:
-        self.config = config if config is not None else BridgeConfig()
+        super().__init__(config if config is not None else BridgeConfig())
         self._table = Map(self.config.capacity + self.config.capacity // 8 + 1)
         self._chain = DoubleChain(self.config.capacity)
         self._stations: Dict[int, _Station] = {}
-        self._expired_total = 0
-        self._dropped_total = 0
-        self._forwarded_total = 0
+
+    def _expire(self, min_time: int) -> None:
+        """The one expiry scan: forget every station idle since ``min_time``."""
+        while True:
+            index = self._chain.expire_one_index(min_time)
+            if index is None:
+                return
+            self._table.erase(self._stations.pop(index).mac)
+            self._expired_total += 1
 
     def station_count(self) -> int:
         """Number of learned stations."""
@@ -230,64 +184,24 @@ class VigBridge(NetworkFunction):
         return self._stations[index].device
 
     def op_counters(self) -> Dict[str, int]:
-        return {
-            "map_probes": self._table.stats.probes,
-            "expired": self._expired_total,
-            "dropped": self._dropped_total,
-            "forwarded": self._forwarded_total,
-        }
+        return {"map_probes": self._table.stats.probes, **self._declared_counters()}
 
-    def process(self, packet: Packet, now: int) -> List[Packet]:
-        env = _ConcreteBridgeEnv(self, packet, now)
-        bridge_loop_iteration(env, self.config)
-        return env.outputs
+    # -- checkpoint rows: learned stations ----------------------------------
+    def _row(self, index: int):
+        station = self._stations[index]
+        return station.mac, station.device
 
-    def checkpoint_state(self) -> Dict:
-        """Learned stations in chain age order, plus counters."""
-        stations = []
-        for index, touched in self._chain.cells():
-            station = self._stations[index]
-            stations.append([index, touched, station.mac, station.device])
-        return {
-            "stations": stations,
-            "free_list": list(self._chain.free_list()),
-            "counters": {
-                "expired": self._expired_total,
-                "dropped": self._dropped_total,
-                "forwarded": self._forwarded_total,
-            },
-        }
-
-    def restore_state(self, state: Dict) -> None:
-        """Rebuild the station table from a checkpoint, validated first.
-
-        Checks run before any structure is mutated: MACs must be
-        distinct and bound to one of this bridge's two ports, and the
-        chain cells age-ordered with in-range indices (enforced by
-        :meth:`DoubleChain.restore_cells`).
-        """
-        if self._chain.size() or self._stations:
-            raise ValueError("restore_state requires a freshly constructed NF")
-        cells = []
-        entries = []
-        seen = set()
+    def _parse_row(self, index: int, rest):
+        """MACs must be distinct and bound to one of this bridge's two ports."""
+        mac, device = rest
         valid_devices = (self.config.device_a, self.config.device_b)
-        for index, touched, mac, device in state.get("stations", []):
-            if mac in seen:
-                raise ValueError(f"MAC {mac:012x} appears twice in checkpoint")
-            if device not in valid_devices:
-                raise ValueError(
-                    f"station {mac:012x} bound to device {device}; this "
-                    f"bridge has ports {valid_devices}"
-                )
-            seen.add(mac)
-            cells.append((index, touched))
-            entries.append((index, _Station(mac=mac, device=device)))
-        self._chain.restore_cells(cells, state.get("free_list"))
-        for index, station in entries:
-            self._table.put(station.mac, index)
-            self._stations[index] = station
-        counters = state.get("counters", {})
-        self._expired_total = int(counters.get("expired", 0))
-        self._dropped_total = int(counters.get("dropped", 0))
-        self._forwarded_total = int(counters.get("forwarded", 0))
+        if device not in valid_devices:
+            raise ValueError(
+                f"station {mac:012x} bound to device {device}; this "
+                f"bridge has ports {valid_devices}"
+            )
+        return f"{mac:012x}", _Station(mac=mac, device=device)
+
+    def _adopt(self, index: int, station: _Station) -> None:
+        self._table.put(station.mac, index)
+        self._stations[index] = station

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.nat.base import NetworkFunction
+from repro.nat.concrete import ConcreteEnv, PacketView
 from repro.nat.config import NatConfig
-from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.packets.addresses import ip_to_int
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Packet
 
@@ -265,77 +265,22 @@ def det_nat_loop_iteration(env: DetNatEnv, config: CgnatConfig) -> None:
         env.drop(packet)
 
 
-class _DetConcretePacketView:
-    """Field access on a concrete packet for the stateless CGNAT code."""
+class _DetConcreteEnv(ConcreteEnv):
+    """``DetNatEnv`` over real packets: the arithmetic, no state to bind."""
 
-    __slots__ = ("packet",)
-
-    def __init__(self, packet: Packet) -> None:
-        self.packet = packet
-
-    @property
-    def ethertype(self) -> int:
-        return self.packet.eth.ethertype
-
-    @property
-    def protocol(self) -> int:
-        return self.packet.ipv4.protocol if self.packet.ipv4 is not None else 0
-
-    @property
-    def device(self) -> int:
-        return self.packet.device
-
-    @property
-    def src_ip(self) -> int:
-        assert self.packet.ipv4 is not None
-        return self.packet.ipv4.src_ip
-
-    @property
-    def dst_ip(self) -> int:
-        assert self.packet.ipv4 is not None
-        return self.packet.ipv4.dst_ip
-
-    @property
-    def src_port(self) -> int:
-        return self.packet.src_port
-
-    @property
-    def dst_port(self) -> int:
-        return self.packet.dst_port
-
-
-class _DetConcreteEnv:
-    """Binds the stateless CGNAT logic to real packets (no state to bind)."""
-
-    __slots__ = ("_nat", "_packet", "_domain_miss", "outputs")
-
-    def __init__(self, nat: "DetNat", packet: Packet) -> None:
-        self._nat = nat
-        self._packet = packet
-        self._domain_miss = False
-        self.outputs: List[Packet] = []
-
-    def rebind(self, packet: Packet) -> None:
-        self._packet = packet
-        self._domain_miss = False
-        self.outputs = []
-
-    def receive(self) -> Optional[_DetConcretePacketView]:
-        return _DetConcretePacketView(self._packet)
+    __slots__ = ()
 
     def subscriber_block(self, src_ip: int) -> Optional[int]:
-        config = self._nat.config
+        config = self._nf.config
         subscriber = config.subscriber_of_ip(src_ip)
         if subscriber is None:
-            self._domain_miss = True
             return None
         return config.block_start(subscriber)
 
     def block_of_port(self, dst_port: int) -> Optional[Tuple[int, int]]:
-        config = self._nat.config
+        config = self._nf.config
         index = dst_port - config.domain_start_port
         if not 0 <= index < config.domain_size:
-            self._domain_miss = True
             return None
         subscriber = index // config.ports_per_subscriber
         return (
@@ -343,40 +288,21 @@ class _DetConcreteEnv:
             config.block_start(subscriber),
         )
 
-    def emit(
-        self,
-        packet: _DetConcretePacketView,
-        device: int,
-        src_ip: int,
-        src_port: int,
-        dst_ip: int,
-        dst_port: int,
-    ) -> None:
-        out = packet.packet.clone()
-        if (src_ip, src_port) != (packet.src_ip, packet.src_port):
-            rewrite_source(out, src_ip, src_port)
-        if (dst_ip, dst_port) != (packet.dst_ip, packet.dst_port):
-            rewrite_destination(out, dst_ip, dst_port)
-        out.device = device
-        self.outputs.append(out)
-        self._nat._forwarded_total += 1
-
-    def drop(self, packet: _DetConcretePacketView) -> None:
-        self._nat._dropped_total += 1
-        if self._domain_miss:
-            # The RFC 7422 trade-off, made visible: a stateful NAT would
-            # have allocated a port here.
-            self._nat._dropped_out_of_domain += 1
-            self._domain_miss = False
-        # The port-restriction drop (in-pool subscriber, port outside
-        # its window) also counts as out-of-domain.
-        elif (
+    def drop(self, packet: PacketView) -> None:
+        nat = self._nf
+        nat._dropped_total += 1
+        # The RFC 7422 trade-off, made visible: past the three header
+        # checks the loop drops only for the mapping's sake — an address
+        # outside the pool, a port outside the subscriber's window or
+        # outside the domain — where a stateful NAT would have allocated
+        # a port or consulted its table.
+        if (
             packet.ethertype == ETHERTYPE_IPV4
             and packet.protocol in (PROTO_TCP, PROTO_UDP)
-            and packet.device == self._nat.config.internal_device
-            and self._nat.config.subscriber_of_ip(packet.src_ip) is not None
+            and packet.device
+            in (nat.config.internal_device, nat.config.external_device)
         ):
-            self._nat._dropped_out_of_domain += 1
+            nat._dropped_out_of_domain += 1
 
 
 class DetNat(NetworkFunction):
@@ -397,6 +323,14 @@ class DetNat(NetworkFunction):
     """
 
     name = "det-nat"
+    LOOP = staticmethod(det_nat_loop_iteration)
+    ENV = _DetConcreteEnv
+    COUNTERS = {
+        "forwarded": "_forwarded_total",
+        "dropped": "_dropped_total",
+        "dropped_out_of_domain": "_dropped_out_of_domain",
+        **NetworkFunction.BURST_COUNTERS,
+    }
 
     def __init__(self, config: CgnatConfig | NatConfig | None = None) -> None:
         if config is None:
@@ -407,9 +341,7 @@ class DetNat(NetworkFunction):
                 "parameters); got a plain NatConfig"
             )
         self.config: CgnatConfig = config
-        self._forwarded_total = 0
-        self._dropped_total = 0
-        self._dropped_out_of_domain = 0
+        self._zero_counters()
 
     # -- introspection ------------------------------------------------------
     def flow_count(self) -> int:
@@ -423,15 +355,6 @@ class DetNat(NetworkFunction):
     def internal_endpoint_of(self, ext_port: int) -> Optional[Tuple[int, int]]:
         """The internal (addr, port) a translated external port names."""
         return self.config.map_return(ext_port)
-
-    def op_counters(self) -> Dict[str, int]:
-        counters = {
-            "forwarded": self._forwarded_total,
-            "dropped": self._dropped_total,
-            "dropped_out_of_domain": self._dropped_out_of_domain,
-        }
-        counters.update(self.burst_counters())
-        return counters
 
     # -- checkpoint/restore -------------------------------------------------
     def checkpoint_state(self) -> Dict:
@@ -485,8 +408,8 @@ class DetNat(NetworkFunction):
 
     # -- the packet path ----------------------------------------------------
     def process(self, packet: Packet, now: int) -> List[Packet]:
-        env = _DetConcreteEnv(self, packet)
-        det_nat_loop_iteration(env, self.config)
+        env = self.ENV(self, packet)
+        self.LOOP(env, self.config)
         return env.outputs
 
     def process_burst(
@@ -496,11 +419,11 @@ class DetNat(NetworkFunction):
         self._note_burst(len(packets))
         if not packets:
             return []
-        env = _DetConcreteEnv(self, packets[0])
+        env = self.ENV(self, packets[0])
         results: List[List[Packet]] = []
         for packet in packets:
             env.rebind(packet)
-            det_nat_loop_iteration(env, self.config)
+            self.LOOP(env, self.config)
             results.append(env.outputs)
         return results
 

@@ -1,0 +1,298 @@
+"""The concrete half of a verified NF, written once.
+
+The paper's §9 claim is that libVig amortises across NFs: a new NF is a
+stateless ``*_loop_iteration`` plus a thin binding to the library. The
+proof side of that binding is :mod:`repro.verif` (one symbolic table
+skeleton, one contract registry); this module is the deployed side —
+what :class:`~repro.nat.vignat.VigNat`,
+:class:`~repro.nat.firewall.VigFirewall`,
+:class:`~repro.nat.limiter.VigLimiter`,
+:class:`~repro.nat.bridge.VigBridge` and
+:class:`~repro.nat.cgnat.DetNat` do identically:
+
+- :class:`PacketView` — the fields of a real packet, as the stateless
+  code reads them;
+- :class:`ConcreteEnv` — the clock, packet I/O and the amortised expiry
+  scan of an env; an NF's own env adds only its table operations;
+- :class:`LibvigNf` — *the* turn: clamp the clock, bind one env per
+  burst, run ``LOOP``. ``LOOP`` is the very function object the NF's
+  proof explores (``tests/integration/test_end_to_end.py`` holds every
+  proof to that), so "the code that runs is the code that was verified"
+  is established here, for every NF at once.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Sequence
+
+from repro.nat.base import NetworkFunction
+from repro.nat.flow import FlowId, flow_id_of_packet
+from repro.nat.rewrite import rewrite_destination, rewrite_source
+from repro.packets.headers import Packet
+
+
+class PacketView:
+    """Adapter exposing a concrete packet's fields to the stateless code."""
+
+    __slots__ = ("packet",)
+
+    def __init__(self, packet: Packet) -> None:
+        self.packet = packet
+
+    @property
+    def ethertype(self) -> int:
+        return self.packet.eth.ethertype
+
+    @property
+    def protocol(self) -> int:
+        # A non-IPv4 packet never reaches the protocol check (the
+        # stateless code tests ethertype first), but return a harmless
+        # value for robustness.
+        return self.packet.ipv4.protocol if self.packet.ipv4 is not None else 0
+
+    @property
+    def device(self) -> int:
+        return self.packet.device
+
+    @property
+    def src_mac(self) -> int:
+        return int.from_bytes(self.packet.eth.src, "big")
+
+    @property
+    def dst_mac(self) -> int:
+        return int.from_bytes(self.packet.eth.dst, "big")
+
+    @property
+    def src_ip(self) -> int:
+        assert self.packet.ipv4 is not None
+        return self.packet.ipv4.src_ip
+
+    @property
+    def dst_ip(self) -> int:
+        assert self.packet.ipv4 is not None
+        return self.packet.ipv4.dst_ip
+
+    @property
+    def src_port(self) -> int:
+        return self.packet.src_port
+
+    @property
+    def dst_port(self) -> int:
+        return self.packet.dst_port
+
+    def flow_id(self) -> FlowId:
+        return flow_id_of_packet(self.packet)
+
+
+class ConcreteEnv:
+    """Binds stateless NF logic to real packet I/O and the NF's counters.
+
+    One env serves a whole burst: :meth:`rebind` points it at the next
+    packet, and the expiry scan runs only on the first loop iteration —
+    the stateless code still *requests* expiry every iteration (its
+    verified structure is untouched), but within one burst all packets
+    share one timestamp, so rescanning would find nothing to expire.
+
+    A subclass aliases :meth:`expire` to the name its loop calls
+    (``expire_flows = ConcreteEnv.expire``) and adds its table
+    operations over ``self._nf``.
+    """
+
+    __slots__ = ("_nf", "_packet", "_now", "_expiry_done", "outputs")
+
+    def __init__(self, nf, packet: Packet, now: int = 0) -> None:
+        self._nf = nf
+        self._packet = packet
+        self._now = now
+        self._expiry_done = False
+        self.outputs: List[Packet] = []
+
+    def rebind(self, packet: Packet) -> None:
+        """Point the env at the next packet of the burst."""
+        self._packet = packet
+        self.outputs = []
+
+    def current_time(self) -> int:
+        return self._now
+
+    def expire(self, min_time: int) -> None:
+        nf = self._nf
+        if self._expiry_done:
+            nf._expiry_scans_amortized += 1
+            return
+        self._expiry_done = True
+        nf._expire(min_time)
+
+    def receive(self) -> PacketView:
+        return PacketView(self._packet)
+
+    def forward(self, packet: PacketView, device: int) -> None:
+        out = packet.packet.clone()
+        out.device = device
+        self.outputs.append(out)
+        self._nf._forwarded_total += 1
+
+    def emit(
+        self,
+        packet: PacketView,
+        device: int,
+        src_ip: int,
+        src_port: int,
+        dst_ip: int,
+        dst_port: int,
+    ) -> None:
+        out = packet.packet.clone()
+        if (src_ip, src_port) != (packet.src_ip, packet.src_port):
+            rewrite_source(out, src_ip, src_port)
+        if (dst_ip, dst_port) != (packet.dst_ip, packet.dst_port):
+            rewrite_destination(out, dst_ip, dst_port)
+        out.device = device
+        self.outputs.append(out)
+        self._nf._forwarded_total += 1
+
+    def drop(self, packet: PacketView) -> None:
+        self._nf._dropped_total += 1
+
+
+class LibvigNf(NetworkFunction):
+    """A verified NF over libVig state: its loop, its env, its table.
+
+    A subclass names ``LOOP`` (``staticmethod(<its>_loop_iteration)``)
+    and ``ENV`` (its :class:`ConcreteEnv`), builds its table and a
+    ``self._chain`` (the :class:`~repro.libvig.double_chain.DoubleChain`
+    that ages it), and writes ``_expire(min_time)`` — the one expiry
+    scan, the slow path's and its fast-path hooks' — plus its checkpoint
+    rows: ``ROWS``, ``_row``, ``_parse_row``, ``_adopt``.
+    """
+
+    LOOP: Callable[..., None]
+    ENV: type
+    #: The checkpoint key the table's rows travel under.
+    ROWS: str
+
+    COUNTERS = {
+        "expired": "_expired_total",
+        "dropped": "_dropped_total",
+        "forwarded": "_forwarded_total",
+        "expiry_scans_amortized": "_expiry_scans_amortized",
+        "clock_clamped": "_clock_clamped",
+        **NetworkFunction.BURST_COUNTERS,
+    }
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self._zero_counters()
+        self._last_now = 0
+
+    def _clamp_now(self, now: int) -> int:
+        """Monotonic clock at the concrete-env boundary.
+
+        libVig's double chain keeps timestamps non-decreasing and raises
+        :class:`~repro.libvig.double_chain.TimeRegression` on violation —
+        correct for the library, but a backwards hardware timestamp must
+        not crash an NF's data path (P2 is a crash-freedom proof). A
+        regressing ``now`` is clamped to the newest time already seen,
+        the same defense ``rte_get_timer_cycles`` wrappers apply.
+        """
+        if now < self._last_now:
+            self._clock_clamped += 1
+            return self._last_now
+        self._last_now = now
+        return now
+
+    # -- the packet path: the shared stateless logic over libVig ------------
+    def process(self, packet: Packet, now: int) -> List[Packet]:
+        """One loop iteration: expire, update, forward (Fig. 6)."""
+        env = self.ENV(self, packet, self._clamp_now(now))
+        self.LOOP(env, self.config)
+        return env.outputs
+
+    def process_burst(
+        self, packets: Sequence[Packet], now: int
+    ) -> List[List[Packet]]:
+        """One RX burst through the loop, expiry scanned once for all.
+
+        All packets of a burst share one receive timestamp (one
+        ``rte_rdtsc`` read per main-loop turn, as VigNAT's C loop does),
+        so the expiry scan on the first iteration already covers the
+        rest; the shared env suppresses the redundant rescans and counts
+        them as ``expiry_scans_amortized``.
+        """
+        now = self._clamp_now(now)
+        self._note_burst(len(packets))
+        if not packets:
+            return []
+        env = self.ENV(self, packets[0], now)
+        loop, config = self.LOOP, self.config
+        results: List[List[Packet]] = []
+        for packet in packets:
+            env.rebind(packet)
+            loop(env, config)
+            results.append(env.outputs)
+        return results
+
+    # -- checkpoint/restore ------------------------------------------------
+    def checkpoint_state(self) -> Dict:
+        """The table's rows in chain age order, plus the counters.
+
+        The chain's cell list *is* the abstract state the refinement
+        contracts reason about; serializing in that order lets restore
+        rebuild an identical chain (same LRU order, same free list).
+        Every row is ``[index, touched, *self._row(index)]``.
+        """
+        return {
+            self.ROWS: [
+                [index, touched, *self._row(index)]
+                for index, touched in self._chain.cells()
+            ],
+            # Free-index order is observable through what future
+            # allocations pick; carrying it makes a restored NF replay
+            # byte-identically. Standby-synthesized checkpoints omit it.
+            "free_list": list(self._chain.free_list()),
+            "counters": self._declared_counters(),
+        }
+
+    def _parse_rows(self, rows) -> List:
+        """``(index, entry)`` per row, every row checked, nothing mutated.
+
+        ``_parse_row(index, rest)`` answers ``(key, entry)`` for the
+        row ``[index, touched, *rest]`` or raises ``ValueError``; keys
+        must be distinct across the table.
+        """
+        seen = set()
+        entries = []
+        for index, _touched, *rest in rows:
+            key, entry = self._parse_row(index, rest)
+            if key in seen:
+                raise ValueError(
+                    f"{self.ROWS}: {key!r} appears twice in checkpoint"
+                )
+            seen.add(key)
+            entries.append((index, entry))
+        return entries
+
+    def restore_state(self, state: Dict) -> None:
+        """Rebuild libVig state from a checkpoint payload, validated first.
+
+        All checks run before any structure is mutated: the NF's own
+        per-row invariants and key uniqueness (:meth:`_parse_rows`), then
+        the chain's — cells age-ordered with distinct in-range indices
+        (:meth:`DoubleChain.restore_cells`).
+
+        The restored clock (``_last_now``) is the checkpoint's when it
+        carries one, floored at the newest row's timestamp — so a
+        restore at an earlier wall time T' < T *clamps* forward instead
+        of mass-expiring (thresholds are computed from the clamped
+        clock) or tripping TimeRegression.
+        """
+        if self._chain.size():
+            raise ValueError("restore_state requires a freshly constructed NF")
+        rows = state.get(self.ROWS, [])
+        entries = self._parse_rows(rows)
+        cells = [(row[0], row[1]) for row in rows]
+        self._chain.restore_cells(cells, state.get("free_list"))
+        for index, entry in entries:
+            self._adopt(index, entry)
+        newest = cells[-1][1] if cells else 0
+        self._last_now = max(int(state.get("last_now_us", 0)), newest)
+        self._restore_counters(state)

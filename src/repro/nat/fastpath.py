@@ -200,6 +200,10 @@ class FastPathNat(NetworkFunction):
     inner NF stays reachable as ``.inner`` for introspection.
     """
 
+    #: The wrapper's own bursts, which shadow the inner NF's: behind the
+    #: wrapper the inner NF sees single packets only.
+    COUNTERS = NetworkFunction.BURST_COUNTERS
+
     def __init__(self, inner: NetworkFunction, max_entries: int = 65_536) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
@@ -231,7 +235,7 @@ class FastPathNat(NetworkFunction):
 
     def op_counters(self) -> Dict[str, int]:
         counters = dict(self.inner.op_counters())
-        counters.update(self.burst_counters())
+        counters.update(self._declared_counters())
         for stem, _help in _COUNTERS:
             counters[f"fastpath_{stem}"] = getattr(self, f"_{stem}")
         return counters

@@ -25,12 +25,12 @@ by the ``firewall`` entry of :data:`repro.verif.proofs.PROOFS`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, Optional, Protocol
 
 from repro.libvig.double_chain import DoubleChain
 from repro.libvig.double_map import DoubleMap
 from repro.libvig.expirator import expire_items
-from repro.nat.base import NetworkFunction
+from repro.nat.concrete import ConcreteEnv, LibvigNf
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import apply_endpoint_action, expiry_threshold
 from repro.nat.flow import FlowId, flow_id_of_packet, flow_key_of
@@ -101,50 +101,27 @@ def firewall_loop_iteration(env: FirewallEnv, config: Any) -> None:
         env.drop(packet)
 
 
-class _ConcreteFwEnv:
-    """Binds the firewall logic to libVig and real packets."""
+class _ConcreteFwEnv(ConcreteEnv):
+    """``FirewallEnv`` over the firewall's libVig session table."""
 
-    def __init__(self, fw: "VigFirewall", packet: Packet, now: int) -> None:
-        self._fw = fw
-        self._packet = packet
-        self._now = now
-        self.outputs: List[Packet] = []
-
-    def current_time(self) -> int:
-        return self._now
-
-    def expire_sessions(self, min_time: int) -> None:
-        self._fw._expire(min_time)
-
-    def receive(self):
-        from repro.nat.vignat import _ConcretePacketView
-
-        return _ConcretePacketView(self._packet)
+    __slots__ = ()
+    expire_sessions = ConcreteEnv.expire
 
     def session_get_internal(self, packet) -> Optional[int]:
-        return self._fw._sessions.get_by_a(packet.flow_id())
+        return self._nf._sessions.get_by_a(packet.flow_id())
 
     def session_get_external(self, packet) -> Optional[int]:
-        return self._fw._sessions.get_by_b(packet.flow_id())
+        return self._nf._sessions.get_by_b(packet.flow_id())
 
     def session_create(self, packet, now: int) -> Optional[int]:
-        index = self._fw._chain.allocate_new_index(now)
+        index = self._nf._chain.allocate_new_index(now)
         if index is None:
             return None
-        self._fw._sessions.put(index, packet.flow_id())
+        self._nf._sessions.put(index, packet.flow_id())
         return index
 
     def session_rejuvenate(self, index: int, now: int) -> None:
-        self._fw._chain.rejuvenate_index(index, now)
-
-    def forward(self, packet, device: int) -> None:
-        out = packet.packet.clone()
-        out.device = device
-        self.outputs.append(out)
-        self._fw._forwarded_total += 1
-
-    def drop(self, packet) -> None:
-        self._fw._dropped_total += 1
+        self._nf._chain.rejuvenate_index(index, now)
 
 
 class _FirewallFastPathHooks:
@@ -182,6 +159,7 @@ class _FirewallFastPathHooks:
 
     def begin_burst(self, now: int) -> int:
         fw = self._fw
+        now = fw._clamp_now(now)
         fw._expire(expiry_threshold(now, fw.config.expiration_time))
         return now
 
@@ -199,23 +177,23 @@ class _FirewallFastPathHooks:
     apply = staticmethod(apply_endpoint_action)
 
 
-class VigFirewall(NetworkFunction):
+class VigFirewall(LibvigNf):
     """The verified connection-tracking firewall."""
 
     name = "verified-firewall"
+    LOOP = staticmethod(firewall_loop_iteration)
+    ENV = _ConcreteFwEnv
+    ROWS = "sessions"
 
     def __init__(self, config: NatConfig | None = None) -> None:
         # NatConfig is reused: external_ip is simply unused by a firewall.
-        self.config = config if config is not None else NatConfig()
+        super().__init__(config if config is not None else NatConfig())
         self._sessions = DoubleMap(
             capacity=self.config.max_flows,
             key_a_of=lambda fid: fid,
             key_b_of=lambda fid: fid.reversed(),
         )
         self._chain = DoubleChain(self.config.max_flows)
-        self._expired_total = 0
-        self._dropped_total = 0
-        self._forwarded_total = 0
         #: The microflow cache's per-index session-freed observer (set
         #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
         self._session_freed = None
@@ -245,67 +223,19 @@ class VigFirewall(NetworkFunction):
         return self._sessions.get_by_a(flow_id) is not None
 
     def op_counters(self) -> Dict[str, int]:
-        return {
-            "map_probes": self._sessions.probe_count,
-            "expired": self._expired_total,
-            "dropped": self._dropped_total,
-            "forwarded": self._forwarded_total,
-        }
+        return {"map_probes": self._sessions.probe_count, **self._declared_counters()}
 
-    def process(self, packet: Packet, now: int) -> List[Packet]:
-        env = _ConcreteFwEnv(self, packet, now)
-        firewall_loop_iteration(env, self.config)
-        return env.outputs
+    # -- checkpoint rows: the VigNat layout, minus the port column (a
+    # firewall rewrites nothing) ---------------------------------------------
+    def _row(self, index: int):
+        fid = self._sessions.get_value(index)
+        return ([fid.src_ip, fid.src_port, fid.dst_ip, fid.dst_port, fid.protocol],)
 
-    def checkpoint_state(self) -> Dict:
-        """Session state in chain age order (the VigNat layout, minus
-        the port column: a firewall rewrites nothing)."""
-        sessions = []
-        for index, touched in self._chain.cells():
-            fid = self._sessions.get_value(index)
-            sessions.append(
-                [
-                    index,
-                    touched,
-                    [fid.src_ip, fid.src_port, fid.dst_ip, fid.dst_port, fid.protocol],
-                ]
-            )
-        return {
-            "sessions": sessions,
-            "free_list": list(self._chain.free_list()),
-            "counters": {
-                "expired": self._expired_total,
-                "dropped": self._dropped_total,
-                "forwarded": self._forwarded_total,
-            },
-        }
+    def _parse_row(self, index: int, rest):
+        """The 5-tuples must be distinct (double-map key-A uniqueness)."""
+        (fid_fields,) = rest
+        fid = FlowId(*fid_fields)
+        return fid, fid
 
-    def restore_state(self, state: Dict) -> None:
-        """Rebuild the session table from a checkpoint, validated first.
-
-        Every check runs before any structure is mutated: the internal
-        5-tuples must be distinct (double-map key-A uniqueness) and the
-        chain cells age-ordered with in-range indices (enforced by
-        :meth:`DoubleChain.restore_cells`).
-        """
-        if self._sessions.size() or self._chain.size():
-            raise ValueError("restore_state requires a freshly constructed NF")
-        cells = []
-        entries = []
-        seen = set()
-        for index, touched, fid_fields in state.get("sessions", []):
-            fid = FlowId(*fid_fields)
-            if fid in seen:
-                raise ValueError(
-                    f"session 5-tuple {fid} appears twice in checkpoint"
-                )
-            seen.add(fid)
-            cells.append((index, touched))
-            entries.append((index, fid))
-        self._chain.restore_cells(cells, state.get("free_list"))
-        for index, fid in entries:
-            self._sessions.put(index, fid)
-        counters = state.get("counters", {})
-        self._expired_total = int(counters.get("expired", 0))
-        self._dropped_total = int(counters.get("dropped", 0))
-        self._forwarded_total = int(counters.get("forwarded", 0))
+    def _adopt(self, index: int, fid: FlowId) -> None:
+        self._sessions.put(index, fid)

@@ -22,12 +22,12 @@ remove the guard and P2 fails (see the mutation test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Set
+from typing import Any, Dict, Optional, Protocol, Set
 
 from repro.libvig.double_chain import DoubleChain
 from repro.libvig.map import Map
 from repro.libvig.static_array import StaticArray
-from repro.nat.base import NetworkFunction
+from repro.nat.concrete import ConcreteEnv, LibvigNf
 from repro.nat.fastpath import apply_endpoint_action, expiry_threshold
 from repro.packets.headers import ETHERTYPE_IPV4, FlowKey, Packet
 
@@ -113,71 +113,27 @@ def limiter_loop_iteration(env: LimiterEnv, config: Any) -> None:
         env.drop(packet)
 
 
-class _FrameView:
-    __slots__ = ("packet",)
+class _ConcreteLimiterEnv(ConcreteEnv):
+    """``LimiterEnv`` over the limiter's libVig budget table."""
 
-    def __init__(self, packet: Packet) -> None:
-        self.packet = packet
-
-    @property
-    def ethertype(self) -> int:
-        return self.packet.eth.ethertype
-
-    @property
-    def device(self) -> int:
-        return self.packet.device
-
-    @property
-    def src_ip(self) -> int:
-        assert self.packet.ipv4 is not None
-        return self.packet.ipv4.src_ip
-
-
-class _ConcreteLimiterEnv:
-    """Binds the limiter logic to libVig and real packets."""
-
-    def __init__(self, limiter: "VigLimiter", packet: Packet, now: int) -> None:
-        self._limiter = limiter
-        self._packet = packet
-        self._now = now
-        self.outputs: List[Packet] = []
-
-    def current_time(self) -> int:
-        return self._now
-
-    def expire_budgets(self, min_time: int) -> None:
-        self._limiter._expire(min_time)
-
-    def receive(self) -> _FrameView:
-        return _FrameView(self._packet)
+    __slots__ = ()
+    expire_budgets = ConcreteEnv.expire
 
     def budget_get(self, src_ip: int) -> Optional[int]:
-        return self._limiter._table.get(src_ip)
+        return self._nf._table.get(src_ip)
 
     def budget_create(self, src_ip: int, now: int) -> Optional[int]:
-        limiter = self._limiter
-        index = limiter._chain.allocate_new_index(now)
+        index = self._nf._chain.allocate_new_index(now)
         if index is None:
             return None
-        limiter._table.put(src_ip, index)
-        limiter._source_of[index] = src_ip
-        limiter._counters.set(index, 1)
+        self._nf._adopt(index, (src_ip, 1))
         return index
 
     def counter_read(self, index: int) -> int:
-        return self._limiter._counters.get(index)
+        return self._nf._counters.get(index)
 
     def counter_bump(self, index: int, new_value: int) -> None:
-        self._limiter._bump(index, new_value)
-
-    def forward(self, packet: _FrameView, device: int) -> None:
-        out = packet.packet.clone()
-        out.device = device
-        self.outputs.append(out)
-        self._limiter._forwarded_total += 1
-
-    def drop(self, packet: _FrameView) -> None:
-        self._limiter._dropped_total += 1
+        self._nf._bump(index, new_value)
 
 
 #: Learn token of the pass-through direction: no budget to spend.
@@ -222,6 +178,7 @@ class _LimiterFastPathHooks:
 
     def begin_burst(self, now: int) -> int:
         limiter = self._limiter
+        now = limiter._clamp_now(now)
         limiter._expire(expiry_threshold(now, limiter.config.window))
         return now
 
@@ -248,20 +205,20 @@ class _LimiterFastPathHooks:
     apply = staticmethod(apply_endpoint_action)
 
 
-class VigLimiter(NetworkFunction):
+class VigLimiter(LibvigNf):
     """The verified per-source fixed-window rate limiter."""
 
     name = "verified-limiter"
+    LOOP = staticmethod(limiter_loop_iteration)
+    ENV = _ConcreteLimiterEnv
+    ROWS = "budgets"
 
     def __init__(self, config: LimiterConfig | None = None) -> None:
-        self.config = config if config is not None else LimiterConfig()
+        super().__init__(config if config is not None else LimiterConfig())
         self._table = Map(self.config.capacity + self.config.capacity // 8 + 1)
         self._chain = DoubleChain(self.config.capacity)
         self._counters = StaticArray(self.config.capacity)
         self._source_of: Dict[int, int] = {}
-        self._expired_total = 0
-        self._dropped_total = 0
-        self._forwarded_total = 0
         #: The microflow cache's per-index budget-ended observer (set
         #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
         self._budget_ended = None
@@ -305,65 +262,24 @@ class VigLimiter(NetworkFunction):
         return self._counters.get(index)
 
     def op_counters(self) -> Dict[str, int]:
-        return {
-            "map_probes": self._table.stats.probes,
-            "expired": self._expired_total,
-            "dropped": self._dropped_total,
-            "forwarded": self._forwarded_total,
-        }
+        return {"map_probes": self._table.stats.probes, **self._declared_counters()}
 
-    def process(self, packet: Packet, now: int) -> List[Packet]:
-        env = _ConcreteLimiterEnv(self, packet, now)
-        limiter_loop_iteration(env, self.config)
-        return env.outputs
+    # -- checkpoint rows: open budget windows -------------------------------
+    def _row(self, index: int):
+        return self._source_of[index], self._counters.get(index)
 
-    def checkpoint_state(self) -> Dict:
-        """Open budget windows in chain age order, plus counters."""
-        budgets = []
-        for index, touched in self._chain.cells():
-            budgets.append(
-                [index, touched, self._source_of[index], self._counters.get(index)]
+    def _parse_row(self, index: int, rest):
+        """Sources must be distinct, spent counts within ``(0, max_packets]``."""
+        src_ip, count = rest
+        if not 0 < count <= self.config.max_packets:
+            raise ValueError(
+                f"source {src_ip} spent {count} of a "
+                f"{self.config.max_packets}-packet budget"
             )
-        return {
-            "budgets": budgets,
-            "free_list": list(self._chain.free_list()),
-            "counters": {
-                "expired": self._expired_total,
-                "dropped": self._dropped_total,
-                "forwarded": self._forwarded_total,
-            },
-        }
+        return src_ip, (src_ip, count)
 
-    def restore_state(self, state: Dict) -> None:
-        """Rebuild the budget table from a checkpoint, validated first.
-
-        Checks run before any structure is mutated: sources must be
-        distinct, spent counts within ``(0, max_packets]``, and the
-        chain cells age-ordered with in-range indices (enforced by
-        :meth:`DoubleChain.restore_cells`).
-        """
-        if self._chain.size() or self._source_of:
-            raise ValueError("restore_state requires a freshly constructed NF")
-        cells = []
-        entries = []
-        seen = set()
-        for index, touched, src_ip, count in state.get("budgets", []):
-            if src_ip in seen:
-                raise ValueError(f"source {src_ip} appears twice in checkpoint")
-            if not 0 < count <= self.config.max_packets:
-                raise ValueError(
-                    f"source {src_ip} spent {count} of a "
-                    f"{self.config.max_packets}-packet budget"
-                )
-            seen.add(src_ip)
-            cells.append((index, touched))
-            entries.append((index, src_ip, count))
-        self._chain.restore_cells(cells, state.get("free_list"))
-        for index, src_ip, count in entries:
-            self._table.put(src_ip, index)
-            self._source_of[index] = src_ip
-            self._counters.set(index, count)
-        counters = state.get("counters", {})
-        self._expired_total = int(counters.get("expired", 0))
-        self._dropped_total = int(counters.get("dropped", 0))
-        self._forwarded_total = int(counters.get("forwarded", 0))
+    def _adopt(self, index: int, budget) -> None:
+        src_ip, count = budget
+        self._table.put(src_ip, index)
+        self._source_of[index] = src_ip
+        self._counters.set(index, count)

@@ -69,35 +69,30 @@ class NetfilterNat(NetworkFunction):
     #: short-expiry configurations behave exactly as before.
     NEW_TIMEOUT_US = 30_000_000
 
+    COUNTERS = {
+        "hook_traversals": "_hook_traversals",
+        "checksum_bytes": "_checksum_bytes",
+        "dropped": "_dropped_total",
+        "forwarded": "_forwarded_total",
+        "expired": "_expired_total",
+        "expiry_scans_amortized": "_expiry_scans_amortized",
+        **NetworkFunction.BURST_COUNTERS,
+    }
+
     def __init__(self, config: NatConfig | None = None) -> None:
         self.config = config if config is not None else NatConfig()
         self._table = ChainingHashTable(bucket_count=self.config.max_flows)
         self._lru: "OrderedDict[int, _Conntrack]" = OrderedDict()
         self._next_port = self.config.start_port
         self._free_ports: List[int] = []
-        self._hook_traversals = 0
-        self._checksum_bytes = 0
-        self._dropped_total = 0
-        self._forwarded_total = 0
-        self._expired_total = 0
-        self._expiry_scans_amortized = 0
+        self._zero_counters()
 
     def flow_count(self) -> int:
         """Number of tracked connections."""
         return len(self._lru)
 
     def op_counters(self) -> Dict[str, int]:
-        counters = {
-            "table_probes": self._table.stats.probes,
-            "hook_traversals": self._hook_traversals,
-            "checksum_bytes": self._checksum_bytes,
-            "dropped": self._dropped_total,
-            "forwarded": self._forwarded_total,
-            "expired": self._expired_total,
-            "expiry_scans_amortized": self._expiry_scans_amortized,
-        }
-        counters.update(self.burst_counters())
-        return counters
+        return {"table_probes": self._table.stats.probes, **self._declared_counters()}
 
     # -- conntrack bookkeeping ---------------------------------------------
     def _timeout_of(self, ct: _Conntrack) -> int:
@@ -196,16 +191,7 @@ class NetfilterNat(NetworkFunction):
             "conns": conns,
             "next_port": self._next_port,
             "free_ports": list(self._free_ports),
-            "counters": {
-                "hook_traversals": self._hook_traversals,
-                "checksum_bytes": self._checksum_bytes,
-                "dropped": self._dropped_total,
-                "forwarded": self._forwarded_total,
-                "expired": self._expired_total,
-                "expiry_scans_amortized": self._expiry_scans_amortized,
-                "bursts": self._bursts_total,
-                "burst_packets": self._burst_packets_total,
-            },
+            "counters": self._declared_counters(),
         }
 
     def restore_state(self, state: Dict) -> None:
@@ -243,15 +229,7 @@ class NetfilterNat(NetworkFunction):
             self._lru[port] = ct
         self._next_port = next_port
         self._free_ports = free_ports
-        counters = state.get("counters", {})
-        self._hook_traversals = int(counters.get("hook_traversals", 0))
-        self._checksum_bytes = int(counters.get("checksum_bytes", 0))
-        self._dropped_total = int(counters.get("dropped", 0))
-        self._forwarded_total = int(counters.get("forwarded", 0))
-        self._expired_total = int(counters.get("expired", 0))
-        self._expiry_scans_amortized = int(counters.get("expiry_scans_amortized", 0))
-        self._bursts_total = int(counters.get("bursts", 0))
-        self._burst_packets_total = int(counters.get("burst_packets", 0))
+        self._restore_counters(state)
 
     # -- packet path ---------------------------------------------------------
     def process(self, packet: Packet, now: int) -> List[Packet]:

@@ -54,13 +54,14 @@ class NoopForwarder(NetworkFunction):
     """Forward every packet to the paired device, untouched."""
 
     name = "noop"
+    COUNTERS = {"forwarded": "_forwarded_total", **NetworkFunction.BURST_COUNTERS}
 
     def __init__(self, device_a: int = 0, device_b: int = 1) -> None:
         if device_a == device_b:
             raise ValueError("devices must differ")
         self.device_a = device_a
         self.device_b = device_b
-        self._forwarded_total = 0
+        self._zero_counters()
 
     def process(self, packet: Packet, now: int) -> List[Packet]:
         out = packet.clone()
@@ -73,27 +74,13 @@ class NoopForwarder(NetworkFunction):
         self._forwarded_total += 1
         return [out]
 
-    def op_counters(self) -> Dict[str, int]:
-        counters = {"forwarded": self._forwarded_total}
-        counters.update(self.burst_counters())
-        return counters
-
     def fastpath_hooks(self) -> _NoopFastPathHooks:
         return _NoopFastPathHooks(self)
 
     # -- checkpoint/restore ------------------------------------------------
     def checkpoint_state(self) -> Dict:
         """No flow state — only the counters, for seamless metrics."""
-        return {
-            "counters": {
-                "forwarded": self._forwarded_total,
-                "bursts": self._bursts_total,
-                "burst_packets": self._burst_packets_total,
-            }
-        }
+        return {"counters": self._declared_counters()}
 
     def restore_state(self, state: Dict) -> None:
-        counters = state.get("counters", {})
-        self._forwarded_total = int(counters.get("forwarded", 0))
-        self._bursts_total = int(counters.get("bursts", 0))
-        self._burst_packets_total = int(counters.get("burst_packets", 0))
+        self._restore_counters(state)

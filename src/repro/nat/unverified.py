@@ -137,6 +137,14 @@ class UnverifiedNat(NetworkFunction):
     """RFC 3022 NAT over a chaining hash table, no contracts, no proofs."""
 
     name = "unverified-nat"
+    COUNTERS = {
+        "dropped": "_dropped_total",
+        "forwarded": "_forwarded_total",
+        "evicted": "_evicted_total",
+        "expired": "_expired_total",
+        "expiry_scans_amortized": "_expiry_scans_amortized",
+        **NetworkFunction.BURST_COUNTERS,
+    }
 
     def __init__(self, config: NatConfig | None = None) -> None:
         self.config = config if config is not None else NatConfig()
@@ -147,11 +155,7 @@ class UnverifiedNat(NetworkFunction):
         self._lru: "OrderedDict[int, _Entry]" = OrderedDict()
         self._next_port = self.config.start_port
         self._free_ports: List[int] = []
-        self._dropped_total = 0
-        self._forwarded_total = 0
-        self._evicted_total = 0
-        self._expired_total = 0
-        self._expiry_scans_amortized = 0
+        self._zero_counters()
         #: Optional per-flow delta observer (see base.delta_sink).
         self._delta_sink = None
         #: The microflow cache's flow-freed observer (set through
@@ -168,17 +172,11 @@ class UnverifiedNat(NetworkFunction):
         return self._by_internal.has(internal_id)
 
     def op_counters(self) -> Dict[str, int]:
-        counters = {
+        return {
             "table_probes": self._by_internal.stats.probes
             + self._by_external.stats.probes,
-            "dropped": self._dropped_total,
-            "forwarded": self._forwarded_total,
-            "evicted": self._evicted_total,
-            "expired": self._expired_total,
-            "expiry_scans_amortized": self._expiry_scans_amortized,
+            **self._declared_counters(),
         }
-        counters.update(self.burst_counters())
-        return counters
 
     # -- state handling (sprinkled, not contracted) ------------------------
     def _expire(self, now: int) -> None:
@@ -254,15 +252,7 @@ class UnverifiedNat(NetworkFunction):
             "flows": flows,
             "next_port": self._next_port,
             "free_ports": list(self._free_ports),
-            "counters": {
-                "dropped": self._dropped_total,
-                "forwarded": self._forwarded_total,
-                "evicted": self._evicted_total,
-                "expired": self._expired_total,
-                "expiry_scans_amortized": self._expiry_scans_amortized,
-                "bursts": self._bursts_total,
-                "burst_packets": self._burst_packets_total,
-            },
+            "counters": self._declared_counters(),
         }
 
     def restore_state(self, state: Dict) -> None:
@@ -310,14 +300,7 @@ class UnverifiedNat(NetworkFunction):
             self._lru[port] = entry
         self._next_port = next_port
         self._free_ports = free_ports
-        counters = state.get("counters", {})
-        self._dropped_total = int(counters.get("dropped", 0))
-        self._forwarded_total = int(counters.get("forwarded", 0))
-        self._evicted_total = int(counters.get("evicted", 0))
-        self._expired_total = int(counters.get("expired", 0))
-        self._expiry_scans_amortized = int(counters.get("expiry_scans_amortized", 0))
-        self._bursts_total = int(counters.get("bursts", 0))
-        self._burst_packets_total = int(counters.get("burst_packets", 0))
+        self._restore_counters(state)
 
     def register_metrics(self, registry, labels=None) -> None:
         """Operation counters plus flow-table occupancy/expiry/eviction."""

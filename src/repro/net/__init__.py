@@ -34,10 +34,11 @@ outside the repository should import from ``repro.net`` directly.
 from repro.net.app import (
     EXECUTION_MODES,
     InlineRuntime,
-    NfApp,
     Runtime,
     RuntimeSpec,
     launch,
+    replay,
+    replay_pcap,
 )
 from repro.net.costmodel import CostModel
 from repro.net.dpdk import DpdkRuntime, ShardedRuntime
@@ -76,7 +77,6 @@ __all__ = [
     "LatencyStats",
     "MbufPool",
     "NatSteering",
-    "NfApp",
     "PacketSource",
     "Port",
     "ProbeFlows",
@@ -96,6 +96,8 @@ __all__ = [
     "WorkerCrashed",
     "launch",
     "merge_sources",
+    "replay",
+    "replay_pcap",
     "rss_hash_packet",
     "rss_queue",
 ]

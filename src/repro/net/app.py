@@ -2,10 +2,10 @@
 
 Two things live here:
 
-- :class:`NfApp` — the paper's ``main()`` over a trace: each poll is
-  the runtime's own turn — receive a burst, run the NF, transmit or
-  free each buffer — with the no-leak discipline Vigor's ownership
-  tracking enforces (§5.2.4).
+- :func:`replay` / :func:`replay_pcap` — the paper's ``main()`` over a
+  trace, on any launched runtime: one turn per arrival — receive a
+  burst, run the NF, transmit or free each buffer — with the no-leak
+  discipline Vigor's ownership tracking enforces (§5.2.4).
 - The **deployment facade**: a frozen :class:`RuntimeSpec` describing a
   whole deployment (NF factory, config, workers, execution mode,
   fastpath, faults, replication) and :func:`launch`, which turns the
@@ -19,7 +19,13 @@ checkpoint/restore), placed differently, so ``checkpoint()`` and
 ``restore()`` mean the same thing in all three:
 
 - ``inline`` — :class:`InlineRuntime`: one shard, no steering stage.
-  The minimal single-core deployment.
+  The minimal single-core deployment, and measurably not a spelling of
+  one-worker ``ShardedRuntime``: routed that way, ``noop-64`` reads
+  ``fwd_pps`` 441.6k → 251.1k, ``nat-hot`` 220.0k → 158.3k,
+  ``chain-hot`` 74.3k → 52.2k (5/5 pairs each), and with
+  ``RssNic.select`` short-circuited at one queue ``noop-64`` is still
+  ``probe_p50_us`` 5.24 → 6.72 µs, +28 % against a 0.25 bound
+  (``docs/SCALING.md`` §1 has the pairs).
 - ``threaded-deterministic`` — :class:`~repro.net.dpdk.ShardedRuntime`:
   N shards round-robined in one thread. Fully deterministic; this is
   the *verification oracle* the process mode is differentially tested
@@ -46,7 +52,7 @@ from typing import (
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import check_fastpath
-from repro.net.dpdk import DpdkRuntime, Shard, ShardedRuntime
+from repro.net.dpdk import Shard, ShardedRuntime
 from repro.obs.registry import MetricsRegistry
 from repro.packets.headers import Packet
 from repro.packets.pcap import PcapRecord, read_pcap_file, write_pcap_file
@@ -308,70 +314,42 @@ def launch(spec: RuntimeSpec) -> Runtime:
     return runtime
 
 
-class NfApp:
-    """One NF on one :class:`~repro.net.dpdk.DpdkRuntime`, for trace replay.
+def replay(
+    runtime: Runtime, arrivals: Iterable[Tuple[int, int, Packet]]
+) -> List[Tuple[int, int, Packet]]:
+    """Feed (time_us, port, packet) arrivals to a launched runtime;
+    returns its transmissions.
 
-    :meth:`poll` is the runtime's own main-loop turn
-    (:meth:`~repro.net.dpdk.DpdkRuntime.main_loop_burst`: rx_burst →
-    ``process_burst`` → one ``tx_burst`` per output port per RX burst,
-    dropped buffers freed and counted), the turn every launched runtime
-    runs. libVig's :class:`~repro.libvig.batcher.Batcher` (§5.1.1) is
-    not on this data path: it stays in :mod:`repro.libvig` as the
-    verified structure it is, with its own tests.
+    The paper's ``main()`` over a trace: one main-loop turn after every
+    arrival, so RX rings never overflow — this is functional replay
+    (what comes out), not the timing simulation (use
+    :class:`~repro.net.testbed.Rfc2544Testbed` for that).
     """
+    burst_size = runtime.spec.burst_size
+    for time_us, port, packet in arrivals:
+        runtime.inject(port, packet, time_us)
+        runtime.main_loop_burst(time_us, burst_size)
+    return runtime.collect()
 
-    def __init__(
-        self,
-        nf: NetworkFunction,
-        runtime: Optional[DpdkRuntime] = None,
-        burst_size: int = 32,
-    ) -> None:
-        if burst_size <= 0:
-            raise ValueError("burst size must be positive")
-        self.nf = nf
-        self.runtime = runtime if runtime is not None else DpdkRuntime()
-        self.burst_size = burst_size
-        self.processed_total = 0
 
-    def poll(self, now_us: int) -> int:
-        """One main-loop turn; returns the number of packets processed."""
-        processed = self.runtime.main_loop_burst(self.nf, now_us, self.burst_size)
-        self.processed_total += processed
-        return processed
+def replay_pcap(
+    runtime: Runtime, in_path: str, out_path: Optional[str] = None, port: int = 0
+) -> List[PcapRecord]:
+    """Replay a pcap file through a launched runtime; optionally write
+    the output.
 
-    # -- trace replay -----------------------------------------------------------
-    def replay(
-        self, arrivals: Iterable[Tuple[int, int, Packet]]
-    ) -> List[Tuple[int, int, Packet]]:
-        """Feed (time_us, port, packet) arrivals; returns transmissions.
-
-        Polls after every arrival so RX rings never overflow — this is
-        functional replay (what comes out), not the timing simulation
-        (use :class:`~repro.net.testbed.Rfc2544Testbed` for that).
-        """
-        for time_us, port, packet in arrivals:
-            self.runtime.inject(port, packet, time_us)
-            self.poll(time_us)
-        return self.runtime.collect()
-
-    def replay_pcap(
-        self, in_path: str, out_path: Optional[str] = None, port: int = 0
-    ) -> List[PcapRecord]:
-        """Replay a pcap file through the NF; optionally write the output.
-
-        Every input frame arrives on ``port`` at its recorded timestamp;
-        the NF's transmissions are returned (and written as a pcap when
-        ``out_path`` is given).
-        """
-        arrivals = []
-        for record in read_pcap_file(in_path):
-            packet = record.packet(device=port)
-            arrivals.append((record.timestamp_us, port, packet))
-        transmitted = self.replay(arrivals)
-        out_records = [
-            PcapRecord(timestamp_us=ts, data=pkt.to_bytes())
-            for _port, ts, pkt in transmitted
-        ]
-        if out_path is not None:
-            write_pcap_file(out_path, [(r.timestamp_us, r.data) for r in out_records])
-        return out_records
+    Every input frame arrives on ``port`` at its recorded timestamp;
+    the NF's transmissions are returned (and written as a pcap when
+    ``out_path`` is given).
+    """
+    arrivals = [
+        (record.timestamp_us, port, record.packet(device=port))
+        for record in read_pcap_file(in_path)
+    ]
+    out_records = [
+        PcapRecord(timestamp_us=ts, data=pkt.to_bytes())
+        for _port, ts, pkt in replay(runtime, arrivals)
+    ]
+    if out_path is not None:
+        write_pcap_file(out_path, [(r.timestamp_us, r.data) for r in out_records])
+    return out_records

@@ -390,6 +390,51 @@ class TestChainRuntime:
         finally:
             chain.stop()
 
+    @pytest.mark.parametrize("fastpath", ["off", "compiled"])
+    def test_regressing_clock_is_clamped_by_every_stage(self, fastpath):
+        # A backwards now_us must not raise out of any stage (before the
+        # clamp moved into the shared turn, the firewall's chain raised
+        # TimeRegression on the second turn below), and every stage must
+        # do what it does when fed the already-clamped clock.
+        regressing = [1_000, 2_000, 500, 1_500, 3_000, 2_999]
+        clamped = [1_000, 2_000, 2_000, 2_000, 3_000, 3_000]
+
+        def drive(clock):
+            chain = launch_chain(default_chain_spec(fastpath=fastpath, max_flows=64))
+            seen = []
+            try:
+                for turn, now in enumerate(clock):
+                    for host in (1, 1 + turn):  # a warm flow and a new one
+                        out = make_udp_packet(
+                            f"10.0.0.{host}", "203.0.113.9", 1024, 2000
+                        )
+                        chain.inject(0, Packet.from_bytes(out.wire_bytes(), 0), now)
+                    chain.main_loop_burst(now)
+                    exits = chain.collect()
+                    seen.append([(port, pkt.wire_bytes()) for port, _, pkt in exits])
+                    for _, _, translated in exits:
+                        reply = make_udp_packet(
+                            "203.0.113.9", "192.0.2.1", 2000, translated.src_port,
+                            device=1,
+                        )
+                        chain.inject(1, Packet.from_bytes(reply.wire_bytes(), 1), now)
+                    chain.main_loop_burst(now)
+                    seen.append(
+                        [(port, pkt.wire_bytes()) for port, _, pkt in chain.collect()]
+                    )
+                clamps = [c["clock_clamped"] for c in chain.per_stage_counters()]
+                states = [frame.state for frame in chain.checkpoint(now).checkpoints]
+            finally:
+                chain.stop()
+            for state in states:
+                state.pop("counters")
+            return seen, states, clamps
+
+        seen, states, clamps = drive(regressing)
+        assert all(len(exits) == 2 for exits in seen)
+        assert all(count > 0 for count in clamps)
+        assert (seen, states, [0, 0, 0]) == drive(clamped)
+
 
 class TestProcessExecution:
     def test_process_chain_round_trip(self):

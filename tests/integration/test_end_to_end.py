@@ -94,15 +94,41 @@ class TestVerifyThenRun:
     def test_verified_logic_is_the_deployed_logic(self):
         import inspect
 
-        from repro.nat import vignat
+        from repro.nat import DetNat, VigBridge, VigFirewall, VigLimiter
+        from repro.nat.concrete import LibvigNf
+        from repro.verif import nf_env_cgnat
         from repro.verif.proofs import PROOFS
 
-        # The concrete NAT's process() calls the shared function by the
-        # name its module binds...
-        assert "nat_loop_iteration" in vignat.VigNat.process.__code__.co_names
-        # ...and the NAT's proof explores that very function object.
-        explored = inspect.getclosurevars(PROOFS["nat"]().body).nonlocals["loop"]
-        assert explored is vignat.nat_loop_iteration
+        deployed = {
+            "nat": VigNat,
+            "firewall": VigFirewall,
+            "bridge": VigBridge,
+            "limiter": VigLimiter,
+        }
+        # Every deployed class runs the one turn, and the turn runs the
+        # class's LOOP...
+        for cls in deployed.values():
+            assert cls.process is LibvigNf.process
+            assert cls.process_burst is LibvigNf.process_burst
+        for turn in (LibvigNf.process, LibvigNf.process_burst, DetNat.process,
+                     DetNat.process_burst):
+            assert "LOOP" in turn.__code__.co_names
+        # ...and each NF's proof explores that very function object.
+        for name, proof in PROOFS.items():
+            explored = inspect.getclosurevars(proof().body).nonlocals.get("loop")
+            if name == "discard":
+                # The §3 worked example: a transcription of Fig. 1 over
+                # a ring model, with no deployed loop to be identical to.
+                assert explored is None
+            else:
+                assert explored is deployed[name].LOOP, name
+        # The CGNAT's proof builds its body inside verify_cgnat, from
+        # the name its module binds.
+        assert nf_env_cgnat.det_nat_loop_iteration is DetNat.LOOP
+        assert (
+            "det_nat_loop_iteration"
+            in nf_env_cgnat.verify_cgnat.__code__.co_names
+        )
 
     def test_verify_then_forward(self):
         from repro.eval.verification_stats import collect

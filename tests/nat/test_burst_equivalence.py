@@ -3,7 +3,11 @@ amortized expiry, and the monotonic clock clamp (crash-freedom)."""
 
 import pytest
 
+from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.config import NatConfig
+from repro.nat.fastpath import FastPathNat
+from repro.nat.firewall import VigFirewall
+from repro.nat.limiter import LimiterConfig, VigLimiter
 from repro.nat.netfilter import NetfilterNat
 from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
@@ -103,6 +107,51 @@ class TestAmortizedExpiry:
             assert nf.op_counters()["expiry_scans_amortized"] == 3
 
 
+def source(host, sport=4000):
+    """One frame per distinct source: a new NAT flow, firewall session,
+    limiter budget and (by its MAC) bridge station."""
+    packet = make_udp_packet(f"10.0.0.{host}", "8.8.8.8", sport, 53, device=0)
+    packet.eth.src = bytes((2, 0, 0, 0, 9, host))
+    return packet
+
+
+def check_regressing_clock_forwards_instead_of_raising(make):
+    nf = make()
+    assert nf.process(source(1), 100_000)  # chain newest = 100000
+    outputs = nf.process(source(2), 50)  # clock ran backwards
+    assert len(outputs) == 1  # forwarded, not crashed
+    assert nf.op_counters()["clock_clamped"] == 1
+
+
+def check_regressing_clock_in_burst(make):
+    nf = make()
+    nf.process_burst([source(1)], 100_000)
+    results = nf.process_burst([source(2), source(3)], 99_000)
+    assert all(len(out) == 1 for out in results)
+    assert nf.op_counters()["clock_clamped"] == 1
+
+
+def check_rejuvenation_with_stale_clock(make):
+    nf = make()
+    nf.process(source(1), 100_000)
+    nf.process(source(2), 120_000)
+    # The older entry again with a stale clock: refresh it, don't crash.
+    outputs = nf.process(source(1), 90_000)
+    assert len(outputs) == 1
+
+
+def check_clock_resumes_after_clamp(make):
+    nf = make()
+    nf.process(source(1), 100_000)
+    nf.process(source(2), 50)
+    assert nf.process(source(3), 200_000)
+    assert nf.op_counters()["clock_clamped"] == 1
+    # The clamp held the clock at 100_000; it is now 200_000, so an
+    # entry stamped there dies one lifetime later, not before.
+    rows = nf.checkpoint_state()[getattr(nf, "inner", nf).ROWS]
+    assert [row[1] for row in rows] == [100_000, 100_000, 200_000]
+
+
 class TestClockRegression:
     """Regression: a backwards timestamp must not crash the verified NAT.
 
@@ -112,30 +161,50 @@ class TestClockRegression:
     crashing on its data path, against the P2 crash-freedom claim.
     """
 
+    @staticmethod
+    def make():
+        return VigNat(NatConfig(max_flows=64))
+
     def test_regressing_clock_forwards_instead_of_raising(self):
-        nat = VigNat(NatConfig(max_flows=64))
-        assert nat.process(outbound(4000), 100_000)  # chain newest = 100000
-        outputs = nat.process(outbound(4001), 50)  # clock ran backwards
-        assert len(outputs) == 1  # forwarded, not crashed
-        assert nat.op_counters()["clock_clamped"] == 1
+        check_regressing_clock_forwards_instead_of_raising(self.make)
 
     def test_regressing_clock_in_burst(self):
-        nat = VigNat(NatConfig(max_flows=64))
-        nat.process_burst([outbound(4000)], 100_000)
-        results = nat.process_burst([outbound(4001), outbound(4002)], 99_000)
-        assert all(len(out) == 1 for out in results)
-        assert nat.op_counters()["clock_clamped"] == 1
+        check_regressing_clock_in_burst(self.make)
 
     def test_rejuvenation_with_stale_clock(self):
-        nat = VigNat(NatConfig(max_flows=64))
-        nat.process(outbound(4000), 100_000)
-        # Same flow again with a stale clock: rejuvenate, don't crash.
-        outputs = nat.process(outbound(4000), 90_000)
-        assert len(outputs) == 1
+        check_rejuvenation_with_stale_clock(self.make)
 
     def test_clock_resumes_after_clamp(self):
-        nat = VigNat(NatConfig(max_flows=64))
-        nat.process(outbound(4000), 100_000)
-        nat.process(outbound(4001), 50)
-        assert nat.process(outbound(4002), 200_000)
-        assert nat.op_counters()["clock_clamped"] == 1
+        check_clock_resumes_after_clamp(self.make)
+
+
+#: Every other way a chain-keeping NF is deployed: the three NFs that
+#: had no clamp of their own, and each hook provider behind the fast
+#: path (the bridge publishes no hooks, so it cannot be wrapped).
+OTHER_CLOCKED = {
+    "firewall": lambda: VigFirewall(NatConfig(max_flows=64)),
+    "limiter": lambda: VigLimiter(LimiterConfig(capacity=64)),
+    "bridge": lambda: VigBridge(BridgeConfig(capacity=64)),
+    "nat-fastpath": lambda: FastPathNat(VigNat(NatConfig(max_flows=64))),
+    "firewall-fastpath": lambda: FastPathNat(VigFirewall(NatConfig(max_flows=64))),
+    "limiter-fastpath": lambda: FastPathNat(VigLimiter(LimiterConfig(capacity=64))),
+}
+
+
+@pytest.mark.parametrize("make", OTHER_CLOCKED.values(), ids=OTHER_CLOCKED.keys())
+class TestClockRegressionEveryLibvigNf:
+    """The clamp belongs to the shared turn (``LibvigNf``): before it
+    did, each of these raised ``TimeRegression`` out of ``process`` and
+    ``process_burst`` on the first backwards timestamp."""
+
+    def test_regressing_clock_forwards_instead_of_raising(self, make):
+        check_regressing_clock_forwards_instead_of_raising(make)
+
+    def test_regressing_clock_in_burst(self, make):
+        check_regressing_clock_in_burst(make)
+
+    def test_rejuvenation_with_stale_clock(self, make):
+        check_rejuvenation_with_stale_clock(make)
+
+    def test_clock_resumes_after_clamp(self, make):
+        check_clock_resumes_after_clamp(make)

@@ -140,3 +140,74 @@ class TestLimiterCheckpoint:
         limiter = self.warmed()
         with pytest.raises(ValueError, match="fresh"):
             limiter.restore_state(limiter.checkpoint_state())
+
+
+#: (fresh NF, a frame from source ``n`` it admits on device 0)
+RESTORABLE = {
+    "firewall": (
+        lambda: VigFirewall(NAT_CFG),
+        lambda n: udp(f"10.0.0.{n}", "203.0.113.9", 1024, 2000),
+    ),
+    "bridge": (
+        lambda: VigBridge(BridgeConfig(capacity=8)),
+        lambda n: frame(f"02:aa:00:00:00:{n:02x}", "ff:ff:ff:ff:ff:ff", 0),
+    ),
+    "limiter": (
+        lambda: VigLimiter(LimiterConfig(capacity=8, max_packets=3)),
+        lambda n: udp(f"10.0.0.{n}", "10.0.0.9", 1, 2),
+    ),
+}
+
+SHARED_COUNTERS = ("expiry_scans_amortized", "clock_clamped", "bursts", "burst_packets")
+
+
+@pytest.mark.parametrize(("fresh", "admitted"), RESTORABLE.values(), ids=RESTORABLE)
+class TestRestoredClockAndCounters:
+    """What the shared turn added to the three NFs' checkpoints: a clock
+    that restores (floored at the newest row — the payload has no clock
+    field of its own) and the turn's counters."""
+
+    def warmed(self, fresh, admitted):
+        nf = fresh()
+        nf.process_burst([admitted(1), admitted(2)], 5_000)
+        assert nf.process(admitted(3), 9_000)
+        assert nf.process(admitted(4), 1_000)  # clamped
+        return nf
+
+    def test_restore_at_an_earlier_time_clamps_instead_of_raising(
+        self, fresh, admitted
+    ):
+        revived = fresh()
+        restore(revived, snapshot(self.warmed(fresh, admitted), now_us=9_000))
+        # The restoring host's clock reads earlier than the newest row:
+        # allocating at that time would trip TimeRegression unclamped.
+        assert revived.process(admitted(5), 100)
+        rows = revived.checkpoint_state()[revived.ROWS]
+        assert [row[1] for row in rows] == [5_000, 5_000, 9_000, 9_000, 9_000]
+
+    def test_shared_counters_round_trip(self, fresh, admitted):
+        nf = self.warmed(fresh, admitted)
+        saved = nf.checkpoint_state()["counters"]
+        assert {key: saved[key] for key in SHARED_COUNTERS} == {
+            "expiry_scans_amortized": 1,
+            "clock_clamped": 1,
+            "bursts": 1,
+            "burst_packets": 2,
+        }
+        revived = fresh()
+        restore(revived, snapshot(nf, now_us=9_000))
+        assert revived.checkpoint_state()["counters"] == saved
+
+    def test_payload_without_the_shared_counters_still_restores(
+        self, fresh, admitted
+    ):
+        # The format these NFs wrote before they took the shared turn.
+        state = self.warmed(fresh, admitted).checkpoint_state()
+        state["counters"] = {
+            key: state["counters"][key] for key in ("expired", "dropped", "forwarded")
+        }
+        revived = fresh()
+        revived.restore_state(state)
+        counters = revived.op_counters()
+        assert counters["forwarded"] == 4
+        assert all(counters[key] == 0 for key in SHARED_COUNTERS)

@@ -1,4 +1,4 @@
-"""The NF application shell."""
+"""Trace replay over a launched runtime: the turn, drops, TX batching."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro import obs
 from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
-from repro.net.app import NfApp
+from repro.net.app import INLINE, RuntimeSpec, launch, replay, replay_pcap
 from repro.net.dpdk import DpdkRuntime
 from repro.obs import flight
 from repro.packets.builder import make_udp_packet
@@ -17,18 +17,36 @@ def outbound(sport=4000):
     return make_udp_packet("10.0.0.5", "8.8.8.8", sport, 53, device=0)
 
 
+def nat_app(max_flows=8, burst_size=32):
+    """One VigNat behind ``launch()``: ``app.runtime`` is its
+    ``DpdkRuntime``, ``app.shard.nf`` the NF."""
+    return launch(
+        RuntimeSpec(
+            nf_factory=VigNat,
+            config=NatConfig(max_flows=max_flows),
+            execution=INLINE,
+            burst_size=burst_size,
+        )
+    )
+
+
+def poll(app, now_us):
+    """One main-loop turn; returns the number of packets processed."""
+    return app.main_loop_burst(now_us, app.spec.burst_size)
+
+
 class TestPollLoop:
     def test_processes_and_transmits(self):
-        app = NfApp(VigNat(NatConfig(max_flows=8)))
+        app = nat_app()
         app.runtime.inject(0, outbound(), 100)
-        assert app.poll(now_us=100) == 1
+        assert poll(app, now_us=100) == 1
         transmitted = app.runtime.collect()
         assert len(transmitted) == 1
         assert transmitted[0][0] == 1  # external port
 
     def test_drops_do_not_leak_buffers(self):
-        app = NfApp(VigNat(NatConfig(max_flows=8)))
-        cfg = app.nf.config
+        app = nat_app()
+        cfg = app.shard.nf.config
         for i in range(5):
             unsolicited = make_udp_packet(
                 "8.8.8.8", cfg.external_ip, 53, 60_000 + i, device=1
@@ -36,7 +54,7 @@ class TestPollLoop:
             app.runtime.inject(1, unsolicited, i)
         recorder = obs.enable_observability()
         try:
-            assert app.poll(now_us=10) == 5
+            assert poll(app, now_us=10) == 5
         finally:
             obs.disable_observability()
         assert app.runtime.pool.in_flight == 0
@@ -49,25 +67,25 @@ class TestPollLoop:
         assert {e.reason for e in drops} == {flight.REASON_NF_DROP}
 
     def test_bursts_larger_than_burst_size(self):
-        app = NfApp(VigNat(NatConfig(max_flows=64)), burst_size=4)
+        app = nat_app(max_flows=64, burst_size=4)
         for i in range(10):
             app.runtime.inject(0, outbound(sport=4000 + i), i)
-        assert app.poll(now_us=10) == 10
-        assert app.processed_total == 10
+        assert poll(app, now_us=10) == 10
+        assert app.op_counters()["burst_packets"] == 10
 
     def test_burst_size_validated(self):
         with pytest.raises(ValueError):
-            NfApp(VigNat(NatConfig(max_flows=8)), burst_size=0)
+            nat_app(burst_size=0)
 
 
 class TestReplay:
     def test_replay_conversation(self):
-        app = NfApp(VigNat(NatConfig(max_flows=8)))
-        cfg = app.nf.config
-        out = app.replay([(100, 0, outbound())])
+        app = nat_app()
+        cfg = app.shard.nf.config
+        out = replay(app, [(100, 0, outbound())])
         ext_port = out[0][2].l4.src_port
         reply = make_udp_packet("8.8.8.8", cfg.external_ip, 53, ext_port, device=1)
-        back = app.replay([(200, 1, reply)])
+        back = replay(app, [(200, 1, reply)])
         assert back[0][0] == 0
         assert back[0][2].l4.dst_port == 4000
 
@@ -79,28 +97,32 @@ class TestReplay:
         ]
         write_pcap_file(in_path, frames)
 
-        app = NfApp(VigNat(NatConfig(max_flows=8)))
-        records = app.replay_pcap(in_path, out_path)
+        app = nat_app()
+        records = replay_pcap(app, in_path, out_path)
         assert len(records) == 4
         for record in records:
             packet = record.packet()
-            assert packet.ipv4.src_ip == app.nf.config.external_ip
+            assert packet.ipv4.src_ip == app.shard.nf.config.external_ip
         from repro.packets.pcap import read_pcap_file
 
         assert len(read_pcap_file(out_path)) == 4
 
     def test_bridge_through_the_app(self):
-        runtime = DpdkRuntime()
-        app = NfApp(VigBridge(BridgeConfig()), runtime)
+        app = launch(
+            RuntimeSpec(
+                nf_factory=lambda _config: VigBridge(BridgeConfig()),
+                execution=INLINE,
+            )
+        )
         frame = outbound()
         frame.device = 0
-        out = app.replay([(10, 0, frame)])
+        out = replay(app, [(10, 0, frame)])
         assert out[0][0] == 1  # flooded to the other port
 
 
 class TestTxBatching:
     def test_tx_grouped_into_bursts(self, monkeypatch):
-        app = NfApp(VigNat(NatConfig(max_flows=64)), burst_size=8)
+        app = nat_app(max_flows=64, burst_size=8)
         for i in range(20):
             app.runtime.inject(0, outbound(sport=4000 + i), i)
         tx_ports = []
@@ -111,7 +133,7 @@ class TestTxBatching:
             return tx_burst(runtime, port_id, mbufs, now_us)
 
         monkeypatch.setattr(DpdkRuntime, "tx_burst", counting_tx_burst)
-        app.poll(now_us=100)
+        poll(app, now_us=100)
         # 20 forwarded packets leave in one tx burst per RX burst —
         # ceil(20/8) of them, all on the external port — far fewer than
         # 20 per-packet transmissions.
@@ -121,8 +143,8 @@ class TestTxBatching:
         assert app.runtime.pool.in_flight == 0
 
     def test_batches_flushed_at_turn_end(self):
-        app = NfApp(VigNat(NatConfig(max_flows=8)), burst_size=32)
+        app = nat_app(burst_size=32)
         app.runtime.inject(0, outbound(), 0)
-        app.poll(now_us=10)
+        poll(app, now_us=10)
         # One packet, batch not full: still transmitted by the flush.
         assert app.runtime.port(1).counters.tx_packets == 1
