@@ -101,9 +101,6 @@ class ChainStage:
         if self.device_a == self.device_b:
             raise ValueError(f"stage {self.name!r}: devices must differ")
 
-    def build_nf(self) -> NetworkFunction:
-        return self.nf_factory(self.config)
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -112,9 +109,10 @@ class ChainSpec:
     Frozen and validated like :class:`~repro.net.app.RuntimeSpec`: a
     chain spec can be hashed, logged in a benchmark record, and varied
     with :meth:`with_` — two runs launched from equal specs are
-    comparable runs. ``fastpath`` applies per stage, to
-    exactly the stages whose NF publishes fast-path hooks (the others
-    run their slow path unchanged, preserving byte identity).
+    comparable runs. ``fastpath`` goes to every stage as it is;
+    :func:`~repro.net.dpdk.build_nf` wraps exactly the stages whose NF
+    is a fast-path provider (the others run their slow path unchanged,
+    preserving byte identity).
     """
 
     stages: Tuple[ChainStage, ...]
@@ -175,17 +173,6 @@ class ChainRuntime:
         self.spec = spec
         self.stages = spec.stages
         n = len(spec.stages)
-        # Per-stage effective fastpath: the spec's value where the NF
-        # publishes hooks, "off" elsewhere (FastPathNat refuses NFs
-        # without hooks; equivalence makes the mix byte-transparent).
-        # Asking costs a throwaway NF per stage, so nobody is asked
-        # when the answer is "off" either way.
-        self._stage_fastpath: List[str] = [
-            "off"
-            if spec.fastpath == "off" or stage.build_nf().fastpath_hooks() is None
-            else spec.fastpath
-            for stage in spec.stages
-        ]
         self.engines = [launch(self._stage_spec(i)) for i in range(n)]
         self._down: List[bool] = [False] * n
         # Two wire-facing ports with bounded RX rings, like any NIC.
@@ -218,11 +205,11 @@ class ChainRuntime:
         # only when it actually is a NatConfig.
         config = stage.config
         return RuntimeSpec(
-            nf_factory=lambda _shard_config: stage.build_nf(),
+            nf_factory=lambda _shard_config: stage.nf_factory(stage.config),
             config=config if isinstance(config, NatConfig) else None,
             workers=1,
             execution=spec.execution,
-            fastpath=self._stage_fastpath[index],
+            fastpath=spec.fastpath,
             burst_size=spec.burst_size,
             port_count=max(2, stage.device_a + 1, stage.device_b + 1),
             rx_capacity=spec.rx_capacity,
@@ -501,10 +488,8 @@ class ChainRuntime:
                 f"checkpoint set holds {checkpoint_set.workers} stage(s), "
                 f"chain has {len(self.stages)}"
             )
-        for stage, fastpath, frame in zip(
-            self.stages, self._stage_fastpath, checkpoint_set.checkpoints
-        ):
-            build_nf(stage.nf_factory, stage.config, fastpath, frame)
+        for stage, frame in zip(self.stages, checkpoint_set.checkpoints):
+            build_nf(stage.nf_factory, stage.config, self.spec.fastpath, frame)
         for index, frame in enumerate(checkpoint_set.checkpoints):
             self.engines[index].restore(
                 CheckpointSet(checkpoint_set.taken_at_us, (frame,))

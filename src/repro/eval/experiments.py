@@ -21,6 +21,7 @@ from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
 from repro.net.costmodel import CostModel
+from repro.net.dpdk import build_nf
 from repro.net.moongen import (
     BackgroundFlows,
     ConstantRateFlows,
@@ -414,7 +415,7 @@ def _first_difference(*pairs) -> Optional[str]:
     return None
 
 
-def _cache_counters(nf: FastPathNat) -> Dict[str, int]:
+def _cache_counters(nf: NetworkFunction) -> Dict[str, int]:
     return {
         key: value
         for key, value in nf.op_counters().items()
@@ -451,8 +452,12 @@ def fastpath_sweep(
     unverified < verified cost ordering must survive at every hit rate
     (the cache accelerates every NF, it does not reorder them).
 
-    The default lineup excludes the NetFilter NAT: it models a kernel
-    path and exposes no fast-path hooks.
+    Every "on" NF comes from :func:`~repro.net.dpdk.build_nf`, the
+    admission rule ``launch()`` runs: the no-op forwarder is no
+    provider, so its rows are the ordering's baseline with on ≡ off and
+    carry none of the cache's own readings (``hit_rate``, ``counters``,
+    ``compiled_counters``). The default lineup excludes the NetFilter
+    NAT: it models a kernel path.
     """
     factories = factories if factories is not None else default_nf_factories()
     settings = settings if settings is not None else EvalSettings(
@@ -466,10 +471,12 @@ def fastpath_sweep(
                 flow_count, offered_pps, packet_count, burst=burst_size
             )
             events = list(workload.events())
+
+            def on_nf() -> NetworkFunction:
+                return build_nf(factory, cfg, "compiled")
+
             off_outputs = _burst_replay_outputs(factory(cfg), events, burst_size)
-            on_outputs = _burst_replay_outputs(
-                FastPathNat(factory(cfg)), events, burst_size
-            )
+            on_outputs = _burst_replay_outputs(on_nf(), events, burst_size)
 
             def modeled_busy_ns(nf: NetworkFunction) -> float:
                 testbed = Rfc2544Testbed(
@@ -478,21 +485,20 @@ def fastpath_sweep(
                 return testbed.run(nf, workload.events()).per_packet_busy_ns
 
             busy_off = modeled_busy_ns(factory(cfg))
-            busy_on = modeled_busy_ns(FastPathNat(factory(cfg)))
+            busy_on = modeled_busy_ns(on_nf())
 
             wall_off = _timed_burst_replay(factory(cfg), events, burst_size)
-            fast = FastPathNat(factory(cfg))
+            fast = on_nf()
             wall_on = _timed_burst_replay(fast, events, burst_size)
 
             # The wire-backed axis: the same events as frames through
             # ``Packet.from_bytes`` -> ``process_burst``, fast path off
             # and on. Both outputs must byte-match the object-path
             # replay — the compiled axis of the differential check.
-            hooks = factory(cfg).fastpath_hooks()
             wire_off_outputs, wire_off_s = _wire_replay(
                 factory(cfg), events, burst_size
             )
-            compiled_nf = FastPathNat(factory(cfg))
+            compiled_nf = on_nf()
             wire_on_outputs, wire_compiled_s = _wire_replay(
                 compiled_nf, events, burst_size
             )
@@ -502,6 +508,19 @@ def fastpath_sweep(
                 return round(_ratio(len(events), seconds), 1)
 
             counters = _cache_counters(fast)
+            # The cache's own readings — hit rate and counters of the
+            # timed object replay, counters of the wire-backed one — on
+            # rows of wrapped NFs only.
+            wrapped = isinstance(fast, FastPathNat)
+            cache_readings = (
+                {}
+                if not wrapped
+                else {
+                    "hit_rate": round(fast.hit_rate(), 4),
+                    "counters": counters,
+                    "compiled_counters": _cache_counters(compiled_nf),
+                }
+            )
             records.append(
                 {
                     "nf": name,
@@ -509,9 +528,6 @@ def fastpath_sweep(
                     "burst_size": burst_size,
                     # Packets in one replay pass (every pps numerator).
                     "packets": len(events),
-                    # Fraction of the timed object replay's packets
-                    # served from the microflow cache.
-                    "hit_rate": round(fast.hit_rate(), 4),
                     # The cache-on replay emitted byte-identical packets
                     # (wire bytes and output device) to the cache-off one.
                     "identical": off_outputs == on_outputs,
@@ -528,9 +544,9 @@ def fastpath_sweep(
                     "modeled_busy_ns_on": round(busy_on, 1),
                     "modeled_mpps_off": round(_ratio(1_000.0, busy_off), 3),
                     "modeled_mpps_on": round(_ratio(1_000.0, busy_on), 3),
-                    # The NF's hooks let its actions compile into closures
-                    # (the ``compiled_counters`` checks only apply there).
-                    "supports_raw": bool(hooks is not None and hooks.supports_raw),
+                    # The NF's actions compile into closures (the
+                    # ``compiled_counters`` checks only apply there).
+                    "supports_raw": wrapped and fast.inner.supports_raw,
                     # Both wire-backed replays emitted byte-identical
                     # frames to the object-path replay.
                     "wire_identical": (
@@ -541,9 +557,6 @@ def fastpath_sweep(
                     "compiled_speedup_over_off": round(
                         _ratio(wire_off_s, wire_compiled_s), 3
                     ),
-                    "counters": counters,
-                    # From the fast-path-on wire-backed replay.
-                    "compiled_counters": _cache_counters(compiled_nf),
                     "divergence": _first_difference((off_outputs, on_outputs)),
                     "wire_divergence": _first_difference(
                         (wire_off_outputs, wire_on_outputs),
@@ -554,6 +567,7 @@ def fastpath_sweep(
                         labels={"nf": name, "flows": str(flow_count)},
                         help_text="fastpath-sweep cache counters",
                     ),
+                    **cache_readings,
                 }
             )
     return records
@@ -934,13 +948,12 @@ def cgnat_sweep(
             nf = factory(config)
             wall = _timed_burst_replay(nf, events, burst_size)
             state = nf.checkpoint_state()
-            flow_counter = getattr(nf, "flow_count", None)
             records.append(
                 {
                     "nf": name,
                     "flow_count": flow_count,
                     "replay_pps_off": _ratio(len(events), wall),
-                    "state_entries": flow_counter() if flow_counter else 0,
+                    "state_entries": nf.flow_count(),
                     "checkpoint_bytes": len(_json.dumps(state).encode()),
                     "identical": _cgnat_return_path_ok(
                         factory(config), config, events

@@ -185,8 +185,10 @@ def render_fastpath_sweep(records: Sequence[Record]) -> str:
     """
 
     def object_row(r: Record) -> str:
+        # No hit rate: an NF the fast path does not wrap (on ≡ off).
+        hit_rate = f"{r['hit_rate']:7.1%}" if "hit_rate" in r else f"{'—':>7s}"
         return (
-            f"  {r['flow_count']:>6d}   {r['hit_rate']:7.1%}"
+            f"  {r['flow_count']:>6d}   {hit_rate}"
             f"   {r['modeled_busy_ns_off']:7.0f}/{r['modeled_busy_ns_on']:<7.0f}"
             f"   {r['modeled_mpps_off']:5.2f}/{r['modeled_mpps_on']:<5.2f}"
             f"   {r['wall_speedup']:5.2f}"
@@ -214,7 +216,7 @@ def render_fastpath_sweep(records: Sequence[Record]) -> str:
         "",
     ]
     for r in records:
-        if r["flow_count"] != smallest:
+        if r["flow_count"] != smallest or "counters" not in r:
             continue
         counters = r["counters"]
         lines.append(

@@ -253,9 +253,10 @@ def _shard_claims(records: List[Record]) -> List[str]:
 # reorders them; (c) worth it: at a 90%+ hit rate the verified NAT's
 # bare replay speeds up; (d) worth it compiled: on wire-backed packets
 # through ``process_burst`` — the path ``launch()`` runs, where compiled
-# closures fire — it beats the no-fast-path replay on the verified NAT,
-# and on the no-op forwarder, which has nothing to skip, the lookup it
-# adds stays bounded (a too-heavy cache historically was not).
+# closures fire — it beats the no-fast-path replay on the verified NAT.
+# The no-op forwarder has nothing to skip and is never wrapped
+# (``build_nf``): its rows are the ordering's baseline, on ≡ off, and
+# carry no ``hit_rate``/``counters`` for the cache's claims to read.
 
 #: A point is "hot" at this hit rate or above.
 HOT_HIT_RATE = 0.9
@@ -266,13 +267,6 @@ CACHE_MIN_SPEEDUP = 1.5
 #: regime. A wall-clock ratio on one machine, so it holds on any runner
 #: shape.
 COMPILED_MIN_SPEEDUP = 1.3
-#: (d) the same ratio's floor on the no-op forwarder. A wire-backed
-#: no-op forward costs less than one cache lookup, so the fast path
-#: cannot win there (median 0.70-0.72x); the floor catches a cache that
-#: grows heavier. Judged like (d) above, on the best point: a 6 ms
-#: timed pass reads under the floor about one time in twenty on a
-#: shared box, a heavier cache reads under it everywhere.
-NOOP_COMPILED_FLOOR = 0.55
 #: In churning regimes every miss pays one extra flow-table consult on
 #: the learn path; the modeled cost may rise by at most this factor.
 CHURN_COST_SLACK = 1.03
@@ -368,18 +362,6 @@ def _fastpath_claims(records: List[Record]) -> List[str]:
     for r in records:
         if not r.get("wire_identical", True):
             breaches.append(f"{where(r)} lost wire-backed byte-identity")
-    noop = [r for r in records if r["nf"] == "noop"]
-    if noop and (
-        max(r.get("compiled_speedup_over_off", 0.0) for r in noop)
-        < NOOP_COMPILED_FLOOR
-    ):
-        breaches.append(
-            f"noop wire-backed replay with the fast path on below "
-            f"{NOOP_COMPILED_FLOOR}x the fast-path-off replay at every point "
-            f"(a no-op forward costs less than a cache lookup, so the floor "
-            f"bounds what the lookup may cost): "
-            + listing(noop, "compiled_speedup_over_off")
-        )
     closures = [r for r in records if r.get("supports_raw")]
     if not closures:
         breaches.append(

@@ -95,12 +95,15 @@ class NetworkFunction(abc.ABC):
         """
         return self._declared_counters()
 
-    def fastpath_hooks(self):
-        """Hooks for the microflow fast path (see :mod:`repro.nat.fastpath`).
+    def flow_count(self) -> int:
+        """Live flow-state entries (0: an NF without a flow table)."""
+        return 0
 
-        None (the default) means the NF cannot be wrapped by
-        :class:`~repro.nat.fastpath.FastPathNat` and always takes its
-        slow path.
+    def fastpath_hooks(self):
+        """The fast-path provider (see :mod:`repro.nat.fastpath`): the
+        NF itself when it implements the protocol, else None — and
+        :func:`~repro.net.dpdk.build_nf` never wraps it: it takes its
+        slow path, ``fastpath="compiled"`` or not.
         """
         return None
 

@@ -344,10 +344,6 @@ class DetNat(NetworkFunction):
         self._zero_counters()
 
     # -- introspection ------------------------------------------------------
-    def flow_count(self) -> int:
-        """Always 0: the bijection replaces the flow table."""
-        return 0
-
     def external_port_of(self, src_ip: int, src_port: int) -> Optional[int]:
         """The deterministic external port of an internal endpoint."""
         return self.config.map_forward(src_ip, src_port)

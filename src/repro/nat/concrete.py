@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from repro.nat.base import NetworkFunction
+from repro.nat.fastpath import apply_endpoint_action
 from repro.nat.flow import FlowId, flow_id_of_packet
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.packets.headers import Packet
@@ -161,14 +162,30 @@ class LibvigNf(NetworkFunction):
     and ``ENV`` (its :class:`ConcreteEnv`), builds its table and a
     ``self._chain`` (the :class:`~repro.libvig.double_chain.DoubleChain`
     that ages it), and writes ``_expire(min_time)`` — the one expiry
-    scan, the slow path's and its fast-path hooks' — plus its checkpoint
+    scan, the slow path's and the fast path's — plus its checkpoint
     rows: ``ROWS``, ``_row``, ``_parse_row``, ``_adopt``.
+
+    A table NF is also most of a fast-path provider
+    (``docs/FASTPATH.md`` §3). The fast path must keep the table's
+    *observable* behavior identical to an all-slow-path run: the
+    per-burst expiry scan still happens (:meth:`begin_burst` — once per
+    burst, exactly what :class:`ConcreteEnv` amortises) and every hit
+    rejuvenates its entry, or sustained fast-path traffic would let live
+    flows expire. A subclass opts in by naming ``LIFETIME``, answering
+    ``fastpath_hooks()`` with itself and writing ``learn_token(packet)``
+    and ``_freed_keys(index)``; its ``_expire`` hands ``_flow_freed`` to
+    the scan as the per-index observer, called *before* the entry is
+    erased — still readable, its index and port not yet reallocated.
     """
 
     LOOP: Callable[..., None]
     ENV: type
     #: The checkpoint key the table's rows travel under.
     ROWS: str
+    #: Provider half: the config field holding an entry's lifetime.
+    LIFETIME: str
+    supports_raw = True
+    apply = staticmethod(apply_endpoint_action)
 
     COUNTERS = {
         "expired": "_expired_total",
@@ -183,6 +200,9 @@ class LibvigNf(NetworkFunction):
         self.config = config
         self._zero_counters()
         self._last_now = 0
+        #: The microflow cache's per-index entry-freed observer (set
+        #: through :meth:`on_flow_freed`); None when unwrapped.
+        self._flow_freed = None
 
     def _clamp_now(self, now: int) -> int:
         """Monotonic clock at the concrete-env boundary.
@@ -230,6 +250,29 @@ class LibvigNf(NetworkFunction):
             loop(env, config)
             results.append(env.outputs)
         return results
+
+    # -- the fast-path provider half (see the class docstring) ---------------
+    def on_flow_freed(self, observer) -> None:
+        # Built once, not per burst: expiry hands out indices, the
+        # cache wants the dying entry's keys.
+        freed_keys = self._freed_keys
+
+        def flow_freed(index: int) -> None:
+            observer(freed_keys(index))
+
+        self._flow_freed = flow_freed
+
+    def begin_burst(self, now: int) -> int:
+        """The burst's one scan, under the clamped, underflow-free
+        threshold every ``*_loop_iteration`` computes (P2 requires the
+        guard): the oldest timestamp still alive at ``now``."""
+        now = self._clamp_now(now)
+        lifetime = getattr(self.config, self.LIFETIME)
+        self._expire(now - lifetime + 1 if now >= lifetime else 0)
+        return now
+
+    def rejuvenate(self, token: int, now: int) -> None:
+        self._chain.rejuvenate_index(token, now)
 
     # -- checkpoint/restore ------------------------------------------------
     def checkpoint_state(self) -> Dict:

@@ -47,14 +47,18 @@ reaches the cache only as a ``Packet``, so ``Packet.from_bytes`` —
 canonical-form check included — has accepted every image a closure
 ever sees.
 
-Each NF that opts in exposes ``fastpath_hooks()`` returning an object
-with: ``supports_raw`` (bool), ``begin_burst(now) -> now`` (clamp the
-clock and run the per-burst expiry scan), ``on_flow_freed(observer)``
-(the NF calls ``observer(keys)`` with a flow's forward and reply keys
-when it frees that flow), ``learn_token(packet) -> token | None`` (NF
-state handle used to keep the flow alive), ``rejuvenate(token, now)``,
-and ``apply(packet, action) -> Packet`` (the NF's own rewrite code, so
-NF quirks — including deliberate ones — are reproduced exactly).
+An NF that opts in is its own provider: ``fastpath_hooks()`` returns
+the NF, which carries ``supports_raw`` (bool), ``begin_burst(now) ->
+now`` (clamp the clock and run the per-burst expiry scan),
+``on_flow_freed(observer)`` (the NF calls ``observer(keys)`` with a
+flow's forward and reply keys when it frees that flow),
+``learn_token(packet) -> token | None`` (NF state handle used to keep
+the flow alive), ``rejuvenate(token, now)``, and ``apply(packet,
+action) -> Packet`` (the NF's own rewrite code, so NF quirks —
+including deliberate ones — are reproduced exactly).
+:class:`~repro.nat.concrete.LibvigNf` supplies all but ``learn_token``
+for a table NF; :func:`repro.net.dpdk.build_nf` alone decides who gets
+wrapped.
 """
 
 from __future__ import annotations
@@ -119,16 +123,6 @@ def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
         rewrite_destination(out, *action.dst)
     out.device = action.out_device
     return out
-
-
-def expiry_threshold(now: int, lifetime: int) -> int:
-    """The oldest timestamp still alive at ``now``.
-
-    The clamped, underflow-free threshold every ``*_loop_iteration``
-    computes before its expiry scan (Fig. 6 ``expire_flows``; P2
-    requires the guard), for the hooks' once-per-burst scan.
-    """
-    return now - lifetime + 1 if now >= lifetime else 0
 
 
 def warm_actions(config, flow, token):
@@ -263,9 +257,7 @@ class FastPathNat(NetworkFunction):
         self.inner.register_metrics(registry, labels)
 
     def flow_count(self) -> int:
-        """The inner NF's live-flow count (0 when it has no flow table)."""
-        inner_count = getattr(self.inner, "flow_count", None)
-        return inner_count() if inner_count is not None else 0
+        return self.inner.flow_count()
 
     # -- checkpoint/restore -------------------------------------------------
     def checkpoint_state(self) -> Dict:
@@ -282,8 +274,9 @@ class FastPathNat(NetworkFunction):
 
         Stateful NFs restore only into a freshly constructed instance,
         whose cache is empty because it has had no flow to learn from;
-        clearing covers the NFs that restore in place (the no-op
-        forwarder), so no action learned before a restore fires after it.
+        clearing covers an NF that restores in place (a limiter holding
+        only pass-through actions has no open budget), so no action
+        learned before a restore fires after it.
         """
         self.inner.restore_state(state)
         if self._cache:
@@ -298,7 +291,7 @@ class FastPathNat(NetworkFunction):
         packet of *every* flow pays the slow path and the hit rate
         falls off a cliff exactly when the data path is busiest. NFs
         that can derive the per-direction actions from their flow table
-        expose ``warm_entries()`` on their hooks (yielding
+        also provide ``warm_entries()`` (yielding
         ``(flow key, CachedAction)`` pairs) under the very keys the NF
         reports when the flow is freed, so a warmed action dies with
         its flow like a learned one.
@@ -309,7 +302,7 @@ class FastPathNat(NetworkFunction):
         invariants, not inferred from a single packet. No closure is
         attached: like any other action, a warmed one earns it on its
         first wire-backed hit. Returns the number of entries installed
-        (0 when the hooks cannot warm).
+        (0 when the provider cannot warm).
         """
         warm_entries = getattr(self._hooks, "warm_entries", None)
         if warm_entries is None:
@@ -477,6 +470,5 @@ __all__ = [
     "FlowKey",
     "apply_endpoint_action",
     "check_fastpath",
-    "expiry_threshold",
     "warm_actions",
 ]

@@ -32,7 +32,6 @@ from repro.libvig.double_map import DoubleMap
 from repro.libvig.expirator import expire_items
 from repro.nat.concrete import ConcreteEnv, LibvigNf
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import apply_endpoint_action, expiry_threshold
 from repro.nat.flow import FlowId, flow_id_of_packet, flow_key_of
 from repro.packets.headers import ETHERTYPE_IPV4, PROTO_TCP, PROTO_UDP, Packet
 
@@ -124,59 +123,6 @@ class _ConcreteFwEnv(ConcreteEnv):
         self._nf._chain.rejuvenate_index(index, now)
 
 
-class _FirewallFastPathHooks:
-    """Microflow fast-path hooks over the firewall's session table.
-
-    A tracked session's verdict is "forward unchanged, refresh the
-    session" in both directions for as long as the session lives, so
-    that is what a hit replays: the identity action, and a rejuvenate
-    of the session's chain index. Drops — unsolicited external packets,
-    new flows refused by a full table — leave no session behind, hence
-    no token, and always re-consult the slow path. Both expiry scans
-    (the slow path's and ``begin_burst``'s) are the one routine
-    ``VigFirewall._expire``, which reports a dying session's two keys
-    before its slot is released (the ``VigNat._on_expire`` shape).
-    """
-
-    __slots__ = ("_fw",)
-    supports_raw = True
-
-    def __init__(self, fw: "VigFirewall") -> None:
-        self._fw = fw
-
-    def on_flow_freed(self, observer) -> None:
-        fw = self._fw
-        internal = fw.config.internal_device
-        external = fw.config.external_device
-
-        def session_freed(index: int) -> None:
-            fid = fw._sessions.get_value(index)
-            observer(
-                (flow_key_of(internal, fid), flow_key_of(external, fid.reversed()))
-            )
-
-        fw._session_freed = session_freed
-
-    def begin_burst(self, now: int) -> int:
-        fw = self._fw
-        now = fw._clamp_now(now)
-        fw._expire(expiry_threshold(now, fw.config.expiration_time))
-        return now
-
-    def learn_token(self, packet: Packet) -> Optional[int]:
-        fw = self._fw
-        if packet.device == fw.config.internal_device:
-            return fw._sessions.get_by_a(flow_id_of_packet(packet))
-        if packet.device == fw.config.external_device:
-            return fw._sessions.get_by_b(flow_id_of_packet(packet))
-        return None
-
-    def rejuvenate(self, token: int, now: int) -> None:
-        self._fw._chain.rejuvenate_index(token, now)
-
-    apply = staticmethod(apply_endpoint_action)
-
-
 class VigFirewall(LibvigNf):
     """The verified connection-tracking firewall."""
 
@@ -184,6 +130,7 @@ class VigFirewall(LibvigNf):
     LOOP = staticmethod(firewall_loop_iteration)
     ENV = _ConcreteFwEnv
     ROWS = "sessions"
+    LIFETIME = "expiration_time"
 
     def __init__(self, config: NatConfig | None = None) -> None:
         # NatConfig is reused: external_ip is simply unused by a firewall.
@@ -194,25 +141,41 @@ class VigFirewall(LibvigNf):
             key_b_of=lambda fid: fid.reversed(),
         )
         self._chain = DoubleChain(self.config.max_flows)
-        #: The microflow cache's per-index session-freed observer (set
-        #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
-        self._session_freed = None
 
     def _expire(self, min_time: int) -> None:
-        """The one expiry scan: the slow path's and the fast path's.
-
-        ``expire_items`` calls the observer *before* the map entry is
-        erased, so the cache drops the session's two actions while its
-        5-tuple is still readable and its index cannot have been
-        reallocated yet.
-        """
+        """The one expiry scan: the slow path's and the fast path's."""
         self._expired_total += expire_items(
-            self._chain, self._sessions, min_time, on_expire=self._session_freed
+            self._chain, self._sessions, min_time, on_expire=self._flow_freed
         )
 
-    def fastpath_hooks(self) -> _FirewallFastPathHooks:
-        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
-        return _FirewallFastPathHooks(self)
+    # -- the fast-path provider ---------------------------------------------
+    def fastpath_hooks(self) -> "VigFirewall":
+        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`).
+
+        A tracked session's verdict is "forward unchanged, refresh the
+        session" in both directions for as long as the session lives, so
+        that is what a hit replays: the identity action, and a
+        rejuvenate of the session's chain index. Drops — unsolicited
+        external packets, new flows refused by a full table — leave no
+        session behind, hence no token, and always re-consult the slow
+        path.
+        """
+        return self
+
+    def learn_token(self, packet: Packet) -> Optional[int]:
+        if packet.device == self.config.internal_device:
+            return self._sessions.get_by_a(flow_id_of_packet(packet))
+        if packet.device == self.config.external_device:
+            return self._sessions.get_by_b(flow_id_of_packet(packet))
+        return None
+
+    def _freed_keys(self, index: int):
+        fid = self._sessions.get_value(index)
+        config = self.config
+        return (
+            flow_key_of(config.internal_device, fid),
+            flow_key_of(config.external_device, fid.reversed()),
+        )
 
     def session_count(self) -> int:
         """Number of tracked sessions."""

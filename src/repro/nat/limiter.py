@@ -28,7 +28,6 @@ from repro.libvig.double_chain import DoubleChain
 from repro.libvig.map import Map
 from repro.libvig.static_array import StaticArray
 from repro.nat.concrete import ConcreteEnv, LibvigNf
-from repro.nat.fastpath import apply_endpoint_action, expiry_threshold
 from repro.packets.headers import ETHERTYPE_IPV4, FlowKey, Packet
 
 
@@ -140,71 +139,6 @@ class _ConcreteLimiterEnv(ConcreteEnv):
 _EGRESS_TOKEN = -1
 
 
-class _LimiterFastPathHooks:
-    """Microflow fast-path hooks over the limiter's budget table.
-
-    A hit is "spend one packet", not "skip": the ingress token is the
-    source's budget index and ``rejuvenate`` bumps its counter through
-    ``VigLimiter._bump`` — the slow path's ``counter_bump`` — which
-    frees the source's actions the moment the count reaches
-    ``max_packets``; ``VigLimiter._expire`` (the slow path's scan and
-    ``begin_burst``'s) frees them when the fixed window closes. So a
-    cached ingress action is always inside an open budget with packets
-    left, and a hit checks nothing. A hit never refreshes the window:
-    no rejuvenation is the limiter's proven property.
-
-    One budget covers every 5-tuple its source sends, so the hooks
-    remember per open budget the flow keys they issued tokens for: the
-    actions to drop when it ends. The other direction is stateless
-    pass-through — a sentinel token, nothing to spend, nothing that ends.
-    """
-
-    __slots__ = ("_limiter", "_issued")
-    supports_raw = True
-
-    def __init__(self, limiter: "VigLimiter") -> None:
-        self._limiter = limiter
-        self._issued: Dict[int, Set[FlowKey]] = {}
-
-    def on_flow_freed(self, observer) -> None:
-        issued = self._issued
-
-        def budget_ended(index: int) -> None:
-            keys = issued.pop(index, None)
-            if keys:
-                observer(keys)
-
-        self._limiter._budget_ended = budget_ended
-
-    def begin_burst(self, now: int) -> int:
-        limiter = self._limiter
-        now = limiter._clamp_now(now)
-        limiter._expire(expiry_threshold(now, limiter.config.window))
-        return now
-
-    def learn_token(self, packet: Packet) -> Optional[int]:
-        limiter = self._limiter
-        config = limiter.config
-        if packet.device == config.egress_device:
-            return _EGRESS_TOKEN
-        key = packet.flow_key()
-        if packet.device != config.ingress_device or key is None:
-            return None
-        index = limiter._table.get(key[2])  # the source address
-        if index is None or limiter._counters.get(index) >= config.max_packets:
-            return None  # no budget, or none left: the next packet drops
-        # A set: asking again about a cached key changes nothing.
-        self._issued.setdefault(index, set()).add(key)
-        return index
-
-    def rejuvenate(self, token: int, now: int) -> None:
-        if token != _EGRESS_TOKEN:
-            limiter = self._limiter
-            limiter._bump(token, limiter._counters.get(token) + 1)
-
-    apply = staticmethod(apply_endpoint_action)
-
-
 class VigLimiter(LibvigNf):
     """The verified per-source fixed-window rate limiter."""
 
@@ -212,6 +146,7 @@ class VigLimiter(LibvigNf):
     LOOP = staticmethod(limiter_loop_iteration)
     ENV = _ConcreteLimiterEnv
     ROWS = "budgets"
+    LIFETIME = "window"
 
     def __init__(self, config: LimiterConfig | None = None) -> None:
         super().__init__(config if config is not None else LimiterConfig())
@@ -219,13 +154,14 @@ class VigLimiter(LibvigNf):
         self._chain = DoubleChain(self.config.capacity)
         self._counters = StaticArray(self.config.capacity)
         self._source_of: Dict[int, int] = {}
-        #: The microflow cache's per-index budget-ended observer (set
-        #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
-        self._budget_ended = None
+        #: One budget covers every 5-tuple its source sends, so the
+        #: provider remembers per open budget the flow keys it issued
+        #: tokens for: the actions to drop when it ends.
+        self._issued: Dict[int, Set[FlowKey]] = {}
 
     def _expire(self, min_time: int) -> None:
         """The one expiry scan: close every window opened before ``min_time``."""
-        ended = self._budget_ended
+        ended = self._flow_freed
         while True:
             index = self._chain.expire_one_index(min_time)
             if index is None:
@@ -243,12 +179,47 @@ class VigLimiter(LibvigNf):
         ``count < max_packets`` test and drops.
         """
         self._counters.set(index, new_value)
-        if new_value >= self.config.max_packets and self._budget_ended is not None:
-            self._budget_ended(index)
+        if new_value >= self.config.max_packets and self._flow_freed is not None:
+            self._flow_freed(index)
 
-    def fastpath_hooks(self) -> _LimiterFastPathHooks:
-        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
-        return _LimiterFastPathHooks(self)
+    # -- the fast-path provider ---------------------------------------------
+    def fastpath_hooks(self) -> "VigLimiter":
+        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`).
+
+        A hit is "spend one packet", not "skip": the ingress token is
+        the source's budget index and :meth:`rejuvenate` bumps its
+        counter through :meth:`_bump` — the slow path's ``counter_bump``
+        — which frees the source's actions the moment the count reaches
+        ``max_packets``; :meth:`_expire` (the slow path's scan and
+        ``begin_burst``'s) frees them when the fixed window closes. So a
+        cached ingress action is always inside an open budget with
+        packets left, and a hit checks nothing. A hit never refreshes
+        the window: no rejuvenation is the limiter's proven property.
+        The other direction is stateless pass-through — a sentinel
+        token, nothing to spend, nothing that ends.
+        """
+        return self
+
+    def learn_token(self, packet: Packet) -> Optional[int]:
+        config = self.config
+        if packet.device == config.egress_device:
+            return _EGRESS_TOKEN
+        key = packet.flow_key()
+        if packet.device != config.ingress_device or key is None:
+            return None
+        index = self._table.get(key[2])  # the source address
+        if index is None or self._counters.get(index) >= config.max_packets:
+            return None  # no budget, or none left: the next packet drops
+        # A set: asking again about a cached key changes nothing.
+        self._issued.setdefault(index, set()).add(key)
+        return index
+
+    def _freed_keys(self, index: int):
+        return self._issued.pop(index, ())
+
+    def rejuvenate(self, token: int, now: int) -> None:
+        if token != _EGRESS_TOKEN:
+            self._bump(token, self._counters.get(token) + 1)
 
     def tracked_sources(self) -> int:
         """Number of sources with an open budget window."""

@@ -7,51 +7,18 @@ is measured against it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.nat.base import NetworkFunction
 from repro.packets.headers import Packet
 
 
-class _NoopFastPathHooks:
-    """Fast-path hooks for the stateless forwarder.
-
-    No flow state exists, so no flow is ever freed (a learned action
-    is good forever), expiry is a no-op and the learn token is a
-    constant sentinel.
-    """
-
-    __slots__ = ("_nf",)
-    supports_raw = True
-
-    def __init__(self, nf: "NoopForwarder") -> None:
-        self._nf = nf
-
-    @staticmethod
-    def on_flow_freed(observer) -> None:
-        pass
-
-    @staticmethod
-    def begin_burst(now: int) -> int:
-        return now
-
-    @staticmethod
-    def learn_token(packet: Packet) -> Optional[int]:
-        return 0
-
-    @staticmethod
-    def rejuvenate(token: int, now: int) -> None:
-        pass
-
-    @staticmethod
-    def apply(packet: Packet, action) -> Packet:
-        out = packet.clone()
-        out.device = action.out_device
-        return out
-
-
 class NoopForwarder(NetworkFunction):
-    """Forward every packet to the paired device, untouched."""
+    """Forward every packet to the paired device, untouched.
+
+    No fast-path provider: a wire-backed no-op forward costs less than
+    one cache lookup (0.70-0.76x wrapped; ``docs/FASTPATH.md`` §3).
+    """
 
     name = "noop"
     COUNTERS = {"forwarded": "_forwarded_total", **NetworkFunction.BURST_COUNTERS}
@@ -73,9 +40,6 @@ class NoopForwarder(NetworkFunction):
             return []
         self._forwarded_total += 1
         return [out]
-
-    def fastpath_hooks(self) -> _NoopFastPathHooks:
-        return _NoopFastPathHooks(self)
 
     # -- checkpoint/restore ------------------------------------------------
     def checkpoint_state(self) -> Dict:

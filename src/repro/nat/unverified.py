@@ -60,79 +60,6 @@ class _Entry:
     last_seen: int
 
 
-class _UnverifiedFastPathHooks:
-    """Fast-path hooks over the unverified NAT's ad-hoc state.
-
-    ``apply`` replays the NAT's *own* rewrite code per direction —
-    including the hand-rolled inbound patch that corrupts disabled UDP
-    checksums. The fast path memoizes the NF as it is, bugs included;
-    fixing them here would make the cached path diverge from the slow
-    path the differential harness compares against.
-
-    ``supports_raw`` is False: a compiled closure is the shared
-    RFC-compliant rewrite helpers specialized to bytes, which this NF's
-    inbound path deliberately does not use.
-    """
-
-    __slots__ = ("_nat",)
-    supports_raw = False
-
-    def __init__(self, nat: "UnverifiedNat") -> None:
-        self._nat = nat
-
-    def on_flow_freed(self, observer) -> None:
-        self._nat._flow_freed = observer
-
-    def begin_burst(self, now: int) -> int:
-        self._nat._expire(now)
-        return now
-
-    def learn_token(self, packet: Packet) -> Optional[_Entry]:
-        nat = self._nat
-        flow_id = flow_id_of_packet(packet)
-        if packet.device == nat.config.internal_device:
-            return nat._by_internal.get(flow_id)
-        if packet.device == nat.config.external_device:
-            return nat._by_external.get(flow_id)
-        return None
-
-    def rejuvenate(self, token: _Entry, now: int) -> None:
-        self._nat._touch(token.external_port, token, now)
-
-    def apply(self, packet: Packet, action) -> Packet:
-        out = packet.clone()
-        if packet.device == self._nat.config.internal_device:
-            rewrite_source(out, *action.src)
-        else:
-            # The inbound path's hand-rolled patch, verbatim (see
-            # _inbound): unconditional, so a zero UDP checksum comes
-            # out wrong on both paths alike.
-            assert out.ipv4 is not None and out.l4 is not None
-            new_ip, new_port = action.dst
-            old_ip = out.ipv4.dst_ip
-            old_port = out.l4.dst_port
-            out.ipv4.dst_ip = new_ip
-            out.l4.dst_port = new_port
-            out.ipv4.checksum = checksum_update_u32(out.ipv4.checksum, old_ip, new_ip)
-            out.l4.checksum = checksum_update_u32(out.l4.checksum, old_ip, new_ip)
-            out.l4.checksum = checksum_update_u16(out.l4.checksum, old_port, new_port)
-        out.device = action.out_device
-        return out
-
-    def warm_entries(self):
-        """(key, action) pairs for both directions of every live flow.
-
-        Consumed by :meth:`FastPathNat.warm` after a standby restores a
-        checkpoint, so the promoted NF's first packets hit the cache
-        instead of all missing at once. Flows are walked newest-first;
-        if the cache's capacity cap truncates warming, the sacrificed
-        entries belong to the flows closest to expiry.
-        """
-        nat = self._nat
-        for entry in reversed(list(nat._lru.values())):
-            yield from warm_actions(nat.config, entry, entry)
-
-
 class UnverifiedNat(NetworkFunction):
     """RFC 3022 NAT over a chaining hash table, no contracts, no proofs."""
 
@@ -159,7 +86,7 @@ class UnverifiedNat(NetworkFunction):
         #: Optional per-flow delta observer (see base.delta_sink).
         self._delta_sink = None
         #: The microflow cache's flow-freed observer (set through
-        #: ``fastpath_hooks().on_flow_freed``); None when unwrapped.
+        #: :meth:`on_flow_freed`); None when unwrapped.
         self._flow_freed = None
 
     # -- introspection ----------------------------------------------------
@@ -229,8 +156,54 @@ class UnverifiedNat(NetworkFunction):
         if self._delta_sink is not None:
             self._delta_sink(("touch", port, None, now))
 
-    def fastpath_hooks(self) -> _UnverifiedFastPathHooks:
-        return _UnverifiedFastPathHooks(self)
+    # -- the fast-path provider, over the ad-hoc state ------------------------
+    #: False: a compiled closure is the shared RFC-compliant rewrite
+    #: helpers specialized to bytes, which this NF's inbound path
+    #: deliberately does not use.
+    supports_raw = False
+
+    def fastpath_hooks(self) -> "UnverifiedNat":
+        return self
+
+    def on_flow_freed(self, observer) -> None:
+        self._flow_freed = observer
+
+    def begin_burst(self, now: int) -> int:
+        self._expire(now)
+        return now
+
+    def learn_token(self, packet: Packet) -> Optional[_Entry]:
+        flow_id = flow_id_of_packet(packet)
+        if packet.device == self.config.internal_device:
+            return self._by_internal.get(flow_id)
+        if packet.device == self.config.external_device:
+            return self._by_external.get(flow_id)
+        return None
+
+    def rejuvenate(self, token: _Entry, now: int) -> None:
+        self._touch(token.external_port, token, now)
+
+    def apply(self, packet: Packet, action) -> Packet:
+        """Replay the NAT's *own* rewrite code per direction — including
+        the hand-rolled inbound patch that corrupts disabled UDP
+        checksums. The fast path memoizes the NF as it is, bugs
+        included; fixing them here would make the cached path diverge
+        from the slow path the differential harness compares against.
+        """
+        out = packet.clone()
+        if packet.device == self.config.internal_device:
+            rewrite_source(out, *action.src)
+        else:
+            self._patch_destination(out, *action.dst)
+        out.device = action.out_device
+        return out
+
+    def warm_entries(self):
+        """(key, action) pairs for both directions of every live flow,
+        newest first: what :meth:`FastPathNat.warm` installs when a
+        standby is promoted (see ``VigNat.warm_entries``)."""
+        for entry in reversed(list(self._lru.values())):
+            yield from warm_actions(self.config, entry, entry)
 
     # -- checkpoint/restore ------------------------------------------------
     def delta_sink(self, sink) -> None:
@@ -391,20 +364,26 @@ class UnverifiedNat(NetworkFunction):
             return []
         self._touch(entry.external_port, entry, now)
         out = packet.clone()
+        self._patch_destination(
+            out, entry.internal_id.src_ip, entry.internal_id.src_port
+        )
+        out.device = self.config.internal_device
+        self._forwarded_total += 1
+        return [out]
+
+    @staticmethod
+    def _patch_destination(out: Packet, new_ip: int, new_port: int) -> None:
         # Hand-rolled rewrite: patches the headers and checksums inline
         # rather than via a shared helper (the asymmetry noted above —
-        # a zero UDP checksum is "patched" here, producing an invalid
-        # non-zero checksum, where the outbound path handles it right).
+        # a zero UDP checksum is "patched" here, unconditionally,
+        # producing an invalid non-zero checksum, where the outbound
+        # path handles it right). The slow path and the cached replay
+        # both come through here, so they are wrong alike.
         assert out.ipv4 is not None and out.l4 is not None
         old_ip = out.ipv4.dst_ip
         old_port = out.l4.dst_port
-        new_ip = entry.internal_id.src_ip
-        new_port = entry.internal_id.src_port
         out.ipv4.dst_ip = new_ip
         out.l4.dst_port = new_port
         out.ipv4.checksum = checksum_update_u32(out.ipv4.checksum, old_ip, new_ip)
         out.l4.checksum = checksum_update_u32(out.l4.checksum, old_ip, new_ip)
         out.l4.checksum = checksum_update_u16(out.l4.checksum, old_port, new_port)
-        out.device = self.config.internal_device
-        self._forwarded_total += 1
-        return [out]

@@ -21,11 +21,7 @@ from repro.libvig.port_allocator import PortAllocator
 from repro.nat.concrete import ConcreteEnv, LibvigNf, PacketView
 from repro.nat.config import NatConfig
 from repro.nat.core_logic import nat_loop_iteration
-from repro.nat.fastpath import (
-    apply_endpoint_action,
-    expiry_threshold,
-    warm_actions,
-)
+from repro.nat.fastpath import warm_actions
 from repro.nat.flow import Flow, FlowId, flow_id_of_packet, microflow_keys
 from repro.packets.headers import Packet
 
@@ -58,10 +54,7 @@ class _ConcreteEnv(ConcreteEnv):
         return index
 
     def flow_table_rejuvenate(self, index: int, now: int) -> None:
-        self._nf._chain.rejuvenate_index(index, now)
-        sink = self._nf._delta_sink
-        if sink is not None:
-            sink(("touch", index, None, now))
+        self._nf.rejuvenate(index, now)
 
     def flow_external_port(self, index: int) -> int:
         return self._nf._flow_table.get_value(index).external_port
@@ -71,76 +64,6 @@ class _ConcreteEnv(ConcreteEnv):
         return flow.internal_id.src_ip, flow.internal_id.src_port
 
 
-class _VigNatFastPathHooks:
-    """Microflow fast-path hooks over VigNat's libVig state.
-
-    The fast path must keep the flow table's *observable* behavior
-    identical to an all-slow-path run: the per-burst expiry scan still
-    happens (here, once per burst — exactly what ``ConcreteEnv``
-    amortizes), and every hit rejuvenates its flow in the double chain,
-    or sustained fast-path traffic would let live flows expire. Both
-    expiry scans are the one routine ``VigNat._expire``, which reports
-    each dying flow to the cache before its slot is released.
-    """
-
-    __slots__ = ("_nat",)
-    supports_raw = True
-
-    def __init__(self, nat: "VigNat") -> None:
-        self._nat = nat
-
-    def on_flow_freed(self, observer) -> None:
-        nat = self._nat
-
-        # Built once, not per burst: expiry hands out indices, the
-        # cache wants the dying flow's keys.
-        def flow_freed(index: int) -> None:
-            observer(microflow_keys(nat.config, nat._flow_table.get_value(index)))
-
-        nat._flow_freed = flow_freed
-
-    def begin_burst(self, now: int) -> int:
-        nat = self._nat
-        now = nat._clamp_now(now)
-        nat._expire(expiry_threshold(now, nat.config.expiration_time))
-        return now
-
-    def learn_token(self, packet: Packet) -> Optional[int]:
-        nat = self._nat
-        flow_id = flow_id_of_packet(packet)
-        if packet.device == nat.config.internal_device:
-            return nat._flow_table.get_by_a(flow_id)
-        if packet.device == nat.config.external_device:
-            return nat._flow_table.get_by_b(flow_id)
-        return None
-
-    def rejuvenate(self, token: int, now: int) -> None:
-        nat = self._nat
-        nat._chain.rejuvenate_index(token, now)
-        sink = nat._delta_sink
-        if sink is not None:
-            sink(("touch", token, None, now))
-
-    @staticmethod
-    def apply(packet: Packet, action) -> Packet:
-        return apply_endpoint_action(packet, action)
-
-    def warm_entries(self):
-        """(flow key, action) pairs for every live flow, both directions.
-
-        Feeds :meth:`~repro.nat.fastpath.FastPathNat.warm` at standby
-        promotion (:func:`~repro.nat.fastpath.warm_actions` per flow;
-        the token is the live flow index). Flows are walked
-        newest-first, so if the cache's capacity cap truncates warming,
-        the entries sacrificed belong to the flows closest to expiry.
-        """
-        nat = self._nat
-        for index, _touched in reversed(list(nat._chain.cells())):
-            yield from warm_actions(
-                nat.config, nat._flow_table.get_value(index), index
-            )
-
-
 class VigNat(LibvigNf):
     """The verified NAT over libVig state (Fig. 6 semantics)."""
 
@@ -148,6 +71,7 @@ class VigNat(LibvigNf):
     LOOP = staticmethod(nat_loop_iteration)
     ENV = _ConcreteEnv
     ROWS = "flows"
+    LIFETIME = "expiration_time"
 
     # benchmarks/e2e/ledger.py wraps vars(VigNat)["process"] and
     # ["process_burst"]: both names must live in this class's own __dict__.
@@ -166,9 +90,6 @@ class VigNat(LibvigNf):
         #: Optional per-flow delta observer (see base.delta_sink); None
         #: keeps the data path free of replication work.
         self._delta_sink = None
-        #: The microflow cache's per-index flow-freed observer (set
-        #: through ``fastpath_hooks().on_flow_freed``); None when unwrapped.
-        self._flow_freed = None
 
     # -- introspection ----------------------------------------------------
     def flow_count(self) -> int:
@@ -189,12 +110,45 @@ class VigNat(LibvigNf):
     def op_counters(self) -> Dict[str, int]:
         return {"map_probes": self._flow_table.probe_count, **self._declared_counters()}
 
-    def fastpath_hooks(self) -> _VigNatFastPathHooks:
-        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
-        return _VigNatFastPathHooks(self)
-
     def delta_sink(self, sink) -> None:
         self._delta_sink = sink
+
+    # -- the fast-path provider: what LibvigNf's half leaves to the NAT -----
+    def fastpath_hooks(self) -> "VigNat":
+        """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
+        return self
+
+    def learn_token(self, packet: Packet) -> Optional[int]:
+        flow_id = flow_id_of_packet(packet)
+        if packet.device == self.config.internal_device:
+            return self._flow_table.get_by_a(flow_id)
+        if packet.device == self.config.external_device:
+            return self._flow_table.get_by_b(flow_id)
+        return None
+
+    def _freed_keys(self, index: int):
+        return microflow_keys(self.config, self._flow_table.get_value(index))
+
+    def rejuvenate(self, token: int, now: int) -> None:
+        """The one place a flow is touched: slow path and fast path alike."""
+        self._chain.rejuvenate_index(token, now)
+        sink = self._delta_sink
+        if sink is not None:
+            sink(("touch", token, None, now))
+
+    def warm_entries(self):
+        """(flow key, action) pairs for every live flow, both directions.
+
+        Feeds :meth:`~repro.nat.fastpath.FastPathNat.warm` at standby
+        promotion (:func:`~repro.nat.fastpath.warm_actions` per flow;
+        the token is the live flow index). Flows are walked
+        newest-first, so if the cache's capacity cap truncates warming,
+        the entries sacrificed belong to the flows closest to expiry.
+        """
+        for index, _touched in reversed(list(self._chain.cells())):
+            yield from warm_actions(
+                self.config, self._flow_table.get_value(index), index
+            )
 
     def _expire(self, min_time: int) -> None:
         """The one expiry scan: the slow path's and the fast path's."""

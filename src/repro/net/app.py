@@ -163,8 +163,8 @@ class Runtime(Protocol):
     """What every launched runtime can do, regardless of execution mode.
 
     The wire side (:meth:`inject`/:meth:`collect`), the main loop, the
-    merged observability surface, the coordinated checkpoint, and a
-    shutdown hook (a no-op everywhere but process mode, where workers
+    merged observability surface, the coordinated checkpoint and its
+    restore, and a shutdown hook (a no-op everywhere but process mode, where workers
     are real OS processes).
     """
 
@@ -186,6 +186,8 @@ class Runtime(Protocol):
     def snapshot_metrics(self) -> Dict: ...
 
     def checkpoint(self, now_us: int = 0): ...
+
+    def restore(self, checkpoint_set) -> None: ...
 
     def stop(self) -> None: ...
 

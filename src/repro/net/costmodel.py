@@ -102,15 +102,16 @@ OUTLIER_NS = 295_000
 #: full header parse/repack and the per-iteration dispatch, replaying a
 #: precomputed rewrite instead. The saving is per NF because the work
 #: skipped differs — the verified NAT skips the most (its contracted
-#: flow-table path is the costliest), the no-op forwarder the least
-#: (there was little to skip). The constants are chosen so the paper's
-#: no-op < unverified < verified ordering holds at every hit rate: at a
-#: 100% hit rate and burst 32 the per-packet service costs are ~191,
-#: ~204 and ~210 ns respectively.
+#: flow-table path is the costliest). The no-op forwarder has nothing
+#: to skip and is never wrapped, and a replay still receives, rewrites
+#: and transmits, so a hit may not model cheaper than a bare forward:
+#: the constants keep the paper's no-op < unverified < verified
+#: ordering at every hit rate — at a 100% hit rate and burst 32 the
+#: per-packet service costs are ~262 (the no-op, as ever), ~279 and
+#: ~286 ns respectively.
 FASTPATH_HIT_SAVED_NS: Dict[str, int] = {
-    "noop": 70,
-    "unverified-nat": 150,
-    "verified-nat": 155,
+    "unverified-nat": 75,
+    "verified-nat": 80,
 }
 
 #: Per-packet cost of the multi-queue path when RSS sharding is active:

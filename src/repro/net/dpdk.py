@@ -206,14 +206,18 @@ def build_nf(
     fastpath: str = "off",
     checkpoint=None,
 ) -> NetworkFunction:
-    """The one NF builder: the factory's NF, wrapped iff the fast path is on.
+    """The one NF builder, and the one fast-path admission rule: the
+    factory's NF, wrapped iff the fast path is on *and* the NF is a
+    provider (``fastpath_hooks()`` is not None). An NF with nothing to
+    skip runs as it is — in every runtime, execution mode and chain
+    stage, byte-identical to ``"off"``.
 
     Given a ``checkpoint`` the new NF comes back holding its state —
     through :func:`repro.resil.checkpoint.restore`, so every
     name/config/state check applies and a refused frame raises.
     """
     nf = nf_factory(config)
-    if check_fastpath(fastpath) != "off":
+    if check_fastpath(fastpath) != "off" and nf.fastpath_hooks() is not None:
         nf = FastPathNat(nf)
     if checkpoint is not None:
         from repro.resil.checkpoint import restore
@@ -290,8 +294,7 @@ class Shard:
         return lost
 
     def flow_count(self) -> int:
-        nf = self.nf
-        return nf.flow_count() if hasattr(nf, "flow_count") else 0
+        return self.nf.flow_count()
 
     def counters(self) -> Dict:
         """What a front end merges: NF ops, drop causes, live flows."""

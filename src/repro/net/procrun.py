@@ -298,7 +298,8 @@ def _worker_main(
 
     Runs until an ``X`` command or pipe EOF. Every command handler is
     wrapped: an exception becomes an ``e`` reply (type + message) so the
-    parent re-raises instead of deadlocking on a missing reply.
+    parent re-raises instead of deadlocking on a missing reply — the
+    exception that kept the shard from being built included.
 
     With rings (shm transport) the loop is: while the pipe is idle,
     eagerly drain the inject ring into the runtime's RX queues — that is
@@ -309,7 +310,23 @@ def _worker_main(
     """
     from repro.resil.checkpoint import Checkpoint
 
-    shard = make_shard()
+    def error_reply(exc: Exception) -> bytes:
+        detail = {"type": type(exc).__name__, "message": str(exc)}
+        return RE_ERROR + json.dumps(detail).encode("utf-8")
+
+    try:
+        shard = make_shard()
+    except Exception as exc:  # noqa: BLE001 — the parent must hear why
+        # No shard to host: the first request that expects a reply gets
+        # the real error, then the process ends.
+        try:
+            while conn.recv_bytes()[:1] == OP_INJECT:
+                pass
+            conn.send_bytes(error_reply(exc))
+        except (EOFError, OSError):
+            pass
+        conn.close()
+        return
     runtime = shard.runtime
     stats = TransportStats()
     transport = TRANSPORT_SHM if inject_ring is not None else TRANSPORT_PIPE
@@ -402,12 +419,7 @@ def _worker_main(
             else:
                 raise ValueError(f"unknown opcode {op!r}")
         except Exception as exc:  # noqa: BLE001 — everything must reach the parent
-            conn.send_bytes(
-                RE_ERROR
-                + json.dumps(
-                    {"type": type(exc).__name__, "message": str(exc)}
-                ).encode("utf-8")
-            )
+            conn.send_bytes(error_reply(exc))
     # Detach this process's ring mappings; the parent owns unlinking.
     for ring in (inject_ring, out_ring):
         if ring is not None:

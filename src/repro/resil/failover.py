@@ -454,6 +454,23 @@ class ReplicatedRuntime:
         """A coordinated checkpoint of the *active* NFs (standbys lag)."""
         return self.runtime.checkpoint(now_us)
 
+    def restore(self, checkpoint_set) -> None:
+        """Adopt a coordinated checkpoint: actives and standbys alike.
+
+        The actives restore all-or-nothing (``SteeringFront.restore``).
+        ``Shard.restore`` lands the state in a *fresh* NF, so each
+        worker's delta sink is attached anew; its standby is rebuilt
+        from the restored frame, and what described the pre-restore
+        state — deltas in flight, promotion blackouts — is discarded.
+        """
+        self.runtime.restore(checkpoint_set)
+        frames = checkpoint_set.for_workers(self.workers)
+        for worker_id, (nf, frame) in enumerate(zip(self.runtime.nfs, frames)):
+            self.channels[worker_id].lost_in_flight()
+            self.replicas[worker_id].adopt(frame.state)
+            nf.delta_sink(self._sink_for(worker_id))
+            self._end_blackout(worker_id)
+
     def stop(self) -> None:
         """Nothing to tear down — replicas are plain objects in-thread."""
 

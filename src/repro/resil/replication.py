@@ -157,6 +157,22 @@ class StandbyReplica:
         for delta in deltas:
             self.apply(delta)
 
+    def adopt(self, state: Dict) -> None:
+        """Mirror a checkpoint payload outright (the inverse of
+        :meth:`_state_dict`): what the standby of a just-restored
+        active holds, whatever it had mirrored before."""
+        self._flows.clear()
+        if self.nf_name == "verified-nat":
+            for key, touched, fid_fields, port in state.get("flows", []):
+                self._flows[key] = [list(fid_fields), port, touched]
+        else:
+            for last_seen, fid_fields, port in state.get("flows", []):
+                self._flows[port] = [list(fid_fields), port, last_seen]
+        self._last_t_us = max(
+            [int(state.get("last_now_us", 0))]
+            + [row[2] for row in self._flows.values()]
+        )
+
     # -- promotion ---------------------------------------------------------
     def _state_dict(self) -> Dict:
         if self.nf_name == "verified-nat":

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Union
 from repro.verif.expr import (
     BoolExpr,
     IntExpr,
-    compare,
     conj,
     disj,
     eq,
@@ -121,15 +120,3 @@ class SymBool:
     def __repr__(self) -> str:
         return f"SymBool({self.expr})"
 
-
-def compare_mixed(
-    op: str, lhs: IntLike, rhs: IntLike, ctx: "ExplorationContext"
-) -> SymBool:
-    """Comparison helper when either side may be a plain int."""
-
-    def lift(value: IntLike) -> IntExpr:
-        if isinstance(value, SymInt):
-            return value.expr
-        return IntExpr.const(value)
-
-    return SymBool(compare(op, lift(lhs), lift(rhs)), ctx)

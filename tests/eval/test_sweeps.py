@@ -103,15 +103,22 @@ class TestFastpathClaims:
         assert breaches_of("fastpath", records) == ""
 
     def test_noop_compiled_path_may_not_lose(self):
-        # On the live path a no-op forward costs less than the lookup
-        # the fast path adds, so the clause is a floor, not a >= 1.0.
+        # The no-op forwarder has nothing to skip, so ``build_nf`` never
+        # wraps it: its rows are the ordering's baseline with on == off
+        # (the same modeled cost both ways, none of the cache's own
+        # readings), and its wall-clock ratios are two timings of the
+        # same code, which no claim judges.
         records = committed("fastpath")
         hot, churning = only(records, nf="noop")
-        hot["compiled_speedup_over_off"] = 0.6
-        churning["compiled_speedup_over_off"] = 0.4  # one noisy point
+        for record in (hot, churning):
+            assert not {"hit_rate", "counters", "compiled_counters"} & set(record)
+            assert record["modeled_busy_ns_on"] == record["modeled_busy_ns_off"]
+            assert not record["supports_raw"]
+        hot["compiled_speedup_over_off"] = churning["wall_speedup"] = 0.4
         assert breaches_of("fastpath", records) == ""
-        hot["compiled_speedup_over_off"] = 0.5
-        assert "noop wire-backed replay with the fast path on below 0.55x" in (
+        # The cache's claims read the wrapped rows, and only those.
+        only(records, nf="verified-nat")[0]["counters"] = {}
+        assert "verified-nat @ 64 flows: the cache saw no traffic" in (
             breaches_of("fastpath", records)
         )
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.nat.compiled import compile_action
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import CachedAction, FastPathNat, apply_endpoint_action
-from repro.nat.noop import NoopForwarder
+from repro.nat.limiter import VigLimiter
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
 from repro.packets.builder import make_tcp_packet, make_udp_packet
@@ -404,10 +404,11 @@ class TestClosuresAreEarnedOnTheRawPath:
         self._assert_earns_closure_on_first_hit(fast, slow, packet, 2_000, _wire)
 
     def test_restore_state_drops_closures_and_they_are_earned_again(self):
-        # The no-op forwarder restores into a live instance (VigNat
-        # wants a fresh one), so the same wrapper sees both sides.
-        fast, slow = FastPathNat(NoopForwarder()), NoopForwarder()
-        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        # A limiter that has seen only its pass-through direction holds
+        # no open budget, so it restores into a live instance (VigNat
+        # wants a fresh one) and the same wrapper sees both sides.
+        fast, slow = FastPathNat(VigLimiter()), VigLimiter()
+        packet = make_udp_packet("8.8.8.8", "10.0.0.5", 53, 4_000, device=1)
         for t in (1_000, 1_001):
             assert _wire(fast, packet, t) == _slow(slow, packet, t)
         assert fast.compiled_size == 1
@@ -568,13 +569,13 @@ class TestStaleClosureInvalidation:
         assert counters["fastpath_compiles"] == 2
 
     def test_restore_clears_every_closure(self):
-        # The no-op forwarder restores into a live instance, so the
-        # wrapper's own clearing is what stands between a pre-restore
-        # closure and the post-restore data path.
-        fast = FastPathNat(NoopForwarder())
+        # A limiter holding only pass-through actions restores into a
+        # live instance, so the wrapper's own clearing is what stands
+        # between a pre-restore closure and the post-restore data path.
+        fast = FastPathNat(VigLimiter())
         for i in range(4):
             packet = make_udp_packet(
-                "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
+                "8.8.8.8", "10.0.0.5", 53, 4_000 + i, device=1
             )
             _wire(fast, packet, 1_000)  # learn
             _wire(fast, packet, 1_000)  # first hit: compile

@@ -14,10 +14,12 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
+from repro.nat.firewall import VigFirewall
 from repro.nat.netfilter import NetfilterNat
 from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
+from repro.net.dpdk import build_nf
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 from repro.packets.headers import PROTO_ICMP, Packet
 
@@ -360,17 +362,28 @@ class TestWarmFromRestoredState:
         assert fast.cache_size == 6
 
     def test_nf_without_warm_hook_warms_nothing(self):
-        fast = FastPathNat(NoopForwarder(0, 1))
+        fast = FastPathNat(VigFirewall(CFG))
         assert fast.warm() == 0
         assert fast.op_counters()["fastpath_warmed"] == 0
 
 
 class TestNoopFastPath:
+    """The no-op forwarder has nothing to skip, so it is no provider:
+    ``fastpath="compiled"`` runs it as it is."""
+
     def test_noop_hits_and_forwards(self):
-        fast = FastPathNat(NoopForwarder(0, 1))
+        def noop(_config):
+            return NoopForwarder(0, 1)
+
+        fast, slow = build_nf(noop, None, "compiled"), build_nf(noop, None, "off")
+        assert type(fast) is NoopForwarder
         packet = make_tcp_packet("10.0.0.1", "198.18.0.1", 99, 80, device=0)
         first = fast.process(packet.clone(), 1_000)
         second = fast.process(packet.clone(), 1_001)
-        assert render(first) == render(second)
+        assert render(first) == render(second) == render(slow.process(packet, 1_000))
         assert first[0].device == 1
-        assert fast.op_counters()["fastpath_hits"] == 1
+        assert fast.op_counters() == {"forwarded": 2, "bursts": 0, "burst_packets": 0}
+
+    def test_wrapping_it_directly_is_refused(self):
+        with pytest.raises(TypeError):
+            FastPathNat(NoopForwarder(0, 1))

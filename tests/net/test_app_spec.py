@@ -7,12 +7,28 @@ satisfies the same :class:`~repro.net.app.Runtime` protocol, and the
 testbed's analytic model takes the same spec (``run_spec``).
 """
 
+import random
 import warnings
 
 import pytest
 
-from repro.nat.config import NatConfig
-from repro.nat.vignat import VigNat
+from repro.nat import (
+    BridgeConfig,
+    CgnatConfig,
+    DetNat,
+    FastPathNat,
+    IcmpAwareNat,
+    LimiterConfig,
+    NatConfig,
+    NetfilterNat,
+    NoopForwarder,
+    UnverifiedNat,
+    VigBridge,
+    VigFirewall,
+    VigLimiter,
+    VigNat,
+)
+from repro.nat.behavior import BehavioralNat
 from repro.net.app import (
     EXECUTION_MODES,
     INLINE,
@@ -23,11 +39,12 @@ from repro.net.app import (
     RuntimeSpec,
     launch,
 )
-from repro.net.dpdk import ShardedRuntime
+from repro.net.dpdk import ShardedRuntime, build_nf
 from repro.net.moongen import ConstantRateFlows
 from repro.net.procrun import ProcessShardedRuntime
 from repro.net.testbed import Rfc2544Testbed
-from repro.packets.builder import make_udp_packet
+from repro.packets.builder import make_tcp_packet, make_udp_packet
+from repro.packets.headers import EthernetHeader, Packet
 from repro.resil.failover import ReplicatedRuntime
 
 
@@ -256,3 +273,126 @@ class TestWithRoundTrip:
             **{name: getattr(base, name) for name in overrides}
         )
         assert reverted == base
+
+
+# -- the admission rule, through launch() ---------------------------------------
+#: The schedule's inside hosts and ports are the bijection's subscribers.
+CGNAT = CgnatConfig(
+    start_port=1_000,
+    max_flows=64,
+    internal_base=0x0A000001,
+    subscriber_count=8,
+    internal_port_base=1_024,
+)
+#: Every NF factory the package ships, as ``launch()`` calls it (with the
+#: shard's config), and whether the NF is a fast-path provider.
+NF_FACTORIES = {
+    "VigNat": (VigNat, True),
+    "UnverifiedNat": (UnverifiedNat, True),
+    "VigFirewall": (VigFirewall, True),
+    "VigLimiter": (lambda _cfg: VigLimiter(LimiterConfig(max_packets=40)), True),
+    "NetfilterNat": (NetfilterNat, False),
+    "VigBridge": (lambda _cfg: VigBridge(BridgeConfig()), False),
+    "DetNat": (lambda _cfg: DetNat(CGNAT), False),
+    "NoopForwarder": (lambda _cfg: NoopForwarder(), False),
+    "BehavioralNat": (BehavioralNat, False),
+    "IcmpAwareNat": (IcmpAwareNat, False),
+}
+
+
+def _seeded_schedule():
+    """(time_us, port, frame) arrivals: a few flows sent again and again
+    from the inside, answers and strangers from the outside, one ARP
+    frame; times cross the config's expiry once."""
+    rng = random.Random(24)
+    cfg = config()
+    arrivals = []
+    now = 1_000
+    for step in range(120):
+        now += rng.choice((1, 1, 5, 40)) if step != 80 else 61_000_000
+        flow = rng.randrange(6)
+        if rng.random() < 0.6:
+            make = make_udp_packet if flow % 2 else make_tcp_packet
+            packet = make(0x0A000001 + flow, "8.8.8.8", 1_024 + flow, 53, device=0)
+        elif rng.random() < 0.9:
+            packet = make_udp_packet(
+                "8.8.8.8", cfg.external_ip, 53, cfg.start_port + flow, device=1
+            )
+        else:
+            packet = Packet(
+                eth=EthernetHeader(b"\xff" * 6, b"\x02" * 6, 0x0806),
+                payload=b"who-has",
+                device=rng.randrange(2),
+            )
+        arrivals.append((now, packet.device, packet.to_bytes()))
+    return arrivals
+
+
+def _drive(nf_factory, execution, fastpath):
+    """The schedule's wire frames through ``launch()``: every frame the
+    runtime transmitted, and its merged op counters."""
+    runtime = launch(
+        RuntimeSpec(
+            nf_factory=nf_factory,
+            config=config(),
+            execution=execution,
+            fastpath=fastpath,
+        )
+    )
+    try:
+        sent = []
+        for now, port, frame in _seeded_schedule():
+            runtime.inject(port, Packet.from_bytes(frame, port), now)
+            runtime.main_loop_burst(now, 8)
+            sent += [(p, ts, pkt.wire_bytes()) for p, ts, pkt in runtime.collect()]
+        return sent, dict(runtime.op_counters())
+    finally:
+        runtime.stop()
+
+
+class TestFastpathAdmission:
+    """``build_nf`` is the one admission rule: under
+    ``fastpath="compiled"`` a provider runs behind the cache, anything
+    else runs as it is — in every execution mode, byte-identical to
+    ``"off"`` either way."""
+
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    @pytest.mark.parametrize("name", sorted(NF_FACTORIES))
+    def test_compiled_launches_and_matches_off(self, name, execution):
+        nf_factory, provider = NF_FACTORIES[name]
+        off_sent, off_counters = _drive(nf_factory, execution, "off")
+        on_sent, on_counters = _drive(nf_factory, execution, "compiled")
+        assert on_sent == off_sent
+        assert off_sent, "the schedule never got a frame through"
+        cache_keys = {key for key in on_counters if key.startswith("fastpath_")}
+        assert bool(cache_keys) == provider
+        assert not any(key.startswith("fastpath_") for key in off_counters)
+        if provider:
+            assert on_counters["fastpath_hits"] > 0
+        else:
+            assert on_counters == off_counters
+
+    @pytest.mark.parametrize("name", sorted(NF_FACTORIES))
+    def test_a_provider_is_the_nf_itself(self, name):
+        """Conformance: ``fastpath_hooks()`` answers the NF or None, and
+        a provider carries every name ``FastPathNat`` calls."""
+        nf_factory, provider = NF_FACTORIES[name]
+        nf = nf_factory(config())
+        hooks = nf.fastpath_hooks()
+        if not provider:
+            assert hooks is None
+            with pytest.raises(TypeError):
+                FastPathNat(nf)
+            return
+        assert hooks is nf
+        assert isinstance(nf.supports_raw, bool)
+        for method in (
+            "begin_burst",
+            "on_flow_freed",
+            "learn_token",
+            "rejuvenate",
+            "apply",
+        ):
+            assert callable(getattr(nf, method)), method
+        assert isinstance(build_nf(nf_factory, config(), "compiled"), FastPathNat)
+        assert not isinstance(build_nf(nf_factory, config(), "off"), FastPathNat)

@@ -276,6 +276,26 @@ class TestWorkerErrors:
             assert runtime.flow_count() == 4
 
 
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_a_shard_that_cannot_be_built_says_why(self, transport, capfd):
+        """The factory runs in the worker; when it raises, the first
+        request is answered with the real error (type and message), not
+        a bare ``WorkerCrashed`` over a traceback on the child's stderr."""
+
+        def unbuildable(_config):
+            raise ValueError("no table for this shard")
+
+        with ProcessShardedRuntime(
+            unbuildable, config(), workers=1, transport=transport
+        ) as runtime:
+            runtime.inject(0, outbound(0), 1_000)  # an ``I`` expects no reply
+            with pytest.raises(
+                RuntimeError, match=r"\[ValueError\] worker 0: no table for this shard"
+            ):
+                runtime.main_loop_burst(1_005, 8)
+        assert "Traceback" not in capfd.readouterr().err
+
+
 class TestShutdown:
     def test_stop_is_idempotent_and_joins(self):
         runtime = ProcessShardedRuntime(VigNat, config(), workers=2)

@@ -13,6 +13,7 @@ import pytest
 from repro.nat.config import NatConfig
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
+from repro.net.app import RuntimeSpec, launch
 from repro.net.rss import NatSteering
 from repro.packets.builder import make_udp_packet
 from repro.resil.checkpoint import restore
@@ -307,6 +308,97 @@ class TestKillAndPromote:
         assert len(runtime.reports) == 2
         assert runtime.reports[1].flows_lost == 0
         assert runtime.flow_count() == flows_before
+
+
+def _second_wave(runtime, count, now):
+    for i in range(count):
+        runtime.inject(
+            0,
+            make_udp_packet("10.0.0.7", "8.8.8.8", 7_000 + i, 30_000 + i, device=0),
+            now + i,
+        )
+    now += count + 5
+    runtime.main_loop_burst(now)
+    assert len(runtime.collect()) == count
+    return now
+
+
+@pytest.mark.parametrize("nf_ctor", [VigNat, UnverifiedNat])
+class TestReplicatedRestore:
+    """``restore(set)`` on a replicated deployment rolls the standbys
+    back with the actives (``docs/RESILIENCE.md``)."""
+
+    def _launched(self, nf_ctor, lag):
+        return launch(
+            RuntimeSpec(nf_factory=nf_ctor, config=CFG, workers=2, replication_lag=lag)
+        )
+
+    def test_promoted_standby_holds_exactly_the_checkpoints_flows(self, nf_ctor):
+        lag = 4
+        runtime = self._launched(nf_ctor, lag)
+        ext_of, now = _establish(runtime, 16)
+        checkpoint_set = runtime.checkpoint(now)
+        now = _second_wave(runtime, 12, now + 10)
+        assert runtime.flow_count() == 28
+        assert runtime.standby_flow_count() < 28  # the rest is in flight
+
+        runtime.restore(checkpoint_set)
+        assert runtime.flow_count() == 16
+        # Rebuilt from the frames, not caught up delta by delta: the
+        # deltas in flight described the state that was rolled back.
+        assert runtime.standby_flow_count() == 16
+        assert all(c.in_flight_count() == 0 for c in runtime.channels)
+        assert runtime.drop_causes()["replication_deltas_lost"] == lag * 2
+
+        runtime.kill_worker(1, at_us=now + 1)
+        now += 2
+        runtime.main_loop_burst(now)
+        (report,) = runtime.reports
+        assert report.flows_lost == 0 and report.deltas_lost == 0
+        promoted = runtime.runtime.nfs[1].checkpoint_state()
+        assert promoted["flows"] == checkpoint_set.checkpoints[1].state["flows"]
+        assert report.flows_recovered == len(promoted["flows"]) > 0
+        # The first wave still translates; the second is gone for good.
+        now = report.ready_at_us + 10
+        for marker, ext_port in ext_of.items():
+            assert runtime.inject(1, _reply(marker, ext_port), now)
+        runtime.main_loop_burst(now + 5)
+        assert len(runtime.collect()) == len(ext_of)
+        assert runtime.flow_count() == 16
+
+    def test_restored_actives_keep_replicating(self, nf_ctor):
+        # Shard.restore lands the state in a fresh NF: without a new
+        # sink the standbys would never hear of another flow.
+        runtime = self._launched(nf_ctor, 0)
+        _, now = _establish(runtime, 8)
+        runtime.restore(runtime.checkpoint(now))
+        _second_wave(runtime, 8, now + 10)
+        assert runtime.standby_flow_count() == runtime.flow_count() == 16
+
+    def test_restore_ends_a_promotion_blackout(self, nf_ctor):
+        runtime = self._launched(nf_ctor, 0)
+        ext_of, now = _establish(runtime, 8)
+        checkpoint_set = runtime.checkpoint(now)
+        runtime.kill_worker(1, at_us=now + 1)
+        runtime.main_loop_burst(now + 2)
+        (report,) = runtime.reports
+        assert report.ready_at_us > now + 3
+        runtime.restore(checkpoint_set)
+        for marker, ext_port in ext_of.items():
+            assert runtime.inject(1, _reply(marker, ext_port), now + 3), marker
+        runtime.main_loop_burst(now + 4)
+        assert len(runtime.collect()) == len(ext_of)
+
+    def test_a_refused_set_changes_nothing(self, nf_ctor):
+        runtime = self._launched(nf_ctor, 4)
+        _, now = _establish(runtime, 16)
+        standby_before = runtime.standby_flow_count()
+        other = launch(RuntimeSpec(nf_factory=nf_ctor, config=CFG, workers=1))
+        with pytest.raises(Exception):
+            runtime.restore(other.checkpoint(now))
+        assert runtime.flow_count() == 16
+        assert runtime.standby_flow_count() == standby_before
+        assert sum(c.in_flight_count() for c in runtime.channels) == 8
 
 
 class TestReplicatedRuntimeSurface:
