@@ -22,15 +22,20 @@ numbering; the chain remaps at every handoff:
 - anything else is a *misroute*: dropped, counted per stage, and
   recorded in the stage's truth log.
 
-Each stage runs behind its own launched engine — an
-:class:`~repro.net.app.InlineRuntime` (``execution="inline"``) or a
-single-worker :class:`~repro.net.procrun.ProcessShardedRuntime`
-(``execution="process"``) — so a chain composes *runtimes*, not bare
-NFs, and per-stage pool/port accounting comes for free. The chain-level
-``main_loop_burst`` threads every stage's TX into its neighbor's RX
-within the turn: an ascending sweep carries rightward traffic the whole
-way in one turn, a descending sweep then does the same for leftward
-traffic (NAT replies), so one turn fully flushes both directions.
+The chain is one substrate: one :class:`~repro.net.dpdk.DpdkRuntime`
+(two wire ports, one mbuf pool). A frame gets its buffer in the chain's
+``rx_burst`` and keeps it across every stage; it goes back exactly once
+— at exit through ``tx_burst``, or when an NF drop, a misroute or a
+down stage frees it. Only two things depend on the execution mode: how
+a stage turns a batch into outputs — an ``inline`` stage is the NF
+:func:`~repro.net.dpdk.build_nf` made, fed ``process_burst`` chunks of
+at most ``burst_size``; a ``process`` stage is a one-worker
+:class:`~repro.net.procrun.ProcessShardedRuntime`, a buffer freed as
+its packet is injected there and allocated as an output is collected —
+and how its state is reached. ``main_loop_burst`` threads every stage's
+output into its neighbor within the turn: an ascending sweep carries
+rightward traffic the whole way, a descending sweep then does the same
+for leftward traffic (NAT replies), so one turn flushes both directions.
 
 Truth logs. Every stage owns a bounded
 :class:`~repro.obs.flight.FlightRecorder` that records each handoff in
@@ -48,8 +53,8 @@ stage into a single ``repro-ckpt-set/v1``
 :class:`~repro.resil.checkpoint.CheckpointSet` (stage order is frame
 order); :meth:`ChainRuntime.restore` is all-or-nothing — every frame is
 first restored into a throwaway NF (running the full per-NF
-validation) and only then does each stage engine restore its own, so a
-bad set leaves the chain untouched.
+validation) and only then does each stage adopt its own — a down stage
+is relaunched from its frame — so a bad set leaves the chain untouched.
 """
 
 from __future__ import annotations
@@ -61,13 +66,13 @@ from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import check_fastpath
 from repro.net.app import INLINE, PROCESS, RuntimeSpec, launch
-from repro.net.dpdk import build_nf, ingress_fault
-from repro.net.nic import Port
+from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault, merge_counters
+from repro.net.mbuf import Mbuf
 from repro.obs import flight
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, with_labels
 from repro.packets.headers import Packet
-from repro.resil.checkpoint import CheckpointError, CheckpointSet
+from repro.resil.checkpoint import CheckpointError, CheckpointSet, snapshot
 
 #: Execution modes a chain supports: every stage inline in this
 #: process, or one OS process per stage.
@@ -165,21 +170,42 @@ class ChainSpec:
 class ChainRuntime:
     """A launched service chain, driven like any other runtime.
 
-    See the module docstring for topology, truth logs and the
-    checkpoint contract. ``workers`` reports the number of stages.
+    See the module docstring for the one substrate, topology, truth logs
+    and the checkpoint contract. ``runtime`` is the chain's
+    ``DpdkRuntime`` (wire ports and pool); ``engines[i]`` is stage
+    ``i``'s NF (inline) or its one-worker runtime (process).
+    ``workers`` reports the number of stages.
     """
 
     def __init__(self, spec: ChainSpec) -> None:
         self.spec = spec
         self.stages = spec.stages
         n = len(spec.stages)
-        self.engines = [launch(self._stage_spec(i)) for i in range(n)]
+        self._process = spec.execution == PROCESS
+        self._serve = self._serve_process if self._process else self._serve_inline
+        self.runtime = DpdkRuntime(2, spec.rx_capacity, spec.pool_size)
+        self._ports = self.runtime.ports
+        self.engines = [self._launch(i) for i in range(n)]
         self._down: List[bool] = [False] * n
-        # Two wire-facing ports with bounded RX rings, like any NIC.
-        self._ports = [Port(0, spec.rx_capacity), Port(1, spec.rx_capacity)]
-        # Handoff buffers: packets waiting to enter stage i next sweep,
-        # as (stage-local device, timestamp, packet).
-        self._pending: List[List[Tuple[int, int, Packet]]] = [[] for _ in range(n)]
+        # Buffers waiting to enter stage i next sweep, by the stage-local
+        # device they arrive on — served in device order, as a NIC
+        # drains its ports.
+        self._pending: List[Dict[int, List[Mbuf]]] = [
+            {device: [] for device in sorted((s.device_a, s.device_b))}
+            for s in spec.stages
+        ]
+        # A hop is (stage, the device it arrives on) or (None, chain
+        # port). Stage i's device_a leads to lefts[i], its device_b to
+        # rights[i + 1], any other device nowhere (a misroute).
+        lefts = [(None, 0)] + [(i, s.device_b) for i, s in enumerate(spec.stages)]
+        rights = [(i, s.device_a) for i, s in enumerate(spec.stages)] + [(None, 1)]
+        self._hops = [
+            {s.device_a: lefts[i], s.device_b: rights[i + 1]}
+            for i, s in enumerate(spec.stages)
+        ]
+        self._entries = (rights[0], lefts[n])
+        # Buffers leaving on chain port 0 / 1 at the end of the turn.
+        self._exits: List[List[Mbuf]] = [[], []]
         # Truth logs + chain_stage_* counter state.
         self.stage_logs = [
             FlightRecorder(spec.truth_log_capacity, detail_unit="dev")
@@ -190,7 +216,6 @@ class ChainRuntime:
         self._stage_misroute = [0] * n
         self._stage_killed = [0] * n
         self._handoffs = 0
-        self._exited = [0, 0]
         self._promotions = 0
         self.fault_wire_dropped = 0
         self.fault_wire_corrupted = 0
@@ -208,7 +233,7 @@ class ChainRuntime:
             nf_factory=lambda _shard_config: stage.nf_factory(stage.config),
             config=config if isinstance(config, NatConfig) else None,
             workers=1,
-            execution=spec.execution,
+            execution=PROCESS,
             fastpath=spec.fastpath,
             burst_size=spec.burst_size,
             port_count=max(2, stage.device_a + 1, stage.device_b + 1),
@@ -217,6 +242,21 @@ class ChainRuntime:
             transport=spec.transport,
             turn_timeout_s=spec.turn_timeout_s,
         )
+
+    def _launch(self, index: int, frame=None):
+        """A fresh engine for stage ``index``, holding ``frame``'s state
+        if given (a refused frame raises and nothing is left running)."""
+        stage = self.stages[index]
+        if not self._process:
+            return build_nf(stage.nf_factory, stage.config, self.spec.fastpath, frame)
+        engine = launch(self._stage_spec(index))
+        if frame is not None:
+            try:
+                engine.restore(CheckpointSet(frame.taken_at_us, (frame,)))
+            except Exception:
+                engine.stop()
+                raise
+        return engine
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -236,9 +276,10 @@ class ChainRuntime:
         return [dict(engine.op_counters()) for engine in self.engines]
 
     def op_counters(self) -> Dict[str, int]:
+        ports = self._ports.values()
         return {
-            "injected": sum(p.counters.rx_packets for p in self._ports),
-            "exited": sum(self._exited),
+            "injected": sum(p.counters.rx_packets for p in ports),
+            "exited": sum(p.counters.tx_packets for p in ports),
             "handoffs": self._handoffs,
             "misroutes": sum(self._stage_misroute),
             "stage_killed": sum(self._stage_killed),
@@ -246,14 +287,22 @@ class ChainRuntime:
         }
 
     def drop_causes(self) -> Dict[str, int]:
-        causes: Dict[str, int] = {
-            "chain_rx_ring_full": sum(p.counters.rx_dropped for p in self._ports),
+        """Each drop under one key, the same keys in both executions:
+        ``chain_rx_ring_full`` is the wire ports', ``rx_ring_full`` a
+        process stage's own ring; merged by :func:`merge_counters`."""
+        own = self.runtime.drop_causes()
+        causes = {
+            "chain_rx_ring_full": own["rx_ring_full"],
             "chain_misroute": sum(self._stage_misroute),
             "chain_stage_killed": sum(self._stage_killed),
         }
-        for engine in self.engines:
-            for key, value in engine.drop_causes().items():
-                causes[key] = causes.get(key, 0) + value
+        own["rx_ring_full"] = 0
+        stages = [
+            engine.drop_causes()
+            for engine, down in zip(self.engines, self._down)
+            if self._process and not down
+        ]
+        causes.update(merge_counters([own, *stages]))
         if self.spec.fault_plan is not None:
             causes["fault_wire_dropped"] = self.fault_wire_dropped
             causes["fault_wire_corrupted"] = self.fault_wire_corrupted
@@ -288,96 +337,119 @@ class ChainRuntime:
 
     def collect(self) -> List[Tuple[int, int, Packet]]:
         """Everything the chain transmitted: (port, timestamp, packet)."""
-        merged: List[Tuple[int, int, Packet]] = []
-        for port in self._ports:
-            merged.extend(
-                (port.port_id, ts, pkt) for ts, pkt in port.drain_tx()
-            )
-        return merged
+        return self.runtime.collect()
 
     # -- the chain main loop -----------------------------------------------------
     def main_loop_burst(self, now_us: int, burst_size: Optional[int] = None) -> int:
-        """One chain turn: ingest both edges, then sweep both ways.
+        """One chain turn: receive both edges, sweep both ways, transmit.
 
         The ascending sweep (stage 0 → N-1) lets rightward traffic
         traverse the whole chain within the turn; the descending sweep
         then flushes leftward traffic the same way. Handoffs produced
         against a sweep's direction wait for the opposite sweep — still
         inside this turn — so a quiescent chain is fully drained after
-        every ``main_loop_burst`` (the checkpoint fence).
+        every ``main_loop_burst`` (the checkpoint fence), every buffer
+        back in the pool.
         """
         burst = burst_size if burst_size is not None else self.spec.burst_size
+        if burst <= 0:
+            raise ValueError("burst size must be positive")
+        for port, (index, device) in enumerate(self._entries):
+            for mbuf in self.runtime.rx_burst(port, self.spec.rx_capacity):
+                self._enqueue(index, device, mbuf)
         last = len(self.stages) - 1
-        while True:
-            item = self._ports[0].rx_pop()
-            if item is None:
-                break
-            ts, pkt = item
-            self._enqueue(0, self.stages[0].device_a, ts, pkt)
-        while True:
-            item = self._ports[1].rx_pop()
-            if item is None:
-                break
-            ts, pkt = item
-            self._enqueue(last, self.stages[last].device_b, ts, pkt)
-        processed = self._sweep(range(len(self.stages)), now_us, burst)
+        processed = self._sweep(range(last + 1), now_us, burst)
         processed += self._sweep(range(last, -1, -1), now_us, burst)
+        for port, mbufs in enumerate(self._exits):
+            if mbufs:
+                self._exits[port] = []
+                self.runtime.tx_burst(port, mbufs, now_us)
         return processed
 
-    def _enqueue(self, index: int, device: int, ts: int, packet: Packet) -> None:
-        self._pending[index].append((device, ts, packet))
+    def _enqueue(self, index: int, device: int, mbuf: Mbuf) -> None:
+        self._pending[index][device].append(mbuf)
         self._stage_rx[index] += 1
-        self.stage_logs[index].record(flight.RX, ts, index, detail=device)
+        self.stage_logs[index].record(flight.RX, mbuf.timestamp, index, detail=device)
 
     def _sweep(self, order, now_us: int, burst: int) -> int:
         processed = 0
         for i in order:
-            batch = self._pending[i]
-            if not batch:
+            queues = self._pending[i]
+            ready = [(device, batch) for device, batch in queues.items() if batch]
+            if not ready:
                 continue
-            self._pending[i] = []
-            if self._down[i]:
-                # A failed stage with no promoted standby blackholes its
-                # traffic — the measured disruption scenarios count on it.
+            for device, _batch in ready:
+                queues[device] = []
+            if not self._down[i]:
+                processed += self._serve(i, ready, now_us, burst)
+                continue
+            # A failed stage with no promoted standby blackholes its
+            # traffic — the measured disruption scenarios count on it.
+            for _device, batch in ready:
                 self._stage_killed[i] += len(batch)
-                for _dev, ts, _pkt in batch:
+                for mbuf in batch:
                     self.stage_logs[i].record(
                         flight.DROP,
-                        t_us=ts,
+                        t_us=mbuf.timestamp,
                         worker=i,
                         reason=flight.REASON_WORKER_KILL,
                     )
-                continue
-            engine = self.engines[i]
-            for device, ts, pkt in batch:
-                pkt.device = device
-                engine.inject(device, pkt, ts)
-            processed += engine.main_loop_burst(now_us, burst)
-            for port, ts, out in engine.collect():
-                self._route(i, port, ts, out)
+                    self.runtime.free(mbuf)
         return processed
 
-    def _route(self, index: int, port: int, ts: int, packet: Packet) -> None:
-        stage = self.stages[index]
+    # -- how a stage turns a batch into outputs (the execution-specific part) --
+    def _serve_inline(self, index: int, ready, now_us: int, burst: int) -> int:
+        """Run the stage's NF on its own buffers, ``burst`` at a time."""
+        nf = self.engines[index]
+        runtime = self.runtime
+        route = self._route
+        processed = 0
+        for device, batch in ready:
+            processed += len(batch)
+            for start in range(0, len(batch), burst):
+                chunk = batch[start : start + burst]
+                packets = [mbuf.packet for mbuf in chunk]
+                for packet in packets:
+                    packet.device = device
+                for mbuf, outputs in zip(chunk, nf.process_burst(packets, now_us)):
+                    if not outputs:
+                        runtime.free(mbuf)
+                        runtime.nf_dropped += 1
+                        continue
+                    first = outputs[0]
+                    mbuf.packet = first
+                    mbuf.timestamp = now_us
+                    route(index, first.device, mbuf)
+                    for extra in outputs[1:]:  # multicast/flood NFs
+                        clone = runtime.pool.alloc(extra, extra.device, now_us)
+                        if clone is not None:
+                            route(index, extra.device, clone)
+        return processed
+
+    def _serve_process(self, index: int, ready, now_us: int, burst: int) -> int:
+        """Hand the batch to the stage's worker: a buffer is freed as its
+        packet is injected and allocated as an output is collected."""
+        engine = self.engines[index]
+        runtime = self.runtime
+        for device, batch in ready:
+            for mbuf in batch:
+                packet = mbuf.packet
+                packet.device = device
+                engine.inject(device, packet, mbuf.timestamp)
+                runtime.free(mbuf)
+        processed = engine.main_loop_burst(now_us, burst)
+        for port, ts, out in engine.collect():
+            mbuf = runtime.pool.alloc(out, port, ts)
+            if mbuf is not None:
+                self._route(index, port, mbuf)
+        return processed
+
+    def _route(self, index: int, port: int, mbuf: Mbuf) -> None:
+        ts = mbuf.timestamp
         self._stage_tx[index] += 1
         self.stage_logs[index].record(flight.TX, ts, index, detail=port)
-        if port == stage.device_b:
-            if index == len(self.stages) - 1:
-                self._exit(1, ts, packet)
-            else:
-                self._handoffs += 1
-                self._enqueue(
-                    index + 1, self.stages[index + 1].device_a, ts, packet
-                )
-        elif port == stage.device_a:
-            if index == 0:
-                self._exit(0, ts, packet)
-            else:
-                self._handoffs += 1
-                self._enqueue(
-                    index - 1, self.stages[index - 1].device_b, ts, packet
-                )
-        else:
+        hop = self._hops[index].get(port)
+        if hop is None:
             self._stage_misroute[index] += 1
             self.stage_logs[index].record(
                 flight.DROP,
@@ -386,17 +458,22 @@ class ChainRuntime:
                 reason=flight.REASON_CHAIN_MISROUTE,
                 detail=port,
             )
-
-    def _exit(self, chain_port: int, ts: int, packet: Packet) -> None:
-        packet.device = chain_port
-        self._ports[chain_port].transmit(packet, ts)
-        self._exited[chain_port] += 1
+            self.runtime.free(mbuf)
+            return
+        target, device = hop
+        if target is None:
+            mbuf.packet.device = device
+            self._exits[device].append(mbuf)
+        else:  # _enqueue, written out: this is the per-hop hot path
+            self._handoffs += 1
+            self._pending[target][device].append(mbuf)
+            self._stage_rx[target] += 1
+            self.stage_logs[target].record(flight.RX, ts, target, detail=device)
 
     # -- observability -----------------------------------------------------------
     def register_metrics(self, registry) -> None:
-        """Chain-level instruments (ports, handoffs, exits)."""
-        for port in self._ports:
-            port.register_metrics(registry, {"edge": "chain"})
+        """Chain-level instruments (pool, ports, handoffs, exits)."""
+        self.runtime.register_metrics(registry, {"edge": "chain"})
         registry.counter_fn(
             "chain_handoffs_total",
             lambda: self._handoffs,
@@ -404,7 +481,7 @@ class ChainRuntime:
         )
         registry.counter_fn(
             "chain_exited_total",
-            lambda: sum(self._exited),
+            lambda: self.op_counters()["exited"],
             "packets that left the chain on either wire port",
         )
         registry.gauge_fn(
@@ -419,42 +496,47 @@ class ChainRuntime:
         registry = MetricsRegistry()
         self.register_metrics(registry)
         snapshots = [registry.snapshot()]
+        per_stage = (
+            ("chain_stage_rx_total", self._stage_rx, "packets handed to this stage"),
+            ("chain_stage_tx_total", self._stage_tx, "packets this stage emitted"),
+            (
+                "chain_stage_misroute_total",
+                self._stage_misroute,
+                "packets emitted on a device mapping to no neighbor",
+            ),
+            (
+                "chain_stage_killed_total",
+                self._stage_killed,
+                "packets blackholed while the stage was down",
+            ),
+        )
         for i, (stage, engine) in enumerate(zip(self.stages, self.engines)):
             labels = {"stage": str(i), "stage_name": stage.name}
             stage_registry = MetricsRegistry()
-            stage_registry.counter_fn(
-                "chain_stage_rx_total",
-                lambda i=i: self._stage_rx[i],
-                "packets handed to this stage",
-            )
-            stage_registry.counter_fn(
-                "chain_stage_tx_total",
-                lambda i=i: self._stage_tx[i],
-                "packets this stage emitted",
-            )
-            stage_registry.counter_fn(
-                "chain_stage_misroute_total",
-                lambda i=i: self._stage_misroute[i],
-                "packets emitted on a device mapping to no neighbor",
-            )
-            stage_registry.counter_fn(
-                "chain_stage_killed_total",
-                lambda i=i: self._stage_killed[i],
-                "packets blackholed while the stage was down",
-            )
+            for name, counts, help_text in per_stage:
+                stage_registry.counter_fn(name, lambda c=counts, i=i: c[i], help_text)
             stage_registry.gauge_fn(
                 "chain_stage_flows",
                 lambda i=i: 0 if self._down[i] else self.engines[i].flow_count(),
                 "per-stage flow-state entries",
             )
+            live = not self._down[i]
+            if live and not self._process:
+                engine.register_metrics(stage_registry, {"worker": "0"})
             snapshots.append(with_labels(stage_registry.snapshot(), labels))
-            if not self._down[i]:
+            if live and self._process:
                 snapshots.append(with_labels(engine.snapshot_metrics(), labels))
         from repro.obs import merge_snapshots
 
         return merge_snapshots(snapshots)
 
-    # -- control plane -------------------------------------------------------
+    # -- control plane (how a stage's state is reached) ------------------------
+    def _stage_frame(self, index: int, now_us: int):
+        engine = self.engines[index]
+        if self._process:
+            return engine.checkpoint(now_us).checkpoints[0]
+        return snapshot(engine, now_us)
+
     def checkpoint(self, now_us: int = 0) -> CheckpointSet:
         """One coordinated set: frame ``i`` is stage ``i``'s state.
 
@@ -462,38 +544,50 @@ class ChainRuntime:
         ``main_loop_burst`` turns, when no handoff is pending.
         """
         frames = []
-        for index, engine in enumerate(self.engines):
+        for index in range(len(self.stages)):
             if self._down[index]:
                 raise CheckpointError(
                     f"stage {index} ({self.stages[index].name}) is down; "
                     f"promote a standby before checkpointing the chain"
                 )
-            frames.append(engine.checkpoint(now_us).checkpoints[0])
+            frames.append(self._stage_frame(index, now_us))
         return CheckpointSet(taken_at_us=now_us, checkpoints=tuple(frames))
 
     def checkpoint_stage(self, index: int, now_us: int = 0) -> CheckpointSet:
         """A single-stage set (e.g. to keep a warm standby in sync)."""
-        return self.engines[index].checkpoint(now_us)
+        return CheckpointSet(now_us, (self._stage_frame(index, now_us),))
 
     def restore(self, checkpoint_set: CheckpointSet) -> None:
         """Adopt a chain-wide set, all-or-nothing.
 
         Every frame is first restored into a throwaway NF per stage —
         running the full name/config/state validation — and only when
-        all of them pass does any engine restore its own frame, so a
+        all of them pass does any stage adopt its own frame, so a
         corrupt or mismatched set leaves the running chain untouched.
+        An inline stage adopts the NF the validation built; a live
+        process stage restores its worker, and a down one is relaunched
+        from its frame (as :meth:`swap_stage` promotes) — every stage is
+        up afterwards, on the set's state.
         """
         if checkpoint_set.workers != len(self.stages):
             raise CheckpointError(
                 f"checkpoint set holds {checkpoint_set.workers} stage(s), "
                 f"chain has {len(self.stages)}"
             )
-        for stage, frame in zip(self.stages, checkpoint_set.checkpoints):
+        frames = checkpoint_set.checkpoints
+        nfs = [
             build_nf(stage.nf_factory, stage.config, self.spec.fastpath, frame)
-        for index, frame in enumerate(checkpoint_set.checkpoints):
-            self.engines[index].restore(
-                CheckpointSet(checkpoint_set.taken_at_us, (frame,))
-            )
+            for stage, frame in zip(self.stages, frames)
+        ]
+        for index, frame in enumerate(frames):
+            if not self._process:
+                self.engines[index] = nfs[index]
+            elif self._down[index]:
+                self.engines[index] = self._launch(index, frame)
+            else:
+                self.engines[index].restore(
+                    CheckpointSet(checkpoint_set.taken_at_us, (frame,))
+                )
             self._down[index] = False
 
     def fail_stage(self, index: int) -> None:
@@ -504,38 +598,34 @@ class ChainRuntime:
         disruption window the scenario suite bounds.
         """
         self._down[index] = True
-        self.engines[index].stop()
+        if self._process:
+            self.engines[index].stop()
 
     def swap_stage(self, index: int, checkpoint_set: Optional[CheckpointSet] = None):
         """Promote a standby for one stage: fresh engine, optional state.
 
-        Builds a new engine from the stage's spec, optionally restores a
-        single-stage checkpoint set into it (the warm standby), then
-        swaps it in and stops the old engine — whose queued packets, if
-        any, die with it. Returns the new engine.
+        Builds a new engine for the stage, holding a single-stage
+        checkpoint set's state if one is given (the warm standby; a
+        refused frame raises and the slot stays as it was), then swaps
+        it in and stops the old engine. Returns the new engine.
         """
         if checkpoint_set is not None and checkpoint_set.workers != 1:
             raise CheckpointError(
                 f"stage swap takes a single-stage set, got "
                 f"{checkpoint_set.workers} frames"
             )
-        engine = launch(self._stage_spec(index))
-        if checkpoint_set is not None:
-            try:
-                engine.restore(checkpoint_set)
-            except Exception:
-                engine.stop()
-                raise
+        frame = None if checkpoint_set is None else checkpoint_set.checkpoints[0]
+        engine = self._launch(index, frame)
         old, self.engines[index] = self.engines[index], engine
-        if not self._down[index]:
+        if self._process and not self._down[index]:
             old.stop()
         self._down[index] = False
         self._promotions += 1
         return engine
 
     def stop(self) -> None:
-        for index, engine in enumerate(self.engines):
-            if not self._down[index]:
+        for engine, down in zip(self.engines, self._down):
+            if self._process and not down:
                 engine.stop()
 
 

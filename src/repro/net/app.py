@@ -21,8 +21,8 @@ checkpoint/restore), placed differently, so ``checkpoint()`` and
 - ``inline`` — :class:`InlineRuntime`: one shard, no steering stage.
   The minimal single-core deployment, and measurably not a spelling of
   one-worker ``ShardedRuntime``: routed that way, ``noop-64`` reads
-  ``fwd_pps`` 441.6k → 251.1k, ``nat-hot`` 220.0k → 158.3k,
-  ``chain-hot`` 74.3k → 52.2k (5/5 pairs each), and with
+  ``fwd_pps`` 441.6k → 251.1k, ``nat-hot`` 220.0k → 158.3k
+  (5/5 pairs each), and with
   ``RssNic.select`` short-circuited at one queue ``noop-64`` is still
   ``probe_p50_us`` 5.24 → 6.72 µs, +28 % against a 0.25 bound
   (``docs/SCALING.md`` §1 has the pairs).

@@ -437,6 +437,42 @@ class TestChainRuntime:
         assert (seen, states, [0, 0, 0]) == drive(clamped)
 
 
+class BurstRecorder(NoopForwarder):
+    """A no-op that keeps the largest burst it was handed as a counter."""
+
+    COUNTERS = {**NoopForwarder.COUNTERS, "largest_burst": "_largest_burst"}
+
+    def process_burst(self, packets, now):
+        self._largest_burst = max(self._largest_burst, len(packets))
+        return super().process_burst(packets, now)
+
+
+class TestStageBurstBound:
+    @pytest.mark.parametrize("execution", [INLINE, PROCESS])
+    def test_no_stage_call_exceeds_the_burst_size(self, execution):
+        # Ten frames each way through two stages at burst size 4: stage
+        # 0 sees its pending batch rightward in the ascending sweep and
+        # leftward in the descending one, stage 1 both at once.
+        stages = tuple(
+            ChainStage(name, lambda _cfg: BurstRecorder()) for name in ("a", "b")
+        )
+        chain = launch_chain(
+            ChainSpec(stages=stages, execution=execution, burst_size=4)
+        )
+        try:
+            for i in range(10):
+                chain.inject(0, make_udp_packet("10.0.0.1", "10.0.0.2", i, 2), 5)
+                chain.inject(1, make_udp_packet("10.0.0.2", "10.0.0.1", 2, i), 5)
+            chain.main_loop_burst(5)
+            assert sorted(port for port, _, _ in chain.collect()) == [0] * 10 + [1] * 10
+            for ops in chain.per_stage_counters():
+                assert ops["largest_burst"] == 4
+                assert ops["burst_packets"] == 20
+                assert ops["bursts"] == 6  # ceil(10 / 4) per direction
+        finally:
+            chain.stop()
+
+
 class TestProcessExecution:
     def test_process_chain_round_trip(self):
         chain = launch_chain(default_chain_spec(execution=PROCESS, max_flows=64))

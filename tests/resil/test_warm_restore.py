@@ -101,6 +101,25 @@ def test_warm_runtime_restores_like_a_fresh_one(mode):
         fresh.stop()
 
 
+@pytest.mark.parametrize("execution", [INLINE, PROCESS])
+def test_chain_restore_brings_a_failed_stage_back(execution):
+    """Restore into a chain with a stage down relaunches that stage from
+    its frame: afterwards every stage is up and on the set's state."""
+    chain = _chain(execution)()
+    try:
+        before = serve(chain, range(8), 1_000)
+        flows = chain.flow_count()
+        snapshot = chain.checkpoint(2_000)
+        chain.fail_stage(1)
+        chain.restore(snapshot)
+        chain.checkpoint(3_000)  # refuses while any stage is down
+        assert chain.flow_count() == flows
+        assert serve(chain, range(8), 4_000) == before
+        assert chain.drop_causes()["chain_stage_killed"] == 0
+    finally:
+        chain.stop()
+
+
 @pytest.mark.parametrize("slot", [0, -1], ids=["first-frame", "last-frame"])
 @pytest.mark.parametrize("mode", MODES)
 def test_refused_set_leaves_the_runtime_serving(mode, slot):
