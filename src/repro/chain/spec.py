@@ -48,6 +48,12 @@ strings are built when the log is read. ``chain_stage_*``
 counters/gauges are stamped with stage labels (via
 :func:`~repro.obs.with_labels`) in :meth:`ChainRuntime.snapshot_metrics`.
 
+Fused hits (``docs/CHAINS.md`` §2b). An inline chain whose every stage
+is a libVig NF behind its action cache fires, for the turn's maximal
+prefix of frames every stage would hit (port 0's, then port 1's), one
+cached per-flow composition of the stages' actions. Every key a stage's
+cache drops evicts the entries holding it (``fused ⊆ cached actions``).
+
 Checkpoint/restore. :meth:`ChainRuntime.checkpoint` binds one frame per
 stage into a single ``repro-ckpt-set/v1``
 :class:`~repro.resil.checkpoint.CheckpointSet` (stage order is frame
@@ -60,11 +66,14 @@ is relaunched from its frame — so a bad set leaves the chain untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.nat.base import NetworkFunction
+from repro.nat.concrete import LibvigNf
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import check_fastpath
+from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.app import INLINE, PROCESS, RuntimeSpec, launch
 from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault, merge_counters
 from repro.net.mbuf import Mbuf
@@ -170,8 +179,8 @@ class ChainSpec:
 class ChainRuntime:
     """A launched service chain, driven like any other runtime.
 
-    See the module docstring for the one substrate, topology, truth logs
-    and the checkpoint contract. ``runtime`` is the chain's
+    See the module docstring for the one substrate, topology, truth logs,
+    fused hits and the checkpoint contract. ``runtime`` is the chain's
     ``DpdkRuntime`` (wire ports and pool); ``engines[i]`` is stage
     ``i``'s NF (inline) or its one-worker runtime (process).
     ``workers`` reports the number of stages.
@@ -219,6 +228,33 @@ class ChainRuntime:
         self._promotions = 0
         self.fault_wire_dropped = 0
         self.fault_wire_corrupted = 0
+        # Fused hits. Per port, flow key at entry -> (composed closure,
+        # tokens in path order, [(stage, stage key)]); per stage, stage
+        # key -> the (port, entry key)s holding it.
+        self._fusing = not self._process and all(
+            isinstance(engine, FastPathNat) and isinstance(engine.inner, LibvigNf)
+            for engine in self.engines
+        )
+        last = spec.stages[-1]
+        self._one_port = last.device_b < last.device_a
+        self._waiting: List[Dict[int, List[Mbuf]]] = [{} for _ in range(n)]
+        self._fused_frames = 0
+        self._bind()
+
+    def _bind(self) -> None:
+        """Empty the fused table and attach it to the current engines."""
+        self._fused: Tuple[Dict, Dict] = ({}, {})
+        self._owners: List[Dict] = [{} for _ in self.stages]
+        if not self._fusing:
+            return
+        for index, engine in enumerate(self.engines):
+            engine.on_flow_freed(partial(self._evict, index))
+        # Each stage's NF is its own provider (fastpath_hooks() is itself).
+        self._nfs = hooks = [engine.inner for engine in self.engines]
+        self._scans = [h.begin_burst for h in hooks]
+        rejuvenates = [h.rejuvenate for h in hooks]
+        # In path order: port 0's frames cross stage 0 first, port 1's last.
+        self._rejuvenates = (rejuvenates, rejuvenates[::-1])
 
     # -- construction ----------------------------------------------------------
     def _stage_spec(self, index: int) -> RuntimeSpec:
@@ -284,12 +320,15 @@ class ChainRuntime:
             "misroutes": sum(self._stage_misroute),
             "stage_killed": sum(self._stage_killed),
             "promotions": self._promotions,
+            "fused": self._fused_frames,
         }
 
     def drop_causes(self) -> Dict[str, int]:
         """Each drop under one key, the same keys in both executions:
         ``chain_rx_ring_full`` is the wire ports', ``rx_ring_full`` a
-        process stage's own ring; merged by :func:`merge_counters`."""
+        process stage's own ring, ``out_no_mbuf`` an emitted packet no
+        buffer was left for (chain pool or a process stage's);
+        merged by :func:`merge_counters`."""
         own = self.runtime.drop_causes()
         causes = {
             "chain_rx_ring_full": own["rx_ring_full"],
@@ -349,17 +388,36 @@ class ChainRuntime:
         against a sweep's direction wait for the opposite sweep — still
         inside this turn — so a quiescent chain is fully drained after
         every ``main_loop_burst`` (the checkpoint fence), every buffer
-        back in the pool.
+        back in the pool. Frames whose every stage would hit are fired
+        as fused hits first (module docstring) and carried by the sweeps;
+        when every arrival fused, nothing else can move, so each group is
+        carried straight along its path instead, the same records in the
+        same order without the sweeps' cost (``docs/CHAINS.md`` §2b).
         """
         burst = burst_size if burst_size is not None else self.spec.burst_size
         if burst <= 0:
             raise ValueError("burst size must be positive")
+        fuse = (
+            self._fusing
+            and not any(self._down)
+            and all(now_us >= nf.clock for nf in self._nfs)
+            and not obs.recorder().active
+            and not any(batch for queues in self._pending for batch in queues.values())
+        )
         for port, (index, device) in enumerate(self._entries):
             for mbuf in self.runtime.rx_burst(port, self.spec.rx_capacity):
                 self._enqueue(index, device, mbuf)
-        last = len(self.stages) - 1
-        processed = self._sweep(range(last + 1), now_us, burst)
-        processed += self._sweep(range(last, -1, -1), now_us, burst)
+        if fuse and self._fuse(now_us, burst):
+            processed = 0
+            for index, device in self._entries:
+                group = self._waiting[index].pop(device, None)
+                while group is not None and index is not None:
+                    processed += len(group)
+                    index, device = self._pass(index, device, group, now_us)
+        else:
+            last = len(self.stages) - 1
+            processed = self._sweep(range(last + 1), now_us, burst)
+            processed += self._sweep(range(last, -1, -1), now_us, burst)
         for port, mbufs in enumerate(self._exits):
             if mbufs:
                 self._exits[port] = []
@@ -375,7 +433,8 @@ class ChainRuntime:
         processed = 0
         for i in order:
             queues = self._pending[i]
-            ready = [(device, batch) for device, batch in queues.items() if batch]
+            waiting = self._waiting[i]  # fused groups: inline, never down
+            ready = [(d, batch) for d, batch in queues.items() if batch or d in waiting]
             if not ready:
                 continue
             for device, _batch in ready:
@@ -399,12 +458,20 @@ class ChainRuntime:
 
     # -- how a stage turns a batch into outputs (the execution-specific part) --
     def _serve_inline(self, index: int, ready, now_us: int, burst: int) -> int:
-        """Run the stage's NF on its own buffers, ``burst`` at a time."""
+        """Run the stage's NF on its own buffers, ``burst`` at a time,
+        after carrying any fused group waiting on the same device."""
         nf = self.engines[index]
         runtime = self.runtime
         route = self._route
         processed = 0
+        waiting = self._waiting
         for device, batch in ready:
+            group = waiting[index].pop(device, None)
+            if group is not None:
+                processed += len(group)
+                target, arrive = self._pass(index, device, group, now_us)
+                if target is not None:
+                    waiting[target][arrive] = group
             processed += len(batch)
             for start in range(0, len(batch), burst):
                 chunk = batch[start : start + burst]
@@ -422,7 +489,9 @@ class ChainRuntime:
                     route(index, first.device, mbuf)
                     for extra in outputs[1:]:  # multicast/flood NFs
                         clone = runtime.pool.alloc(extra, extra.device, now_us)
-                        if clone is not None:
+                        if clone is None:
+                            runtime.out_no_mbuf += 1
+                        else:
                             route(index, extra.device, clone)
         return processed
 
@@ -440,7 +509,9 @@ class ChainRuntime:
         processed = engine.main_loop_burst(now_us, burst)
         for port, ts, out in engine.collect():
             mbuf = runtime.pool.alloc(out, port, ts)
-            if mbuf is not None:
+            if mbuf is None:
+                runtime.out_no_mbuf += 1
+            else:
                 self._route(index, port, mbuf)
         return processed
 
@@ -469,6 +540,119 @@ class ChainRuntime:
             self._pending[target][device].append(mbuf)
             self._stage_rx[target] += 1
             self.stage_logs[target].record(flight.RX, ts, target, detail=device)
+
+    # -- fused hits (inline, every stage a fast-path cache) ----------------------
+    def _fuse(self, now: int, burst: int) -> bool:
+        """Fire the turn's fusable prefix — port 0's arrivals, then port
+        1's, up to the first frame without a live entry — doing each
+        frame's stage work but its records and handoffs (:meth:`_pass`).
+        True when that left nothing pending."""
+        entries = self._entries
+        pending = self._pending
+        if self._one_port and all(pending[i][d] for i, d in entries):
+            return False
+        from_image = Packet.from_image
+        scan = True  # the turn's first frame walks, each stage scanning first
+        for port, (index, device) in enumerate(entries):
+            queue = pending[index][device]
+            table = self._fused[port]
+            rejuvenates = self._rejuvenates[port]
+            taken = 0
+            for mbuf in queue:
+                packet = mbuf.packet
+                image = packet.image
+                if image is None:
+                    break
+                packet.device = device
+                key = packet.flow_key()
+                if key is None:
+                    break
+                entry = None if scan else table.get(key)
+                if entry is None:
+                    entry = self._walk(port, key, now if scan else None)
+                    scan = False
+                if entry is None:
+                    break
+                closure, tokens, _keys = entry
+                for rejuvenate, token in zip(rejuvenates, tokens):
+                    rejuvenate(token, now)
+                mbuf.packet = from_image(closure(image), 1 - port)
+                taken += 1
+            if taken:
+                self._fused_frames += taken
+                self._waiting[index][device] = queue[:taken]
+                del queue[:taken]
+                for engine in self.engines:
+                    engine.credit_hits(taken, -(-taken // burst))
+            if queue:
+                return False
+        return True
+
+    def _walk(self, port: int, key, now: Optional[int] = None):
+        """Build the fused entry for ``key`` arriving on ``port``, or None:
+        every stage toward the other port must cache an action with an
+        earned closure emitting that way; the next key is this one as
+        the action rewrites it. Given ``now`` (a turn's first frame),
+        each stage scans (``begin_burst``) before its cache is read."""
+        owner = (port, key)
+        tokens, keys, closures = [], [], []
+        index = self._entries[port][0]
+        while index is not None:
+            if now is not None:
+                self._scans[index](now)
+            stage = self.stages[index]
+            emit = stage.device_a if port else stage.device_b
+            action = self.engines[index].action_for(key)
+            if action is None or not action.closure or action.out_device != emit:
+                return None
+            tokens.append(action.token)
+            keys.append((index, key))
+            if action.src is not None or action.dst is not None:
+                closures.append(action.closure)
+            index, device = self._hops[index][emit]
+            src = action.src or key[2:4]
+            dst = action.dst or key[4:6]
+            key = (device, key[1], *src, *dst)
+        entry = (_compose(closures), tokens, keys)
+        self._fused[port][owner[1]] = entry
+        for held_at, stage_key in keys:
+            self._owners[held_at].setdefault(stage_key, set()).add(owner)
+        return entry
+
+    def _evict(self, index: int, keys) -> None:
+        """Stage ``index`` dropped ``keys``: every fused entry holding one
+        goes, from the table and every stage's reverse index."""
+        owners = self._owners
+        for key in keys:
+            for owner in owners[index].pop(key, ()):
+                for held_at, stage_key in self._fused[owner[0]].pop(owner[1])[2]:
+                    held = owners[held_at].get(stage_key)
+                    if held is not None:
+                        held.discard(owner)
+                        if not held:
+                            del owners[held_at][stage_key]
+
+    def _pass(self, index: int, device: int, group: List[Mbuf], now: int):
+        """A fused group crosses stage ``index``: for each frame the
+        records and counters :meth:`_route` writes. Returns the hop the
+        group takes next; out a chain port, it has left."""
+        stage = self.stages[index]
+        emit = stage.device_b if device == stage.device_a else stage.device_a
+        count = len(group)
+        self._stage_tx[index] += count
+        record, tx = self.stage_logs[index].record, flight.TX
+        for _ in group:
+            record(tx, now, index, detail=emit)
+        hop = target, arrive = self._hops[index][emit]
+        if target is None:
+            self._exits[arrive].extend(group)
+            return hop
+        self._handoffs += count
+        self._stage_rx[target] += count
+        record, rx = self.stage_logs[target].record, flight.RX
+        for _ in group:
+            record(rx, now, target, detail=arrive)
+        return hop
 
     # -- observability -----------------------------------------------------------
     def register_metrics(self, registry) -> None:
@@ -589,6 +773,7 @@ class ChainRuntime:
                     CheckpointSet(checkpoint_set.taken_at_us, (frame,))
                 )
             self._down[index] = False
+        self._bind()
 
     def fail_stage(self, index: int) -> None:
         """Take one stage down (its engine stops serving immediately).
@@ -598,6 +783,7 @@ class ChainRuntime:
         disruption window the scenario suite bounds.
         """
         self._down[index] = True
+        self._bind()
         if self._process:
             self.engines[index].stop()
 
@@ -621,12 +807,20 @@ class ChainRuntime:
             old.stop()
         self._down[index] = False
         self._promotions += 1
+        self._bind()
         return engine
 
     def stop(self) -> None:
         for engine, down in zip(self.engines, self._down):
             if self._process and not down:
                 engine.stop()
+
+
+def _compose(closures):
+    """A fused path's non-identity closures as one image -> image call."""
+    if len(closures) == 1:
+        return closures[0]
+    return lambda image: reduce(lambda out, closure: closure(out), closures, image)
 
 
 def launch_chain(spec: ChainSpec) -> ChainRuntime:

@@ -220,6 +220,11 @@ class LibvigNf(NetworkFunction):
         self._last_now = now
         return now
 
+    @property
+    def clock(self) -> int:
+        """The newest time seen: any earlier ``now`` is clamped to it."""
+        return self._last_now
+
     # -- the packet path: the shared stateless logic over libVig ------------
     def process(self, packet: Packet, now: int) -> List[Packet]:
         """One loop iteration: expire, update, forward (Fig. 6)."""

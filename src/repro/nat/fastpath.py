@@ -216,6 +216,9 @@ class FastPathNat(NetworkFunction):
         self._cache: Dict[FlowKey, CachedAction] = {}
         for stem, _help in _COUNTERS:
             setattr(self, f"_{stem}", 0)
+        #: One downstream cache built over this one (a chain's fused
+        #: entries), told every key this cache was told is freed.
+        self._downstream = None
         hooks.on_flow_freed(self._drop_flow)
 
     # -- introspection ------------------------------------------------------
@@ -281,7 +284,10 @@ class FastPathNat(NetworkFunction):
         self.inner.restore_state(state)
         if self._cache:
             self._invalidations += len(self._cache)
+            dropped = tuple(self._cache)
             self._cache.clear()
+            if self._downstream is not None:
+                self._downstream(dropped)
 
     def warm(self) -> int:
         """Pre-install cached actions for the inner NF's live flows.
@@ -311,6 +317,8 @@ class FastPathNat(NetworkFunction):
         for key, action in warm_entries():
             if len(self._cache) >= self.max_entries:
                 break
+            if key in self._cache and self._downstream is not None:
+                self._downstream((key,))  # the replaced action ends here
             self._cache[key] = action
             installed += 1
         self._warmed += installed
@@ -333,6 +341,29 @@ class FastPathNat(NetworkFunction):
         for key in keys:
             if pop(key, None) is not None:
                 self._invalidations += 1
+        if self._downstream is not None:
+            self._downstream(keys)
+
+    # -- what a chain fusing this stage with its neighbours reads ---------------
+    def on_flow_freed(self, observer) -> None:
+        """Install the one downstream observer: ``observer(keys)`` runs
+        after this cache has dropped a dying flow's actions, with every
+        key the NF reported — cached here or not — and whenever an
+        action goes otherwise (the FIFO cap, a restore's clear, a
+        ``warm`` replacing it), so nothing downstream outlives one."""
+        self._downstream = observer
+
+    def action_for(self, key: FlowKey) -> Optional[CachedAction]:
+        """The cached action for ``key``, if any (a query: no counter moves)."""
+        return self._cache.get(key)
+
+    def credit_hits(self, frames: int, bursts: int) -> None:
+        """Count ``frames`` compiled hits, in ``bursts`` bursts, that a
+        fused chain entry served on this cache's behalf."""
+        self._bursts_total += bursts
+        self._burst_packets_total += frames
+        self._hits += frames
+        self._compiled_hits += frames
 
     def _learn(self, packet: Packet, key: FlowKey, outputs: List[Packet]) -> None:
         """Memoize what the slow path just did, if it is cacheable.
@@ -373,8 +404,11 @@ class FastPathNat(NetworkFunction):
             self._learn_rejected += 1
             return
         if key not in self._cache and len(self._cache) >= self.max_entries:
-            del self._cache[next(iter(self._cache))]
+            evicted = next(iter(self._cache))
+            del self._cache[evicted]
             self._evictions += 1
+            if self._downstream is not None:
+                self._downstream((evicted,))
         self._cache[key] = action
         self._learns += 1
 

@@ -46,6 +46,8 @@ class DpdkRuntime:
         self.pool = MbufPool(pool_size)
         #: Packets the NF itself decided to drop (its buffers were freed).
         self.nf_dropped = 0
+        #: Packets the NF emitted that found no free buffer (lost).
+        self.out_no_mbuf = 0
         #: Which worker this runtime serves in a sharded deployment
         #: (0 standalone); labels trace events and metric samples.
         self.worker_id = 0
@@ -141,7 +143,9 @@ class DpdkRuntime:
                     staged.setdefault(first.device, []).append(mbuf)
                     for extra in outputs[1:]:  # multicast/flood NFs
                         clone = self.pool.alloc(extra, extra.device, now_us)
-                        if clone is not None:
+                        if clone is None:
+                            self.out_no_mbuf += 1
+                        else:
                             staged.setdefault(extra.device, []).append(clone)
                 for out_port, mbufs in sorted(staged.items()):
                     if tracing:
@@ -162,6 +166,7 @@ class DpdkRuntime:
             "rx_ring_full": sum(p.counters.rx_dropped for p in self.ports.values()),
             "rx_no_mbuf": sum(p.counters.rx_nombuf for p in self.ports.values()),
             "nf_drop": self.nf_dropped,
+            "out_no_mbuf": self.out_no_mbuf,
             "pool_high_water": self.pool.high_water,
         }
 

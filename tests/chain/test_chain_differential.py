@@ -139,3 +139,326 @@ def test_chain_matches_manual_pipe(fastpath, execution):
         assert expected[-1] == []
     finally:
         chain.stop()
+
+
+# -- fused hits: one cached action per frame must be the staged path -------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro import obs  # noqa: E402
+from repro.nat.limiter import LimiterConfig, VigLimiter  # noqa: E402
+from repro.obs import flight  # noqa: E402
+from repro.packets.headers import Packet  # noqa: E402
+from tests.nat.cache_invariant import assert_fused_within_live_flows  # noqa: E402
+
+FW_EXPIRY, NAT_EXPIRY, WINDOW, BUDGET = 6_000, 4_000, 8_000, 10
+#: Turn gaps: a clock that runs backwards, within a lifetime, past the
+#: NAT's only, past every one.
+GAPS = (-300, 1, 100, 2_000, 5_000, 20_000)
+EXTERNAL_IP = NatConfig().external_ip
+REMOTE = "203.0.113.9"
+
+
+def budgeted_spec(execution, fastpath, swapped=False):
+    """The reference chain with a small limiter budget and short lives;
+    ``swapped`` numbers the NAT's devices the other way round, so the
+    last stage serves port 1's arrivals before port 0's."""
+    fw = NatConfig(max_flows=16, expiration_time=FW_EXPIRY, start_port=1000)
+    nat = NatConfig(
+        max_flows=16,
+        expiration_time=NAT_EXPIRY,
+        start_port=1000,
+        internal_device=1 if swapped else 0,
+        external_device=0 if swapped else 1,
+    )
+    stages = (
+        ChainStage("firewall", lambda cfg: VigFirewall(cfg), fw),
+        ChainStage(
+            "limiter",
+            lambda cfg: VigLimiter(cfg),
+            LimiterConfig(capacity=16, window=WINDOW, max_packets=BUDGET),
+        ),
+        ChainStage(
+            "nat",
+            lambda cfg: VigNat(cfg),
+            nat,
+            device_a=nat.internal_device,
+            device_b=nat.external_device,
+        ),
+    )
+    return ChainSpec(stages=stages, execution=execution, fastpath=fastpath)
+
+
+def outbound(host, sport=0):
+    return make_udp_packet(f"10.0.0.{host + 1}", REMOTE, 1024 + sport, 2000)
+
+
+def out(host, sport=0):
+    return ("out", host, sport)
+
+
+def reply(index):
+    return ("reply", index)
+
+
+def turn(*frames, gap=100):
+    return ("turn", frames, gap)
+
+
+WARM = [turn(out(0), out(1), out(2), reply(0), reply(1), reply(2))] * 4
+
+frames = st.one_of(
+    st.builds(out, st.integers(0, 2), st.integers(0, 1)),
+    st.builds(reply, st.integers(0, 5)),
+    st.builds(lambda n: ("probe", n), st.integers(0, 1)),
+)
+steps = st.one_of(
+    st.builds(
+        lambda fs, gap: ("turn", tuple(fs), gap),
+        st.lists(frames, max_size=7),
+        st.sampled_from(GAPS),
+    ),
+    st.builds(lambda i: ("fail", i), st.integers(0, 2)),
+    st.builds(lambda warm: ("swap", warm), st.booleans()),
+    st.just(("restore",)),
+)
+
+
+#: The bursts a fused turn counts may differ (docs/CHAINS.md, "Fused
+#: hits"); at the parent an inline stage behind a slow-path stage is
+#: handed a parsed packet and replays it, where a process stage re-parses
+#: wire bytes and fires its closure.
+NOT_COMPARED = {"inline": {"bursts"}, "process": {"bursts", "fastpath_compiled_hits"}}
+
+
+class Chains:
+    """One schedule through four chains, compared after every turn.
+
+    ``fused`` (inline, compiled) is under test. ``staged`` is the same
+    chain with fusion switched off, the path every fused frame must
+    equal: wire, state, counters and truth logs. ``process`` (compiled)
+    never fuses either: wire, state and counters. ``off`` is the slow
+    path: wire."""
+
+    def __init__(self, swapped):
+        self.specs = [
+            budgeted_spec(INLINE, "compiled", swapped),
+            budgeted_spec(INLINE, "compiled", swapped),
+            budgeted_spec(PROCESS, "compiled", swapped),
+            budgeted_spec(INLINE, "off", swapped),
+        ]
+        self.chains = self.launch()
+        self.now = 1_000
+        self.mappings = []  # (remote port, external port), in first-seen order
+        self.syncs = None
+        self.probes = {}
+        self.drift = [0, 0, 0]  # map probes the invariant's queries made
+
+    def launch(self):
+        chains = [launch_chain(spec) for spec in self.specs]
+        chains[1]._fusing = False
+        return chains
+
+    def frame(self, step):
+        kind = step[0]
+        if kind == "out":
+            return 0, outbound(*step[1:])
+        if kind == "reply":
+            if not self.mappings:
+                return None
+            remote_port, ext_port = self.mappings[step[1] % len(self.mappings)]
+            return 1, make_udp_packet(
+                REMOTE, EXTERNAL_IP, remote_port, ext_port, device=1
+            )
+        return 1, make_udp_packet(REMOTE, EXTERNAL_IP, 9999, 40_000 + step[1], device=1)
+
+    def turn(self, steps, gap):
+        wire = [frame for frame in map(self.frame, steps) if frame is not None]
+        for chain in self.chains:
+            for port, packet in wire:
+                frame = Packet.from_bytes(packet.wire_bytes(), port)
+                chain.inject(port, frame, self.now)
+            chain.main_loop_burst(self.now)
+        sent = [
+            [(port, pkt.wire_bytes()) for port, _ts, pkt in chain.collect()]
+            for chain in self.chains
+        ]
+        assert sent[0] == sent[1] == sent[2] == sent[3]
+        for port, data in sent[0]:
+            translated = Packet.from_bytes(data, port)
+            mapping = (translated.dst_port, translated.src_port)
+            if port == 1 and mapping not in self.mappings:
+                self.mappings.append(mapping)
+        self.compare()
+        self.now += gap
+
+    def compare(self):
+        fused, staged, process, _off = self.chains
+        if not any(fused._down):
+            states = [
+                [frame.state for frame in chain.checkpoint(self.now).checkpoints]
+                for chain in (fused, staged, process)
+            ]
+            assert states[0] == states[1] == states[2]
+        mine = fused.per_stage_counters()
+        probes = [ops.get("map_probes", 0) for ops in mine]
+        for index, ops in enumerate(mine):
+            if "map_probes" in ops:
+                ops["map_probes"] -= self.drift[index]
+            for other, skip in ((staged, "inline"), (process, "process")):
+                if other._down[index]:  # a process stage's worker is gone
+                    continue
+                theirs = dict(other.engines[index].op_counters())
+                for key in NOT_COMPARED[skip]:
+                    assert key in theirs
+                    theirs.pop(key)
+                compared = {k: v for k, v in ops.items() if k not in NOT_COMPARED[skip]}
+                assert compared == theirs
+        # The invariant asks every stage's learn_token, a query that
+        # still counts map probes: those are the fused chain's alone.
+        assert_fused_within_live_flows(fused, self.probes)
+        for index, ops in enumerate(fused.per_stage_counters()):
+            self.drift[index] += ops.get("map_probes", 0) - probes[index]
+        for index in range(3):
+            assert [e.to_dict() for e in fused.stage_truth(index).last()] == [
+                e.to_dict() for e in staged.stage_truth(index).last()
+            ]
+        ops = [chain.op_counters() for chain in self.chains]
+        assert ops[0].pop("fused") >= 0
+        assert all(other.pop("fused") == 0 for other in ops[1:])
+        assert ops[0] == ops[1] == ops[2] == ops[3]
+
+    def control(self, step):
+        down = [i for i, is_down in enumerate(self.chains[0]._down) if is_down]
+        if step[0] == "fail" and not down:
+            self.syncs = [
+                chain.checkpoint_stage(step[1], self.now) for chain in self.chains
+            ]
+            for chain in self.chains:
+                chain.fail_stage(step[1])
+        elif step[0] == "swap" and down:
+            for chain, sync in zip(self.chains, self.syncs):
+                chain.swap_stage(down[0], sync if step[1] else None)
+            self.drift[down[0]] = 0
+        elif step[0] == "restore" and not down:
+            sets = [chain.checkpoint(self.now) for chain in self.chains]
+            self.stop()
+            self.chains = self.launch()
+            for chain, checkpoint_set in zip(self.chains, sets):
+                chain.restore(checkpoint_set)
+            self.drift = [0, 0, 0]
+        else:
+            return
+        # Every control operation starts the fused table over.
+        assert self.chains[0]._fused == ({}, {})
+        assert self.chains[0]._owners == [{}, {}, {}]
+
+    def stop(self):
+        for chain in self.chains:
+            chain.stop()
+
+
+@settings(max_examples=25, deadline=None)
+@given(swapped=st.booleans(), schedule=st.lists(steps, max_size=12))
+# A non-fusable frame at port 0's position 1 (a new flow), fusable ones
+# behind it and on port 1.
+@example(
+    swapped=False,
+    schedule=WARM + [turn(out(0), out(0, 1), out(1), out(2), reply(0), reply(1))],
+)
+# Host 0 spends the last of its budget on a fused hit mid-turn: the
+# next frame of the same flow is staged and dropped.
+@example(swapped=False, schedule=WARM + [turn(*[out(0)] * 7, out(1), reply(1))])
+# Past the NAT's lifetime only: the first frame's scan ends its entry at
+# the last stage, so the turn goes staged.
+@example(
+    swapped=False,
+    schedule=WARM + [turn(out(1), gap=5_000), turn(out(0), out(1), reply(0))],
+)
+# The last stage serves port 1 before port 0: only one-port turns fuse
+# (fusing the last turn would rejuvenate the NAT's flows 0, 1 for 1, 0).
+@example(
+    swapped=True,
+    schedule=WARM
+    + [turn(out(0), out(1)), turn(reply(0), reply(1)), turn(out(0), reply(1))],
+)
+@example(
+    swapped=False,
+    schedule=WARM + [("fail", 1), turn(out(0), reply(0)), ("swap", True)] + WARM,
+)
+# Restored stages keep their clocks: a turn behind them is not fused.
+@example(swapped=False, schedule=WARM + [("restore",), turn(gap=-300)] + WARM)
+def test_fused_hits_are_the_staged_path(swapped, schedule):
+    chains = Chains(swapped)
+    try:
+        for step in schedule:
+            if step[0] == "turn":
+                chains.turn(step[1], step[2])
+            else:
+                chains.control(step)
+    finally:
+        chains.stop()
+
+
+def test_a_traced_turn_traces_every_stage_hit():
+    # With the global recorder on, a turn is staged: its trace is the
+    # staged path's, one FASTPATH_HIT per stage and frame.
+    chains = Chains(swapped=False)
+    try:
+        for step in WARM:
+            chains.turn(step[1], step[2])
+        fused, staged = chains.chains[:2]
+        assert fused.op_counters()["fused"] > 0
+        wire = [chains.frame(step) for step in WARM[0][1]]
+        traces = []
+        for chain in (fused, staged):
+            recorder = obs.enable_observability()
+            try:
+                for port, packet in wire:
+                    frame = Packet.from_bytes(packet.wire_bytes(), port)
+                    chain.inject(port, frame, chains.now)
+                chain.main_loop_burst(chains.now)
+            finally:
+                obs.disable_observability()
+            chain.collect()
+            traces.append([event.to_dict() for event in recorder.flight.last()])
+        assert traces[0] == traces[1]
+        hits = [event for event in traces[0] if event["stage"] == flight.FASTPATH_HIT]
+        assert len(hits) == 3 * len(wire)
+    finally:
+        chains.stop()
+
+
+def test_a_stage_evicting_an_action_ends_its_fused_entries():
+    # A stage cache that evicts (its FIFO cap) would miss where a fused
+    # entry holding that action would hit: the entry goes with it.
+    chains = [launch_chain(budgeted_spec(INLINE, "compiled")) for _ in range(2)]
+    chains[1]._fusing = False
+    for chain in chains:
+        chain.engines[2].max_entries = 2  # the NAT caches two actions
+    turns = [(0, 1)] * 4 + [(2,)] + [(0, 1)] * 3 + [(2, 0)]
+    try:
+        for now, hosts in enumerate(turns):
+            for chain in chains:
+                for host in hosts:
+                    wire = outbound(host).wire_bytes()
+                    chain.inject(0, Packet.from_bytes(wire, 0), 1_000 + now)
+                chain.main_loop_burst(1_000 + now)
+            sent = [
+                [pkt.wire_bytes() for _, _, pkt in chain.collect()] for chain in chains
+            ]
+            assert sent[0] == sent[1]
+            assert_fused_within_live_flows(chains[0])
+        fused, staged = (chain.per_stage_counters() for chain in chains)
+        assert fused[2]["fastpath_evictions"] > 0
+        assert chains[0].op_counters()["fused"] > 0
+        for mine, theirs in zip(fused, staged):
+            mine.pop("bursts")
+            theirs.pop("bursts")
+            mine.pop("map_probes", None)
+            theirs.pop("map_probes", None)
+            assert mine == theirs
+    finally:
+        for chain in chains:
+            chain.stop()

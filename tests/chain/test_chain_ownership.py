@@ -142,5 +142,6 @@ def test_high_water_is_one_pool_not_a_sum_of_stages(execution, launched):
         "rx_ring_full",
         "rx_no_mbuf",
         "nf_drop",
+        "out_no_mbuf",
         "pool_high_water",
     }

@@ -484,3 +484,63 @@ class TestProcessExecution:
             assert exits[0][2].l4.dst_port == 2000
         finally:
             chain.stop()
+
+
+class TestOutputsLostToADryPool:
+    """An emitted packet that finds no free buffer is a counted drop
+    (``out_no_mbuf``), in a chain of either execution and behind a bare
+    ``launch()``: every output leaves or is counted."""
+
+    BURST = 8
+
+    def frames(self):
+        return [
+            make_udp_packet(f"10.0.0.{i + 1}", "10.0.1.1", 1024 + i, 2000)
+            for i in range(self.BURST)
+        ]
+
+    @pytest.mark.parametrize("execution", [INLINE, PROCESS])
+    def test_a_flooding_chain_stage(self, execution):
+        from tests.chain.test_chain_ownership import FloodingBridge
+
+        flood = ChainStage("flood", lambda cfg: FloodingBridge(cfg), BridgeConfig())
+        chain = launch_chain(
+            ChainSpec(
+                stages=(flood,),
+                execution=execution,
+                burst_size=self.BURST,
+                pool_size=self.BURST,
+            )
+        )
+        try:
+            for packet in self.frames():
+                chain.inject(0, packet, 10)
+            chain.main_loop_burst(10)
+            exited = len(chain.collect())
+            ops, causes = chain.op_counters(), chain.drop_causes()
+            assert ops["injected"] * 2 == exited + causes["out_no_mbuf"]
+            assert causes["out_no_mbuf"] == self.BURST
+            assert chain.runtime.pool.in_flight == 0
+        finally:
+            chain.stop()
+
+    def test_a_flooding_nf_behind_launch(self):
+        from repro.net.app import RuntimeSpec, launch
+        from tests.chain.test_chain_ownership import FloodingBridge
+
+        runtime = launch(
+            RuntimeSpec(
+                nf_factory=lambda _cfg: FloodingBridge(BridgeConfig()),
+                burst_size=self.BURST,
+                pool_size=self.BURST,
+            )
+        )
+        try:
+            for packet in self.frames():
+                runtime.inject(0, packet, 10)
+            runtime.main_loop_burst(10)
+            exited = len(runtime.collect())
+            assert self.BURST * 2 == exited + runtime.drop_causes()["out_no_mbuf"]
+            assert runtime.drop_causes()["out_no_mbuf"] == self.BURST
+        finally:
+            runtime.stop()

@@ -15,6 +15,11 @@ so the tests do, after every step they drive.
   the keys the hooks issued its index for. The pass-through direction
   is stateless (sentinel token): its actions never die and are bounded
   only by the cache's own capacity.
+
+The chain clause (:func:`assert_fused_within_live_flows`) is the same
+invariant one level up: a chain's fused entry holds one cached action
+per stage, so ``fused ⊆ cache ⊆ live flows`` must hold at every stage at
+once.
 """
 
 from repro.nat.firewall import VigFirewall
@@ -75,10 +80,9 @@ def assert_cache_within_live_flows(fast, packets=None):
             probe = packets[key] = packet_of_key(key)
         token = learn_token(probe)
         assert token is not None, f"cached action for {key}: its flow is dead"
-        # An index compares by value, a flow record by identity (a dead
-        # flow's record can equal its successor's field for field).
-        same = token == action.token if isinstance(token, int) else token is action.token
-        assert same, f"cached action for {key} holds another flow's token"
+        assert _same_token(token, action.token), (
+            f"cached action for {key} holds another flow's token"
+        )
     inner = fast.inner
     if isinstance(inner, VigLimiter):
         _assert_limiter_budgets(fast)
@@ -87,3 +91,61 @@ def assert_cache_within_live_flows(fast, packets=None):
     else:
         assert fast.cache_size <= 2 * fast.flow_count()
     assert fast.compiled_size <= fast.cache_size
+
+
+def _same_token(token, held):
+    # An index compares by value, a flow record by identity (a dead
+    # flow's record can equal its successor's field for field).
+    return token == held if isinstance(token, int) else token is held
+
+
+def assert_fused_within_live_flows(chain, packets=None):
+    """Hold an inline chain's fused table to ``fused ⊆ cache ⊆ live flows``.
+
+    For every fused entry, each stage's ``learn_token`` for the entry's
+    key at that stage is the token the entry rejuvenates, and the stage
+    still caches that key's action, closure earned. The reverse
+    index (stage, stage key) → entries names exactly the rows the
+    entries hold — no stale row survives an eviction — and no stage
+    holds more entries than its live state allows: two per firewall
+    session or NAT flow, a limiter budget's issued keys.
+    """
+    if packets is None:
+        packets = {}
+    held = set()
+    per_stage = [set() for _ in chain.engines]
+    for port, table in enumerate(chain._fused):
+        for entry_key, (_closure, tokens, keys) in table.items():
+            assert len(tokens) == len(keys) == len(chain.engines)
+            for token, (index, key) in zip(tokens, keys):
+                probe = packets.get(key)
+                if probe is None:
+                    probe = packets[key] = packet_of_key(key)
+                engine = chain.engines[index]
+                live = engine.inner.fastpath_hooks().learn_token(probe)
+                where = f"fused {entry_key}, stage {index}"
+                assert live is not None, f"{where}: its flow is dead"
+                assert _same_token(live, token), f"{where}: another flow's token"
+                action = engine.action_for(key)
+                assert action is not None and action.closure
+                assert _same_token(action.token, token)
+                held.add((index, key, (port, entry_key)))
+                per_stage[index].add(key)
+    rows = {
+        (index, key, owner)
+        for index, owners in enumerate(chain._owners)
+        for key, entries in owners.items()
+        for owner in entries
+    }
+    assert rows == held, "fused reverse index out of step with the entries"
+    assert all(entries for owners in chain._owners for entries in owners.values())
+    for index, engine in enumerate(chain.engines):
+        inner = engine.inner
+        if isinstance(inner, VigLimiter):
+            issued = set().union(*inner._issued.values())
+            device = inner.config.ingress_device
+            assert {k for k in per_stage[index] if k[0] == device} <= issued
+        elif isinstance(inner, VigFirewall):
+            assert len(per_stage[index]) <= 2 * inner.session_count()
+        else:
+            assert len(per_stage[index]) <= 2 * engine.flow_count()

@@ -583,3 +583,20 @@ class TestStaleClosureInvalidation:
         fast.restore_state(fast.checkpoint_state())
         assert fast.cache_size == 0
         assert fast.compiled_size == 0
+
+    def test_restore_and_warm_tell_the_downstream_observer(self):
+        # A cache built over this one (a chain's fused entries) must not
+        # outlive an action that a restore clears or a warm replaces.
+        fast, told = FastPathNat(VigLimiter()), []
+        fast.on_flow_freed(told.extend)
+        packet = make_udp_packet("8.8.8.8", "10.0.0.5", 53, 4_000, device=1)
+        _wire(fast, packet, 1_000)
+        cached = list(fast._cache)
+        assert len(cached) == 1
+        fast.restore_state(fast.checkpoint_state())
+        assert told == cached
+        told.clear()
+        fast._cache[cached[0]] = object()  # a stale action under a warmed key
+        fast._hooks.warm_entries = lambda: iter([(cached[0], object())])
+        assert fast.warm() == 1
+        assert told == cached
