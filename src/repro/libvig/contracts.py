@@ -13,19 +13,26 @@ reproduction the same contracts exist in two executable forms:
    expressed over symbolic trace values, used by the Validator for the
    lazy proofs (P4/P5).
 
-Checking is off by default so the data path pays nothing; tests enable it
-globally or per-block via :func:`checked`.
+Checking is off by default, and then the data path pays nothing: every
+contracted method's class attribute *is* the undecorated function, the
+way VeriFast's annotations never execute. Each ``@contract`` site is
+recorded; enabling checking (globally, or per-block via :func:`checked`)
+rebinds every site to its checked wrapper, and disabling binds the bare
+function back.
 """
 
 from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, List, Tuple
 
 from repro.libvig.errors import LibVigError
 
 _ENABLED = False
+
+#: Every contracted method: (class, name, bare function, checked wrapper).
+_SITES: List[Tuple[type, str, Callable[..., Any], Callable[..., Any]]] = []
 
 
 class ContractViolation(LibVigError):
@@ -46,37 +53,56 @@ def contracts_enabled() -> bool:
     return _ENABLED
 
 
+def _bind(enabled: bool) -> None:
+    """Set the global switch and bind every recorded site to match it."""
+    global _ENABLED
+    _ENABLED = enabled
+    for owner, name, bare, wrapper in _SITES:
+        setattr(owner, name, wrapper if enabled else bare)
+
+
 def enable_contracts() -> None:
     """Globally enable runtime contract checking."""
-    global _ENABLED
-    _ENABLED = True
+    _bind(True)
 
 
 def disable_contracts() -> None:
     """Globally disable runtime contract checking."""
-    global _ENABLED
-    _ENABLED = False
+    _bind(False)
 
 
 @contextmanager
 def checked() -> Iterator[None]:
     """Enable contract checking for the duration of a with-block."""
-    global _ENABLED
     previous = _ENABLED
-    _ENABLED = True
+    _bind(True)
     try:
         yield
     finally:
-        _ENABLED = previous
+        _bind(previous)
 
 
 Predicate = Callable[..., bool]
 
 
+class _Site:
+    """What ``@contract`` leaves in a class body until the class exists:
+    on ``__set_name__`` it records the site and binds whichever of its
+    two functions the current setting asks for."""
+
+    def __init__(self, bare: Callable[..., Any], wrapper: Callable[..., Any]):
+        self.bare = bare
+        self.wrapper = wrapper
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        _SITES.append((owner, name, self.bare, self.wrapper))
+        setattr(owner, name, self.wrapper if _ENABLED else self.bare)
+
+
 def contract(
     requires: Predicate | None = None,
     ensures: Callable[..., bool] | None = None,
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+) -> Callable[[Callable[..., Any]], Any]:
     """Attach a requires/ensures pair to a method.
 
     ``requires`` receives the method's arguments (including ``self``).
@@ -84,16 +110,16 @@ def contract(
     the call via ``self._abstract_state()``), ``result`` (the return
     value), then the original arguments. Either clause may be ``None``.
 
-    The contract callables are stored on the wrapper as
-    ``__contract_requires__`` / ``__contract_ensures__`` so tooling (the
-    Validator, documentation generators) can introspect them.
+    For methods only: the class attribute is the bare method while
+    checking is off and the checked wrapper while it is on. The contract
+    callables are stored on both as ``__contract_requires__`` /
+    ``__contract_ensures__`` so tooling (the Validator, documentation
+    generators) can introspect them in either state.
     """
 
-    def decorate(func: Callable[..., Any]) -> Callable[..., Any]:
+    def decorate(func: Callable[..., Any]) -> _Site:
         @functools.wraps(func)
         def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            if not _ENABLED:
-                return func(self, *args, **kwargs)
             if requires is not None and not requires(self, *args, **kwargs):
                 raise ContractViolation("requires", func.__qualname__)
             old = self._abstract_state()
@@ -104,8 +130,9 @@ def contract(
                 raise ContractViolation("ensures", func.__qualname__)
             return result
 
-        wrapper.__contract_requires__ = requires  # type: ignore[attr-defined]
-        wrapper.__contract_ensures__ = ensures  # type: ignore[attr-defined]
-        return wrapper
+        for bound in (func, wrapper):
+            bound.__contract_requires__ = requires  # type: ignore[attr-defined]
+            bound.__contract_ensures__ = ensures  # type: ignore[attr-defined]
+        return _Site(func, wrapper)
 
     return decorate

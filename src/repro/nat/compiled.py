@@ -38,9 +38,12 @@ What makes the compilation sound:
   fields leaves the output canonical too.
 - **First-hit verification backstops the compiler.** The caller
   (``FastPathNat``) compiles a flow's closure on the flow's first
-  wire-backed hit, applies it to that very frame and byte-compares the
-  result against the object replay of the same frame before attaching
-  it to the flow's action. A miscompiled closure is never installed.
+  wire-backed hit and, before attaching it to the flow's action,
+  byte-compares its output against what the slow path emitted: on the
+  learn's own frame when that was wire-backed (the action's
+  ``witness``: the frame's image and the verified slow path's bytes for
+  it), else on the triggering frame against its object replay. A
+  miscompiled closure is never installed.
 
 A closure lives on its flow's action and the action lives exactly as
 long as the flow, so a hit checks nothing before firing one.

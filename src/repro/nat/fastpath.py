@@ -38,14 +38,19 @@ touched a header since — is rewritten by the flow's compiled closure
 object is ever built for it. A materialised packet, or any packet of an
 NF whose hooks say ``supports_raw = False``, is replayed through the
 NF's own ``apply`` hook. A closure is *earned* on a flow's first
-wire-backed hit — compiled, byte-compared against the object replay of
-that very frame, then attached or rejected for good — and lives *on*
-the action, so whatever drops an action drops its closure with it.
-Learns never compile: a flow that is never hit pays nothing for
-closures. There is no entry point over bare frame buffers: a frame
-reaches the cache only as a ``Packet``, so ``Packet.from_bytes`` —
-canonical-form check included — has accepted every image a closure
-ever sees.
+wire-backed hit — compiled, byte-compared against what the slow path
+emitted, then attached or rejected for good — and lives *on* the
+action, so whatever drops an action drops its closure with it. A learn
+from a wire-backed frame hands the earn its evidence: the action keeps
+the frame's image and the slow path's bytes for it (``witness``), and
+the earn checks the closure on those, so no frame is replayed or
+serialized again for it. An action with no witness (learned from a
+materialised packet, or installed by ``warm()``) is checked against the
+object replay of the triggering frame instead. Learns never compile: a
+flow that is never hit pays nothing for closures. There is no entry
+point over bare frame buffers: a frame reaches the cache only as a
+``Packet``, so ``Packet.from_bytes`` — canonical-form check included —
+has accepted every image a closure ever sees.
 
 An NF that opts in is its own provider: ``fastpath_hooks()`` returns
 the NF, which carries ``supports_raw`` (bool), ``begin_burst(now) ->
@@ -97,7 +102,9 @@ class CachedAction:
     compiled for wire images (:func:`~repro.nat.compiled.compile_action`):
     None until the flow's first wire-backed hit tries to earn one, then
     the byte-verified closure — or False, for good, when its output
-    diverged from the object replay.
+    diverged from what the slow path emitted. ``witness`` is the learn's
+    evidence for that check, ``(image, emitted bytes)``, kept only when
+    the learn frame was wire-backed and cleared by the earn.
     """
 
     src: Optional[Tuple[int, int]]
@@ -105,6 +112,7 @@ class CachedAction:
     out_device: int
     token: Any
     closure: Union[Callable[..., bytes], None, bool] = None
+    witness: Optional[Tuple[bytes, bytes]] = None
 
 
 def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
@@ -365,12 +373,21 @@ class FastPathNat(NetworkFunction):
         self._hits += frames
         self._compiled_hits += frames
 
-    def _learn(self, packet: Packet, key: FlowKey, outputs: List[Packet]) -> None:
+    def _learn(
+        self,
+        packet: Packet,
+        key: FlowKey,
+        outputs: List[Packet],
+        image: Optional[bytes],
+    ) -> None:
         """Memoize what the slow path just did, if it is cacheable.
 
         Only single-packet forwards are cached (drops and multi-output
         behaviors always re-consult the slow path). The candidate action
-        is verified by replay before it is admitted.
+        is verified by replay before it is admitted. ``image`` is the
+        frame the packet was before the slow path read it, if it was
+        wire-backed: the action keeps it, with the bytes the slow path
+        emitted for it, as the witness its closure is earned against.
         """
         if len(outputs) != 1:
             return
@@ -397,12 +414,12 @@ class FastPathNat(NetworkFunction):
             token=token,
         )
         replayed = self._hooks.apply(packet, action)
-        if (
-            replayed.device != out.device
-            or replayed.wire_bytes() != out.wire_bytes()
-        ):
+        emitted = out.wire_bytes()
+        if replayed.device != out.device or replayed.wire_bytes() != emitted:
             self._learn_rejected += 1
             return
+        if image is not None:
+            action.witness = (image, emitted)
         if key not in self._cache and len(self._cache) >= self.max_entries:
             evicted = next(iter(self._cache))
             del self._cache[evicted]
@@ -416,13 +433,20 @@ class FastPathNat(NetworkFunction):
         """Compile ``action`` on its first wire-backed hit, verified.
 
         Same discipline as the learn-time replay check: the closure's
-        output on the triggering frame must be byte-identical to the
-        object replay of that frame, or it is never attached — the
-        action is marked rejected and every later hit keeps taking the
-        object replay. Returns what was stored on the action.
+        output must be byte-identical to what the slow path emitted, or
+        it is never attached — the action is marked rejected and every
+        later hit keeps taking the object replay. With a witness that is
+        the learn frame and the slow path's own bytes for it; without
+        one (a materialised learn, ``warm()``) the triggering frame and
+        its object replay. Returns what was stored on the action.
         """
         closure = compile_action(key, action)
-        if closure(packet.image) == self._hooks.apply(packet, action).wire_bytes():
+        image, emitted = action.witness or (
+            packet.image,
+            self._hooks.apply(packet, action).wire_bytes(),
+        )
+        action.witness = None
+        if closure(image) == emitted:
             self._compiles += 1
         else:
             closure = False
@@ -473,9 +497,11 @@ class FastPathNat(NetworkFunction):
             misses += 1
             if tracing:
                 recorder.trace(flight.SLOW_PATH, t_us=now)
+            # Read before the slow path materialises the packet.
+            image = packet.image if compiles else None
             outputs = inner_process(packet, now)
             if key is not None:
-                self._learn(packet, key, outputs)
+                self._learn(packet, key, outputs, image)
             results.append(outputs)
         self._hits += hits
         self._misses += misses

@@ -228,8 +228,12 @@ steps = st.one_of(
 #: The bursts a fused turn counts may differ (docs/CHAINS.md, "Fused
 #: hits"); at the parent an inline stage behind a slow-path stage is
 #: handed a parsed packet and replays it, where a process stage re-parses
-#: wire bytes and fires its closure.
-NOT_COMPARED = {"inline": {"bursts"}, "process": {"bursts", "fastpath_compiled_hits"}}
+#: wire bytes and fires its closure — so only the process stage earns
+#: one, and its compiles differ as well as its compiled hits.
+NOT_COMPARED = {
+    "inline": {"bursts"},
+    "process": {"bursts", "fastpath_compiled_hits", "fastpath_compiles"},
+}
 
 
 class Chains:
@@ -389,6 +393,18 @@ class Chains:
 )
 # Restored stages keep their clocks: a turn behind them is not fused.
 @example(swapped=False, schedule=WARM + [("restore",), turn(gap=-300)] + WARM)
+# A cold swapped-in firewall takes the slow path and hands the limiter
+# and the NAT a parsed packet to replay; the process chain's two get
+# wire bytes and each earns a closure.
+@example(
+    swapped=False,
+    schedule=[
+        turn(out(1, 0), gap=-300),
+        ("fail", 0),
+        ("swap", False),
+        turn(out(1, 0), gap=-300),
+    ],
+)
 def test_fused_hits_are_the_staged_path(swapped, schedule):
     chains = Chains(swapped)
     try:

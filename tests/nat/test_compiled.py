@@ -6,7 +6,8 @@ emitted, for every packet shape the flow can carry — payload lengths,
 TTLs, and UDP's "checksum disabled" sentinel included. This file
 proves that property four ways: a hypothesis sweep over randomized
 traffic, the image-side key against the header-side key, an injected
-miscompilation that the learn-time self-verification must reject, and
+miscompilation that the first-hit self-verification must reject (on
+the learn's witness or on an object replay), and
 the hit rule itself — only a flow's first wire-backed hit attaches a
 closure, the flow's own expiry, a FIFO eviction or a restore each leave
 none reachable, and a rival flow's birth leaves it exactly where it was.
@@ -273,7 +274,8 @@ class TestClosureMatchesRewriteHelpers:
 class TestLearnTimeVerificationRejectsMiscompiles:
     """An injected compiler bug must never reach the data path: the
     first wire-backed hit byte-compares the closure it compiled against
-    the object replay of its own frame."""
+    what the slow path emitted — for the learn's frame when the learn
+    kept a witness, else for its own frame's object replay."""
 
     def test_wrong_bytes_rejected(self, monkeypatch):
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
@@ -308,7 +310,8 @@ class TestLearnTimeVerificationRejectsMiscompiles:
 class TestClosuresAreEarnedOnTheRawPath:
     """The earning rule: a learn never compiles; a flow's first
     wire-backed hit does, and verifies what it compiled against the
-    object replay of that very frame. ("Raw" is what the hooks call a
+    slow path's bytes — the learn's witness, or the object replay of
+    that very frame when there is none. ("Raw" is what the hooks call a
     closure-capable NF, ``supports_raw``; there is one way in,
     ``process_burst``.)"""
 
@@ -496,6 +499,105 @@ class TestClosuresAreEarnedOnTheRawPath:
         assert counters["fastpath_compiles"] == 0
         assert counters["fastpath_compile_rejected"] == 0
         assert counters["fastpath_compiled_hits"] == 0
+
+
+class _ApplySpy:
+    """Counts calls to a provider's ``apply`` hook, delegating to it."""
+
+    def __init__(self, monkeypatch, hooks):
+        self.calls = 0
+        real = hooks.apply
+
+        def apply(packet, action):
+            self.calls += 1
+            return real(packet, action)
+
+        monkeypatch.setattr(hooks, "apply", apply)
+
+
+class TestTheLearnWitnessesTheEarn:
+    """A learn from a wire-backed frame keeps that frame's image and the
+    slow path's bytes for it on the action (``witness``); the earn
+    checks its closure on those instead of replaying the hit, then
+    clears the witness. Everything else keeps the object-replay check."""
+
+    def _action(self, fast, packet):
+        return fast.action_for(Packet.from_bytes(packet.wire_bytes(), 0).flow_key())
+
+    def test_the_earn_replays_nothing(self, monkeypatch):
+        cfg = NatConfig(max_flows=64)
+        fast, slow = FastPathNat(VigNat(cfg)), VigNat(cfg)
+        spy = _ApplySpy(monkeypatch, fast._hooks)
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        (expected,) = _slow(slow, packet, 1_000)
+        assert _wire(fast, packet, 1_000) == [expected]  # learn
+        assert spy.calls == 1  # the learn's replay check
+        action = self._action(fast, packet)
+        assert action.witness == (packet.wire_bytes(), expected[0])
+        assert _wire(fast, packet, 1_001) == _slow(slow, packet, 1_001)  # earn
+        assert spy.calls == 1
+        assert action.witness is None
+        assert action.closure
+        counters = fast.op_counters()
+        assert counters["fastpath_compiles"] == 1
+        assert counters["fastpath_compiled_hits"] == 1
+
+    def test_no_witness_without_a_wire_backed_learn(self, monkeypatch):
+        cfg = NatConfig(max_flows=64)
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        # A materialised learn has no image to keep: its earn replays.
+        fast = FastPathNat(VigNat(cfg))
+        _object(fast, packet, 1_000)
+        assert self._action(fast, packet).witness is None
+        spy = _ApplySpy(monkeypatch, fast._hooks)
+        _wire(fast, packet, 1_001)
+        assert spy.calls == 1
+        assert fast.op_counters()["fastpath_compiles"] == 1
+        # An NF that never compiles keeps none either.
+        unverified = FastPathNat(UnverifiedNat(cfg))
+        _wire(unverified, packet, 1_000)
+        assert self._action(unverified, packet).witness is None
+        # Nor does warm(), which learns from no frame at all.
+        primary = VigNat(cfg)
+        primary.process(packet.clone(), 1_000)
+        standby = VigNat(cfg)
+        standby.restore_state(primary.checkpoint_state())
+        warmed = FastPathNat(standby)
+        assert warmed.warm() == 2
+        assert all(action.witness is None for action in warmed._cache.values())
+
+    def test_a_miscompile_is_rejected_for_good_on_the_witness(self, monkeypatch):
+        cfg = NatConfig(max_flows=64)
+        fast, slow = FastPathNat(VigNat(cfg)), VigNat(cfg)
+        compiled = []
+
+        def miscompile(key, action):
+            real = compile_action(key, action)
+            compiled.append(key)
+            return lambda image: real(image)[:-1] + b"\xff"
+
+        monkeypatch.setattr("repro.nat.fastpath.compile_action", miscompile)
+        packet = make_udp_packet(
+            "10.0.0.5", "8.8.8.8", 4_000, 53, payload=b"\x00" * 8, device=0
+        )
+        assert _wire(fast, packet, 1_000) == _slow(slow, packet, 1_000)  # learn
+        action = self._action(fast, packet)
+        assert action.witness is not None
+        spy = _ApplySpy(monkeypatch, fast._hooks)
+        assert _wire(fast, packet, 1_001) == _slow(slow, packet, 1_001)
+        # Rejected on the witness: the earn itself replayed nothing, and
+        # only the hit's own object replay ran.
+        assert spy.calls == 1
+        assert action.closure is False
+        assert action.witness is None
+        for t in (1_002, 1_003):
+            assert _wire(fast, packet, t) == _slow(slow, packet, t)
+        counters = fast.op_counters()
+        assert len(compiled) == 1
+        assert counters["fastpath_compile_rejected"] == 1
+        assert counters["fastpath_compiles"] == 0
+        assert counters["fastpath_compiled_hits"] == 0
+        assert counters["fastpath_hits"] == 3
 
 
 class TestStaleClosureInvalidation:
