@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.nat.base import NetworkFunction
@@ -644,27 +644,27 @@ def failover_sweep(
     fastpath: str = "off",
     settings: Optional[EvalSettings] = None,
 ) -> List[Record]:
-    """The availability benchmark: kill-and-promote at each replication lag.
+    """The availability benchmark: a real SIGKILL at each replication lag.
 
-    Per (NF, lag): a :class:`~repro.resil.failover.ReplicatedRuntime`
-    establishes ``flow_count`` flows, steady reply traffic runs for
-    ``steady_rounds`` rounds with ``kill_worker`` killed halfway
-    through, and after the promoted standby's blackout every flow is
-    probed once. At lag 0 the replication channel is synchronous, so
-    the controller must recover every established flow — the zero-loss
-    anchor the sweep's claims pin; growing lag trades replication traffic
-    for flows lost with the channel's in-flight window.
+    Per (NF, lag): a process runtime establishes ``flow_count`` flows,
+    steady reply traffic runs for ``steady_rounds`` rounds, and
+    ``kill_worker``'s process is SIGKILLed halfway through while frames
+    are queued for it; the runtime rebuilds that shard from its standby
+    (:meth:`~repro.net.dpdk.SteeringFront.recover`), and every flow is
+    probed once afterwards. At lag 0 the replication channel is
+    synchronous, so every established flow must survive — the zero-loss
+    anchor the sweep's claims pin; growing lag trades replication
+    traffic for flows lost with the channel's in-flight window.
 
-    The record's loss ledger separates the mechanisms, straight from the
-    controller's :class:`~repro.resil.failover.FailoverReport`: flows
-    lost to in-flight replication deltas, packets lost on the dead
-    worker's queues, and packets lost to the modeled promotion blackout.
-    ``steady_*`` is the reply traffic spanning the kill window,
-    ``probe_*`` the post-recovery probe (one reply per established
-    flow), ``fastpath_warmed`` the microflow-cache actions rebuilt from
-    restored flow state at promotion (0 in cache-off runs).
+    The record's loss ledger is the recovery's
+    :class:`~repro.resil.replication.FailoverReport`: flows lost to
+    in-flight replication deltas, frames lost queued for the dead
+    worker, and ``recovery_us``, the measured wall time of the rebuild.
+    ``steady_*`` is the reply traffic spanning the kill, ``probe_*`` the
+    post-recovery probe (one reply per established flow),
+    ``fastpath_warmed`` the microflow-cache actions rebuilt from the
+    recovered flow state (0 in cache-off runs).
     """
-    from repro.packets.builder import make_udp_packet
     from repro.resil.faults import FaultPlan
 
     factories = factories if factories is not None else replicable_nf_factories()
@@ -682,104 +682,22 @@ def failover_sweep(
                     nf_factory=factory,
                     config=cfg,
                     workers=workers,
+                    execution=PROCESS,
                     fastpath=fastpath,
                     fault_plan=plan,
                     replication_lag=lag,
                 )
             )
-            ext_ip = runtime.runtime.config.external_ip
-
-            # Establish: one outbound packet per flow; the flow's
-            # dst_port doubles as its marker in the translated output.
-            now = 1_000
-            pending = 0
-            for i in range(flow_count):
-                packet = make_udp_packet(
-                    0x0A000001, "8.8.8.8", 1_024 + i, 20_000 + i, device=0
+            try:
+                report, counts = _failover_run(
+                    runtime, plan, flow_count, steady_rounds, kill_worker, burst
                 )
-                runtime.inject(0, packet, now)
-                now += 5
-                pending += 1
-                if pending >= burst:
-                    runtime.main_loop_burst(now, burst)
-                    pending = 0
-            runtime.main_loop_burst(now, burst)
-            ext_port_of: Dict[int, int] = {}
-            for _, _, out in runtime.collect():
-                if out.ipv4 is not None and out.ipv4.src_ip == ext_ip:
-                    ext_port_of[out.l4.dst_port - 20_000] = out.l4.src_port
-
-            # Steady phase: each round replays one reply per established
-            # flow, then opens `churn` brand-new flows — so creates keep
-            # flowing through the replication channel. The kill lands
-            # right after the kill round's churn is processed, when
-            # those creates are the newest deltas in flight: exactly
-            # the window a lagged channel loses.
-            churn = max(4, flow_count // 12)
-            kill_round = steady_rounds // 2
-            steady_offered = 0
-            next_marker = flow_count
-            for r in range(steady_rounds):
-                for i, ext_port in sorted(ext_port_of.items()):
-                    reply = make_udp_packet(
-                        "8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1
-                    )
-                    runtime.inject(1, reply, now)
-                    steady_offered += 1
-                    now += 5
-                    pending += 1
-                    if pending >= burst:
-                        runtime.main_loop_burst(now, burst)
-                        pending = 0
-                for _ in range(churn):
-                    packet = make_udp_packet(
-                        0x0A000001,
-                        "8.8.8.8",
-                        1_024 + next_marker,
-                        20_000 + next_marker,
-                        device=0,
-                    )
-                    next_marker += 1
-                    runtime.inject(0, packet, now)
-                    steady_offered += 1
-                    now += 5
-                    pending += 1
-                now += 100
-                runtime.main_loop_burst(now, burst)
-                pending = 0
-                if r == kill_round:
-                    plan.kill_worker(kill_worker, at_us=now + 1)
-                    now += 2
-                    runtime.main_loop_burst(now, burst)
-            steady_delivered = len(runtime.collect())
-
-            # Post-recovery probe: every flow answers unless replication
-            # lost it.
-            report = runtime.reports[0] if runtime.reports else None
-            if report is not None:
-                now = max(now, report.ready_at_us) + 100
-            probe_offered = 0
-            for i, ext_port in sorted(ext_port_of.items()):
-                reply = make_udp_packet(
-                    "8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1
-                )
-                runtime.inject(1, reply, now)
-                probe_offered += 1
-                now += 5
-            runtime.main_loop_burst(now, burst)
-            probe_delivered = len(runtime.collect())
-
+            finally:
+                runtime.stop()
             ledger = {
-                field: getattr(report, field) if report else 0
-                for field in (
-                    "flows_at_kill",
-                    "flows_recovered",
-                    "flows_lost",
-                    "deltas_lost",
-                    "recovery_us",
-                    "packets_lost_queue",
-                    "packets_lost_blackout",
-                )
+                key: value
+                for key, value in asdict(report).items()
+                if key not in ("worker", "killed_at_us", "detected_at_us")
             }
             records.append(
                 {
@@ -789,20 +707,15 @@ def failover_sweep(
                     "workers": workers,
                     "kill_worker": kill_worker,
                     **ledger,
-                    "steady_offered": steady_offered,
-                    "steady_delivered": steady_delivered,
+                    **counts,
                     "availability": round(
-                        steady_delivered / steady_offered if steady_offered else 1.0,
-                        4,
+                        counts["steady_delivered"] / counts["steady_offered"], 4
                     ),
-                    "probe_offered": probe_offered,
-                    "probe_delivered": probe_delivered,
-                    "fastpath_warmed": report.fastpath_warmed if report else 0,
                     "metrics": snapshot_of_counters(
                         {
                             f"failover_{field}": value
                             for field, value in ledger.items()
-                            if field != "recovery_us"
+                            if field not in ("recovery_us", "fastpath_warmed")
                         },
                         labels={"nf": name, "lag": str(lag)},
                         help_text="failover-sweep loss ledger",
@@ -810,6 +723,89 @@ def failover_sweep(
                 }
             )
     return records
+
+
+def _failover_run(runtime, plan, flow_count, steady_rounds, kill_worker, burst):
+    """One failover-sweep cell on a launched runtime: the recovery's
+    report and the traffic counts."""
+    from repro.packets.builder import make_udp_packet
+
+    ext_ip = runtime.config.external_ip
+    # Establish: one outbound packet per flow; the flow's dst_port
+    # doubles as its marker in the translated output.
+    now = 1_000
+    pending = 0
+    for i in range(flow_count):
+        packet = make_udp_packet(0x0A000001, "8.8.8.8", 1_024 + i, 20_000 + i, device=0)
+        runtime.inject(0, packet, now)
+        now += 5
+        pending += 1
+        if pending >= burst:
+            runtime.main_loop_burst(now, burst)
+            pending = 0
+    runtime.main_loop_burst(now, burst)
+    ext_port_of: Dict[int, int] = {}
+    for _, _, out in runtime.collect():
+        if out.ipv4 is not None and out.ipv4.src_ip == ext_ip:
+            ext_port_of[out.l4.dst_port - 20_000] = out.l4.src_port
+
+    # Steady phase: each round replays one reply per established flow,
+    # then opens `churn` brand-new flows — so creates keep flowing
+    # through the replication channel. The kill is armed right after
+    # the kill round's churn is processed, when those creates are the
+    # newest deltas in flight (exactly the window a lagged channel
+    # loses), and fires on the next round's first turn, with that
+    # turn's replies queued for the dead worker.
+    churn = max(4, flow_count // 12)
+    kill_round = steady_rounds // 2
+    steady_offered = 0
+    next_marker = flow_count
+    for r in range(steady_rounds):
+        for i, ext_port in sorted(ext_port_of.items()):
+            reply = make_udp_packet("8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1)
+            runtime.inject(1, reply, now)
+            steady_offered += 1
+            now += 5
+            pending += 1
+            if pending >= burst:
+                runtime.main_loop_burst(now, burst)
+                pending = 0
+        for _ in range(churn):
+            packet = make_udp_packet(
+                0x0A000001,
+                "8.8.8.8",
+                1_024 + next_marker,
+                20_000 + next_marker,
+                device=0,
+            )
+            next_marker += 1
+            runtime.inject(0, packet, now)
+            steady_offered += 1
+            now += 5
+            pending += 1
+        now += 100
+        runtime.main_loop_burst(now, burst)
+        pending = 0
+        if r == kill_round:
+            plan.kill_worker(kill_worker, at_us=now + 1)
+    steady_delivered = len(runtime.collect())
+
+    # Post-recovery probe: every flow answers unless replication lost it.
+    now += 100
+    probe_offered = 0
+    for i, ext_port in sorted(ext_port_of.items()):
+        reply = make_udp_packet("8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1)
+        runtime.inject(1, reply, now)
+        probe_offered += 1
+        now += 5
+    runtime.main_loop_burst(now, burst)
+    (report,) = runtime.reports
+    return report, {
+        "steady_offered": steady_offered,
+        "steady_delivered": steady_delivered,
+        "probe_offered": probe_offered,
+        "probe_delivered": len(runtime.collect()),
+    }
 
 
 def cgnat_config(

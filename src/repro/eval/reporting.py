@@ -248,10 +248,11 @@ def render_failover(records: Sequence[Record]) -> str:
     """Failover sweep: loss vs. replication lag, one block per NF.
 
     Lag 0 is the zero-loss anchor (synchronous channel: every
-    established flow must survive promotion); the flows-lost column
+    established flow must survive the rebuild); the flows-lost column
     growing with lag is the asynchrony cost the sweep quantifies.
-    Availability covers the steady reply traffic spanning the kill,
-    printed from the two counts rather than the record's rounded ratio.
+    Recovery is measured wall time. Availability covers the steady
+    reply traffic spanning the kill, printed from the two counts rather
+    than the record's rounded ratio.
     """
 
     def row(r: Record) -> str:
@@ -259,7 +260,8 @@ def render_failover(records: Sequence[Record]) -> str:
         return (
             f"  {r['lag']:>4d}   {r['flows_at_kill']:>5d}"
             f"/{r['flows_recovered']:<4d}/{r['flows_lost']:<4d}"
-            f"   {r['deltas_lost']:>6d}   {r['recovery_us']:>6d}us"
+            f"   {r['deltas_lost']:>6d}   {r['packets_lost_queue']:>6d}"
+            f"   {r['recovery_us']:>6d}us"
             f"   {offered - delivered:>6d}/{offered:<6d}"
             f"   {r['probe_offered'] - r['probe_delivered']:>4d}"
             f"/{r['probe_offered']:<5d}"
@@ -274,8 +276,9 @@ def render_failover(records: Sequence[Record]) -> str:
         else ""
     )
     lines = [
-        f"Failover sweep — kill-and-promote at each replication lag ({scenario})",
-        "   lag   flows kill/rec/lost   deltas   recovery   steady lost   "
+        f"Failover sweep — a worker process SIGKILLed and rebuilt from its "
+        f"standby at each replication lag ({scenario})",
+        "   lag   flows kill/rec/lost   deltas   queued   recovery   steady lost   "
         "probe lost   availability",
         *_per_nf(records, "lag", row),
     ]
@@ -285,7 +288,7 @@ def render_failover(records: Sequence[Record]) -> str:
         for r in sorted(warmed, key=itemgetter("nf", "lag")):
             lines.append(
                 f"  {r['nf']} @ lag {r['lag']}: {r['fastpath_warmed']} microflow "
-                f"actions rebuilt from restored flows at promotion"
+                f"actions rebuilt from recovered flows"
             )
     return "\n".join(lines)
 

@@ -397,17 +397,22 @@ def _fastpath_claims(records: List[Record]) -> List[str]:
     return breaches
 
 
-# -- failover: kill-and-promote under replication lag --------------------------
+# -- failover: a real SIGKILL under replication lag -----------------------------
 # The resilience subsystem must honor (a) zero loss when synchronous: at
-# lag 0 the promoted standby recovers every established flow — a kill
-# loses packets (queued + blackout), never a flow; (b) asynchrony has a
-# price, and only that price: flows lost grow (weakly) with the lag,
-# never exceed the deltas the channel cut destroyed, and every recovered
-# flow keeps translating (the post-recovery probe loses nothing beyond
-# the replication loss); (c) bounded blackout at every lag.
+# lag 0 the shard rebuilt from its standby recovers every established
+# flow — a kill loses the frames queued for the dead worker, never a
+# flow; (b) asynchrony has a price, and only that price: flows lost grow
+# (weakly) with the lag, never exceed the deltas the channel cut
+# destroyed, and every recovered flow keeps translating (the
+# post-recovery probe loses nothing beyond the replication loss); (c)
+# bounded recovery at every lag, measured as wall time.
 
-#: (c) hard ceiling on the modeled promotion blackout.
-RECOVERY_BUDGET_US = 10_000
+#: (c) hard ceiling on the measured rebuild of a dead shard: twice the
+#: largest of forty smoke-grid recoveries (ten sweeps on a 2-vCPU
+#: machine: 10.6 ms min, 14.3 ms median, 21.4 ms max), rounded up.
+#: Respawning a worker process and rebuilding a 32,767-flow shard from
+#: its frame does not fit the 10 ms the modeled blackout was held to.
+RECOVERY_BUDGET_US = 50_000
 
 
 def _failover_claims(records: List[Record]) -> List[str]:
@@ -428,17 +433,17 @@ def _failover_claims(records: List[Record]) -> List[str]:
                 f"(budget {RECOVERY_BUDGET_US}us)"
             )
         # A failover actually happened, and it was not free.
-        if _has(
-            r, "flows_at_kill", "recovery_us", "steady_offered", "steady_delivered"
-        ):
-            steady_lost = r["steady_offered"] - r["steady_delivered"]
+        if _has(r, "flows_at_kill", "recovery_us", "packets_lost_queue"):
             if not (
-                r["flows_at_kill"] > 0 and r["recovery_us"] > 0 and steady_lost > 0
+                r["flows_at_kill"] > 0
+                and r["recovery_us"] > 0
+                and r["packets_lost_queue"] > 0
             ):
                 breaches.append(
                     f"{where}: the kill cost nothing ({r['flows_at_kill']} "
                     f"flows at kill, {r['recovery_us']}us recovery, "
-                    f"{steady_lost} steady packets lost); no failover ran"
+                    f"{r['packets_lost_queue']} queued packets lost); "
+                    f"no failover ran"
                 )
         # (b) recovered flows keep translating.
         if _has(r, "probe_offered", "probe_delivered"):

@@ -107,4 +107,5 @@ class PortAllocator:
             seen.add(port)
         for port in ports:
             self._allocated[port - self.start] = True
-            self._free.remove(port)
+        # One pass, order kept: removing port by port is O(flows × range).
+        self._free = [port for port in self._free if port not in seen]

@@ -11,7 +11,7 @@ Two things live here:
   fastpath, faults, replication) and :func:`launch`, which turns the
   spec into a running :class:`Runtime`. This replaces the scattered
   constructor zoo (`DpdkRuntime(...)`, ``ShardedRuntime(workers=,
-  fastpath=)``, ``ReplicatedRuntime(...)``, ad-hoc testbed kwargs).
+  fastpath=)``, ad-hoc testbed kwargs).
 
 Execution modes and what they are for — each is the same unit, a
 :class:`~repro.net.dpdk.Shard` (NF + ``DpdkRuntime`` + turn +
@@ -29,7 +29,7 @@ checkpoint/restore), placed differently, so ``checkpoint()`` and
 - ``threaded-deterministic`` — :class:`~repro.net.dpdk.ShardedRuntime`:
   N shards round-robined in one thread. Fully deterministic; this is
   the *verification oracle* the process mode is differentially tested
-  against, and the only mode that supports replication/failover.
+  against, recovery included.
 - ``process`` — :class:`~repro.net.procrun.ProcessShardedRuntime`: one
   OS process per shard, real wall-clock scale-out, byte-identical to
   the oracle on the same schedule. See ``docs/SCALING.md``.
@@ -87,8 +87,9 @@ class RuntimeSpec:
     rx_capacity: int = 512
     pool_size: int = 4096
     fault_plan: Optional[object] = None
-    #: Replication lag for active/standby failover; ``None`` disables
-    #: replication entirely. Only the deterministic mode supports it.
+    #: Replication lag for a warm standby per shard; ``None`` disables
+    #: replication entirely. Implies ``supervise``: a dead shard is
+    #: rebuilt from its standby. Sharded executions only.
     replication_lag: Optional[int] = None
     #: Process mode only: how long the parent waits on a worker reply
     #: before declaring it crashed. Also bounds every shm ring-full
@@ -100,8 +101,9 @@ class RuntimeSpec:
     #: over the pipe itself. Both are differentially proven
     #: byte-identical to the deterministic oracle.
     transport: str = "shm"
-    #: Process mode only: respawn crashed shards and restore the last
-    #: coordinated checkpoint instead of raising ``WorkerCrashed``.
+    #: Rebuild a dead shard alone from its frame of the last coordinated
+    #: checkpoint, instead of leaving it dead (threaded) or raising
+    #: ``WorkerCrashed`` (process). Sharded executions only.
     supervise: bool = False
     #: Process mode, shm transport only: ring geometry per direction
     #: per worker (slots × slot_bytes of payload capacity).
@@ -122,15 +124,15 @@ class RuntimeSpec:
                 "inline execution is single-worker; use "
                 "threaded-deterministic or process to shard"
             )
-        if self.replication_lag is not None:
-            if self.replication_lag < 0:
-                raise ValueError("replication lag cannot be negative")
-            if self.execution != THREADED_DETERMINISTIC:
-                raise ValueError(
-                    "replication/failover requires the deterministic "
-                    "execution mode (the failover controller replays "
-                    "worker turns; a real dead process has no turn to replay)"
-                )
+        if self.execution == INLINE and (
+            self.replication_lag is not None or self.supervise
+        ):
+            raise ValueError(
+                "replication_lag and supervise=True need a sharded execution: "
+                "an inline runtime has no worker to rebuild"
+            )
+        if self.replication_lag is not None and self.replication_lag < 0:
+            raise ValueError("replication lag cannot be negative")
         if self.burst_size <= 0:
             raise ValueError("burst size must be positive")
         if self.turn_timeout_s <= 0:
@@ -141,11 +143,6 @@ class RuntimeSpec:
             raise ValueError(
                 f"unknown transport {self.transport!r}; "
                 f"choose one of {TRANSPORTS}"
-            )
-        if self.supervise and self.execution != PROCESS:
-            raise ValueError(
-                "supervise=True only applies to process execution — the "
-                "other modes have no worker process to respawn"
             )
         if self.ring_slots <= 0 or self.ring_slot_bytes <= 0:
             raise ValueError("ring geometry must be positive")
@@ -274,8 +271,7 @@ def launch(spec: RuntimeSpec) -> Runtime:
     """Stand up the deployment a spec describes and return its runtime.
 
     The one construction path: picks the backend from
-    ``spec.execution`` (plus :class:`~repro.resil.failover.ReplicatedRuntime`
-    when ``replication_lag`` is set), forwards the spec's knobs, and
+    ``spec.execution``, forwards the spec's knobs, and
     tags the result with ``.spec`` so drivers can read back the burst
     size and mode they should drive with. Callers owning a ``process``
     runtime must :meth:`~Runtime.stop` it; calling ``stop()`` on the
@@ -289,15 +285,11 @@ def launch(spec: RuntimeSpec) -> Runtime:
         pool_size=spec.pool_size,
         fastpath=spec.fastpath,
         fault_plan=spec.fault_plan,
+        supervise=spec.supervise,
+        replication_lag=spec.replication_lag,
     )
-    if spec.replication_lag is not None:
-        from repro.resil.failover import ReplicatedRuntime
-
-        runtime: Runtime = ReplicatedRuntime(
-            *sharded, lag=spec.replication_lag, **front
-        )
-    elif spec.execution == INLINE:
-        runtime = InlineRuntime(spec)
+    if spec.execution == INLINE:
+        runtime: Runtime = InlineRuntime(spec)
     elif spec.execution == PROCESS:
         from repro.net.procrun import ProcessShardedRuntime
 
@@ -305,7 +297,6 @@ def launch(spec: RuntimeSpec) -> Runtime:
             *sharded,
             turn_timeout_s=spec.turn_timeout_s,
             transport=spec.transport,
-            supervise=spec.supervise,
             ring_slots=spec.ring_slots,
             ring_slot_bytes=spec.ring_slot_bytes,
             **front,

@@ -19,6 +19,7 @@ the NAT-aware RSS steering of :mod:`repro.net.rss`
 
 from __future__ import annotations
 
+import time
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -210,6 +211,7 @@ def build_nf(
     config,
     fastpath: str = "off",
     checkpoint=None,
+    delta_sink=None,
 ) -> NetworkFunction:
     """The one NF builder, and the one fast-path admission rule: the
     factory's NF, wrapped iff the fast path is on *and* the NF is a
@@ -219,7 +221,9 @@ def build_nf(
 
     Given a ``checkpoint`` the new NF comes back holding its state —
     through :func:`repro.resil.checkpoint.restore`, so every
-    name/config/state check applies and a refused frame raises.
+    name/config/state check applies and a refused frame raises. A
+    ``delta_sink`` is attached after the restore, so it hears only what
+    the NF does from then on.
     """
     nf = nf_factory(config)
     if check_fastpath(fastpath) != "off" and nf.fastpath_hooks() is not None:
@@ -228,6 +232,8 @@ def build_nf(
         from repro.resil.checkpoint import restore
 
         restore(nf, checkpoint)
+    if delta_sink is not None:
+        nf.delta_sink(delta_sink)
     return nf
 
 
@@ -238,9 +244,13 @@ class Shard:
     through: :class:`~repro.net.app.InlineRuntime` is one,
     :class:`ShardedRuntime` holds N, a
     :class:`~repro.net.procrun.ProcessShardedRuntime` worker process
-    hosts one, and the failover controller promotes a standby into a
-    fresh one (built with the standby's ``checkpoint``, it starts out
-    holding that state). Nothing in it is shared with any other shard.
+    hosts one, and :meth:`SteeringFront.recover` rebuilds a dead one
+    (built with a ``checkpoint``, it starts out holding that state).
+    Nothing in it is shared with any other shard.
+
+    A replicating shard (``replicate=True``) buffers its NF's flow
+    deltas in :attr:`deltas` until the front end takes them after the
+    turn; otherwise no delta sink is attached at all.
     """
 
     def __init__(
@@ -254,9 +264,17 @@ class Shard:
         rx_capacity: int = 512,
         pool_size: int = 4096,
         checkpoint=None,
+        replicate: bool = False,
     ) -> None:
         self.fastpath = fastpath
-        self._build_nf = partial(build_nf, nf_factory, config, fastpath)
+        self.deltas: Optional[List[tuple]] = [] if replicate else None
+        self._build_nf = partial(
+            build_nf,
+            nf_factory,
+            config,
+            fastpath,
+            delta_sink=self.deltas.append if replicate else None,
+        )
         self.nf = self._build_nf(checkpoint)
         self.runtime = DpdkRuntime(port_count, rx_capacity, pool_size)
         self.runtime.worker_id = worker_id
@@ -383,12 +401,19 @@ class SteeringFront:
     """What the two sharded front ends share; where the shards live is theirs.
 
     One partitioned config, NAT-aware steering behind an :class:`RssNic`,
-    the fault plan's wire tallies, and the merged views — counters,
-    checkpoint, restore — over per-worker answers. :class:`ShardedRuntime`
-    answers from in-thread :class:`Shard` objects,
+    the fault plan's wire tallies, the merged views — counters,
+    checkpoint, restore — over per-worker answers, and the one recovery
+    primitive, :meth:`recover`. :class:`ShardedRuntime` answers from
+    in-thread :class:`Shard` objects,
     :class:`~repro.net.procrun.ProcessShardedRuntime` asks a worker
     process hosting one. The wire side and the main loop stay on each
     class.
+
+    ``supervise=True`` rebuilds a dead worker instead of leaving it dead
+    (threaded) or raising ``WorkerCrashed`` (process). A
+    ``replication_lag`` implies it, and mirrors every shard into a
+    :class:`~repro.resil.replication.StandbyReplica` through a
+    :class:`~repro.resil.replication.ReplicationChannel` of that lag.
     """
 
     def __init__(
@@ -403,6 +428,8 @@ class SteeringFront:
         pool_size: int = 4096,
         fastpath="off",
         fault_plan=None,
+        supervise: bool = False,
+        replication_lag: Optional[int] = None,
     ) -> None:
         if workers <= 0:
             raise ValueError("need at least one worker")
@@ -420,6 +447,7 @@ class SteeringFront:
             port_count=port_count,
             rx_capacity=rx_capacity,
             pool_size=pool_size,
+            replicate=replication_lag is not None,
         )
         #: Duck-typed FaultPlan (kept untyped to avoid a net → resil
         #: import cycle); None means no fault machinery runs at all.
@@ -429,7 +457,24 @@ class SteeringFront:
         self.fault_wire_corrupted = 0
         #: Queued packets lost when a killed worker's rings were flushed.
         self.fault_kill_lost = 0
+        self.supervise = supervise or replication_lag is not None
+        #: One channel and standby per worker; both empty unless replicating.
+        self.channels: List = []
+        self.replicas: List = []
+        if replication_lag is not None:
+            from repro.resil.replication import ReplicationChannel, StandbyReplica
+
+            # A standby mirrors its NF's own rows, so it needs the NF's name.
+            name = nf_factory(self.shards[0]).name
+            self.channels = [ReplicationChannel(replication_lag) for _ in self.shards]
+            self.replicas = [StandbyReplica(name, cfg) for cfg in self.shards]
+        #: One :class:`~repro.resil.replication.FailoverReport` per recovery.
+        self.reports: List = []
+        #: The last coordinated checkpoint, kept while supervising.
+        self._fence = None
         self._start()
+        if self.supervise:
+            self.checkpoint(0)  # a fresh fleet's empty state is the first fence
 
     def _start(self) -> None:
         """Bring the workers up — the subclass knows where they live."""
@@ -437,10 +482,14 @@ class SteeringFront:
 
     def fresh_shard(self, worker_id: int, checkpoint=None) -> Shard:
         """A newly built shard for one worker slot: empty state and a
-        cold cache, or ``checkpoint``'s state (a standby promotion)."""
-        return self._make_shard(
+        cold cache, or — rebuilt by :meth:`recover` — ``checkpoint``'s
+        state with the cache warmed from it."""
+        shard = self._make_shard(
             self.shards[worker_id], worker_id=worker_id, checkpoint=checkpoint
         )
+        if checkpoint is not None and isinstance(shard.nf, FastPathNat):
+            shard.nf.warm()
+        return shard
 
     @property
     def workers(self) -> int:
@@ -454,6 +503,143 @@ class SteeringFront:
     def worker_for(self, packet: Packet) -> int:
         """The worker the steering stage would select (without counting)."""
         return self.steering.worker_for(packet)
+
+    # -- recovery ------------------------------------------------------------
+    def _replicate(self, worker_id: int, raw_deltas) -> None:
+        """Publish one worker's turn of deltas on its channel; what
+        completes transit reaches its standby."""
+        from repro.resil.replication import FlowDelta
+
+        channel, replica = self.channels[worker_id], self.replicas[worker_id]
+        recorder = obs.recorder()
+        for raw in raw_deltas:
+            replica.apply_all(channel.publish(FlowDelta(*raw)))
+            if recorder.active:
+                recorder.trace(
+                    flight.REPLICATE, t_us=raw[3], worker=worker_id, detail=raw[0]
+                )
+
+    def recover(self, worker_id: int, now_us: int):
+        """Rebuild one dead worker alone — the one recovery primitive.
+
+        Cut the worker's replication channel (its in-flight deltas are
+        lost), count its queued frames lost, then build only this shard
+        fresh from one frame: its standby's synthesized ``repro-ckpt/v1``
+        frame when replicating, otherwise its frame of the last
+        coordinated checkpoint. The rebuilt shard's cache is warmed from
+        that state, frames the dead worker already transmitted are kept,
+        steering is reassigned and the kill window retired. The
+        survivors are untouched: shards share nothing, and replies reach
+        a flow's owner by port. Returns the recorded
+        :class:`~repro.resil.replication.FailoverReport`, whose
+        ``recovery_us`` is the wall time all of this took.
+        """
+        from repro.resil.replication import FailoverReport
+
+        started = time.perf_counter_ns()
+        plan = self.fault_plan
+        killed_at = now_us
+        if plan is not None:
+            killed_at = min(
+                (
+                    f.start_us
+                    for f in plan.faults
+                    if f.kind == "worker-kill" and f.active_at(now_us, worker_id)
+                ),
+                default=now_us,
+            )
+        lost: List = []
+        at_kill = unrecovered = ()
+        if self.replicas:
+            replica = self.replicas[worker_id]
+            lost = self.channels[worker_id].lost_in_flight()
+            at_kill = replica.keys_after(lost)
+            unrecovered = at_kill - set(replica.established_keys())
+            frame = replica.to_checkpoint(now_us)
+        else:
+            frame = self._fence.for_workers(self.workers)[worker_id]
+        packets_lost_queue = self.flush_worker(worker_id, now_us)
+        self._rebuild(worker_id, frame)
+        self.steering.reassign(worker_id, worker_id)
+        if plan is not None:
+            plan.clear(kind="worker-kill", worker=worker_id)
+        counters = self._worker_counters(worker_id)
+        recovery_us = (time.perf_counter_ns() - started) // 1_000
+        recovered = counters["flow_count"]
+        report = FailoverReport(
+            worker=worker_id,
+            killed_at_us=killed_at,
+            detected_at_us=now_us,
+            recovery_us=recovery_us,
+            flows_at_kill=len(at_kill) if self.replicas else recovered,
+            flows_recovered=recovered,
+            flows_lost=len(unrecovered),
+            deltas_lost=len(lost),
+            packets_lost_queue=packets_lost_queue,
+            fastpath_warmed=counters["op_counters"].get("fastpath_warmed", 0),
+        )
+        self.reports.append(report)
+        recorder = obs.recorder()
+        if recorder.active:
+            recorder.trace(
+                flight.FAILOVER,
+                t_us=now_us,
+                worker=worker_id,
+                reason=flight.REASON_REPLICATION_LOSS if lost else "",
+                detail=(
+                    f"rebuilt: {recovered}/{report.flows_at_kill} flows, "
+                    f"{len(lost)} deltas lost, {recovery_us}us"
+                ),
+            )
+        return report
+
+    def register_recovery_metrics(self, registry) -> None:
+        """Each standby's replication, and the recoveries run."""
+        for worker_id, (channel, replica) in enumerate(
+            zip(self.channels, self.replicas)
+        ):
+            labels = {"worker": str(worker_id)}
+            for name, read, help_text in (
+                (
+                    "replication_published_total",
+                    lambda c=channel: c.published_total,
+                    "flow deltas published by the active NF",
+                ),
+                (
+                    "replication_delivered_total",
+                    lambda c=channel: c.delivered_total,
+                    "flow deltas delivered to the standby",
+                ),
+                (
+                    "replication_lost_total",
+                    lambda c=channel: c.lost_total,
+                    "in-flight deltas destroyed at channel cut",
+                ),
+                (
+                    "standby_out_of_order_total",
+                    lambda r=replica: r.out_of_order_total,
+                    "deltas referencing flows the standby never saw",
+                ),
+            ):
+                registry.counter_fn(name, read, help_text, labels)
+            registry.gauge_fn(
+                "replication_in_flight",
+                channel.in_flight_count,
+                "deltas currently in transit (== configured lag, steady state)",
+                labels,
+            )
+            registry.gauge_fn(
+                "standby_flows",
+                replica.flow_count,
+                "flows currently mirrored on the standby",
+                labels,
+            )
+        if self.supervise:
+            registry.counter_fn(
+                "failover_total",
+                lambda: len(self.reports),
+                "dead workers rebuilt from a standby or the last fence",
+            )
 
     # -- merged views over the subclass's per-worker ``_worker_*`` answers --------
     def per_worker_counters(self) -> List[Dict[str, int]]:
@@ -469,8 +655,9 @@ class SteeringFront:
     def drop_causes(self) -> Dict[str, int]:
         """Drop/near-drop causes across all workers (:func:`merge_counters`).
 
-        Fault-attributed losses appear only when a plan is attached, so
-        fault-free reports stay byte-identical to the pre-fault layer.
+        Fault-attributed losses appear only when a plan is attached, and
+        replication losses only when replicating, so fault-free reports
+        stay byte-identical to the pre-fault layer.
         """
         causes = merge_counters(
             self._worker_counters(w)["drop_causes"] for w in range(self.workers)
@@ -479,6 +666,10 @@ class SteeringFront:
             causes["fault_wire_dropped"] = self.fault_wire_dropped
             causes["fault_wire_corrupted"] = self.fault_wire_corrupted
             causes["fault_kill_lost"] = self.fault_kill_lost
+        if self.channels:
+            causes["replication_deltas_lost"] = sum(
+                channel.lost_total for channel in self.channels
+            )
         return causes
 
     def flow_count(self) -> int:
@@ -492,13 +683,18 @@ class SteeringFront:
 
         Take it between main-loop turns: nothing is in flight and every
         RX ring has been drained, so the frames form a consistent cut.
+        A supervised fleet keeps it as the fence a dead shard without a
+        standby is rebuilt from.
         """
         from repro.resil.checkpoint import CheckpointSet
 
-        return CheckpointSet(
+        checkpoint_set = CheckpointSet(
             now_us,
             tuple(self._worker_checkpoint(w, now_us) for w in range(self.workers)),
         )
+        if self.supervise:
+            self._fence = checkpoint_set
+        return checkpoint_set
 
     def restore(self, checkpoint_set) -> None:
         """Adopt a coordinated checkpoint, one frame per worker — all or nothing.
@@ -507,13 +703,21 @@ class SteeringFront:
         that worker's config (the full name/config/state validation);
         only when all of them pass is any worker told to adopt its own.
         A frame refused in any slot therefore leaves the whole fleet
-        serving its pre-restore flows, never a mixed cut.
+        serving its pre-restore flows, never a mixed cut. The standbys
+        come along: each is rebuilt from its worker's frame, and the
+        deltas in flight, which described the state rolled back, are
+        discarded. A supervised fleet takes the set as its fence.
         """
         frames = checkpoint_set.for_workers(self.workers)
         for config, frame in zip(self.shards, frames):
             self._build_nf(config, checkpoint=frame)
         for worker_id, frame in enumerate(frames):
             self._worker_restore(worker_id, frame)
+        for channel, replica, frame in zip(self.channels, self.replicas, frames):
+            channel.lost_in_flight()
+            replica.adopt(frame.state)
+        if self.supervise:
+            self._fence = checkpoint_set
 
 
 class ShardedRuntime(SteeringFront):
@@ -612,42 +816,61 @@ class ShardedRuntime(SteeringFront):
         """One main-loop turn on every worker, round-robin, worker 0 first.
 
         Returns the total number of packets processed across workers.
-        With a fault plan active, a killed worker's turn is skipped and
-        its queued packets flushed (they are lost with the worker), a
-        hung worker's turn is skipped with its queues intact, clock skew
-        biases the ``now`` that worker's NF observes (a negative skew
-        exercises the NATs' monotonic clamp), and pool-exhaust faults
-        hold buffers hostage for the window's duration.
+        With a fault plan active, a killed worker is rebuilt by
+        :meth:`recover` before its turn when supervising, and otherwise
+        skips its turn with its queued packets flushed (they are lost
+        with the worker); a hung worker's turn is skipped with its
+        queues intact, clock skew biases the ``now`` that worker's NF
+        observes (a negative skew exercises the NATs' monotonic clamp),
+        and pool-exhaust faults hold buffers hostage for the window's
+        duration. A replicating worker's deltas are published after its
+        turn.
         """
         processed = 0
         plan = self.fault_plan
         faults_on = plan is not None and not plan.empty
-        for worker_id, unit in enumerate(self.units):
+        for worker_id in range(self.workers):
             worker_now = now_us
             seizure = 0
             if faults_on:
                 if plan.worker_killed(now_us, worker_id):
-                    self.flush_worker(worker_id, now_us)
-                    continue
+                    if not self.supervise:
+                        self.flush_worker(worker_id, now_us)
+                        continue
+                    self.recover(worker_id, now_us)
                 if plan.worker_hung(now_us, worker_id):
                     continue
                 seizure = plan.pool_seizure(now_us, worker_id)
                 skew = plan.clock_skew_us(now_us, worker_id)
                 if skew:
                     worker_now = max(0, now_us + skew)
+            unit = self.units[worker_id]
             processed += unit.turn(worker_now, burst_size, seizure)
+            if unit.deltas:
+                self._replicate(worker_id, unit.deltas)
+                unit.deltas.clear()
         return processed
 
     def flush_worker(self, worker_id: int, now_us: int) -> int:
         """Tear down one worker's queued packets (they die with it).
 
-        The failover controller calls this at promotion time — the dead
-        worker's RX rings are gone, so whatever they held is attributed
-        to the kill. Returns the number of packets lost.
+        A dead worker's RX rings are gone, so whatever they held is
+        attributed to the kill. Returns the number of packets lost.
         """
         lost = self.units[worker_id].flush_rx(now_us)
         self.fault_kill_lost += lost
         return lost
+
+    def _rebuild(self, worker_id: int, checkpoint) -> None:
+        """Swap in a fresh shard holding ``checkpoint``. Frames the dead
+        worker already transmitted are on the wire: they carry over to
+        the fresh shard's TX side, so :meth:`collect` still delivers
+        them."""
+        shard = self.fresh_shard(worker_id, checkpoint)
+        for port_id, port in self.units[worker_id].runtime.ports.items():
+            for sent_at, packet in port.drain_tx():
+                shard.runtime.ports[port_id].transmit(packet, sent_at)
+        self.units[worker_id] = shard
 
     # -- observability -----------------------------------------------------------
     def register_metrics(self, registry) -> None:
@@ -661,6 +884,7 @@ class ShardedRuntime(SteeringFront):
         self.nic.register_metrics(registry)
         for worker_id, unit in enumerate(self.units):
             unit.register_metrics(registry, {"worker": str(worker_id)})
+        self.register_recovery_metrics(registry)
 
     def snapshot_metrics(self) -> Dict:
         """One merged snapshot: NIC steering, all workers' runtimes + NFs."""

@@ -46,6 +46,7 @@ opcode    parent → worker                         worker → parent
 ========  ======================================  =======================
 ``I``     burst of framed packets (pipe only)     (no reply)
 ``T``     run one main-loop turn                  ``a`` seq, processed
+                                                  [+ flow deltas, replicating]
                                                   [+ TX frames, pipe only]
 ``S``     collect a worker-labeled snapshot       ``s`` JSON snapshot
 ``N``     collect NF/runtime counters             ``n`` JSON counters
@@ -58,13 +59,18 @@ Any worker-side exception comes back as an ``e`` reply and is re-raised
 in the parent; a worker that dies instead of replying surfaces as
 :class:`WorkerCrashed` with the shard id and the last *acknowledged*
 burst sequence number — never as a hung pipe read. With
-``supervise=True`` the runtime instead respawns the dead shard and
-restores the last coordinated :class:`~repro.resil.checkpoint.CheckpointSet`
-(see :meth:`ProcessShardedRuntime.main_loop_burst`).
+``supervise=True`` (implied by a replication lag) the runtime instead
+rebuilds the dead shard alone (:meth:`~repro.net.dpdk.SteeringFront.recover`):
+a fresh process holding its standby's frame, or its frame of the last
+coordinated :class:`~repro.resil.checkpoint.CheckpointSet`. A replicating
+worker returns its turn's flow deltas with the ACK
+(:func:`~repro.resil.replication.pack_deltas`), and the parent feeds
+them to the shard's channel and standby.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import multiprocessing
@@ -306,7 +312,8 @@ def _worker_main(
     what resolves the parent's ring-full backpressure without waiting
     for a turn. On ``T``, drain whatever remains (the pipe write fenced
     it), run the turn, push the TX burst into the out ring *before* the
-    ACK, so the parent's ACK read doubles as the TX-visibility fence.
+    ACK, so the parent's ACK read doubles as the TX-visibility fence. A
+    replicating shard's deltas ride the ACK, ahead of any TX frames.
     """
     from repro.resil.checkpoint import Checkpoint
 
@@ -314,6 +321,9 @@ def _worker_main(
         detail = {"type": type(exc).__name__, "message": str(exc)}
         return RE_ERROR + json.dumps(detail).encode("utf-8")
 
+    # What the fork inherited is the parent's: keep the worker's
+    # collections from walking (and copying) every page of it.
+    gc.freeze()
     try:
         shard = make_shard()
     except Exception as exc:  # noqa: BLE001 — the parent must hear why
@@ -377,17 +387,22 @@ def _worker_main(
                     for port_id, timestamp, packet in runtime.collect()
                 ]
                 stats.encode_ns += time.perf_counter_ns() - t0
+                ack = RE_ACK + _ACK.pack(seq, processed)
+                if shard.deltas is not None:
+                    from repro.resil.replication import pack_deltas
+
+                    ack += pack_deltas(shard.deltas)
+                    shard.deltas.clear()
                 if out_ring is not None:
                     if frames:
                         for chunk in _chunk_frames(frames, max_span):
                             _push_with_backpressure(
                                 out_ring, chunk, stats, turn_timeout_s
                             )
-                    conn.send_bytes(RE_ACK + _ACK.pack(seq, processed))
+                    conn.send_bytes(ack)
                 else:
                     t0 = time.perf_counter_ns()
-                    payload = RE_ACK + _ACK.pack(seq, processed) + b"".join(frames)
-                    conn.send_bytes(payload)
+                    conn.send_bytes(ack + b"".join(frames))
                     stats.copy_ns += time.perf_counter_ns() - t0
             elif op == OP_SNAPSHOT:
                 registry = MetricsRegistry()
@@ -406,11 +421,9 @@ def _worker_main(
                 conn.send_bytes(RE_CHECKPOINT + frame)
             elif op == OP_RESTORE:
                 # restore_state demands a freshly constructed NF, so
-                # Shard.restore rebuilds it from the factory first —
-                # this is what lets the supervisor restore *surviving*
-                # workers in place after respawning only the dead ones
-                # (the fastpath cache starts cold, as after any restore:
-                # the fresh NF sits behind a fresh, empty cache).
+                # Shard.restore rebuilds it from the factory first (the
+                # fastpath cache starts cold, as after any restore: the
+                # fresh NF sits behind a fresh, empty cache).
                 shard.restore(Checkpoint.from_bytes(message[1:]))
                 conn.send_bytes(RE_RESTORED)
             elif op == OP_STOP:
@@ -445,8 +458,8 @@ class ProcessShardedRuntime(SteeringFront):
     - A fault-plan worker kill terminates the real OS process; the
       parent then raises :class:`WorkerCrashed` rather than silently
       serving on — unless ``supervise=True``, in which case the dead
-      shard is respawned and the whole fleet restored to the last
-      coordinated checkpoint.
+      shard alone is respawned from one frame
+      (:meth:`~repro.net.dpdk.SteeringFront.recover`).
     - :meth:`checkpoint` is coordinated: the pipe's FIFO ordering fences
       each worker (a checkpoint reply proves every prior burst landed —
       including its ring spans, since workers drain before acking),
@@ -473,9 +486,10 @@ class ProcessShardedRuntime(SteeringFront):
         pool_size: int = 4096,
         fastpath="off",
         fault_plan=None,
+        supervise: bool = False,
+        replication_lag: Optional[int] = None,
         turn_timeout_s: float = 30.0,
         transport: str = TRANSPORT_SHM,
-        supervise: bool = False,
         ring_slots: int = DEFAULT_SLOTS,
         ring_slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> None:
@@ -487,8 +501,6 @@ class ProcessShardedRuntime(SteeringFront):
             )
         self.turn_timeout_s = turn_timeout_s
         self.transport = transport
-        self.supervise = supervise
-        self.supervisor_restarts = 0
         self._ring_slots = ring_slots
         self._ring_slot_bytes = ring_slot_bytes
         self._stats = TransportStats()
@@ -502,6 +514,8 @@ class ProcessShardedRuntime(SteeringFront):
             pool_size=pool_size,
             fastpath=fastpath,
             fault_plan=fault_plan,
+            supervise=supervise,
+            replication_lag=replication_lag,
         )
 
     def _start(self) -> None:
@@ -544,14 +558,10 @@ class ProcessShardedRuntime(SteeringFront):
             [] for _ in range(workers)
         ]
         self._stopped = False
-        self._last_checkpoint_set = None
-        if self.supervise:
-            # The recovery baseline must exist before the first crash:
-            # a fresh fleet's coordinated empty-state checkpoint.
-            self._last_checkpoint_set = self.checkpoint(0)
 
-    def _spawn_worker(self, worker_id: int) -> None:
-        """Stand up one shard process (construction and respawn path)."""
+    def _spawn_worker(self, worker_id: int, checkpoint=None) -> None:
+        """Stand up one shard process (construction and respawn path);
+        a respawned shard is built holding ``checkpoint``."""
         inject_ring = out_ring = None
         if self.transport == TRANSPORT_SHM:
             inject_ring = _create_ring(
@@ -567,7 +577,7 @@ class ProcessShardedRuntime(SteeringFront):
             target=_worker_main,
             args=(
                 child_conn,
-                partial(self.fresh_shard, worker_id),
+                partial(self.fresh_shard, worker_id, checkpoint),
                 inject_ring,
                 out_ring,
                 self.turn_timeout_s,
@@ -687,45 +697,28 @@ class ProcessShardedRuntime(SteeringFront):
         intact, like the oracle); clock skew biases the ``now`` that
         worker observes; pool seizures ride the turn command.
 
-        Under ``supervise=True`` a crash is handled instead of raised:
-        dead shards are respawned (fresh processes, fresh rings), the
-        whole fleet restores the last coordinated checkpoint, and the
-        turn reports 0 processed — traffic between the checkpoint and
-        the crash is rolled back, exactly the replay window the
-        checkpoint contract promises.
+        Under ``supervise=True`` a dead worker is rebuilt instead
+        (:meth:`~repro.net.dpdk.SteeringFront.recover`): before its turn
+        when the fault plan killed it, like the oracle, and after the
+        gather when it died during the turn. The survivors' turns stand.
         """
-        try:
-            return self._main_loop_burst(now_us, burst_size)
-        except WorkerCrashed:
-            if not self.supervise or self._last_checkpoint_set is None:
-                raise
-            self._supervisor_recover()
-            return 0
-
-    def _main_loop_burst(self, now_us: int, burst_size: int) -> int:
         if burst_size <= 0:
             raise ValueError("burst size must be positive")
         self._ensure_running()
         plan = self.fault_plan
         faults_on = plan is not None and not plan.empty
-        crashed: Optional[int] = None
         turned: List[Tuple[int, int]] = []  # (worker_id, seq)
         for worker_id in range(self.workers):
+            if faults_on and plan.worker_killed(now_us, worker_id):
+                self._kill_worker(worker_id)
             if not self._alive[worker_id]:
-                if self._pending[worker_id]:
-                    self.fault_kill_lost += len(self._pending[worker_id])
-                    self._pending[worker_id].clear()
-                if crashed is None:
-                    crashed = worker_id
-                continue
+                if not self.supervise:
+                    self.flush_worker(worker_id, now_us)
+                    continue
+                self.recover(worker_id, now_us)
             worker_now = now_us
             seizure = 0
             if faults_on:
-                if plan.worker_killed(now_us, worker_id):
-                    self._kill_worker(worker_id)
-                    if crashed is None:
-                        crashed = worker_id
-                    continue
                 if plan.worker_hung(now_us, worker_id):
                     self._flush_pending(worker_id)
                     continue
@@ -735,12 +728,11 @@ class ProcessShardedRuntime(SteeringFront):
                     worker_now = max(0, now_us + skew)
             self._flush_pending(worker_id)
             seq = self._send_turn(worker_id, worker_now, burst_size, seizure)
-            if seq is None:
-                if crashed is None:
-                    crashed = worker_id
-                continue
-            turned.append((worker_id, seq))
-        return self._gather(turned, crashed)
+            if seq is not None:
+                turned.append((worker_id, seq))
+        processed = self._gather(turned)
+        self._settle(now_us)
+        return processed
 
     # -- the three moves of a turn ---------------------------------------------
     def _ship(
@@ -784,46 +776,54 @@ class ProcessShardedRuntime(SteeringFront):
             return None
         return self._seq
 
-    def _gather(
-        self,
-        turned: List[Tuple[int, int]],
-        crashed: Optional[int],
-        discard_tx: bool = False,
-    ) -> int:
+    def _gather(self, turned: List[Tuple[int, int]], discard_tx: bool = False) -> int:
         """Read every turned worker's ACK and take its TX — off the out
-        ring (shm) or off the reply (pipe), kept or discarded unparsed.
+        ring (shm) or off the reply (pipe), kept or discarded unparsed —
+        and its flow deltas, which go to the worker's standby.
 
         ``turned`` holds (worker, seq) per ``T`` sent. Returns the
-        packets processed; raises :class:`WorkerCrashed` for the first
-        worker found dead (``crashed`` if the scatter already found one),
-        after every other ACK has been read.
+        packets processed; a worker found dead stays marked dead for
+        :meth:`_settle`.
         """
         shm = self.transport == TRANSPORT_SHM
         processed = 0
         for worker_id, seq in turned:
             reply = self._recv(worker_id, drain_tx=shm, discard_tx=discard_tx)
-            if reply is not None:
-                acked_seq, count = _ACK.unpack_from(reply, 1)
-                assert acked_seq == seq, f"out-of-order ack: {acked_seq} != {seq}"
-                self._last_acked[worker_id] = acked_seq
-                processed += count
-                if shm:
-                    # The ACK is the fence: every TX span is visible now.
-                    self._drain_tx_ring(worker_id, discard=discard_tx)
-                elif not discard_tx and len(reply) > 1 + _ACK.size:
-                    t0 = time.perf_counter_ns()
-                    records = unpack_records(reply, 1 + _ACK.size)
-                    self._stats.encode_ns += time.perf_counter_ns() - t0
-                    self._tx[worker_id].extend(records)
-            if crashed is None and not self._alive[worker_id]:
-                crashed = worker_id
-        if crashed is not None:
-            raise WorkerCrashed(
-                crashed,
-                self._last_acked[crashed],
-                reason=self._death_reason[crashed],
-            )
+            if reply is None:
+                continue
+            acked_seq, count = _ACK.unpack_from(reply, 1)
+            assert acked_seq == seq, f"out-of-order ack: {acked_seq} != {seq}"
+            self._last_acked[worker_id] = acked_seq
+            processed += count
+            offset = 1 + _ACK.size
+            if self.replicas:
+                from repro.resil.replication import unpack_deltas
+
+                deltas, offset = unpack_deltas(reply, offset)
+                self._replicate(worker_id, deltas)
+            if shm:
+                # The ACK is the fence: every TX span is visible now.
+                self._drain_tx_ring(worker_id, discard=discard_tx)
+            elif not discard_tx and len(reply) > offset:
+                t0 = time.perf_counter_ns()
+                records = unpack_records(reply, offset)
+                self._stats.encode_ns += time.perf_counter_ns() - t0
+                self._tx[worker_id].extend(records)
         return processed
+
+    def _settle(self, now_us: int) -> None:
+        """After a gather: rebuild every dead worker when supervising,
+        else raise :class:`WorkerCrashed` for the first."""
+        for worker_id in range(self.workers):
+            if self._alive[worker_id]:
+                continue
+            if not self.supervise:
+                raise WorkerCrashed(
+                    worker_id,
+                    self._last_acked[worker_id],
+                    reason=self._death_reason[worker_id],
+                )
+            self.recover(worker_id, now_us)
 
     # -- timed replay (the procs benchmark's inner loop) ---------------------
     def prepare_schedule(
@@ -884,18 +884,15 @@ class ProcessShardedRuntime(SteeringFront):
         self._ensure_running()
         processed = 0
         for sends, now_us in schedule:
-            crashed: Optional[int] = None
             turned: List[Tuple[int, int]] = []
             for worker_id, frames in enumerate(sends):
                 if frames:
                     self._ship(worker_id, frames, discard_tx=True)
                 seq = self._send_turn(worker_id, now_us, burst_size)
-                if seq is None:
-                    if crashed is None:
-                        crashed = worker_id
-                    continue
-                turned.append((worker_id, seq))
-            processed += self._gather(turned, crashed, discard_tx=True)
+                if seq is not None:
+                    turned.append((worker_id, seq))
+            processed += self._gather(turned, discard_tx=True)
+            self._settle(now_us)
         return processed
 
     def _flush_pending(self, worker_id: int) -> None:
@@ -992,9 +989,14 @@ class ProcessShardedRuntime(SteeringFront):
         if proc.is_alive() and proc.pid is not None:
             os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=self.turn_timeout_s)
-        self.fault_kill_lost += len(self._pending[worker_id])
-        self._pending[worker_id].clear()
         self._mark_dead(worker_id, "killed by fault plan")
+
+    def flush_worker(self, worker_id: int, now_us: int) -> int:
+        """Count a dead worker's buffered batch lost; returns the count."""
+        lost = len(self._pending[worker_id])
+        self._pending[worker_id].clear()
+        self.fault_kill_lost += lost
+        return lost
 
     def _mark_dead(self, worker_id: int, reason: str = "worker process died") -> None:
         self._alive[worker_id] = False
@@ -1005,49 +1007,32 @@ class ProcessShardedRuntime(SteeringFront):
         if self._stopped:
             raise RuntimeError("runtime is stopped")
 
-    # -- supervision ---------------------------------------------------------
-    def _supervisor_recover(self) -> None:
-        """Respawn every dead shard and roll the fleet back to the last
-        coordinated checkpoint.
+    # -- recovery ------------------------------------------------------------
+    def _rebuild(self, worker_id: int, checkpoint) -> None:
+        """Respawn one dead shard holding ``checkpoint``.
 
         Fresh process, fresh rings (a SIGKILLed worker can leave a ring
         in any state — mid-span writes are invisible thanks to the
         head/tail protocol, but reusing the segment would complicate
         the proof for nothing); the replaced segments are unlinked
-        immediately. The surviving workers restore too: the fleet
-        converges on one consistent cut, the same ``restore`` the
-        deterministic mode runs (``SteeringFront.restore``).
+        immediately. TX the parent already took from the dead worker
+        stays in :meth:`collect`'s queue: those frames were sent.
         """
-        for worker_id in range(self.workers):
-            if self._alive[worker_id]:
-                continue
-            proc = self._procs[worker_id]
-            if proc is not None:
-                if proc.is_alive() and proc.pid is not None:
-                    os.kill(proc.pid, signal.SIGKILL)
-                proc.join(timeout=self.turn_timeout_s)
-            conn = self._conns[worker_id]
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            for ring in (self._inject_rings[worker_id], self._out_rings[worker_id]):
-                if ring is not None:
-                    ring.unlink()
-                    self._all_rings.remove(ring)
-            self._pending[worker_id].clear()
-            self._tx[worker_id].clear()
-            self._spawn_worker(worker_id)
-            self._alive[worker_id] = True
-            self._death_reason[worker_id] = ""
-            if self.fault_plan is not None:
-                # Same move the failover controller makes at promotion:
-                # the slot is running a fresh process now, so an
-                # open-ended kill window must not re-fire on it.
-                self.fault_plan.clear(kind="worker-kill", worker=worker_id)
-        self.restore(self._last_checkpoint_set)
-        self.supervisor_restarts += 1
+        proc = self._procs[worker_id]
+        if proc.is_alive() and proc.pid is not None:
+            os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=self.turn_timeout_s)
+        try:
+            self._conns[worker_id].close()
+        except OSError:
+            pass
+        for ring in (self._inject_rings[worker_id], self._out_rings[worker_id]):
+            if ring is not None:
+                ring.unlink()
+                self._all_rings.remove(ring)
+        self._spawn_worker(worker_id, checkpoint)
+        self._alive[worker_id] = True
+        self._death_reason[worker_id] = ""
 
     def _request(self, worker_id: int, message: bytes, expect: bytes) -> bytes:
         if not self._alive[worker_id]:
@@ -1109,49 +1094,20 @@ class ProcessShardedRuntime(SteeringFront):
         stamped *at the source* (see :func:`repro.obs.registry.with_labels`
         for why), so :func:`~repro.obs.registry.merge_snapshots` keeps
         distinct workers' gauges apart instead of summing them. The
-        parent's transport half and the supervisor restart count ride
-        under ``worker="parent"``.
+        parent's transport half rides under ``worker="parent"``; the
+        standbys and the recoveries live in the parent too.
         """
         parent = MetricsRegistry()
         self.nic.register_metrics(parent)
-        labels = {"worker": "parent", "transport": self.transport}
-        self._stats.register_metrics(parent, labels)
-        parent.counter_fn(
-            "proc_supervisor_restarts_total",
-            lambda: self.supervisor_restarts,
-            "worker fleets respawned and restored by the supervisor",
-            labels,
+        self._stats.register_metrics(
+            parent, {"worker": "parent", "transport": self.transport}
         )
+        self.register_recovery_metrics(parent)
         snapshots = [parent.snapshot()]
         for worker_id in range(self.workers):
             reply = self._request(worker_id, OP_SNAPSHOT, RE_SNAPSHOT)
             snapshots.append(json.loads(reply[1:].decode("utf-8")))
         return merge_snapshots(snapshots)
-
-    # -- coordinated checkpoint ----------------------------------------------
-    def checkpoint(self, now_us: int = 0):
-        """Fence every worker and bind their frames into one manifest.
-
-        The pipe is FIFO, so a worker's checkpoint reply proves every
-        burst the parent sent before the fence has fully executed —
-        that reply *is* the fence, and it covers the shm rings too:
-        a worker drains its inject ring before acking each prior turn,
-        and the parent drained the out ring at each ACK. After a
-        completed turn RX rings are drained, making any inter-turn
-        point a consistent cut.
-        """
-        checkpoint_set = super().checkpoint(now_us)
-        if self.supervise:
-            self._last_checkpoint_set = checkpoint_set
-        return checkpoint_set
-
-    def restore(self, checkpoint_set) -> None:
-        """Adopt a coordinated checkpoint (all-or-nothing: every frame is
-        validated here in the parent before any worker sees an ``R``); a
-        supervised fleet then recovers to it."""
-        super().restore(checkpoint_set)
-        if self.supervise:
-            self._last_checkpoint_set = checkpoint_set
 
     # -- shutdown ------------------------------------------------------------
     def stop(self, timeout_s: float = 5.0) -> None:

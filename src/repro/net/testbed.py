@@ -345,13 +345,13 @@ class Rfc2544Testbed:
         model. ``spec.execution`` does not change the outcome here — the
         model always assumes one real core per worker, which is exactly
         what the ``process`` mode provides and the deterministic mode
-        simulates. Replication specs are refused: the analytic model has
-        no failover controller.
+        simulates. Replication specs are refused: the analytic model
+        neither replicates nor recovers.
         """
         if spec.replication_lag is not None:
             raise ValueError(
-                "run_spec models plain data paths; failover runs need "
-                "launch() with a replicated deterministic runtime"
+                "run_spec models plain data paths; a replicated deployment "
+                "runs through launch() in a sharded execution"
             )
         if spec.workers != self.workers:
             raise ValueError(

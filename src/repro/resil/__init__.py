@@ -1,4 +1,4 @@
-"""Resilience: checkpoint/restore, active/standby failover, fault injection.
+"""Resilience: checkpoint/restore, standby replication, fault injection.
 
 The paper proves a *single* NAT instance crash-free; this subsystem makes
 the reproduction survive the faults the proofs scope out — worker death,
@@ -8,11 +8,15 @@ link loss, state loss — without touching the verified slow path:
   serialization of NF flow state, with ``snapshot()``/``restore()``
   entry points and hard rejection of corrupt or mismatched checkpoints;
 - :mod:`repro.resil.replication` — incremental per-flow deltas streamed
-  over a lagged channel into a standby replica;
-- :mod:`repro.resil.failover` — the active/standby pairing of sharded
-  workers, the promotion state machine and its loss accounting;
+  over a lagged channel into a standby replica, and the
+  :class:`FailoverReport` loss ledger of a recovery;
 - :mod:`repro.resil.faults` — the composable :class:`FaultPlan` driving
   link, pool, worker and clock faults through the simulated data path.
+
+Recovery itself is one primitive of the sharded front ends,
+:meth:`repro.net.dpdk.SteeringFront.recover`: a dead shard is rebuilt
+alone, from its standby's frame or its frame of the last coordinated
+checkpoint, in the threaded and the process execution alike.
 
 With no fault plan and no replication attached, every data-path run is
 byte-identical to one without this package imported.
@@ -28,8 +32,12 @@ from repro.resil.checkpoint import (
     snapshot_all,
 )
 from repro.resil.faults import FaultPlan
-from repro.resil.failover import FailoverReport, ReplicatedRuntime
-from repro.resil.replication import FlowDelta, ReplicationChannel, StandbyReplica
+from repro.resil.replication import (
+    FailoverReport,
+    FlowDelta,
+    ReplicationChannel,
+    StandbyReplica,
+)
 
 __all__ = [
     "Checkpoint",
@@ -38,7 +46,6 @@ __all__ = [
     "FailoverReport",
     "FaultPlan",
     "FlowDelta",
-    "ReplicatedRuntime",
     "ReplicationChannel",
     "StandbyReplica",
     "restore",

@@ -12,22 +12,36 @@ zero established-flow loss on promotion.
 The standby does not run a full NF: it mirrors the *abstract* flow state
 (an insertion-ordered map of key → flow, exactly the LRU order both NAT
 implementations maintain) and synthesizes a ``repro-ckpt/v1`` checkpoint
-at promotion, which a freshly constructed NF then restores. Replication
-therefore reuses the checkpoint path end to end — one serialization
-format, one set of validation rules.
+when its active dies, which a freshly constructed NF then restores.
+Replication therefore reuses the checkpoint path end to end — one
+serialization format, one set of validation rules — and the rebuild is
+the one recovery primitive, :meth:`repro.net.dpdk.SteeringFront.recover`,
+whose loss ledger is a :class:`FailoverReport`.
+
+A shard buffers its NF's deltas for the turn; the front end publishes
+them on the shard's channel after the turn. A process worker ships them
+to the parent in its turn acknowledgement, in the form
+:func:`pack_deltas` writes.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.nat.config import NatConfig
+from repro.nat.flow import Flow, FlowId
 from repro.resil.checkpoint import Checkpoint
 
 #: Delta operations, as emitted by ``NetworkFunction.delta_sink`` sinks.
 OPS = ("create", "touch", "free")
+
+#: One delta in a turn acknowledgement: op index, key, t_us, then the
+#: created flow's 5-tuple and external port (zeros for touch and free).
+_WIRE = struct.Struct(">BIqIHIHBH")
+_COUNT = struct.Struct(">I")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +58,68 @@ class FlowDelta:
     key: int
     payload: Any
     t_us: int
+
+
+def pack_deltas(raws) -> bytes:
+    """A turn's raw deltas, ``(op, key, payload, t_us)`` tuples, as bytes."""
+    parts = [_COUNT.pack(len(raws))]
+    for op, key, payload, t_us in raws:
+        flow = (0, 0, 0, 0, 0, 0)
+        if payload is not None:
+            fid = getattr(payload, "internal_id", payload)
+            flow = (
+                fid.src_ip,
+                fid.src_port,
+                fid.dst_ip,
+                fid.dst_port,
+                fid.protocol,
+                getattr(payload, "external_port", key),
+            )
+        parts.append(_WIRE.pack(OPS.index(op), key, t_us, *flow))
+    return b"".join(parts)
+
+
+def unpack_deltas(buf: bytes, offset: int) -> Tuple[List[tuple], int]:
+    """The raw deltas :func:`pack_deltas` wrote at ``offset``, and the
+    offset past them. A create's payload comes back as a
+    :class:`~repro.nat.flow.Flow`, which both NATs' standbys read."""
+    (count,) = _COUNT.unpack_from(buf, offset)
+    start = offset + _COUNT.size
+    end = start + count * _WIRE.size
+    raws = []
+    for op, key, t_us, *fid, port in _WIRE.iter_unpack(buf[start:end]):
+        payload = Flow(FlowId(*fid), port) if op == 0 else None
+        raws.append((OPS[op], key, payload, t_us))
+    return raws, end
+
+
+@dataclass
+class FailoverReport:
+    """The loss ledger of one recovery: a dead shard rebuilt alone."""
+
+    worker: int
+    killed_at_us: int
+    detected_at_us: int
+    #: Measured wall time from detection until the rebuilt shard
+    #: answered, microseconds.
+    recovery_us: int
+    #: Flows the dead shard held: its standby's keys after the deltas
+    #: lost at the cut. Without a standby the parent knows the shard only
+    #: at its fence, so this reads the fence's flows.
+    flows_at_kill: int
+    #: Flows the rebuilt shard holds.
+    flows_recovered: int
+    #: Flows the dead shard held that the standby never learned of
+    #: (their deltas were in flight when the channel was cut).
+    flows_lost: int
+    #: In-flight deltas destroyed with the channel (creates, touches
+    #: and frees — a superset of ``flows_lost``'s causes).
+    deltas_lost: int
+    #: Frames queued for the dead worker, lost with it.
+    packets_lost_queue: int
+    #: Microflow-cache actions pre-installed from the recovered flow
+    #: state (0 when the runtime runs without a fast path).
+    fastpath_warmed: int = 0
 
 
 class ReplicationChannel:
@@ -216,5 +292,24 @@ class StandbyReplica:
         """The flow keys this replica currently holds (for loss accounting)."""
         return tuple(self._flows)
 
+    def keys_after(self, deltas) -> Set[int]:
+        """The keys this replica would hold had ``deltas`` arrived: what
+        its active held when the channel was cut."""
+        keys = set(self._flows)
+        for delta in deltas:
+            if delta.op == "create":
+                keys.add(delta.key)
+            elif delta.op == "free":
+                keys.discard(delta.key)
+        return keys
 
-__all__ = ["OPS", "FlowDelta", "ReplicationChannel", "StandbyReplica"]
+
+__all__ = [
+    "OPS",
+    "FailoverReport",
+    "FlowDelta",
+    "ReplicationChannel",
+    "StandbyReplica",
+    "pack_deltas",
+    "unpack_deltas",
+]

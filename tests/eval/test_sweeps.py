@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
-from repro.eval.sweeps import SWEEPS
+from repro.eval.sweeps import RECOVERY_BUDGET_US, SWEEPS
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 BENCH_FILES = sorted(RESULTS.glob("BENCH_*.json"))
@@ -168,10 +168,16 @@ class TestFailoverClaims:
 
     def test_recovery_over_budget(self):
         records = committed("failover")
-        records[1]["recovery_us"] = 12_000
-        assert "recovery took 12000us (budget 10000us)" in breaches_of(
-            "failover", records
-        )
+        records[1]["recovery_us"] = RECOVERY_BUDGET_US + 1
+        assert (
+            f"recovery took {RECOVERY_BUDGET_US + 1}us "
+            f"(budget {RECOVERY_BUDGET_US}us)"
+        ) in breaches_of("failover", records)
+
+    def test_a_kill_that_queued_nothing_proves_nothing(self):
+        records = committed("failover")
+        records[0]["packets_lost_queue"] = 0
+        assert "the kill cost nothing" in breaches_of("failover", records)
 
     def test_probe_loss_beyond_flow_loss(self):
         records = committed("failover")
@@ -283,7 +289,11 @@ class TestExperimentsCli:
     @pytest.mark.parametrize(
         "name, damage, breach",
         [
-            ("failover", {"recovery_us": 20_000}, "budget 10000us"),
+            (
+                "failover",
+                {"recovery_us": RECOVERY_BUDGET_US + 1},
+                f"budget {RECOVERY_BUDGET_US}us",
+            ),
             ("chain", {"flows_lost": 3}, "must carry state"),
         ],
     )

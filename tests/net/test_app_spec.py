@@ -45,7 +45,6 @@ from repro.net.procrun import ProcessShardedRuntime
 from repro.net.testbed import Rfc2544Testbed
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 from repro.packets.headers import EthernetHeader, Packet
-from repro.resil.failover import ReplicatedRuntime
 
 
 def config():
@@ -77,11 +76,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="single-worker"):
             spec(execution=INLINE, workers=2)
 
-    def test_replication_requires_deterministic_mode(self):
-        with pytest.raises(ValueError, match="deterministic"):
-            spec(execution=PROCESS, workers=2, replication_lag=0)
+    def test_inline_refuses_recovery(self):
+        """The two recovery rules: an inline runtime has no worker to
+        rebuild, and a replication lag implies supervision."""
+        for recovery in (dict(replication_lag=0), dict(supervise=True)):
+            with pytest.raises(ValueError, match="sharded execution"):
+                spec(execution=INLINE, **recovery)
+            for execution in (THREADED_DETERMINISTIC, PROCESS):
+                spec(execution=execution, workers=2, **recovery)
         with pytest.raises(ValueError):
             spec(replication_lag=-1)
+        runtime = launch(spec(workers=2, replication_lag=0))
+        assert runtime.supervise and not runtime.spec.supervise
 
     def test_with_varies_without_mutating(self):
         base = spec()
@@ -145,9 +151,15 @@ class TestLaunch:
         self._exercise(runtime)
 
     def test_replicated(self):
-        runtime = launch(spec(workers=2, replication_lag=4))
-        assert isinstance(runtime, ReplicatedRuntime)
-        self._exercise(runtime)
+        """Replication rides either sharded runtime: one standby a shard."""
+        for execution, cls in (
+            (THREADED_DETERMINISTIC, ShardedRuntime),
+            (PROCESS, ProcessShardedRuntime),
+        ):
+            runtime = launch(spec(workers=2, execution=execution, replication_lag=4))
+            assert isinstance(runtime, cls)
+            assert len(runtime.replicas) == len(runtime.channels) == 2
+            self._exercise(runtime)
 
     def test_launch_never_warns(self):
         """Launching a spec raises no warning of any kind."""
@@ -158,6 +170,7 @@ class TestLaunch:
                 spec(workers=2),
                 spec(workers=2, execution=PROCESS),
                 spec(workers=2, replication_lag=0),
+                spec(workers=2, execution=PROCESS, replication_lag=0),
             ):
                 launch(s).stop()
 
@@ -232,7 +245,7 @@ from repro.net.procrun import TRANSPORTS  # noqa: E402
 def spec_overrides(draw):
     """Valid override sets covering every ``with_()``-able field, with
     the cross-field constraints the spec validates (inline is
-    single-worker, supervision and replication are mode-specific)."""
+    single-worker, and refuses supervision and replication)."""
     execution = draw(st.sampled_from(EXECUTION_MODES))
     overrides = {
         "execution": execution,
@@ -246,11 +259,11 @@ def spec_overrides(draw):
             st.floats(0.001, 300.0, allow_nan=False, allow_infinity=False)
         ),
         "transport": draw(st.sampled_from(TRANSPORTS)),
-        "supervise": draw(st.booleans()) if execution == PROCESS else False,
+        "supervise": draw(st.booleans()) if execution != INLINE else False,
         "ring_slots": draw(st.integers(1, 8_192)),
         "ring_slot_bytes": draw(st.integers(1, 4_096)),
     }
-    if execution == THREADED_DETERMINISTIC and draw(st.booleans()):
+    if execution != INLINE and draw(st.booleans()):
         overrides["replication_lag"] = draw(st.integers(0, 128))
     return overrides
 

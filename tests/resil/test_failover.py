@@ -1,26 +1,64 @@
-"""Replication and active/standby failover.
+"""Replication and the one recovery primitive.
 
 Unit half: the lagged channel's in-flight window and the standby's
 mirroring rules (age order preserved, out-of-order deltas tolerated).
-Integration half: :class:`ReplicatedRuntime` kill-and-promote — zero
-established-flow loss at lag 0, loss bounded by the cut's in-flight
-window at lag > 0, transmitted packets surviving the kill, the modeled
-promotion blackout, and the steering repartition.
+Integration half: a kill rebuilds the dead shard alone from its standby
+(``SteeringFront.recover``), through ``launch()`` in both sharded
+executions — zero established-flow loss at lag 0, loss bounded by the
+cut's in-flight window at lag > 0, transmitted packets surviving the
+kill, queued ones dying with it, and the steering repartition.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
-from repro.net.app import RuntimeSpec, launch
+from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.net.rss import NatSteering
 from repro.packets.builder import make_udp_packet
 from repro.resil.checkpoint import restore
-from repro.resil.failover import ReplicatedRuntime
+from repro.resil.faults import FaultPlan
 from repro.resil.replication import FlowDelta, ReplicationChannel, StandbyReplica
 
 CFG = NatConfig(max_flows=64, expiration_time=60_000_000, start_port=1000)
+
+
+@pytest.fixture
+def launched(request):
+    """Launch replicated two-worker runtimes in the test class's
+    ``EXECUTION`` (with an empty fault plan to script kills on); every
+    one is stopped at teardown."""
+    runtimes = []
+
+    def make(nf_ctor, lag, **overrides):
+        spec = RuntimeSpec(
+            nf_factory=nf_ctor,
+            config=CFG,
+            workers=2,
+            execution=request.cls.EXECUTION,
+            replication_lag=lag,
+            fault_plan=FaultPlan(),
+            turn_timeout_s=5.0,
+        )
+        runtimes.append(launch(spec.with_(**overrides)))
+        return runtimes[-1]
+
+    yield make
+    for runtime in runtimes:
+        runtime.stop()
+
+
+def _kill(runtime, now):
+    """Kill worker 1 just before ``now``; the turn at ``now`` recovers it."""
+    runtime.fault_plan.kill_worker(1, at_us=now - 1)
+    runtime.main_loop_burst(now)
+
+
+def _standby_flows(runtime):
+    return sum(replica.flow_count() for replica in runtime.replicas)
 
 
 class TestReplicationChannel:
@@ -157,14 +195,14 @@ def _reply(marker, ext_port):
 
 @pytest.mark.parametrize("nf_ctor", [VigNat, UnverifiedNat])
 class TestKillAndPromote:
-    def test_lag0_loses_no_flows(self, nf_ctor):
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=0)
+    EXECUTION = THREADED_DETERMINISTIC
+
+    def test_lag0_loses_no_flows(self, nf_ctor, launched):
+        runtime = launched(nf_ctor, 0)
         ext_of, now = _establish(runtime, 24)
         flows_before = runtime.flow_count()
 
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
+        _kill(runtime, now + 2)
 
         (report,) = runtime.reports
         assert report.worker == 1
@@ -174,8 +212,8 @@ class TestKillAndPromote:
         assert runtime.flow_count() == flows_before
 
         # Every flow — including those the dead worker held — still
-        # translates once the promoted standby's blackout ends.
-        now = report.ready_at_us + 10
+        # translates on the rebuilt shard.
+        now += 10
         for marker, ext_port in ext_of.items():
             assert runtime.inject(1, _reply(marker, ext_port), now), marker
         now += 5
@@ -183,14 +221,12 @@ class TestKillAndPromote:
         delivered = runtime.collect()
         assert len(delivered) == len(ext_of)
 
-    def test_lag_bounds_the_loss(self, nf_ctor):
+    def test_lag_bounds_the_loss(self, nf_ctor, launched):
         lag = 4
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=lag)
+        runtime = launched(nf_ctor, lag)
         _, now = _establish(runtime, 24)
 
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
+        _kill(runtime, now + 2)
 
         (report,) = runtime.reports
         assert report.deltas_lost == lag  # exactly the in-flight window
@@ -199,10 +235,10 @@ class TestKillAndPromote:
             report.flows_recovered + report.flows_lost == report.flows_at_kill
         )
 
-    def test_transmitted_packets_survive_the_kill(self, nf_ctor):
+    def test_transmitted_packets_survive_the_kill(self, nf_ctor, launched):
         # Packets the dead worker had already handed to TX are on the
-        # wire; the promotion must not discard them with the runtime.
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=0)
+        # wire; the rebuild must not discard them with the shard.
+        runtime = launched(nf_ctor, 0)
         now = 1_000
         for i in range(16):
             runtime.inject(
@@ -215,15 +251,13 @@ class TestKillAndPromote:
         now += 20
         runtime.main_loop_burst(now)  # processed and transmitted...
         # ...but NOT collected before the kill.
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
+        _kill(runtime, now + 2)
         assert len(runtime.collect()) == 16
         (report,) = runtime.reports
         assert report.packets_lost_queue == 0
 
-    def test_queued_packets_die_with_the_worker(self, nf_ctor):
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=0)
+    def test_queued_packets_die_with_the_worker(self, nf_ctor, launched):
+        runtime = launched(nf_ctor, 0)
         _, now = _establish(runtime, 8)
         # Refill the dead worker's RX queue, then kill before it serves.
         for i in range(12):
@@ -234,9 +268,8 @@ class TestKillAndPromote:
                 ),
                 now + i,
             )
-        queued_on_1 = runtime.steered[1] - 0  # includes the establish share
-        runtime.kill_worker(1, at_us=now + 13)
-        runtime.main_loop_burst(now + 14)
+        queued_on_1 = runtime.steered[1]  # includes the establish share
+        _kill(runtime, now + 14)
         (report,) = runtime.reports
         assert report.packets_lost_queue > 0
         assert report.packets_lost_queue <= queued_on_1
@@ -244,50 +277,22 @@ class TestKillAndPromote:
             runtime.drop_causes()["fault_kill_lost"] == report.packets_lost_queue
         )
 
-    def test_promotion_blackout_drops_at_the_wire(self, nf_ctor):
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=0)
-        ext_of, now = _establish(runtime, 24)
-        dead_flows = [
-            (marker, port)
-            for marker, port in ext_of.items()
-            if runtime.runtime.steering.owner_of_port(port) == 1
-        ]
-        assert dead_flows, "no flows landed on worker 1"
-        marker, port = dead_flows[0]
-
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
-        (report,) = runtime.reports
-        assert report.recovery_us > 0
-
-        # Inside the blackout window: steered at the promoted slot, lost.
-        assert not runtime.inject(1, _reply(marker, port), report.ready_at_us - 1)
-        assert runtime.blackout_dropped == 1
-        assert report.packets_lost_blackout == 1
-        assert runtime.drop_causes()["failover_blackout_dropped"] == 1
-        # At the deadline the slot serves again.
-        assert runtime.inject(1, _reply(marker, port), report.ready_at_us)
-        runtime.main_loop_burst(report.ready_at_us + 5)
-        assert len(runtime.collect()) == 1
-
-    def test_drain_replication_syncs_standbys(self, nf_ctor):
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=16)
+    def test_drain_replication_syncs_standbys(self, nf_ctor, launched):
+        runtime = launched(nf_ctor, 16)
         _establish(runtime, 24)
-        assert runtime.standby_flow_count() < runtime.flow_count()
-        runtime.drain_replication()
-        assert runtime.standby_flow_count() == runtime.flow_count()
+        assert _standby_flows(runtime) < runtime.flow_count()
+        for channel, replica in zip(runtime.channels, runtime.replicas):
+            replica.apply_all(channel.drain())
+        assert _standby_flows(runtime) == runtime.flow_count()
 
-    def test_promoted_worker_keeps_replicating(self, nf_ctor):
+    def test_promoted_worker_keeps_replicating(self, nf_ctor, launched):
         # A second kill of the same slot after new flows were opened on
-        # the promoted NF must again lose nothing at lag 0 — the fresh
-        # NF re-attached to the delta sink.
-        runtime = ReplicatedRuntime(nf_ctor, CFG, workers=2, lag=0)
+        # the rebuilt shard must again lose nothing at lag 0 — the fresh
+        # NF replicates like its predecessor.
+        runtime = launched(nf_ctor, 0)
         _, now = _establish(runtime, 12)
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
-        now = runtime.reports[0].ready_at_us + 10
+        _kill(runtime, now + 2)
+        now += 12
 
         for i in range(12):
             runtime.inject(
@@ -302,12 +307,16 @@ class TestKillAndPromote:
         runtime.collect()
         flows_before = runtime.flow_count()
 
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
+        _kill(runtime, now + 2)
         assert len(runtime.reports) == 2
         assert runtime.reports[1].flows_lost == 0
         assert runtime.flow_count() == flows_before
+
+
+class TestKillAndPromoteInProcess(TestKillAndPromote):
+    """The same kills as real SIGKILLs of worker processes."""
+
+    EXECUTION = PROCESS
 
 
 def _second_wave(runtime, count, now):
@@ -328,89 +337,95 @@ class TestReplicatedRestore:
     """``restore(set)`` on a replicated deployment rolls the standbys
     back with the actives (``docs/RESILIENCE.md``)."""
 
-    def _launched(self, nf_ctor, lag):
-        return launch(
-            RuntimeSpec(nf_factory=nf_ctor, config=CFG, workers=2, replication_lag=lag)
-        )
+    EXECUTION = THREADED_DETERMINISTIC
 
-    def test_promoted_standby_holds_exactly_the_checkpoints_flows(self, nf_ctor):
+    def test_promoted_standby_holds_exactly_the_checkpoints_flows(
+        self, nf_ctor, launched
+    ):
         lag = 4
-        runtime = self._launched(nf_ctor, lag)
+        runtime = launched(nf_ctor, lag)
         ext_of, now = _establish(runtime, 16)
         checkpoint_set = runtime.checkpoint(now)
         now = _second_wave(runtime, 12, now + 10)
         assert runtime.flow_count() == 28
-        assert runtime.standby_flow_count() < 28  # the rest is in flight
+        assert _standby_flows(runtime) < 28  # the rest is in flight
 
         runtime.restore(checkpoint_set)
         assert runtime.flow_count() == 16
         # Rebuilt from the frames, not caught up delta by delta: the
         # deltas in flight described the state that was rolled back.
-        assert runtime.standby_flow_count() == 16
+        assert _standby_flows(runtime) == 16
         assert all(c.in_flight_count() == 0 for c in runtime.channels)
         assert runtime.drop_causes()["replication_deltas_lost"] == lag * 2
 
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
+        _kill(runtime, now + 2)
         (report,) = runtime.reports
         assert report.flows_lost == 0 and report.deltas_lost == 0
-        promoted = runtime.runtime.nfs[1].checkpoint_state()
-        assert promoted["flows"] == checkpoint_set.checkpoints[1].state["flows"]
-        assert report.flows_recovered == len(promoted["flows"]) > 0
+        rebuilt = runtime.checkpoint(now + 3).checkpoints[1].state["flows"]
+        assert rebuilt == checkpoint_set.checkpoints[1].state["flows"]
+        assert report.flows_recovered == len(rebuilt) > 0
         # The first wave still translates; the second is gone for good.
-        now = report.ready_at_us + 10
+        now += 10
         for marker, ext_port in ext_of.items():
             assert runtime.inject(1, _reply(marker, ext_port), now)
         runtime.main_loop_burst(now + 5)
         assert len(runtime.collect()) == len(ext_of)
         assert runtime.flow_count() == 16
 
-    def test_restored_actives_keep_replicating(self, nf_ctor):
+    def test_restored_actives_keep_replicating(self, nf_ctor, launched):
         # Shard.restore lands the state in a fresh NF: without a new
         # sink the standbys would never hear of another flow.
-        runtime = self._launched(nf_ctor, 0)
+        runtime = launched(nf_ctor, 0)
         _, now = _establish(runtime, 8)
         runtime.restore(runtime.checkpoint(now))
         _second_wave(runtime, 8, now + 10)
-        assert runtime.standby_flow_count() == runtime.flow_count() == 16
+        assert _standby_flows(runtime) == runtime.flow_count() == 16
 
-    def test_restore_ends_a_promotion_blackout(self, nf_ctor):
-        runtime = self._launched(nf_ctor, 0)
+    def test_restore_ends_a_promotion_blackout(self, nf_ctor, launched):
+        """A restore right after a rebuild serves every flow at once."""
+        runtime = launched(nf_ctor, 0)
         ext_of, now = _establish(runtime, 8)
         checkpoint_set = runtime.checkpoint(now)
-        runtime.kill_worker(1, at_us=now + 1)
-        runtime.main_loop_burst(now + 2)
-        (report,) = runtime.reports
-        assert report.ready_at_us > now + 3
+        _kill(runtime, now + 2)
+        assert len(runtime.reports) == 1
         runtime.restore(checkpoint_set)
         for marker, ext_port in ext_of.items():
             assert runtime.inject(1, _reply(marker, ext_port), now + 3), marker
         runtime.main_loop_burst(now + 4)
         assert len(runtime.collect()) == len(ext_of)
 
-    def test_a_refused_set_changes_nothing(self, nf_ctor):
-        runtime = self._launched(nf_ctor, 4)
+    def test_a_refused_set_changes_nothing(self, nf_ctor, launched):
+        runtime = launched(nf_ctor, 4)
         _, now = _establish(runtime, 16)
-        standby_before = runtime.standby_flow_count()
+        standby_before = _standby_flows(runtime)
         other = launch(RuntimeSpec(nf_factory=nf_ctor, config=CFG, workers=1))
         with pytest.raises(Exception):
             runtime.restore(other.checkpoint(now))
         assert runtime.flow_count() == 16
-        assert runtime.standby_flow_count() == standby_before
+        assert _standby_flows(runtime) == standby_before
         assert sum(c.in_flight_count() for c in runtime.channels) == 8
 
 
-class TestReplicatedRuntimeSurface:
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            ReplicatedRuntime(VigNat, CFG, workers=1, failover_fixed_us=-1)
+class TestReplicatedRestoreInProcess(TestReplicatedRestore):
+    EXECUTION = PROCESS
 
-    def test_metrics_cover_replication_and_failover(self):
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=2)
+
+#: Every sharded execution and transport the recovery runs in.
+SHARDED = {
+    "threaded": dict(execution=THREADED_DETERMINISTIC),
+    "process-shm": dict(execution=PROCESS, transport="shm"),
+    "process-pipe": dict(execution=PROCESS, transport="pipe"),
+}
+
+
+@pytest.mark.parametrize("cell", SHARDED)
+class TestRecoverySurface:
+    EXECUTION = THREADED_DETERMINISTIC
+
+    def test_metrics_cover_replication_and_failover(self, cell, launched):
+        runtime = launched(VigNat, 2, **SHARDED[cell])
         _, now = _establish(runtime, 8)
-        runtime.kill_worker(1, at_us=now + 1)
-        runtime.main_loop_burst(now + 2)
+        _kill(runtime, now + 2)
         snapshot = runtime.snapshot_metrics()
         names = {metric["name"] for metric in snapshot["metrics"]}
         assert {
@@ -420,43 +435,38 @@ class TestReplicatedRuntimeSurface:
             "replication_in_flight",
             "standby_flows",
             "failover_total",
-            "failover_blackout_dropped_total",
         } <= names
 
-    def test_fastpath_survives_promotion(self):
-        # The promoted NF is wrapped like its predecessor, behind a
+    def test_fastpath_survives_promotion(self, cell, launched):
+        # The rebuilt NF is wrapped like its predecessor, behind a
         # cache of its own: no pre-kill action exists in it.
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="compiled")
+        runtime = launched(VigNat, 0, fastpath="compiled", **SHARDED[cell])
         ext_of, now = _establish(runtime, 16)
-        runtime.kill_worker(1, at_us=now + 1)
-        now += 2
-        runtime.main_loop_burst(now)
+        _kill(runtime, now + 2)
         (report,) = runtime.reports
         assert report.flows_lost == 0
-        now = report.ready_at_us + 10
+        now += 10
         for marker, ext_port in ext_of.items():
             runtime.inject(1, _reply(marker, ext_port), now)
         runtime.main_loop_burst(now + 5)
         assert len(runtime.collect()) == len(ext_of)
 
-    def test_promotion_warms_the_microflow_cache(self):
-        # A promoted standby must not serve its first packets cold:
-        # both directions of every recovered flow are pre-installed in
-        # the action cache at promotion.
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="compiled")
+    def test_promotion_warms_the_microflow_cache(self, cell, launched):
+        # A rebuilt shard must not serve its first packets cold: both
+        # directions of every recovered flow are pre-installed in the
+        # action cache as it is built.
+        runtime = launched(VigNat, 0, fastpath="compiled", **SHARDED[cell])
         _, now = _establish(runtime, 16)
-        runtime.kill_worker(1, at_us=now + 1)
-        runtime.main_loop_burst(now + 2)
+        _kill(runtime, now + 2)
         (report,) = runtime.reports
         assert report.flows_recovered > 0
         assert report.fastpath_warmed == 2 * report.flows_recovered
-        assert report.to_dict()["fastpath_warmed"] == report.fastpath_warmed
+        assert dataclasses.asdict(report)["fastpath_warmed"] == report.fastpath_warmed
 
-    def test_no_cache_means_nothing_to_warm(self):
-        runtime = ReplicatedRuntime(VigNat, CFG, workers=2, lag=0, fastpath="off")
+    def test_no_cache_means_nothing_to_warm(self, cell, launched):
+        runtime = launched(VigNat, 0, fastpath="off", **SHARDED[cell])
         _, now = _establish(runtime, 16)
-        runtime.kill_worker(1, at_us=now + 1)
-        runtime.main_loop_burst(now + 2)
+        _kill(runtime, now + 2)
         (report,) = runtime.reports
         assert report.flows_recovered > 0
         assert report.fastpath_warmed == 0

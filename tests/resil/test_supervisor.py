@@ -1,11 +1,11 @@
-"""The process-mode supervisor: respawn + coordinated restore, opt-in.
+"""Supervision without replication: a dead shard returns to its fence.
 
-Without ``supervise=True`` a dead worker surfaces as ``WorkerCrashed``
-and recovery is the caller's problem (PR 7's contract). With it, the
-runtime respawns the dead shard (fresh process, fresh rings), restores
-the whole fleet to the last coordinated ``CheckpointSet`` — rolling
-back exactly the traffic the checkpoint contract says is replayable —
-and keeps serving. Restarts are counted in the merged metrics.
+Without ``supervise=True`` a dead process worker surfaces as
+``WorkerCrashed`` and recovery is the caller's problem. With it, the
+runtime rebuilds the dead shard alone (fresh process, fresh rings) from
+its frame of the last coordinated ``CheckpointSet`` — rolling back
+exactly that shard's traffic since the fence — while the survivors keep
+theirs, and keeps serving. Recoveries are counted in the merged metrics.
 """
 
 import glob
@@ -16,7 +16,7 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
-from repro.net.app import PROCESS, RuntimeSpec, launch
+from repro.net.app import INLINE, PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.net.procrun import TRANSPORTS, WorkerCrashed
 from repro.resil.faults import FaultPlan
 from repro.packets.builder import make_udp_packet
@@ -51,32 +51,48 @@ def feed(runtime, count, base_port, now):
     return runtime.main_loop_burst(now + count, 32)
 
 
+def flows_of(checkpoint_set, worker):
+    return checkpoint_set.checkpoints[worker].state["flows"]
+
+
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestSupervisor:
     def test_respawn_restores_last_checkpoint(self, transport):
-        rt = launch(spec(transport))
+        for execution in (PROCESS, THREADED_DETERMINISTIC):
+            self._respawn_restores_last_checkpoint(transport, execution)
+
+    @staticmethod
+    def _respawn_restores_last_checkpoint(transport, execution):
+        rt = launch(spec(transport, execution=execution, fault_plan=FaultPlan()))
         try:
             feed(rt, 8, 1_024, 100)
             rt.collect()
-            rt.checkpoint(500)
-            flows_at_fence = rt.flow_count()
-            feed(rt, 8, 2_048, 600)  # past the fence: will roll back
+            fence = rt.checkpoint(500)
+            steered_at_fence = rt.steered
+            feed(rt, 8, 2_048, 600)  # past the fence: one new flow a packet
             rt.collect()
+            opened = [now - then for now, then in zip(rt.steered, steered_at_fence)]
+            assert min(opened) > 0
 
-            os.kill(rt._procs[0].pid, signal.SIGKILL)
-            rt._procs[0].join()
+            rt.fault_plan.kill_worker(worker=0, at_us=1_000)
             assert rt.main_loop_burst(1_000, 32) == 0  # the recovery turn
-            assert rt.supervisor_restarts == 1
-            assert rt.flow_count() == flows_at_fence
+            assert len(rt.reports) == 1
+            # The dead shard is back at its fence; the survivor kept
+            # every flow it opened after it.
+            after = rt.checkpoint(1_001)
+            assert flows_of(after, 0) == flows_of(fence, 0)
+            survivor = len(flows_of(fence, 1)) + opened[1]
+            assert len(flows_of(after, 1)) == survivor
 
             # The fleet serves on: new flows NAT normally after recovery.
             assert feed(rt, 8, 4_096, 2_000) == 8
-            assert rt.flow_count() == flows_at_fence + 8
+            assert rt.flow_count() == len(flows_of(fence, 0)) + survivor + 8
         finally:
             rt.stop()
 
     def test_construction_checkpoint_is_the_initial_baseline(self, transport):
-        """A crash before any explicit checkpoint rolls back to empty."""
+        """A crash before any explicit checkpoint rolls the dead shard
+        back to empty; the survivor keeps its flows."""
         rt = launch(spec(transport))
         try:
             feed(rt, 8, 1_024, 100)
@@ -84,8 +100,8 @@ class TestSupervisor:
             os.kill(rt._procs[1].pid, signal.SIGKILL)
             rt._procs[1].join()
             assert rt.main_loop_burst(500, 32) == 0
-            assert rt.flow_count() == 0
-            assert rt.supervisor_restarts == 1
+            assert rt.flow_count() == rt.steered[0]  # one packet per flow
+            assert len(rt.reports) == 1
         finally:
             rt.stop()
 
@@ -97,7 +113,7 @@ class TestSupervisor:
             rt.collect()
             rt.checkpoint(500)
             assert rt.main_loop_burst(700, 32) == 0  # kill fires + recovery
-            assert rt.supervisor_restarts == 1
+            assert len(rt.reports) == 1
             # The kill window was cleared, so the respawned slot serves.
             assert feed(rt, 8, 2_048, 1_000) == 8
         finally:
@@ -111,14 +127,24 @@ class TestSupervisor:
             rt.main_loop_burst(100, 32)
             snapshot = rt.snapshot_metrics()
             (metric,) = (
-                m
-                for m in snapshot["metrics"]
-                if m["name"] == "proc_supervisor_restarts_total"
+                m for m in snapshot["metrics"] if m["name"] == "failover_total"
             )
             (sample,) = metric["samples"]
             assert sample["value"] == 1
-            assert sample["labels"]["worker"] == "parent"
-            assert sample["labels"]["transport"] == transport
+        finally:
+            rt.stop()
+
+    def test_transmitted_frames_survive_the_kill(self, transport):
+        """Frames a worker transmitted before it died were sent: the
+        rebuild keeps them for ``collect()``."""
+        rt = launch(spec(transport))
+        try:
+            feed(rt, 16, 1_024, 100)
+            assert min(rt.steered) > 0  # both workers transmitted
+            os.kill(rt._procs[1].pid, signal.SIGKILL)
+            rt._procs[1].join()
+            rt.main_loop_burst(500, 32)  # the recovery turn
+            assert len(rt.collect()) == 16
         finally:
             rt.stop()
 
@@ -133,9 +159,10 @@ class TestSupervisor:
             rt.stop()
 
 
-def test_supervise_requires_process_execution():
+def test_supervise_requires_a_sharded_execution():
     with pytest.raises(ValueError, match="supervise"):
-        RuntimeSpec(nf_factory=VigNat, supervise=True)
+        RuntimeSpec(nf_factory=VigNat, execution=INLINE, supervise=True)
+    assert RuntimeSpec(nf_factory=VigNat, supervise=True).supervise
 
 
 def test_respawn_replaces_rings_without_leaks():
