@@ -53,6 +53,8 @@ def unpack_slot_records(
     exactly.
     """
     records: List[Tuple[int, int, int, bytes]] = []
+    append = records.append  # bound once: this loop runs per frame
+    unpack_from = SLOT_HEADER.unpack_from
     end = len(blob)
     header_size = SLOT_HEADER.size
     while offset < end:
@@ -61,15 +63,16 @@ def unpack_slot_records(
                 f"truncated record header: {end - offset} of {header_size} "
                 f"bytes at offset {offset}"
             )
-        port, device, timestamp, length = SLOT_HEADER.unpack_from(blob, offset)
+        port, device, timestamp, length = unpack_from(blob, offset)
         offset += header_size
-        if length > end - offset:
+        stop = offset + length
+        if stop > end:
             raise SlotRecordError(
                 f"record announces {length} wire bytes, {end - offset} "
                 f"left at offset {offset}"
             )
-        records.append((port, device, timestamp, bytes(blob[offset : offset + length])))
-        offset += length
+        append((port, device, timestamp, bytes(blob[offset:stop])))
+        offset = stop
     return records
 
 

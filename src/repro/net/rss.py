@@ -15,7 +15,9 @@ allocates from a disjoint slice of the port range
 (:meth:`repro.nat.config.NatConfig.partition`), so the translated
 destination port names its allocator. :class:`NatSteering` therefore
 steers external-side traffic by port ownership and everything else by
-the RSS hash.
+the RSS hash. With a single shard — the paper's one core behind one RX
+queue — there is nothing to choose, and :meth:`NatSteering.worker_for`
+answers without reading the packet.
 
 **Packets without L4 ports** (IP fragments, ICMP messages) must still
 hash *consistently*: the fallback is a dst-IP-only hash, so every
@@ -217,12 +219,16 @@ class NatSteering:
     def worker_for(self, packet: Packet) -> int:
         """The worker this packet must be delivered to.
 
-        Unfragmented TCP/UDP — everything with a flow key — is steered
-        off the key alone (external side: the destination port's owner;
-        otherwise the 5-tuple hash), which a wire-backed packet answers
-        from its image. Only fragments, ICMP and non-IP traffic read
-        headers.
+        One shard means one queue: every branch of the rule ends in
+        that shard's slot (its port owner, or a hash ``% 1``), so the
+        packet is not read at all. Otherwise unfragmented TCP/UDP —
+        everything with a flow key — is steered off the key alone
+        (external side: the destination port's owner; otherwise the
+        5-tuple hash), which a wire-backed packet answers from its
+        image. Only fragments, ICMP and non-IP traffic read headers.
         """
+        if len(self._slot_of_shard) == 1:
+            return self._slot_of_shard[0]
         key = packet.flow_key()
         if key is not None:
             if key[0] == self.shards[0].external_device:

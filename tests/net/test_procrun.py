@@ -8,8 +8,11 @@ worker-side errors crossing the pipe as exceptions, clean shutdown, and
 the coordinated checkpoint fence.
 """
 
+import contextlib
+import glob
 import os
 import signal
+import time
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.nat.vignat import VigNat
 from repro.net import procrun
 from repro.net.mbuf import SLOT_HEADER, SlotRecordError
 from repro.net.procrun import (
+    TRANSPORTS,
     ProcessShardedRuntime,
     WorkerCrashed,
     pack_record,
@@ -237,6 +241,80 @@ class TestCrashSurface:
             assert runtime.fault_kill_lost == pending_for_1
         finally:
             runtime.stop()
+
+
+BOUND_S = 0.5
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestEveryParentWaitIsBounded:
+    """A worker that stops answering without dying (SIGSTOP: its pipe
+    stays open, so no hang-up ever arrives) costs the parent one
+    ``turn_timeout_s``, then surfaces as ``WorkerCrashed`` — or, under
+    ``supervise=True``, is rebuilt by the turn."""
+
+    @contextlib.contextmanager
+    def stopped_worker(self, transport, supervise=False):
+        rings = f"/dev/shm/repro-ring-{os.getpid()}-*"
+        before = set(glob.glob(rings))
+        runtime = ProcessShardedRuntime(
+            VigNat,
+            config(),
+            workers=2,
+            transport=transport,
+            turn_timeout_s=BOUND_S,
+            supervise=supervise,
+        )
+        stopped = runtime._procs[1]
+        try:
+            drive(runtime, 8)
+            os.kill(stopped.pid, signal.SIGSTOP)
+            for i in range(8, 16):
+                runtime.inject(0, outbound(i), 2_000)
+            yield runtime
+        finally:
+            if stopped.is_alive():  # not reaped yet, so the pid is ours
+                os.kill(stopped.pid, signal.SIGKILL)
+            runtime.stop()
+        assert set(glob.glob(rings)) <= before
+
+    @staticmethod
+    def within_bound(call):
+        started = time.monotonic()
+        try:
+            return call()
+        finally:
+            assert time.monotonic() - started < 2 * BOUND_S
+
+    @pytest.mark.parametrize("call", ["main_loop_burst", "op_counters"])
+    def test_a_silent_worker_raises_within_the_bound(self, transport, call):
+        with self.stopped_worker(transport) as runtime:
+            wait = {
+                "main_loop_burst": lambda: runtime.main_loop_burst(2_100, 8),
+                "op_counters": runtime.op_counters,
+            }[call]
+            with pytest.raises(WorkerCrashed) as exc_info:
+                self.within_bound(wait)
+            assert exc_info.value.shard == 1
+
+    def test_a_supervised_silent_worker_is_rebuilt(self, transport):
+        with self.stopped_worker(transport, supervise=True) as runtime:
+            stopped = runtime._procs[1]
+            self.within_bound(lambda: runtime.main_loop_burst(2_100, 8))
+            (report,) = runtime.reports
+            assert report.worker == 1
+            assert runtime._procs[1] is not stopped
+            assert not stopped.is_alive()
+            # The fleet serves on, both workers answering.
+            drive(runtime, 8, now=3_000)
+            assert len(runtime.per_worker_counters()) == 2
+
+    def test_a_supervised_request_raises_then_the_turn_rebuilds(self, transport):
+        with self.stopped_worker(transport, supervise=True) as runtime:
+            with pytest.raises(WorkerCrashed):
+                self.within_bound(runtime.op_counters)
+            self.within_bound(lambda: runtime.main_loop_burst(2_100, 8))
+            assert [r.worker for r in runtime.reports] == [1]
 
 
 class TestWorkerErrors:

@@ -9,6 +9,8 @@ inside the RFC 792 embedded quote.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nat.config import NatConfig
 from repro.nat.icmp_ext import IcmpAwareNat
@@ -22,7 +24,7 @@ from repro.net.rss import (
 )
 from repro.net.nic import RssNic
 from repro.packets.addresses import ip_to_int
-from repro.packets.builder import make_udp_packet
+from repro.packets.builder import make_tcp_packet, make_udp_packet
 from repro.packets.headers import (
     EthernetHeader,
     Ipv4Header,
@@ -297,3 +299,96 @@ class TestIcmpErrorSteering:
             icmp_type=ICMP_DEST_UNREACHABLE, code=3, body=b"\x45"
         ), device=1)
         assert 0 <= steering.worker_for(broken) < 4
+
+
+def general_rule(steering: NatSteering, packet: Packet) -> int:
+    """The multi-branch steering rule as the module docstring states it:
+    an external-side packet naming an owned external port — the
+    destination port, or the source port an ICMP error quotes — goes to
+    that port's owner; everything else to its RSS queue."""
+    key = packet.flow_key()
+    if key is not None:
+        port = key[5] if key[0] == CFG.external_device else None
+    else:
+        port = steering._external_port_of(packet)
+    owner = steering.owner_of_port(port) if port is not None else None
+    if owner is not None:
+        return owner
+    return rss_queue(packet, steering.worker_count)
+
+
+_ports = st.one_of(
+    st.integers(CFG.start_port - 8, CFG.end_port + 8), st.integers(0, 65535)
+)
+_ips = st.one_of(st.just(CFG.external_ip), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _l4_frames(draw):
+    make = draw(st.sampled_from([make_udp_packet, make_tcp_packet]))
+    return make(
+        draw(_ips),
+        draw(_ips),
+        draw(_ports),
+        draw(_ports),
+        device=draw(st.sampled_from([0, 1])),
+    )
+
+
+@st.composite
+def _fragments(draw):
+    packet = draw(_l4_frames())
+    if draw(st.booleans()):
+        packet.ipv4.flags = MORE_FRAGMENTS
+    else:
+        packet.ipv4.fragment_offset = draw(st.integers(1, 8191))
+    return packet
+
+
+@st.composite
+def _icmp_errors(draw):
+    quoted = make_udp_packet(draw(_ips), REMOTE, draw(_ports), 53)
+    return icmp_packet(
+        REMOTE,
+        CFG.external_ip,
+        error_about(quoted),
+        device=draw(st.sampled_from([0, 1])),
+    )
+
+
+@st.composite
+def _non_ipv4(draw):
+    return Packet(
+        eth=EthernetHeader(ethertype=draw(st.sampled_from([0x0806, 0x86DD]))),
+        payload=draw(st.binary(max_size=64)),
+        device=draw(st.sampled_from([0, 1])),
+    )
+
+
+@st.composite
+def _frames(draw):
+    packet = draw(st.one_of(_l4_frames(), _fragments(), _icmp_errors(), _non_ipv4()))
+    if draw(st.booleans()):  # the wire-backed twin, as a runtime sees it
+        packet = Packet.from_bytes(packet.to_bytes(), packet.device)
+    return packet
+
+
+class TestOneQueueSteering:
+    """One shard is one queue: ``worker_for`` answers 0 without reading
+    the packet, which is exactly what the general rule gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(frames=st.lists(_frames(), min_size=1, max_size=8))
+    def test_one_shard_agrees_with_the_general_rule(self, frames):
+        one = NatSteering(CFG.partition(1))
+        nic = RssNic(1, steer=one.worker_for)
+        wide = [NatSteering(CFG.partition(n)) for n in (2, 3)]
+        for packet in frames:
+            image = packet.image
+            assert nic.select(packet) == 0
+            assert packet.image is image  # steering read nothing
+            assert general_rule(one, packet) == 0
+            # The reference is the rule ``worker_for`` runs on many shards.
+            for steering in wide:
+                assert general_rule(steering, packet) == steering.worker_for(packet)
+        assert nic.queue_packets == [len(frames)]

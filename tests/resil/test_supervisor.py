@@ -148,6 +148,25 @@ class TestSupervisor:
         finally:
             rt.stop()
 
+    def test_frames_in_flight_at_the_death_are_counted_lost(self, transport):
+        """Frames shipped to a worker that dies before acking them die
+        with it: the rebuild counts them, like a queued batch."""
+        rt = launch(spec(transport, workers=1))
+        try:
+            for i in range(16):
+                packet = make_udp_packet("10.0.0.1", "8.8.8.8", 1_024 + i, 53)
+                rt.inject(0, packet, 100)
+            os.kill(rt._procs[0].pid, signal.SIGKILL)
+            rt._procs[0].join()
+            # The turn ships all 16, finds the worker dead and rebuilds it.
+            assert rt.main_loop_burst(500, 32) == 0
+            assert rt.collect() == []
+            (report,) = rt.reports
+            assert report.packets_lost_queue == 16
+            assert rt.fault_kill_lost == 16
+        finally:
+            rt.stop()
+
     def test_unsupervised_crash_still_raises(self, transport):
         rt = launch(spec(transport, supervise=False))
         try:
