@@ -19,16 +19,9 @@ from repro.chain.scenarios import (
     scenario_breaches,
     warm_upgrade,
 )
-from repro.chain.spec import (
-    CHAIN_EXECUTIONS,
-    ChainRuntime,
-    ChainSpec,
-    ChainStage,
-    launch_chain,
-)
+from repro.chain.spec import ChainRuntime, ChainSpec, ChainStage, launch_chain
 
 __all__ = [
-    "CHAIN_EXECUTIONS",
     "ChainRuntime",
     "ChainSpec",
     "ChainStage",

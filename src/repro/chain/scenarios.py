@@ -39,7 +39,6 @@ from repro.nat.config import NatConfig
 from repro.nat.firewall import VigFirewall
 from repro.nat.limiter import LimiterConfig, VigLimiter
 from repro.nat.vignat import VigNat
-from repro.net.app import INLINE
 from repro.packets.builder import make_udp_packet
 from repro.resil.faults import FaultPlan
 
@@ -144,7 +143,7 @@ def scenario_breaches(report: ScenarioReport) -> List[str]:
 
 # -- the reference chain -------------------------------------------------------
 def default_chain_spec(
-    execution: str = INLINE,
+    execution: str = "inline",
     fastpath: str = "off",
     max_flows: int = 1024,
     **overrides,
@@ -159,6 +158,10 @@ def default_chain_spec(
     nothing; it is in the chain to carry state through checkpoints, not
     to police the test traffic.
     """
+    # A chain runs inline only. The keyword stays because
+    # benchmarks/e2e/workloads.py passes execution="inline".
+    if execution != "inline":
+        raise ValueError(f"a chain runs inline only, not {execution!r}")
     nat_config = NatConfig(
         max_flows=max_flows, expiration_time=60_000_000, start_port=1000
     )
@@ -171,9 +174,7 @@ def default_chain_spec(
         ),
         ChainStage("nat", lambda cfg: VigNat(cfg), nat_config),
     )
-    return ChainSpec(
-        stages=stages, execution=execution, fastpath=fastpath, **overrides
-    )
+    return ChainSpec(stages=stages, fastpath=fastpath, **overrides)
 
 
 class _Traffic:
@@ -326,11 +327,7 @@ def warm_upgrade(
         started_ns = time.perf_counter_ns()
         snapshot = chain.checkpoint(now_us)
         upgraded = launch_chain(spec)
-        try:
-            upgraded.restore(snapshot)
-        except Exception:
-            upgraded.stop()
-            raise
+        upgraded.restore(snapshot)
         action_wall_us = (time.perf_counter_ns() - started_ns) // 1_000
         chain.stop()
         chain = upgraded

@@ -26,16 +26,13 @@ The chain is one substrate: one :class:`~repro.net.dpdk.DpdkRuntime`
 (two wire ports, one mbuf pool). A frame gets its buffer in the chain's
 ``rx_burst`` and keeps it across every stage; it goes back exactly once
 — at exit through ``tx_burst``, or when an NF drop, a misroute or a
-down stage frees it. Only two things depend on the execution mode: how
-a stage turns a batch into outputs — an ``inline`` stage is the NF
-:func:`~repro.net.dpdk.build_nf` made, fed ``process_burst`` chunks of
-at most ``burst_size``; a ``process`` stage is a one-worker
-:class:`~repro.net.procrun.ProcessShardedRuntime`, a buffer freed as
-its packet is injected there and allocated as an output is collected —
-and how its state is reached. ``main_loop_burst`` threads every stage's
-output into its neighbor within the turn: an ascending sweep carries
-rightward traffic the whole way, a descending sweep then does the same
-for leftward traffic (NAT replies), so one turn flushes both directions.
+down stage frees it. Every stage is the NF
+:func:`~repro.net.dpdk.build_nf` made, run inline on ``process_burst``
+chunks of at most ``burst_size``. ``main_loop_burst`` threads every
+stage's output into its neighbor within the turn: an ascending sweep
+carries rightward traffic the whole way, a descending sweep then does
+the same for leftward traffic (NAT replies), so one turn flushes both
+directions.
 
 Truth logs. Every stage owns a bounded
 :class:`~repro.obs.flight.FlightRecorder` that records each handoff in
@@ -48,7 +45,7 @@ strings are built when the log is read. ``chain_stage_*``
 counters/gauges are stamped with stage labels (via
 :func:`~repro.obs.with_labels`) in :meth:`ChainRuntime.snapshot_metrics`.
 
-Fused hits (``docs/CHAINS.md`` §2b). An inline chain whose every stage
+Fused hits (``docs/CHAINS.md`` §2b). A chain whose every stage
 is a libVig NF behind its action cache fires, for the turn's maximal
 prefix of frames every stage would hit (port 0's, then port 1's), one
 cached per-flow composition of the stages' actions. Every key a stage's
@@ -57,10 +54,10 @@ cache drops evicts the entries holding it (``fused ⊆ cached actions``).
 Checkpoint/restore. :meth:`ChainRuntime.checkpoint` binds one frame per
 stage into a single ``repro-ckpt-set/v1``
 :class:`~repro.resil.checkpoint.CheckpointSet` (stage order is frame
-order); :meth:`ChainRuntime.restore` is all-or-nothing — every frame is
-first restored into a throwaway NF (running the full per-NF
-validation) and only then does each stage adopt its own — a down stage
-is relaunched from its frame — so a bad set leaves the chain untouched.
+order); :meth:`ChainRuntime.restore` is all-or-nothing — every stage's
+NF is first built holding its frame (running the full per-NF
+validation) and only then does any stage adopt its own, down stages
+included — so a bad set leaves the chain untouched.
 """
 
 from __future__ import annotations
@@ -72,20 +69,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.concrete import LibvigNf
-from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat, check_fastpath
-from repro.net.app import INLINE, PROCESS, RuntimeSpec, launch
-from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault, merge_counters
+from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault
 from repro.net.mbuf import Mbuf
 from repro.obs import flight
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, with_labels
 from repro.packets.headers import Packet
 from repro.resil.checkpoint import CheckpointError, CheckpointSet, snapshot
-
-#: Execution modes a chain supports: every stage inline in this
-#: process, or one OS process per stage.
-CHAIN_EXECUTIONS = (INLINE, PROCESS)
 
 
 @dataclass(frozen=True)
@@ -130,7 +121,6 @@ class ChainSpec:
     """
 
     stages: Tuple[ChainStage, ...]
-    execution: str = INLINE
     fastpath: str = "off"
     burst_size: int = 32
     rx_capacity: int = 512
@@ -138,9 +128,6 @@ class ChainSpec:
     fault_plan: Optional[object] = None
     #: Bounded per-stage truth-log ring (always recording).
     truth_log_capacity: int = 256
-    #: Process execution only, forwarded to each stage's RuntimeSpec.
-    transport: str = "shm"
-    turn_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -150,29 +137,15 @@ class ChainSpec:
         names = [stage.name for stage in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
-        if self.execution not in CHAIN_EXECUTIONS:
-            raise ValueError(
-                f"unknown chain execution {self.execution!r}; "
-                f"choose one of {CHAIN_EXECUTIONS}"
-            )
         if self.burst_size <= 0:
             raise ValueError("burst size must be positive")
         if self.rx_capacity <= 0 or self.pool_size <= 0:
             raise ValueError("rx capacity and pool size must be positive")
         if self.truth_log_capacity <= 0:
             raise ValueError("truth log capacity must be positive")
-        if self.turn_timeout_s <= 0:
-            raise ValueError("turn timeout must be positive")
-        from repro.net.procrun import TRANSPORTS
-
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"choose one of {TRANSPORTS}"
-            )
 
     def with_(self, **overrides) -> "ChainSpec":
-        """A varied copy — ``spec.with_(execution=PROCESS)``."""
+        """A varied copy — ``spec.with_(fastpath="compiled")``."""
         return replace(self, **overrides)
 
 
@@ -182,19 +155,19 @@ class ChainRuntime:
     See the module docstring for the one substrate, topology, truth logs,
     fused hits and the checkpoint contract. ``runtime`` is the chain's
     ``DpdkRuntime`` (wire ports and pool); ``engines[i]`` is stage
-    ``i``'s NF (inline) or its one-worker runtime (process).
-    ``workers`` reports the number of stages.
+    ``i``'s NF. ``workers`` reports the number of stages.
     """
 
     def __init__(self, spec: ChainSpec) -> None:
         self.spec = spec
         self.stages = spec.stages
         n = len(spec.stages)
-        self._process = spec.execution == PROCESS
-        self._serve = self._serve_process if self._process else self._serve_inline
         self.runtime = DpdkRuntime(2, spec.rx_capacity, spec.pool_size)
         self._ports = self.runtime.ports
-        self.engines = [self._launch(i) for i in range(n)]
+        self.engines = [
+            build_nf(stage.nf_factory, stage.config, spec.fastpath)
+            for stage in spec.stages
+        ]
         self._down: List[bool] = [False] * n
         # Buffers waiting to enter stage i next sweep, by the stage-local
         # device they arrive on — served in device order, as a NIC
@@ -231,7 +204,7 @@ class ChainRuntime:
         # Fused hits. Per port, flow key at entry -> (composed closure,
         # tokens in path order, [(stage, stage key)]); per stage, stage
         # key -> the (port, entry key)s holding it.
-        self._fusing = not self._process and all(
+        self._fusing = all(
             isinstance(engine, FastPathNat) and isinstance(engine.inner, LibvigNf)
             for engine in self.engines
         )
@@ -255,44 +228,6 @@ class ChainRuntime:
         rejuvenates = [h.rejuvenate for h in hooks]
         # In path order: port 0's frames cross stage 0 first, port 1's last.
         self._rejuvenates = (rejuvenates, rejuvenates[::-1])
-
-    # -- construction ----------------------------------------------------------
-    def _stage_spec(self, index: int) -> RuntimeSpec:
-        stage = self.stages[index]
-        spec = self.spec
-        # The stage factory closes over the stage's own config; the
-        # RuntimeSpec-level config only feeds process-mode partitioning
-        # plumbing (degenerate at one worker), so it is passed through
-        # only when it actually is a NatConfig.
-        config = stage.config
-        return RuntimeSpec(
-            nf_factory=lambda _shard_config: stage.nf_factory(stage.config),
-            config=config if isinstance(config, NatConfig) else None,
-            workers=1,
-            execution=PROCESS,
-            fastpath=spec.fastpath,
-            burst_size=spec.burst_size,
-            port_count=max(2, stage.device_a + 1, stage.device_b + 1),
-            rx_capacity=spec.rx_capacity,
-            pool_size=spec.pool_size,
-            transport=spec.transport,
-            turn_timeout_s=spec.turn_timeout_s,
-        )
-
-    def _launch(self, index: int, frame=None):
-        """A fresh engine for stage ``index``, holding ``frame``'s state
-        if given (a refused frame raises and nothing is left running)."""
-        stage = self.stages[index]
-        if not self._process:
-            return build_nf(stage.nf_factory, stage.config, self.spec.fastpath, frame)
-        engine = launch(self._stage_spec(index))
-        if frame is not None:
-            try:
-                engine.restore(CheckpointSet(frame.taken_at_us, (frame,)))
-            except Exception:
-                engine.stop()
-                raise
-        return engine
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -324,24 +259,16 @@ class ChainRuntime:
         }
 
     def drop_causes(self) -> Dict[str, int]:
-        """Each drop under one key, the same keys in both executions:
-        ``chain_rx_ring_full`` is the wire ports', ``rx_ring_full`` a
-        process stage's own ring, ``out_no_mbuf`` an emitted packet no
-        buffer was left for (chain pool or a process stage's);
-        merged by :func:`merge_counters`."""
+        """Each drop under one key: ``chain_rx_ring_full`` is the wire
+        ports', ``out_no_mbuf`` an emitted packet the chain pool had no
+        buffer left for, the rest the chain's own ``DpdkRuntime``'s."""
         own = self.runtime.drop_causes()
         causes = {
-            "chain_rx_ring_full": own["rx_ring_full"],
+            "chain_rx_ring_full": own.pop("rx_ring_full"),
             "chain_misroute": sum(self._stage_misroute),
             "chain_stage_killed": sum(self._stage_killed),
+            **own,
         }
-        own["rx_ring_full"] = 0
-        stages = [
-            engine.drop_causes()
-            for engine, down in zip(self.engines, self._down)
-            if self._process and not down
-        ]
-        causes.update(merge_counters([own, *stages]))
         if self.spec.fault_plan is not None:
             causes["fault_wire_dropped"] = self.fault_wire_dropped
             causes["fault_wire_corrupted"] = self.fault_wire_corrupted
@@ -433,7 +360,7 @@ class ChainRuntime:
         processed = 0
         for i in order:
             queues = self._pending[i]
-            waiting = self._waiting[i]  # fused groups: inline, never down
+            waiting = self._waiting[i]  # fused groups: never down
             ready = [(d, batch) for d, batch in queues.items() if batch or d in waiting]
             if not ready:
                 continue
@@ -456,8 +383,7 @@ class ChainRuntime:
                     self.runtime.free(mbuf)
         return processed
 
-    # -- how a stage turns a batch into outputs (the execution-specific part) --
-    def _serve_inline(self, index: int, ready, now_us: int, burst: int) -> int:
+    def _serve(self, index: int, ready, now_us: int, burst: int) -> int:
         """Run the stage's NF on its own buffers, ``burst`` at a time,
         after carrying any fused group waiting on the same device."""
         nf = self.engines[index]
@@ -495,26 +421,6 @@ class ChainRuntime:
                             route(index, extra.device, clone)
         return processed
 
-    def _serve_process(self, index: int, ready, now_us: int, burst: int) -> int:
-        """Hand the batch to the stage's worker: a buffer is freed as its
-        packet is injected and allocated as an output is collected."""
-        engine = self.engines[index]
-        runtime = self.runtime
-        for device, batch in ready:
-            for mbuf in batch:
-                packet = mbuf.packet
-                packet.device = device
-                engine.inject(device, packet, mbuf.timestamp)
-                runtime.free(mbuf)
-        processed = engine.main_loop_burst(now_us, burst)
-        for port, ts, out in engine.collect():
-            mbuf = runtime.pool.alloc(out, port, ts)
-            if mbuf is None:
-                runtime.out_no_mbuf += 1
-            else:
-                self._route(index, port, mbuf)
-        return processed
-
     def _route(self, index: int, port: int, mbuf: Mbuf) -> None:
         ts = mbuf.timestamp
         self._stage_tx[index] += 1
@@ -541,7 +447,7 @@ class ChainRuntime:
             self._stage_rx[target] += 1
             self.stage_logs[target].record(flight.RX, ts, target, detail=device)
 
-    # -- fused hits (inline, every stage a fast-path cache) ----------------------
+    # -- fused hits (every stage a fast-path cache) ------------------------------
     def _fuse(self, now: int, burst: int) -> bool:
         """Fire the turn's fusable prefix — port 0's arrivals, then port
         1's, up to the first frame without a live entry — doing each
@@ -704,75 +610,59 @@ class ChainRuntime:
                 lambda i=i: 0 if self._down[i] else self.engines[i].flow_count(),
                 "per-stage flow-state entries",
             )
-            live = not self._down[i]
-            if live and not self._process:
+            if not self._down[i]:
                 engine.register_metrics(stage_registry, {"worker": "0"})
             snapshots.append(with_labels(stage_registry.snapshot(), labels))
-            if live and self._process:
-                snapshots.append(with_labels(engine.snapshot_metrics(), labels))
         from repro.obs import merge_snapshots
 
         return merge_snapshots(snapshots)
 
-    # -- control plane (how a stage's state is reached) ------------------------
+    # -- control plane -----------------------------------------------------------
     def _stage_frame(self, index: int, now_us: int):
-        engine = self.engines[index]
-        if self._process:
-            return engine.checkpoint(now_us).checkpoints[0]
-        return snapshot(engine, now_us)
+        """Stage ``index``'s frame, refused while the stage is down: the
+        NF it holds then is the failed one, not the stage's state."""
+        if self._down[index]:
+            raise CheckpointError(
+                f"stage {index} ({self.stages[index].name}) is down; "
+                f"promote a standby before checkpointing it"
+            )
+        return snapshot(self.engines[index], now_us)
 
     def checkpoint(self, now_us: int = 0) -> CheckpointSet:
         """One coordinated set: frame ``i`` is stage ``i``'s state.
 
         The caller owns the fence: checkpoint only between completed
-        ``main_loop_burst`` turns, when no handoff is pending.
+        ``main_loop_burst`` turns, when no handoff is pending. Refused
+        while any stage is down.
         """
-        frames = []
-        for index in range(len(self.stages)):
-            if self._down[index]:
-                raise CheckpointError(
-                    f"stage {index} ({self.stages[index].name}) is down; "
-                    f"promote a standby before checkpointing the chain"
-                )
-            frames.append(self._stage_frame(index, now_us))
-        return CheckpointSet(taken_at_us=now_us, checkpoints=tuple(frames))
+        frames = tuple(self._stage_frame(i, now_us) for i in range(len(self.stages)))
+        return CheckpointSet(taken_at_us=now_us, checkpoints=frames)
 
     def checkpoint_stage(self, index: int, now_us: int = 0) -> CheckpointSet:
-        """A single-stage set (e.g. to keep a warm standby in sync)."""
+        """A single-stage set (e.g. to keep a warm standby in sync);
+        refused while the stage is down."""
         return CheckpointSet(now_us, (self._stage_frame(index, now_us),))
 
     def restore(self, checkpoint_set: CheckpointSet) -> None:
         """Adopt a chain-wide set, all-or-nothing.
 
-        Every frame is first restored into a throwaway NF per stage —
-        running the full name/config/state validation — and only when
-        all of them pass does any stage adopt its own frame, so a
-        corrupt or mismatched set leaves the running chain untouched.
-        An inline stage adopts the NF the validation built; a live
-        process stage restores its worker, and a down one is relaunched
-        from its frame (as :meth:`swap_stage` promotes) — every stage is
-        up afterwards, on the set's state.
+        Every stage's NF is first built holding its frame — running the
+        full name/config/state validation — and only when all of them
+        pass does any stage adopt its own, so a corrupt or mismatched
+        set leaves the running chain untouched. A down stage adopts its
+        NF like the others: every stage is up afterwards, on the set's
+        state.
         """
         if checkpoint_set.workers != len(self.stages):
             raise CheckpointError(
                 f"checkpoint set holds {checkpoint_set.workers} stage(s), "
                 f"chain has {len(self.stages)}"
             )
-        frames = checkpoint_set.checkpoints
-        nfs = [
+        self.engines[:] = [
             build_nf(stage.nf_factory, stage.config, self.spec.fastpath, frame)
-            for stage, frame in zip(self.stages, frames)
+            for stage, frame in zip(self.stages, checkpoint_set.checkpoints)
         ]
-        for index, frame in enumerate(frames):
-            if not self._process:
-                self.engines[index] = nfs[index]
-            elif self._down[index]:
-                self.engines[index] = self._launch(index, frame)
-            else:
-                self.engines[index].restore(
-                    CheckpointSet(checkpoint_set.taken_at_us, (frame,))
-                )
-            self._down[index] = False
+        self._down[:] = [False] * len(self.stages)
         self._bind()
 
     def fail_stage(self, index: int) -> None:
@@ -784,8 +674,6 @@ class ChainRuntime:
         """
         self._down[index] = True
         self._bind()
-        if self._process:
-            self.engines[index].stop()
 
     def swap_stage(self, index: int, checkpoint_set: Optional[CheckpointSet] = None):
         """Promote a standby for one stage: fresh engine, optional state.
@@ -793,7 +681,7 @@ class ChainRuntime:
         Builds a new engine for the stage, holding a single-stage
         checkpoint set's state if one is given (the warm standby; a
         refused frame raises and the slot stays as it was), then swaps
-        it in and stops the old engine. Returns the new engine.
+        it in. Returns the new engine.
         """
         if checkpoint_set is not None and checkpoint_set.workers != 1:
             raise CheckpointError(
@@ -801,19 +689,16 @@ class ChainRuntime:
                 f"{checkpoint_set.workers} frames"
             )
         frame = None if checkpoint_set is None else checkpoint_set.checkpoints[0]
-        engine = self._launch(index, frame)
-        old, self.engines[index] = self.engines[index], engine
-        if self._process and not self._down[index]:
-            old.stop()
+        stage = self.stages[index]
+        engine = build_nf(stage.nf_factory, stage.config, self.spec.fastpath, frame)
+        self.engines[index] = engine
         self._down[index] = False
         self._promotions += 1
         self._bind()
         return engine
 
     def stop(self) -> None:
-        for engine, down in zip(self.engines, self._down):
-            if self._process and not down:
-                engine.stop()
+        """Nothing to tear down — every stage is an NF in this process."""
 
 
 def _compose(closures):

@@ -83,7 +83,6 @@ class RuntimeSpec:
     #: cache; raw-path learns attach compiled closures to its actions).
     fastpath: str = "off"
     burst_size: int = 32
-    port_count: int = 2
     rx_capacity: int = 512
     pool_size: int = 4096
     fault_plan: Optional[object] = None
@@ -92,8 +91,9 @@ class RuntimeSpec:
     #: rebuilt from its standby. Sharded executions only.
     replication_lag: Optional[int] = None
     #: Process mode only: how long the parent waits on a worker reply
-    #: before declaring it crashed. Also bounds every shm ring-full
-    #: backpressure wait.
+    #: before declaring it crashed. Also bounds the shm ring-full
+    #: backpressure waits: the parent's on a worker's inject ring, the
+    #: worker's on its TX ring.
     turn_timeout_s: float = 30.0
     #: Process mode only: how packets cross the parent/worker boundary.
     #: ``"shm"`` (default) moves bursts through per-worker shared-memory
@@ -103,7 +103,8 @@ class RuntimeSpec:
     transport: str = "shm"
     #: Rebuild a dead shard alone from its frame of the last coordinated
     #: checkpoint, instead of leaving it dead (threaded) or raising
-    #: ``WorkerCrashed`` (process). Sharded executions only.
+    #: ``WorkerCrashed`` (process); the frames it lost are reported as
+    #: ``drop_causes()["fault_kill_lost"]``. Sharded executions only.
     supervise: bool = False
     #: Process mode, shm transport only: ring geometry per direction
     #: per worker (slots × slot_bytes of payload capacity).
@@ -204,7 +205,6 @@ class InlineRuntime:
             spec.nf_factory,
             self.config,
             fastpath=spec.fastpath,
-            port_count=spec.port_count,
             rx_capacity=spec.rx_capacity,
             pool_size=spec.pool_size,
         )
@@ -280,7 +280,6 @@ def launch(spec: RuntimeSpec) -> Runtime:
     """
     sharded = (spec.nf_factory, spec.config, spec.workers)
     front = dict(
-        port_count=spec.port_count,
         rx_capacity=spec.rx_capacity,
         pool_size=spec.pool_size,
         fastpath=spec.fastpath,

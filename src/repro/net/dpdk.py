@@ -260,7 +260,6 @@ class Shard:
         *,
         fastpath: str = "off",
         worker_id: int = 0,
-        port_count: int = 2,
         rx_capacity: int = 512,
         pool_size: int = 4096,
         checkpoint=None,
@@ -276,7 +275,7 @@ class Shard:
             delta_sink=self.deltas.append if replicate else None,
         )
         self.nf = self._build_nf(checkpoint)
-        self.runtime = DpdkRuntime(port_count, rx_capacity, pool_size)
+        self.runtime = DpdkRuntime(rx_capacity=rx_capacity, pool_size=pool_size)
         self.runtime.worker_id = worker_id
         # Buffers held hostage by a pool-exhaust fault.
         self._seized: List[Mbuf] = []
@@ -423,7 +422,6 @@ class SteeringFront:
         workers: int = 1,
         *,
         steering: Optional[NatSteering] = None,
-        port_count: int = 2,
         rx_capacity: int = 512,
         pool_size: int = 4096,
         fastpath="off",
@@ -444,7 +442,6 @@ class SteeringFront:
             Shard,
             nf_factory,
             fastpath=fastpath,
-            port_count=port_count,
             rx_capacity=rx_capacity,
             pool_size=pool_size,
             replicate=replication_lag is not None,
@@ -655,9 +652,11 @@ class SteeringFront:
     def drop_causes(self) -> Dict[str, int]:
         """Drop/near-drop causes across all workers (:func:`merge_counters`).
 
-        Fault-attributed losses appear only when a plan is attached, and
-        replication losses only when replicating, so fault-free reports
-        stay byte-identical to the pre-fault layer.
+        Wire-fault losses appear only when a plan is attached, kill
+        losses when a plan is attached or a supervisor rebuilds dead
+        workers, and replication losses only when replicating, so
+        reports of a fleet with none of them stay byte-identical to the
+        pre-fault layer.
         """
         causes = merge_counters(
             self._worker_counters(w)["drop_causes"] for w in range(self.workers)
@@ -665,6 +664,7 @@ class SteeringFront:
         if self.fault_plan is not None:
             causes["fault_wire_dropped"] = self.fault_wire_dropped
             causes["fault_wire_corrupted"] = self.fault_wire_corrupted
+        if self.fault_plan is not None or self.supervise:
             causes["fault_kill_lost"] = self.fault_kill_lost
         if self.channels:
             causes["replication_deltas_lost"] = sum(

@@ -503,7 +503,6 @@ class ProcessShardedRuntime(SteeringFront):
         workers: int = 1,
         *,
         steering: Optional[NatSteering] = None,
-        port_count: int = 2,
         rx_capacity: int = 512,
         pool_size: int = 4096,
         fastpath="off",
@@ -531,7 +530,6 @@ class ProcessShardedRuntime(SteeringFront):
             config,
             workers,
             steering=steering,
-            port_count=port_count,
             rx_capacity=rx_capacity,
             pool_size=pool_size,
             fastpath=fastpath,

@@ -7,7 +7,6 @@ from repro.chain import ChainSpec, ChainStage, default_chain_spec, launch_chain
 from repro.nat.config import NatConfig
 from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
-from repro.net.app import PROCESS
 from repro.packets.builder import make_udp_packet
 from repro.resil.checkpoint import CheckpointError, CheckpointSet
 
@@ -77,19 +76,6 @@ class TestChainCheckpoint:
         finally:
             revived.stop()
 
-    def test_restore_preserves_mappings_in_process_mode(self):
-        spec = default_chain_spec(execution=PROCESS, max_flows=64)
-        chain, mappings = warm_chain(spec)
-        snapshot = chain.checkpoint(20)
-        chain.stop()
-
-        revived = launch_chain(spec)
-        try:
-            revived.restore(snapshot)
-            assert observed_mappings(revived) == mappings
-        finally:
-            revived.stop()
-
     def test_restore_rejects_wrong_stage_count(self):
         chain, _ = warm_chain()
         try:
@@ -126,6 +112,18 @@ class TestChainCheckpoint:
             chain.fail_stage(1)
             with pytest.raises(CheckpointError, match="down"):
                 chain.checkpoint(30)
+        finally:
+            chain.stop()
+
+    def test_stage_checkpoint_refuses_a_down_stage(self):
+        # A failed stage's NF is not a standby's to sync from: the
+        # single-stage set is refused like the chain-wide one.
+        chain = launch_chain(default_chain_spec(max_flows=64))
+        try:
+            chain.fail_stage(2)
+            with pytest.raises(CheckpointError, match="stage 2 .* is down"):
+                chain.checkpoint_stage(2, 0)
+            assert chain.checkpoint_stage(1, 0).workers == 1
         finally:
             chain.stop()
 

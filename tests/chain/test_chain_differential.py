@@ -1,6 +1,6 @@
 """The chain differential grid: a launched chain must be byte-identical
 to manually piping the same NFs stage by stage, with the fast path off
-and on and in both execution modes — composition adds no semantics."""
+and on — composition adds no semantics."""
 
 import pytest
 
@@ -9,26 +9,22 @@ from repro.nat.config import NatConfig
 from repro.nat.firewall import VigFirewall
 from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
-from repro.net.app import INLINE, PROCESS
 from repro.obs.flight import first_divergence
 from repro.packets.builder import make_udp_packet
 
 CONFIG = NatConfig(max_flows=64, expiration_time=60_000_000, start_port=1000)
 
-GRID = [
-    (fastpath, execution)
-    for fastpath in ("off", "compiled")
-    for execution in (INLINE, PROCESS)
-]
+#: fastpath × execution; a chain runs inline only.
+GRID = [(fastpath, "inline") for fastpath in ("off", "compiled")]
 
 
-def chain_spec(fastpath, execution):
+def chain_spec(fastpath):
     stages = (
         ChainStage("firewall", lambda cfg: VigFirewall(cfg), CONFIG),
         ChainStage("noop", lambda _cfg: NoopForwarder()),
         ChainStage("nat", lambda cfg: VigNat(cfg), CONFIG),
     )
-    return ChainSpec(stages=stages, fastpath=fastpath, execution=execution)
+    return ChainSpec(stages=stages, fastpath=fastpath)
 
 
 def fresh_nfs():
@@ -83,7 +79,7 @@ def traffic_script():
 
 @pytest.mark.parametrize("fastpath,execution", GRID)
 def test_chain_matches_manual_pipe(fastpath, execution):
-    chain = launch_chain(chain_spec(fastpath, execution))
+    chain = launch_chain(chain_spec(fastpath))
     nfs = fresh_nfs()
     expected, actual = [], []
     try:
@@ -160,7 +156,7 @@ EXTERNAL_IP = NatConfig().external_ip
 REMOTE = "203.0.113.9"
 
 
-def budgeted_spec(execution, fastpath, swapped=False):
+def budgeted_spec(fastpath, swapped=False):
     """The reference chain with a small limiter budget and short lives;
     ``swapped`` numbers the NAT's devices the other way round, so the
     last stage serves port 1's arrivals before port 0's."""
@@ -187,7 +183,7 @@ def budgeted_spec(execution, fastpath, swapped=False):
             device_b=nat.external_device,
         ),
     )
-    return ChainSpec(stages=stages, execution=execution, fastpath=fastpath)
+    return ChainSpec(stages=stages, fastpath=fastpath)
 
 
 def outbound(host, sport=0):
@@ -226,31 +222,23 @@ steps = st.one_of(
 
 
 #: The bursts a fused turn counts may differ (docs/CHAINS.md, "Fused
-#: hits"); at the parent an inline stage behind a slow-path stage is
-#: handed a parsed packet and replays it, where a process stage re-parses
-#: wire bytes and fires its closure — so only the process stage earns
-#: one, and its compiles differ as well as its compiled hits.
-NOT_COMPARED = {
-    "inline": {"bursts"},
-    "process": {"bursts", "fastpath_compiled_hits", "fastpath_compiles"},
-}
+#: hits").
+NOT_COMPARED = {"bursts"}
 
 
 class Chains:
-    """One schedule through four chains, compared after every turn.
+    """One schedule through three chains, compared after every turn.
 
-    ``fused`` (inline, compiled) is under test. ``staged`` is the same
-    chain with fusion switched off, the path every fused frame must
-    equal: wire, state, counters and truth logs. ``process`` (compiled)
-    never fuses either: wire, state and counters. ``off`` is the slow
-    path: wire."""
+    ``fused`` (compiled) is under test. ``staged`` is the same chain
+    with fusion switched off, the path every fused frame must equal:
+    wire, state, counters and truth logs. ``off`` is the slow path:
+    wire."""
 
     def __init__(self, swapped):
         self.specs = [
-            budgeted_spec(INLINE, "compiled", swapped),
-            budgeted_spec(INLINE, "compiled", swapped),
-            budgeted_spec(PROCESS, "compiled", swapped),
-            budgeted_spec(INLINE, "off", swapped),
+            budgeted_spec("compiled", swapped),
+            budgeted_spec("compiled", swapped),
+            budgeted_spec("off", swapped),
         ]
         self.chains = self.launch()
         self.now = 1_000
@@ -288,7 +276,7 @@ class Chains:
             [(port, pkt.wire_bytes()) for port, _ts, pkt in chain.collect()]
             for chain in self.chains
         ]
-        assert sent[0] == sent[1] == sent[2] == sent[3]
+        assert sent[0] == sent[1] == sent[2]
         for port, data in sent[0]:
             translated = Packet.from_bytes(data, port)
             mapping = (translated.dst_port, translated.src_port)
@@ -298,27 +286,22 @@ class Chains:
         self.now += gap
 
     def compare(self):
-        fused, staged, process, _off = self.chains
+        fused, staged, _off = self.chains
         if not any(fused._down):
             states = [
                 [frame.state for frame in chain.checkpoint(self.now).checkpoints]
-                for chain in (fused, staged, process)
+                for chain in (fused, staged)
             ]
-            assert states[0] == states[1] == states[2]
+            assert states[0] == states[1]
         mine = fused.per_stage_counters()
         probes = [ops.get("map_probes", 0) for ops in mine]
-        for index, ops in enumerate(mine):
+        for index, (ops, theirs) in enumerate(zip(mine, staged.per_stage_counters())):
             if "map_probes" in ops:
                 ops["map_probes"] -= self.drift[index]
-            for other, skip in ((staged, "inline"), (process, "process")):
-                if other._down[index]:  # a process stage's worker is gone
-                    continue
-                theirs = dict(other.engines[index].op_counters())
-                for key in NOT_COMPARED[skip]:
-                    assert key in theirs
-                    theirs.pop(key)
-                compared = {k: v for k, v in ops.items() if k not in NOT_COMPARED[skip]}
-                assert compared == theirs
+            for key in NOT_COMPARED:
+                assert key in theirs
+                theirs.pop(key)
+            assert {k: v for k, v in ops.items() if k not in NOT_COMPARED} == theirs
         # The invariant asks every stage's learn_token, a query that
         # still counts map probes: those are the fused chain's alone.
         assert_fused_within_live_flows(fused, self.probes)
@@ -331,7 +314,7 @@ class Chains:
         ops = [chain.op_counters() for chain in self.chains]
         assert ops[0].pop("fused") >= 0
         assert all(other.pop("fused") == 0 for other in ops[1:])
-        assert ops[0] == ops[1] == ops[2] == ops[3]
+        assert ops[0] == ops[1] == ops[2]
 
     def control(self, step):
         down = [i for i, is_down in enumerate(self.chains[0]._down) if is_down]
@@ -394,8 +377,7 @@ class Chains:
 # Restored stages keep their clocks: a turn behind them is not fused.
 @example(swapped=False, schedule=WARM + [("restore",), turn(gap=-300)] + WARM)
 # A cold swapped-in firewall takes the slow path and hands the limiter
-# and the NAT a parsed packet to replay; the process chain's two get
-# wire bytes and each earns a closure.
+# and the NAT a parsed packet to replay.
 @example(
     swapped=False,
     schedule=[
@@ -449,7 +431,7 @@ def test_a_traced_turn_traces_every_stage_hit():
 def test_a_stage_evicting_an_action_ends_its_fused_entries():
     # A stage cache that evicts (its FIFO cap) would miss where a fused
     # entry holding that action would hit: the entry goes with it.
-    chains = [launch_chain(budgeted_spec(INLINE, "compiled")) for _ in range(2)]
+    chains = [launch_chain(budgeted_spec("compiled")) for _ in range(2)]
     chains[1]._fusing = False
     for chain in chains:
         chain.engines[2].max_entries = 2  # the NAT caches two actions

@@ -13,7 +13,6 @@ from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.config import NatConfig
 from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
-from repro.net.app import INLINE, PROCESS
 from repro.obs import flight
 from repro.obs.expo import sample_value
 from repro.packets.builder import make_udp_packet
@@ -62,14 +61,12 @@ class TestSpecValidation:
             ChainSpec(stages=(noop_stage("a"), noop_stage("a")))
 
     def test_unknown_execution(self):
-        with pytest.raises(ValueError, match="execution"):
-            ChainSpec(stages=(noop_stage(),), execution="quantum")
-
-    def test_threaded_execution_rejected(self):
-        # Chains compose single-worker engines; the sharded thread
-        # runtime is not a chain execution mode.
-        with pytest.raises(ValueError, match="execution"):
-            ChainSpec(stages=(noop_stage(),), execution="threaded-deterministic")
+        # A chain runs inline only: default_chain_spec keeps its execution
+        # keyword for callers passing "inline" and refuses anything else.
+        for execution in ("process", "threaded-deterministic", "quantum"):
+            with pytest.raises(ValueError, match="inline only"):
+                default_chain_spec(execution=execution)
+        assert default_chain_spec(execution="inline").stages
 
     def test_fastpath_is_off_or_compiled(self):
         assert ChainSpec(stages=(noop_stage(),)).fastpath == "off"
@@ -85,20 +82,15 @@ class TestSpecValidation:
             ("rx_capacity", 0),
             ("pool_size", -1),
             ("truth_log_capacity", 0),
-            ("turn_timeout_s", 0),
         ]:
             with pytest.raises(ValueError):
                 ChainSpec(stages=(noop_stage(),), **{field: value})
 
-    def test_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            ChainSpec(stages=(noop_stage(),), transport="carrier-pigeon")
-
     def test_with_varies_a_copy(self):
         spec = ChainSpec(stages=(noop_stage(),))
-        varied = spec.with_(execution=PROCESS, fastpath="compiled")
-        assert spec.execution == INLINE and spec.fastpath == "off"
-        assert varied.execution == PROCESS and varied.fastpath == "compiled"
+        varied = spec.with_(burst_size=8, fastpath="compiled")
+        assert spec.burst_size == 32 and spec.fastpath == "off"
+        assert varied.burst_size == 8 and varied.fastpath == "compiled"
         assert varied.stages == spec.stages
 
     def test_stages_coerced_to_tuple(self):
@@ -448,7 +440,7 @@ class BurstRecorder(NoopForwarder):
 
 
 class TestStageBurstBound:
-    @pytest.mark.parametrize("execution", [INLINE, PROCESS])
+    @pytest.mark.parametrize("execution", ["inline"])
     def test_no_stage_call_exceeds_the_burst_size(self, execution):
         # Ten frames each way through two stages at burst size 4: stage
         # 0 sees its pending batch rightward in the ascending sweep and
@@ -456,9 +448,7 @@ class TestStageBurstBound:
         stages = tuple(
             ChainStage(name, lambda _cfg: BurstRecorder()) for name in ("a", "b")
         )
-        chain = launch_chain(
-            ChainSpec(stages=stages, execution=execution, burst_size=4)
-        )
+        chain = launch_chain(ChainSpec(stages=stages, burst_size=4))
         try:
             for i in range(10):
                 chain.inject(0, make_udp_packet("10.0.0.1", "10.0.0.2", i, 2), 5)
@@ -473,23 +463,10 @@ class TestStageBurstBound:
             chain.stop()
 
 
-class TestProcessExecution:
-    def test_process_chain_round_trip(self):
-        chain = launch_chain(default_chain_spec(execution=PROCESS, max_flows=64))
-        try:
-            chain.inject(0, make_udp_packet("10.0.0.1", "203.0.113.9", 1024, 2000), 10)
-            chain.main_loop_burst(10)
-            exits = chain.collect()
-            assert [port for port, _, _ in exits] == [1]
-            assert exits[0][2].l4.dst_port == 2000
-        finally:
-            chain.stop()
-
-
 class TestOutputsLostToADryPool:
     """An emitted packet that finds no free buffer is a counted drop
-    (``out_no_mbuf``), in a chain of either execution and behind a bare
-    ``launch()``: every output leaves or is counted."""
+    (``out_no_mbuf``), in a chain and behind a bare ``launch()``: every
+    output leaves or is counted."""
 
     BURST = 8
 
@@ -499,18 +476,13 @@ class TestOutputsLostToADryPool:
             for i in range(self.BURST)
         ]
 
-    @pytest.mark.parametrize("execution", [INLINE, PROCESS])
+    @pytest.mark.parametrize("execution", ["inline"])
     def test_a_flooding_chain_stage(self, execution):
         from tests.chain.test_chain_ownership import FloodingBridge
 
         flood = ChainStage("flood", lambda cfg: FloodingBridge(cfg), BridgeConfig())
         chain = launch_chain(
-            ChainSpec(
-                stages=(flood,),
-                execution=execution,
-                burst_size=self.BURST,
-                pool_size=self.BURST,
-            )
+            ChainSpec(stages=(flood,), burst_size=self.BURST, pool_size=self.BURST)
         )
         try:
             for packet in self.frames():

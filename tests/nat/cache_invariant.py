@@ -100,7 +100,7 @@ def _same_token(token, held):
 
 
 def assert_fused_within_live_flows(chain, packets=None):
-    """Hold an inline chain's fused table to ``fused ⊆ cache ⊆ live flows``.
+    """Hold a chain's fused table to ``fused ⊆ cache ⊆ live flows``.
 
     For every fused entry, each stage's ``learn_token`` for the entry's
     key at that stage is the token the entry rejuvenates, and the stage

@@ -252,7 +252,6 @@ def spec_overrides(draw):
         "workers": 1 if execution == INLINE else draw(st.integers(1, 8)),
         "fastpath": draw(st.sampled_from(FASTPATH_MODES)),
         "burst_size": draw(st.integers(1, 512)),
-        "port_count": draw(st.integers(2, 8)),
         "rx_capacity": draw(st.integers(1, 4_096)),
         "pool_size": draw(st.integers(1, 8_192)),
         "turn_timeout_s": draw(

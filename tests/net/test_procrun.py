@@ -250,26 +250,31 @@ BOUND_S = 0.5
 class TestEveryParentWaitIsBounded:
     """A worker that stops answering without dying (SIGSTOP: its pipe
     stays open, so no hang-up ever arrives) costs the parent one
-    ``turn_timeout_s``, then surfaces as ``WorkerCrashed`` — or, under
+    ``turn_timeout_s`` — waiting on its reply, or pushing into its full
+    inject ring — then surfaces as ``WorkerCrashed`` — or, under
     ``supervise=True``, is rebuilt by the turn."""
 
     @contextlib.contextmanager
-    def stopped_worker(self, transport, supervise=False):
+    def stopped_worker(
+        self, transport, supervise=False, workers=2, frames=8, **geometry
+    ):
+        """The fleet's last worker SIGSTOPped, ``frames`` injected since."""
         rings = f"/dev/shm/repro-ring-{os.getpid()}-*"
         before = set(glob.glob(rings))
         runtime = ProcessShardedRuntime(
             VigNat,
             config(),
-            workers=2,
+            workers=workers,
             transport=transport,
             turn_timeout_s=BOUND_S,
             supervise=supervise,
+            **geometry,
         )
-        stopped = runtime._procs[1]
+        stopped = runtime._procs[-1]
         try:
             drive(runtime, 8)
             os.kill(stopped.pid, signal.SIGSTOP)
-            for i in range(8, 16):
+            for i in range(8, 8 + frames):
                 runtime.inject(0, outbound(i), 2_000)
             yield runtime
         finally:
@@ -315,6 +320,34 @@ class TestEveryParentWaitIsBounded:
                 self.within_bound(runtime.op_counters)
             self.within_bound(lambda: runtime.main_loop_burst(2_100, 8))
             assert [r.worker for r in runtime.reports] == [1]
+
+    # The parent's push into a stopped worker's full inject ring: 64
+    # frames behind an 8-slot ring (the pipe transport has no ring).
+    FULL_RING = dict(workers=1, frames=64, ring_slots=8)
+
+    def test_a_full_inject_ring_raises_within_the_bound(self, transport):
+        if transport != "shm":
+            pytest.skip("only the shm transport has an inject ring")
+        with self.stopped_worker(transport, **self.FULL_RING) as runtime:
+            with pytest.raises(WorkerCrashed) as exc_info:
+                self.within_bound(lambda: runtime.main_loop_burst(2_100, 8))
+            assert exc_info.value.shard == 0
+            assert "inject ring full" in exc_info.value.reason
+
+    def test_a_supervised_full_inject_ring_is_rebuilt(self, transport):
+        if transport != "shm":
+            pytest.skip("only the shm transport has an inject ring")
+        with self.stopped_worker(
+            transport, supervise=True, **self.FULL_RING
+        ) as runtime:
+            stopped = runtime._procs[0]
+            self.within_bound(lambda: runtime.main_loop_burst(2_100, 8))
+            (report,) = runtime.reports
+            assert report.packets_lost_queue == 64
+            assert runtime._procs[0] is not stopped
+            # Rebuilt at its fence, the construction's empty state.
+            drive(runtime, 8, now=3_000)
+            assert runtime.flow_count() == 8
 
 
 class TestWorkerErrors:

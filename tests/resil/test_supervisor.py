@@ -167,6 +167,29 @@ class TestSupervisor:
         finally:
             rt.stop()
 
+    def test_a_real_crash_shows_its_losses_in_drop_causes(self, transport):
+        """No fault plan: what a rebuild counted lost is still reported,
+        under the key a plan's kill uses. A fleet with neither a plan
+        nor a supervisor keeps its keys as they were."""
+        rt = launch(spec(transport, workers=1))
+        try:
+            for i in range(8):
+                packet = make_udp_packet("10.0.0.1", "8.8.8.8", 1_024 + i, 53)
+                rt.inject(0, packet, 100)
+            os.kill(rt._procs[0].pid, signal.SIGKILL)
+            rt._procs[0].join()
+            rt.main_loop_burst(500, 32)
+            assert rt.reports[0].packets_lost_queue == 8
+            lost = sum(report.packets_lost_queue for report in rt.reports)
+            assert rt.drop_causes()["fault_kill_lost"] == lost == 8
+        finally:
+            rt.stop()
+        plain = launch(spec(transport, workers=1, supervise=False))
+        try:
+            assert "fault_kill_lost" not in plain.drop_causes()
+        finally:
+            plain.stop()
+
     def test_unsupervised_crash_still_raises(self, transport):
         rt = launch(spec(transport, supervise=False))
         try:
