@@ -627,7 +627,8 @@ def collect_sharded_metrics(
 
 
 def replicable_nf_factories() -> Dict[str, NfFactory]:
-    """The NFs that emit flow deltas and so support a warm standby."""
+    """The NFs that emit flow deltas and so support a warm standby — the
+    failover and procs sweeps' lineup."""
     return {
         "unverified-nat": lambda cfg: UnverifiedNat(cfg),
         "verified-nat": lambda cfg: VigNat(cfg),
@@ -994,27 +995,19 @@ def throughput_sweep(
     return outcome
 
 
-def procs_nf_factories() -> Dict[str, NfFactory]:
-    """The NFs the process-runtime differential + scaling sweep covers."""
-    return {
-        "unverified-nat": lambda cfg: UnverifiedNat(cfg),
-        "verified-nat": lambda cfg: VigNat(cfg),
-    }
-
-
-def _drive_differential(runtime, events, burst_size: int) -> None:
-    """The shared drive loop: inject per event, turn every burst."""
-    pending = 0
-    now_us = 0
+def drive_schedule(runtime, events, burst_size: int) -> int:
+    """The procs sweep's drive loop: inject per event, turn every burst,
+    then two drain turns; returns the packets the turns processed."""
+    processed = pending = now_us = 0
     for event in events:
         now_us = event.time_ns // 1_000
         runtime.inject(event.packet.device, event.packet, now_us)
         pending += 1
         if pending >= burst_size:
-            runtime.main_loop_burst(now_us, burst_size)
+            processed += runtime.main_loop_burst(now_us, burst_size)
             pending = 0
-    runtime.main_loop_burst(now_us + 1, burst_size)
-    runtime.main_loop_burst(now_us + 2, burst_size)
+    processed += runtime.main_loop_burst(now_us + 1, burst_size)
+    return processed + runtime.main_loop_burst(now_us + 2, burst_size)
 
 
 def procs_sweep(
@@ -1036,13 +1029,14 @@ def procs_sweep(
     :class:`~repro.net.procrun.ProcessShardedRuntime`, and their
     per-worker TX streams plus merged counters must match byte for
     byte — the differential drive doubles as the warm-up pass. Then
-    the throughput phase pre-steers and serializes the schedule once
-    (:meth:`~repro.net.procrun.ProcessShardedRuntime.prepare_schedule`)
-    and times the fastest of ``repeats`` scatter/gather pumps, so the
-    measured rate is the workers' concurrent data path, not the
-    parent's per-packet steering. The fleet's transport ablation
-    counters are harvested after the pumps, so each point carries the
-    measured encode/copy/ring-wait split for its transport.
+    the throughput phase times the fastest of ``repeats`` further
+    passes of that same drive loop (:func:`drive_schedule`): ``inject``
+    per frame, ``main_loop_burst`` per burst, TX taken — the turn a
+    ``launch()`` user runs, parent steering and framing included. At
+    two or more workers that includes the pure-Python FNV steering
+    hash, 1.8–2.3 µs per internal-side frame. The fleet's transport
+    ablation counters are harvested after the passes, so each point
+    carries the measured encode/copy/ring-wait split for its transport.
 
     Two claims ride together in each record. Correctness: the process
     runtime's per-worker TX streams (and merged NF counters) are
@@ -1054,13 +1048,13 @@ def procs_sweep(
     assuming the CI runner's. ``speedup_vs_1`` is relative to the same
     NF's 1-worker point on the same transport. ``transport_ns`` carries
     the ablation instruments (fleet-total encode/copy/ring-wait
-    nanoseconds, parent + all workers, across the differential + pump
-    phases), so the pipe-vs-shm tax is measured in the artifact rather
-    than asserted in prose.
+    nanoseconds, parent + all workers, across the differential and
+    timed passes), so the pipe-vs-shm tax is measured in the artifact
+    rather than asserted in prose.
     """
     from repro.net.procrun import TRANSPORTS
 
-    factories = factories if factories is not None else procs_nf_factories()
+    factories = factories if factories is not None else replicable_nf_factories()
     transports = tuple(transports) if transports is not None else TRANSPORTS
     settings = settings if settings is not None else EvalSettings(
         expiration_seconds=60.0
@@ -1099,8 +1093,8 @@ def procs_sweep(
                     )
                 )
                 try:
-                    _drive_differential(oracle, events, burst_size)
-                    _drive_differential(proc, events, burst_size)
+                    drive_schedule(oracle, events, burst_size)
+                    drive_schedule(proc, events, burst_size)
                     oracle_tx = [
                         [
                             (port, packet.device, ts, packet.wire_bytes())
@@ -1115,12 +1109,12 @@ def procs_sweep(
                         and counters == oracle.op_counters()
                     )
 
-                    schedule = proc.prepare_schedule(events, burst_size)
                     best: Optional[float] = None
                     for _ in range(max(1, repeats)):
                         started = time.perf_counter()
-                        proc.pump(schedule, burst_size)
+                        drive_schedule(proc, events, burst_size)
                         elapsed = time.perf_counter() - started
+                        proc.collect_raw_by_worker()
                         if best is None or elapsed < best:
                             best = elapsed
                     replay_pps = _ratio(len(events), best)

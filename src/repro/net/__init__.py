@@ -18,8 +18,8 @@ setup closely enough to reproduce the evaluation's *relative* results:
   scale-out, byte-identical to the oracle,
 - :mod:`repro.net.app` — the deployment facade: describe a deployment
   as a frozen :class:`RuntimeSpec` and :func:`launch` it into a
-  :class:`Runtime` (the one construction path; the raw constructors
-  are deprecated),
+  :class:`Runtime` (the construction path applications use; it builds
+  the runtime classes above),
 - :mod:`repro.net.costmodel` — per-packet latency/service costs derived
   from the NF's *actual* abstract work (probe counts, hook traversals,
   checksum bytes) plus calibrated constants,

@@ -400,13 +400,13 @@ class SteeringFront:
     """What the two sharded front ends share; where the shards live is theirs.
 
     One partitioned config, NAT-aware steering behind an :class:`RssNic`,
-    the fault plan's wire tallies, the merged views — counters,
-    checkpoint, restore — over per-worker answers, and the one recovery
-    primitive, :meth:`recover`. :class:`ShardedRuntime` answers from
-    in-thread :class:`Shard` objects,
-    :class:`~repro.net.procrun.ProcessShardedRuntime` asks a worker
-    process hosting one. The wire side and the main loop stay on each
-    class.
+    the fault plan's wire tallies, frame admission (:meth:`_admit`), the
+    merged views — counters, checkpoint, restore — over per-worker
+    answers, and the one recovery primitive, :meth:`recover`.
+    :class:`ShardedRuntime` answers from in-thread :class:`Shard`
+    objects, :class:`~repro.net.procrun.ProcessShardedRuntime` asks a
+    worker process hosting one. ``inject`` (after admission), the main
+    loop and ``collect`` stay on each class.
 
     ``supervise=True`` rebuilds a dead worker instead of leaving it dead
     (threaded) or raising ``WorkerCrashed`` (process). A
@@ -500,6 +500,29 @@ class SteeringFront:
     def worker_for(self, packet: Packet) -> int:
         """The worker the steering stage would select (without counting)."""
         return self.steering.worker_for(packet)
+
+    def _admit(self, port_id: int, packet: Packet, timestamp: int):
+        """Admit one packet off the wire — the prelude both ``inject``s share.
+
+        An active fault plan is consulted first (:func:`ingress_fault`,
+        scoped to the packet's steering target), then the NIC steers and
+        the ``STEER`` trace records it. ``None`` when the plan destroyed
+        the packet; otherwise ``(worker, packet, timestamp, reorder)``.
+        """
+        plan = self.fault_plan
+        reorder = False
+        if plan is not None and not plan.empty:
+            hit = ingress_fault(
+                plan, self, packet, timestamp, self.steering.worker_for(packet)
+            )
+            if hit is None:
+                return None
+            packet, timestamp, reorder = hit
+        worker = self.nic.select(packet)
+        recorder = obs.recorder()
+        if recorder.active:
+            recorder.trace(flight.STEER, t_us=timestamp, worker=worker, detail=port_id)
+        return worker, packet, timestamp, reorder
 
     # -- recovery ------------------------------------------------------------
     def _replicate(self, worker_id: int, raw_deltas) -> None:
@@ -771,30 +794,12 @@ class ShardedRuntime(SteeringFront):
 
     # -- wire side -----------------------------------------------------------
     def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
-        """Deliver a packet from the wire: RSS-steer, then enqueue.
-
-        An active fault plan is consulted first
-        (:func:`ingress_fault`), with the packet's steering target as
-        the fault scope.
-        """
-        plan = self.fault_plan
-        reorder = False
-        if plan is not None and not plan.empty:
-            hit = ingress_fault(
-                plan, self, packet, timestamp, self.steering.worker_for(packet)
-            )
-            if hit is None:
-                return False
-            packet, timestamp, reorder = hit
-        worker = self.nic.select(packet)
-        recorder = obs.recorder()
-        if recorder.active:
-            recorder.trace(
-                flight.STEER,
-                t_us=timestamp,
-                worker=worker,
-                detail=port_id,
-            )
+        """Deliver a packet from the wire: admit (:meth:`_admit`), then
+        enqueue on the steered worker's port."""
+        admitted = self._admit(port_id, packet, timestamp)
+        if admitted is None:
+            return False
+        worker, packet, timestamp, reorder = admitted
         runtime = self.units[worker].runtime
         accepted = runtime.inject(port_id, packet, timestamp)
         if reorder and accepted:

@@ -88,10 +88,9 @@ import weakref
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.net.dpdk import Shard, SteeringFront, ingress_fault
+from repro.net.dpdk import Shard, SteeringFront
 from repro.net.mbuf import (
     SlotRecordError,
     pack_slot_record,
@@ -104,7 +103,6 @@ from repro.net.shmring import (
     ShmRing,
     unlink_rings,
 )
-from repro.obs import flight
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.packets.headers import Packet
 
@@ -118,12 +116,9 @@ TRANSPORTS = (TRANSPORT_PIPE, TRANSPORT_SHM)
 
 # -- wire framing -------------------------------------------------------------
 
-#: One framed packet record: port, device, timestamp_us, wire length.
-#: This is exactly the shm slot-record layout — both transports carry
-#: the same bytes, which is what makes the transport axis a pure
-#: mechanism swap in the differential proofs.
-pack_record = pack_slot_record
-unpack_records = unpack_slot_records
+#: A framed packet record is the shm slot record (``pack_slot_record``):
+#: both transports carry the same bytes, which is what makes the
+#: transport axis a pure mechanism swap in the differential proofs.
 #: Turn command payload: seq, now_us, burst_size, pool seizure target.
 _TURN = struct.Struct(">QqiI")
 #: Turn acknowledgement payload: seq, packets processed.
@@ -405,7 +400,9 @@ def _worker_main(
                 processed = shard.turn(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
                 frames = [
-                    pack_record(port_id, packet.device, timestamp, packet.wire_bytes())
+                    pack_slot_record(
+                        port_id, packet.device, timestamp, packet.wire_bytes()
+                    )
                     for port_id, timestamp, packet in runtime.collect()
                 ]
                 stats.encode_ns += time.perf_counter_ns() - t0
@@ -578,7 +575,7 @@ class ProcessShardedRuntime(SteeringFront):
         self._alive: List[bool] = [True] * workers
         self._death_reason: List[str] = [""] * workers
         #: Accumulated TX records per worker, in the frame field order
-        #: of :func:`unpack_records`: (port, device, timestamp, wire).
+        #: of :func:`unpack_slot_records`: (port, device, timestamp, wire).
         self._tx: List[List[Tuple[int, int, int, bytes]]] = [
             [] for _ in range(workers)
         ]
@@ -632,30 +629,17 @@ class ProcessShardedRuntime(SteeringFront):
     def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
         """Steer a packet and buffer it for the next turn's batch.
 
-        The fault consultation is the oracle's own
-        (:func:`~repro.net.dpdk.ingress_fault`), so fault-plan runs stay
-        comparable. The return value reports wire-level acceptance;
-        ring-full drops happen (and are counted) inside the owning
-        worker, exactly where the oracle's per-worker ports count them.
+        Admission is the oracle's own
+        (:meth:`~repro.net.dpdk.SteeringFront._admit`), so fault-plan
+        runs stay comparable. The return value reports wire-level
+        acceptance; ring-full drops happen (and are counted) inside the
+        owning worker, exactly where the oracle's per-worker ports count
+        them.
         """
-        plan = self.fault_plan
-        reorder = False
-        if plan is not None and not plan.empty:
-            hit = ingress_fault(
-                plan, self, packet, timestamp, self.steering.worker_for(packet)
-            )
-            if hit is None:
-                return False
-            packet, timestamp, reorder = hit
-        worker = self.nic.select(packet)
-        recorder = obs.recorder()
-        if recorder.active:
-            recorder.trace(
-                flight.STEER,
-                t_us=timestamp,
-                worker=worker,
-                detail=port_id,
-            )
+        admitted = self._admit(port_id, packet, timestamp)
+        if admitted is None:
+            return False
+        worker, packet, timestamp, reorder = admitted
         self._pending[worker].append(
             (port_id, packet.device, timestamp, packet.wire_bytes())
         )
@@ -687,16 +671,13 @@ class ProcessShardedRuntime(SteeringFront):
 
     def collect_by_worker(self) -> List[List[Tuple[int, int, Packet]]]:
         """Per-worker transmissions since the last collect."""
-        out: List[List[Tuple[int, int, Packet]]] = []
-        for records in self._tx:
-            out.append(
-                [
-                    (port_id, timestamp, Packet.from_bytes(wire, device=device))
-                    for port_id, device, timestamp, wire in records
-                ]
-            )
-            records.clear()
-        return out
+        return [
+            [
+                (port_id, timestamp, Packet.from_bytes(wire, device=device))
+                for port_id, device, timestamp, wire in records
+            ]
+            for records in self.collect_raw_by_worker()
+        ]
 
     def collect_raw_by_worker(self) -> List[List[Tuple[int, int, int, bytes]]]:
         """Per-worker TX records as raw frames: (port, device, ts, wire).
@@ -704,9 +685,7 @@ class ProcessShardedRuntime(SteeringFront):
         The differential suite compares these against the oracle's
         re-serialized output — no parent-side parse/re-pack in between.
         """
-        out = [list(records) for records in self._tx]
-        for records in self._tx:
-            records.clear()
+        out, self._tx = self._tx, [[] for _ in self._tx]
         return out
 
     # -- the scatter/gather main loop ---------------------------------------
@@ -761,20 +740,21 @@ class ProcessShardedRuntime(SteeringFront):
         return processed
 
     # -- the three moves of a turn ---------------------------------------------
-    def _ship(
-        self, worker_id: int, frames: List[bytes], discard_tx: bool = False
-    ) -> None:
+    def _ship(self, worker_id: int, frames: List[bytes]) -> None:
         """Ship one worker's framed batch: spans in its inject ring
         (shm) or one ``I`` message (pipe). A worker that cannot take it
         is marked dead."""
         self._unacked[worker_id] += len(frames)
         ring = self._inject_rings[worker_id]
         if ring is not None:
-            on_wait = self._discard_tx_rings if discard_tx else self._drain_tx_rings
             try:
                 for chunk in _chunk_frames(frames, self._max_span_bytes):
                     _push_with_backpressure(
-                        ring, chunk, self._stats, self.turn_timeout_s, on_wait
+                        ring,
+                        chunk,
+                        self._stats,
+                        self.turn_timeout_s,
+                        self._drain_tx_rings,
                     )
             except TimeoutError:
                 self._mark_dead(worker_id, "inject ring full; worker not draining")
@@ -803,10 +783,10 @@ class ProcessShardedRuntime(SteeringFront):
             return None
         return self._seq
 
-    def _gather(self, turned: List[Tuple[int, int]], discard_tx: bool = False) -> int:
+    def _gather(self, turned: List[Tuple[int, int]]) -> int:
         """Read every turned worker's ACK and take its TX — off the out
-        ring (shm) or off the reply (pipe), kept or discarded unparsed —
-        and its flow deltas, which go to the worker's standby.
+        ring (shm) or off the reply (pipe) — and its flow deltas, which
+        go to the worker's standby.
 
         ``turned`` holds (worker, seq) per ``T`` sent. Returns the
         packets processed; a worker found dead stays marked dead for
@@ -815,7 +795,7 @@ class ProcessShardedRuntime(SteeringFront):
         shm = self.transport == TRANSPORT_SHM
         processed = 0
         for worker_id, seq in turned:
-            reply = self._recv(worker_id, drain_tx=shm, discard_tx=discard_tx)
+            reply = self._recv(worker_id, drain_tx=shm)
             if reply is None:
                 continue
             acked_seq, count = _ACK.unpack_from(reply, 1)
@@ -831,10 +811,10 @@ class ProcessShardedRuntime(SteeringFront):
                 self._replicate(worker_id, deltas)
             if shm:
                 # The ACK is the fence: every TX span is visible now.
-                self._drain_tx_ring(worker_id, discard=discard_tx)
-            elif not discard_tx and len(reply) > offset:
+                self._drain_tx_ring(worker_id)
+            elif len(reply) > offset:
                 t0 = time.perf_counter_ns()
-                records = unpack_records(reply, offset)
+                records = unpack_slot_records(reply, offset)
                 self._stats.encode_ns += time.perf_counter_ns() - t0
                 self._tx[worker_id].extend(records)
         return processed
@@ -853,88 +833,18 @@ class ProcessShardedRuntime(SteeringFront):
                 )
             self.recover(worker_id, now_us)
 
-    # -- timed replay (the procs benchmark's inner loop) ---------------------
-    def prepare_schedule(
-        self, events, burst_size: int = 32
-    ) -> List[Tuple[List[List[bytes]], int]]:
-        """Pre-steer and frame a burst schedule for :meth:`pump`.
-
-        All parent-side per-packet work (RSS steering, framing) happens
-        here, untimed, so a timed :meth:`pump` measures only the
-        scatter/gather transport traffic and the workers' concurrent
-        data path — the part that actually scales with cores. Each
-        entry is ``(per-worker framed records, now_us)`` for one turn;
-        the packet's ``device`` doubles as the ingress port id,
-        matching how the testbeds drive :meth:`inject`.
-        """
-        if burst_size <= 0:
-            raise ValueError("burst size must be positive")
-        bursts: List[Tuple[List[List[bytes]], int]] = []
-        pending: List[List[bytes]] = [[] for _ in range(self.workers)]
-        count = 0
-        now_us = 0
-        for event in events:
-            packet = event.packet
-            now_us = event.time_ns // 1_000
-            worker = self.steering.worker_for(packet)
-            pending[worker].append(
-                pack_record(
-                    packet.device, packet.device, now_us, packet.wire_bytes()
-                )
-            )
-            count += 1
-            if count >= burst_size:
-                bursts.append((pending, now_us))
-                pending = [[] for _ in range(self.workers)]
-                count = 0
-        if count:
-            bursts.append((pending, now_us))
-        # Two empty drain turns so residual ring occupancy is flushed.
-        idle: List[List[bytes]] = [[] for _ in range(self.workers)]
-        bursts.append((idle, now_us + 1))
-        bursts.append((idle, now_us + 2))
-        return bursts
-
-    def pump(
-        self, schedule: List[Tuple[List[List[bytes]], int]], burst_size: int = 32
-    ) -> int:
-        """Drive one prepared schedule through the workers; count packets.
-
-        The hot loop of the scaling benchmark, made of the turn's own
-        three moves (:meth:`_ship`, :meth:`_send_turn`, :meth:`_gather`)
-        minus what :meth:`prepare_schedule` did ahead of time: no
-        steering, no framing, no fault plan, and TX output discarded
-        unparsed — use :meth:`main_loop_burst` when outputs matter.
-        Replaying the same schedule repeatedly is idempotent NAT-wise —
-        flows already exist, so passes after the first measure the
-        warmed steady state, mirroring ``_timed_burst_replay``.
-        """
-        self._ensure_running()
-        processed = 0
-        for sends, now_us in schedule:
-            turned: List[Tuple[int, int]] = []
-            for worker_id, frames in enumerate(sends):
-                if frames:
-                    self._ship(worker_id, frames, discard_tx=True)
-                seq = self._send_turn(worker_id, now_us, burst_size)
-                if seq is not None:
-                    turned.append((worker_id, seq))
-            processed += self._gather(turned, discard_tx=True)
-            self._settle(now_us)
-        return processed
-
     def _flush_pending(self, worker_id: int) -> None:
         """Frame, then ship, what :meth:`inject` buffered for a worker."""
         pending = self._pending[worker_id]
         if not pending:
             return
         t0 = time.perf_counter_ns()
-        frames = [pack_record(*record) for record in pending]
+        frames = [pack_slot_record(*record) for record in pending]
         self._stats.encode_ns += time.perf_counter_ns() - t0
         pending.clear()
         self._ship(worker_id, frames)
 
-    def _drain_tx_ring(self, worker_id: int, discard: bool = False) -> None:
+    def _drain_tx_ring(self, worker_id: int) -> None:
         """Pop every visible TX span from one worker's out ring."""
         ring = self._out_rings[worker_id]
         if ring is None:
@@ -946,10 +856,8 @@ class ProcessShardedRuntime(SteeringFront):
             if blob is None:
                 return
             self._stats.copy_ns += t1 - t0
-            if discard:
-                continue
             try:
-                records = unpack_records(blob)
+                records = unpack_slot_records(blob)
             except SlotRecordError as exc:
                 # Whatever wrote this span is not a worker we can trust
                 # the rest of the ring from.
@@ -958,20 +866,15 @@ class ProcessShardedRuntime(SteeringFront):
             self._stats.encode_ns += time.perf_counter_ns() - t1
             self._tx[worker_id].extend(records)
 
-    def _drain_tx_rings(self, discard: bool = False) -> None:
+    def _drain_tx_rings(self) -> None:
         """Drain every live worker's out ring (the anti-deadlock sweep:
         run whenever the parent blocks, so a worker stuck pushing TX
         always gets slots back)."""
         for worker_id in range(self.workers):
             if self._alive[worker_id]:
-                self._drain_tx_ring(worker_id, discard=discard)
+                self._drain_tx_ring(worker_id)
 
-    def _discard_tx_rings(self) -> None:
-        self._drain_tx_rings(discard=True)
-
-    def _recv(
-        self, worker_id: int, *, drain_tx: bool = False, discard_tx: bool = False
-    ) -> Optional[bytes]:
+    def _recv(self, worker_id: int, *, drain_tx: bool = False) -> Optional[bytes]:
         """One reply from a worker, or ``None`` after marking it dead.
 
         A worker-side exception reply re-raises here; a dead pipe, a
@@ -988,7 +891,7 @@ class ProcessShardedRuntime(SteeringFront):
             if drain_tx:
                 deadline = time.monotonic() + self.turn_timeout_s
                 while not poll(_WORKER_POLL_S * 1_000):
-                    self._drain_tx_rings(discard=discard_tx)
+                    self._drain_tx_rings()
                     if time.monotonic() > deadline:
                         self._mark_dead(worker_id)
                         return None
@@ -1192,6 +1095,4 @@ __all__ = [
     "TRANSPORTS",
     "TransportStats",
     "WorkerCrashed",
-    "pack_record",
-    "unpack_records",
 ]

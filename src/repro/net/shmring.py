@@ -2,13 +2,16 @@
 
 The pipe transport of :mod:`repro.net.procrun` moves every packet
 through four copies (frame, join, kernel write, kernel read) and two
-syscalls per turn per worker — measured at roughly 8x the cost of a
-shared-memory transfer for a 32-packet burst on this machine. This
-module replaces the payload path with one :class:`ShmRing` per
-direction per worker, backed by :class:`multiprocessing.shared_memory`:
-the producer writes a burst straight into the mapped segment, the
-consumer reads it out, and the only per-burst costs are one or two
-``memcpy``-sized slice operations on each side.
+syscalls per turn per worker. This module replaces the payload path
+with one :class:`ShmRing` per direction per worker, backed by
+:class:`multiprocessing.shared_memory`: the producer writes a burst
+straight into the mapped segment, the consumer reads it out, and the
+only per-burst costs are one or two ``memcpy``-sized slice operations
+on each side. That makes the byte movement alone — the ``copy_ns``
+instrument of :class:`~repro.net.procrun.TransportStats` — roughly 8x
+cheaper than the pipe's for a 32-packet burst. It is not an end-to-end
+figure: with one worker on two cores, the pipe transport forwards more
+frames per second at a lower probe latency (``docs/SCALING.md`` §4).
 
 Layout (one segment per ring)::
 
@@ -146,7 +149,7 @@ class ShmRing:
         """Enqueue one burst of concatenated records; False when full.
 
         ``records`` is the same concatenation of mbuf-shaped frames the
-        pipe transport ships (``pack_record`` output) — the span header
+        pipe transport ships (``pack_slot_record`` output) — the span header
         plus the bytes land in ``span_slots`` consecutive slots with
         one slice assignment (two on wraparound). An empty burst is a
         no-op (the consumer would have nothing to see).

@@ -14,7 +14,7 @@ trace count, timing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 
@@ -42,75 +42,41 @@ class PropertyVerdict:
 
 @dataclass
 class ProofReport:
-    """The stitched proof of Fig. 7 plus exploration statistics."""
+    """The stitched proof of Fig. 7 plus exploration statistics.
+
+    ``properties`` holds the five verdicts in order, P1 first.
+    """
 
     nf_name: str
-    p1: PropertyVerdict
-    p2: PropertyVerdict
-    p3: PropertyVerdict
-    p4: PropertyVerdict
-    p5: PropertyVerdict
+    properties: List[PropertyVerdict]
     paths: int = 0
     traces: int = 0
     solver_queries: int = 0
     wall_seconds: float = 0.0
 
+    p1 = property(lambda self: self.properties[0])
+    p2 = property(lambda self: self.properties[1])
+    p3 = property(lambda self: self.properties[2])
+    p4 = property(lambda self: self.properties[3])
+    p5 = property(lambda self: self.properties[4])
+
     @property
     def verified(self) -> bool:
         """True when every sub-proof succeeded — the NF is verified."""
-        return all(p.proven for p in (self.p1, self.p2, self.p3, self.p4, self.p5))
+        return all(p.proven for p in self.properties)
 
     def verdicts(self) -> List[PropertyVerdict]:
-        return [self.p1, self.p2, self.p3, self.p4, self.p5]
+        return list(self.properties)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (used by the CLI's proof cache)."""
-        return {
-            "nf_name": self.nf_name,
-            "verified": self.verified,
-            "paths": self.paths,
-            "traces": self.traces,
-            "solver_queries": self.solver_queries,
-            "wall_seconds": self.wall_seconds,
-            "properties": [
-                {
-                    "name": v.name,
-                    "title": v.title,
-                    "proven": v.proven,
-                    "obligations": v.obligations,
-                    "failures": list(v.failures),
-                    "note": v.note,
-                }
-                for v in self.verdicts()
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProofReport":
         """Inverse of :meth:`to_dict`."""
-        verdicts = [
-            PropertyVerdict(
-                name=p["name"],
-                title=p["title"],
-                proven=p["proven"],
-                obligations=p["obligations"],
-                failures=list(p["failures"]),
-                note=p.get("note", ""),
-            )
-            for p in data["properties"]
-        ]
-        return cls(
-            nf_name=data["nf_name"],
-            p1=verdicts[0],
-            p2=verdicts[1],
-            p3=verdicts[2],
-            p4=verdicts[3],
-            p5=verdicts[4],
-            paths=data["paths"],
-            traces=data["traces"],
-            solver_queries=data["solver_queries"],
-            wall_seconds=data["wall_seconds"],
-        )
+        verdicts = [PropertyVerdict(**p) for p in data["properties"]]
+        return cls(**dict(data, properties=verdicts))
 
     def render(self) -> str:
         header = (

@@ -217,20 +217,20 @@ class Validator:
         p3_failures = self.refinement_smoke()
         return ProofReport(
             nf_name=nf_name,
-            p1=p1,
-            p2=verdict(
-                "P2", "low-level properties (crash-freedom, bounds, overflow)"
-            ),
-            p3=PropertyVerdict(
-                name="P3",
-                title="libVig implementation refines its contracts",
-                proven=not p3_failures,
-                obligations=1,
-                failures=p3_failures,
-                note="full evidence: tests/libvig refinement suite",
-            ),
-            p4=verdict("P4", "stateless code respects libVig preconditions"),
-            p5=verdict("P5", "libVig models faithful to the contracts"),
+            properties=[
+                p1,
+                verdict("P2", "low-level properties (crash-freedom, bounds, overflow)"),
+                PropertyVerdict(
+                    name="P3",
+                    title="libVig implementation refines its contracts",
+                    proven=not p3_failures,
+                    obligations=1,
+                    failures=p3_failures,
+                    note="full evidence: tests/libvig refinement suite",
+                ),
+                verdict("P4", "stateless code respects libVig preconditions"),
+                verdict("P5", "libVig models faithful to the contracts"),
+            ],
             paths=result.tree.path_count(),
             traces=result.tree.trace_count(),
             solver_queries=result.stats.solver_queries,

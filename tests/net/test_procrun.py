@@ -19,14 +19,13 @@ import pytest
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
 from repro.net import procrun
-from repro.net.mbuf import SLOT_HEADER, SlotRecordError
-from repro.net.procrun import (
-    TRANSPORTS,
-    ProcessShardedRuntime,
-    WorkerCrashed,
-    pack_record,
-    unpack_records,
+from repro.net.mbuf import (
+    SLOT_HEADER,
+    SlotRecordError,
+    pack_slot_record,
+    unpack_slot_records,
 )
+from repro.net.procrun import TRANSPORTS, ProcessShardedRuntime, WorkerCrashed
 from repro.packets.builder import make_udp_packet
 from repro.resil.faults import FaultPlan
 
@@ -60,40 +59,40 @@ def drive(runtime, count, now=1_000, burst=8):
 class TestFraming:
     def test_record_roundtrip(self):
         wire = outbound(3).wire_bytes()
-        blob = pack_record(1, 0, 123_456, wire)
-        assert unpack_records(blob) == [(1, 0, 123_456, wire)]
+        blob = pack_slot_record(1, 0, 123_456, wire)
+        assert unpack_slot_records(blob) == [(1, 0, 123_456, wire)]
 
     def test_concatenated_records_keep_order(self):
         wires = [outbound(i).wire_bytes() for i in range(5)]
         blob = b"".join(
-            pack_record(i % 2, 1, 10 + i, w) for i, w in enumerate(wires)
+            pack_slot_record(i % 2, 1, 10 + i, w) for i, w in enumerate(wires)
         )
-        records = unpack_records(blob)
+        records = unpack_slot_records(blob)
         assert [w for _, _, _, w in records] == wires
         assert [p for p, _, _, _ in records] == [0, 1, 0, 1, 0]
 
     def test_empty_blob(self):
-        assert unpack_records(b"") == []
+        assert unpack_slot_records(b"") == []
 
     def test_truncated_record_is_refused_not_shortened(self):
         """A span cut anywhere inside its last record — header or wire
         bytes — is an error, never a silently short frame."""
         wire = outbound(3).wire_bytes()
-        blob = pack_record(0, 0, 1, wire) + pack_record(1, 0, 2, wire)
+        blob = pack_slot_record(0, 0, 1, wire) + pack_slot_record(1, 0, 2, wire)
         one = len(blob) // 2
         for cut in range(one + 1, len(blob)):
             with pytest.raises(SlotRecordError):
-                unpack_records(blob[:cut])
-        assert len(unpack_records(blob[:one])) == 1
+                unpack_slot_records(blob[:cut])
+        assert len(unpack_slot_records(blob[:one])) == 1
 
     def test_over_long_record_is_refused(self):
         wire = outbound(3).wire_bytes()
         blob = SLOT_HEADER.pack(0, 0, 1, len(wire) + 1) + wire
         with pytest.raises(SlotRecordError, match="announces"):
-            unpack_records(blob)
+            unpack_slot_records(blob)
         # The same check guards a pipe message's records (offset form).
         with pytest.raises(SlotRecordError):
-            unpack_records(b"I" + blob, 1)
+            unpack_slot_records(b"I" + blob, 1)
 
 
 class TestDataPath:
@@ -207,7 +206,7 @@ class TestCrashSurface:
         try:
             drive(runtime, 8)
             runtime.collect()
-            record = pack_record(1, 1, 2_000, outbound(0).wire_bytes())
+            record = pack_slot_record(1, 1, 2_000, outbound(0).wire_bytes())
             # The worker is idle between turns, so the parent can stand
             # in for it as the ring's one producer.
             assert runtime._out_rings[0].try_push_burst(record[:-3])
@@ -375,7 +374,7 @@ class TestWorkerErrors:
     def test_truncated_inject_record_reraises_in_parent(self):
         """A worker handed records that end mid-frame refuses the whole
         message with the typed error instead of parsing a short frame."""
-        record = pack_record(0, 0, 1_000, outbound(0).wire_bytes())
+        record = pack_slot_record(0, 0, 1_000, outbound(0).wire_bytes())
         with ProcessShardedRuntime(
             VigNat, config(), workers=1, transport="pipe"
         ) as runtime:
@@ -486,20 +485,28 @@ class TestCoordinatedCheckpoint:
                 other.restore(checkpoint_set)
 
 
-class TestTimedPump:
-    def test_pump_matches_driven_schedule(self):
-        """prepare_schedule + pump processes exactly the packets the
-        plain drive loop would, so the benchmark's pps numerator is
-        the schedule length."""
+class TestTimedTurn:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_every_pass_repeats_the_first(self, transport, workers):
+        """What the procs sweep's best-of-N relies on: replaying one
+        schedule through the real turn processes every frame on every
+        pass, and each later pass transmits the first pass's bytes,
+        worker by worker — so the passes time the same work."""
+        from repro.eval.experiments import drive_schedule
         from repro.net.moongen import ConstantRateFlows
 
         events = list(
             ConstantRateFlows(32, 1_000_000.0, 200, burst=16).events()
         )
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as runtime:
-            schedule = runtime.prepare_schedule(events, burst_size=16)
-            processed = runtime.pump(schedule, burst_size=16)
-            assert processed == len(events)
-            # Replaying the warmed schedule is idempotent in count.
-            assert runtime.pump(schedule, burst_size=16) == len(events)
+        with ProcessShardedRuntime(
+            VigNat, config(), workers=workers, transport=transport
+        ) as runtime:
+            passes = []
+            for _ in range(3):
+                assert drive_schedule(runtime, events, 16) == len(events)
+                passes.append(runtime.collect_raw_by_worker())
+            assert sum(map(len, passes[0])) == len(events)
+            assert passes[1] == passes[0]
+            assert passes[2] == passes[0]
             assert runtime.flow_count() == 32

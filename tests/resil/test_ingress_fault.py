@@ -2,17 +2,18 @@
 
 ``ShardedRuntime.inject``, ``ProcessShardedRuntime.inject`` and
 ``ChainRuntime.inject`` all consult the fault plan through
-:func:`repro.net.dpdk.ingress_fault`. The same seeded plan (drop +
-corrupt + delay + reorder) over the same schedule must therefore draw
-the plan's RNG identically behind every one of them: equal wire
-tallies, equal plan ledgers, equal delivered arrival stamps, and — the
-NF being a no-op — equal bytes out in equal order.
+:func:`repro.net.dpdk.ingress_fault` — the two sharded front ends by
+way of their shared admission, ``SteeringFront._admit``. The same
+seeded plan (drop + corrupt + delay + reorder) over the same schedule
+must therefore draw the plan's RNG identically behind every one of
+them: equal wire tallies, equal plan ledgers, equal delivered arrival
+stamps, and — the NF being a no-op — equal bytes out in equal order.
 """
 
 from repro.chain import ChainSpec, ChainStage, launch_chain
 from repro.chain import spec as chain_spec
 from repro.nat.noop import NoopForwarder
-from repro.net import dpdk, procrun
+from repro.net import dpdk
 from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.packets.builder import make_udp_packet
 from repro.packets.headers import Packet
@@ -59,8 +60,9 @@ def run(kind, monkeypatch):
         return hit
 
     with monkeypatch.context() as patch:
-        # Every caller binds the one routine by name at import.
-        for module in (dpdk, procrun, chain_spec):
+        # Both sharded front ends admit through ``SteeringFront._admit``
+        # (in dpdk); the chain binds the routine by name at import.
+        for module in (dpdk, chain_spec):
             assert module.ingress_fault is real
             patch.setattr(module, "ingress_fault", recording)
         plan = seeded_plan()
