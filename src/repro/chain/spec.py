@@ -19,8 +19,7 @@ numbering; the chain remaps at every handoff:
   stage, out chain port 1;
 - a packet emitted on ``device_a`` moves left — into the previous stage
   (arriving on its ``device_b``) or, before stage 0, out chain port 0;
-- anything else is a *misroute*: dropped, counted per stage, and
-  recorded in the stage's truth log.
+- anything else is a *misroute*: dropped and counted per stage.
 
 The chain is one substrate: one :class:`~repro.net.dpdk.DpdkRuntime`
 (two wire ports, one mbuf pool). A frame gets its buffer in the chain's
@@ -34,16 +33,15 @@ carries rightward traffic the whole way, a descending sweep then does
 the same for leftward traffic (NAT replies), so one turn flushes both
 directions.
 
-Truth logs. Every stage owns a bounded
-:class:`~repro.obs.flight.FlightRecorder` that records each handoff in
-(``rx``), emission (``tx``) and misroute (``drop``) regardless of the
-global observability switch — the last ``truth_log_capacity`` events
-per stage are always available for post-mortems via
-:meth:`ChainRuntime.stage_truth`. A record is one tuple stored in the
-ring (the device as an int); the event objects and their ``"dev N"``
-strings are built when the log is read. ``chain_stage_*``
-counters/gauges are stamped with stage labels (via
-:func:`~repro.obs.with_labels`) in :meth:`ChainRuntime.snapshot_metrics`.
+Tracing. While the global recorder (:func:`repro.obs.recorder`) is
+active, the staged path traces each stage hop into it like every other
+runtime: a handoff in (``rx``), an emission (``tx``), a misroute
+(``drop``, ``chain-misroute``) and a frame reaching a down stage
+(``drop``, ``worker-kill``), each with the stage index as ``worker``
+and the stage-local device as ``detail``. With it off, the chain traces
+nothing. ``chain_stage_*`` counters/gauges are stamped with stage labels
+(via :func:`~repro.obs.with_labels`) in
+:meth:`ChainRuntime.snapshot_metrics`.
 
 Fused hits (``docs/CHAINS.md`` §2b). A chain whose every stage
 is a libVig NF behind its action cache fires, for the turn's maximal
@@ -73,7 +71,6 @@ from repro.nat.fastpath import FastPathNat, check_fastpath
 from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault
 from repro.net.mbuf import Mbuf
 from repro.obs import flight
-from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, with_labels
 from repro.packets.headers import Packet
 from repro.resil.checkpoint import CheckpointError, CheckpointSet, snapshot
@@ -126,8 +123,6 @@ class ChainSpec:
     rx_capacity: int = 512
     pool_size: int = 4096
     fault_plan: Optional[object] = None
-    #: Bounded per-stage truth-log ring (always recording).
-    truth_log_capacity: int = 256
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -141,8 +136,6 @@ class ChainSpec:
             raise ValueError("burst size must be positive")
         if self.rx_capacity <= 0 or self.pool_size <= 0:
             raise ValueError("rx capacity and pool size must be positive")
-        if self.truth_log_capacity <= 0:
-            raise ValueError("truth log capacity must be positive")
 
     def with_(self, **overrides) -> "ChainSpec":
         """A varied copy — ``spec.with_(fastpath="compiled")``."""
@@ -152,7 +145,7 @@ class ChainSpec:
 class ChainRuntime:
     """A launched service chain, driven like any other runtime.
 
-    See the module docstring for the one substrate, topology, truth logs,
+    See the module docstring for the one substrate, topology, tracing,
     fused hits and the checkpoint contract. ``runtime`` is the chain's
     ``DpdkRuntime`` (wire ports and pool); ``engines[i]`` is stage
     ``i``'s NF. ``workers`` reports the number of stages.
@@ -188,11 +181,9 @@ class ChainRuntime:
         self._entries = (rights[0], lefts[n])
         # Buffers leaving on chain port 0 / 1 at the end of the turn.
         self._exits: List[List[Mbuf]] = [[], []]
-        # Truth logs + chain_stage_* counter state.
-        self.stage_logs = [
-            FlightRecorder(spec.truth_log_capacity, detail_unit="dev")
-            for _ in range(n)
-        ]
+        # chain_stage_* counter state; the turn's trace call, None while
+        # the global recorder is off.
+        self._trace = None
         self._stage_rx = [0] * n
         self._stage_tx = [0] * n
         self._stage_misroute = [0] * n
@@ -234,10 +225,6 @@ class ChainRuntime:
     def workers(self) -> int:
         """Stages in the chain (each stage is one worker slot)."""
         return len(self.stages)
-
-    def stage_truth(self, index: int) -> FlightRecorder:
-        """Stage ``index``'s bounded truth log (always recording)."""
-        return self.stage_logs[index]
 
     def stage_names(self) -> List[str]:
         return [stage.name for stage in self.stages]
@@ -318,17 +305,21 @@ class ChainRuntime:
         back in the pool. Frames whose every stage would hit are fired
         as fused hits first (module docstring) and carried by the sweeps;
         when every arrival fused, nothing else can move, so each group is
-        carried straight along its path instead, the same records in the
-        same order without the sweeps' cost (``docs/CHAINS.md`` §2b).
+        carried straight along its path instead, the same counts without
+        the sweeps' cost (``docs/CHAINS.md`` §2b). With the global
+        recorder active the turn is staged and traced.
         """
         burst = burst_size if burst_size is not None else self.spec.burst_size
         if burst <= 0:
             raise ValueError("burst size must be positive")
+        # One recorder fetch per turn, as in DpdkRuntime.main_loop_burst.
+        recorder = obs.recorder()
+        self._trace = recorder.trace if recorder.active else None
         fuse = (
             self._fusing
+            and self._trace is None
             and not any(self._down)
             and all(now_us >= nf.clock for nf in self._nfs)
-            and not obs.recorder().active
             and not any(batch for queues in self._pending for batch in queues.values())
         )
         for port, (index, device) in enumerate(self._entries):
@@ -340,7 +331,7 @@ class ChainRuntime:
                 group = self._waiting[index].pop(device, None)
                 while group is not None and index is not None:
                     processed += len(group)
-                    index, device = self._pass(index, device, group, now_us)
+                    index, device = self._pass(index, device, group)
         else:
             last = len(self.stages) - 1
             processed = self._sweep(range(last + 1), now_us, burst)
@@ -354,7 +345,8 @@ class ChainRuntime:
     def _enqueue(self, index: int, device: int, mbuf: Mbuf) -> None:
         self._pending[index][device].append(mbuf)
         self._stage_rx[index] += 1
-        self.stage_logs[index].record(flight.RX, mbuf.timestamp, index, detail=device)
+        if self._trace is not None:
+            self._trace(flight.RX, mbuf.timestamp, index, detail=device)
 
     def _sweep(self, order, now_us: int, burst: int) -> int:
         processed = 0
@@ -371,15 +363,13 @@ class ChainRuntime:
                 continue
             # A failed stage with no promoted standby blackholes its
             # traffic — the measured disruption scenarios count on it.
-            for _device, batch in ready:
+            trace = self._trace
+            for device, batch in ready:
                 self._stage_killed[i] += len(batch)
                 for mbuf in batch:
-                    self.stage_logs[i].record(
-                        flight.DROP,
-                        t_us=mbuf.timestamp,
-                        worker=i,
-                        reason=flight.REASON_WORKER_KILL,
-                    )
+                    if trace is not None:
+                        reason = flight.REASON_WORKER_KILL
+                        trace(flight.DROP, mbuf.timestamp, i, reason, device)
                     self.runtime.free(mbuf)
         return processed
 
@@ -395,7 +385,7 @@ class ChainRuntime:
             group = waiting[index].pop(device, None)
             if group is not None:
                 processed += len(group)
-                target, arrive = self._pass(index, device, group, now_us)
+                target, arrive = self._pass(index, device, group)
                 if target is not None:
                     waiting[target][arrive] = group
             processed += len(batch)
@@ -422,19 +412,16 @@ class ChainRuntime:
         return processed
 
     def _route(self, index: int, port: int, mbuf: Mbuf) -> None:
-        ts = mbuf.timestamp
+        trace = self._trace
         self._stage_tx[index] += 1
-        self.stage_logs[index].record(flight.TX, ts, index, detail=port)
+        if trace is not None:
+            trace(flight.TX, mbuf.timestamp, index, detail=port)
         hop = self._hops[index].get(port)
         if hop is None:
             self._stage_misroute[index] += 1
-            self.stage_logs[index].record(
-                flight.DROP,
-                t_us=ts,
-                worker=index,
-                reason=flight.REASON_CHAIN_MISROUTE,
-                detail=port,
-            )
+            if trace is not None:
+                reason = flight.REASON_CHAIN_MISROUTE
+                trace(flight.DROP, mbuf.timestamp, index, reason, port)
             self.runtime.free(mbuf)
             return
         target, device = hop
@@ -445,13 +432,14 @@ class ChainRuntime:
             self._handoffs += 1
             self._pending[target][device].append(mbuf)
             self._stage_rx[target] += 1
-            self.stage_logs[target].record(flight.RX, ts, target, detail=device)
+            if trace is not None:
+                trace(flight.RX, mbuf.timestamp, target, detail=device)
 
     # -- fused hits (every stage a fast-path cache) ------------------------------
     def _fuse(self, now: int, burst: int) -> bool:
         """Fire the turn's fusable prefix — port 0's arrivals, then port
         1's, up to the first frame without a live entry — doing each
-        frame's stage work but its records and handoffs (:meth:`_pass`).
+        frame's stage work but its counts and handoffs (:meth:`_pass`).
         True when that left nothing pending."""
         entries = self._entries
         pending = self._pending
@@ -538,26 +526,20 @@ class ChainRuntime:
                         if not held:
                             del owners[held_at][stage_key]
 
-    def _pass(self, index: int, device: int, group: List[Mbuf], now: int):
-        """A fused group crosses stage ``index``: for each frame the
-        records and counters :meth:`_route` writes. Returns the hop the
-        group takes next; out a chain port, it has left."""
+    def _pass(self, index: int, device: int, group: List[Mbuf]):
+        """A fused group crosses stage ``index``: the counts :meth:`_route`
+        adds for its frames. Returns the hop the group takes next; out a
+        chain port, it has left."""
         stage = self.stages[index]
         emit = stage.device_b if device == stage.device_a else stage.device_a
         count = len(group)
         self._stage_tx[index] += count
-        record, tx = self.stage_logs[index].record, flight.TX
-        for _ in group:
-            record(tx, now, index, detail=emit)
         hop = target, arrive = self._hops[index][emit]
         if target is None:
             self._exits[arrive].extend(group)
             return hop
         self._handoffs += count
         self._stage_rx[target] += count
-        record, rx = self.stage_logs[target].record, flight.RX
-        for _ in group:
-            record(rx, now, target, detail=arrive)
         return hop
 
     # -- observability -----------------------------------------------------------

@@ -11,8 +11,8 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
   percentile extraction (p50/p99/p99.9).
 - :mod:`repro.obs.flight` — a bounded flight-recorder ring of
   per-packet trace events (rx/steer/slow-path/fastpath-hit/tx/drop
-  with reason codes) that dumps the last N events — offending packets
-  as pcap — on anomaly (drop spike, divergence, pool high-water).
+  with reason codes) that dumps the last N events, captured packets
+  as pcap.
 
 **The module-level recorder.** Per-packet *event* observability (trace
 events into the flight recorder) routes through one module-level
@@ -20,7 +20,8 @@ recorder. By default it is the no-op recorder: ``recorder().active``
 is False and data paths skip their trace calls entirely, so a sweep
 with observability off is byte-identical to one with the layer never
 imported. ``enable_observability()`` (or ``REPRO_OBS=1`` in the
-environment) swaps in a live recorder with a flight-recorder ring.
+environment; ``0``, ``false``, ``no``, ``off`` or empty, in any case,
+leave it off) swaps in a live recorder with a flight-recorder ring.
 
 Structural metrics (pool, NIC, runtime, fastpath, flow table) do not
 depend on the recorder at all: they are collected by *snapshotting* a
@@ -41,7 +42,6 @@ from repro.obs.expo import (
     write_snapshot_files,
 )
 from repro.obs.flight import (
-    AnomalyMonitor,
     FlightRecorder,
     TraceDiff,
     TraceEvent,
@@ -121,7 +121,8 @@ def disable_observability() -> None:
     _RECORDER = NULL_RECORDER
 
 
-if os.environ.get("REPRO_OBS", "0") not in ("", "0", "false", "no"):
+_SWITCH = os.environ.get("REPRO_OBS", "").strip().lower()
+if _SWITCH not in ("", "0", "false", "no", "off"):
     enable_observability()
 
 
@@ -142,7 +143,6 @@ def snapshot_of_counters(
 
 
 __all__ = [
-    "AnomalyMonitor",
     "FlightRecorder",
     "LatencyHistogram",
     "MERGE_MAX",

@@ -3,16 +3,17 @@
 Inspired by hardware flight recorders and OVS's last-N-packets
 tracing: the data path appends one compact event per interesting
 per-packet step (rx, steer, slow-path, fastpath-hit, tx, drop — with a
-reason code), the ring keeps only the last N, and on an anomaly —
-drop spike, differential divergence, pool high-water breach — the ring
-is dumped: events as JSON lines plus, for every event that captured
-frame bytes, the offending packets as a standard pcap openable in
+reason code) and the ring keeps only the last N. :meth:`FlightRecorder.dump`
+writes the retained events as JSON lines plus, for every event that
+captured frame bytes, those packets as a standard pcap openable in
 Wireshark.
 
-Recording is append-into-a-preallocated-ring: one index increment and
-one tuple store per event; the event objects are built on read. When
-observability is disabled the data path never calls in here at all
-(see :mod:`repro.obs`).
+The one ring the data paths write is the live recorder's
+(:func:`repro.obs.recorder`): every runtime, chain stages included,
+traces there and nowhere else. Recording is append-into-a-preallocated-
+ring: one index increment and one tuple store per event; the event
+objects are built on read. When observability is disabled the data
+path never calls in here at all (see :mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ FAILOVER = "failover"
 
 STAGES = (RX, STEER, SLOW_PATH, FASTPATH_HIT, TX, DROP, REPLICATE, FAILOVER)
 
-# -- drop/anomaly reason codes ----------------------------------------------
+# -- drop reason codes ----------------------------------------------
 REASON_NONE = ""
 REASON_NF_DROP = "nf-drop"
 REASON_RING_FULL = "rx-ring-full"
 REASON_NO_MBUF = "rx-no-mbuf"
-REASON_DIVERGENCE = "divergence"
-REASON_DROP_SPIKE = "drop-spike"
-REASON_POOL_HIGH_WATER = "pool-high-water"
 REASON_LINK_FAULT = "link-fault"
 REASON_WORKER_KILL = "worker-kill"
 REASON_REPLICATION_LOSS = "replication-loss"
@@ -80,19 +78,18 @@ class TraceEvent:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of trace events with anomaly dumping.
+    """Bounded ring buffer of trace events, dumpable to disk.
 
     The ring holds plain tuples; a :class:`TraceEvent` is built when
     someone reads (:meth:`last`, :meth:`dump`), never per packet. A
     call site that names a port or device passes the number as
-    ``detail`` and the read renders it ``"<detail_unit> N"``.
+    ``detail`` and the read renders it ``"port N"``.
     """
 
-    def __init__(self, capacity: int = 1024, detail_unit: str = "port") -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.detail_unit = detail_unit
         #: (t_us, worker, stage, reason, detail, wire) at slot seq % capacity.
         self._ring: List[Optional[tuple]] = [None] * capacity
         self._next_seq = 0
@@ -125,21 +122,20 @@ class FlightRecorder:
         retained = len(self)
         if n is None or n > retained:
             n = retained
-        unit = self.detail_unit
         events = []
         for seq in range(self._next_seq - n, self._next_seq):
             t_us, worker, stage, reason, detail, wire = self._ring[seq % self.capacity]
             if type(detail) is int:
-                detail = f"{unit} {detail}"
+                detail = f"port {detail}"
             events.append(TraceEvent(seq, t_us, worker, stage, reason, detail, wire))
         return events
 
-    # -- anomaly dumping ----------------------------------------------------
+    # -- dumping ------------------------------------------------------------
     def dump(self, directory, tag: str, reason: str) -> Dict[str, str]:
         """Write the retained events under ``directory``; returns paths.
 
         ``<tag>.trace.jsonl`` holds one JSON object per event (newest
-        last) with a header line naming the anomaly; every event that
+        last) with a header line naming ``reason``; every event that
         captured frame bytes also lands in ``<tag>.pcap`` with its
         event time as the capture timestamp.
         """
@@ -164,65 +160,6 @@ class FlightRecorder:
             paths["pcap"] = str(pcap_path)
         self.dumps += 1
         return paths
-
-
-class AnomalyMonitor:
-    """Watches drop counts and pool high-water, dumps the ring on breach.
-
-    The monitor is fed observations (not wired to any component), so
-    every layer can share one: the runtime reports drops after each
-    main-loop turn, the pool reports its high-water mark, and the
-    differential harnesses report divergence directly. Each anomaly
-    class dumps at most once per monitor, so a sustained breach cannot
-    flood the dump directory.
-    """
-
-    def __init__(
-        self,
-        recorder: FlightRecorder,
-        dump_dir,
-        *,
-        drop_spike_threshold: int = 100,
-        pool_high_water_fraction: float = 0.9,
-    ) -> None:
-        self.recorder = recorder
-        self.dump_dir = dump_dir
-        self.drop_spike_threshold = drop_spike_threshold
-        self.pool_high_water_fraction = pool_high_water_fraction
-        self._fired: Dict[str, Dict[str, str]] = {}
-
-    @property
-    def anomalies(self) -> Dict[str, Dict[str, str]]:
-        """Anomalies seen so far: reason → dump paths."""
-        return dict(self._fired)
-
-    def _fire(self, reason: str, detail: str) -> Optional[Dict[str, str]]:
-        if reason in self._fired:
-            return None
-        self.recorder.record(DROP, reason=reason, detail=detail)
-        paths = self.recorder.dump(self.dump_dir, reason, detail)
-        self._fired[reason] = paths
-        return paths
-
-    def observe_drops(self, dropped_in_window: int) -> Optional[Dict[str, str]]:
-        if dropped_in_window >= self.drop_spike_threshold:
-            return self._fire(
-                REASON_DROP_SPIKE,
-                f"{dropped_in_window} drops in one window "
-                f"(threshold {self.drop_spike_threshold})",
-            )
-        return None
-
-    def observe_pool(self, high_water: int, capacity: int) -> Optional[Dict[str, str]]:
-        if capacity > 0 and high_water >= capacity * self.pool_high_water_fraction:
-            return self._fire(
-                REASON_POOL_HIGH_WATER,
-                f"high water {high_water} of {capacity} buffers",
-            )
-        return None
-
-    def observe_divergence(self, detail: str) -> Optional[Dict[str, str]]:
-        return self._fire(REASON_DIVERGENCE, detail)
 
 
 # -- differential trace diff -------------------------------------------------
@@ -282,17 +219,13 @@ __all__ = [
     "STEER",
     "TX",
     "REASON_CHAIN_MISROUTE",
-    "REASON_DIVERGENCE",
-    "REASON_DROP_SPIKE",
     "REASON_LINK_FAULT",
     "REASON_NF_DROP",
     "REASON_NO_MBUF",
     "REASON_NONE",
-    "REASON_POOL_HIGH_WATER",
     "REASON_REPLICATION_LOSS",
     "REASON_RING_FULL",
     "REASON_WORKER_KILL",
-    "AnomalyMonitor",
     "FlightRecorder",
     "TraceDiff",
     "TraceEvent",

@@ -145,6 +145,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.nat.limiter import LimiterConfig, VigLimiter  # noqa: E402
 from repro.obs import flight  # noqa: E402
+from repro.obs.expo import sample_value  # noqa: E402
 from repro.packets.headers import Packet  # noqa: E402
 from tests.nat.cache_invariant import assert_fused_within_live_flows  # noqa: E402
 
@@ -231,7 +232,7 @@ class Chains:
 
     ``fused`` (compiled) is under test. ``staged`` is the same chain
     with fusion switched off, the path every fused frame must equal:
-    wire, state, counters and truth logs. ``off`` is the slow path:
+    wire, state, counters and each stage's hop counts. ``off`` is the slow path:
     wire."""
 
     def __init__(self, swapped):
@@ -307,10 +308,12 @@ class Chains:
         assert_fused_within_live_flows(fused, self.probes)
         for index, ops in enumerate(fused.per_stage_counters()):
             self.drift[index] += ops.get("map_probes", 0) - probes[index]
-        for index in range(3):
-            assert [e.to_dict() for e in fused.stage_truth(index).last()] == [
-                e.to_dict() for e in staged.stage_truth(index).last()
-            ]
+        hops = [chain.snapshot_metrics() for chain in (fused, staged)]
+        for index, name in enumerate(fused.stage_names()):
+            labels = {"stage": str(index), "stage_name": name}
+            for metric in ("chain_stage_rx_total", "chain_stage_tx_total"):
+                counts = [sample_value(snap, metric, labels) for snap in hops]
+                assert counts[0] == counts[1], (metric, index)
         ops = [chain.op_counters() for chain in self.chains]
         assert ops[0].pop("fused") >= 0
         assert all(other.pop("fused") == 0 for other in ops[1:])
@@ -401,7 +404,8 @@ def test_fused_hits_are_the_staged_path(swapped, schedule):
 
 def test_a_traced_turn_traces_every_stage_hit():
     # With the global recorder on, a turn is staged: its trace is the
-    # staged path's, one FASTPATH_HIT per stage and frame.
+    # staged path's, one FASTPATH_HIT and one chain RX/TX pair per stage
+    # and frame.
     chains = Chains(swapped=False)
     try:
         for step in WARM:
@@ -422,8 +426,9 @@ def test_a_traced_turn_traces_every_stage_hit():
             chain.collect()
             traces.append([event.to_dict() for event in recorder.flight.last()])
         assert traces[0] == traces[1]
-        hits = [event for event in traces[0] if event["stage"] == flight.FASTPATH_HIT]
-        assert len(hits) == 3 * len(wire)
+        stages = [event["stage"] for event in traces[0]]
+        for stage in (flight.FASTPATH_HIT, flight.RX, flight.TX):
+            assert stages.count(stage) == 3 * len(wire)
     finally:
         chains.stop()
 

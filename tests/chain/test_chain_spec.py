@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.chain import (
     ChainRuntime,
     ChainSpec,
@@ -81,7 +82,6 @@ class TestSpecValidation:
             ("burst_size", 0),
             ("rx_capacity", 0),
             ("pool_size", -1),
-            ("truth_log_capacity", 0),
         ]:
             with pytest.raises(ValueError):
                 ChainSpec(stages=(noop_stage(),), **{field: value})
@@ -96,6 +96,14 @@ class TestSpecValidation:
     def test_stages_coerced_to_tuple(self):
         spec = ChainSpec(stages=[noop_stage()])
         assert isinstance(spec.stages, tuple)
+
+
+@pytest.fixture
+def traced():
+    """The global recorder, live for one test."""
+    recorder = obs.enable_observability()
+    yield recorder.flight
+    obs.disable_observability()
 
 
 class TestChainRuntime:
@@ -187,33 +195,37 @@ class TestChainRuntime:
         finally:
             chain.stop()
 
-    def test_truth_logs_record_every_stage_hop(self):
+    def test_traces_record_every_stage_hop(self, traced):
         spec = ChainSpec(stages=(noop_stage("a"), noop_stage("b")))
         chain = launch_chain(spec)
         try:
             chain.inject(0, make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), 5)
             chain.main_loop_burst(5)
-            for index in range(2):
-                stages = [e.stage for e in chain.stage_truth(index).last()]
-                assert stages == [flight.RX, flight.TX]
-                assert all(e.worker == index for e in chain.stage_truth(index).last())
+            hops = [(e.worker, e.stage) for e in traced.last()]
+            assert hops == [
+                (0, flight.RX), (0, flight.TX), (1, flight.RX), (1, flight.TX)
+            ]
         finally:
             chain.stop()
 
-    def test_truth_log_is_bounded(self):
-        spec = ChainSpec(stages=(noop_stage(),), truth_log_capacity=4)
-        chain = launch_chain(spec)
+    def test_down_stage_traces_worker_kill(self, traced):
+        chain = launch_chain(ChainSpec(stages=(noop_stage("a"), noop_stage("b"))))
         try:
-            for i in range(8):
-                chain.inject(0, make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), i)
-            chain.main_loop_burst(10)
-            log = chain.stage_truth(0)
-            assert len(log.last()) == 4
-            assert log.recorded_total == 16  # 8 rx + 8 tx
+            chain.fail_stage(1)
+            chain.inject(0, make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), 5)
+            chain.main_loop_burst(5)
+            assert chain.collect() == []
+            assert chain.drop_causes()["chain_stage_killed"] == 1
+            assert [e.to_dict() for e in traced.last()][-2:] == [
+                {"seq": 2, "t_us": 5, "worker": 1, "stage": flight.RX,
+                 "detail": "port 0"},
+                {"seq": 3, "t_us": 5, "worker": 1, "stage": flight.DROP,
+                 "reason": flight.REASON_WORKER_KILL, "detail": "port 0"},
+            ]
         finally:
             chain.stop()
 
-    def test_misroute_is_dropped_counted_and_logged(self):
+    def test_misroute_is_dropped_counted_and_logged(self, traced):
         # A stage whose declared devices disagree with where its NF
         # actually emits: the noop forwards 0<->1 but the stage claims
         # its outward side is device 3.
@@ -227,14 +239,11 @@ class TestChainRuntime:
             assert chain.collect() == []
             assert chain.op_counters()["misroutes"] == 1
             assert chain.drop_causes()["chain_misroute"] == 1
-            drops = [
-                e
-                for e in chain.stage_truth(0).last()
-                if e.stage == flight.DROP
-            ]
+            drops = [e for e in traced.last() if e.stage == flight.DROP]
             assert len(drops) == 1
+            assert drops[0].worker == 0
             assert drops[0].reason == flight.REASON_CHAIN_MISROUTE
-            assert drops[0].detail == "dev 1"
+            assert drops[0].detail == "port 1"
         finally:
             chain.stop()
 
@@ -351,9 +360,9 @@ class TestChainRuntime:
         finally:
             chain.stop()
 
-    def test_truth_log_reads_back_as_it_always_did(self):
-        # The ring stores tuples and the device as an int; what a reader
-        # sees is unchanged — same stages, workers and "dev N" strings.
+    def test_stage_hops_read_back_per_stage(self, traced):
+        # Each stage's hops, picked out of the one ring by worker, read
+        # back with the stage-local device as "port N".
         chain = launch_chain(default_chain_spec(max_flows=64))
         try:
             chain.inject(0, make_udp_packet("10.0.0.1", "203.0.113.9", 1, 2000), 10)
@@ -364,22 +373,18 @@ class TestChainRuntime:
             )
             chain.inject(1, reply, 20)
             chain.main_loop_burst(20)
+            events = traced.last()
+            assert traced.recorded_total == 12
+            assert [e.seq for e in events] == list(range(12))
             for index in range(3):
-                log = chain.stage_truth(index)
-                assert log.recorded_total == 4
-                assert [event.to_dict() for event in log.last()] == [
-                    {"seq": seq, "t_us": t, "worker": index, "stage": stage,
-                     "detail": detail}
-                    for seq, (t, stage, detail) in enumerate(
-                        [
-                            (10, flight.RX, "dev 0"),
-                            (10, flight.TX, "dev 1"),
-                            (20, flight.RX, "dev 1"),
-                            (20, flight.TX, "dev 0"),
-                        ]
-                    )
+                assert [
+                    (e.t_us, e.stage, e.detail) for e in events if e.worker == index
+                ] == [
+                    (10, flight.RX, "port 0"),
+                    (10, flight.TX, "port 1"),
+                    (20, flight.RX, "port 1"),
+                    (20, flight.TX, "port 0"),
                 ]
-                assert [e.seq for e in log.last(2)] == [2, 3]
         finally:
             chain.stop()
 

@@ -1,13 +1,12 @@
-"""The flight recorder: ring wraparound, anomaly dumps, trace diffs."""
+"""The flight recorder: ring wraparound, dumps, trace diffs, one ring."""
 
+import ast
 import json
+from pathlib import Path
 
+import repro
 from repro.obs import flight
-from repro.obs.flight import (
-    AnomalyMonitor,
-    FlightRecorder,
-    first_divergence,
-)
+from repro.obs.flight import FlightRecorder, first_divergence
 from repro.packets.builder import make_udp_packet
 from repro.packets.pcap import read_pcap_file
 
@@ -38,11 +37,11 @@ def test_dump_writes_trace_and_pcap(tmp_path):
     recorder.record(
         flight.DROP, t_us=6, worker=1, reason=flight.REASON_NF_DROP, wire=wire
     )
-    paths = recorder.dump(tmp_path, "incident", flight.REASON_DROP_SPIKE)
+    paths = recorder.dump(tmp_path, "incident", "drop-spike")
 
     lines = (tmp_path / "incident.trace.jsonl").read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["anomaly"] == flight.REASON_DROP_SPIKE
+    assert header["anomaly"] == "drop-spike"
     assert header["events"] == 2
     events = [json.loads(line) for line in lines[1:]]
     assert [e["stage"] for e in events] == [flight.RX, flight.DROP]
@@ -59,31 +58,25 @@ def test_dump_writes_trace_and_pcap(tmp_path):
 def test_dump_without_wire_events_skips_pcap(tmp_path):
     recorder = FlightRecorder(capacity=4)
     recorder.record(flight.TX)
-    paths = recorder.dump(tmp_path, "plain", flight.REASON_DROP_SPIKE)
+    paths = recorder.dump(tmp_path, "plain", "drop-spike")
     assert "pcap" not in paths
     assert not (tmp_path / "plain.pcap").exists()
 
 
-def test_anomaly_monitor_fires_each_class_once(tmp_path):
-    recorder = FlightRecorder(capacity=8)
-    recorder.record(flight.RX)
-    monitor = AnomalyMonitor(recorder, tmp_path, drop_spike_threshold=10)
-
-    assert monitor.observe_drops(5) is None
-    first = monitor.observe_drops(50)
-    assert first is not None
-    # The same class never floods the dump directory.
-    assert monitor.observe_drops(500) is None
-
-    assert monitor.observe_pool(high_water=5, capacity=100) is None
-    assert monitor.observe_pool(high_water=95, capacity=100) is not None
-    assert monitor.observe_divergence("outputs differ at #3") is not None
-    assert set(monitor.anomalies) == {
-        flight.REASON_DROP_SPIKE,
-        flight.REASON_POOL_HIGH_WATER,
-        flight.REASON_DIVERGENCE,
-    }
-    assert recorder.dumps == 3
+def test_only_repro_obs_builds_a_flight_recorder():
+    # One event path: every data path traces into obs.recorder()'s ring,
+    # so no module outside repro.obs constructs a ring of its own.
+    package = Path(repro.__file__).parent
+    builders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package).parts[0] == "obs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "FlightRecorder" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                builders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert builders == []
 
 
 def test_first_divergence_none_when_identical():
