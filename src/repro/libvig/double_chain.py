@@ -234,7 +234,8 @@ class DoubleChain:
         seen = set()
         previous_time = None
         for index, time in cells:
-            self._check_index(index)
+            if not 0 <= index < self.index_range:
+                raise ValueError(f"index {index} out of range [0, {self.index_range})")
             if index in seen:
                 raise ValueError(f"index {index} appears twice in the chain")
             seen.add(index)

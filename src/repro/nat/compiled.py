@@ -36,14 +36,12 @@ What makes the compilation sound:
   with the frame. The fixed offsets
   below are therefore the fields they name, and a splice of fixed-width
   fields leaves the output canonical too.
-- **First-hit verification backstops the compiler.** The caller
-  (``FastPathNat``) compiles a flow's closure on the flow's first
-  wire-backed hit and, before attaching it to the flow's action,
-  byte-compares its output against what the slow path emitted: on the
-  learn's own frame when that was wire-backed (the action's
-  ``witness``: the frame's image and the verified slow path's bytes for
-  it), else on the triggering frame against its object replay. A
-  miscompiled closure is never installed.
+- **Verification backstops the compiler.** Before attaching a closure
+  to a flow's action, the caller (``FastPathNat``) byte-compares its
+  output against what the slow path emitted: at a learn from a
+  wire-backed frame, on that frame against the verified slow path's
+  own bytes; else on the flow's first wire-backed hit, against that
+  frame's object replay. A miscompiled closure is never installed.
 
 A closure lives on its flow's action and the action lives exactly as
 long as the flow, so a hit checks nothing before firing one.

@@ -35,10 +35,11 @@ from repro.packets.headers import Packet
 class PacketView:
     """Adapter exposing a concrete packet's fields to the stateless code."""
 
-    __slots__ = ("packet",)
+    __slots__ = ("packet", "_flow_id")
 
     def __init__(self, packet: Packet) -> None:
         self.packet = packet
+        self._flow_id = None
 
     @property
     def ethertype(self) -> int:
@@ -82,7 +83,9 @@ class PacketView:
         return self.packet.dst_port
 
     def flow_id(self) -> FlowId:
-        return flow_id_of_packet(self.packet)
+        if self._flow_id is None:  # extracted once, however often asked
+            self._flow_id = flow_id_of_packet(self.packet)
+        return self._flow_id
 
 
 class ConcreteEnv:
@@ -96,10 +99,11 @@ class ConcreteEnv:
 
     A subclass aliases :meth:`expire` to the name its loop calls
     (``expire_flows = ConcreteEnv.expire``) and adds its table
-    operations over ``self._nf``.
+    operations over ``self._nf``; a flow table's get and create record
+    the index they resolved in ``index``.
     """
 
-    __slots__ = ("_nf", "_packet", "_now", "_expiry_done", "outputs")
+    __slots__ = ("_nf", "_packet", "_now", "_expiry_done", "outputs", "index")
 
     def __init__(self, nf, packet: Packet, now: int = 0) -> None:
         self._nf = nf
@@ -107,6 +111,7 @@ class ConcreteEnv:
         self._now = now
         self._expiry_done = False
         self.outputs: List[Packet] = []
+        self.index = None
 
     def rebind(self, packet: Packet) -> None:
         """Point the env at the next packet of the burst."""
@@ -172,10 +177,11 @@ class LibvigNf(NetworkFunction):
     burst, exactly what :class:`ConcreteEnv` amortises) and every hit
     rejuvenates its entry, or sustained fast-path traffic would let live
     flows expire. A subclass opts in by naming ``LIFETIME``, answering
-    ``fastpath_hooks()`` with itself and writing ``learn_token(packet)``
-    and ``_freed_keys(index)``; its ``_expire`` hands ``_flow_freed`` to
-    the scan as the per-index observer, called *before* the entry is
-    erased — still readable, its index and port not yet reallocated.
+    ``fastpath_hooks()`` with itself and writing ``_lookup(packet)`` (or
+    ``learn_token``) and ``_freed_keys(index)``; its ``_expire`` hands
+    ``_flow_freed`` to the scan as the per-index observer, called
+    *before* the entry is erased — still readable, its index and port
+    not yet reallocated.
     """
 
     LOOP: Callable[..., None]
@@ -203,6 +209,9 @@ class LibvigNf(NetworkFunction):
         #: The microflow cache's per-index entry-freed observer (set
         #: through :meth:`on_flow_freed`); None when unwrapped.
         self._flow_freed = None
+        #: ``(packet, index)``: the index the last :meth:`process` resolved,
+        #: until :meth:`learn_token` takes it or the table may change.
+        self._handover = None
 
     def _clamp_now(self, now: int) -> int:
         """Monotonic clock at the concrete-env boundary.
@@ -230,6 +239,7 @@ class LibvigNf(NetworkFunction):
         """One loop iteration: expire, update, forward (Fig. 6)."""
         env = self.ENV(self, packet, self._clamp_now(now))
         self.LOOP(env, self.config)
+        self._handover = (packet, env.index)
         return env.outputs
 
     def process_burst(
@@ -245,6 +255,7 @@ class LibvigNf(NetworkFunction):
         """
         now = self._clamp_now(now)
         self._note_burst(len(packets))
+        self._handover = None
         if not packets:
             return []
         env = self.ENV(self, packets[0], now)
@@ -273,8 +284,17 @@ class LibvigNf(NetworkFunction):
         guard): the oldest timestamp still alive at ``now``."""
         now = self._clamp_now(now)
         lifetime = getattr(self.config, self.LIFETIME)
+        self._handover = None
         self._expire(now - lifetime + 1 if now >= lifetime else 0)
         return now
+
+    def learn_token(self, packet: Packet):
+        """The index ``packet``'s flow holds, or None: the slow path's own
+        lookup when it was ``packet``'s (``_handover``), else asked."""
+        handover, self._handover = self._handover, None
+        if handover is not None and handover[0] is packet:
+            return handover[1]
+        return self._lookup(packet)
 
     def rejuvenate(self, token: int, now: int) -> None:
         self._chain.rejuvenate_index(token, now)
@@ -310,8 +330,12 @@ class LibvigNf(NetworkFunction):
         seen = set()
         entries = []
         for index, _touched, *rest in rows:
-            key, entry = self._parse_row(index, rest)
-            if key in seen:
+            try:
+                key, entry = self._parse_row(index, rest)
+                repeated = key in seen
+            except TypeError as exc:
+                raise ValueError(f"{self.ROWS}: malformed row {rest!r}") from exc
+            if repeated:
                 raise ValueError(
                     f"{self.ROWS}: {key!r} appears twice in checkpoint"
                 )
@@ -322,10 +346,10 @@ class LibvigNf(NetworkFunction):
     def restore_state(self, state: Dict) -> None:
         """Rebuild libVig state from a checkpoint payload, validated first.
 
-        All checks run before any structure is mutated: the NF's own
-        per-row invariants and key uniqueness (:meth:`_parse_rows`), then
-        the chain's — cells age-ordered with distinct in-range indices
-        (:meth:`DoubleChain.restore_cells`).
+        All checks run before any structure is mutated: its shape (ints
+        in lists), the NF's own per-row invariants and key uniqueness
+        (:meth:`_parse_rows`), then the chain's — cells age-ordered with
+        distinct in-range indices (:meth:`DoubleChain.restore_cells`).
 
         The restored clock (``_last_now``) is the checkpoint's when it
         carries one, floored at the newest row's timestamp — so a
@@ -336,11 +360,29 @@ class LibvigNf(NetworkFunction):
         if self._chain.size():
             raise ValueError("restore_state requires a freshly constructed NF")
         rows = state.get(self.ROWS, [])
+        counters = state.get("counters", {})
+        if not (
+            type(rows) is list
+            and all(_ints(row, 2) and _ints(row[:2], 1) for row in rows)
+            and _ints(state.get("free_list", []), 1)
+            and type(state.get("last_now_us", 0)) is int
+            and type(counters) is dict
+            and _ints(list(counters.values()), 1)
+        ):
+            raise ValueError(f"malformed {type(self).__name__} checkpoint state")
         entries = self._parse_rows(rows)
         cells = [(row[0], row[1]) for row in rows]
         self._chain.restore_cells(cells, state.get("free_list"))
+        self._handover = None
         for index, entry in entries:
             self._adopt(index, entry)
         newest = cells[-1][1] if cells else 0
-        self._last_now = max(int(state.get("last_now_us", 0)), newest)
+        self._last_now = max(state.get("last_now_us", 0), newest)
         self._restore_counters(state)
+
+
+def _ints(value, depth: int) -> bool:
+    """A list of ints (never bools) or of such lists, ``depth`` deep."""
+    return type(value) is list and all(
+        type(item) is int or depth > 1 and _ints(item, depth - 1) for item in value
+    )

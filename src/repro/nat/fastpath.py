@@ -10,10 +10,11 @@ that action without touching the flow table.
 The cache is strictly an equivalence-preserving memoization; three
 mechanisms enforce it:
 
-- **Self-verifying learn.** A candidate action is applied to a clone of
-  the triggering packet and cached only if the result is byte-identical
-  (``wire_bytes``) to what the slow path actually emitted. A wrong
-  action is never cached in the first place.
+- **Self-verifying learn.** A candidate action is cached only if it
+  reproduces byte for byte (``wire_bytes``) what the slow path actually
+  emitted — on a wire-backed frame its compiled closure, else its
+  object replay; a replay path left unchecked serves nothing until the
+  slow path has checked it. A wrong action never serves a packet.
 - **An action lives exactly as long as its flow.** The wrapped NF's one
   flow-free routine reports a dying flow's two keys *before* it
   releases the flow's slot, and the cache drops those (at most two)
@@ -37,17 +38,15 @@ touched a header since — is rewritten by the flow's compiled closure
 (:mod:`repro.nat.compiled`) straight from image to image; no header
 object is ever built for it. A materialised packet, or any packet of an
 NF whose hooks say ``supports_raw = False``, is replayed through the
-NF's own ``apply`` hook. A closure is *earned* on a flow's first
-wire-backed hit — compiled, byte-compared against what the slow path
-emitted, then attached or rejected for good — and lives *on* the
-action, so whatever drops an action drops its closure with it. A learn
-from a wire-backed frame hands the earn its evidence: the action keeps
-the frame's image and the slow path's bytes for it (``witness``), and
-the earn checks the closure on those, so no frame is replayed or
-serialized again for it. An action with no witness (learned from a
-materialised packet, or installed by ``warm()``) is checked against the
-object replay of the triggering frame instead. Learns never compile: a
-flow that is never hit pays nothing for closures. There is no entry
+NF's own ``apply`` hook. A learn from a wire-backed frame compiles the
+closure and admits it iff it turns the frame into the slow path's bytes,
+which then leave as those bytes; the object replay of such an action
+is checked by the slow path on the flow's first materialised packet.
+Any other action (learned from a materialised packet, installed by
+``warm()``) is replay-checked and *earns* its closure on its first
+wire-backed hit, against that frame's object replay. Either way a
+closure is attached or rejected for good and lives *on* the action, so
+whatever drops an action drops its closure with it. There is no entry
 point over bare frame buffers: a frame reaches the cache only as a
 ``Packet``, so ``Packet.from_bytes`` — canonical-form check included —
 has accepted every image a closure ever sees.
@@ -58,12 +57,12 @@ now`` (clamp the clock and run the per-burst expiry scan),
 ``on_flow_freed(observer)`` (the NF calls ``observer(keys)`` with a
 flow's forward and reply keys when it frees that flow),
 ``learn_token(packet) -> token | None`` (NF state handle used to keep
-the flow alive), ``rejuvenate(token, now)``, and ``apply(packet,
-action) -> Packet`` (the NF's own rewrite code, so NF quirks —
-including deliberate ones — are reproduced exactly).
-:class:`~repro.nat.concrete.LibvigNf` supplies all but ``learn_token``
-for a table NF; :func:`repro.net.dpdk.build_nf` alone decides who gets
-wrapped.
+the flow alive; an exact query), ``rejuvenate(token, now)``, and
+``apply(packet, action) -> Packet`` (the NF's own rewrite code, so NF
+quirks — including deliberate ones — are reproduced exactly).
+:class:`~repro.nat.concrete.LibvigNf` supplies all of it for a table NF
+but the lookup behind ``learn_token``; :func:`repro.net.dpdk.build_nf`
+alone decides who gets wrapped.
 """
 
 from __future__ import annotations
@@ -100,11 +99,12 @@ class CachedAction:
     rewrote to (None = that endpoint untouched), exactly the arguments
     its own rewrite helpers receive. ``closure`` is the same rewrite
     compiled for wire images (:func:`~repro.nat.compiled.compile_action`):
-    None until the flow's first wire-backed hit tries to earn one, then
-    the byte-verified closure — or False, for good, when its output
-    diverged from what the slow path emitted. ``witness`` is the learn's
-    evidence for that check, ``(image, emitted bytes)``, kept only when
-    the learn frame was wire-backed and cleared by the earn.
+    the byte-verified closure, False for good when its output diverged
+    from what the slow path emitted, or None until the flow's first
+    wire-backed hit earns one (an action not learned from a wire-backed
+    frame). ``replay_ok`` says whether the object replay (the hooks'
+    ``apply``) may serve the flow's materialised packets: True once
+    verified, False for good once it diverged, None while unchecked.
     """
 
     src: Optional[Tuple[int, int]]
@@ -112,7 +112,7 @@ class CachedAction:
     out_device: int
     token: Any
     closure: Union[Callable[..., bytes], None, bool] = None
-    witness: Optional[Tuple[bytes, bytes]] = None
+    replay_ok: Optional[bool] = True
 
 
 def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
@@ -169,10 +169,10 @@ _COUNTERS = (
     ("misses", "packets that took the slow path"),
     ("invalidations", "cached actions dropped because their flow ended"),
     ("evictions", "cached actions evicted by the FIFO capacity cap"),
-    ("learns", "actions admitted after replay verification"),
+    ("learns", "actions admitted after byte verification"),
     (
         "learn_rejected",
-        "candidate actions whose replay diverged from the slow path",
+        "object replays that diverged from the slow path",
     ),
     ("warmed", "actions pre-installed from restored flow state"),
     ("compiles", "flow rewrites compiled into specialized closures"),
@@ -314,9 +314,9 @@ class FastPathNat(NetworkFunction):
         warmed actions are computed from flow state that
         ``restore_state`` has already validated against the NF's
         invariants, not inferred from a single packet. No closure is
-        attached: like any other action, a warmed one earns it on its
-        first wire-backed hit. Returns the number of entries installed
-        (0 when the provider cannot warm).
+        attached: like a materialised learn's, a warmed action earns it
+        on its first wire-backed hit. Returns the number of entries
+        installed (0 when the provider cannot warm).
         """
         warm_entries = getattr(self._hooks, "warm_entries", None)
         if warm_entries is None:
@@ -373,6 +373,13 @@ class FastPathNat(NetworkFunction):
         self._hits += frames
         self._compiled_hits += frames
 
+    def _replays(self, packet: Packet, action: CachedAction, outputs) -> bool:
+        """Whether the object replay of ``action`` on ``packet`` is
+        ``outputs``, the slow path's for it, byte for byte."""
+        replayed = self._hooks.apply(packet, action)
+        wire = [(out.device, out.wire_bytes()) for out in outputs]
+        return wire == [(replayed.device, replayed.wire_bytes())]
+
     def _learn(
         self,
         packet: Packet,
@@ -384,10 +391,11 @@ class FastPathNat(NetworkFunction):
 
         Only single-packet forwards are cached (drops and multi-output
         behaviors always re-consult the slow path). The candidate action
-        is verified by replay before it is admitted. ``image`` is the
-        frame the packet was before the slow path read it, if it was
-        wire-backed: the action keeps it, with the bytes the slow path
-        emitted for it, as the witness its closure is earned against.
+        is verified before it is admitted: if the packet was wire-backed
+        (``image``, read before the slow path parsed it), by its closure
+        turning ``image`` into the slow path's bytes, which then leave as
+        the output (the object replay is checked later, in ``_run``);
+        otherwise, or if the closure diverged, by its object replay.
         """
         if len(outputs) != 1:
             return
@@ -413,13 +421,20 @@ class FastPathNat(NetworkFunction):
             out_device=out.device,
             token=token,
         )
-        replayed = self._hooks.apply(packet, action)
-        emitted = out.wire_bytes()
-        if replayed.device != out.device or replayed.wire_bytes() != emitted:
+        if image is not None:
+            emitted = out.wire_bytes()
+            closure = compile_action(key, action)
+            if closure(image) == emitted:
+                self._compiles += 1
+                action.closure = closure
+                action.replay_ok = None
+                outputs[0] = Packet.from_image(emitted, out.device)
+            else:
+                self._compile_rejected += 1
+                action.closure = False
+        if not action.closure and not self._replays(packet, action, outputs):
             self._learn_rejected += 1
             return
-        if image is not None:
-            action.witness = (image, emitted)
         if key not in self._cache and len(self._cache) >= self.max_entries:
             evicted = next(iter(self._cache))
             del self._cache[evicted]
@@ -432,21 +447,15 @@ class FastPathNat(NetworkFunction):
     def _earn_closure(self, key: FlowKey, action: CachedAction, packet: Packet):
         """Compile ``action`` on its first wire-backed hit, verified.
 
-        Same discipline as the learn-time replay check: the closure's
-        output must be byte-identical to what the slow path emitted, or
-        it is never attached — the action is marked rejected and every
-        later hit keeps taking the object replay. With a witness that is
-        the learn frame and the slow path's own bytes for it; without
-        one (a materialised learn, ``warm()``) the triggering frame and
-        its object replay. Returns what was stored on the action.
+        Only an action learned from a materialised packet or installed
+        by ``warm()`` reaches this (a wire-backed learn compiles): its
+        closure's output on the triggering frame must be byte-identical
+        to that frame's object replay, or it is never attached — the
+        action is marked rejected and every later hit keeps taking the
+        object replay. Returns what was stored on the action.
         """
         closure = compile_action(key, action)
-        image, emitted = action.witness or (
-            packet.image,
-            self._hooks.apply(packet, action).wire_bytes(),
-        )
-        action.witness = None
-        if closure(image) == emitted:
+        if closure(packet.image) == self._hooks.apply(packet, action).wire_bytes():
             self._compiles += 1
         else:
             closure = False
@@ -460,7 +469,8 @@ class FastPathNat(NetworkFunction):
         ``begin_burst``.
 
         A cached action is a live flow's (``_drop_flow``), so a hit
-        fires it unconditionally.
+        fires it unconditionally. A materialised packet whose action's
+        object replay is unchecked or rejected takes the slow path.
         """
         hooks = self._hooks
         cache = self._cache
@@ -477,31 +487,37 @@ class FastPathNat(NetworkFunction):
             key = packet.flow_key()
             action = cache.get(key) if key is not None else None
             if action is not None:
-                hits += 1
-                if tracing:
-                    recorder.trace(flight.FASTPATH_HIT, t_us=now)
-                rejuvenate(action.token, now)
                 image = packet.image
+                closure = None
                 if image is not None and compiles:
                     closure = action.closure
                     if closure is None:
                         closure = self._earn_closure(key, action, packet)
+                if closure or action.replay_ok:
+                    hits += 1
+                    if tracing:
+                        recorder.trace(flight.FASTPATH_HIT, t_us=now)
+                    rejuvenate(action.token, now)
                     if closure:
                         compiled_hits += 1
                         results.append(
                             [from_image(closure(image), action.out_device)]
                         )
-                        continue
-                results.append([apply_action(packet, action)])
-                continue
+                    else:
+                        results.append([apply_action(packet, action)])
+                    continue
             misses += 1
             if tracing:
                 recorder.trace(flight.SLOW_PATH, t_us=now)
             # Read before the slow path materialises the packet.
             image = packet.image if compiles else None
             outputs = inner_process(packet, now)
-            if key is not None:
+            if action is None and key is not None:
                 self._learn(packet, key, outputs, image)
+            elif action is not None and action.replay_ok is None:
+                # Checked once: it serves from here on, or never does.
+                action.replay_ok = self._replays(packet, action, outputs)
+                self._learn_rejected += not action.replay_ok
             results.append(outputs)
         self._hits += hits
         self._misses += misses

@@ -107,16 +107,19 @@ class _ConcreteFwEnv(ConcreteEnv):
     expire_sessions = ConcreteEnv.expire
 
     def session_get_internal(self, packet) -> Optional[int]:
-        return self._nf._sessions.get_by_a(packet.flow_id())
+        self.index = index = self._nf._sessions.get_by_a(packet.flow_id())
+        return index
 
     def session_get_external(self, packet) -> Optional[int]:
-        return self._nf._sessions.get_by_b(packet.flow_id())
+        self.index = index = self._nf._sessions.get_by_b(packet.flow_id())
+        return index
 
     def session_create(self, packet, now: int) -> Optional[int]:
         index = self._nf._chain.allocate_new_index(now)
         if index is None:
             return None
         self._nf._sessions.put(index, packet.flow_id())
+        self.index = index
         return index
 
     def session_rejuvenate(self, index: int, now: int) -> None:
@@ -162,7 +165,7 @@ class VigFirewall(LibvigNf):
         """
         return self
 
-    def learn_token(self, packet: Packet) -> Optional[int]:
+    def _lookup(self, packet: Packet) -> Optional[int]:
         if packet.device == self.config.internal_device:
             return self._sessions.get_by_a(flow_id_of_packet(packet))
         if packet.device == self.config.external_device:

@@ -33,10 +33,12 @@ class _ConcreteEnv(ConcreteEnv):
     expire_flows = ConcreteEnv.expire
 
     def flow_table_get_internal(self, packet: PacketView) -> Optional[int]:
-        return self._nf._flow_table.get_by_a(packet.flow_id())
+        self.index = index = self._nf._flow_table.get_by_a(packet.flow_id())
+        return index
 
     def flow_table_get_external(self, packet: PacketView) -> Optional[int]:
-        return self._nf._flow_table.get_by_b(packet.flow_id())
+        self.index = index = self._nf._flow_table.get_by_b(packet.flow_id())
+        return index
 
     def flow_table_create(self, packet: PacketView, now: int) -> Optional[int]:
         nat = self._nf
@@ -51,6 +53,7 @@ class _ConcreteEnv(ConcreteEnv):
         sink = nat._delta_sink
         if sink is not None:
             sink(("create", index, flow, now))
+        self.index = index
         return index
 
     def flow_table_rejuvenate(self, index: int, now: int) -> None:
@@ -118,7 +121,7 @@ class VigNat(LibvigNf):
         """Opt into the microflow fast path (:mod:`repro.nat.fastpath`)."""
         return self
 
-    def learn_token(self, packet: Packet) -> Optional[int]:
+    def _lookup(self, packet: Packet) -> Optional[int]:
         flow_id = flow_id_of_packet(packet)
         if packet.device == self.config.internal_device:
             return self._flow_table.get_by_a(flow_id)

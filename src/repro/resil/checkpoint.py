@@ -95,12 +95,17 @@ class Checkpoint:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"checkpoint body is not valid JSON: {exc}") from exc
-        for key in ("nf", "taken_at_us", "config", "state"):
-            if key not in payload:
-                raise CheckpointError(f"checkpoint body missing {key!r}")
+        if type(payload) is not dict:
+            raise CheckpointError("checkpoint body is not a JSON object")
+        kinds = (("nf", str), ("taken_at_us", int), ("config", dict), ("state", dict))
+        for key, kind in kinds:
+            if type(payload.get(key)) is not kind:
+                raise CheckpointError(
+                    f"checkpoint body lacks {key!r} as a {kind.__name__}"
+                )
         return cls(
             nf=payload["nf"],
-            taken_at_us=int(payload["taken_at_us"]),
+            taken_at_us=payload["taken_at_us"],
             config=payload["config"],
             state=payload["state"],
         )

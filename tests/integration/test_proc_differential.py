@@ -36,6 +36,7 @@ from repro.nat.vignat import VigNat
 from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.net.procrun import TRANSPORTS, WorkerCrashed
 from repro.packets.builder import make_udp_packet
+from repro.packets.headers import Packet
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -100,10 +101,13 @@ def outbound_events(count, cfg, start_us=1_000):
 
 
 def drive(runtime, events, burst=8, final_now=None):
+    """Inject ``events`` as the wire-backed frames a worker parses, so
+    the oracle's NF sees the very packets the workers' NFs do."""
     pending = 0
     now = 0
     for packet, now in events:
-        runtime.inject(packet.device, packet.clone(), now)
+        frame = Packet.from_bytes(packet.wire_bytes(), packet.device)
+        runtime.inject(packet.device, frame, now)
         pending += 1
         if pending >= burst:
             runtime.main_loop_burst(now, burst)
@@ -160,8 +164,6 @@ def test_byte_identity_on_grid(name, factory, cfg_kind, fastpath, workers, trans
         reply_now = now + 100
         for worker_records in oracle_fwd:
             for _, _, _, wire in worker_records:
-                from repro.packets.headers import Packet
-
                 out = Packet.from_bytes(wire, device=1)
                 if out.ipv4.src_ip != ext_ip:
                     continue

@@ -240,7 +240,7 @@ def _drive_named_shapes(execution, fastpath, extra):
             "10.0.0.1", REMOTE, 4_000, 443, payload=b"payload!"
         ).to_bytes()
         verdicts = {}
-        for now in (1_000, 1_001, 1_002):  # learn, earn the closure, run it
+        for now in (1_000, 1_001, 1_002):  # learn the closure, run it twice
             verdicts[f"warm-{now}"] = _turn(runtime, [(0, canonical)], now)
         for name, shape in NAMED_SHAPES.items():
             now += 1
@@ -274,15 +274,18 @@ def test_named_non_canonical_shapes_on_a_compiled_flow(execution, extra):
     assert verdicts["tcp-data-offset-6"] == "TCP options are not supported"
     for name in ("trailing-padding", "short-total-length", "after"):
         assert len(verdicts[name]) == 1, name
-    # The closure was there to be misused: earned before the shapes
-    # arrived and run on the canonical frames either side of them. The
-    # two shapes that parse took the object replay instead — except in
-    # process mode, where the parent's parse-then-serialize hands the
-    # worker a canonical frame (lengths rewritten to cover the padding,
-    # exactly what the oracle's worker is handed), which it may splice.
+    # The closure was there to be misused: compiled and verified by the
+    # learn and run on the canonical frames either side of the shapes.
+    # The two shapes that parse are materialised instead: the first takes
+    # the slow path, whose output checks the object replay the learn left
+    # unchecked, and the second hits that replay — except in process
+    # mode, where the parent's parse-then-serialize hands the worker a
+    # canonical frame (lengths rewritten to cover the padding, exactly
+    # what the oracle's worker is handed), which it may splice.
     assert counters["fastpath_compiles"] == 1
     assert counters["fastpath_compile_rejected"] == 0
-    assert counters["fastpath_hits"] == 5
+    assert counters["fastpath_learn_rejected"] == 0
+    assert counters["fastpath_hits"] == (5 if execution == PROCESS else 4)
     assert counters["fastpath_compiled_hits"] == (5 if execution == PROCESS else 3)
     # No buffer leaked, and every worker answered: none is dead.
     assert in_flight == [0] * extra.get("workers", 1)

@@ -6,11 +6,12 @@ emitted, for every packet shape the flow can carry — payload lengths,
 TTLs, and UDP's "checksum disabled" sentinel included. This file
 proves that property four ways: a hypothesis sweep over randomized
 traffic, the image-side key against the header-side key, an injected
-miscompilation that the first-hit self-verification must reject (on
-the learn's witness or on an object replay), and
-the hit rule itself — only a flow's first wire-backed hit attaches a
-closure, the flow's own expiry, a FIFO eviction or a restore each leave
-none reachable, and a rival flow's birth leaves it exactly where it was.
+miscompilation that the self-verification must reject (the learn's, on
+the slow path's own bytes, or a first hit's, on an object replay), and
+the compile rule itself — a wire-backed learn attaches a verified
+closure, any other action earns one on its first wire-backed hit, the
+flow's own expiry, a FIFO eviction or a restore each leave none
+reachable, and a rival flow's birth leaves it exactly where it was.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -101,8 +102,8 @@ class TestCompiledByteIdentity:
         counters = fast.op_counters()
         assert counters["fastpath_compiles"] == 1
         assert counters["fastpath_compile_rejected"] == 0
-        # Every packet after the learn miss ran the compiled closure,
-        # the one that earned it included.
+        # The learn miss compiled the closure; every packet after it
+        # ran it.
         assert counters["fastpath_compiled_hits"] == len(payloads_ttls) - 1
 
     @given(
@@ -119,8 +120,8 @@ class TestCompiledByteIdentity:
     def test_every_wire_backed_hit_matches_the_object_replay(
         self, proto, sport, payloads_ttls, zero_checksum
     ):
-        # Not only the packet that earned the closure: every later
-        # packet of the flow, whatever its payload, TTL or checksum.
+        # Not only the frame the learn verified the closure on: every
+        # later packet of the flow, whatever its payload, TTL or checksum.
         closures = FastPathNat(VigNat(NatConfig(max_flows=64)))
         replays = FastPathNat(VigNat(NatConfig(max_flows=64)))
         for t, packet in enumerate(
@@ -138,8 +139,8 @@ class TestCompiledByteIdentity:
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         packet.l4.checksum = 0
-        _wire(fast, packet, 1_000)  # learn
-        ((wire, _),) = _wire(fast, packet, 1_001)  # compile + compiled hit
+        _wire(fast, packet, 1_000)  # learn: compile
+        ((wire, _),) = _wire(fast, packet, 1_001)  # compiled hit
         assert fast.op_counters()["fastpath_compiled_hits"] == 1
         assert Packet.from_bytes(wire, 1).l4.checksum == 0
 
@@ -272,10 +273,9 @@ class TestClosureMatchesRewriteHelpers:
 
 
 class TestLearnTimeVerificationRejectsMiscompiles:
-    """An injected compiler bug must never reach the data path: the
-    first wire-backed hit byte-compares the closure it compiled against
-    what the slow path emitted — for the learn's frame when the learn
-    kept a witness, else for its own frame's object replay."""
+    """An injected compiler bug must never reach the data path: a
+    wire-backed learn byte-compares the closure it compiled against
+    what the slow path emitted for that very frame."""
 
     def test_wrong_bytes_rejected(self, monkeypatch):
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
@@ -290,7 +290,7 @@ class TestLearnTimeVerificationRejectsMiscompiles:
         for t in (1_000, 1_001, 1_002):
             assert _wire(fast, packet, t) == _slow(slow, packet, t)
         counters = fast.op_counters()
-        # Rejected once, on the first hit, and never compiled again.
+        # Rejected once, at the learn, and never compiled again.
         assert counters["fastpath_compile_rejected"] == 1
         assert counters["fastpath_compiles"] == 0
         assert fast.compiled_size == 0
@@ -308,20 +308,23 @@ class TestLearnTimeVerificationRejectsMiscompiles:
 
 
 class TestClosuresAreEarnedOnTheRawPath:
-    """The earning rule: a learn never compiles; a flow's first
-    wire-backed hit does, and verifies what it compiled against the
-    slow path's bytes — the learn's witness, or the object replay of
-    that very frame when there is none. ("Raw" is what the hooks call a
+    """The compile rule: a learn from a wire-backed frame compiles the
+    flow's closure and verifies it on that frame against the slow path's
+    own bytes; an action from anywhere else (a materialised learn,
+    ``warm()``) earns one on the flow's first wire-backed hit, verified
+    against that frame's object replay. ("Raw" is what the hooks call a
     closure-capable NF, ``supports_raw``; there is one way in,
     ``process_burst``.)"""
 
-    def _assert_earns_closure_on_first_hit(self, fast, slow, packet, t, drive):
+    def _assert_compiled_hits(self, fast, slow, packet, t, drive, compiles=0):
+        """Three hits of ``packet``'s flow, all compiled, ``compiles`` of
+        them (the first at most) compiling the closure."""
         before = fast.op_counters()
         for step in range(3):
             assert drive(fast, packet, t + step) == _slow(slow, packet, t + step)
         after = fast.op_counters()
         assert after["fastpath_misses"] == before["fastpath_misses"]
-        assert after["fastpath_compiles"] - before["fastpath_compiles"] == 1
+        assert after["fastpath_compiles"] - before["fastpath_compiles"] == compiles
         assert after["fastpath_hits"] - before["fastpath_hits"] == 3
         assert (
             after["fastpath_compiled_hits"] - before["fastpath_compiled_hits"]
@@ -332,7 +335,7 @@ class TestClosuresAreEarnedOnTheRawPath:
         cfg = NatConfig(max_flows=64, **config)
         return FastPathNat(VigNat(cfg)), VigNat(cfg)
 
-    def test_learns_never_compile(self):
+    def test_only_a_wire_backed_learn_compiles(self):
         fast, slow = self._pair()
         for i, drive in enumerate((_wire, _object)):
             packet = make_udp_packet(
@@ -341,8 +344,8 @@ class TestClosuresAreEarnedOnTheRawPath:
             assert drive(fast, packet, 1_000) == _slow(slow, packet, 1_000)
         counters = fast.op_counters()
         assert counters["fastpath_learns"] == 2
-        assert counters["fastpath_compiles"] == 0
-        assert fast.compiled_size == 0
+        assert counters["fastpath_compiles"] == 1
+        assert fast.compiled_size == 1
 
     def test_object_path_learn_then_raw(self):
         # object -> wire: materialised packets hit on the object replay
@@ -356,38 +359,41 @@ class TestClosuresAreEarnedOnTheRawPath:
         assert counters["fastpath_hits"] == 1
         assert counters["fastpath_compiles"] == 0
         assert fast.compiled_size == 0
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_002, _wire)
+        self._assert_compiled_hits(fast, slow, packet, 1_002, _wire, compiles=1)
 
     def test_wire_backed_burst_earns_and_runs_closures(self):
         # The path behind launch(): process_burst over wire-backed packets.
         fast, slow = self._pair()
         packet = make_tcp_packet("10.0.0.5", "198.18.0.9", 4_000, 443, device=0)
         assert _wire(fast, packet, 1_000) == _slow(slow, packet, 1_000)
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_001, _wire)
+        assert fast.op_counters()["fastpath_compiles"] == 1
+        self._assert_compiled_hits(fast, slow, packet, 1_001, _wire)
 
     def test_raw_learn_then_object_path(self):
-        # wire -> object: an earned closure stays put while materialised
-        # packets of the flow take the object replay.
+        # wire -> object: the learned closure stays put while materialised
+        # packets of the flow take the slow path once (it checks the
+        # object replay), then the replay.
         fast, slow = self._pair()
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001):
             assert _wire(fast, packet, t) == _slow(slow, packet, t)
         assert fast.compiled_size == 1
-        # The object path replays the same action, no extra miss...
-        assert _object(fast, packet, 1_002) == _slow(slow, packet, 1_002)
+        for t in (1_002, 1_003):
+            assert _object(fast, packet, t) == _slow(slow, packet, t)
         # ...and leaves the closure where wire-backed packets find it.
-        for t in (1_003, 1_004):
+        for t in (1_004, 1_005):
             assert _wire(fast, packet, t) == _slow(slow, packet, t)
         counters = fast.op_counters()
-        assert counters["fastpath_misses"] == 1
+        assert counters["fastpath_misses"] == 2
         assert counters["fastpath_hits"] == 4
         assert counters["fastpath_compiles"] == 1
         assert counters["fastpath_compiled_hits"] == 3
+        assert counters["fastpath_learn_rejected"] == 0
 
     def test_warm_installs_plain_actions(self):
         # The promoted-standby path: warm() has no frame to verify a
         # closure against, so it installs none; the first wire-backed
-        # hit of a warmed flow earns it like any other.
+        # hit of a warmed flow earns it.
         cfg = NatConfig(max_flows=64)
         primary = VigNat(cfg)
         slow = VigNat(cfg)
@@ -404,7 +410,7 @@ class TestClosuresAreEarnedOnTheRawPath:
         assert fast.compiled_size == 0
         assert fast.op_counters()["fastpath_compiles"] == 0
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_001, 53, device=0)
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 2_000, _wire)
+        self._assert_compiled_hits(fast, slow, packet, 2_000, _wire, compiles=1)
 
     def test_restore_state_drops_closures_and_they_are_earned_again(self):
         # A limiter that has seen only its pass-through direction holds
@@ -417,14 +423,14 @@ class TestClosuresAreEarnedOnTheRawPath:
         assert fast.compiled_size == 1
         fast.restore_state(fast.checkpoint_state())
         assert fast.cache_size == 0
-        # Re-learn (one miss), then the first hit earns a fresh closure.
+        # Re-learn (one miss) compiles a fresh closure.
         assert _wire(fast, packet, 1_002) == _slow(slow, packet, 1_002)
-        assert fast.compiled_size == 0
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 1_003, _wire)
+        assert fast.compiled_size == 1
+        self._assert_compiled_hits(fast, slow, packet, 1_003, _wire)
         assert fast.op_counters()["fastpath_compiles"] == 2
 
     def test_only_its_own_expiry_costs_a_closure(self):
-        # A rival flow's birth costs the earned closure nothing: the
+        # A rival flow's birth costs the learned closure nothing: the
         # next packet is a compiled hit, not a re-learn...
         fast, slow = self._pair(expiration_time=100)
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
@@ -436,18 +442,17 @@ class TestClosuresAreEarnedOnTheRawPath:
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] == 0
         assert counters["fastpath_misses"] == 2  # one learn per flow
-        assert counters["fastpath_compiles"] == 1
+        assert counters["fastpath_compiles"] == 2
         assert counters["fastpath_compiled_hits"] == 2
-        assert fast.compiled_size == 1
+        assert fast.compiled_size == 2
         # ...while the flow's own expiry drops action and closure, so
-        # its next incarnation is learned plain on the miss and earns a
-        # fresh closure on the hit after it.
+        # its next incarnation's learn compiles a fresh one.
         assert _wire(fast, packet, 2_000) == _slow(slow, packet, 2_000)
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] == 2  # both flows expired
-        assert counters["fastpath_compiles"] == 1
-        assert fast.compiled_size == 0
-        self._assert_earns_closure_on_first_hit(fast, slow, packet, 2_001, _wire)
+        assert counters["fastpath_compiles"] == 3
+        assert fast.compiled_size == 1
+        self._assert_compiled_hits(fast, slow, packet, 2_001, _wire)
 
     def test_rejected_compile_is_not_retried(self, monkeypatch):
         fast, slow = self._pair()
@@ -472,7 +477,8 @@ class TestClosuresAreEarnedOnTheRawPath:
         # Trailing Ethernet padding: the parser takes it for payload and
         # serializing rewrites both length fields to cover it; a byte
         # splice would not. Such a frame is never wire-backed, so it
-        # never reaches the closure its flow has earned.
+        # never reaches the closure its flow has learned: the first takes
+        # the slow path, which checks the object replay, the next that.
         fast, slow = self._pair()
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
         for t in (1_000, 1_001):
@@ -480,11 +486,13 @@ class TestClosuresAreEarnedOnTheRawPath:
         assert fast.compiled_size == 1
         padded = Packet.from_bytes(packet.wire_bytes() + bytes(4), 0)
         assert padded.image is None
-        (outs,) = fast.process_burst([padded.clone()], 1_002)
-        assert [(o.wire_bytes(), o.device) for o in outs] == _slow(
-            slow, padded, 1_002
-        )
+        for t in (1_002, 1_003):
+            (outs,) = fast.process_burst([padded.clone()], t)
+            assert [(o.wire_bytes(), o.device) for o in outs] == _slow(
+                slow, padded, t
+            )
         counters = fast.op_counters()
+        assert counters["fastpath_misses"] == 2
         assert counters["fastpath_hits"] == 2
         assert counters["fastpath_compiled_hits"] == 1
 
@@ -515,58 +523,80 @@ class _ApplySpy:
         monkeypatch.setattr(hooks, "apply", apply)
 
 
-class TestTheLearnWitnessesTheEarn:
-    """A learn from a wire-backed frame keeps that frame's image and the
-    slow path's bytes for it on the action (``witness``); the earn
-    checks its closure on those instead of replaying the hit, then
-    clears the witness. Everything else keeps the object-replay check."""
+class TestTheLearnChecksTheClosure:
+    """A learn from a wire-backed frame admits its action on the closure
+    alone — compiled, run on the frame, compared with the slow path's
+    bytes — and leaves the object replay unchecked (``replay_ok`` None)
+    until a materialised packet of the flow checks it. Everything else
+    keeps the object-replay check."""
 
     def _action(self, fast, packet):
         return fast.action_for(Packet.from_bytes(packet.wire_bytes(), 0).flow_key())
 
-    def test_the_earn_replays_nothing(self, monkeypatch):
+    def test_the_learn_replays_nothing(self, monkeypatch):
         cfg = NatConfig(max_flows=64)
         fast, slow = FastPathNat(VigNat(cfg)), VigNat(cfg)
         spy = _ApplySpy(monkeypatch, fast._hooks)
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
-        (expected,) = _slow(slow, packet, 1_000)
-        assert _wire(fast, packet, 1_000) == [expected]  # learn
-        assert spy.calls == 1  # the learn's replay check
+        assert _wire(fast, packet, 1_000) == _slow(slow, packet, 1_000)  # learn
+        assert _wire(fast, packet, 1_001) == _slow(slow, packet, 1_001)  # hit
+        assert spy.calls == 0
         action = self._action(fast, packet)
-        assert action.witness == (packet.wire_bytes(), expected[0])
-        assert _wire(fast, packet, 1_001) == _slow(slow, packet, 1_001)  # earn
-        assert spy.calls == 1
-        assert action.witness is None
         assert action.closure
+        assert action.replay_ok is None
         counters = fast.op_counters()
         assert counters["fastpath_compiles"] == 1
         assert counters["fastpath_compiled_hits"] == 1
 
-    def test_no_witness_without_a_wire_backed_learn(self, monkeypatch):
+    def test_the_first_materialised_packet_checks_the_replay(self, monkeypatch):
+        cfg = NatConfig(max_flows=64)
+        fast, slow = FastPathNat(VigNat(cfg)), VigNat(cfg)
+        packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
+        _wire(fast, packet, 1_000)
+        slow.process(packet.clone(), 1_000)
+        spy = _ApplySpy(monkeypatch, fast._hooks)
+        assert _object(fast, packet, 1_001) == _slow(slow, packet, 1_001)
+        assert spy.calls == 1  # the check, on the slow path's output
+        assert self._action(fast, packet).replay_ok is True
+        assert _object(fast, packet, 1_002) == _slow(slow, packet, 1_002)
+        assert spy.calls == 2  # the replay serving the hit
+        counters = fast.op_counters()
+        assert counters["fastpath_misses"] == 2
+        assert counters["fastpath_hits"] == 1
+        assert counters["fastpath_learn_rejected"] == 0
+
+    def test_other_learns_check_the_replay_up_front(self, monkeypatch):
         cfg = NatConfig(max_flows=64)
         packet = make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0)
-        # A materialised learn has no image to keep: its earn replays.
+        # A materialised learn has no image to run a closure on: it
+        # replays, and the first wire-backed hit earns the closure.
         fast = FastPathNat(VigNat(cfg))
-        _object(fast, packet, 1_000)
-        assert self._action(fast, packet).witness is None
         spy = _ApplySpy(monkeypatch, fast._hooks)
-        _wire(fast, packet, 1_001)
+        _object(fast, packet, 1_000)
         assert spy.calls == 1
+        action = self._action(fast, packet)
+        assert action.closure is None and action.replay_ok is True
+        _wire(fast, packet, 1_001)
+        assert spy.calls == 2
         assert fast.op_counters()["fastpath_compiles"] == 1
-        # An NF that never compiles keeps none either.
+        # An NF that never compiles replays at every learn.
         unverified = FastPathNat(UnverifiedNat(cfg))
         _wire(unverified, packet, 1_000)
-        assert self._action(unverified, packet).witness is None
-        # Nor does warm(), which learns from no frame at all.
+        action = self._action(unverified, packet)
+        assert action.closure is None and action.replay_ok is True
+        # warm() learns from no frame at all; its actions are trusted.
         primary = VigNat(cfg)
         primary.process(packet.clone(), 1_000)
         standby = VigNat(cfg)
         standby.restore_state(primary.checkpoint_state())
         warmed = FastPathNat(standby)
         assert warmed.warm() == 2
-        assert all(action.witness is None for action in warmed._cache.values())
+        assert all(
+            action.closure is None and action.replay_ok is True
+            for action in warmed._cache.values()
+        )
 
-    def test_a_miscompile_is_rejected_for_good_on_the_witness(self, monkeypatch):
+    def test_a_miscompile_falls_back_to_the_replay_check(self, monkeypatch):
         cfg = NatConfig(max_flows=64)
         fast, slow = FastPathNat(VigNat(cfg)), VigNat(cfg)
         compiled = []
@@ -577,23 +607,21 @@ class TestTheLearnWitnessesTheEarn:
             return lambda image: real(image)[:-1] + b"\xff"
 
         monkeypatch.setattr("repro.nat.fastpath.compile_action", miscompile)
+        spy = _ApplySpy(monkeypatch, fast._hooks)
         packet = make_udp_packet(
             "10.0.0.5", "8.8.8.8", 4_000, 53, payload=b"\x00" * 8, device=0
         )
         assert _wire(fast, packet, 1_000) == _slow(slow, packet, 1_000)  # learn
-        action = self._action(fast, packet)
-        assert action.witness is not None
-        spy = _ApplySpy(monkeypatch, fast._hooks)
-        assert _wire(fast, packet, 1_001) == _slow(slow, packet, 1_001)
-        # Rejected on the witness: the earn itself replayed nothing, and
-        # only the hit's own object replay ran.
+        # Rejected at the learn, which then replayed to admit the action.
         assert spy.calls == 1
+        action = self._action(fast, packet)
         assert action.closure is False
-        assert action.witness is None
-        for t in (1_002, 1_003):
+        assert action.replay_ok is True
+        for t in (1_001, 1_002, 1_003):
             assert _wire(fast, packet, t) == _slow(slow, packet, t)
         counters = fast.op_counters()
         assert len(compiled) == 1
+        assert counters["fastpath_learns"] == 1
         assert counters["fastpath_compile_rejected"] == 1
         assert counters["fastpath_compiles"] == 0
         assert counters["fastpath_compiled_hits"] == 0
@@ -632,8 +660,8 @@ class TestStaleClosureInvalidation:
             packet = make_udp_packet(
                 "10.0.0.5", "8.8.8.8", 4_000 + i, 53, device=0
             )
-            _wire(fast, packet, 1_000 + i)  # learn
-            _wire(fast, packet, 1_000 + i)  # first hit: compile
+            _wire(fast, packet, 1_000 + i)  # learn: compile
+            _wire(fast, packet, 1_000 + i)  # compiled hit
         counters = fast.op_counters()
         assert counters["fastpath_evictions"] >= 1
         assert fast.cache_size <= 2
@@ -657,8 +685,8 @@ class TestStaleClosureInvalidation:
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] == 0
         assert counters["fastpath_compiled_hits"] == 2  # the same closure
-        assert counters["fastpath_compiles"] == 1
-        assert fast.compiled_size == 1
+        assert counters["fastpath_compiles"] == 2  # and the rival's own
+        assert fast.compiled_size == 2
         # The rival, kept alive alone, outlives the first flow: the
         # expiry scan that frees the first flow takes its action and
         # closure along, and nothing of the rival's.
@@ -667,7 +695,7 @@ class TestStaleClosureInvalidation:
         counters = fast.op_counters()
         assert counters["fastpath_invalidations"] == 1
         assert fast.cache_size == 1
-        assert fast.compiled_size == 1  # the rival earned its own at t=1080
+        assert fast.compiled_size == 1
         assert counters["fastpath_compiles"] == 2
 
     def test_restore_clears_every_closure(self):
@@ -679,8 +707,8 @@ class TestStaleClosureInvalidation:
             packet = make_udp_packet(
                 "8.8.8.8", "10.0.0.5", 53, 4_000 + i, device=1
             )
-            _wire(fast, packet, 1_000)  # learn
-            _wire(fast, packet, 1_000)  # first hit: compile
+            _wire(fast, packet, 1_000)  # learn: compile
+            _wire(fast, packet, 1_000)  # compiled hit
         assert fast.compiled_size == 4
         fast.restore_state(fast.checkpoint_state())
         assert fast.cache_size == 0
