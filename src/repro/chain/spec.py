@@ -68,7 +68,7 @@ from repro import obs
 from repro.nat.base import NetworkFunction
 from repro.nat.concrete import LibvigNf
 from repro.nat.fastpath import FastPathNat, check_fastpath
-from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault
+from repro.net.dpdk import DpdkRuntime, build_nf, ingress_fault, unmatched_outputs
 from repro.net.mbuf import Mbuf
 from repro.obs import flight
 from repro.obs.registry import MetricsRegistry, with_labels
@@ -323,8 +323,14 @@ class ChainRuntime:
             and not any(batch for queues in self._pending for batch in queues.values())
         )
         for port, (index, device) in enumerate(self._entries):
-            for mbuf in self.runtime.rx_burst(port, self.spec.rx_capacity):
-                self._enqueue(index, device, mbuf)
+            if not self._ports[port].rx_pending():
+                continue
+            arrived = self.runtime.rx_burst(port, self.spec.rx_capacity)
+            self._pending[index][device] += arrived
+            self._stage_rx[index] += len(arrived)
+            if self._trace is not None:
+                for mbuf in arrived:
+                    self._trace(flight.RX, mbuf.timestamp, index, detail=device)
         if fuse and self._fuse(now_us, burst):
             processed = 0
             for index, device in self._entries:
@@ -341,12 +347,6 @@ class ChainRuntime:
                 self._exits[port] = []
                 self.runtime.tx_burst(port, mbufs, now_us)
         return processed
-
-    def _enqueue(self, index: int, device: int, mbuf: Mbuf) -> None:
-        self._pending[index][device].append(mbuf)
-        self._stage_rx[index] += 1
-        if self._trace is not None:
-            self._trace(flight.RX, mbuf.timestamp, index, detail=device)
 
     def _sweep(self, order, now_us: int, burst: int) -> int:
         processed = 0
@@ -394,7 +394,11 @@ class ChainRuntime:
                 packets = [mbuf.packet for mbuf in chunk]
                 for packet in packets:
                     packet.device = device
-                for mbuf, outputs in zip(chunk, nf.process_burst(packets, now_us)):
+                results = nf.process_burst(packets, now_us)
+                if len(results) != len(chunk):
+                    runtime.pool.free_burst(batch[start:])
+                    raise unmatched_outputs(nf, len(chunk), len(results))
+                for mbuf, outputs in zip(chunk, results):
                     if not outputs:
                         runtime.free(mbuf)
                         runtime.nf_dropped += 1
@@ -428,7 +432,7 @@ class ChainRuntime:
         if target is None:
             mbuf.packet.device = device
             self._exits[device].append(mbuf)
-        else:  # _enqueue, written out: this is the per-hop hot path
+        else:
             self._handoffs += 1
             self._pending[target][device].append(mbuf)
             self._stage_rx[target] += 1

@@ -6,7 +6,10 @@ main loop up to N packets at once, the NF processes them, and one
 exposes that API plus :meth:`DpdkRuntime.main_loop_burst`, a complete
 main-loop turn that drives any :class:`~repro.nat.base.NetworkFunction`
 through its burst entry point with the no-leak discipline Vigor's
-ownership tracking enforces (§5.2.4).
+ownership tracking enforces (§5.2.4). A burst call pays its costs once
+per burst: ``rx_burst`` is one ring pop and one pool allocation,
+``tx_burst`` checks the whole burst (freed, foreign, repeated buffers)
+before one transmit and one pool credit.
 
 :class:`Shard` is the unit every launched runtime is made of: one NF
 built from the factory, its private ``DpdkRuntime``, one turn, and the
@@ -65,28 +68,18 @@ class DpdkRuntime:
         ``rx_nombuf``, like the hardware counter) rather than being lost.
         """
         port = self.ports[port_id]
-        burst: List[Mbuf] = []
-        while len(burst) < max_packets:
-            if self.pool.free_count == 0:
-                if port.rx_pending():
-                    port.counters.rx_nombuf += 1
-                break
-            item = port.rx_pop()
-            if item is None:
-                break
-            timestamp, packet = item
-            # Cannot fail: a free buffer was checked for before the pop.
-            mbuf = self.pool.alloc(packet, port=port_id, timestamp=timestamp)
-            assert mbuf is not None
-            burst.append(mbuf)
-        return burst
+        pool = self.pool
+        free = pool.free_count
+        descriptors = port.rx_pop_burst(max_packets if max_packets < free else free)
+        if free < max_packets and port.rx_pending():
+            port.counters.rx_nombuf += 1
+        return pool.alloc_burst(descriptors, port_id) if descriptors else []
 
     def tx_burst(self, port_id: int, mbufs: List[Mbuf], timestamp: int) -> int:
-        """rte_eth_tx_burst: transmit buffers, returning them to the pool."""
+        """rte_eth_tx_burst: check the whole burst, transmit it, free it."""
         port = self.ports[port_id]
-        for mbuf in mbufs:
-            port.transmit(mbuf.packet, timestamp)
-            self.pool.free(mbuf)
+        self.pool.free_burst(mbufs)
+        port.transmit_burst(mbufs, timestamp)
         return len(mbufs)
 
     def free(self, mbuf: Mbuf) -> None:
@@ -99,7 +92,7 @@ class DpdkRuntime:
     ) -> int:
         """One main-loop turn: rx_burst → ``nf.process_burst`` → tx_burst.
 
-        Drains every port's RX ring in bursts of ``burst_size``, batches
+        Drains every non-empty RX ring in bursts of ``burst_size``, batches
         transmissions per output port, and frees the buffer of every
         dropped packet. Returns the number of packets processed.
         """
@@ -111,8 +104,8 @@ class DpdkRuntime:
         # are skipped entirely.
         recorder = obs.recorder()
         tracing = recorder.active
-        for port_id in sorted(self.ports):
-            while True:
+        for port_id, port in sorted(self.ports.items()):
+            while port.rx_pending():
                 burst = self.rx_burst(port_id, burst_size)
                 if not burst:
                     break
@@ -125,6 +118,9 @@ class DpdkRuntime:
                             detail=port_id,
                         )
                 results = nf.process_burst([m.packet for m in burst], now_us)
+                if len(results) != len(burst):
+                    self.pool.free_burst(burst)
+                    raise unmatched_outputs(nf, len(burst), len(results))
                 staged: Dict[int, List[Mbuf]] = {}
                 for mbuf, outputs in zip(burst, results):
                     if not outputs:
@@ -139,15 +135,19 @@ class DpdkRuntime:
                         self.free(mbuf)
                         self.nf_dropped += 1
                         continue
-                    first = outputs[0]
-                    mbuf.packet = first
-                    staged.setdefault(first.device, []).append(mbuf)
-                    for extra in outputs[1:]:  # multicast/flood NFs
-                        clone = self.pool.alloc(extra, extra.device, now_us)
-                        if clone is None:
-                            self.out_no_mbuf += 1
-                        else:
-                            staged.setdefault(extra.device, []).append(clone)
+                    first = mbuf.packet = outputs[0]
+                    device = first.device
+                    if device in staged:
+                        staged[device].append(mbuf)
+                    else:
+                        staged[device] = [mbuf]
+                    if len(outputs) > 1:  # multicast/flood NFs
+                        for extra in outputs[1:]:
+                            clone = self.pool.alloc(extra, extra.device, now_us)
+                            if clone is None:
+                                self.out_no_mbuf += 1
+                            else:
+                                staged.setdefault(extra.device, []).append(clone)
                 for out_port, mbufs in sorted(staged.items()):
                     if tracing:
                         for mbuf in mbufs:
@@ -204,6 +204,14 @@ class DpdkRuntime:
             for timestamp, packet in port.drain_tx():
                 out.append((port_id, timestamp, packet))
         return out
+
+
+def unmatched_outputs(nf: NetworkFunction, sent: int, returned: int) -> ValueError:
+    """An NF broke ``process_burst``'s one-list-per-packet contract."""
+    return ValueError(
+        f"{type(nf).__name__}.process_burst returned {returned} "
+        f"output lists for {sent} packets"
+    )
 
 
 def build_nf(

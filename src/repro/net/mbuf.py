@@ -5,13 +5,20 @@ free (or transmit) every one; forgetting to is the leak class Vigor's
 ownership tracking caught in VigNAT (§5.2.4). The simulated pool keeps
 the same discipline observable: allocation fails when the pool is
 exhausted, and ``in_flight`` exposes outstanding buffers.
+
+The data path moves a burst per call: :meth:`MbufPool.alloc_burst` takes
+one free-count and high-water update per burst, and
+:meth:`MbufPool.free_burst` checks every buffer (double free, twice in
+one burst, another pool's, over-credit) before it credits any, so a bad
+burst leaves the pool untouched. ``free`` is the one-buffer burst.
+Buffers are never recycled, so a stale reference is always a double free.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.packets.headers import Packet
 
@@ -129,33 +136,53 @@ class MbufPool:
         self._free -= 1
         if self.in_flight > self.high_water:
             self.high_water = self.in_flight
-        return Mbuf(packet=packet, port=port, timestamp=timestamp, _owner=self)
+        return Mbuf(packet, port, timestamp, False, self)
+
+    def alloc_burst(self, received: List[Tuple[int, Packet]], port: int) -> List[Mbuf]:
+        """Wrap received ``(timestamp, packet)`` descriptors, all or none."""
+        n = len(received)
+        if n > self._free:
+            raise MbufPoolExhausted(f"{n} buffers wanted, {self._free} free")
+        self._free -= n
+        if self.capacity - self._free > self.high_water:
+            self.high_water = self.capacity - self._free
+        burst = []
+        for timestamp, packet in received:
+            burst.append(Mbuf(packet, port, timestamp, False, self))
+        return burst
 
     def free(self, mbuf: Mbuf) -> None:
-        """Return a buffer to the pool; double-free and over-credit are errors.
+        """Return one buffer to the pool (see :meth:`free_burst`)."""
+        self.free_burst((mbuf,))
 
-        A buffer allocated by another pool is rejected outright (the
-        sharded runtime gives every worker a private pool, and crediting
-        worker B's pool for worker A's buffer would corrupt both sides'
-        ``in_flight`` accounting whether or not B's pool is full). For
-        hand-built mbufs with no owner the capacity check is the only
-        available defense, as before.
+    def free_burst(self, mbufs: Sequence[Mbuf]) -> None:
+        """Return buffers to the pool, all checked before any is credited.
+
+        A raise leaves the pool and the buffers as they were. Another
+        pool's buffer is rejected outright (every sharded worker owns a
+        private pool; crediting B for A's buffer corrupts both sides'
+        ``in_flight`` whether or not B is full). For hand-built mbufs with
+        no owner only the capacity check defends: crediting past it would
+        let ``in_flight`` go negative and mask real leaks.
         """
-        if mbuf._freed:
-            raise RuntimeError("double free of mbuf")
-        if mbuf._owner is not None and mbuf._owner is not self:
-            raise RuntimeError(
-                "over-credit: freeing another pool's mbuf (cross-worker free)"
-            )
-        if self._free >= self.capacity:
-            # Every buffer is already home: this mbuf cannot be ours.
-            # Crediting the pool anyway would let in_flight go negative
-            # and mask real leaks elsewhere.
-            raise RuntimeError(
-                "over-credit: freeing a foreign mbuf into a full pool"
-            )
-        mbuf._freed = True
-        self._free += 1
+        for i, mbuf in enumerate(mbufs):
+            if mbuf._freed:
+                error = "double free of mbuf"
+            elif mbuf._owner is not self and mbuf._owner is not None:
+                error = "over-credit: freeing another pool's mbuf (cross-worker free)"
+            else:
+                mbuf._freed = True
+                continue
+            break
+        else:
+            i = len(mbufs)
+            if self._free + i <= self.capacity:
+                self._free += i
+                return
+            error = "over-credit: freeing a foreign mbuf into a full pool"
+        for mbuf in mbufs[:i]:
+            mbuf._freed = False
+        raise RuntimeError(error)
 
     # -- observability -------------------------------------------------------
     def register_metrics(self, registry, labels=None) -> None:

@@ -3,7 +3,9 @@
 A port's RX ring holds a fixed number of descriptors (512 by default,
 like the 82599's common configuration); packets arriving while the ring
 is full are dropped and counted — this is where RFC 2544 throughput
-loss comes from when the CPU cannot keep up.
+loss comes from when the CPU cannot keep up. The host side moves a
+burst per call (``rx_pop_burst``, ``transmit_burst``); ``rx_pop`` and
+``transmit`` move one frame.
 
 :class:`RssNic` models the multi-queue front-end of such a NIC: a
 steering function (Receive-Side Scaling) assigns every arriving packet
@@ -17,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Tuple
 
+from repro.net.mbuf import Mbuf
 from repro.packets.headers import Packet
 
 
@@ -63,6 +66,15 @@ class Port:
             return None
         return self._rx.popleft()
 
+    def rx_pop_burst(self, n: int) -> List[Tuple[int, Packet]]:
+        """Host-side fetch of up to ``n`` descriptors, oldest first."""
+        rx = self._rx
+        if n < len(rx):
+            return [rx.popleft() for _ in range(n)]
+        burst = list(rx)
+        rx.clear()
+        return burst
+
     def swap_tail(self) -> bool:
         """Swap the two newest RX descriptors (a reordering link).
 
@@ -82,6 +94,13 @@ class Port:
     def transmit(self, packet: Packet, timestamp: int) -> None:
         self._tx.append((timestamp, packet))
         self.counters.tx_packets += 1
+
+    def transmit_burst(self, mbufs: List[Mbuf], timestamp: int) -> None:
+        """Transmit the buffers' packets, as ``rte_eth_tx_burst`` takes mbufs."""
+        tx = self._tx
+        for mbuf in mbufs:
+            tx.append((timestamp, mbuf.packet))
+        self.counters.tx_packets += len(mbufs)
 
     def drain_tx(self) -> List[Tuple[int, Packet]]:
         """Collect everything transmitted since the last drain."""

@@ -1,13 +1,19 @@
 """The burst-mode data path: rx_burst loss, pool accounting, burst loop."""
 
+from collections import Counter
+
 import pytest
 
+from repro.chain import ChainSpec, ChainStage, launch_chain
 from repro.nat.config import NatConfig
+from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
+from repro.net.app import RuntimeSpec, launch
 from repro.net.costmodel import CostModel
 from repro.net.dpdk import DpdkRuntime
 from repro.net.mbuf import Mbuf, MbufPool
 from repro.net.moongen import ConstantRateFlows
+from repro.net.nic import Port
 from repro.net.testbed import Rfc2544Testbed
 from repro.packets.builder import make_udp_packet
 
@@ -92,6 +98,112 @@ class TestMbufPoolAccounting:
         pool.free(c)
         assert pool.high_water == 2
         assert pool.in_flight == 0
+
+
+class TestTxBurstChecksTheWholeBurst:
+    """Regression: ``tx_burst`` transmitted a burst frame by frame and
+    found a bad buffer only when it reached it — after the good frames
+    before it had left and been credited. A bad burst now raises with
+    the port and the pool untouched."""
+
+    def setup_method(self):
+        self.rt = DpdkRuntime(pool_size=4)
+        for i in range(2):
+            self.rt.inject(0, pkt(i), i)
+        self.good, self.other = self.rt.rx_burst(0, 32)
+
+    def assert_untouched(self):
+        assert self.rt.port(1).counters.tx_packets == 0
+        assert self.rt.collect() == []
+        assert self.rt.pool.in_flight == 2
+        # The good buffers are still live: they free normally.
+        self.rt.tx_burst(1, [self.good, self.other], 5)
+        assert self.rt.port(1).counters.tx_packets == 2
+        assert self.rt.pool.in_flight == 0
+
+    def test_an_already_freed_buffer(self):
+        freed = self.rt.pool.alloc(pkt(9))
+        self.rt.free(freed)
+        with pytest.raises(RuntimeError, match="double free of mbuf"):
+            self.rt.tx_burst(1, [self.good, freed], 5)
+        self.assert_untouched()
+
+    def test_the_same_buffer_twice(self):
+        with pytest.raises(RuntimeError, match="double free of mbuf"):
+            self.rt.tx_burst(1, [self.good, self.good], 5)
+        self.assert_untouched()
+
+    def test_another_pools_buffer(self):
+        foreign = MbufPool(4).alloc(pkt(9))
+        with pytest.raises(RuntimeError, match="another pool's mbuf"):
+            self.rt.tx_burst(1, [self.good, foreign], 5)
+        self.assert_untouched()
+
+
+class ShortNoop(NoopForwarder):
+    """Returns one output list too few: the burst's last frame vanishes."""
+
+    def process_burst(self, packets, now):
+        return super().process_burst(packets, now)[:-1]
+
+
+class TestOutputListCount:
+    """Regression: an NF returning fewer output lists than packets lost
+    the tail frames silently (``zip`` truncates) and leaked their mbufs."""
+
+    def test_main_loop_frees_the_burst_and_names_the_nf(self):
+        rt = DpdkRuntime()
+        for i in range(4):
+            rt.inject(0, pkt(i), i)
+        with pytest.raises(ValueError, match="ShortNoop.process_burst returned 3"):
+            rt.main_loop_burst(ShortNoop(), 10)
+        assert rt.pool.in_flight == 0
+        assert rt.collect() == []
+
+    def test_a_chain_stage_frees_the_burst_and_names_the_nf(self):
+        stage = ChainStage("short", lambda _cfg: ShortNoop())
+        chain = launch_chain(ChainSpec(stages=(stage,)))
+        for i in range(4):
+            chain.inject(0, pkt(i), i)
+        with pytest.raises(ValueError, match="ShortNoop.process_burst returned 3"):
+            chain.main_loop_burst(10)
+        assert chain.runtime.pool.in_flight == 0
+        assert chain.collect() == []
+
+
+class TestBurstShape:
+    """A turn moves each burst through the substrate in one call per
+    boundary: no per-frame ring pop, allocation, transmit or free."""
+
+    def test_one_call_per_burst(self, monkeypatch):
+        calls = Counter()
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name, args[1] if name == "rx_burst" else None] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls, name in [
+            (DpdkRuntime, "rx_burst"),
+            (DpdkRuntime, "tx_burst"),
+            (MbufPool, "alloc"),
+            (MbufPool, "free"),
+            (Port, "rx_pop"),
+            (Port, "transmit"),
+        ]:
+            counted(cls, name)
+        runtime = launch(
+            RuntimeSpec(nf_factory=lambda _cfg: NoopForwarder(), execution="inline")
+        )
+        for i in range(32):
+            assert runtime.inject(0, pkt(i), i)
+        assert runtime.main_loop_burst(100, 32) == 32
+        assert len(runtime.collect()) == 32
+        assert calls == {("rx_burst", 0): 1, ("tx_burst", None): 1}
 
 
 class TestMainLoopBurst:
