@@ -92,6 +92,24 @@ class TestCacheAccounting:
             )
         assert fast.op_counters()["fastpath_hits"] == 2
 
+    def test_a_hit_leaves_the_callers_packet_alone(self):
+        # A parsed frame whose stored lengths disagree with its structure
+        # (serializing it would rewrite both): the hit emits the twin's
+        # bytes, and the caller's headers read as they did before.
+        slow = VigNat(NatConfig(max_flows=64))
+        fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
+        packet = outbound(4000, payload=b"stale")
+        for nf in (slow, fast):
+            nf.process(packet.clone(), 1_000)
+        stale = packet.clone()
+        stale.ipv4.total_length -= 3
+        stale.l4.length += 5
+        before = (stale.eth.copy(), stale.ipv4.copy(), stale.l4.copy())
+        (got,) = fast.process_burst([stale], 1_001)
+        assert fast.op_counters()["fastpath_hits"] == 1
+        assert (stale.eth, stale.ipv4, stale.l4) == before
+        assert render(got) == render(slow.process(stale.clone(), 1_001))
+
     def test_drops_are_never_cached(self):
         fast = FastPathNat(VigNat(NatConfig(max_flows=64)))
         # Unsolicited inbound: the slow path drops it; nothing to learn.

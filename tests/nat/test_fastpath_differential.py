@@ -489,6 +489,116 @@ class TestStatefulFilters:
         assert counters["fastpath_compile_rejected"] == 0
 
 
+# -- every wrapped NF, every entry state, an action learned either way ---------
+#: Each NF that publishes fast-path hooks, small enough that the steps
+#: fill its table and cross its expiry.
+WRAPPED_NFS = {
+    "vignat": lambda: VigNat(NatConfig(**CFG_KW)),
+    "unverified": lambda: UnverifiedNat(NatConfig(**CFG_KW)),
+    "firewall": lambda: VigFirewall(NatConfig(**CFG_KW)),
+    "limiter": lambda: VigLimiter(
+        LimiterConfig(capacity=4, window=FILTER_EXPIRY_US, max_packets=6)
+    ),
+}
+
+#: How a frame reaches the NF: wire-backed, or materialised — built from
+#: headers, or parsed from a frame the parser normalises (trailing
+#: Ethernet padding; a stale IPv4 total length or UDP length), so its
+#: serialization differs from the bytes it arrived as.
+ENTRY_SHAPES = ("wire", "object", "padded", "stale-length")
+
+
+def _nf_packet(nf, direction, selector, kind):
+    """Traffic of ``nf``'s flow ``selector``: the NATs' ``_packet`` (an
+    inbound frame probes the allocation range), else ``_filter_packet``."""
+    if nf in ("vignat", "unverified"):
+        return _packet(direction, selector, kind, NatConfig(**CFG_KW))
+    return _filter_packet(direction, selector, kind)
+
+
+def _entry(packet, shape):
+    """``packet`` offered in ``shape`` (see :data:`ENTRY_SHAPES`)."""
+    if shape == "wire":
+        return _wire_backed(packet)
+    if shape == "object":
+        return packet.clone()
+    frame = bytearray(packet.wire_bytes())
+    if shape == "padded":
+        frame += bytes(6)
+    else:
+        frame[16:18] = (len(frame) - 16).to_bytes(2, "big")  # 2 bytes short
+        if frame[23] == 17:
+            frame[38:40] = (len(frame) - 30).to_bytes(2, "big")  # 4 bytes long
+    offered = Packet.from_bytes(bytes(frame), packet.device)
+    assert offered.image is None
+    return offered
+
+
+def _shaped_steps():
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["in", "out"]),
+            st.integers(0, 5),
+            st.sampled_from(["udp", "udp0", "tcp"]),  # one flow, checksum on/off
+            st.integers(0, 2_500_000),
+            st.sampled_from(ENTRY_SHAPES),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+def _learn_then_hit(learn, hit, kind="udp"):
+    """Both directions of flow 0: learned by a ``learn``-shaped frame,
+    then hit by ``hit``-shaped ones, the last of them checksum-free."""
+    return [
+        ("out", 0, kind, 1, learn),
+        ("out", 0, kind, 1, hit),
+        ("in", 0, kind, 1, learn),
+        ("in", 0, kind, 1, hit),
+        ("out", 0, "udp0", 1, hit),
+        ("in", 0, "udp0", 1, hit),
+    ]
+
+
+class TestEveryEntryStateAndEveryLearn:
+    """One property for all four providers: whatever state a frame is in
+    when it arrives — wire-backed, built from headers, or parsed from a
+    frame whose padding or length fields the parse normalises — and
+    whichever state the frame that taught the cache its flow was in, the
+    wrapped NF and its unwrapped twin emit the same (device, wire bytes),
+    end in the same flow state, and the cache holds live flows only.
+    Zero-checksum UDP frames run mid-flow in both directions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nf=st.sampled_from(sorted(WRAPPED_NFS)), steps=_shaped_steps())
+    @example(nf="vignat", steps=_learn_then_hit("wire", "object"))
+    @example(nf="vignat", steps=_learn_then_hit("object", "wire"))
+    @example(nf="vignat", steps=_learn_then_hit("padded", "stale-length"))
+    @example(nf="unverified", steps=_learn_then_hit("wire", "padded"))
+    @example(nf="unverified", steps=_learn_then_hit("object", "wire"))
+    @example(nf="unverified", steps=_learn_then_hit("stale-length", "object"))
+    @example(nf="firewall", steps=_learn_then_hit("wire", "stale-length", "tcp"))
+    @example(nf="firewall", steps=_learn_then_hit("padded", "wire"))
+    @example(nf="limiter", steps=_learn_then_hit("object", "padded"))
+    @example(nf="limiter", steps=_learn_then_hit("wire", "object", "tcp"))
+    def test_wrapped_is_its_twin_after_every_step(self, nf, steps):
+        fast, twin = FastPathNat(WRAPPED_NFS[nf]()), WRAPPED_NFS[nf]()
+        probes = {}
+        now = 0
+        for direction, selector, kind, dt, shape in steps:
+            now += dt
+            packet = _nf_packet(nf, direction, selector, kind)
+            offered = _entry(packet, shape)
+            twins = offered.clone()
+            (got,) = fast.process_burst([offered], now)
+            (want,) = twin.process_burst([twins], now)
+            assert _render(got) == _render(want)
+            assert flow_state(fast) == flow_state(twin)
+            assert_cache_within_live_flows(fast, probes)
+        assert fast.op_counters()["fastpath_compile_rejected"] == 0
+
+
 class TestRuntimeMainLoop:
     def _drive(self, nf, steps):
         runtime = DpdkRuntime(port_count=2)
