@@ -488,10 +488,10 @@ class ChainRuntime:
 
     def _walk(self, port: int, key, now: Optional[int] = None):
         """Build the fused entry for ``key`` arriving on ``port``, or None:
-        every stage toward the other port must cache an action with an
-        earned closure emitting that way; the next key is this one as
-        the action rewrites it. Given ``now`` (a turn's first frame),
-        each stage scans (``begin_burst``) before its cache is read."""
+        every stage toward the other port must cache an action emitting
+        that way; the next key is this one as the action rewrites it.
+        Given ``now`` (a turn's first frame), each stage scans
+        (``begin_burst``) before its cache is read."""
         owner = (port, key)
         tokens, keys, closures = [], [], []
         index = self._entries[port][0]
@@ -501,7 +501,7 @@ class ChainRuntime:
             stage = self.stages[index]
             emit = stage.device_a if port else stage.device_b
             action = self.engines[index].action_for(key)
-            if action is None or not action.closure or action.out_device != emit:
+            if action is None or action.out_device != emit:
                 return None
             tokens.append(action.token)
             keys.append((index, key))

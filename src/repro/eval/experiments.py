@@ -544,9 +544,6 @@ def fastpath_sweep(
                     "modeled_busy_ns_on": round(busy_on, 1),
                     "modeled_mpps_off": round(_ratio(1_000.0, busy_off), 3),
                     "modeled_mpps_on": round(_ratio(1_000.0, busy_on), 3),
-                    # The NF's actions compile into closures (the
-                    # ``compiled_counters`` checks only apply there).
-                    "supports_raw": wrapped and fast.inner.supports_raw,
                     # Both wire-backed replays emitted byte-identical
                     # frames to the object-path replay.
                     "wire_identical": (
@@ -662,9 +659,7 @@ def failover_sweep(
     in-flight replication deltas, frames lost queued for the dead
     worker, and ``recovery_us``, the measured wall time of the rebuild.
     ``steady_*`` is the reply traffic spanning the kill, ``probe_*`` the
-    post-recovery probe (one reply per established flow),
-    ``fastpath_warmed`` the microflow-cache actions rebuilt from the
-    recovered flow state (0 in cache-off runs).
+    post-recovery probe (one reply per established flow).
     """
     from repro.resil.faults import FaultPlan
 
@@ -716,7 +711,7 @@ def failover_sweep(
                         {
                             f"failover_{field}": value
                             for field, value in ledger.items()
-                            if field not in ("recovery_us", "fastpath_warmed")
+                            if field != "recovery_us"
                         },
                         labels={"nf": name, "lag": str(lag)},
                         help_text="failover-sweep loss ledger",

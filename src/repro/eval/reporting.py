@@ -227,13 +227,12 @@ def render_fastpath_sweep(records: Sequence[Record]) -> str:
             f"learns={counters.get('fastpath_learns', 0)}"
         )
         compiled = r["compiled_counters"]
-        if r["supports_raw"]:
-            lines.append(
-                f"{'':>20s}   compiled: "
-                f"compiles={compiled.get('fastpath_compiles', 0)}, "
-                f"rejected={compiled.get('fastpath_compile_rejected', 0)}, "
-                f"hits={compiled.get('fastpath_compiled_hits', 0)}"
-            )
+        lines.append(
+            f"{'':>20s}   compiled: "
+            f"compiles={compiled.get('fastpath_compiles', 0)}, "
+            f"rejected={compiled.get('fastpath_compile_rejected', 0)}, "
+            f"hits={compiled.get('fastpath_compiled_hits', 0)}"
+        )
     for r in records:
         for field, axis in (
             ("divergence", "DIVERGED"),
@@ -282,14 +281,6 @@ def render_failover(records: Sequence[Record]) -> str:
         "probe lost   availability",
         *_per_nf(records, "lag", row),
     ]
-    warmed = [r for r in records if r["fastpath_warmed"]]
-    if warmed:
-        lines.append("")
-        for r in sorted(warmed, key=itemgetter("nf", "lag")):
-            lines.append(
-                f"  {r['nf']} @ lag {r['lag']}: {r['fastpath_warmed']} microflow "
-                f"actions rebuilt from recovered flows"
-            )
     return "\n".join(lines)
 
 

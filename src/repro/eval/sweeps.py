@@ -251,9 +251,11 @@ def _shard_claims(records: List[Record]) -> List[str]:
 # to the cache-off run at every locality regime, object and wire-backed
 # path alike; (b) order-preserving: it accelerates every NF, never
 # reorders them; (c) worth it: at a 90%+ hit rate the verified NAT's
-# bare replay speeds up; (d) worth it compiled: on wire-backed packets
-# through ``process_burst`` — the path ``launch()`` runs, where compiled
-# closures fire — it beats the no-fast-path replay on the verified NAT.
+# replay of materialised packets (each hit serialized, then the
+# closure) speeds up; (d) worth it compiled: every wrapped NF compiles
+# and runs its closures cleanly, and on wire-backed packets through
+# ``process_burst`` — the path ``launch()`` runs — the verified NAT
+# beats the no-fast-path replay.
 # The no-op forwarder has nothing to skip and is never wrapped
 # (``build_nf``): its rows are the ordering's baseline, on ≡ off, and
 # carry no ``hit_rate``/``counters`` for the cache's claims to read.
@@ -355,23 +357,24 @@ def _fastpath_claims(records: List[Record]) -> List[str]:
             breaches.append(f"{where(r)}: the cache saw no traffic: {counters}")
 
     # (a) ... and (d), on wire-backed packets. Records from before the
-    # compiled axis (no ``supports_raw``) are exempt: a claim cannot
+    # compiled axis (no ``wire_identical``) are exempt: a claim cannot
     # invent measurements a sweep never took.
-    if not any("supports_raw" in r for r in records):
+    if not any("wire_identical" in r for r in records):
         return breaches
     for r in records:
         if not r.get("wire_identical", True):
             breaches.append(f"{where(r)} lost wire-backed byte-identity")
-    closures = [r for r in records if r.get("supports_raw")]
+    # Every wrapped NF serves its hits through closures only.
+    closures = _having(records, "compiled_counters")
     if not closures:
         breaches.append(
             "no record's NF compiles closures; the compiled-closure axis is "
             "not being measured"
         )
     for r in closures:
-        compiled = r.get("compiled_counters")
+        compiled = r["compiled_counters"]
         # A rejection means the compiler and the slow path disagreed.
-        if compiled is not None and not (
+        if not (
             compiled.get("fastpath_compiles", 0) >= 1
             and compiled.get("fastpath_compiled_hits", 0) > 0
             and compiled.get("fastpath_compile_rejected", 0) == 0
@@ -379,20 +382,14 @@ def _fastpath_claims(records: List[Record]) -> List[str]:
             breaches.append(
                 f"{where(r)}: compiled closures did not run cleanly: {compiled}"
             )
-    hot_closures = [r for r in hot if r.get("supports_raw")]
-    if closures and not hot_closures:
-        breaches.append(
-            "no closure-capable verified-nat point at a 90%+ hit rate; the "
-            "compiled speedup claim has nowhere to gate"
-        )
-    elif closures and (
-        max(r.get("compiled_speedup_over_off", 0.0) for r in hot_closures)
+    if closures and hot and (
+        max(r.get("compiled_speedup_over_off", 0.0) for r in hot)
         < COMPILED_MIN_SPEEDUP
     ):
         breaches.append(
             f"verified-nat compiled closures below {COMPILED_MIN_SPEEDUP}x "
             f"the no-fast-path wire-backed replay at every hot point: "
-            + listing(hot_closures, "compiled_speedup_over_off")
+            + listing(hot, "compiled_speedup_over_off")
         )
     return breaches
 

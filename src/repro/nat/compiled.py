@@ -1,14 +1,11 @@
 """Compiled per-flow actions: the fast path as a specialized closure.
 
-The action cache (:mod:`repro.nat.fastpath`) already skips the slow
-path, but an object replay of a hit still pays generic per-packet
-Python: a parsed :class:`~repro.packets.headers.Packet`, a clone, one
-helper call per rewritten endpoint. On a frame that is still its wire
-image this module goes one step further, the way OVS compiles a
-megaflow into an action list the datapath executes without consulting
-the classifier: the flow's rewrite is *compiled* into a closure whose
-work per packet is two struct reads, one or two folded RFC 1624 delta
-applications, and a single ``bytes`` splice.
+The action cache (:mod:`repro.nat.fastpath`) skips the slow path; this
+module makes what a hit does cheap, the way OVS compiles a megaflow
+into an action list the datapath executes without consulting the
+classifier: the flow's rewrite is *compiled* into a closure whose work
+per frame is two struct reads, one or two folded RFC 1624 delta
+applications, and a single ``bytes`` splice. No header object is built.
 
 What makes the compilation sound:
 
@@ -23,25 +20,23 @@ What makes the compilation sound:
   to applying ``d1 + d2`` once. All unconditional patch calls therefore
   collapse into one constant per checksum field.
 - **RFC 768 bounds the folding.** A UDP checksum of 0 means "no
-  checksum", and the slow path re-checks for 0 before *each* of its L4
-  patch calls — an intermediate patch may land on 0, disabling the
-  rest. So for UDP the L4 deltas are folded only *within* each
-  slow-path patch call (one stage per call, zero-checked between
-  stages); for TCP, which has no such sentinel, every stage folds into
-  a single constant.
-- **Canonical form pins the layout.** A closure only ever sees the
-  image of a wire-backed packet, i.e. a frame
-  :meth:`Packet.from_bytes <repro.packets.headers.Packet.from_bytes>`
-  admitted as canonical: option-less IPv4 and TCP, lengths agreeing
-  with the frame. The fixed offsets
-  below are therefore the fields they name, and a splice of fixed-width
-  fields leaves the output canonical too.
-- **Verification backstops the compiler.** Before attaching a closure
-  to a flow's action, the caller (``FastPathNat``) byte-compares its
-  output against what the slow path emitted: at a learn from a
-  wire-backed frame, on that frame against the verified slow path's
-  own bytes; else on the flow's first wire-backed hit, against that
-  frame's object replay. A miscompiled closure is never installed.
+  checksum", and the shared rewrite helpers re-check for 0 before
+  *each* of their L4 patch calls — an intermediate patch may land on 0,
+  disabling the rest. So for UDP the L4 deltas are folded only *within*
+  each patch call (one stage per call, zero-checked between stages);
+  for TCP, which has no such sentinel, every stage folds into a single
+  constant. A rewrite that never zero-checks (``udp_zero_check=False``:
+  ``UnverifiedNat``'s hand-rolled inbound patch) folds like TCP's at
+  the UDP checksum offset.
+- **Canonical form pins the layout.** A closure only ever runs on a
+  frame in canonical form (:func:`~repro.packets.headers.is_canonical`):
+  option-less IPv4 and TCP, lengths agreeing with the frame. The fixed
+  offsets below are therefore the fields they name, and a splice of
+  fixed-width fields leaves the output canonical too.
+- **Verification backstops the compiler.** ``FastPathNat`` caches an
+  action only after its closure has turned the learning packet's frame
+  into the verified slow path's own bytes. A miscompiled closure never
+  serves a packet.
 
 A closure lives on its flow's action and the action lives exactly as
 long as the flow, so a hit checks nothing before firing one.
@@ -73,16 +68,16 @@ def _build_closure(
     ip_delta: int,
     l4_stages: Tuple[int, ...],
     l4_offset: int,
-    udp: bool,
-    identity: bool,
+    zero_check: bool,
 ) -> Callable[..., bytes]:
     """Generate the per-frame rewrite closure for one flow's constants.
 
     Three shapes, selected at compile time so the per-packet code has
     no branches on the flow's properties: identity (no rewrite — the
-    frame passes through as-is), TCP (every checksum stage folded into
-    one constant, no sentinel checks), UDP (staged deltas with the
-    RFC 768 zero-check between stages). The RFC 1624 fold is inlined —
+    frame passes through as-is), folded (every checksum stage folded
+    into one constant, no sentinel checks: TCP, and UDP rewritten
+    without the check), staged (UDP deltas with the RFC 768 zero-check
+    between stages). The RFC 1624 fold is inlined —
     ``apply_delta(c, d) = ~fold(~c + d)`` — so a packet costs two
     struct reads, the folds, and a single ``bytes`` splice.
     """
@@ -92,13 +87,13 @@ def _build_closure(
     mid_end = _MID_END
     l4_end = l4_offset + 2
 
-    if identity:
+    if not l4_stages:
         def apply_one(buf) -> bytes:
             return bytes(buf)
 
         return apply_one
 
-    if not udp:
+    if not zero_check:
         stage = l4_stages[0]
 
         def apply_one(buf) -> bytes:
@@ -147,8 +142,10 @@ def _build_closure(
     return apply_one
 
 
-def compile_action(key: FlowKey, action) -> Callable[..., bytes]:
-    """Compile a verified :class:`CachedAction` for flow ``key``.
+def compile_action(
+    key: FlowKey, action, udp_zero_check: bool = True
+) -> Callable[..., bytes]:
+    """Compile a :class:`~repro.nat.fastpath.CachedAction` for flow ``key``.
 
     Returns the closure ``frame -> rewritten bytes``; the output device
     and liveness token stay on the action it was compiled from, which
@@ -156,10 +153,11 @@ def compile_action(key: FlowKey, action) -> Callable[..., bytes]:
 
     The pre-rewrite endpoint values are read off the key (the key *is*
     the packet's endpoints); the post-rewrite values come from the
-    action. Delta terms are emitted per slow-path patch call in call
-    order — IP-header, L4-for-src-ip, L4-for-src-port, then the same
-    for dst — and folded exactly as far as the slow path's own
-    zero-checks allow (see module docstring).
+    action. Delta terms are emitted per patch call of the shared
+    rewrite helpers in call order — IP-header, L4-for-src-ip,
+    L4-for-src-port, then the same for dst — and folded exactly as far
+    as the helpers' own zero-checks allow (see module docstring);
+    ``udp_zero_check=False`` compiles a UDP rewrite that has none.
     """
     _, proto, src_ip, src_port, dst_ip, dst_port = key
     new_src = action.src if action.src is not None else (src_ip, src_port)
@@ -174,22 +172,22 @@ def compile_action(key: FlowKey, action) -> Callable[..., bytes]:
             continue
         ip_words = checksum_delta_u32(old_pair[0], new_pair[0])
         ip_delta += ip_words[0] + ip_words[1]
-        # One stage per slow-path L4 patch call: _patch_l4_for_ip
-        # (both address words fold — no zero-check between them), then
+        # One stage per L4 patch call: _patch_l4_for_ip (both address
+        # words fold — no zero-check between them), then
         # _patch_l4_for_port.
         stages.append(ip_words[0] + ip_words[1])
         stages.append(checksum_delta_u16(old_pair[1], new_pair[1]))
     udp = proto == PROTO_UDP
-    if not udp and stages:
-        # TCP never zero-checks: every stage folds into one constant.
+    zero_check = udp and udp_zero_check
+    if not zero_check and stages:
+        # Nothing zero-checks between stages: they fold into one constant.
         stages = [sum(stages)]
     return _build_closure(
         mid12=_MID.pack(new_src[0], new_dst[0], new_src[1], new_dst[1]),
         ip_delta=ip_delta,
         l4_stages=tuple(stages),
         l4_offset=OFF_UDP_CSUM if udp else OFF_TCP_CSUM,
-        udp=udp,
-        identity=not stages,
+        zero_check=zero_check,
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from repro.nat.base import NetworkFunction
-from repro.nat.fastpath import apply_endpoint_action
+from repro.nat.compiled import compile_action
 from repro.nat.flow import FlowId, flow_id_of_packet
 from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.packets.headers import Packet
@@ -190,8 +190,9 @@ class LibvigNf(NetworkFunction):
     ROWS: str
     #: Provider half: the config field holding an entry's lifetime.
     LIFETIME: str
-    supports_raw = True
-    apply = staticmethod(apply_endpoint_action)
+    #: Provider half: the slow path rewrites through the shared helpers,
+    #: so its actions compile to the RFC shape.
+    compile = staticmethod(compile_action)
 
     COUNTERS = {
         "expired": "_expired_total",

@@ -4,17 +4,18 @@ An OVS-style microflow cache keyed on (device, proto, 5-tuple). The
 first packet of a flow takes the slow path — for VigNat that is the
 *verified* ``nat_loop_iteration`` — and the fast path memoizes the
 **action** the slow path took: which endpoint fields it rewrote, to
-what, and out of which device. Every later packet of the flow replays
-that action without touching the flow table.
+what, and out of which device, compiled into a closure over wire
+frames (:mod:`repro.nat.compiled`). Every later packet of the flow runs
+that closure without touching the flow table.
 
 The cache is strictly an equivalence-preserving memoization; three
 mechanisms enforce it:
 
-- **Self-verifying learn.** A candidate action is cached only if it
-  reproduces byte for byte (``wire_bytes``) what the slow path actually
-  emitted — on a wire-backed frame its compiled closure, else its
-  object replay; a replay path left unchecked serves nothing until the
-  slow path has checked it. A wrong action never serves a packet.
+- **One currency, byte-checked.** An action is cached only after its
+  compiled closure has turned a real canonical frame — the learning
+  packet's — into the verified slow path's own bytes, and a hit is
+  served only through that closure. A wrong action never serves a
+  packet.
 - **An action lives exactly as long as its flow.** The wrapped NF's one
   flow-free routine reports a dying flow's two keys *before* it
   releases the flow's slot, and the cache drops those (at most two)
@@ -29,37 +30,24 @@ mechanisms enforce it:
 Verification still targets the slow path: the fast path adds no state
 the symbolic engine must model, and the proof report is unchanged.
 
-Both entry points (``process``, ``process_burst``) consult the one
-cache through the one per-packet routine (``_run``), keyed by
-:meth:`~repro.packets.headers.Packet.flow_key`.
-What a hit costs depends on what the packet still is. A *wire-backed*
-packet — ``Packet.from_bytes`` kept its frame as bytes, and nothing has
-touched a header since — is rewritten by the flow's compiled closure
-(:mod:`repro.nat.compiled`) straight from image to image; no header
-object is ever built for it. A materialised packet, or any packet of an
-NF whose hooks say ``supports_raw = False``, is replayed through the
-NF's own ``apply`` hook. A learn from a wire-backed frame compiles the
-closure and admits it iff it turns the frame into the slow path's bytes,
-which then leave as those bytes; the object replay of such an action
-is checked by the slow path on the flow's first materialised packet.
-Any other action (learned from a materialised packet, installed by
-``warm()``) is replay-checked and *earns* its closure on its first
-wire-backed hit, against that frame's object replay. Either way a
-closure is attached or rejected for good and lives *on* the action, so
-whatever drops an action drops its closure with it. There is no entry
-point over bare frame buffers: a frame reaches the cache only as a
-``Packet``, so ``Packet.from_bytes`` — canonical-form check included —
-has accepted every image a closure ever sees.
+Both entry points (``process``, ``process_burst``) run one per-packet
+routine (``_run``), keyed by :meth:`~repro.packets.headers.Packet.flow_key`.
+A closure only runs on a frame in canonical form
+(:func:`~repro.packets.headers.is_canonical`): a *wire-backed* packet's
+image, or else the packet's one serialization when that is canonical;
+any other packet takes the slow path. The learn checks the closure on
+the frame a hit would run it on, and the slow path's bytes then leave
+as those bytes.
 
 An NF that opts in is its own provider: ``fastpath_hooks()`` returns
-the NF, which carries ``supports_raw`` (bool), ``begin_burst(now) ->
-now`` (clamp the clock and run the per-burst expiry scan),
-``on_flow_freed(observer)`` (the NF calls ``observer(keys)`` with a
-flow's forward and reply keys when it frees that flow),
-``learn_token(packet) -> token | None`` (NF state handle used to keep
-the flow alive; an exact query), ``rejuvenate(token, now)``, and
-``apply(packet, action) -> Packet`` (the NF's own rewrite code, so NF
-quirks — including deliberate ones — are reproduced exactly).
+the NF, which carries ``begin_burst(now) -> now`` (clamp the clock and
+run the per-burst expiry scan), ``on_flow_freed(observer)`` (the NF
+calls ``observer(keys)`` with a flow's forward and reply keys when it
+frees that flow), ``learn_token(packet) -> token | None`` (NF state
+handle used to keep the flow alive; an exact query),
+``rejuvenate(token, now)``, and ``compile(key, action) -> closure``
+(the NF's own rewrite as a closure shape, so NF quirks — including
+deliberate ones — are reproduced exactly).
 :class:`~repro.nat.concrete.LibvigNf` supplies all of it for a table NF
 but the lookup behind ``learn_token``; :func:`repro.net.dpdk.build_nf`
 alone decides who gets wrapped.
@@ -68,15 +56,12 @@ alone decides who gets wrapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.nat.base import NetworkFunction
-from repro.nat.compiled import compile_action
-from repro.nat.flow import microflow_keys
-from repro.nat.rewrite import rewrite_destination, rewrite_source
 from repro.obs import flight
-from repro.packets.headers import FlowKey, Packet
+from repro.packets.headers import FlowKey, Packet, is_canonical
 
 #: The values a spec's ``fastpath`` field can take.
 FASTPATH_MODES = ("off", "compiled")
@@ -97,67 +82,23 @@ class CachedAction:
 
     ``src``/``dst`` are the (ip, port) endpoint targets the slow path
     rewrote to (None = that endpoint untouched), exactly the arguments
-    its own rewrite helpers receive. ``closure`` is the same rewrite
-    compiled for wire images (:func:`~repro.nat.compiled.compile_action`):
-    the byte-verified closure, False for good when its output diverged
-    from what the slow path emitted, or None until the flow's first
-    wire-backed hit earns one (an action not learned from a wire-backed
-    frame). ``replay_ok`` says whether the object replay (the hooks'
-    ``apply``) may serve the flow's materialised packets: True once
-    verified, False for good once it diverged, None while unchecked.
+    its own rewrite helpers receive. ``closure`` is that rewrite
+    compiled for wire frames by the provider's ``compile`` hook, set
+    once it has reproduced the slow path's bytes: every cached action
+    has one.
     """
 
     src: Optional[Tuple[int, int]]
     dst: Optional[Tuple[int, int]]
     out_device: int
     token: Any
-    closure: Union[Callable[..., bytes], None, bool] = None
-    replay_ok: Optional[bool] = True
+    closure: Optional[Callable[[bytes], bytes]] = None
 
 
-def apply_endpoint_action(packet: Packet, action: CachedAction) -> Packet:
-    """Replay a cached action the way ``_ConcreteEnv.emit`` rewrites.
-
-    Clone, rewrite whichever endpoints the slow path rewrote (with the
-    same shared helpers, so UDP zero-checksum semantics match), set the
-    output device. This is the ``apply`` hook for every NF whose slow
-    path emits via :func:`~repro.nat.rewrite.rewrite_source` /
-    :func:`~repro.nat.rewrite.rewrite_destination`.
-    """
-    out = packet.clone()
-    if action.src is not None:
-        rewrite_source(out, *action.src)
-    if action.dst is not None:
-        rewrite_destination(out, *action.dst)
-    out.device = action.out_device
-    return out
-
-
-def warm_actions(config, flow, token):
-    """Both directions of a NAT flow as ``(flow key, CachedAction)`` pairs.
-
-    Exactly what a learn on the flow's next packet would cache, derived
-    from the flow record instead: outbound rewrites the source to the
-    NAT's external endpoint, the reply rewrites the destination back to
-    the internal endpoint, each under its
-    :func:`~repro.nat.flow.microflow_keys` key. ``token`` is the NF's
-    live handle for the flow, so warmed hits rejuvenate just like
-    learned ones. The two NATs' ``warm_entries()`` hooks yield these.
-    """
-    forward_key, reply_key = microflow_keys(config, flow)
-    fid = flow.internal_id
-    yield forward_key, CachedAction(
-        src=(config.external_ip, flow.external_port),
-        dst=None,
-        out_device=config.external_device,
-        token=token,
-    )
-    yield reply_key, CachedAction(
-        src=None,
-        dst=(fid.src_ip, fid.src_port),
-        out_device=config.internal_device,
-        token=token,
-    )
+def _canonical_image(packet: Packet) -> Optional[bytes]:
+    """``packet``'s one serialization, if a closure may run on it."""
+    frame = packet.wire_bytes()
+    return frame if is_canonical(frame) else None
 
 
 #: The cache's counters, declared once: (stem, help). Each is the plain
@@ -165,32 +106,17 @@ def warm_actions(config, flow, token):
 #: metric ``fastpath_<stem>_total`` (read at snapshot time) and
 #: ``op_counters()`` reports under the key ``fastpath_<stem>``.
 _COUNTERS = (
-    ("hits", "packets replayed from the action cache"),
+    ("hits", "packets served by a cached action's closure"),
     ("misses", "packets that took the slow path"),
     ("invalidations", "cached actions dropped because their flow ended"),
     ("evictions", "cached actions evicted by the FIFO capacity cap"),
     ("learns", "actions admitted after byte verification"),
-    (
-        "learn_rejected",
-        "object replays that diverged from the slow path",
-    ),
-    ("warmed", "actions pre-installed from restored flow state"),
     ("compiles", "flow rewrites compiled into specialized closures"),
     (
         "compile_rejected",
         "compiled closures whose output diverged from the slow path",
     ),
     ("compiled_hits", "packets rewritten by a compiled closure"),
-)
-
-#: The cache's gauges: (metric name, ``FastPathNat`` property, help).
-_GAUGES = (
-    ("fastpath_cache_entries", "cache_size", "actions currently cached"),
-    (
-        "fastpath_compiled_entries",
-        "compiled_size",
-        "compiled closures currently installed",
-    ),
 )
 
 
@@ -218,9 +144,9 @@ class FastPathNat(NetworkFunction):
         self.name = inner.name
         self.max_entries = max_entries
         self._hooks = hooks
-        #: The one store. A flow's compiled closure, when it has one,
-        #: hangs off its action — there is no second table to keep in
-        #: step when a flow ends, on FIFO eviction or on restore.
+        #: The one store. A flow's closure hangs off its action — there
+        #: is no second table to keep in step when a flow ends, on FIFO
+        #: eviction or on restore.
         self._cache: Dict[FlowKey, CachedAction] = {}
         for stem, _help in _COUNTERS:
             setattr(self, f"_{stem}", 0)
@@ -233,10 +159,6 @@ class FastPathNat(NetworkFunction):
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-    @property
-    def compiled_size(self) -> int:
-        return sum(1 for action in self._cache.values() if action.closure)
 
     def op_counters(self) -> Dict[str, int]:
         counters = dict(self.inner.op_counters())
@@ -261,10 +183,12 @@ class FastPathNat(NetworkFunction):
                 help_text,
                 cache_labels,
             )
-        for name, prop, help_text in _GAUGES:
-            registry.gauge_fn(
-                name, lambda p=prop: getattr(self, p), help_text, cache_labels
-            )
+        registry.gauge_fn(
+            "fastpath_cache_entries",
+            lambda: self.cache_size,
+            "actions currently cached",
+            cache_labels,
+        )
         self.inner.register_metrics(registry, labels)
 
     def flow_count(self) -> int:
@@ -297,41 +221,6 @@ class FastPathNat(NetworkFunction):
             if self._downstream is not None:
                 self._downstream(dropped)
 
-    def warm(self) -> int:
-        """Pre-install cached actions for the inner NF's live flows.
-
-        A freshly restored standby knows every live flow, yet a plain
-        restore leaves this cache empty — so the first post-failover
-        packet of *every* flow pays the slow path and the hit rate
-        falls off a cliff exactly when the data path is busiest. NFs
-        that can derive the per-direction actions from their flow table
-        also provide ``warm_entries()`` (yielding
-        ``(flow key, CachedAction)`` pairs) under the very keys the NF
-        reports when the flow is freed, so a warmed action dies with
-        its flow like a learned one.
-
-        The learn-time replay verification is deliberately skipped:
-        warmed actions are computed from flow state that
-        ``restore_state`` has already validated against the NF's
-        invariants, not inferred from a single packet. No closure is
-        attached: like a materialised learn's, a warmed action earns it
-        on its first wire-backed hit. Returns the number of entries
-        installed (0 when the provider cannot warm).
-        """
-        warm_entries = getattr(self._hooks, "warm_entries", None)
-        if warm_entries is None:
-            return 0
-        installed = 0
-        for key, action in warm_entries():
-            if len(self._cache) >= self.max_entries:
-                break
-            if key in self._cache and self._downstream is not None:
-                self._downstream((key,))  # the replaced action ends here
-            self._cache[key] = action
-            installed += 1
-        self._warmed += installed
-        return installed
-
     def delta_sink(self, sink) -> None:
         self.inner.delta_sink(sink)
 
@@ -357,8 +246,8 @@ class FastPathNat(NetworkFunction):
         """Install the one downstream observer: ``observer(keys)`` runs
         after this cache has dropped a dying flow's actions, with every
         key the NF reported — cached here or not — and whenever an
-        action goes otherwise (the FIFO cap, a restore's clear, a
-        ``warm`` replacing it), so nothing downstream outlives one."""
+        action goes otherwise (the FIFO cap, a restore's clear), so
+        nothing downstream outlives one."""
         self._downstream = observer
 
     def action_for(self, key: FlowKey) -> Optional[CachedAction]:
@@ -373,13 +262,6 @@ class FastPathNat(NetworkFunction):
         self._hits += frames
         self._compiled_hits += frames
 
-    def _replays(self, packet: Packet, action: CachedAction, outputs) -> bool:
-        """Whether the object replay of ``action`` on ``packet`` is
-        ``outputs``, the slow path's for it, byte for byte."""
-        replayed = self._hooks.apply(packet, action)
-        wire = [(out.device, out.wire_bytes()) for out in outputs]
-        return wire == [(replayed.device, replayed.wire_bytes())]
-
     def _learn(
         self,
         packet: Packet,
@@ -390,12 +272,11 @@ class FastPathNat(NetworkFunction):
         """Memoize what the slow path just did, if it is cacheable.
 
         Only single-packet forwards are cached (drops and multi-output
-        behaviors always re-consult the slow path). The candidate action
-        is verified before it is admitted: if the packet was wire-backed
-        (``image``, read before the slow path parsed it), by its closure
-        turning ``image`` into the slow path's bytes, which then leave as
-        the output (the object replay is checked later, in ``_run``);
-        otherwise, or if the closure diverged, by its object replay.
+        behaviors always re-consult the slow path). The action is
+        admitted iff its compiled closure turns the packet's frame —
+        ``image``, read before the slow path parsed a wire-backed
+        packet, else its canonical serialization — into the slow path's
+        bytes, which then leave as the output.
         """
         if len(outputs) != 1:
             return
@@ -407,6 +288,10 @@ class FastPathNat(NetworkFunction):
         l4 = out.l4
         if ipv4 is None or l4 is None:
             return
+        if image is None:
+            image = _canonical_image(packet)
+            if image is None:
+                return
         # The key *is* the input's endpoints; the input itself need not
         # be read again.
         src: Optional[Tuple[int, int]] = (ipv4.src_ip, l4.src_port)
@@ -415,27 +300,16 @@ class FastPathNat(NetworkFunction):
         dst: Optional[Tuple[int, int]] = (ipv4.dst_ip, l4.dst_port)
         if dst == key[4:6]:
             dst = None
-        action = CachedAction(
-            src=src,
-            dst=dst,
-            out_device=out.device,
-            token=token,
-        )
-        if image is not None:
-            emitted = out.wire_bytes()
-            closure = compile_action(key, action)
-            if closure(image) == emitted:
-                self._compiles += 1
-                action.closure = closure
-                action.replay_ok = None
-                outputs[0] = Packet.from_image(emitted, out.device)
-            else:
-                self._compile_rejected += 1
-                action.closure = False
-        if not action.closure and not self._replays(packet, action, outputs):
-            self._learn_rejected += 1
+        action = CachedAction(src, dst, out.device, token)
+        emitted = out.wire_bytes()
+        closure = self._hooks.compile(key, action)
+        if closure(image) != emitted:
+            self._compile_rejected += 1
             return
-        if key not in self._cache and len(self._cache) >= self.max_entries:
+        self._compiles += 1
+        action.closure = closure
+        outputs[0] = Packet.from_image(emitted, out.device)
+        if len(self._cache) >= self.max_entries:
             evicted = next(iter(self._cache))
             del self._cache[evicted]
             self._evictions += 1
@@ -444,84 +318,46 @@ class FastPathNat(NetworkFunction):
         self._cache[key] = action
         self._learns += 1
 
-    def _earn_closure(self, key: FlowKey, action: CachedAction, packet: Packet):
-        """Compile ``action`` on its first wire-backed hit, verified.
-
-        Only an action learned from a materialised packet or installed
-        by ``warm()`` reaches this (a wire-backed learn compiles): its
-        closure's output on the triggering frame must be byte-identical
-        to that frame's object replay, or it is never attached — the
-        action is marked rejected and every later hit keeps taking the
-        object replay. Returns what was stored on the action.
-        """
-        closure = compile_action(key, action)
-        if closure(packet.image) == self._hooks.apply(packet, action).wire_bytes():
-            self._compiles += 1
-        else:
-            closure = False
-            self._compile_rejected += 1
-        action.closure = closure
-        return closure
-
     def _run(self, packets: Sequence[Packet], now: int) -> List[List[Packet]]:
-        """The per-packet code: cache consult, replay on a hit, slow
-        path and learn on a miss. ``now`` is already clamped by
-        ``begin_burst``.
-
-        A cached action is a live flow's (``_drop_flow``), so a hit
-        fires it unconditionally. A materialised packet whose action's
-        object replay is unchecked or rejected takes the slow path.
-        """
-        hooks = self._hooks
+        """The per-packet code: cache consult, the closure on a hit,
+        slow path and learn on a miss. ``now`` is already clamped by
+        ``begin_burst``. A cached action is a live flow's
+        (``_drop_flow``), so a hit fires its closure unconditionally."""
         cache = self._cache
-        rejuvenate = hooks.rejuvenate
-        apply_action = hooks.apply
+        rejuvenate = self._hooks.rejuvenate
         inner_process = self.inner.process
-        compiles = hooks.supports_raw
         from_image = Packet.from_image
         recorder = obs.recorder()
         tracing = recorder.active
         results: List[List[Packet]] = []
-        hits = misses = compiled_hits = 0
+        hits = misses = 0
         for packet in packets:
             key = packet.flow_key()
             action = cache.get(key) if key is not None else None
+            # Read before the slow path materialises the packet.
+            image = packet.image
             if action is not None:
-                image = packet.image
-                closure = None
-                if image is not None and compiles:
-                    closure = action.closure
-                    if closure is None:
-                        closure = self._earn_closure(key, action, packet)
-                if closure or action.replay_ok:
+                if image is None:
+                    image = _canonical_image(packet)
+                if image is not None:
                     hits += 1
                     if tracing:
                         recorder.trace(flight.FASTPATH_HIT, t_us=now)
                     rejuvenate(action.token, now)
-                    if closure:
-                        compiled_hits += 1
-                        results.append(
-                            [from_image(closure(image), action.out_device)]
-                        )
-                    else:
-                        results.append([apply_action(packet, action)])
+                    results.append(
+                        [from_image(action.closure(image), action.out_device)]
+                    )
                     continue
             misses += 1
             if tracing:
                 recorder.trace(flight.SLOW_PATH, t_us=now)
-            # Read before the slow path materialises the packet.
-            image = packet.image if compiles else None
             outputs = inner_process(packet, now)
             if action is None and key is not None:
                 self._learn(packet, key, outputs, image)
-            elif action is not None and action.replay_ok is None:
-                # Checked once: it serves from here on, or never does.
-                action.replay_ok = self._replays(packet, action, outputs)
-                self._learn_rejected += not action.replay_ok
             results.append(outputs)
         self._hits += hits
         self._misses += misses
-        self._compiled_hits += compiled_hits
+        self._compiled_hits += hits
         return results
 
     # -- packet paths -------------------------------------------------------
@@ -544,7 +380,5 @@ __all__ = [
     "FASTPATH_MODES",
     "FastPathNat",
     "FlowKey",
-    "apply_endpoint_action",
     "check_fastpath",
-    "warm_actions",
 ]

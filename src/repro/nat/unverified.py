@@ -36,13 +36,13 @@ lookup thanks to chaining), which is what Figs. 12/14 measure.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.libvig.hash_table import ChainingHashTable
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
-from repro.nat.fastpath import warm_actions
+from repro.nat.compiled import compile_action
 from repro.nat.flow import FlowId, flow_id_of_packet, microflow_keys
 from repro.nat.rewrite import rewrite_source
 from repro.packets.checksum import checksum_update_u16, checksum_update_u32
@@ -157,11 +157,6 @@ class UnverifiedNat(NetworkFunction):
             self._delta_sink(("touch", port, None, now))
 
     # -- the fast-path provider, over the ad-hoc state ------------------------
-    #: False: a compiled closure is the shared RFC-compliant rewrite
-    #: helpers specialized to bytes, which this NF's inbound path
-    #: deliberately does not use.
-    supports_raw = False
-
     def fastpath_hooks(self) -> "UnverifiedNat":
         return self
 
@@ -183,27 +178,22 @@ class UnverifiedNat(NetworkFunction):
     def rejuvenate(self, token: _Entry, now: int) -> None:
         self._touch(token.external_port, token, now)
 
-    def apply(self, packet: Packet, action) -> Packet:
-        """Replay the NAT's *own* rewrite code per direction — including
-        the hand-rolled inbound patch that corrupts disabled UDP
-        checksums. The fast path memoizes the NF as it is, bugs
-        included; fixing them here would make the cached path diverge
-        from the slow path the differential harness compares against.
+    def compile(self, key, action):
+        """The NAT's *own* rewrite per direction, as a closure. Both
+        directions patch their endpoint even when it is unchanged (which
+        the learn records as None), and such a patch still turns a
+        checksum of 0xFFFF into 0. Outbound is the shared helper's shape
+        (RFC 768 zero-check between patches); inbound the hand-rolled
+        ``_patch_destination``, which patches a disabled UDP checksum
+        like any other word and so folds like TCP's. The fast path
+        memoizes the NF as it is, bugs included; fixing them here would
+        make the cached path diverge from the slow path the differential
+        harness compares against.
         """
-        out = packet.clone()
-        if packet.device == self.config.internal_device:
-            rewrite_source(out, *action.src)
-        else:
-            self._patch_destination(out, *action.dst)
-        out.device = action.out_device
-        return out
-
-    def warm_entries(self):
-        """(key, action) pairs for both directions of every live flow,
-        newest first: what :meth:`FastPathNat.warm` installs when a
-        standby is promoted (see ``VigNat.warm_entries``)."""
-        for entry in reversed(list(self._lru.values())):
-            yield from warm_actions(self.config, entry, entry)
+        if key[0] == self.config.external_device:
+            inbound = replace(action, dst=action.dst or key[4:6])
+            return compile_action(key, inbound, udp_zero_check=False)
+        return compile_action(key, replace(action, src=action.src or key[2:4]))
 
     # -- checkpoint/restore ------------------------------------------------
     def delta_sink(self, sink) -> None:
@@ -377,8 +367,9 @@ class UnverifiedNat(NetworkFunction):
         # rather than via a shared helper (the asymmetry noted above —
         # a zero UDP checksum is "patched" here, unconditionally,
         # producing an invalid non-zero checksum, where the outbound
-        # path handles it right). The slow path and the cached replay
-        # both come through here, so they are wrong alike.
+        # path handles it right). A cached inbound action's closure is
+        # compiled to the same shape (``compile``), so both are wrong
+        # alike.
         assert out.ipv4 is not None and out.l4 is not None
         old_ip = out.ipv4.dst_ip
         old_port = out.l4.dst_port

@@ -21,7 +21,6 @@ from repro.libvig.port_allocator import PortAllocator
 from repro.nat.concrete import ConcreteEnv, LibvigNf, PacketView
 from repro.nat.config import NatConfig
 from repro.nat.core_logic import nat_loop_iteration
-from repro.nat.fastpath import warm_actions
 from repro.nat.flow import Flow, FlowId, flow_id_of_packet, microflow_keys
 from repro.packets.headers import Packet
 
@@ -138,20 +137,6 @@ class VigNat(LibvigNf):
         sink = self._delta_sink
         if sink is not None:
             sink(("touch", token, None, now))
-
-    def warm_entries(self):
-        """(flow key, action) pairs for every live flow, both directions.
-
-        Feeds :meth:`~repro.nat.fastpath.FastPathNat.warm` at standby
-        promotion (:func:`~repro.nat.fastpath.warm_actions` per flow;
-        the token is the live flow index). Flows are walked
-        newest-first, so if the cache's capacity cap truncates warming,
-        the entries sacrificed belong to the flows closest to expiry.
-        """
-        for index, _touched in reversed(list(self._chain.cells())):
-            yield from warm_actions(
-                self.config, self._flow_table.get_value(index), index
-            )
 
     def _expire(self, min_time: int) -> None:
         """The one expiry scan: the slow path's and the fast path's."""

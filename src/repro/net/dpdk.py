@@ -486,15 +486,13 @@ class SteeringFront:
         raise NotImplementedError
 
     def fresh_shard(self, worker_id: int, checkpoint=None) -> Shard:
-        """A newly built shard for one worker slot: empty state and a
-        cold cache, or — rebuilt by :meth:`recover` — ``checkpoint``'s
-        state with the cache warmed from it."""
-        shard = self._make_shard(
+        """A newly built shard for one worker slot: empty state, or —
+        rebuilt by :meth:`recover` — ``checkpoint``'s state. Its cache
+        starts cold either way: a flow's first packet learns, as any
+        new flow's does."""
+        return self._make_shard(
             self.shards[worker_id], worker_id=worker_id, checkpoint=checkpoint
         )
-        if checkpoint is not None and isinstance(shard.nf, FastPathNat):
-            shard.nf.warm()
-        return shard
 
     @property
     def workers(self) -> int:
@@ -554,11 +552,10 @@ class SteeringFront:
         lost), count its queued frames lost, then build only this shard
         fresh from one frame: its standby's synthesized ``repro-ckpt/v1``
         frame when replicating, otherwise its frame of the last
-        coordinated checkpoint. The rebuilt shard's cache is warmed from
-        that state, frames the dead worker already transmitted are kept,
-        steering is reassigned and the kill window retired. The
-        survivors are untouched: shards share nothing, and replies reach
-        a flow's owner by port. Returns the recorded
+        coordinated checkpoint. Frames the dead worker already
+        transmitted are kept, steering is reassigned and the kill window
+        retired. The survivors are untouched: shards share nothing, and
+        replies reach a flow's owner by port. Returns the recorded
         :class:`~repro.resil.replication.FailoverReport`, whose
         ``recovery_us`` is the wall time all of this took.
         """
@@ -604,7 +601,6 @@ class SteeringFront:
             flows_lost=len(unrecovered),
             deltas_lost=len(lost),
             packets_lost_queue=packets_lost_queue,
-            fastpath_warmed=counters["op_counters"].get("fastpath_warmed", 0),
         )
         self.reports.append(report)
         recorder = obs.recorder()

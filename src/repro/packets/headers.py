@@ -8,7 +8,7 @@ metadata the NAT dispatches on, mirroring a DPDK mbuf's (port, data) pair.
 place; it never builds header objects for a frame it only forwards.
 :meth:`Packet.from_bytes` does the same for every frame in *canonical
 form* (exactly the frames on which parse∘serialize is the identity;
-the rule is spelled out there): it keeps the immutable ``bytes`` image
+the rule is :func:`is_canonical`): it keeps the immutable ``bytes`` image
 and builds no header. Such a *wire-backed* packet answers
 :meth:`Packet.wire_bytes`, :meth:`Packet.clone` and
 :meth:`Packet.flow_key` from the image in O(1); the first read or write
@@ -122,13 +122,17 @@ class Ipv4Header:
     SIZE = 20
     VERSION_IHL = 0x45
 
-    def pack(self, *, fill_checksum: bool = True) -> bytes:
+    def pack(
+        self, *, fill_checksum: bool = True, total_length: Optional[int] = None
+    ) -> bytes:
+        """The header's 20 bytes; ``total_length``, when given, stands in
+        for the stored field."""
         checksum = self.checksum
         flags_frag = ((self.flags & 0x7) << 13) | (self.fragment_offset & 0x1FFF)
         raw = _IPV4_STRUCT.pack(
             self.VERSION_IHL,
             self.tos,
-            self.total_length,
+            self.total_length if total_length is None else total_length,
             self.identification,
             flags_frag,
             self.ttl,
@@ -282,6 +286,37 @@ class UdpHeader:
         return UdpHeader(self.src_port, self.dst_port, self.length, self.checksum)
 
 
+def is_canonical(frame: bytes) -> bool:
+    """Whether ``frame`` is in *canonical form*: option-less IPv4 over
+    Ethernet II carrying UDP or option-less TCP, every length field
+    agreeing with the frame's own length (``total_length == len - 14``;
+    UDP ``length == len - 34``, or the TCP data-offset byte ``== 0x50``).
+    Exactly these TCP/UDP frames survive parse then
+    :meth:`Packet.wire_bytes` unchanged, so exactly these may stand in
+    for their own parse — and a compiled fast-path closure, whose offsets
+    are fixed, runs on nothing else.
+    """
+    size = len(frame)
+    if (
+        size < _MIN_LEN_UDP
+        or frame[OFF_ETHERTYPE : OFF_VERSION_IHL + 1] != _IPV4_IHL5
+        or _U16_STRUCT.unpack_from(frame, _OFF_TOTAL_LENGTH)[0]
+        != size - EthernetHeader.SIZE
+    ):
+        return False
+    proto = frame[OFF_PROTO]
+    if proto == PROTO_UDP:
+        return (
+            _U16_STRUCT.unpack_from(frame, _OFF_UDP_LENGTH)[0]
+            == size - EthernetHeader.SIZE - Ipv4Header.SIZE
+        )
+    return (
+        proto == PROTO_TCP
+        and size >= _MIN_LEN_TCP
+        and frame[_OFF_TCP_DATA_OFFSET] == _TCP_DATA_OFFSET_5
+    )
+
+
 def _parse(data: bytes):
     """(eth, ipv4, l4, payload) of a frame: the one parser.
 
@@ -415,72 +450,49 @@ class Packet:
         serializes to the very bytes a byte-level patching data path
         produces — the equality the fast-path differential harness
         asserts. Lengths are taken from the structure (headers plus
-        payload), not from the stored fields. A wire-backed packet *is*
-        those bytes and hands back its image.
+        payload), not from the stored fields, and nothing is written
+        back: serializing leaves the packet as it was. A wire-backed
+        packet *is* those bytes and hands back its image.
         """
         image = self.image
         if image is not None:
             return image
-        parts = [self.eth.pack()]
-        if self.ipv4 is not None:
-            if self.l4 is not None:
-                if isinstance(self.l4, UdpHeader):
-                    self.l4.length = UdpHeader.SIZE + len(self.payload)
-                l4_raw = self.l4.pack() + self.payload
-            else:
-                l4_raw = self.payload
-            self.ipv4.total_length = Ipv4Header.SIZE + len(l4_raw)
-            parts.append(self.ipv4.pack(fill_checksum=False))
-            parts.append(l4_raw)
+        ipv4, l4, payload = self.ipv4, self.l4, self.payload
+        if ipv4 is None:
+            return self.eth.pack() + payload
+        if isinstance(l4, UdpHeader):
+            size = UdpHeader.SIZE + len(payload)
+            l4_raw = _UDP_STRUCT.pack(l4.src_port, l4.dst_port, size, l4.checksum)
+            l4_raw += payload
         else:
-            parts.append(self.payload)
-        return b"".join(parts)
+            l4_raw = payload if l4 is None else l4.pack() + payload
+        total_length = Ipv4Header.SIZE + len(l4_raw)
+        ip_raw = ipv4.pack(fill_checksum=False, total_length=total_length)
+        return b"".join((self.eth.pack(), ip_raw, l4_raw))
 
     @classmethod
     def from_bytes(cls, data: bytes, device: int = 0) -> "Packet":
         """A frame as a packet: validated, parsed only when it must be.
 
-        A frame in *canonical form* is kept as its image and parsed on
-        first header access: option-less IPv4 over Ethernet II carrying
-        UDP or option-less TCP, every length field agreeing with the
-        frame's own length — ``total_length == len - 14``, and UDP
-        ``length == len - 34`` or the TCP data-offset byte ``== 0x50``
-        (offset 5, reserved bits clear). Of all TCP and UDP frames,
-        exactly these survive parse then :meth:`wire_bytes` unchanged
-        (it takes lengths from the structure and writes a fixed offset
-        byte), so exactly these may stand in for their own parse. Any
-        other frame — trailing Ethernet padding, a wrong length, IP or
-        TCP options, another protocol or ethertype (always slow-path
-        traffic: nothing on their way is faster for staying bytes),
-        anything malformed — is parsed here and now, raising
-        :class:`ParseError` as it always did.
+        A frame in *canonical form* (:func:`is_canonical`) is kept as
+        its image and parsed on first header access. Any other frame —
+        trailing Ethernet padding, a wrong length, IP or TCP options,
+        another protocol or ethertype (always slow-path traffic: nothing
+        on their way is faster for staying bytes), anything malformed —
+        is parsed here and now, raising :class:`ParseError` as it always
+        did.
 
         A mutable buffer is copied once at entry, so neither an image
         nor a payload ever aliases a caller's ring slot.
         """
         if type(data) is not bytes:
             data = bytes(data)
-        size = len(data)
-        if (
-            size >= _MIN_LEN_UDP
-            and data[OFF_ETHERTYPE : OFF_VERSION_IHL + 1] == _IPV4_IHL5
-            and _U16_STRUCT.unpack_from(data, _OFF_TOTAL_LENGTH)[0]
-            == size - EthernetHeader.SIZE
-        ):
-            proto = data[OFF_PROTO]
-            if (
-                _U16_STRUCT.unpack_from(data, _OFF_UDP_LENGTH)[0]
-                == size - EthernetHeader.SIZE - Ipv4Header.SIZE
-                if proto == PROTO_UDP
-                else proto == PROTO_TCP
-                and size >= _MIN_LEN_TCP
-                and data[_OFF_TCP_DATA_OFFSET] == _TCP_DATA_OFFSET_5
-            ):
-                # from_image, inlined: this runs once per frame.
-                packet = _new_packet(_WirePacket)
-                packet.image = data
-                packet.device = device
-                return packet
+        if is_canonical(data):
+            # from_image, inlined: this runs once per frame.
+            packet = _new_packet(_WirePacket)
+            packet.image = data
+            packet.device = device
+            return packet
         return Packet(*_parse(data), device)
 
     @classmethod
@@ -609,4 +621,5 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "internet_checksum",
+    "is_canonical",
 ]

@@ -117,9 +117,6 @@ class FailoverReport:
     deltas_lost: int
     #: Frames queued for the dead worker, lost with it.
     packets_lost_queue: int
-    #: Microflow-cache actions pre-installed from the recovered flow
-    #: state (0 when the runtime runs without a fast path).
-    fastpath_warmed: int = 0
 
 
 class ReplicationChannel:

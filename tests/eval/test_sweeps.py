@@ -113,7 +113,6 @@ class TestFastpathClaims:
         for record in (hot, churning):
             assert not {"hit_rate", "counters", "compiled_counters"} & set(record)
             assert record["modeled_busy_ns_on"] == record["modeled_busy_ns_off"]
-            assert not record["supports_raw"]
         hot["compiled_speedup_over_off"] = churning["wall_speedup"] = 0.4
         assert breaches_of("fastpath", records) == ""
         # The cache's claims read the wrapped rows, and only those.
@@ -124,20 +123,20 @@ class TestFastpathClaims:
 
     def test_lost_raw_identity(self):
         records = committed("fastpath")
-        only(records, supports_raw=False)[0]["wire_identical"] = False
+        only(records, nf="noop")[0]["wire_identical"] = False
         assert "lost wire-backed byte-identity" in breaches_of("fastpath", records)
 
     def test_no_raw_capable_record(self):
         records = committed("fastpath")
         for record in records:
-            record["supports_raw"] = False
+            record.pop("compiled_counters", None)
         assert "no record's NF compiles closures" in breaches_of(
             "fastpath", records
         )
 
     def test_closures_that_never_ran(self):
         records = committed("fastpath")
-        only(records, supports_raw=True)[0]["compiled_counters"][
+        only(records, nf="unverified-nat")[0]["compiled_counters"][
             "fastpath_compiled_hits"
         ] = 0
         assert "compiled closures did not run cleanly" in breaches_of(

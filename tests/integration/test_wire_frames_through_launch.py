@@ -276,16 +276,11 @@ def test_named_non_canonical_shapes_on_a_compiled_flow(execution, extra):
         assert len(verdicts[name]) == 1, name
     # The closure was there to be misused: compiled and verified by the
     # learn and run on the canonical frames either side of the shapes.
-    # The two shapes that parse are materialised instead: the first takes
-    # the slow path, whose output checks the object replay the learn left
-    # unchecked, and the second hits that replay — except in process
-    # mode, where the parent's parse-then-serialize hands the worker a
-    # canonical frame (lengths rewritten to cover the padding, exactly
-    # what the oracle's worker is handed), which it may splice.
+    # The two shapes that parse are materialised instead, and their
+    # serialization — lengths rewritten to cover the padding, the frame
+    # a process worker is handed — is canonical: the closure runs on it.
     assert counters["fastpath_compiles"] == 1
     assert counters["fastpath_compile_rejected"] == 0
-    assert counters["fastpath_learn_rejected"] == 0
-    assert counters["fastpath_hits"] == (5 if execution == PROCESS else 4)
-    assert counters["fastpath_compiled_hits"] == (5 if execution == PROCESS else 3)
+    assert counters["fastpath_hits"] == counters["fastpath_compiled_hits"] == 5
     # No buffer leaked, and every worker answered: none is dead.
     assert in_flight == [0] * extra.get("workers", 1)

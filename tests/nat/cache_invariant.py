@@ -66,10 +66,10 @@ def assert_cache_within_live_flows(fast, packets=None):
 
     Each cached key's ``learn_token`` — the NF's own answer to "which
     live flow is this packet's?" — must be the token on its action
-    (every provider's ``learn_token`` is safe to call as a query), and
-    the cache is no larger than the live state allows (see the module
-    docstring). ``packets`` memoizes the per-key probe packets across
-    calls.
+    (every provider's ``learn_token`` is safe to call as a query), the
+    action must carry the closure it serves through, and the cache is
+    no larger than the live state allows (see the module docstring).
+    ``packets`` memoizes the per-key probe packets across calls.
     """
     if packets is None:
         packets = {}
@@ -83,6 +83,7 @@ def assert_cache_within_live_flows(fast, packets=None):
         assert _same_token(token, action.token), (
             f"cached action for {key} holds another flow's token"
         )
+        assert action.closure is not None, f"cached action for {key}: no closure"
     inner = fast.inner
     if isinstance(inner, VigLimiter):
         _assert_limiter_budgets(fast)
@@ -90,7 +91,6 @@ def assert_cache_within_live_flows(fast, packets=None):
         assert fast.cache_size <= 2 * inner.session_count()
     else:
         assert fast.cache_size <= 2 * fast.flow_count()
-    assert fast.compiled_size <= fast.cache_size
 
 
 def _same_token(token, held):
@@ -104,7 +104,7 @@ def assert_fused_within_live_flows(chain, packets=None):
 
     For every fused entry, each stage's ``learn_token`` for the entry's
     key at that stage is the token the entry rejuvenates, and the stage
-    still caches that key's action, closure earned. The reverse
+    still caches that key's action. The reverse
     index (stage, stage key) → entries names exactly the rows the
     entries hold — no stale row survives an eviction — and no stage
     holds more entries than its live state allows: two per firewall
@@ -127,7 +127,7 @@ def assert_fused_within_live_flows(chain, packets=None):
                 assert live is not None, f"{where}: its flow is dead"
                 assert _same_token(live, token), f"{where}: another flow's token"
                 action = engine.action_for(key)
-                assert action is not None and action.closure
+                assert action is not None
                 assert _same_token(action.token, token)
                 held.add((index, key, (port, entry_key)))
                 per_stage[index].add(key)

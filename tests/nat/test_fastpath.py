@@ -14,7 +14,6 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import FastPathNat
-from repro.nat.firewall import VigFirewall
 from repro.nat.netfilter import NetfilterNat
 from repro.nat.noop import NoopForwarder
 from repro.nat.unverified import UnverifiedNat
@@ -258,7 +257,7 @@ class TestZeroUdpChecksumRegression:
 
 class TestRawBurstPath:
     """Frames in, frames out: wire-backed packets through ``process_burst``
-    (the closure-capable, ``supports_raw`` path) against materialised ones."""
+    against materialised ones."""
 
     def test_raw_matches_object_path(self):
         object_nf = FastPathNat(VigNat(NatConfig(max_flows=64)))
@@ -271,118 +270,36 @@ class TestRawBurstPath:
         assert raw_nf.op_counters()["fastpath_compiled_hits"] >= 1
 
 
-class TestWarmFromRestoredState:
-    """warm() rebuilds the action cache from restored flow state.
+class TestRestoredStateRelearns:
+    """A fresh NF restored from a checkpoint (a promoted standby) knows
+    every live flow, but its cache starts empty: an action is cached
+    only once its closure has reproduced the slow path's bytes on a real
+    frame, so each flow direction's first packet takes the slow path and
+    learns, as any new flow's does, and every later one hits."""
 
-    The promoted-standby scenario: a fresh NF restores a checkpoint and
-    would otherwise serve its first packet per flow from the slow path
-    (a 100% miss storm exactly when latency matters most).
-    """
-
-    def _restored(self, nf_class=VigNat, flows=8, max_entries=65_536):
+    @pytest.mark.parametrize("nf_class", [VigNat, UnverifiedNat])
+    def test_each_direction_learns_once(self, nf_class):
         cfg = NatConfig(max_flows=64)
         primary = nf_class(cfg)
         ext_of = {}
-        for i in range(flows):
+        for i in range(4):
             (out,) = primary.process(outbound(4_000 + i), 1_000)
             ext_of[4_000 + i] = out.l4.src_port
         standby = nf_class(cfg)
         standby.restore_state(primary.checkpoint_state())
-        return FastPathNat(standby, max_entries=max_entries), primary, ext_of
-
-    def test_warm_installs_both_directions(self):
-        fast, _, _ = self._restored(flows=8)
-        assert fast.warm() == 16
-        assert fast.cache_size == 16
-        assert fast.op_counters()["fastpath_warmed"] == 16
-
-    def test_warmed_forward_hit_matches_slow_path(self):
-        fast, primary, _ = self._restored(flows=4)
-        fast.warm()
-        packet = outbound(4_001)
-        assert render(fast.process(packet.clone(), 2_000)) == render(
-            primary.process(packet.clone(), 2_000)
-        )
+        fast = FastPathNat(standby)
+        assert fast.cache_size == 0
+        for t in (2_000, 2_001):
+            for sport, port in ext_of.items():
+                for packet in (outbound(sport), inbound(port)):
+                    assert wire_burst(fast, [packet], t) == [
+                        [(p.wire_bytes(), p.device) for p in primary.process(packet, t)]
+                    ]
         counters = fast.op_counters()
-        assert counters["fastpath_hits"] == 1
-        assert counters["fastpath_misses"] == 0
-        assert counters["fastpath_learns"] == 0
-
-    def test_warmed_reply_hit_matches_slow_path(self):
-        fast, primary, ext_of = self._restored(flows=4)
-        fast.warm()
-        reply = inbound(ext_of[4_002])
-        assert render(fast.process(reply.clone(), 2_000)) == render(
-            primary.process(reply.clone(), 2_000)
-        )
-        assert fast.op_counters()["fastpath_hits"] == 1
-        assert fast.op_counters()["fastpath_misses"] == 0
-
-    def test_warmed_raw_path_matches_object_path(self):
-        fast, _, ext_of = self._restored(flows=4)
-        slow, _, _ = self._restored(flows=4)
-        fast.warm()
-        packets = [outbound(4_000), inbound(ext_of[4_003])]
-        object_out = slow.process_burst([p.clone() for p in packets], 2_000)
-        want = [[(p.wire_bytes(), p.device) for p in outs] for outs in object_out]
-        assert wire_burst(fast, packets, 2_000) == want
-        # Warmed actions carry no closure: each flow's first wire-backed
-        # hit earns one — no miss, no slow path.
-        counters = fast.op_counters()
-        assert counters["fastpath_misses"] == 0
-        assert counters["fastpath_hits"] == 2
-        assert counters["fastpath_compiles"] == 2
-        assert counters["fastpath_compiled_hits"] == 2
-
-    def test_unverified_nat_warms_too(self):
-        fast, primary, ext_of = self._restored(nf_class=UnverifiedNat, flows=4)
-        assert fast.warm() == 8
-        for packet in (outbound(4_000), inbound(ext_of[4_001])):
-            assert render(fast.process(packet.clone(), 2_000)) == render(
-                primary.process(packet.clone(), 2_000)
-            )
-        assert fast.op_counters()["fastpath_hits"] == 2
-
-    def test_warmed_entries_die_with_their_flow_only(self):
-        self._check_warmed_lifetime(VigNat)
-
-    def test_unverified_warmed_entries_die_with_their_flow_only(self):
-        self._check_warmed_lifetime(UnverifiedNat)
-
-    def _check_warmed_lifetime(self, nf_class):
-        fast, primary, _ = self._restored(nf_class=nf_class, flows=4)
-        assert fast.warm() == 8
-        # A stranger's birth leaves every warmed action in place: the
-        # warmed flow's next packet is a hit.
-        for nf in (fast, primary):
-            nf.process(outbound(4_500), 2_000)
-        assert render(fast.process(outbound(4_001), 2_001)) == render(
-            primary.process(outbound(4_001), 2_001)
-        )
-        counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] == 0
-        assert counters["fastpath_hits"] == 1
-        assert fast.cache_size == 9
-        # Far past expiry (on both clocks) every flow dies, and every
-        # warmed action — both directions — dies with its flow.
-        late = 2_001 + 2 * fast.inner.config.expiration_time
-        assert render(fast.process(outbound(4_001), late)) == render(
-            primary.process(outbound(4_001), late)
-        )
-        counters = fast.op_counters()
-        assert counters["fastpath_invalidations"] == 9
-        assert counters["fastpath_hits"] == 1
-        assert fast.cache_size == 1 == fast.flow_count()
-
-    def test_capacity_cap_truncates_warming(self):
-        fast, _, _ = self._restored(flows=8, max_entries=6)
-        assert fast.warm() == 6
-        assert fast.cache_size == 6
-
-    def test_nf_without_warm_hook_warms_nothing(self):
-        fast = FastPathNat(VigFirewall(CFG))
-        assert fast.warm() == 0
-        assert fast.op_counters()["fastpath_warmed"] == 0
+        assert counters["fastpath_misses"] == counters["fastpath_learns"] == 8
+        assert counters["fastpath_hits"] == counters["fastpath_compiled_hits"] == 8
+        assert counters["fastpath_compile_rejected"] == 0
+        assert fast.flow_count() == 4
 
 
 class TestNoopFastPath:

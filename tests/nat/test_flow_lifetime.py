@@ -165,11 +165,9 @@ def test_expired_flows_slot_and_port_reused_by_a_rival(nf_class, drive):
 
     pair.assert_same_flow_state()
     counters = pair.counters()
-    if drive != "process" and nf_class is VigNat:
-        # The closures were in play throughout, not only the cache.
-        assert counters["fastpath_compiled_hits"] > 0
-        assert counters["fastpath_compile_rejected"] == 0
-    assert counters["fastpath_learn_rejected"] == 0
+    # Every hit ran a closure, whatever state its packet arrived in.
+    assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"] > 0
+    assert counters["fastpath_compile_rejected"] == 0
 
 
 @pytest.mark.parametrize("drive", ["process", "process_burst"])
@@ -275,10 +273,8 @@ def test_firewall_expired_sessions_index_reused_by_a_rival(drive):
 
     pair.assert_same_flow_state()
     counters = pair.counters()
-    if drive != "process":
-        assert counters["fastpath_compiled_hits"] > 0
+    assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"] > 0
     assert counters["fastpath_compile_rejected"] == 0
-    assert counters["fastpath_learn_rejected"] == 0
 
 
 # -- the limiter: a hit spends a packet; spent or closed budgets own nothing --
@@ -322,7 +318,6 @@ def test_limiter_budget_spent_on_the_hit_path_drops_the_next_frame(drive):
         assert len(pair.step(flow, t)) == 1
     assert pair.fast.inner.budget_used(0x0A000005) == 3
     pair.assert_same_flow_state()
-    assert pair.counters()["fastpath_learn_rejected"] == 0
     assert pair.counters()["fastpath_compile_rejected"] == 0
 
 
@@ -439,9 +434,7 @@ def test_churn_forward_only_hits_all_but_each_flows_first_frame(nf_class):
     assert fast.hit_rate() >= 0.70
     assert fast.hit_rate() == pytest.approx(1 - CHURN_NEW / CHURN_BURST)
     assert fast.cache_size == fast.flow_count()
-    if nf_class is VigNat:
-        assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"]
-        assert fast.compiled_size <= fast.cache_size
+    assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"]
 
 
 @pytest.mark.parametrize("nf_class", [VigNat, UnverifiedNat])

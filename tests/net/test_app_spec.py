@@ -193,8 +193,9 @@ class TestLaunch:
 
     def test_inline_runtime_hits_on_the_object_path(self):
         """Every runtime behind ``launch()`` drives ``process_burst``:
-        repeated flows hit the action cache, and no closure is compiled
-        for an entry point that could never run it."""
+        repeated flows of builder-made packets hit the action cache, each
+        hit through the closure the learn compiled and checked on the
+        packet's serialization."""
         runtime = launch(spec(execution=INLINE, fastpath="compiled"))
         now = 1_000
         for t in range(3):
@@ -206,8 +207,8 @@ class TestLaunch:
         counters = runtime.op_counters()
         assert counters["fastpath_learns"] == 1
         assert counters["fastpath_hits"] == 2
-        assert counters["fastpath_compiles"] == 0
-        assert counters["fastpath_compiled_hits"] == 0
+        assert counters["fastpath_compiles"] == 1
+        assert counters["fastpath_compiled_hits"] == 2
         runtime.stop()
 
 
@@ -397,13 +398,12 @@ class TestFastpathAdmission:
                 FastPathNat(nf)
             return
         assert hooks is nf
-        assert isinstance(nf.supports_raw, bool)
         for method in (
             "begin_burst",
             "on_flow_freed",
             "learn_token",
             "rejuvenate",
-            "apply",
+            "compile",
         ):
             assert callable(getattr(nf, method)), method
         assert isinstance(build_nf(nf_factory, config(), "compiled"), FastPathNat)

@@ -9,8 +9,6 @@ cut's in-flight window at lag > 0, transmitted packets surviving the
 kill, queued ones dying with it, and the steering repartition.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.nat.config import NatConfig
@@ -451,17 +449,29 @@ class TestRecoverySurface:
         runtime.main_loop_burst(now + 5)
         assert len(runtime.collect()) == len(ext_of)
 
-    def test_promotion_warms_the_microflow_cache(self, cell, launched):
-        # A rebuilt shard must not serve its first packets cold: both
-        # directions of every recovered flow are pre-installed in the
-        # action cache as it is built.
+    def test_promotion_starts_the_microflow_cache_cold(self, cell, launched):
+        # An action is cached only once its closure has reproduced the
+        # slow path's bytes on a real frame, so a rebuilt shard's cache
+        # starts empty and each recovered flow's first packet learns,
+        # once, as any new flow's does. The probe loses nothing.
         runtime = launched(VigNat, 0, fastpath="compiled", **SHARDED[cell])
-        _, now = _establish(runtime, 16)
+        ext_of, now = _establish(runtime, 16)
         _kill(runtime, now + 2)
         (report,) = runtime.reports
         assert report.flows_recovered > 0
-        assert report.fastpath_warmed == 2 * report.flows_recovered
-        assert dataclasses.asdict(report)["fastpath_warmed"] == report.fastpath_warmed
+        rebuilt = runtime.per_worker_counters()[1]
+        assert rebuilt["fastpath_learns"] == rebuilt["fastpath_hits"] == 0
+        for _probe in range(2):
+            now += 10
+            for marker, ext_port in ext_of.items():
+                runtime.inject(1, _reply(marker, ext_port), now)
+            runtime.main_loop_burst(now + 5)
+            assert len(runtime.collect()) == len(ext_of)
+        rebuilt = runtime.per_worker_counters()[1]
+        assert rebuilt["fastpath_learns"] == report.flows_recovered
+        assert rebuilt["fastpath_misses"] == report.flows_recovered
+        assert rebuilt["fastpath_hits"] == report.flows_recovered
+        assert rebuilt["fastpath_compile_rejected"] == 0
 
     def test_no_cache_means_nothing_to_warm(self, cell, launched):
         runtime = launched(VigNat, 0, fastpath="off", **SHARDED[cell])
@@ -469,4 +479,6 @@ class TestRecoverySurface:
         _kill(runtime, now + 2)
         (report,) = runtime.reports
         assert report.flows_recovered > 0
-        assert report.fastpath_warmed == 0
+        assert not any(
+            name.startswith("fastpath_") for name in runtime.per_worker_counters()[1]
+        )
