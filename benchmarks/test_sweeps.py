@@ -64,7 +64,7 @@ def _failover_extra(records, grid):
     # recovered flows learn again on their next packets: the probe after
     # a synchronous recovery still loses nothing. (That each recovered
     # flow learns exactly once is tests/resil/test_failover.py's
-    # test_promotion_starts_the_microflow_cache_cold.)
+    # test_promotion_starts_the_cache_cold.)
     cached_records = failover_sweep(
         lags=(0,), flow_count=min(64, grid["flow_count"]), fastpath="compiled"
     )

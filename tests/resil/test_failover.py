@@ -449,7 +449,7 @@ class TestRecoverySurface:
         runtime.main_loop_burst(now + 5)
         assert len(runtime.collect()) == len(ext_of)
 
-    def test_promotion_starts_the_microflow_cache_cold(self, cell, launched):
+    def test_promotion_starts_the_cache_cold(self, cell, launched):
         # An action is cached only once its closure has reproduced the
         # slow path's bytes on a real frame, so a rebuilt shard's cache
         # starts empty and each recovered flow's first packet learns,
