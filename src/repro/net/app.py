@@ -9,9 +9,9 @@ Two things live here:
 - The **deployment facade**: a frozen :class:`RuntimeSpec` describing a
   whole deployment (NF factory, config, workers, execution mode,
   fastpath, faults, replication) and :func:`launch`, which turns the
-  spec into a running :class:`Runtime`. This replaces the scattered
-  constructor zoo (`DpdkRuntime(...)`, ``ShardedRuntime(workers=,
-  fastpath=)``, ad-hoc testbed kwargs).
+  spec into a running :class:`Runtime`. Every runtime is built from
+  the spec alone (``InlineRuntime(spec)``, ``ShardedRuntime(spec)``,
+  ``ProcessShardedRuntime(spec)``) and keeps it as ``runtime.spec``.
 
 Execution modes and what they are for — each is the same unit, a
 :class:`~repro.net.dpdk.Shard` (NF + ``DpdkRuntime`` + turn +
@@ -271,39 +271,20 @@ def launch(spec: RuntimeSpec) -> Runtime:
     """Stand up the deployment a spec describes and return its runtime.
 
     The one construction path: picks the backend from
-    ``spec.execution``, forwards the spec's knobs, and
-    tags the result with ``.spec`` so drivers can read back the burst
-    size and mode they should drive with. Callers owning a ``process``
-    runtime must :meth:`~Runtime.stop` it; calling ``stop()`` on the
-    other modes is a harmless no-op, so generic drivers can always use
+    ``spec.execution`` and builds it from the spec, which the runtime
+    keeps as ``.spec`` so drivers can read back the burst size and mode
+    they should drive with. Callers owning a ``process`` runtime must
+    :meth:`~Runtime.stop` it; calling ``stop()`` on the other modes is a
+    harmless no-op, so generic drivers can always use
     ``try/finally: runtime.stop()``.
     """
-    sharded = (spec.nf_factory, spec.config, spec.workers)
-    front = dict(
-        rx_capacity=spec.rx_capacity,
-        pool_size=spec.pool_size,
-        fastpath=spec.fastpath,
-        fault_plan=spec.fault_plan,
-        supervise=spec.supervise,
-        replication_lag=spec.replication_lag,
-    )
     if spec.execution == INLINE:
-        runtime: Runtime = InlineRuntime(spec)
-    elif spec.execution == PROCESS:
+        return InlineRuntime(spec)
+    if spec.execution == PROCESS:
         from repro.net.procrun import ProcessShardedRuntime
 
-        runtime = ProcessShardedRuntime(
-            *sharded,
-            turn_timeout_s=spec.turn_timeout_s,
-            transport=spec.transport,
-            ring_slots=spec.ring_slots,
-            ring_slot_bytes=spec.ring_slot_bytes,
-            **front,
-        )
-    else:
-        runtime = ShardedRuntime(*sharded, **front)
-    runtime.spec = spec  # type: ignore[attr-defined]
-    return runtime
+        return ProcessShardedRuntime(spec)
+    return ShardedRuntime(spec)
 
 
 def replay(

@@ -407,14 +407,16 @@ def merge_counters(per_worker) -> Dict[str, int]:
 class SteeringFront:
     """What the two sharded front ends share; where the shards live is theirs.
 
-    One partitioned config, NAT-aware steering behind an :class:`RssNic`,
-    the fault plan's wire tallies, frame admission (:meth:`_admit`), the
-    merged views — counters, checkpoint, restore — over per-worker
-    answers, and the one recovery primitive, :meth:`recover`.
-    :class:`ShardedRuntime` answers from in-thread :class:`Shard`
-    objects, :class:`~repro.net.procrun.ProcessShardedRuntime` asks a
-    worker process hosting one. ``inject`` (after admission), the main
-    loop and ``collect`` stay on each class.
+    Built from a :class:`~repro.net.app.RuntimeSpec`: one partitioned
+    config, NAT-aware steering behind an :class:`RssNic`, the fault
+    plan's wire tallies, frame admission (:meth:`_admit`), the one turn
+    policy (:meth:`main_loop_burst`), the merged views — counters,
+    transmissions, checkpoint, restore — over per-worker answers, and
+    the one recovery primitive, :meth:`recover`. :class:`ShardedRuntime`
+    answers from in-thread :class:`Shard` objects,
+    :class:`~repro.net.procrun.ProcessShardedRuntime` asks a worker
+    process hosting one; each supplies the turn's hooks (``_turn``,
+    ``_gather``, and the process runtime's ``_kill`` and ``_hold``).
 
     ``supervise=True`` rebuilds a dead worker instead of leaving it dead
     (threaded) or raising ``WorkerCrashed`` (process). A
@@ -423,55 +425,44 @@ class SteeringFront:
     :class:`~repro.resil.replication.ReplicationChannel` of that lag.
     """
 
-    def __init__(
-        self,
-        nf_factory: Callable[[NatConfig], NetworkFunction],
-        config: Optional[NatConfig] = None,
-        workers: int = 1,
-        *,
-        steering: Optional[NatSteering] = None,
-        rx_capacity: int = 512,
-        pool_size: int = 4096,
-        fastpath="off",
-        fault_plan=None,
-        supervise: bool = False,
-        replication_lag: Optional[int] = None,
-    ) -> None:
-        if workers <= 0:
-            raise ValueError("need at least one worker")
-        config = config if config is not None else NatConfig()
-        self.config = config
-        self.shards: Tuple[NatConfig, ...] = config.partition(workers)
-        self.steering = steering if steering is not None else NatSteering(self.shards)
-        self.nic = RssNic(workers, steer=self.steering.worker_for)
-        fastpath = check_fastpath(fastpath)
-        self._build_nf = partial(build_nf, nf_factory, fastpath=fastpath)
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.config = spec.resolved_config()
+        self.shards: Tuple[NatConfig, ...] = self.config.partition(spec.workers)
+        self.steering = NatSteering(self.shards)
+        self.nic = RssNic(spec.workers, steer=self.steering.worker_for)
+        replicating = spec.replication_lag is not None
+        self._build_nf = partial(build_nf, spec.nf_factory, fastpath=spec.fastpath)
         self._make_shard = partial(
             Shard,
-            nf_factory,
-            fastpath=fastpath,
-            rx_capacity=rx_capacity,
-            pool_size=pool_size,
-            replicate=replication_lag is not None,
+            spec.nf_factory,
+            fastpath=spec.fastpath,
+            rx_capacity=spec.rx_capacity,
+            pool_size=spec.pool_size,
+            replicate=replicating,
         )
         #: Duck-typed FaultPlan (kept untyped to avoid a net → resil
         #: import cycle); None means no fault machinery runs at all.
-        self.fault_plan = fault_plan
+        self.fault_plan = spec.fault_plan
         #: Packets the fault plan destroyed on the wire / corrupted.
         self.fault_wire_dropped = 0
         self.fault_wire_corrupted = 0
         #: Queued packets lost when a killed worker's rings were flushed.
         self.fault_kill_lost = 0
-        self.supervise = supervise or replication_lag is not None
+        self.supervise = spec.supervise or replicating
+        #: Whether each worker is serving; only :meth:`recover` revives one.
+        self._alive: List[bool] = [True] * spec.workers
         #: One channel and standby per worker; both empty unless replicating.
         self.channels: List = []
         self.replicas: List = []
-        if replication_lag is not None:
+        if replicating:
             from repro.resil.replication import ReplicationChannel, StandbyReplica
 
             # A standby mirrors its NF's own rows, so it needs the NF's name.
-            name = nf_factory(self.shards[0]).name
-            self.channels = [ReplicationChannel(replication_lag) for _ in self.shards]
+            name = spec.nf_factory(self.shards[0]).name
+            self.channels = [
+                ReplicationChannel(spec.replication_lag) for _ in self.shards
+            ]
             self.replicas = [StandbyReplica(name, cfg) for cfg in self.shards]
         #: One :class:`~repro.resil.replication.FailoverReport` per recovery.
         self.reports: List = []
@@ -530,6 +521,73 @@ class SteeringFront:
             recorder.trace(flight.STEER, t_us=timestamp, worker=worker, detail=port_id)
         return worker, packet, timestamp, reorder
 
+    # -- the turn ------------------------------------------------------------
+    def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
+        """One main-loop turn on every worker, worker 0 first.
+
+        The one fault policy of both sharded runtimes. A worker the plan
+        kills dies (:meth:`_kill`); a dead worker is rebuilt by
+        :meth:`recover` before its turn when supervising, and otherwise
+        skips it with its queued frames counted lost. A hung worker
+        skips its turn with its queue intact (:meth:`_hold`), clock skew
+        biases the ``now`` that worker's NF observes (a negative skew
+        exercises the NATs' monotonic clamp), and a pool-exhaust fault
+        holds that many buffers hostage for the turn. The subclass runs
+        or starts each turn (:meth:`_turn`) and ends the whole turn
+        (:meth:`_gather`), which returns the packets processed.
+        """
+        if burst_size <= 0:
+            raise ValueError("burst size must be positive")
+        plan = self.fault_plan
+        faults_on = plan is not None and not plan.empty
+        alive = self._alive
+        turned: List[Tuple[int, object]] = []
+        for worker_id in range(len(alive)):
+            worker_now = now_us
+            seizure = 0
+            if faults_on and plan.worker_killed(now_us, worker_id):
+                self._kill(worker_id)
+            if not alive[worker_id]:
+                if not self.supervise:
+                    self.flush_worker(worker_id, now_us)
+                    continue
+                self.recover(worker_id, now_us)
+            if faults_on:
+                if plan.worker_hung(now_us, worker_id):
+                    self._hold(worker_id)
+                    continue
+                seizure = plan.pool_seizure(now_us, worker_id)
+                skew = plan.clock_skew_us(now_us, worker_id)
+                if skew:
+                    worker_now = max(0, now_us + skew)
+            turned.append(
+                (worker_id, self._turn(worker_id, worker_now, burst_size, seizure))
+            )
+        return self._gather(turned, now_us)
+
+    def _kill(self, worker_id: int) -> None:
+        """A fault-plan kill: the worker is dead until :meth:`recover`."""
+        self._alive[worker_id] = False
+
+    def _hold(self, worker_id: int) -> None:
+        """A hung worker's skipped turn; its queue stays where it is."""
+
+    def _turn(self, worker_id: int, now_us: int, burst_size: int, seizure: int):
+        """Run (or start) one worker's turn; what it returns is
+        :meth:`_gather`'s."""
+        raise NotImplementedError
+
+    def _gather(self, turned: List[Tuple[int, object]], now_us: int) -> int:
+        """End the turn: ``turned`` holds (worker, :meth:`_turn`'s
+        answer) per worker that turned. Returns the packets processed."""
+        raise NotImplementedError
+
+    def collect(self) -> List[Tuple[int, int, Packet]]:
+        """All workers' transmissions, merged: (port, timestamp, packet)."""
+        merged = [item for sent in self.collect_by_worker() for item in sent]
+        merged.sort(key=lambda item: item[1])  # stable: worker order on ties
+        return merged
+
     # -- recovery ------------------------------------------------------------
     def _replicate(self, worker_id: int, raw_deltas) -> None:
         """Publish one worker's turn of deltas on its channel; what
@@ -552,11 +610,11 @@ class SteeringFront:
         lost), count its queued frames lost, then build only this shard
         fresh from one frame: its standby's synthesized ``repro-ckpt/v1``
         frame when replicating, otherwise its frame of the last
-        coordinated checkpoint. Frames the dead worker already
-        transmitted are kept, steering is reassigned and the kill window
-        retired. The survivors are untouched: shards share nothing, and
-        replies reach a flow's owner by port. Returns the recorded
-        :class:`~repro.resil.replication.FailoverReport`, whose
+        coordinated checkpoint, in its own slot: steering is unchanged.
+        Frames the dead worker already transmitted are kept and the kill
+        window is retired. The survivors are untouched: shards share
+        nothing, and replies reach a flow's owner by port. Returns the
+        recorded :class:`~repro.resil.replication.FailoverReport`, whose
         ``recovery_us`` is the wall time all of this took.
         """
         from repro.resil.replication import FailoverReport
@@ -585,7 +643,7 @@ class SteeringFront:
             frame = self._fence.for_workers(self.workers)[worker_id]
         packets_lost_queue = self.flush_worker(worker_id, now_us)
         self._rebuild(worker_id, frame)
-        self.steering.reassign(worker_id, worker_id)
+        self._alive[worker_id] = True
         if plan is not None:
             plan.clear(kind="worker-kill", worker=worker_id)
         counters = self._worker_counters(worker_id)
@@ -764,14 +822,10 @@ class ShardedRuntime(SteeringFront):
     simulated runs reproducible; on hardware the workers would spin on
     their own cores concurrently. The verified per-packet core is
     untouched: sharding lives entirely in this (modelled) I/O layer.
-
-    An optional ``fault_plan`` (:class:`repro.resil.faults.FaultPlan`)
-    injects faults at the runtime's choke points: link drop/corrupt/
-    delay and partitions at :meth:`inject` (the wire → NIC boundary,
-    :func:`ingress_fault`), worker kill/hang, clock skew and mbuf-pool
-    seizure at :meth:`main_loop_burst`. With no plan (the default) every
-    code path is exactly as before — fault injection costs nothing when
-    off.
+    An optional fault plan bites at :meth:`inject` (link faults, the
+    wire → NIC boundary, :func:`ingress_fault`) and in the turn (worker
+    kill/hang, clock skew, pool seizure: :meth:`SteeringFront.main_loop_burst`);
+    with no plan every code path is exactly as before.
     """
 
     def _start(self) -> None:
@@ -810,55 +864,22 @@ class ShardedRuntime(SteeringFront):
             runtime.ports[port_id].swap_tail()
         return accepted
 
-    def collect(self) -> List[Tuple[int, int, Packet]]:
-        """All workers' transmissions, merged: (port, timestamp, packet)."""
-        merged = [item for sent in self.collect_by_worker() for item in sent]
-        merged.sort(key=lambda item: item[1])  # stable: worker order on ties
-        return merged
-
     def collect_by_worker(self) -> List[List[Tuple[int, int, Packet]]]:
         """Per-worker transmissions since the last collect."""
         return [unit.runtime.collect() for unit in self.units]
 
-    # -- the sharded main loop ------------------------------------------------
-    def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
-        """One main-loop turn on every worker, round-robin, worker 0 first.
-
-        Returns the total number of packets processed across workers.
-        With a fault plan active, a killed worker is rebuilt by
-        :meth:`recover` before its turn when supervising, and otherwise
-        skips its turn with its queued packets flushed (they are lost
-        with the worker); a hung worker's turn is skipped with its
-        queues intact, clock skew biases the ``now`` that worker's NF
-        observes (a negative skew exercises the NATs' monotonic clamp),
-        and pool-exhaust faults hold buffers hostage for the window's
-        duration. A replicating worker's deltas are published after its
-        turn.
-        """
-        processed = 0
-        plan = self.fault_plan
-        faults_on = plan is not None and not plan.empty
-        for worker_id in range(self.workers):
-            worker_now = now_us
-            seizure = 0
-            if faults_on:
-                if plan.worker_killed(now_us, worker_id):
-                    if not self.supervise:
-                        self.flush_worker(worker_id, now_us)
-                        continue
-                    self.recover(worker_id, now_us)
-                if plan.worker_hung(now_us, worker_id):
-                    continue
-                seizure = plan.pool_seizure(now_us, worker_id)
-                skew = plan.clock_skew_us(now_us, worker_id)
-                if skew:
-                    worker_now = max(0, now_us + skew)
-            unit = self.units[worker_id]
-            processed += unit.turn(worker_now, burst_size, seizure)
-            if unit.deltas:
-                self._replicate(worker_id, unit.deltas)
-                unit.deltas.clear()
+    # -- the turn's hooks -----------------------------------------------------
+    def _turn(self, worker_id: int, now_us: int, burst_size: int, seizure: int) -> int:
+        """Run the worker's turn and publish its deltas to its standby."""
+        unit = self.units[worker_id]
+        processed = unit.turn(now_us, burst_size, seizure)
+        if unit.deltas:
+            self._replicate(worker_id, unit.deltas)
+            unit.deltas.clear()
         return processed
+
+    def _gather(self, turned: List[Tuple[int, int]], now_us: int) -> int:
+        return sum(processed for _worker_id, processed in turned)
 
     def flush_worker(self, worker_id: int, now_us: int) -> int:
         """Tear down one worker's queued packets (they die with it).

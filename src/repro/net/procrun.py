@@ -88,21 +88,13 @@ import weakref
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.nat.base import NetworkFunction
-from repro.nat.config import NatConfig
 from repro.net.dpdk import Shard, SteeringFront
 from repro.net.mbuf import (
     SlotRecordError,
     pack_slot_record,
     unpack_slot_records,
 )
-from repro.net.rss import NatSteering
-from repro.net.shmring import (
-    DEFAULT_SLOT_BYTES,
-    DEFAULT_SLOTS,
-    ShmRing,
-    unlink_rings,
-)
+from repro.net.shmring import ShmRing, unlink_rings
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.packets.headers import Packet
 
@@ -493,51 +485,10 @@ class ProcessShardedRuntime(SteeringFront):
     parent.
     """
 
-    def __init__(
-        self,
-        nf_factory: Callable[[NatConfig], NetworkFunction],
-        config: Optional[NatConfig] = None,
-        workers: int = 1,
-        *,
-        steering: Optional[NatSteering] = None,
-        rx_capacity: int = 512,
-        pool_size: int = 4096,
-        fastpath="off",
-        fault_plan=None,
-        supervise: bool = False,
-        replication_lag: Optional[int] = None,
-        turn_timeout_s: float = 30.0,
-        transport: str = TRANSPORT_SHM,
-        ring_slots: int = DEFAULT_SLOTS,
-        ring_slot_bytes: int = DEFAULT_SLOT_BYTES,
-    ) -> None:
-        if turn_timeout_s <= 0:
-            raise ValueError("turn timeout must be positive")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose one of {TRANSPORTS}"
-            )
-        self.turn_timeout_s = turn_timeout_s
-        self.transport = transport
-        self._ring_slots = ring_slots
-        self._ring_slot_bytes = ring_slot_bytes
-        self._stats = TransportStats()
-        super().__init__(
-            nf_factory,
-            config,
-            workers,
-            steering=steering,
-            rx_capacity=rx_capacity,
-            pool_size=pool_size,
-            fastpath=fastpath,
-            fault_plan=fault_plan,
-            supervise=supervise,
-            replication_lag=replication_lag,
-        )
-
     def _start(self) -> None:
         """Spawn one process per shard (the front end is fully set up)."""
         workers = self.workers
+        self._stats = TransportStats()
         self._context = multiprocessing.get_context("fork")
         self._conns: List = [None] * workers
         #: Each conn's :func:`_poller`, registered once per spawn.
@@ -572,7 +523,6 @@ class ProcessShardedRuntime(SteeringFront):
         #: Frames shipped to each worker since its last ACK: in flight,
         #: so lost with the worker if it dies before acking them.
         self._unacked: List[int] = [0] * workers
-        self._alive: List[bool] = [True] * workers
         self._death_reason: List[str] = [""] * workers
         #: Accumulated TX records per worker, in the frame field order
         #: of :func:`unpack_slot_records`: (port, device, timestamp, wire).
@@ -584,14 +534,15 @@ class ProcessShardedRuntime(SteeringFront):
     def _spawn_worker(self, worker_id: int, checkpoint=None) -> None:
         """Stand up one shard process (construction and respawn path);
         a respawned shard is built holding ``checkpoint``."""
+        spec = self.spec
         inject_ring = out_ring = None
-        if self.transport == TRANSPORT_SHM:
+        if spec.transport == TRANSPORT_SHM:
             inject_ring = _create_ring(
-                f"{worker_id}i", self._ring_slots, self._ring_slot_bytes
+                f"{worker_id}i", spec.ring_slots, spec.ring_slot_bytes
             )
             self._all_rings.append(inject_ring)
             out_ring = _create_ring(
-                f"{worker_id}o", self._ring_slots, self._ring_slot_bytes
+                f"{worker_id}o", spec.ring_slots, spec.ring_slot_bytes
             )
             self._all_rings.append(out_ring)
         parent_conn, child_conn = self._context.Pipe()
@@ -602,7 +553,7 @@ class ProcessShardedRuntime(SteeringFront):
                 partial(self.fresh_shard, worker_id, checkpoint),
                 inject_ring,
                 out_ring,
-                self.turn_timeout_s,
+                spec.turn_timeout_s,
             ),
             daemon=True,
         )
@@ -616,7 +567,8 @@ class ProcessShardedRuntime(SteeringFront):
 
     @property
     def _max_span_bytes(self) -> int:
-        return max(self._ring_slot_bytes, self._ring_slots * self._ring_slot_bytes // 4)
+        spec = self.spec
+        return max(spec.ring_slot_bytes, spec.ring_slots * spec.ring_slot_bytes // 4)
 
     # -- context management --------------------------------------------------
     def __enter__(self) -> "ProcessShardedRuntime":
@@ -692,85 +644,40 @@ class ProcessShardedRuntime(SteeringFront):
     def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
         """One concurrent turn: scatter batches, workers run, gather ACKs.
 
-        Semantically the oracle's round-robin turn, minus the serial
-        execution: every live worker gets its buffered inject batch and
-        a turn command, then all turn acknowledgements are gathered
-        (with their TX frames — via the reply in pipe mode, via the out
-        ring in shm mode). A fault-plan kill terminates the worker's OS
-        process and surfaces as :class:`WorkerCrashed`; a hang skips
-        the worker's turn with its batches still delivered (queues
-        intact, like the oracle); clock skew biases the ``now`` that
-        worker observes; pool seizures ride the turn command.
-
-        Under ``supervise=True`` a dead worker is rebuilt instead
-        (:meth:`~repro.net.dpdk.SteeringFront.recover`): before its turn
-        when the fault plan killed it, like the oracle, and after the
-        gather when it died during the turn. The survivors' turns stand.
+        The oracle's turn (:meth:`~repro.net.dpdk.SteeringFront.main_loop_burst`,
+        the one fault policy), minus the serial execution: every live
+        worker gets its buffered inject batch and a turn command, then
+        all turn acknowledgements are gathered (with their TX frames —
+        via the reply in pipe mode, via the out ring in shm mode). A
+        fault-plan kill is a SIGKILL of the worker's OS process; a hang
+        ships the worker's batch and skips its turn; pool seizures and
+        skewed clocks ride the turn command. A worker that dies during
+        the turn is rebuilt after the gather when supervising, and
+        otherwise raises :class:`WorkerCrashed`.
         """
-        if burst_size <= 0:
-            raise ValueError("burst size must be positive")
         self._ensure_running()
-        plan = self.fault_plan
-        faults_on = plan is not None and not plan.empty
-        turned: List[Tuple[int, int]] = []  # (worker_id, seq)
-        for worker_id in range(self.workers):
-            if faults_on and plan.worker_killed(now_us, worker_id):
-                self._kill_worker(worker_id)
-            if not self._alive[worker_id]:
-                if not self.supervise:
-                    self.flush_worker(worker_id, now_us)
-                    continue
-                self.recover(worker_id, now_us)
-            worker_now = now_us
-            seizure = 0
-            if faults_on:
-                if plan.worker_hung(now_us, worker_id):
-                    self._flush_pending(worker_id)
-                    continue
-                seizure = plan.pool_seizure(now_us, worker_id)
-                skew = plan.clock_skew_us(now_us, worker_id)
-                if skew:
-                    worker_now = max(0, now_us + skew)
-            self._flush_pending(worker_id)
-            seq = self._send_turn(worker_id, worker_now, burst_size, seizure)
-            if seq is not None:
-                turned.append((worker_id, seq))
-        processed = self._gather(turned)
-        self._settle(now_us)
-        return processed
+        return super().main_loop_burst(now_us, burst_size)
 
-    # -- the three moves of a turn ---------------------------------------------
-    def _ship(self, worker_id: int, frames: List[bytes]) -> None:
-        """Ship one worker's framed batch: spans in its inject ring
-        (shm) or one ``I`` message (pipe). A worker that cannot take it
-        is marked dead."""
-        self._unacked[worker_id] += len(frames)
-        ring = self._inject_rings[worker_id]
-        if ring is not None:
-            try:
-                for chunk in _chunk_frames(frames, self._max_span_bytes):
-                    _push_with_backpressure(
-                        ring,
-                        chunk,
-                        self._stats,
-                        self.turn_timeout_s,
-                        self._drain_tx_rings,
-                    )
-            except TimeoutError:
-                self._mark_dead(worker_id, "inject ring full; worker not draining")
-        else:
-            t0 = time.perf_counter_ns()
-            try:
-                self._conns[worker_id].send_bytes(OP_INJECT + b"".join(frames))
-            except (BrokenPipeError, OSError):
-                self._mark_dead(worker_id)
-            self._stats.copy_ns += time.perf_counter_ns() - t0
+    # -- the turn's hooks ------------------------------------------------------
+    def _kill(self, worker_id: int) -> None:
+        """A fault-plan kill is a real kill: SIGKILL the shard process."""
+        proc = self._procs[worker_id]
+        if proc.is_alive() and proc.pid is not None:
+            os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=self.spec.turn_timeout_s)
+        self._mark_dead(worker_id, "killed by fault plan")
 
-    def _send_turn(
-        self, worker_id: int, now_us: int, burst_size: int, seizure: int = 0
+    def _hold(self, worker_id: int) -> None:
+        """A hung worker still receives its batch; it just does not turn."""
+        self._flush_pending(worker_id)
+
+    def _turn(
+        self, worker_id: int, now_us: int, burst_size: int, seizure: int
     ) -> Optional[int]:
-        """Send one ``T`` and return its sequence number — ``None`` when
-        the worker is dead (shipping its batch found out, or this does)."""
+        """Ship the worker's batch, then send one ``T``; returns its
+        sequence number — ``None`` when the worker is dead (shipping
+        its batch found out, or this does)."""
+        self._flush_pending(worker_id)
         if not self._alive[worker_id]:
             return None
         self._seq += 1
@@ -783,18 +690,18 @@ class ProcessShardedRuntime(SteeringFront):
             return None
         return self._seq
 
-    def _gather(self, turned: List[Tuple[int, int]]) -> int:
+    def _gather(self, turned: List[Tuple[int, Optional[int]]], now_us: int) -> int:
         """Read every turned worker's ACK and take its TX — off the out
         ring (shm) or off the reply (pipe) — and its flow deltas, which
-        go to the worker's standby.
-
-        ``turned`` holds (worker, seq) per ``T`` sent. Returns the
-        packets processed; a worker found dead stays marked dead for
-        :meth:`_settle`.
+        go to the worker's standby. Then rebuild every worker found dead
+        when supervising, else raise :class:`WorkerCrashed` for the
+        first. Returns the packets processed.
         """
-        shm = self.transport == TRANSPORT_SHM
+        shm = self.spec.transport == TRANSPORT_SHM
         processed = 0
         for worker_id, seq in turned:
+            if seq is None:
+                continue
             reply = self._recv(worker_id, drain_tx=shm)
             if reply is None:
                 continue
@@ -817,13 +724,8 @@ class ProcessShardedRuntime(SteeringFront):
                 records = unpack_slot_records(reply, offset)
                 self._stats.encode_ns += time.perf_counter_ns() - t0
                 self._tx[worker_id].extend(records)
-        return processed
-
-    def _settle(self, now_us: int) -> None:
-        """After a gather: rebuild every dead worker when supervising,
-        else raise :class:`WorkerCrashed` for the first."""
-        for worker_id in range(self.workers):
-            if self._alive[worker_id]:
+        for worker_id, alive in enumerate(self._alive):
+            if alive:
                 continue
             if not self.supervise:
                 raise WorkerCrashed(
@@ -832,6 +734,33 @@ class ProcessShardedRuntime(SteeringFront):
                     reason=self._death_reason[worker_id],
                 )
             self.recover(worker_id, now_us)
+        return processed
+
+    def _ship(self, worker_id: int, frames: List[bytes]) -> None:
+        """Ship one worker's framed batch: spans in its inject ring
+        (shm) or one ``I`` message (pipe). A worker that cannot take it
+        is marked dead."""
+        self._unacked[worker_id] += len(frames)
+        ring = self._inject_rings[worker_id]
+        if ring is not None:
+            try:
+                for chunk in _chunk_frames(frames, self._max_span_bytes):
+                    _push_with_backpressure(
+                        ring,
+                        chunk,
+                        self._stats,
+                        self.spec.turn_timeout_s,
+                        self._drain_tx_rings,
+                    )
+            except TimeoutError:
+                self._mark_dead(worker_id, "inject ring full; worker not draining")
+        else:
+            t0 = time.perf_counter_ns()
+            try:
+                self._conns[worker_id].send_bytes(OP_INJECT + b"".join(frames))
+            except (BrokenPipeError, OSError):
+                self._mark_dead(worker_id)
+            self._stats.copy_ns += time.perf_counter_ns() - t0
 
     def _flush_pending(self, worker_id: int) -> None:
         """Frame, then ship, what :meth:`inject` buffered for a worker."""
@@ -889,13 +818,13 @@ class ProcessShardedRuntime(SteeringFront):
         poll = self._polls[worker_id]
         try:
             if drain_tx:
-                deadline = time.monotonic() + self.turn_timeout_s
+                deadline = time.monotonic() + self.spec.turn_timeout_s
                 while not poll(_WORKER_POLL_S * 1_000):
                     self._drain_tx_rings()
                     if time.monotonic() > deadline:
                         self._mark_dead(worker_id)
                         return None
-            elif not poll(self.turn_timeout_s * 1_000):
+            elif not poll(self.spec.turn_timeout_s * 1_000):
                 self._mark_dead(worker_id)
                 return None
             t0 = time.perf_counter_ns()
@@ -914,14 +843,6 @@ class ProcessShardedRuntime(SteeringFront):
                 raise CheckpointError(message)
             raise RuntimeError(f"[{kind}] {message}")
         return reply
-
-    def _kill_worker(self, worker_id: int) -> None:
-        """A fault-plan kill is a real kill: SIGKILL the shard process."""
-        proc = self._procs[worker_id]
-        if proc.is_alive() and proc.pid is not None:
-            os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=self.turn_timeout_s)
-        self._mark_dead(worker_id, "killed by fault plan")
 
     def flush_worker(self, worker_id: int, now_us: int) -> int:
         """Count a dead worker's frames lost — its buffered batch and
@@ -958,7 +879,7 @@ class ProcessShardedRuntime(SteeringFront):
         proc = self._procs[worker_id]
         if proc.is_alive() and proc.pid is not None:
             os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=self.turn_timeout_s)
+        proc.join(timeout=self.spec.turn_timeout_s)
         try:
             self._conns[worker_id].close()
         except OSError:
@@ -968,7 +889,6 @@ class ProcessShardedRuntime(SteeringFront):
                 ring.unlink()
                 self._all_rings.remove(ring)
         self._spawn_worker(worker_id, checkpoint)
-        self._alive[worker_id] = True
         self._death_reason[worker_id] = ""
 
     def _request(self, worker_id: int, message: bytes, expect: bytes) -> bytes:
@@ -1037,7 +957,7 @@ class ProcessShardedRuntime(SteeringFront):
         parent = MetricsRegistry()
         self.nic.register_metrics(parent)
         self._stats.register_metrics(
-            parent, {"worker": "parent", "transport": self.transport}
+            parent, {"worker": "parent", "transport": self.spec.transport}
         )
         self.register_recovery_metrics(parent)
         snapshots = [parent.snapshot()]

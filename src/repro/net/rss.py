@@ -151,11 +151,6 @@ class NatSteering:
                 raise ValueError("shard port ranges must be disjoint and ordered")
         self.shards: Tuple[NatConfig, ...] = tuple(shards)
         self._ranges = ranges
-        # Shard → serving worker slot. Identity until a failover
-        # repartitions ownership (the promoted standby's slot takes
-        # over the dead worker's shard); the indirection is what lets
-        # the redirection table move without re-partitioning ports.
-        self._slot_of_shard: List[int] = list(range(len(shards)))
 
     @property
     def worker_count(self) -> int:
@@ -163,30 +158,10 @@ class NatSteering:
 
     def owner_of_port(self, port: int) -> Optional[int]:
         """The worker whose port slice contains ``port``, if any."""
-        shard = self.shard_of_port(port)
-        if shard is None:
-            return None
-        return self._slot_of_shard[shard]
-
-    def shard_of_port(self, port: int) -> Optional[int]:
-        """The *shard index* whose port slice contains ``port``, if any."""
-        for index, (start, end) in enumerate(self._ranges):
+        for worker, (start, end) in enumerate(self._ranges):
             if start <= port <= end:
-                return index
+                return worker
         return None
-
-    def reassign(self, shard_index: int, worker_slot: int) -> None:
-        """Repartition: steer ``shard_index``'s traffic to ``worker_slot``.
-
-        The failover controller calls this when a standby is promoted —
-        the shard's port range is unchanged (state moved with it), only
-        the serving queue in the redirection table moves.
-        """
-        if not 0 <= shard_index < len(self.shards):
-            raise ValueError(f"no shard {shard_index}")
-        if not 0 <= worker_slot < len(self.shards):
-            raise ValueError(f"no worker slot {worker_slot}")
-        self._slot_of_shard[shard_index] = worker_slot
 
     def _external_port_of(self, packet: Packet) -> Optional[int]:
         """The translated external port an external-side packet names.
@@ -220,15 +195,15 @@ class NatSteering:
         """The worker this packet must be delivered to.
 
         One shard means one queue: every branch of the rule ends in
-        that shard's slot (its port owner, or a hash ``% 1``), so the
-        packet is not read at all. Otherwise unfragmented TCP/UDP —
+        worker 0 (its port owner, or a hash ``% 1``), so the packet is
+        not read at all. Otherwise unfragmented TCP/UDP —
         everything with a flow key — is steered off the key alone
         (external side: the destination port's owner; otherwise the
         5-tuple hash), which a wire-backed packet answers from its
         image. Only fragments, ICMP and non-IP traffic read headers.
         """
-        if len(self._slot_of_shard) == 1:
-            return self._slot_of_shard[0]
+        if len(self._ranges) == 1:
+            return 0
         key = packet.flow_key()
         if key is not None:
             if key[0] == self.shards[0].external_device:

@@ -27,9 +27,7 @@ from repro.resil.checkpoint import (
     CheckpointError,
     CheckpointSet,
     restore,
-    restore_all,
     snapshot,
-    snapshot_all,
 )
 from repro.resil.faults import FaultPlan
 from repro.resil.replication import (
@@ -49,7 +47,5 @@ __all__ = [
     "ReplicationChannel",
     "StandbyReplica",
     "restore",
-    "restore_all",
     "snapshot",
-    "snapshot_all",
 ]

@@ -33,7 +33,7 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
@@ -274,29 +274,6 @@ class CheckpointSet:
         )
 
 
-def snapshot_all(
-    nfs: Sequence[NetworkFunction], now_us: int = 0
-) -> CheckpointSet:
-    """Capture every shard's flow state as one coordinated set.
-
-    The caller is responsible for the fence: call only when no burst is
-    in flight on any worker (after a completed main-loop turn, every RX
-    ring is drained, so any quiescent point between turns qualifies).
-    """
-    return CheckpointSet(
-        taken_at_us=now_us,
-        checkpoints=tuple(snapshot(nf, now_us) for nf in nfs),
-    )
-
-
-def restore_all(
-    nfs: Sequence[NetworkFunction], checkpoint_set: CheckpointSet
-) -> None:
-    """Adopt a coordinated set into freshly built shard NFs, in order."""
-    for nf, ckpt in zip(nfs, checkpoint_set.for_workers(len(nfs))):
-        restore(nf, ckpt)
-
-
 __all__ = [
     "MAGIC",
     "SET_MAGIC",
@@ -304,7 +281,5 @@ __all__ = [
     "CheckpointError",
     "CheckpointSet",
     "restore",
-    "restore_all",
     "snapshot",
-    "snapshot_all",
 ]

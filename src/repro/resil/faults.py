@@ -4,9 +4,9 @@ A :class:`FaultPlan` is an ordered set of :class:`Fault` windows —
 link drop/corrupt/delay, network partition, mbuf-pool exhaustion,
 worker kill/hang, clock skew — each scoped to a time window (µs, the
 NF clock) and optionally to one worker. The plan is *consulted* by the
-data path (:class:`repro.net.dpdk.ShardedRuntime`, the failover
-runtime, :class:`repro.net.link.LinkModel`) at its natural choke
-points; a ``None`` plan keeps every consultation site on its original
+data path (:class:`repro.net.dpdk.SteeringFront`, the front end of
+both sharded runtimes, and :class:`repro.net.link.LinkModel`) at its
+natural choke points; a ``None`` plan keeps every consultation site on its original
 code path, so runs without faults are byte-identical to runs on a tree
 without this module.
 
@@ -18,7 +18,7 @@ Fault kinds and where they bite:
 ``link-corrupt`` the packet's L4 checksum is damaged in flight
 ``link-delay``  the packet's arrival timestamp slips by ``magnitude`` µs
 ``pool-exhaust`` ``magnitude`` mbufs of the worker's pool are seized
-``worker-kill`` the worker stops serving; its queued packets are lost
+``worker-kill`` the worker dies until recovered; its queued packets are lost
 ``worker-hang`` the worker stops serving; its queued packets survive
 ``clock-skew``  the worker's ``now`` reads ``magnitude`` µs off true time
 ``reorder``     the packet swaps with its predecessor in the RX ring
@@ -164,10 +164,9 @@ class FaultPlan:
             Fault("pool-exhaust", start_us, end_us, worker, buffers)
         )
 
-    def kill_worker(
-        self, worker: int, at_us: int, end_us: Optional[int] = None
-    ) -> "FaultPlan":
-        return self.add(Fault("worker-kill", at_us, end_us, worker))
+    def kill_worker(self, worker: int, at_us: int) -> "FaultPlan":
+        """The worker dies at ``at_us``; only a recovery brings it back."""
+        return self.add(Fault("worker-kill", at_us, None, worker))
 
     def hang_worker(
         self, worker: int, start_us: int, end_us: Optional[int] = None
@@ -203,9 +202,9 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Retire matching fault windows (both filters AND together).
 
-        The failover controller uses this after promoting a standby:
-        the ``worker-kill`` window is cleared so the slot — now running
-        the promoted replica — serves again.
+        A recovery uses this after rebuilding a dead worker: its
+        ``worker-kill`` window is cleared so the rebuilt worker is not
+        killed again.
         """
         self.faults = [
             f

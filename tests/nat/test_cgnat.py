@@ -147,9 +147,9 @@ class TestSharding:
         shards = cfg.partition(4)
         steering = NatSteering(shards)
         for port in range(cfg.domain_start_port, cfg.domain_end_port + 1):
-            shard_index = steering.shard_of_port(port)
-            assert shard_index is not None
-            owner = shards[shard_index]
+            worker = steering.owner_of_port(port)
+            assert worker is not None
+            owner = shards[worker]
             endpoint = owner.map_return(port)
             assert endpoint is not None
             assert owner.map_forward(*endpoint) == port

@@ -16,9 +16,7 @@ import pytest
 
 from repro.packets.builder import make_udp_packet
 
-WORKLOADS = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "workloads.py"
-)
+WORKLOADS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "workloads.py"
 
 
 def load_workloads():
@@ -40,7 +38,8 @@ def test_each_deployment_launches_and_turns(workload, reference):
     try:
         frame = make_udp_packet("10.0.0.1", "8.8.8.8", 4_000, 53, device=0)
         assert runtime.inject(0, frame, 1_000)
-        assert runtime.main_loop_burst(1_000, MODULE.BURST) > 0  # a chain counts each stage
+        # A chain counts the frame once per stage.
+        assert runtime.main_loop_burst(1_000, MODULE.BURST) > 0
         assert len(runtime.collect()) == 1
     finally:
         runtime.stop()

@@ -25,7 +25,8 @@ from repro.net.mbuf import (
     pack_slot_record,
     unpack_slot_records,
 )
-from repro.net.procrun import TRANSPORTS, ProcessShardedRuntime, WorkerCrashed
+from repro.net.app import PROCESS, RuntimeSpec, launch
+from repro.net.procrun import TRANSPORTS, WorkerCrashed
 from repro.packets.builder import make_udp_packet
 from repro.resil.faults import FaultPlan
 
@@ -33,6 +34,19 @@ from repro.resil.faults import FaultPlan
 def config(max_flows=64):
     return NatConfig(
         max_flows=max_flows, expiration_time=60_000_000, start_port=1000
+    )
+
+
+def fleet(workers, nf_factory=VigNat, **spec):
+    """A process fleet launched from its spec."""
+    return launch(
+        RuntimeSpec(
+            nf_factory=nf_factory,
+            config=config(),
+            workers=workers,
+            execution=PROCESS,
+            **spec,
+        )
     )
 
 
@@ -97,7 +111,7 @@ class TestFraming:
 
 class TestDataPath:
     def test_translates_and_collects(self):
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as runtime:
+        with fleet(2) as runtime:
             drive(runtime, 12)
             out = runtime.collect()
             assert len(out) == 12
@@ -108,13 +122,13 @@ class TestDataPath:
             assert runtime.flow_count() == 12
 
     def test_steering_spreads_flows(self):
-        with ProcessShardedRuntime(VigNat, config(), workers=4) as runtime:
+        with fleet(4) as runtime:
             drive(runtime, 32)
             assert sum(runtime.steered) == 32
             assert sum(1 for q in runtime.steered if q > 0) >= 2
 
     def test_snapshot_carries_worker_labels(self):
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as runtime:
+        with fleet(2) as runtime:
             drive(runtime, 8)
             snapshot = runtime.snapshot_metrics()
             occupancy = next(
@@ -128,13 +142,11 @@ class TestDataPath:
             assert workers == {"0", "1"}
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ProcessShardedRuntime(VigNat, config(), workers=0)
-        with pytest.raises(ValueError):
-            ProcessShardedRuntime(
-                VigNat, config(), workers=1, turn_timeout_s=0
-            )
-        with ProcessShardedRuntime(VigNat, config(), workers=1) as runtime:
+        with pytest.raises(ValueError, match="need at least one worker"):
+            fleet(0)
+        with pytest.raises(ValueError, match="turn timeout must be positive"):
+            fleet(1, turn_timeout_s=0)
+        with fleet(1) as runtime:
             with pytest.raises(ValueError):
                 runtime.main_loop_burst(1_000, 0)
 
@@ -144,9 +156,7 @@ class TestCrashSurface:
         """The kill fault terminates the real OS process, and the turn
         reports it as WorkerCrashed with the shard id — never a hang."""
         plan = FaultPlan().kill_worker(1, at_us=2_000)
-        runtime = ProcessShardedRuntime(
-            VigNat, config(), workers=2, fault_plan=plan
-        )
+        runtime = fleet(2, fault_plan=plan)
         try:
             drive(runtime, 8, now=1_000, burst=8)  # before the window
             for i in range(8, 16):
@@ -166,9 +176,7 @@ class TestCrashSurface:
     def test_killed_process_surfaces_not_hangs(self):
         """A worker dying outside any fault plan (OOM kill, crash) is
         detected on the next turn within the timeout."""
-        runtime = ProcessShardedRuntime(
-            VigNat, config(), workers=2, turn_timeout_s=5.0
-        )
+        runtime = fleet(2, turn_timeout_s=5.0)
         try:
             drive(runtime, 8)
             os.kill(runtime._procs[0].pid, signal.SIGKILL)
@@ -185,9 +193,7 @@ class TestCrashSurface:
 
     def test_requests_to_dead_worker_raise(self):
         plan = FaultPlan().kill_worker(0, at_us=1_500)
-        runtime = ProcessShardedRuntime(
-            VigNat, config(), workers=2, fault_plan=plan
-        )
+        runtime = fleet(2, fault_plan=plan)
         try:
             runtime.inject(0, outbound(0), 1_600)
             with pytest.raises(WorkerCrashed):
@@ -202,7 +208,7 @@ class TestCrashSurface:
     def test_corrupt_tx_span_surfaces_as_worker_crashed(self):
         """A TX span that ends inside a record means the ring's writer
         cannot be trusted: the turn reports the shard as crashed."""
-        runtime = ProcessShardedRuntime(VigNat, config(), workers=1)
+        runtime = fleet(1)
         try:
             drive(runtime, 8)
             runtime.collect()
@@ -222,9 +228,7 @@ class TestCrashSurface:
         """Packets buffered for a worker killed before its turn are
         accounted as fault_kill_lost, like the oracle's ledger."""
         plan = FaultPlan().kill_worker(1, at_us=1_000)
-        runtime = ProcessShardedRuntime(
-            VigNat, config(), workers=2, fault_plan=plan
-        )
+        runtime = fleet(2, fault_plan=plan)
         try:
             pending_for_1 = 0
             for i in range(16):
@@ -260,10 +264,8 @@ class TestEveryParentWaitIsBounded:
         """The fleet's last worker SIGSTOPped, ``frames`` injected since."""
         rings = f"/dev/shm/repro-ring-{os.getpid()}-*"
         before = set(glob.glob(rings))
-        runtime = ProcessShardedRuntime(
-            VigNat,
-            config(),
-            workers=workers,
+        runtime = fleet(
+            workers,
             transport=transport,
             turn_timeout_s=BOUND_S,
             supervise=supervise,
@@ -355,7 +357,7 @@ class TestWorkerErrors:
         the parent sees the real error instead of a protocol stall."""
         from repro.resil.checkpoint import CheckpointError
 
-        with ProcessShardedRuntime(VigNat, config(), workers=1) as runtime:
+        with fleet(1) as runtime:
             drive(runtime, 4)
             checkpoint_set = runtime.checkpoint(now_us=5_000)
             frame = checkpoint_set.checkpoints[0]
@@ -375,9 +377,7 @@ class TestWorkerErrors:
         """A worker handed records that end mid-frame refuses the whole
         message with the typed error instead of parsing a short frame."""
         record = pack_slot_record(0, 0, 1_000, outbound(0).wire_bytes())
-        with ProcessShardedRuntime(
-            VigNat, config(), workers=1, transport="pipe"
-        ) as runtime:
+        with fleet(1, transport="pipe") as runtime:
             runtime._conns[0].send_bytes(procrun.OP_INJECT + record[:-3])
             with pytest.raises(RuntimeError, match="SlotRecordError"):
                 runtime._recv(0)
@@ -395,9 +395,7 @@ class TestWorkerErrors:
         def unbuildable(_config):
             raise ValueError("no table for this shard")
 
-        with ProcessShardedRuntime(
-            unbuildable, config(), workers=1, transport=transport
-        ) as runtime:
+        with fleet(1, unbuildable, transport=transport) as runtime:
             runtime.inject(0, outbound(0), 1_000)  # an ``I`` expects no reply
             with pytest.raises(
                 RuntimeError, match=r"\[ValueError\] worker 0: no table for this shard"
@@ -408,7 +406,7 @@ class TestWorkerErrors:
 
 class TestShutdown:
     def test_stop_is_idempotent_and_joins(self):
-        runtime = ProcessShardedRuntime(VigNat, config(), workers=2)
+        runtime = fleet(2)
         drive(runtime, 4)
         procs = list(runtime._procs)
         runtime.stop()
@@ -419,9 +417,7 @@ class TestShutdown:
 
     def test_stop_after_crash_is_safe(self):
         plan = FaultPlan().kill_worker(0, at_us=1_000)
-        runtime = ProcessShardedRuntime(
-            VigNat, config(), workers=2, fault_plan=plan
-        )
+        runtime = fleet(2, fault_plan=plan)
         runtime.inject(0, outbound(0), 1_000)
         with pytest.raises(WorkerCrashed):
             runtime.main_loop_burst(1_000, 8)
@@ -431,7 +427,7 @@ class TestShutdown:
 
 class TestCoordinatedCheckpoint:
     def test_checkpoint_set_shape(self):
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as runtime:
+        with fleet(2) as runtime:
             drive(runtime, 10)
             checkpoint_set = runtime.checkpoint(now_us=9_000)
             assert checkpoint_set.workers == 2
@@ -444,7 +440,7 @@ class TestCoordinatedCheckpoint:
     def test_restore_into_fresh_runtime(self):
         """The fence: state checkpointed from one runtime restores into
         a brand-new process fleet, which then serves the return path."""
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as first:
+        with fleet(2) as first:
             drive(first, 10)
             flows_before = first.flow_count()
             replies = []
@@ -461,7 +457,7 @@ class TestCoordinatedCheckpoint:
                 )
             checkpoint_set = first.checkpoint(now_us=9_000)
 
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as second:
+        with fleet(2) as second:
             second.restore(checkpoint_set)
             assert second.flow_count() == flows_before
             now = 10_000
@@ -477,10 +473,10 @@ class TestCoordinatedCheckpoint:
     def test_restore_rejects_width_mismatch(self):
         from repro.resil.checkpoint import CheckpointError
 
-        with ProcessShardedRuntime(VigNat, config(), workers=2) as runtime:
+        with fleet(2) as runtime:
             drive(runtime, 4)
             checkpoint_set = runtime.checkpoint(now_us=1_000)
-        with ProcessShardedRuntime(VigNat, config(), workers=3) as other:
+        with fleet(3) as other:
             with pytest.raises(CheckpointError):
                 other.restore(checkpoint_set)
 
@@ -499,9 +495,7 @@ class TestTimedTurn:
         events = list(
             ConstantRateFlows(32, 1_000_000.0, 200, burst=16).events()
         )
-        with ProcessShardedRuntime(
-            VigNat, config(), workers=workers, transport=transport
-        ) as runtime:
+        with fleet(workers, transport=transport) as runtime:
             passes = []
             for _ in range(3):
                 assert drive_schedule(runtime, events, 16) == len(events)

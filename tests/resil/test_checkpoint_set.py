@@ -3,8 +3,8 @@
 Same philosophy as the per-shard format tests: a checkpoint set that
 decodes wrong must raise :class:`CheckpointError` at whichever layer the
 damage sits — outer magic, manifest CRC, promised frame lengths, or an
-inner frame — before any NF state is touched, and ``restore_all`` must
-refuse a set whose shape does not match the fleet.
+inner frame — before any NF state is touched, and a runtime's
+``restore`` must refuse a set whose shape does not match its fleet.
 """
 
 import json
@@ -15,14 +15,9 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
+from repro.net.app import RuntimeSpec, launch
 from repro.packets.builder import make_udp_packet
-from repro.resil.checkpoint import (
-    SET_MAGIC,
-    CheckpointError,
-    CheckpointSet,
-    restore_all,
-    snapshot_all,
-)
+from repro.resil.checkpoint import SET_MAGIC, CheckpointError, CheckpointSet, snapshot
 
 CFG = NatConfig(max_flows=16, expiration_time=60_000_000, start_port=1000)
 
@@ -43,12 +38,23 @@ def _fleet(workers: int = 2, flows_per_worker: int = 3):
 
 
 def _set(workers: int = 2) -> CheckpointSet:
-    return snapshot_all(_fleet(workers), now_us=5_000)
+    return CheckpointSet(5_000, tuple(snapshot(nf, 5_000) for nf in _fleet(workers)))
+
+
+def _runtime(workers: int = 2, flows: int = 6):
+    """A threaded fleet of ``workers`` that has served ``flows`` flows."""
+    runtime = launch(RuntimeSpec(nf_factory=VigNat, config=CFG, workers=workers))
+    for i in range(flows):
+        packet = make_udp_packet(0x0A000001, "8.8.8.8", 2_000 + i, 53, device=0)
+        runtime.inject(0, packet, 1_000)
+    runtime.main_loop_burst(1_000)
+    runtime.collect()
+    return runtime
 
 
 class TestShape:
-    def test_snapshot_all_one_frame_per_shard(self):
-        checkpoint_set = _set(3)
+    def test_one_frame_per_shard(self):
+        checkpoint_set = _runtime(3).checkpoint(5_000)
         assert checkpoint_set.workers == 3
         assert checkpoint_set.taken_at_us == 5_000
         assert all(c.nf == "verified-nat" for c in checkpoint_set.checkpoints)
@@ -129,29 +135,22 @@ class TestWireFormat:
             CheckpointSet.from_bytes(forged)
 
 
-class TestRestoreAll:
-    def test_round_trip_restores_every_shard(self):
-        nfs = _fleet(2)
-        checkpoint_set = snapshot_all(nfs, now_us=5_000)
-        fresh = [VigNat(shard) for shard in CFG.partition(2)]
-        assert all(nf.flow_count() == 0 for nf in fresh)
-        restore_all(fresh, checkpoint_set)
-        assert [nf.flow_count() for nf in fresh] == [
-            nf.flow_count() for nf in nfs
-        ]
-
+class TestRuntimeRestore:
     def test_width_mismatch_refused(self):
-        checkpoint_set = _set(2)
-        fresh = [VigNat(shard) for shard in CFG.partition(3)]
-        with pytest.raises(CheckpointError):
-            restore_all(fresh, checkpoint_set)
+        checkpoint_set = _runtime(2).checkpoint(5_000)
+        with pytest.raises(CheckpointError, match="runtime has 3"):
+            _runtime(3, flows=0).restore(checkpoint_set)
 
     def test_shard_config_cross_check(self):
-        """Frame i only restores into worker i: feeding the set to a
-        fleet partitioned differently trips the per-frame config guard."""
-        checkpoint_set = _set(2)
-        swapped = [
-            VigNat(shard) for shard in reversed(CFG.partition(2))
-        ]
-        with pytest.raises(CheckpointError):
-            restore_all(swapped, checkpoint_set)
+        """Frame i only restores into worker i: the set's frames in the
+        other order trip the per-frame config guard, and no worker
+        adopts anything."""
+        runtime = _runtime(2)
+        good = runtime.checkpoint(5_000)
+        swapped = CheckpointSet(good.taken_at_us, good.checkpoints[::-1])
+        flows = runtime.flow_count()
+        with pytest.raises(CheckpointError, match="config mismatch"):
+            _runtime(2, flows=0).restore(swapped)
+        with pytest.raises(CheckpointError, match="config mismatch"):
+            runtime.restore(swapped)
+        assert runtime.flow_count() == flows

@@ -6,7 +6,7 @@ Integration half: a kill rebuilds the dead shard alone from its standby
 (``SteeringFront.recover``), through ``launch()`` in both sharded
 executions — zero established-flow loss at lag 0, loss bounded by the
 cut's in-flight window at lag > 0, transmitted packets surviving the
-kill, queued ones dying with it, and the steering repartition.
+kill, and queued ones dying with it.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.nat.config import NatConfig
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
 from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
-from repro.net.rss import NatSteering
 from repro.packets.builder import make_udp_packet
 from repro.resil.checkpoint import restore
 from repro.resil.faults import FaultPlan
@@ -141,25 +140,6 @@ class TestStandbyReplica:
             3_000,
         )
         assert outputs and outputs[0].device == CFG.internal_device
-
-
-class TestSteeringReassign:
-    def test_identity_by_default_and_reassign(self):
-        shards = CFG.partition(2)
-        steering = NatSteering(shards)
-        port0 = shards[0].start_port
-        port1 = shards[1].start_port
-        assert steering.owner_of_port(port0) == 0
-        assert steering.owner_of_port(port1) == 1
-        steering.reassign(1, 0)  # shard 1's flows now served by slot 0
-        assert steering.owner_of_port(port1) == 0
-        assert steering.shard_of_port(port1) == 1  # the shard is unchanged
-
-    @pytest.mark.parametrize("shard,slot", [(-1, 0), (2, 0), (0, -1), (0, 2)])
-    def test_reassign_validates_bounds(self, shard, slot):
-        steering = NatSteering(CFG.partition(2))
-        with pytest.raises(ValueError):
-            steering.reassign(shard, slot)
 
 
 def _establish(runtime, count, now=1_000):
