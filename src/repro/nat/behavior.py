@@ -35,7 +35,7 @@ from repro.libvig.double_chain import DoubleChain
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.flow import flow_id_of_packet
-from repro.nat.rewrite import rewrite_destination, rewrite_source
+from repro.nat.rewrite import rewrite
 from repro.packets.headers import Packet
 
 
@@ -184,7 +184,7 @@ class BehavioralNat(NetworkFunction):
         fid = flow_id_of_packet(packet)
         mapping.remotes.add((fid.dst_ip, fid.dst_port))
         out = packet.clone()
-        rewrite_source(out, self.config.external_ip, mapping.external_port)
+        rewrite(out, src=(self.config.external_ip, mapping.external_port))
         out.device = self.config.external_device
         self._forwarded_total += 1
         return [out]
@@ -209,7 +209,7 @@ class BehavioralNat(NetworkFunction):
             return []
         self._chain.rejuvenate_index(self._index_of_port[mapping.external_port], now)
         out = packet.clone()
-        rewrite_destination(out, mapping.internal_ip, mapping.internal_port)
+        rewrite(out, dst=(mapping.internal_ip, mapping.internal_port))
         out.device = self.config.internal_device
         self._forwarded_total += 1
         return [out]
@@ -237,8 +237,11 @@ class BehavioralNat(NetworkFunction):
                 return []
         mapping.remotes.add((fid.dst_ip, fid.dst_port))
         out = packet.clone()
-        rewrite_source(out, self.config.external_ip, mapping.external_port)
-        rewrite_destination(out, target.internal_ip, target.internal_port)
+        rewrite(
+            out,
+            src=(self.config.external_ip, mapping.external_port),
+            dst=(target.internal_ip, target.internal_port),
+        )
         out.device = self.config.internal_device
         self._forwarded_total += 1
         return [out]

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Sequence
 from repro.nat.base import NetworkFunction
 from repro.nat.compiled import compile_action
 from repro.nat.flow import FlowId, flow_id_of_packet
-from repro.nat.rewrite import rewrite_destination, rewrite_source
+from repro.nat.rewrite import rewrite
 from repro.packets.headers import Packet
 
 
@@ -148,10 +148,13 @@ class ConcreteEnv:
         dst_port: int,
     ) -> None:
         out = packet.packet.clone()
-        if (src_ip, src_port) != (packet.src_ip, packet.src_port):
-            rewrite_source(out, src_ip, src_port)
-        if (dst_ip, dst_port) != (packet.dst_ip, packet.dst_port):
-            rewrite_destination(out, dst_ip, dst_port)
+        src = (src_ip, src_port)
+        dst = (dst_ip, dst_port)
+        rewrite(
+            out,
+            src if src != (packet.src_ip, packet.src_port) else None,
+            dst if dst != (packet.dst_ip, packet.dst_port) else None,
+        )
         out.device = device
         self.outputs.append(out)
         self._nf._forwarded_total += 1
@@ -190,7 +193,7 @@ class LibvigNf(NetworkFunction):
     ROWS: str
     #: Provider half: the config field holding an entry's lifetime.
     LIFETIME: str
-    #: Provider half: the slow path rewrites through the shared helpers,
+    #: Provider half: the slow path rewrites through the shared helper,
     #: so its actions compile to the RFC shape.
     compile = staticmethod(compile_action)
 

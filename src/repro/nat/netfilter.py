@@ -26,7 +26,7 @@ from repro.libvig.hash_table import ChainingHashTable
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.flow import FlowId, flow_id_of_packet
-from repro.nat.rewrite import rewrite_destination, rewrite_source
+from repro.nat.rewrite import rewrite
 from repro.packets.headers import PROTO_TCP, Packet
 
 
@@ -300,7 +300,7 @@ class NetfilterNat(NetworkFunction):
         # forwarded so the peer learns of the reset); FIN shortens it.
         self._track_tcp_teardown(ct, packet)
         out = packet.clone()
-        rewrite_source(out, self.config.external_ip, ct.external_port)
+        rewrite(out, src=(self.config.external_ip, ct.external_port))
         out.device = self.config.external_device
         self._forwarded_total += 1
         return [out]
@@ -317,7 +317,7 @@ class NetfilterNat(NetworkFunction):
         self._touch(ct, now)
         self._track_tcp_teardown(ct, packet)
         out = packet.clone()
-        rewrite_destination(out, ct.original.src_ip, ct.original.src_port)
+        rewrite(out, dst=(ct.original.src_ip, ct.original.src_port))
         out.device = self.config.internal_device
         self._forwarded_total += 1
         return [out]

@@ -1,55 +1,46 @@
 """Header rewriting with incremental checksum patching.
 
-The translation itself: substituting the source (outbound) or destination
-(inbound) endpoint of a packet and patching the IPv4 header checksum and
-the TCP/UDP checksum incrementally per RFC 1624 — the same technique a
-production NAT data path uses, and byte-for-byte equivalent to a full
-recompute (the test-suite cross-checks the two).
+The translation itself: substituting the source (outbound) and/or
+destination (inbound) endpoint of a packet and patching the IPv4 header
+checksum and the TCP/UDP checksum incrementally per RFC 1624 — the same
+technique a production NAT data path uses, and equal to a full recompute
+up to the one's-complement double zero (the test-suite cross-checks the
+two).
+
+RFC 768's "no checksum" sentinel (a UDP checksum of 0) is read once, off
+the packet as it arrives: a disabled checksum stays 0, and an enabled one
+takes every patch, even where an intermediate sum passes through 0x0000.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 from repro.packets.checksum import checksum_update_u16, checksum_update_u32
 from repro.packets.headers import Packet, UdpHeader
 
-
-def _patch_l4_for_ip(packet: Packet, old_ip: int, new_ip: int) -> None:
-    """Patch the L4 checksum for an address change in the pseudo-header."""
-    assert packet.l4 is not None
-    if isinstance(packet.l4, UdpHeader) and packet.l4.checksum == 0:
-        return  # UDP checksum disabled: stays disabled
-    packet.l4.checksum = checksum_update_u32(packet.l4.checksum, old_ip, new_ip)
+Endpoint = Tuple[int, int]
 
 
-def _patch_l4_for_port(packet: Packet, old_port: int, new_port: int) -> None:
-    """Patch the L4 checksum for a port field change."""
-    assert packet.l4 is not None
-    if isinstance(packet.l4, UdpHeader) and packet.l4.checksum == 0:
-        return
-    packet.l4.checksum = checksum_update_u16(packet.l4.checksum, old_port, new_port)
-
-
-def rewrite_source(packet: Packet, new_ip: int, new_port: int) -> None:
-    """Rewrite src (ip, port) in place, patching both checksums."""
-    if packet.ipv4 is None or packet.l4 is None:
+def rewrite(
+    packet: Packet, src: Optional[Endpoint] = None, dst: Optional[Endpoint] = None
+) -> None:
+    """Rewrite the src and/or dst ``(ip, port)`` in place, patching both
+    checksums. An endpoint left None is not touched."""
+    ipv4, l4 = packet.ipv4, packet.l4
+    if ipv4 is None or l4 is None:
         raise ValueError("cannot rewrite a packet without IPv4 and L4 headers")
-    old_ip = packet.ipv4.src_ip
-    old_port = packet.l4.src_port
-    packet.ipv4.src_ip = new_ip
-    packet.l4.src_port = new_port
-    packet.ipv4.checksum = checksum_update_u32(packet.ipv4.checksum, old_ip, new_ip)
-    _patch_l4_for_ip(packet, old_ip, new_ip)
-    _patch_l4_for_port(packet, old_port, new_port)
-
-
-def rewrite_destination(packet: Packet, new_ip: int, new_port: int) -> None:
-    """Rewrite dst (ip, port) in place, patching both checksums."""
-    if packet.ipv4 is None or packet.l4 is None:
-        raise ValueError("cannot rewrite a packet without IPv4 and L4 headers")
-    old_ip = packet.ipv4.dst_ip
-    old_port = packet.l4.dst_port
-    packet.ipv4.dst_ip = new_ip
-    packet.l4.dst_port = new_port
-    packet.ipv4.checksum = checksum_update_u32(packet.ipv4.checksum, old_ip, new_ip)
-    _patch_l4_for_ip(packet, old_ip, new_ip)
-    _patch_l4_for_port(packet, old_port, new_port)
+    ip_sum, l4_sum = ipv4.checksum, l4.checksum
+    if src is not None:
+        ip_sum = checksum_update_u32(ip_sum, ipv4.src_ip, src[0])
+        l4_sum = checksum_update_u32(l4_sum, ipv4.src_ip, src[0])
+        l4_sum = checksum_update_u16(l4_sum, l4.src_port, src[1])
+        ipv4.src_ip, l4.src_port = src
+    if dst is not None:
+        ip_sum = checksum_update_u32(ip_sum, ipv4.dst_ip, dst[0])
+        l4_sum = checksum_update_u32(l4_sum, ipv4.dst_ip, dst[0])
+        l4_sum = checksum_update_u16(l4_sum, l4.dst_port, dst[1])
+        ipv4.dst_ip, l4.dst_port = dst
+    ipv4.checksum = ip_sum
+    if l4.checksum != 0 or not isinstance(l4, UdpHeader):
+        l4.checksum = l4_sum

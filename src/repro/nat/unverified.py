@@ -44,7 +44,7 @@ from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.compiled import compile_action
 from repro.nat.flow import FlowId, flow_id_of_packet, microflow_keys
-from repro.nat.rewrite import rewrite_source
+from repro.nat.rewrite import rewrite
 from repro.packets.checksum import checksum_update_u16, checksum_update_u32
 from repro.packets.headers import Packet
 
@@ -183,7 +183,7 @@ class UnverifiedNat(NetworkFunction):
         directions patch their endpoint even when it is unchanged (which
         the learn records as None), and such a patch still turns a
         checksum of 0xFFFF into 0. Outbound is the shared helper's shape
-        (RFC 768 zero-check between patches); inbound the hand-rolled
+        (a disabled UDP checksum stays 0); inbound the hand-rolled
         ``_patch_destination``, which patches a disabled UDP checksum
         like any other word and so folds like TCP's. The fast path
         memoizes the NF as it is, bugs included; fixing them here would
@@ -342,7 +342,7 @@ class UnverifiedNat(NetworkFunction):
                 self._delta_sink(("create", port, flow_id, now))
         self._touch(entry.external_port, entry, now)
         out = packet.clone()
-        rewrite_source(out, self.config.external_ip, entry.external_port)
+        rewrite(out, src=(self.config.external_ip, entry.external_port))
         out.device = self.config.external_device
         self._forwarded_total += 1
         return [out]

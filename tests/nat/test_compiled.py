@@ -15,20 +15,23 @@ flow's own expiry, a FIFO eviction or a restore each leave none
 reachable, and a rival flow's birth leaves it exactly where it was.
 """
 
+import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nat.compiled import compile_action
 from repro.nat.concrete import LibvigNf
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import CachedAction, FastPathNat
 from repro.nat.limiter import VigLimiter
-from repro.nat.rewrite import rewrite_destination, rewrite_source
+from repro.nat.rewrite import rewrite
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
+from repro.net.app import INLINE, RuntimeSpec, launch
 from repro.packets.builder import make_tcp_packet, make_udp_packet
+from repro.packets.checksum import checksum_update_u32
 from repro.packets.headers import (
     ETHERTYPE_ARP,
     PROTO_ICMP,
@@ -249,21 +252,26 @@ def _rewritten(packet, action):
     """The object rewrite ``action`` stands for: a clone through the
     shared helpers, out of ``action.out_device``."""
     out = packet.clone()
-    if action.src is not None:
-        rewrite_source(out, *action.src)
-    if action.dst is not None:
-        rewrite_destination(out, *action.dst)
+    rewrite(out, action.src, action.dst)
     out.device = action.out_device
     return out
 
 
+def _sentinel_frame():
+    """A UDP frame whose checksum (57512) the address half of a rewrite
+    to ``_SENTINEL_DST`` lands on 0x0000 before the port half patches it."""
+    return make_udp_packet(1, 1, 1, 5425, payload=b"\n", device=0)
+
+
+_SENTINEL_DST = (6479943, 1)
+
+
 class TestClosureMatchesRewriteHelpers:
-    """A closure is the shared rewrite helpers, specialized to bytes.
+    """A closure is the shared rewrite helper, specialized to bytes.
 
     Any endpoint rewrite — source, destination or both, to any target —
-    compiled for a frame's key must emit exactly what
-    ``rewrite_source``/``rewrite_destination`` emit on the parsed
-    packet, stored checksums included.
+    compiled for a frame's key must emit exactly what ``rewrite`` emits
+    on the parsed packet, stored checksums included.
     """
 
     @given(
@@ -271,6 +279,7 @@ class TestClosureMatchesRewriteHelpers:
         src=st.none() | st.tuples(_ips(), _ports()),
         dst=st.none() | st.tuples(_ips(), _ports()),
     )
+    @example(packet=_sentinel_frame(), src=None, dst=_SENTINEL_DST)
     @settings(max_examples=200, deadline=None)
     def test_closure_matches_endpoint_rewrite(self, packet, src, dst):
         action = CachedAction(src=src, dst=dst, out_device=1, token=None)
@@ -310,9 +319,10 @@ class TestClosureShapesOnEveryChecksumWord:
     every one of the 2**16 UDP checksum words a frame can carry, for
     rewrites whose deltas sit on one's-complement edges.
 
-    Two shapes exist: the RFC one (zero-checked between the shared
-    helpers' L4 patches, so a disabled checksum stays 0) and the folded
-    one ``UnverifiedNat`` compiles for its inbound actions, whose
+    Two shapes exist: the RFC one (the arriving checksum tested once,
+    so a disabled checksum stays 0 and an enabled one takes every
+    patch) and the one ``UnverifiedNat`` compiles for its inbound
+    actions, whose
     hand-rolled ``_patch_destination`` patches a 0 like any other word.
     """
 
@@ -347,8 +357,7 @@ class TestClosureShapesOnEveryChecksumWord:
         action = CachedAction(src=new, dst=new, out_device=1, token=None)
 
         def helpers(packet):
-            rewrite_source(packet, *new)
-            rewrite_destination(packet, *new)
+            rewrite(packet, src=new, dst=new)
 
         assert self._first_difference(old, compile_action, action, helpers) is None
 
@@ -381,6 +390,62 @@ class TestClosureShapesOnEveryChecksumWord:
             )
             is not None
         )
+
+
+def _outbound_hitting_zero(nat_ip, seed=7):
+    """A seeded search for an outbound UDP frame whose checksum the
+    address patch to ``nat_ip`` lands on 0x0000 (about one in 2**16)."""
+    rng = random.Random(seed)
+    while True:
+        packet = make_udp_packet(
+            0x0A000000 | rng.getrandbits(24),
+            0x08080808,
+            rng.randrange(1, 1 << 16),
+            53,
+            device=0,
+        )
+        if checksum_update_u32(packet.l4.checksum, packet.ipv4.src_ip, nat_ip) == 0:
+            return packet
+
+
+class TestTheUdpSentinelIsReadOnce:
+    """RFC 768's "no checksum" is a property of the arriving packet: an
+    enabled UDP checksum whose address patch passes through 0x0000 still
+    takes its port patch, and leaves as a full recompute sets it."""
+
+    def test_rewrite_and_closure_give_the_full_recompute(self):
+        packet = _sentinel_frame()
+        frame = packet.wire_bytes()
+        action = CachedAction(src=None, dst=_SENTINEL_DST, out_device=1, token=None)
+        closure = compile_action(Packet.from_bytes(frame, 0).flow_key(), action)
+        rewrite(packet, dst=_SENTINEL_DST)
+        recomputed = make_udp_packet(1, _SENTINEL_DST[0], 1, 1, payload=b"\n")
+        assert packet.l4.checksum == recomputed.l4.checksum == 5424
+        assert Packet.from_bytes(closure(bytearray(frame)), 1).l4.checksum == 5424
+
+    def test_vignat_emits_the_full_recompute_slow_and_compiled(self):
+        config = NatConfig()
+        packet = _outbound_hitting_zero(config.external_ip)
+        runtime = launch(
+            RuntimeSpec(
+                nf_factory=VigNat,
+                config=config,
+                execution=INLINE,
+                fastpath="compiled",
+            )
+        )
+        for now in (1, 2):  # the learn on the slow path, then a hit
+            runtime.inject(0, packet.clone(), now)
+            runtime.main_loop_burst(now, runtime.spec.burst_size)
+        (_, _, slow), (_, _, hit) = runtime.collect()
+        recomputed = make_udp_packet(
+            config.external_ip, 0x08080808, slow.l4.src_port, 53, device=1
+        )
+        assert recomputed.l4.checksum != 0
+        assert slow.wire_bytes() == hit.wire_bytes() == recomputed.wire_bytes()
+        counters = runtime.op_counters()
+        assert counters["fastpath_misses"] == counters["fastpath_compiles"] == 1
+        assert counters["fastpath_compiled_hits"] == 1
 
 
 class TestLearnTimeVerificationRejectsMiscompiles:

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.nat.rewrite import rewrite_destination, rewrite_source
+from repro.nat.rewrite import rewrite
 from repro.packets.builder import make_tcp_packet, make_udp_packet
 
 ips = st.integers(1, 0xFFFFFFFE)
@@ -15,7 +15,7 @@ class TestRewriteSource:
     def test_patched_checksums_stay_valid(self, src, sport, new_ip, new_port, tcp, payload):
         maker = make_tcp_packet if tcp else make_udp_packet
         packet = maker(src, 0x08080808, sport, 80, payload=payload)
-        rewrite_source(packet, new_ip, new_port)
+        rewrite(packet, src=(new_ip, new_port))
         assert packet.ipv4.src_ip == new_ip
         assert packet.l4.src_port == new_port
         assert packet.ipv4.header_checksum_valid()
@@ -28,7 +28,7 @@ class TestRewriteSource:
         built from scratch with the rewritten fields."""
         maker = make_tcp_packet if tcp else make_udp_packet
         patched = maker(src, 0x08080808, sport, 80)
-        rewrite_source(patched, new_ip, new_port)
+        rewrite(patched, src=(new_ip, new_port))
         rebuilt = maker(new_ip, 0x08080808, new_port, 80)
         assert patched.to_bytes() == rebuilt.to_bytes()
 
@@ -39,7 +39,7 @@ class TestRewriteDestination:
     def test_patched_checksums_stay_valid(self, dst, dport, new_ip, new_port, tcp):
         maker = make_tcp_packet if tcp else make_udp_packet
         packet = maker(0x0A000001, dst, 4000, dport)
-        rewrite_destination(packet, new_ip, new_port)
+        rewrite(packet, dst=(new_ip, new_port))
         assert packet.ipv4.dst_ip == new_ip
         assert packet.l4.dst_port == new_port
         assert packet.ipv4.header_checksum_valid()
@@ -48,7 +48,7 @@ class TestRewriteDestination:
     def test_zero_udp_checksum_stays_disabled(self):
         packet = make_udp_packet(1, 2, 3, 4)
         packet.l4.checksum = 0
-        rewrite_destination(packet, 9, 10)
+        rewrite(packet, dst=(9, 10))
         assert packet.l4.checksum == 0
 
     def test_requires_flow_packet(self):
@@ -57,14 +57,13 @@ class TestRewriteDestination:
         from repro.packets.headers import EthernetHeader, Packet
 
         with pytest.raises(ValueError):
-            rewrite_source(Packet(eth=EthernetHeader()), 1, 2)
+            rewrite(Packet(eth=EthernetHeader()), src=(1, 2))
 
 
 class TestDoubleRewrite:
     def test_hairpin_style_double_patch(self):
-        """Source and destination patched in sequence stay consistent."""
+        """Source and destination patched in one call stay consistent."""
         packet = make_udp_packet(0x0A000001, 0xC0000201, 4000, 1000)
-        rewrite_source(packet, 0xC0000201, 7777)
-        rewrite_destination(packet, 0x0A000002, 5000)
+        rewrite(packet, src=(0xC0000201, 7777), dst=(0x0A000002, 5000))
         assert packet.ipv4.header_checksum_valid()
         assert packet.l4_checksum_valid()
