@@ -12,16 +12,16 @@ Commands:
   cannot honour is a usage error (exit code 2). A reader that closes
   the pipe early (``| head``) ends the command quietly with status 141.
 - ``demo`` — translate a conversation through the verified NAT.
-- ``experiments {fig12,fig13,fig14,metrics,verification}`` — regenerate
-  one of the paper's evaluation artifacts at quick scale (``metrics`` is
-  a merged observability snapshot from a sharded run).
+- ``experiments {fig12,fig13,fig14,verification}`` — regenerate one of
+  the paper's evaluation artifacts at quick scale.
 - ``experiments {burst,shard,fastpath,failover,cgnat,procs,chain}`` —
   run one sweep of :mod:`repro.eval.sweeps` on exactly the grid CI's
   smoke job runs, print its table, and judge it by the sweep's claims
   (the same function the CI gate applies to ``BENCH_*.json``): exit
   code 1, with every violated claim listed, when one does not hold.
-- ``metrics`` — the same merged snapshot with knobs: worker count,
-  fastpath on/off, table/Prometheus/JSON rendering, file output.
+- ``metrics`` — a merged observability snapshot from a sharded run:
+  worker count, fastpath on/off, table/Prometheus/JSON rendering, file
+  output.
 """
 
 from __future__ import annotations
@@ -198,16 +198,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         series = latency_ccdf(background_flows=10_000, settings=settings)
         print(render_fig13(series, background_flows=10_000))
         return 0
-    if args.artifact == "metrics":
-        from repro.eval.experiments import collect_sharded_metrics
-        from repro.eval.reporting import render_metrics
-        from repro.obs.expo import render_prometheus
-
-        snapshot = collect_sharded_metrics(workers=2)
-        print(render_metrics(snapshot))
-        print()
-        print(render_prometheus(snapshot))
-        return 0
     settings = EvalSettings(
         expiration_seconds=60.0, throughput_packets=10_000, throughput_iterations=6
     )
@@ -283,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "artifact",
-        choices=["fig12", "fig13", "fig14", *SWEEPS, "metrics", "verification"],
+        choices=["fig12", "fig13", "fig14", *SWEEPS, "verification"],
     )
     experiments.set_defaults(run=_cmd_experiments)
 

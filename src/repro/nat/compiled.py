@@ -134,19 +134,19 @@ def compile_action(
     _, proto, src_ip, src_port, dst_ip, dst_port = key
     new_src = action.src or (src_ip, src_port)
     new_dst = action.dst or (dst_ip, dst_port)
-    ip_delta = l4_delta = 0
+    ip_delta = port_delta = 0
     for (old_ip, old_port), new in (
         ((src_ip, src_port), action.src),
         ((dst_ip, dst_port), action.dst),
     ):
         if new is not None:
             ip_delta += sum(checksum_delta_u32(old_ip, new[0]))
-            l4_delta += checksum_delta_u16(old_port, new[1])
+            port_delta += checksum_delta_u16(old_port, new[1])
     udp = proto == PROTO_UDP
     return _build_closure(
         mid12=_MID.pack(new_src[0], new_dst[0], new_src[1], new_dst[1]),
         ip_delta=ip_delta,
-        l4_delta=ip_delta + l4_delta,
+        l4_delta=ip_delta + port_delta,
         l4_offset=OFF_UDP_CSUM if udp else OFF_TCP_CSUM,
         sentinel=0 if udp and udp_zero_check else -1,
     )

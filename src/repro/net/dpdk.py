@@ -363,10 +363,10 @@ def ingress_fault(plan, tally, packet: Packet, timestamp: int, scope: int):
     ``None`` when a drop/partition verdict destroyed it (counted on
     ``tally`` and traced); otherwise ``(packet, timestamp, reorder)`` —
     the possibly corrupted packet, its possibly delayed arrival stamp,
-    and whether it should trade places with its ring predecessor. The
-    reorder draw happens for every delivered-verdict packet (not only
-    when a swap is possible) so the seeded RNG sequence is identical
-    across runtimes consulting the same plan.
+    and whether it should trade places with its not-yet-taken
+    predecessor. The reorder draw happens for every delivered-verdict
+    packet (not only when a swap is possible) so the seeded RNG
+    sequence is identical across runtimes consulting the same plan.
     """
     verdict, delay_us = plan.link_verdict(timestamp, scope)
     if verdict == "drop":
@@ -409,14 +409,17 @@ class SteeringFront:
 
     Built from a :class:`~repro.net.app.RuntimeSpec`: one partitioned
     config, NAT-aware steering behind an :class:`RssNic`, the fault
-    plan's wire tallies, frame admission (:meth:`_admit`), the one turn
+    plan's wire tallies, the one :meth:`inject` (admission, steering,
+    and a per-worker batch the reorder fault swaps in), the one turn
     policy (:meth:`main_loop_burst`), the merged views — counters,
     transmissions, checkpoint, restore — over per-worker answers, and
     the one recovery primitive, :meth:`recover`. :class:`ShardedRuntime`
     answers from in-thread :class:`Shard` objects,
     :class:`~repro.net.procrun.ProcessShardedRuntime` asks a worker
-    process hosting one; each supplies the turn's hooks (``_turn``,
-    ``_gather``, and the process runtime's ``_kill`` and ``_hold``).
+    process hosting one; each supplies the turn's hooks — ``_hold`` and
+    ``_turn`` hand a worker its batch (onto its shard's RX rings, or
+    framed to its process), ``_gather`` ends the turn, and the process
+    runtime's ``_kill`` is a SIGKILL.
 
     ``supervise=True`` rebuilds a dead worker instead of leaving it dead
     (threaded) or raising ``WorkerCrashed`` (process). A
@@ -452,6 +455,11 @@ class SteeringFront:
         self.supervise = spec.supervise or replicating
         #: Whether each worker is serving; only :meth:`recover` revives one.
         self._alive: List[bool] = [True] * spec.workers
+        #: Steered packets per worker as (port, packet, timestamp), handed
+        #: to the worker at its next turn or hang.
+        self._pending: List[List[Tuple[int, Packet, int]]] = [
+            [] for _ in range(spec.workers)
+        ]
         #: One channel and standby per worker; both empty unless replicating.
         self.channels: List = []
         self.replicas: List = []
@@ -498,13 +506,19 @@ class SteeringFront:
         """The worker the steering stage would select (without counting)."""
         return self.steering.worker_for(packet)
 
-    def _admit(self, port_id: int, packet: Packet, timestamp: int):
-        """Admit one packet off the wire — the prelude both ``inject``s share.
+    # -- wire side -----------------------------------------------------------
+    def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
+        """Deliver a packet from the wire into its worker's batch.
 
         An active fault plan is consulted first (:func:`ingress_fault`,
-        scoped to the packet's steering target), then the NIC steers and
-        the ``STEER`` trace records it. ``None`` when the plan destroyed
-        the packet; otherwise ``(worker, packet, timestamp, reorder)``.
+        scoped to the packet's steering target), then the NIC steers,
+        the ``STEER`` trace records it, and the packet joins the
+        worker's batch for its next turn (or hang). A firing reorder
+        swaps the batch's two newest packets on this port, their stamps
+        staying with the slots so arrivals stay monotonic — what
+        :meth:`~repro.net.nic.Port.swap_tail` does to a ring. False only
+        when the plan destroyed the packet: a full RX ring drops (and
+        counts) it at delivery, in the worker.
         """
         plan = self.fault_plan
         reorder = False
@@ -513,13 +527,23 @@ class SteeringFront:
                 plan, self, packet, timestamp, self.steering.worker_for(packet)
             )
             if hit is None:
-                return None
+                return False
             packet, timestamp, reorder = hit
         worker = self.nic.select(packet)
         recorder = obs.recorder()
         if recorder.active:
             recorder.trace(flight.STEER, t_us=timestamp, worker=worker, detail=port_id)
-        return worker, packet, timestamp, reorder
+        batch = self._pending[worker]
+        batch.append((port_id, packet, timestamp))
+        if reorder:
+            tail = [i for i, item in enumerate(batch) if item[0] == port_id][-2:]
+            if len(tail) == 2:
+                a, b = tail
+                batch[a], batch[b] = (
+                    (port_id, batch[b][1], batch[a][2]),
+                    (port_id, batch[a][1], batch[b][2]),
+                )
+        return True
 
     # -- the turn ------------------------------------------------------------
     def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
@@ -529,11 +553,12 @@ class SteeringFront:
         kills dies (:meth:`_kill`); a dead worker is rebuilt by
         :meth:`recover` before its turn when supervising, and otherwise
         skips it with its queued frames counted lost. A hung worker
-        skips its turn with its queue intact (:meth:`_hold`), clock skew
-        biases the ``now`` that worker's NF observes (a negative skew
-        exercises the NATs' monotonic clamp), and a pool-exhaust fault
-        holds that many buffers hostage for the turn. The subclass runs
-        or starts each turn (:meth:`_turn`) and ends the whole turn
+        takes its batch and skips its turn with its queue intact
+        (:meth:`_hold`), clock skew biases the ``now`` that worker's NF
+        observes (a negative skew exercises the NATs' monotonic clamp),
+        and a pool-exhaust fault holds that many buffers hostage for the
+        turn. The subclass hands each worker its batch and runs or
+        starts its turn (:meth:`_turn`), and ends the whole turn
         (:meth:`_gather`), which returns the packets processed.
         """
         if burst_size <= 0:
@@ -570,11 +595,13 @@ class SteeringFront:
         self._alive[worker_id] = False
 
     def _hold(self, worker_id: int) -> None:
-        """A hung worker's skipped turn; its queue stays where it is."""
+        """A hung worker's skipped turn: it takes its batch, and its
+        queue stays where it is."""
+        raise NotImplementedError
 
     def _turn(self, worker_id: int, now_us: int, burst_size: int, seizure: int):
-        """Run (or start) one worker's turn; what it returns is
-        :meth:`_gather`'s."""
+        """Hand the worker its batch and run (or start) its turn; what it
+        returns is :meth:`_gather`'s."""
         raise NotImplementedError
 
     def _gather(self, turned: List[Tuple[int, object]], now_us: int) -> int:
@@ -822,7 +849,9 @@ class ShardedRuntime(SteeringFront):
     simulated runs reproducible; on hardware the workers would spin on
     their own cores concurrently. The verified per-packet core is
     untouched: sharding lives entirely in this (modelled) I/O layer.
-    An optional fault plan bites at :meth:`inject` (link faults, the
+    :meth:`~SteeringFront.inject` batches each worker's packets and the
+    turn (or a hang) delivers the batch to the worker's RX rings. An
+    optional fault plan bites at inject (link faults and reorder, the
     wire → NIC boundary, :func:`ingress_fault`) and in the turn (worker
     kill/hang, clock skew, pool seizure: :meth:`SteeringFront.main_loop_burst`);
     with no plan every code path is exactly as before.
@@ -850,27 +879,22 @@ class ShardedRuntime(SteeringFront):
     def _worker_restore(self, worker_id: int, checkpoint) -> None:
         self.units[worker_id].restore(checkpoint)
 
-    # -- wire side -----------------------------------------------------------
-    def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
-        """Deliver a packet from the wire: admit (:meth:`_admit`), then
-        enqueue on the steered worker's port."""
-        admitted = self._admit(port_id, packet, timestamp)
-        if admitted is None:
-            return False
-        worker, packet, timestamp, reorder = admitted
-        runtime = self.units[worker].runtime
-        accepted = runtime.inject(port_id, packet, timestamp)
-        if reorder and accepted:
-            runtime.ports[port_id].swap_tail()
-        return accepted
-
     def collect_by_worker(self) -> List[List[Tuple[int, int, Packet]]]:
         """Per-worker transmissions since the last collect."""
         return [unit.runtime.collect() for unit in self.units]
 
     # -- the turn's hooks -----------------------------------------------------
+    def _hold(self, worker_id: int) -> None:
+        """Deliver the worker's batch to its shard's RX rings."""
+        runtime = self.units[worker_id].runtime
+        for port_id, packet, timestamp in self._pending[worker_id]:
+            runtime.inject(port_id, packet, timestamp)
+        self._pending[worker_id].clear()
+
     def _turn(self, worker_id: int, now_us: int, burst_size: int, seizure: int) -> int:
-        """Run the worker's turn and publish its deltas to its standby."""
+        """Deliver the worker's batch, run its turn and publish its
+        deltas to its standby."""
+        self._hold(worker_id)
         unit = self.units[worker_id]
         processed = unit.turn(now_us, burst_size, seizure)
         if unit.deltas:
@@ -884,9 +908,11 @@ class ShardedRuntime(SteeringFront):
     def flush_worker(self, worker_id: int, now_us: int) -> int:
         """Tear down one worker's queued packets (they die with it).
 
-        A dead worker's RX rings are gone, so whatever they held is
-        attributed to the kill. Returns the number of packets lost.
+        A dead worker's RX rings are gone, so whatever they and its
+        batch held is attributed to the kill. Returns the number of
+        packets lost.
         """
+        self._hold(worker_id)
         lost = self.units[worker_id].flush_rx(now_us)
         self.fault_kill_lost += lost
         return lost

@@ -462,10 +462,10 @@ class ProcessShardedRuntime(SteeringFront):
     a schedule driven against both produces byte-identical per-worker TX
     streams and merged counters. Differences by design:
 
-    - :meth:`inject` batches: packets are steered and buffered per
-      worker, and shipped once per worker per turn — as one pipe
-      message (``transport="pipe"``) or as spans in that worker's
-      inject ring (``transport="shm"``).
+    - A worker's batch (:meth:`~repro.net.dpdk.SteeringFront.inject`,
+      the oracle's own) is framed and shipped once per turn or hang —
+      as one pipe message (``transport="pipe"``) or as spans in that
+      worker's inject ring (``transport="shm"``).
     - A fault-plan worker kill terminates the real OS process; the
       parent then raises :class:`WorkerCrashed` rather than silently
       serving on — unless ``supervise=True``, in which case the dead
@@ -512,12 +512,6 @@ class ProcessShardedRuntime(SteeringFront):
             self._ring_finalizer()
             raise
 
-        #: Steered-but-unsent packets per worker as (port, device, ts,
-        #: wire) tuples, framed at flush time (so the ablation counters
-        #: see encode and copy separately) and flushed once per turn.
-        self._pending: List[List[Tuple[int, int, int, bytes]]] = [
-            [] for _ in range(workers)
-        ]
         self._seq = 0
         self._last_acked: List[int] = [0] * workers
         #: Frames shipped to each worker since its last ACK: in flight,
@@ -578,36 +572,9 @@ class ProcessShardedRuntime(SteeringFront):
         self.stop()
 
     # -- wire side -----------------------------------------------------------
-    def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
-        """Steer a packet and buffer it for the next turn's batch.
-
-        Admission is the oracle's own
-        (:meth:`~repro.net.dpdk.SteeringFront._admit`), so fault-plan
-        runs stay comparable. The return value reports wire-level
-        acceptance; ring-full drops happen (and are counted) inside the
-        owning worker, exactly where the oracle's per-worker ports count
-        them.
-        """
-        admitted = self._admit(port_id, packet, timestamp)
-        if admitted is None:
-            return False
-        worker, packet, timestamp, reorder = admitted
-        self._pending[worker].append(
-            (port_id, packet.device, timestamp, packet.wire_bytes())
-        )
-        if reorder:
-            # Mirror Port.swap_tail on the not-yet-flushed batch: the
-            # two newest same-port records trade payloads while their
-            # timestamps stay with the slots, so arrival stamps remain
-            # monotonic on the worker's ring.
-            records = self._pending[worker]
-            tail = [i for i, r in enumerate(records) if r[0] == port_id][-2:]
-            if len(tail) == 2:
-                a, b = tail
-                pa, pb = records[a], records[b]
-                records[a] = (pa[0], pb[1], pa[2], pb[3])
-                records[b] = (pb[0], pa[1], pb[2], pa[3])
-        return True
+    #: The oracle's own inject, bound here so the benchmark's ledger finds
+    #: it on this class.
+    inject = SteeringFront.inject
 
     def collect(self) -> List[Tuple[int, int, Packet]]:
         """All workers' transmissions, merged: (port, timestamp, packet)."""
@@ -763,12 +730,15 @@ class ProcessShardedRuntime(SteeringFront):
             self._stats.copy_ns += time.perf_counter_ns() - t0
 
     def _flush_pending(self, worker_id: int) -> None:
-        """Frame, then ship, what :meth:`inject` buffered for a worker."""
+        """Frame, then ship, what :meth:`inject` batched for a worker."""
         pending = self._pending[worker_id]
         if not pending:
             return
         t0 = time.perf_counter_ns()
-        frames = [pack_slot_record(*record) for record in pending]
+        frames = [
+            pack_slot_record(port_id, packet.device, timestamp, packet.wire_bytes())
+            for port_id, packet, timestamp in pending
+        ]
         self._stats.encode_ns += time.perf_counter_ns() - t0
         pending.clear()
         self._ship(worker_id, frames)

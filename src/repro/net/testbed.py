@@ -259,17 +259,6 @@ class ShardedRunResult:
         """Service-limited rate of the whole sharded box: sum of workers."""
         return sum(self.per_worker_mpps())
 
-    def merged_latency(self) -> LatencyHistogram:
-        """All workers' latency samples as one merged histogram.
-
-        Per-worker histograms merge associatively (bucket-count adds),
-        so the box-wide p50/p99/p99.9 is exact, not an average of
-        per-worker percentiles.
-        """
-        return LatencyHistogram.merge_all(
-            r.all_latency.to_histogram() for r in self.per_worker
-        )
-
     def metrics_snapshot(
         self, nfs: Optional[Sequence[NetworkFunction]] = None
     ) -> dict:

@@ -17,11 +17,13 @@ Fault kinds and where they bite:
 ``partition``   same as drop, but total by convention (probability 1)
 ``link-corrupt`` the packet's L4 checksum is damaged in flight
 ``link-delay``  the packet's arrival timestamp slips by ``magnitude`` µs
-``pool-exhaust`` ``magnitude`` mbufs of the worker's pool are seized
+``pool-exhaust`` ``magnitude`` mbufs of the worker's pool are seized: RX bursts
+                shrink to the rest, and starve only when all are seized
 ``worker-kill`` the worker dies until recovered; its queued packets are lost
 ``worker-hang`` the worker stops serving; its queued packets survive
 ``clock-skew``  the worker's ``now`` reads ``magnitude`` µs off true time
-``reorder``     the packet swaps with its predecessor in the RX ring
+``reorder``     the packet swaps with the newest same-port packet its worker
+                has not taken yet (the worker's batch; a chain's RX ring)
 =============== ===========================================================
 
 ``clock-skew`` with a negative magnitude drives the NF clock *backwards*
@@ -192,7 +194,8 @@ class FaultPlan:
         probability: float = 1.0,
     ) -> "FaultPlan":
         """A reordering link: delivered packets swap with their
-        predecessor in the RX ring with the given per-packet chance."""
+        not-yet-taken same-port predecessor with the given per-packet
+        chance."""
         return self.add(
             Fault("reorder", start_us, end_us, worker, 0, probability)
         )
@@ -253,7 +256,7 @@ class FaultPlan:
         return verdict, delay_us
 
     def reorder_fires(self, t_us: int, worker: Optional[int] = None) -> bool:
-        """Whether one just-delivered packet swaps with its ring
+        """Whether one just-delivered packet swaps with its not-yet-taken
         predecessor. Consulted only for packets the wire delivered, so
         the seeded draw sequence is shared with :meth:`link_verdict`."""
         fired = False

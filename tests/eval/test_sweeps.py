@@ -282,7 +282,7 @@ class TestExperimentsCli:
             if action.dest == "artifact"
         )
         assert sorted(artifact.choices) == sorted(
-            [*SWEEPS, "fig12", "fig13", "fig14", "metrics", "verification"]
+            [*SWEEPS, "fig12", "fig13", "fig14", "verification"]
         )
 
     @pytest.mark.parametrize(

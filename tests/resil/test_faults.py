@@ -216,6 +216,24 @@ class TestShardedRuntimeUnderFaults:
         assert runtime.main_loop_burst(1_000) == 4
         assert len(runtime.collect()) == 4
 
+    @pytest.mark.parametrize(
+        "seized, served, short_bursts",
+        [(60, 20, 4), (64, 0, 1)],
+        ids=["60-of-64", "all-64"],
+    )
+    def test_only_a_whole_pool_seizure_starves_rx(self, seized, served, short_bursts):
+        # A partial seizure leaves the pool's remainder to serve with:
+        # 60 of 64 seized still drains a 20-frame queue in one turn, in
+        # 4-buffer bursts, each burst that leaves frames queued counted
+        # as rx_no_mbuf. Only seizing all 64 serves nothing.
+        plan = FaultPlan().exhaust_pool(buffers=seized, start_us=0)
+        runtime = _runtime(plan, workers=1, pool_size=64, rx_capacity=64)
+        runtime.main_loop_burst(500)  # seizure applied on the turn
+        _flood(runtime, 20)
+        assert runtime.main_loop_burst(1_100) == served
+        assert len(runtime.collect()) == served
+        assert runtime.drop_causes()["rx_no_mbuf"] == short_bursts
+
     def test_empty_plan_is_byte_identical_to_no_plan(self):
         with_plan = _runtime(FaultPlan())
         without = _runtime(None)

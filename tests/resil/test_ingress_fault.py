@@ -1,9 +1,8 @@
 """One ingress-fault routine, three callers, one RNG sequence.
 
-``ShardedRuntime.inject``, ``ProcessShardedRuntime.inject`` and
-``ChainRuntime.inject`` all consult the fault plan through
-:func:`repro.net.dpdk.ingress_fault` — the two sharded front ends by
-way of their shared admission, ``SteeringFront._admit``. The same
+``SteeringFront.inject`` (the one inject of both sharded runtimes) and
+``ChainRuntime.inject`` consult the fault plan through
+:func:`repro.net.dpdk.ingress_fault`. The same
 seeded plan (drop + corrupt + delay + reorder) over the same schedule
 must therefore draw the plan's RNG identically behind every one of
 them: equal wire tallies, equal plan ledgers, equal delivered arrival
@@ -60,7 +59,7 @@ def run(kind, monkeypatch):
         return hit
 
     with monkeypatch.context() as patch:
-        # Both sharded front ends admit through ``SteeringFront._admit``
+        # Both sharded runtimes inject through ``SteeringFront.inject``
         # (in dpdk); the chain binds the routine by name at import.
         for module in (dpdk, chain_spec):
             assert module.ingress_fault is real

@@ -7,7 +7,7 @@ import pytest
 from repro.nat.config import NatConfig
 from repro.nat.noop import NoopForwarder
 from repro.nat.vignat import VigNat
-from repro.net.app import RuntimeSpec, launch
+from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.net.nic import Port
 from repro.packets.builder import make_udp_packet
 from repro.resil.faults import FaultPlan
@@ -121,3 +121,42 @@ class TestReorderDataPath:
         assert run_nat(FaultPlan(seed=5)) == baseline
         cleared = FaultPlan(seed=5).reorder(probability=1.0).clear(kind="reorder")
         assert run_nat(cleared) == baseline
+
+
+class TestReorderInTheBatch:
+    """A reorder swaps within the batch its worker has not taken yet, in
+    every sharded runtime: a frame a hung worker took at a held turn
+    keeps its place ahead of the next one."""
+
+    @pytest.mark.parametrize(
+        "execution, transport",
+        [(THREADED_DETERMINISTIC, "shm"), (PROCESS, "shm"), (PROCESS, "pipe")],
+        ids=["threaded", "process-shm", "process-pipe"],
+    )
+    def test_a_held_frame_keeps_its_place(self, execution, transport):
+        plan = (
+            FaultPlan(seed=5)
+            .hang_worker(0, 0, 2_000)
+            .reorder(1_500, 2_000, probability=1.0)
+        )
+        runtime = launch(
+            RuntimeSpec(
+                nf_factory=VigNat,
+                config=CFG,
+                execution=execution,
+                transport=transport,
+                fault_plan=plan,
+                turn_timeout_s=5.0,
+            )
+        )
+        try:
+            for now, dst_port in ((1_000, 53), (1_500, 54)):
+                packet = make_udp_packet("10.0.0.1", "203.0.113.9", 1024, dst_port)
+                assert runtime.inject(0, packet, now)
+                runtime.main_loop_burst(now)  # hung: the worker only takes its batch
+            runtime.main_loop_burst(2_000)
+            sent = [packet.l4.dst_port for _port, _ts, packet in runtime.collect()]
+        finally:
+            runtime.stop()
+        assert plan.applied["reorder"] == 1
+        assert sent == [53, 54]
