@@ -67,3 +67,40 @@ class TestDoubleRewrite:
         rewrite(packet, src=(0xC0000201, 7777), dst=(0x0A000002, 5000))
         assert packet.ipv4.header_checksum_valid()
         assert packet.l4_checksum_valid()
+
+
+class TestZeroUdpChecksumOnTheWire:
+    """A UDP checksum that *computes* to 0x0000, pinned on the wire.
+
+    ``make_udp_packet(10.0.0.1, 8.8.8.8, 58776, 53)`` is one such frame:
+    its full recompute folds to 0x0000, and rewriting a ``10.0.0.2:1000``
+    frame to that source lands the incremental patch there too. RFC 768
+    reserves a transmitted 0 for "no checksum".
+    """
+
+    FRAME = bytes.fromhex(
+        "02000000000202000000000108004500001c00000000401160c1"
+        "0a00000108080808e598003500080000"
+    )
+
+    def test_full_recompute(self):
+        packet = make_udp_packet(0x0A000001, 0x08080808, 58776, 53)
+        assert packet.wire_bytes() == self.FRAME
+        assert self.FRAME[40:42] == b"\x00\x00"
+
+    def test_rewrite_patch(self):
+        packet = make_udp_packet(0x0A000002, 0x08080808, 1000, 53)
+        rewrite(packet, src=(0x0A000001, 58776))
+        assert packet.wire_bytes() == self.FRAME
+
+    def test_compiled_closure(self):
+        from repro.nat.compiled import compile_action
+        from repro.nat.fastpath import CachedAction
+        from repro.packets.headers import Packet
+
+        frame = make_udp_packet(0x0A000002, 0x08080808, 1000, 53).wire_bytes()
+        action = CachedAction(
+            src=(0x0A000001, 58776), dst=None, out_device=1, token=None
+        )
+        closure = compile_action(Packet.from_bytes(frame).flow_key(), action)
+        assert closure(frame) == self.FRAME
