@@ -24,7 +24,8 @@ What makes the compilation sound:
   packet, and otherwise takes every patch — so the UDP closure tests the
   frame's arriving checksum once and, when it is enabled, applies the
   one folded delta even where the helper's intermediate sum passes
-  through 0. A rewrite that never tests it (``udp_zero_check=False``:
+  through 0; a result of 0 leaves as 0xFFFF, as the helper's does. A
+  rewrite that never tests it (``udp_zero_check=False``:
   ``UnverifiedNat``'s hand-rolled inbound patch) patches a 0 like any
   other word, as TCP's does.
 - **Canonical form pins the layout.** A closure only ever runs on a
@@ -46,7 +47,11 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-from repro.packets.checksum import checksum_delta_u16, checksum_delta_u32
+from repro.packets.checksum import (
+    checksum_delta_u16,
+    checksum_delta_u32,
+    udp_checksum_on_wire,
+)
 from repro.packets.headers import (
     OFF_IP_CSUM,
     OFF_SRC_IP,
@@ -77,13 +82,15 @@ def _build_closure(
 
     Every patch folds into one constant per checksum field. An arriving
     L4 checksum equal to ``sentinel`` (0 for UDP under RFC 768, else -1,
-    which no 16-bit word equals) passes through unpatched. The RFC 1624
+    which no 16-bit word equals) passes through unpatched; under RFC 768
+    an enabled one that patches to 0 leaves as 0xFFFF. The RFC 1624
     fold is inlined — ``apply_delta(c, d) = ~fold(~c + d)`` — so a
     packet costs two struct reads, the folds, and a single ``bytes``
     splice.
     """
     unpack_from = _U16.unpack_from
     pack = _U16.pack
+    rfc768 = sentinel == 0
     ip_off = OFF_IP_CSUM
     mid_end = _MID_END
     l4_end = l4_offset + 2
@@ -98,6 +105,8 @@ def _build_closure(
             while y > 0xFFFF:
                 y = (y & 0xFFFF) + (y >> 16)
             l4 = ~y & 0xFFFF
+            if not l4 and rfc768:
+                l4 = udp_checksum_on_wire(l4)
         return b"".join(
             (
                 buf[:ip_off],

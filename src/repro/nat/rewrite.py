@@ -9,14 +9,19 @@ two).
 
 RFC 768's "no checksum" sentinel (a UDP checksum of 0) is read once, off
 the packet as it arrives: a disabled checksum stays 0, and an enabled one
-takes every patch, even where an intermediate sum passes through 0x0000.
+takes every patch, even where an intermediate sum passes through 0x0000,
+and leaves as 0xFFFF where the result is 0x0000.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.packets.checksum import checksum_update_u16, checksum_update_u32
+from repro.packets.checksum import (
+    checksum_update_u16,
+    checksum_update_u32,
+    udp_checksum_on_wire,
+)
 from repro.packets.headers import Packet, UdpHeader
 
 Endpoint = Tuple[int, int]
@@ -42,5 +47,7 @@ def rewrite(
         l4_sum = checksum_update_u16(l4_sum, l4.dst_port, dst[1])
         ipv4.dst_ip, l4.dst_port = dst
     ipv4.checksum = ip_sum
-    if l4.checksum != 0 or not isinstance(l4, UdpHeader):
+    if not isinstance(l4, UdpHeader):
         l4.checksum = l4_sum
+    elif l4.checksum != 0:
+        l4.checksum = udp_checksum_on_wire(l4_sum)

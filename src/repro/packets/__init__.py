@@ -22,6 +22,7 @@ from repro.packets.checksum import (
     internet_checksum,
     ipv4_header_checksum,
     l4_checksum,
+    udp_checksum_on_wire,
 )
 from repro.packets.headers import (
     ETHERTYPE_ARP,
@@ -62,6 +63,7 @@ __all__ = [
     "ip_to_str",
     "ipv4_header_checksum",
     "l4_checksum",
+    "udp_checksum_on_wire",
     "mac_to_bytes",
     "mac_to_str",
     "make_tcp_packet",

@@ -64,11 +64,25 @@ def checksums_equivalent(a: int, b: int) -> bool:
     One's-complement arithmetic has two representations of zero, 0x0000
     and 0xFFFF; an incrementally patched checksum may land on the other
     representation than a full recompute. Receivers validate by summing,
-    so the two are interchangeable on the wire.
+    so for the IPv4 header and TCP the two are interchangeable on the
+    wire. For UDP they are not: a transmitted 0x0000 means "no checksum"
+    (RFC 768), so an enabled UDP checksum is sent as 0xFFFF
+    (:func:`udp_checksum_on_wire`). Here both still *validate*.
     """
     if a == b:
         return True
     return {a, b} == {0x0000, 0xFFFF}
+
+
+def udp_checksum_on_wire(computed: int) -> int:
+    """The word an *enabled* UDP checksum is sent as (RFC 768).
+
+    A transmitted 0 means the sender computed no checksum, so a sum
+    that computes to 0x0000 goes out as 0xFFFF, its one's-complement
+    twin. Every UDP checksum writer calls this on an enabled checksum
+    only: a disabled one stays 0.
+    """
+    return computed or 0xFFFF
 
 
 def checksum_update_u16(checksum: int, old: int, new: int) -> int:

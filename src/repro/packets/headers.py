@@ -30,6 +30,7 @@ from repro.packets.checksum import (
     internet_checksum,
     ipv4_header_checksum,
     l4_checksum,
+    udp_checksum_on_wire,
 )
 
 ETHERTYPE_IPV4 = 0x0800
@@ -417,7 +418,8 @@ class Packet:
         )
 
     def to_bytes(self) -> bytes:
-        """Serialize, recomputing IPv4 and L4 checksums from scratch."""
+        """Serialize, recomputing IPv4 and L4 checksums from scratch
+        (a UDP checksum that computes to 0 is sent as 0xFFFF, RFC 768)."""
         parts = [self.eth.pack()]
         if self.ipv4 is not None:
             l4_raw = b""
@@ -428,6 +430,8 @@ class Packet:
                 l4_raw = header.pack() + self.payload
                 proto = PROTO_UDP if isinstance(header, UdpHeader) else PROTO_TCP
                 csum = l4_checksum(self.ipv4.src_ip, self.ipv4.dst_ip, proto, l4_raw)
+                if proto == PROTO_UDP:
+                    csum = udp_checksum_on_wire(csum)
                 self.l4.checksum = csum
                 header.checksum = csum
                 l4_raw = header.pack() + self.payload

@@ -321,17 +321,19 @@ class TestClosureShapesOnEveryChecksumWord:
 
     Two shapes exist: the RFC one (the arriving checksum tested once,
     so a disabled checksum stays 0 and an enabled one takes every
-    patch) and the one ``UnverifiedNat`` compiles for its inbound
+    patch and never leaves as 0x0000) and the one ``UnverifiedNat`` compiles for its inbound
     actions, whose
     hand-rolled ``_patch_destination`` patches a 0 like any other word.
     """
 
     @staticmethod
-    def _first_difference(old, compile, action, rewrite):
+    def _first_difference(old, compile, action, rewrite, rfc768=False):
         """The first checksum word on which ``compile(key, action)``'s
         closure and the object ``rewrite(packet)`` emit different bytes,
         or None after all 2**16. One packet is reset and rewritten per
-        word: only the checksum word varies between frames."""
+        word: only the checksum word varies between frames. With
+        ``rfc768`` an enabled (nonzero) arriving word that leaves as
+        0x0000 is a difference too."""
         packet = make_udp_packet(
             old[0], old[0], old[1], old[1], payload=b"edge", device=1
         )
@@ -347,7 +349,10 @@ class TestClosureShapesOnEveryChecksumWord:
             ipv4.checksum = ip_checksum
             udp.checksum = word
             rewrite(packet)
-            if closure(head + pack(word) + tail) != packet.wire_bytes():
+            out = closure(head + pack(word) + tail)
+            if out != packet.wire_bytes():
+                return word
+            if rfc768 and word and out[40:42] == b"\x00\x00":
                 return word
         return None
 
@@ -359,7 +364,10 @@ class TestClosureShapesOnEveryChecksumWord:
         def helpers(packet):
             rewrite(packet, src=new, dst=new)
 
-        assert self._first_difference(old, compile_action, action, helpers) is None
+        assert (
+            self._first_difference(old, compile_action, action, helpers, rfc768=True)
+            is None
+        )
 
     @pytest.mark.parametrize("edge", sorted(_EDGE_REWRITES))
     def test_unverified_nats_inbound_closure_is_its_patch(self, edge):
@@ -656,8 +664,9 @@ class TestClosuresAreEarnedOnTheRawPath:
         # An inside host that sends from the NAT's own external endpoint
         # (the port the allocator hands out next): the translation leaves
         # both directions' endpoints as they were, but the NAT's rewrite
-        # patches them anyway, which turns a checksum of 0xFFFF into 0.
-        # The closures must do the same.
+        # patches them anyway, which turns a checksum of 0xFFFF into 0 —
+        # except outbound UDP, whose shared helper sends a computed 0 as
+        # 0xFFFF (RFC 768). The closures must do the same.
         cfg = NatConfig(max_flows=64)
         for make in (make_udp_packet, make_tcp_packet):
             fast, slow = FastPathNat(UnverifiedNat(cfg)), UnverifiedNat(cfg)
@@ -667,7 +676,10 @@ class TestClosuresAreEarnedOnTheRawPath:
                 packet.l4.checksum = 0xFFFF
                 ((emitted, _),) = _slow(slow, packet, t)
                 assert _wire(fast, packet, t) == [(emitted, 1 - packet.device)]
-                assert Packet.from_bytes(emitted, 0).l4.checksum == 0
+                rfc768 = make is make_udp_packet and packet is out
+                assert Packet.from_bytes(emitted, 0).l4.checksum == (
+                    0xFFFF if rfc768 else 0
+                )
             counters = fast.op_counters()
             assert counters["fastpath_compiled_hits"] == counters["fastpath_hits"] == 2
             assert counters["fastpath_compile_rejected"] == 0

@@ -70,23 +70,24 @@ class TestDoubleRewrite:
 
 
 class TestZeroUdpChecksumOnTheWire:
-    """A UDP checksum that *computes* to 0x0000, pinned on the wire.
+    """A UDP checksum that *computes* to 0x0000 is sent as 0xFFFF.
 
     ``make_udp_packet(10.0.0.1, 8.8.8.8, 58776, 53)`` is one such frame:
     its full recompute folds to 0x0000, and rewriting a ``10.0.0.2:1000``
     frame to that source lands the incremental patch there too. RFC 768
-    reserves a transmitted 0 for "no checksum".
+    reserves a transmitted 0 for "no checksum", so all three writers send
+    the other zero.
     """
 
     FRAME = bytes.fromhex(
         "02000000000202000000000108004500001c00000000401160c1"
-        "0a00000108080808e598003500080000"
+        "0a00000108080808e59800350008ffff"
     )
 
     def test_full_recompute(self):
         packet = make_udp_packet(0x0A000001, 0x08080808, 58776, 53)
         assert packet.wire_bytes() == self.FRAME
-        assert self.FRAME[40:42] == b"\x00\x00"
+        assert self.FRAME[40:42] == b"\xff\xff"
 
     def test_rewrite_patch(self):
         packet = make_udp_packet(0x0A000002, 0x08080808, 1000, 53)
