@@ -455,9 +455,10 @@ class SteeringFront:
         self.supervise = spec.supervise or replicating
         #: Whether each worker is serving; only :meth:`recover` revives one.
         self._alive: List[bool] = [True] * spec.workers
-        #: Steered packets per worker as (port, packet, timestamp), handed
-        #: to the worker at its next turn or hang.
-        self._pending: List[List[Tuple[int, Packet, int]]] = [
+        #: Steered packets per worker as (port, timestamp, packet) — the
+        #: order ``collect`` returns — handed to the worker at its next
+        #: turn or hang.
+        self._pending: List[List[Tuple[int, int, Packet]]] = [
             [] for _ in range(spec.workers)
         ]
         #: One channel and standby per worker; both empty unless replicating.
@@ -534,14 +535,14 @@ class SteeringFront:
         if recorder.active:
             recorder.trace(flight.STEER, t_us=timestamp, worker=worker, detail=port_id)
         batch = self._pending[worker]
-        batch.append((port_id, packet, timestamp))
+        batch.append((port_id, timestamp, packet))
         if reorder:
             tail = [i for i, item in enumerate(batch) if item[0] == port_id][-2:]
             if len(tail) == 2:
                 a, b = tail
                 batch[a], batch[b] = (
-                    (port_id, batch[b][1], batch[a][2]),
                     (port_id, batch[a][1], batch[b][2]),
+                    (port_id, batch[b][1], batch[a][2]),
                 )
         return True
 
@@ -887,7 +888,7 @@ class ShardedRuntime(SteeringFront):
     def _hold(self, worker_id: int) -> None:
         """Deliver the worker's batch to its shard's RX rings."""
         runtime = self.units[worker_id].runtime
-        for port_id, packet, timestamp in self._pending[worker_id]:
+        for port_id, timestamp, packet in self._pending[worker_id]:
             runtime.inject(port_id, packet, timestamp)
         self._pending[worker_id].clear()
 

@@ -41,6 +41,22 @@ def pack_slot_record(
     return SLOT_HEADER.pack(port, device, timestamp, len(wire)) + wire
 
 
+def pack_slot_records(burst: Sequence[Tuple[int, int, Packet]]) -> bytes:
+    """Frame a burst of ``(port, timestamp, packet)`` descriptors — the
+    shape :meth:`~repro.net.dpdk.DpdkRuntime.collect` returns — as
+    concatenated slot records, byte for byte what ``pack_slot_record``
+    gives each one. ``wire_bytes`` is looked up per packet, at call time.
+    """
+    pack = SLOT_HEADER.pack
+    parts: List[bytes] = []
+    append = parts.append  # bound once: this loop runs per frame
+    for port, timestamp, packet in burst:
+        wire = packet.wire_bytes()
+        append(pack(port, packet.device, timestamp, len(wire)))
+        append(wire)
+    return b"".join(parts)
+
+
 class SlotRecordError(ValueError):
     """A blob of slot records ends inside a record.
 
@@ -57,8 +73,11 @@ def unpack_slot_records(
     """Parse concatenated slot records: (port, device, timestamp, wire).
 
     Raises :class:`SlotRecordError` unless the records tile the blob
-    exactly.
+    exactly. A mutable buffer is copied once at entry, so no ``wire``
+    aliases it.
     """
+    if type(blob) is not bytes:
+        blob = bytes(blob)
     records: List[Tuple[int, int, int, bytes]] = []
     append = records.append  # bound once: this loop runs per frame
     unpack_from = SLOT_HEADER.unpack_from
@@ -78,7 +97,7 @@ def unpack_slot_records(
                 f"record announces {length} wire bytes, {end - offset} "
                 f"left at offset {offset}"
             )
-        append((port, device, timestamp, bytes(blob[offset:stop])))
+        append((port, device, timestamp, blob[offset:stop]))
         offset = stop
     return records
 

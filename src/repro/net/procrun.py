@@ -90,8 +90,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.dpdk import Shard, SteeringFront
 from repro.net.mbuf import (
+    SLOT_HEADER,
     SlotRecordError,
-    pack_slot_record,
+    pack_slot_records,
     unpack_slot_records,
 )
 from repro.net.shmring import ShmRing, unlink_rings
@@ -108,7 +109,7 @@ TRANSPORTS = (TRANSPORT_PIPE, TRANSPORT_SHM)
 
 # -- wire framing -------------------------------------------------------------
 
-#: A framed packet record is the shm slot record (``pack_slot_record``):
+#: A framed packet record is the shm slot record (``pack_slot_records``):
 #: both transports carry the same bytes, which is what makes the
 #: transport axis a pure mechanism swap in the differential proofs.
 #: Turn command payload: seq, now_us, burst_size, pool seizure target.
@@ -139,6 +140,9 @@ RE_ERROR = b"e"
 #: burn a core while idle.
 _RING_RETRY_S = 0.0002
 _WORKER_POLL_S = 0.002
+#: How long the parent waits to reap a worker whose pipe broke, so the
+#: death reason can name its exit code or signal.
+_EXIT_WAIT_S = 0.1
 
 
 def _poller(conn) -> Callable[[float], list]:
@@ -263,21 +267,43 @@ def _push_with_backpressure(
         stats.ring_wait_ns += time.perf_counter_ns() - t1
 
 
-def _chunk_frames(frames: List[bytes], max_bytes: int) -> List[bytes]:
-    """Join frames into span-sized blobs, never splitting a record."""
-    chunks: List[bytes] = []
-    batch: List[bytes] = []
-    size = 0
-    for frame in frames:
-        if batch and size + len(frame) > max_bytes:
-            chunks.append(b"".join(batch))
-            batch = []
-            size = 0
-        batch.append(frame)
-        size += len(frame)
-    if batch:
-        chunks.append(b"".join(batch))
-    return chunks
+def _spans(blob: bytes, max_bytes: int) -> List[bytes]:
+    """Cut a framed burst into span-sized runs at record boundaries.
+
+    A burst that fits one span — every 32-frame burst of the default
+    geometry — comes back whole, unwalked. A longer one is cut before
+    the record that would overflow the run; a record longer than
+    ``max_bytes`` is a run of its own.
+    """
+    if len(blob) <= max_bytes:
+        return [blob]
+    unpack_from = SLOT_HEADER.unpack_from
+    header_size = SLOT_HEADER.size
+    runs: List[bytes] = []
+    start = offset = 0
+    while offset < len(blob):
+        stop = offset + header_size + unpack_from(blob, offset)[3]
+        if stop - start > max_bytes and offset > start:
+            runs.append(blob[start:offset])
+            start = offset
+        offset = stop
+    runs.append(blob[start:])
+    return runs
+
+
+def _exit_status(proc) -> str:
+    """How a worker process ended — its exit code or the signal that
+    killed it — or "" while it still runs (never blocks)."""
+    code = proc.exitcode
+    if code is None:
+        return ""
+    if code >= 0:
+        return f"process exited with code {code}"
+    try:
+        name = f" ({signal.Signals(-code).name})"
+    except ValueError:
+        name = ""
+    return f"process killed by signal {-code}{name}"
 
 
 class WorkerCrashed(RuntimeError):
@@ -285,7 +311,11 @@ class WorkerCrashed(RuntimeError):
 
     Carries enough to resume or fail over: which shard is gone and the
     sequence number of the last burst that worker *acknowledged* — every
-    burst after it must be considered lost with the worker.
+    burst after it must be considered lost with the worker. ``reason``
+    names what the parent saw: a poll timeout with its bound, a pipe EOF
+    or ``OSError`` errno, a full inject ring, a corrupt TX span or a
+    fault-plan kill, then the process's exit code or signal once it has
+    ended.
     """
 
     def __init__(self, shard: int, last_acked_seq: int, reason: str = "") -> None:
@@ -353,12 +383,15 @@ def _worker_main(
         max_span = max(out_ring.slot_bytes, out_ring.capacity_bytes // 4)
 
     def deliver(blob: bytes, offset: int = 0) -> None:
-        """Unframe one burst of records onto the runtime's RX queues."""
+        """Unframe one burst of records straight onto its ports' RX
+        queues, every frame validated by ``Packet.from_bytes``."""
         t0 = time.perf_counter_ns()
         records = unpack_slot_records(blob, offset)
         stats.encode_ns += time.perf_counter_ns() - t0
+        ports = runtime.ports
+        from_bytes = Packet.from_bytes
         for port_id, device, timestamp, wire in records:
-            runtime.inject(port_id, Packet.from_bytes(wire, device=device), timestamp)
+            ports[port_id].deliver(from_bytes(wire, device), timestamp)
 
     def drain_inject() -> None:
         """Pop every visible burst into the runtime's RX queues."""
@@ -391,12 +424,7 @@ def _worker_main(
                     drain_inject()  # the T write fenced these spans
                 processed = shard.turn(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
-                frames = [
-                    pack_slot_record(
-                        port_id, packet.device, timestamp, packet.wire_bytes()
-                    )
-                    for port_id, timestamp, packet in runtime.collect()
-                ]
+                blob = pack_slot_records(runtime.collect())
                 stats.encode_ns += time.perf_counter_ns() - t0
                 ack = RE_ACK + _ACK.pack(seq, processed)
                 if shard.deltas is not None:
@@ -405,15 +433,15 @@ def _worker_main(
                     ack += pack_deltas(shard.deltas)
                     shard.deltas.clear()
                 if out_ring is not None:
-                    if frames:
-                        for chunk in _chunk_frames(frames, max_span):
+                    if blob:
+                        for span in _spans(blob, max_span):
                             _push_with_backpressure(
-                                out_ring, chunk, stats, turn_timeout_s
+                                out_ring, span, stats, turn_timeout_s
                             )
                     conn.send_bytes(ack)
                 else:
                     t0 = time.perf_counter_ns()
-                    conn.send_bytes(ack + b"".join(frames))
+                    conn.send_bytes(ack + blob)
                     stats.copy_ns += time.perf_counter_ns() - t0
             elif op == OP_SNAPSHOT:
                 registry = MetricsRegistry()
@@ -627,12 +655,13 @@ class ProcessShardedRuntime(SteeringFront):
 
     # -- the turn's hooks ------------------------------------------------------
     def _kill(self, worker_id: int) -> None:
-        """A fault-plan kill is a real kill: SIGKILL the shard process."""
+        """A fault-plan kill is a real kill: SIGKILL the shard process
+        (marked dead first, so the reason is the plan's alone)."""
+        self._mark_dead(worker_id, "killed by fault plan")
         proc = self._procs[worker_id]
         if proc.is_alive() and proc.pid is not None:
             os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=self.spec.turn_timeout_s)
-        self._mark_dead(worker_id, "killed by fault plan")
 
     def _hold(self, worker_id: int) -> None:
         """A hung worker still receives its batch; it just does not turn."""
@@ -652,8 +681,8 @@ class ProcessShardedRuntime(SteeringFront):
             self._conns[worker_id].send_bytes(
                 OP_TURN + _TURN.pack(self._seq, now_us, burst_size, seizure)
             )
-        except (BrokenPipeError, OSError):
-            self._mark_dead(worker_id)
+        except OSError as exc:
+            self._pipe_failed(worker_id, exc)
             return None
         return self._seq
 
@@ -703,18 +732,18 @@ class ProcessShardedRuntime(SteeringFront):
             self.recover(worker_id, now_us)
         return processed
 
-    def _ship(self, worker_id: int, frames: List[bytes]) -> None:
-        """Ship one worker's framed batch: spans in its inject ring
-        (shm) or one ``I`` message (pipe). A worker that cannot take it
-        is marked dead."""
-        self._unacked[worker_id] += len(frames)
+    def _ship(self, worker_id: int, blob: bytes, frames: int) -> None:
+        """Ship one worker's framed batch of ``frames`` records: spans
+        in its inject ring (shm) or one ``I`` message (pipe). A worker
+        that cannot take it is marked dead."""
+        self._unacked[worker_id] += frames
         ring = self._inject_rings[worker_id]
         if ring is not None:
             try:
-                for chunk in _chunk_frames(frames, self._max_span_bytes):
+                for span in _spans(blob, self._max_span_bytes):
                     _push_with_backpressure(
                         ring,
-                        chunk,
+                        span,
                         self._stats,
                         self.spec.turn_timeout_s,
                         self._drain_tx_rings,
@@ -724,9 +753,9 @@ class ProcessShardedRuntime(SteeringFront):
         else:
             t0 = time.perf_counter_ns()
             try:
-                self._conns[worker_id].send_bytes(OP_INJECT + b"".join(frames))
-            except (BrokenPipeError, OSError):
-                self._mark_dead(worker_id)
+                self._conns[worker_id].send_bytes(OP_INJECT + blob)
+            except OSError as exc:
+                self._pipe_failed(worker_id, exc)
             self._stats.copy_ns += time.perf_counter_ns() - t0
 
     def _flush_pending(self, worker_id: int) -> None:
@@ -735,13 +764,11 @@ class ProcessShardedRuntime(SteeringFront):
         if not pending:
             return
         t0 = time.perf_counter_ns()
-        frames = [
-            pack_slot_record(port_id, packet.device, timestamp, packet.wire_bytes())
-            for port_id, packet, timestamp in pending
-        ]
+        blob = pack_slot_records(pending)
         self._stats.encode_ns += time.perf_counter_ns() - t0
+        frames = len(pending)
         pending.clear()
-        self._ship(worker_id, frames)
+        self._ship(worker_id, blob, frames)
 
     def _drain_tx_ring(self, worker_id: int) -> None:
         """Pop every visible TX span from one worker's out ring."""
@@ -786,22 +813,24 @@ class ProcessShardedRuntime(SteeringFront):
         """
         conn = self._conns[worker_id]
         poll = self._polls[worker_id]
+        bound_s = self.spec.turn_timeout_s
+        timed_out = f"no reply within turn_timeout_s={bound_s:g}s"
         try:
             if drain_tx:
-                deadline = time.monotonic() + self.spec.turn_timeout_s
+                deadline = time.monotonic() + bound_s
                 while not poll(_WORKER_POLL_S * 1_000):
                     self._drain_tx_rings()
                     if time.monotonic() > deadline:
-                        self._mark_dead(worker_id)
+                        self._mark_dead(worker_id, timed_out)
                         return None
-            elif not poll(self.spec.turn_timeout_s * 1_000):
-                self._mark_dead(worker_id)
+            elif not poll(bound_s * 1_000):
+                self._mark_dead(worker_id, timed_out)
                 return None
             t0 = time.perf_counter_ns()
             reply = conn.recv_bytes()
             self._stats.copy_ns += time.perf_counter_ns() - t0
-        except (EOFError, OSError):
-            self._mark_dead(worker_id)
+        except (EOFError, OSError) as exc:
+            self._pipe_failed(worker_id, exc)
             return None
         if reply[:1] == RE_ERROR:
             detail = json.loads(reply[1:].decode("utf-8"))
@@ -824,10 +853,26 @@ class ProcessShardedRuntime(SteeringFront):
         self.fault_kill_lost += lost
         return lost
 
-    def _mark_dead(self, worker_id: int, reason: str = "worker process died") -> None:
+    def _mark_dead(self, worker_id: int, cause: str) -> None:
+        """Record a worker's death once: ``cause`` as the parent saw it,
+        then how its process ended if it has."""
         self._alive[worker_id] = False
         if not self._death_reason[worker_id]:
-            self._death_reason[worker_id] = reason
+            status = _exit_status(self._procs[worker_id])
+            self._death_reason[worker_id] = f"{cause}; {status}" if status else cause
+
+    def _pipe_failed(self, worker_id: int, exc: BaseException) -> None:
+        """A worker's pipe hit EOF or an ``OSError``: its process is
+        most likely on its way out, so give it a moment to be reaped
+        before :meth:`_mark_dead` reads how it ended."""
+        if isinstance(exc, EOFError):
+            cause = "pipe closed (EOFError)"
+        elif isinstance(exc, OSError) and exc.errno is not None:
+            cause = f"pipe error: errno {exc.errno} ({os.strerror(exc.errno)})"
+        else:
+            cause = f"pipe error: {exc!r}"
+        self._procs[worker_id].join(timeout=_EXIT_WAIT_S)
+        self._mark_dead(worker_id, cause)
 
     def _ensure_running(self) -> None:
         if self._stopped:
@@ -862,16 +907,20 @@ class ProcessShardedRuntime(SteeringFront):
         self._death_reason[worker_id] = ""
 
     def _request(self, worker_id: int, message: bytes, expect: bytes) -> bytes:
-        if not self._alive[worker_id]:
-            raise WorkerCrashed(worker_id, self._last_acked[worker_id])
-        try:
-            self._conns[worker_id].send_bytes(message)
-        except (BrokenPipeError, OSError):
-            self._mark_dead(worker_id)
-            raise WorkerCrashed(worker_id, self._last_acked[worker_id]) from None
-        reply = self._recv(worker_id)
+        reply = None
+        if self._alive[worker_id]:
+            try:
+                self._conns[worker_id].send_bytes(message)
+            except OSError as exc:
+                self._pipe_failed(worker_id, exc)
+            else:
+                reply = self._recv(worker_id)
         if reply is None:
-            raise WorkerCrashed(worker_id, self._last_acked[worker_id])
+            raise WorkerCrashed(
+                worker_id,
+                self._last_acked[worker_id],
+                reason=self._death_reason[worker_id],
+            )
         assert reply[:1] == expect, f"unexpected reply {reply[:1]!r}"
         return reply
 

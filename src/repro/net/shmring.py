@@ -109,9 +109,12 @@ class ShmRing:
             name=name, create=create, size=size
         )
         self._created = create
+        #: The mapping, taken once and kept until :meth:`close` sets it
+        #: to None; every access goes through it.
+        self._view = self._shm.buf
         if create:
-            _INDEX.pack_into(self._shm.buf, _HEAD_OFFSET, 0)
-            _INDEX.pack_into(self._shm.buf, _TAIL_OFFSET, 0)
+            _INDEX.pack_into(self._view, _HEAD_OFFSET, 0)
+            _INDEX.pack_into(self._view, _TAIL_OFFSET, 0)
 
     # -- index protocol ------------------------------------------------------
     @property
@@ -125,12 +128,6 @@ class ShmRing:
     @property
     def tail(self) -> int:
         return _INDEX.unpack_from(self._buf(), _TAIL_OFFSET)[0]
-
-    def _publish_head(self, value: int) -> None:
-        _INDEX.pack_into(self._buf(), _HEAD_OFFSET, value)
-
-    def _publish_tail(self, value: int) -> None:
-        _INDEX.pack_into(self._buf(), _TAIL_OFFSET, value)
 
     @property
     def used_slots(self) -> int:
@@ -149,55 +146,61 @@ class ShmRing:
         """Enqueue one burst of concatenated records; False when full.
 
         ``records`` is the same concatenation of mbuf-shaped frames the
-        pipe transport ships (``pack_slot_record`` output) — the span header
-        plus the bytes land in ``span_slots`` consecutive slots with
-        one slice assignment (two on wraparound). An empty burst is a
-        no-op (the consumer would have nothing to see).
+        pipe transport ships (``pack_slot_records`` output). The span
+        header is packed into the first slot and the bytes follow in
+        ``span_slots`` consecutive slots with one slice assignment (two
+        on wraparound). An empty burst is a no-op (the consumer would
+        have nothing to see).
         """
-        if not records:
+        size = len(records)
+        if not size:
             return True
-        need = self.span_slots(len(records))
+        need = -(-(_SPAN.size + size) // self.slot_bytes)
         if need > self.slots:
             raise ValueError(
-                f"burst of {len(records)} bytes needs {need} slots; "
+                f"burst of {size} bytes needs {need} slots; "
                 f"ring only has {self.slots} — raise ring_slots or "
                 f"ring_slot_bytes"
             )
-        head = self.head
-        if need > self.slots - (head - self.tail):
-            return False
-        payload = _SPAN.pack(len(records)) + records
-        start = (head % self.slots) * self.slot_bytes
         buf = self._buf()
-        first = min(len(payload), self.capacity_bytes - start)
-        buf[DATA_OFFSET + start : DATA_OFFSET + start + first] = payload[:first]
-        if first < len(payload):  # span wraps: remainder starts at slot 0
-            rest = len(payload) - first
-            buf[DATA_OFFSET : DATA_OFFSET + rest] = payload[first:]
-        self._publish_head(head + need)
+        head = _INDEX.unpack_from(buf, _HEAD_OFFSET)[0]
+        if need > self.slots - (head - _INDEX.unpack_from(buf, _TAIL_OFFSET)[0]):
+            return False
+        # A span starts on a slot boundary and a slot holds more than
+        # the 4-byte header, so only the records can wrap.
+        start = DATA_OFFSET + (head % self.slots) * self.slot_bytes
+        _SPAN.pack_into(buf, start, size)
+        start += _SPAN.size
+        end = DATA_OFFSET + self.capacity_bytes
+        if start + size <= end:
+            buf[start : start + size] = records
+        else:  # the records wrap: the remainder starts at slot 0
+            first = end - start
+            buf[start:end] = records[:first]
+            buf[DATA_OFFSET : DATA_OFFSET + size - first] = records[first:]
+        _INDEX.pack_into(buf, _HEAD_OFFSET, head + need)
         return True
 
     # -- consumer side -------------------------------------------------------
     def pop_burst_bytes(self) -> Optional[bytes]:
         """Dequeue one burst's raw record bytes, or None when empty."""
-        tail = self.tail
-        if self.head == tail:
-            return None
         buf = self._buf()
-        start = (tail % self.slots) * self.slot_bytes
-        header_first = min(_SPAN.size, self.capacity_bytes - start)
-        if header_first == _SPAN.size:
-            (nbytes,) = _SPAN.unpack_from(buf, DATA_OFFSET + start)
-        else:  # the 4-byte span header itself wraps
-            raw = bytes(buf[DATA_OFFSET + start : DATA_OFFSET + start + header_first])
-            raw += bytes(buf[DATA_OFFSET : DATA_OFFSET + _SPAN.size - header_first])
-            (nbytes,) = _SPAN.unpack(raw)
-        begin = (start + _SPAN.size) % self.capacity_bytes
-        first = min(nbytes, self.capacity_bytes - begin)
-        records = bytes(buf[DATA_OFFSET + begin : DATA_OFFSET + begin + first])
-        if first < nbytes:
-            records += bytes(buf[DATA_OFFSET : DATA_OFFSET + nbytes - first])
-        self._publish_tail(tail + self.span_slots(nbytes))
+        tail = _INDEX.unpack_from(buf, _TAIL_OFFSET)[0]
+        if _INDEX.unpack_from(buf, _HEAD_OFFSET)[0] == tail:
+            return None
+        start = DATA_OFFSET + (tail % self.slots) * self.slot_bytes
+        (nbytes,) = _SPAN.unpack_from(buf, start)
+        begin = start + _SPAN.size
+        stop = begin + nbytes
+        end = DATA_OFFSET + self.capacity_bytes
+        if stop <= end:
+            records = bytes(buf[begin:stop])
+        else:
+            records = bytes(buf[begin:end]) + bytes(
+                buf[DATA_OFFSET : DATA_OFFSET + stop - end]
+            )
+        need = -(-(_SPAN.size + nbytes) // self.slot_bytes)
+        _INDEX.pack_into(buf, _TAIL_OFFSET, tail + need)
         return records
 
     def pop_burst(self) -> Optional[List[Tuple[int, int, int, bytes]]]:
@@ -218,13 +221,14 @@ class ShmRing:
 
     # -- lifecycle -----------------------------------------------------------
     def _buf(self):
-        buf = self._shm.buf
+        buf = self._view
         if buf is None:
             raise RingClosed(f"ring {self._shm.name} is closed")
         return buf
 
     def close(self) -> None:
         """Detach this process's mapping (does not destroy the segment)."""
+        self._view = None
         try:
             self._shm.close()
         except (OSError, BufferError):

@@ -58,19 +58,17 @@ OFF_IP_CSUM = 24
 OFF_SRC_IP = 26
 OFF_UDP_CSUM = 40
 OFF_TCP_CSUM = 50
-# Length fields the canonical-form rule reads (Packet.from_bytes).
-_OFF_TOTAL_LENGTH = 16
-_OFF_UDP_LENGTH = 38
+# The TCP field the canonical-form rule reads besides _CANONICAL_FIELDS.
 _OFF_TCP_DATA_OFFSET = 46
 _TCP_DATA_OFFSET_5 = 0x50  # offset 5, reserved bits clear
 
 #: src_ip, dst_ip, src_port, dst_port — wire order at ``OFF_SRC_IP``.
 _ENDPOINTS = struct.Struct(">IIHH")
-_ETH_HI = ETHERTYPE_IPV4 >> 8
-_ETH_LO = ETHERTYPE_IPV4 & 0xFF
 _VERSION_IHL5 = 0x45
-#: Frame bytes 12..15 of option-less IPv4 over Ethernet II.
-_IPV4_IHL5 = bytes((_ETH_HI, _ETH_LO, _VERSION_IHL5))
+#: What the canonical-form rule reads, in one call: ethertype (12),
+#: version/IHL (14), total length (16), protocol (23) and — meaningful
+#: for UDP only — the UDP length (38).
+_CANONICAL_FIELDS = struct.Struct("!12xHBxH5xB14xH")
 _MIN_LEN_UDP = OFF_UDP_CSUM + 2
 _MIN_LEN_TCP = OFF_TCP_CSUM + 4
 
@@ -298,19 +296,19 @@ def is_canonical(frame: bytes) -> bool:
     are fixed, runs on nothing else.
     """
     size = len(frame)
+    if size < _MIN_LEN_UDP:
+        return False
+    ethertype, version_ihl, total_length, proto, udp_length = (
+        _CANONICAL_FIELDS.unpack_from(frame)
+    )
     if (
-        size < _MIN_LEN_UDP
-        or frame[OFF_ETHERTYPE : OFF_VERSION_IHL + 1] != _IPV4_IHL5
-        or _U16_STRUCT.unpack_from(frame, _OFF_TOTAL_LENGTH)[0]
-        != size - EthernetHeader.SIZE
+        ethertype != ETHERTYPE_IPV4
+        or version_ihl != _VERSION_IHL5
+        or total_length != size - EthernetHeader.SIZE
     ):
         return False
-    proto = frame[OFF_PROTO]
     if proto == PROTO_UDP:
-        return (
-            _U16_STRUCT.unpack_from(frame, _OFF_UDP_LENGTH)[0]
-            == size - EthernetHeader.SIZE - Ipv4Header.SIZE
-        )
+        return udp_length == size - EthernetHeader.SIZE - Ipv4Header.SIZE
     return (
         proto == PROTO_TCP
         and size >= _MIN_LEN_TCP

@@ -191,6 +191,30 @@ class TestCrashSurface:
         finally:
             runtime.stop()
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("call", ["main_loop_burst", "op_counters"])
+    def test_an_external_sigkill_is_named(self, transport, call):
+        """A worker killed from outside is reported with the pipe error
+        the parent hit and the signal that ended the process."""
+        runtime = fleet(1, transport=transport, turn_timeout_s=5.0)
+        try:
+            drive(runtime, 8)
+            os.kill(runtime._procs[0].pid, signal.SIGKILL)
+            runtime._procs[0].join(timeout=5.0)
+            for i in range(8):
+                runtime.inject(0, outbound(i), 3_000)
+            wait = {
+                "main_loop_burst": lambda: runtime.main_loop_burst(3_100, 8),
+                "op_counters": runtime.op_counters,
+            }[call]
+            with pytest.raises(WorkerCrashed) as exc_info:
+                wait()
+            reason = exc_info.value.reason
+            assert reason.startswith("pipe ")
+            assert reason.endswith("; process killed by signal 9 (SIGKILL)")
+        finally:
+            runtime.stop()
+
     def test_requests_to_dead_worker_raise(self):
         plan = FaultPlan().kill_worker(0, at_us=1_500)
         runtime = fleet(2, fault_plan=plan)
@@ -302,6 +326,17 @@ class TestEveryParentWaitIsBounded:
             with pytest.raises(WorkerCrashed) as exc_info:
                 self.within_bound(wait)
             assert exc_info.value.shard == 1
+
+    @pytest.mark.parametrize("call", ["main_loop_burst", "op_counters"])
+    def test_a_silent_worker_is_named_by_the_bound(self, transport, call):
+        with self.stopped_worker(transport) as runtime:
+            wait = {
+                "main_loop_burst": lambda: runtime.main_loop_burst(2_100, 8),
+                "op_counters": runtime.op_counters,
+            }[call]
+            with pytest.raises(WorkerCrashed) as exc_info:
+                wait()
+            assert exc_info.value.reason == "no reply within turn_timeout_s=0.5s"
 
     def test_a_supervised_silent_worker_is_rebuilt(self, transport):
         with self.stopped_worker(transport, supervise=True) as runtime:

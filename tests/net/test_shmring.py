@@ -2,8 +2,9 @@
 
 The differential suite proves the rings end-to-end inside the process
 runtime; these tests pin the ring's own contract in isolation — span
-accounting, wraparound of both the payload and the 4-byte span header,
-full/empty boundaries, and idempotent lifecycle — so a future failure
+accounting, wraparound of the payload (the 4-byte span header never
+wraps: spans start on slot boundaries), full/empty boundaries, and
+idempotent lifecycle — so a future failure
 localizes to the ring or to the runtime, not to "somewhere in shm".
 """
 
@@ -187,8 +188,10 @@ class TestLifecycle:
         ring = ShmRing(slots=8, slot_bytes=64)
         name = ring.name
         ring.unlink()
-        with pytest.raises((RingClosed, ValueError)):
+        with pytest.raises(RingClosed):
             ring.try_push_burst(records_blob(1))
+        with pytest.raises(RingClosed):
+            ring.pop_burst_bytes()
         assert not glob.glob(f"/dev/shm/{name}")
 
     def test_unlink_rings_swallows_everything(self):
