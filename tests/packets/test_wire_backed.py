@@ -27,6 +27,7 @@ Plus the state discipline: any write — to ``eth``/``ipv4``/``l4``/
 
 import copy
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,7 @@ from repro.packets.headers import (
     ParseError,
     TcpHeader,
     UdpHeader,
+    is_canonical,
 )
 from repro.resil.faults import FaultPlan
 from tests.packets.mutations import mutated_frames
@@ -244,3 +246,49 @@ class TestOnePacketType:
         assert twin.image == frame and twin.device == 3
         assert twin == _eager_parse(frame, 3)
         assert packet.image is frame
+
+
+def _is_canonical_by_slices(frame: bytes) -> bool:
+    """The canonical-form check as it read before it became one struct
+    read: a slice compare of bytes 12..15, then the total length, the
+    protocol byte and the UDP length or TCP data-offset byte, each read
+    on its own. Kept as the reference the one-read check must equal."""
+    size = len(frame)
+    if (
+        size < 42
+        or frame[12:15] != bytes((0x08, 0x00, 0x45))
+        or struct.unpack_from(">H", frame, 16)[0] != size - 14
+    ):
+        return False
+    proto = frame[23]
+    if proto == PROTO_UDP:
+        return struct.unpack_from(">H", frame, 38)[0] == size - 14 - 20
+    return proto == PROTO_TCP and size >= 54 and frame[46] == 0x50
+
+
+@st.composite
+def _frames_with_one_byte_set(draw):
+    """A mutated frame with one byte among those the check reads (and
+    its neighbours) overwritten: every field compare flips somewhere."""
+    frame = bytearray(draw(mutated_frames()))
+    if frame:
+        at = draw(st.integers(0, min(len(frame), 48) - 1))
+        frame[at] = draw(st.integers(0, 0xFF))
+    return bytes(frame)
+
+
+class TestOneReadCanonicalCheck:
+    """``is_canonical`` reads its fields with one ``unpack_from``; it
+    must give the slice-by-slice reference's verdict on every frame."""
+
+    @given(frame=st.one_of(_FRAMES, _frames_with_one_byte_set()))
+    @settings(max_examples=1500, deadline=None)
+    def test_equals_the_slice_reference(self, frame):
+        frame = bytes(frame)
+        assert is_canonical(frame) == _is_canonical_by_slices(frame)
+
+    def test_reference_sees_both_verdicts(self):
+        udp = make_udp_packet(1, 2, 3, 4, payload=b"x").wire_bytes()
+        assert _is_canonical_by_slices(udp) and is_canonical(udp)
+        assert not _is_canonical_by_slices(udp + b"\x00")
+        assert not is_canonical(udp + b"\x00")
