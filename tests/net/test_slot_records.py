@@ -3,7 +3,9 @@
 ``pack_slot_records`` frames a whole burst with one join;
 ``unpack_slot_records`` reads it back. The layout is the one
 ``pack_slot_record`` gives a single record, byte for byte, and the
-reader refuses any blob its records do not tile exactly.
+reader refuses any blob its records do not tile exactly. A framed burst
+too long for one ring span is cut at record boundaries where a list of
+records would have been.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.net.mbuf import (
     pack_slot_records,
     unpack_slot_records,
 )
+from repro.net.procrun import _spans
 from repro.packets.headers import Packet
 
 _U16 = st.integers(0, 0xFFFF)
@@ -105,3 +108,33 @@ class TestEveryMalformedBlobIsRefused:
             )
             with pytest.raises(SlotRecordError):
                 unpack_slot_records(bytes(bad))
+
+
+def _chunk_by_frames(frames, max_bytes):
+    """The span cut as it was made from a list of framed records: a run
+    is closed before the record that would take it past ``max_bytes``."""
+    chunks, batch, size = [], [], 0
+    for frame in frames:
+        if batch and size + len(frame) > max_bytes:
+            chunks.append(b"".join(batch))
+            batch, size = [], 0
+        batch.append(frame)
+        size += len(frame)
+    if batch:
+        chunks.append(b"".join(batch))
+    return chunks
+
+
+class TestSpanCut:
+    @given(burst=_BURSTS.filter(bool), max_bytes=st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_cutting_the_framed_burst_equals_cutting_its_records(
+        self, burst, max_bytes
+    ):
+        frames = [
+            pack_slot_record(port, device, ts, wire)
+            for port, device, ts, wire in _records(burst)
+        ]
+        assert _spans(b"".join(frames), max_bytes) == _chunk_by_frames(
+            frames, max_bytes
+        )
