@@ -8,10 +8,14 @@ with one :class:`ShmRing` per direction per worker, backed by
 straight into the mapped segment, the consumer reads it out, and the
 only per-burst costs are one or two ``memcpy``-sized slice operations
 on each side. That makes the byte movement alone — the ``copy_ns``
-instrument of :class:`~repro.net.procrun.TransportStats` — roughly 8x
-cheaper than the pipe's for a 32-packet burst. It is not an end-to-end
-figure: with one worker on two cores, the pipe transport forwards more
-frames per second at a lower probe latency (``docs/SCALING.md`` §4).
+instrument of :class:`~repro.net.procrun.TransportStats` — roughly 9x
+cheaper than the pipe's for a 32-packet burst (traced ``nat-proc``:
+~0.4 against ~3.7 µs per frame, the pipe's figure including its
+blocking reads). It is not an end-to-end figure. With one worker
+sharing the driver's one CPU, as in the benchmark, the ring is the
+cheaper transport per frame but dearer per turn, so the pipe still
+forwards more frames per second at a lower probe latency
+(``docs/SCALING.md`` §4).
 
 Layout (one segment per ring)::
 
