@@ -28,7 +28,13 @@ consumer — the single-producer/single-consumer discipline that makes
 the ring correct without locks. The indexes live on separate cache
 lines so the two sides never write the same line. Capacity is
 ``head - tail`` (free-running counters never wrap in practice:
-2^64 slots outlives the process).
+2^64 slots outlives the process). Each index is read and written as
+one aligned native ``uint64`` item of a ``memoryview.cast("Q")``: a
+single 8-byte load or store, which the other side sees whole.
+``struct.pack_into`` would not do: it zero-fills its target before it
+writes, so a reader that looks in between — the other CPU, or the
+same one after a preemption — sees an index of 0, takes stale slot
+bytes for a span and corrupts the ring.
 
 Slots carry mbuf-shaped records — ``port, device, timestamp, len,
 wire[]`` (:data:`repro.net.mbuf.SLOT_HEADER`), exactly the fields a
@@ -57,12 +63,11 @@ from typing import List, Optional, Tuple
 
 from repro.net.mbuf import SLOT_HEADER, unpack_slot_records
 
-#: Free-running produced/consumed slot counters (uint64, little-endian).
-_INDEX = struct.Struct("<Q")
-_HEAD_OFFSET = 0
-_TAIL_OFFSET = 64
-#: First slot starts here; head and tail each own a cache line.
+#: First slot starts here; head and tail each own a cache line, at
+#: byte offsets 0 and 64: items 0 and 8 of the ``uint64`` index view.
 DATA_OFFSET = 128
+_HEAD = 0
+_TAIL = 64 // 8
 
 #: One span of records: total record bytes following the header.
 _SPAN = struct.Struct("<I")
@@ -113,12 +118,12 @@ class ShmRing:
             name=name, create=create, size=size
         )
         self._created = create
-        #: The mapping, taken once and kept until :meth:`close` sets it
-        #: to None; every access goes through it.
+        #: The mapping, taken once and kept until :meth:`close` drops
+        #: it, and the head/tail items over its first cache lines.
         self._view = self._shm.buf
+        self._index = self._view[:DATA_OFFSET].cast("Q")
         if create:
-            _INDEX.pack_into(self._view, _HEAD_OFFSET, 0)
-            _INDEX.pack_into(self._view, _TAIL_OFFSET, 0)
+            self._index[_HEAD] = self._index[_TAIL] = 0
 
     # -- index protocol ------------------------------------------------------
     @property
@@ -127,11 +132,11 @@ class ShmRing:
 
     @property
     def head(self) -> int:
-        return _INDEX.unpack_from(self._buf(), _HEAD_OFFSET)[0]
+        return self._live_index()[_HEAD]
 
     @property
     def tail(self) -> int:
-        return _INDEX.unpack_from(self._buf(), _TAIL_OFFSET)[0]
+        return self._live_index()[_TAIL]
 
     @property
     def used_slots(self) -> int:
@@ -166,10 +171,11 @@ class ShmRing:
                 f"ring only has {self.slots} — raise ring_slots or "
                 f"ring_slot_bytes"
             )
-        buf = self._buf()
-        head = _INDEX.unpack_from(buf, _HEAD_OFFSET)[0]
-        if need > self.slots - (head - _INDEX.unpack_from(buf, _TAIL_OFFSET)[0]):
+        index = self._live_index()
+        head = index[_HEAD]
+        if need > self.slots - (head - index[_TAIL]):
             return False
+        buf = self._view
         # A span starts on a slot boundary and a slot holds more than
         # the 4-byte header, so only the records can wrap.
         start = DATA_OFFSET + (head % self.slots) * self.slot_bytes
@@ -182,16 +188,17 @@ class ShmRing:
             first = end - start
             buf[start:end] = records[:first]
             buf[DATA_OFFSET : DATA_OFFSET + size - first] = records[first:]
-        _INDEX.pack_into(buf, _HEAD_OFFSET, head + need)
+        index[_HEAD] = head + need
         return True
 
     # -- consumer side -------------------------------------------------------
     def pop_burst_bytes(self) -> Optional[bytes]:
         """Dequeue one burst's raw record bytes, or None when empty."""
-        buf = self._buf()
-        tail = _INDEX.unpack_from(buf, _TAIL_OFFSET)[0]
-        if _INDEX.unpack_from(buf, _HEAD_OFFSET)[0] == tail:
+        index = self._live_index()
+        tail = index[_TAIL]
+        if index[_HEAD] == tail:
             return None
+        buf = self._view
         start = DATA_OFFSET + (tail % self.slots) * self.slot_bytes
         (nbytes,) = _SPAN.unpack_from(buf, start)
         begin = start + _SPAN.size
@@ -204,7 +211,7 @@ class ShmRing:
                 buf[DATA_OFFSET : DATA_OFFSET + stop - end]
             )
         need = -(-(_SPAN.size + nbytes) // self.slot_bytes)
-        _INDEX.pack_into(buf, _TAIL_OFFSET, tail + need)
+        index[_TAIL] = tail + need
         return records
 
     def pop_burst(self) -> Optional[List[Tuple[int, int, int, bytes]]]:
@@ -224,15 +231,17 @@ class ShmRing:
             out.extend(burst)
 
     # -- lifecycle -----------------------------------------------------------
-    def _buf(self):
-        buf = self._view
-        if buf is None:
+    def _live_index(self):
+        index = self._index
+        if index is None:
             raise RingClosed(f"ring {self._shm.name} is closed")
-        return buf
+        return index
 
     def close(self) -> None:
         """Detach this process's mapping (does not destroy the segment)."""
-        self._view = None
+        index, self._index, self._view = self._index, None, None
+        if index is not None:
+            index.release()
         try:
             self._shm.close()
         except (OSError, BufferError):

@@ -9,6 +9,8 @@ localizes to the ring or to the runtime, not to "somewhere in shm".
 """
 
 import glob
+import multiprocessing
+import time
 
 import pytest
 
@@ -176,6 +178,49 @@ class TestSharedAccess:
             assert ring.used_slots == 0  # tail published back
         finally:
             consumer.close()
+
+
+#: A cycle of distinct bursts: consecutive ones always differ.
+_CYCLE = [records_blob(1 + i % 3, tag=i) for i in range(256)]
+
+
+def _produce(ring, bursts):
+    for i in range(bursts):
+        while not ring.try_push_burst(_CYCLE[i % 256]):
+            pass
+
+
+class TestConcurrentSides:
+    def test_the_consumer_sees_every_index_store_whole(self):
+        """Producer and consumer in two processes, both spinning: the
+        consumer never sees ``head`` move back, and every burst arrives
+        whole and in order. An index store with a visible intermediate
+        value (``struct.pack_into`` zero-fills its target, then writes)
+        shows as a ``head`` of 0, and a consumer that drains while the
+        producer sits in that window reads past the published spans."""
+        bursts = 50_000
+        ring = ShmRing(slots=64, slot_bytes=64)
+        producer = multiprocessing.get_context("fork").Process(
+            target=_produce, args=(ring, bursts), daemon=True
+        )
+        producer.start()
+        try:
+            deadline = time.monotonic() + 60
+            seen = 0
+            for i in range(bursts):
+                burst = None
+                while burst is None:
+                    assert time.monotonic() < deadline, f"stuck at burst {i}"
+                    head = ring.head
+                    assert head >= seen, f"head read {head} after {seen}"
+                    seen = head
+                    burst = ring.pop_burst_bytes()
+                assert burst == _CYCLE[i % 256], f"burst {i}"
+            assert ring.pop_burst_bytes() is None
+        finally:
+            producer.kill()
+            producer.join()
+            ring.unlink()
 
 
 class TestLifecycle:
