@@ -164,7 +164,7 @@ class ShmRing:
         size = len(records)
         if not size:
             return True
-        need = -(-(_SPAN.size + size) // self.slot_bytes)
+        need = self.span_slots(size)
         if need > self.slots:
             raise ValueError(
                 f"burst of {size} bytes needs {need} slots; "
@@ -210,8 +210,7 @@ class ShmRing:
             records = bytes(buf[begin:end]) + bytes(
                 buf[DATA_OFFSET : DATA_OFFSET + stop - end]
             )
-        need = -(-(_SPAN.size + nbytes) // self.slot_bytes)
-        index[_TAIL] = tail + need
+        index[_TAIL] = tail + self.span_slots(nbytes)
         return records
 
     def pop_burst(self) -> Optional[List[Tuple[int, int, int, bytes]]]:

@@ -3,9 +3,10 @@
 The differential suite proves the rings end-to-end inside the process
 runtime; these tests pin the ring's own contract in isolation — span
 accounting, wraparound of the payload (the 4-byte span header never
-wraps: spans start on slot boundaries), full/empty boundaries, and
-idempotent lifecycle — so a future failure
-localizes to the ring or to the runtime, not to "somewhere in shm".
+wraps: spans start on slot boundaries), full/empty boundaries, index
+stores a concurrent peer sees whole, and idempotent lifecycle — so a
+future failure localizes to the ring or to the runtime, not to
+"somewhere in shm".
 """
 
 import glob
