@@ -12,8 +12,8 @@ instrument of :class:`~repro.net.procrun.TransportStats` — roughly 9x
 cheaper than the pipe's for a 32-packet burst (traced ``nat-proc``:
 ~0.4 against ~3.7 µs per frame, the pipe's figure including its
 blocking reads). It is not an end-to-end figure. With one worker
-sharing the driver's one CPU, as in the benchmark, the ring is the
-cheaper transport per frame but dearer per turn, so the pipe still
+sharing the driver's one CPU, as in the benchmark, the ring costs
+what the pipe does per frame but more per turn, so the pipe still
 forwards more frames per second at a lower probe latency
 (``docs/SCALING.md`` §4).
 
