@@ -22,7 +22,6 @@ from repro.packets.checksum import (
     internet_checksum,
     ipv4_header_checksum,
     l4_checksum,
-    udp_checksum_on_wire,
 )
 from repro.packets.headers import (
     ETHERTYPE_ARP,
@@ -63,7 +62,6 @@ __all__ = [
     "ip_to_str",
     "ipv4_header_checksum",
     "l4_checksum",
-    "udp_checksum_on_wire",
     "mac_to_bytes",
     "mac_to_str",
     "make_tcp_packet",
