@@ -420,6 +420,21 @@ class TestWorkerErrors:
             drive(runtime, 4)
             assert runtime.flow_count() == 4
 
+    def test_a_truncated_inject_span_is_answered_not_fatal(self):
+        """The shm twin of the case above: a span in the inject ring that
+        ends mid-record is refused with the typed error, in answer to the
+        next command, and the worker serves on."""
+        record = pack_slot_record(0, 0, 1_000, outbound(0).wire_bytes())
+        with fleet(1, transport="shm") as runtime:
+            # The worker is idle, so the parent is still the ring's one
+            # producer; no command follows the span for a while.
+            assert runtime._inject_rings[0].try_push_burst(record[:-3])
+            time.sleep(0.05)
+            with pytest.raises(RuntimeError, match="SlotRecordError") as exc_info:
+                runtime.op_counters()
+            assert not isinstance(exc_info.value, WorkerCrashed)
+            drive(runtime, 4)
+            assert runtime.flow_count() == 4
 
     @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_a_shard_that_cannot_be_built_says_why(self, transport, capfd):

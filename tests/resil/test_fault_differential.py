@@ -3,7 +3,9 @@ hang window, a negative clock skew, a pool seizure, and a dropping,
 reordering link, driven through the threaded oracle and through worker
 processes over both transports, must transmit the same bytes per worker
 per turn and report the same merged ``op_counters()`` and
-``drop_causes()``.
+``drop_causes()`` when they are read right after each turn — after a
+hung turn too, whose batch a worker process still holds in its inject
+ring.
 
 The kill and the recovery have their own differential
 (``test_recovery_differential.py``); this one covers every other fault a
@@ -24,6 +26,8 @@ from repro.resil.faults import FaultPlan
 CFG = NatConfig(max_flows=256, expiration_time=60_000_000, start_port=1000)
 BURST = 8
 POOL = 64
+RX = 16
+HANG_OPENS = 24
 HUNG, SKEWED, SEIZED = 1, 0, 1
 LINK = (1_000, 3_000)
 HANG = (4_000, 5_000)
@@ -43,8 +47,8 @@ def _plan() -> FaultPlan:
 
 
 def _drive(execution, transport="shm"):
-    """Returns each turn's per-worker TX bytes, then the merged counters
-    and drop causes, and what the plan applied."""
+    """Returns each turn's per-worker TX bytes, the merged counters and
+    drop causes read right after each turn, and what the plan applied."""
     rng = random.Random(38)
     runtime = launch(
         RuntimeSpec(
@@ -56,10 +60,12 @@ def _drive(execution, transport="shm"):
             fault_plan=_plan(),
             burst_size=BURST,
             pool_size=POOL,
+            rx_capacity=RX,
             turn_timeout_s=5.0,
         )
     )
     sent = []
+    read = []
     ext_of = {}
     markers = iter(range(10_000))
 
@@ -69,6 +75,7 @@ def _drive(execution, transport="shm"):
             [p.wire_bytes() for _, _, p in tx] for tx in runtime.collect_by_worker()
         ]
         sent.append(per_worker)
+        read.append((runtime.op_counters(), runtime.drop_causes()))
         for frame in (f for tx in per_worker for f in tx):
             dst = int.from_bytes(frame[36:38], "big")
             if dst >= 20_000:  # outbound: marker → external port
@@ -108,9 +115,10 @@ def _drive(execution, transport="shm"):
         while now < LINK[1] - 200:
             turn(answer(3, open_flows(3, now)))
             now += 200
-        # Worker 1 hangs: its queue waits out the window, then is served.
+        # Worker 1 hangs: its queue waits out the window, overflowing
+        # its RX ring, then is served.
         for now in (HANG[0], HANG[0] + 400):
-            turn(answer(4, open_flows(4, now)))
+            turn(answer(4, open_flows(HANG_OPENS, now)))
         turn(HANG[1])
         # Worker 0's clock runs 3 ms behind: the NAT's clamp holds it.
         for now in (SKEW[0], SKEW[0] + 400):
@@ -121,12 +129,7 @@ def _drive(execution, transport="shm"):
             turn(answer(6, open_flows(6, now)))
         for now in (SEIZURE[1], SEIZURE[1] + 100):
             turn(now)
-        return (
-            sent,
-            runtime.op_counters(),
-            runtime.drop_causes(),
-            dict(runtime.fault_plan.applied),
-        )
+        return sent, read, dict(runtime.fault_plan.applied)
     finally:
         runtime.stop()
 
@@ -137,7 +140,8 @@ def oracle():
 
 
 def test_the_schedule_exercises_every_fault(oracle):
-    sent, counters, causes, applied = oracle
+    sent, read, applied = oracle
+    counters, causes = read[-1]
     assert applied["link-drop"] > 0 and applied["reorder"] > 0
     assert causes["fault_wire_dropped"] == applied["link-drop"]
     assert counters["clock_clamped"] > 0
@@ -149,12 +153,15 @@ def test_the_schedule_exercises_every_fault(oracle):
     assert hang[2][HUNG], "its queue is served when the window ends"
     assert [turn[SEIZED] for turn in seizure[:3]] == [[], [], []], "no buffers"
     assert seizure[3][SEIZED], "the queue is served when the window ends"
+    # The hung worker's second batch overflows its RX ring: the read
+    # right after that turn, before any turn serves the queue, counts it.
+    full = [causes["rx_ring_full"] for _, causes in read[-12:-9]]
+    assert full[:2] == [0, 0] and full[2] > 0, full
 
 
 @pytest.mark.parametrize("transport", ["shm", "pipe"])
 def test_every_fault_in_both_executions(oracle, transport):
-    sent, counters, causes, applied = _drive(PROCESS, transport)
+    sent, read, applied = _drive(PROCESS, transport)
     assert sent == oracle[0]
-    assert counters == oracle[1]
-    assert causes == oracle[2]
-    assert applied == oracle[3]
+    assert read == oracle[1]
+    assert applied == oracle[2]
