@@ -91,9 +91,8 @@ class RuntimeSpec:
     #: rebuilt from its standby. Sharded executions only.
     replication_lag: Optional[int] = None
     #: Process mode only: how long the parent waits on a worker reply
-    #: before declaring it crashed. Also bounds the shm ring-full
-    #: backpressure waits: the parent's on a worker's inject ring, the
-    #: worker's on its TX ring.
+    #: before declaring it crashed — a reply to a command, or the ``d``
+    #: that answers its ``D`` on a full shm inject ring.
     turn_timeout_s: float = 30.0
     #: Process mode only: how packets cross the parent/worker boundary.
     #: ``"shm"`` (default) moves bursts through per-worker shared-memory
@@ -106,10 +105,6 @@ class RuntimeSpec:
     #: ``WorkerCrashed`` (process); the frames it lost are reported as
     #: ``drop_causes()["fault_kill_lost"]``. Sharded executions only.
     supervise: bool = False
-    #: Process mode, shm transport only: ring geometry per direction
-    #: per worker (slots × slot_bytes of payload capacity).
-    ring_slots: int = 4096
-    ring_slot_bytes: int = 256
 
     def __post_init__(self) -> None:
         check_fastpath(self.fastpath)
@@ -145,8 +140,6 @@ class RuntimeSpec:
                 f"unknown transport {self.transport!r}; "
                 f"choose one of {TRANSPORTS}"
             )
-        if self.ring_slots <= 0 or self.ring_slot_bytes <= 0:
-            raise ValueError("ring geometry must be positive")
 
     def resolved_config(self) -> NatConfig:
         return self.config if self.config is not None else NatConfig()

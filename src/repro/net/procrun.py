@@ -20,16 +20,18 @@ parent/worker boundary (``RuntimeSpec(transport=...)``):
   ring buffers over ``multiprocessing.shared_memory``
   (:class:`~repro.net.shmring.ShmRing`): one inject ring parent→worker,
   one TX ring worker→parent. A whole burst lands in the ring with one
-  slice assignment; the pipe carries *control only*. Ring-full is
-  explicit backpressure — the producer waits, with ``turn_timeout_s``
-  bounding every wait.
+  slice assignment; the pipe carries *control only*. A producer that
+  finds its ring full asks the consumer to empty it (``D``, answered
+  ``d``) and pushes again.
 
 In both transports the pipe stays the control plane (turn barriers,
 snapshots, checkpoints, crash detection), so the FIFO checkpoint fence
-and the typed :class:`WorkerCrashed` semantics are transport-invariant:
-a pipe write is a full memory barrier, so by the time a worker sees a
-``T`` command every inject span written before it is visible, and by
-the time the parent sees the ``a`` reply every TX span is too.
+and the typed :class:`WorkerCrashed` semantics are transport-invariant.
+Each pipe message is the fence and the doorbell for every ring span
+written before it (a pipe write is a full memory barrier): a worker
+drains its inject ring before it handles *any* command, and the parent
+drains a worker's TX ring when it reads that worker's ``a`` or ``D``.
+No side reads a ring on a timer.
 
 The deterministic runtime stays the *verification oracle*: because a
 worker process runs the identical per-shard data path on the identical
@@ -53,17 +55,20 @@ opcode    parent → worker                         worker → parent
 ``K``     take a ``repro-ckpt/v1`` checkpoint     ``k`` checkpoint frame
 ``R``     restore a checkpoint frame              ``r`` ack
 ``X``     stop and exit                           ``x`` goodbye
+``D``     empty your full inject ring (shm)       ``d`` emptied
+``d``     emptied                                 ``D`` empty my full TX
+                                                  ring (shm, mid-``T``)
 ========  ======================================  =======================
 
 Any worker-side exception comes back as an ``e`` reply and is re-raised
 in the parent; a worker that dies instead of replying surfaces as
 :class:`WorkerCrashed` with the shard id and the last *acknowledged*
-burst sequence number — never as a hung pipe read. Every poll of a
-pipe, on either side, is one call on a ``select.poll`` registered once
-per connection at spawn (:func:`_poller`); in the parent each wait is
-bounded by ``turn_timeout_s``. The frames a dead worker had not
-acknowledged — buffered, or shipped since its last ACK — are counted
-lost (``fault_kill_lost``). With ``supervise=True`` (implied by a
+burst sequence number — never as a hung pipe read. A worker blocks in
+``recv_bytes``; every wait of the parent is one call on a
+``select.poll`` registered once per connection at spawn
+(:func:`_poller`), bounded by ``turn_timeout_s``. The frames a dead
+worker had not acknowledged — buffered, or shipped since its last ACK —
+are counted lost (``fault_kill_lost``). With ``supervise=True`` (implied by a
 replication lag) the runtime instead
 rebuilds the dead shard alone (:meth:`~repro.net.dpdk.SteeringFront.recover`):
 a fresh process holding its standby's frame, or its frame of the last
@@ -95,7 +100,7 @@ from repro.net.mbuf import (
     pack_slot_records,
     unpack_slot_records,
 )
-from repro.net.shmring import ShmRing, unlink_rings
+from repro.net.shmring import DEFAULT_SLOT_BYTES, DEFAULT_SLOTS, ShmRing, unlink_rings
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.packets.headers import Packet
 
@@ -125,6 +130,8 @@ OP_COUNTERS = b"N"
 OP_CHECKPOINT = b"K"
 OP_RESTORE = b"R"
 OP_STOP = b"X"
+#: Both ways (shm): "your ring is full, empty it", answered ``d``.
+OP_DRAIN = b"D"
 
 RE_ACK = b"a"
 RE_SNAPSHOT = b"s"
@@ -133,13 +140,12 @@ RE_CHECKPOINT = b"k"
 RE_RESTORED = b"r"
 RE_BYE = b"x"
 RE_ERROR = b"e"
+RE_DRAINED = b"d"
 
-#: How long a producer sleeps between ring-full retries, and how often
-#: an idle worker wakes to drain its inject ring. Short enough that a
-#: full ring drains within a handful of wakeups, long enough not to
-#: burn a core while idle.
-_RING_RETRY_S = 0.0002
-_WORKER_POLL_S = 0.002
+#: Ring geometry per direction per worker (shm): slots × slot bytes of
+#: payload. Tests patch them to make spans wrap and rings fill.
+RING_SLOTS = DEFAULT_SLOTS
+RING_SLOT_BYTES = DEFAULT_SLOT_BYTES
 #: How long the parent waits to reap a worker whose pipe broke, so the
 #: death reason can name its exit code or signal.
 _EXIT_WAIT_S = 0.1
@@ -168,9 +174,10 @@ class TransportStats:
     - ``copy_ns`` — moving the bytes: pipe join/send/recv vs shm slice
       writes and reads. This is the term the shm transport exists to
       shrink.
-    - ``ring_wait_ns`` — time blocked on ring-full backpressure (shm
-      only; the pipe transport blocks in the kernel instead, where it
-      shows up as copy time).
+    - ``ring_wait_ns`` — time spent on full rings: the refused pushes
+      and the ``D``/``d`` round trip that empties the ring (shm only;
+      the pipe transport blocks in the kernel instead, where it shows
+      up as copy time).
 
     Both sides keep one: the parent's half lives on the runtime, each
     worker's half rides the ``N`` counters reply as ``transport_ns``.
@@ -214,7 +221,7 @@ class TransportStats:
 _RING_SEQ = itertools.count()
 
 
-def _create_ring(tag: str, slots: int, slot_bytes: int) -> ShmRing:
+def _create_ring(tag: str) -> ShmRing:
     """One explicitly-named segment: ``repro-ring-<pid>-<seq>-<tag>``.
 
     Explicit names make leaks greppable (``ls /dev/shm | grep
@@ -224,47 +231,27 @@ def _create_ring(tag: str, slots: int, slot_bytes: int) -> ShmRing:
     while True:
         name = f"repro-ring-{os.getpid()}-{next(_RING_SEQ)}-{tag}"
         try:
-            return ShmRing(name=name, slots=slots, slot_bytes=slot_bytes)
+            return ShmRing(name=name, slots=RING_SLOTS, slot_bytes=RING_SLOT_BYTES)
         except FileExistsError:
             continue
 
 
-def _push_with_backpressure(
-    ring: ShmRing,
-    blob: bytes,
-    stats: TransportStats,
-    timeout_s: float,
-    on_wait: Optional[Callable[[], None]] = None,
+def _push(
+    ring: ShmRing, blob: bytes, stats: TransportStats, drain: Callable[[], object]
 ) -> None:
-    """Push one span, waiting out ring-full; every wait is bounded.
-
-    ``on_wait`` runs between retries — the parent drains TX rings there
-    so a worker blocked pushing TX can always make progress (and vice
-    versa: the worker's idle loop drains its inject ring, so a parent
-    blocked here always unblocks). Raises after ``timeout_s`` of no
-    progress so a dead peer surfaces instead of a hang.
+    """Push a framed burst into ``ring``, in runs no longer than the
+    ring's span limit. On a full ring ``drain()`` has the consumer empty
+    it (``D`` → ``d``) and the push is retried; a drain that cannot be
+    had raises.
     """
-    deadline = None
-    while True:
+    for span in _spans(blob, max(ring.slot_bytes, ring.capacity_bytes // 4)):
         t0 = time.perf_counter_ns()
-        pushed = ring.try_push_burst(blob)
-        t1 = time.perf_counter_ns()
-        if pushed:
-            stats.copy_ns += t1 - t0
-            return
-        stats.ring_wait_ns += t1 - t0
-        now = time.monotonic()
-        if deadline is None:
-            deadline = now + timeout_s
-        elif now > deadline:
-            raise TimeoutError(
-                f"ring {ring.name} full for {timeout_s:.1f}s — consumer "
-                f"is not draining"
-            )
-        if on_wait is not None:
-            on_wait()
-        time.sleep(_RING_RETRY_S)
-        stats.ring_wait_ns += time.perf_counter_ns() - t1
+        while not ring.try_push_burst(span):
+            drain()
+            t1 = time.perf_counter_ns()
+            stats.ring_wait_ns += t1 - t0
+            t0 = t1
+        stats.copy_ns += time.perf_counter_ns() - t0
 
 
 def _spans(blob: bytes, max_bytes: int) -> List[bytes]:
@@ -336,7 +323,6 @@ def _worker_main(
     make_shard: Callable[[], Shard],
     inject_ring: Optional[ShmRing] = None,
     out_ring: Optional[ShmRing] = None,
-    turn_timeout_s: float = 30.0,
 ) -> None:
     """Host one :class:`~repro.net.dpdk.Shard`, private to this process.
 
@@ -345,13 +331,14 @@ def _worker_main(
     parent re-raises instead of deadlocking on a missing reply — the
     exception that kept the shard from being built included.
 
-    With rings (shm transport) the loop is: while the pipe is idle,
-    eagerly drain the inject ring into the runtime's RX queues — that is
-    what resolves the parent's ring-full backpressure without waiting
-    for a turn. On ``T``, drain whatever remains (the pipe write fenced
-    it), run the turn, push the TX burst into the out ring *before* the
-    ACK, so the parent's ACK read doubles as the TX-visibility fence. A
-    replicating shard's deltas ride the ACK, ahead of any TX frames.
+    The worker blocks in ``recv_bytes``. With rings (shm transport) it
+    drains its inject ring into the runtime's RX queues before it handles
+    any command, so the spans a command was written after have landed
+    before it is answered: a ``D`` needs no more than that. On ``T`` it
+    runs the turn and pushes the TX burst into the out ring *before* the
+    ACK, so the parent's ACK read doubles as the TX-visibility fence; a
+    full out ring is emptied by the parent on a ``D``. A replicating
+    shard's deltas ride the ACK, ahead of any TX frames.
     """
     from repro.resil.checkpoint import Checkpoint
 
@@ -378,9 +365,6 @@ def _worker_main(
     runtime = shard.runtime
     stats = TransportStats()
     transport = TRANSPORT_SHM if inject_ring is not None else TRANSPORT_PIPE
-    max_span = None
-    if out_ring is not None:
-        max_span = max(out_ring.slot_bytes, out_ring.capacity_bytes // 4)
 
     def deliver(blob: bytes, offset: int = 0) -> None:
         """Unframe one burst of records straight onto its ports' RX
@@ -403,25 +387,26 @@ def _worker_main(
             stats.copy_ns += time.perf_counter_ns() - t0
             deliver(blob)
 
-    poll = _poller(conn)
+    def drain_out_ring() -> None:
+        """Have the parent empty the full out ring: ``D``, then its ``d``."""
+        conn.send_bytes(OP_DRAIN)
+        conn.recv_bytes()
+
     while True:
         try:
-            if inject_ring is not None:
-                # Idle loop doubles as the backpressure valve: a parent
-                # blocked on inject-ring-full unblocks within one poll.
-                while not poll(_WORKER_POLL_S * 1_000):
-                    drain_inject()
             message = conn.recv_bytes()
         except (EOFError, OSError):
             break
         op = message[:1]
         try:
+            if inject_ring is not None:
+                drain_inject()  # this message fenced every span before it
             if op == OP_INJECT:
                 deliver(message, 1)
+            elif op == OP_DRAIN:
+                conn.send_bytes(RE_DRAINED)
             elif op == OP_TURN:
                 seq, now_us, burst_size, seizure = _TURN.unpack_from(message, 1)
-                if inject_ring is not None:
-                    drain_inject()  # the T write fenced these spans
                 processed = shard.turn(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
                 blob = pack_slot_records(runtime.collect())
@@ -433,11 +418,7 @@ def _worker_main(
                     ack += pack_deltas(shard.deltas)
                     shard.deltas.clear()
                 if out_ring is not None:
-                    if blob:
-                        for span in _spans(blob, max_span):
-                            _push_with_backpressure(
-                                out_ring, span, stats, turn_timeout_s
-                            )
+                    _push(out_ring, blob, stats, drain_out_ring)
                     conn.send_bytes(ack)
                 else:
                     t0 = time.perf_counter_ns()
@@ -501,7 +482,8 @@ class ProcessShardedRuntime(SteeringFront):
       (:meth:`~repro.net.dpdk.SteeringFront.recover`).
     - :meth:`checkpoint` is coordinated: the pipe's FIFO ordering fences
       each worker (a checkpoint reply proves every prior burst landed —
-      including its ring spans, since workers drain before acking),
+      including its ring spans, which a worker drains before it answers
+      any command),
       and the shard frames are bound into one
       :class:`~repro.resil.checkpoint.CheckpointSet` manifest.
 
@@ -556,17 +538,11 @@ class ProcessShardedRuntime(SteeringFront):
     def _spawn_worker(self, worker_id: int, checkpoint=None) -> None:
         """Stand up one shard process (construction and respawn path);
         a respawned shard is built holding ``checkpoint``."""
-        spec = self.spec
         inject_ring = out_ring = None
-        if spec.transport == TRANSPORT_SHM:
-            inject_ring = _create_ring(
-                f"{worker_id}i", spec.ring_slots, spec.ring_slot_bytes
-            )
-            self._all_rings.append(inject_ring)
-            out_ring = _create_ring(
-                f"{worker_id}o", spec.ring_slots, spec.ring_slot_bytes
-            )
-            self._all_rings.append(out_ring)
+        if self.spec.transport == TRANSPORT_SHM:
+            inject_ring = _create_ring(f"{worker_id}i")
+            out_ring = _create_ring(f"{worker_id}o")
+            self._all_rings += (inject_ring, out_ring)
         parent_conn, child_conn = self._context.Pipe()
         proc = self._context.Process(
             target=_worker_main,
@@ -575,7 +551,6 @@ class ProcessShardedRuntime(SteeringFront):
                 partial(self.fresh_shard, worker_id, checkpoint),
                 inject_ring,
                 out_ring,
-                spec.turn_timeout_s,
             ),
             daemon=True,
         )
@@ -586,11 +561,6 @@ class ProcessShardedRuntime(SteeringFront):
         self._procs[worker_id] = proc
         self._inject_rings[worker_id] = inject_ring
         self._out_rings[worker_id] = out_ring
-
-    @property
-    def _max_span_bytes(self) -> int:
-        spec = self.spec
-        return max(spec.ring_slot_bytes, spec.ring_slots * spec.ring_slot_bytes // 4)
 
     # -- context management --------------------------------------------------
     def __enter__(self) -> "ProcessShardedRuntime":
@@ -698,7 +668,7 @@ class ProcessShardedRuntime(SteeringFront):
         for worker_id, seq in turned:
             if seq is None:
                 continue
-            reply = self._recv(worker_id, drain_tx=shm)
+            reply = self._recv(worker_id)
             if reply is None:
                 continue
             acked_seq, count = _ACK.unpack_from(reply, 1)
@@ -739,17 +709,13 @@ class ProcessShardedRuntime(SteeringFront):
         self._unacked[worker_id] += frames
         ring = self._inject_rings[worker_id]
         if ring is not None:
+            drain = partial(
+                self._request, worker_id, OP_DRAIN, RE_DRAINED, "inject ring full"
+            )
             try:
-                for span in _spans(blob, self._max_span_bytes):
-                    _push_with_backpressure(
-                        ring,
-                        span,
-                        self._stats,
-                        self.spec.turn_timeout_s,
-                        self._drain_tx_rings,
-                    )
-            except TimeoutError:
-                self._mark_dead(worker_id, "inject ring full; worker not draining")
+                _push(ring, blob, self._stats, drain)
+            except WorkerCrashed:
+                pass  # marked dead: the turn reports it
         else:
             t0 = time.perf_counter_ns()
             try:
@@ -792,43 +758,33 @@ class ProcessShardedRuntime(SteeringFront):
             self._stats.encode_ns += time.perf_counter_ns() - t1
             self._tx[worker_id].extend(records)
 
-    def _drain_tx_rings(self) -> None:
-        """Drain every live worker's out ring (the anti-deadlock sweep:
-        run whenever the parent blocks, so a worker stuck pushing TX
-        always gets slots back)."""
-        for worker_id in range(self.workers):
-            if self._alive[worker_id]:
-                self._drain_tx_ring(worker_id)
-
-    def _recv(self, worker_id: int, *, drain_tx: bool = False) -> Optional[bytes]:
+    def _recv(self, worker_id: int, waiting: str = "no reply") -> Optional[bytes]:
         """One reply from a worker, or ``None`` after marking it dead.
 
         A worker-side exception reply re-raises here; a dead pipe, a
-        dead process or a timeout degrade to ``None`` so the caller can
-        raise :class:`WorkerCrashed` with full context. With
-        ``drain_tx`` the wait loop drains TX rings between polls — the
-        other half of the backpressure contract (a worker blocked on a
-        full out ring can only finish its turn if the parent keeps
-        consuming while it waits for the ACK).
+        dead process or a timeout (named ``waiting`` and the bound)
+        degrade to ``None`` so the caller can raise
+        :class:`WorkerCrashed` with full context. A ``D`` on the way —
+        the worker's TX ring is full mid-turn — is answered first: the
+        parent empties that ring, sends ``d`` and waits on.
         """
         conn = self._conns[worker_id]
         poll = self._polls[worker_id]
         bound_s = self.spec.turn_timeout_s
-        timed_out = f"no reply within turn_timeout_s={bound_s:g}s"
         try:
-            if drain_tx:
-                deadline = time.monotonic() + bound_s
-                while not poll(_WORKER_POLL_S * 1_000):
-                    self._drain_tx_rings()
-                    if time.monotonic() > deadline:
-                        self._mark_dead(worker_id, timed_out)
-                        return None
-            elif not poll(bound_s * 1_000):
-                self._mark_dead(worker_id, timed_out)
-                return None
-            t0 = time.perf_counter_ns()
-            reply = conn.recv_bytes()
-            self._stats.copy_ns += time.perf_counter_ns() - t0
+            while True:
+                if not poll(bound_s * 1_000):
+                    self._mark_dead(
+                        worker_id, f"{waiting} within turn_timeout_s={bound_s:g}s"
+                    )
+                    return None
+                t0 = time.perf_counter_ns()
+                reply = conn.recv_bytes()
+                self._stats.copy_ns += time.perf_counter_ns() - t0
+                if reply[:1] != OP_DRAIN:
+                    break
+                self._drain_tx_ring(worker_id)
+                conn.send_bytes(RE_DRAINED)
         except (EOFError, OSError) as exc:
             self._pipe_failed(worker_id, exc)
             return None
@@ -906,7 +862,9 @@ class ProcessShardedRuntime(SteeringFront):
         self._spawn_worker(worker_id, checkpoint)
         self._death_reason[worker_id] = ""
 
-    def _request(self, worker_id: int, message: bytes, expect: bytes) -> bytes:
+    def _request(
+        self, worker_id: int, message: bytes, expect: bytes, waiting: str = "no reply"
+    ) -> bytes:
         reply = None
         if self._alive[worker_id]:
             try:
@@ -914,7 +872,7 @@ class ProcessShardedRuntime(SteeringFront):
             except OSError as exc:
                 self._pipe_failed(worker_id, exc)
             else:
-                reply = self._recv(worker_id)
+                reply = self._recv(worker_id, waiting)
         if reply is None:
             raise WorkerCrashed(
                 worker_id,
@@ -1023,6 +981,7 @@ class ProcessShardedRuntime(SteeringFront):
 __all__ = [
     "OP_CHECKPOINT",
     "OP_COUNTERS",
+    "OP_DRAIN",
     "OP_INJECT",
     "OP_RESTORE",
     "OP_SNAPSHOT",

@@ -168,8 +168,8 @@ class ShmRing:
         if need > self.slots:
             raise ValueError(
                 f"burst of {size} bytes needs {need} slots; "
-                f"ring only has {self.slots} — raise ring_slots or "
-                f"ring_slot_bytes"
+                f"ring only has {self.slots} — raise "
+                f"repro.net.procrun.RING_SLOTS or RING_SLOT_BYTES"
             )
         index = self._live_index()
         head = index[_HEAD]

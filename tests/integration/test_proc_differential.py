@@ -25,6 +25,7 @@ never reaches: spans wrapping the ring edge, ring-full backpressure
 import glob
 import os
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from repro.nat.cgnat import CgnatConfig, DetNat
 from repro.nat.config import NatConfig
 from repro.nat.unverified import UnverifiedNat
 from repro.nat.vignat import VigNat
+from repro.net import procrun
 from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
 from repro.net.procrun import TRANSPORTS, WorkerCrashed
 from repro.packets.builder import make_udp_packet
@@ -281,7 +283,8 @@ def tiny_ring_pair(workers=2, ring_slots=8, ring_slot_bytes=64):
     8 × 64-byte slots is ~256 bytes of payload per direction — a single
     8-packet burst wraps the ring edge repeatedly and overflows it
     outright, so wraparound and backpressure run on every turn instead
-    of never.
+    of never. The fleet's rings are made at launch, from the patched
+    ``procrun`` geometry.
     """
     def build(execution):
         return launch(
@@ -291,12 +294,13 @@ def tiny_ring_pair(workers=2, ring_slots=8, ring_slot_bytes=64):
                 workers=workers,
                 execution=execution,
                 transport="shm",
-                ring_slots=ring_slots,
-                ring_slot_bytes=ring_slot_bytes,
             )
         )
 
-    return build(THREADED_DETERMINISTIC), build(PROCESS)
+    with mock.patch.multiple(
+        procrun, RING_SLOTS=ring_slots, RING_SLOT_BYTES=ring_slot_bytes
+    ):
+        return build(THREADED_DETERMINISTIC), build(PROCESS)
 
 
 def test_ring_wraparound_is_byte_identical():
@@ -325,9 +329,9 @@ def test_ring_wraparound_is_byte_identical():
 def test_ring_full_backpressure_blocks_then_completes():
     """A burst bigger than the whole ring still goes through.
 
-    The parent must split it into spans, block on ring-full, and rely
-    on the worker's idle drain to free slots — the explicit
-    backpressure path, visible in ``proc_ring_wait_ns``. The result is
+    The parent must split it into spans and, on ring-full, have the
+    worker empty its ring (``D`` answered ``d``) before it pushes again
+    — the explicit backpressure path, visible in ``proc_ring_wait_ns``. The result is
     still byte-identical: backpressure may never drop or reorder.
     """
     oracle, proc = tiny_ring_pair(workers=1, ring_slots=4, ring_slot_bytes=64)
@@ -348,7 +352,7 @@ def test_oversized_ring_burst_has_actionable_error():
 
     ring = ShmRing(slots=2, slot_bytes=64)
     try:
-        with pytest.raises(ValueError, match="ring_slots"):
+        with pytest.raises(ValueError, match="RING_SLOTS"):
             ring.try_push_burst(b"x" * 1024)
     finally:
         ring.unlink()

@@ -260,8 +260,6 @@ def spec_overrides(draw):
         ),
         "transport": draw(st.sampled_from(TRANSPORTS)),
         "supervise": draw(st.booleans()) if execution != INLINE else False,
-        "ring_slots": draw(st.integers(1, 8_192)),
-        "ring_slot_bytes": draw(st.integers(1, 4_096)),
     }
     if execution != INLINE and draw(st.booleans()):
         overrides["replication_lag"] = draw(st.integers(0, 128))

@@ -13,6 +13,7 @@ import glob
 import os
 import signal
 import time
+from unittest import mock
 
 import pytest
 
@@ -283,18 +284,20 @@ class TestEveryParentWaitIsBounded:
 
     @contextlib.contextmanager
     def stopped_worker(
-        self, transport, supervise=False, workers=2, frames=8, **geometry
+        self, transport, supervise=False, workers=2, frames=8, ring_slots=None
     ):
-        """The fleet's last worker SIGSTOPped, ``frames`` injected since."""
+        """The fleet's last worker SIGSTOPped, ``frames`` injected since,
+        its rings ``ring_slots`` long if given."""
         rings = f"/dev/shm/repro-ring-{os.getpid()}-*"
         before = set(glob.glob(rings))
-        runtime = fleet(
-            workers,
-            transport=transport,
-            turn_timeout_s=BOUND_S,
-            supervise=supervise,
-            **geometry,
-        )
+        slots = ring_slots or procrun.RING_SLOTS
+        with mock.patch.object(procrun, "RING_SLOTS", slots):
+            runtime = fleet(
+                workers,
+                transport=transport,
+                turn_timeout_s=BOUND_S,
+                supervise=supervise,
+            )
         stopped = runtime._procs[-1]
         try:
             drive(runtime, 8)

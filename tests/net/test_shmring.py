@@ -91,7 +91,7 @@ class TestPushPop:
         assert ring.try_push_burst(records_blob(1))
 
     def test_oversized_burst_raises_with_sizing_advice(self, ring):
-        with pytest.raises(ValueError, match="ring_slots"):
+        with pytest.raises(ValueError, match="RING_SLOTS"):
             ring.try_push_burst(records_blob(20))
 
     def test_drain_flattens_all_visible_bursts(self, ring):
