@@ -7,15 +7,16 @@ with one :class:`ShmRing` per direction per worker, backed by
 :class:`multiprocessing.shared_memory`: the producer writes a burst
 straight into the mapped segment, the consumer reads it out, and the
 only per-burst costs are one or two ``memcpy``-sized slice operations
-on each side. That makes the byte movement alone — the ``copy_ns``
-instrument of :class:`~repro.net.procrun.TransportStats` — roughly 9x
-cheaper than the pipe's for a 32-packet burst (traced ``nat-proc``:
-~0.4 against ~3.7 µs per frame, the pipe's figure including its
-blocking reads). It is not an end-to-end figure. With one worker
-sharing the driver's one CPU, as in the benchmark, the ring costs
-what the pipe does per frame but more per turn, so the pipe still
-forwards more frames per second at a lower probe latency
-(``docs/SCALING.md`` §4).
+on each side. The byte movement alone — the ``copy_ns`` instrument of
+:class:`~repro.net.procrun.TransportStats` — reads ~8x lower than the
+pipe's for a 32-packet burst (traced ``nat-proc``: ~0.4 against ~3.3
+µs per frame). That compares a copy with a wait: on the benchmark's
+one CPU a pipe write that wakes the peer can hand it the CPU inside
+``send_bytes``, so the pipe's ``copy_ns`` also books the peer's run.
+Nor is it an end-to-end figure. With one worker sharing the driver's
+one CPU the ring costs what the pipe does per frame but more per turn,
+so the pipe still forwards more frames per second at a lower probe
+latency (``docs/SCALING.md`` §4).
 
 Layout (one segment per ring)::
 

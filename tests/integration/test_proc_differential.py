@@ -330,9 +330,11 @@ def test_ring_full_backpressure_blocks_then_completes():
     """A burst bigger than the whole ring still goes through.
 
     The parent must split it into spans and, on ring-full, have the
-    worker empty its ring (``D`` answered ``d``) before it pushes again
-    — the explicit backpressure path, visible in ``proc_ring_wait_ns``. The result is
-    still byte-identical: backpressure may never drop or reorder.
+    worker empty its ring (``D`` answered ``d``) before it pushes again,
+    and the worker must do the same with the parent on its TX ring —
+    the explicit backpressure path, visible in ``proc_ring_wait_ns``.
+    The result is still byte-identical: backpressure may never drop or
+    reorder.
     """
     oracle, proc = tiny_ring_pair(workers=1, ring_slots=4, ring_slot_bytes=64)
     try:
