@@ -29,9 +29,9 @@ snapshots, checkpoints, crash detection), so the FIFO checkpoint fence
 and the typed :class:`WorkerCrashed` semantics are transport-invariant.
 Each pipe message is the fence and the doorbell for every ring span
 written before it (a pipe write is a full memory barrier): a worker
-drains its inject ring before it handles *any* command, and the parent
-drains a worker's TX ring when it reads that worker's ``a`` or ``D``.
-No side reads a ring on a timer.
+drains its inject ring before it handles any command but ``X``, and
+the parent drains a worker's TX ring when it reads that worker's ``a``
+or ``D``. No side reads a ring on a timer.
 
 The deterministic runtime stays the *verification oracle*: because a
 worker process runs the identical per-shard data path on the identical
@@ -333,8 +333,8 @@ def _worker_main(
 
     The worker blocks in ``recv_bytes``. With rings (shm transport) it
     drains its inject ring into the runtime's RX queues before it handles
-    any command, so the spans a command was written after have landed
-    before it is answered: a ``D`` needs no more than that. On ``T`` it
+    any command but ``X``, so the spans a command was written after have
+    landed before it is answered: a ``D`` needs no more than that. On ``T`` it
     runs the turn and pushes the TX burst into the out ring *before* the
     ACK, so the parent's ACK read doubles as the TX-visibility fence; a
     full out ring is emptied by the parent on a ``D``. A replicating
@@ -399,6 +399,9 @@ def _worker_main(
             break
         op = message[:1]
         try:
+            if op == OP_STOP:  # whatever the rings hold dies with the worker
+                conn.send_bytes(RE_BYE)
+                break
             if inject_ring is not None:
                 drain_inject()  # this message fenced every span before it
             if op == OP_INJECT:
@@ -446,9 +449,6 @@ def _worker_main(
                 # fresh NF sits behind a fresh, empty cache).
                 shard.restore(Checkpoint.from_bytes(message[1:]))
                 conn.send_bytes(RE_RESTORED)
-            elif op == OP_STOP:
-                conn.send_bytes(RE_BYE)
-                break
             else:
                 raise ValueError(f"unknown opcode {op!r}")
         except Exception as exc:  # noqa: BLE001 — everything must reach the parent

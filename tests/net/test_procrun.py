@@ -284,14 +284,18 @@ class TestEveryParentWaitIsBounded:
 
     @contextlib.contextmanager
     def stopped_worker(
-        self, transport, supervise=False, workers=2, frames=8, ring_slots=None
+        self,
+        transport,
+        supervise=False,
+        workers=2,
+        frames=8,
+        ring_slots=procrun.RING_SLOTS,
     ):
-        """The fleet's last worker SIGSTOPped, ``frames`` injected since,
-        its rings ``ring_slots`` long if given."""
+        """The fleet's last worker SIGSTOPped, ``frames`` injected since;
+        it was launched with rings of ``ring_slots`` slots."""
         rings = f"/dev/shm/repro-ring-{os.getpid()}-*"
         before = set(glob.glob(rings))
-        slots = ring_slots or procrun.RING_SLOTS
-        with mock.patch.object(procrun, "RING_SLOTS", slots):
+        with mock.patch.object(procrun, "RING_SLOTS", ring_slots):
             runtime = fleet(
                 workers,
                 transport=transport,
@@ -467,6 +471,17 @@ class TestShutdown:
         assert all(not p.is_alive() for p in procs)
         with pytest.raises(RuntimeError):
             runtime.main_loop_burst(1_000, 8)
+
+    def test_stop_is_prompt_with_a_corrupt_inject_span_pending(self):
+        """``X`` is answered without draining the inject ring: its spans
+        die with the worker, so a bad one cannot keep the worker up."""
+        record = pack_slot_record(0, 0, 1_000, outbound(0).wire_bytes())
+        runtime = fleet(1)
+        assert runtime._inject_rings[0].try_push_burst(record[:-3])
+        started = time.monotonic()
+        runtime.stop()
+        assert time.monotonic() - started < 1.0
+        assert runtime._procs[0].exitcode == 0
 
     def test_stop_after_crash_is_safe(self):
         plan = FaultPlan().kill_worker(0, at_us=1_000)
