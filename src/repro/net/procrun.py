@@ -293,6 +293,18 @@ def _exit_status(proc) -> str:
     return f"process killed by signal {-code}{name}"
 
 
+def _worker_error(worker_id: int, reply: bytes) -> Exception:
+    """The exception a worker's ``e`` reply names, for the parent to raise."""
+    from repro.resil.checkpoint import CheckpointError
+
+    detail = json.loads(reply[1:].decode("utf-8"))
+    kind = detail.get("type", "RuntimeError")
+    message = f"worker {worker_id}: {detail.get('message', '')}"
+    if kind == "CheckpointError":
+        return CheckpointError(message)
+    return RuntimeError(f"[{kind}] {message}")
+
+
 class WorkerCrashed(RuntimeError):
     """A worker process died (or stopped answering) mid-schedule.
 
@@ -300,8 +312,9 @@ class WorkerCrashed(RuntimeError):
     sequence number of the last burst that worker *acknowledged* — every
     burst after it must be considered lost with the worker. ``reason``
     names what the parent saw: a poll timeout with its bound, a pipe EOF
-    or ``OSError`` errno, a full inject ring, a corrupt TX span or a
-    fault-plan kill, then the process's exit code or signal once it has
+    or ``OSError`` errno, a full inject ring, a corrupt TX span, a reply
+    out of protocol (wrong opcode, another turn's ACK) or a fault-plan
+    kill, then the process's exit code or signal once it has
     ended.
     """
 
@@ -329,7 +342,10 @@ def _worker_main(
     Runs until an ``X`` command or pipe EOF. Every command handler is
     wrapped: an exception becomes an ``e`` reply (type + message) so the
     parent re-raises instead of deadlocking on a missing reply — the
-    exception that kept the shard from being built included.
+    exception that kept the shard from being built included. Each
+    command gets exactly one reply (``I`` none): an inject that fails to
+    unframe is answered by the next command that is neither ``I`` nor
+    ``D``, so no reply ever arrives that the parent did not wait for.
 
     The worker blocks in ``recv_bytes``. With rings (shm transport) it
     drains its inject ring into the runtime's RX queues before it handles
@@ -392,6 +408,9 @@ def _worker_main(
         conn.send_bytes(OP_DRAIN)
         conn.recv_bytes()
 
+    #: An inject that failed to unframe — an ``I`` or a ring span —
+    #: answered by the next command that is neither ``I`` nor ``D``.
+    failed: Optional[Exception] = None
     while True:
         try:
             message = conn.recv_bytes()
@@ -402,13 +421,22 @@ def _worker_main(
             if op == OP_STOP:  # whatever the rings hold dies with the worker
                 conn.send_bytes(RE_BYE)
                 break
-            if inject_ring is not None:
-                drain_inject()  # this message fenced every span before it
+            try:
+                if inject_ring is not None:
+                    drain_inject()  # this message fenced every span before it
+                if op == OP_INJECT:
+                    deliver(message, 1)
+            except Exception as exc:  # noqa: BLE001 — answered below
+                failed = failed or exc
             if op == OP_INJECT:
-                deliver(message, 1)
-            elif op == OP_DRAIN:
+                continue
+            if op == OP_DRAIN:
                 conn.send_bytes(RE_DRAINED)
-            elif op == OP_TURN:
+                continue
+            if failed is not None:
+                exc, failed = failed, None
+                raise exc
+            if op == OP_TURN:
                 seq, now_us, burst_size, seizure = _TURN.unpack_from(message, 1)
                 processed = shard.turn(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
@@ -661,18 +689,31 @@ class ProcessShardedRuntime(SteeringFront):
         ring (shm) or off the reply (pipe) — and its flow deltas, which
         go to the worker's standby. Then rebuild every worker found dead
         when supervising, else raise :class:`WorkerCrashed` for the
-        first. Returns the packets processed.
+        first; then raise the first worker's ``e`` reply, read with the
+        others so none is left for the next turn. Returns the packets
+        processed.
         """
         shm = self.spec.transport == TRANSPORT_SHM
         processed = 0
+        error: Optional[Exception] = None
         for worker_id, seq in turned:
             if seq is None:
                 continue
             reply = self._recv(worker_id)
             if reply is None:
                 continue
+            if reply[:1] != RE_ACK:
+                if reply[:1] == RE_ERROR:
+                    error = error or _worker_error(worker_id, reply)
+                else:
+                    self._mark_dead(
+                        worker_id, f"unexpected reply {reply[:1]!r} to a turn"
+                    )
+                continue
             acked_seq, count = _ACK.unpack_from(reply, 1)
-            assert acked_seq == seq, f"out-of-order ack: {acked_seq} != {seq}"
+            if acked_seq != seq:
+                self._mark_dead(worker_id, f"out-of-order ack: {acked_seq} != {seq}")
+                continue
             self._last_acked[worker_id] = acked_seq
             self._unacked[worker_id] = 0
             processed += count
@@ -700,6 +741,8 @@ class ProcessShardedRuntime(SteeringFront):
                     reason=self._death_reason[worker_id],
                 )
             self.recover(worker_id, now_us)
+        if error is not None:
+            raise error
         return processed
 
     def _ship(self, worker_id: int, blob: bytes, frames: int) -> None:
@@ -761,9 +804,9 @@ class ProcessShardedRuntime(SteeringFront):
     def _recv(self, worker_id: int, waiting: str = "no reply") -> Optional[bytes]:
         """One reply from a worker, or ``None`` after marking it dead.
 
-        A worker-side exception reply re-raises here; a dead pipe, a
-        dead process or a timeout (named ``waiting`` and the bound)
-        degrade to ``None`` so the caller can raise
+        The caller raises an ``e`` reply (:func:`_worker_error`); a dead
+        pipe, a dead process or a timeout (named ``waiting`` and the
+        bound) degrade to ``None`` so the caller can raise
         :class:`WorkerCrashed` with full context. A ``D`` on the way —
         the worker's TX ring is full mid-turn — is answered first: the
         parent empties that ring, sends ``d`` and waits on.
@@ -788,15 +831,6 @@ class ProcessShardedRuntime(SteeringFront):
         except (EOFError, OSError) as exc:
             self._pipe_failed(worker_id, exc)
             return None
-        if reply[:1] == RE_ERROR:
-            detail = json.loads(reply[1:].decode("utf-8"))
-            from repro.resil.checkpoint import CheckpointError
-
-            kind = detail.get("type", "RuntimeError")
-            message = f"worker {worker_id}: {detail.get('message', '')}"
-            if kind == "CheckpointError":
-                raise CheckpointError(message)
-            raise RuntimeError(f"[{kind}] {message}")
         return reply
 
     def flush_worker(self, worker_id: int, now_us: int) -> int:
@@ -873,13 +907,19 @@ class ProcessShardedRuntime(SteeringFront):
                 self._pipe_failed(worker_id, exc)
             else:
                 reply = self._recv(worker_id, waiting)
+        if reply is not None and reply[:1] != expect:
+            if reply[:1] == RE_ERROR:
+                raise _worker_error(worker_id, reply)
+            self._mark_dead(
+                worker_id, f"unexpected reply {reply[:1]!r} to {message[:1]!r}"
+            )
+            reply = None
         if reply is None:
             raise WorkerCrashed(
                 worker_id,
                 self._last_acked[worker_id],
                 reason=self._death_reason[worker_id],
             )
-        assert reply[:1] == expect, f"unexpected reply {reply[:1]!r}"
         return reply
 
     # -- the per-worker answers SteeringFront merges --------------------------
@@ -947,8 +987,9 @@ class ProcessShardedRuntime(SteeringFront):
     def stop(self, timeout_s: float = 5.0) -> None:
         """Clean shutdown: stop command, join with timeout, then the axe.
 
-        Idempotent; safe after a crash (dead workers are skipped). Any
-        worker that does not exit within ``timeout_s`` is terminated.
+        Idempotent; safe after a crash: a worker marked dead is not sent
+        ``X``, and is killed if its process still runs. Any worker that
+        does not exit within ``timeout_s`` is terminated.
         Ring segments are unlinked last (after every mapping holder is
         gone), via the same finalizer that covers the unclean paths.
         """
@@ -969,6 +1010,8 @@ class ProcessShardedRuntime(SteeringFront):
                         conn.recv_bytes()  # the goodbye
                 except (EOFError, OSError):
                     pass
+            elif proc.is_alive():
+                proc.kill()  # marked dead, so never sent ``X``
             proc.join(timeout=timeout_s)
             if proc.is_alive():
                 proc.terminate()

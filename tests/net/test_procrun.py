@@ -417,15 +417,59 @@ class TestWorkerErrors:
 
     def test_truncated_inject_record_reraises_in_parent(self):
         """A worker handed records that end mid-frame refuses the whole
-        message with the typed error instead of parsing a short frame."""
+        message with the typed error, in answer to the next command,
+        instead of parsing a short frame."""
         record = pack_slot_record(0, 0, 1_000, outbound(0).wire_bytes())
         with fleet(1, transport="pipe") as runtime:
             runtime._conns[0].send_bytes(procrun.OP_INJECT + record[:-3])
-            with pytest.raises(RuntimeError, match="SlotRecordError"):
-                runtime._recv(0)
+            with pytest.raises(RuntimeError, match="SlotRecordError") as exc_info:
+                runtime.op_counters()
+            assert not isinstance(exc_info.value, WorkerCrashed)
             # Nothing of the message was injected; the worker serves on.
             drive(runtime, 4)
             assert runtime.flow_count() == 4
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_a_failed_turn_leaves_no_reply_unread(self, transport):
+        """Worker 0 answers a turn with an error while worker 1 acks it:
+        the turn raises worker 0's error, and the next turn and request
+        each read their own replies, not an ACK the failed turn left."""
+        cut = pack_slot_record(0, 0, 1_000, outbound(0).wire_bytes())[:-3]
+        with fleet(2, transport=transport) as runtime:
+            now = drive(runtime, 8)
+            if transport == "shm":
+                assert runtime._inject_rings[0].try_push_burst(cut)
+            else:
+                runtime._conns[0].send_bytes(procrun.OP_INJECT + cut)
+            with pytest.raises(RuntimeError, match="SlotRecordError") as exc_info:
+                runtime.main_loop_burst(now + 10, 8)
+            assert not isinstance(exc_info.value, WorkerCrashed)
+            assert sum(map(len, runtime.collect_raw_by_worker())) == 8
+            drive(runtime, 16, now=now + 20)
+            tx = runtime.collect_raw_by_worker()
+            assert all(tx), "both workers serve the next turns"
+            assert sum(map(len, tx)) == 16
+            assert runtime.op_counters()["forwarded"] == 24
+            assert runtime.flow_count() == 16
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize(
+        ("stray", "cause"),
+        [
+            (procrun.OP_COUNTERS, "unexpected reply b'n' to a turn"),
+            (procrun.OP_TURN + procrun._TURN.pack(99, 0, 8, 0), "out-of-order ack"),
+        ],
+    )
+    def test_a_reply_out_of_protocol_is_a_named_crash(self, transport, stray, cause):
+        """A reply that is not the one the parent waits for — the wrong
+        opcode, or the ACK of another turn — kills the worker with the
+        cause named, with or without ``-O``."""
+        with fleet(2, transport=transport) as runtime:
+            now = drive(runtime, 8)
+            runtime._conns[1].send_bytes(stray)
+            with pytest.raises(WorkerCrashed, match=cause) as exc_info:
+                runtime.main_loop_burst(now + 10, 8)
+            assert exc_info.value.shard == 1
 
     def test_a_truncated_inject_span_is_answered_not_fatal(self):
         """The shm twin of the case above: a span in the inject ring that
