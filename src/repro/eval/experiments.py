@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
@@ -29,7 +29,7 @@ from repro.net.moongen import (
     ProbeFlows,
     merge_sources,
 )
-from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, launch
+from repro.net.app import PROCESS, THREADED_DETERMINISTIC, RuntimeSpec, drive, launch
 from repro.net.testbed import Rfc2544Testbed, ThroughputResult
 from repro.obs import snapshot_of_counters
 from repro.obs.flight import first_divergence
@@ -603,21 +603,12 @@ def collect_sharded_metrics(
         fastpath=fastpath,
         burst_size=burst_size,
     )
+    workload = ConstantRateFlows(
+        flow_count, offered_pps, packet_count, cfg.internal_device, burst=burst_size
+    )
     runtime = launch(spec)
     try:
-        workload = ConstantRateFlows(
-            flow_count, offered_pps, packet_count, burst=burst_size
-        )
-        pending = 0
-        now_us = 0
-        for event in workload.events():
-            now_us = event.time_ns // 1_000
-            runtime.inject(cfg.internal_device, event.packet, now_us)
-            pending += 1
-            if pending >= burst_size * workers:
-                runtime.main_loop_burst(now_us, burst_size)
-                pending = 0
-        runtime.main_loop_burst(now_us, burst_size)
+        drive(runtime, arrivals(workload.events()), burst_size * workers)
         return runtime.snapshot_metrics()
     finally:
         runtime.stop()
@@ -668,7 +659,6 @@ def failover_sweep(
         expiration_seconds=60.0
     )
     cfg = settings.nat_config()
-    burst = 32
     records: List[Record] = []
     for name, factory in factories.items():
         for lag in lags:
@@ -686,7 +676,7 @@ def failover_sweep(
             )
             try:
                 report, counts = _failover_run(
-                    runtime, plan, flow_count, steady_rounds, kill_worker, burst
+                    runtime, plan, flow_count, steady_rounds, kill_worker
                 )
             finally:
                 runtime.stop()
@@ -721,25 +711,35 @@ def failover_sweep(
     return records
 
 
-def _failover_run(runtime, plan, flow_count, steady_rounds, kill_worker, burst):
+def _failover_run(runtime, plan, flow_count, steady_rounds, kill_worker):
     """One failover-sweep cell on a launched runtime: the recovery's
     report and the traffic counts."""
     from repro.packets.builder import make_udp_packet
 
     ext_ip = runtime.config.external_ip
-    # Establish: one outbound packet per flow; the flow's dst_port
-    # doubles as its marker in the translated output.
+    burst = runtime.spec.burst_size
     now = 1_000
-    pending = 0
-    for i in range(flow_count):
-        packet = make_udp_packet(0x0A000001, "8.8.8.8", 1_024 + i, 20_000 + i, device=0)
-        runtime.inject(0, packet, now)
-        now += 5
-        pending += 1
-        if pending >= burst:
-            runtime.main_loop_burst(now, burst)
-            pending = 0
-    runtime.main_loop_burst(now, burst)
+
+    def timed(packets):
+        """(port, packet) pairs as arrivals 5 µs apart from ``now``."""
+        nonlocal now
+        start, now = now, now + 5 * len(packets)
+        return [(start + 5 * i, port, p) for i, (port, p) in enumerate(packets)]
+
+    def opens(markers):  # a flow's dst_port is its marker in the output
+        return [
+            (0, make_udp_packet(0x0A000001, "8.8.8.8", 1_024 + m, 20_000 + m, device=0))
+            for m in markers
+        ]
+
+    def replies():
+        return [
+            (1, make_udp_packet("8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1))
+            for i, ext_port in sorted(ext_port_of.items())
+        ]
+
+    # Establish: one outbound packet per flow.
+    drive(runtime, timed(opens(range(flow_count))), burst)
     ext_port_of: Dict[int, int] = {}
     for _, _, out in runtime.collect():
         if out.ipv4 is not None and out.ipv4.src_ip == ext_ip:
@@ -753,53 +753,23 @@ def _failover_run(runtime, plan, flow_count, steady_rounds, kill_worker, burst):
     # loses), and fires on the next round's first turn, with that
     # turn's replies queued for the dead worker.
     churn = max(4, flow_count // 12)
-    kill_round = steady_rounds // 2
-    steady_offered = 0
-    next_marker = flow_count
     for r in range(steady_rounds):
-        for i, ext_port in sorted(ext_port_of.items()):
-            reply = make_udp_packet("8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1)
-            runtime.inject(1, reply, now)
-            steady_offered += 1
-            now += 5
-            pending += 1
-            if pending >= burst:
-                runtime.main_loop_burst(now, burst)
-                pending = 0
-        for _ in range(churn):
-            packet = make_udp_packet(
-                0x0A000001,
-                "8.8.8.8",
-                1_024 + next_marker,
-                20_000 + next_marker,
-                device=0,
-            )
-            next_marker += 1
-            runtime.inject(0, packet, now)
-            steady_offered += 1
-            now += 5
-            pending += 1
+        first = flow_count + r * churn
+        drive(runtime, timed(replies() + opens(range(first, first + churn))), burst)
         now += 100
-        runtime.main_loop_burst(now, burst)
-        pending = 0
-        if r == kill_round:
+        if r == steady_rounds // 2:
             plan.kill_worker(kill_worker, at_us=now + 1)
     steady_delivered = len(runtime.collect())
 
     # Post-recovery probe: every flow answers unless replication lost it.
     now += 100
-    probe_offered = 0
-    for i, ext_port in sorted(ext_port_of.items()):
-        reply = make_udp_packet("8.8.8.8", ext_ip, 20_000 + i, ext_port, device=1)
-        runtime.inject(1, reply, now)
-        probe_offered += 1
-        now += 5
-    runtime.main_loop_burst(now, burst)
+    probes = timed(replies())
+    drive(runtime, probes, len(probes))
     (report,) = runtime.reports
     return report, {
-        "steady_offered": steady_offered,
+        "steady_offered": steady_rounds * (len(ext_port_of) + churn),
         "steady_delivered": steady_delivered,
-        "probe_offered": probe_offered,
+        "probe_offered": len(probes),
         "probe_delivered": len(runtime.collect()),
     }
 
@@ -990,19 +960,10 @@ def throughput_sweep(
     return outcome
 
 
-def drive_schedule(runtime, events, burst_size: int) -> int:
-    """The procs sweep's drive loop: inject per event, turn every burst,
-    then two drain turns; returns the packets the turns processed."""
-    processed = pending = now_us = 0
-    for event in events:
-        now_us = event.time_ns // 1_000
-        runtime.inject(event.packet.device, event.packet, now_us)
-        pending += 1
-        if pending >= burst_size:
-            processed += runtime.main_loop_burst(now_us, burst_size)
-            pending = 0
-    processed += runtime.main_loop_burst(now_us + 1, burst_size)
-    return processed + runtime.main_loop_burst(now_us + 2, burst_size)
+def arrivals(events: Iterable[PacketEvent]) -> List[Tuple[int, int, Packet]]:
+    """Load-generator events as :func:`~repro.net.app.drive` arrivals,
+    each on its packet's device."""
+    return [(e.time_ns // 1_000, e.packet.device, e.packet) for e in events]
 
 
 def procs_sweep(
@@ -1025,7 +986,7 @@ def procs_sweep(
     per-worker TX streams plus merged counters must match byte for
     byte — the differential drive doubles as the warm-up pass. Then
     the throughput phase times the fastest of ``repeats`` further
-    passes of that same drive loop (:func:`drive_schedule`): ``inject``
+    passes of that same drive loop (:func:`~repro.net.app.drive`): ``inject``
     per frame, ``main_loop_burst`` per burst, TX taken — the turn a
     ``launch()`` user runs, parent steering and framing included. At
     two or more workers that includes the pure-Python FNV steering
@@ -1064,32 +1025,21 @@ def procs_sweep(
                 workload = ConstantRateFlows(
                     flow_count, 1_000_000.0, packet_count, burst=burst_size
                 )
-                events = list(workload.events())
+                schedule = arrivals(workload.events())
 
-                oracle = launch(
-                    RuntimeSpec(
-                        nf_factory=factory,
-                        config=cfg,
-                        workers=workers,
-                        execution=THREADED_DETERMINISTIC,
-                        fastpath=fastpath,
-                        burst_size=burst_size,
-                    )
+                spec = RuntimeSpec(
+                    nf_factory=factory,
+                    config=cfg,
+                    workers=workers,
+                    execution=THREADED_DETERMINISTIC,
+                    fastpath=fastpath,
+                    burst_size=burst_size,
                 )
-                proc = launch(
-                    RuntimeSpec(
-                        nf_factory=factory,
-                        config=cfg,
-                        workers=workers,
-                        execution=PROCESS,
-                        fastpath=fastpath,
-                        burst_size=burst_size,
-                        transport=transport,
-                    )
-                )
+                oracle = launch(spec)
+                proc = launch(spec.with_(execution=PROCESS, transport=transport))
                 try:
-                    drive_schedule(oracle, events, burst_size)
-                    drive_schedule(proc, events, burst_size)
+                    drive(oracle, schedule, burst_size)
+                    drive(proc, schedule, burst_size)
                     oracle_tx = [
                         [
                             (port, packet.device, ts, packet.wire_bytes())
@@ -1107,12 +1057,12 @@ def procs_sweep(
                     best: Optional[float] = None
                     for _ in range(max(1, repeats)):
                         started = time.perf_counter()
-                        drive_schedule(proc, events, burst_size)
+                        drive(proc, schedule, burst_size)
                         elapsed = time.perf_counter() - started
                         proc.collect_raw_by_worker()
                         if best is None or elapsed < best:
                             best = elapsed
-                    replay_pps = _ratio(len(events), best)
+                    replay_pps = _ratio(len(schedule), best)
                     transport_ns = proc.transport_counters()["total"]
                 finally:
                     oracle.stop()
@@ -1127,7 +1077,7 @@ def procs_sweep(
                         "transport": transport,
                         "burst_size": burst_size,
                         # Packets in one replay pass (the pps numerator).
-                        "packets": len(events),
+                        "packets": len(schedule),
                         "cores": cores,
                         "replay_pps": round(replay_pps, 1),
                         "speedup_vs_1": round(_ratio(replay_pps, base_pps), 3),
@@ -1137,7 +1087,7 @@ def procs_sweep(
                         "metrics": snapshot_of_counters(
                             {
                                 "procs_replay_pps": int(replay_pps),
-                                "procs_packets": len(events),
+                                "procs_packets": len(schedule),
                                 "procs_identical": int(identical),
                                 "proc_encode_ns": transport_ns.get("encode_ns", 0),
                                 "proc_copy_ns": transport_ns.get("copy_ns", 0),

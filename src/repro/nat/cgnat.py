@@ -348,10 +348,6 @@ class DetNat(NetworkFunction):
         """The deterministic external port of an internal endpoint."""
         return self.config.map_forward(src_ip, src_port)
 
-    def internal_endpoint_of(self, ext_port: int) -> Optional[Tuple[int, int]]:
-        """The internal (addr, port) a translated external port names."""
-        return self.config.map_return(ext_port)
-
     # -- checkpoint/restore -------------------------------------------------
     def checkpoint_state(self) -> Dict:
         """Empty: the configuration *is* the whole NF.

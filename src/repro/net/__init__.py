@@ -36,8 +36,8 @@ from repro.net.app import (
     InlineRuntime,
     Runtime,
     RuntimeSpec,
+    drive,
     launch,
-    replay,
     replay_pcap,
 )
 from repro.net.costmodel import CostModel
@@ -94,9 +94,9 @@ __all__ = [
     "TRANSPORT_SHM",
     "ThroughputResult",
     "WorkerCrashed",
+    "drive",
     "launch",
     "merge_sources",
-    "replay",
     "replay_pcap",
     "rss_hash_packet",
     "rss_queue",

@@ -2,10 +2,10 @@
 
 Two things live here:
 
-- :func:`replay` / :func:`replay_pcap` — the paper's ``main()`` over a
-  trace, on any launched runtime: one turn per arrival — receive a
-  burst, run the NF, transmit or free each buffer — with the no-leak
-  discipline Vigor's ownership tracking enforces (§5.2.4).
+- :func:`drive` / :func:`replay_pcap` — the paper's ``main()`` over a
+  schedule, on any launched runtime: a turn every ``turn_every`` arrivals
+  — receive a burst, run the NF, transmit or free each buffer — with the
+  no-leak discipline Vigor's ownership tracking enforces (§5.2.4).
 - The **deployment facade**: a frozen :class:`RuntimeSpec` describing a
   whole deployment (NF factory, config, workers, execution mode,
   fastpath, faults, replication) and :func:`launch`, which turns the
@@ -280,22 +280,28 @@ def launch(spec: RuntimeSpec) -> Runtime:
     return ShardedRuntime(spec)
 
 
-def replay(
-    runtime: Runtime, arrivals: Iterable[Tuple[int, int, Packet]]
-) -> List[Tuple[int, int, Packet]]:
-    """Feed (time_us, port, packet) arrivals to a launched runtime;
-    returns its transmissions.
+def drive(
+    runtime: Runtime, arrivals: Iterable[Tuple[int, int, Packet]], turn_every: int = 1
+) -> int:
+    """Inject (time_us, port, packet) arrivals into a launched runtime,
+    turning it at the latest arrival's time after every ``turn_every``
+    of them and once more for any left over; returns the packets the
+    turns processed. ``runtime.collect()`` has what they transmitted.
 
-    The paper's ``main()`` over a trace: one main-loop turn after every
-    arrival, so RX rings never overflow — this is functional replay
-    (what comes out), not the timing simulation (use
-    :class:`~repro.net.testbed.Rfc2544Testbed` for that).
+    This is functional replay (what comes out), not the timing
+    simulation (use :class:`~repro.net.testbed.Rfc2544Testbed` for that).
     """
     burst_size = runtime.spec.burst_size
+    processed = pending = 0
     for time_us, port, packet in arrivals:
         runtime.inject(port, packet, time_us)
-        runtime.main_loop_burst(time_us, burst_size)
-    return runtime.collect()
+        pending += 1
+        if pending == turn_every:
+            processed += runtime.main_loop_burst(time_us, burst_size)
+            pending = 0
+    if pending:
+        processed += runtime.main_loop_burst(time_us, burst_size)
+    return processed
 
 
 def replay_pcap(
@@ -312,9 +318,10 @@ def replay_pcap(
         (record.timestamp_us, port, record.packet(device=port))
         for record in read_pcap_file(in_path)
     ]
+    drive(runtime, arrivals)
     out_records = [
         PcapRecord(timestamp_us=ts, data=pkt.to_bytes())
-        for _port, ts, pkt in replay(runtime, arrivals)
+        for _port, ts, pkt in runtime.collect()
     ]
     if out_path is not None:
         write_pcap_file(out_path, [(r.timestamp_us, r.data) for r in out_records])

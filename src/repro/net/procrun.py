@@ -293,18 +293,6 @@ def _exit_status(proc) -> str:
     return f"process killed by signal {-code}{name}"
 
 
-def _worker_error(worker_id: int, reply: bytes) -> Exception:
-    """The exception a worker's ``e`` reply names, for the parent to raise."""
-    from repro.resil.checkpoint import CheckpointError
-
-    detail = json.loads(reply[1:].decode("utf-8"))
-    kind = detail.get("type", "RuntimeError")
-    message = f"worker {worker_id}: {detail.get('message', '')}"
-    if kind == "CheckpointError":
-        return CheckpointError(message)
-    return RuntimeError(f"[{kind}] {message}")
-
-
 class WorkerCrashed(RuntimeError):
     """A worker process died (or stopped answering) mid-schedule.
 
@@ -313,9 +301,8 @@ class WorkerCrashed(RuntimeError):
     burst after it must be considered lost with the worker. ``reason``
     names what the parent saw: a poll timeout with its bound, a pipe EOF
     or ``OSError`` errno, a full inject ring, a corrupt TX span, a reply
-    out of protocol (wrong opcode, another turn's ACK) or a fault-plan
-    kill, then the process's exit code or signal once it has
-    ended.
+    out of protocol or a fault-plan kill, then the process's exit code
+    or signal once it has ended.
     """
 
     def __init__(self, shard: int, last_acked_seq: int, reason: str = "") -> None:
@@ -339,13 +326,12 @@ def _worker_main(
 ) -> None:
     """Host one :class:`~repro.net.dpdk.Shard`, private to this process.
 
-    Runs until an ``X`` command or pipe EOF. Every command handler is
-    wrapped: an exception becomes an ``e`` reply (type + message) so the
-    parent re-raises instead of deadlocking on a missing reply — the
-    exception that kept the shard from being built included. Each
-    command gets exactly one reply (``I`` none): an inject that fails to
-    unframe is answered by the next command that is neither ``I`` nor
-    ``D``, so no reply ever arrives that the parent did not wait for.
+    Runs until an ``X`` command or pipe EOF. Every command but ``I`` gets
+    one reply: a handler's exception becomes an ``e`` reply (type +
+    message), the one that kept the shard from being built included, so
+    the parent re-raises instead of deadlocking on a missing one. An
+    inject that fails to unframe is answered by the next command that is
+    neither ``I`` nor ``D``.
 
     The worker blocks in ``recv_bytes``. With rings (shm transport) it
     drains its inject ring into the runtime's RX queues before it handles
@@ -408,9 +394,7 @@ def _worker_main(
         conn.send_bytes(OP_DRAIN)
         conn.recv_bytes()
 
-    #: An inject that failed to unframe — an ``I`` or a ring span —
-    #: answered by the next command that is neither ``I`` nor ``D``.
-    failed: Optional[Exception] = None
+    failed: Optional[Exception] = None  # an inject that did not unframe
     while True:
         try:
             message = conn.recv_bytes()
@@ -429,14 +413,13 @@ def _worker_main(
             except Exception as exc:  # noqa: BLE001 — answered below
                 failed = failed or exc
             if op == OP_INJECT:
-                continue
-            if op == OP_DRAIN:
+                pass
+            elif op == OP_DRAIN:
                 conn.send_bytes(RE_DRAINED)
-                continue
-            if failed is not None:
-                exc, failed = failed, None
+            elif failed is not None:
+                failed, exc = None, failed
                 raise exc
-            if op == OP_TURN:
+            elif op == OP_TURN:
                 seq, now_us, burst_size, seizure = _TURN.unpack_from(message, 1)
                 processed = shard.turn(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
@@ -689,8 +672,7 @@ class ProcessShardedRuntime(SteeringFront):
         ring (shm) or off the reply (pipe) — and its flow deltas, which
         go to the worker's standby. Then rebuild every worker found dead
         when supervising, else raise :class:`WorkerCrashed` for the
-        first; then raise the first worker's ``e`` reply, read with the
-        others so none is left for the next turn. Returns the packets
+        first; then re-raise the first ``e`` reply. Returns the packets
         processed.
         """
         shm = self.spec.transport == TRANSPORT_SHM
@@ -699,16 +681,12 @@ class ProcessShardedRuntime(SteeringFront):
         for worker_id, seq in turned:
             if seq is None:
                 continue
-            reply = self._recv(worker_id)
-            if reply is None:
+            try:
+                reply = self._recv(worker_id, RE_ACK)
+            except Exception as exc:  # noqa: BLE001 — an ``e``: read the rest first
+                error = error or exc
                 continue
-            if reply[:1] != RE_ACK:
-                if reply[:1] == RE_ERROR:
-                    error = error or _worker_error(worker_id, reply)
-                else:
-                    self._mark_dead(
-                        worker_id, f"unexpected reply {reply[:1]!r} to a turn"
-                    )
+            if reply is None:
                 continue
             acked_seq, count = _ACK.unpack_from(reply, 1)
             if acked_seq != seq:
@@ -801,12 +779,14 @@ class ProcessShardedRuntime(SteeringFront):
             self._stats.encode_ns += time.perf_counter_ns() - t1
             self._tx[worker_id].extend(records)
 
-    def _recv(self, worker_id: int, waiting: str = "no reply") -> Optional[bytes]:
+    def _recv(
+        self, worker_id: int, expect: bytes, waiting: str = "no reply"
+    ) -> Optional[bytes]:
         """One reply from a worker, or ``None`` after marking it dead.
 
-        The caller raises an ``e`` reply (:func:`_worker_error`); a dead
-        pipe, a dead process or a timeout (named ``waiting`` and the
-        bound) degrade to ``None`` so the caller can raise
+        A worker-side exception reply re-raises here; a dead pipe, a
+        dead process, a timeout (named ``waiting`` and the bound) or a
+        reply but ``expect`` degrade to ``None`` so the caller can raise
         :class:`WorkerCrashed` with full context. A ``D`` on the way —
         the worker's TX ring is full mid-turn — is answered first: the
         parent empties that ring, sends ``d`` and waits on.
@@ -830,6 +810,18 @@ class ProcessShardedRuntime(SteeringFront):
                 conn.send_bytes(RE_DRAINED)
         except (EOFError, OSError) as exc:
             self._pipe_failed(worker_id, exc)
+            return None
+        if reply[:1] == RE_ERROR:
+            detail = json.loads(reply[1:].decode("utf-8"))
+            from repro.resil.checkpoint import CheckpointError
+
+            kind = detail.get("type", "RuntimeError")
+            message = f"worker {worker_id}: {detail.get('message', '')}"
+            if kind == "CheckpointError":
+                raise CheckpointError(message)
+            raise RuntimeError(f"[{kind}] {message}")
+        if reply[:1] != expect:
+            self._mark_dead(worker_id, f"reply {reply[:1]!r}, expected {expect!r}")
             return None
         return reply
 
@@ -906,14 +898,7 @@ class ProcessShardedRuntime(SteeringFront):
             except OSError as exc:
                 self._pipe_failed(worker_id, exc)
             else:
-                reply = self._recv(worker_id, waiting)
-        if reply is not None and reply[:1] != expect:
-            if reply[:1] == RE_ERROR:
-                raise _worker_error(worker_id, reply)
-            self._mark_dead(
-                worker_id, f"unexpected reply {reply[:1]!r} to {message[:1]!r}"
-            )
-            reply = None
+                reply = self._recv(worker_id, expect, waiting)
         if reply is None:
             raise WorkerCrashed(
                 worker_id,
@@ -987,9 +972,9 @@ class ProcessShardedRuntime(SteeringFront):
     def stop(self, timeout_s: float = 5.0) -> None:
         """Clean shutdown: stop command, join with timeout, then the axe.
 
-        Idempotent; safe after a crash: a worker marked dead is not sent
-        ``X``, and is killed if its process still runs. Any worker that
-        does not exit within ``timeout_s`` is terminated.
+        Idempotent; safe after a crash (a worker marked dead is killed,
+        not sent ``X``). Any worker that does not exit within
+        ``timeout_s`` is terminated.
         Ring segments are unlinked last (after every mapping holder is
         gone), via the same finalizer that covers the unclean paths.
         """

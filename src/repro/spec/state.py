@@ -8,7 +8,7 @@ the allocated external port. Immutable, like all spec-level objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from typing import Mapping
 
 from repro.nat.flow import FlowId
 
@@ -40,10 +40,6 @@ class AbstractNatState:
     def with_flow(self, flow_id: FlowId, entry: AbstractFlowEntry) -> "AbstractNatState":
         updated = dict(self.flows)
         updated[flow_id] = entry
-        return AbstractNatState(updated, self.capacity)
-
-    def without_flows(self, flow_ids: Tuple[FlowId, ...]) -> "AbstractNatState":
-        updated = {k: v for k, v in self.flows.items() if k not in flow_ids}
         return AbstractNatState(updated, self.capacity)
 
     def expire(self, now: int, expiration_time: int) -> "AbstractNatState":

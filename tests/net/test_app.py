@@ -6,7 +6,7 @@ from repro import obs
 from repro.nat.bridge import BridgeConfig, VigBridge
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
-from repro.net.app import INLINE, RuntimeSpec, launch, replay, replay_pcap
+from repro.net.app import INLINE, RuntimeSpec, drive, launch, replay_pcap
 from repro.net.dpdk import DpdkRuntime
 from repro.obs import flight
 from repro.packets.builder import make_udp_packet
@@ -82,12 +82,25 @@ class TestReplay:
     def test_replay_conversation(self):
         app = nat_app()
         cfg = app.shard.nf.config
-        out = replay(app, [(100, 0, outbound())])
-        ext_port = out[0][2].l4.src_port
+        assert drive(app, [(100, 0, outbound())]) == 1
+        ext_port = app.collect()[0][2].l4.src_port
         reply = make_udp_packet("8.8.8.8", cfg.external_ip, 53, ext_port, device=1)
-        back = replay(app, [(200, 1, reply)])
+        assert drive(app, [(200, 1, reply)]) == 1
+        back = app.collect()
         assert back[0][0] == 0
         assert back[0][2].l4.dst_port == 4000
+
+    def test_drive_turns_every_n_arrivals_and_once_for_the_rest(self):
+        app = nat_app(max_flows=64)
+        turns = []
+        turn = app.main_loop_burst
+        app.main_loop_burst = lambda now_us, burst_size: (
+            turns.append((now_us, burst_size)) or turn(now_us, burst_size)
+        )
+        schedule = [(10 * i, 0, outbound(sport=4000 + i)) for i in range(10)]
+        assert drive(app, schedule, turn_every=4) == 10
+        assert turns == [(30, 32), (70, 32), (90, 32)]
+        assert len(app.collect()) == 10
 
     def test_replay_pcap_roundtrip(self, tmp_path):
         in_path = str(tmp_path / "in.pcap")
@@ -116,7 +129,8 @@ class TestReplay:
         )
         frame = outbound()
         frame.device = 0
-        out = replay(app, [(10, 0, frame)])
+        drive(app, [(10, 0, frame)])
+        out = app.collect()
         assert out[0][0] == 1  # flooded to the other port
 
 

@@ -456,7 +456,7 @@ class TestWorkerErrors:
     @pytest.mark.parametrize(
         ("stray", "cause"),
         [
-            (procrun.OP_COUNTERS, "unexpected reply b'n' to a turn"),
+            (procrun.OP_COUNTERS, "reply b'n', expected b'a'"),
             (procrun.OP_TURN + procrun._TURN.pack(99, 0, 8, 0), "out-of-order ack"),
         ],
     )
@@ -601,18 +601,17 @@ class TestTimedTurn:
         schedule through the real turn processes every frame on every
         pass, and each later pass transmits the first pass's bytes,
         worker by worker — so the passes time the same work."""
-        from repro.eval.experiments import drive_schedule
+        from repro.eval.experiments import arrivals
+        from repro.net import app
         from repro.net.moongen import ConstantRateFlows
 
-        events = list(
-            ConstantRateFlows(32, 1_000_000.0, 200, burst=16).events()
-        )
+        schedule = arrivals(ConstantRateFlows(32, 1_000_000.0, 200, burst=16).events())
         with fleet(workers, transport=transport) as runtime:
             passes = []
             for _ in range(3):
-                assert drive_schedule(runtime, events, 16) == len(events)
+                assert app.drive(runtime, schedule, 16) == len(schedule)
                 passes.append(runtime.collect_raw_by_worker())
-            assert sum(map(len, passes[0])) == len(events)
+            assert sum(map(len, passes[0])) == len(schedule)
             assert passes[1] == passes[0]
             assert passes[2] == passes[0]
             assert runtime.flow_count() == 32
