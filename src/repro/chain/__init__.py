@@ -3,15 +3,13 @@
 :mod:`repro.chain.spec` composes the repo's NFs into ordered service
 chains (one frozen :class:`ChainSpec`, one :func:`launch_chain`);
 :mod:`repro.chain.scenarios` runs operational scenarios — warm upgrade,
-stage promotion, chaos soak — over live chain traffic and judges the
-*measured* loss and disruption against declared SLA budgets.
+stage promotion, chaos soak — over live chain traffic. Each returns one
+record of the *measured* loss and disruption beside the SLA budgets it
+declares, and :func:`scenario_breaches` judges that record.
 """
 
 from repro.chain.scenarios import (
-    DEFAULT_TICK_US,
-    SCENARIOS,
-    ScenarioReport,
-    ScenarioSla,
+    TICK_US,
     chain_scenarios,
     chaos_soak,
     default_chain_spec,
@@ -25,10 +23,7 @@ __all__ = [
     "ChainRuntime",
     "ChainSpec",
     "ChainStage",
-    "DEFAULT_TICK_US",
-    "SCENARIOS",
-    "ScenarioReport",
-    "ScenarioSla",
+    "TICK_US",
     "chain_scenarios",
     "chaos_soak",
     "default_chain_spec",

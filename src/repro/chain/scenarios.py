@@ -6,7 +6,8 @@ performs one disruptive operation mid-run — a warm upgrade via chain
 checkpoint/restore, an active/standby promotion of a single stage, or a
 seeded chaos soak. Loss, disruption window and flow survival are
 **measured from the traffic that actually exited the chain**, never
-modeled, and judged against a declared :class:`ScenarioSla`.
+modeled. Each scenario returns one record that carries its measurements
+beside the budgets it declares; :func:`scenario_breaches` judges it.
 
 Definitions:
 
@@ -21,7 +22,7 @@ Definitions:
   disruption differs from the mapping observed before it (a mapping
   that changed mid-connection resets real connections, even if packets
   flow again).
-- *action wall time*: host wall-clock nanoseconds spent inside the
+- *action wall time*: host wall-clock microseconds spent inside the
   disruptive control-plane action itself (checkpoint + launch + restore
   for the upgrade; promotion for the standby swap), reported for
   context but never SLA-gated — wall clock is machine-dependent,
@@ -31,7 +32,7 @@ Definitions:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.spec import ChainRuntime, ChainSpec, ChainStage, launch_chain
@@ -43,100 +44,37 @@ from repro.packets.builder import make_udp_packet
 from repro.resil.faults import FaultPlan
 
 #: Traffic time per round, in microseconds.
-DEFAULT_TICK_US = 1_000
+TICK_US = 1_000
 
-SCENARIOS = ("warm-upgrade", "promote-stage", "chaos-soak")
-
-
-@dataclass(frozen=True)
-class ScenarioSla:
-    """Declared budgets a scenario's measurements must satisfy."""
-
-    min_availability: float
-    max_disruption_us: int
-    max_flows_lost: int = 0
-    max_probe_loss: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.min_availability <= 1.0:
-            raise ValueError("availability floor must be within [0, 1]")
-        if self.max_disruption_us < 0 or self.max_flows_lost < 0:
-            raise ValueError("SLA budgets cannot be negative")
-        if self.max_probe_loss < 0:
-            raise ValueError("SLA budgets cannot be negative")
+#: A scenario's outcome: the record ``BENCH_chain.json`` commits.
+Record = Dict[str, object]
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    """One scenario's measured outcome, judged against its SLA."""
-
-    scenario: str
-    offered: int
-    delivered: int
-    lost: int
-    availability: float
-    disruption_us: int
-    action_wall_us: int
-    flows_total: int
-    flows_lost: int
-    probe_offered: int
-    probe_lost: int
-    sla: ScenarioSla
-    details: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def sla_ok(self) -> bool:
-        return not scenario_breaches(self)
-
-    def to_record(self) -> Dict[str, object]:
-        """The benchmark-record shape ``BENCH_chain.json`` commits."""
-        return {
-            "nf": "chain",
-            "scenario": self.scenario,
-            "offered": self.offered,
-            "delivered": self.delivered,
-            "lost": self.lost,
-            "availability": round(self.availability, 6),
-            "disruption_us": self.disruption_us,
-            "action_wall_us": self.action_wall_us,
-            "flows_total": self.flows_total,
-            "flows_lost": self.flows_lost,
-            "probe_offered": self.probe_offered,
-            "probe_lost": self.probe_lost,
-            "sla_ok": self.sla_ok,
-            "sla": {
-                "min_availability": self.sla.min_availability,
-                "max_disruption_us": self.sla.max_disruption_us,
-                "max_flows_lost": self.sla.max_flows_lost,
-                "max_probe_loss": self.sla.max_probe_loss,
-            },
-            "details": dict(self.details),
-        }
-
-
-def scenario_breaches(report: ScenarioReport) -> List[str]:
-    """Human-readable SLA violations for one report (empty = pass)."""
-    sla = report.sla
+def scenario_breaches(record: Record) -> List[str]:
+    """Human-readable SLA violations for one record (empty = pass)."""
+    sla, scenario = record["sla"], record["scenario"]
+    offered = record["offered"]
+    availability = record["delivered"] / offered if offered else 1.0
     breaches = []
-    if report.availability < sla.min_availability:
+    if availability < sla["min_availability"]:
         breaches.append(
-            f"{report.scenario}: availability {report.availability:.4f} "
-            f"below floor {sla.min_availability:.4f}"
+            f"{scenario}: availability {availability:.4f} "
+            f"below floor {sla['min_availability']:.4f}"
         )
-    if report.disruption_us > sla.max_disruption_us:
+    if record["disruption_us"] > sla["max_disruption_us"]:
         breaches.append(
-            f"{report.scenario}: disruption window {report.disruption_us} us "
-            f"over budget {sla.max_disruption_us} us"
+            f"{scenario}: disruption window {record['disruption_us']} us "
+            f"over budget {sla['max_disruption_us']} us"
         )
-    if report.flows_lost > sla.max_flows_lost:
+    if record["flows_lost"] > sla["max_flows_lost"]:
         breaches.append(
-            f"{report.scenario}: {report.flows_lost} flow mapping(s) lost "
-            f"(budget {sla.max_flows_lost})"
+            f"{scenario}: {record['flows_lost']} flow mapping(s) lost "
+            f"(budget {sla['max_flows_lost']})"
         )
-    if report.probe_lost > sla.max_probe_loss:
+    if record["probe_lost"] > sla["max_probe_loss"]:
         breaches.append(
-            f"{report.scenario}: {report.probe_lost} post-disruption probe "
-            f"packet(s) lost (budget {sla.max_probe_loss})"
+            f"{scenario}: {record['probe_lost']} post-disruption probe "
+            f"packet(s) lost (budget {sla['max_probe_loss']})"
         )
     return breaches
 
@@ -227,28 +165,24 @@ class _Traffic:
 
 @dataclass
 class _Meter:
-    """Accumulates per-round loss into the report's measurements."""
+    """Accumulates per-round loss into the record's measurements."""
 
     offered: int = 0
     delivered: int = 0
     first_lossy_us: Optional[int] = None
     last_lossy_us: Optional[int] = None
 
-    def round(self, now_us: int, offered: int, delivered: int, tick_us: int) -> None:
+    def round(self, now_us: int, offered: int, delivered: int) -> None:
         self.offered += offered
         self.delivered += delivered
         if delivered < offered:
             if self.first_lossy_us is None:
                 self.first_lossy_us = now_us
-            self.last_lossy_us = now_us + tick_us
+            self.last_lossy_us = now_us + TICK_US
 
     @property
     def lost(self) -> int:
         return self.offered - self.delivered
-
-    @property
-    def availability(self) -> float:
-        return self.delivered / self.offered if self.offered else 1.0
 
     @property
     def disruption_us(self) -> int:
@@ -258,37 +192,60 @@ class _Meter:
 
 
 def _turn(
-    chain: ChainRuntime,
-    traffic: _Traffic,
-    meter: _Meter,
-    now_us: int,
-    tick_us: int,
+    chain: ChainRuntime, traffic: _Traffic, meter: _Meter, now_us: int
 ) -> Dict[int, Tuple[int, int]]:
     """Offer one round, run one chain turn, meter what came out."""
     offered = traffic.offer(chain, now_us)
     chain.main_loop_burst(now_us)
     delivered, mappings = traffic.harvest(chain)
-    meter.round(now_us, offered, delivered, tick_us)
+    meter.round(now_us, offered, delivered)
     return mappings
 
 
-def _flows_lost(
-    before: Dict[int, Tuple[int, int]], after: Dict[int, Tuple[int, int]]
-) -> int:
-    """Flows whose observed NAT mapping changed or vanished."""
-    return sum(
-        1 for flow, mapping in before.items() if after.get(flow) != mapping
-    )
+def _record(
+    scenario: str,
+    rounds: int,
+    flows: int,
+    meter: _Meter,
+    probe: _Meter,
+    pre: Dict[int, Tuple[int, int]],
+    post: Dict[int, Tuple[int, int]],
+    action_wall_us: int,
+    sla: Dict[str, object],
+    **details: object,
+) -> Record:
+    """One scenario's measurements, budgets and verdict as its record.
+
+    ``sla`` holds the scenario's availability floor and disruption
+    budget. Packets may die, connections may not: every scenario's
+    budget allows no lost NAT mapping and no lost post-disruption probe.
+    """
+    record = {
+        "nf": "chain",
+        "scenario": scenario,
+        "offered": meter.offered,
+        "delivered": meter.delivered,
+        "lost": meter.lost,
+        "availability": round(
+            meter.delivered / meter.offered if meter.offered else 1.0, 6
+        ),
+        "disruption_us": meter.disruption_us,
+        "action_wall_us": action_wall_us,
+        "flows_total": flows,
+        # Flows whose observed NAT mapping changed or vanished.
+        "flows_lost": sum(1 for f, m in pre.items() if post.get(f) != m),
+        "probe_offered": probe.offered,
+        "probe_lost": probe.lost,
+        "sla_ok": None,  # the verdict, judged below in its committed place
+        "sla": {**sla, "max_flows_lost": 0, "max_probe_loss": 0},
+        "details": {"rounds": rounds, "tick_us": TICK_US, **details},
+    }
+    record["sla_ok"] = not scenario_breaches(record)
+    return record
 
 
 # -- scenarios -----------------------------------------------------------------
-def warm_upgrade(
-    spec: ChainSpec,
-    flows: int = 32,
-    rounds: int = 16,
-    tick_us: int = DEFAULT_TICK_US,
-    sla: Optional[ScenarioSla] = None,
-) -> ScenarioReport:
+def warm_upgrade(spec: ChainSpec, flows: int = 32, rounds: int = 16) -> Record:
     """Replace the whole chain mid-run via checkpoint/restore.
 
     Halfway through the run the live chain is snapshotted
@@ -299,13 +256,6 @@ def warm_upgrade(
     upgrade without connection draining. Every NAT mapping observed
     before the upgrade must be observed unchanged after it.
     """
-    if sla is None:
-        sla = ScenarioSla(
-            min_availability=0.90,
-            max_disruption_us=2 * tick_us,
-            max_flows_lost=0,
-            max_probe_loss=0,
-        )
     if rounds < 6:
         raise ValueError("warm upgrade needs at least 6 rounds")
     chain = launch_chain(spec)
@@ -316,13 +266,13 @@ def warm_upgrade(
     try:
         half = rounds // 2
         for _ in range(half):
-            pre = _turn(chain, traffic, meter, now_us, tick_us) or pre
-            now_us += tick_us
+            pre = _turn(chain, traffic, meter, now_us) or pre
+            now_us += TICK_US
 
         # One round goes in but is never turned: it rides the old
         # chain's RX rings into retirement. Counted as offered, lost.
-        meter.round(now_us, traffic.offer(chain, now_us), 0, tick_us)
-        now_us += tick_us
+        meter.round(now_us, traffic.offer(chain, now_us), 0)
+        now_us += TICK_US
 
         started_ns = time.perf_counter_ns()
         snapshot = chain.checkpoint(now_us)
@@ -335,30 +285,23 @@ def warm_upgrade(
         post: Dict[int, Tuple[int, int]] = {}
         probe = _Meter()
         for _ in range(rounds - half - 1):
-            mappings = _turn(chain, traffic, meter, now_us, tick_us)
-            probe.round(now_us, traffic.flows, len(mappings), tick_us)
+            mappings = _turn(chain, traffic, meter, now_us)
+            probe.round(now_us, traffic.flows, len(mappings))
             post = mappings or post
-            now_us += tick_us
+            now_us += TICK_US
     finally:
         chain.stop()
-    return ScenarioReport(
-        scenario="warm-upgrade",
-        offered=meter.offered,
-        delivered=meter.delivered,
-        lost=meter.lost,
-        availability=meter.availability,
-        disruption_us=meter.disruption_us,
-        action_wall_us=action_wall_us,
-        flows_total=flows,
-        flows_lost=_flows_lost(pre, post),
-        probe_offered=probe.offered,
-        probe_lost=probe.lost,
-        sla=sla,
-        details={
-            "rounds": rounds,
-            "tick_us": tick_us,
-            "checkpoint_stages": snapshot.workers,
-        },
+    return _record(
+        "warm-upgrade",
+        rounds,
+        flows,
+        meter,
+        probe,
+        pre,
+        post,
+        action_wall_us,
+        {"min_availability": 0.90, "max_disruption_us": 2 * TICK_US},
+        checkpoint_stages=snapshot.workers,
     )
 
 
@@ -368,9 +311,7 @@ def promote_stage(
     flows: int = 32,
     rounds: int = 16,
     down_rounds: int = 2,
-    tick_us: int = DEFAULT_TICK_US,
-    sla: Optional[ScenarioSla] = None,
-) -> ScenarioReport:
+) -> Record:
     """Kill one stage mid-run, then promote a warm standby for it.
 
     After every completed round the stage's state is checkpointed (the
@@ -380,18 +321,11 @@ def promote_stage(
     traffic resumes. Because the sync is per-round, the promoted stage
     carries every mapping the dead one had.
     """
-    chain = launch_chain(spec)
     if stage_index is None:
         stage_index = len(spec.stages) - 1
-    if sla is None:
-        sla = ScenarioSla(
-            min_availability=0.75,
-            max_disruption_us=(down_rounds + 1) * tick_us,
-            max_flows_lost=0,
-            max_probe_loss=0,
-        )
     if rounds < down_rounds + 4:
         raise ValueError("promotion needs rounds >= down_rounds + 4")
+    chain = launch_chain(spec)
     traffic = _Traffic(flows)
     meter = _Meter()
     pre: Dict[int, Tuple[int, int]] = {}
@@ -400,14 +334,14 @@ def promote_stage(
         half = (rounds - down_rounds) // 2
         sync = None
         for _ in range(half):
-            pre = _turn(chain, traffic, meter, now_us, tick_us) or pre
+            pre = _turn(chain, traffic, meter, now_us) or pre
             sync = chain.checkpoint_stage(stage_index, now_us)
-            now_us += tick_us
+            now_us += TICK_US
 
         chain.fail_stage(stage_index)
         for _ in range(down_rounds):
-            _turn(chain, traffic, meter, now_us, tick_us)
-            now_us += tick_us
+            _turn(chain, traffic, meter, now_us)
+            now_us += TICK_US
 
         started_ns = time.perf_counter_ns()
         chain.swap_stage(stage_index, sync)
@@ -416,42 +350,30 @@ def promote_stage(
         post: Dict[int, Tuple[int, int]] = {}
         probe = _Meter()
         for _ in range(rounds - half - down_rounds):
-            mappings = _turn(chain, traffic, meter, now_us, tick_us)
-            probe.round(now_us, traffic.flows, len(mappings), tick_us)
+            mappings = _turn(chain, traffic, meter, now_us)
+            probe.round(now_us, traffic.flows, len(mappings))
             post = mappings or post
-            now_us += tick_us
+            now_us += TICK_US
     finally:
         chain.stop()
-    return ScenarioReport(
-        scenario="promote-stage",
-        offered=meter.offered,
-        delivered=meter.delivered,
-        lost=meter.lost,
-        availability=meter.availability,
-        disruption_us=meter.disruption_us,
-        action_wall_us=action_wall_us,
-        flows_total=flows,
-        flows_lost=_flows_lost(pre, post),
-        probe_offered=probe.offered,
-        probe_lost=probe.lost,
-        sla=sla,
-        details={
-            "rounds": rounds,
-            "tick_us": tick_us,
-            "stage": spec.stages[stage_index].name,
-            "down_rounds": down_rounds,
-        },
+    return _record(
+        "promote-stage",
+        rounds,
+        flows,
+        meter,
+        probe,
+        pre,
+        post,
+        action_wall_us,
+        {"min_availability": 0.75, "max_disruption_us": (down_rounds + 1) * TICK_US},
+        stage=spec.stages[stage_index].name,
+        down_rounds=down_rounds,
     )
 
 
 def chaos_soak(
-    spec: ChainSpec,
-    flows: int = 32,
-    rounds: int = 24,
-    tick_us: int = DEFAULT_TICK_US,
-    seed: int = 4242,
-    sla: Optional[ScenarioSla] = None,
-) -> ScenarioReport:
+    spec: ChainSpec, flows: int = 32, rounds: int = 24, seed: int = 4242
+) -> Record:
     """Soak the chain through a seeded mid-run fault storm.
 
     The middle third of the run gets a deterministic
@@ -463,8 +385,8 @@ def chaos_soak(
     """
     if rounds < 9:
         raise ValueError("chaos soak needs at least 9 rounds")
-    window_start = (rounds // 3) * tick_us
-    window_end = (2 * rounds // 3) * tick_us
+    window_start = (rounds // 3) * TICK_US
+    window_end = (2 * rounds // 3) * TICK_US
     plan = (
         FaultPlan(seed)
         .link_drop(window_start, window_end, probability=0.05)
@@ -472,13 +394,6 @@ def chaos_soak(
         .link_delay(50, window_start, window_end)
         .reorder(window_start, window_end, probability=0.2)
     )
-    if sla is None:
-        sla = ScenarioSla(
-            min_availability=0.85,
-            max_disruption_us=window_end - window_start + tick_us,
-            max_flows_lost=0,
-            max_probe_loss=0,
-        )
     chain = launch_chain(spec.with_(fault_plan=plan))
     traffic = _Traffic(flows)
     meter = _Meter()
@@ -488,66 +403,45 @@ def chaos_soak(
     now_us = 0
     try:
         for _ in range(rounds):
-            mappings = _turn(chain, traffic, meter, now_us, tick_us)
-            if now_us + tick_us <= window_start:
+            mappings = _turn(chain, traffic, meter, now_us)
+            if now_us + TICK_US <= window_start:
                 pre = mappings or pre
             elif now_us >= window_end:
-                probe.round(now_us, traffic.flows, len(mappings), tick_us)
+                probe.round(now_us, traffic.flows, len(mappings))
                 post = mappings or post
-            now_us += tick_us
+            now_us += TICK_US
     finally:
         chain.stop()
-    return ScenarioReport(
-        scenario="chaos-soak",
-        offered=meter.offered,
-        delivered=meter.delivered,
-        lost=meter.lost,
-        availability=meter.availability,
-        disruption_us=meter.disruption_us,
-        action_wall_us=0,
-        flows_total=flows,
-        flows_lost=_flows_lost(pre, post),
-        probe_offered=probe.offered,
-        probe_lost=probe.lost,
-        sla=sla,
-        details={
-            "rounds": rounds,
-            "tick_us": tick_us,
-            "seed": seed,
-            "window_us": [window_start, window_end],
-            "faults_applied": dict(plan.applied),
+    return _record(
+        "chaos-soak",
+        rounds,
+        flows,
+        meter,
+        probe,
+        pre,
+        post,
+        0,
+        {
+            "min_availability": 0.85,
+            "max_disruption_us": window_end - window_start + TICK_US,
         },
+        seed=seed,
+        window_us=[window_start, window_end],
+        faults_applied=dict(plan.applied),
     )
 
 
-def chain_scenarios(
-    spec: Optional[ChainSpec] = None,
-    flows: int = 32,
-    rounds: int = 16,
-    tick_us: int = DEFAULT_TICK_US,
-    seed: int = 4242,
-) -> List[ScenarioReport]:
+def chain_scenarios(spec: ChainSpec, flows: int = 32, rounds: int = 16) -> List[Record]:
     """Run the full scenario suite against one chain spec."""
-    if spec is None:
-        spec = default_chain_spec()
     return [
-        warm_upgrade(spec, flows=flows, rounds=rounds, tick_us=tick_us),
-        promote_stage(spec, flows=flows, rounds=rounds, tick_us=tick_us),
-        chaos_soak(
-            spec,
-            flows=flows,
-            rounds=max(rounds, 9),
-            tick_us=tick_us,
-            seed=seed,
-        ),
+        warm_upgrade(spec, flows=flows, rounds=rounds),
+        promote_stage(spec, flows=flows, rounds=rounds),
+        chaos_soak(spec, flows=flows, rounds=max(rounds, 9)),
     ]
 
 
 __all__ = [
-    "DEFAULT_TICK_US",
-    "SCENARIOS",
-    "ScenarioReport",
-    "ScenarioSla",
+    "TICK_US",
     "chain_scenarios",
     "chaos_soak",
     "default_chain_spec",

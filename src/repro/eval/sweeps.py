@@ -665,8 +665,7 @@ def _procs_claims(records: List[Record]) -> List[str]:
 
 def _run_chain(flows: int, rounds: int) -> List[Record]:
     spec = default_chain_spec(max_flows=max(64, 2 * flows))
-    reports = chain_scenarios(spec, flows=flows, rounds=rounds)
-    return [report.to_record() for report in reports]
+    return chain_scenarios(spec, flows=flows, rounds=rounds)
 
 
 def _chain_snapshot(record: Record) -> Dict:
