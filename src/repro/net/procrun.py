@@ -91,7 +91,7 @@ import struct
 import time
 import weakref
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.dpdk import Shard, SteeringFront
 from repro.net.mbuf import (
@@ -323,10 +323,15 @@ def _worker_main(
     make_shard: Callable[[], Shard],
     inject_ring: Optional[ShmRing] = None,
     out_ring: Optional[ShmRing] = None,
+    parent_ends: Sequence = (),
 ) -> None:
     """Host one :class:`~repro.net.dpdk.Shard`, private to this process.
 
-    Runs until an ``X`` command or pipe EOF. Every command but ``I`` gets
+    Runs until an ``X`` command or pipe EOF. The fork copied the
+    parent's end of every worker pipe, this one's included
+    (``parent_ends``); the worker closes them first, so a parent killed
+    without :meth:`~ProcessShardedRuntime.stop` leaves each worker
+    reading EOF. Every command but ``I`` gets
     one reply: a handler's exception becomes an ``e`` reply (type +
     message), the one that kept the shard from being built included, so
     the parent re-raises instead of deadlocking on a missing one. An
@@ -343,6 +348,10 @@ def _worker_main(
     shard's deltas ride the ACK, ahead of any TX frames.
     """
     from repro.resil.checkpoint import Checkpoint
+
+    for end in parent_ends:
+        if end is not None:
+            end.close()
 
     def error_reply(exc: Exception) -> bytes:
         detail = {"type": type(exc).__name__, "message": str(exc)}
@@ -562,6 +571,7 @@ class ProcessShardedRuntime(SteeringFront):
                 partial(self.fresh_shard, worker_id, checkpoint),
                 inject_ring,
                 out_ring,
+                [parent_conn, *self._conns],
             ),
             daemon=True,
         )

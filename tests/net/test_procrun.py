@@ -12,11 +12,15 @@ import contextlib
 import glob
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import repro
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
 from repro.net import procrun
@@ -535,6 +539,82 @@ class TestShutdown:
             runtime.main_loop_burst(1_000, 8)
         runtime.stop()
         assert all(not p.is_alive() for p in runtime._procs)
+
+
+#: Launches a supervised two-worker fleet, optionally respawns worker 0
+#: (so a worker is forked after the other one), prints the worker pids
+#: and waits to be killed.
+ORPHAN_FLEET = """
+import sys, time
+from repro.nat.config import NatConfig
+from repro.nat.vignat import VigNat
+from repro.net.app import PROCESS, RuntimeSpec, launch
+
+runtime = launch(
+    RuntimeSpec(
+        nf_factory=VigNat,
+        config=NatConfig(max_flows=64, expiration_time=60_000_000, start_port=1000),
+        workers=2,
+        execution=PROCESS,
+        transport=sys.argv[1],
+        supervise=True,
+    )
+)
+if sys.argv[2] == "respawn":
+    runtime.recover(0, 0)
+print(*(proc.pid for proc in runtime._procs), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("respawn", ["launch", "respawn"])
+def test_workers_exit_when_the_parent_is_killed(transport, respawn, tmp_path):
+    """A parent SIGKILLed without ``stop()`` takes its workers with it:
+    no worker holds a parent-side pipe end, so each reads EOF, and the
+    resource tracker unlinks the shm rings once the last holder exits."""
+    src = str(Path(repro.__file__).parents[1])
+    with open(tmp_path / "stderr", "w+") as stderr:
+        parent = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_FLEET, transport, respawn],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            start_new_session=True,
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            stderr.seek(0)
+            assert len(workers) == 2, stderr.read()
+            os.kill(parent.pid, signal.SIGKILL)
+            parent.wait()
+            rings = f"/dev/shm/repro-ring-{parent.pid}-*"
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and (
+                any(_running(pid) for pid in workers) or glob.glob(rings)
+            ):
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+            assert glob.glob(rings) == []
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            parent.stdout.close()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestCoordinatedCheckpoint:
