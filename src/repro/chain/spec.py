@@ -36,9 +36,10 @@ directions.
 Tracing. While the global recorder (:func:`repro.obs.recorder`) is
 active, the staged path traces each stage hop into it like every other
 runtime: a handoff in (``rx``), an emission (``tx``), a misroute
-(``drop``, ``chain-misroute``) and a frame reaching a down stage
-(``drop``, ``worker-kill``), each with the stage index as ``worker``
-and the stage-local device as ``detail``. With it off, the chain traces
+(``drop``, ``chain-misroute``), a frame its stage's NF dropped
+(``drop``, ``nf-drop``) and a frame reaching a down stage (``drop``,
+``worker-kill``), each with the stage index as ``worker`` and the
+stage-local device as ``detail`` (the arrival device for a drop). With it off, the chain traces
 nothing. ``chain_stage_*`` counters/gauges are stamped with stage labels
 (via :func:`~repro.obs.with_labels`) in
 :meth:`ChainRuntime.snapshot_metrics`.
@@ -379,6 +380,7 @@ class ChainRuntime:
         nf = self.engines[index]
         runtime = self.runtime
         route = self._route
+        trace = self._trace
         processed = 0
         waiting = self._waiting
         for device, batch in ready:
@@ -400,6 +402,9 @@ class ChainRuntime:
                     raise unmatched_outputs(nf, len(chunk), len(results))
                 for mbuf, outputs in zip(chunk, results):
                     if not outputs:
+                        if trace is not None:
+                            reason = flight.REASON_NF_DROP
+                            trace(flight.DROP, mbuf.timestamp, index, reason, device)
                         runtime.free(mbuf)
                         runtime.nf_dropped += 1
                         continue

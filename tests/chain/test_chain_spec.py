@@ -225,6 +225,27 @@ class TestChainRuntime:
         finally:
             chain.stop()
 
+    def test_stage_nf_drop_is_traced(self, traced):
+        # An unsolicited inbound frame enters the NAT (stage 2) first,
+        # which has no mapping for it: the trace must end where it died.
+        chain = launch_chain(default_chain_spec(max_flows=64))
+        try:
+            chain.inject(1, make_udp_packet("203.0.113.9", "10.0.0.1", 2000, 1), 5)
+            chain.main_loop_burst(5)
+            assert chain.collect() == []
+            assert chain.drop_causes()["nf_drop"] == 1
+            events = traced.last()
+            drops = [e for e in events if e.stage == flight.DROP]
+            assert [(e.worker, e.reason, e.detail, e.t_us) for e in drops] == [
+                (2, flight.REASON_NF_DROP, "port 1", 5)
+            ]
+            assert [(e.worker, e.stage) for e in events] == [
+                (2, flight.RX),
+                (2, flight.DROP),
+            ]
+        finally:
+            chain.stop()
+
     def test_misroute_is_dropped_counted_and_logged(self, traced):
         # A stage whose declared devices disagree with where its NF
         # actually emits: the noop forwards 0<->1 but the stage claims
