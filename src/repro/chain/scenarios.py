@@ -226,9 +226,7 @@ def _record(
         "offered": meter.offered,
         "delivered": meter.delivered,
         "lost": meter.lost,
-        "availability": round(
-            meter.delivered / meter.offered if meter.offered else 1.0, 6
-        ),
+        "availability": round(meter.delivered / meter.offered, 6),
         "disruption_us": meter.disruption_us,
         "action_wall_us": action_wall_us,
         "flows_total": flows,

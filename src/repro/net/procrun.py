@@ -327,16 +327,14 @@ def _worker_main(
 ) -> None:
     """Host one :class:`~repro.net.dpdk.Shard`, private to this process.
 
-    Runs until an ``X`` command or pipe EOF. The fork copied the
-    parent's end of every worker pipe, this one's included
-    (``parent_ends``); the worker closes them first, so a parent killed
-    without :meth:`~ProcessShardedRuntime.stop` leaves each worker
-    reading EOF. Every command but ``I`` gets
-    one reply: a handler's exception becomes an ``e`` reply (type +
-    message), the one that kept the shard from being built included, so
-    the parent re-raises instead of deadlocking on a missing one. An
-    inject that fails to unframe is answered by the next command that is
-    neither ``I`` nor ``D``.
+    Runs until an ``X`` command or pipe EOF. It first closes
+    ``parent_ends``, the parent's end of every worker pipe the fork
+    copied, so a parent killed without ``stop()`` leaves it reading EOF.
+    Every command but ``I`` gets one reply: a handler's exception
+    becomes an ``e`` reply (type + message), the one that kept the shard
+    from being built included, so the parent re-raises instead of
+    deadlocking on a missing one. An inject that fails to unframe is
+    answered by the next command that is neither ``I`` nor ``D``.
 
     The worker blocks in ``recv_bytes``. With rings (shm transport) it
     drains its inject ring into the runtime's RX queues before it handles
@@ -350,8 +348,7 @@ def _worker_main(
     from repro.resil.checkpoint import Checkpoint
 
     for end in parent_ends:
-        if end is not None:
-            end.close()
+        end.close()
 
     def error_reply(exc: Exception) -> bytes:
         detail = {"type": type(exc).__name__, "message": str(exc)}
@@ -571,7 +568,7 @@ class ProcessShardedRuntime(SteeringFront):
                 partial(self.fresh_shard, worker_id, checkpoint),
                 inject_ring,
                 out_ring,
-                [parent_conn, *self._conns],
+                [parent_conn, *filter(None, self._conns)],
             ),
             daemon=True,
         )
