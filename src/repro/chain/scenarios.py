@@ -234,7 +234,7 @@ def _record(
         "flows_lost": sum(1 for f, m in pre.items() if post.get(f) != m),
         "probe_offered": probe.offered,
         "probe_lost": probe.lost,
-        "sla_ok": None,  # the verdict, judged below in its committed place
+        "sla_ok": None,  # set below: the verdict reads the record
         "sla": {**sla, "max_flows_lost": 0, "max_probe_loss": 0},
         "details": {"rounds": rounds, "tick_us": TICK_US, **details},
     }

@@ -39,7 +39,7 @@ runtime: a handoff in (``rx``), an emission (``tx``), a misroute
 (``drop``, ``chain-misroute``), a frame its stage's NF dropped
 (``drop``, ``nf-drop``) and a frame reaching a down stage (``drop``,
 ``worker-kill``), each with the stage index as ``worker`` and the
-stage-local device as ``detail`` (the arrival device for a drop). With it off, the chain traces
+stage-local device as ``detail``. With it off, the chain traces
 nothing. ``chain_stage_*`` counters/gauges are stamped with stage labels
 (via :func:`~repro.obs.with_labels`) in
 :meth:`ChainRuntime.snapshot_metrics`.
