@@ -26,33 +26,39 @@ class TimeRegression(LibVigError):
     """A timestamp older than the chain's newest was supplied."""
 
 
-class DoubleChain:
-    """LRU-ordered allocator of indexes ``0 .. index_range - 1``."""
+#: The end of a list: no index.
+_NIL = -1
 
-    _NIL = -1
+
+class DoubleChain:
+    """LRU-ordered allocator of indexes ``0 .. index_range - 1``.
+
+    Each data-path operation is one function over locals bound once per
+    call: the contracts (and the ledger's timers) wrap exactly the body
+    that runs, and a hit pays one Python call per operation.
+    """
 
     def __init__(self, index_range: int) -> None:
         if index_range <= 0:
             raise ValueError("index range must be positive")
         self.index_range = index_range
-        # Intrusive doubly-linked allocated list + singly-linked free list.
-        self._next = [self._NIL] * index_range
-        self._prev = [self._NIL] * index_range
+        # Intrusive doubly-linked allocated list + singly-linked free list,
+        # the free list ascending: cell i links to i + 1.
+        self._next = list(range(1, index_range))
+        self._next.append(_NIL)
+        self._prev = [_NIL] * index_range
         self._time = [0] * index_range
         self._allocated = [False] * index_range
-        self._al_head = self._NIL  # oldest allocated index
-        self._al_tail = self._NIL  # newest allocated index
+        self._al_head = _NIL  # oldest allocated index
+        self._al_tail = _NIL  # newest allocated index
         self._free_head = 0
-        for i in range(index_range - 1):
-            self._next[i] = i + 1
-        self._next[index_range - 1] = self._NIL
         self._size = 0
 
     # -- abstract state ---------------------------------------------------
     def _abstract_state(self) -> AbstractChain:
         cells = []
         cursor = self._al_head
-        while cursor != self._NIL:
+        while cursor != _NIL:
             cells.append((cursor, self._time[cursor]))
             cursor = self._next[cursor]
         return AbstractChain(tuple(cells), self.index_range)
@@ -64,12 +70,13 @@ class DoubleChain:
 
     def is_index_allocated(self, index: int) -> bool:
         """True when ``index`` is currently allocated."""
-        self._check_index(index)
+        if not 0 <= index < self.index_range:
+            raise IndexError(f"index {index} out of range [0, {self.index_range})")
         return self._allocated[index]
 
     def get_oldest(self) -> Tuple[int, int] | None:
         """The (index, timestamp) at the front, or ``None`` when empty."""
-        if self._al_head == self._NIL:
+        if self._al_head == _NIL:
             return None
         return self._al_head, self._time[self._al_head]
 
@@ -79,38 +86,9 @@ class DoubleChain:
             raise KeyError(index)
         return self._time[index]
 
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.index_range:
-            raise IndexError(f"index {index} out of range [0, {self.index_range})")
-
-    def _newest_time(self) -> int | None:
-        if self._al_tail == self._NIL:
-            return None
-        return self._time[self._al_tail]
-
-    # -- list surgery -----------------------------------------------------
-    def _append_allocated(self, index: int, time: int) -> None:
-        self._time[index] = time
-        self._prev[index] = self._al_tail
-        self._next[index] = self._NIL
-        if self._al_tail == self._NIL:
-            self._al_head = index
-        else:
-            self._next[self._al_tail] = index
-        self._al_tail = index
-
-    def _unlink_allocated(self, index: int) -> None:
-        prev, nxt = self._prev[index], self._next[index]
-        if prev == self._NIL:
-            self._al_head = nxt
-        else:
-            self._next[prev] = nxt
-        if nxt == self._NIL:
-            self._al_tail = prev
-        else:
-            self._prev[nxt] = prev
-
     # -- updates ----------------------------------------------------------
+    # Every update checks before it writes (index range, then allocation,
+    # then time), so one that raises leaves the chain as it found it.
     @contract(
         requires=lambda self, time: True,
         ensures=lambda old, result, self, time: (
@@ -119,14 +97,31 @@ class DoubleChain:
         ),
     )
     def allocate_new_index(self, time: int) -> int | None:
-        """Take a vacant index, stamp it, append it newest; None when full."""
-        self._guard_time(time)
-        if self._free_head == self._NIL:
-            return None
+        """Take a vacant index, stamp it, append it newest; None when full.
+
+        The time is checked first: a regressed time raises even on a
+        full chain.
+        """
+        tail = self._al_tail
+        stamps = self._time
+        if tail != _NIL and time < stamps[tail]:
+            raise TimeRegression(
+                f"time {time} precedes newest chain timestamp {stamps[tail]}"
+            )
         index = self._free_head
-        self._free_head = self._next[index]
+        if index == _NIL:
+            return None
+        nxt = self._next
+        self._free_head = nxt[index]
         self._allocated[index] = True
-        self._append_allocated(index, time)
+        stamps[index] = time
+        self._prev[index] = tail
+        nxt[index] = _NIL
+        if tail == _NIL:
+            self._al_head = index
+        else:
+            nxt[tail] = index
+        self._al_tail = index
         self._size += 1
         return index
 
@@ -138,12 +133,34 @@ class DoubleChain:
     )
     def rejuvenate_index(self, index: int, time: int) -> None:
         """Refresh an allocated index's timestamp and move it newest."""
-        self._check_index(index)
+        if not 0 <= index < self.index_range:
+            raise IndexError(f"index {index} out of range [0, {self.index_range})")
         if not self._allocated[index]:
             raise KeyError(index)
-        self._guard_time(time)
-        self._unlink_allocated(index)
-        self._append_allocated(index, time)
+        tail = self._al_tail  # an index is allocated, so the list is not empty
+        stamps = self._time
+        if time < stamps[tail]:
+            raise TimeRegression(
+                f"time {time} precedes newest chain timestamp {stamps[tail]}"
+            )
+        stamps[index] = time
+        if index == tail:
+            return  # already newest: unlinking and appending is the identity
+        nxt = self._next
+        prv = self._prev
+        # Unlink: ``index`` is not the tail, so it has a successor.
+        before = prv[index]
+        after = nxt[index]
+        if before == _NIL:
+            self._al_head = after
+        else:
+            nxt[before] = after
+        prv[after] = before
+        # Append behind the tail, which is still the old one.
+        prv[index] = tail
+        nxt[index] = _NIL
+        nxt[tail] = index
+        self._al_tail = index
 
     def expire_one_index(self, min_time: int) -> int | None:
         """Free and return the oldest index if its stamp < ``min_time``.
@@ -151,12 +168,21 @@ class DoubleChain:
         Returns ``None`` when the chain is empty or the oldest entry is
         still fresh — the expirator loops on this until it gets ``None``.
         """
-        if self._al_head == self._NIL:
-            return None
         oldest = self._al_head
-        if self._time[oldest] >= min_time:
+        if oldest == _NIL or self._time[oldest] >= min_time:
             return None
-        self._release(oldest)
+        nxt = self._next
+        after = nxt[oldest]
+        self._al_head = after
+        if after == _NIL:
+            self._al_tail = _NIL
+        else:
+            self._prev[after] = _NIL
+        # The head's prev link is already _NIL: push it on the free list.
+        self._allocated[oldest] = False
+        nxt[oldest] = self._free_head
+        self._free_head = oldest
+        self._size -= 1
         return oldest
 
     @contract(
@@ -167,25 +193,27 @@ class DoubleChain:
     )
     def free_index(self, index: int) -> None:
         """Explicitly release an allocated index (e.g., TCP RST teardown)."""
-        self._check_index(index)
+        if not 0 <= index < self.index_range:
+            raise IndexError(f"index {index} out of range [0, {self.index_range})")
         if not self._allocated[index]:
             raise KeyError(index)
-        self._release(index)
-
-    def _release(self, index: int) -> None:
-        self._unlink_allocated(index)
+        nxt = self._next
+        prv = self._prev
+        before = prv[index]
+        after = nxt[index]
+        if before == _NIL:
+            self._al_head = after
+        else:
+            nxt[before] = after
+        if after == _NIL:
+            self._al_tail = before
+        else:
+            prv[after] = before
         self._allocated[index] = False
-        self._next[index] = self._free_head
-        self._prev[index] = self._NIL
+        nxt[index] = self._free_head
+        prv[index] = _NIL
         self._free_head = index
         self._size -= 1
-
-    def _guard_time(self, time: int) -> None:
-        newest = self._newest_time()
-        if newest is not None and time < newest:
-            raise TimeRegression(
-                f"time {time} precedes newest chain timestamp {newest}"
-            )
 
     # -- checkpoint/restore -----------------------------------------------
     def cells(self) -> Tuple[Tuple[int, int], ...]:
@@ -207,7 +235,7 @@ class DoubleChain:
         """
         out = []
         cursor = self._free_head
-        while cursor != self._NIL:
+        while cursor != _NIL:
             out.append(cursor)
             cursor = self._next[cursor]
         return tuple(out)
@@ -231,21 +259,25 @@ class DoubleChain:
         """
         if self._size:
             raise ValueError("restore_cells requires an empty chain")
-        seen = set()
+        index_range = self.index_range
+        cells = list(cells)
+        # One validation pass: nothing is written to the chain until every
+        # cell (and the free list) has been checked.
+        allocated = [False] * index_range
         previous_time = None
         for index, time in cells:
-            if not 0 <= index < self.index_range:
-                raise ValueError(f"index {index} out of range [0, {self.index_range})")
-            if index in seen:
+            if not 0 <= index < index_range:
+                raise ValueError(f"index {index} out of range [0, {index_range})")
+            if allocated[index]:
                 raise ValueError(f"index {index} appears twice in the chain")
-            seen.add(index)
+            allocated[index] = True
             if previous_time is not None and time < previous_time:
                 raise TimeRegression(
                     f"chain timestamps regress at index {index}: "
                     f"{time} < {previous_time}"
                 )
             previous_time = time
-        vacant = [i for i in range(self.index_range) if i not in seen]
+        vacant = [i for i, taken in enumerate(allocated) if not taken]
         if free_list is not None:
             free_list = [int(i) for i in free_list]
             if sorted(free_list) != vacant:
@@ -253,16 +285,26 @@ class DoubleChain:
                     "free list must cover exactly the vacant indexes"
                 )
             vacant = free_list
+        # One link pass: the allocated list in cell order, then the free list.
+        nxt = self._next
+        prv = self._prev
+        stamps = self._time
+        tail = _NIL
         for index, time in cells:
-            self._allocated[index] = True
-            self._append_allocated(index, time)
-            self._size += 1
-        self._free_head = self._NIL
-        tail = self._NIL
-        for index in vacant:
-            if tail == self._NIL:
-                self._free_head = index
+            stamps[index] = time
+            prv[index] = tail
+            if tail == _NIL:
+                self._al_head = index
             else:
-                self._next[tail] = index
-            self._next[index] = self._NIL
+                nxt[tail] = index
             tail = index
+        if tail != _NIL:
+            nxt[tail] = _NIL
+        self._al_tail = tail
+        self._allocated = allocated
+        self._size = len(cells)
+        for before, after in zip(vacant, vacant[1:]):
+            nxt[before] = after
+        if vacant:
+            nxt[vacant[-1]] = _NIL
+        self._free_head = vacant[0] if vacant else _NIL

@@ -78,39 +78,63 @@ class Map:
         """True when no further key can be inserted."""
         return self._size >= self.capacity
 
-    def _home(self, key: Hashable) -> Tuple[int, int]:
-        key_hash = self._hash(key) & 0xFFFFFFFF
-        return key_hash, key_hash % self.capacity
-
-    def _find_slot(self, key: Hashable) -> int:
-        """Index of ``key``'s slot, or -1 if absent.
+    # Each operation below is one function over locals bound once per
+    # call: it hashes, walks the probe sequence (wrapping at ``capacity``
+    # without ``%``) and adds the slots it inspected to ``stats.probes``
+    # once, when it leaves.
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        """Value stored under ``key``, or ``default`` when absent.
 
         Walks the probe sequence; a free slot with a zero chain counter
         proves the key is absent.
         """
-        key_hash, home = self._home(key)
-        for i in range(self.capacity):
-            slot = (home + i) % self.capacity
-            self.stats.probes += 1
-            if self._busy[slot]:
-                if self._hashes[slot] == key_hash and self._keys[slot] == key:
-                    return slot
-            elif self._chains[slot] == 0:
-                return -1
-        return -1
+        stats = self.stats
+        stats.gets += 1
+        key_hash = self._hash(key) & 0xFFFFFFFF
+        capacity = self.capacity
+        slot = key_hash % capacity
+        busy = self._busy
+        hashes = self._hashes
+        keys = self._keys
+        chains = self._chains
+        for probes in range(1, capacity + 1):
+            if busy[slot]:
+                if hashes[slot] == key_hash and keys[slot] == key:
+                    stats.probes += probes
+                    return self._values[slot]
+            elif chains[slot] == 0:
+                stats.probes += probes
+                return default
+            slot += 1
+            if slot == capacity:
+                slot = 0
+        stats.probes += capacity
+        return default
 
     def has(self, key: Hashable) -> bool:
-        """True when ``key`` is present."""
-        self.stats.gets += 1
-        return self._find_slot(key) != -1
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Value stored under ``key``, or ``default`` when absent."""
-        self.stats.gets += 1
-        slot = self._find_slot(key)
-        if slot == -1:
-            return default
-        return self._values[slot]
+        """True when ``key`` is present (the probe walk of :meth:`get`)."""
+        stats = self.stats
+        stats.gets += 1
+        key_hash = self._hash(key) & 0xFFFFFFFF
+        capacity = self.capacity
+        slot = key_hash % capacity
+        busy = self._busy
+        hashes = self._hashes
+        keys = self._keys
+        chains = self._chains
+        for probes in range(1, capacity + 1):
+            if busy[slot]:
+                if hashes[slot] == key_hash and keys[slot] == key:
+                    stats.probes += probes
+                    return True
+            elif chains[slot] == 0:
+                stats.probes += probes
+                return False
+            slot += 1
+            if slot == capacity:
+                slot = 0
+        stats.probes += capacity
+        return False
 
     # -- updates ----------------------------------------------------------
     @contract(
@@ -122,22 +146,30 @@ class Map:
     )
     def put(self, key: Hashable, value: Any) -> None:
         """Insert a key that is not yet present. Requires spare capacity."""
-        if self._size >= self.capacity:
+        capacity = self.capacity
+        if self._size >= capacity:
             raise CapacityError("map is full")
-        key_hash, home = self._home(key)
-        self.stats.puts += 1
-        for i in range(self.capacity):
-            slot = (home + i) % self.capacity
-            self.stats.probes += 1
-            if not self._busy[slot]:
-                self._busy[slot] = True
+        key_hash = self._hash(key) & 0xFFFFFFFF
+        stats = self.stats
+        stats.puts += 1
+        slot = key_hash % capacity
+        busy = self._busy
+        chains = self._chains
+        for probes in range(1, capacity + 1):
+            if not busy[slot]:
+                busy[slot] = True
                 self._keys[slot] = key
                 self._hashes[slot] = key_hash
                 self._values[slot] = value
                 self._size += 1
+                stats.probes += probes
                 return
             # Occupied: this key's path passes through, bump the counter.
-            self._chains[slot] += 1
+            chains[slot] += 1
+            slot += 1
+            if slot == capacity:
+                slot = 0
+        stats.probes += capacity
         raise CapacityError("map is full")  # unreachable given the size check
 
     @contract(
@@ -148,28 +180,41 @@ class Map:
     )
     def erase(self, key: Hashable) -> Any:
         """Remove a present key; returns the stored value."""
-        key_hash, home = self._home(key)
-        self.stats.erases += 1
-        for i in range(self.capacity):
-            slot = (home + i) % self.capacity
-            self.stats.probes += 1
-            if (
-                self._busy[slot]
-                and self._hashes[slot] == key_hash
-                and self._keys[slot] == key
-            ):
-                value = self._values[slot]
-                self._busy[slot] = False
-                self._keys[slot] = None
-                self._values[slot] = None
-                # Unwind the chain counters bumped by put's probe path.
-                for j in range(i):
-                    passed = (home + j) % self.capacity
-                    self._chains[passed] -= 1
-                self._size -= 1
-                return value
-            if not self._busy[slot] and self._chains[slot] == 0:
-                break
+        key_hash = self._hash(key) & 0xFFFFFFFF
+        stats = self.stats
+        stats.erases += 1
+        capacity = self.capacity
+        home = slot = key_hash % capacity
+        busy = self._busy
+        hashes = self._hashes
+        keys = self._keys
+        chains = self._chains
+        for passed in range(capacity):
+            if busy[slot]:
+                if hashes[slot] == key_hash and keys[slot] == key:
+                    values = self._values
+                    value = values[slot]
+                    busy[slot] = False
+                    keys[slot] = None
+                    values[slot] = None
+                    # Unwind the counters put bumped on the ``passed``
+                    # slots from home up to this one.
+                    slot = home
+                    for _ in range(passed):
+                        chains[slot] -= 1
+                        slot += 1
+                        if slot == capacity:
+                            slot = 0
+                    self._size -= 1
+                    stats.probes += passed + 1
+                    return value
+            elif chains[slot] == 0:
+                stats.probes += passed + 1
+                raise KeyError(key)
+            slot += 1
+            if slot == capacity:
+                slot = 0
+        stats.probes += capacity
         raise KeyError(key)
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:

@@ -27,6 +27,7 @@ class StaticArray:
         return tuple(self._cells)
 
     def _in_bounds(self, index: int) -> bool:
+        # The contracts' bound; the bodies test it inline.
         return 0 <= index < self.capacity
 
     @contract(
@@ -35,7 +36,7 @@ class StaticArray:
     )
     def get(self, index: int) -> Any:
         """Read cell ``index``; bounds are a contract precondition."""
-        if not self._in_bounds(index):
+        if not 0 <= index < self.capacity:
             raise IndexError(f"index {index} out of range [0, {self.capacity})")
         return self._cells[index]
 
@@ -52,7 +53,7 @@ class StaticArray:
     )
     def set(self, index: int, value: Any) -> None:
         """Write cell ``index``; all other cells provably untouched."""
-        if not self._in_bounds(index):
+        if not 0 <= index < self.capacity:
             raise IndexError(f"index {index} out of range [0, {self.capacity})")
         self._cells[index] = value
 

@@ -156,7 +156,7 @@ class TestClockRegression:
     """Regression: a backwards timestamp must not crash the verified NAT.
 
     Before the clamp, a packet timestamped earlier than the chain's
-    newest entry made ``DoubleChain._guard_time`` raise
+    newest entry made ``DoubleChain``'s time check raise
     ``TimeRegression`` from inside ``process()`` — the verified NAT
     crashing on its data path, against the P2 crash-freedom claim.
     """
