@@ -34,8 +34,8 @@ class DoubleChain:
     """LRU-ordered allocator of indexes ``0 .. index_range - 1``.
 
     Each data-path operation is one function over locals bound once per
-    call: the contracts (and the ledger's timers) wrap exactly the body
-    that runs, and a hit pays one Python call per operation.
+    call, so ``checked()`` wraps exactly the body that runs and a hit
+    pays one Python call per operation.
     """
 
     def __init__(self, index_range: int) -> None:
