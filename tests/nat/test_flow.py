@@ -1,6 +1,7 @@
 """Flow identifiers and translation entries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nat.flow import Flow, FlowId, flow_id_of_packet
 from repro.packets.builder import make_tcp_packet, make_udp_packet
@@ -58,3 +59,34 @@ class TestFlow:
         a = Flow(internal, 1000)
         b = Flow(internal, 1001)
         assert a.external_id(9) != b.external_id(9)
+
+
+_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol")
+_ips = st.integers(0, 2**32 - 1)
+_ports = st.integers(0, 2**16 - 1)
+_flow_ids = st.builds(FlowId, _ips, _ports, _ips, _ports, st.sampled_from([6, 17]))
+
+
+def _fields(fid):
+    return tuple(getattr(fid, name) for name in _FIELDS)
+
+
+class TestHashesAreTheFieldTuples:
+    """A flow ID hashes and compares as the tuple of its fields, and a
+    flow as ``(internal_id's fields, external_port)``: the slot every
+    libVig map puts a key in, and so every probe sequence, follows from
+    the field values alone, whatever class carries them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_flow_ids, _flow_ids)
+    def test_flow_id(self, a, b):
+        assert hash(a) == hash(_fields(a))
+        assert (a == b) == (_fields(a) == _fields(b))
+        assert (a == a.reversed()) == (_fields(a) == _fields(a.reversed()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_flow_ids, _ports, _flow_ids, _ports)
+    def test_flow(self, fid_a, port_a, fid_b, port_b):
+        a, b = Flow(fid_a, port_a), Flow(fid_b, port_b)
+        assert hash(a) == hash((_fields(fid_a), port_a))
+        assert (a == b) == ((_fields(fid_a), port_a) == (_fields(fid_b), port_b))
