@@ -10,8 +10,10 @@ what :class:`~repro.nat.vignat.VigNat`,
 :class:`~repro.nat.bridge.VigBridge` and
 :class:`~repro.nat.cgnat.DetNat` do identically:
 
-- :class:`PacketView` — the fields of a real packet, as the stateless
-  code reads them;
+- :class:`KeyView` and :class:`PacketView` — the fields of a real
+  packet, as the stateless code reads them: off the packet's flow key
+  when it has one (every TCP/UDP IPv4 frame that is not a fragment),
+  else off its parsed headers;
 - :class:`ConcreteEnv` — the clock, packet I/O and the amortised expiry
   scan of an env; an NF's own env adds only its table operations;
 - :class:`LibvigNf` — *the* turn: clamp the clock, bind one env per
@@ -29,11 +31,13 @@ from repro.nat.base import NetworkFunction
 from repro.nat.compiled import compile_action
 from repro.nat.flow import FlowId, flow_id_of_packet
 from repro.nat.rewrite import rewrite
-from repro.packets.headers import Packet
+from repro.packets.headers import ETHERTYPE_IPV4, FlowKey, Packet
 
 
 class PacketView:
-    """Adapter exposing a concrete packet's fields to the stateless code."""
+    """A concrete packet's fields for the stateless code, read off its
+    parsed headers: the view of a packet without a flow key (fragments,
+    ICMP, non-IPv4), which parses a wire-backed packet on first read."""
 
     __slots__ = ("packet", "_flow_id")
 
@@ -88,6 +92,53 @@ class PacketView:
         return self._flow_id
 
 
+class KeyView:
+    """A concrete packet's fields for the stateless code, read off its
+    flow key (:meth:`Packet.flow_key`, the O(1) image read the fast path
+    already makes, which agrees with the parsed headers on every frame).
+
+    A packet has a key only if it is TCP or UDP over IPv4, so the
+    ethertype is a constant. A wire-backed packet is never parsed for
+    this view: the slow path's output is a clone that shares the image,
+    and a rewrite parses that clone once. Only the MACs (the bridge's
+    fields) read the parsed header.
+    """
+
+    __slots__ = (
+        "packet",
+        "device",
+        "protocol",
+        "src_ip",
+        "src_port",
+        "dst_ip",
+        "dst_port",
+        "_flow_id",
+    )
+
+    ethertype = ETHERTYPE_IPV4
+    src_mac = PacketView.src_mac
+    dst_mac = PacketView.dst_mac
+
+    def __init__(self, packet: Packet, key: FlowKey) -> None:
+        self.packet = packet
+        (
+            self.device,
+            self.protocol,
+            self.src_ip,
+            self.src_port,
+            self.dst_ip,
+            self.dst_port,
+        ) = key
+        self._flow_id = None
+
+    def flow_id(self) -> FlowId:
+        if self._flow_id is None:  # built once, however often asked
+            self._flow_id = FlowId(
+                self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol
+            )
+        return self._flow_id
+
+
 class ConcreteEnv:
     """Binds stateless NF logic to real packet I/O and the NF's counters.
 
@@ -129,10 +180,12 @@ class ConcreteEnv:
         self._expiry_done = True
         nf._expire(min_time)
 
-    def receive(self) -> PacketView:
-        return PacketView(self._packet)
+    def receive(self) -> KeyView | PacketView:
+        packet = self._packet
+        key = packet.flow_key()
+        return PacketView(packet) if key is None else KeyView(packet, key)
 
-    def forward(self, packet: PacketView, device: int) -> None:
+    def forward(self, packet: KeyView | PacketView, device: int) -> None:
         out = packet.packet.clone()
         out.device = device
         self.outputs.append(out)
@@ -140,7 +193,7 @@ class ConcreteEnv:
 
     def emit(
         self,
-        packet: PacketView,
+        packet: KeyView | PacketView,
         device: int,
         src_ip: int,
         src_port: int,
@@ -159,7 +212,7 @@ class ConcreteEnv:
         self.outputs.append(out)
         self._nf._forwarded_total += 1
 
-    def drop(self, packet: PacketView) -> None:
+    def drop(self, packet: KeyView | PacketView) -> None:
         self._nf._dropped_total += 1
 
 

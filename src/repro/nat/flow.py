@@ -5,18 +5,24 @@ A *flow* is a NAT translation entry: it remembers the internal 5-tuple
 and the external port the NAT allocated, and can derive the 5-tuple the
 same traffic bears on the external side. The flow's two IDs are the two
 keys of the :class:`~repro.libvig.double_map.DoubleMap` flow table.
+
+Both are named tuples: immutable, and hashed and compared as the tuple
+of their fields, in C. A new flow builds about three IDs and one entry
+and hashes them five times, so these costs are most of a slow-path
+miss's table work. The hash is the one a frozen dataclass of the same
+fields computes (``hash((field, ...))``), so every libVig map puts
+every key in the same slot, whatever class carries the fields
+(``tests/nat/test_flow.py`` holds both to their field tuples).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.packets.headers import FlowKey, Packet
 
 
-@dataclass(frozen=True, slots=True)
-class FlowId:
+class FlowId(NamedTuple):
     """The 5-tuple identifying a unidirectional flow at an interface."""
 
     src_ip: int
@@ -28,25 +34,16 @@ class FlowId:
     def reversed(self) -> "FlowId":
         """The 5-tuple of the reply direction at the same interface."""
         return FlowId(
-            src_ip=self.dst_ip,
-            src_port=self.dst_port,
-            dst_ip=self.src_ip,
-            dst_port=self.src_port,
-            protocol=self.protocol,
+            self.dst_ip, self.dst_port, self.src_ip, self.src_port, self.protocol
         )
 
 
 def flow_id_of_packet(packet: Packet) -> FlowId:
     """Extract the flow ID from a TCP/UDP IPv4 packet (the paper's F(P))."""
-    if packet.ipv4 is None or packet.l4 is None:
+    ipv4, l4 = packet.ipv4, packet.l4
+    if ipv4 is None or l4 is None:
         raise ValueError("packet has no flow ID (not TCP/UDP over IPv4)")
-    return FlowId(
-        src_ip=packet.ipv4.src_ip,
-        src_port=packet.l4.src_port,
-        dst_ip=packet.ipv4.dst_ip,
-        dst_port=packet.l4.dst_port,
-        protocol=packet.ipv4.protocol,
-    )
+    return FlowId(ipv4.src_ip, l4.src_port, ipv4.dst_ip, l4.dst_port, ipv4.protocol)
 
 
 def flow_key_of(device: int, flow_id: FlowId) -> FlowKey:
@@ -62,8 +59,7 @@ def flow_key_of(device: int, flow_id: FlowId) -> FlowKey:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Flow:
+class Flow(NamedTuple):
     """A NAT translation entry.
 
     ``internal_id`` is the flow as first seen arriving on the internal
@@ -80,12 +76,9 @@ class Flow:
         A reply arrives with the remote endpoint as source and the NAT's
         external (ip, port) as destination.
         """
+        fid = self.internal_id
         return FlowId(
-            src_ip=self.internal_id.dst_ip,
-            src_port=self.internal_id.dst_port,
-            dst_ip=external_ip,
-            dst_port=self.external_port,
-            protocol=self.internal_id.protocol,
+            fid.dst_ip, fid.dst_port, external_ip, self.external_port, fid.protocol
         )
 
 

@@ -44,10 +44,7 @@ class _ConcreteEnv(ConcreteEnv):
         index = nat._chain.allocate_new_index(now)
         if index is None:
             return None
-        flow = Flow(
-            internal_id=packet.flow_id(),
-            external_port=nat.config.start_port + index,
-        )
+        flow = Flow(packet.flow_id(), nat.config.start_port + index)
         nat._flow_table.put(index, flow)
         sink = nat._delta_sink
         if sink is not None:

@@ -9,6 +9,8 @@ rather than by time:
   serialize of its output) and checks the compiled closure against those
   bytes — no second lookup, no second serialize — and the flow's next
   wire-backed packet costs no clone, no compile and no serialize;
+- the slow path reads a wire-backed packet's fields off its flow key, so
+  the arriving packet is never parsed: its output clone is the one parse;
 - a materialised miss costs one serialize more (its own, the frame the
   closure is checked on), and its materialised hit exactly that one;
 - a miscompiled closure is caught at the learn: no action is cached,
@@ -110,6 +112,23 @@ def test_a_new_flow_is_checked_once(monkeypatch, make):
     fast.process_burst([hitting], 1_004)
     assert counts.take() == dict(clone=0, compile=0, lookup=0, serialize=1)
     assert fast.op_counters()["fastpath_compiled_hits"] == 2
+
+
+@pytest.mark.parametrize("wrap", [FastPathNat, lambda nf: nf], ids=["wrapped", "bare"])
+def test_a_wire_backed_miss_leaves_its_packet_wire_backed(wrap):
+    nf = wrap(VigNat(CFG))
+    outbound = _frame(make_udp_packet("10.0.0.5", "8.8.8.8", 4_000, 53, device=0))
+    (outs,) = nf.process_burst([outbound], 1_000)
+    assert outbound.image is not None
+    (out,) = outs
+    port = Packet.from_bytes(out.wire_bytes(), 1).l4.src_port
+    reply = _frame(make_udp_packet("8.8.8.8", CFG.external_ip, 53, port, device=1))
+    (outs,) = nf.process_burst([reply], 1_001)
+    assert reply.image is not None and len(outs) == 1
+    # An unsolicited reply is dropped without a parse as well.
+    stranger = _frame(make_udp_packet("8.8.8.8", CFG.external_ip, 53, 9, device=1))
+    assert nf.process_burst([stranger], 1_002) == [[]]
+    assert stranger.image is not None
 
 
 def test_learn_token_stays_an_exact_query():
