@@ -184,7 +184,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.artifact == "verification":
         from repro.eval.verification_stats import collect
 
-        print(render_verification(collect()))
+        stats = collect()
+        print(render_verification(stats))
+        print(f"  exploration time:    {stats.explore_seconds:.2f}s")
+        print(f"  validation time:     {stats.validate_seconds:.2f}s")
         return 0
     if args.artifact == "fig12":
         settings = EvalSettings(measure_seconds=0.4)

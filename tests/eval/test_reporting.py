@@ -7,6 +7,7 @@ from repro.eval.reporting import (
     render_fig14,
     render_verification,
 )
+from repro.cli import main
 from repro.eval.verification_stats import collect
 from repro.net.testbed import ThroughputResult
 
@@ -59,3 +60,15 @@ class TestVerificationRender:
         assert "108 paths" in text  # the paper's reference point
         assert "VERIFIED" in text
         assert str(stats.paths) in text
+
+    def test_table_holds_no_wall_time(self):
+        # The committed table is what every run writes: counts and the
+        # verdict only.
+        assert "time" not in render_verification(collect())
+
+    def test_cli_prints_the_times_after_the_table(self, capsys):
+        assert main(["experiments", "verification"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict" in lines[-3]
+        assert lines[-2].startswith("  exploration time:")
+        assert lines[-1].startswith("  validation time:")
