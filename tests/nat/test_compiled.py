@@ -301,6 +301,30 @@ class TestClosureMatchesRewriteHelpers:
             assert out.l4_checksum_valid()
 
 
+class TestCompileRangeChecks:
+    """An endpoint out of range is refused by the checksum helpers'
+    range checks, in endpoint order: source address, source port,
+    destination address, destination port."""
+
+    KEY = (0, 17, 0x0A000005, 4_000, 0x08080808, 53)
+
+    @pytest.mark.parametrize(
+        "src, dst, message",
+        [
+            ((2**32, 1_024), None, "32-bit"),
+            ((-1, 2**16), None, "32-bit"),
+            ((0xC0000201, 2**16), None, "16-bit"),
+            ((0xC0000201, 1_024), (2**32, 2**16), "32-bit"),
+            (None, (0x0A000001, -1), "16-bit"),
+            ((0xC0000201, -1), (2**32, 53), "16-bit"),
+        ],
+    )
+    def test_out_of_range_endpoint_raises(self, src, dst, message):
+        action = CachedAction(src=src, dst=dst, out_device=1, token=None)
+        with pytest.raises(ValueError, match=message):
+            compile_action(self.KEY, action)
+
+
 #: (old endpoint, new endpoint) pairs, as (ip, port): a rewrite to the
 #: same endpoint (every 16-bit delta ~x + x = 0xFFFF), one whose raw
 #: deltas are all 0 (0xFFFF words to 0), one that swaps the address's
