@@ -138,26 +138,31 @@ def compile_action(
     rewrite helper patches them; ``udp_zero_check=False`` compiles a
     UDP rewrite that patches a disabled checksum too.
     """
-    if action.src is None and action.dst is None:
+    src, dst = action.src, action.dst
+    if src is None and dst is None:
         return _identity
     _, proto, src_ip, src_port, dst_ip, dst_port = key
-    new_src = action.src or (src_ip, src_port)
-    new_dst = action.dst or (dst_ip, dst_port)
+    # One straight pass: this runs once per learn, on every new flow.
     ip_delta = port_delta = 0
-    for (old_ip, old_port), new in (
-        ((src_ip, src_port), action.src),
-        ((dst_ip, dst_port), action.dst),
-    ):
-        if new is not None:
-            ip_delta += sum(checksum_delta_u32(old_ip, new[0]))
-            port_delta += checksum_delta_u16(old_port, new[1])
+    if src is None:
+        src = (src_ip, src_port)
+    else:
+        high, low = checksum_delta_u32(src_ip, src[0])
+        ip_delta = high + low
+        port_delta = checksum_delta_u16(src_port, src[1])
+    if dst is None:
+        dst = (dst_ip, dst_port)
+    else:
+        high, low = checksum_delta_u32(dst_ip, dst[0])
+        ip_delta += high + low
+        port_delta += checksum_delta_u16(dst_port, dst[1])
     udp = proto == PROTO_UDP
     return _build_closure(
-        mid12=_MID.pack(new_src[0], new_dst[0], new_src[1], new_dst[1]),
-        ip_delta=ip_delta,
-        l4_delta=ip_delta + port_delta,
-        l4_offset=OFF_UDP_CSUM if udp else OFF_TCP_CSUM,
-        sentinel=0 if udp and udp_zero_check else -1,
+        _MID.pack(src[0], dst[0], src[1], dst[1]),
+        ip_delta,
+        ip_delta + port_delta,
+        OFF_UDP_CSUM if udp else OFF_TCP_CSUM,
+        0 if udp and udp_zero_check else -1,
     )
 
 
