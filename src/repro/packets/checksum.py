@@ -64,10 +64,10 @@ def checksums_equivalent(a: int, b: int) -> bool:
     One's-complement arithmetic has two representations of zero, 0x0000
     and 0xFFFF; an incrementally patched checksum may land on the other
     representation than a full recompute. Receivers validate by summing,
-    so for the IPv4 header and TCP the two are interchangeable on the
-    wire. For UDP they are not: a transmitted 0x0000 means "no checksum"
-    (RFC 768), so an enabled UDP checksum is sent as 0xFFFF
-    (:func:`udp_checksum_on_wire`). Here both still *validate*.
+    so this is the rule for the IPv4 header and TCP. Not for UDP: a
+    transmitted 0x0000 means "no checksum" (RFC 768), so an enabled UDP
+    checksum is sent as 0xFFFF (:func:`udp_checksum_on_wire`), the rule
+    ``Packet.l4_checksum_valid`` reads UDP by.
     """
     if a == b:
         return True

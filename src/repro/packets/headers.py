@@ -513,14 +513,23 @@ class Packet:
         return packet
 
     def l4_checksum_valid(self) -> bool:
-        """True when the stored L4 checksum matches the packet contents."""
+        """True when the stored L4 checksum matches the packet contents:
+        a UDP 0 is "not computed" (RFC 768), any other UDP word must be
+        :func:`udp_checksum_on_wire` of the sum, TCP matches modulo the
+        one's-complement double zero."""
         if self.ipv4 is None or self.l4 is None:
             return False
+        stored = self.l4.checksum
+        udp = isinstance(self.l4, UdpHeader)
+        if udp and stored == 0:
+            return True
         header = replace(self.l4, checksum=0)
         raw = header.pack() + self.payload
-        proto = PROTO_UDP if isinstance(self.l4, UdpHeader) else PROTO_TCP
+        proto = PROTO_UDP if udp else PROTO_TCP
         expected = l4_checksum(self.ipv4.src_ip, self.ipv4.dst_ip, proto, raw)
-        return checksums_equivalent(expected, self.l4.checksum)
+        if udp:
+            return stored == udp_checksum_on_wire(expected)
+        return checksums_equivalent(expected, stored)
 
     def clone(self) -> "Packet":
         """Deep-copy the packet (headers are small; payload bytes shared).

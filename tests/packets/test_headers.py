@@ -153,3 +153,55 @@ class TestPacket:
         assert udp.is_tcpudp_ipv4() and tcp.is_tcpudp_ipv4()
         assert udp.eth.ethertype == ETHERTYPE_IPV4
         assert tcp.ipv4.protocol == PROTO_TCP
+
+
+def _summing_to_zero(make):
+    """A packet whose L4 checksum computes to 0x0000: its two payload
+    bytes are the checksum the same packet computes with zero bytes
+    there, which completes the one's-complement sum to 0xFFFF."""
+    probe = make("10.0.0.1", "10.0.0.2", 1, 2, payload=b"\x00\x00")
+    computed = probe.l4.checksum
+    return make("10.0.0.1", "10.0.0.2", 1, 2, payload=computed.to_bytes(2, "big"))
+
+
+class TestL4ChecksumValidity:
+    """RFC 768 for UDP, the one's-complement double zero for TCP."""
+
+    def test_udp_checksum_disabled_is_valid(self):
+        packet = make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+        assert packet.l4.checksum not in (0x0000, 0xFFFF)
+        packet.l4.checksum = 0
+        assert packet.l4_checksum_valid()
+
+    def test_udp_checksum_computed_is_valid(self):
+        packet = make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload=b"abc")
+        assert packet.l4_checksum_valid()
+        assert Packet.from_bytes(packet.to_bytes()).l4_checksum_valid()
+
+    def test_udp_zero_sum_is_sent_and_valid_as_all_ones(self):
+        packet = _summing_to_zero(make_udp_packet)
+        assert packet.l4.checksum == 0xFFFF
+        assert packet.l4_checksum_valid()
+
+    def test_udp_all_ones_is_invalid_unless_the_sum_is_zero(self):
+        packet = make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+        packet.l4.checksum = 0xFFFF
+        assert not packet.l4_checksum_valid()
+
+    def test_udp_wrong_checksum_is_invalid(self):
+        packet = make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+        packet.l4.checksum ^= 0x0100
+        assert not packet.l4_checksum_valid()
+
+    def test_tcp_double_zero_is_equivalent(self):
+        packet = _summing_to_zero(make_tcp_packet)
+        assert packet.l4.checksum == 0x0000
+        assert packet.l4_checksum_valid()
+        packet.l4.checksum = 0xFFFF
+        assert packet.l4_checksum_valid()
+
+    def test_tcp_zero_checksum_is_not_disabled(self):
+        packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+        assert packet.l4.checksum not in (0x0000, 0xFFFF)
+        packet.l4.checksum = 0
+        assert not packet.l4_checksum_valid()
