@@ -11,8 +11,9 @@ setup closely enough to reproduce the evaluation's *relative* results:
   :class:`NatSteering` (return traffic routed by external-port
   ownership — see ``docs/SCALING.md``),
 - :mod:`repro.net.dpdk` — a DPDK-like burst API over the ports
-  (:class:`DpdkRuntime`), sharded across N workers by
-  :class:`ShardedRuntime` (the deterministic verification oracle),
+  (:class:`DpdkRuntime`); one NF on it is a :class:`Shard`, the inline
+  runtime, and N of them behind steering are :class:`ShardedRuntime`
+  (the deterministic verification oracle),
 - :mod:`repro.net.procrun` — the same sharded shape with one OS
   process per shard (:class:`ProcessShardedRuntime`): real wall-clock
   scale-out, byte-identical to the oracle,
@@ -33,7 +34,6 @@ outside the repository should import from ``repro.net`` directly.
 
 from repro.net.app import (
     EXECUTION_MODES,
-    InlineRuntime,
     Runtime,
     RuntimeSpec,
     drive,
@@ -41,7 +41,7 @@ from repro.net.app import (
     replay_pcap,
 )
 from repro.net.costmodel import CostModel
-from repro.net.dpdk import DpdkRuntime, ShardedRuntime
+from repro.net.dpdk import DpdkRuntime, Shard, ShardedRuntime
 from repro.net.mbuf import MbufPool
 from repro.net.procrun import (
     TRANSPORT_PIPE,
@@ -73,7 +73,6 @@ __all__ = [
     "CostModel",
     "DpdkRuntime",
     "EXECUTION_MODES",
-    "InlineRuntime",
     "LatencyStats",
     "MbufPool",
     "NatSteering",
@@ -86,6 +85,7 @@ __all__ = [
     "RssNic",
     "Runtime",
     "RuntimeSpec",
+    "Shard",
     "ShardedRunResult",
     "ShardedRuntime",
     "ShmRing",

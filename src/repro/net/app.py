@@ -10,7 +10,7 @@ Two things live here:
   whole deployment (NF factory, config, workers, execution mode,
   fastpath, faults, replication) and :func:`launch`, which turns the
   spec into a running :class:`Runtime`. Every runtime is built from
-  the spec alone (``InlineRuntime(spec)``, ``ShardedRuntime(spec)``,
+  the spec alone (``Shard(spec)``, ``ShardedRuntime(spec)``,
   ``ProcessShardedRuntime(spec)``) and keeps it as ``runtime.spec``.
 
 Execution modes and what they are for — each is the same unit, a
@@ -18,14 +18,10 @@ Execution modes and what they are for — each is the same unit, a
 checkpoint/restore), placed differently, so ``checkpoint()`` and
 ``restore()`` mean the same thing in all three:
 
-- ``inline`` — :class:`InlineRuntime`: one shard, no steering stage.
-  The minimal single-core deployment, and measurably not a spelling of
-  one-worker ``ShardedRuntime``: routed that way, ``noop-64`` reads
-  ``fwd_pps`` 441.6k → 251.1k, ``nat-hot`` 220.0k → 158.3k
-  (5/5 pairs each), and with
-  ``RssNic.select`` short-circuited at one queue ``noop-64`` is still
-  ``probe_p50_us`` 5.24 → 6.72 µs, +28 % against a 0.25 bound
-  (``docs/SCALING.md`` §1 has the pairs).
+- ``inline`` — the :class:`~repro.net.dpdk.Shard` itself: one NF on one
+  main loop, no steering stage. Measurably not a
+  spelling of one-worker ``ShardedRuntime``: routed that way,
+  ``noop-64`` reads ``fwd_pps`` 441.6k → 251.1k (``docs/SCALING.md`` §1).
 - ``threaded-deterministic`` — :class:`~repro.net.dpdk.ShardedRuntime`:
   N shards round-robined in one thread. Fully deterministic; this is
   the *verification oracle* the process mode is differentially tested
@@ -53,7 +49,6 @@ from repro.nat.base import NetworkFunction
 from repro.nat.config import NatConfig
 from repro.nat.fastpath import check_fastpath
 from repro.net.dpdk import Shard, ShardedRuntime
-from repro.obs.registry import MetricsRegistry
 from repro.packets.headers import Packet
 from repro.packets.pcap import PcapRecord, read_pcap_file, write_pcap_file
 
@@ -183,83 +178,6 @@ class Runtime(Protocol):
     def stop(self) -> None: ...
 
 
-class InlineRuntime:
-    """The single-worker deployment: one :class:`~repro.net.dpdk.Shard`.
-
-    No steering stage, no partitioning — the spec's config is the NF's
-    whole config. Satisfies the :class:`Runtime` protocol so sweeps can
-    treat it interchangeably with the sharded modes.
-    """
-
-    def __init__(self, spec: RuntimeSpec) -> None:
-        self.spec = spec
-        self.config = spec.resolved_config()
-        self.shard = Shard(
-            spec.nf_factory,
-            self.config,
-            fastpath=spec.fastpath,
-            rx_capacity=spec.rx_capacity,
-            pool_size=spec.pool_size,
-        )
-        #: The shard's runtime, held directly: the per-packet calls
-        #: below go straight to ``DpdkRuntime`` with no hop in between.
-        self.runtime = self.shard.runtime
-
-    @property
-    def workers(self) -> int:
-        return 1
-
-    # -- wire side -----------------------------------------------------------
-    def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
-        return self.runtime.inject(port_id, packet, timestamp)
-
-    def collect(self) -> List[Tuple[int, int, Packet]]:
-        return self.runtime.collect()
-
-    def collect_by_worker(self) -> List[List[Tuple[int, int, Packet]]]:
-        return [self.runtime.collect()]
-
-    def main_loop_burst(self, now_us: int, burst_size: int = 32) -> int:
-        return self.runtime.main_loop_burst(self.shard.nf, now_us, burst_size)
-
-    # -- introspection -------------------------------------------------------
-    def op_counters(self) -> Dict[str, int]:
-        return dict(self.shard.nf.op_counters())
-
-    def per_worker_counters(self) -> List[Dict[str, int]]:
-        return [self.op_counters()]
-
-    def drop_causes(self) -> Dict[str, int]:
-        return self.runtime.drop_causes()
-
-    def flow_count(self) -> int:
-        return self.shard.flow_count()
-
-    # -- observability -------------------------------------------------------
-    def register_metrics(self, registry) -> None:
-        self.shard.register_metrics(registry, {"worker": "0"})
-
-    def snapshot_metrics(self) -> Dict:
-        registry = MetricsRegistry()
-        self.register_metrics(registry)
-        return registry.snapshot()
-
-    # -- control plane -------------------------------------------------------
-    def checkpoint(self, now_us: int = 0):
-        from repro.resil.checkpoint import CheckpointSet
-
-        return CheckpointSet(
-            taken_at_us=now_us, checkpoints=(self.shard.checkpoint(now_us),)
-        )
-
-    def restore(self, checkpoint_set) -> None:
-        (frame,) = checkpoint_set.for_workers(1)
-        self.shard.restore(frame)
-
-    def stop(self) -> None:
-        """Nothing to tear down — inline state dies with the object."""
-
-
 def launch(spec: RuntimeSpec) -> Runtime:
     """Stand up the deployment a spec describes and return its runtime.
 
@@ -272,7 +190,7 @@ def launch(spec: RuntimeSpec) -> Runtime:
     ``try/finally: runtime.stop()``.
     """
     if spec.execution == INLINE:
-        return InlineRuntime(spec)
+        return Shard(spec)
     if spec.execution == PROCESS:
         from repro.net.procrun import ProcessShardedRuntime
 

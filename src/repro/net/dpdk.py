@@ -184,14 +184,6 @@ class DpdkRuntime:
             labels,
         )
 
-    def metrics_snapshot(self, nf: Optional[NetworkFunction] = None) -> Dict:
-        """One collected snapshot of this runtime (plus its NF, if given)."""
-        registry = MetricsRegistry()
-        self.register_metrics(registry)
-        if nf is not None:
-            nf.register_metrics(registry)
-        return registry.snapshot()
-
     # -- wire side -----------------------------------------------------------------
     def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
         """Deliver a packet to a port as if from the wire."""
@@ -248,47 +240,58 @@ def build_nf(
 class Shard:
     """One worker's whole world: an NF, its ``DpdkRuntime``, its hostages.
 
-    The unit every runtime builds, turns, checkpoints and restores
-    through: :class:`~repro.net.app.InlineRuntime` is one,
-    :class:`ShardedRuntime` holds N, a
+    The unit every runtime is made of, and itself the ``inline``
+    runtime: :func:`~repro.net.app.launch` returns one for an inline
+    spec, :class:`ShardedRuntime` holds N behind steering, a
     :class:`~repro.net.procrun.ProcessShardedRuntime` worker process
     hosts one, and :meth:`SteeringFront.recover` rebuilds a dead one
-    (built with a ``checkpoint``, it starts out holding that state).
-    Nothing in it is shared with any other shard.
+    (built with a ``checkpoint`` frame, it starts out holding that
+    state). Nothing in it is shared with any other shard. Its config is
+    ``config`` (a front end's partition) or the spec's own; front ends
+    and the process worker checkpoint and restore it frame by frame.
 
     A replicating shard (``replicate=True``) buffers its NF's flow
     deltas in :attr:`deltas` until the front end takes them after the
     turn; otherwise no delta sink is attached at all.
     """
 
+    workers = 1
+
     def __init__(
         self,
-        nf_factory: Callable[[NatConfig], NetworkFunction],
-        config,
+        spec,
+        config=None,
         *,
-        fastpath: str = "off",
         worker_id: int = 0,
-        rx_capacity: int = 512,
-        pool_size: int = 4096,
         checkpoint=None,
         replicate: bool = False,
     ) -> None:
-        self.fastpath = fastpath
+        self.spec = spec
         self.deltas: Optional[List[tuple]] = [] if replicate else None
         self._build_nf = partial(
             build_nf,
-            nf_factory,
-            config,
-            fastpath,
+            spec.nf_factory,
+            spec.resolved_config() if config is None else config,
+            spec.fastpath,
             delta_sink=self.deltas.append if replicate else None,
         )
         self.nf = self._build_nf(checkpoint)
-        self.runtime = DpdkRuntime(rx_capacity=rx_capacity, pool_size=pool_size)
+        self.runtime = DpdkRuntime(
+            rx_capacity=spec.rx_capacity, pool_size=spec.pool_size
+        )
         self.runtime.worker_id = worker_id
         # Buffers held hostage by a pool-exhaust fault.
         self._seized: List[Mbuf] = []
 
-    def turn(self, now_us: int, burst_size: int = 32, seizure: int = 0) -> int:
+    def inject(self, port_id: int, packet: Packet, timestamp: int) -> bool:
+        return self.runtime.inject(port_id, packet, timestamp)
+
+    def collect(self) -> List[Tuple[int, int, Packet]]:
+        return self.runtime.collect()
+
+    def main_loop_burst(
+        self, now_us: int, burst_size: int = 32, seizure: int = 0
+    ) -> int:
         """One main-loop turn with exactly ``seizure`` buffers held hostage.
 
         Seizure goes through the pool's public alloc/free so ownership
@@ -296,14 +299,15 @@ class Shard:
         truth about the induced pressure.
         """
         held = self._seized
-        pool = self.runtime.pool
-        while len(held) < seizure:
-            mbuf = pool.alloc(None, port=0, timestamp=0)
-            if mbuf is None:
-                break  # pool already drier than the fault demands
-            held.append(mbuf)
-        while len(held) > seizure:
-            pool.free(held.pop())
+        if seizure or held:
+            pool = self.runtime.pool
+            while len(held) < seizure:
+                mbuf = pool.alloc(None, port=0, timestamp=0)
+                if mbuf is None:
+                    break  # pool already drier than the fault demands
+                held.append(mbuf)
+            while len(held) > seizure:
+                pool.free(held.pop())
         return self.runtime.main_loop_burst(self.nf, now_us, burst_size)
 
     def flush_rx(self, now_us: int) -> int:
@@ -323,30 +327,55 @@ class Shard:
                     )
         return lost
 
+    def op_counters(self) -> Dict[str, int]:
+        return dict(self.nf.op_counters())
+
+    def drop_causes(self) -> Dict[str, int]:
+        return self.runtime.drop_causes()
+
     def flow_count(self) -> int:
         return self.nf.flow_count()
 
     def counters(self) -> Dict:
         """What a front end merges: NF ops, drop causes, live flows."""
         return {
-            "op_counters": dict(self.nf.op_counters()),
-            "drop_causes": self.runtime.drop_causes(),
+            "op_counters": self.op_counters(),
+            "drop_causes": self.drop_causes(),
             "flow_count": self.flow_count(),
         }
 
     def register_metrics(self, registry, labels=None) -> None:
+        if labels is None:
+            labels = {"worker": str(self.runtime.worker_id)}
         self.runtime.register_metrics(registry, labels)
         self.nf.register_metrics(registry, labels)
 
+    def snapshot_metrics(self) -> Dict:
+        registry = MetricsRegistry()
+        self.register_metrics(registry)
+        return registry.snapshot()
+
     # -- control plane -----------------------------------------------------------
     def checkpoint(self, now_us: int = 0):
+        """This shard as a one-frame ``CheckpointSet`` (take it between turns)."""
+        from repro.resil.checkpoint import CheckpointSet
+
+        return CheckpointSet(
+            taken_at_us=now_us, checkpoints=(self.checkpoint_frame(now_us),)
+        )
+
+    def restore(self, checkpoint_set) -> None:
+        (frame,) = checkpoint_set.for_workers(1)
+        self.restore_frame(frame)
+
+    def checkpoint_frame(self, now_us: int = 0):
         """This shard's ``repro-ckpt/v1`` frame (take it between turns)."""
         from repro.resil.checkpoint import snapshot
 
         return snapshot(self.nf, now_us)
 
-    def restore(self, checkpoint) -> None:
-        """Adopt a checkpoint — the one restore every recovery path takes.
+    def restore_frame(self, checkpoint) -> None:
+        """Adopt a frame — the one restore every recovery path takes.
 
         ``restore_state`` demands a freshly constructed NF, so the state
         lands in a new one from the factory (its fastpath cache cold, as
@@ -355,6 +384,9 @@ class Shard:
         old NF keeps serving, warm or not.
         """
         self.nf = self._build_nf(checkpoint)
+
+    def stop(self) -> None:
+        """Nothing to tear down — inline state dies with the object."""
 
 
 def ingress_fault(plan, tally, packet: Packet, timestamp: int, scope: int):
@@ -436,14 +468,6 @@ class SteeringFront:
         self.nic = RssNic(spec.workers, steer=self.steering.worker_for)
         replicating = spec.replication_lag is not None
         self._build_nf = partial(build_nf, spec.nf_factory, fastpath=spec.fastpath)
-        self._make_shard = partial(
-            Shard,
-            spec.nf_factory,
-            fastpath=spec.fastpath,
-            rx_capacity=spec.rx_capacity,
-            pool_size=spec.pool_size,
-            replicate=replicating,
-        )
         #: Duck-typed FaultPlan (kept untyped to avoid a net → resil
         #: import cycle); None means no fault machinery runs at all.
         self.fault_plan = spec.fault_plan
@@ -490,8 +514,12 @@ class SteeringFront:
         rebuilt by :meth:`recover` — ``checkpoint``'s state. Its cache
         starts cold either way: a flow's first packet learns, as any
         new flow's does."""
-        return self._make_shard(
-            self.shards[worker_id], worker_id=worker_id, checkpoint=checkpoint
+        return Shard(
+            self.spec,
+            self.shards[worker_id],
+            worker_id=worker_id,
+            checkpoint=checkpoint,
+            replicate=self.spec.replication_lag is not None,
         )
 
     @property
@@ -875,14 +903,14 @@ class ShardedRuntime(SteeringFront):
         return self.units[worker_id].counters()
 
     def _worker_checkpoint(self, worker_id: int, now_us: int):
-        return self.units[worker_id].checkpoint(now_us)
+        return self.units[worker_id].checkpoint_frame(now_us)
 
     def _worker_restore(self, worker_id: int, checkpoint) -> None:
-        self.units[worker_id].restore(checkpoint)
+        self.units[worker_id].restore_frame(checkpoint)
 
     def collect_by_worker(self) -> List[List[Tuple[int, int, Packet]]]:
         """Per-worker transmissions since the last collect."""
-        return [unit.runtime.collect() for unit in self.units]
+        return [unit.collect() for unit in self.units]
 
     # -- the turn's hooks -----------------------------------------------------
     def _hold(self, worker_id: int) -> None:
@@ -897,7 +925,7 @@ class ShardedRuntime(SteeringFront):
         deltas to its standby."""
         self._hold(worker_id)
         unit = self.units[worker_id]
-        processed = unit.turn(now_us, burst_size, seizure)
+        processed = unit.main_loop_burst(now_us, burst_size, seizure)
         if unit.deltas:
             self._replicate(worker_id, unit.deltas)
             unit.deltas.clear()
@@ -939,8 +967,8 @@ class ShardedRuntime(SteeringFront):
         matching the no-shared-state discipline of the data path.
         """
         self.nic.register_metrics(registry)
-        for worker_id, unit in enumerate(self.units):
-            unit.register_metrics(registry, {"worker": str(worker_id)})
+        for unit in self.units:
+            unit.register_metrics(registry)
         self.register_recovery_metrics(registry)
 
     def snapshot_metrics(self) -> Dict:

@@ -7,8 +7,9 @@ time. :class:`ProcessShardedRuntime` is the same
 :class:`~repro.net.dpdk.Shard` per worker — but each shard lives in its
 own OS process, so shards execute concurrently on real cores. Every
 control-plane opcode below is one call on that shard (``T`` is
-``turn``, ``N`` ``counters``, ``S`` ``register_metrics``, ``K``
-``checkpoint``, ``R`` ``restore``); the parent owns only steering.
+``main_loop_burst``, ``N`` ``counters``, ``S`` ``register_metrics``,
+``K`` ``checkpoint_frame``, ``R`` ``restore_frame``); the parent owns
+only steering.
 
 Two interchangeable payload transports move packets across the
 parent/worker boundary (``RuntimeSpec(transport=...)``):
@@ -427,9 +428,9 @@ def _worker_main(
                 raise exc
             elif op == OP_TURN:
                 seq, now_us, burst_size, seizure = _TURN.unpack_from(message, 1)
-                processed = shard.turn(now_us, burst_size, seizure)
+                processed = shard.main_loop_burst(now_us, burst_size, seizure)
                 t0 = time.perf_counter_ns()
-                blob = pack_slot_records(runtime.collect())
+                blob = pack_slot_records(shard.collect())
                 stats.encode_ns += time.perf_counter_ns() - t0
                 ack = RE_ACK + _ACK.pack(seq, processed)
                 if shard.deltas is not None:
@@ -457,14 +458,14 @@ def _worker_main(
                 conn.send_bytes(RE_COUNTERS + json.dumps(payload).encode("utf-8"))
             elif op == OP_CHECKPOINT:
                 (taken_at_us,) = _CKPT.unpack_from(message, 1)
-                frame = shard.checkpoint(taken_at_us).to_bytes()
+                frame = shard.checkpoint_frame(taken_at_us).to_bytes()
                 conn.send_bytes(RE_CHECKPOINT + frame)
             elif op == OP_RESTORE:
                 # restore_state demands a freshly constructed NF, so
-                # Shard.restore rebuilds it from the factory first (the
-                # fastpath cache starts cold, as after any restore: the
-                # fresh NF sits behind a fresh, empty cache).
-                shard.restore(Checkpoint.from_bytes(message[1:]))
+                # Shard.restore_frame rebuilds it from the factory first
+                # (the fastpath cache starts cold, as after any restore:
+                # the fresh NF sits behind a fresh, empty cache).
+                shard.restore_frame(Checkpoint.from_bytes(message[1:]))
                 conn.send_bytes(RE_RESTORED)
             else:
                 raise ValueError(f"unknown opcode {op!r}")

@@ -19,7 +19,7 @@ def outbound(sport=4000):
 
 def nat_app(max_flows=8, burst_size=32):
     """One VigNat behind ``launch()``: ``app.runtime`` is its
-    ``DpdkRuntime``, ``app.shard.nf`` the NF."""
+    ``DpdkRuntime``, ``app.nf`` the NF."""
     return launch(
         RuntimeSpec(
             nf_factory=VigNat,
@@ -46,7 +46,7 @@ class TestPollLoop:
 
     def test_drops_do_not_leak_buffers(self):
         app = nat_app()
-        cfg = app.shard.nf.config
+        cfg = app.nf.config
         for i in range(5):
             unsolicited = make_udp_packet(
                 "8.8.8.8", cfg.external_ip, 53, 60_000 + i, device=1
@@ -81,7 +81,7 @@ class TestPollLoop:
 class TestReplay:
     def test_replay_conversation(self):
         app = nat_app()
-        cfg = app.shard.nf.config
+        cfg = app.nf.config
         assert drive(app, [(100, 0, outbound())]) == 1
         ext_port = app.collect()[0][2].l4.src_port
         reply = make_udp_packet("8.8.8.8", cfg.external_ip, 53, ext_port, device=1)
@@ -115,7 +115,7 @@ class TestReplay:
         assert len(records) == 4
         for record in records:
             packet = record.packet()
-            assert packet.ipv4.src_ip == app.shard.nf.config.external_ip
+            assert packet.ipv4.src_ip == app.nf.config.external_ip
         from repro.packets.pcap import read_pcap_file
 
         assert len(read_pcap_file(out_path)) == 4

@@ -34,12 +34,11 @@ from repro.net.app import (
     INLINE,
     PROCESS,
     THREADED_DETERMINISTIC,
-    InlineRuntime,
     Runtime,
     RuntimeSpec,
     launch,
 )
-from repro.net.dpdk import ShardedRuntime, build_nf
+from repro.net.dpdk import Shard, ShardedRuntime, build_nf
 from repro.net.moongen import ConstantRateFlows
 from repro.net.procrun import ProcessShardedRuntime
 from repro.net.testbed import Rfc2544Testbed
@@ -136,7 +135,7 @@ class TestLaunch:
 
     def test_inline(self):
         runtime = launch(spec(execution=INLINE))
-        assert isinstance(runtime, InlineRuntime)
+        assert isinstance(runtime, Shard)
         assert runtime.spec.execution == INLINE
         self._exercise(runtime)
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.nat.config import NatConfig
 from repro.nat.vignat import VigNat
-from repro.net.app import RuntimeSpec, launch
-from repro.net.dpdk import DpdkRuntime
+from repro.net.app import INLINE, RuntimeSpec, launch
 from repro.net.mbuf import MbufPool
 from repro.packets.builder import make_udp_packet
 
@@ -99,13 +98,14 @@ def _by_name(snapshot):
 
 
 def test_runtime_snapshot_covers_pool_nic_and_nf():
-    runtime = DpdkRuntime(port_count=2, pool_size=32)
-    nat = VigNat(NatConfig(max_flows=64))
+    runtime = launch(
+        RuntimeSpec(VigNat, NatConfig(max_flows=64), execution=INLINE, pool_size=32)
+    )
     for i in range(4):
         runtime.inject(0, _packet(5000 + i), timestamp=i)
-    runtime.main_loop_burst(nat, now_us=10, burst_size=8)
+    runtime.main_loop_burst(now_us=10, burst_size=8)
 
-    metrics = _by_name(runtime.metrics_snapshot(nat))
+    metrics = _by_name(runtime.snapshot_metrics())
 
     def total(name):
         return sum(s["value"] for s in metrics[name]["samples"])

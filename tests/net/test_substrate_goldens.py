@@ -3,7 +3,7 @@
 ``ReferenceSubstrate`` is the in-process substrate written one frame at
 a time: a descriptor pop, a buffer allocation, a transmit and a free per
 frame, in the order ``DpdkRuntime.rx_burst``/``tx_burst``/
-``main_loop_burst`` and ``Shard.turn`` have always done them. Hypothesis
+``main_loop_burst`` and ``Shard.main_loop_burst`` have always done them. Hypothesis
 drives a real :class:`~repro.net.dpdk.Shard` under pressure — tiny
 pools and rings, random injects on both ports, buffers seized by a
 pool-exhaust fault, an NF that forwards, drops or floods — and every
@@ -15,6 +15,7 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 from repro.nat.base import NetworkFunction
+from repro.net.app import INLINE, RuntimeSpec
 from repro.net.dpdk import Shard
 from repro.packets.builder import make_udp_packet
 
@@ -173,7 +174,12 @@ turns = st.tuples(
 )
 def test_every_turn_matches_the_per_frame_model(pool_size, rx_capacity, steps):
     shard = Shard(
-        lambda _config: SplitNf(), None, rx_capacity=rx_capacity, pool_size=pool_size
+        RuntimeSpec(
+            lambda _config: SplitNf(),
+            execution=INLINE,
+            rx_capacity=rx_capacity,
+            pool_size=pool_size,
+        )
     )
     model = ReferenceSubstrate(pool_size, rx_capacity)
     frame = 0
@@ -189,7 +195,7 @@ def test_every_turn_matches_the_per_frame_model(pool_size, rx_capacity, steps):
                 assert accepted == model.inject(port, packet.wire_bytes(), action, now)
         else:
             _, burst_size, seizure = step
-            shard.turn(now, burst_size, seizure)
+            shard.main_loop_burst(now, burst_size, seizure)
             sent = [(p, t, pkt.wire_bytes()) for p, t, pkt in shard.runtime.collect()]
             assert sent == model.turn(now, burst_size, seizure)
         assert shard_counters(shard) == model.counters()
