@@ -19,7 +19,7 @@ checkpoint/restore), placed differently, so ``checkpoint()`` and
 ``restore()`` mean the same thing in all three:
 
 - ``inline`` — the :class:`~repro.net.dpdk.Shard` itself: one NF on one
-  main loop, no steering stage. Measurably not a
+  main loop, no steering stage, no fault plan. Measurably not a
   spelling of one-worker ``ShardedRuntime``: routed that way,
   ``noop-64`` reads ``fwd_pps`` 441.6k → 251.1k (``docs/SCALING.md`` §1).
 - ``threaded-deterministic`` — :class:`~repro.net.dpdk.ShardedRuntime`:
@@ -80,6 +80,7 @@ class RuntimeSpec:
     burst_size: int = 32
     rx_capacity: int = 512
     pool_size: int = 4096
+    #: A :class:`~repro.resil.faults.FaultPlan`. Sharded executions only.
     fault_plan: Optional[object] = None
     #: Replication lag for a warm standby per shard; ``None`` disables
     #: replication entirely. Implies ``supervise``: a dead shard is
@@ -116,11 +117,13 @@ class RuntimeSpec:
                 "threaded-deterministic or process to shard"
             )
         if self.execution == INLINE and (
-            self.replication_lag is not None or self.supervise
+            self.replication_lag is not None
+            or self.supervise
+            or self.fault_plan is not None
         ):
             raise ValueError(
-                "replication_lag and supervise=True need a sharded execution: "
-                "an inline runtime has no worker to rebuild"
+                "replication_lag, supervise=True and a fault plan need a sharded "
+                "execution: an inline runtime has no worker to rebuild or steer to"
             )
         if self.replication_lag is not None and self.replication_lag < 0:
             raise ValueError("replication lag cannot be negative")

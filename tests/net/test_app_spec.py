@@ -88,6 +88,21 @@ class TestSpecValidation:
         runtime = launch(spec(workers=2, replication_lag=0))
         assert runtime.supervise and not runtime.spec.supervise
 
+    def test_inline_refuses_a_fault_plan(self):
+        """An inline runtime has no steering stage to consult a plan, so
+        a plan it was given would never fire: a total link drop would
+        forward every frame. The spec refuses it; the sharded modes
+        apply it."""
+        from repro.resil.faults import FaultPlan
+
+        with pytest.raises(ValueError, match="fault plan"):
+            spec(execution=INLINE, fault_plan=FaultPlan().link_drop())
+        plan = FaultPlan().link_drop()
+        runtime = launch(spec(fault_plan=plan))
+        packet = make_udp_packet("10.0.0.1", "8.8.8.8", 1_024, 53, device=0)
+        assert runtime.inject(0, packet, 0) is False
+        assert plan.applied == {"link-drop": 1}
+
     def test_with_varies_without_mutating(self):
         base = spec()
         wide = base.with_(workers=4, execution=PROCESS)
