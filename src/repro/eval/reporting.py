@@ -393,35 +393,22 @@ def render_metrics(snapshot: Dict) -> str:
     """A merged metrics snapshot as a readable table.
 
     Counters and sum-gauges show their total across samples, max-gauges
-    (watermarks) the worst sample; histograms show count and exact
-    merged percentiles. The per-label breakdown stays available in the
-    JSON/Prometheus renderings (:mod:`repro.obs.expo`).
+    (watermarks) the worst sample. The per-label breakdown stays
+    available in the JSON/Prometheus renderings (:mod:`repro.obs.expo`).
     """
-    from repro.obs.histogram import LatencyHistogram
-
     lines = [
         "Metrics snapshot (merged across samples)",
         f"{'metric':<34s} {'kind':<10s} {'samples':>7s}  value",
     ]
     for metric in snapshot.get("metrics", []):
         samples = metric.get("samples", [])
-        if metric["kind"] == "histogram":
-            merged = LatencyHistogram.merge_all(
-                LatencyHistogram.from_dict(s["histogram"]) for s in samples
-            )
-            value = (
-                f"count={merged.count} p50={merged.p50()} "
-                f"p99={merged.p99()} p99.9={merged.p999()}"
-            )
+        values = [s["value"] for s in samples]
+        if metric["kind"] == "gauge" and metric.get("merge") == "max":
+            total = max(values, default=0)
         else:
-            values = [s["value"] for s in samples]
-            if metric["kind"] == "gauge" and metric.get("merge") == "max":
-                total = max(values, default=0)
-            else:
-                total = sum(values)
-            value = f"{total:g}"
+            total = sum(values)
         lines.append(
-            f"{metric['name']:<34s} {metric['kind']:<10s} {len(samples):>7d}  {value}"
+            f"{metric['name']:<34s} {metric['kind']:<10s} {len(samples):>7d}  {total:g}"
         )
     return "\n".join(lines)
 

@@ -60,21 +60,6 @@ class AbstractDoubleMap:
     by_b: Mapping[Hashable, int] = field(default_factory=dict)
     capacity: int = 0
 
-    def has_a(self, key: Hashable) -> bool:
-        return key in self.by_a
-
-    def has_b(self, key: Hashable) -> bool:
-        return key in self.by_b
-
-    def index_of_a(self, key: Hashable) -> int:
-        return self.by_a[key]
-
-    def index_of_b(self, key: Hashable) -> int:
-        return self.by_b[key]
-
-    def value_at(self, index: int) -> Any:
-        return self.values[index]
-
     def put(self, index: int, key_a: Hashable, key_b: Hashable, value: Any) -> "AbstractDoubleMap":
         if index in self.values:
             raise KeyError(f"index {index} already occupied")
@@ -168,14 +153,6 @@ class AbstractChain:
         if kept and kept[-1][1] > time:
             raise ValueError("time went backwards")
         return AbstractChain(kept + ((index, time),), self.index_range)
-
-    def expire_older_than(self, time: int) -> Tuple[Tuple[int, ...], "AbstractChain"]:
-        """Remove all front cells with timestamp < ``time``."""
-        expired = []
-        cells = list(self.cells)
-        while cells and cells[0][1] < time:
-            expired.append(cells.pop(0)[0])
-        return tuple(expired), AbstractChain(tuple(cells), self.index_range)
 
     def free(self, index: int) -> "AbstractChain":
         if not self.is_allocated(index):

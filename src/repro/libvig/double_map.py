@@ -84,11 +84,6 @@ class DoubleMap:
         """Index of the value whose second key is ``key``, or ``None``."""
         return self._map_b.get(key)
 
-    def index_occupied(self, index: int) -> bool:
-        """True when ``index`` currently holds a value."""
-        self._check_index(index)
-        return self._occupied[index]
-
     def get_value(self, index: int) -> Any:
         """The value stored at an occupied ``index``."""
         self._check_index(index)

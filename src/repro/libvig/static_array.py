@@ -2,8 +2,8 @@
 
 A bounds-checked, preallocated scalar array with contracts — the
 simplest libVig type, used where the NF needs plain indexed storage
-without the vector's borrow/return ownership protocol (e.g. the rate
-limiter's per-slot counters, which are scalars updated in place).
+(e.g. the rate limiter's per-slot counters, which are scalars updated
+in place).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass
@@ -24,11 +24,6 @@ class LinkModel:
     #: Probability a packet is lost on the wire before the RX ring.
     loss_probability: float = 0.0
     seed: int = 4242
-    #: Optional :class:`repro.resil.faults.FaultPlan` (duck-typed to
-    #: avoid a net → resil import cycle). When set, windowed link
-    #: faults — drop, partition, delay — stack on top of the
-    #: probabilistic impairment; None leaves the original path intact.
-    fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.jitter_ns < 0:
@@ -37,22 +32,11 @@ class LinkModel:
             raise ValueError("loss probability must be in [0, 1)")
         self._rng = random.Random(self.seed)
 
-    def transit(self, t_us: Optional[int] = None) -> Tuple[int, bool]:
-        """Impairment for one packet: (extra_latency_ns, dropped).
-
-        ``t_us`` (the packet's wire time, µs) scopes windowed faults
-        from an attached fault plan; callers that never pass it get
-        exactly the historical seeded behavior.
-        """
+    def transit(self) -> Tuple[int, bool]:
+        """Impairment for one packet: (extra_latency_ns, dropped)."""
         dropped = (
             self.loss_probability > 0.0
             and self._rng.random() < self.loss_probability
         )
         extra = self._rng.randrange(self.jitter_ns + 1) if self.jitter_ns else 0
-        plan = self.fault_plan
-        if plan is not None and t_us is not None and not plan.empty:
-            verdict, delay_us = plan.link_verdict(t_us)
-            if verdict == "drop":
-                dropped = True
-            extra += delay_us * 1_000  # fault delays are µs; latency is ns
         return extra, dropped

@@ -25,8 +25,6 @@ from repro.nat.base import NetworkFunction
 from repro.net.costmodel import CostModel
 from repro.net.link import LinkModel
 from repro.net.moongen import ConstantRateFlows, PacketEvent
-from repro.obs.histogram import LatencyHistogram
-from repro.obs.registry import MetricsRegistry
 
 US = 1_000
 S = 1_000_000_000
@@ -70,15 +68,6 @@ class LatencyStats:
         ordered = sorted(self.samples)
         rank = min(len(ordered) - 1, int(fraction * len(ordered)))
         return ordered[rank] / US
-
-    def to_histogram(self) -> LatencyHistogram:
-        """The samples as a log2-bucketed, mergeable histogram.
-
-        Built on demand from the exact sample list (the measurement path
-        itself stays untouched); per-worker histograms merge exactly, so
-        sharded runs aggregate without re-touching raw samples.
-        """
-        return LatencyHistogram.of(self.samples)
 
     def ccdf(self) -> List[tuple[float, float]]:
         """(latency_us, P[latency > x]) points, one per distinct sample."""
@@ -129,46 +118,6 @@ class RunResult:
         if self.bursts == 0:
             return math.nan
         return self.burst_packets / self.bursts
-
-    def register_metrics(self, registry, labels=None) -> None:
-        """Publish this run's counters and latency distributions."""
-        for name, fn, help_text in (
-            ("testbed_offered_total", lambda: self.offered, "measured packets offered"),
-            ("testbed_forwarded_total", lambda: self.forwarded, "measured packets forwarded"),
-            ("testbed_nf_dropped_total", lambda: self.nf_dropped, "packets the NF dropped"),
-            (
-                "testbed_queue_dropped_total",
-                lambda: self.queue_dropped,
-                "packets lost to a full RX ring",
-            ),
-            (
-                "testbed_wire_dropped_total",
-                lambda: self.wire_dropped,
-                "packets lost on the wire",
-            ),
-            ("testbed_busy_ns_total", lambda: self.busy_ns, "core busy time, ns"),
-        ):
-            registry.counter_fn(name, fn, help_text, labels)
-        registry.histogram_fn(
-            "testbed_latency_ns",
-            self.all_latency.to_histogram,
-            "per-packet latency, ns (all forwarded packets)",
-            labels,
-        )
-        registry.histogram_fn(
-            "testbed_probe_latency_ns",
-            self.probe_latency.to_histogram,
-            "per-packet latency, ns (probe packets)",
-            labels,
-        )
-
-    def metrics_snapshot(self, nf: Optional[NetworkFunction] = None) -> dict:
-        """One collected snapshot of this run (plus its NF, if given)."""
-        registry = MetricsRegistry()
-        self.register_metrics(registry)
-        if nf is not None:
-            nf.register_metrics(registry)
-        return registry.snapshot()
 
 
 @dataclass
@@ -258,18 +207,6 @@ class ShardedRunResult:
     def aggregate_mpps(self) -> float:
         """Service-limited rate of the whole sharded box: sum of workers."""
         return sum(self.per_worker_mpps())
-
-    def metrics_snapshot(
-        self, nfs: Optional[Sequence[NetworkFunction]] = None
-    ) -> dict:
-        """One merged snapshot: per-worker labeled runs (plus their NFs)."""
-        registry = MetricsRegistry()
-        for worker_id, result in enumerate(self.per_worker):
-            labels = {"worker": str(worker_id)}
-            result.register_metrics(registry, labels)
-            if nfs is not None:
-                nfs[worker_id].register_metrics(registry, labels)
-        return registry.snapshot()
 
 
 @dataclass
@@ -432,7 +369,7 @@ class Rfc2544Testbed:
             steered[target] += 1
             jitter_ns = 0
             if self.link is not None:
-                jitter_ns, wire_dropped = self.link.transit(event.time_ns // US)
+                jitter_ns, wire_dropped = self.link.transit()
                 if wire_dropped:
                     if measured:
                         results[target].wire_dropped += 1

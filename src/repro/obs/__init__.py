@@ -1,14 +1,11 @@
 """``repro.obs`` — the unified observability layer.
 
-Three pieces (see ``docs/OBSERVABILITY.md``):
+Two pieces (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.registry` — a metrics registry of named, labeled
-  counters, gauges and histograms. Components keep their counts as
-  ordinary ints and expose them through *callbacks* read at snapshot
-  time, so the wiring costs nothing per packet.
-- :mod:`repro.obs.histogram` — log2-bucketed latency histograms with
-  exact, associative merging (per-worker → box-wide) and monotone
-  percentile extraction (p50/p99/p99.9).
+  counters and gauges. Components keep their counts as ordinary ints
+  and expose them through *callbacks* read at snapshot time, so the
+  wiring costs nothing per packet.
 - :mod:`repro.obs.flight` — a bounded flight-recorder ring of
   per-packet trace events (rx/steer/slow-path/fastpath-hit/tx/drop
   with reason codes) that dumps the last N events, captured packets
@@ -38,7 +35,6 @@ from repro.obs.expo import (
     render_json,
     render_prometheus,
     sample_value,
-    total_value,
     write_snapshot_files,
 )
 from repro.obs.flight import (
@@ -47,7 +43,6 @@ from repro.obs.flight import (
     TraceEvent,
     first_divergence,
 )
-from repro.obs.histogram import LatencyHistogram
 from repro.obs.registry import (
     MERGE_MAX,
     MERGE_SUM,
@@ -144,7 +139,6 @@ def snapshot_of_counters(
 
 __all__ = [
     "FlightRecorder",
-    "LatencyHistogram",
     "MERGE_MAX",
     "MERGE_SUM",
     "MetricsRegistry",
@@ -164,6 +158,5 @@ __all__ = [
     "render_prometheus",
     "sample_value",
     "snapshot_of_counters",
-    "total_value",
     "write_snapshot_files",
 ]

@@ -14,8 +14,7 @@ import json
 import re
 from typing import Dict, List
 
-from repro.obs.histogram import LatencyHistogram
-from repro.obs.registry import COUNTER, GAUGE, HISTOGRAM
+from repro.obs.registry import COUNTER, GAUGE
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -53,10 +52,9 @@ def _format_value(value) -> str:
 def render_prometheus(snapshot: Dict) -> str:
     """The snapshot in the Prometheus text exposition format.
 
-    Counters get a ``_total``-preserving name pass-through (our metric
-    names already carry their unit/suffix conventions), histograms
-    expand to cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-    ``_count``, exactly as a scrape endpoint would serve them.
+    Metric names pass through (they already carry their unit/suffix
+    conventions), and each sample is one line, exactly as a scrape
+    endpoint would serve it.
     """
     lines: List[str] = []
     for metric in snapshot.get("metrics", []):
@@ -66,32 +64,11 @@ def render_prometheus(snapshot: Dict) -> str:
             lines.append(f"# HELP {name} {_escape(metric['help'])}")
         lines.append(f"# TYPE {name} {kind}")
         for sample in metric["samples"]:
-            labels = sample.get("labels", {})
-            if kind == HISTOGRAM:
-                lines.extend(_histogram_lines(name, labels, sample["histogram"]))
-            else:
-                lines.append(
-                    f"{name}{_label_pairs(labels)} "
-                    f"{_format_value(sample['value'])}"
-                )
+            lines.append(
+                f"{name}{_label_pairs(sample.get('labels', {}))} "
+                f"{_format_value(sample['value'])}"
+            )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _histogram_lines(name: str, labels: Dict[str, str], data: Dict) -> List[str]:
-    hist = LatencyHistogram.from_dict(data)
-    lines: List[str] = []
-    cumulative = 0
-    for index, count in enumerate(hist.counts):
-        if not count:
-            continue
-        cumulative += count
-        le = {**labels, "le": str(LatencyHistogram.bucket_upper_bound(index))}
-        lines.append(f"{name}_bucket{_label_pairs(le)} {cumulative}")
-    inf = {**labels, "le": "+Inf"}
-    lines.append(f"{name}_bucket{_label_pairs(inf)} {hist.count}")
-    lines.append(f"{name}_sum{_label_pairs(labels)} {hist.total}")
-    lines.append(f"{name}_count{_label_pairs(labels)} {hist.count}")
-    return lines
 
 
 def render_json(snapshot: Dict, indent: int = 2) -> str:
@@ -113,7 +90,7 @@ def write_snapshot_files(snapshot: Dict, directory, stem: str) -> Dict[str, str]
 
 
 def sample_value(snapshot: Dict, name: str, labels: Dict[str, str] | None = None):
-    """Look one sample's value up in a snapshot (histograms: the dict).
+    """Look one sample's value up in a snapshot.
 
     Returns None when the metric or label set is absent — convenient
     for tests and for the benchmark-regression comparator.
@@ -124,33 +101,15 @@ def sample_value(snapshot: Dict, name: str, labels: Dict[str, str] | None = None
             continue
         for sample in metric["samples"]:
             if sample.get("labels", {}) == wanted:
-                if metric["kind"] == HISTOGRAM:
-                    return sample["histogram"]
                 return sample["value"]
-    return None
-
-
-def total_value(snapshot: Dict, name: str) -> float | None:
-    """Sum (or max, per the metric's merge strategy) over all samples."""
-    for metric in snapshot.get("metrics", []):
-        if metric["name"] != name or metric["kind"] == HISTOGRAM:
-            continue
-        values = [s["value"] for s in metric["samples"]]
-        if not values:
-            return None
-        if metric["kind"] == GAUGE and metric.get("merge") == "max":
-            return max(values)
-        return sum(values)
     return None
 
 
 __all__ = [
     "COUNTER",
     "GAUGE",
-    "HISTOGRAM",
     "render_json",
     "render_prometheus",
     "sample_value",
-    "total_value",
     "write_snapshot_files",
 ]

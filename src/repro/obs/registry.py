@@ -8,11 +8,11 @@ data model, sized for a simulated data path:
   as ordinary attributes and bump them however their hot loop likes —
   locally per burst, once per packet; the registry never sees a write.
 - **Collection pulls, it is never pushed.** ``register_metrics`` hands
-  the registry a *callback* per metric (``counter_fn`` / ``gauge_fn`` /
-  ``histogram_fn``) and the value is read at snapshot time — wiring the
+  the registry a *callback* per metric (``counter_fn`` / ``gauge_fn``)
+  and the value is read at snapshot time — wiring the
   telemetry layer through the stack adds zero work per packet, enabled
   or not. There is no second kind of instrument.
-- **Merging is explicit.** Counters and histograms merge by addition;
+- **Merging is explicit.** Counters merge by addition;
   each gauge declares its merge strategy (``sum`` for occupancy-like
   values, ``max`` for watermark-like values such as the pool
   high-water mark, which is not additive across workers).
@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.histogram import LatencyHistogram
-
 SNAPSHOT_SCHEMA = "repro-obs/v1"
 
 COUNTER = "counter"
 GAUGE = "gauge"
-HISTOGRAM = "histogram"
 
 #: Gauge merge strategies.
 MERGE_SUM = "sum"
@@ -96,16 +93,6 @@ class MetricsRegistry:
         """A gauge whose value is pulled from ``fn`` at snapshot time."""
         self._callback(name, GAUGE, merge, fn, help_text, labels)
 
-    def histogram_fn(
-        self,
-        name: str,
-        fn: Callable[[], LatencyHistogram],
-        help_text: str = "",
-        labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """A histogram pulled from ``fn`` (a LatencyHistogram) on collect."""
-        self._callback(name, HISTOGRAM, MERGE_SUM, fn, help_text, labels)
-
     def _callback(self, name, kind, merge, fn, help_text, labels):
         family = self._families.get(name)
         if family is None:
@@ -129,13 +116,9 @@ class MetricsRegistry:
             family = self._families[name]
             samples: List[Dict] = []
             for key in sorted(family.children):
-                value = family.children[key]()
-                sample: Dict = {"labels": _key_labels(key)}
-                if family.kind == HISTOGRAM:
-                    sample["histogram"] = value.to_dict()
-                else:
-                    sample["value"] = value
-                samples.append(sample)
+                samples.append(
+                    {"labels": _key_labels(key), "value": family.children[key]()}
+                )
             metrics.append(
                 {
                     "name": family.name,
@@ -187,7 +170,7 @@ def with_labels(snapshot: Dict, extra: Dict[str, str]) -> Dict:
 def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
     """Merge snapshots into one: same-name same-label samples combine.
 
-    Counters and histograms add; gauges follow their declared merge
+    Counters add; gauges follow their declared merge
     strategy (``sum`` by default, ``max`` for watermarks). Samples with
     distinct label sets stay distinct — merging two workers' snapshots
     keeps per-worker samples apart unless they share labels.
@@ -222,15 +205,7 @@ def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
                     target["samples"].append(copied)
                     by_labels[key] = copied
                     continue
-                if target["kind"] == HISTOGRAM:
-                    combined = LatencyHistogram.from_dict(
-                        existing["histogram"]
-                    ).merge(LatencyHistogram.from_dict(sample["histogram"]))
-                    existing["histogram"] = combined.to_dict()
-                elif (
-                    target["kind"] == GAUGE
-                    and target["merge"] == MERGE_MAX
-                ):
+                if target["kind"] == GAUGE and target["merge"] == MERGE_MAX:
                     existing["value"] = max(existing["value"], sample["value"])
                 else:
                     existing["value"] = existing["value"] + sample["value"]
@@ -243,7 +218,6 @@ def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
 __all__ = [
     "COUNTER",
     "GAUGE",
-    "HISTOGRAM",
     "MERGE_MAX",
     "MERGE_SUM",
     "SNAPSHOT_SCHEMA",

@@ -5,8 +5,8 @@ link drop/corrupt/delay, network partition, mbuf-pool exhaustion,
 worker kill/hang, clock skew — each scoped to a time window (µs, the
 NF clock) and optionally to one worker. The plan is *consulted* by the
 data path (:class:`repro.net.dpdk.SteeringFront`, the front end of
-both sharded runtimes, and :class:`repro.net.link.LinkModel`) at its
-natural choke points; a ``None`` plan keeps every consultation site on its original
+both sharded runtimes, and :class:`repro.chain.spec.ChainRuntime`) at
+its natural choke points; a ``None`` plan keeps every consultation site on its original
 code path, so runs without faults are byte-identical to runs on a tree
 without this module.
 

@@ -35,12 +35,6 @@ class TestLookups:
         # "same" exists only in the A space.
         assert d.get_by_b("same") is None
 
-    def test_index_occupied(self):
-        d = _dmap()
-        d.put(2, ("a", "b", 0))
-        assert d.index_occupied(2)
-        assert not d.index_occupied(3)
-
     def test_get_value_vacant_raises(self):
         d = _dmap()
         with pytest.raises(KeyError):
@@ -61,7 +55,8 @@ class TestUpdates:
         assert d.erase(1) == ("a", "b", 7)
         assert d.get_by_a("a") is None
         assert d.get_by_b("b") is None
-        assert not d.index_occupied(1)
+        with pytest.raises(KeyError):
+            d.get_value(1)
 
     def test_erase_vacant_raises(self):
         d = _dmap()

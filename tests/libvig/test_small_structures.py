@@ -1,81 +1,13 @@
-"""Vector, batcher, port allocator, expirator, nf_time, hash table."""
+"""Port allocator, expirator, hash table."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.libvig.batcher import Batcher
 from repro.libvig.double_chain import DoubleChain
 from repro.libvig.double_map import DoubleMap
-from repro.libvig.errors import CapacityError
 from repro.libvig.expirator import expire_items
 from repro.libvig.hash_table import ChainingHashTable
-from repro.libvig.nf_time import MonotonicClock, SimulatedClock
 from repro.libvig.port_allocator import PortAllocator, PortExhaustion
-from repro.libvig.vector import OwnershipError, Vector
-
-
-class TestVector:
-    def test_borrow_give_back(self):
-        v = Vector(4, init=lambda i: i * 2)
-        item = v.borrow(1)
-        assert item == 2
-        v.give_back(1, 99)
-        assert v.get(1) == 99
-
-    def test_double_borrow_rejected(self):
-        v = Vector(4)
-        v.borrow(0)
-        with pytest.raises(OwnershipError):
-            v.borrow(0)
-
-    def test_give_back_without_borrow_rejected(self):
-        v = Vector(4)
-        with pytest.raises(OwnershipError):
-            v.give_back(0, 1)
-
-    def test_read_of_borrowed_slot_rejected(self):
-        v = Vector(4)
-        v.borrow(2)
-        with pytest.raises(OwnershipError):
-            v.get(2)
-
-    def test_outstanding_borrows(self):
-        v = Vector(4)
-        v.borrow(0)
-        v.borrow(1)
-        assert v.outstanding_borrows() == 2
-        v.give_back(0, None)
-        assert v.outstanding_borrows() == 1
-
-    def test_bounds(self):
-        v = Vector(4)
-        with pytest.raises(IndexError):
-            v.borrow(4)
-
-
-class TestBatcher:
-    def test_take_returns_in_order(self):
-        b = Batcher(3)
-        b.push(1)
-        b.push(2)
-        assert b.take() == [1, 2]
-        assert b.empty()
-
-    def test_full_rejects_push(self):
-        b = Batcher(2)
-        b.push(1)
-        b.push(2)
-        assert b.full()
-        with pytest.raises(CapacityError):
-            b.push(3)
-
-    def test_take_resets(self):
-        b = Batcher(2)
-        b.push(1)
-        b.push(2)
-        b.take()
-        b.push(3)  # must not raise
-        assert len(b) == 1
 
 
 class TestPortAllocator:
@@ -148,27 +80,6 @@ class TestExpirator:
         assert dmap.size() == chain.size() == 4
         for index, value in dmap.items():
             assert chain.is_index_allocated(index)
-
-
-class TestClocks:
-    def test_simulated_clock_advances(self):
-        clock = SimulatedClock()
-        assert clock.now() == 0
-        clock.advance(100)
-        assert clock.now() == 100
-
-    def test_simulated_clock_rejects_regression(self):
-        clock = SimulatedClock(100)
-        with pytest.raises(ValueError):
-            clock.advance(-1)
-        with pytest.raises(ValueError):
-            clock.set(50)
-
-    def test_monotonic_clock_non_decreasing(self):
-        clock = MonotonicClock()
-        a = clock.now()
-        b = clock.now()
-        assert b >= a
 
 
 class TestChainingHashTable:

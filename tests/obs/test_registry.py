@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.histogram import LatencyHistogram
 from repro.obs.registry import (
     MERGE_MAX,
     SNAPSHOT_SCHEMA,
@@ -82,18 +81,12 @@ def test_snapshot_shape_and_ordering():
     registry = MetricsRegistry()
     registry.counter_fn("z_total", constant(1), "last")
     registry.gauge_fn("a_gauge", constant(3), "first", merge=MERGE_MAX)
-    registry.histogram_fn(
-        "lat_ns", lambda: LatencyHistogram.of([1, 2, 1000]), "latency"
-    )
     snapshot = registry.snapshot()
     assert snapshot["schema"] == SNAPSHOT_SCHEMA
     names = [m["name"] for m in snapshot["metrics"]]
     assert names == sorted(names)
     by_name = {m["name"]: m for m in snapshot["metrics"]}
     assert by_name["a_gauge"]["merge"] == "max"
-    histogram = by_name["lat_ns"]["samples"][0]["histogram"]
-    assert histogram["count"] == 3
-    assert LatencyHistogram.from_dict(histogram).count == 3
 
 
 def test_merge_snapshots_sums_counters_and_maxes_watermarks():
@@ -121,19 +114,6 @@ def test_merge_snapshots_keeps_distinct_labels_apart():
         ("0", 1),
         ("1", 2),
     ]
-
-
-def test_merge_snapshots_merges_histograms_exactly():
-    def with_samples(samples):
-        registry = MetricsRegistry()
-        registry.histogram_fn("lat", lambda: LatencyHistogram.of(samples))
-        return registry.snapshot()
-
-    merged = merge_snapshots([with_samples([1, 2]), with_samples([1000])])
-    histogram = merged["metrics"][0]["samples"][0]["histogram"]
-    assert LatencyHistogram.from_dict(histogram) == LatencyHistogram.of(
-        [1, 2, 1000]
-    )
 
 
 class TestWithLabels:
