@@ -129,6 +129,8 @@ class RuntimeSpec:
             raise ValueError("replication lag cannot be negative")
         if self.burst_size <= 0:
             raise ValueError("burst size must be positive")
+        if self.rx_capacity <= 0 or self.pool_size <= 0:
+            raise ValueError("rx capacity and pool size must be positive")
         if self.turn_timeout_s <= 0:
             raise ValueError("turn timeout must be positive")
         from repro.net.procrun import TRANSPORTS

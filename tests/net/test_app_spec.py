@@ -71,6 +71,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(workers=0)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("field", ["rx_capacity", "pool_size"])
+    def test_ring_and_pool_must_be_positive(self, field, value):
+        """A zero or negative RX ring would launch and drop every frame
+        as ``rx_ring_full``; a zero or negative pool would fail only at
+        launch, or in process mode on a forked worker's first turn. The
+        spec refuses both, as ``ChainSpec`` does."""
+        with pytest.raises(ValueError, match="rx capacity and pool size"):
+            spec(**{field: value})
+
     def test_inline_is_single_worker(self):
         with pytest.raises(ValueError, match="single-worker"):
             spec(execution=INLINE, workers=2)
