@@ -9,13 +9,13 @@ data model, sized for a simulated data path:
   locally per burst, once per packet; the registry never sees a write.
 - **Collection pulls, it is never pushed.** ``register_metrics`` hands
   the registry a *callback* per metric (``counter_fn`` / ``gauge_fn``)
-  and the value is read at snapshot time — wiring the
-  telemetry layer through the stack adds zero work per packet, enabled
-  or not. There is no second kind of instrument.
-- **Merging is explicit.** Counters merge by addition;
-  each gauge declares its merge strategy (``sum`` for occupancy-like
-  values, ``max`` for watermark-like values such as the pool
-  high-water mark, which is not additive across workers).
+  and the value is read at snapshot time — wiring the telemetry layer
+  through the stack adds zero work per packet, enabled or not. There is
+  no second kind of instrument.
+- **Merging is explicit.** Counters merge by addition; each gauge
+  declares its merge strategy (``sum`` for occupancy-like values,
+  ``max`` for watermark-like values such as the pool high-water mark,
+  which is not additive across workers).
 
 Snapshots are plain dicts (the JSON schema shared with ``BENCH_*.json``
 files); :mod:`repro.obs.expo` renders them as Prometheus text.
@@ -114,11 +114,10 @@ class MetricsRegistry:
         metrics: List[Dict] = []
         for name in sorted(self._families):
             family = self._families[name]
-            samples: List[Dict] = []
-            for key in sorted(family.children):
-                samples.append(
-                    {"labels": _key_labels(key), "value": family.children[key]()}
-                )
+            samples = [
+                {"labels": _key_labels(key), "value": family.children[key]()}
+                for key in sorted(family.children)
+            ]
             metrics.append(
                 {
                     "name": family.name,
@@ -170,10 +169,10 @@ def with_labels(snapshot: Dict, extra: Dict[str, str]) -> Dict:
 def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
     """Merge snapshots into one: same-name same-label samples combine.
 
-    Counters add; gauges follow their declared merge
-    strategy (``sum`` by default, ``max`` for watermarks). Samples with
-    distinct label sets stay distinct — merging two workers' snapshots
-    keeps per-worker samples apart unless they share labels.
+    Counters add; gauges follow their declared merge strategy (``sum``
+    by default, ``max`` for watermarks). Samples with distinct label
+    sets stay distinct — merging two workers' snapshots keeps per-worker
+    samples apart unless they share labels.
     """
     merged: Dict[str, Dict] = {}
     for snapshot in snapshots:
